@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet ci
+.PHONY: all build test race fuzz-smoke bench bench-smoke bench-json bench-compare staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet ci
 
 all: build test
 
@@ -14,6 +14,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Time-boxed run of every fuzz target (go test -fuzz takes one target and
+# one package at a time). The segfile openers are the only door persisted
+# bytes come in through, the query parser and cursor decoder the only ones
+# for request text.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzReader$$' -fuzztime=5s ./internal/segfile
+	$(GO) test -run=NONE -fuzz='^FuzzSegfileOpen$$' -fuzztime=5s ./internal/ir
+	$(GO) test -run=NONE -fuzz='^FuzzVecSegfileOpen$$' -fuzztime=5s ./internal/vec
+	$(GO) test -run=NONE -fuzz='^FuzzDeserialize$$' -fuzztime=5s ./internal/store
+	$(GO) test -run=NONE -fuzz='^FuzzParseRequest$$' -fuzztime=5s ./internal/dlse
+	$(GO) test -run=NONE -fuzz='^FuzzCursor$$' -fuzztime=5s ./internal/dlse
 
 # Full benchmark run with the experiment tables.
 bench:
@@ -49,7 +61,7 @@ staticcheck:
 	fi
 
 # End-to-end daemon check: start dlserve on a random port, curl /healthz
-# and /query, shut down gracefully.
+# and /v2/search, shut down gracefully.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
@@ -75,7 +87,7 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet staticcheck build test race bench-smoke bench-json-smoke serve-smoke cluster-smoke crash-smoke
+ci: fmt-check vet staticcheck build test race fuzz-smoke bench-smoke bench-json-smoke serve-smoke cluster-smoke crash-smoke
 
 # The bench-json CI step: one iteration per benchmark, same script. Writes
 # to a scratch path so it never clobbers the committed BENCH_PR10.json (the

@@ -18,13 +18,10 @@
 package repro
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,9 +31,7 @@ import (
 	"repro/internal/fde"
 	"repro/internal/frame"
 	"repro/internal/grammar"
-	"repro/internal/ir"
 	"repro/internal/pipeline"
-	"repro/internal/segfile"
 	"repro/internal/serve"
 	"repro/internal/synth"
 	"repro/internal/vidfmt"
@@ -46,13 +41,14 @@ import (
 // Re-exported core types. Aliases keep the internal packages as the single
 // source of truth while making the types usable by importers.
 type (
-	// Query is the unified v2 request: query-language text, structured
-	// request, keyword baseline, or scene lookup — exactly one form set.
+	// Query is the unified request: query-language text, structured
+	// request, keyword baseline, vector or hybrid ranking, or scene lookup —
+	// exactly one form set.
 	Query = dlse.Query
-	// ResultSet is a v2 Search answer: one page of items plus cursor,
+	// ResultSet is a Search answer: one page of items plus cursor,
 	// total, snapshot, and optional explain payload.
 	ResultSet = dlse.ResultSet
-	// Item is one unified v2 answer.
+	// Item is one unified answer.
 	Item = dlse.Item
 	// Cursor is an opaque pagination resume token.
 	Cursor = dlse.Cursor
@@ -89,15 +85,11 @@ type (
 	SiteConfig = webspace.SiteConfig
 	// Site is a generated webspace site (object graph + pages).
 	Site = webspace.Site
-	// Result is one combined-query answer.
-	Result = dlse.Result
 	// Request is a structured combined query.
 	Request = dlse.Request
-	// Hit is one full-text retrieval result.
-	Hit = ir.Hit
 )
 
-// The typed error taxonomy of the v2 query surface. Callers branch with
+// The typed error taxonomy of the query surface. Callers branch with
 // errors.Is; the HTTP layer maps them onto statuses.
 var (
 	// ErrParse reports malformed query text (wrapped by *QueryError with
@@ -172,10 +164,9 @@ type Library struct {
 	gen     int64 // segment-set generation: bumped by Commit and Compact
 	nextSeg int64 // next segment ID
 
-	// src backs a library opened from a segfile (LoadLibraryFile or a
-	// sniffed LoadLibrary): segments decode lazily on first touch and, for
-	// file opens, read straight from the memory mapping. It stays set for
-	// Close even after hydration.
+	// src backs a loaded library (LoadLibraryFile or LoadLibrary): segments
+	// decode lazily on first touch and, for file opens, read straight from
+	// the memory mapping. It stays set for Close even after hydration.
 	src *core.SegfileLibrary
 	// hydrated records that parts holds every decoded segment; until then
 	// parts is nil and all reads go through src.
@@ -311,8 +302,6 @@ type BatchOptions struct {
 	// Workers bounds the number of videos processed concurrently;
 	// values < 1 select GOMAXPROCS.
 	Workers int
-	// Shards is the meta-index shard count; values < 1 select Workers.
-	Shards int
 	// ContinueOnError keeps the batch running after a job fails; the
 	// default stops dispatching new jobs on the first failure. Either way
 	// every failure is reported in its job's BatchResult.
@@ -350,10 +339,11 @@ type BatchResult struct {
 
 // IndexBatch indexes a batch of videos concurrently: jobs fan out across a
 // bounded worker pool (the paper's Feature Detector Engine runs once per
-// video, independently), each parse is committed to a sharded staging
-// index, and on completion the shards are merged into the library in job
-// order — so the resulting index, and SaveIndex output, are byte-identical
-// to indexing the same jobs sequentially with IndexFrames/IndexSVF.
+// video, independently), each parse is materialized into a private
+// one-video index, and on completion those are replayed into the library in
+// job order — so the resulting index, and SaveIndex output, are
+// byte-identical to indexing the same jobs sequentially with
+// IndexFrames/IndexSVF.
 //
 // Cancellation stops dispatching new jobs; jobs already in flight finish
 // and are merged, and every job that never ran reports the context error in
@@ -404,7 +394,6 @@ func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOpti
 	}
 	in, err := pipeline.New(engine, pipeline.Config{
 		Workers:         opts.Workers,
-		Shards:          opts.Shards,
 		ContinueOnError: opts.ContinueOnError,
 		OnProgress: func(p pipeline.Progress) {
 			if opts.OnProgress != nil {
@@ -547,115 +536,63 @@ func (l *Library) Index() *MetaIndex {
 	return l.head()
 }
 
-// IndexFormat selects the on-disk representation written by SaveIndexAs.
-type IndexFormat int
-
-const (
-	// FormatSegfile is the default: the block-aligned, checksummed
-	// container that memory-maps with O(segments) cold start
-	// (LoadLibraryFile) and decodes segments lazily.
-	FormatSegfile IndexFormat = iota
-	// FormatLegacy is the pre-segfile column-store stream: smaller
-	// tooling surface, but loading decodes every segment up front.
-	FormatLegacy
-)
-
-// SaveIndex persists the segmented meta-index in the default segfile
-// format — see SaveIndexAs. Single-segment saves of the same videos are
-// byte-identical however the segment was populated (sequentially or
-// batched).
+// SaveIndex persists the segmented meta-index as a segfile: the
+// block-aligned, checksummed container that memory-maps with O(segments)
+// cold start (LoadLibraryFile) and decodes segments lazily. Single-segment
+// saves of the same videos are byte-identical however the segment was
+// populated (sequentially or batched).
 func (l *Library) SaveIndex(w io.Writer) error {
-	return l.SaveIndexAs(w, FormatSegfile)
-}
-
-// SaveIndexAs persists the segmented meta-index in the chosen format.
-// Both formats hold the identical column-store bytes per segment and both
-// load via LoadLibrary (which sniffs the magic), so query answers are
-// byte-identical whichever format carried them; only cold-start cost and
-// mmap support differ.
-func (l *Library) SaveIndexAs(w io.Writer, format IndexFormat) error {
 	if err := l.materialize(); err != nil {
 		return err
 	}
-	switch format {
-	case FormatSegfile:
-		return core.WriteSegfile(w, l.parts, l.metas, l.gen)
-	case FormatLegacy:
-		return core.SaveSegmented(w, l.parts, l.metas, l.gen)
-	default:
-		return fmt.Errorf("repro: unknown index format %d", format)
-	}
+	return core.WriteSegfile(w, l.parts, l.metas, l.gen)
 }
 
 // newLoadedLibrary finishes a load: attach a fresh FDE and derive the next
-// segment ID from the manifest.
-func newLoadedLibrary(parts []*core.MetaIndex, metas []core.SegmentMeta, gen int64, src *core.SegfileLibrary) (*Library, error) {
+// segment ID from the manifest. Segments decode lazily from src.
+func newLoadedLibrary(src *core.SegfileLibrary) (*Library, error) {
 	engine, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
 	if err != nil {
 		return nil, err
 	}
+	metas := src.Metas()
 	nextSeg := int64(1)
 	for _, m := range metas {
 		if m.ID >= nextSeg {
 			nextSeg = m.ID + 1
 		}
 	}
-	return &Library{engine: engine, parts: parts, metas: metas, gen: gen, nextSeg: nextSeg, src: src}, nil
+	return &Library{engine: engine, metas: metas, gen: src.Generation(), nextSeg: nextSeg, src: src}, nil
 }
 
-// LoadLibrary restores a library from any persisted index format, sniffed
-// from the stream's magic bytes: the segfile container written by
-// SaveIndex, the legacy segmented stream, or a legacy stream holding one
-// bare meta-index database (loaded as a single segment). A segfile stream
-// is held in memory with segments decoded lazily; to memory-map instead,
-// use LoadLibraryFile.
+// LoadLibrary restores a library from a segfile stream written by
+// SaveIndex, held in memory with segments decoded lazily; to memory-map
+// instead, use LoadLibraryFile. A stream that is not a segfile fails with
+// an error wrapping core.ErrNotSegfile.
 func LoadLibrary(r io.Reader) (*Library, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(segfile.Magic))
-	if err == nil && bytes.Equal(magic, []byte(segfile.Magic)) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, err
-		}
-		src, err := core.OpenSegfileBytes(data)
-		if err != nil {
-			return nil, err
-		}
-		return newLoadedLibrary(nil, src.Metas(), src.Generation(), src)
-	}
-	parts, metas, gen, err := core.LoadSegmented(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return newLoadedLibrary(parts, metas, gen, nil)
+	src, err := core.OpenSegfileBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return newLoadedLibrary(src)
 }
 
-// LoadLibraryFile restores a library from a file, memory-mapping segfile
-// libraries: the open is O(segments) — one mmap plus a manifest parse —
-// and a segment's bytes are decoded (and its pages faulted in) only when
-// a query first touches it, so a larger-than-RAM corpus serves fine.
-// Legacy-format files fall back to the streaming loader. The caller owns
-// Close for the mapping's lifetime.
+// LoadLibraryFile restores a library from a segfile by memory-mapping it:
+// the open is O(segments) — one mmap plus a manifest parse — and a
+// segment's bytes are decoded (and its pages faulted in) only when a query
+// first touches it, so a larger-than-RAM corpus serves fine. A file that is
+// not a segfile fails with an error naming it and wrapping
+// core.ErrNotSegfile. The caller owns Close for the mapping's lifetime.
 func LoadLibraryFile(path string) (*Library, error) {
-	f, err := os.Open(path)
+	src, err := core.OpenSegfileFile(path)
 	if err != nil {
 		return nil, err
 	}
-	magic := make([]byte, len(segfile.Magic))
-	if _, err := io.ReadFull(f, magic); err == nil && bytes.Equal(magic, []byte(segfile.Magic)) {
-		f.Close()
-		src, err := core.OpenSegfileFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return newLoadedLibrary(nil, src.Metas(), src.Generation(), src)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	defer f.Close()
-	return LoadLibrary(f)
+	return newLoadedLibrary(src)
 }
 
 // GrammarDOT returns the tennis feature grammar's detector dependency
@@ -743,7 +680,7 @@ func NewDigitalLibraryWith(site *Site, lib *Library, opts LibraryOptions) (*Digi
 	return dl, nil
 }
 
-// Search is the unified v2 query entrypoint: one call covering the
+// Search is the unified query entrypoint: one call covering the
 // query-language string, the structured request, the keyword baseline,
 // the embedding-similarity and hybrid (RRF-fused) lanes, and the scene
 // lookup (Query's six forms), with cursor pagination
@@ -829,72 +766,15 @@ func (dl *DigitalLibrary) Compact(target int) (bool, error) {
 // Swap. ResultSets and cursors carry the snapshot they were computed on.
 func (dl *DigitalLibrary) Snapshot() int64 { return dl.engine.Load().Snapshot() }
 
-// Query parses and runs a combined query in the demo query language, e.g.:
-//
-//	find Player where sex = "female" and handedness = "left"
-//	  and exists wonFinals
-//	scenes "net-play" via wonFinals.video
-//
-// Deprecated: use Search with Query{Source: text}, which adds pagination,
-// streaming, and explain plans. Query remains as a thin shim over Search
-// and behaves exactly as before.
-func (dl *DigitalLibrary) Query(text string) ([]Result, error) {
-	rs, err := dl.Search(context.Background(), Query{Source: text})
-	if err != nil {
-		return nil, err
-	}
-	return itemsToResults(rs.Items), nil
-}
-
-// QueryStruct runs a pre-built structured request.
-//
-// Deprecated: use Search with Query{Request: &req}. QueryStruct remains as
-// a thin shim over Search and behaves exactly as before.
-func (dl *DigitalLibrary) QueryStruct(req Request) ([]Result, error) {
-	rs, err := dl.Search(context.Background(), Query{Request: &req})
-	if err != nil {
-		return nil, err
-	}
-	return itemsToResults(rs.Items), nil
-}
-
-// QueryContext runs a structured request under a context on the concurrent
-// planner/operator path: independent retrieval operators (conceptual
-// selection, scene retrieval, text ranking) execute in parallel and merge
-// deterministically. A DigitalLibrary is safe for concurrent QueryContext
-// calls from any number of goroutines.
-//
-// Deprecated: use Search with Query{Request: &req}. QueryContext remains
-// as a thin shim over Search and behaves exactly as before.
-func (dl *DigitalLibrary) QueryContext(ctx context.Context, req Request) ([]Result, error) {
-	rs, err := dl.Search(ctx, Query{Request: &req})
-	if err != nil {
-		return nil, err
-	}
-	return itemsToResults(rs.Items), nil
-}
-
-// itemsToResults converts unified v2 items back to the v1 result shape the
-// deprecated shims return. The merge produces the same objects, scores,
-// and scene slices either way, so shim output is byte-identical to the
-// pre-redesign engines'.
-func itemsToResults(items []Item) []Result {
-	out := make([]Result, 0, len(items))
-	for _, it := range items {
-		out = append(out, Result{Object: it.Object, Score: it.Score, Scenes: it.Scenes})
-	}
-	return out
-}
-
 // Server is the long-lived query-serving layer: a sharded LRU result cache
-// over the engine plus an http.Handler exposing the v1 endpoints (/query,
-// /keyword, /scenes, /healthz) and the v2 surface (/v2/search with cursor
-// pagination and explain plans, /v2/reload for hot reindexing) as JSON. It
+// over the engine plus an http.Handler exposing /v2/search (cursor
+// pagination, explain plans), the /v2 admin endpoints (commit, compact,
+// reload) and /healthz as JSON, and /metrics in Prometheus text format. It
 // is what cmd/dlserve runs.
 type Server = serve.Server
 
-// ServerOptions tunes NewServer (cache capacity, shard count, and the
-// bound on concurrently executing queries).
+// ServerOptions tunes NewServer (cache capacity and the bound on
+// concurrently executing queries).
 type ServerOptions = serve.Options
 
 // NewServer wraps a digital library in the serving layer, giving importers
@@ -907,23 +787,6 @@ func NewServer(lib *DigitalLibrary, opts ServerOptions) *Server {
 	s := serve.New(lib.engine.Load(), opts)
 	lib.servers = append(lib.servers, s)
 	return s
-}
-
-// KeywordSearch is the flattened-pages keyword baseline.
-//
-// Deprecated: use Search with Query{Keyword: query} and WithLimit(k),
-// which adds pagination and explain plans. KeywordSearch remains as a thin
-// shim over Search and behaves exactly as before.
-func (dl *DigitalLibrary) KeywordSearch(query string, k int) ([]Hit, error) {
-	rs, err := dl.Search(context.Background(), Query{Keyword: query}, WithLimit(k))
-	if err != nil {
-		return nil, err
-	}
-	hits := make([]Hit, 0, len(rs.Items))
-	for _, it := range rs.Items {
-		hits = append(hits, Hit{Doc: it.Doc, Name: it.Page, Score: it.Score})
-	}
-	return hits, nil
 }
 
 // MotivatingQuery returns the paper's running example in query-language

@@ -98,20 +98,21 @@ func TestDigitalLibraryMotivatingQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := dl.Query(`find Player where sex = "female" and exists wonFinals`)
+	ctx := context.Background()
+	results, err := dl.Search(ctx, Query{Source: `find Player where sex = "female" and exists wonFinals`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) == 0 {
+	if len(results.Items) == 0 {
 		t.Fatal("no female champions found")
 	}
 	// Keyword baseline works too.
-	hits, err := dl.KeywordSearch("australian open final", 5)
-	if err != nil || len(hits) == 0 {
+	hits, err := dl.Search(ctx, Query{Keyword: "australian open final"}, WithLimit(5))
+	if err != nil || len(hits.Items) == 0 {
 		t.Fatalf("keyword baseline: %v, %v", hits, err)
 	}
 	// The canonical motivating query parses.
-	if _, err := dl.Query(MotivatingQuery()); err != nil {
+	if _, err := dl.Search(ctx, Query{Source: MotivatingQuery()}); err != nil {
 		t.Fatalf("motivating query rejected: %v", err)
 	}
 }
@@ -134,7 +135,7 @@ func TestIndexFramesValidation(t *testing.T) {
 	}
 }
 
-func TestQueryContextAndServerFacade(t *testing.T) {
+func TestSearchAndServerFacade(t *testing.T) {
 	site, err := GenerateSite(SiteConfig{Players: 32, YearStart: 1999, YearEnd: 2001, Seed: 27})
 	if err != nil {
 		t.Fatal(err)
@@ -143,29 +144,30 @@ func TestQueryContextAndServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Class: "Player", Text: "final", Limit: 5}
-	seq, err := dl.QueryStruct(req)
+	ctx := context.Background()
+	q := Query{Request: &Request{Class: "Player", Text: "final", Limit: 5}}
+	seq, err := dl.Search(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxRes, err := dl.QueryContext(context.Background(), req)
+	again, err := dl.Search(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq, ctxRes) {
-		t.Fatal("QueryContext result differs from QueryStruct")
+	if !reflect.DeepEqual(seq.Items, again.Items) {
+		t.Fatal("repeated Search result differs")
 	}
 
 	srv := NewServer(dl, ServerOptions{CacheSize: 16, Workers: 2})
-	cold, cached, err := srv.QueryRequest(context.Background(), req)
+	cold, cached, err := srv.Search(ctx, q, "", 0, false)
 	if err != nil || cached {
 		t.Fatalf("cold serve: cached=%t err=%v", cached, err)
 	}
-	warm, cached, err := srv.QueryRequest(context.Background(), req)
+	warm, cached, err := srv.Search(ctx, q, "", 0, false)
 	if err != nil || !cached {
 		t.Fatalf("warm serve: cached=%t err=%v", cached, err)
 	}
-	if !reflect.DeepEqual(cold, warm) || !reflect.DeepEqual(cold, seq) {
+	if !reflect.DeepEqual(cold.Items, warm.Items) || !reflect.DeepEqual(cold.Items, seq.Items) {
 		t.Fatal("served results diverge from engine results")
 	}
 }

@@ -151,75 +151,6 @@ func TestV2PaginationDeterminismAcrossSwap(t *testing.T) {
 	wg.Wait()
 }
 
-// TestV2ShimParity locks the deprecation contract: every v1 method
-// produces exactly what routing the same retrieval through Search yields,
-// and what the pre-redesign engine produced (the existing v1 tests cover
-// the latter; this test pins shim ↔ Search agreement).
-func TestV2ShimParity(t *testing.T) {
-	site := v2Site(t)
-	dl, err := NewDigitalLibrary(site, v2Library(t, site, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	src := `find Player where exists wonFinals scenes "net-play" via wonFinals.video rank "australian open final" limit 5`
-
-	v1, err := dl.Query(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v1) == 0 {
-		t.Fatal("no results")
-	}
-	rs, err := dl.Search(ctx, Query{Source: src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, itemsToResults(rs.Items)) {
-		t.Fatal("Query shim diverges from Search")
-	}
-
-	req := Request{Class: "Player", Text: "final", Limit: 4}
-	vs, err := dl.QueryStruct(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := dl.QueryContext(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vs, vc) {
-		t.Fatal("QueryStruct and QueryContext diverge")
-	}
-	rs2, err := dl.Search(ctx, Query{Request: &req})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vs, itemsToResults(rs2.Items)) {
-		t.Fatal("QueryStruct shim diverges from Search")
-	}
-
-	hits, err := dl.KeywordSearch("australian open final", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) == 0 {
-		t.Fatal("keyword baseline found nothing")
-	}
-	kw, err := dl.Search(ctx, Query{Keyword: "australian open final"}, WithLimit(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != len(kw.Items) {
-		t.Fatalf("keyword shim %d hits, Search %d items", len(hits), len(kw.Items))
-	}
-	for i, h := range hits {
-		if h.Name != kw.Items[i].Page || h.Doc != kw.Items[i].Doc || h.Score != kw.Items[i].Score {
-			t.Fatalf("keyword hit %d diverges", i)
-		}
-	}
-}
-
 // TestV2SwapVisibility checks that a swap to *different* content is
 // observed: new scenes appear, the snapshot moves, and servers created via
 // NewServer follow along.

@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"expvar"
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -241,9 +240,7 @@ func (w *WAL) checkpoint(lib *Library) error {
 	w.mu.Unlock()
 	gen := lib.gen
 	path := w.snapshotPath(covered)
-	if err := fsx.WriteAtomic(w.fs, path, func(out io.Writer) error {
-		return lib.SaveIndexAs(out, FormatSegfile)
-	}); err != nil {
+	if err := fsx.WriteAtomic(w.fs, path, lib.SaveIndex); err != nil {
 		return fmt.Errorf("repro: wal snapshot: %w", err)
 	}
 	if err := w.log.Rotate(covered, gen); err != nil {

@@ -151,22 +151,26 @@ func TestIndexBatchCancellation(t *testing.T) {
 }
 
 // Path-based jobs decode in the workers; failures are collected per job
-// with ContinueOnError while the rest of the batch lands.
+// with ContinueOnError while the rest of the batch lands — here around a
+// failing job in the middle, merged into a library that already holds a
+// video, so every reported VideoID has to be the merged one.
 func TestIndexBatchSVFAndErrors(t *testing.T) {
 	vids := batchTestCorpus(t)
 	dir := t.TempDir()
-	jobs := make([]IngestJob, 0, 3)
+	var paths [2]string
 	for i, v := range vids[:2] {
-		path := filepath.Join(dir, fmt.Sprintf("match-%d.svf", i))
-		if err := WriteSVF(path, v.Frames, v.FPS); err != nil {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("match-%d.svf", i))
+		if err := WriteSVF(paths[i], v.Frames, v.FPS); err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, IngestJob{Path: path})
 	}
-	jobs = append(jobs, IngestJob{Path: filepath.Join(dir, "missing.svf")})
+	jobs := []IngestJob{{Path: paths[0]}, {Path: filepath.Join(dir, "missing.svf")}, {Path: paths[1]}}
 
 	lib, err := NewLibrary()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lib.IndexFrames("existing", vids[2].Frames, vids[2].FPS); err != nil {
 		t.Fatal(err)
 	}
 	results, err := lib.IndexBatch(context.Background(), jobs, BatchOptions{
@@ -175,22 +179,25 @@ func TestIndexBatchSVFAndErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("missing file did not surface in batch error")
 	}
-	if results[0].Name != "match-0" || results[1].Name != "match-1" {
-		t.Fatalf("names from paths: %q, %q", results[0].Name, results[1].Name)
+	if results[0].Name != "match-0" || results[2].Name != "match-1" {
+		t.Fatalf("names from paths: %q, %q", results[0].Name, results[2].Name)
 	}
-	for _, r := range results[:2] {
+	for i, r := range []BatchResult{results[0], results[2]} {
 		if r.Err != nil {
 			t.Fatalf("job %q failed: %v", r.Name, r.Err)
 		}
-		if _, err := lib.Index().VideoByName(r.Name); err != nil {
-			t.Fatal(err)
+		if want := int64(i + 2); r.VideoID != want {
+			t.Fatalf("job %q: video ID %d, want %d", r.Name, r.VideoID, want)
+		}
+		if v, err := lib.Index().VideoByID(r.VideoID); err != nil || v.Name != r.Name {
+			t.Fatalf("job %q: video ID %d names %q (%v)", r.Name, r.VideoID, v.Name, err)
 		}
 	}
-	if results[2].Err == nil {
-		t.Fatal("missing file indexed without error")
+	if results[1].Err == nil || results[1].VideoID != 0 {
+		t.Fatalf("missing file: err=%v videoID=%d", results[1].Err, results[1].VideoID)
 	}
-	if st := lib.Index().Stats(); st.Videos != 2 {
-		t.Fatalf("index holds %d videos, want 2", st.Videos)
+	if st := lib.Index().Stats(); st.Videos != 3 {
+		t.Fatalf("index holds %d videos, want 3", st.Videos)
 	}
 }
 

@@ -535,13 +535,19 @@ func BenchmarkE8WebspaceVsKeyword(b *testing.B) {
 			if k < 10 {
 				k = 10
 			}
-			ids, err := eng.KeywordObjectSearch(tm.keyword, k)
+			kw, err := eng.Search(context.Background(), dlse.Query{Keyword: tm.keyword}, dlse.WithLimit(k))
 			if err != nil {
 				panic(err)
 			}
 			var kwPR eval.PR
 			matched := map[int64]bool{}
-			for _, id := range ids {
+			seen := map[int64]bool{}
+			for _, it := range kw.Items {
+				id := site.Pages[it.Doc].ObjectID // doc ID = page position
+				if seen[id] {
+					continue
+				}
+				seen[id] = true
 				if truth[id] {
 					kwPR.TP++
 					matched[id] = true
@@ -659,16 +665,16 @@ func newDlseForBench(site *webspace.Site, idx *core.MetaIndex) (*dlse.Engine, er
 	return dlse.New(site, idx)
 }
 
-func runMotivating(eng *dlse.Engine, site *webspace.Site) []dlse.Result {
+func runMotivating(eng *dlse.Engine, site *webspace.Site) []dlse.Item {
 	req, err := dlse.ParseRequest(site.W.Schema(), dlse.MotivatingQueryText)
 	if err != nil {
 		panic(err)
 	}
-	results, err := eng.Query(req)
+	rs, err := eng.SearchAll(context.Background(), dlse.Query{Request: &req}, false)
 	if err != nil {
 		panic(err)
 	}
-	return results
+	return rs.Items
 }
 
 // ------------------------------------------------- throughput benchmarks
@@ -969,63 +975,53 @@ func coldCorpusParts(nseg int) ([]*core.MetaIndex, []core.SegmentMeta) {
 	return parts, metas
 }
 
-// benchColdOpenBlobs serializes the cold-open corpus in both on-disk
-// formats at 1 and 4 segments, once per process.
+// benchColdOpenBlobs serializes the cold-open corpus at 1 and 4 segments,
+// once per process.
 func benchColdOpenBlobs(b *testing.B) map[string][]byte {
 	b.Helper()
 	coldOpenOnce.Do(func() {
 		coldOpenBlobs = map[string][]byte{}
 		for _, nseg := range []int{1, 4} {
 			parts, metas := coldCorpusParts(nseg)
-			var sf, lg strings.Builder
+			var sf strings.Builder
 			if err := core.WriteSegfile(&sf, parts, metas, int64(nseg)); err != nil {
 				panic(err)
 			}
-			if err := core.SaveSegmented(&lg, parts, metas, int64(nseg)); err != nil {
-				panic(err)
-			}
 			coldOpenBlobs[fmt.Sprintf("segfile/segs=%d", nseg)] = []byte(sf.String())
-			coldOpenBlobs[fmt.Sprintf("legacy/segs=%d", nseg)] = []byte(lg.String())
 		}
 	})
 	return coldOpenBlobs
 }
 
 // BenchmarkColdOpen measures time-to-first-query readiness of a persisted
-// library: the legacy format pays a full deserialize (rows + hash index
-// rebuild, O(corpus)) before the first answer, while the segfile format
-// memory-maps and verifies only the manifest (O(segments)) — segment rows
-// fault in lazily on first touch. NumSegments is answered from the
-// manifest, so the mmap legs never hydrate.
+// library: the segfile memory-maps and only the manifest is verified
+// (O(segments)) — segment rows fault in lazily on first touch. NumSegments
+// is answered from the manifest, so the open never hydrates.
 func BenchmarkColdOpen(b *testing.B) {
 	blobs := benchColdOpenBlobs(b)
 	for _, nseg := range []int{1, 4} {
-		for _, format := range []string{"legacy", "segfile"} {
-			name := fmt.Sprintf("%s/segs=%d", format, nseg)
-			data := blobs[name]
-			b.Run(name, func(b *testing.B) {
-				path := filepath.Join(b.TempDir(), "lib.db")
-				if err := os.WriteFile(path, data, 0o644); err != nil {
+		name := fmt.Sprintf("segfile/segs=%d", nseg)
+		data := blobs[name]
+		b.Run(name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "lib.db")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				view, closer, err := core.OpenSegmentedFile(path)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					view, closer, err := core.OpenSegmentedFile(path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if view.NumSegments() != nseg {
-						b.Fatalf("segments = %d", view.NumSegments())
-					}
-					if closer != nil {
-						if err := closer.Close(); err != nil {
-							b.Fatal(err)
-						}
-					}
+				if view.NumSegments() != nseg {
+					b.Fatalf("segments = %d", view.NumSegments())
 				}
-			})
-		}
+				if err := closer.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -1243,38 +1239,39 @@ func BenchmarkDLSEQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	q := dlse.Query{Request: &req} // already normalized: no parse per iteration
 
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.QueryContext(ctx, req); err != nil {
+			if _, err := eng.SearchAll(ctx, q, false); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		srv := serve.New(eng, serve.Options{CacheSize: 256})
-		if _, _, err := srv.QueryRequest(ctx, req); err != nil { // warm
+		if _, _, err := srv.Search(ctx, q, "", 0, false); err != nil { // warm
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, cached, err := srv.QueryRequest(ctx, req); err != nil || !cached {
+			if _, cached, err := srv.Search(ctx, q, "", 0, false); err != nil || !cached {
 				b.Fatalf("cached=%t err=%v", cached, err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		srv := serve.New(eng, serve.Options{CacheSize: 256})
-		if _, _, err := srv.QueryRequest(ctx, req); err != nil {
+		if _, _, err := srv.Search(ctx, q, "", 0, false); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, _, err := srv.QueryRequest(ctx, req); err != nil {
+				if _, _, err := srv.Search(ctx, q, "", 0, false); err != nil {
 					b.Error(err) // Fatal must not be called off the benchmark goroutine
 					return
 				}
@@ -1288,16 +1285,16 @@ func BenchmarkDLSEQuery(b *testing.B) {
 // text operator — analysis, dense scoring, merge — is most of the work.
 func BenchmarkDLSETextRank(b *testing.B) {
 	eng, _ := serveFixture(b)
-	req := dlse.Request{
+	q := dlse.Query{Request: &dlse.Request{
 		Class: "Player",
 		Text:  "champion winner australian open final interview",
 		Limit: 10,
-	}
+	}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.QueryContext(ctx, req); err != nil {
+		if _, err := eng.SearchAll(ctx, q, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,9 @@
 // Command cobraindex runs the tennis Feature Detector Engine over a corpus
-// of SVF videos, populating and persisting the COBRA meta-index. Videos are
-// processed by a worker pool: each worker decodes and parses one video at a
-// time, committing into a sharded index that is merged deterministically —
-// the output is byte-identical at any worker count.
+// of SVF videos, populating the COBRA meta-index and persisting it as a
+// memory-mappable segfile. Videos are processed by a worker pool: each
+// worker decodes and parses one video at a time into its own index, and the
+// per-video indexes are merged in argument order — the output is
+// byte-identical at any worker count.
 //
 // Usage:
 //
@@ -34,17 +35,13 @@ func main() {
 	log.SetPrefix("cobraindex: ")
 	var (
 		out     = flag.String("out", "meta.db", "output meta-index file")
-		format  = flag.String("format", "segfile", "output format: segfile (memory-mappable, lazy-loading) or legacy (bare column-store stream)")
 		segdet  = flag.String("segdet", "", "path to an external segment detector binary (black-box mode)")
 		workers = flag.Int("workers", 0, "concurrent videos (0 = GOMAXPROCS)")
 		quiet   = flag.Bool("q", false, "suppress per-video progress")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		log.Fatal("usage: cobraindex [-out meta.db] [-format segfile|legacy] [-workers N] [-segdet BIN] video.svf|dir...")
-	}
-	if *format != "segfile" && *format != "legacy" {
-		log.Fatalf("unknown -format %q (want segfile or legacy)", *format)
+		log.Fatal("usage: cobraindex [-out meta.db] [-workers N] [-segdet BIN] video.svf|dir...")
 	}
 	paths, err := expandArgs(flag.Args())
 	if err != nil {
@@ -134,21 +131,15 @@ func main() {
 		s := stats[name]
 		fmt.Printf("  %-10s runs=%d total=%v errors=%d\n", name, s.Runs, s.Total.Round(time.Millisecond), s.Errors)
 	}
-	// Either format carries the identical column-store bytes and loads via
-	// the sniffing loaders (dlserve/dlsearch/LoadLibrary); segfile adds the
-	// checksummed container that memory-maps with O(segments) cold start.
 	// The write is atomic (temp + fsync + rename), so a crash mid-write
-	// cannot leave a torn index at -o.
+	// cannot leave a torn index at -out.
 	err = fsx.WriteAtomic(fsx.OS, *out, func(w io.Writer) error {
-		if *format == "segfile" {
-			return core.WriteSegfile(w, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 0)
-		}
-		return idx.Serialize(w)
+		return core.WriteSegfile(w, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 0)
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%s)\n", *out, *format)
+	fmt.Printf("wrote %s (segfile)\n", *out)
 }
 
 // expandArgs resolves the positional arguments: directories expand to the

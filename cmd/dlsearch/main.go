@@ -71,9 +71,8 @@ func main() {
 	}
 	var view *core.SegmentedIndex
 	if *metaPath != "" {
-		// Sniffs the file format: segfile libraries memory-map with lazy
-		// segment decode, legacy streams load eagerly. The mapping lives
-		// for the life of the process, so the closer is ignored.
+		// The segfile memory-maps with lazy segment decode. The mapping
+		// lives for the life of the process, so the closer is ignored.
 		view, _, err = core.OpenSegmentedFile(*metaPath)
 		if err != nil {
 			log.Fatal(err)

@@ -1,9 +1,9 @@
 // Command dlserve is the long-lived digital library search daemon: it
 // builds the engine once (synthetic Australian Open site + optional video
-// meta-index from cobraindex) and serves combined, keyword, and scene
-// queries over HTTP with a sharded LRU result cache — including the v2
-// unified surface with cursor pagination, explain plans, and incremental
-// index growth.
+// meta-index from cobraindex) and serves combined, keyword, vector,
+// hybrid, and scene queries on one endpoint, /v2/search, with cursor
+// pagination and explain plans behind a sharded LRU result cache, plus
+// incremental index growth.
 //
 // Usage:
 //
@@ -66,7 +66,7 @@ func main() {
 	log.SetPrefix("dlserve: ")
 	var (
 		addr      = flag.String("addr", ":8372", "listen address (host:port; port 0 picks a free port)")
-		metaPath  = flag.String("meta", "", "meta-index file from cobraindex (optional; reloaded on SIGHUP)")
+		metaPath  = flag.String("meta", "", "segfile meta-index from cobraindex (optional; reloaded on SIGHUP)")
 		cacheSize = flag.Int("cache-size", 1024, "query cache capacity in entries (negative disables)")
 		workers   = flag.Int("workers", 0, "max queries executing concurrently (0 = unbounded)")
 		segTarget = flag.Int("segment-target", 0,

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,15 +59,16 @@ func main() {
 	}
 	queryText := repro.MotivatingQuery()
 	fmt.Printf("\nquery:\n%s\n\n", queryText)
-	results, err := dl.Query(queryText)
+	ctx := context.Background()
+	results, err := dl.Search(ctx, repro.Query{Source: queryText})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(results) == 0 {
+	if len(results.Items) == 0 {
 		fmt.Println("no left-handed female champions on this site (try another seed)")
 		return
 	}
-	for _, r := range results {
+	for _, r := range results.Items {
 		p := r.Object
 		fmt.Printf("%s (%s, %s-handed)\n",
 			p.StringAttr("name"), p.StringAttr("country"), p.StringAttr("handedness"))
@@ -81,12 +83,12 @@ func main() {
 
 	// 4. What a keyword engine sees instead.
 	fmt.Println("\nkeyword baseline for comparison:")
-	hits, err := dl.KeywordSearch("left-handed female champion net", 5)
+	hits, err := dl.Search(ctx, repro.Query{Keyword: "left-handed female champion net"}, repro.WithLimit(5))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, h := range hits {
-		fmt.Printf("  %-40s %.3f\n", h.Name, h.Score)
+	for _, h := range hits.Items {
+		fmt.Printf("  %-40s %.3f\n", h.Page, h.Score)
 	}
 	fmt.Println("(pages, not players — the concept joins are lost in the HTML)")
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,20 +58,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := engine.Query(req)
+	ctx := context.Background()
+	results, err := engine.Search(ctx, dlse.Query{Request: &req})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nquery language gives the same %d players\n", len(results))
+	fmt.Printf("\nquery language gives the same %d players\n", results.Total)
 
 	// Keyword baseline: pages mentioning the words, but no join.
-	hits, err := engine.KeywordSearch("australia champion winner 1998", 8)
+	hits, err := engine.Search(ctx, dlse.Query{Keyword: "australia champion winner 1998"}, dlse.WithLimit(8))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nkeyword baseline over flattened pages:")
-	for _, h := range hits {
-		fmt.Printf("  %-40s %.3f\n", h.Name, h.Score)
+	for _, h := range hits.Items {
+		fmt.Printf("  %-40s %.3f\n", h.Page, h.Score)
 	}
 	fmt.Println("(finds pages containing the words — it cannot join a player's")
 	fmt.Println(" country from the bio page with their titles on the final pages)")

@@ -62,7 +62,10 @@ func serializeBytes(t *testing.T, idx *MetaIndex) []byte {
 	return buf.Bytes()
 }
 
-func TestShardedMergeMatchesSequential(t *testing.T) {
+// TestCopyVideoMatchesSequential is the byte-identity contract of the batch
+// ingest merge: videos built concurrently, each in a private index, and
+// replayed in sequence order reproduce the sequential index exactly.
+func TestCopyVideoMatchesSequential(t *testing.T) {
 	const n = 7
 	seq, err := NewMetaIndex()
 	if err != nil {
@@ -75,59 +78,40 @@ func TestShardedMergeMatchesSequential(t *testing.T) {
 	}
 	want := serializeBytes(t, seq)
 
-	for _, shards := range []int{1, 2, 3, 8} {
-		sharded, err := NewShardedMetaIndex(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Commit concurrently, in scrambled completion order.
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for j := n - 1; j >= 0; j-- {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				_, errs[j] = sharded.Commit(j, func(idx *MetaIndex) (int64, error) {
-					return materializeVideo(idx, j)
-				})
-			}(j)
-		}
-		wg.Wait()
-		for j, err := range errs {
-			if err != nil {
-				t.Fatalf("shards=%d: commit %d: %v", shards, j, err)
+	parts := make([]*MetaIndex, n)
+	vids := make([]int64, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for j := n - 1; j >= 0; j-- {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			if parts[j], errs[j] = NewMetaIndex(); errs[j] == nil {
+				vids[j], errs[j] = materializeVideo(parts[j], j)
 			}
-		}
-		snap, err := sharded.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := serializeBytes(t, snap); !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d: merged serialization differs from sequential (%d vs %d bytes)",
-				shards, len(got), len(want))
-		}
-		var buf bytes.Buffer
-		if err := sharded.Serialize(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("shards=%d: ShardedMetaIndex.Serialize differs from sequential", shards)
-		}
+		}(j)
 	}
-}
-
-func TestShardedMergeIntoExistingIndex(t *testing.T) {
-	sharded, err := NewShardedMetaIndex(2)
+	wg.Wait()
+	dst, err := NewMetaIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < 3; j++ {
-		if _, err := sharded.Commit(j, func(idx *MetaIndex) (int64, error) {
-			return materializeVideo(idx, j)
-		}); err != nil {
-			t.Fatal(err)
+	for j := range parts {
+		if errs[j] != nil {
+			t.Fatalf("build %d: %v", j, errs[j])
+		}
+		if _, err := CopyVideo(dst, parts[j], vids[j]); err != nil {
+			t.Fatalf("copy %d: %v", j, err)
 		}
 	}
+	if got := serializeBytes(t, dst); !bytes.Equal(got, want) {
+		t.Fatalf("merged serialization differs from sequential (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestCopyVideoIntoExistingIndex merges into a non-empty destination: IDs
+// continue from its counters and cross-row references are remapped.
+func TestCopyVideoIntoExistingIndex(t *testing.T) {
 	dst, err := NewMetaIndex()
 	if err != nil {
 		t.Fatal(err)
@@ -135,12 +119,19 @@ func TestShardedMergeIntoExistingIndex(t *testing.T) {
 	if _, err := materializeVideo(dst, 99); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := sharded.MergeInto(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 3 {
-		t.Fatalf("merged %d videos, want 3", len(ids))
+	ids := map[int]int64{}
+	for j := 0; j < 3; j++ {
+		src, err := NewMetaIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vid, err := materializeVideo(src, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids[j], err = CopyVideo(dst, src, vid); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Sequence order continues after the pre-existing video.
 	for j := 0; j < 3; j++ {
@@ -166,54 +157,5 @@ func TestShardedMergeIntoExistingIndex(t *testing.T) {
 	objs, err := dst.ObjectsIn(evs[0].SegmentID)
 	if err != nil || len(objs) != 1 || objs[0].ID != evs[0].ActorID {
 		t.Fatalf("actor remap broken: objs=%v ev=%+v err=%v", objs, evs[0], err)
-	}
-}
-
-func TestShardedDuplicateSeqRejected(t *testing.T) {
-	sharded, err := NewShardedMetaIndex(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := sharded.Commit(5, func(idx *MetaIndex) (int64, error) {
-			return materializeVideo(idx, 5)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sharded.Snapshot(); err == nil {
-		t.Fatal("duplicate seq not rejected at merge")
-	}
-}
-
-func TestShardedStatsAndView(t *testing.T) {
-	sharded, err := NewShardedMetaIndex(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 5; j++ {
-		if _, err := sharded.Commit(j, func(idx *MetaIndex) (int64, error) {
-			return materializeVideo(idx, j)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := sharded.Stats()
-	if st.Videos != 5 || st.Segments != 5 || st.States != 15 || st.Events != 5 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if err := sharded.View(1, func(idx *MetaIndex) error {
-		if _, err := idx.VideoByName("v01"); err != nil {
-			return err
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sharded.View(-1, func(*MetaIndex) error { return nil }); err == nil {
-		t.Fatal("negative seq accepted by View")
-	}
-	if _, err := sharded.Commit(-1, nil); err == nil {
-		t.Fatal("negative seq accepted by Commit")
 	}
 }

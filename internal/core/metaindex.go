@@ -555,6 +555,26 @@ func (m *MetaIndex) StatesOf(objectID int64) ([]ObjectState, error) {
 	return out, nil
 }
 
+// FeaturesOf returns all feature-layer measurements of a video in append
+// order.
+func (m *MetaIndex) FeaturesOf(videoID int64) ([]FeatureValue, error) {
+	rows, err := m.features.Select(store.Eq("video", store.Int(videoID)))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FeatureValue, 0, len(rows))
+	for _, row := range rows {
+		r, err := m.features.Row(row)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, FeatureValue{
+			VideoID: r[0].I, Frame: int(r[1].I), Name: r[2].S, Value: r[3].F,
+		})
+	}
+	return out, nil
+}
+
 // FeaturesNamed returns all measurements of the named feature.
 func (m *MetaIndex) FeaturesNamed(name string) ([]FeatureValue, error) {
 	rows, err := m.features.Select(store.Eq("name", store.Str(name)))

@@ -9,14 +9,14 @@ package core
 // serving only scene-free queries never decodes video metadata at all, and
 // under mmap the undecoded blocks are never even paged in.
 //
-// The per-segment payloads reuse the legacy store stream encoding
-// (store.Serialize bytes, one database per block) — the row bytes are
-// identical to SaveSegmented's, only the framing and the laziness differ,
-// which is what keeps segfile-loaded query answers byte-identical to the
-// heap path.
+// Each segment's payload is the column store's stream encoding
+// (store.Serialize bytes, one database per block), so a decoded segment is
+// row for row the MetaIndex that was written and segfile-loaded query
+// answers are byte-identical to the heap path.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -106,9 +106,18 @@ type SegfileLibrary struct {
 	slots  []lazySlot
 }
 
+// ErrNotSegfile reports input that does not begin with the segfile magic —
+// an empty or cut-short file, a directory, or an index written in the
+// retired pre-segfile stream format. (Input that has the magic but is
+// damaged further in fails with the container's own corruption errors.)
+var ErrNotSegfile = errors.New("not a segfile meta-index; re-index the corpus with cobraindex")
+
 // OpenSegfileBytes opens a segfile-backed library over in-memory bytes.
 // The library aliases data until every segment is hydrated.
 func OpenSegfileBytes(data []byte) (*SegfileLibrary, error) {
+	if !bytes.HasPrefix(data, []byte(segfile.Magic)) {
+		return nil, fmt.Errorf("core: index stream (%d bytes): %w", len(data), ErrNotSegfile)
+	}
 	r, err := segfile.NewReader(data)
 	if err != nil {
 		return nil, err
@@ -117,8 +126,12 @@ func OpenSegfileBytes(data []byte) (*SegfileLibrary, error) {
 }
 
 // OpenSegfileFile memory-maps the segfile at path: the O(segments) cold
-// start of the zero-copy persistence path. The caller owns Close.
+// start of the zero-copy persistence path. The caller owns Close. A path
+// that exists but does not hold a segfile fails with ErrNotSegfile.
 func OpenSegfileFile(path string) (*SegfileLibrary, error) {
+	if err := sniffSegfile(path); err != nil {
+		return nil, err
+	}
 	f, err := segfile.Open(path)
 	if err != nil {
 		return nil, err
@@ -129,6 +142,26 @@ func OpenSegfileFile(path string) (*SegfileLibrary, error) {
 		return nil, err
 	}
 	return l, nil
+}
+
+// sniffSegfile checks that path starts with the segfile magic, so that
+// anything else is refused with one error naming the path and the remedy
+// instead of whatever the mapping or the container parser trips over first.
+func sniffSegfile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("core: open meta-index: %w", err)
+	}
+	defer f.Close()
+	magic := make([]byte, len(segfile.Magic))
+	if _, err := io.ReadFull(f, magic); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		// Not a short file but an unreadable one, e.g. a directory.
+		return fmt.Errorf("core: open meta-index %s: %w (%v)", path, ErrNotSegfile, err)
+	}
+	if string(magic) != segfile.Magic {
+		return fmt.Errorf("core: open meta-index %s: %w", path, ErrNotSegfile)
+	}
+	return nil
 }
 
 func openSegfileReader(r *segfile.Reader, closer io.Closer) (*SegfileLibrary, error) {
@@ -253,8 +286,7 @@ func (l *SegfileLibrary) Part(i int) (*MetaIndex, error) {
 			return
 		}
 		// An empty partition's restored counters are zero; floor them at
-		// the manifest base so later appends continue the global sequence
-		// (mirrors LoadSegmented).
+		// the manifest base so later appends continue the global sequence.
 		m.floorIDs(l.metas[i].Base)
 		if got := m.Stats(); got != l.stats[i] {
 			s.err = fmt.Errorf("core: segment %d: decoded stats %+v disagree with manifest %+v",
@@ -328,36 +360,13 @@ func (l *SegfileLibrary) Close() error {
 	return l.closer.Close()
 }
 
-// OpenSegmentedFile opens any persisted library file as a read-only
-// segmented view, sniffing the format from the magic bytes: segfile
-// libraries memory-map with lazy per-segment decode; legacy streams load
-// eagerly. The returned closer releases the mapping (nil-safe to ignore
-// for process-lifetime readers); for legacy loads it is nil.
+// OpenSegmentedFile memory-maps the segfile at path as a read-only
+// segmented view with lazy per-segment decode. The returned closer releases
+// the mapping (process-lifetime readers may ignore it).
 func OpenSegmentedFile(path string) (*SegmentedIndex, io.Closer, error) {
-	f, err := os.Open(path)
+	lib, err := OpenSegfileFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	magic := make([]byte, len(segfile.Magic))
-	if _, err := io.ReadFull(f, magic); err == nil && string(magic) == segfile.Magic {
-		f.Close()
-		lib, err := OpenSegfileFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lib.View(), lib, nil
-	}
-	defer f.Close()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, err
-	}
-	parts, metas, gen, err := LoadSegmented(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	si, err := NewSegmentedIndex(parts, metas, gen)
-	if err != nil {
-		return nil, nil, err
-	}
-	return si, nil, nil
+	return lib.View(), lib, nil
 }

@@ -130,6 +130,11 @@ func TestSegfileLibraryParity(t *testing.T) {
 			if !bytes.Equal(serializeAll(t, parts...), serializeAll(t, hyd...)) {
 				t.Fatal("hydrated partitions serialize differently")
 			}
+			for i := range parts {
+				if hyd[i].IDState() != parts[i].IDState() {
+					t.Fatalf("segment %d ID state %+v vs %+v", i, hyd[i].IDState(), parts[i].IDState())
+				}
+			}
 		})
 	}
 }

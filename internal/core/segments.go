@@ -7,12 +7,10 @@ package core
 // per-segment answers in segment order reproduces, row for row, the answer
 // a single monolithic index built from the same videos in the same order
 // would give. A manifest records the partitioning (segment IDs, ID bases,
-// generation) and is persisted via the column store alongside the parts.
+// generation) and is persisted alongside the parts (see segfile.go).
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 
 	"repro/internal/store"
 )
@@ -421,7 +419,7 @@ func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*
 			return nil, SegmentMeta{}, err
 		}
 		for _, v := range vids {
-			nvid, err := copyVideo(dst, parts[i], v.ID)
+			nvid, err := CopyVideo(dst, parts[i], v.ID)
 			if err != nil {
 				return nil, SegmentMeta{}, fmt.Errorf("core: compacting segment %d: %w", metas[i].ID, err)
 			}
@@ -433,99 +431,86 @@ func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*
 	return dst, SegmentMeta{ID: metas[from].ID, Base: metas[from].Base}, nil
 }
 
-// ------------------------------------------------------------ persistence
-
-// manifestTable is the table name that marks a stream as a segmented
-// library. Legacy streams (one bare MetaIndex database) have no manifest
-// and load as a single segment.
-const manifestTable = "dl_manifest"
-
-// SaveSegmented writes a segmented library: a manifest database followed
-// by each partition's database, all in the column store's stream format.
-func SaveSegmented(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int64) error {
-	if len(parts) != len(metas) {
-		return fmt.Errorf("core: %d parts but %d manifest entries", len(parts), len(metas))
-	}
-	db := store.NewDB()
-	t, err := db.Create(store.Schema{Name: manifestTable, Columns: []store.Column{
-		{Name: "segment", Type: store.TInt},
-		{Name: "videos", Type: store.TInt},
-		{Name: "base_video", Type: store.TInt},
-		{Name: "base_segment", Type: store.TInt},
-		{Name: "base_object", Type: store.TInt},
-		{Name: "base_event", Type: store.TInt},
-		{Name: "generation", Type: store.TInt},
-	}})
+// CopyVideo replays one video's rows from src into dst, reassigning video,
+// segment, object and event IDs from dst's counters, and returns the video's
+// ID in dst. Row append order mirrors the materialization order of a direct
+// sequential indexing run (segments, then objects with their states, then
+// features, then events), so replaying videos in their original order — a
+// compaction's segment range, or a batch ingest's per-job indexes in job
+// order — reproduces the sequential index exactly.
+func CopyVideo(dst, src *MetaIndex, videoID int64) (int64, error) {
+	v, err := src.VideoByID(videoID)
 	if err != nil {
-		return fmt.Errorf("core: manifest schema: %w", err)
+		return 0, err
 	}
-	for i, m := range metas {
-		err := t.Append(
-			store.Int(m.ID), store.Int(int64(parts[i].Stats().Videos)),
-			store.Int(m.Base.Video), store.Int(m.Base.Segment),
-			store.Int(m.Base.Object), store.Int(m.Base.Event),
-			store.Int(gen),
-		)
-		if err != nil {
-			return fmt.Errorf("core: manifest row: %w", err)
-		}
-	}
-	if err := db.Serialize(w); err != nil {
-		return err
-	}
-	for i, p := range parts {
-		if err := p.Serialize(w); err != nil {
-			return fmt.Errorf("core: segment %d: %w", metas[i].ID, err)
-		}
-	}
-	return nil
-}
-
-// LoadSegmented reads a library written by SaveSegmented — or a legacy
-// stream holding one bare MetaIndex database, which loads as a single
-// segment at base zero.
-func LoadSegmented(r io.Reader) (parts []*MetaIndex, metas []SegmentMeta, gen int64, err error) {
-	// One shared buffered reader: store.Deserialize reads exactly one
-	// database's bytes from it, so consecutive databases parse in sequence.
-	br := bufio.NewReader(r)
-	db, err := store.Deserialize(br)
+	nvid, err := dst.AddVideo(v)
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
-	mt, err := db.Table(manifestTable)
+	segs, err := src.SegmentsOf(videoID)
 	if err != nil {
-		// Legacy format: the stream is one monolithic meta-index.
-		m, err := metaIndexFromDB(db)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return []*MetaIndex{m}, []SegmentMeta{{ID: 1}}, 0, nil
+		return 0, err
 	}
-	if mt.Len() == 0 {
-		return nil, nil, 0, fmt.Errorf("core: empty segment manifest")
+	segMap := make(map[int64]int64, len(segs))
+	for _, sg := range segs {
+		old := sg.ID
+		sg.VideoID = nvid
+		nsid, err := dst.AddSegment(sg)
+		if err != nil {
+			return 0, err
+		}
+		segMap[old] = nsid
 	}
-	for i := 0; i < mt.Len(); i++ {
-		row, err := mt.Row(i)
+	objMap := map[int64]int64{}
+	for _, sg := range segs {
+		objs, err := src.ObjectsIn(sg.ID)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: manifest row %d: %w", i, err)
+			return 0, err
 		}
-		metas = append(metas, SegmentMeta{
-			ID:   row[0].I,
-			Base: IDBase{Video: row[2].I, Segment: row[3].I, Object: row[4].I, Event: row[5].I},
-		})
-		gen = row[6].I
-		pdb, err := store.Deserialize(br)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: segment %d: %w", metas[i].ID, err)
+		for _, o := range objs {
+			old := o.ID
+			o.VideoID = nvid
+			o.SegmentID = segMap[sg.ID]
+			noid, err := dst.AddObject(o)
+			if err != nil {
+				return 0, err
+			}
+			objMap[old] = noid
+			states, err := src.StatesOf(old)
+			if err != nil {
+				return 0, err
+			}
+			for _, st := range states {
+				st.ObjectID = noid
+				if err := dst.AddState(st); err != nil {
+					return 0, err
+				}
+			}
 		}
-		p, err := metaIndexFromDB(pdb)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: segment %d: %w", metas[i].ID, err)
-		}
-		// An empty partition's restored counters are zero; floor them at
-		// the manifest base so later appends continue the global sequence.
-		p.floorIDs(metas[i].Base)
-		parts = append(parts, p)
 	}
-	return parts, metas, gen, nil
+	feats, err := src.FeaturesOf(videoID)
+	if err != nil {
+		return 0, err
+	}
+	for _, f := range feats {
+		f.VideoID = nvid
+		if err := dst.AddFeature(f); err != nil {
+			return 0, err
+		}
+	}
+	evs, err := src.EventsOf(videoID)
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range evs {
+		e.VideoID = nvid
+		e.SegmentID = segMap[e.SegmentID]
+		if e.ActorID != 0 {
+			e.ActorID = objMap[e.ActorID]
+		}
+		if _, err := dst.AddEvent(e); err != nil {
+			return 0, err
+		}
+	}
+	return nvid, nil
 }

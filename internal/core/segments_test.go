@@ -213,59 +213,3 @@ func TestMergeSegmentRange(t *testing.T) {
 		}
 	}
 }
-
-// TestSegmentedPersistRoundTrip locks SaveSegmented/LoadSegmented: a
-// segmented library round-trips with partitions, manifest, generation, and
-// ID counters intact — and a legacy monolithic stream still loads, as one
-// segment.
-func TestSegmentedPersistRoundTrip(t *testing.T) {
-	si, parts, metas := buildSegMeta(t, []int{3, 2, 2})
-	var buf bytes.Buffer
-	if err := SaveSegmented(&buf, parts, metas, 5); err != nil {
-		t.Fatal(err)
-	}
-	parts2, metas2, gen, err := LoadSegmented(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 5 || len(parts2) != 3 {
-		t.Fatalf("gen=%d parts=%d", gen, len(parts2))
-	}
-	if fmt.Sprint(metas2) != fmt.Sprint(metas) {
-		t.Fatalf("manifest diverged:\n%v\n%v", metas2, metas)
-	}
-	if got, want := serializeAll(t, parts2...), serializeAll(t, parts...); !bytes.Equal(got, want) {
-		t.Fatal("partition bytes diverged across round-trip")
-	}
-	for i := range parts {
-		if parts2[i].IDState() != parts[i].IDState() {
-			t.Fatalf("segment %d ID state %+v vs %+v", i, parts2[i].IDState(), parts[i].IDState())
-		}
-	}
-	si2, err := NewSegmentedIndex(parts2, metas2, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantScenes, _ := si.Scenes("net-play")
-	gotScenes, err := si2.Scenes("net-play")
-	if err != nil || fmt.Sprint(wantScenes) != fmt.Sprint(gotScenes) {
-		t.Fatalf("scenes diverged across round-trip (%v)", err)
-	}
-
-	// Legacy compatibility: a bare MetaIndex stream loads as one segment.
-	mono := buildMonoMeta(t, 3)
-	var legacy bytes.Buffer
-	if err := mono.Serialize(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	lparts, lmetas, lgen, err := LoadSegmented(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lparts) != 1 || lgen != 0 || lmetas[0].Base != (IDBase{}) {
-		t.Fatalf("legacy load: parts=%d gen=%d metas=%v", len(lparts), lgen, lmetas)
-	}
-	if lparts[0].Stats() != mono.Stats() {
-		t.Fatalf("legacy stats %+v vs %+v", lparts[0].Stats(), mono.Stats())
-	}
-}

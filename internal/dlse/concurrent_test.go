@@ -25,7 +25,7 @@ var mixedQueries = []string{
 func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	e, site := fixture(t)
 	schema := site.W.Schema()
-	golden := make([][]Result, len(mixedQueries))
+	golden := make([][]Item, len(mixedQueries))
 	reqs := make([]Request, len(mixedQueries))
 	for i, q := range mixedQueries {
 		req, err := ParseRequest(schema, q)
@@ -33,11 +33,11 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			t.Fatalf("query %d: %v", i, err)
 		}
 		reqs[i] = req
-		res, err := e.QueryContext(context.Background(), req)
+		res, err := e.SearchAll(context.Background(), Query{Request: &reqs[i]}, false)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		golden[i] = res
+		golden[i] = res.Items
 	}
 
 	const (
@@ -52,16 +52,16 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(reqs)
-				res, err := e.QueryContext(context.Background(), reqs[i])
+				res, err := e.SearchAll(context.Background(), Query{Request: &reqs[i]}, false)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if !reflect.DeepEqual(res, golden[i]) {
+				if !reflect.DeepEqual(res.Items, golden[i]) {
 					t.Errorf("goroutine %d round %d query %d: concurrent result differs from sequential", g, r, i)
 					return
 				}
-				if _, err := e.KeywordSearch("champion final", 10); err != nil {
+				if _, err := e.Search(context.Background(), Query{Keyword: "champion final"}, WithLimit(10)); err != nil {
 					errs <- err
 					return
 				}
@@ -96,8 +96,8 @@ func TestPlanShapes(t *testing.T) {
 	}
 }
 
-// TestQueryContextCancelled verifies a cancelled context aborts execution.
-func TestQueryContextCancelled(t *testing.T) {
+// TestSearchContextCancelled verifies a cancelled context aborts execution.
+func TestSearchContextCancelled(t *testing.T) {
 	e, site := fixture(t)
 	req, err := ParseRequest(site.W.Schema(), MotivatingQueryText)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestQueryContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.QueryContext(ctx, req); err == nil {
+	if _, err := e.SearchAll(ctx, Query{Request: &req}, false); err == nil {
 		t.Fatal("cancelled context did not abort the query")
 	}
 }

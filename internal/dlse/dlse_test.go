@@ -1,6 +1,7 @@
 package dlse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,16 +51,23 @@ func fixture(t *testing.T) (*Engine, *webspace.Site) {
 	return e, site
 }
 
+// searchAll answers a structured request in full through SearchAll.
+func searchAll(t *testing.T, e *Engine, req Request) []Item {
+	t.Helper()
+	rs, err := e.SearchAll(context.Background(), Query{Request: &req}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs.Items
+}
+
 func TestMotivatingQueryEndToEnd(t *testing.T) {
 	e, site := fixture(t)
 	req, err := ParseRequest(site.W.Schema(), MotivatingQueryText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := searchAll(t, e, req)
 	// Compare against brute-force truth.
 	truth := map[int64]bool{}
 	for _, id := range site.W.All("Player") {
@@ -93,9 +101,19 @@ func TestMotivatingQueryEndToEnd(t *testing.T) {
 func TestKeywordBaselineCannotExpressJoin(t *testing.T) {
 	e, site := fixture(t)
 	// The best keyword formulation of the motivating query.
-	objIDs, err := e.KeywordObjectSearch("left-handed female champion australian open final", 20)
+	rs, err := e.Search(context.Background(),
+		Query{Keyword: "left-handed female champion australian open final"}, WithLimit(20))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Map the matched pages back to their objects (doc ID = page position).
+	seen := map[int64]bool{}
+	var objIDs []int64
+	for _, it := range rs.Items {
+		if oid := site.Pages[it.Doc].ObjectID; !seen[oid] {
+			seen[oid] = true
+			objIDs = append(objIDs, oid)
+		}
 	}
 	truth := map[int64]bool{}
 	for _, id := range site.W.All("Player") {
@@ -128,10 +146,7 @@ func TestQueryTextRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := searchAll(t, e, req)
 	if len(results) == 0 {
 		t.Fatal("no ranked results")
 	}
@@ -145,10 +160,7 @@ func TestQueryTextRanking(t *testing.T) {
 	}
 	// Top-N optimized ranking must give the same order.
 	req.TopNFragments = 8
-	opt, err := e.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := searchAll(t, e, req)
 	if len(opt) != len(results) || opt[0].Object.ID != results[0].Object.ID {
 		t.Fatal("optimized ranking differs from exhaustive")
 	}
@@ -164,10 +176,7 @@ func TestRequireScenes(t *testing.T) {
 		VideoPath:     []string{"interviews"},
 		RequireScenes: true,
 	}
-	results, err := e.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := searchAll(t, e, req)
 	if len(results) != 0 {
 		t.Fatalf("interview path produced %d scene results", len(results))
 	}
@@ -180,12 +189,14 @@ func TestQueryLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := e.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := searchAll(t, e, req)
 	if len(results) != 3 {
 		t.Fatalf("limit ignored: %d results", len(results))
+	}
+	// Answers are cached whole: a limited one must not keep the array that
+	// held every candidate alive.
+	if cap(results) > 2*len(results) {
+		t.Fatalf("answer of %d items pins an array of %d", len(results), cap(results))
 	}
 }
 
@@ -238,10 +249,7 @@ func TestParsedConstraintTypes(t *testing.T) {
 	if v, ok := req.Where[0].Val.(int64); !ok || v != 2000 {
 		t.Fatalf("year coerced to %T %v", req.Where[0].Val, req.Where[0].Val)
 	}
-	results, err := fixtureEngine(t, site).Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := searchAll(t, fixtureEngine(t, site), req)
 	if len(results) != 4 { // 2000, 2001 × 2 categories
 		t.Fatalf("finals >= 2000: %d", len(results))
 	}
@@ -267,11 +275,11 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Space() == nil || e.TextIndex() == nil || e.VideoIndex() == nil {
 		t.Fatal("accessors returned nil")
 	}
-	hits, err := e.KeywordSearch("melbourne", 5)
+	hits, err := e.Search(context.Background(), Query{Keyword: "melbourne"}, WithLimit(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) == 0 {
+	if len(hits.Items) == 0 {
 		t.Fatal("keyword search found nothing for 'melbourne'")
 	}
 }

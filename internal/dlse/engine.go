@@ -8,7 +8,6 @@
 package dlse
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -26,19 +25,17 @@ import (
 // Engine is the combined digital-library search engine.
 //
 // Concurrency: an Engine is immutable after New — the webspace graph, the
-// frozen inverted-file segments, and the doc↔object maps are only read —
-// so any number of goroutines may call Search, QueryContext, Query, and
-// the keyword searches concurrently on one shared Engine. The video
-// segment set is an immutable snapshot; its newest partition may be
-// appended to between queries (single writer, no concurrent readers), and
-// its Version feeds the serving layer's cache invalidation. Growing the
-// segment set (a commit) installs a new Engine via WithVideo.
+// frozen inverted-file segments, and the object→docs map are only read —
+// so any number of goroutines may call Search and SearchAll concurrently
+// on one shared Engine. The video segment set is an immutable snapshot;
+// its newest partition may be appended to between queries (single writer,
+// no concurrent readers), and its Version feeds the serving layer's cache
+// invalidation. Growing the segment set (a commit) installs a new Engine
+// via WithVideo.
 type Engine struct {
 	space *webspace.Webspace
 	text  *ir.Segments
 	video *core.SegmentedIndex
-	// pageObj maps global IR doc IDs back to webspace object IDs.
-	pageObj map[ir.DocID]int64
 	// objDocs maps object IDs to their page doc IDs.
 	objDocs map[int64][]ir.DocID
 	// snap is this engine's process-unique snapshot ID (see Snapshot).
@@ -127,17 +124,14 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	e := &Engine{
 		space:   site.W,
 		video:   video,
-		pageObj: map[ir.DocID]int64{},
 		objDocs: map[int64][]ir.DocID{},
 		snap:    snapshots.Add(1),
 	}
-	// The doc↔object maps depend only on page order (global doc ID =
-	// position in site.Pages), so they are identical whether the text
-	// index is built or mapped from a cache.
+	// The object→docs map depends only on page order (global doc ID =
+	// position in site.Pages), so it is identical whether the text index
+	// is built or mapped from a cache.
 	for i, pg := range site.Pages {
-		id := ir.DocID(i)
-		e.pageObj[id] = pg.ObjectID
-		e.objDocs[pg.ObjectID] = append(e.objDocs[pg.ObjectID], id)
+		e.objDocs[pg.ObjectID] = append(e.objDocs[pg.ObjectID], ir.DocID(i))
 	}
 	sig := textSignature(site.Pages, nseg)
 	if opts.TextSegfile != "" {
@@ -343,7 +337,7 @@ func writeTextSegfile(path string, s *ir.Segments, sig uint64) error {
 }
 
 // WithVideo returns a new engine snapshot sharing this engine's site,
-// text segments, page embeddings, and doc↔object maps (all immutable)
+// text segments, page embeddings, and object→docs map (all immutable)
 // over a different video segment set — the install path of an
 // incremental commit, which must not re-index the site or any existing
 // video segment. The vector lane embeds exactly the segments the commit
@@ -418,27 +412,6 @@ type Request struct {
 	Limit int
 }
 
-// Result is one answer: the concept object, its text score, and the video
-// scenes that satisfy the content-based part of the query.
-type Result struct {
-	Object *webspace.Object
-	Score  float64
-	Scenes []core.Scene
-}
-
-// Query runs a combined query: conceptual selection, video-scene joining,
-// and text ranking. It is QueryContext with a background context.
-func (e *Engine) Query(req Request) ([]Result, error) {
-	return e.QueryContext(context.Background(), req)
-}
-
-// QueryContext compiles the request into its operator plan, executes the
-// independent operators concurrently, and merges their outputs
-// deterministically — the result is identical to sequential execution.
-func (e *Engine) QueryContext(ctx context.Context, req Request) ([]Result, error) {
-	return e.execute(ctx, e.Plan(req))
-}
-
 // walkToVideos follows the role path and collects Video object names.
 func (e *Engine) walkToVideos(o *webspace.Object, path []string) []string {
 	cur := []*webspace.Object{o}
@@ -479,31 +452,4 @@ func (e *Engine) walkObjects(o *webspace.Object, path []string) []*webspace.Obje
 		cur = next
 	}
 	return cur
-}
-
-// KeywordSearch is the baseline the paper argues against: plain ranked
-// keyword retrieval over the flattened pages, no concepts, no video
-// content. It returns the page names.
-func (e *Engine) KeywordSearch(query string, k int) ([]ir.Hit, error) {
-	hits, _, err := e.text.Search(query, k)
-	return hits, err
-}
-
-// KeywordObjectSearch maps a keyword search back to the objects whose pages
-// matched — the best a keyword engine could do on the motivating query.
-func (e *Engine) KeywordObjectSearch(query string, k int) ([]int64, error) {
-	hits, err := e.KeywordSearch(query, k)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int64]bool{}
-	var out []int64
-	for _, h := range hits {
-		oid := e.pageObj[h.Doc]
-		if !seen[oid] {
-			seen[oid] = true
-			out = append(out, oid)
-		}
-	}
-	return out, nil
 }

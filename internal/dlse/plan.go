@@ -98,8 +98,8 @@ type execState struct {
 	videoView string
 	// textScores is a leased view of the rank text's dense per-doc scores,
 	// backed by one pooled kernel accumulator per text segment (invalid
-	// when the rank text has no indexable terms); execute releases it after
-	// the merge.
+	// when the rank text has no indexable terms); run releases it after the
+	// merge.
 	textScores ir.SegScores // OpText
 	// textStats are the scoring kernel's merged work counters for OpText,
 	// captured for explain plans.
@@ -108,20 +108,13 @@ type execState struct {
 	explain bool
 }
 
-// execute runs the plan: independent operators concurrently, then the
-// deterministic merge.
-func (e *Engine) execute(ctx context.Context, p Plan) ([]Result, error) {
-	results, _, err := e.run(ctx, p, false)
-	return results, err
-}
-
 // run executes the plan: independent operators concurrently, then the
 // deterministic merge. Single-operator plans (concept-only queries, the
 // most common shape) run inline — no goroutine to spawn, nothing to
 // parallelize. With explain set it also collects per-operator wall times,
 // row counts, and the text operator's kernel stats into an Explain payload;
 // the results themselves are identical either way.
-func (e *Engine) run(ctx context.Context, p Plan, explain bool) ([]Result, *Explain, error) {
+func (e *Engine) run(ctx context.Context, p Plan, explain bool) ([]Item, *Explain, error) {
 	st := &execState{explain: explain}
 	defer func() { st.textScores.Release() }() // recycle the text operator's accumulator
 	var durs []time.Duration
@@ -303,10 +296,10 @@ func (e *Engine) videoScatter(ctx context.Context, kind string, st *execState) (
 // merge joins the operator outputs deterministically: scene attachment (in
 // concept-result order), RequireScenes filtering, text-score assignment, a
 // stable sort by score, and the limit.
-func (e *Engine) merge(req Request, st *execState) []Result {
-	results := make([]Result, 0, len(st.objs))
+func (e *Engine) merge(req Request, st *execState) []Item {
+	results := make([]Item, 0, len(st.objs))
 	for _, o := range st.objs {
-		results = append(results, Result{Object: o})
+		results = append(results, Item{Object: o})
 	}
 	if req.SceneKind != "" {
 		for i := range results {
@@ -344,6 +337,11 @@ func (e *Engine) merge(req Request, st *execState) []Result {
 	}
 	if req.Limit > 0 && len(results) > req.Limit {
 		results = results[:req.Limit]
+	}
+	if len(results) < cap(results) {
+		// The serving layer caches the answer whole: copy the survivors out
+		// so a short answer does not pin the array sized for every candidate.
+		results = append([]Item(nil), results...)
 	}
 	return results
 }

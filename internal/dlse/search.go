@@ -1,10 +1,8 @@
 package dlse
 
-// The v2 query surface: one composable Search entrypoint over a unified
-// Query type, returning a ResultSet with deterministic cursor pagination, a
-// pull-based streaming iterator, and optional explain plans. The v1
-// methods (Query, QueryContext, KeywordSearch, MetaIndex.Scenes reached
-// through the facade) remain as thin shims over this path.
+// The query surface: one composable Search entrypoint over a unified Query
+// type, returning a ResultSet with deterministic cursor pagination, a
+// pull-based streaming iterator, and optional explain plans.
 //
 // Pagination is deterministic by construction: the planner's merge is a
 // stable sort over operator outputs produced in fixed order, so the full
@@ -316,7 +314,7 @@ func fnv64(s string) uint64 {
 // SearchAll executes a query and returns its full, unpaginated ResultSet —
 // the primitive the serving layer caches, with pages sliced off via Page.
 // Most callers want Search. Keyword queries whose text has no indexable
-// terms return ir.ErrEmptyQry unwrapped, matching the v1 keyword path.
+// terms return ir.ErrEmptyQry unwrapped.
 func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*ResultSet, error) {
 	nq, key, err := e.Normalize(q)
 	if err != nil {
@@ -325,15 +323,9 @@ func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*Res
 	rs := &ResultSet{Snapshot: e.snap, key: fnv64(key)}
 	switch {
 	case nq.Request != nil:
-		results, ex, err := e.run(ctx, e.Plan(*nq.Request), withExplain)
-		if err != nil {
+		if rs.all, rs.Explain, err = e.run(ctx, e.Plan(*nq.Request), withExplain); err != nil {
 			return nil, err
 		}
-		rs.all = make([]Item, len(results))
-		for i, r := range results {
-			rs.all[i] = Item{Object: r.Object, Score: r.Score, Scenes: r.Scenes}
-		}
-		rs.Explain = ex
 	case nq.Keyword != "":
 		t0 := time.Now()
 		// Full ranking (k=0): every matching page, scattered across the

@@ -9,20 +9,19 @@ import (
 	"repro/internal/ir"
 )
 
-// TestSearchUnifiedFormsMatchV1 locks the unification contract: each of the
-// four Query forms reproduces exactly what the v1 entrypoint it subsumes
-// returned.
-func TestSearchUnifiedFormsMatchV1(t *testing.T) {
+// TestSearchUnifiedForms locks the unification contract: each of the four
+// Query forms reproduces exactly what the engine layer it fronts returns.
+func TestSearchUnifiedForms(t *testing.T) {
 	e, site := fixture(t)
 	ctx := context.Background()
 
-	// Combined query-language form vs v1 parse+Query.
+	// Combined query-language form vs parse + plan execution.
 	src := `find Player where sex = "female" and exists wonFinals scenes "net-play" via wonFinals.video rank "champion" limit 6`
 	req, err := ParseRequest(site.W.Schema(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := e.Query(req)
+	v1, _, err := e.run(ctx, e.Plan(req), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +30,11 @@ func TestSearchUnifiedFormsMatchV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rs.Items) != len(v1) || rs.Total != len(v1) {
-		t.Fatalf("combined: %d items (total %d), v1 %d", len(rs.Items), rs.Total, len(v1))
+		t.Fatalf("combined: %d items (total %d), plan %d", len(rs.Items), rs.Total, len(v1))
 	}
 	for i, it := range rs.Items {
-		want := Result{Object: v1[i].Object, Score: v1[i].Score, Scenes: v1[i].Scenes}
-		got := Result{Object: it.Object, Score: it.Score, Scenes: it.Scenes}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("combined item %d diverges from v1 result", i)
+		if !reflect.DeepEqual(it, v1[i]) {
+			t.Fatalf("combined item %d diverges from the executed plan", i)
 		}
 	}
 
@@ -50,8 +47,8 @@ func TestSearchUnifiedFormsMatchV1(t *testing.T) {
 		t.Fatal("structured form diverges from source form")
 	}
 
-	// Keyword form vs v1 KeywordSearch.
-	hits, err := e.KeywordSearch("champion final", 10)
+	// Keyword form vs the text lane's own top-k.
+	hits, _, err := e.TextIndex().Search("champion final", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +57,11 @@ func TestSearchUnifiedFormsMatchV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(kw.Items) != len(hits) {
-		t.Fatalf("keyword: %d items, v1 %d hits", len(kw.Items), len(hits))
+		t.Fatalf("keyword: %d items, text lane %d hits", len(kw.Items), len(hits))
 	}
 	for i, it := range kw.Items {
 		if it.Page != hits[i].Name || it.Doc != hits[i].Doc || it.Score != hits[i].Score {
-			t.Fatalf("keyword item %d = {%s %d %v}, v1 hit {%s %d %v}",
+			t.Fatalf("keyword item %d = {%s %d %v}, text hit {%s %d %v}",
 				i, it.Page, it.Doc, it.Score, hits[i].Name, hits[i].Doc, hits[i].Score)
 		}
 	}
@@ -277,7 +274,7 @@ func TestSearchErrorTaxonomy(t *testing.T) {
 		t.Fatalf("scene query without index: %v", err)
 	}
 
-	// Unrankable keyword text surfaces the raw IR sentinel, like v1.
+	// Unrankable keyword text surfaces the raw IR sentinel.
 	if _, err := e.Search(ctx, Query{Keyword: "the of and"}); !errors.Is(err, ir.ErrEmptyQry) {
 		t.Fatalf("stopword keyword query: %v", err)
 	}

@@ -1,10 +1,10 @@
 // Package pipeline implements the concurrent batch-ingestion subsystem: a
 // worker pool that fans per-video Feature Detector Engine parses out across
-// CPUs, committing each parse into a sharded meta-index and merging the
-// shards back deterministically. The paper's architecture separates the
-// offline indexing pipeline (FDE -> meta-index) from the online search
-// engine precisely so the former can be scaled out; this package is that
-// seam: job -> worker -> shard -> merge.
+// CPUs, materializing each parse into a private one-video meta-index and
+// replaying those into the destination in job order. The paper's
+// architecture separates the offline indexing pipeline (FDE -> meta-index)
+// from the online search engine precisely so the former can be scaled out;
+// this package is that seam: job -> worker -> per-job index -> merge.
 package pipeline
 
 import (
@@ -61,9 +61,6 @@ type Result struct {
 	Seq int
 	// Name is the document name.
 	Name string
-	// VideoID is the shard-local video ID; after MergeInto it is superseded
-	// by the merged mapping.
-	VideoID int64
 	// Frames is the number of frames parsed.
 	Frames int
 	// Duration is the wall-clock time spent decoding and parsing.
@@ -86,8 +83,6 @@ type Progress struct {
 type Config struct {
 	// Workers bounds pool concurrency; < 1 selects GOMAXPROCS.
 	Workers int
-	// Shards is the meta-index shard count; < 1 selects Workers.
-	Shards int
 	// ContinueOnError keeps the batch running after a job fails; the
 	// default stops dispatching new jobs on the first failure.
 	ContinueOnError bool
@@ -96,12 +91,16 @@ type Config struct {
 	OnProgress func(Progress)
 }
 
-// Ingestor runs batches of videos through one FDE into a sharded
-// meta-index.
+// Ingestor runs batches of videos through one FDE, holding the parsed
+// videos of the latest Run until MergeInto replays them into an index.
 type Ingestor struct {
-	engine  *fde.Engine
-	cfg     Config
-	sharded *core.ShardedMetaIndex
+	engine *fde.Engine
+	cfg    Config
+	// parts holds the latest Run's output by job sequence number: the
+	// private one-video index of a job that succeeded, nil otherwise. Each
+	// slot is written only by the worker that owns the job and read only
+	// after the pool has drained, so no lock is needed.
+	parts []*core.MetaIndex
 
 	mu sync.Mutex // serializes OnProgress and the per-Run done counter
 }
@@ -112,27 +111,19 @@ func New(engine *fde.Engine, cfg Config) (*Ingestor, error) {
 		return nil, fmt.Errorf("pipeline: nil engine")
 	}
 	cfg.Workers = Workers(cfg.Workers)
-	if cfg.Shards < 1 {
-		cfg.Shards = cfg.Workers
-	}
-	sharded, err := core.NewShardedMetaIndex(cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return &Ingestor{engine: engine, cfg: cfg, sharded: sharded}, nil
+	return &Ingestor{engine: engine, cfg: cfg}, nil
 }
 
-// Index exposes the sharded meta-index accumulating committed parses.
-func (in *Ingestor) Index() *core.ShardedMetaIndex { return in.sharded }
-
 // Run ingests the batch: every job is decoded, parsed by the FDE and
-// committed to its shard, with at most Config.Workers jobs in flight. It
+// materialized into its own index, with at most Config.Workers jobs in
+// flight; the parsed videos replace those of any earlier Run. It
 // always returns one Result per job, in job order. The error is the first
 // job failure (nil with ContinueOnError unless the context was canceled);
 // on cancellation it is ctx.Err() and the results report which jobs
 // completed before the stop.
 func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
+	in.parts = make([]*core.MetaIndex, len(jobs))
 	runCtx := ctx
 	var cancel context.CancelFunc
 	if !in.cfg.ContinueOnError {
@@ -215,22 +206,41 @@ func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
 		res.Duration = time.Since(start)
 		return res
 	}
-	vid, err := in.sharded.Commit(seq, func(idx *core.MetaIndex) (int64, error) {
-		return fde.IndexResult(parse, idx)
-	})
+	idx, err := core.NewMetaIndex()
+	if err == nil {
+		_, err = fde.IndexResult(parse, idx)
+	}
 	if err != nil {
 		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
 		res.Duration = time.Since(start)
 		return res
 	}
-	res.VideoID = vid
+	in.parts[seq] = idx
 	res.Frames = len(frames)
 	res.Duration = time.Since(start)
 	return res
 }
 
-// MergeInto replays all committed parses into dst in job order and returns
-// the job-sequence -> merged-video-ID mapping.
+// MergeInto replays the videos of the latest Run into dst in job order,
+// reassigning all IDs from dst's counters — so dst ends up byte-identical
+// to indexing the successful jobs sequentially — and returns the
+// job-sequence -> merged-video-ID mapping. Jobs that failed or never ran
+// are absent from the mapping.
 func (in *Ingestor) MergeInto(dst *core.MetaIndex) (map[int]int64, error) {
-	return in.sharded.MergeInto(dst)
+	ids := make(map[int]int64, len(in.parts))
+	for seq, part := range in.parts {
+		if part == nil {
+			continue
+		}
+		vids, err := part.Videos()
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: merging job %d: %w", seq, err)
+		}
+		for _, v := range vids {
+			if ids[seq], err = core.CopyVideo(dst, part, v.ID); err != nil {
+				return nil, fmt.Errorf("pipeline: merging job %d: %w", seq, err)
+			}
+		}
+	}
+	return ids, nil
 }

@@ -150,29 +150,47 @@ func newEngine(t *testing.T) *fde.Engine {
 	return engine
 }
 
+// indexSequential is the reference build: one engine, one index, the given
+// in-memory jobs in order.
+func indexSequential(t *testing.T, idx *core.MetaIndex, jobs ...Job) {
+	t.Helper()
+	engine := newEngine(t)
+	for _, job := range jobs {
+		parse, err := engine.Process(job.Video, job.Frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fde.IndexResult(parse, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func newIndex(t *testing.T) *core.MetaIndex {
+	t.Helper()
+	idx, err := core.NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+func serialized(t *testing.T, idx *core.MetaIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := idx.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestIngestorMatchesSequential(t *testing.T) {
 	vids := corpus(t)
 	jobs := corpusJobs(vids)
 
-	// Sequential reference: one engine, one index, job order.
-	seqIdx, err := core.NewMetaIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqEngine := newEngine(t)
-	for _, job := range jobs {
-		parse, err := seqEngine.Process(job.Video, job.Frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fde.IndexResult(parse, seqIdx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var want bytes.Buffer
-	if err := seqIdx.Serialize(&want); err != nil {
-		t.Fatal(err)
-	}
+	seqIdx := newIndex(t)
+	indexSequential(t, seqIdx, jobs...)
+	want := serialized(t, seqIdx)
 
 	var progress []Progress
 	in, err := New(newEngine(t), Config{Workers: 4, OnProgress: func(p Progress) {
@@ -196,13 +214,116 @@ func TestIngestorMatchesSequential(t *testing.T) {
 	if len(progress) != len(jobs) || progress[len(progress)-1].Done != len(jobs) {
 		t.Fatalf("progress callbacks = %d, final = %+v", len(progress), progress[len(progress)-1])
 	}
-	var got bytes.Buffer
-	if err := in.Index().Serialize(&got); err != nil {
+	merged := newIndex(t)
+	if _, err := in.MergeInto(merged); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if got := serialized(t, merged); !bytes.Equal(got, want) {
 		t.Fatalf("parallel ingest serialization differs from sequential (%d vs %d bytes)",
-			got.Len(), want.Len())
+			len(got), len(want))
+	}
+}
+
+// TestIngestorMergeIntoExistingWithFailure covers the merge at every worker
+// count with a failing job in the middle of the batch and a destination
+// that already holds a video: the merged bytes must equal the sequential
+// build of the same surviving jobs, and the seq -> ID map must name them.
+func TestIngestorMergeIntoExistingWithFailure(t *testing.T) {
+	jobs := corpusJobs(corpus(t))
+	existing := jobs[0]
+	existing.Video.Name = "existing"
+	broken := Job{
+		Video: core.Video{Name: "broken"},
+		Open: func() (core.Video, []*frame.Image, error) {
+			return core.Video{}, nil, errors.New("decode failed")
+		},
+	}
+	batch := []Job{jobs[0], jobs[1], broken, jobs[2], jobs[3]}
+
+	seqIdx := newIndex(t)
+	indexSequential(t, seqIdx, existing)
+	base := serialized(t, seqIdx)
+	indexSequential(t, seqIdx, jobs...)
+	want := serialized(t, seqIdx)
+
+	for _, workers := range []int{1, 2, 4} {
+		in, err := New(newEngine(t), Config{Workers: workers, ContinueOnError: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := in.Run(context.Background(), batch)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		dst, err := core.DeserializeMetaIndex(bytes.NewReader(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := in.MergeInto(dst)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := serialized(t, dst); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: merged bytes differ from sequential (%d vs %d bytes)",
+				workers, len(got), len(want))
+		}
+		if len(ids) != len(batch)-1 {
+			t.Fatalf("workers=%d: merged %d videos, want %d", workers, len(ids), len(batch)-1)
+		}
+		for seq, r := range results {
+			id, ok := ids[seq]
+			if ok != (r.Err == nil) {
+				t.Fatalf("workers=%d: job %d err=%v but in mapping=%t", workers, seq, r.Err, ok)
+			}
+			if !ok {
+				continue
+			}
+			v, err := dst.VideoByID(id)
+			if err != nil || v.Name != batch[seq].Video.Name {
+				t.Fatalf("workers=%d: job %d (%s) mapped to video %d = %q, %v",
+					workers, seq, batch[seq].Video.Name, id, v.Name, err)
+			}
+		}
+	}
+}
+
+// TestIngestorCancelledRunMergesFinishedJobs cancels a run from inside a
+// job: that job still finishes, later ones never start, and the merge holds
+// exactly the jobs whose results report success.
+func TestIngestorCancelledRunMergesFinishedJobs(t *testing.T) {
+	jobs := corpusJobs(corpus(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceller := jobs[1]
+	jobs[1] = Job{Open: func() (core.Video, []*frame.Image, error) {
+		cancel()
+		return canceller.Video, canceller.Frames, nil
+	}}
+	in, err := New(newEngine(t), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := in.Run(ctx, jobs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run err = %v, want context.Canceled", err)
+	}
+	dst := newIndex(t)
+	ids, err := in.MergeInto(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, r := range results {
+		if _, ok := ids[seq]; ok != (r.Err == nil) {
+			t.Fatalf("job %d err=%v but in mapping=%t", seq, r.Err, ok)
+		}
+	}
+	if len(ids) != 2 || dst.Stats().Videos != 2 {
+		t.Fatalf("merged %d videos (index holds %d), want jobs 0 and 1", len(ids), dst.Stats().Videos)
+	}
+	want := newIndex(t)
+	indexSequential(t, want, jobs[0], canceller)
+	if !bytes.Equal(serialized(t, dst), serialized(t, want)) {
+		t.Fatal("cancelled run's merge differs from the sequential build of the finished jobs")
 	}
 }
 

@@ -24,7 +24,6 @@
 // All multi-byte integers are little-endian, declared by the byte-order
 // marker in the header; NewReader refuses to open on a big-endian host so
 // the zero-copy typed views (view.go) can alias mapped bytes directly.
-// (Big-endian hosts can still load the legacy store stream.)
 //
 // Checksum policy: the header, footer, and TOC are verified on every open —
 // a truncated, rewritten, or arbitrarily corrupted file fails before any
@@ -44,7 +43,7 @@ import (
 )
 
 // Magic is the 8-byte file prefix identifying the segfile container —
-// the sniff token format-autodetecting loaders branch on.
+// what loaders check to tell a segfile from anything else.
 const Magic = "DLSEGF1\n"
 
 const (
@@ -207,7 +206,7 @@ type Reader struct {
 // the package checksum policy.
 func NewReader(data []byte) (*Reader, error) {
 	if !hostLittleEndian {
-		return nil, fmt.Errorf("segfile: big-endian hosts are not supported (use the legacy store format)")
+		return nil, fmt.Errorf("segfile: big-endian hosts are not supported")
 	}
 	if len(data) < headerSize+footerSize {
 		return nil, fmt.Errorf("segfile: file too short (%d bytes)", len(data))

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"reflect"
 	"sync"
 	"testing"
@@ -56,19 +55,23 @@ func fixture(t testing.TB) (*dlse.Engine, *core.MetaIndex) {
 const combinedQuery = `find Player where sex = "female" and handedness = "left"` +
 	` and exists wonFinals scenes "net-play" via wonFinals.video rank "champion"`
 
+// search answers q in full (no cursor, no limit, no explain).
+func search(s *Server, q dlse.Query) (*dlse.ResultSet, bool, error) {
+	return s.Search(context.Background(), q, "", 0, false)
+}
+
 func TestQueryColdThenCached(t *testing.T) {
 	e, _ := fixture(t)
 	s := New(e, Options{})
-	ctx := context.Background()
 
-	cold, cached, err := s.Query(ctx, combinedQuery)
+	cold, cached, err := search(s, dlse.Query{Source: combinedQuery})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Fatal("first query reported cached")
 	}
-	warm, cached, err := s.Query(ctx, combinedQuery)
+	warm, cached, err := search(s, dlse.Query{Source: combinedQuery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +92,12 @@ func TestQueryColdThenCached(t *testing.T) {
 func TestCacheNeverStaleAfterIndexUpdate(t *testing.T) {
 	e, idx := fixture(t)
 	s := New(e, Options{})
-	ctx := context.Background()
 
-	before, _, err := s.Scenes(ctx, "net-play")
+	before, _, err := search(s, dlse.Query{Scenes: "net-play"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, cached, _ := s.Scenes(ctx, "net-play"); !cached {
+	if _, cached, _ := search(s, dlse.Query{Scenes: "net-play"}); !cached {
 		t.Fatal("warm scenes lookup missed")
 	}
 
@@ -111,30 +113,29 @@ func TestCacheNeverStaleAfterIndexUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, cached, err := s.Scenes(ctx, "net-play")
+	after, cached, err := search(s, dlse.Query{Scenes: "net-play"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Fatal("stale entry served after index update")
 	}
-	if len(after) != len(before)+1 {
-		t.Fatalf("after update: %d scenes, want %d", len(after), len(before)+1)
+	if len(after.Items) != len(before.Items)+1 {
+		t.Fatalf("after update: %d scenes, want %d", len(after.Items), len(before.Items)+1)
 	}
 }
 
 func TestInvalidateCache(t *testing.T) {
 	e, _ := fixture(t)
 	s := New(e, Options{})
-	ctx := context.Background()
-	if _, _, err := s.Query(ctx, combinedQuery); err != nil {
+	if _, _, err := search(s, dlse.Query{Source: combinedQuery}); err != nil {
 		t.Fatal(err)
 	}
 	s.InvalidateCache()
 	if entries, _, _ := s.CacheStats(); entries != 0 {
 		t.Fatalf("cache has %d entries after purge", entries)
 	}
-	if _, cached, _ := s.Query(ctx, combinedQuery); cached {
+	if _, cached, _ := search(s, dlse.Query{Source: combinedQuery}); cached {
 		t.Fatal("query served from purged cache")
 	}
 }
@@ -142,9 +143,8 @@ func TestInvalidateCache(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	e, _ := fixture(t)
 	s := New(e, Options{CacheSize: -1})
-	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, cached, err := s.Query(ctx, combinedQuery); err != nil || cached {
+		if _, cached, err := search(s, dlse.Query{Source: combinedQuery}); err != nil || cached {
 			t.Fatalf("iteration %d: cached=%t err=%v", i, cached, err)
 		}
 	}
@@ -157,26 +157,28 @@ func TestCacheDisabled(t *testing.T) {
 func TestConcurrentMixedTrafficMatchesSequential(t *testing.T) {
 	e, _ := fixture(t)
 	s := New(e, Options{CacheSize: 64, Workers: 4})
-	ctx := context.Background()
 	queries := []string{
 		combinedQuery,
 		`find Player where handedness = "left"`,
 		`find Final scenes "rally" via video`,
 		`find Player where exists wonFinals rank "final champion" limit 4`,
 	}
-	goldenQ := make([][]dlse.Result, len(queries))
+	goldenQ := make([][]dlse.Item, len(queries))
 	for i, q := range queries {
-		res, _, err := s.Query(ctx, q)
+		res, _, err := search(s, dlse.Query{Source: q})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		goldenQ[i] = res
+		goldenQ[i] = res.Items
 	}
-	goldenKW, _, err := s.Keyword(ctx, "champion final", 10)
+	keyword := func() (*dlse.ResultSet, bool, error) {
+		return s.Search(context.Background(), dlse.Query{Keyword: "champion final"}, "", 10, false)
+	}
+	goldenKW, _, err := keyword()
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenSc, _, err := s.Scenes(ctx, "net-play")
+	goldenSc, _, err := search(s, dlse.Query{Scenes: "net-play"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,32 +196,32 @@ func TestConcurrentMixedTrafficMatchesSequential(t *testing.T) {
 				switch (g + r) % 3 {
 				case 0:
 					i := r % len(queries)
-					res, _, err := s.Query(ctx, queries[i])
+					res, _, err := search(s, dlse.Query{Source: queries[i]})
 					if err != nil {
 						t.Errorf("query: %v", err)
 						return
 					}
-					if !reflect.DeepEqual(res, goldenQ[i]) {
+					if !reflect.DeepEqual(res.Items, goldenQ[i]) {
 						t.Errorf("goroutine %d: query %d diverged from sequential", g, i)
 						return
 					}
 				case 1:
-					hits, _, err := s.Keyword(ctx, "champion final", 10)
+					hits, _, err := keyword()
 					if err != nil {
 						t.Errorf("keyword: %v", err)
 						return
 					}
-					if !reflect.DeepEqual(hits, goldenKW) {
+					if !reflect.DeepEqual(hits.Items, goldenKW.Items) {
 						t.Errorf("goroutine %d: keyword diverged", g)
 						return
 					}
 				default:
-					scenes, _, err := s.Scenes(ctx, "net-play")
+					scenes, _, err := search(s, dlse.Query{Scenes: "net-play"})
 					if err != nil {
 						t.Errorf("scenes: %v", err)
 						return
 					}
-					if !reflect.DeepEqual(scenes, goldenSc) {
+					if !reflect.DeepEqual(scenes.Items, goldenSc.Items) {
 						t.Errorf("goroutine %d: scenes diverged", g)
 						return
 					}
@@ -262,46 +264,16 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("healthz docs = %v", h["docs"])
 	}
 
-	q := get(t, "/query?q="+urlQuery(`find Player where handedness = "left"`), http.StatusOK)
-	if q["count"].(float64) <= 0 {
-		t.Fatalf("query count = %v", q["count"])
-	}
-	if q["cached"].(bool) {
-		t.Fatal("first HTTP query cached")
-	}
-	q2 := get(t, "/query?q="+urlQuery(`find Player where handedness = "left"`), http.StatusOK)
-	if !q2["cached"].(bool) {
-		t.Fatal("second HTTP query not cached")
-	}
-
-	lim := get(t, "/query?limit=2&q="+urlQuery(`find Player where handedness = "left"`), http.StatusOK)
-	if lim["count"].(float64) != 2 {
-		t.Fatalf("limited query count = %v", lim["count"])
-	}
-
-	kw := get(t, "/keyword?q=final&k=5", http.StatusOK)
-	if kw["count"].(float64) <= 0 {
-		t.Fatalf("keyword count = %v", kw["count"])
-	}
-
-	sc := get(t, "/scenes?kind=net-play", http.StatusOK)
-	if sc["count"].(float64) <= 0 {
-		t.Fatalf("scenes count = %v", sc["count"])
-	}
-
-	get(t, "/query", http.StatusBadRequest)                   // missing q
-	get(t, "/query?q=nonsense+syntax", http.StatusBadRequest) // parse error
-	get(t, "/keyword", http.StatusBadRequest)
-	get(t, "/scenes", http.StatusBadRequest)
-
-	resp, err := http.Post(ts.URL+"/query", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /query: status %d", resp.StatusCode)
+	// The pre-/v2 endpoints are gone: the mux answers them like any other
+	// unknown path.
+	for _, path := range []string{"/query?q=find+Player", "/keyword?q=final", "/scenes?kind=net-play"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
-
-func urlQuery(q string) string { return url.QueryEscape(q) }

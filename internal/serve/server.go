@@ -6,14 +6,11 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dlse"
-	"repro/internal/ir"
 )
 
 // Options tunes a Server.
@@ -21,8 +18,6 @@ type Options struct {
 	// CacheSize is the query-result cache capacity in entries. 0 selects
 	// the default (1024); negative disables caching entirely.
 	CacheSize int
-	// CacheShards is the cache shard count (< 1 selects 8).
-	CacheShards int
 	// Workers, when > 0, bounds how many queries execute concurrently;
 	// excess requests wait (or fail when their context is cancelled).
 	// Cache hits are served without taking a slot. <= 0 means unbounded.
@@ -79,7 +74,7 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	}
 	s.engine.Store(engine)
 	if opts.CacheSize >= 0 {
-		s.cache = NewCache(opts.CacheSize, opts.CacheShards)
+		s.cache = NewCache(opts.CacheSize, 8)
 	}
 	if opts.Workers > 0 {
 		s.sem = make(chan struct{}, opts.Workers)
@@ -107,9 +102,6 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	s.metrics.Set("snapshot", expvar.Func(func() any { return s.engine.Load().Snapshot() }))
 	s.metrics.Set("uptime_sec", expvar.Func(func() any { return time.Since(s.start).Seconds() }))
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/keyword", s.handleKeyword)
-	s.mux.HandleFunc("/scenes", s.handleScenes)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/vars", s.handleVars)
@@ -241,97 +233,18 @@ func (s *Server) pin() (*dlse.Engine, int64) {
 	}
 }
 
-// Query parses a query-language string and answers it, consulting the
-// cache. The bool reports whether the answer came from the cache.
-func (s *Server) Query(ctx context.Context, text string) ([]dlse.Result, bool, error) {
-	e, ver := s.pin()
-	req, err := dlse.ParseRequest(e.Space().Schema(), text)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.queryEngine(ctx, e, ver, req)
-}
-
-// lookupOrFill is the cache protocol every query type shares: consult the
-// cache; on a miss take a worker slot, run fill, and store the result
-// under ver — the version tag pinned together with the engine the fill
-// runs against (see pin). The tag is observed *before* the fill executes,
-// so an index write or swap racing the fill can only make the entry
-// stale-tagged (it will never match again), never falsely fresh.
-func (s *Server) lookupOrFill(ctx context.Context, key string, ver int64, fill func() (any, error)) (any, bool, error) {
-	if s.cache != nil {
-		if v, ok := s.cache.Get(key, ver); ok {
-			return v, true, nil
-		}
-	}
-	if err := s.acquire(ctx); err != nil {
-		return nil, false, err
-	}
-	defer s.release()
-	v, err := fill()
-	if err != nil {
-		return nil, false, err
-	}
-	if s.cache != nil {
-		s.cache.Put(key, ver, v)
-	}
-	return v, false, nil
-}
-
-// QueryRequest answers a structured request, consulting the cache.
-func (s *Server) QueryRequest(ctx context.Context, req dlse.Request) ([]dlse.Result, bool, error) {
-	e, ver := s.pin()
-	return s.queryEngine(ctx, e, ver, req)
-}
-
-// queryEngine answers a structured request against one pinned snapshot.
-func (s *Server) queryEngine(ctx context.Context, e *dlse.Engine, ver int64, req dlse.Request) ([]dlse.Result, bool, error) {
-	s.queries.Add(1)
-	v, cached, err := s.lookupOrFill(ctx, "q|"+req.CanonicalKey(), ver, func() (any, error) {
-		return e.QueryContext(ctx, req)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]dlse.Result), cached, nil
-}
-
-// Keyword answers the flattened-pages keyword baseline, consulting the
-// cache.
-func (s *Server) Keyword(ctx context.Context, query string, k int) ([]ir.Hit, bool, error) {
-	if k <= 0 {
-		k = 10
-	}
-	s.queries.Add(1)
-	e, ver := s.pin()
-	key := fmt.Sprintf("kw|%s|%d", strings.Join(ir.Analyze(query), " "), k)
-	v, cached, err := s.lookupOrFill(ctx, key, ver, func() (any, error) {
-		return e.KeywordSearch(query, k)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]ir.Hit), cached, nil
-}
-
-// Scenes returns all indexed scenes of an event kind, consulting the cache.
-func (s *Server) Scenes(ctx context.Context, kind string) ([]core.Scene, bool, error) {
-	s.queries.Add(1)
-	e, ver := s.pin()
-	v, cached, err := s.lookupOrFill(ctx, "sc|"+kind, ver, func() (any, error) {
-		return e.VideoIndex().Scenes(kind)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]core.Scene), cached, nil
-}
-
-// Search answers a v2 unified query with cursor pagination, consulting the
+// Search answers a unified query with cursor pagination, consulting the
 // cache. The full (unpaginated) result set is what gets cached, keyed on
 // the query's canonical key — so every page of a walk hits the same entry,
 // making page N exactly as cacheable as page 1. Explain requests bypass
-// the cache: an explain describes an execution, so one is performed.
+// the cache: an explain describes an execution, so one is performed. The
+// bool reports whether the answer came from the cache.
+//
+// A miss takes a worker slot, executes, and stores the result under the
+// version tag pinned together with the engine it ran against (see pin). The
+// tag is observed *before* the execution, so an index write or swap racing
+// it can only make the entry stale-tagged (it will never match again),
+// never falsely fresh.
 func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, limit int, explain bool) (*dlse.ResultSet, bool, error) {
 	s.queries.Add(1)
 	e, ver := s.pin()
@@ -349,29 +262,27 @@ func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 	case nq.Hybrid != "":
 		s.hybridQ.Add(1)
 	}
-	if explain {
-		if err := s.acquire(ctx); err != nil {
-			return nil, false, err
+	useCache := s.cache != nil && !explain
+	if useCache {
+		if full, ok := s.cache.Get(key, ver); ok {
+			// Search is the cache's only writer: every value is a result set.
+			rs, err := full.(*dlse.ResultSet).Page(cursor, limit)
+			return rs, err == nil, err
 		}
-		defer s.release()
-		full, err := e.SearchAll(ctx, nq, true)
-		if err != nil {
-			return nil, false, err
-		}
-		rs, err := full.Page(cursor, limit)
-		return rs, false, err
 	}
-	v, cached, err := s.lookupOrFill(ctx, "v2|"+key, ver, func() (any, error) {
-		return e.SearchAll(ctx, nq, false)
-	})
+	if err := s.acquire(ctx); err != nil {
+		return nil, false, err
+	}
+	defer s.release()
+	full, err := e.SearchAll(ctx, nq, explain)
 	if err != nil {
 		return nil, false, err
 	}
-	rs, err := v.(*dlse.ResultSet).Page(cursor, limit)
-	if err != nil {
-		return nil, false, err
+	if useCache {
+		s.cache.Put(key, ver, full)
 	}
-	return rs, cached, nil
+	rs, err := full.Page(cursor, limit)
+	return rs, false, err
 }
 
 // ---------------------------------------------------------------- HTTP
@@ -384,35 +295,6 @@ type (
 		Start      int     `json:"start"`
 		End        int     `json:"end"`
 		Confidence float64 `json:"confidence"`
-	}
-	resultJSON struct {
-		ObjectID int64       `json:"objectId"`
-		Class    string      `json:"class"`
-		Name     string      `json:"name,omitempty"`
-		Score    float64     `json:"score,omitempty"`
-		Scenes   []sceneJSON `json:"scenes,omitempty"`
-	}
-	queryResponse struct {
-		Count   int          `json:"count"`
-		Cached  bool         `json:"cached"`
-		TookMs  float64      `json:"tookMs"`
-		Results []resultJSON `json:"results"`
-	}
-	hitJSON struct {
-		Page  string  `json:"page"`
-		Score float64 `json:"score"`
-	}
-	keywordResponse struct {
-		Count  int       `json:"count"`
-		Cached bool      `json:"cached"`
-		TookMs float64   `json:"tookMs"`
-		Hits   []hitJSON `json:"hits"`
-	}
-	scenesResponse struct {
-		Count  int         `json:"count"`
-		Cached bool        `json:"cached"`
-		TookMs float64     `json:"tookMs"`
-		Scenes []sceneJSON `json:"scenes"`
 	}
 	healthResponse struct {
 		Status       string  `json:"status"`
@@ -466,120 +348,6 @@ func toSceneJSON(scenes []core.Scene) []sceneJSON {
 		}
 	}
 	return out
-}
-
-// handleQuery answers GET /query?q=<query language>[&limit=n].
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
-		return
-	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing q parameter"))
-		return
-	}
-	e, ver := s.pin()
-	req, err := dlse.ParseRequest(e.Space().Schema(), q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if ls := r.URL.Query().Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
-			return
-		}
-		req.Limit = n
-	}
-	start := time.Now()
-	results, cached, err := s.queryEngine(r.Context(), e, ver, req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := queryResponse{
-		Count:  len(results),
-		Cached: cached,
-		TookMs: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	resp.Results = make([]resultJSON, len(results))
-	for i, res := range results {
-		resp.Results[i] = resultJSON{
-			ObjectID: res.Object.ID,
-			Class:    res.Object.Class,
-			Name:     res.Object.StringAttr("name"),
-			Score:    res.Score,
-			Scenes:   toSceneJSON(res.Scenes),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleKeyword answers GET /keyword?q=...[&k=n] — the flattened-pages
-// baseline the paper argues against, for comparison.
-func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
-		return
-	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing q parameter"))
-		return
-	}
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		n, err := strconv.Atoi(ks)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
-			return
-		}
-		k = n
-	}
-	start := time.Now()
-	hits, cached, err := s.Keyword(r.Context(), q, k)
-	if err != nil {
-		if err == ir.ErrEmptyQry {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := keywordResponse{
-		Count:  len(hits),
-		Cached: cached,
-		TookMs: float64(time.Since(start).Microseconds()) / 1000,
-		Hits:   make([]hitJSON, len(hits)),
-	}
-	for i, h := range hits {
-		resp.Hits[i] = hitJSON{Page: h.Name, Score: h.Score}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleScenes answers GET /scenes?kind=net-play.
-func (s *Server) handleScenes(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
-		return
-	}
-	kind := r.URL.Query().Get("kind")
-	if kind == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing kind parameter"))
-		return
-	}
-	start := time.Now()
-	scenes, cached, err := s.Scenes(r.Context(), kind)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, scenesResponse{
-		Count:  len(scenes),
-		Cached: cached,
-		TookMs: float64(time.Since(start).Microseconds()) / 1000,
-		Scenes: toSceneJSON(scenes),
-	})
 }
 
 // handleHealthz answers GET /healthz with liveness and index stats.

@@ -148,8 +148,8 @@ func writeV2Error(w http.ResponseWriter, err error) {
 // emits byte-identical errors to dlserve.
 func WriteSearchError(w http.ResponseWriter, err error) { writeV2Error(w, err) }
 
-// onlyGetV2 enforces GET with the v2 error envelope (the v1 endpoints keep
-// onlyGet's plain {error} shape).
+// onlyGetV2 enforces GET with the v2 error envelope (/healthz, /metrics and
+// /debug/vars keep onlyGet's plain {error} shape).
 func onlyGetV2(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)

@@ -142,9 +142,13 @@ func TestPartialMergeEqualsMonolithic(t *testing.T) {
 	ctx := context.Background()
 	const kw = "australian open final"
 
-	full, err := e.KeywordSearch(kw, 0)
+	rs, err := e.Search(ctx, dlse.Query{Keyword: kw})
 	if err != nil {
 		t.Fatal(err)
+	}
+	full := make([]ir.Hit, len(rs.Items))
+	for i, it := range rs.Items {
+		full[i] = ir.Hit{Doc: it.Doc, Name: it.Page, Score: it.Score}
 	}
 	p1, err := local.Partial(ctx, transport.Query{Keyword: kw}, transport.Sel{Text: []int{0}}, -1)
 	if err != nil {

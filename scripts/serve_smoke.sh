@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# serve_smoke.sh — build dlserve, start it on a random port, hit /healthz,
-# /query (v1), and the v2 surface (/v2/search pagination, explain, SIGHUP
-# hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and
-# check it exits 0. Run via `make serve-smoke`; CI runs it alongside the
-# race job.
+# serve_smoke.sh — build dlserve, start it on a random port, hit /healthz
+# and the /v2 surface (/v2/search pagination, explain, SIGHUP hot reload,
+# POST /v2/reload), then shut it down gracefully (SIGINT) and check it
+# exits 0. Run via `make serve-smoke`; CI runs it alongside the race job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,12 +39,18 @@ health=$(curl -fsS "http://127.0.0.1:$port/healthz")
 echo "$health"
 echo "$health" | grep -q '"status":"ok"'
 
-echo "--- /query"
-out=$(curl -fsS --get "http://127.0.0.1:$port/query" \
+echo "--- /v2/search (combined query)"
+out=$(curl -fsS --get "http://127.0.0.1:$port/v2/search" \
     --data-urlencode 'q=find Player where sex = "female" and handedness = "left"')
 echo "$out" | head -c 300
 echo
 echo "$out" | grep -q '"count":'
+
+echo "--- the pre-/v2 endpoints are gone (404)"
+for path in '/query?q=find+Player' '/keyword?q=final' '/scenes?kind=rally'; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$port$path")
+    [ "$code" = 404 ] || { echo "serve-smoke: GET $path got $code, want 404" >&2; exit 1; }
+done
 
 echo "--- /v2/search (page 1)"
 page1=$(curl -fsS --get "http://127.0.0.1:$port/v2/search" \
@@ -117,17 +122,30 @@ wait "$pid"
 echo "serve-smoke: first server OK (graceful shutdown, exit 0)"
 
 # ---------------------------------------------------------------------------
-# Segfile persistence: index the same corpus into both on-disk formats with
-# cobraindex, boot one dlserve on each, and require the two servers to
-# answer /v2/search identically (modulo per-request fields). The segfile
-# server memory-maps its -meta and caches the site's text index in a
-# -text-segfile; /v2/reload exercises the re-map path.
+# Segfile persistence: index a corpus with cobraindex and boot two dlserve
+# on the memory-mapped -meta — one also caching the site's text index in a
+# -text-segfile, one building it on the heap — and require the two servers
+# to answer /v2/search identically (modulo per-request fields); /v2/reload
+# exercises the re-map path.
 
-echo "--- cobraindex: same corpus, segfile + legacy formats"
+echo "--- cobraindex: corpus -> segfile"
 go build -o "$tmp/cobraindex" ./cmd/cobraindex
 "$tmp/synthgen" -out "$tmp/corpus2" -n 3 -shots 3 >/dev/null
-"$tmp/cobraindex" -q -format segfile -out "$tmp/meta.segf" "$tmp/corpus2" | tail -1
-"$tmp/cobraindex" -q -format legacy -out "$tmp/meta.db" "$tmp/corpus2" | tail -1
+"$tmp/cobraindex" -q -out "$tmp/meta.segf" "$tmp/corpus2" | tail -1
+
+echo "--- -meta that is not a segfile: one clear error, non-zero exit"
+go build -o "$tmp/dlsearch" ./cmd/dlsearch
+printf 'CSDB\006\006videos' >"$tmp/old.db" # how a pre-segfile index began
+rejects_old_index() {
+    local err
+    if err=$("$@" -meta "$tmp/old.db" 2>&1 >/dev/null); then
+        echo "serve-smoke: '$1' accepted a non-segfile -meta" >&2; exit 1
+    fi
+    echo "$err"
+    echo "$err" | grep -q "$tmp/old.db: not a segfile meta-index; re-index the corpus with cobraindex"
+}
+rejects_old_index "$tmp/dlserve" -addr 127.0.0.1:0 -players 16 -years 3
+rejects_old_index "$tmp/dlsearch" -query 'find Player'
 
 # start_server <logfile> <infofile> <args...> — boots dlserve (as a child
 # of this shell, so `wait` sees it) and writes "pid port" to infofile.
@@ -155,10 +173,10 @@ start_server() {
 }
 
 start_server "$tmp/log-segf" "$tmp/info-segf" -meta "$tmp/meta.segf" -text-segfile "$tmp/text.segf"
-start_server "$tmp/log-legacy" "$tmp/info-legacy" -meta "$tmp/meta.db"
+start_server "$tmp/log-heap" "$tmp/info-heap" -meta "$tmp/meta.segf"
 read -r sf_pid sf_port <"$tmp/info-segf"
-read -r lg_pid lg_port <"$tmp/info-legacy"
-trap 'kill "$sf_pid" "$lg_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+read -r hp_pid hp_port <"$tmp/info-heap"
+trap 'kill "$sf_pid" "$hp_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 
 # normalize strips the per-request fields (timing, snapshot id, cache hit,
 # opaque cursor) so the two servers' answers can be compared bytewise.
@@ -166,14 +184,14 @@ normalize() {
     sed -E 's/"tookMs":[0-9.]+,?//g; s/"snapshot":[0-9]+,?//g; s/"cached":(true|false),?//g; s/"cursor":"[^"]*",?//g'
 }
 
-echo "--- /v2/search parity: segfile vs legacy server"
+echo "--- /v2/search parity: mapped vs heap text index"
 for q in 'q=find Player where sex = "female"' 'kw=australian final' 'kind=rally'; do
     a=$(curl -fsS --get "http://127.0.0.1:$sf_port/v2/search" --data-urlencode "$q" --data-urlencode 'limit=5' | normalize)
-    b=$(curl -fsS --get "http://127.0.0.1:$lg_port/v2/search" --data-urlencode "$q" --data-urlencode 'limit=5' | normalize)
+    b=$(curl -fsS --get "http://127.0.0.1:$hp_port/v2/search" --data-urlencode "$q" --data-urlencode 'limit=5' | normalize)
     if [ "$a" != "$b" ]; then
-        echo "serve-smoke: segfile/legacy answers diverge for $q" >&2
-        echo "segfile: $a" >&2
-        echo "legacy:  $b" >&2
+        echo "serve-smoke: mapped/heap answers diverge for $q" >&2
+        echo "mapped: $a" >&2
+        echo "heap:   $b" >&2
         exit 1
     fi
     echo "match: $q"
@@ -187,12 +205,12 @@ curl -fsS --get "http://127.0.0.1:$sf_port/v2/search" --data-urlencode 'kind=ral
 echo "--- POST /v2/reload (segfile server re-maps its -meta)"
 curl -fsS -X POST "http://127.0.0.1:$sf_port/v2/reload" | grep -q '"snapshot":'
 after=$(curl -fsS --get "http://127.0.0.1:$sf_port/v2/search" --data-urlencode 'kind=rally' --data-urlencode 'limit=5' | normalize)
-want=$(curl -fsS --get "http://127.0.0.1:$lg_port/v2/search" --data-urlencode 'kind=rally' --data-urlencode 'limit=5' | normalize)
+want=$(curl -fsS --get "http://127.0.0.1:$hp_port/v2/search" --data-urlencode 'kind=rally' --data-urlencode 'limit=5' | normalize)
 if [ "$after" != "$want" ]; then
     echo "serve-smoke: segfile answers diverge after reload" >&2
     exit 1
 fi
 
-kill -INT "$sf_pid" "$lg_pid"
-wait "$sf_pid" "$lg_pid"
+kill -INT "$sf_pid" "$hp_pid"
+wait "$sf_pid" "$hp_pid"
 echo "serve-smoke: OK (graceful shutdown, exit 0)"

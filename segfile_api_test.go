@@ -2,7 +2,7 @@ package repro
 
 // End-to-end lock of the segfile persistence path: a library loaded from
 // the memory-mapped zero-copy format answers every query form
-// byte-identically to the heap-loaded (legacy-format) library — scene
+// byte-identically to the heap-built library it was saved from — scene
 // lookups, combined queries, keyword retrieval, paginated cursor walks —
 // across 1-, 2-, and 3-segment corpora, through compaction replay, and
 // under concurrent Search+Commit.
@@ -10,31 +10,27 @@ package repro
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
-// segfileVariants persists lib in every format/loader combination and
-// returns the reloaded libraries, keyed by variant name.
+// segfileVariants persists lib and returns it reloaded through each
+// loader, keyed by variant name.
 func segfileVariants(t *testing.T, lib *Library) map[string]*Library {
 	t.Helper()
-	var sf, lg bytes.Buffer
-	if err := lib.SaveIndexAs(&sf, FormatSegfile); err != nil {
+	var sf bytes.Buffer
+	if err := lib.SaveIndex(&sf); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.SaveIndexAs(&lg, FormatLegacy); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	sfPath := filepath.Join(dir, "lib.segf")
-	lgPath := filepath.Join(dir, "lib.db")
+	sfPath := filepath.Join(t.TempDir(), "lib.segf")
 	if err := os.WriteFile(sfPath, sf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lgPath, lg.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]*Library{}
@@ -45,13 +41,54 @@ func segfileVariants(t *testing.T, lib *Library) map[string]*Library {
 	if out["segfile-mmap"], err = LoadLibraryFile(sfPath); err != nil {
 		t.Fatal(err)
 	}
-	if out["legacy-stream"], err = LoadLibrary(bytes.NewReader(lg.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if out["legacy-file"], err = LoadLibraryFile(lgPath); err != nil {
-		t.Fatal(err)
-	}
 	return out
+}
+
+// TestOpenNotASegfile: every loader refuses input without the segfile magic
+// with the one error that names what was opened and the remedy — never a
+// column-store parse error, a bare mmap errno, or a panic.
+func TestOpenNotASegfile(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		data []byte // nil: the path is a directory
+	}{
+		{"empty", []byte{}},
+		{"short", []byte("DLS")},
+		// How a retired column-store stream began: magic, table count, name.
+		{"legacy-stream", []byte("CSDB\x06\x06videos")},
+		{"directory", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name)
+			if tc.data == nil {
+				if err := os.Mkdir(path, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, fileErr := LoadLibraryFile(path)
+			_, _, viewErr := core.OpenSegmentedFile(path)
+			for what, err := range map[string]error{"LoadLibraryFile": fileErr, "OpenSegmentedFile": viewErr} {
+				if !errors.Is(err, core.ErrNotSegfile) {
+					t.Fatalf("%s: err = %v, want ErrNotSegfile", what, err)
+				}
+				if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "cobraindex") {
+					t.Fatalf("%s: error %q names neither the path nor the remedy", what, msg)
+				}
+			}
+			if tc.data != nil {
+				if _, err := LoadLibrary(bytes.NewReader(tc.data)); !errors.Is(err, core.ErrNotSegfile) {
+					t.Fatalf("LoadLibrary: err = %v, want ErrNotSegfile", err)
+				}
+			}
+		})
+	}
+	// A missing file stays a not-exist error (dlserve maps it to 404 on reload).
+	if _, err := LoadLibraryFile(filepath.Join(dir, "absent")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
+	}
 }
 
 // compareSearch requires dl and ref to answer q identically, unpaginated
@@ -180,29 +217,27 @@ func TestSegfileCompactionReplay(t *testing.T) {
 	}
 }
 
-// TestSegfileSaveLoadSaveStable locks save→load→save byte stability for
-// both formats (the determinism the bench trajectory and cache layers
-// rely on).
+// TestSegfileSaveLoadSaveStable locks save→load→save byte stability (the
+// determinism the bench trajectory, the WAL crash matrix and the cache
+// layers rely on).
 func TestSegfileSaveLoadSaveStable(t *testing.T) {
 	vids := batchTestCorpus(t)
 	jobs := batchJobs(vids)
 	lib := buildSegmentedLib(t, jobs, 3, 3)
-	for _, format := range []IndexFormat{FormatSegfile, FormatLegacy} {
-		var first bytes.Buffer
-		if err := lib.SaveIndexAs(&first, format); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadLibrary(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var second bytes.Buffer
-		if err := loaded.SaveIndexAs(&second, format); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("format %d: save→load→save changed bytes", format)
-		}
+	var first bytes.Buffer
+	if err := lib.SaveIndex(&first); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadLibrary(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := loaded.SaveIndex(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("save→load→save changed bytes")
 	}
 }
 
@@ -218,7 +253,7 @@ func TestSegfileConcurrentSearchCommit(t *testing.T) {
 	kind := segLibKinds(t, base)[0]
 
 	var sf bytes.Buffer
-	if err := base.SaveIndexAs(&sf, FormatSegfile); err != nil {
+	if err := base.SaveIndex(&sf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "lib.segf")

@@ -95,7 +95,7 @@ var crashKinds = []string{"net-play", "rally"}
 // refState is one crash-consistent reference outcome: the index bytes and
 // scene answers a never-crashed run produces from a given batch subset.
 type refState struct {
-	legacy []byte
+	saved  []byte
 	scenes map[string][]Scene
 }
 
@@ -137,10 +137,10 @@ func buildRefs(t *testing.T, batches [][]IngestJob) map[string]refState {
 			}
 		}
 		var buf bytes.Buffer
-		if err := lib.SaveIndexAs(&buf, FormatLegacy); err != nil {
+		if err := lib.SaveIndex(&buf); err != nil {
 			t.Fatal(err)
 		}
-		refs[sub] = refState{legacy: buf.Bytes(), scenes: libScenes(t, lib)}
+		refs[sub] = refState{saved: buf.Bytes(), scenes: libScenes(t, lib)}
 	}
 	if full := refs[subsets[len(subsets)-1]]; len(full.scenes[crashKinds[0]])+len(full.scenes[crashKinds[1]]) == 0 {
 		t.Fatal("full corpus produced no scenes — answer comparisons would be vacuous")
@@ -149,7 +149,7 @@ func buildRefs(t *testing.T, batches [][]IngestJob) map[string]refState {
 	// that only works if the references are pairwise distinct.
 	for a, ra := range refs {
 		for b, rb := range refs {
-			if a != b && bytes.Equal(ra.legacy, rb.legacy) {
+			if a != b && bytes.Equal(ra.saved, rb.saved) {
 				t.Fatalf("reference states %q and %q are byte-identical; matrix cannot discriminate", a, b)
 			}
 		}
@@ -214,11 +214,11 @@ func recoverAndMatch(t *testing.T, dir string, refs map[string]refState) string 
 		t.Fatalf("replay: %v", err)
 	}
 	var got bytes.Buffer
-	if err := lib.SaveIndexAs(&got, FormatLegacy); err != nil {
+	if err := lib.SaveIndex(&got); err != nil {
 		t.Fatal(err)
 	}
 	for key, ref := range refs {
-		if !bytes.Equal(got.Bytes(), ref.legacy) {
+		if !bytes.Equal(got.Bytes(), ref.saved) {
 			continue
 		}
 		if !reflect.DeepEqual(libScenes(t, lib), ref.scenes) {
