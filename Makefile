@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench bench-smoke bench-json bench-compare staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet ci
+.PHONY: all build test race fuzz-smoke bench bench-smoke bench-check staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet ci
 
 all: build test
 
@@ -36,19 +36,13 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Machine-readable perf trajectory: run the scoring-kernel benchmark set
-# with -benchmem and write BENCH_PR10.json (the committed trajectory point
-# of this PR; BENCH_PR9.json is the previous one). BENCHTIME=1x for smoke.
-bench-json:
-	bash scripts/bench_json.sh
-
-# Guard the perf trajectory: fail when a gated benchmark regressed more
-# than 3x between the two committed points. (BenchmarkSceneJoin has no
-# earlier committed point; it is gated against a fresh run by
-# bench-json-smoke below.)
-bench-compare:
-	bash scripts/bench_compare.sh BENCH_PR9.json BENCH_PR10.json \
-		'BenchmarkIRQueryFull BenchmarkSegmentedSearch/segs=4 BenchmarkColdOpen/segfile/segs=4 BenchmarkSegfileSearch/segs=4 BenchmarkE2ShotBoundarySweep BenchmarkDLSEQuery/cold'
+# The benchmark (bench/, its own module, so `go test ./...` above never
+# reaches it): vet and unit tests of dlbench, then a smoke run of all four
+# HTTP workloads with their answer checks. The micro-benchmarks above are
+# developer tools, not gates; the regression locks are the AllocsPerRun
+# tests and, for end-to-end numbers, paired dlbench runs (bench/README.md).
+bench-check:
+	bash bench/run.sh -check
 
 # staticcheck (honnef.co/go/tools). CI installs it; locally the target
 # skips with a notice when the binary is absent (this repo vendors nothing
@@ -87,24 +81,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet staticcheck build test race fuzz-smoke bench-smoke bench-json-smoke serve-smoke cluster-smoke crash-smoke
-
-# The bench-json CI step: one iteration per benchmark, same script. Writes
-# to a scratch path so it never clobbers the committed BENCH_PR10.json (the
-# real trajectory point, regenerated deliberately via `make bench-json`),
-# then fails the build if the fresh run shows the gated scoring-kernel and
-# scene-join benchmarks more than 3x slower than this PR's committed point,
-# or the segfile and cold-query benchmarks more than 10x — wider because a
-# 1x iteration of a ~16µs cold open (or a first-ever query, which pays
-# every lazy init at once) is noise-dominated, while the regressions these
-# guard against (losing the mmap fast path, a cold query going quadratic)
-# are 100x+. The full-benchtime committed points gate DLSEQuery/cold at 3x
-# via bench-compare.
-.PHONY: bench-json-smoke
-bench-json-smoke:
-	BENCHTIME=1x bash scripts/bench_json.sh /tmp/bench_smoke.json
-	@cat /tmp/bench_smoke.json
-	bash scripts/bench_compare.sh BENCH_PR10.json /tmp/bench_smoke.json \
-		'BenchmarkIRQueryFull BenchmarkSegmentedSearch/segs=4 BenchmarkVecSearch BenchmarkHybridSearch BenchmarkE2ShotBoundarySweep BenchmarkSceneJoin/hot/segs=4'
-	bash scripts/bench_compare.sh BENCH_PR10.json /tmp/bench_smoke.json \
-		'BenchmarkColdOpen/segfile/segs=4 BenchmarkSegfileSearch/segs=4 BenchmarkDLSEQuery/cold' 10
+ci: fmt-check vet staticcheck build test race fuzz-smoke bench-smoke bench-check serve-smoke cluster-smoke crash-smoke

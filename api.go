@@ -158,19 +158,15 @@ func ReadSVF(path string) ([]*Image, int, error) {
 // Compact, which assemble new segments privately and install them by
 // building a new view.
 type Library struct {
-	engine  *fde.Engine
-	parts   []*core.MetaIndex
-	metas   []core.SegmentMeta
-	gen     int64 // segment-set generation: bumped by Commit and Compact
+	engine *fde.Engine
+	// view is the current segment set: an immutable snapshot that Commit
+	// and Compact replace and the Index* methods append to in place (its
+	// newest segment). On a loaded library its segments decode on first
+	// touch — reads stay lazy, the write paths resolve what they need.
+	view    *core.SegmentedIndex
 	nextSeg int64 // next segment ID
-
-	// src backs a loaded library (LoadLibraryFile or LoadLibrary): segments
-	// decode lazily on first touch and, for file opens, read straight from
-	// the memory mapping. It stays set for Close even after hydration.
-	src *core.SegfileLibrary
-	// hydrated records that parts holds every decoded segment; until then
-	// parts is nil and all reads go through src.
-	hydrated bool
+	// mapping is the memory mapping behind LoadLibraryFile, nil otherwise.
+	mapping io.Closer
 }
 
 // NewLibrary creates an empty library with the standard tennis FDE.
@@ -183,51 +179,37 @@ func NewLibrary() (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Library{
-		engine:  engine,
-		parts:   []*core.MetaIndex{index},
-		metas:   []core.SegmentMeta{{ID: 1}},
-		nextSeg: 2,
-	}, nil
+	return &Library{engine: engine, view: core.SingleSegment(index), nextSeg: 2}, nil
 }
 
 // head returns the newest segment — the write target of the legacy Index*
-// methods. Callers must materialize first on a segfile-backed library.
-func (l *Library) head() *core.MetaIndex { return l.parts[len(l.parts)-1] }
-
-// materialize hydrates every segment of a segfile-backed library into
-// parts — the write paths need live partitions. Reads never call it: View
-// stays lazy until the first write.
-func (l *Library) materialize() error {
-	if l.src == nil || l.hydrated {
-		return nil
-	}
-	parts, err := l.src.Parts()
+// methods — resolving the whole set first, so that a corrupt segment of a
+// loaded library surfaces at the write instead of being appended after.
+func (l *Library) head() (*core.MetaIndex, error) {
+	parts, err := l.view.Parts()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	l.parts = parts
-	l.hydrated = true
-	return nil
+	return parts[len(parts)-1], nil
+}
+
+// install replaces the segment set, one generation on.
+func (l *Library) install(parts []*core.MetaIndex, metas []core.SegmentMeta) {
+	view, err := core.NewSegmentedIndex(parts, metas, l.view.Generation()+1)
+	if err != nil {
+		// Callers extend parts and metas in lockstep; this cannot fail.
+		panic(fmt.Sprintf("repro: inconsistent segment set: %v", err))
+	}
+	l.view = view
 }
 
 // View returns an immutable snapshot of the library's segment set: the
 // read side every query path (and engine build) runs against. Later
 // commits and compactions build new views; existing ones are undisturbed.
-// On a segfile-backed library that has not been written to, the view is
-// lazy: Stats and Version come from the persisted manifest and each
-// segment decodes only when a query first touches it.
-func (l *Library) View() *core.SegmentedIndex {
-	if l.src != nil && !l.hydrated {
-		return l.src.View()
-	}
-	si, err := core.NewSegmentedIndex(l.parts, l.metas, l.gen)
-	if err != nil {
-		// parts and metas are maintained in lockstep; this cannot fail.
-		panic(fmt.Sprintf("repro: inconsistent segment set: %v", err))
-	}
-	return si
-}
+// On a loaded library the view is lazy: Stats and Version come from the
+// persisted manifest and each segment decodes only when a query (or a
+// write) first touches it.
+func (l *Library) View() *core.SegmentedIndex { return l.view }
 
 // Close releases the memory mapping behind a library opened with
 // LoadLibraryFile (a no-op otherwise). Views obtained from the library
@@ -236,10 +218,10 @@ func (l *Library) View() *core.SegmentedIndex {
 // hot-reloads should simply drop the old library and let the process
 // lifetime own the mapping.
 func (l *Library) Close() error {
-	if l.src == nil {
+	if l.mapping == nil {
 		return nil
 	}
-	return l.src.Close()
+	return l.mapping.Close()
 }
 
 // IndexFrames runs the full detector pipeline over the frames and stores
@@ -248,7 +230,8 @@ func (l *Library) IndexFrames(name string, frames []*Image, fps int) (int64, err
 	if len(frames) == 0 {
 		return 0, fmt.Errorf("repro: no frames for video %q", name)
 	}
-	if err := l.materialize(); err != nil {
+	head, err := l.head()
+	if err != nil {
 		return 0, err
 	}
 	v := core.Video{
@@ -259,7 +242,7 @@ func (l *Library) IndexFrames(name string, frames []*Image, fps int) (int64, err
 	if err != nil {
 		return 0, fmt.Errorf("repro: indexing %q: %w", name, err)
 	}
-	return fde.IndexResult(res, l.head())
+	return fde.IndexResult(res, head)
 }
 
 // IndexSVF indexes a video stored in an SVF file.
@@ -268,7 +251,8 @@ func (l *Library) IndexSVF(name, path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := l.materialize(); err != nil {
+	head, err := l.head()
+	if err != nil {
 		return 0, err
 	}
 	v := core.Video{
@@ -279,7 +263,7 @@ func (l *Library) IndexSVF(name, path string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("repro: indexing %q: %w", name, err)
 	}
-	return fde.IndexResult(res, l.head())
+	return fde.IndexResult(res, head)
 }
 
 // IngestJob describes one video of a batch-ingestion request. Exactly one
@@ -351,10 +335,11 @@ type BatchResult struct {
 // cancellation; otherwise it is nil when every job succeeded, the first
 // failure by default, or all failures joined when ContinueOnError is set.
 func (l *Library) IndexBatch(ctx context.Context, jobs []IngestJob, opts BatchOptions) ([]BatchResult, error) {
-	if err := l.materialize(); err != nil {
+	head, err := l.head()
+	if err != nil {
 		return nil, err
 	}
-	return l.runBatch(ctx, jobs, opts, l.head())
+	return l.runBatch(ctx, jobs, opts, head)
 }
 
 // runBatch is the shared ingestion engine of IndexBatch (merging into the
@@ -444,20 +429,19 @@ func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOpti
 // cancellation) match IndexBatch. A commit whose jobs all fail (or that is
 // cancelled before any video lands) appends no segment.
 func (l *Library) Commit(ctx context.Context, jobs []IngestJob, opts BatchOptions) ([]BatchResult, error) {
-	if err := l.materialize(); err != nil {
+	parts, err := l.view.Parts()
+	if err != nil {
 		return nil, err
 	}
-	base := l.head().IDState()
+	base := parts[len(parts)-1].IDState()
 	seg, err := core.NewMetaIndexAt(base)
 	if err != nil {
 		return nil, err
 	}
 	results, runErr := l.runBatch(ctx, jobs, opts, seg)
 	if seg.Stats().Videos > 0 {
-		l.parts = append(l.parts, seg)
-		l.metas = append(l.metas, core.SegmentMeta{ID: l.nextSeg, Base: base})
+		l.install(append(parts, seg), append(l.view.Metas(), core.SegmentMeta{ID: l.nextSeg, Base: base}))
 		l.nextSeg++
-		l.gen++
 	}
 	return results, runErr
 }
@@ -470,20 +454,22 @@ func (l *Library) Commit(ctx context.Context, jobs []IngestJob, opts BatchOption
 func (l *Library) Compact(target int) (bool, error) {
 	// A single-segment set can't compact: answer from the manifest before
 	// hydrating anything.
-	if len(l.metas) < 2 {
+	if l.view.NumSegments() < 2 {
 		return false, nil
 	}
-	if err := l.materialize(); err != nil {
+	parts, err := l.view.Parts()
+	if err != nil {
 		return false, err
 	}
+	metas := l.view.Metas()
 	var nparts []*core.MetaIndex
 	var nmetas []core.SegmentMeta
 	changed := false
-	for i := 0; i < len(l.parts); {
+	for i := 0; i < len(parts); {
 		j := i + 1
-		run := l.parts[i].Stats().Videos
-		for j < len(l.parts) {
-			next := l.parts[j].Stats().Videos
+		run := parts[i].Stats().Videos
+		for j < len(parts) {
+			next := parts[j].Stats().Videos
 			if target > 0 && run+next > target {
 				break
 			}
@@ -491,7 +477,7 @@ func (l *Library) Compact(target int) (bool, error) {
 			j++
 		}
 		if j-i >= 2 {
-			merged, meta, err := core.MergeSegmentRange(l.parts, l.metas, i, j)
+			merged, meta, err := core.MergeSegmentRange(parts, metas, i, j)
 			if err != nil {
 				return false, fmt.Errorf("repro: compacting: %w", err)
 			}
@@ -499,16 +485,15 @@ func (l *Library) Compact(target int) (bool, error) {
 			nmetas = append(nmetas, meta)
 			changed = true
 		} else {
-			nparts = append(nparts, l.parts[i])
-			nmetas = append(nmetas, l.metas[i])
+			nparts = append(nparts, parts[i])
+			nmetas = append(nmetas, metas[i])
 		}
 		i = j
 	}
 	if !changed {
 		return false, nil
 	}
-	l.parts, l.metas = nparts, nmetas
-	l.gen++
+	l.install(nparts, nmetas)
 	return true, nil
 }
 
@@ -530,10 +515,11 @@ func (l *Library) Segments(videoID int64) ([]Segment, error) {
 // query paths, which stay lazy and report errors instead, are View and
 // the Library query methods.
 func (l *Library) Index() *MetaIndex {
-	if err := l.materialize(); err != nil {
+	head, err := l.head()
+	if err != nil {
 		panic(fmt.Sprintf("repro: hydrating library: %v", err))
 	}
-	return l.head()
+	return head
 }
 
 // SaveIndex persists the segmented meta-index as a segfile: the
@@ -542,27 +528,27 @@ func (l *Library) Index() *MetaIndex {
 // saves of the same videos are byte-identical however the segment was
 // populated (sequentially or batched).
 func (l *Library) SaveIndex(w io.Writer) error {
-	if err := l.materialize(); err != nil {
+	parts, err := l.view.Parts()
+	if err != nil {
 		return err
 	}
-	return core.WriteSegfile(w, l.parts, l.metas, l.gen)
+	return core.WriteSegfile(w, parts, l.view.Metas(), l.view.Generation())
 }
 
 // newLoadedLibrary finishes a load: attach a fresh FDE and derive the next
-// segment ID from the manifest. Segments decode lazily from src.
-func newLoadedLibrary(src *core.SegfileLibrary) (*Library, error) {
+// segment ID from the manifest. Segments decode lazily from the view.
+func newLoadedLibrary(view *core.SegmentedIndex, mapping io.Closer) (*Library, error) {
 	engine, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
 	if err != nil {
 		return nil, err
 	}
-	metas := src.Metas()
 	nextSeg := int64(1)
-	for _, m := range metas {
+	for _, m := range view.Metas() {
 		if m.ID >= nextSeg {
 			nextSeg = m.ID + 1
 		}
 	}
-	return &Library{engine: engine, metas: metas, gen: src.Generation(), nextSeg: nextSeg, src: src}, nil
+	return &Library{engine: engine, view: view, nextSeg: nextSeg, mapping: mapping}, nil
 }
 
 // LoadLibrary restores a library from a segfile stream written by
@@ -574,11 +560,11 @@ func LoadLibrary(r io.Reader) (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, err := core.OpenSegfileBytes(data)
+	view, err := core.OpenSegfileBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	return newLoadedLibrary(src)
+	return newLoadedLibrary(view, nil)
 }
 
 // LoadLibraryFile restores a library from a segfile by memory-mapping it:
@@ -588,11 +574,11 @@ func LoadLibrary(r io.Reader) (*Library, error) {
 // not a segfile fails with an error naming it and wrapping
 // core.ErrNotSegfile. The caller owns Close for the mapping's lifetime.
 func LoadLibraryFile(path string) (*Library, error) {
-	src, err := core.OpenSegfileFile(path)
+	view, mapping, err := core.OpenSegmentedFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return newLoadedLibrary(src)
+	return newLoadedLibrary(view, mapping)
 }
 
 // GrammarDOT returns the tennis feature grammar's detector dependency

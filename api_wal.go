@@ -238,7 +238,7 @@ func (w *WAL) checkpoint(lib *Library) error {
 	w.mu.Lock()
 	covered := w.appliedSeq
 	w.mu.Unlock()
-	gen := lib.gen
+	gen := lib.view.Generation()
 	path := w.snapshotPath(covered)
 	if err := fsx.WriteAtomic(w.fs, path, lib.SaveIndex); err != nil {
 		return fmt.Errorf("repro: wal snapshot: %w", err)
@@ -340,7 +340,7 @@ func (dl *DigitalLibrary) CommitToken(ctx context.Context, token string, jobs []
 		forced.OnProgress = opts.OnProgress
 		applyOpts = forced
 	}
-	genBefore := dl.lib.gen
+	genBefore := dl.lib.view.Generation()
 	results, err := dl.lib.Commit(applyCtx, jobs, applyOpts)
 	if dl.wal != nil {
 		dl.wal.markApplied(seq)
@@ -348,7 +348,7 @@ func (dl *DigitalLibrary) CommitToken(ctx context.Context, token string, jobs []
 	// Install only when a segment actually landed: a commit whose jobs all
 	// failed must not bump the swap generation (which would purge every
 	// server's result cache for an unchanged corpus).
-	if dl.lib.gen != genBefore {
+	if dl.lib.view.Generation() != genBefore {
 		dl.install(dl.engine.Load().WithVideo(dl.lib.View()))
 	}
 	return results, err

@@ -1046,16 +1046,16 @@ func BenchmarkSegfileSearch(b *testing.B) {
 			if err := f.Close(); err != nil {
 				b.Fatal(err)
 			}
-			ms, err := ir.OpenSegmentsFile(path, 42)
+			ms, closer, err := ir.OpenSegmentsFile(path, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer ms.Close()
+			defer closer.Close()
 			want, _, err := segs.Search("w0 w1", 10)
 			if err != nil {
 				b.Fatal(err)
 			}
-			got, _, err := ms.Segments.Search("w0 w1", 10)
+			got, _, err := ms.Search("w0 w1", 10)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1065,7 +1065,7 @@ func BenchmarkSegfileSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ms.Segments.Search("w0 w1", 10); err != nil {
+				if _, _, err := ms.Search("w0 w1", 10); err != nil {
 					b.Fatal(err)
 				}
 			}

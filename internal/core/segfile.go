@@ -5,7 +5,7 @@ package core
 // manifest block — segment IDs, ID bases, generation, and per-segment row
 // counts — plus one column-store block per segment. Opening parses and
 // verifies ONLY the manifest: each segment's block is decoded on first
-// touch (a sync.Once per slot), so cold start is O(segments), a process
+// touch (a segset.Cell per segment), so cold start is O(segments), a process
 // serving only scene-free queries never decodes video metadata at all, and
 // under mmap the undecoded blocks are never even paged in.
 //
@@ -21,10 +21,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/segfile"
+	"repro/internal/segset"
 	"repro/internal/store"
 )
 
@@ -82,39 +81,16 @@ func WriteSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int6
 	return sw.Close()
 }
 
-// lazySlot is one segment's decode-once cell. The pointer is atomic so
-// cheap read paths (versionSum) can observe hydration without taking the
-// once; err is only read after once.Do returns.
-type lazySlot struct {
-	once sync.Once
-	m    atomic.Pointer[MetaIndex]
-	err  error
-}
-
-// SegfileLibrary is an open segfile-backed segmented library: manifest
-// parsed and verified, segments decoded lazily on first Part call. It is
-// safe for concurrent use. Close releases the backing mapping; every
-// MetaIndex already decoded is heap-resident and survives Close, but
-// not-yet-hydrated segments become unreadable — close only when no reader
-// can hydrate anymore.
-type SegfileLibrary struct {
-	r      *segfile.Reader
-	closer io.Closer
-	metas  []SegmentMeta
-	stats  []Stats
-	gen    int64
-	slots  []lazySlot
-}
-
 // ErrNotSegfile reports input that does not begin with the segfile magic —
 // an empty or cut-short file, a directory, or an index written in the
 // retired pre-segfile stream format. (Input that has the magic but is
 // damaged further in fails with the container's own corruption errors.)
 var ErrNotSegfile = errors.New("not a segfile meta-index; re-index the corpus with cobraindex")
 
-// OpenSegfileBytes opens a segfile-backed library over in-memory bytes.
-// The library aliases data until every segment is hydrated.
-func OpenSegfileBytes(data []byte) (*SegfileLibrary, error) {
+// OpenSegfileBytes opens a segmented view over in-memory segfile bytes,
+// with lazy per-segment decode. The view aliases data until every segment
+// is hydrated.
+func OpenSegfileBytes(data []byte) (*SegmentedIndex, error) {
 	if !bytes.HasPrefix(data, []byte(segfile.Magic)) {
 		return nil, fmt.Errorf("core: index stream (%d bytes): %w", len(data), ErrNotSegfile)
 	}
@@ -122,26 +98,21 @@ func OpenSegfileBytes(data []byte) (*SegfileLibrary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openSegfileReader(r, nil)
+	return openSegfileReader(r)
 }
 
-// OpenSegfileFile memory-maps the segfile at path: the O(segments) cold
-// start of the zero-copy persistence path. The caller owns Close. A path
-// that exists but does not hold a segfile fails with ErrNotSegfile.
-func OpenSegfileFile(path string) (*SegfileLibrary, error) {
+// OpenSegmentedFile memory-maps the segfile at path as a segmented view
+// with lazy per-segment decode: the O(segments) cold start of the zero-copy
+// persistence path. A path that exists but does not hold a segfile fails
+// with ErrNotSegfile. The returned closer releases the mapping: every
+// MetaIndex already decoded is heap-resident and survives it, but
+// not-yet-hydrated segments become unreadable — close only when no reader
+// can hydrate anymore (process-lifetime readers may never).
+func OpenSegmentedFile(path string) (*SegmentedIndex, io.Closer, error) {
 	if err := sniffSegfile(path); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	f, err := segfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	l, err := openSegfileReader(f.Reader, f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
+	return segfile.OpenAs(path, openSegfileReader)
 }
 
 // sniffSegfile checks that path starts with the segfile magic, so that
@@ -164,12 +135,9 @@ func sniffSegfile(path string) error {
 	return nil
 }
 
-func openSegfileReader(r *segfile.Reader, closer io.Closer) (*SegfileLibrary, error) {
-	man, ok := r.Block(sfManifest)
-	if !ok {
-		return nil, fmt.Errorf("core: segfile has no %q block", sfManifest)
-	}
-	if err := r.VerifyBlock(sfManifest); err != nil {
+func openSegfileReader(r *segfile.Reader) (*SegmentedIndex, error) {
+	man, err := r.Structural(sfManifest, -1)
+	if err != nil {
 		return nil, err
 	}
 	if len(man) < 16 {
@@ -188,16 +156,14 @@ func openSegfileReader(r *segfile.Reader, closer io.Closer) (*SegfileLibrary, er
 			len(man), 16+nsegs*11*8, nsegs)
 	}
 	genU, _ := segfile.Uint64s(man[8:16])
-	l := &SegfileLibrary{
-		r:      r,
-		closer: closer,
-		metas:  make([]SegmentMeta, nsegs),
-		stats:  make([]Stats, nsegs),
-		gen:    int64(genU[0]),
-		slots:  make([]lazySlot, nsegs),
+	s := &SegmentedIndex{
+		parts: make(segset.Set[MetaIndex], nsegs),
+		metas: make([]SegmentMeta, nsegs),
+		rows:  make([]Stats, nsegs),
+		gen:   int64(genU[0]),
 	}
-	if l.gen < 0 {
-		return nil, fmt.Errorf("core: negative generation %d", l.gen)
+	if s.gen < 0 {
+		return nil, fmt.Errorf("core: negative generation %d", s.gen)
 	}
 	rows, err := segfile.Uint64s(man[16:])
 	if err != nil {
@@ -215,158 +181,45 @@ func openSegfileReader(r *segfile.Reader, closer io.Closer) (*SegfileLibrary, er
 				return nil, fmt.Errorf("core: manifest entry %d: implausible row count %d", i, v)
 			}
 		}
-		l.metas[i] = SegmentMeta{
+		s.metas[i] = SegmentMeta{
 			ID:   int64(e[0]),
 			Base: IDBase{Video: int64(e[1]), Segment: int64(e[2]), Object: int64(e[3]), Event: int64(e[4])},
 		}
-		l.stats[i] = Stats{
+		s.rows[i] = Stats{
 			Videos: int(e[5]), Segments: int(e[6]), Features: int(e[7]),
 			Objects: int(e[8]), States: int(e[9]), Events: int(e[10]),
 		}
-		if !l.r.Has(fmt.Sprintf(sfSegPattern, i)) {
+		name := fmt.Sprintf(sfSegPattern, i)
+		if !r.Has(name) {
 			return nil, fmt.Errorf("core: manifest lists segment %d but block is missing", i)
 		}
+		meta, want := s.metas[i], s.rows[i]
+		s.parts[i] = segset.Lazy(func() (*MetaIndex, error) { return decodeSegment(r, name, meta, want) })
 	}
-	return l, nil
+	return s, nil
 }
 
-// NumSegments returns the segment count (manifest-only; no decode).
-func (l *SegfileLibrary) NumSegments() int { return len(l.metas) }
-
-// Generation returns the persisted segment-set generation.
-func (l *SegfileLibrary) Generation() int64 { return l.gen }
-
-// Metas returns a copy of the segment manifest.
-func (l *SegfileLibrary) Metas() []SegmentMeta { return append([]SegmentMeta(nil), l.metas...) }
-
-// PartStats returns segment i's persisted row counts without decoding it.
-func (l *SegfileLibrary) PartStats(i int) Stats { return l.stats[i] }
-
-// Stats sums the persisted row counts — the whole-library Stats answer,
-// O(segments) and decode-free.
-func (l *SegfileLibrary) Stats() Stats {
-	var out Stats
-	for _, st := range l.stats {
-		out.Videos += st.Videos
-		out.Segments += st.Segments
-		out.Features += st.Features
-		out.Objects += st.Objects
-		out.States += st.States
-		out.Events += st.Events
-	}
-	return out
-}
-
-// Hydrated reports whether segment i has been decoded.
-func (l *SegfileLibrary) Hydrated(i int) bool { return l.slots[i].m.Load() != nil }
-
-// Part returns segment i, decoding it on first use. The block's checksum
-// is verified before decode (the lazy half of the checksum policy: bulk
-// payloads are verified exactly when they are first trusted).
-func (l *SegfileLibrary) Part(i int) (*MetaIndex, error) {
-	if i < 0 || i >= len(l.slots) {
-		return nil, fmt.Errorf("core: no segment ordinal %d (have %d)", i, len(l.slots))
-	}
-	s := &l.slots[i]
-	s.once.Do(func() {
-		name := fmt.Sprintf(sfSegPattern, i)
-		if err := l.r.VerifyBlock(name); err != nil {
-			s.err = err
-			return
-		}
-		b, _ := l.r.Block(name)
-		db, err := store.Deserialize(bytes.NewReader(b))
-		if err != nil {
-			s.err = fmt.Errorf("core: segment %d: %w", l.metas[i].ID, err)
-			return
-		}
-		m, err := metaIndexFromDB(db)
-		if err != nil {
-			s.err = fmt.Errorf("core: segment %d: %w", l.metas[i].ID, err)
-			return
-		}
-		// An empty partition's restored counters are zero; floor them at
-		// the manifest base so later appends continue the global sequence.
-		m.floorIDs(l.metas[i].Base)
-		if got := m.Stats(); got != l.stats[i] {
-			s.err = fmt.Errorf("core: segment %d: decoded stats %+v disagree with manifest %+v",
-				l.metas[i].ID, got, l.stats[i])
-			return
-		}
-		s.m.Store(m)
-	})
-	if s.err != nil {
-		return nil, s.err
-	}
-	return s.m.Load(), nil
-}
-
-// Parts decodes every segment and returns them in order — the full
-// hydration the write paths need before mutating.
-func (l *SegfileLibrary) Parts() ([]*MetaIndex, error) {
-	out := make([]*MetaIndex, len(l.slots))
-	for i := range l.slots {
-		m, err := l.Part(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// versionSum sums the versions of hydrated segments. Undecoded segments
-// contribute 0 — exactly what their decoded version would be (deserialized
-// indexes start at version 0), so the sum equals the eager path's and does
-// not change when a segment merely hydrates.
-func (l *SegfileLibrary) versionSum() int64 {
-	var v int64
-	for i := range l.slots {
-		if m := l.slots[i].m.Load(); m != nil {
-			v += m.Version()
-		}
-	}
-	return v
-}
-
-// viewBuildsSum totals the frozen-view build counters of the hydrated
-// segments; like versionSum it never triggers a decode.
-func (l *SegfileLibrary) viewBuildsSum() int64 {
-	var v int64
-	for i := range l.slots {
-		if m := l.slots[i].m.Load(); m != nil {
-			v += m.ViewBuilds()
-		}
-	}
-	return v
-}
-
-// View returns a lazy SegmentedIndex over the library: manifest-backed
-// Stats/Version/Metas, per-segment decode on first touch.
-func (l *SegfileLibrary) View() *SegmentedIndex {
-	return &SegmentedIndex{
-		metas: append([]SegmentMeta(nil), l.metas...),
-		gen:   l.gen,
-		src:   l,
-	}
-}
-
-// Close releases the backing mapping (if any). See the type comment for
-// the hydration caveat.
-func (l *SegfileLibrary) Close() error {
-	if l.closer == nil {
-		return nil
-	}
-	return l.closer.Close()
-}
-
-// OpenSegmentedFile memory-maps the segfile at path as a read-only
-// segmented view with lazy per-segment decode. The returned closer releases
-// the mapping (process-lifetime readers may ignore it).
-func OpenSegmentedFile(path string) (*SegmentedIndex, io.Closer, error) {
-	lib, err := OpenSegfileFile(path)
+// decodeSegment decodes one segment's block on first touch. The block's
+// checksum is verified before decode (the lazy half of the checksum policy:
+// bulk payloads are verified exactly when they are first trusted).
+func decodeSegment(r *segfile.Reader, name string, meta SegmentMeta, want Stats) (*MetaIndex, error) {
+	b, err := r.Structural(name, -1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return lib.View(), lib, nil
+	db, err := store.Deserialize(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("core: segment %d: %w", meta.ID, err)
+	}
+	m, err := metaIndexFromDB(db)
+	if err != nil {
+		return nil, fmt.Errorf("core: segment %d: %w", meta.ID, err)
+	}
+	// An empty partition's restored counters are zero; floor them at the
+	// manifest base so later appends continue the global sequence.
+	m.floorIDs(meta.Base)
+	if got := m.Stats(); got != want {
+		return nil, fmt.Errorf("core: segment %d: decoded stats %+v disagree with manifest %+v", meta.ID, got, want)
+	}
+	return m, nil
 }

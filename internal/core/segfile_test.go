@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/segfile"
 )
 
 func coreSegfileBytes(t *testing.T, parts []*MetaIndex, metas []SegmentMeta, gen int64) []byte {
@@ -80,11 +83,10 @@ func TestSegfileLibraryParity(t *testing.T) {
 		t.Run(fmt.Sprintf("sizes=%v", sizes), func(t *testing.T) {
 			si, parts, metas := buildSegMeta(t, sizes)
 			data := coreSegfileBytes(t, parts, metas, 5)
-			lib, err := OpenSegfileBytes(data)
+			lazy, err := OpenSegfileBytes(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lazy := lib.View()
 			// Manifest-only reads must not hydrate.
 			_ = lazy.Stats()
 			_ = lazy.Version()
@@ -93,7 +95,7 @@ func TestSegfileLibraryParity(t *testing.T) {
 				if _, err := lazy.PartStats(i); err != nil {
 					t.Fatal(err)
 				}
-				if lib.Hydrated(i) {
+				if lazy.Hydrated(i) {
 					t.Fatalf("segment %d hydrated by manifest-only reads", i)
 				}
 			}
@@ -123,7 +125,7 @@ func TestSegfileLibraryParity(t *testing.T) {
 				t.Fatalf("hydrated version %d vs eager %d", lazy.Version(), eager.Version())
 			}
 			// Full hydration reproduces each partition's bytes exactly.
-			hyd, err := lib.Parts()
+			hyd, err := lazy.Parts()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,17 +143,16 @@ func TestSegfileLibraryParity(t *testing.T) {
 
 func TestSegfileLibraryLazyHydration(t *testing.T) {
 	_, parts, metas := buildSegMeta(t, []int{2, 2, 2})
-	lib, err := OpenSegfileBytes(coreSegfileBytes(t, parts, metas, 1))
+	lazy, err := OpenSegfileBytes(coreSegfileBytes(t, parts, metas, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := lib.View()
 	// A scenes read over one ordinal hydrates exactly that segment.
 	if _, err := lazy.PartScenes(1, "rally"); err != nil {
 		t.Fatal(err)
 	}
-	if lib.Hydrated(0) || !lib.Hydrated(1) || lib.Hydrated(2) {
-		t.Fatalf("hydration state = %v %v %v", lib.Hydrated(0), lib.Hydrated(1), lib.Hydrated(2))
+	if lazy.Hydrated(0) || !lazy.Hydrated(1) || lazy.Hydrated(2) {
+		t.Fatalf("hydration state = %v %v %v", lazy.Hydrated(0), lazy.Hydrated(1), lazy.Hydrated(2))
 	}
 	// An ID-routed read hydrates only the owning partition.
 	vids, err := parts[2].Videos()
@@ -161,10 +162,10 @@ func TestSegfileLibraryLazyHydration(t *testing.T) {
 	if _, err := lazy.VideoByID(vids[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	if lib.Hydrated(0) {
+	if lazy.Hydrated(0) {
 		t.Fatal("ID-routed read hydrated segment 0")
 	}
-	if !lib.Hydrated(2) {
+	if !lazy.Hydrated(2) {
 		t.Fatal("ID-routed read missed segment 2")
 	}
 }
@@ -179,15 +180,15 @@ func TestSegfileLibraryFile(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lib, err := OpenSegfileFile(path)
+	view, closer, err := OpenSegmentedFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareSegViews(t, si, lib.View())
-	if err := lib.Close(); err != nil {
+	compareSegViews(t, si, view)
+	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.Close(); err != nil {
+	if err := closer.Close(); err != nil {
 		t.Fatal("second close:", err)
 	}
 }
@@ -198,6 +199,12 @@ func TestSegfileWriteDeterministicCore(t *testing.T) {
 	b := coreSegfileBytes(t, parts, metas, 9)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes produced different bytes")
+	}
+	// Golden: the bytes PR 15 wrote for these partitions. A saved library
+	// must keep loading, so the layout may not drift silently.
+	const golden = "6488d45a7fe47a620e4341505e21176e1a8fa107ec8cb3c3467d2ed016634330"
+	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
+		t.Fatalf("meta-index segfile bytes changed: sha256 %s, want %s", got, golden)
 	}
 }
 
@@ -215,16 +222,20 @@ func TestSegfileLibraryHostile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, ok := lib.r.Block("core/seg/1")
+	r, err := segfile.NewReader(data) // a second window onto the bytes lib aliases
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, ok := r.Block("core/seg/1")
 	if !ok || len(blk) == 0 {
 		t.Fatal("no segment block")
 	}
 	blk[len(blk)/2] ^= 0xFF
-	if _, err := lib.View().PartScenes(1, "rally"); err == nil {
+	if _, err := lib.PartScenes(1, "rally"); err == nil {
 		t.Fatal("corrupt segment block hydrated without error")
 	}
 	// Segment 0 is untouched and still loads.
-	if _, err := lib.View().PartScenes(0, "rally"); err != nil {
+	if _, err := lib.PartScenes(0, "rally"); err != nil {
 		t.Fatal(err)
 	}
 	// Byte flips anywhere must never panic.
@@ -236,7 +247,7 @@ func TestSegfileLibraryHostile(t *testing.T) {
 			continue
 		}
 		for ord := 0; ord < l2.NumSegments(); ord++ {
-			_, _ = l2.Part(ord)
+			_, _ = l2.PartScenes(ord, "rally")
 		}
 	}
 }

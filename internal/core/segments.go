@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/segset"
 	"repro/internal/store"
 )
 
@@ -32,18 +33,24 @@ type SegmentMeta struct {
 }
 
 // SegmentedIndex is an immutable reader over an ordered set of MetaIndex
-// partitions. The value itself is a snapshot: installing a new segment set
-// builds a new SegmentedIndex, so readers holding an old one are never
-// disturbed. (The underlying parts follow the MetaIndex concurrency rule:
-// safe for concurrent readers as long as no writer is active.)
+// partitions. Whole-library reads gather the per-partition answers in
+// segment order — the append order of the monolithic build. Each partition
+// resolves at most once: a partition handed to
+// NewSegmentedIndex is resolved from the start, one opened from a segfile
+// decodes when a read first touches it. What the manifest records
+// (NumSegments, Metas, Generation, and the row counts of partitions not yet
+// decoded) answers without decoding anything. The value itself is a
+// snapshot: installing a new segment set builds a new SegmentedIndex, so
+// readers holding an old one are never disturbed. (Resolved parts follow the
+// MetaIndex concurrency rule: safe for concurrent readers as long as no
+// writer is active.)
 type SegmentedIndex struct {
-	parts []*MetaIndex
+	parts segset.Set[MetaIndex]
 	metas []SegmentMeta
-	gen   int64
-	// src, when non-nil, backs a lazy view: partitions decode on first
-	// touch from an open SegfileLibrary and parts stays nil. Manifest-only
-	// reads (Stats, Version, Metas, NumSegments) never trigger a decode.
-	src *SegfileLibrary
+	// rows holds the persisted row counts of segfile-backed partitions —
+	// what PartStats answers until the partition is decoded.
+	rows []Stats
+	gen  int64
 }
 
 // NewSegmentedIndex builds a reader over the given parts. parts and metas
@@ -55,44 +62,47 @@ func NewSegmentedIndex(parts []*MetaIndex, metas []SegmentMeta, gen int64) (*Seg
 	if len(parts) != len(metas) {
 		return nil, fmt.Errorf("core: %d parts but %d manifest entries", len(parts), len(metas))
 	}
-	return &SegmentedIndex{
-		parts: append([]*MetaIndex(nil), parts...),
+	s := &SegmentedIndex{
+		parts: make(segset.Set[MetaIndex], len(parts)),
 		metas: append([]SegmentMeta(nil), metas...),
 		gen:   gen,
-	}, nil
+	}
+	for i, p := range parts {
+		s.parts[i] = segset.Ready(p)
+	}
+	return s, nil
 }
 
 // SingleSegment wraps one MetaIndex as a one-partition segmented view —
 // the bridge from the monolithic API surface.
 func SingleSegment(m *MetaIndex) *SegmentedIndex {
-	return &SegmentedIndex{parts: []*MetaIndex{m}, metas: []SegmentMeta{{ID: 1}}}
+	return &SegmentedIndex{parts: segset.Set[MetaIndex]{segset.Ready(m)}, metas: []SegmentMeta{{ID: 1}}}
 }
 
 // NumSegments returns the partition count.
-func (s *SegmentedIndex) NumSegments() int { return len(s.metas) }
+func (s *SegmentedIndex) NumSegments() int { return len(s.parts) }
 
-// partAt returns partition i, decoding it first on a lazy view.
-func (s *SegmentedIndex) partAt(i int) (*MetaIndex, error) {
-	if i < 0 || i >= len(s.metas) {
-		return nil, fmt.Errorf("core: no segment ordinal %d (have %d)", i, len(s.metas))
-	}
-	if s.src != nil {
-		return s.src.Part(i)
-	}
-	return s.parts[i], nil
-}
-
-// Part returns partition i. On a lazy view this hydrates the segment and
-// panics if its block fails verification or decode — callers that must
-// handle corrupt storage gracefully use PartScenes/PartStats or the
-// SegfileLibrary directly.
+// Part returns partition i, decoding it first if nothing has yet. It panics
+// if the ordinal is out of range or the partition's block fails verification
+// or decode — callers that must handle corrupt storage gracefully use Parts
+// or the query methods, which report the error instead.
 func (s *SegmentedIndex) Part(i int) *MetaIndex {
-	p, err := s.partAt(i)
+	p, err := s.parts.Part(i)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
+
+// Parts resolves every partition and returns them in order — the full
+// hydration the write paths need before mutating.
+func (s *SegmentedIndex) Parts() ([]*MetaIndex, error) {
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]*MetaIndex, error) { return []*MetaIndex{p}, nil })
+}
+
+// Hydrated reports whether partition i is resolved (always, unless it is
+// segfile-backed and no read has touched it).
+func (s *SegmentedIndex) Hydrated(i int) bool { return s.parts[i].Peek() != nil }
 
 // Meta returns partition i's manifest entry.
 func (s *SegmentedIndex) Meta(i int) SegmentMeta { return s.metas[i] }
@@ -105,27 +115,26 @@ func (s *SegmentedIndex) Metas() []SegmentMeta {
 
 // PartScenes returns partition ord's scenes of the given event kind — the
 // partial-read primitive of the distributed tier. Concatenating PartScenes
-// answers in ordinal order reproduces Scenes exactly (that is how Scenes
-// itself is built), so a gather over nodes serving disjoint ordinal sets
-// is byte-identical to the local read.
+// answers in ordinal order reproduces Scenes exactly, so a gather over nodes
+// serving disjoint ordinal sets is byte-identical to the local read.
 func (s *SegmentedIndex) PartScenes(ord int, kind string) ([]Scene, error) {
-	p, err := s.partAt(ord)
+	p, err := s.parts.Part(ord)
 	if err != nil {
 		return nil, err
 	}
 	return p.Scenes(kind)
 }
 
-// PartStats returns partition ord's row counts. On a lazy view this reads
-// the persisted manifest and never decodes the segment.
+// PartStats returns partition ord's row counts: live ones from a resolved
+// partition, the persisted manifest's otherwise — never a decode.
 func (s *SegmentedIndex) PartStats(ord int) (Stats, error) {
-	if ord < 0 || ord >= len(s.metas) {
-		return Stats{}, fmt.Errorf("core: no segment ordinal %d (have %d)", ord, len(s.metas))
+	if err := segset.Check(len(s.parts), ord); err != nil {
+		return Stats{}, err
 	}
-	if s.src != nil {
-		return s.src.PartStats(ord), nil
+	if p := s.parts[ord].Peek(); p != nil {
+		return p.Stats(), nil
 	}
-	return s.parts[ord].Stats(), nil
+	return s.rows[ord], nil
 }
 
 // Generation returns the segment-set generation: it increases every time
@@ -134,29 +143,24 @@ func (s *SegmentedIndex) Generation() int64 { return s.gen }
 
 // Version returns a counter that changes whenever any partition is written
 // or the segment set itself changes — the staleness signal for caches
-// layered above the index, like MetaIndex.Version.
+// layered above the index, like MetaIndex.Version. Decoding never moves it:
+// an undecoded partition counts 0, which is exactly the version a freshly
+// decoded one reports.
 func (s *SegmentedIndex) Version() int64 {
-	if s.src != nil {
-		// Hydration itself never moves this: an undecoded segment counts 0,
-		// which is exactly the version a freshly decoded segment reports.
-		return s.gen + s.src.versionSum()
-	}
 	v := s.gen
-	for _, p := range s.parts {
-		v += p.Version()
+	for _, c := range s.parts {
+		if p := c.Peek(); p != nil {
+			v += p.Version()
+		}
 	}
 	return v
 }
 
-// Stats sums row counts across partitions. On a lazy view the counts come
-// from the persisted manifest — no segment is decoded.
+// Stats sums row counts across partitions (see PartStats: no decode).
 func (s *SegmentedIndex) Stats() Stats {
-	if s.src != nil {
-		return s.src.Stats()
-	}
 	var out Stats
-	for _, p := range s.parts {
-		st := p.Stats()
+	for i := range s.parts {
+		st, _ := s.PartStats(i)
 		out.Videos += st.Videos
 		out.Segments += st.Segments
 		out.Features += st.Features
@@ -167,37 +171,38 @@ func (s *SegmentedIndex) Stats() Stats {
 	return out
 }
 
-// partFor returns the partition owning the given ID of the named counter
-// (the last partition whose base is below id).
-func (s *SegmentedIndex) partFor(id int64, base func(SegmentMeta) int64) (*MetaIndex, error) {
-	for i := len(s.metas) - 1; i > 0; i-- {
-		if base(s.metas[i]) < id {
-			return s.partAt(i)
+// ViewBuilds sums the frozen-view build counters of the resolved
+// partitions — the number the serving layer exports as
+// dl_sceneview_builds_total. An undecoded partition has never built a view.
+func (s *SegmentedIndex) ViewBuilds() int64 {
+	var n int64
+	for _, c := range s.parts {
+		if p := c.Peek(); p != nil {
+			n += p.ViewBuilds()
 		}
 	}
-	return s.partAt(0)
+	return n
+}
+
+// partOf returns the partition owning the given video ID (the last
+// partition whose video base is below it); a video's shots, objects and
+// events all live in the partition its row does.
+func (s *SegmentedIndex) partOf(videoID int64) (*MetaIndex, error) {
+	i := len(s.metas) - 1
+	for i > 0 && s.metas[i].Base.Video >= videoID {
+		i--
+	}
+	return s.parts.Part(i)
 }
 
 // Videos returns all registered videos in ID order.
 func (s *SegmentedIndex) Videos() ([]Video, error) {
-	var out []Video
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		vs, err := p.Videos()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, (*MetaIndex).Videos)
 }
 
 // VideoByID returns the video with the given ID.
 func (s *SegmentedIndex) VideoByID(id int64) (Video, error) {
-	p, err := s.partFor(id, func(m SegmentMeta) int64 { return m.Base.Video })
+	p, err := s.partOf(id)
 	if err != nil {
 		return Video{}, err
 	}
@@ -208,8 +213,8 @@ func (s *SegmentedIndex) VideoByID(id int64) (Video, error) {
 // segment order, like the monolithic index's row order). Real storage
 // errors propagate; only a genuinely absent name reports not-found.
 func (s *SegmentedIndex) VideoByName(name string) (Video, error) {
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
+	for i := range s.parts {
+		p, err := s.parts.Part(i)
 		if err != nil {
 			return Video{}, err
 		}
@@ -226,7 +231,7 @@ func (s *SegmentedIndex) VideoByName(name string) (Video, error) {
 
 // SegmentsOf returns all shots of a video in index order.
 func (s *SegmentedIndex) SegmentsOf(videoID int64) ([]Segment, error) {
-	p, err := s.partFor(videoID, func(m SegmentMeta) int64 { return m.Base.Video })
+	p, err := s.partOf(videoID)
 	if err != nil {
 		return nil, err
 	}
@@ -235,166 +240,58 @@ func (s *SegmentedIndex) SegmentsOf(videoID int64) ([]Segment, error) {
 
 // EventsOf returns all events of a video.
 func (s *SegmentedIndex) EventsOf(videoID int64) ([]Event, error) {
-	p, err := s.partFor(videoID, func(m SegmentMeta) int64 { return m.Base.Video })
+	p, err := s.partOf(videoID)
 	if err != nil {
 		return nil, err
 	}
 	return p.EventsOf(videoID)
 }
 
-// EventsByKind returns all events of the given kind, in segment order —
-// the append order of the monolithic build.
+// EventsByKind returns all events of the given kind.
 func (s *SegmentedIndex) EventsByKind(kind string) ([]Event, error) {
-	var out []Event
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		evs, err := p.EventsByKind(kind)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, evs...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]Event, error) { return p.EventsByKind(kind) })
 }
 
 // Scenes returns playable scenes for all events of the given kind.
 func (s *SegmentedIndex) Scenes(kind string) ([]Scene, error) {
-	var out []Scene
-	for i := 0; i < len(s.metas); i++ {
-		sc, err := s.PartScenes(i, kind)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]Scene, error) { return p.Scenes(kind) })
 }
 
 // EventsRelated answers the composite temporal query across all
 // partitions. Related events always share a video, and a video lives
-// wholly inside one partition, so the per-partition answers concatenate in
-// segment order — the monolithic pair order (ascending by the position of
-// the first event in EventsByKind).
+// wholly inside one partition, so the per-partition answers concatenate
+// into the monolithic pair order (ascending by the position of the first
+// event in EventsByKind).
 func (s *SegmentedIndex) EventsRelated(kindA, kindB string, wanted ...AllenRelation) ([]EventPair, error) {
-	var out []EventPair
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := p.EventsRelated(kindA, kindB, wanted...)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsRelated(kindA, kindB, wanted...) })
 }
 
 // EventsFollowing returns kindB events starting within maxGap frames after
 // a kindA event ends, across all partitions.
 func (s *SegmentedIndex) EventsFollowing(kindA, kindB string, maxGap int) ([]EventPair, error) {
-	var out []EventPair
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := p.EventsFollowing(kindA, kindB, maxGap)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsFollowing(kindA, kindB, maxGap) })
 }
 
 // ScenesReference is Scenes through each partition's retained row-store
 // path — the baseline the frozen columnar view is benchmarked and parity-
 // tested against.
 func (s *SegmentedIndex) ScenesReference(kind string) ([]Scene, error) {
-	var out []Scene
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := p.ScenesReference(kind)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]Scene, error) { return p.ScenesReference(kind) })
 }
 
 // EventsByKindReference is EventsByKind through the row-store path.
 func (s *SegmentedIndex) EventsByKindReference(kind string) ([]Event, error) {
-	var out []Event
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		evs, err := p.EventsByKindReference(kind)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, evs...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]Event, error) { return p.EventsByKindReference(kind) })
 }
 
 // EventsRelatedReference is EventsRelated through the row-store path.
 func (s *SegmentedIndex) EventsRelatedReference(kindA, kindB string, wanted ...AllenRelation) ([]EventPair, error) {
-	var out []EventPair
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := p.EventsRelatedReference(kindA, kindB, wanted...)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps...)
-	}
-	return out, nil
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsRelatedReference(kindA, kindB, wanted...) })
 }
 
 // EventsFollowingReference is EventsFollowing through the row-store path.
 func (s *SegmentedIndex) EventsFollowingReference(kindA, kindB string, maxGap int) ([]EventPair, error) {
-	var out []EventPair
-	for i := 0; i < len(s.metas); i++ {
-		p, err := s.partAt(i)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := p.EventsFollowingReference(kindA, kindB, maxGap)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps...)
-	}
-	return out, nil
-}
-
-// ViewBuilds sums the frozen-view build counters of the hydrated
-// partitions — the number the serving layer exports as
-// dl_sceneview_builds_total. Undecoded lazy segments count 0: they have
-// never built a view.
-func (s *SegmentedIndex) ViewBuilds() int64 {
-	if s.src != nil {
-		return s.src.viewBuildsSum()
-	}
-	var n int64
-	for _, p := range s.parts {
-		n += p.ViewBuilds()
-	}
-	return n
+	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsFollowingReference(kindA, kindB, maxGap) })
 }
 
 // ------------------------------------------------------------ compaction

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fsx"
 	"repro/internal/ir"
+	"repro/internal/segset"
 	"repro/internal/vec"
 	"repro/internal/webspace"
 )
@@ -41,10 +42,9 @@ type Engine struct {
 	// snap is this engine's process-unique snapshot ID (see Snapshot).
 	snap int64
 
-	// The vector lane: vecs reads page embeddings (one segment per text
-	// segment, same ordinals) followed by video embeddings (one segment
-	// per video segment, same ordinals). vecPages and vecVideo hold the
-	// immutable per-segment builders so a commit re-composes without
+	// The vector lane: vecs reads page embeddings followed by video
+	// embeddings (see VecOrds for the layout). vecPages and vecVideo hold
+	// the immutable per-segment builders so a commit re-composes without
 	// re-embedding anything that already exists.
 	emb      vec.Embedder
 	vecs     *vec.Segments
@@ -114,18 +114,12 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 		}
 		video = core.SingleSegment(m)
 	}
-	nseg := opts.TextSegments
-	if nseg < 1 {
-		nseg = 1
-	}
-	if nseg > len(site.Pages) && len(site.Pages) > 0 {
-		nseg = len(site.Pages)
-	}
 	e := &Engine{
 		space:   site.W,
 		video:   video,
 		objDocs: map[int64][]ir.DocID{},
 		snap:    snapshots.Add(1),
+		emb:     vec.DefaultEmbedder(),
 	}
 	// The object→docs map depends only on page order (global doc ID =
 	// position in site.Pages), so it is identical whether the text index
@@ -133,30 +127,48 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	for i, pg := range site.Pages {
 		e.objDocs[pg.ObjectID] = append(e.objDocs[pg.ObjectID], ir.DocID(i))
 	}
-	sig := textSignature(site.Pages, nseg)
-	if opts.TextSegfile != "" {
-		if ms, err := ir.OpenSegmentsFile(opts.TextSegfile, sig); err == nil {
-			// Cache hit: mapped, verified, signature-matched. Skip the
-			// tokenize-and-freeze build entirely.
-			e.text = ms.Segments
-			return e.buildVecLane(site, video, opts)
-		}
-		// Missing, stale, or damaged cache: fall through to a build and
-		// rewrite it below.
+	// One contiguous partition of the pages serves both page lanes, exactly
+	// as the monolithic build assigned doc IDs: text segment o and
+	// page-embedding segment o hold the same slice of pages.
+	pages := segset.Partition(len(site.Pages), opts.TextSegments)
+	var err error
+	if e.text, err = buildTextLane(site.Pages, pages, opts.TextSegfile); err != nil {
+		return nil, err
 	}
-	// Partition the pages contiguously, exactly as the monolithic build
-	// assigned doc IDs.
-	parts := make([]*ir.Index, nseg)
+	if e.vecPages, err = buildVecPages(site.Pages, pages, e.emb, opts.VecSegfile); err != nil {
+		return nil, err
+	}
+	// The video side hydrates every lazy segment once at build: embeddings
+	// need the rows, so a memory-mapped library pays its first-touch decode
+	// here rather than at first query.
+	if e.vecVideo, err = buildVideoVecParts(video, nil, e.emb); err != nil {
+		return nil, fmt.Errorf("dlse: embedding video segments: %w", err)
+	}
+	if e.vecs, err = e.composeVecs(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// buildTextLane indexes the pages for full-text retrieval, one frozen
+// segment per part — or memory-maps them from the cache at cachePath when its
+// signature says it was written for these pages and this partition (mapped,
+// verified: the tokenize-and-freeze build is skipped entirely). A missing,
+// stale or damaged cache is rebuilt and rewritten.
+func buildTextLane(all []webspace.Page, pages segset.Bases, cachePath string) (*ir.Segments, error) {
+	sig := pagesSignature("", all, pages.Parts())
+	if cachePath != "" {
+		if text, _, err := ir.OpenSegmentsFile(cachePath, sig); err == nil {
+			return text, nil // the mapping lives for the life of the process
+		}
+	}
+	parts := make([]*ir.Index, pages.Parts())
 	for i := range parts {
 		parts[i] = ir.NewIndex()
 	}
-	per := (len(site.Pages) + nseg - 1) / nseg
-	for i, pg := range site.Pages {
-		p := i / per
-		if p >= nseg {
-			p = nseg - 1
-		}
-		if _, err := parts[p].Add(pg.Name, pg.Text); err != nil {
+	for i, pg := range all {
+		ord, _ := pages.Of(i)
+		if _, err := parts[ord].Add(pg.Name, pg.Text); err != nil {
 			return nil, fmt.Errorf("dlse: indexing page %s: %w", pg.Name, err)
 		}
 	}
@@ -164,65 +176,66 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	if err != nil {
 		return nil, fmt.Errorf("dlse: freezing text segments: %w", err)
 	}
-	e.text = text
-	if opts.TextSegfile != "" {
-		if err := writeTextSegfile(opts.TextSegfile, text, sig); err != nil {
+	if cachePath != "" {
+		// Durable replace (temp file, fsync, rename, parent-dir fsync): a
+		// concurrent reader sees either the old cache or the new one, and
+		// a crash at any step cannot leave a torn file behind.
+		err := fsx.WriteAtomic(fsx.OS, cachePath, func(w io.Writer) error { return ir.WriteSegments(w, text, sig) })
+		if err != nil {
 			return nil, fmt.Errorf("dlse: writing text segfile cache: %w", err)
 		}
 	}
-	return e.buildVecLane(site, video, opts)
+	return text, nil
 }
 
-// buildVecLane embeds the corpus for the vector lane: page embeddings
-// partitioned exactly like the text segments (so a transport text
-// ordinal names the same slice of pages in both lanes), then one
-// embedding segment per video segment, composed into a vec.Segments
-// whose global DocIDs extend the page doc space — page doc d keeps ID
-// d, and the video of core ID v gets Docs()+v-1 (video IDs are
-// contiguous across segments). Note the video side hydrates every lazy
-// segment once at build: embeddings need the rows, so a memory-mapped
-// library pays its first-touch decode here rather than at first query.
-func (e *Engine) buildVecLane(site *webspace.Site, video *core.SegmentedIndex, opts Options) (*Engine, error) {
-	e.emb = vec.DefaultEmbedder()
-	nseg := e.text.NumSegments()
-	vsig := vecSignature(site.Pages, nseg, e.emb)
-	if opts.VecSegfile != "" {
-		if m, err := vec.OpenFile(opts.VecSegfile, e.emb, vsig); err == nil && len(m.Parts) == nseg {
-			// Cache hit: the page embedding matrices are zero-copy views
-			// of the mapping, which (like the text cache) lives for the
-			// life of the process.
-			e.vecPages = m.Parts
+// buildVecPages embeds the pages for the vector lane, partitioned exactly
+// like the text segments — or maps the embedding matrices from the cache at
+// cachePath, under the same signature and rewrite rules as the text cache.
+func buildVecPages(all []webspace.Page, pages segset.Bases, emb vec.Embedder, cachePath string) ([]*vec.Builder, error) {
+	sig := pagesSignature(emb.Name(), all, pages.Parts())
+	if cachePath != "" {
+		if parts, _, err := vec.OpenFile(cachePath, emb, sig); err == nil && len(parts) == pages.Parts() {
+			return parts, nil // zero-copy views of a process-lifetime mapping
 		}
 	}
-	if e.vecPages == nil {
-		parts := make([]*vec.Builder, nseg)
-		for i := range parts {
-			parts[i] = vec.NewBuilder(e.emb)
-		}
-		per := (len(site.Pages) + nseg - 1) / nseg
-		for i, pg := range site.Pages {
-			p := i / per
-			if p >= nseg {
-				p = nseg - 1
-			}
-			parts[p].Add(pg.Name, pg.Text, e.emb)
-		}
-		e.vecPages = parts
-		if opts.VecSegfile != "" {
-			if err := vec.WriteFile(opts.VecSegfile, e.emb, parts, vsig); err != nil {
-				return nil, fmt.Errorf("dlse: writing vec segfile cache: %w", err)
-			}
+	parts := make([]*vec.Builder, pages.Parts())
+	for i := range parts {
+		parts[i] = vec.NewBuilder(emb)
+	}
+	for i, pg := range all {
+		ord, _ := pages.Of(i)
+		parts[ord].Add(pg.Name, pg.Text, emb)
+	}
+	if cachePath != "" {
+		if err := vec.WriteFile(cachePath, emb, parts, sig); err != nil {
+			return nil, fmt.Errorf("dlse: writing vec segfile cache: %w", err)
 		}
 	}
-	vv, err := buildVideoVecParts(video, nil, e.emb)
-	if err != nil {
-		return nil, fmt.Errorf("dlse: embedding video segments: %w", err)
+	return parts, nil
+}
+
+// VecOrds maps a placement — text and video segment ordinals — onto the
+// vector lane's ordinal space, failing on an ordinal this snapshot does not
+// have. The engine is the one place that knows the lane's layout: it reads
+// page embeddings first (one segment per text segment, same ordinals), then
+// video embeddings (one per video segment), so text ordinal o is vec
+// segment o and video ordinal o is vec segment nText+o; its global DocIDs
+// extend the page doc space the same way — page doc d keeps ID d, and the
+// video of core ID v gets Docs()+v-1 (video IDs are contiguous across
+// segments).
+func (e *Engine) VecOrds(text, video []int) ([]int, error) {
+	nText := e.text.NumSegments()
+	if err := segset.Check(nText, text...); err != nil {
+		return nil, fmt.Errorf("text selection: %w", err)
 	}
-	e.vecVideo = vv
-	if e.vecs, err = e.composeVecs(); err != nil {
-		return nil, err
+	if err := segset.Check(e.video.NumSegments(), video...); err != nil {
+		return nil, fmt.Errorf("video selection: %w", err)
 	}
-	return e, nil
+	ords := append(make([]int, 0, len(text)+len(video)), text...)
+	for _, o := range video {
+		ords = append(ords, nText+o)
+	}
+	return ords, nil
 }
 
 // composeVecs freezes the page and video embedding segments against the
@@ -278,13 +291,18 @@ func buildVideoVecParts(video *core.SegmentedIndex, prev []videoVecPart, emb vec
 	return out, nil
 }
 
-// vecSignature fingerprints the corpus a cached vec segfile was built
-// from: the embedding scheme, the partition count, and the page names
-// and bodies in order.
-func vecSignature(pages []webspace.Page, nseg int, e vec.Embedder) uint64 {
+// pagesSignature fingerprints the corpus a cached page-lane segfile was
+// built from: the scheme that derived it (the embedder's name; empty for
+// the text index), the partition count, and the page names and bodies in
+// order. The openers refuse a cache whose stored signature differs, so a
+// regenerated site, a changed -text-segments or another embedder can never
+// serve stale postings or vectors.
+func pagesSignature(scheme string, pages []webspace.Page, nseg int) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(e.Name()))
-	h.Write([]byte{0})
+	if scheme != "" {
+		h.Write([]byte(scheme))
+		h.Write([]byte{0})
+	}
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(nseg))
 	h.Write(n[:])
@@ -294,46 +312,10 @@ func vecSignature(pages []webspace.Page, nseg int, e vec.Embedder) uint64 {
 		h.Write([]byte(pg.Text))
 		h.Write([]byte{0})
 	}
-	sig := h.Sum64()
-	if sig == 0 {
-		sig = 1
+	if sig := h.Sum64(); sig != 0 {
+		return sig
 	}
-	return sig
-}
-
-// textSignature fingerprints the text corpus a cached segfile was built
-// from: the page names and bodies in order, plus the partition count.
-// OpenSegmentsFile refuses a cache whose stored signature differs, so a
-// regenerated site or a changed -text-segments can never serve stale
-// postings.
-func textSignature(pages []webspace.Page, nseg int) uint64 {
-	h := fnv.New64a()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(nseg))
-	h.Write(n[:])
-	for _, pg := range pages {
-		h.Write([]byte(pg.Name))
-		h.Write([]byte{0})
-		h.Write([]byte(pg.Text))
-		h.Write([]byte{0})
-	}
-	sig := h.Sum64()
-	if sig == 0 {
-		// 0 means "don't check" to the reader; never emit it as a real
-		// signature.
-		sig = 1
-	}
-	return sig
-}
-
-// writeTextSegfile durably replaces path with the serialized segments:
-// temp file in the same directory, fsync, rename, parent-dir fsync — so a
-// concurrent reader sees either the old cache or the new one, and a crash
-// at any step cannot leave a torn or unsynced file behind.
-func writeTextSegfile(path string, s *ir.Segments, sig uint64) error {
-	return fsx.WriteAtomic(fsx.OS, path, func(w io.Writer) error {
-		return ir.WriteSegments(w, s, sig)
-	})
+	return 1 // 0 means "don't check" to the readers; never emit it
 }
 
 // WithVideo returns a new engine snapshot sharing this engine's site,
@@ -380,9 +362,7 @@ func (e *Engine) TextIndex() *ir.Segments { return e.text }
 func (e *Engine) VideoIndex() *core.SegmentedIndex { return e.video }
 
 // VecIndex returns the vector lane: a scatter-gather reader over page
-// embedding segments (ordinals 0..TextIndex().NumSegments()-1, matching
-// the text ordinals) followed by video embedding segments (matching the
-// video segment ordinals).
+// embedding segments followed by video embedding segments (see VecOrds).
 func (e *Engine) VecIndex() *vec.Segments { return e.vecs }
 
 // Request is a combined query.

@@ -63,8 +63,8 @@ func FuseRRF(lanes ...[]Item) []Item {
 	return out
 }
 
-// keywordItems converts lexical-lane hits to result items.
-func keywordItems(hits []ir.Hit) []Item {
+// hitItems converts a ranked lane's hits (lexical or vector) to result items.
+func hitItems(hits []ir.Hit) []Item {
 	items := make([]Item, len(hits))
 	for i, h := range hits {
 		items[i] = Item{Page: h.Name, Doc: h.Doc, Score: h.Score}
@@ -72,13 +72,21 @@ func keywordItems(hits []ir.Hit) []Item {
 	return items
 }
 
-// vecItems converts vector-lane hits to result items.
-func vecItems(hits []ir.Hit) []Item {
-	items := make([]Item, len(hits))
-	for i, h := range hits {
-		items[i] = Item{Page: h.Name, Doc: h.Doc, Score: h.Score}
+// textOpStat renders one text-lane scatter as an explain operator: the
+// folded kernel stats on the operator, one entry per segment below it when
+// the scatter had more than one leg.
+func textOpStat(op string, d time.Duration, items int, stats ir.SearchStats, perSeg []ir.SegStat) OpStat {
+	out := OpStat{Op: op, Duration: clampDur(d), Items: items, Kernel: &stats}
+	if len(perSeg) > 1 {
+		for si, ss := range perSeg {
+			kernel := ss.Stats
+			out.Segments = append(out.Segments, OpStat{
+				Op: fmt.Sprintf("%s[%d]", op, si), Duration: clampDur(ss.Duration),
+				Items: kernel.DocsTouched, Kernel: &kernel,
+			})
+		}
 	}
-	return items
+	return out
 }
 
 // vecOpStat renders one vector-lane scatter as an explain operator.

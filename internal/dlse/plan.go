@@ -160,18 +160,7 @@ func (e *Engine) run(ctx context.Context, p Plan, explain bool) ([]Item, *Explai
 			op.Segments = st.videoSegs
 			op.View = st.videoView
 		case OpText:
-			op.Items = st.textStats.DocsTouched
-			stats := st.textStats
-			op.Kernel = &stats
-			if e.text.NumSegments() > 1 && st.textScores.Valid() {
-				for si, ss := range st.textScores.SegmentStats() {
-					kernel := ss.Stats
-					op.Segments = append(op.Segments, OpStat{
-						Op: fmt.Sprintf("text[%d]", si), Duration: clampDur(ss.Duration),
-						Items: kernel.DocsTouched, Kernel: &kernel,
-					})
-				}
-			}
+			op = textOpStat(op.Op, op.Duration, st.textStats.DocsTouched, st.textStats, st.textScores.SegmentStats())
 		}
 		ex.Ops = append(ex.Ops, op)
 	}

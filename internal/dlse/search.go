@@ -320,7 +320,16 @@ func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*Res
 	if err != nil {
 		return nil, err
 	}
+	return e.SearchNormalized(ctx, nq, key, withExplain)
+}
+
+// SearchNormalized is SearchAll for a caller that already holds the query's
+// normal form and canonical key (both as Normalize returned them) — the
+// serving layer, which needs the key for its cache lookup before it knows
+// whether anything has to execute.
+func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, withExplain bool) (*ResultSet, error) {
 	rs := &ResultSet{Snapshot: e.snap, key: fnv64(key)}
+	var err error
 	switch {
 	case nq.Request != nil:
 		if rs.all, rs.Explain, err = e.run(ctx, e.Plan(*nq.Request), withExplain); err != nil {
@@ -330,28 +339,13 @@ func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*Res
 		t0 := time.Now()
 		// Full ranking (k=0): every matching page, scattered across the
 		// text segments and gathered under the global total order.
-		hits, stats, perSeg, err := e.text.SearchSegments(nq.Keyword, 0)
+		hits, stats, perSeg, err := e.text.SearchSegments(nq.Keyword, 0, nil)
 		if err != nil {
 			return nil, err // incl. ir.ErrEmptyQry, raw
 		}
-		rs.all = make([]Item, len(hits))
-		for i, h := range hits {
-			rs.all[i] = Item{Page: h.Name, Doc: h.Doc, Score: h.Score}
-		}
+		rs.all = hitItems(hits)
 		if withExplain {
-			op := OpStat{
-				Op: "keyword", Duration: clampDur(time.Since(t0)),
-				Items: len(hits), Kernel: &stats,
-			}
-			if e.text.NumSegments() > 1 {
-				for si, ss := range perSeg {
-					kernel := ss.Stats
-					op.Segments = append(op.Segments, OpStat{
-						Op: fmt.Sprintf("keyword[%d]", si), Duration: clampDur(ss.Duration),
-						Items: kernel.DocsTouched, Kernel: &kernel,
-					})
-				}
-			}
+			op := textOpStat("keyword", time.Since(t0), len(hits), stats, perSeg)
 			rs.Explain = &Explain{Plan: "[keyword] → rank", Ops: []OpStat{op}}
 		}
 	case nq.Vector != "":
@@ -359,42 +353,30 @@ func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*Res
 		// Full ranking (k=0) over every page and video embedding,
 		// scattered across the vec segments and gathered under the
 		// global (score desc, DocID asc) total order.
-		hits, _, perSeg, err := e.vecs.SearchSegments(nq.Vector, 0)
+		hits, _, perSeg, err := e.vecs.SearchSegments(nq.Vector, 0, nil)
 		if err != nil {
 			return nil, err // incl. ir.ErrEmptyQry, raw
 		}
-		rs.all = vecItems(hits)
+		rs.all = hitItems(hits)
 		if withExplain {
 			op := vecOpStat("vector", time.Since(t0), len(hits), perSeg)
 			rs.Explain = &Explain{Plan: "[vector] → rank", Ops: []OpStat{op}}
 		}
 	case nq.Hybrid != "":
 		t0 := time.Now()
-		lexHits, lexStats, lexSegs, err := e.text.SearchSegments(nq.Hybrid, 0)
+		lexHits, lexStats, lexSegs, err := e.text.SearchSegments(nq.Hybrid, 0, nil)
 		if err != nil {
 			return nil, err
 		}
 		tVec := time.Now()
-		vecHits, _, vecSegs, err := e.vecs.SearchSegments(nq.Hybrid, 0)
+		vecHits, _, vecSegs, err := e.vecs.SearchSegments(nq.Hybrid, 0, nil)
 		if err != nil {
 			return nil, err
 		}
 		tFuse := time.Now()
-		rs.all = FuseRRF(keywordItems(lexHits), vecItems(vecHits))
+		rs.all = FuseRRF(hitItems(lexHits), hitItems(vecHits))
 		if withExplain {
-			lexOp := OpStat{
-				Op: "keyword", Duration: clampDur(tVec.Sub(t0)),
-				Items: len(lexHits), Kernel: &lexStats,
-			}
-			if e.text.NumSegments() > 1 {
-				for si, ss := range lexSegs {
-					kernel := ss.Stats
-					lexOp.Segments = append(lexOp.Segments, OpStat{
-						Op: fmt.Sprintf("keyword[%d]", si), Duration: clampDur(ss.Duration),
-						Items: kernel.DocsTouched, Kernel: &kernel,
-					})
-				}
-			}
+			lexOp := textOpStat("keyword", tVec.Sub(t0), len(lexHits), lexStats, lexSegs)
 			vecOp := vecOpStat("vector", tFuse.Sub(tVec), len(vecHits), vecSegs)
 			fuseOp := OpStat{Op: "rrf", Duration: clampDur(time.Since(tFuse)), Items: len(rs.all)}
 			rs.Explain = &Explain{Plan: "[keyword ‖ vector] → rrf", Ops: []OpStat{lexOp, vecOp, fuseOp}}

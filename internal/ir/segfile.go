@@ -49,6 +49,7 @@ import (
 	"unsafe"
 
 	"repro/internal/segfile"
+	"repro/internal/segset"
 )
 
 // irFormatVersion versions the ir block layout inside the container
@@ -86,7 +87,7 @@ func WriteSegments(w io.Writer, s *Segments, signature uint64) error {
 	}
 	meta := make([]byte, 0, 32)
 	meta = segfile.AppendUint32s(meta, []uint32{irFormatVersion, uint32(len(s.segs))})
-	meta = segfile.AppendUint64s(meta, []uint64{uint64(s.docs), uint64(s.vocb), signature})
+	meta = segfile.AppendUint64s(meta, []uint64{uint64(s.Docs()), uint64(s.vocb), signature})
 	if err := sw.Block("ir/meta", meta); err != nil {
 		return err
 	}
@@ -121,8 +122,9 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) error {
 		return err
 	}
 
-	termBytes := make([]byte, 0, 16*len(terms))
-	termOff := make([]byte, 0, 4*(len(terms)+1))
+	if err := sw.Strings(prefix+"terms", prefix+"termoff", len(terms), func(i int) string { return terms[i] }); err != nil {
+		return err
+	}
 	idf := make([]byte, 0, 8*len(terms))
 	postOff := make([]byte, 0, 8*(len(terms)+1))
 	docPost := make([]byte, 0, int(postings)*postingSize)
@@ -132,8 +134,6 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) error {
 	var cum uint64
 	for _, t := range terms {
 		pl := ix.terms[t]
-		termOff = segfile.AppendUint32s(termOff, []uint32{uint32(len(termBytes))})
-		termBytes = append(termBytes, t...)
 		idf = segfile.AppendFloat64s(idf, []float64{pl.idf})
 		postOff = segfile.AppendUint64s(postOff, []uint64{cum})
 		cum += uint64(len(pl.docOrder))
@@ -142,33 +142,26 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) error {
 		impPost = appendPostings(impPost, pl.impactOrder)
 		impImp = segfile.AppendFloat32s(impImp, pl.impImp)
 	}
-	termOff = segfile.AppendUint32s(termOff, []uint32{uint32(len(termBytes))})
 	postOff = segfile.AppendUint64s(postOff, []uint64{cum})
-
-	nameBytes := make([]byte, 0, 16*len(ix.docs))
-	nameOff := make([]byte, 0, 4*(len(ix.docs)+1))
-	docLen := make([]byte, 0, 4*len(ix.docs))
-	for _, d := range ix.docs {
-		nameOff = segfile.AppendUint32s(nameOff, []uint32{uint32(len(nameBytes))})
-		nameBytes = append(nameBytes, d.Name...)
-		docLen = segfile.AppendInt32s(docLen, []int32{d.Len})
-	}
-	nameOff = segfile.AppendUint32s(nameOff, []uint32{uint32(len(nameBytes))})
-
 	for _, blk := range []struct {
 		name string
 		data []byte
 	}{
-		{"terms", termBytes}, {"termoff", termOff}, {"idf", idf},
-		{"postoff", postOff}, {"docpost", docPost}, {"docimp", docImp},
-		{"imppost", impPost}, {"impimp", impImp},
-		{"names", nameBytes}, {"nameoff", nameOff}, {"doclen", docLen},
+		{"idf", idf}, {"postoff", postOff}, {"docpost", docPost},
+		{"docimp", docImp}, {"imppost", impPost}, {"impimp", impImp},
 	} {
 		if err := sw.Block(prefix+blk.name, blk.data); err != nil {
 			return err
 		}
 	}
-	return nil
+	if err := sw.Strings(prefix+"names", prefix+"nameoff", len(ix.docs), func(i int) string { return ix.docs[i].Name }); err != nil {
+		return err
+	}
+	docLen := make([]byte, 0, 4*len(ix.docs))
+	for _, d := range ix.docs {
+		docLen = segfile.AppendInt32s(docLen, []int32{d.Len})
+	}
+	return sw.Block(prefix+"doclen", docLen)
 }
 
 // appendPostings encodes postings little-endian (Doc u32 | TF u32), the
@@ -206,37 +199,16 @@ func postingsView(b []byte) ([]Posting, error) {
 	return out, nil
 }
 
-// MappedSegments is a Segments reader whose postings, impacts, dictionary
-// strings, and document names alias a segfile mapping. Using it after
-// Close is invalid (the mapping is gone).
-type MappedSegments struct {
-	*Segments
-	closer io.Closer
-}
-
-// Close releases the backing mapping.
-func (m *MappedSegments) Close() error {
-	if m.closer == nil {
-		return nil
-	}
-	return m.closer.Close()
-}
-
 // OpenSegmentsFile maps the segfile at path and reconstructs the Segments
-// reader over it. wantSignature, when non-zero, must match the signature
-// the file was written with (ErrSignature otherwise) — the staleness guard
-// for cached text-index files. The caller owns Close.
-func OpenSegmentsFile(path string, wantSignature uint64) (*MappedSegments, error) {
-	f, err := segfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := OpenSegmentsReader(f.Reader, wantSignature)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &MappedSegments{Segments: s, closer: f}, nil
+// reader over it: postings, impacts, dictionary strings and document names
+// alias the mapping, so using the reader after closing it is invalid.
+// wantSignature, when non-zero, must match the signature the file was
+// written with (ErrSignature otherwise) — the staleness guard for cached
+// text-index files. The caller owns the closer.
+func OpenSegmentsFile(path string, wantSignature uint64) (*Segments, io.Closer, error) {
+	return segfile.OpenAs(path, func(r *segfile.Reader) (*Segments, error) {
+		return OpenSegmentsReader(r, wantSignature)
+	})
 }
 
 // OpenSegmentsBytes reconstructs a Segments reader over in-memory segfile
@@ -250,55 +222,10 @@ func OpenSegmentsBytes(data []byte, wantSignature uint64) (*Segments, error) {
 	return OpenSegmentsReader(r, wantSignature)
 }
 
-// Signature reads the corpus signature of segfile bytes without opening
-// the segments.
-func Signature(data []byte) (uint64, error) {
-	r, err := segfile.NewReader(data)
-	if err != nil {
-		return 0, err
-	}
-	meta, err := structuralBlock(r, "ir/meta", 32)
-	if err != nil {
-		return 0, err
-	}
-	u64, _ := segfile.Uint64s(meta[8:32])
-	return u64[2], nil
-}
-
-// structuralBlock fetches a block that open itself depends on: present,
-// checksum-verified (these are the small blocks — the cost is O(terms),
-// not O(postings)), and exactly wantLen bytes when wantLen >= 0.
-func structuralBlock(r *segfile.Reader, name string, wantLen int) ([]byte, error) {
-	b, ok := r.Block(name)
-	if !ok {
-		return nil, fmt.Errorf("ir: missing block %q", name)
-	}
-	if err := r.VerifyBlock(name); err != nil {
-		return nil, err
-	}
-	if wantLen >= 0 && len(b) != wantLen {
-		return nil, fmt.Errorf("ir: block %q is %d bytes, want %d", name, len(b), wantLen)
-	}
-	return b, nil
-}
-
-// bulkBlock fetches a bulk block: present and exactly wantLen bytes, but
-// NOT checksummed — verifying would fault every page in.
-func bulkBlock(r *segfile.Reader, name string, wantLen int) ([]byte, error) {
-	b, ok := r.Block(name)
-	if !ok {
-		return nil, fmt.Errorf("ir: missing block %q", name)
-	}
-	if len(b) != wantLen {
-		return nil, fmt.Errorf("ir: block %q is %d bytes, want %d", name, len(b), wantLen)
-	}
-	return b, nil
-}
-
 // OpenSegmentsReader reconstructs a frozen Segments over an already-parsed
 // container. Everything the reader returns aliases the container's bytes.
 func OpenSegmentsReader(r *segfile.Reader, wantSignature uint64) (*Segments, error) {
-	meta, err := structuralBlock(r, "ir/meta", 32)
+	meta, err := r.Structural("ir/meta", 32)
 	if err != nil {
 		return nil, err
 	}
@@ -318,36 +245,31 @@ func OpenSegmentsReader(r *segfile.Reader, wantSignature uint64) (*Segments, err
 	if totalDocs > math.MaxInt32 || vocab > math.MaxUint32 {
 		return nil, fmt.Errorf("ir: implausible totals (docs=%d, vocab=%d)", totalDocs, vocab)
 	}
-	s := &Segments{
-		segs: make([]*Index, nsegs),
-		base: make([]DocID, nsegs),
-		docs: int(totalDocs),
-		vocb: int(vocab),
-	}
-	var base DocID
-	for i := 0; i < nsegs; i++ {
+	segs := make([]*Index, nsegs)
+	sizes := make([]int, nsegs)
+	docs := 0
+	for i := range segs {
 		ix, err := openIndexBlocks(r, fmt.Sprintf("ir/%d/", i))
 		if err != nil {
 			return nil, fmt.Errorf("ir: segment %d: %w", i, err)
 		}
-		s.segs[i] = ix
-		s.base[i] = base
-		if len(ix.docs) > math.MaxInt32-int(base) {
+		if len(ix.docs) > math.MaxInt32-docs {
 			return nil, fmt.Errorf("ir: segment %d overflows the doc-ID space", i)
 		}
-		base += DocID(len(ix.docs))
+		segs[i], sizes[i] = ix, len(ix.docs)
+		docs += len(ix.docs)
 	}
-	if int(base) != s.docs {
-		return nil, fmt.Errorf("ir: segments hold %d docs, header claims %d", base, s.docs)
+	if uint64(docs) != totalDocs {
+		return nil, fmt.Errorf("ir: segments hold %d docs, header claims %d", docs, totalDocs)
 	}
-	return s, nil
+	return &Segments{segs: segs, bases: segset.NewBases(sizes), vocb: int(vocab)}, nil
 }
 
 // maxSegments bounds the per-file segment count against hostile headers.
 const maxSegments = 1 << 16
 
 func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
-	meta, err := structuralBlock(r, prefix+"meta", 24)
+	meta, err := r.Structural(prefix+"meta", 24)
 	if err != nil {
 		return nil, err
 	}
@@ -365,64 +287,48 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	}
 	P := int(postings)
 
-	termBytes, err := structuralBlock(r, prefix+"terms", -1)
+	terms, err := r.Strings(prefix+"terms", prefix+"termoff", T)
 	if err != nil {
 		return nil, err
 	}
-	termOffB, err := structuralBlock(r, prefix+"termoff", 4*(T+1))
+	idfB, err := r.Structural(prefix+"idf", 8*T)
 	if err != nil {
 		return nil, err
 	}
-	idfB, err := structuralBlock(r, prefix+"idf", 8*T)
+	postOffB, err := r.Structural(prefix+"postoff", 8*(T+1))
 	if err != nil {
 		return nil, err
 	}
-	postOffB, err := structuralBlock(r, prefix+"postoff", 8*(T+1))
+	names, err := r.Strings(prefix+"names", prefix+"nameoff", D)
 	if err != nil {
 		return nil, err
 	}
-	nameBytes, err := structuralBlock(r, prefix+"names", -1)
+	docLenB, err := r.Structural(prefix+"doclen", 4*D)
 	if err != nil {
 		return nil, err
 	}
-	nameOffB, err := structuralBlock(r, prefix+"nameoff", 4*(D+1))
+	docPostB, err := r.Bulk(prefix+"docpost", P*postingSize)
 	if err != nil {
 		return nil, err
 	}
-	docLenB, err := structuralBlock(r, prefix+"doclen", 4*D)
+	docImpB, err := r.Bulk(prefix+"docimp", 4*P)
 	if err != nil {
 		return nil, err
 	}
-	docPostB, err := bulkBlock(r, prefix+"docpost", P*postingSize)
+	impPostB, err := r.Bulk(prefix+"imppost", P*postingSize)
 	if err != nil {
 		return nil, err
 	}
-	docImpB, err := bulkBlock(r, prefix+"docimp", 4*P)
-	if err != nil {
-		return nil, err
-	}
-	impPostB, err := bulkBlock(r, prefix+"imppost", P*postingSize)
-	if err != nil {
-		return nil, err
-	}
-	impImpB, err := bulkBlock(r, prefix+"impimp", 4*P)
+	impImpB, err := r.Bulk(prefix+"impimp", 4*P)
 	if err != nil {
 		return nil, err
 	}
 
-	termOff, err := segfile.Uint32s(termOffB)
-	if err != nil {
-		return nil, err
-	}
 	postOff, err := segfile.Uint64s(postOffB)
 	if err != nil {
 		return nil, err
 	}
 	idf, err := segfile.Float64s(idfB)
-	if err != nil {
-		return nil, err
-	}
-	nameOff, err := segfile.Uint32s(nameOffB)
 	if err != nil {
 		return nil, err
 	}
@@ -453,21 +359,14 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		totalLn: int64(totalLn),
 		frozen:  true,
 	}
-	// O(terms) dictionary scan: validate the offset tables are monotone and
-	// in range, then point each term's postingList into the bulk views.
-	// Terms were written sorted; strict ascent also rejects duplicates.
+	// O(terms) dictionary scan: point each term's postingList into the bulk
+	// views, validating the posting offsets on the way. Terms were written
+	// sorted; strict ascent also rejects duplicates.
 	pls := make([]postingList, T)
-	var prev string
-	for t := 0; t < T; t++ {
-		lo, hi := termOff[t], termOff[t+1]
-		if lo > hi || uint64(hi) > uint64(len(termBytes)) {
-			return nil, fmt.Errorf("ir: term %d offsets [%d, %d) out of range", t, lo, hi)
-		}
-		term := segfile.String(termBytes[lo:hi])
-		if term == "" || (t > 0 && term <= prev) {
+	for t, term := range terms {
+		if term == "" || (t > 0 && term <= terms[t-1]) {
 			return nil, fmt.Errorf("ir: term %d (%q) breaks the sorted dictionary", t, term)
 		}
-		prev = term
 		plo, phi := postOff[t], postOff[t+1]
 		if plo > phi || phi > uint64(P) {
 			return nil, fmt.Errorf("ir: term %q postings [%d, %d) out of range", term, plo, phi)
@@ -489,12 +388,8 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if T == 0 && P != 0 {
 		return nil, fmt.Errorf("ir: %d postings but no terms", P)
 	}
-	for d := 0; d < D; d++ {
-		lo, hi := nameOff[d], nameOff[d+1]
-		if lo > hi || uint64(hi) > uint64(len(nameBytes)) {
-			return nil, fmt.Errorf("ir: doc %d name offsets [%d, %d) out of range", d, lo, hi)
-		}
-		ix.docs[d] = docInfo{Name: segfile.String(nameBytes[lo:hi]), Len: docLen[d]}
+	for d, name := range names {
+		ix.docs[d] = docInfo{Name: name, Len: docLen[d]}
 	}
 	n := D
 	ix.scratch.New = func() any { return newAccum(n) }

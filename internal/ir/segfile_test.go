@@ -2,6 +2,7 @@ package ir
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -80,8 +81,8 @@ func TestSegfileRoundTripParity(t *testing.T) {
 				// Partial scatter legs merge identically.
 				if nseg > 1 {
 					ords := []int{0, nseg - 1}
-					hp, _, _ := heap.SearchPartial(q, 10, ords)
-					mp, _, _ := mapped.SearchPartial(q, 10, ords)
+					hp, _, _, _ := heap.SearchSegments(q, 10, ords)
+					mp, _, _, _ := mapped.SearchSegments(q, 10, ords)
 					if !reflect.DeepEqual(hp, mp) {
 						t.Fatalf("q=%q partial: %v vs %v", q, hp, mp)
 					}
@@ -114,13 +115,19 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same reader produced different bytes")
 	}
+	// Golden: the bytes PR 15 wrote for this corpus. A cache written by an
+	// older build must keep opening, so the layout may not drift silently.
+	const golden = "802ff0f1cf623aaca63ab5ea68403402276de7c44ec0eae91a387cc3f39bee76"
+	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
+		t.Fatalf("text segfile bytes changed: sha256 %s, want %s", got, golden)
+	}
 }
 
 func TestSegfileSignature(t *testing.T) {
 	s := buildSegs(t, segCorpus(20), 2)
 	data := segfileBytes(t, s, 42)
-	if sig, err := Signature(data); err != nil || sig != 42 {
-		t.Fatalf("Signature = %d, %v", sig, err)
+	if _, err := OpenSegmentsBytes(data, 42); err != nil {
+		t.Fatalf("matching signature rejected: %v", err)
 	}
 	if _, err := OpenSegmentsBytes(data, 43); err == nil {
 		t.Fatal("signature mismatch accepted")
@@ -137,17 +144,17 @@ func TestSegfileOpenFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenSegmentsFile(path, 0)
+	m, closer, err := OpenSegmentsFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer closer.Close()
 	hh, _, _ := s.Search("w0 w1", 10)
 	mh, _, _ := m.Search("w0 w1", 10)
 	if !reflect.DeepEqual(hh, mh) {
 		t.Fatalf("file-backed hits diverge: %v vs %v", hh, mh)
 	}
-	if err := m.Close(); err != nil {
+	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,23 +14,21 @@ package ir
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
+
+	"repro/internal/segset"
 )
 
 // Segments is a scatter-gather reader over an ordered set of immutable
 // index segments. Global document IDs are assigned contiguously in segment
-// order: segment i owns [base(i), base(i)+segs[i].Docs()).
+// order (see segset.Bases).
 //
 // Concurrency: a Segments value is immutable after NewSegments; all read
 // paths are safe for any number of concurrent goroutines, exactly like a
 // frozen Index.
 type Segments struct {
-	segs []*Index
-	base []DocID // global doc-id offset per segment, ascending
-	docs int
-	vocb int // union vocabulary size
+	segs  []*Index
+	bases segset.Bases
+	vocb  int // union vocabulary size
 }
 
 // NewSegments freezes the given unfrozen index parts against their union
@@ -44,6 +42,7 @@ func NewSegments(parts []*Index) (*Segments, error) {
 	var docs int
 	var totalLn int64
 	df := map[string]int{}
+	sizes := make([]int, len(parts))
 	for i, p := range parts {
 		if p == nil {
 			return nil, fmt.Errorf("ir: segment %d is nil", i)
@@ -51,26 +50,18 @@ func NewSegments(parts []*Index) (*Segments, error) {
 		if p.frozen {
 			return nil, fmt.Errorf("ir: segment %d is already frozen", i)
 		}
+		sizes[i] = len(p.docs)
 		docs += len(p.docs)
 		totalLn += p.totalLn
 		for t, pl := range p.terms {
 			df[t] += len(pl.docOrder)
 		}
 	}
-	s := &Segments{
-		segs: append([]*Index(nil), parts...),
-		base: make([]DocID, len(parts)),
-		docs: docs,
-		vocb: len(df),
-	}
-	var b DocID
 	cs := corpusStats{docs: docs, totalLn: totalLn, df: func(t string) int { return df[t] }}
-	for i, p := range parts {
-		s.base[i] = b
-		b += DocID(len(p.docs))
+	for _, p := range parts {
 		p.freezeWith(cs)
 	}
-	return s, nil
+	return &Segments{segs: append([]*Index(nil), parts...), bases: segset.NewBases(sizes), vocb: len(df)}, nil
 }
 
 // NumSegments returns the segment count.
@@ -79,238 +70,127 @@ func (s *Segments) NumSegments() int { return len(s.segs) }
 // Part returns segment i (a frozen Index; its doc IDs are segment-local).
 func (s *Segments) Part(i int) *Index { return s.segs[i] }
 
-// Base returns segment i's global doc-ID offset.
-func (s *Segments) Base(i int) DocID { return s.base[i] }
-
 // Docs returns the total document count across segments.
-func (s *Segments) Docs() int { return s.docs }
+func (s *Segments) Docs() int { return s.bases.Total() }
 
 // Terms returns the union vocabulary size.
 func (s *Segments) Terms() int { return s.vocb }
 
-// segOf returns the index of the segment owning global doc ID d.
-func (s *Segments) segOf(d DocID) int {
-	// First segment whose base exceeds d, minus one.
-	i := sort.Search(len(s.base), func(i int) bool { return s.base[i] > d })
-	return i - 1
-}
-
 // DocName returns the name a document was indexed under.
 func (s *Segments) DocName(d DocID) (string, error) {
-	if d < 0 || int(d) >= s.docs {
+	if d < 0 || int(d) >= s.Docs() {
 		return "", fmt.Errorf("ir: no document %d", d)
 	}
-	i := s.segOf(d)
-	return s.segs[i].DocName(d - s.base[i])
+	ord, local := s.bases.Of(int(d))
+	return s.segs[ord].DocName(DocID(local))
 }
 
 // SegStat reports one scatter leg: the segment's kernel work counters and
 // the leg's wall time — the payload of per-segment explain plans.
-type SegStat struct {
-	Stats    SearchStats
-	Duration time.Duration
+type SegStat = segset.Leg[SearchStats]
+
+// scorer scores one query on one segment into a pooled accumulator it
+// leases from that segment.
+type scorer func(ix *Index) (*accum, SearchStats)
+
+// exhaustive is the scorer of the full scan.
+func exhaustive(terms []string) scorer {
+	return func(ix *Index) (*accum, SearchStats) {
+		ac := ix.getAccum()
+		return ac, ix.scoreTerms(terms, ac)
+	}
 }
 
-// scatter runs fn for every segment index — concurrently when there is
-// more than one segment — and returns each leg's wall time. Each
-// invocation writes only its own slot in the caller's slices, so the
-// gather that follows is deterministic.
-func (s *Segments) scatter(fn func(i int)) []time.Duration {
-	durs := make([]time.Duration, len(s.segs))
-	run := func(i int) {
-		t0 := time.Now()
-		fn(i)
-		durs[i] = time.Since(t0)
-	}
-	if len(s.segs) == 1 {
-		run(0)
-		return durs
-	}
-	var wg sync.WaitGroup
-	for i := range s.segs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run(i)
-		}(i)
-	}
-	wg.Wait()
-	return durs
+// topN is the scorer of the fragment-at-a-time optimization.
+func topN(terms []string, k int, opts TopNOptions) scorer {
+	return func(ix *Index) (*accum, SearchStats) { return ix.scoreTopNTerms(terms, k, opts) }
 }
 
-// zipSegStats pairs per-segment kernel stats with their leg wall times.
-func zipSegStats(stats []SearchStats, durs []time.Duration) []SegStat {
-	out := make([]SegStat, len(stats))
-	for i := range stats {
-		out[i] = SegStat{Stats: stats[i], Duration: durs[i]}
-	}
-	return out
-}
-
-// mergeStats folds per-segment kernel stats into the stats a monolithic run
-// would have reported: TermsMatched counts query terms present anywhere in
-// the collection, the work counters sum (segments touch disjoint docs), and
-// early termination is reported if any segment terminated early.
-func (s *Segments) mergeStats(terms []string, per []SearchStats) SearchStats {
+// scoreOrds is the lane's one scatter body: score runs on every named
+// segment, keep takes over the scored accumulator (to rank and return it,
+// or to hold it for a SegScores handle), and the per-leg stats fold into
+// what a monolithic run over the same segments would have reported —
+// TermsMatched counts query terms present in any of them, the work counters
+// sum (segments touch disjoint docs), and early termination is reported if
+// any leg terminated early.
+func (s *Segments) scoreOrds(terms []string, ords []int, score scorer, keep func(slot, ord int, ac *accum)) (SearchStats, []SegStat) {
+	legs := segset.Scatter(ords, func(slot, ord int) SearchStats {
+		ac, st := score(s.segs[ord])
+		keep(slot, ord, ac)
+		return st
+	})
 	var out SearchStats
 	for _, t := range terms {
-		for _, ix := range s.segs {
-			if ix.terms[t] != nil {
+		for _, o := range ords {
+			if s.segs[o].terms[t] != nil {
 				out.TermsMatched++
 				break
 			}
 		}
 	}
-	for _, st := range per {
-		out.PostingsScored += st.PostingsScored
-		out.DocsTouched += st.DocsTouched
-		out.Terminated = out.Terminated || st.Terminated
+	for _, l := range legs {
+		out.PostingsScored += l.Stats.PostingsScored
+		out.DocsTouched += l.Stats.DocsTouched
+		out.Terminated = out.Terminated || l.Stats.Terminated
 	}
-	return out
+	return out, legs
 }
 
-// mergeHits gathers per-segment best-first hit streams into one ranked
-// list under the global (score desc, DocID asc) total order, capped at k
-// (k <= 0 keeps everything).
-func mergeHits(per [][]Hit, k int) []Hit {
-	total := 0
-	for _, h := range per {
-		total += len(h)
-	}
-	n := total
-	if k > 0 && k < n {
-		n = k
-	}
-	out := make([]Hit, 0, n)
-	pos := make([]int, len(per))
-	for len(out) < n {
-		best := -1
-		for i := range per {
-			if pos[i] >= len(per[i]) {
-				continue
-			}
-			if best < 0 || worseHit(per[best][pos[best]], per[i][pos[i]]) {
-				best = i
-			}
+// searchOrds ranks the named segments: each leg selects its own top k
+// under global doc IDs, and the streams merge under the global (score
+// desc, DocID asc) total order, capped at k (k <= 0 keeps everything).
+func (s *Segments) searchOrds(terms []string, k int, ords []int, score scorer) ([]Hit, SearchStats, []SegStat) {
+	per := make([][]Hit, len(ords))
+	stats, legs := s.scoreOrds(terms, ords, score, func(slot, ord int, ac *accum) {
+		ix := s.segs[ord]
+		hits := ix.topKDense(ac, k)
+		ix.putAccum(ac)
+		base := DocID(s.bases.Start(ord))
+		for j := range hits {
+			hits[j].Doc += base
 		}
-		if best < 0 {
-			break
-		}
-		out = append(out, per[best][pos[best]])
-		pos[best]++
-	}
-	return out
+		per[slot] = hits
+	})
+	return MergeHits(per, k), stats, legs
+}
+
+// MergeHits gathers independently produced best-first hit streams (per
+// segment, or per node over disjoint segment sets) into one ranked list
+// under the global (score desc, DocID asc) order, capped at k (k <= 0 keeps
+// everything). See segset.Merge for why the gather may nest.
+func MergeHits(per [][]Hit, k int) []Hit {
+	return segset.Merge(per, k, func(h *Hit) (float64, int) { return h.Score, int(h.Doc) })
 }
 
 // Search runs an exhaustive ranked BM25 query across all segments and
 // returns the top k hits — byte-identical to Index.Search on the merged
 // collection (same hits, scores, and tie-breaks).
 func (s *Segments) Search(query string, k int) ([]Hit, SearchStats, error) {
-	hits, stats, _, err := s.SearchSegments(query, k)
+	hits, stats, _, err := s.SearchSegments(query, k, nil)
 	return hits, stats, err
 }
 
-// SearchSegments is Search returning, additionally, the kernel stats and
-// wall time of each segment's scatter leg — the payload of per-segment
-// explain plans.
-func (s *Segments) SearchSegments(query string, k int) ([]Hit, SearchStats, []SegStat, error) {
+// SearchSegments is Search over only the named segment ordinals (nil names
+// them all), returning additionally the kernel stats and wall time of each
+// scatter leg. It is the partial-read primitive of the distributed tier:
+// segments are frozen against union corpus statistics, so a partial answer
+// carries exactly the scores the same documents have in a full Search, and
+// re-merging partial answers from disjoint ordinal sets under the same
+// order reproduces Search over all segments byte for byte. Stats cover only
+// the selected segments.
+func (s *Segments) SearchSegments(query string, k int, ords []int) ([]Hit, SearchStats, []SegStat, error) {
 	terms := dedupe(Analyze(query))
 	if len(terms) == 0 {
 		return nil, SearchStats{}, nil, ErrEmptyQry
 	}
-	per := make([][]Hit, len(s.segs))
-	perStats := make([]SearchStats, len(s.segs))
-	durs := s.scatter(func(i int) {
-		ix := s.segs[i]
-		ac := ix.getAccum()
-		perStats[i] = ix.scoreTerms(terms, ac)
-		hits := ix.topKDense(ac, k)
-		ix.putAccum(ac)
-		for j := range hits {
-			hits[j].Doc += s.base[i]
-		}
-		per[i] = hits
-	})
-	return mergeHits(per, k), s.mergeStats(terms, perStats), zipSegStats(perStats, durs), nil
+	if ords == nil {
+		ords = s.bases.Ords()
+	} else if err := segset.Check(len(s.segs), ords...); err != nil {
+		return nil, SearchStats{}, nil, err
+	}
+	hits, stats, legs := s.searchOrds(terms, k, ords, exhaustive(terms))
+	return hits, stats, legs, nil
 }
-
-// SearchPartial runs the exhaustive ranked query over only the named
-// segment ordinals, returning hits under global doc IDs, merged under the
-// global (score desc, DocID asc) total order and capped at k (k <= 0 keeps
-// everything). It is the partial-read primitive of the distributed tier:
-// segments are frozen against union corpus statistics, so a partial answer
-// carries exactly the scores the same documents have in a full Search, and
-// re-merging partial answers from disjoint ordinal sets under the same
-// order reproduces Search over all segments byte for byte.
-//
-// Stats cover only the selected segments (TermsMatched counts query terms
-// present in any selected segment).
-func (s *Segments) SearchPartial(query string, k int, ords []int) ([]Hit, SearchStats, error) {
-	terms := dedupe(Analyze(query))
-	if len(terms) == 0 {
-		return nil, SearchStats{}, ErrEmptyQry
-	}
-	for _, o := range ords {
-		if o < 0 || o >= len(s.segs) {
-			return nil, SearchStats{}, fmt.Errorf("ir: no segment ordinal %d (have %d)", o, len(s.segs))
-		}
-	}
-	per := make([][]Hit, len(ords))
-	perStats := make([]SearchStats, len(ords))
-	scatterOrds(ords, func(slot, ord int) {
-		ix := s.segs[ord]
-		ac := ix.getAccum()
-		perStats[slot] = ix.scoreTerms(terms, ac)
-		hits := ix.topKDense(ac, k)
-		ix.putAccum(ac)
-		for j := range hits {
-			hits[j].Doc += s.base[ord]
-		}
-		per[slot] = hits
-	})
-	var stats SearchStats
-	for _, t := range terms {
-		for _, o := range ords {
-			if s.segs[o].terms[t] != nil {
-				stats.TermsMatched++
-				break
-			}
-		}
-	}
-	for _, st := range perStats {
-		stats.PostingsScored += st.PostingsScored
-		stats.DocsTouched += st.DocsTouched
-		stats.Terminated = stats.Terminated || st.Terminated
-	}
-	return mergeHits(per, k), stats, nil
-}
-
-// scatterOrds runs fn(slot, ord) for every selected ordinal, concurrently
-// when there is more than one. Each invocation writes only its own slot in
-// the caller's slices, so the gather that follows is deterministic.
-func scatterOrds(ords []int, fn func(slot, ord int)) {
-	if len(ords) == 1 {
-		fn(0, ords[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for slot, ord := range ords {
-		wg.Add(1)
-		go func(slot, ord int) {
-			defer wg.Done()
-			fn(slot, ord)
-		}(slot, ord)
-	}
-	wg.Wait()
-}
-
-// MergeHits gathers independently produced best-first hit streams (e.g.
-// per-node partial answers over disjoint segment sets) into one ranked
-// list under the global (score desc, DocID asc) order, capped at k (k <= 0
-// keeps everything). Merging is associative: merging partial merges gives
-// the same bytes as one flat merge, which is what makes a multi-node
-// gather byte-identical to the local one.
-func MergeHits(per [][]Hit, k int) []Hit { return mergeHits(per, k) }
 
 // SearchTopN runs the fragment-at-a-time top-N optimization independently
 // inside every segment and merges the per-segment top k. Safe mode returns
@@ -325,20 +205,8 @@ func (s *Segments) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Sea
 	if len(terms) == 0 {
 		return nil, SearchStats{}, ErrEmptyQry
 	}
-	per := make([][]Hit, len(s.segs))
-	perStats := make([]SearchStats, len(s.segs))
-	s.scatter(func(i int) {
-		ix := s.segs[i]
-		ac, st := ix.scoreTopNTerms(terms, k, opts)
-		perStats[i] = st
-		hits := ix.topKDense(ac, k)
-		ix.putAccum(ac)
-		for j := range hits {
-			hits[j].Doc += s.base[i]
-		}
-		per[i] = hits
-	})
-	return mergeHits(per, k), s.mergeStats(terms, perStats), nil
+	hits, stats, _ := s.searchOrds(terms, k, s.bases.Ords(), topN(terms, k, opts))
+	return hits, stats, nil
 }
 
 // SegScores is the segmented counterpart of Scores: a leased, read-only
@@ -357,11 +225,11 @@ func (sc SegScores) Valid() bool { return sc.acs != nil }
 
 // Get returns doc d's score (0 for documents the query did not touch).
 func (sc SegScores) Get(d DocID) float64 {
-	if d < 0 || int(d) >= sc.s.docs {
+	if d < 0 || int(d) >= sc.s.Docs() {
 		return 0
 	}
-	i := sc.s.segOf(d)
-	return sc.acs[i].get(d - sc.s.base[i])
+	ord, local := sc.s.bases.Of(int(d))
+	return sc.acs[ord].get(DocID(local))
 }
 
 // SegmentStats returns the kernel stats and wall time of each segment's
@@ -376,24 +244,24 @@ func (sc SegScores) Release() {
 	}
 }
 
+// scoreAll is the ranking-free scatter: every segment's scored accumulator
+// is kept, leased, behind a SegScores handle.
+func (s *Segments) scoreAll(terms []string, score scorer) (SegScores, SearchStats, error) {
+	if len(terms) == 0 {
+		return SegScores{}, SearchStats{}, ErrEmptyQry
+	}
+	acs := make([]*accum, len(s.segs))
+	stats, legs := s.scoreOrds(terms, s.bases.Ords(), score, func(slot, _ int, ac *accum) { acs[slot] = ac })
+	return SegScores{s: s, acs: acs, per: legs}, stats, nil
+}
+
 // ScoreQuery runs the exhaustive scorer across all segments and returns a
 // leased handle over the per-doc scores — the ranking-free form of Search
 // for callers that join scores into their own result sets. Scores are
 // byte-identical to Index.ScoreQuery on the merged collection.
 func (s *Segments) ScoreQuery(query string) (SegScores, SearchStats, error) {
 	terms := dedupe(Analyze(query))
-	if len(terms) == 0 {
-		return SegScores{}, SearchStats{}, ErrEmptyQry
-	}
-	acs := make([]*accum, len(s.segs))
-	per := make([]SearchStats, len(s.segs))
-	durs := s.scatter(func(i int) {
-		ix := s.segs[i]
-		ac := ix.getAccum()
-		per[i] = ix.scoreTerms(terms, ac)
-		acs[i] = ac
-	})
-	return SegScores{s: s, acs: acs, per: zipSegStats(per, durs)}, s.mergeStats(terms, per), nil
+	return s.scoreAll(terms, exhaustive(terms))
 }
 
 // ScoreTopN is ScoreQuery for the fragmented top-N scorer, run per segment
@@ -403,16 +271,5 @@ func (s *Segments) ScoreTopN(query string, k int, opts TopNOptions) (SegScores, 
 		k = 10
 	}
 	terms := dedupe(Analyze(query))
-	if len(terms) == 0 {
-		return SegScores{}, SearchStats{}, ErrEmptyQry
-	}
-	acs := make([]*accum, len(s.segs))
-	per := make([]SearchStats, len(s.segs))
-	durs := s.scatter(func(i int) {
-		ix := s.segs[i]
-		ac, st := ix.scoreTopNTerms(terms, k, opts)
-		per[i] = st
-		acs[i] = ac
-	})
-	return SegScores{s: s, acs: acs, per: zipSegStats(per, durs)}, s.mergeStats(terms, per), nil
+	return s.scoreAll(terms, topN(terms, k, opts))
 }

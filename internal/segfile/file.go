@@ -2,6 +2,7 @@ package segfile
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -58,4 +59,20 @@ func (f *File) Mapped() bool { return f.mapped }
 func (f *File) Close() error {
 	f.closeOnce.Do(func() { f.closeErr = f.release() })
 	return f.closeErr
+}
+
+// OpenAs maps the file at path and hands the parsed container to open, the
+// block owner's decoder. What open returns aliases the mapping, which the
+// returned closer releases; when open fails the mapping is released here.
+func OpenAs[T any](path string, open func(*Reader) (T, error)) (T, io.Closer, error) {
+	f, err := Open(path)
+	if err == nil {
+		var v T
+		if v, err = open(f.Reader); err == nil {
+			return v, f, nil
+		}
+		f.Close()
+	}
+	var zero T
+	return zero, nil, err
 }

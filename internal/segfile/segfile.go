@@ -334,3 +334,76 @@ func (r *Reader) VerifyAll() error {
 
 // Size returns the total file size in bytes.
 func (r *Reader) Size() int { return len(r.data) }
+
+// ------------------------------------------------- block-owner helpers
+
+// Structural fetches a block that opening depends on: present,
+// checksum-verified (these are the small blocks — dictionaries, offset
+// tables, names — so the cost never scales with the bulk payloads), and
+// exactly wantLen bytes when wantLen >= 0.
+func (r *Reader) Structural(name string, wantLen int) ([]byte, error) {
+	if err := r.VerifyBlock(name); err != nil {
+		return nil, err
+	}
+	return r.Bulk(name, wantLen)
+}
+
+// Bulk fetches a bulk block: present and exactly wantLen bytes (any length
+// when wantLen < 0), but NOT checksummed — verifying would fault every page
+// of a mapped file in. VerifyAll covers bulk blocks.
+func (r *Reader) Bulk(name string, wantLen int) ([]byte, error) {
+	b, ok := r.Block(name)
+	if !ok {
+		return nil, fmt.Errorf("segfile: no block %q", name)
+	}
+	if wantLen >= 0 && len(b) != wantLen {
+		return nil, fmt.Errorf("segfile: block %q is %d bytes, want %d", name, len(b), wantLen)
+	}
+	return b, nil
+}
+
+// Strings writes a string table as two blocks: the strings' bytes
+// concatenated under bytesName, and under offName the u32[n+1] offsets
+// delimiting them.
+func (w *Writer) Strings(bytesName, offName string, n int, at func(i int) string) error {
+	var data []byte
+	off := make([]byte, 0, 4*(n+1))
+	for i := 0; i < n; i++ {
+		off = binary.LittleEndian.AppendUint32(off, uint32(len(data)))
+		data = append(data, at(i)...)
+	}
+	off = binary.LittleEndian.AppendUint32(off, uint32(len(data)))
+	if err := w.Block(bytesName, data); err != nil {
+		return err
+	}
+	return w.Block(offName, off)
+}
+
+// Strings reads back a table of n strings written by Writer.Strings. Both
+// blocks are structural; the offsets must start at 0, never descend, and
+// end at the byte block's length. The strings alias the reader's bytes.
+func (r *Reader) Strings(bytesName, offName string, n int) ([]string, error) {
+	data, err := r.Structural(bytesName, -1)
+	if err != nil {
+		return nil, err
+	}
+	offB, err := r.Structural(offName, 4*(n+1))
+	if err != nil {
+		return nil, err
+	}
+	off, err := Uint32s(offB)
+	if err != nil {
+		return nil, err
+	}
+	if off[0] != 0 || uint64(off[n]) != uint64(len(data)) {
+		return nil, fmt.Errorf("segfile: offsets %q do not span block %q", offName, bytesName)
+	}
+	out := make([]string, n)
+	for i := range out {
+		if off[i] > off[i+1] {
+			return nil, fmt.Errorf("segfile: offsets %q descend at entry %d", offName, i)
+		}
+		out[i] = String(data[off[i]:off[i+1]])
+	}
+	return out, nil
+}

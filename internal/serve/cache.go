@@ -11,16 +11,21 @@ import (
 	"sync/atomic"
 )
 
-// Cache is a sharded LRU mapping canonical query keys to results. Each
+// cache is a sharded LRU mapping canonical query keys to results. Each
 // entry is tagged with the meta-index version observed when it was filled;
 // a lookup whose version no longer matches misses (and evicts), so the
 // cache can never serve results computed against a superseded index. Purge
-// provides explicit whole-cache invalidation on top of that.
-type Cache struct {
+// provides explicit whole-cache invalidation on top of that. The server's
+// own cache holds *dlse.ResultSet.
+type cache[V any] struct {
 	shards []*cacheShard
 	hits   atomic.Int64
 	misses atomic.Int64
 }
+
+// Cache is the cache over untyped values, for callers that model its
+// replacement behaviour without a server (the benchmark's hit-ratio check).
+type Cache = cache[any]
 
 type cacheShard struct {
 	mu  sync.Mutex
@@ -29,17 +34,19 @@ type cacheShard struct {
 	m   map[string]*list.Element
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key     string
 	version int64
-	value   any
+	value   V
 }
 
 // NewCache builds a cache holding up to capacity entries spread over the
 // given number of shards. Values < 1 select the defaults (1024 entries, 8
 // shards). The capacity is split exactly: shards differ by at most one
 // entry and the per-shard caps sum to capacity.
-func NewCache(capacity, shards int) *Cache {
+func NewCache(capacity, shards int) *Cache { return newCache[any](capacity, shards) }
+
+func newCache[V any](capacity, shards int) *cache[V] {
 	if capacity < 1 {
 		capacity = 1024
 	}
@@ -50,7 +57,7 @@ func NewCache(capacity, shards int) *Cache {
 		shards = capacity
 	}
 	per, extra := capacity/shards, capacity%shards
-	c := &Cache{shards: make([]*cacheShard, shards)}
+	c := &cache[V]{shards: make([]*cacheShard, shards)}
 	for i := range c.shards {
 		n := per
 		if i < extra {
@@ -65,7 +72,7 @@ func NewCache(capacity, shards int) *Cache {
 	return c
 }
 
-func (c *Cache) shard(key string) *cacheShard {
+func (c *cache[V]) shard(key string) *cacheShard {
 	// Inline FNV-1a: hash/fnv would heap-allocate a hasher per lookup on
 	// the cache-hit fast path.
 	h := uint32(2166136261)
@@ -78,21 +85,22 @@ func (c *Cache) shard(key string) *cacheShard {
 
 // Get returns the cached value for key if present and filled at the given
 // version. A version mismatch evicts the stale entry and misses.
-func (c *Cache) Get(key string, version int64) (any, bool) {
+func (c *cache[V]) Get(key string, version int64) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var zero V
 	el, ok := s.m[key]
 	if !ok {
 		c.misses.Add(1)
-		return nil, false
+		return zero, false
 	}
-	ent := el.Value.(*cacheEntry)
+	ent := el.Value.(*cacheEntry[V])
 	if ent.version != version {
 		s.ll.Remove(el)
 		delete(s.m, key)
 		c.misses.Add(1)
-		return nil, false
+		return zero, false
 	}
 	s.ll.MoveToFront(el)
 	c.hits.Add(1)
@@ -101,12 +109,12 @@ func (c *Cache) Get(key string, version int64) (any, bool) {
 
 // Put stores the value under key, tagged with the index version it was
 // computed against, evicting the shard's least recently used entry if full.
-func (c *Cache) Put(key string, version int64, value any) {
+func (c *cache[V]) Put(key string, version int64, value V) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
-		ent := el.Value.(*cacheEntry)
+		ent := el.Value.(*cacheEntry[V])
 		ent.version = version
 		ent.value = value
 		s.ll.MoveToFront(el)
@@ -115,14 +123,14 @@ func (c *Cache) Put(key string, version int64, value any) {
 	for s.ll.Len() >= s.cap {
 		back := s.ll.Back()
 		s.ll.Remove(back)
-		delete(s.m, back.Value.(*cacheEntry).key)
+		delete(s.m, back.Value.(*cacheEntry[V]).key)
 	}
-	s.m[key] = s.ll.PushFront(&cacheEntry{key: key, version: version, value: value})
+	s.m[key] = s.ll.PushFront(&cacheEntry[V]{key: key, version: version, value: value})
 }
 
 // Purge drops every entry — the explicit invalidation hook for callers that
 // mutate the engine out of band.
-func (c *Cache) Purge() {
+func (c *cache[V]) Purge() {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.ll.Init()
@@ -132,7 +140,7 @@ func (c *Cache) Purge() {
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
+func (c *cache[V]) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -143,6 +151,6 @@ func (c *Cache) Len() int {
 }
 
 // Stats reports cumulative hit/miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
+func (c *cache[V]) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }

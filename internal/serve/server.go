@@ -41,7 +41,7 @@ type Server struct {
 	reloader  atomic.Pointer[func(context.Context) (*dlse.Engine, error)]
 	committer atomic.Pointer[func(context.Context, []string, string) error]
 	compactor atomic.Pointer[func(context.Context, int) (bool, error)]
-	cache     *Cache // nil when caching is disabled
+	cache     *cache[*dlse.ResultSet] // nil when caching is disabled
 	sem       chan struct{}
 	mux       *http.ServeMux
 	start     time.Time
@@ -74,7 +74,7 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	}
 	s.engine.Store(engine)
 	if opts.CacheSize >= 0 {
-		s.cache = NewCache(opts.CacheSize, 8)
+		s.cache = newCache[*dlse.ResultSet](opts.CacheSize, 8)
 	}
 	if opts.Workers > 0 {
 		s.sem = make(chan struct{}, opts.Workers)
@@ -265,8 +265,7 @@ func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 	useCache := s.cache != nil && !explain
 	if useCache {
 		if full, ok := s.cache.Get(key, ver); ok {
-			// Search is the cache's only writer: every value is a result set.
-			rs, err := full.(*dlse.ResultSet).Page(cursor, limit)
+			rs, err := full.Page(cursor, limit)
 			return rs, err == nil, err
 		}
 	}
@@ -274,7 +273,7 @@ func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 		return nil, false, err
 	}
 	defer s.release()
-	full, err := e.SearchAll(ctx, nq, explain)
+	full, err := e.SearchNormalized(ctx, nq, key, explain)
 	if err != nil {
 		return nil, false, err
 	}

@@ -279,14 +279,29 @@ func EstimateCourtColor(frames []*frame.Image, bins int, minShare float64) (fram
 			votes[dom]++
 		}
 	}
+	// The winner is picked under a total order — most votes, then R, G, B
+	// ascending — so that a tie does not fall to map iteration order: the
+	// same frames must index the same way on every run, or a WAL replay
+	// would not rebuild what the live commit built.
 	var best frame.RGB
 	bestN := 0
 	for c, n := range votes {
-		if n > bestN {
+		if n > bestN || n == bestN && lessRGB(c, best) {
 			best, bestN = c, n
 		}
 	}
 	return best, bestN > 0
+}
+
+// lessRGB orders colours by R, then G, then B.
+func lessRGB(a, b frame.RGB) bool {
+	if a.R != b.R {
+		return a.R < b.R
+	}
+	if a.G != b.G {
+		return a.G < b.G
+	}
+	return a.B < b.B
 }
 
 func maxInt(a, b int) int {

@@ -250,6 +250,33 @@ func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
 	}
 }
 
+// TestEstimateCourtColorTieIsDeterministic: a video with as many frames
+// dominated by one saturated colour as by another (a court shot and a
+// reaction shot against a coloured backdrop, say) must estimate the same
+// colour on every call — the lowest under (R, G, B) — not whichever the
+// vote map happens to yield first.
+func TestEstimateCourtColorTieIsDeterministic(t *testing.T) {
+	backdrop := frame.RGB{R: 200, G: 40, B: 40}
+	var frames []*frame.Image
+	for _, c := range []frame.RGB{backdrop, synth.CourtColor, synth.CourtColor, backdrop} {
+		im := frame.New(32, 32)
+		im.Fill(c)
+		frames = append(frames, im)
+	}
+	want, ok := EstimateCourtColor(frames[1:3], 8, 0.3) // the court's histogram cell
+	if !ok || frame.ColorDist(want, synth.CourtColor) > 40 {
+		t.Fatalf("court-only estimate = %v, %t", want, ok)
+	}
+	if other, _ := EstimateCourtColor(frames[:1], 8, 0.3); !lessRGB(want, other) {
+		t.Fatalf("fixture: court cell %v should order before backdrop cell %v", want, other)
+	}
+	for i := 0; i < 50; i++ {
+		if got, ok := EstimateCourtColor(frames, 8, 0.3); !ok || got != want {
+			t.Fatalf("call %d: tied vote estimated %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestEstimateCourtColorNoDominant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	frames := make([]*frame.Image, 10)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/dlse"
+	"repro/internal/ir"
 )
 
 // Local is the in-process SegmentSource: partial reads against whatever
@@ -81,65 +82,25 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 	if forms != 1 {
 		return nil, fmt.Errorf("%w: exactly one of Keyword, Vector, or Scenes must be set", ErrBadSelection)
 	}
+	// The engine validates the selection and maps it onto the vector lane;
+	// a placement naming a segment this snapshot lacks is a bad selection
+	// whichever lane the query would have read.
+	vecOrds, err := e.VecOrds(sel.Text, sel.Video)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSelection, err)
+	}
+	var hits []ir.Hit
 	switch {
 	case q.Keyword != "":
 		if len(sel.Text) == 0 {
 			return nil, fmt.Errorf("%w: keyword query selects no text segments", ErrBadSelection)
 		}
-		for _, o := range sel.Text {
-			if o < 0 || o >= e.TextIndex().NumSegments() {
-				return nil, fmt.Errorf("%w: no text segment ordinal %d (have %d)",
-					ErrBadSelection, o, e.TextIndex().NumSegments())
-			}
-		}
-		hits, stats, err := e.TextIndex().SearchPartial(q.Keyword, q.K, sel.Text)
-		if err != nil {
-			return nil, err // incl. ir.ErrEmptyQry, raw
-		}
-		p.Stats = stats
-		// nil (not empty) when no page matches, so a Partial is identical
-		// whether it was computed in-process or round-tripped through the
-		// wire format (omitempty drops empty hit lists).
-		if len(hits) > 0 {
-			p.Hits = make([]Hit, len(hits))
-			for i, h := range hits {
-				p.Hits[i] = Hit{Doc: h.Doc, Page: h.Name, Score: h.Score}
-			}
-		}
+		hits, p.Stats, _, err = e.TextIndex().SearchSegments(q.Keyword, q.K, sel.Text)
 	case q.Vector != "":
-		// The vector lane spans both ordinal spaces: text ordinal o is
-		// page-embedding segment o, video ordinal o is embedding segment
-		// nText+o. A node's placement therefore scatters the vector
-		// query with exactly the selections it already holds.
-		nText := e.TextIndex().NumSegments()
-		if len(sel.Text) == 0 && len(sel.Video) == 0 {
+		if len(vecOrds) == 0 {
 			return nil, fmt.Errorf("%w: vector query selects no segments", ErrBadSelection)
 		}
-		ords := make([]int, 0, len(sel.Text)+len(sel.Video))
-		for _, o := range sel.Text {
-			if o < 0 || o >= nText {
-				return nil, fmt.Errorf("%w: no text segment ordinal %d (have %d)",
-					ErrBadSelection, o, nText)
-			}
-			ords = append(ords, o)
-		}
-		for _, o := range sel.Video {
-			if o < 0 || o >= vi.NumSegments() {
-				return nil, fmt.Errorf("%w: no video segment ordinal %d (have %d)",
-					ErrBadSelection, o, vi.NumSegments())
-			}
-			ords = append(ords, nText+o)
-		}
-		hits, _, err := e.VecIndex().SearchPartial(q.Vector, q.K, ords)
-		if err != nil {
-			return nil, err // incl. ir.ErrEmptyQry, raw
-		}
-		if len(hits) > 0 {
-			p.Hits = make([]Hit, len(hits))
-			for i, h := range hits {
-				p.Hits[i] = Hit{Doc: h.Doc, Page: h.Name, Score: h.Score}
-			}
-		}
+		hits, _, _, err = e.VecIndex().SearchSegments(q.Vector, q.K, vecOrds)
 	case q.Scenes != "":
 		if len(sel.Video) == 0 {
 			return nil, fmt.Errorf("%w: scene query selects no video segments", ErrBadSelection)
@@ -148,17 +109,24 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 			return nil, fmt.Errorf("%w: scene query %q needs an indexed video library",
 				dlse.ErrNoIndex, q.Scenes)
 		}
-		p.Groups = make([]SceneGroup, 0, len(sel.Video))
-		for _, o := range sel.Video {
-			if o < 0 || o >= vi.NumSegments() {
-				return nil, fmt.Errorf("%w: no video segment ordinal %d (have %d)",
-					ErrBadSelection, o, vi.NumSegments())
+		p.Groups = make([]SceneGroup, len(sel.Video))
+		for i, o := range sel.Video {
+			p.Groups[i].Seg = o
+			if p.Groups[i].Scenes, err = vi.PartScenes(o, q.Scenes); err != nil {
+				break
 			}
-			scenes, err := vi.PartScenes(o, q.Scenes)
-			if err != nil {
-				return nil, err
-			}
-			p.Groups = append(p.Groups, SceneGroup{Seg: o, Scenes: scenes})
+		}
+	}
+	if err != nil {
+		return nil, err // incl. ir.ErrEmptyQry, raw
+	}
+	// nil (not empty) when nothing matches, so a Partial is identical
+	// whether it was computed in-process or round-tripped through the wire
+	// format (omitempty drops empty hit lists).
+	if len(hits) > 0 {
+		p.Hits = make([]Hit, len(hits))
+		for i, h := range hits {
+			p.Hits[i] = Hit{Doc: h.Doc, Page: h.Name, Score: h.Score}
 		}
 	}
 	return p, nil

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -237,6 +239,43 @@ func TestPartialErrorsParity(t *testing.T) {
 		if err := src.Health(ctx); err != nil {
 			t.Fatalf("%s health: %v", name, err)
 		}
+	}
+}
+
+// TestPartialOfBadOrdinalsAcrossLanes: whichever lane a query reads —
+// text segments, the vector lane's pages-then-videos layout, or video
+// partitions — a placement naming a segment the snapshot lacks fails the
+// same way: ErrBadSelection, saying which ordinal space, which ordinal and
+// how many segments there are. The fixture has 3 text and 2 video segments.
+func TestPartialOfBadOrdinalsAcrossLanes(t *testing.T) {
+	e := fixture(t)
+	shape := regexp.MustCompile(`^transport: bad segment selection: (text|video) selection: segset: no segment ordinal -?\d+ \(have [23]\)$`)
+	for _, tc := range []struct {
+		q    transport.Query
+		sel  transport.Sel
+		want string
+	}{
+		{transport.Query{Keyword: "final"}, transport.Sel{Text: []int{3}}, "text selection: segset: no segment ordinal 3 (have 3)"},
+		{transport.Query{Keyword: "final"}, transport.Sel{Text: []int{0, -1}}, "text selection: segset: no segment ordinal -1 (have 3)"},
+		{transport.Query{Vector: "final"}, transport.Sel{Text: []int{3}}, "text selection: segset: no segment ordinal 3 (have 3)"},
+		// Text ordinal 4 would alias video segment 1 if it reached the lane.
+		{transport.Query{Vector: "final"}, transport.Sel{Text: []int{4}}, "text selection: segset: no segment ordinal 4 (have 3)"},
+		{transport.Query{Vector: "final"}, transport.Sel{Text: []int{0}, Video: []int{2}}, "video selection: segset: no segment ordinal 2 (have 2)"},
+		{transport.Query{Scenes: "net-play"}, transport.Sel{Video: []int{2}}, "video selection: segset: no segment ordinal 2 (have 2)"},
+		{transport.Query{Scenes: "net-play"}, transport.Sel{Video: []int{-1, 0}}, "video selection: segset: no segment ordinal -1 (have 2)"},
+	} {
+		_, err := transport.PartialOf(e, tc.q, tc.sel, -1)
+		if !errors.Is(err, transport.ErrBadSelection) {
+			t.Fatalf("%+v %+v: err = %v, want ErrBadSelection", tc.q, tc.sel, err)
+		}
+		if !shape.MatchString(err.Error()) || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Fatalf("%+v %+v: message %q, want suffix %q", tc.q, tc.sel, err, tc.want)
+		}
+	}
+	// In range, a video ordinal reaches its own embedding segment (Engine.VecOrds).
+	p, err := transport.PartialOf(e, transport.Query{Vector: "late commit"}, transport.Sel{Video: []int{1}}, -1)
+	if err != nil || len(p.Hits) != 1 || p.Hits[0].Page != "video/late-commit" {
+		t.Fatalf("video ordinal 1 through the vector lane: %+v, %v", p, err)
 	}
 }
 

@@ -78,17 +78,7 @@ func Write(w io.Writer, e Embedder, parts []*Builder, signature uint64) error {
 		if err := sw.Block(prefix+"meta", segfile.AppendUint32s(nil, []uint32{uint32(b.Len())})); err != nil {
 			return err
 		}
-		nameoff := make([]uint32, 0, b.Len()+1)
-		var names []byte
-		nameoff = append(nameoff, 0)
-		for d := 0; d < b.Len(); d++ {
-			names = append(names, b.Name(d)...)
-			nameoff = append(nameoff, uint32(len(names)))
-		}
-		if err := sw.Block(prefix+"names", names); err != nil {
-			return err
-		}
-		if err := sw.Block(prefix+"nameoff", segfile.AppendUint32s(nil, nameoff)); err != nil {
+		if err := sw.Strings(prefix+"names", prefix+"nameoff", b.Len(), b.Name); err != nil {
 			return err
 		}
 		if err := sw.Block(prefix+"vecs", segfile.AppendFloat32s(nil, b.vecs)); err != nil {
@@ -104,19 +94,6 @@ func WriteFile(path string, e Embedder, parts []*Builder, signature uint64) erro
 	return fsx.WriteAtomic(fsx.OS, path, func(w io.Writer) error {
 		return Write(w, e, parts, signature)
 	})
-}
-
-// structuralBlock fetches and checksum-verifies a block that open-time
-// correctness depends on.
-func structuralBlock(r *segfile.Reader, name string) ([]byte, error) {
-	b, ok := r.Block(name)
-	if !ok {
-		return nil, fmt.Errorf("vec: missing block %q", name)
-	}
-	if err := r.VerifyBlock(name); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // OpenBytes reconstructs builders from in-memory segfile bytes. The
@@ -137,12 +114,9 @@ func openReader(r *segfile.Reader, e Embedder, wantSignature uint64) ([]*Builder
 	if e == nil || e.Dim() <= 0 {
 		return nil, fmt.Errorf("vec: nil or zero-dimension embedder")
 	}
-	meta, err := structuralBlock(r, "vec/meta")
+	meta, err := r.Structural("vec/meta", 24)
 	if err != nil {
 		return nil, err
-	}
-	if len(meta) != 24 {
-		return nil, fmt.Errorf("vec: meta block is %d bytes, want 24", len(meta))
 	}
 	u32, _ := segfile.Uint32s(meta[:16])
 	u64, _ := segfile.Uint64s(meta[16:24])
@@ -156,7 +130,7 @@ func openReader(r *segfile.Reader, e Embedder, wantSignature uint64) ([]*Builder
 	if dim != e.Dim() {
 		return nil, fmt.Errorf("%w: stored dim %d, embedder dim %d", ErrSignature, dim, e.Dim())
 	}
-	emb, err := structuralBlock(r, "vec/emb")
+	emb, err := r.Structural("vec/emb", -1)
 	if err != nil {
 		return nil, err
 	}
@@ -179,90 +153,39 @@ func openReader(r *segfile.Reader, e Embedder, wantSignature uint64) ([]*Builder
 
 func openSegment(r *segfile.Reader, i, dim int) (*Builder, error) {
 	prefix := fmt.Sprintf("vec/%d/", i)
-	meta, err := structuralBlock(r, prefix+"meta")
+	meta, err := r.Structural(prefix+"meta", 4)
 	if err != nil {
 		return nil, err
-	}
-	if len(meta) != 4 {
-		return nil, fmt.Errorf("vec: segment %d meta is %d bytes, want 4", i, len(meta))
 	}
 	u32, _ := segfile.Uint32s(meta)
 	docs := int(u32[0])
 	if docs < 0 || docs > (1<<31-1)/dim {
 		return nil, fmt.Errorf("vec: segment %d: implausible doc count %d", i, docs)
 	}
-	nameBytes, err := structuralBlock(r, prefix+"names")
+	names, err := r.Strings(prefix+"names", prefix+"nameoff", docs)
 	if err != nil {
 		return nil, err
-	}
-	offBytes, err := structuralBlock(r, prefix+"nameoff")
-	if err != nil {
-		return nil, err
-	}
-	nameoff, err := segfile.Uint32s(offBytes)
-	if err != nil {
-		return nil, err
-	}
-	if len(nameoff) != docs+1 {
-		return nil, fmt.Errorf("vec: segment %d: %d name offsets, want %d", i, len(nameoff), docs+1)
-	}
-	if docs > 0 && (nameoff[0] != 0 || int(nameoff[docs]) != len(nameBytes)) {
-		return nil, fmt.Errorf("vec: segment %d: name offsets do not span the name block", i)
-	}
-	for d := 0; d < docs; d++ {
-		if nameoff[d] > nameoff[d+1] || int(nameoff[d+1]) > len(nameBytes) {
-			return nil, fmt.Errorf("vec: segment %d: name offset %d out of order", i, d)
-		}
 	}
 	// The embedding matrix is bulk: size-validated, served zero-copy,
 	// checksummed only by VerifyAll.
-	vecBytes, ok := r.Block(prefix + "vecs")
-	if !ok {
-		return nil, fmt.Errorf("vec: missing block %q", prefix+"vecs")
-	}
-	if len(vecBytes) != docs*dim*4 {
-		return nil, fmt.Errorf("vec: segment %d: embedding block is %d bytes, want %d",
-			i, len(vecBytes), docs*dim*4)
+	vecBytes, err := r.Bulk(prefix+"vecs", docs*dim*4)
+	if err != nil {
+		return nil, err
 	}
 	vecs, err := segfile.Float32s(vecBytes)
 	if err != nil {
 		return nil, err
 	}
-	b := &Builder{dim: dim, names: make([]string, docs), vecs: vecs}
-	for d := 0; d < docs; d++ {
-		b.names[d] = segfile.String(nameBytes[nameoff[d]:nameoff[d+1]])
-	}
-	return b, nil
-}
-
-// Mapped is a builder set whose names and embedding matrices alias a
-// segfile mapping. Using the builders (or any Segments composed from
-// them) after Close is invalid.
-type Mapped struct {
-	Parts  []*Builder
-	closer io.Closer
-}
-
-// Close releases the backing mapping.
-func (m *Mapped) Close() error {
-	if m.closer == nil {
-		return nil
-	}
-	return m.closer.Close()
+	return &Builder{dim: dim, names: names, vecs: vecs}, nil
 }
 
 // OpenFile maps the segfile at path and reconstructs the builders over
-// it — the cached-embeddings fast path of engine construction. The
-// caller owns Close.
-func OpenFile(path string, e Embedder, wantSignature uint64) (*Mapped, error) {
-	f, err := segfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := openReader(f.Reader, e, wantSignature)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Mapped{Parts: parts, closer: f}, nil
+// it — the cached-embeddings fast path of engine construction. Names and
+// embedding matrices alias the mapping: using the builders (or any
+// Segments composed from them) after closing it is invalid. The caller
+// owns the closer.
+func OpenFile(path string, e Embedder, wantSignature uint64) ([]*Builder, io.Closer, error) {
+	return segfile.OpenAs(path, func(r *segfile.Reader) ([]*Builder, error) {
+		return openReader(r, e, wantSignature)
+	})
 }

@@ -2,7 +2,9 @@ package vec
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -76,6 +78,11 @@ func TestVecSegfileWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same builders differ")
 	}
+	// Golden: the bytes PR 15 wrote for this corpus (see the ir twin).
+	const golden = "c3f4a514dacccb7d5bdf2cea80e8b657e3d613386130df2e04e54072fa8778ab"
+	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
+		t.Fatalf("vec segfile bytes changed: sha256 %s, want %s", got, golden)
+	}
 }
 
 // TestVecSegfileSignature: signature, embedder, and dimension mismatches
@@ -106,18 +113,18 @@ func TestVecSegfileOpenFile(t *testing.T) {
 	if err := WriteFile(path, e, built, 9); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenFile(path, e, 9)
+	parts, closer, err := OpenFile(path, e, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := searchAll(t, built)
-	got := searchAll(t, m.Parts)
+	got := searchAll(t, parts)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("hit %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if err := m.Close(); err != nil {
+	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,10 +3,9 @@ package vec
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/ir"
+	"repro/internal/segset"
 )
 
 // maxCentroids caps the coarse codebook size.
@@ -42,8 +41,7 @@ type segment struct {
 type Segments struct {
 	emb    Embedder
 	segs   []*segment
-	base   []ir.DocID
-	docs   int
+	bases  segset.Bases
 	cents  []float32 // ncent * dim, row-major
 	ncent  int
 	probes int
@@ -60,10 +58,7 @@ type SearchStats struct {
 
 // SegStat is one segment's contribution to a scatter: its kernel stats
 // and the wall time of its scan.
-type SegStat struct {
-	Stats    SearchStats
-	Duration time.Duration
-}
+type SegStat = segset.Leg[SearchStats]
 
 // NewSegments composes frozen builders into a scatter-gather reader.
 // Parts receive contiguous global DocID bases in order. The same parts
@@ -74,6 +69,7 @@ func NewSegments(e Embedder, parts []*Builder, opts Options) (*Segments, error) 
 		return nil, fmt.Errorf("vec: nil embedder")
 	}
 	s := &Segments{emb: e, probes: opts.Probes}
+	sizes := make([]int, len(parts))
 	for i, b := range parts {
 		if b == nil {
 			return nil, fmt.Errorf("vec: nil part %d", i)
@@ -81,9 +77,11 @@ func NewSegments(e Embedder, parts []*Builder, opts Options) (*Segments, error) 
 		if b.Dim() != e.Dim() {
 			return nil, fmt.Errorf("vec: part %d dim %d does not match embedder dim %d", i, b.Dim(), e.Dim())
 		}
-		s.base = append(s.base, ir.DocID(s.docs))
-		s.docs += b.Len()
-		s.segs = append(s.segs, &segment{b: b, base: ir.DocID(s.docs - b.Len())})
+		sizes[i] = b.Len()
+	}
+	s.bases = segset.NewBases(sizes)
+	for i, b := range parts {
+		s.segs = append(s.segs, &segment{b: b, base: ir.DocID(s.bases.Start(i))})
 	}
 	s.buildCodebook(parts)
 	for _, sg := range s.segs {
@@ -98,27 +96,26 @@ func NewSegments(e Embedder, parts []*Builder, opts Options) (*Segments, error) 
 // pure function of the union corpus — the same documents partitioned
 // differently yield bit-identical centroids.
 func (s *Segments) buildCodebook(parts []*Builder) {
-	if s.docs == 0 {
+	docs := s.Docs()
+	if docs == 0 {
 		return
 	}
 	n := 1
-	for n*n < s.docs {
+	for n*n < docs {
 		n++
 	}
 	if n > maxCentroids {
 		n = maxCentroids
 	}
-	if n > s.docs {
-		n = s.docs
+	if n > docs {
+		n = docs
 	}
 	s.ncent = n
 	dim := s.emb.Dim()
 	s.cents = make([]float32, n*dim)
 	for c := 0; c < n; c++ {
-		g := c * s.docs / n // global doc index of the c-th sample
-		si := s.segOf(ir.DocID(g))
-		local := g - int(s.base[si])
-		copy(s.cents[c*dim:(c+1)*dim], parts[si].Vec(local))
+		ord, local := s.bases.Of(c * docs / n) // the c-th sample, in global doc order
+		copy(s.cents[c*dim:(c+1)*dim], parts[ord].Vec(local))
 	}
 }
 
@@ -182,7 +179,7 @@ func dot(a, b []float32) float64 {
 func (s *Segments) NumSegments() int { return len(s.segs) }
 
 // Docs returns the union document count.
-func (s *Segments) Docs() int { return s.docs }
+func (s *Segments) Docs() int { return s.bases.Total() }
 
 // Dim returns the embedding dimension.
 func (s *Segments) Dim() int { return s.emb.Dim() }
@@ -193,18 +190,13 @@ func (s *Segments) Centroids() int { return s.ncent }
 // Embedder returns the embedding scheme the reader was composed with.
 func (s *Segments) Embedder() Embedder { return s.emb }
 
-// segOf returns the segment holding global doc d.
-func (s *Segments) segOf(d ir.DocID) int {
-	return sort.Search(len(s.base), func(i int) bool { return s.base[i] > d }) - 1
-}
-
 // DocName resolves a global DocID to its document name.
 func (s *Segments) DocName(d ir.DocID) (string, error) {
-	if d < 0 || int(d) >= s.docs {
-		return "", fmt.Errorf("vec: doc %d out of range [0,%d)", d, s.docs)
+	if d < 0 || int(d) >= s.Docs() {
+		return "", fmt.Errorf("vec: doc %d out of range [0,%d)", d, s.Docs())
 	}
-	i := s.segOf(d)
-	return s.segs[i].b.Name(int(d - s.base[i])), nil
+	ord, local := s.bases.Of(int(d))
+	return s.segs[ord].b.Name(local), nil
 }
 
 // embedQuery embeds and validates a query: a query with no indexable
@@ -240,13 +232,13 @@ func (s *Segments) probeSet(q []float32, probes int) []int {
 	return order[:probes]
 }
 
-// scanSegment scores every document of sg in the probed lists and
-// returns them sorted under the global total order (score desc, DocID
-// asc). flat ignores the lists and scans exhaustively.
-func (sg *segment) scan(q []float32, probes []int, flat bool) ([]ir.Hit, int) {
+// scan scores every document of sg in the probed lists and returns them
+// sorted under the global total order (score desc, DocID asc). flat ignores
+// the lists and scans exhaustively.
+func (sg *segment) scan(q []float32, probes []int, flat bool) []ir.Hit {
 	n := sg.b.Len()
 	if n == 0 {
-		return nil, 0
+		return nil
 	}
 	var hits []ir.Hit
 	score := func(local int32) {
@@ -274,114 +266,60 @@ func (sg *segment) scan(q []float32, probes []int, flat bool) ([]ir.Hit, int) {
 		}
 		return hits[i].Doc < hits[j].Doc
 	})
-	return hits, len(hits)
+	return hits
 }
 
-// scatter runs fn for every segment ordinal in ords, in parallel when
-// there is more than one, and returns per-ordinal wall times.
-func scatter(ords []int, fn func(slot, ord int)) []time.Duration {
-	durs := make([]time.Duration, len(ords))
-	if len(ords) == 1 {
-		t0 := time.Now()
-		fn(0, ords[0])
-		durs[0] = time.Since(t0)
-		return durs
+// searchOrds is the lane's one scatter-gather body: scan the named
+// segments and merge their hits under the global total order, capped at k
+// (k <= 0 ranks every scanned document). flat is the brute-force scan.
+func (s *Segments) searchOrds(query string, k int, ords []int, flat bool) ([]ir.Hit, SearchStats, []SegStat, error) {
+	if err := segset.Check(len(s.segs), ords...); err != nil {
+		return nil, SearchStats{}, nil, err
 	}
-	var wg sync.WaitGroup
-	for slot, ord := range ords {
-		wg.Add(1)
-		go func(slot, ord int) {
-			defer wg.Done()
-			t0 := time.Now()
-			fn(slot, ord)
-			durs[slot] = time.Since(t0)
-		}(slot, ord)
+	q, err := s.embedQuery(query)
+	if err != nil {
+		return nil, SearchStats{}, nil, err
 	}
-	wg.Wait()
-	return durs
+	nprobe := s.probes
+	if flat {
+		nprobe = 0 // every list: the count a flat scan reports
+	}
+	probes := s.probeSet(q, nprobe)
+	per := make([][]ir.Hit, len(ords))
+	legs := segset.Scatter(ords, func(slot, ord int) SearchStats {
+		per[slot] = s.segs[ord].scan(q, probes, flat)
+		return SearchStats{Probes: len(probes), DocsScanned: len(per[slot])}
+	})
+	stats := SearchStats{Probes: len(probes)}
+	for _, l := range legs {
+		stats.DocsScanned += l.Stats.DocsScanned
+	}
+	return ir.MergeHits(per, k), stats, legs, nil
 }
 
 // Search runs the IVF query and returns the top k hits under the global
 // (score desc, DocID asc) total order; k <= 0 ranks every scanned
 // document (the full ranking the pagination layer slices).
 func (s *Segments) Search(query string, k int) ([]ir.Hit, SearchStats, error) {
-	hits, stats, _, err := s.SearchSegments(query, k)
+	hits, stats, _, err := s.searchOrds(query, k, s.bases.Ords(), false)
 	return hits, stats, err
 }
 
-// SearchSegments is Search plus per-segment scatter stats for explain
-// plans.
-func (s *Segments) SearchSegments(query string, k int) ([]ir.Hit, SearchStats, []SegStat, error) {
-	q, err := s.embedQuery(query)
-	if err != nil {
-		return nil, SearchStats{}, nil, err
+// SearchSegments is Search over only the segments named by ords (a
+// distributed node's placement; nil names them all), plus per-segment
+// scatter stats for explain plans. The gather layer's k-way merge of
+// partial answers reproduces the full Search byte for byte.
+func (s *Segments) SearchSegments(query string, k int, ords []int) ([]ir.Hit, SearchStats, []SegStat, error) {
+	if ords == nil {
+		ords = s.bases.Ords()
 	}
-	probes := s.probeSet(q, s.probes)
-	per := make([][]ir.Hit, len(s.segs))
-	scanned := make([]int, len(s.segs))
-	ords := make([]int, len(s.segs))
-	for i := range ords {
-		ords[i] = i
-	}
-	durs := scatter(ords, func(slot, ord int) {
-		per[slot], scanned[slot] = s.segs[ord].scan(q, probes, false)
-	})
-	stats := SearchStats{Probes: len(probes)}
-	segStats := make([]SegStat, len(s.segs))
-	for i := range per {
-		stats.DocsScanned += scanned[i]
-		segStats[i] = SegStat{Stats: SearchStats{Probes: len(probes), DocsScanned: scanned[i]}, Duration: durs[i]}
-	}
-	return ir.MergeHits(per, k), stats, segStats, nil
-}
-
-// SearchPartial scans only the segments named by ords (a distributed
-// node's placement) and merges their hits under the same global total
-// order; the gather layer's k-way merge of partial answers therefore
-// reproduces SearchSegments byte for byte.
-func (s *Segments) SearchPartial(query string, k int, ords []int) ([]ir.Hit, SearchStats, error) {
-	for _, o := range ords {
-		if o < 0 || o >= len(s.segs) {
-			return nil, SearchStats{}, fmt.Errorf("vec: no segment ordinal %d (have %d)", o, len(s.segs))
-		}
-	}
-	q, err := s.embedQuery(query)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	probes := s.probeSet(q, s.probes)
-	per := make([][]ir.Hit, len(ords))
-	scanned := make([]int, len(ords))
-	scatter(ords, func(slot, ord int) {
-		per[slot], scanned[slot] = s.segs[ord].scan(q, probes, false)
-	})
-	stats := SearchStats{Probes: len(probes)}
-	for _, n := range scanned {
-		stats.DocsScanned += n
-	}
-	return ir.MergeHits(per, k), stats, nil
+	return s.searchOrds(query, k, ords, false)
 }
 
 // SearchFlat is the brute-force reference scorer: every document of
 // every segment, no coarse quantization. The IVF path with Probes <= 0
 // is locked byte-identical to it.
 func (s *Segments) SearchFlat(query string, k int) ([]ir.Hit, SearchStats, error) {
-	q, err := s.embedQuery(query)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	per := make([][]ir.Hit, len(s.segs))
-	scanned := make([]int, len(s.segs))
-	ords := make([]int, len(s.segs))
-	for i := range ords {
-		ords[i] = i
-	}
-	scatter(ords, func(slot, ord int) {
-		per[slot], scanned[slot] = s.segs[ord].scan(q, nil, true)
-	})
-	stats := SearchStats{Probes: s.ncent}
-	for _, n := range scanned {
-		stats.DocsScanned += n
-	}
-	return ir.MergeHits(per, k), stats, nil
+	hits, stats, _, err := s.searchOrds(query, k, s.bases.Ords(), true)
+	return hits, stats, err
 }

@@ -239,7 +239,7 @@ func TestVecSearchPartial(t *testing.T) {
 		} {
 			var per [][]ir.Hit
 			for _, ords := range split {
-				hits, _, err := s.SearchPartial(q, 0, ords)
+				hits, _, _, err := s.SearchSegments(q, 0, ords)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -258,7 +258,7 @@ func TestVecSearchPartial(t *testing.T) {
 	}
 	// Out-of-range ordinals error cleanly.
 	for _, ords := range [][]int{{-1}, {4}, {0, 9}} {
-		if _, _, err := s.SearchPartial("net", 0, ords); err == nil {
+		if _, _, _, err := s.SearchSegments("net", 0, ords); err == nil {
 			t.Fatalf("ordinals %v: want error", ords)
 		}
 	}
