@@ -2,7 +2,9 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -64,7 +66,10 @@ func v2Library(t testing.TB, site *Site, extraEvents int) *Library {
 // cursor contract: walking all pages via cursors yields exactly the
 // byte-identical result list of an unpaginated query — while other
 // goroutines run concurrent Searches and the engine is hot-swapped (to an
-// identically-rebuilt snapshot) mid-walk. Run under -race by `make race`.
+// identically-rebuilt snapshot) mid-walk. The ranked lanes are walked
+// through a caching server too: walkers of every page size share one cache
+// entry per query, so they deepen the same ranked prefix concurrently while
+// the swaps drop it under them. Run under -race by `make race`.
 func TestV2PaginationDeterminismAcrossSwap(t *testing.T) {
 	site := v2Site(t)
 	dl, err := NewDigitalLibrary(site, v2Library(t, site, 0))
@@ -148,7 +153,50 @@ func TestV2PaginationDeterminismAcrossSwap(t *testing.T) {
 			}
 		}(pageSize)
 	}
+
+	// Cursor walkers over the ranked lanes, through one server's cache.
+	srv := NewServer(dl, ServerOptions{CacheSize: 16})
+	for _, rq := range []Query{{Keyword: "australian open final"}, {Vector: "australian open final"}, {Hybrid: "australian open final"}} {
+		want, err := dl.Search(ctx, rq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pageSize := range []int{1, 2, 3} {
+			wg.Add(1)
+			go func(rq Query, pageSize int) {
+				defer wg.Done()
+				for r := 0; r < 3; r++ {
+					var walked []Item
+					cursor := Cursor("")
+					for {
+						page, _, err := srv.Search(ctx, rq, cursor, pageSize, false)
+						if err != nil {
+							t.Errorf("%+v page (size %d): %v", rq, pageSize, err)
+							return
+						}
+						walked = append(walked, page.Items...)
+						if cursor = page.Cursor; cursor == "" || len(walked) > want.Total {
+							break
+						}
+					}
+					if !reflect.DeepEqual(walked, want.Items) {
+						t.Errorf("%+v: cached cursor walk (size %d) diverged from unpaginated answer", rq, pageSize)
+						return
+					}
+				}
+			}(rq, pageSize)
+		}
+	}
 	wg.Wait()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
+	var vars map[string]float64
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if vars["cache_deepens"] == 0 {
+		t.Error("no cached prefix was ever deepened: the walkers did not share entries")
+	}
 }
 
 // TestV2SwapVisibility checks that a swap to *different* content is

@@ -1334,6 +1334,43 @@ func BenchmarkHybridSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkRankedPage is the layer-level evidence of depth-bounded ranking:
+// one ten-item page per lane, cold (no cache), over the site dlbench's
+// ranked workloads serve — 8,192 players, 40 years, 8,352 pages in 4 text
+// segments — with a query of their shape, whose first word is on every
+// player page. What a lane costs here is what a ranked-miss op costs inside
+// the engine; before ranking was bounded by the page it ranked all of them.
+func BenchmarkRankedPage(b *testing.B) {
+	site, err := webspace.GenerateAusOpen(webspace.SiteConfig{Players: 8192, YearStart: 1962, YearEnd: 2001, Seed: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := dlse.NewSegmented(site, nil, dlse.Options{TextSegments: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	const text = "professional australia smith championship"
+	for _, lane := range []struct {
+		name string
+		q    dlse.Query
+	}{
+		{"lexical", dlse.Query{Keyword: text}},
+		{"vector", dlse.Query{Vector: text}},
+		{"hybrid", dlse.Query{Hybrid: text}},
+	} {
+		b.Run(lane.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rs, err := eng.Search(ctx, lane.q, dlse.WithLimit(10))
+				if err != nil || len(rs.Items) != 10 || rs.Total < 8000 {
+					b.Fatalf("err %v, %d items of %d", err, len(rs.Items), rs.Total)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEventsRelated measures the composite event query: the reference
 // O(A·B) pairwise scan against the sort + interval-sweep, on the same
 // seeded corpus (identical output, locked by the cross-check test in

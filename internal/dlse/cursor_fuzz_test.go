@@ -12,6 +12,10 @@ import (
 // decodes or fails with ErrBadCursor. It must never panic, hang, or
 // return an unclassified error: cursors arrive straight off the wire in
 // /v2/search, and a malformed page token can never take down the daemon.
+// A token that does decode is then presented to a result set holding a
+// short prefix: whatever offset it carries, the page costs at most one
+// re-execution, to a depth inside the answer, and an offset past the end
+// an empty last page and none.
 func FuzzCursor(f *testing.F) {
 	// Real tokens minted by the encoder, spanning the field ranges cursors
 	// actually carry (tiny and huge keys, offsets, negative snapshots).
@@ -65,6 +69,27 @@ func FuzzCursor(f *testing.F) {
 			t.Fatalf("round-trip mismatch: %q -> (%d,%d,%d) -> (%d,%d,%d), %v",
 				s, key, off, snap, key2, off2, snap2, err)
 		}
+		const total, limit = 9, 3
+		deepens := 0
+		rs := &ResultSet{key: key, ans: &answer{total: total, items: make([]Item, 2), more: func(depth int) []Item {
+			if deepens++; depth <= 2 || depth > total {
+				t.Fatalf("offset %d: deepened to %d of %d", off, depth, total)
+			}
+			return make([]Item, depth)
+		}}}
+		page, err := rs.Page(Cursor(s), limit)
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		if want := max(0, min(limit, total-off)); len(page.Items) != want || deepens > 1 {
+			t.Fatalf("offset %d: %d items (want %d), %d re-executions", off, len(page.Items), want, deepens)
+		}
+		if off >= total && deepens != 0 {
+			t.Fatalf("offset %d past the end re-executed", off)
+		}
+		if last := off >= total-limit; last != (page.Cursor == "") {
+			t.Fatalf("offset %d: cursor %q", off, page.Cursor)
+		}
 	})
 }
 
@@ -72,7 +97,7 @@ func FuzzCursor(f *testing.F) {
 // for other queries and hostile strings: always ErrBadCursor, never a
 // wrong page.
 func TestPageRejectsForeignCursor(t *testing.T) {
-	rs := &ResultSet{key: fnv64("q|find=Player|limit=0"), all: make([]Item, 5)}
+	rs := NewResultSet(make([]Item, 5), 5, "q|find=Player|limit=0", 0)
 	if _, err := rs.Page(encodeCursor(fnv64("kw|other"), 2, 0), 2); !errors.Is(err, ErrBadCursor) {
 		t.Fatalf("foreign cursor: %v", err)
 	}

@@ -54,13 +54,61 @@ func FuseRRF(lanes ...[]Item) []Item {
 		f.item.Score = f.score
 		out[i] = f.item
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Doc < out[j].Doc
-	})
+	sortFused(out)
 	return out
+}
+
+// sortFused orders fused items by (score desc, Doc asc).
+func sortFused(items []Item) {
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].Score != items[j].Score {
+			return items[i].Score > items[j].Score
+		}
+		return items[i].Doc < items[j].Doc
+	})
+}
+
+// fuseDepth is how deep each lane must be ranked for fuseTop to return the
+// exact top d of the fusion: D = 2d+RRFK. The top d of either lane alone
+// already score at least 1/(RRFK+d); a document outside the top D of both
+// scores at most 2/(RRFK+D+1) = 2/(2(RRFK+d)+1) < 1/(RRFK+d) — by a relative
+// 1/(2(RRFK+d)+1), far above float64 rounding. So d documents inside the
+// two top-D lists strictly beat everything outside them, and the fused top
+// d lies within their union whatever the ties: one pass, no iteration.
+func fuseDepth(d int) int {
+	if d <= 0 {
+		return 0
+	}
+	return 2*d + RRFK
+}
+
+// fuseTop is FuseRRF's top d computed from the top fuseDepth(d) of each
+// lane. The candidates are the union of the two hit lists; a candidate's
+// rank in the lane that did not list it is counted over that lane's still
+// leased scores, so every candidate gets the reciprocal ranks, the sum in
+// lane order and hence the float64 bits FuseRRF over the full rankings gives
+// it, under the same order. Both lanes name a shared document alike (the
+// engine indexes them from the same pages): either hit is its metadata.
+func fuseTop(d int, lex, vec []ir.Hit, lexScores, vecScores ir.SegScores) []Item {
+	vecOfLex, lexOfVec := vecScores.Ranks(lex), lexScores.Ranks(vec)
+	rr := func(rank int) float64 { // one lane's term: exactly 0 where it did not rank the document
+		if rank == 0 {
+			return 0
+		}
+		return 1 / float64(RRFK+rank)
+	}
+	cands := make([]Item, 0, len(lex)+len(vec))
+	for i, h := range lex {
+		cands = append(cands, Item{Page: h.Name, Doc: h.Doc, Score: rr(i+1) + rr(vecOfLex[i])})
+	}
+	for i, h := range vec {
+		if r := lexOfVec[i]; r == 0 || r > len(lex) { // else lex listed it already
+			cands = append(cands, Item{Page: h.Name, Doc: h.Doc, Score: rr(r) + rr(i+1)})
+		}
+	}
+	sortFused(cands)
+	// Copied out to size: what is returned is what a cache retains.
+	return append([]Item(nil), cands[:min(d, len(cands))]...)
 }
 
 // hitItems converts a ranked lane's hits (lexical or vector) to result items.

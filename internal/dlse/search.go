@@ -5,20 +5,23 @@ package dlse
 // pull-based streaming iterator, and optional explain plans.
 //
 // Pagination is deterministic by construction: the planner's merge is a
-// stable sort over operator outputs produced in fixed order, so the full
-// answer list of a query is a pure function of the engine snapshot. A page
-// is a slice of that list; a cursor is (query key, offset, snapshot)
-// encoded as an opaque token. Walking every page therefore reproduces the
-// unpaginated answer byte for byte on the same snapshot — and the serving
-// layer caches the full list under the query's canonical key, so page N is
-// exactly as cacheable as page 1.
+// stable sort over operator outputs produced in fixed order, and every
+// ranked lane is a total order, so the answer list of a query is a pure
+// function of the engine snapshot. A page is a slice of that list; a cursor
+// is (query key, offset, snapshot) encoded as an opaque token. Walking every
+// page therefore reproduces the unpaginated answer byte for byte on the same
+// snapshot. The ranked lanes build the list only as deep as a page needs: a
+// ResultSet holds that prefix plus the exact total, and re-executes on its
+// snapshot when asked for more (see answer).
 
 import (
 	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -224,10 +227,56 @@ type ResultSet struct {
 	Explain *Explain
 
 	// key is the FNV-1a hash of the query's canonical key, binding cursors
-	// to their query. all/offset back Page and Stream.
+	// to their query. ans/offset back Page and Stream.
 	key    uint64
-	all    []Item
+	ans    *answer
 	offset int
+}
+
+// answer is what every page and stream of one execution share: the ranked
+// prefix built so far and the exact size of the whole. Asked for more than
+// it holds, it re-executes on its snapshot to the depth needed or twice what
+// it has, whichever is more — a walk or stream re-ranks O(log pages) times,
+// and what a cache retains is the depth somebody read, not the corpus.
+type answer struct {
+	total int
+	// more re-executes to at least depth items; nil when the prefix is all
+	// there is to serve (the whole answer, or a gathered one).
+	more func(depth int) []Item
+
+	mu    sync.Mutex
+	items []Item // replaced on deepening, never written in place
+}
+
+// upTo returns the prefix, deepened first if it holds fewer than need items.
+func (a *answer) upTo(need int) []Item {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	need = min(need, a.total)
+	if have := len(a.items); need > have && a.more != nil {
+		a.items = a.more(min(max(need, 2*have), a.total))
+	}
+	return a.items
+}
+
+// Held reports how many items of the answer the set's shared prefix holds
+// right now — Total once everything has been ranked.
+func (rs *ResultSet) Held() int { return len(rs.ans.upTo(0)) }
+
+// Depth is how deep an answer must be ranked to cut the page (cursor, limit)
+// from it: offset plus limit, or 0 — everything — for an unlimited page.
+// Both are client input, so the sum saturates (the lanes clamp it to the
+// documents they have); a malformed cursor counts as offset 0 and is left
+// for Page to report.
+func Depth(c Cursor, limit int) int {
+	if limit <= 0 {
+		return 0
+	}
+	_, offset, _, _ := decodeCursor(c)
+	if offset > math.MaxInt-limit {
+		return math.MaxInt
+	}
+	return offset + limit
 }
 
 // Normalize resolves a query into executable form — the Source text is
@@ -285,19 +334,21 @@ func CanonicalKey(q Query) (key string, ok bool) {
 	return "", false
 }
 
-// NewResultSet assembles a ResultSet from an externally computed answer
-// list — the hook a distributed gather layer (internal/router) uses to get
-// the engine's exact pagination semantics (cursor binding, Page, Stream)
-// over items merged outside a single Engine. key must be the query's
-// canonical key (Engine.Normalize or CanonicalKey); snap identifies the
-// snapshot the answer was computed on.
-func NewResultSet(items []Item, key string, snap int64) *ResultSet {
+// NewResultSet assembles a ResultSet from an externally gathered answer —
+// the hook a distributed gather layer (internal/router) uses to get the
+// engine's exact pagination semantics (cursor binding, Page) over items
+// merged outside a single Engine. items is the prefix the gather fetched,
+// total the size of the whole answer; such a set cannot deepen, so a page
+// or stream running past the prefix ends there (the page with a cursor to
+// gather deeper for). key must be the query's canonical key
+// (Engine.Normalize or CanonicalKey); snap identifies the snapshot.
+func NewResultSet(items []Item, total int, key string, snap int64) *ResultSet {
 	return &ResultSet{
 		Items:    items,
-		Total:    len(items),
+		Total:    total,
 		Snapshot: snap,
 		key:      fnv64(key),
-		all:      items,
+		ans:      &answer{items: items, total: total},
 	}
 }
 
@@ -311,76 +362,43 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// SearchAll executes a query and returns its full, unpaginated ResultSet —
-// the primitive the serving layer caches, with pages sliced off via Page.
-// Most callers want Search. Keyword queries whose text has no indexable
-// terms return ir.ErrEmptyQry unwrapped.
+// SearchAll executes a query and returns its full, unpaginated ResultSet:
+// every ranked lane at depth 0. Most callers want Search. Keyword queries
+// whose text has no indexable terms return ir.ErrEmptyQry unwrapped.
 func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*ResultSet, error) {
 	nq, key, err := e.Normalize(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.SearchNormalized(ctx, nq, key, withExplain)
+	return e.SearchNormalized(ctx, nq, key, 0, withExplain)
 }
 
-// SearchNormalized is SearchAll for a caller that already holds the query's
-// normal form and canonical key (both as Normalize returned them) — the
-// serving layer, which needs the key for its cache lookup before it knows
-// whether anything has to execute.
-func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, withExplain bool) (*ResultSet, error) {
+// SearchNormalized executes a query a caller already holds in normal form
+// with its canonical key (both as Normalize returned them) — the serving
+// layer, which needs the key for its cache lookup before it knows whether
+// anything has to execute. depth bounds the ranked lanes (see Depth; 0 ranks
+// everything): the set holds that prefix and the exact Total, and deepens
+// when read past it. Combined and scene answers are always whole.
+func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, depth int, withExplain bool) (*ResultSet, error) {
 	rs := &ResultSet{Snapshot: e.snap, key: fnv64(key)}
+	var items []Item
 	var err error
 	switch {
 	case nq.Request != nil:
-		if rs.all, rs.Explain, err = e.run(ctx, e.Plan(*nq.Request), withExplain); err != nil {
+		if items, rs.Explain, err = e.run(ctx, e.Plan(*nq.Request), withExplain); err != nil {
 			return nil, err
 		}
-	case nq.Keyword != "":
-		t0 := time.Now()
-		// Full ranking (k=0): every matching page, scattered across the
-		// text segments and gathered under the global total order.
-		hits, stats, perSeg, err := e.text.SearchSegments(nq.Keyword, 0, nil)
-		if err != nil {
+		rs.ans = &answer{items: items, total: len(items)}
+	case nq.Keyword != "", nq.Vector != "", nq.Hybrid != "":
+		var total int
+		if items, total, rs.Explain, err = e.rank(nq, depth, withExplain); err != nil {
 			return nil, err // incl. ir.ErrEmptyQry, raw
 		}
-		rs.all = hitItems(hits)
-		if withExplain {
-			op := textOpStat("keyword", time.Since(t0), len(hits), stats, perSeg)
-			rs.Explain = &Explain{Plan: "[keyword] → rank", Ops: []OpStat{op}}
-		}
-	case nq.Vector != "":
-		t0 := time.Now()
-		// Full ranking (k=0) over every page and video embedding,
-		// scattered across the vec segments and gathered under the
-		// global (score desc, DocID asc) total order.
-		hits, _, perSeg, err := e.vecs.SearchSegments(nq.Vector, 0, nil)
-		if err != nil {
-			return nil, err // incl. ir.ErrEmptyQry, raw
-		}
-		rs.all = hitItems(hits)
-		if withExplain {
-			op := vecOpStat("vector", time.Since(t0), len(hits), perSeg)
-			rs.Explain = &Explain{Plan: "[vector] → rank", Ops: []OpStat{op}}
-		}
-	case nq.Hybrid != "":
-		t0 := time.Now()
-		lexHits, lexStats, lexSegs, err := e.text.SearchSegments(nq.Hybrid, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		tVec := time.Now()
-		vecHits, _, vecSegs, err := e.vecs.SearchSegments(nq.Hybrid, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		tFuse := time.Now()
-		rs.all = FuseRRF(hitItems(lexHits), hitItems(vecHits))
-		if withExplain {
-			lexOp := textOpStat("keyword", tVec.Sub(t0), len(lexHits), lexStats, lexSegs)
-			vecOp := vecOpStat("vector", tFuse.Sub(tVec), len(vecHits), vecSegs)
-			fuseOp := OpStat{Op: "rrf", Duration: clampDur(time.Since(tFuse)), Items: len(rs.all)}
-			rs.Explain = &Explain{Plan: "[keyword ‖ vector] → rrf", Ops: []OpStat{lexOp, vecOp, fuseOp}}
-		}
+		rs.ans = &answer{items: items, total: total, more: func(depth int) []Item {
+			// Cannot fail: this query already ran on this immutable snapshot.
+			items, _, _, _ := e.rank(nq, depth, false)
+			return items
+		}}
 	default:
 		if e.video.Stats().Videos == 0 {
 			return nil, fmt.Errorf("%w: scene query %q needs an indexed video library", ErrNoIndex, nq.Scenes)
@@ -394,10 +412,11 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, wit
 		if err != nil {
 			return nil, fmt.Errorf("dlse: scene query: %w", err)
 		}
-		rs.all = make([]Item, len(scenes))
+		items = make([]Item, len(scenes))
 		for i := range scenes {
-			rs.all[i] = Item{Scene: &scenes[i]}
+			items[i] = Item{Scene: &scenes[i]}
 		}
+		rs.ans = &answer{items: items, total: len(items)}
 		if withExplain {
 			rs.Explain = &Explain{Plan: "[scenes]", Ops: []OpStat{{
 				Op: "scenes", Duration: clampDur(time.Since(t0)), Items: len(scenes),
@@ -405,34 +424,104 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, wit
 			}}}
 		}
 	}
-	rs.Items = rs.all
-	rs.Total = len(rs.all)
+	rs.Items = items
+	rs.Total = rs.ans.total
 	return rs, nil
 }
 
+// rank answers a Keyword, Vector or Hybrid query to the given depth: the
+// best depth items (everything when depth <= 0 or beyond the lane) and the
+// size of the whole answer — documents touched for the lexical lane, scanned
+// for the vector lane, and for the hybrid their union, which is what the
+// vector lane scanned: it probes every list of a doc space that extends the
+// pages'. Explain operators report those matched counts, not returned ones.
+func (e *Engine) rank(nq Query, depth int, withExplain bool) (items []Item, total int, ex *Explain, err error) {
+	depth = max(depth, 0)
+	t0 := time.Now()
+	switch {
+	case nq.Keyword != "":
+		hits, stats, perSeg, err := e.text.SearchSegments(nq.Keyword, depth, nil)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if withExplain {
+			op := textOpStat("keyword", time.Since(t0), stats.DocsTouched, stats, perSeg)
+			ex = &Explain{Plan: "[keyword] → rank", Ops: []OpStat{op}}
+		}
+		return hitItems(hits), stats.DocsTouched, ex, nil
+	case nq.Vector != "":
+		hits, stats, perSeg, err := e.vecs.SearchSegments(nq.Vector, depth, nil)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if withExplain {
+			op := vecOpStat("vector", time.Since(t0), stats.DocsScanned, perSeg)
+			ex = &Explain{Plan: "[vector] → rank", Ops: []OpStat{op}}
+		}
+		return hitItems(hits), stats.DocsScanned, ex, nil
+	}
+	// Hybrid: each lane to the depth an exact fusion of the top depth needs
+	// (fuseDepth), its scores kept leased for the rank-count step.
+	depth = min(depth, e.vecs.Docs())
+	laneDepth := fuseDepth(depth)
+	lexHits, lexScores, lexStats, err := e.text.SearchScores(nq.Hybrid, laneDepth)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	defer lexScores.Release()
+	tVec := time.Now()
+	vecHits, vecScores, vecStats, vecSegs, err := e.vecs.SearchScores(nq.Hybrid, laneDepth)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	defer vecScores.Release()
+	tFuse := time.Now()
+	if depth == 0 {
+		items = FuseRRF(hitItems(lexHits), hitItems(vecHits))
+	} else {
+		items = fuseTop(depth, lexHits, vecHits, lexScores, vecScores)
+	}
+	total = vecStats.DocsScanned
+	if withExplain {
+		lexOp := textOpStat("keyword", tVec.Sub(t0), lexStats.DocsTouched, lexStats, lexScores.SegmentStats())
+		vecOp := vecOpStat("vector", tFuse.Sub(tVec), vecStats.DocsScanned, vecSegs)
+		fuseOp := OpStat{Op: "rrf", Duration: clampDur(time.Since(tFuse)), Items: total}
+		ex = &Explain{Plan: "[keyword ‖ vector] → rrf", Ops: []OpStat{lexOp, vecOp, fuseOp}}
+	}
+	return items, total, ex, nil
+}
+
 // Search is the unified v2 entrypoint: it executes the query (or, for a
-// cursor resume, re-executes it against the current snapshot) and returns
-// the requested page of the answer. A ResultSet is safe to share between
-// goroutines; Page and Stream never mutate it.
+// cursor resume, re-executes it against the current snapshot) to the depth
+// the requested page needs and returns that page. A ResultSet is safe to
+// share between goroutines: Page and Stream deepen its shared prefix under
+// a lock, never in place.
 func (e *Engine) Search(ctx context.Context, q Query, opts ...SearchOption) (*ResultSet, error) {
 	var o searchOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	full, err := e.SearchAll(ctx, q, o.explain)
+	nq, key, err := e.Normalize(q)
 	if err != nil {
 		return nil, err
 	}
-	return full.Page(o.cursor, o.limit)
+	rs, err := e.SearchNormalized(ctx, nq, key, Depth(o.cursor, o.limit), o.explain)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Page(o.cursor, o.limit)
 }
 
-// Page slices one page out of the result set's full answer: the items from
-// the cursor's offset (or this set's own start when the cursor is empty),
-// capped at limit (limit <= 0 returns everything from the offset). The
-// returned set shares the underlying items and carries the cursor to the
-// next page. A cursor minted for a different query fails with ErrBadCursor.
+// Page cuts one page out of the answer: the items from the cursor's offset
+// (or this set's own start when the cursor is empty), capped at limit
+// (limit <= 0 returns everything from the offset), re-executing first when
+// the page runs past the prefix ranked so far. The returned set shares the
+// underlying items and carries the cursor to the next page. A cursor minted
+// for a different query fails with ErrBadCursor; an offset at or past the
+// end (a shrunken answer, a forged cursor) yields an empty last page
+// without ranking anything.
 func (rs *ResultSet) Page(c Cursor, limit int) (*ResultSet, error) {
-	offset := rs.offset
+	offset, total := rs.offset, rs.ans.total
 	if c != "" {
 		key, off, _, err := decodeCursor(c)
 		if err != nil {
@@ -442,26 +531,27 @@ func (rs *ResultSet) Page(c Cursor, limit int) (*ResultSet, error) {
 			return nil, fmt.Errorf("%w: cursor belongs to a different query", ErrBadCursor)
 		}
 		offset = off
-		if offset > len(rs.all) {
-			// The answer shrank (cursor resumed on a smaller snapshot):
-			// the walk ends with an empty final page.
-			offset = len(rs.all)
-		}
 	}
-	end := len(rs.all)
-	if limit > 0 && offset+limit < end {
+	offset = min(offset, total)
+	end := total
+	if limit > 0 && limit < total-offset {
 		end = offset + limit
 	}
 	page := &ResultSet{
-		Items:    rs.all[offset:end],
-		Total:    len(rs.all),
+		Total:    total,
 		Snapshot: rs.Snapshot,
 		Explain:  rs.Explain,
 		key:      rs.key,
-		all:      rs.all,
+		ans:      rs.ans,
 		offset:   offset,
 	}
-	if end < len(rs.all) {
+	if offset < end {
+		items := rs.ans.upTo(end)
+		end = min(end, len(items)) // a gathered prefix may stop short of the page
+		offset = min(offset, end)
+		page.Items = items[offset:end]
+	}
+	if end < total {
 		page.Cursor = encodeCursor(rs.key, end, rs.Snapshot)
 	}
 	return page, nil
@@ -470,27 +560,31 @@ func (rs *ResultSet) Page(c Cursor, limit int) (*ResultSet, error) {
 // Stream returns a pull-based iterator over the remainder of the answer,
 // starting at this page's first item and running through the end of the
 // full result list — the way to consume a large answer without
-// materializing page slices. The stream reads the snapshot the Search
-// computed; it is unaffected by later swaps.
+// materializing page slices. It reads the snapshot the Search computed,
+// unaffected by later swaps, deepening the prefix as Page does.
 func (rs *ResultSet) Stream() *Stream {
-	return &Stream{all: rs.all, i: rs.offset}
+	return &Stream{ans: rs.ans, i: rs.offset}
 }
 
 // Stream is a pull iterator over a ResultSet's answer.
 type Stream struct {
-	all []Item
-	i   int
+	ans   *answer
+	items []Item
+	i     int
 }
 
 // Next returns the next item. ok is false when the answer is exhausted.
 func (s *Stream) Next() (item Item, ok bool) {
-	if s.i >= len(s.all) {
-		return Item{}, false
+	if s.i >= len(s.items) {
+		if s.items = s.ans.upTo(s.i + 1); s.i >= len(s.items) {
+			return Item{}, false
+		}
 	}
-	item = s.all[s.i]
+	item = s.items[s.i]
 	s.i++
 	return item, true
 }
 
-// Remaining reports how many items Next will still yield.
-func (s *Stream) Remaining() int { return len(s.all) - s.i }
+// Remaining reports how many items of the answer lie past the stream's
+// position.
+func (s *Stream) Remaining() int { return s.ans.total - s.i }

@@ -21,6 +21,13 @@ func segFixture(t *testing.T, textSegments int) (*Engine, *webspace.Site) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return segFixtureOver(t, site, textSegments), site
+}
+
+// segFixtureOver builds the segmented engine over a given site, with one
+// net-play event indexed for each of the site's videos.
+func segFixtureOver(t *testing.T, site *webspace.Site, textSegments int) *Engine {
+	t.Helper()
 	idx, err := core.NewMetaIndex()
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +50,7 @@ func segFixture(t *testing.T, textSegments int) (*Engine, *webspace.Site) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, site
+	return e
 }
 
 // TestSegmentedTextMatchesMonolithic locks scatter-gather text retrieval

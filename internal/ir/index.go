@@ -147,7 +147,7 @@ func (ix *Index) freezeWith(cs corpusStats) {
 		}
 	}
 	n := len(ix.docs)
-	ix.scratch.New = func() any { return newAccum(n) }
+	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	ix.frozen = true
 }
 
@@ -248,7 +248,7 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 		return nil, SearchStats{}, ErrEmptyQry
 	}
 	ac := ix.getAccum()
-	defer ix.putAccum(ac)
+	defer ac.Release()
 	stats := ix.scoreTerms(terms, ac)
 	return ix.topKDense(ac, k), stats, nil
 }
@@ -256,7 +256,7 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 // scoreTerms accumulates every term's full posting list into ac, in term
 // order — the one exhaustive-scan scoring loop shared by Search and
 // ScoreQuery, so their per-doc float64 sums are identical by construction.
-func (ix *Index) scoreTerms(terms []string, ac *accum) SearchStats {
+func (ix *Index) scoreTerms(terms []string, ac *Accum) SearchStats {
 	var stats SearchStats
 	for _, term := range terms {
 		pl := ix.terms[term]
@@ -265,7 +265,7 @@ func (ix *Index) scoreTerms(terms []string, ac *accum) SearchStats {
 		}
 		imps := pl.docImp
 		for i, p := range pl.docOrder {
-			ac.add(p.Doc, float64(imps[i]))
+			ac.Add(p.Doc, float64(imps[i]))
 		}
 		stats.TermsMatched++
 		stats.PostingsScored += len(pl.docOrder)
@@ -290,7 +290,7 @@ func (ix *Index) ScoreQuery(query string) (Scores, SearchStats, error) {
 	}
 	ac := ix.getAccum()
 	stats := ix.scoreTerms(terms, ac)
-	return Scores{ix: ix, ac: ac}, stats, nil
+	return Scores{ac: ac}, stats, nil
 }
 
 // SearchBoolean returns the documents containing every query term

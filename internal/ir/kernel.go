@@ -5,30 +5,38 @@ package ir
 // with the impact vectors built at Freeze they make the ranked-search hot
 // path allocation-free in steady state: no score maps, no full sort.
 
-// accum is a per-query score accumulator over a dense document array.
+import "sync"
+
+// Accum is a per-query score accumulator over a dense document array.
 // Instead of clearing len(docs) floats per query, every slot carries the
 // epoch that last wrote it: a slot whose stamp is stale reads as zero, and
-// begin() makes the whole array logically zero by bumping the epoch.
-type accum struct {
+// Begin makes the whole array logically zero by bumping the epoch. It is
+// exported for the other ranked lane (internal/vec), which scores into the
+// same array and selects with the same heap.
+type Accum struct {
 	scores  []float64
 	stamps  []uint32
 	epoch   uint32
 	touched []DocID // distinct docs written this epoch, in first-touch order
+	home    *sync.Pool
 
 	// Selection scratch reused across queries.
-	hitHeap []Hit     // topKDense
+	hitHeap []Hit     // TopK
 	fHeap   []float64 // kthAndTrail
 }
 
-func newAccum(docs int) *accum {
-	return &accum{
+// NewAccum builds an accumulator over docs documents that Release returns
+// to home — the New function of a lane's per-segment pool.
+func NewAccum(docs int, home *sync.Pool) *Accum {
+	return &Accum{
 		scores: make([]float64, docs),
 		stamps: make([]uint32, docs),
+		home:   home,
 	}
 }
 
-// begin starts a fresh query: all slots read as zero again.
-func (ac *accum) begin() {
+// Begin starts a fresh query: all slots read as zero again.
+func (ac *Accum) Begin() {
 	ac.touched = ac.touched[:0]
 	ac.epoch++
 	if ac.epoch == 0 { // uint32 wrap: stale stamps could alias, clear them
@@ -39,8 +47,8 @@ func (ac *accum) begin() {
 	}
 }
 
-// add accumulates v into doc d's score.
-func (ac *accum) add(d DocID, v float64) {
+// Add accumulates v into doc d's score.
+func (ac *Accum) Add(d DocID, v float64) {
 	if ac.stamps[d] != ac.epoch {
 		ac.stamps[d] = ac.epoch
 		ac.scores[d] = v
@@ -50,23 +58,27 @@ func (ac *accum) add(d DocID, v float64) {
 	ac.scores[d] += v
 }
 
-// get returns doc d's score this epoch (zero if untouched).
-func (ac *accum) get(d DocID) float64 {
+// Get returns doc d's score this epoch (zero if untouched).
+func (ac *Accum) Get(d DocID) float64 {
 	if ac.stamps[d] != ac.epoch {
 		return 0
 	}
 	return ac.scores[d]
 }
 
-// getAccum leases a query accumulator from the pool. Call putAccum when the
+// Touched returns how many distinct documents the query scored.
+func (ac *Accum) Touched() int { return len(ac.touched) }
+
+// Release returns the accumulator to its pool; it must not be used after.
+func (ac *Accum) Release() { ac.home.Put(ac) }
+
+// getAccum leases a query accumulator from the pool. Release it when the
 // query's results have been materialized.
-func (ix *Index) getAccum() *accum {
-	ac := ix.scratch.Get().(*accum)
-	ac.begin()
+func (ix *Index) getAccum() *Accum {
+	ac := ix.scratch.Get().(*Accum)
+	ac.Begin()
 	return ac
 }
-
-func (ix *Index) putAccum(ac *accum) { ix.scratch.Put(ac) }
 
 // Scores is a leased, read-only view of one query's dense per-doc scores,
 // backed by a pooled accumulator. It lets callers join BM25 scores by
@@ -75,21 +87,20 @@ func (ix *Index) putAccum(ac *accum) { ix.scratch.Put(ac) }
 // the handle must not be used after Release, and each handle must be
 // released exactly once. The zero value is invalid (Valid reports false).
 type Scores struct {
-	ix *Index
-	ac *accum
+	ac *Accum
 }
 
 // Valid reports whether the handle holds a scored query.
 func (s Scores) Valid() bool { return s.ac != nil }
 
 // Get returns doc d's score (0 for documents the query did not touch).
-func (s Scores) Get(d DocID) float64 { return s.ac.get(d) }
+func (s Scores) Get(d DocID) float64 { return s.ac.Get(d) }
 
 // Release returns the backing accumulator to the index's pool. Safe on the
 // zero value.
 func (s Scores) Release() {
 	if s.ac != nil {
-		s.ix.putAccum(s.ac)
+		s.ac.Release()
 	}
 }
 
@@ -104,12 +115,14 @@ func worseHit(a, b Hit) bool {
 	return a.Doc > b.Doc
 }
 
-// topKDense selects the best k hits from the accumulator with a min-heap of
-// size k over the touched documents — O(n log k) against the reference's
-// build-all-then-sort O(n log n) — and returns them best-first. k <= 0
-// ranks every touched document. Output is byte-identical to the retained
-// map-based reference (same hits, same scores, same tie-breaks).
-func (ix *Index) topKDense(ac *accum, k int) []Hit {
+// TopK selects the best k hits from the accumulator with a min-heap of size
+// k over the touched documents — O(n log k) against the reference's
+// build-all-then-sort O(n log n) — and returns them best-first, under the
+// accumulator's own document numbers and unnamed. k <= 0 or k beyond the
+// touched count ranks every touched document, so no depth a client can name
+// sizes anything past the documents there are. Output is byte-identical to
+// the retained map-based reference (same hits, same scores, same tie-breaks).
+func (ac *Accum) TopK(k int) []Hit {
 	n := len(ac.touched)
 	if k <= 0 || k > n {
 		k = n
@@ -136,6 +149,12 @@ func (ix *Index) topKDense(ac *accum, k int) []Hit {
 		h = h[:len(h)-1]
 		siftDownHit(h)
 	}
+	return out
+}
+
+// topKDense is TopK with the index's document names filled in.
+func (ix *Index) topKDense(ac *Accum, k int) []Hit {
+	out := ac.TopK(k)
 	for i := range out {
 		out[i].Name = ix.docs[out[i].Doc].Name
 	}
@@ -176,7 +195,7 @@ func siftDownHit(h []Hit) {
 // kthAndTrail returns the k-th largest score and the largest score outside
 // the top k, in one O(n log k) pass over the touched documents. The caller
 // guarantees len(ac.touched) >= k.
-func (ac *accum) kthAndTrail(k int) (kth, trail float64) {
+func (ac *Accum) kthAndTrail(k int) (kth, trail float64) {
 	// top is a min-heap of the k largest scores seen so far.
 	top := ac.fHeap[:0]
 	for _, d := range ac.touched {

@@ -301,17 +301,17 @@ func TestManyTermQuery(t *testing.T) {
 // TestAccumEpochWrap: after a uint32 epoch wrap the accumulator must not
 // resurrect stale scores.
 func TestAccumEpochWrap(t *testing.T) {
-	ac := newAccum(4)
-	ac.begin()
-	ac.add(2, 1.5)
+	ac := NewAccum(4, nil)
+	ac.Begin()
+	ac.Add(2, 1.5)
 	ac.epoch = math.MaxUint32 // force the next begin to wrap
-	ac.begin()
-	if got := ac.get(2); got != 0 {
+	ac.Begin()
+	if got := ac.Get(2); got != 0 {
 		t.Fatalf("score resurrected across epoch wrap: %v", got)
 	}
-	ac.add(1, 2.5)
-	if ac.get(1) != 2.5 || len(ac.touched) != 1 {
-		t.Fatalf("post-wrap accumulation broken: %v %v", ac.get(1), ac.touched)
+	ac.Add(1, 2.5)
+	if ac.Get(1) != 2.5 || len(ac.touched) != 1 {
+		t.Fatalf("post-wrap accumulation broken: %v %v", ac.Get(1), ac.touched)
 	}
 }
 

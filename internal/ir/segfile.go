@@ -392,6 +392,6 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		ix.docs[d] = docInfo{Name: name, Len: docLen[d]}
 	}
 	n := D
-	ix.scratch.New = func() any { return newAccum(n) }
+	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	return ix, nil
 }

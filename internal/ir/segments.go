@@ -14,6 +14,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/segset"
 )
@@ -91,11 +92,11 @@ type SegStat = segset.Leg[SearchStats]
 
 // scorer scores one query on one segment into a pooled accumulator it
 // leases from that segment.
-type scorer func(ix *Index) (*accum, SearchStats)
+type scorer func(ix *Index) (*Accum, SearchStats)
 
 // exhaustive is the scorer of the full scan.
 func exhaustive(terms []string) scorer {
-	return func(ix *Index) (*accum, SearchStats) {
+	return func(ix *Index) (*Accum, SearchStats) {
 		ac := ix.getAccum()
 		return ac, ix.scoreTerms(terms, ac)
 	}
@@ -103,7 +104,7 @@ func exhaustive(terms []string) scorer {
 
 // topN is the scorer of the fragment-at-a-time optimization.
 func topN(terms []string, k int, opts TopNOptions) scorer {
-	return func(ix *Index) (*accum, SearchStats) { return ix.scoreTopNTerms(terms, k, opts) }
+	return func(ix *Index) (*Accum, SearchStats) { return ix.scoreTopNTerms(terms, k, opts) }
 }
 
 // scoreOrds is the lane's one scatter body: score runs on every named
@@ -113,7 +114,7 @@ func topN(terms []string, k int, opts TopNOptions) scorer {
 // TermsMatched counts query terms present in any of them, the work counters
 // sum (segments touch disjoint docs), and early termination is reported if
 // any leg terminated early.
-func (s *Segments) scoreOrds(terms []string, ords []int, score scorer, keep func(slot, ord int, ac *accum)) (SearchStats, []SegStat) {
+func (s *Segments) scoreOrds(terms []string, ords []int, score scorer, keep func(slot, ord int, ac *Accum)) (SearchStats, []SegStat) {
 	legs := segset.Scatter(ords, func(slot, ord int) SearchStats {
 		ac, st := score(s.segs[ord])
 		keep(slot, ord, ac)
@@ -138,18 +139,23 @@ func (s *Segments) scoreOrds(terms []string, ords []int, score scorer, keep func
 
 // searchOrds ranks the named segments: each leg selects its own top k
 // under global doc IDs, and the streams merge under the global (score
-// desc, DocID asc) total order, capped at k (k <= 0 keeps everything).
-func (s *Segments) searchOrds(terms []string, k int, ords []int, score scorer) ([]Hit, SearchStats, []SegStat) {
+// desc, DocID asc) total order, capped at k (k <= 0 keeps everything). A
+// non-nil hold takes over every leg's scored accumulator, by ordinal,
+// still leased; otherwise the legs release them.
+func (s *Segments) searchOrds(terms []string, k int, ords []int, score scorer, hold []*Accum) ([]Hit, SearchStats, []SegStat) {
 	per := make([][]Hit, len(ords))
-	stats, legs := s.scoreOrds(terms, ords, score, func(slot, ord int, ac *accum) {
-		ix := s.segs[ord]
-		hits := ix.topKDense(ac, k)
-		ix.putAccum(ac)
+	stats, legs := s.scoreOrds(terms, ords, score, func(slot, ord int, ac *Accum) {
+		hits := s.segs[ord].topKDense(ac, k)
 		base := DocID(s.bases.Start(ord))
 		for j := range hits {
 			hits[j].Doc += base
 		}
 		per[slot] = hits
+		if hold != nil {
+			hold[ord] = ac
+		} else {
+			ac.Release()
+		}
 	})
 	return MergeHits(per, k), stats, legs
 }
@@ -166,7 +172,7 @@ func MergeHits(per [][]Hit, k int) []Hit {
 // returns the top k hits — byte-identical to Index.Search on the merged
 // collection (same hits, scores, and tie-breaks).
 func (s *Segments) Search(query string, k int) ([]Hit, SearchStats, error) {
-	hits, stats, _, err := s.SearchSegments(query, k, nil)
+	hits, stats, _, err := s.search(query, k, nil, nil)
 	return hits, stats, err
 }
 
@@ -179,6 +185,25 @@ func (s *Segments) Search(query string, k int) ([]Hit, SearchStats, error) {
 // order reproduces Search over all segments byte for byte. Stats cover only
 // the selected segments.
 func (s *Segments) SearchSegments(query string, k int, ords []int) ([]Hit, SearchStats, []SegStat, error) {
+	return s.search(query, k, ords, nil)
+}
+
+// SearchScores is Search that also leaves the query's scores leased: the
+// top k hits, plus a SegScores handle over everything the query touched —
+// what a rank fusion needs to place another lane's candidates in this one
+// (SegScores.Ranks). The caller must Release the handle.
+func (s *Segments) SearchScores(query string, k int) ([]Hit, SegScores, SearchStats, error) {
+	acs := make([]*Accum, len(s.segs))
+	hits, stats, legs, err := s.search(query, k, nil, acs)
+	if err != nil {
+		return nil, SegScores{}, SearchStats{}, err
+	}
+	return hits, SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
+}
+
+// search is the body of the three entry points above: analyze, check the
+// ordinals (nil names all), rank.
+func (s *Segments) search(query string, k int, ords []int, hold []*Accum) ([]Hit, SearchStats, []SegStat, error) {
 	terms := dedupe(Analyze(query))
 	if len(terms) == 0 {
 		return nil, SearchStats{}, nil, ErrEmptyQry
@@ -188,7 +213,7 @@ func (s *Segments) SearchSegments(query string, k int, ords []int) ([]Hit, Searc
 	} else if err := segset.Check(len(s.segs), ords...); err != nil {
 		return nil, SearchStats{}, nil, err
 	}
-	hits, stats, legs := s.searchOrds(terms, k, ords, exhaustive(terms))
+	hits, stats, legs := s.searchOrds(terms, k, ords, exhaustive(terms), hold)
 	return hits, stats, legs, nil
 }
 
@@ -205,7 +230,7 @@ func (s *Segments) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Sea
 	if len(terms) == 0 {
 		return nil, SearchStats{}, ErrEmptyQry
 	}
-	hits, stats, _ := s.searchOrds(terms, k, s.bases.Ords(), topN(terms, k, opts))
+	hits, stats, _ := s.searchOrds(terms, k, s.bases.Ords(), topN(terms, k, opts), nil)
 	return hits, stats, nil
 }
 
@@ -215,9 +240,15 @@ func (s *Segments) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Sea
 // to its segment's pool; the handle must not be used after Release. The
 // zero value is invalid (Valid reports false) and safe to Release.
 type SegScores struct {
-	s   *Segments
-	acs []*accum
-	per []SegStat
+	bases segset.Bases
+	acs   []*Accum
+	per   []SegStat
+}
+
+// LeaseScores wraps one scored, still leased accumulator per segment of a
+// lane laid out by bases — how the vector lane hands out its scores.
+func LeaseScores(bases segset.Bases, acs []*Accum) SegScores {
+	return SegScores{bases: bases, acs: acs}
 }
 
 // Valid reports whether the handle holds a scored query.
@@ -225,11 +256,54 @@ func (sc SegScores) Valid() bool { return sc.acs != nil }
 
 // Get returns doc d's score (0 for documents the query did not touch).
 func (sc SegScores) Get(d DocID) float64 {
-	if d < 0 || int(d) >= sc.s.Docs() {
+	if d < 0 || int(d) >= sc.bases.Total() {
 		return 0
 	}
-	ord, local := sc.s.bases.Of(int(d))
-	return sc.acs[ord].get(DocID(local))
+	ord, local := sc.bases.Of(int(d))
+	return sc.acs[ord].Get(DocID(local))
+}
+
+// Ranks returns each hit's document's 1-based rank among all the documents
+// the query scored, under the (score desc, DocID asc) order, and 0 where the
+// query did not score it — the position it holds in the full ranking,
+// without building one: a counting pass over the leased scores, with a
+// binary search among the listed documents per scored one. The hits are
+// another lane's; only their Doc is read.
+func (sc SegScores) Ranks(hits []Hit) []int {
+	ranks := make([]int, len(hits))
+	// cands are the listed documents this query scored, best first, each
+	// with its position in hits.
+	type cand struct {
+		Hit
+		at int
+	}
+	cands := make([]cand, 0, len(hits))
+	for i, h := range hits {
+		if h.Doc < 0 || int(h.Doc) >= sc.bases.Total() {
+			continue
+		}
+		ord, local := sc.bases.Of(int(h.Doc))
+		if ac := sc.acs[ord]; ac.stamps[local] == ac.epoch {
+			cands = append(cands, cand{Hit{Doc: h.Doc, Score: ac.scores[local]}, i})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return worseHit(cands[j].Hit, cands[i].Hit) })
+	// ahead[p] counts the scored documents whose best beaten candidate is
+	// cands[p]: they rank ahead of it and of every candidate after it.
+	ahead := make([]int, len(cands)+1)
+	for ord, ac := range sc.acs {
+		base := DocID(sc.bases.Start(ord))
+		for _, d := range ac.touched {
+			t := Hit{Doc: base + d, Score: ac.scores[d]}
+			ahead[sort.Search(len(cands), func(i int) bool { return worseHit(cands[i].Hit, t) })]++
+		}
+	}
+	n := 0
+	for i, c := range cands {
+		n += ahead[i]
+		ranks[c.at] = n + 1
+	}
+	return ranks
 }
 
 // SegmentStats returns the kernel stats and wall time of each segment's
@@ -239,8 +313,8 @@ func (sc SegScores) SegmentStats() []SegStat { return sc.per }
 // Release returns the backing accumulators to their segments' pools. Safe
 // on the zero value.
 func (sc SegScores) Release() {
-	for i, ac := range sc.acs {
-		sc.s.segs[i].putAccum(ac)
+	for _, ac := range sc.acs {
+		ac.Release()
 	}
 }
 
@@ -250,9 +324,9 @@ func (s *Segments) scoreAll(terms []string, score scorer) (SegScores, SearchStat
 	if len(terms) == 0 {
 		return SegScores{}, SearchStats{}, ErrEmptyQry
 	}
-	acs := make([]*accum, len(s.segs))
-	stats, legs := s.scoreOrds(terms, s.bases.Ords(), score, func(slot, _ int, ac *accum) { acs[slot] = ac })
-	return SegScores{s: s, acs: acs, per: legs}, stats, nil
+	acs := make([]*Accum, len(s.segs))
+	stats, legs := s.scoreOrds(terms, s.bases.Ords(), score, func(slot, _ int, ac *Accum) { acs[slot] = ac })
+	return SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
 }
 
 // ScoreQuery runs the exhaustive scorer across all segments and returns a

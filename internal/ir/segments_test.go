@@ -143,6 +143,51 @@ func TestSegScoresMatchMonolithic(t *testing.T) {
 	}
 }
 
+// TestSearchScoresRanks locks what the hybrid fusion builds on: the hits of
+// SearchScores are Search's, and Ranks places every document of the
+// collection exactly where the full ranking has it (duplicates included,
+// so equal scores order by DocID) and reports 0 for the ones the query
+// never touched — at 1, 2, 3 and 7 segments, listed in any order.
+func TestSearchScoresRanks(t *testing.T) {
+	docs := segCorpus(200)
+	all := make([]Hit, len(docs)+2)
+	for i := range all {
+		all[i].Doc = DocID(len(docs) - i) // one past the end, descending to -1
+	}
+	for _, nseg := range []int{1, 2, 3, 7} {
+		segs := buildSegs(t, docs, nseg)
+		for _, q := range segQueries {
+			full, _, err := segs.Search(q, 0)
+			if err != nil {
+				if _, _, _, err2 := segs.SearchScores(q, 5); err2 != err {
+					t.Fatalf("q=%q: SearchScores error %v, Search %v", q, err2, err)
+				}
+				continue
+			}
+			want := map[DocID]int{}
+			for i, h := range full {
+				want[h.Doc] = i + 1
+			}
+			for _, k := range []int{0, 1, 5, 1000} {
+				hits, scores, stats, err := segs.SearchScores(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				top, topStats, _ := segs.Search(q, k)
+				if !reflect.DeepEqual(hits, top) || stats != topStats {
+					t.Fatalf("segs=%d q=%q k=%d: SearchScores hits/stats diverge from Search", nseg, q, k)
+				}
+				for i, r := range scores.Ranks(all) {
+					if r != want[all[i].Doc] {
+						t.Fatalf("segs=%d q=%q k=%d: doc %d rank %d, want %d", nseg, q, k, all[i].Doc, r, want[all[i].Doc])
+					}
+				}
+				scores.Release()
+			}
+		}
+	}
+}
+
 // TestSegmentsTopNSafeHitSet checks the per-segment safe top-N merge
 // returns the same documents in the same rank order as the exhaustive
 // segmented search (the safe-termination contract), and that budget mode

@@ -55,7 +55,7 @@ func (ix *Index) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Searc
 	if err != nil {
 		return nil, stats, err
 	}
-	defer ix.putAccum(ac)
+	defer ac.Release()
 	return ix.topKDense(ac, k), stats, nil
 }
 
@@ -71,12 +71,12 @@ func (ix *Index) ScoreTopN(query string, k int, opts TopNOptions) (Scores, Searc
 	if err != nil {
 		return Scores{}, stats, err
 	}
-	return Scores{ix: ix, ac: ac}, stats, nil
+	return Scores{ac: ac}, stats, nil
 }
 
 // scoreTopN runs the top-N algorithm into a leased accumulator, which the
 // caller owns (and must return to the pool) on success.
-func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*accum, SearchStats, error) {
+func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, SearchStats, error) {
 	if !ix.frozen {
 		return nil, SearchStats{}, ErrNotFrozen
 	}
@@ -90,7 +90,7 @@ func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*accum, Searc
 
 // scoreTopNTerms is scoreTopN after query analysis: the entry point the
 // Segments reader scatters across segments with one shared term list.
-func (ix *Index) scoreTopNTerms(terms []string, k int, opts TopNOptions) (*accum, SearchStats) {
+func (ix *Index) scoreTopNTerms(terms []string, k int, opts TopNOptions) (*Accum, SearchStats) {
 	opts = opts.withDefaults()
 	var states []*termState
 	for _, t := range terms {
@@ -119,7 +119,7 @@ func (ix *Index) scoreTopNTerms(terms []string, k int, opts TopNOptions) (*accum
 // runBudget processes fragment rounds round-robin across terms: round r
 // takes the r-th fragment of every list. This is the horizontal
 // fragmentation schedule whose prefix defines the quality/time trade-off.
-func runBudget(states []*termState, ac *accum, stats *SearchStats, budget int) {
+func runBudget(states []*termState, ac *Accum, stats *SearchStats, budget int) {
 	for round := 0; round < budget; round++ {
 		progressed := false
 		for _, st := range states {
@@ -143,7 +143,7 @@ func runBudget(states []*termState, ac *accum, stats *SearchStats, budget int) {
 
 // runSafe processes fragments best-first (highest remaining ceiling) and
 // stops when no document outside the current top k can still climb into it.
-func runSafe(states []*termState, ac *accum, stats *SearchStats, k int) {
+func runSafe(states []*termState, ac *Accum, stats *SearchStats, k int) {
 	// The termination test walks every touched document; running it after
 	// every fragment would cost more than the postings it saves, so it
 	// runs every checkEvery fragments.
@@ -190,13 +190,13 @@ func runSafe(states []*termState, ac *accum, stats *SearchStats, k int) {
 }
 
 // processFragment scores the next fragment of st and updates its ceiling.
-func processFragment(st *termState, ac *accum, stats *SearchStats) {
+func processFragment(st *termState, ac *Accum, stats *SearchStats) {
 	end := st.pos + st.step
 	if end > len(st.list) {
 		end = len(st.list)
 	}
 	for i := st.pos; i < end; i++ {
-		ac.add(st.list[i].Doc, float64(st.imp[i]))
+		ac.Add(st.list[i].Doc, float64(st.imp[i]))
 	}
 	stats.PostingsScored += end - st.pos
 	st.pos = end

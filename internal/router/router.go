@@ -460,7 +460,7 @@ func (r *Router) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 	case q.Hybrid != "":
 		r.hybridQ.Add(1)
 	}
-	rs, partial, err := r.searchAll(ctx, q, key)
+	rs, partial, err := r.gather(ctx, q, key, dlse.Depth(cursor, limit))
 	if err != nil {
 		r.failures.Add(1)
 		return nil, false, err
@@ -478,8 +478,14 @@ func (r *Router) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 
 const maxStaleRetries = 4
 
-// searchAll computes the full (unpaginated) distributed answer.
-func (r *Router) searchAll(ctx context.Context, q dlse.Query, key string) (*dlse.ResultSet, bool, error) {
+// gather computes the distributed answer to the given depth (dlse.Depth; 0
+// is the full ranking): keyword and vector legs are asked for their top
+// depth — clamped to the documents the manifest says the lane has, since
+// depth is client input — and report how many documents matched, so the
+// merged prefix carries the exact total. Hybrid legs still fetch both full
+// rankings: an exact fusion needs every candidate's rank in the other lane,
+// and /v2/partial has no rank lookup yet.
+func (r *Router) gather(ctx context.Context, q dlse.Query, key string, depth int) (*dlse.ResultSet, bool, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxStaleRetries; attempt++ {
 		if attempt > 0 {
@@ -507,8 +513,10 @@ func (r *Router) searchAll(ctx context.Context, q dlse.Query, key string) (*dlse
 				vec, err = r.scatter(ctx, transport.Query{Vector: q.Hybrid, K: 0},
 					man, ordinals(man.TextSegments), ordinals(len(man.Segments)))
 				if err == nil {
-					items := dlse.FuseRRF(hitItems(kw.parts), hitItems(vec.parts))
-					rs := dlse.NewResultSet(items, key, man.Generation)
+					lex, _ := hitItems(kw.parts, 0)
+					sem, _ := hitItems(vec.parts, 0)
+					items := dlse.FuseRRF(lex, sem)
+					rs := dlse.NewResultSet(items, len(items), key, man.Generation)
 					return rs, kw.missing > 0 || vec.missing > 0, nil
 				}
 			}
@@ -522,14 +530,13 @@ func (r *Router) searchAll(ctx context.Context, q dlse.Query, key string) (*dlse
 		var textOrds, videoOrds []int
 		switch {
 		case q.Keyword != "":
-			// k=0: full ranking, so cursor pagination slices the same list
-			// a monolithic engine would cache.
-			tq = transport.Query{Keyword: q.Keyword, K: 0}
+			tq = transport.Query{Keyword: q.Keyword, K: min(depth, man.Docs)}
 			textOrds = ordinals(man.TextSegments)
 		case q.Vector != "":
 			// The vector lane spans both ordinal spaces: pages first, then
-			// video-embedding segments (see transport.PartialOf).
-			tq = transport.Query{Vector: q.Vector, K: 0}
+			// video-embedding segments, one document per video (see
+			// transport.PartialOf).
+			tq = transport.Query{Vector: q.Vector, K: min(depth, man.Docs+man.Videos)}
 			textOrds = ordinals(man.TextSegments)
 			videoOrds = ordinals(len(man.Segments))
 		default:
@@ -548,11 +555,11 @@ func (r *Router) searchAll(ctx context.Context, q dlse.Query, key string) (*dlse
 			}
 			return nil, false, err
 		}
-		items := mergeParts(q, g.parts)
+		items, total := mergeParts(tq, g.parts)
 		// Cursors bind to (key, snapshot); the manifest generation is the
 		// cluster-wide stand-in for a snapshot — stable across nodes,
 		// moved by every commit.
-		rs := dlse.NewResultSet(items, key, g.man.Generation)
+		rs := dlse.NewResultSet(items, total, key, g.man.Generation)
 		return rs, g.missing > 0, nil
 	}
 	return nil, false, fmt.Errorf("router: segment set kept moving during query: %w", lastErr)
@@ -560,8 +567,9 @@ func (r *Router) searchAll(ctx context.Context, q dlse.Query, key string) (*dlse
 
 // hitItems merges per-group ranked partial answers (keyword or vector —
 // both rank under the engine's global score desc, DocID asc order) into
-// the global item list.
-func hitItems(parts []*transport.Partial) []dlse.Item {
+// the global item list, capped at k (0 keeps everything), and sums what the
+// groups matched.
+func hitItems(parts []*transport.Partial, k int) (items []dlse.Item, matched int) {
 	per := make([][]ir.Hit, 0, len(parts))
 	for _, p := range parts {
 		hits := make([]ir.Hit, len(p.Hits))
@@ -569,23 +577,25 @@ func hitItems(parts []*transport.Partial) []dlse.Item {
 			hits[i] = ir.Hit{Doc: h.Doc, Name: h.Page, Score: h.Score}
 		}
 		per = append(per, hits)
+		matched += p.Matched
 	}
-	merged := ir.MergeHits(per, 0)
-	items := make([]dlse.Item, len(merged))
+	merged := ir.MergeHits(per, k)
+	items = make([]dlse.Item, len(merged))
 	for i, h := range merged {
 		items[i] = dlse.Item{Page: h.Name, Doc: h.Doc, Score: h.Score}
 	}
-	return items
+	return items, matched
 }
 
 // mergeParts merges per-group partial answers into the global item list —
-// the gather half of scatter-gather. Keyword and vector answers merge
-// under the engine's total order (score desc, DocID asc); scene answers
-// concatenate groups in segment-ordinal order, restoring the monolithic
-// walk.
-func mergeParts(q dlse.Query, parts []*transport.Partial) []dlse.Item {
-	if q.Keyword != "" || q.Vector != "" {
-		return hitItems(parts)
+// the gather half of scatter-gather — and reports the size of the whole
+// answer. Keyword and vector answers merge under the engine's total order
+// (score desc, DocID asc), to the depth the legs were asked for; scene
+// answers concatenate groups in segment-ordinal order, restoring the
+// monolithic walk.
+func mergeParts(q transport.Query, parts []*transport.Partial) ([]dlse.Item, int) {
+	if q.Scenes == "" {
+		return hitItems(parts, q.K)
 	}
 	var groups []transport.SceneGroup
 	for _, p := range parts {
@@ -599,5 +609,5 @@ func mergeParts(q dlse.Query, parts []*transport.Partial) []dlse.Item {
 			items = append(items, dlse.Item{Scene: &scenes[i]})
 		}
 	}
-	return items
+	return items, len(items)
 }

@@ -7,7 +7,10 @@ package router
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -549,4 +552,138 @@ func TestRouterSearchDirect(t *testing.T) {
 	}
 
 	_ = transport.ErrUnavailable // keep import for doc symmetry
+}
+
+// recordingSource is a Local source under its own address that keeps every
+// partial query it answered with the answer.
+type recordingSource struct {
+	*transport.Local
+	addr string
+	mu   sync.Mutex
+	legs []recordedLeg
+}
+
+type recordedLeg struct {
+	q transport.Query
+	p *transport.Partial
+}
+
+func (s *recordingSource) Addr() string { return s.addr }
+
+func (s *recordingSource) Partial(ctx context.Context, q transport.Query, sel transport.Sel, gen int64) (*transport.Partial, error) {
+	p, err := s.Local.Partial(ctx, q, sel, gen)
+	s.mu.Lock()
+	s.legs = append(s.legs, recordedLeg{q, p})
+	s.mu.Unlock()
+	return p, err
+}
+
+// TestRouterBoundedLegs locks the depth the router asks its legs for:
+// keyword and vector legs carry K = offset+limit and answer with at most K
+// hits plus the matched count the total is summed from; pages 1-3 by cursor
+// equal the single node's, total included; hybrid legs still fetch full
+// rankings (K = 0); and a forged cursor (offset 2^40) with the largest limit
+// asks for no more than the lane's documents and gets an empty last page.
+func TestRouterBoundedLegs(t *testing.T) {
+	e := buildEngine(t)
+	local := transport.NewLocal(func() *dlse.Engine { return e })
+	nodes := []*recordingSource{{Local: local, addr: "node-0"}, {Local: local, addr: "node-1"}}
+	r, err := NewWithSources([]transport.SegmentSource{nodes[0], nodes[1]}, Options{Replicas: 1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	drain := func() (legs []recordedLeg) {
+		for _, n := range nodes {
+			n.mu.Lock()
+			legs = append(legs, n.legs...)
+			n.legs = nil
+			n.mu.Unlock()
+		}
+		return legs
+	}
+	const limit = 3
+	docs, vecDocs := e.TextIndex().Docs(), e.VecIndex().Docs()
+	for _, tc := range []struct {
+		q       dlse.Query
+		bounded bool
+		lane    int // documents in the lane the legs read
+	}{
+		{dlse.Query{Keyword: "australian open final"}, true, docs},
+		{dlse.Query{Vector: "australian open final"}, true, vecDocs},
+		{dlse.Query{Hybrid: "australian open final"}, false, vecDocs},
+	} {
+		cursor, monoCursor := dlse.Cursor(""), dlse.Cursor("")
+		for pageNo := 1; pageNo <= 3; pageNo++ {
+			got, partial, err := r.Search(ctx, tc.q, cursor, limit)
+			if err != nil || partial {
+				t.Fatalf("%+v page %d: err %v partial %t", tc.q, pageNo, err, partial)
+			}
+			want, err := e.Search(ctx, tc.q, dlse.WithLimit(limit), dlse.WithCursor(monoCursor))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Items, want.Items) || got.Total != want.Total || (got.Cursor == "") != (want.Cursor == "") {
+				t.Fatalf("%+v page %d: router answer diverges from the single node's", tc.q, pageNo)
+			}
+			matched := map[string]int{}
+			for _, leg := range drain() {
+				wantK := 0
+				if tc.bounded {
+					wantK = pageNo * limit
+				}
+				if leg.q.K != wantK || wantK > 0 && len(leg.p.Hits) > wantK {
+					t.Fatalf("%+v page %d: leg K=%d with %d hits, want K=%d", tc.q, pageNo, leg.q.K, len(leg.p.Hits), wantK)
+				}
+				lane := "kw"
+				if leg.q.Vector != "" {
+					lane = "vec"
+				}
+				matched[lane] += leg.p.Matched
+			}
+			if !tc.bounded {
+				matched = map[string]int{"": matched["vec"]} // the union is what the vector lane scanned
+			}
+			for lane, n := range matched {
+				if n != want.Total {
+					t.Fatalf("%+v page %d: %s legs matched %d, total %d", tc.q, pageNo, lane, n, want.Total)
+				}
+			}
+			cursor, monoCursor = got.Cursor, want.Cursor
+		}
+		if !tc.bounded {
+			continue
+		}
+		first, _, err := r.Search(ctx, tc.q, "", limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain()
+		last, _, err := r.Search(ctx, tc.q, forgeCursor(t, tc.q, 1<<40), 999_999_999)
+		if err != nil || len(last.Items) != 0 || last.Cursor != "" || last.Total != first.Total {
+			t.Fatalf("%+v forged cursor: err %v, %d items, total %d", tc.q, err, len(last.Items), last.Total)
+		}
+		for _, leg := range drain() {
+			if leg.q.K != tc.lane {
+				t.Fatalf("%+v forged cursor: leg K=%d, want the lane's %d documents", tc.q, leg.q.K, tc.lane)
+			}
+		}
+	}
+}
+
+// forgeCursor mints a cursor for q at an arbitrary offset, the way a client
+// that has reverse-engineered the token would: base64 of uvarint(FNV-1a of
+// the canonical key), uvarint(offset), varint(snapshot).
+func forgeCursor(t *testing.T, q dlse.Query, offset uint64) dlse.Cursor {
+	t.Helper()
+	key, ok := dlse.CanonicalKey(q)
+	if !ok {
+		t.Fatalf("no canonical key for %+v", q)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	buf := binary.AppendUvarint(nil, h.Sum64())
+	buf = binary.AppendUvarint(buf, offset)
+	buf = binary.AppendVarint(buf, 0)
+	return dlse.Cursor(base64.RawURLEncoding.EncodeToString(buf))
 }

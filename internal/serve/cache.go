@@ -142,12 +142,23 @@ func (c *cache[V]) Purge() {
 // Len returns the number of cached entries.
 func (c *cache[V]) Len() int {
 	n := 0
+	c.Each(func(V) { n++ })
+	return n
+}
+
+// Each calls fn on every cached value, outside the shard locks.
+func (c *cache[V]) Each(fn func(V)) {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.ll.Len()
+		vals := make([]V, 0, s.ll.Len())
+		for el := s.ll.Front(); el != nil; el = el.Next() {
+			vals = append(vals, el.Value.(*cacheEntry[V]).value)
+		}
 		s.mu.Unlock()
+		for _, v := range vals {
+			fn(v)
+		}
 	}
-	return n
 }
 
 // Stats reports cumulative hit/miss counts.

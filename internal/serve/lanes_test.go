@@ -5,13 +5,17 @@ package serve
 // page, and each lane moves its own /metrics counter.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dlse"
 )
 
 func TestV2SearchLanes(t *testing.T) {
@@ -112,6 +116,86 @@ func TestV2SearchLanes(t *testing.T) {
 	} {
 		if got, _ := vars[name].(float64); got != want {
 			t.Fatalf("/debug/vars %s = %v, want %v", name, vars[name], want)
+		}
+	}
+}
+
+// TestRankedPrefixCache locks what the cache holds for a ranked lane and
+// what "cached" means while a cursor walks it: the entry is the prefix
+// ranked so far plus the total; a page inside the prefix is a hit; the first
+// fetch past it re-executes in place (not cached, one deepen counted) and
+// the same fetch again is a hit; the walk concatenates to the unpaginated
+// answer; and dl_cache_items follows what the entries hold.
+func TestRankedPrefixCache(t *testing.T) {
+	e, _ := fixture(t)
+	srv := New(e, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ctx := context.Background()
+	for _, q := range []dlse.Query{{Keyword: "australian open"}, {Vector: "australian open"}, {Hybrid: "australian open"}} {
+		srv.InvalidateCache()
+		want, err := e.SearchAll(ctx, q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Total < 8 {
+			t.Fatalf("%+v: fixture answer too small (%d)", q, want.Total)
+		}
+		deepens := srv.deepens.Value()
+		fetch := func(cursor dlse.Cursor, wantCached bool, wantItems int) *dlse.ResultSet {
+			t.Helper()
+			rs, cached, err := srv.Search(ctx, q, cursor, 2, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached != wantCached || rs.Total != want.Total {
+				t.Fatalf("%+v cursor %q: cached=%t total=%d, want %t %d", q, cursor, cached, rs.Total, wantCached, want.Total)
+			}
+			if got := metricsJSON(t, ts.URL)["cache_items"]; got != float64(wantItems) {
+				t.Fatalf("%+v cursor %q: cache holds %v items, want %d", q, cursor, got, wantItems)
+			}
+			return rs
+		}
+		p1 := fetch("", false, 2)        // miss: ranked to depth 2
+		fetch("", true, 2)               // same page: hit
+		p2 := fetch(p1.Cursor, false, 4) // past the prefix: deepened to max(4, 2*2)
+		fetch(p1.Cursor, true, 4)        // again: hit
+		p3 := fetch(p2.Cursor, false, 8) // 6 needed, doubled to 8
+		p4 := fetch(p3.Cursor, true, 8)  // items 6..8 are already held
+		if got := srv.deepens.Value() - deepens; got != 2 {
+			t.Fatalf("%+v: %d deepens counted, want 2", q, got)
+		}
+		var walked []dlse.Item
+		for _, p := range []*dlse.ResultSet{p1, p2, p3, p4} {
+			walked = append(walked, p.Items...)
+		}
+		if !reflect.DeepEqual(walked, want.Items[:8]) {
+			t.Fatalf("%+v: walk over the deepening entry diverges from the unpaginated answer", q)
+		}
+		// An unlimited fetch ranks the rest; everything after is a hit.
+		if rs, cached, err := srv.Search(ctx, q, "", 0, false); err != nil || cached || !reflect.DeepEqual(rs.Items, want.Items) {
+			t.Fatalf("%+v: unlimited fetch over a held prefix: cached=%t err=%v", q, cached, err)
+		}
+		if rs, cached, err := srv.Search(ctx, q, p3.Cursor, 0, false); err != nil || !cached || !reflect.DeepEqual(rs.Items, want.Items[6:]) {
+			t.Fatalf("%+v: page of a fully ranked entry: cached=%t err=%v", q, cached, err)
+		}
+	}
+	m := metricsJSON(t, ts.URL)
+	if m["cache_deepens"] != 9 || m["cache_items"] == 0 {
+		t.Fatalf("/debug/vars: cache_deepens=%v cache_items=%v", m["cache_deepens"], m["cache_items"])
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wantLine := range []string{"# TYPE dl_cache_deepens_total counter", "dl_cache_deepens_total 9", "# TYPE dl_cache_items gauge"} {
+		if !strings.Contains(string(raw), wantLine) {
+			t.Fatalf("/metrics missing %q:\n%s", wantLine, raw)
 		}
 	}
 }

@@ -57,6 +57,7 @@ type Server struct {
 	commits     *expvar.Int
 	compactions *expvar.Int
 	partials    *expvar.Int
+	deepens     *expvar.Int // re-executions deepening a cached ranked prefix
 	metrics     *expvar.Map
 }
 
@@ -71,6 +72,7 @@ func New(engine *dlse.Engine, opts Options) *Server {
 		commits:     new(expvar.Int),
 		compactions: new(expvar.Int),
 		partials:    new(expvar.Int),
+		deepens:     new(expvar.Int),
 	}
 	s.engine.Store(engine)
 	if opts.CacheSize >= 0 {
@@ -90,6 +92,15 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	s.metrics.Set("cache_entries", expvar.Func(func() any { e, _, _ := s.CacheStats(); return e }))
 	s.metrics.Set("cache_hits", expvar.Func(func() any { _, h, _ := s.CacheStats(); return h }))
 	s.metrics.Set("cache_misses", expvar.Func(func() any { _, _, m := s.CacheStats(); return m }))
+	s.metrics.Set("cache_deepens", s.deepens)
+	// How much ranking the cache retains: answer items held across entries.
+	s.metrics.Set("cache_items", expvar.Func(func() any {
+		n := 0
+		if s.cache != nil {
+			s.cache.Each(func(rs *dlse.ResultSet) { n += rs.Held() })
+		}
+		return n
+	}))
 	s.metrics.Set("active_segments", expvar.Func(func() any {
 		return s.engine.Load().VideoIndex().NumSegments()
 	}))
@@ -234,17 +245,21 @@ func (s *Server) pin() (*dlse.Engine, int64) {
 }
 
 // Search answers a unified query with cursor pagination, consulting the
-// cache. The full (unpaginated) result set is what gets cached, keyed on
-// the query's canonical key — so every page of a walk hits the same entry,
-// making page N exactly as cacheable as page 1. Explain requests bypass
-// the cache: an explain describes an execution, so one is performed. The
-// bool reports whether the answer came from the cache.
+// cache. What is cached, under the query's canonical key, is the result set
+// of one execution — the whole answer of a combined or scene query, the
+// ranked prefix plus exact total of a ranked lane (see dlse.ResultSet) — so
+// every page of a walk hits the same entry. A page the entry holds reports
+// cached; a cursor walking past the held prefix deepens the entry in place
+// (a re-execution on its snapshot, counted in dl_cache_deepens_total, under
+// a worker slot like any execution) and reports not cached. Explain
+// requests bypass the cache: an explain describes an execution, so one is
+// performed. The bool reports whether the answer came from the cache.
 //
-// A miss takes a worker slot, executes, and stores the result under the
-// version tag pinned together with the engine it ran against (see pin). The
-// tag is observed *before* the execution, so an index write or swap racing
-// it can only make the entry stale-tagged (it will never match again),
-// never falsely fresh.
+// A miss takes a worker slot, executes to the depth the page needs, and
+// stores the result under the version tag pinned together with the engine
+// it ran against (see pin). The tag is observed *before* the execution, so
+// an index write or swap racing it can only make the entry stale-tagged (it
+// will never match again), never falsely fresh.
 func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, limit int, explain bool) (*dlse.ResultSet, bool, error) {
 	s.queries.Add(1)
 	e, ver := s.pin()
@@ -262,25 +277,34 @@ func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 	case nq.Hybrid != "":
 		s.hybridQ.Add(1)
 	}
+	depth := dlse.Depth(cursor, limit)
 	useCache := s.cache != nil && !explain
+	var full *dlse.ResultSet
+	hit := false
 	if useCache {
-		if full, ok := s.cache.Get(key, ver); ok {
-			rs, err := full.Page(cursor, limit)
-			return rs, err == nil, err
+		if full, hit = s.cache.Get(key, ver); hit {
+			if held := full.Held(); held == full.Total || depth > 0 && held >= depth {
+				rs, err := full.Page(cursor, limit)
+				return rs, err == nil, err
+			}
 		}
 	}
 	if err := s.acquire(ctx); err != nil {
 		return nil, false, err
 	}
 	defer s.release()
-	full, err := e.SearchNormalized(ctx, nq, key, explain)
-	if err != nil {
-		return nil, false, err
-	}
-	if useCache {
-		s.cache.Put(key, ver, full)
+	if !hit {
+		if full, err = e.SearchNormalized(ctx, nq, key, depth, explain); err != nil {
+			return nil, false, err
+		}
+		if useCache {
+			s.cache.Put(key, ver, full)
+		}
 	}
 	rs, err := full.Page(cursor, limit)
+	if hit && err == nil {
+		s.deepens.Add(1) // the page re-executed the entry to the depth this cursor reached
+	}
 	return rs, false, err
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dlse"
 	"repro/internal/ir"
+	"repro/internal/vec"
 )
 
 // Local is the in-process SegmentSource: partial reads against whatever
@@ -96,11 +97,14 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 			return nil, fmt.Errorf("%w: keyword query selects no text segments", ErrBadSelection)
 		}
 		hits, p.Stats, _, err = e.TextIndex().SearchSegments(q.Keyword, q.K, sel.Text)
+		p.Matched = p.Stats.DocsTouched
 	case q.Vector != "":
 		if len(vecOrds) == 0 {
 			return nil, fmt.Errorf("%w: vector query selects no segments", ErrBadSelection)
 		}
-		hits, _, _, err = e.VecIndex().SearchSegments(q.Vector, q.K, vecOrds)
+		var stats vec.SearchStats
+		hits, stats, _, err = e.VecIndex().SearchSegments(q.Vector, q.K, vecOrds)
+		p.Matched = stats.DocsScanned
 	case q.Scenes != "":
 		if len(sel.Video) == 0 {
 			return nil, fmt.Errorf("%w: scene query selects no video segments", ErrBadSelection)

@@ -79,7 +79,8 @@ type Query struct {
 	// Keyword is ranked BM25 retrieval over the selected text partitions.
 	Keyword string `json:"keyword,omitempty"`
 	// K caps the keyword or vector answer at the top k hits (0 = full
-	// ranking).
+	// ranking). The gather asks for the depth its page needs; the answer's
+	// Matched still counts everything that would have ranked.
 	K int `json:"k,omitempty"`
 	// Vector is embedding-similarity retrieval over the vector lane: the
 	// selected text ordinals name page-embedding segments, the selected
@@ -113,9 +114,14 @@ type Partial struct {
 	// that answered; the gather checks all legs agree on Generation.
 	Generation int64 `json:"generation"`
 	Snapshot   int64 `json:"snapshot"`
-	// Hits is the keyword answer: the selected partitions' hits merged
-	// under the global (score desc, DocID asc) order.
+	// Hits is the keyword or vector answer: the selected partitions' best
+	// Query.K hits (all of them at K = 0) merged under the global (score
+	// desc, DocID asc) order.
 	Hits []Hit `json:"hits,omitempty"`
+	// Matched is the size of that answer before the cap: documents the
+	// keyword touched, or the vector scan scored, in the selected
+	// partitions. Summed over a gather's legs it is the answer's total.
+	Matched int `json:"matched,omitempty"`
 	// Stats is the keyword kernel work over the selected partitions.
 	Stats ir.SearchStats `json:"stats"`
 	// Groups is the scenes answer, one group per selected video partition.

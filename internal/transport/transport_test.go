@@ -132,6 +132,31 @@ func TestPartialKeywordParity(t *testing.T) {
 		if len(ords) == 3 && len(lp.Hits) == 0 {
 			t.Fatalf("ords %v: no hits", ords)
 		}
+		if lp.Matched != len(lp.Hits) {
+			t.Fatalf("ords %v: matched %d, %d hits at K=0", ords, lp.Matched, len(lp.Hits))
+		}
+		// A bounded leg answers the prefix of the unbounded one and still
+		// reports everything that matched, over the wire too; the vector
+		// lane likewise.
+		for _, full := range []transport.Query{q, {Vector: q.Keyword}} {
+			want, err := local.Partial(ctx, full, transport.Sel{Text: ords}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := full
+			top.K = 2
+			for _, src := range []transport.SegmentSource{local, remote} {
+				got, err := src.Partial(ctx, top, transport.Sel{Text: ords}, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Matched != want.Matched || len(got.Hits) > 2 || !reflect.DeepEqual(got.Hits, want.Hits[:len(got.Hits)]) ||
+					len(got.Hits) != min(2, len(want.Hits)) {
+					t.Fatalf("ords %v %s K=2: %d hits, matched %d (unbounded: %d hits, matched %d)",
+						ords, src.Addr(), len(got.Hits), got.Matched, len(want.Hits), want.Matched)
+				}
+			}
+		}
 	}
 }
 

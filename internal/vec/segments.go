@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/segset"
@@ -29,6 +30,10 @@ type segment struct {
 	base    ir.DocID
 	listOff []uint32 // len = ncent+1, offsets into listDoc
 	listDoc []int32  // local doc ordinals grouped by centroid, ascending within a list
+
+	// scratch recycles the per-query score arrays — the lexical kernel's
+	// accumulator, so both lanes select and rank-count with one code.
+	scratch sync.Pool
 }
 
 // Segments is a scatter-gather reader over frozen vector segments — the
@@ -81,7 +86,9 @@ func NewSegments(e Embedder, parts []*Builder, opts Options) (*Segments, error) 
 	}
 	s.bases = segset.NewBases(sizes)
 	for i, b := range parts {
-		s.segs = append(s.segs, &segment{b: b, base: ir.DocID(s.bases.Start(i))})
+		sg := &segment{b: b, base: ir.DocID(s.bases.Start(i))}
+		sg.scratch.New = func() any { return ir.NewAccum(sg.b.Len(), &sg.scratch) }
+		s.segs = append(s.segs, sg)
 	}
 	s.buildCodebook(parts)
 	for _, sg := range s.segs {
@@ -232,47 +239,39 @@ func (s *Segments) probeSet(q []float32, probes int) []int {
 	return order[:probes]
 }
 
-// scan scores every document of sg in the probed lists and returns them
-// sorted under the global total order (score desc, DocID asc). flat ignores
-// the lists and scans exhaustively.
-func (sg *segment) scan(q []float32, probes []int, flat bool) []ir.Hit {
-	n := sg.b.Len()
-	if n == 0 {
-		return nil
-	}
-	var hits []ir.Hit
-	score := func(local int32) {
-		hits = append(hits, ir.Hit{
-			Doc:   sg.base + ir.DocID(local),
-			Name:  sg.b.Name(int(local)),
-			Score: dot(q, sg.b.Vec(int(local))),
-		})
-	}
+// scan scores every document of sg in the probed lists into a pooled dense
+// array and selects the best k under the global total order (score desc,
+// DocID asc; k <= 0 keeps every scanned document), resolving names only for
+// the survivors. flat ignores the lists and scans exhaustively. The scored
+// array comes back still leased: the caller releases or holds it.
+func (sg *segment) scan(q []float32, probes []int, flat bool, k int) ([]ir.Hit, *ir.Accum) {
+	ac := sg.scratch.Get().(*ir.Accum)
+	ac.Begin()
 	if flat {
-		hits = make([]ir.Hit, 0, n)
-		for i := 0; i < n; i++ {
-			score(int32(i))
+		for i := 0; i < sg.b.Len(); i++ {
+			ac.Add(ir.DocID(i), dot(q, sg.b.Vec(i)))
 		}
 	} else {
 		for _, c := range probes {
 			for _, local := range sg.listDoc[sg.listOff[c]:sg.listOff[c+1]] {
-				score(local)
+				ac.Add(ir.DocID(local), dot(q, sg.b.Vec(int(local))))
 			}
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
-	return hits
+	hits := ac.TopK(k)
+	for i := range hits {
+		hits[i].Name = sg.b.Name(int(hits[i].Doc))
+		hits[i].Doc += sg.base
+	}
+	return hits, ac
 }
 
 // searchOrds is the lane's one scatter-gather body: scan the named
 // segments and merge their hits under the global total order, capped at k
-// (k <= 0 ranks every scanned document). flat is the brute-force scan.
-func (s *Segments) searchOrds(query string, k int, ords []int, flat bool) ([]ir.Hit, SearchStats, []SegStat, error) {
+// (k <= 0 ranks every scanned document). flat is the brute-force scan. A
+// non-nil hold takes over every leg's score array, by ordinal, still
+// leased; otherwise the legs release them.
+func (s *Segments) searchOrds(query string, k int, ords []int, flat bool, hold []*ir.Accum) ([]ir.Hit, SearchStats, []SegStat, error) {
 	if err := segset.Check(len(s.segs), ords...); err != nil {
 		return nil, SearchStats{}, nil, err
 	}
@@ -287,8 +286,15 @@ func (s *Segments) searchOrds(query string, k int, ords []int, flat bool) ([]ir.
 	probes := s.probeSet(q, nprobe)
 	per := make([][]ir.Hit, len(ords))
 	legs := segset.Scatter(ords, func(slot, ord int) SearchStats {
-		per[slot] = s.segs[ord].scan(q, probes, flat)
-		return SearchStats{Probes: len(probes), DocsScanned: len(per[slot])}
+		hits, ac := s.segs[ord].scan(q, probes, flat, k)
+		per[slot] = hits
+		scanned := ac.Touched()
+		if hold != nil {
+			hold[ord] = ac
+		} else {
+			ac.Release()
+		}
+		return SearchStats{Probes: len(probes), DocsScanned: scanned}
 	})
 	stats := SearchStats{Probes: len(probes)}
 	for _, l := range legs {
@@ -299,10 +305,23 @@ func (s *Segments) searchOrds(query string, k int, ords []int, flat bool) ([]ir.
 
 // Search runs the IVF query and returns the top k hits under the global
 // (score desc, DocID asc) total order; k <= 0 ranks every scanned
-// document (the full ranking the pagination layer slices).
+// document.
 func (s *Segments) Search(query string, k int) ([]ir.Hit, SearchStats, error) {
-	hits, stats, _, err := s.searchOrds(query, k, s.bases.Ords(), false)
+	hits, stats, _, err := s.searchOrds(query, k, s.bases.Ords(), false, nil)
 	return hits, stats, err
+}
+
+// SearchScores is Search that also leaves the query's scores leased — the
+// vec mirror of ir.Segments.SearchScores: the top k hits, plus a handle
+// over every scanned document's score for a rank fusion to place the
+// lexical lane's candidates in this one. The caller must Release it.
+func (s *Segments) SearchScores(query string, k int) ([]ir.Hit, ir.SegScores, SearchStats, []SegStat, error) {
+	acs := make([]*ir.Accum, len(s.segs))
+	hits, stats, legs, err := s.searchOrds(query, k, s.bases.Ords(), false, acs)
+	if err != nil {
+		return nil, ir.SegScores{}, SearchStats{}, nil, err
+	}
+	return hits, ir.LeaseScores(s.bases, acs), stats, legs, nil
 }
 
 // SearchSegments is Search over only the segments named by ords (a
@@ -313,13 +332,13 @@ func (s *Segments) SearchSegments(query string, k int, ords []int) ([]ir.Hit, Se
 	if ords == nil {
 		ords = s.bases.Ords()
 	}
-	return s.searchOrds(query, k, ords, false)
+	return s.searchOrds(query, k, ords, false, nil)
 }
 
 // SearchFlat is the brute-force reference scorer: every document of
 // every segment, no coarse quantization. The IVF path with Probes <= 0
 // is locked byte-identical to it.
 func (s *Segments) SearchFlat(query string, k int) ([]ir.Hit, SearchStats, error) {
-	hits, stats, _, err := s.searchOrds(query, k, s.bases.Ords(), true)
+	hits, stats, _, err := s.searchOrds(query, k, s.bases.Ords(), true, nil)
 	return hits, stats, err
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/ir"
@@ -320,5 +322,106 @@ func TestVecEmptySegment(t *testing.T) {
 	}
 	if len(hits) != len(names) {
 		t.Fatalf("%d hits, want %d", len(hits), len(names))
+	}
+}
+
+// TestVecBoundedDepth locks the depth-bounded scan: the full ranking equals
+// an independent score-everything-and-sort (the selection this lane used
+// before it shared the lexical kernel's heap; the small vocabulary makes
+// equal cosines, ordered by DocID), every depth from 1 past the corpus
+// returns exactly that ranking's prefix, and SearchScores returns the same
+// hits while its leased scores rank every document where the full ranking
+// has it — also under a probe budget, where unscanned documents rank 0.
+func TestVecBoundedDepth(t *testing.T) {
+	e := DefaultEmbedder()
+	names, texts := synthDocs(90, 5)
+	for _, opts := range []Options{{}, {Probes: 2}} {
+		for _, nseg := range []int{1, 2, 3} {
+			parts := partitioned(e, names, texts, nseg)
+			s, err := NewSegments(e, parts, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range testQueries {
+				full, stats, err := s.Search(q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(full) != stats.DocsScanned {
+					t.Fatalf("%q: %d hits, %d scanned", q, len(full), stats.DocsScanned)
+				}
+				if opts.Probes == 0 {
+					qv := e.Embed(q)
+					var want []ir.Hit
+					for pi, b := range parts {
+						for i := 0; i < b.Len(); i++ {
+							want = append(want, ir.Hit{Doc: s.segs[pi].base + ir.DocID(i), Name: b.Name(i), Score: dot(qv, b.Vec(i))})
+						}
+					}
+					sort.Slice(want, func(i, j int) bool {
+						if want[i].Score != want[j].Score {
+							return want[i].Score > want[j].Score
+						}
+						return want[i].Doc < want[j].Doc
+					})
+					if !reflect.DeepEqual(full, want) {
+						t.Fatalf("segs=%d %q: full ranking diverges from the sorted scan", nseg, q)
+					}
+				}
+				rank := map[ir.DocID]int{}
+				for i, h := range full {
+					rank[h.Doc] = i + 1
+				}
+				all := make([]ir.Hit, len(names))
+				for i := range all {
+					all[i].Doc = ir.DocID(i)
+				}
+				for k := 1; k <= len(names)+1; k++ {
+					got, kStats, err := s.Search(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, full[:min(k, len(full))]) || kStats != stats {
+						t.Fatalf("segs=%d %q k=%d: not the prefix of the full ranking", nseg, q, k)
+					}
+					if k%7 != 1 {
+						continue
+					}
+					hits, scores, _, _, err := s.SearchScores(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(hits, got) {
+						t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge", nseg, q, k)
+					}
+					for d, r := range scores.Ranks(all) {
+						if r != rank[ir.DocID(d)] {
+							t.Fatalf("segs=%d %q: doc %d rank %d, want %d", nseg, q, d, r, rank[ir.DocID(d)])
+						}
+					}
+					scores.Release()
+				}
+			}
+		}
+	}
+}
+
+// TestVecSearchAllocs is the allocation lock of the bounded scan: a top-10
+// search allocates per query and per segment (analysis, embedding, probe
+// set, one hit list and at most one goroutine per leg, the merge; 26 here
+// on two cores), never per scanned document — the append-and-sort scan it
+// replaced made 74 here. The ceiling leaves room for the race detector,
+// under which sync.Pool drops a share of what is put.
+func TestVecSearchAllocs(t *testing.T) {
+	e := DefaultEmbedder()
+	names, texts := synthDocs(2000, 9)
+	s, err := NewSegments(e, partitioned(e, names, texts, 4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "champion final melbourne"
+	s.Search(q, 10) // warm the score-array pools
+	if allocs := testing.AllocsPerRun(50, func() { s.Search(q, 10) }); allocs > 60 {
+		t.Fatalf("Search(q, 10) allocates %.0f times per query, want <= 60", allocs)
 	}
 }

@@ -113,6 +113,25 @@ walk() { # base -> concatenated items
 diff <(walk "$node") <(walk "$router") || {
     echo "cluster-smoke: paginated walk diverged" >&2; exit 1; }
 
+echo "--- parity: page 2 by cursor, keyword and vector lanes (depth-bounded legs)"
+page2() { # base lane -> normalized second page of a limit=3 walk
+    local base=$1 lane=$2 cursor
+    cursor=$(curl -fsS --get "$base/v2/search" --data-urlencode 'kw=australian open final' \
+        --data-urlencode "kind=$lane" --data-urlencode 'limit=3' | jq -r '.cursor // empty')
+    [ -n "$cursor" ] || { echo "cluster-smoke: $base $lane: page 1 has no cursor" >&2; exit 1; }
+    curl -fsS --get "$base/v2/search" --data-urlencode 'kw=australian open final' \
+        --data-urlencode "kind=$lane" --data-urlencode 'limit=3' --data-urlencode "cursor=$cursor" | normalize
+}
+for lane in lexical vector; do
+    a=$(page2 "$node" "$lane")
+    b=$(page2 "$router" "$lane")
+    if [ "$a" != "$b" ] || ! echo "$b" | jq -e '.count == 3 and .total > 6' >/dev/null; then
+        echo "cluster-smoke: page 2 by cursor diverges on the $lane lane" >&2
+        diff <(echo "$a") <(echo "$b") >&2 || true
+        exit 1
+    fi
+done
+
 echo "--- commit on every node, visible through the router"
 "$tmp/synthgen" -out "$tmp/corpus" -n 1 -shots 3 >/dev/null
 # Before the first commit there is no video index: kind= is a 404.

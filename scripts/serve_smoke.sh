@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — build dlserve, start it on a random port, hit /healthz
-# and the /v2 surface (/v2/search pagination, explain, SIGHUP hot reload,
-# POST /v2/reload), then shut it down gracefully (SIGINT) and check it
+# and the /v2 surface (/v2/search pagination — combined and ranked lanes —
+# explain, SIGHUP hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and check it
 # exits 0. Run via `make serve-smoke`; CI runs it alongside the race job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -73,6 +73,31 @@ echo "$page2" | head -c 300
 echo
 echo "$page2" | grep -q '"cached":true'
 
+echo "--- /v2/search ranked lanes: cursor walk (limit=3) == unpaginated answer"
+# The cache holds a ranked prefix that every page of the walk deepens; the
+# concatenated pages must be the unpaginated items byte for byte, and a page
+# fetched a second time must come from the cache.
+items() { sed -E 's/.*"items":\[(.*)\]\}$/\1/'; }
+for kind in hybrid vector; do
+    lane() { curl -fsS --get "http://127.0.0.1:$port/v2/search" \
+        --data-urlencode 'kw=australian open final' --data-urlencode "kind=$kind" "$@"; }
+    : >"$tmp/walk.$kind"
+    cursor="" sep="" pages=0
+    while :; do
+        page=$(lane --data-urlencode 'limit=3' --data-urlencode "cursor=$cursor")
+        printf '%s%s' "$sep" "$(echo "$page" | items)" >>"$tmp/walk.$kind"
+        sep="," last=$cursor pages=$((pages + 1))
+        cursor=$(echo "$page" | sed -n 's/.*"cursor":"\([^"]*\)".*/\1/p')
+        [ -n "$cursor" ] || break
+    done
+    [ "$pages" -ge 3 ] || { echo "serve-smoke: $kind walk took only $pages pages" >&2; exit 1; }
+    printf '%s' "$(lane | items)" >"$tmp/full.$kind" # after the walk, so the walk is what deepens the entry
+    cmp "$tmp/full.$kind" "$tmp/walk.$kind" || {
+        echo "serve-smoke: $kind cursor walk diverges from the unpaginated answer" >&2; exit 1; }
+    lane --data-urlencode 'limit=3' --data-urlencode "cursor=$last" | grep -q '"cached":true'
+    echo "match: $kind ($pages pages)"
+done
+
 echo "--- /v2/search explain"
 curl -fsS --get "http://127.0.0.1:$port/v2/search" \
     --data-urlencode 'kw=final' --data-urlencode 'explain=1' \
@@ -84,6 +109,8 @@ echo "$metrics"
 echo "$metrics" | grep -q '^# TYPE dl_queries_total counter'
 echo "$metrics" | grep -q '^dl_queries_total '
 echo "$metrics" | grep -q '^dl_active_segments 1'
+echo "$metrics" | grep -q '^dl_cache_deepens_total [1-9]'
+echo "$metrics" | grep -q '^dl_cache_items [1-9]'
 vars=$(curl -fsS "http://127.0.0.1:$port/debug/vars")
 echo "$vars" | grep -q '"queries":'
 echo "$vars" | grep -q '"active_segments": 1'
