@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench bench-smoke bench-check staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet ci
+.PHONY: all build test race fuzz-smoke bench bench-smoke bench-check staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet loc-check ci
 
 all: build test
 
@@ -81,4 +81,9 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet staticcheck build test race fuzz-smoke bench-smoke bench-check serve-smoke cluster-smoke crash-smoke
+# The README package map's line counts are how "less code at equal
+# behaviour" is judged; fail when they drift from what scripts/loc.sh counts.
+loc-check:
+	bash scripts/loc.sh -check
+
+ci: fmt-check vet loc-check staticcheck build test race fuzz-smoke bench-smoke bench-check serve-smoke cluster-smoke crash-smoke

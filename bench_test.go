@@ -1301,9 +1301,10 @@ func BenchmarkDLSETextRank(b *testing.B) {
 }
 
 // BenchmarkVecSearch measures the embedding-similarity lane on the serving
-// fixture: hash-embed the query, IVF-probe every page and video segment,
-// merge the ranked stream. The answer is byte-identical to the brute-force
-// reference (internal/vec locks it); this measures the serving cost.
+// fixture: hash-embed the query, score every document of every page and
+// video segment, merge the ranked stream. The answer equals a naive
+// score-and-sort (internal/vec's tests lock it); this measures the serving
+// cost.
 func BenchmarkVecSearch(b *testing.B) {
 	eng, _ := serveFixture(b)
 	ctx := context.Background()
@@ -1334,6 +1335,28 @@ func BenchmarkHybridSearch(b *testing.B) {
 	}
 }
 
+var (
+	rankedOnce sync.Once
+	rankedEng  *dlse.Engine
+)
+
+// rankedEngine builds, once, dlbench's ranked-workload engine: the
+// 8,192-player site (8,352 pages) in 4 text segments over an empty video
+// library.
+func rankedEngine(b *testing.B) *dlse.Engine {
+	b.Helper()
+	rankedOnce.Do(func() {
+		site, err := webspace.GenerateAusOpen(webspace.SiteConfig{Players: 8192, YearStart: 1962, YearEnd: 2001, Seed: 16})
+		if err != nil {
+			panic(err)
+		}
+		if rankedEng, err = dlse.NewSegmented(site, nil, dlse.Options{TextSegments: 4}); err != nil {
+			panic(err)
+		}
+	})
+	return rankedEng
+}
+
 // BenchmarkRankedPage is the layer-level evidence of depth-bounded ranking:
 // one ten-item page per lane, cold (no cache), over the site dlbench's
 // ranked workloads serve — 8,192 players, 40 years, 8,352 pages in 4 text
@@ -1341,14 +1364,7 @@ func BenchmarkHybridSearch(b *testing.B) {
 // player page. What a lane costs here is what a ranked-miss op costs inside
 // the engine; before ranking was bounded by the page it ranked all of them.
 func BenchmarkRankedPage(b *testing.B) {
-	site, err := webspace.GenerateAusOpen(webspace.SiteConfig{Players: 8192, YearStart: 1962, YearEnd: 2001, Seed: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := dlse.NewSegmented(site, nil, dlse.Options{TextSegments: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := rankedEngine(b)
 	ctx := context.Background()
 	const text = "professional australia smith championship"
 	for _, lane := range []struct {
@@ -1368,6 +1384,40 @@ func BenchmarkRankedPage(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEngineWithVideo measures what installing a one-video commit
+// costs the engine over dlbench's site: embed the new video segment and
+// compose the vector lane over the 8,352 pages plus the library. It is the
+// engine's share of dlbench's library.install_ms.
+func BenchmarkEngineWithVideo(b *testing.B) {
+	eng := rankedEngine(b)
+	vi := eng.VideoIndex()
+	base := vi.Part(0)
+	seg, err := core.NewMetaIndexAt(base.IDState())
+	if err != nil {
+		b.Fatal(err)
+	}
+	id, err := seg.AddVideo(core.Video{Name: "committed-final", FPS: 25, Frames: 96})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5}); err != nil {
+		b.Fatal(err)
+	}
+	metas := vi.Metas()
+	view, err := core.NewSegmentedIndex([]*core.MetaIndex{base, seg},
+		append(metas, core.SegmentMeta{ID: metas[0].ID + 1, Base: base.IDState()}), vi.Generation()+1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ne := eng.WithVideo(view); ne.VecIndex().Docs() != eng.VecIndex().Docs()+1 {
+			b.Fatalf("installed engine reads %d vector docs, want %d", ne.VecIndex().Docs(), eng.VecIndex().Docs()+1)
+		}
 	}
 }
 

@@ -82,8 +82,7 @@ type Options struct {
 	// lane in a segfile at this path — the vec counterpart of
 	// TextSegfile, with the same signature/staleness and atomic-rewrite
 	// semantics. Only page embeddings persist: video embeddings follow
-	// the library's commits, and the IVF lists are derived from the
-	// union corpus at composition (see internal/vec).
+	// the library's commits.
 	VecSegfile string
 }
 
@@ -238,15 +237,16 @@ func (e *Engine) VecOrds(text, video []int) ([]int, error) {
 	return ords, nil
 }
 
-// composeVecs freezes the page and video embedding segments against the
-// current union corpus (codebook + global ID bases; see internal/vec).
+// composeVecs lays the page and video embedding segments out in one doc
+// space (see VecOrds). It reads no vector, so a commit pays for the segment
+// it embeds, not for the corpus.
 func (e *Engine) composeVecs() (*vec.Segments, error) {
 	parts := make([]*vec.Builder, 0, len(e.vecPages)+len(e.vecVideo))
 	parts = append(parts, e.vecPages...)
 	for _, vp := range e.vecVideo {
 		parts = append(parts, vp.b)
 	}
-	return vec.NewSegments(e.emb, parts, vec.Options{})
+	return vec.NewSegments(e.emb, parts)
 }
 
 // buildVideoVecParts embeds video segments, reusing prev's builders for
@@ -323,20 +323,16 @@ func pagesSignature(scheme string, pages []webspace.Page, nseg int) uint64 {
 // over a different video segment set — the install path of an
 // incremental commit, which must not re-index the site or any existing
 // video segment. The vector lane embeds exactly the segments the commit
-// added (or a compaction merged; see buildVideoVecParts) and re-freezes
-// against the new union corpus. The new engine has its own snapshot ID.
+// added (or a compaction merged; see buildVideoVecParts) and composes them
+// after the ones it keeps. The new engine has its own snapshot ID.
 // Like core.SegmentedIndex.Part, it panics if a committed segment fails
 // to hydrate — that is corrupt-storage territory, not a caller error.
 func (e *Engine) WithVideo(video *core.SegmentedIndex) *Engine {
 	ne := *e
 	ne.video = video
-	vv, err := buildVideoVecParts(video, e.vecVideo, e.emb)
-	if err == nil {
-		ne.vecVideo = vv
-		var vecs *vec.Segments
-		if vecs, err = ne.composeVecs(); err == nil {
-			ne.vecs = vecs
-		}
+	var err error
+	if ne.vecVideo, err = buildVideoVecParts(video, e.vecVideo, e.emb); err == nil {
+		ne.vecs, err = ne.composeVecs()
 	}
 	if err != nil {
 		panic(fmt.Sprintf("dlse: rebuilding vector lane over committed segments: %v", err))
@@ -394,20 +390,8 @@ type Request struct {
 
 // walkToVideos follows the role path and collects Video object names.
 func (e *Engine) walkToVideos(o *webspace.Object, path []string) []string {
-	cur := []*webspace.Object{o}
-	for _, role := range path {
-		var next []*webspace.Object
-		for _, c := range cur {
-			for _, id := range c.Links[role] {
-				if t, ok := e.space.Get(id); ok {
-					next = append(next, t)
-				}
-			}
-		}
-		cur = next
-	}
 	var names []string
-	for _, c := range cur {
+	for _, c := range e.walkObjects(o, path) {
 		if c.Class == "Video" {
 			if n := c.StringAttr("name"); n != "" {
 				names = append(names, n)

@@ -191,44 +191,49 @@ func TestVectorHybridExplain(t *testing.T) {
 	}
 }
 
+// withCommittedVideo returns e grown by one video segment holding one video
+// with one event per kind — the engine image of a one-video commit.
+func withCommittedVideo(t *testing.T, e *Engine, name string, kinds ...string) *Engine {
+	t.Helper()
+	vi := e.VideoIndex()
+	parts := make([]*core.MetaIndex, vi.NumSegments())
+	metas := vi.Metas()
+	for i := range parts {
+		parts[i] = vi.Part(i)
+	}
+	base := parts[len(parts)-1].IDState()
+	seg, err := core.NewMetaIndexAt(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := seg.AddVideo(core.Video{Name: name, FPS: 25, Frames: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range kinds {
+		if _, err := seg.AddEvent(core.Event{VideoID: id, Kind: kind,
+			Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := core.NewSegmentedIndex(append(parts, seg),
+		append(metas, core.SegmentMeta{ID: metas[len(metas)-1].ID + 1, Base: base}),
+		vi.Generation()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.WithVideo(view)
+}
+
 // TestVectorLaneCommit: growing the video library (the engine image of a
 // commit) re-embeds only the new segment, the new video document ranks,
 // and the extended answers stay byte-identical across partitionings.
 func TestVectorLaneCommit(t *testing.T) {
 	ctx := context.Background()
-	extend := func(e *Engine) *Engine {
-		t.Helper()
-		vi := e.VideoIndex()
-		parts := make([]*core.MetaIndex, vi.NumSegments())
-		metas := vi.Metas()
-		for i := range parts {
-			parts[i] = vi.Part(i)
-		}
-		base := parts[len(parts)-1].IDState()
-		seg, err := core.NewMetaIndexAt(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := seg.AddVideo(core.Video{Name: "committed-final-highlight", FPS: 25, Frames: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := seg.AddEvent(core.Event{VideoID: id, Kind: "net-play",
-			Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5}); err != nil {
-			t.Fatal(err)
-		}
-		view, err := core.NewSegmentedIndex(append(parts, seg),
-			append(metas, core.SegmentMeta{ID: metas[len(metas)-1].ID + 1, Base: base}),
-			vi.Generation()+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.WithVideo(view)
-	}
-
 	mono, _ := segFixture(t, 1)
 	seg, _ := segFixture(t, 3)
-	mono, seg = extend(mono), extend(seg)
+	mono = withCommittedVideo(t, mono, "committed-final-highlight", "net-play")
+	seg = withCommittedVideo(t, seg, "committed-final-highlight", "net-play")
 	found := false
 	for _, text := range laneQueries {
 		for _, form := range []Query{{Vector: text}, {Hybrid: text}} {

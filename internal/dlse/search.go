@@ -299,22 +299,16 @@ func (e *Engine) Normalize(q Query) (Query, string, error) {
 		return Query{Request: &req}, "q|" + req.CanonicalKey(), nil
 	case q.Request != nil:
 		return q, "q|" + q.Request.CanonicalKey(), nil
-	case q.Keyword != "":
-		return q, "kw|" + strings.Join(ir.Analyze(q.Keyword), " "), nil
-	case q.Vector != "":
-		return q, "vec|" + strings.Join(ir.Analyze(q.Vector), " "), nil
-	case q.Hybrid != "":
-		return q, "hy|" + strings.Join(ir.Analyze(q.Hybrid), " "), nil
-	default:
-		return q, "sc|" + q.Scenes, nil
 	}
+	key, _ := CanonicalKey(q) // the one form set is schema-free
+	return q, key, nil
 }
 
 // CanonicalKey returns the canonical cache key of a query that needs no
 // schema to normalize — the Keyword, Vector, Hybrid, and Scenes forms.
 // ok is false for the Source and Request forms, which require an
-// engine's schema (see Engine.Normalize). The key matches Normalize's
-// exactly, so cursors minted by a distributed gather layer
+// engine's schema (see Engine.Normalize). It is the key Normalize returns
+// for these forms, so cursors minted by a distributed gather layer
 // (internal/router) over this key bind to the same query as the
 // engine's own.
 func CanonicalKey(q Query) (key string, ok bool) {
@@ -433,8 +427,8 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, dep
 // best depth items (everything when depth <= 0 or beyond the lane) and the
 // size of the whole answer — documents touched for the lexical lane, scanned
 // for the vector lane, and for the hybrid their union, which is what the
-// vector lane scanned: it probes every list of a doc space that extends the
-// pages'. Explain operators report those matched counts, not returned ones.
+// vector lane scanned: it scores every document of a doc space that extends
+// the pages'. Explain operators report those matched counts, not returned ones.
 func (e *Engine) rank(nq Query, depth int, withExplain bool) (items []Item, total int, ex *Explain, err error) {
 	depth = max(depth, 0)
 	t0 := time.Now()

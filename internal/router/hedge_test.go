@@ -9,12 +9,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dlse"
+	"repro/internal/serve"
 	"repro/internal/transport"
 )
 
@@ -223,4 +228,108 @@ func itemsOf(rs *dlse.ResultSet) []dlse.Item {
 	out := make([]dlse.Item, len(rs.Items))
 	copy(out, rs.Items)
 	return out
+}
+
+// faultyNodes starts two HTTP nodes over one engine and returns their URLs
+// sorted — placement order, which is also the order the proxy tries them in —
+// with fault wrapped around the first one's handler.
+func faultyNodes(t *testing.T, fault func(next http.Handler) http.Handler) []string {
+	t.Helper()
+	e := buildEngine(t)
+	var faulty atomic.Value // the first-sorted node's host, set once both listen
+	urls := make([]string, 2)
+	for i := range urls {
+		node := http.Handler(serve.New(e, serve.Options{}))
+		broken := fault(node)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.Host == faulty.Load() {
+				broken.ServeHTTP(w, req)
+				return
+			}
+			node.ServeHTTP(w, req)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	sort.Strings(urls)
+	faulty.Store(strings.TrimPrefix(urls[0], "http://"))
+	return urls
+}
+
+// TestFailoverOnUnavailableEnvelope: a node that answers its legs with the v2
+// surface's 503 "unavailable" envelope (worker-slot wait cancelled, draining)
+// could not answer — its legs move to the replica, the answer is the healthy
+// cluster's, and the failover is counted.
+func TestFailoverOnUnavailableEnvelope(t *testing.T) {
+	urls := faultyNodes(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/v2/partial" {
+				serve.WriteSearchError(w, fmt.Errorf("%w: draining", transport.ErrUnavailable))
+				return
+			}
+			next.ServeHTTP(w, req)
+		})
+	})
+	r, err := New(urls, Options{Replicas: 2, HedgeAfter: -1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(r)
+	defer router.Close()
+	const query = "kw=australian+open+final"
+	want, _, _ := getSearch(t, urls[1], query)
+	got, _, status := getSearch(t, router.URL, query)
+	if status != http.StatusOK || want.Total == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("status %d, %d items of %d; the healthy node answers %d of %d",
+			status, got.Count, got.Total, want.Count, want.Total)
+	}
+	if r.failovers.Value() == 0 { // what /metrics exports as dl_router_failovers_total
+		t.Fatal("failover not counted")
+	}
+}
+
+// countingTransport counts the requests sent through it.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestProxyTimeoutFailsOver: a proxied query (q=) sent to a node that never
+// writes a response is given up after Options.Timeout and answered by the
+// next node — through the client the router was built with.
+func TestProxyTimeoutFailsOver(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release) // lets the hung handlers return so the nodes can close
+	urls := faultyNodes(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/v2/search" {
+				<-release
+				return
+			}
+			next.ServeHTTP(w, req)
+		})
+	})
+	via := &countingTransport{}
+	r, err := New(urls, Options{Timeout: 100 * time.Millisecond}, &http.Client{Transport: via})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(r)
+	defer router.Close()
+	const query = "q=find+Player+limit+3"
+	want, _, _ := getSearch(t, urls[1], query)
+	start := time.Now()
+	got, _, status := getSearch(t, router.URL, query)
+	if status != http.StatusOK || want.Count != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("status %d, %d items; the healthy node answers %d", status, got.Count, want.Count)
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("proxied query took %v with a 100ms node timeout", elapsed)
+	}
+	if via.n.Load() != 2 || r.nodes[0].healthy.Value() != 0 {
+		t.Fatalf("%d requests through the router's client (want 2: the hung node, then its neighbour), hung node healthy=%d",
+			via.n.Load(), r.nodes[0].healthy.Value())
+	}
 }

@@ -8,6 +8,7 @@ package router
 // the bytes (modulo cursor tokens embedding the cluster generation).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,7 +55,8 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 // proxy forwards the request whole to the first node that answers,
 // healthy nodes first. Any HTTP response — including a 4xx/5xx error
 // envelope — is a valid answer and is copied back verbatim; only
-// transport-level failures fail over to the next node.
+// transport-level failures — a node silent for Options.Timeout among them —
+// fail over to the next node.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	r.queries.Add(1)
 	r.proxied.Add(1)
@@ -71,24 +73,15 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 				continue
 			}
 			r.nodeReqs.Add(addr, 1)
-			out, err := http.NewRequestWithContext(req.Context(), http.MethodGet,
-				strings.TrimRight(addr, "/")+req.URL.RequestURI(), nil)
-			if err != nil {
-				lastErr = err
-				continue
+			err := r.forward(w, req, addr)
+			if err == nil {
+				return
 			}
-			resp, err := http.DefaultClient.Do(out)
-			if err != nil {
+			if availability(err) {
 				r.nodeErrs.Add(addr, 1)
 				n.healthy.Set(0)
-				lastErr = fmt.Errorf("%w: %v", transport.ErrUnavailable, err)
-				continue
 			}
-			defer resp.Body.Close()
-			w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-			w.WriteHeader(resp.StatusCode)
-			_, _ = io.Copy(w, resp.Body)
-			return
+			lastErr = err
 		}
 	}
 	r.failures.Add(1)
@@ -96,6 +89,28 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 		lastErr = fmt.Errorf("%w: no nodes", transport.ErrUnavailable)
 	}
 	serve.WriteSearchError(w, lastErr)
+}
+
+// forward sends the request to one node and copies its answer back. An
+// error means the node gave no answer within Options.Timeout and nothing was
+// written.
+func (r *Router) forward(w http.ResponseWriter, req *http.Request, addr string) error {
+	ctx, cancel := context.WithTimeout(req.Context(), r.opts.Timeout)
+	defer cancel()
+	out, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		strings.TrimRight(addr, "/")+req.URL.RequestURI(), nil)
+	if err != nil {
+		return err
+	}
+	resp, err := r.client.Do(out)
+	if err != nil {
+		return fmt.Errorf("%w: %v", transport.ErrUnavailable, err)
+	}
+	defer resp.Body.Close()
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	w.WriteHeader(resp.StatusCode)
+	_, _ = io.Copy(w, resp.Body)
+	return nil
 }
 
 // routerHealth is the /healthz answer: the router's own liveness plus

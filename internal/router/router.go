@@ -44,7 +44,8 @@ type Options struct {
 	// replica is raced against it. 0 selects 20ms; negative disables
 	// hedging (failover on error still happens).
 	HedgeAfter time.Duration
-	// Timeout bounds one scatter attempt. 0 selects 5s.
+	// Timeout bounds one scatter attempt, and one node's turn at a proxied
+	// query. 0 selects 5s.
 	Timeout time.Duration
 	// FailOpen serves the reachable subset (marked partial) when every
 	// replica of some segment is down, instead of failing the query
@@ -79,8 +80,9 @@ type node struct {
 
 // Router fans queries over a fixed node set. Safe for concurrent use.
 type Router struct {
-	nodes []*node // sorted by Addr: the placement input
-	opts  Options
+	nodes  []*node // sorted by Addr: the placement input
+	opts   Options
+	client *http.Client // proxies whole requests (q=, explain) to a node
 
 	// Counters and gauges, exported on /metrics and /debug/vars.
 	queries   *expvar.Int // v2 searches handled
@@ -113,7 +115,11 @@ func New(urls []string, opts Options, client *http.Client) (*Router, error) {
 	for i, u := range urls {
 		srcs[i] = transport.NewRemote(u, client)
 	}
-	return NewWithSources(srcs, opts)
+	r, err := NewWithSources(srcs, opts)
+	if err == nil && client != nil {
+		r.client = client
+	}
+	return r, err
 }
 
 // NewWithSources builds a Router over explicit segment sources — the hook
@@ -132,6 +138,7 @@ func NewWithSources(srcs []transport.SegmentSource, opts Options) (*Router, erro
 	}
 	r := &Router{
 		opts:      opts.withDefaults(len(srcs)),
+		client:    http.DefaultClient,
 		queries:   new(expvar.Int),
 		lexicalQ:  new(expvar.Int),
 		vectorQ:   new(expvar.Int),

@@ -58,6 +58,10 @@ func decodeError(status int, body []byte) error {
 		return ir.ErrEmptyQry
 	case "no_index":
 		return fmt.Errorf("%w: %s", dlse.ErrNoIndex, we.Error)
+	case "unavailable":
+		// The node could not answer (worker-slot wait cancelled, draining):
+		// a replica can, so this is not an error of the query.
+		return fmt.Errorf("%w: status %d: %s", ErrUnavailable, status, we.Error)
 	default:
 		return fmt.Errorf("transport: node error %d (%s): %s", status, we.Code, we.Error)
 	}

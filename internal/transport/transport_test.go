@@ -8,6 +8,7 @@ package transport_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"regexp"
@@ -304,16 +305,28 @@ func TestPartialOfBadOrdinalsAcrossLanes(t *testing.T) {
 	}
 }
 
-func TestRemoteUnreachable(t *testing.T) {
-	remote := transport.NewRemote("http://127.0.0.1:1", nil)
+// TestRemoteUnavailable: a node that cannot be reached and a node that
+// answers with the v2 surface's 503 "unavailable" envelope (worker-slot wait
+// cancelled, draining) both report ErrUnavailable — not a query error — so
+// the router tries a replica.
+func TestRemoteUnavailable(t *testing.T) {
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = w.Write([]byte(`{"error":"context canceled","code":"unavailable"}`))
+	}))
+	defer busy.Close()
 	ctx := context.Background()
-	if _, err := remote.Manifest(ctx); !errors.Is(err, transport.ErrUnavailable) {
-		t.Fatalf("manifest err = %v, want ErrUnavailable", err)
-	}
-	if err := remote.Health(ctx); !errors.Is(err, transport.ErrUnavailable) {
-		t.Fatalf("health err = %v, want ErrUnavailable", err)
-	}
-	if _, err := remote.Partial(ctx, transport.Query{Keyword: "x"}, transport.Sel{Text: []int{0}}, -1); !errors.Is(err, transport.ErrUnavailable) {
-		t.Fatalf("partial err = %v, want ErrUnavailable", err)
+	for name, url := range map[string]string{"unreachable": "http://127.0.0.1:1", "503 envelope": busy.URL} {
+		remote := transport.NewRemote(url, nil)
+		if _, err := remote.Manifest(ctx); !errors.Is(err, transport.ErrUnavailable) {
+			t.Fatalf("%s: manifest err = %v, want ErrUnavailable", name, err)
+		}
+		if err := remote.Health(ctx); !errors.Is(err, transport.ErrUnavailable) {
+			t.Fatalf("%s: health err = %v, want ErrUnavailable", name, err)
+		}
+		if _, err := remote.Partial(ctx, transport.Query{Keyword: "x"}, transport.Sel{Text: []int{0}}, -1); !errors.Is(err, transport.ErrUnavailable) {
+			t.Fatalf("%s: partial err = %v, want ErrUnavailable", name, err)
+		}
 	}
 }

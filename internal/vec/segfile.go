@@ -1,12 +1,9 @@
 package vec
 
 // Zero-copy persistence for the vector lane. What persists is the raw
-// per-segment embedding matrices plus document names — deliberately NOT
-// the IVF lists or the codebook: both are derived from the union corpus
-// at composition (NewSegments), and the union changes on every commit,
-// so persisting them would bake in exactly the state a re-freeze must
-// recompute. Embeddings, by contrast, are pure functions of each
-// document's text and never change.
+// per-segment embedding matrices plus document names: embeddings are pure
+// functions of each document's text and never change, and composition
+// (NewSegments) derives nothing else from them.
 //
 // Block layout (names within the segfile container):
 //

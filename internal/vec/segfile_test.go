@@ -27,7 +27,7 @@ func writtenBytes(t testing.TB, ndocs, nseg int, sig uint64) []byte {
 // flattened hits for equality checks.
 func searchAll(t *testing.T, parts []*Builder) []ir.Hit {
 	t.Helper()
-	s, err := NewSegments(DefaultEmbedder(), parts, Options{})
+	s, err := NewSegments(DefaultEmbedder(), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestVecSegfileHostileBytes(t *testing.T) {
 			return
 		}
 		// A successfully opened file must be internally consistent.
-		s, err := NewSegments(DefaultEmbedder(), parts, Options{})
+		s, err := NewSegments(DefaultEmbedder(), parts)
 		if err != nil {
 			return
 		}
@@ -182,7 +182,7 @@ func FuzzVecSegfileOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		s, err := NewSegments(DefaultEmbedder(), parts, Options{})
+		s, err := NewSegments(DefaultEmbedder(), parts)
 		if err != nil {
 			return
 		}

@@ -1,7 +1,7 @@
 // Package vec is the second retrieval lane of the digital library: a
-// pure-Go approximate-nearest-neighbor index over dense document
-// embeddings, segmented and scatter-gathered exactly like the lexical
-// kernel in internal/ir.
+// pure-Go exact nearest-neighbor index over dense document embeddings,
+// segmented and scatter-gathered exactly like the lexical kernel in
+// internal/ir.
 //
 // The lane is built for determinism first. Embeddings come from a
 // pluggable Embedder whose default is a hash-projection ("LSA-style
@@ -12,18 +12,19 @@
 // — the vec analog of ir's frozen BM25 impacts — so partitioning the
 // corpus cannot perturb a single score bit.
 //
-// The index is IVF-flat: a coarse codebook quantizes documents into
-// inverted lists, a query probes the nearest lists, and only the probed
-// lists are scanned. The codebook is derived deterministically from the
-// union corpus in global document order (the vec mirror of ir.Segments
-// freezing parts against union corpus statistics), so list membership and
-// probe sets never depend on how the corpus is partitioned. With Probes=0
-// (the serving default) every list is probed and the scan is exhaustive:
-// the IVF answer is then locked byte-identical to the brute-force
-// reference scorer SearchFlat, the property the acceptance tests pin.
-// Positive Probes trade recall for scan cost without ever breaking
-// cross-segmentation determinism (the probe set is a pure function of
-// query and codebook).
+// The scan is flat: a query is scored against every document of every
+// segment it is asked about, one sequential pass over each segment's
+// row-major matrix, and the best k are selected with the lexical kernel's
+// accumulator and heap under the one (score desc, DocID asc) total order.
+// With corpus-independent scores and one total order there is nothing to
+// derive from the union corpus, so composing segments (NewSegments) only
+// assigns DocID bases and any split of the same documents answers like the
+// monolith. The lane once kept an inverted-list layer over a sampled coarse
+// quantizer; every caller scanned all of its lists, where it answered byte
+// for byte like this scan while charging a whole-corpus re-assignment per
+// composition, so it was removed (PR 18). An approximate structure returns
+// only with a recall harness and a benchmark workload on each side of the
+// choice (ROADMAP.md).
 package vec
 
 import (

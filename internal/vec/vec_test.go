@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -84,23 +85,20 @@ func TestEmbedDeterministic(t *testing.T) {
 	}
 }
 
-// TestVecSegmentsParity locks the union-freeze invariant: the same
+// TestVecSegmentsParity locks the composition invariant: the same
 // corpus partitioned 1/2/3/4 ways answers every query byte-identically —
 // same docs, same names, same float64 score bits, same tie-breaks.
 func TestVecSegmentsParity(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(157, 7)
-	mono, err := NewSegments(e, partitioned(e, names, texts, 1), Options{})
+	mono, err := NewSegments(e, partitioned(e, names, texts, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, nseg := range []int{2, 3, 4} {
-		s, err := NewSegments(e, partitioned(e, names, texts, nseg), Options{})
+		s, err := NewSegments(e, partitioned(e, names, texts, nseg))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if s.Centroids() != mono.Centroids() {
-			t.Fatalf("segs=%d: %d centroids vs %d monolithic", nseg, s.Centroids(), mono.Centroids())
 		}
 		for _, q := range testQueries {
 			for _, k := range []int{0, 1, 10} {
@@ -125,95 +123,117 @@ func TestVecSegmentsParity(t *testing.T) {
 	}
 }
 
-// TestVecIVFMatchesFlat locks the acceptance bar: the IVF path at the
-// serving default (all lists probed) is byte-identical to the
-// brute-force reference scorer, tie-breaks included.
-func TestVecIVFMatchesFlat(t *testing.T) {
-	e := DefaultEmbedder()
-	names, texts := synthDocs(200, 21)
-	for _, nseg := range []int{1, 3} {
-		s, err := NewSegments(e, partitioned(e, names, texts, nseg), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range testQueries {
-			for _, k := range []int{0, 1, 7, 25} {
-				flat, flatStats, err := s.SearchFlat(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ivf, ivfStats, err := s.Search(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(ivf) != len(flat) {
-					t.Fatalf("segs=%d %q k=%d: ivf %d hits, flat %d", nseg, q, k, len(ivf), len(flat))
-				}
-				for i := range flat {
-					if ivf[i] != flat[i] {
-						t.Fatalf("segs=%d %q k=%d hit %d: ivf %+v, flat %+v", nseg, q, k, i, ivf[i], flat[i])
-					}
-				}
-				if ivfStats.DocsScanned != flatStats.DocsScanned {
-					t.Fatalf("segs=%d %q: ivf scanned %d docs, flat %d",
-						nseg, q, ivfStats.DocsScanned, flatStats.DocsScanned)
-				}
-			}
+// naiveRanking is the lane's oracle, kept here and nowhere in the package:
+// every document's dot with the query, sorted by (score desc, DocID asc).
+// DocIDs are positions in part order.
+func naiveRanking(e Embedder, parts []*Builder, q string) []ir.Hit {
+	qv := e.Embed(q)
+	var out []ir.Hit
+	for _, b := range parts {
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, ir.Hit{Doc: ir.DocID(len(out)), Name: b.Name(i), Score: dot(qv, b.Vec(i))})
 		}
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Doc < out[j].Doc
+	})
+	return out
 }
 
-// TestVecProbedSearch: with a probe budget, every returned hit carries
-// the exact score the exhaustive scan assigns it (probing selects
-// candidates, never perturbs scores), fewer docs are scanned, and the
-// answer stays byte-identical across partitionings.
-func TestVecProbedSearch(t *testing.T) {
+// TestVecMatchesNaiveOracle is the lane's exactness lock: over a corpus
+// whose tail repeats earlier texts under new names (equal cosines, so runs
+// only the DocID tie-break orders, across segment boundaries), split 1, 2,
+// 3 and 5 ways with an empty part among them, every depth of Search, of
+// SearchSegments over disjoint ordinal subsets re-merged, and of
+// SearchScores equals the oracle's prefix — names and score bits included —
+// and the leased scores rank every document where the oracle has it.
+func TestVecMatchesNaiveOracle(t *testing.T) {
 	e := DefaultEmbedder()
-	names, texts := synthDocs(300, 3)
-	probed := Options{Probes: 3}
-	a, err := NewSegments(e, partitioned(e, names, texts, 1), probed)
-	if err != nil {
-		t.Fatal(err)
+	names, texts := synthDocs(120, 21)
+	for i := 0; i < 120; i += 3 {
+		names = append(names, "mirror/"+names[i])
+		texts = append(texts, texts[i])
 	}
-	b, err := NewSegments(e, partitioned(e, names, texts, 4), probed)
-	if err != nil {
-		t.Fatal(err)
+	n := len(names)
+	all := make([]ir.Hit, n)
+	for i := range all {
+		all[i].Doc = ir.DocID(i)
 	}
-	for _, q := range testQueries {
-		flat, flatStats, err := a.SearchFlat(q, 0)
+	for _, nseg := range []int{1, 2, 3, 5} {
+		parts := partitioned(e, names, texts, nseg)
+		parts = slices.Insert(parts, nseg/2, NewBuilder(e))
+		s, err := NewSegments(e, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := map[ir.DocID]float64{}
-		for _, h := range flat {
-			exact[h.Doc] = h.Score
-		}
-		hits, stats, err := a.Search(q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Probes != 3 {
-			t.Fatalf("%q: probed %d lists, want 3", q, stats.Probes)
-		}
-		if stats.DocsScanned >= flatStats.DocsScanned {
-			t.Fatalf("%q: probed scan touched %d docs, exhaustive %d", q, stats.DocsScanned, flatStats.DocsScanned)
-		}
-		for _, h := range hits {
-			if h.Score != exact[h.Doc] {
-				t.Fatalf("%q doc %d: probed score %v, exact %v", q, h.Doc, h.Score, exact[h.Doc])
+		var evens, odds []int
+		for o := range parts {
+			if o%2 == 0 {
+				evens = append(evens, o)
+			} else {
+				odds = append(odds, o)
 			}
 		}
-		other, _, err := b.Search(q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(other) != len(hits) {
-			t.Fatalf("%q: 4-way probed search %d hits, 1-way %d", q, len(other), len(hits))
-		}
-		for i := range hits {
-			if other[i] != hits[i] {
-				t.Fatalf("%q hit %d: 4-way %+v, 1-way %+v", q, i, other[i], hits[i])
+		ties := 0
+		for _, q := range testQueries {
+			oracle := naiveRanking(e, parts, q)
+			for i := 1; i < n; i++ {
+				if oracle[i].Score == oracle[i-1].Score {
+					ties++
+				}
 			}
+			for _, k := range []int{0, 1, 10, n, n + 1} {
+				want := oracle
+				if k > 0 && k < n {
+					want = oracle[:k]
+				}
+				got, stats, err := s.Search(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || stats.DocsScanned != n {
+					t.Fatalf("segs=%d %q k=%d: Search diverges from the oracle (scanned %d of %d)", nseg, q, k, stats.DocsScanned, n)
+				}
+				var per [][]ir.Hit
+				scanned := 0
+				for _, ords := range [][]int{evens, odds} {
+					if len(ords) == 0 {
+						continue
+					}
+					hits, st, legs, err := s.SearchSegments(q, k, ords)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(legs) != len(ords) {
+						t.Fatalf("segs=%d ords %v: %d legs", nseg, ords, len(legs))
+					}
+					per = append(per, hits)
+					scanned += st.DocsScanned
+				}
+				if merged := ir.MergeHits(per, k); !reflect.DeepEqual(merged, want) || scanned != n {
+					t.Fatalf("segs=%d %q k=%d: re-merged SearchSegments diverges from the oracle", nseg, q, k)
+				}
+				hits, scores, _, _, err := s.SearchScores(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(hits, want) {
+					t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge from the oracle", nseg, q, k)
+				}
+				ranks := scores.Ranks(all)
+				scores.Release()
+				for i, h := range oracle {
+					if ranks[h.Doc] != i+1 {
+						t.Fatalf("segs=%d %q k=%d: doc %d ranked %d, oracle has it at %d", nseg, q, k, h.Doc, ranks[h.Doc], i+1)
+					}
+				}
+			}
+		}
+		if ties == 0 {
+			t.Fatal("no equal scores in any ranking: the DocID tie-break went untested")
 		}
 	}
 }
@@ -224,7 +244,7 @@ func TestVecProbedSearch(t *testing.T) {
 func TestVecSearchPartial(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(120, 11)
-	s, err := NewSegments(e, partitioned(e, names, texts, 4), Options{})
+	s, err := NewSegments(e, partitioned(e, names, texts, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +289,7 @@ func TestVecSearchPartial(t *testing.T) {
 func TestVecEmptyQuery(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(10, 1)
-	s, err := NewSegments(e, partitioned(e, names, texts, 2), Options{})
+	s, err := NewSegments(e, partitioned(e, names, texts, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,16 +297,13 @@ func TestVecEmptyQuery(t *testing.T) {
 		if _, _, err := s.Search(q, 5); !errors.Is(err, ir.ErrEmptyQry) {
 			t.Fatalf("query %q: err %v, want ErrEmptyQry", q, err)
 		}
-		if _, _, err := s.SearchFlat(q, 5); !errors.Is(err, ir.ErrEmptyQry) {
-			t.Fatalf("flat query %q: err %v, want ErrEmptyQry", q, err)
-		}
 	}
 }
 
 func TestVecDocName(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(57, 5)
-	s, err := NewSegments(e, partitioned(e, names, texts, 3), Options{})
+	s, err := NewSegments(e, partitioned(e, names, texts, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +329,7 @@ func TestVecEmptySegment(t *testing.T) {
 	names, texts := synthDocs(20, 9)
 	parts := partitioned(e, names, texts, 2)
 	parts = append(parts, NewBuilder(e))
-	s, err := NewSegments(e, parts, Options{})
+	s, err := NewSegments(e, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,97 +342,77 @@ func TestVecEmptySegment(t *testing.T) {
 	}
 }
 
-// TestVecBoundedDepth locks the depth-bounded scan: the full ranking equals
-// an independent score-everything-and-sort (the selection this lane used
-// before it shared the lexical kernel's heap; the small vocabulary makes
-// equal cosines, ordered by DocID), every depth from 1 past the corpus
-// returns exactly that ranking's prefix, and SearchScores returns the same
-// hits while its leased scores rank every document where the full ranking
-// has it — also under a probe budget, where unscanned documents rank 0.
+// TestVecBoundedDepth locks the depth-bounded scan: every depth from 1 past
+// the corpus returns exactly the oracle ranking's prefix with the same
+// stats, and SearchScores returns the same hits while its leased scores rank
+// every document where the full ranking has it.
 func TestVecBoundedDepth(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(90, 5)
-	for _, opts := range []Options{{}, {Probes: 2}} {
-		for _, nseg := range []int{1, 2, 3} {
-			parts := partitioned(e, names, texts, nseg)
-			s, err := NewSegments(e, parts, opts)
+	all := make([]ir.Hit, len(names))
+	for i := range all {
+		all[i].Doc = ir.DocID(i)
+	}
+	for _, nseg := range []int{1, 2, 3} {
+		parts := partitioned(e, names, texts, nseg)
+		s, err := NewSegments(e, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range testQueries {
+			full, stats, err := s.Search(q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range testQueries {
-				full, stats, err := s.Search(q, 0)
+			if len(full) != stats.DocsScanned {
+				t.Fatalf("%q: %d hits, %d scanned", q, len(full), stats.DocsScanned)
+			}
+			if !reflect.DeepEqual(full, naiveRanking(e, parts, q)) {
+				t.Fatalf("segs=%d %q: full ranking diverges from the sorted scan", nseg, q)
+			}
+			rank := map[ir.DocID]int{}
+			for i, h := range full {
+				rank[h.Doc] = i + 1
+			}
+			for k := 1; k <= len(names)+1; k++ {
+				got, kStats, err := s.Search(q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(full) != stats.DocsScanned {
-					t.Fatalf("%q: %d hits, %d scanned", q, len(full), stats.DocsScanned)
+				if !reflect.DeepEqual(got, full[:min(k, len(full))]) || kStats != stats {
+					t.Fatalf("segs=%d %q k=%d: not the prefix of the full ranking", nseg, q, k)
 				}
-				if opts.Probes == 0 {
-					qv := e.Embed(q)
-					var want []ir.Hit
-					for pi, b := range parts {
-						for i := 0; i < b.Len(); i++ {
-							want = append(want, ir.Hit{Doc: s.segs[pi].base + ir.DocID(i), Name: b.Name(i), Score: dot(qv, b.Vec(i))})
-						}
-					}
-					sort.Slice(want, func(i, j int) bool {
-						if want[i].Score != want[j].Score {
-							return want[i].Score > want[j].Score
-						}
-						return want[i].Doc < want[j].Doc
-					})
-					if !reflect.DeepEqual(full, want) {
-						t.Fatalf("segs=%d %q: full ranking diverges from the sorted scan", nseg, q)
+				if k%7 != 1 {
+					continue
+				}
+				hits, scores, _, _, err := s.SearchScores(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(hits, got) {
+					t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge", nseg, q, k)
+				}
+				for d, r := range scores.Ranks(all) {
+					if r != rank[ir.DocID(d)] {
+						t.Fatalf("segs=%d %q: doc %d rank %d, want %d", nseg, q, d, r, rank[ir.DocID(d)])
 					}
 				}
-				rank := map[ir.DocID]int{}
-				for i, h := range full {
-					rank[h.Doc] = i + 1
-				}
-				all := make([]ir.Hit, len(names))
-				for i := range all {
-					all[i].Doc = ir.DocID(i)
-				}
-				for k := 1; k <= len(names)+1; k++ {
-					got, kStats, err := s.Search(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, full[:min(k, len(full))]) || kStats != stats {
-						t.Fatalf("segs=%d %q k=%d: not the prefix of the full ranking", nseg, q, k)
-					}
-					if k%7 != 1 {
-						continue
-					}
-					hits, scores, _, _, err := s.SearchScores(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(hits, got) {
-						t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge", nseg, q, k)
-					}
-					for d, r := range scores.Ranks(all) {
-						if r != rank[ir.DocID(d)] {
-							t.Fatalf("segs=%d %q: doc %d rank %d, want %d", nseg, q, d, r, rank[ir.DocID(d)])
-						}
-					}
-					scores.Release()
-				}
+				scores.Release()
 			}
 		}
 	}
 }
 
 // TestVecSearchAllocs is the allocation lock of the bounded scan: a top-10
-// search allocates per query and per segment (analysis, embedding, probe
-// set, one hit list and at most one goroutine per leg, the merge; 26 here
-// on two cores), never per scanned document — the append-and-sort scan it
+// search allocates per query and per segment (analysis, embedding, one
+// hit list and at most one goroutine per leg, the merge; 25 here on two
+// cores), never per scanned document — the append-and-sort scan it
 // replaced made 74 here. The ceiling leaves room for the race detector,
 // under which sync.Pool drops a share of what is put.
 func TestVecSearchAllocs(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(2000, 9)
-	s, err := NewSegments(e, partitioned(e, names, texts, 4), Options{})
+	s, err := NewSegments(e, partitioned(e, names, texts, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
