@@ -78,8 +78,12 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# expvar was the second metrics model beside serve.Registry (DESIGN.md
+# §10); the grep keeps it from growing back into shipped code.
 vet:
 	$(GO) vet ./...
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"expvar"' .); \
+		if [ -n "$$out" ]; then echo "expvar imported outside tests (use serve.Registry):"; echo "$$out"; exit 1; fi
 
 # The README package map's line counts are how "less code at equal
 # behaviour" is judged; fail when they drift from what scripts/loc.sh counts.

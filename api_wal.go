@@ -28,14 +28,15 @@ package repro
 import (
 	"context"
 	"encoding/binary"
-	"expvar"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fsx"
+	"repro/internal/serve"
 	"repro/internal/wal"
 )
 
@@ -60,13 +61,13 @@ type WAL struct {
 	appliedSeq uint64
 	tokens     map[string]uint64
 
-	// Metrics (registered on servers via MetricVars):
-	records        expvar.Int   // records appended (wal_records_total)
-	recovered      expvar.Int   // records replayed at recovery (wal_recovered_total)
-	duplicates     expvar.Int   // commits deduplicated by token
-	lastCkptGen    expvar.Int   // generation of the last checkpoint (gauge)
-	commitDurable  expvar.Float // cumulative seconds from commit arrival to fsync
-	commitDurableN expvar.Int   // commits measured
+	// Metrics (put on a server's registry by RegisterMetrics):
+	records        serve.Counter // records appended (wal_records_total)
+	recovered      serve.Counter // records replayed at recovery (wal_recovered_total)
+	duplicates     serve.Counter // commits deduplicated by token
+	lastCkptGen    atomic.Int64  // generation of the last checkpoint (gauge)
+	commitDurable  atomic.Int64  // cumulative nanoseconds from commit arrival to fsync
+	commitDurableN serve.Counter // commits measured
 }
 
 // OpenWAL opens (creating if needed) the write-ahead log in dir and reads
@@ -93,7 +94,7 @@ func OpenWALFS(dir string, fs fsx.FS) (*WAL, error) {
 		}
 	}
 	w.appliedSeq = state.CheckpointSeq
-	w.lastCkptGen.Set(state.CheckpointGen)
+	w.lastCkptGen.Store(state.CheckpointGen)
 	return w, nil
 }
 
@@ -208,7 +209,7 @@ func (w *WAL) logCommit(token string, jobs []IngestJob) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w.commitDurable.Add(time.Since(start).Seconds())
+	w.commitDurable.Add(int64(time.Since(start)))
 	w.commitDurableN.Add(1)
 	w.records.Add(1)
 	w.mu.Lock()
@@ -246,7 +247,7 @@ func (w *WAL) checkpoint(lib *Library) error {
 	if err := w.log.Rotate(covered, gen); err != nil {
 		return err
 	}
-	w.lastCkptGen.Set(gen)
+	w.lastCkptGen.Store(gen)
 	w.mu.Lock()
 	w.state.CheckpointSeq, w.state.CheckpointGen = covered, gen
 	w.mu.Unlock()
@@ -262,8 +263,8 @@ func (w *WAL) checkpoint(lib *Library) error {
 	return nil
 }
 
-// MetricVars exposes the WAL's counters and gauges for registration on a
-// serving layer's /metrics surface, keyed by metric name:
+// RegisterMetrics puts the WAL's counters and gauges on a serving layer's
+// registry:
 //
 //	wal_records              commits durably logged (counter)
 //	wal_recovered            records replayed at recovery (counter)
@@ -271,15 +272,15 @@ func (w *WAL) checkpoint(lib *Library) error {
 //	wal_last_checkpoint_gen  library generation of the last checkpoint (gauge)
 //	wal_commit_durable_seconds / wal_commit_durable_ops
 //	                         cumulative commit→fsync latency and count
-func (w *WAL) MetricVars() map[string]expvar.Var {
-	return map[string]expvar.Var{
-		"wal_records":                &w.records,
-		"wal_recovered":              &w.recovered,
-		"wal_duplicate_commits":      &w.duplicates,
-		"wal_last_checkpoint_gen":    expvar.Func(func() any { return w.lastCkptGen.Value() }),
-		"wal_commit_durable_seconds": &w.commitDurable,
-		"wal_commit_durable_ops":     &w.commitDurableN,
-	}
+func (w *WAL) RegisterMetrics(reg *serve.Registry) {
+	reg.CounterFunc("wal_records", w.records.Value)
+	reg.CounterFunc("wal_recovered", w.recovered.Value)
+	reg.CounterFunc("wal_duplicate_commits", w.duplicates.Value)
+	reg.GaugeFunc("wal_last_checkpoint_gen", func() float64 { return float64(w.lastCkptGen.Load()) })
+	reg.GaugeFunc("wal_commit_durable_seconds", func() float64 {
+		return time.Duration(w.commitDurable.Load()).Seconds()
+	})
+	reg.CounterFunc("wal_commit_durable_ops", w.commitDurableN.Value)
 }
 
 // ---------------------------------------------------------------- facade

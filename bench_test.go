@@ -1488,8 +1488,10 @@ func BenchmarkSceneJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("ref/segs=%d", nseg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := si.ScenesReference(kinds[i%len(kinds)]); err != nil {
-					b.Fatal(err)
+				for _, p := range parts {
+					if _, err := p.ScenesReference(kinds[i%len(kinds)]); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -12,7 +12,7 @@
 //
 //	curl 'http://localhost:8372/healthz'
 //	curl 'http://localhost:8372/metrics'      # Prometheus text format
-//	curl 'http://localhost:8372/debug/vars'   # same counters, expvar JSON
+//	curl 'http://localhost:8372/debug/vars'   # same metrics as JSON
 //	curl 'http://localhost:8372/v2/manifest'  # segment sets (router placement)
 //	curl --get 'http://localhost:8372/v2/search' \
 //	     --data-urlencode 'q=find Player where sex = "female"' \
@@ -150,9 +150,7 @@ func main() {
 	}
 	srv := repro.NewServer(dl, repro.ServerOptions{CacheSize: *cacheSize, Workers: *workers})
 	if dwal != nil {
-		for name, v := range dwal.MetricVars() {
-			srv.RegisterMetric(name, v)
-		}
+		dwal.RegisterMetrics(srv.Metrics())
 	}
 
 	// checkpointWAL bounds replay work and is the deliberate drop point for

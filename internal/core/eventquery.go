@@ -54,68 +54,36 @@ func (m *MetaIndex) EventsRelated(kindA, kindB string, wanted ...AllenRelation) 
 	return relatedSweep(as, groups, kindA == kindB, want), nil
 }
 
-// EventsRelatedReference is the retained row-store path of EventsRelated:
-// operands come from per-query selects and the sweep groups are rebuilt on
-// every call. Parity tests lock the frozen path against it.
-func (m *MetaIndex) EventsRelatedReference(kindA, kindB string, wanted ...AllenRelation) ([]EventPair, error) {
-	as, bs, err := m.eventOperands(kindA, kindB)
-	if err != nil {
-		return nil, err
-	}
-	want := map[AllenRelation]bool{}
-	for _, r := range wanted {
-		want[r] = true
-	}
-	if len(want) == 0 || want[RelBefore] || want[RelAfter] {
-		return relatedScan(as, bs, kindA == kindB, want), nil
-	}
-	return relatedSweep(as, groupByVideoSorted(bs), kindA == kindB, want), nil
-}
-
 // EventsRelatedNaive is the reference O(A·B) pairwise implementation of
-// EventsRelated. It exists so tests and benchmarks can cross-check the
+// EventsRelated: every co-video (a, b) pair is tested, over operands read
+// through the row store so it keeps locking the frozen view from the
+// outside. It exists so tests and benchmarks can cross-check the
 // interval-sweep path against the exhaustive scan; both must return
 // identical output on any index.
 func (m *MetaIndex) EventsRelatedNaive(kindA, kindB string, wanted ...AllenRelation) ([]EventPair, error) {
-	as, bs, err := m.eventOperands(kindA, kindB)
+	as, err := m.EventsByKindReference(kindA)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: composite query: %w", err)
+	}
+	bs, err := m.EventsByKindReference(kindB)
+	if err != nil {
+		return nil, fmt.Errorf("core: composite query: %w", err)
 	}
 	want := map[AllenRelation]bool{}
 	for _, r := range wanted {
 		want[r] = true
 	}
-	return relatedScan(as, bs, kindA == kindB, want), nil
-}
-
-// eventOperands reads both operand kinds through the row store — the
-// reference paths stay pure row-store so they keep locking the frozen view
-// from the outside.
-func (m *MetaIndex) eventOperands(kindA, kindB string) ([]Event, []Event, error) {
-	as, err := m.EventsByKindReference(kindA)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: composite query: %w", err)
-	}
-	bs, err := m.EventsByKindReference(kindB)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: composite query: %w", err)
-	}
-	return as, bs, nil
-}
-
-// relatedScan is the exhaustive pairwise path: every co-video (a, b) pair
-// is tested. It is the only complete strategy when distant pairs (Before /
-// After) can qualify, because then the answer itself is O(A·B).
-func relatedScan(as, bs []Event, sameKind bool, want map[AllenRelation]bool) []EventPair {
 	byVideo := map[int64][]Event{}
 	for _, b := range bs {
 		byVideo[b.VideoID] = append(byVideo[b.VideoID], b)
 	}
-	return relatedScanGrouped(as, byVideo, sameKind, want)
+	return relatedScanGrouped(as, byVideo, kindA == kindB, want), nil
 }
 
-// relatedScanGrouped is relatedScan over an already-grouped b operand (the
-// frozen view keeps the per-video groups prebuilt in operand order).
+// relatedScanGrouped is the exhaustive pairwise path over a b operand
+// grouped by video in operand order (the frozen view keeps the groups
+// prebuilt). It is the only complete strategy when distant pairs (Before /
+// After) can qualify, because then the answer itself is O(A·B).
 func relatedScanGrouped(as []Event, byVideo map[int64][]Event, sameKind bool, want map[AllenRelation]bool) []EventPair {
 	var out []EventPair
 	for _, a := range as {
@@ -171,7 +139,7 @@ func groupByVideoSorted(bs []Event) map[int64]*sweepGroup {
 }
 
 // sortPairsScanOrder reorders pairs (with their naive-order keys) to match
-// relatedScan output: ascending a position, then ascending b position.
+// relatedScanGrouped output: ascending a position, then ascending b position.
 func sortPairsScanOrder(pairs []EventPair, aOrd, bOrd []int) []EventPair {
 	if len(pairs) == 0 {
 		return nil // match the scan path, which returns nil for no pairs
@@ -235,8 +203,7 @@ func relatedSweep(as []Event, groups map[int64]*sweepGroup, sameKind bool, want 
 	return sortPairsScanOrder(out, aOrd, bOrd)
 }
 
-// followingSweep is the windowed "A then B" sweep shared by the frozen and
-// reference EventsFollowing paths.
+// followingSweep is the windowed "A then B" sweep behind EventsFollowing.
 func followingSweep(as []Event, groups map[int64]*sweepGroup, sameKind bool, maxGap int) []EventPair {
 	var (
 		out        []EventPair
@@ -278,68 +245,4 @@ func (m *MetaIndex) EventsFollowing(kindA, kindB string, maxGap int) ([]EventPai
 	as, _, _ := v.kindEvents(kindA)
 	_, _, groups := v.kindEvents(kindB)
 	return followingSweep(as, groups, kindA == kindB, maxGap), nil
-}
-
-// EventsFollowingReference is the retained row-store path of EventsFollowing.
-func (m *MetaIndex) EventsFollowingReference(kindA, kindB string, maxGap int) ([]EventPair, error) {
-	if maxGap < 0 {
-		return nil, fmt.Errorf("core: negative gap %d", maxGap)
-	}
-	as, bs, err := m.eventOperands(kindA, kindB)
-	if err != nil {
-		return nil, err
-	}
-	return followingSweep(as, groupByVideoSorted(bs), kindA == kindB, maxGap), nil
-}
-
-// ScenesWithEventDuring returns scenes of kindA events that lie (Allen
-// during, starts, finishes, or equals) within a kindB event — e.g. net-play
-// scenes occurring within a rally. The video join reads the frozen view's
-// pre-decoded video column.
-func (m *MetaIndex) ScenesWithEventDuring(kindA, kindB string) ([]Scene, error) {
-	pairs, err := m.EventsRelated(kindA, kindB, RelDuring, RelStarts, RelFinishes, RelEquals)
-	if err != nil {
-		return nil, err
-	}
-	view, err := m.frozenView()
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int64]bool{}
-	var out []Scene
-	for _, p := range pairs {
-		if seen[p.A.ID] {
-			continue
-		}
-		seen[p.A.ID] = true
-		v, ok := view.videosByID[p.A.VideoID]
-		if !ok {
-			return nil, fmt.Errorf("core: no video with id %d", p.A.VideoID)
-		}
-		out = append(out, Scene{Video: v, Event: p.A})
-	}
-	return out, nil
-}
-
-// ScenesWithEventDuringReference is the retained row-store path of
-// ScenesWithEventDuring.
-func (m *MetaIndex) ScenesWithEventDuringReference(kindA, kindB string) ([]Scene, error) {
-	pairs, err := m.EventsRelatedReference(kindA, kindB, RelDuring, RelStarts, RelFinishes, RelEquals)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int64]bool{}
-	var out []Scene
-	for _, p := range pairs {
-		if seen[p.A.ID] {
-			continue
-		}
-		seen[p.A.ID] = true
-		v, err := m.VideoByID(p.A.VideoID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Scene{Video: v, Event: p.A})
-	}
-	return out, nil
 }

@@ -93,6 +93,19 @@ func TestEventsRelatedSweepMatchesNaive(t *testing.T) {
 	}
 }
 
+// followingNaive is EventsFollowing by its definition: the naive pair
+// enumeration filtered by gap.
+func followingNaive(m *MetaIndex, kindA, kindB string, maxGap int) ([]EventPair, error) {
+	all, err := m.EventsRelatedNaive(kindA, kindB)
+	var out []EventPair
+	for _, p := range all {
+		if gap := p.B.Start - p.A.End; gap >= 0 && gap <= maxGap {
+			out = append(out, p)
+		}
+	}
+	return out, err
+}
+
 // TestEventsFollowingMatchesNaive cross-checks the windowed EventsFollowing
 // against its definition: filter the full pair enumeration by gap.
 func TestEventsFollowingMatchesNaive(t *testing.T) {
@@ -110,16 +123,9 @@ func TestEventsFollowingMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := m.EventsRelatedNaive(tc.kindA, tc.kindB)
+		naive, err := followingNaive(m, tc.kindA, tc.kindB, tc.maxGap)
 		if err != nil {
 			t.Fatal(err)
-		}
-		var naive []EventPair
-		for _, p := range all {
-			gap := p.B.Start - p.A.End
-			if gap >= 0 && gap <= tc.maxGap {
-				naive = append(naive, p)
-			}
 		}
 		if !reflect.DeepEqual(fast, naive) {
 			t.Fatalf("%s→%s gap %d: windowed %d pairs, naive %d pairs (or order differs)",

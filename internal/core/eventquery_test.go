@@ -118,20 +118,6 @@ func TestEventsFollowing(t *testing.T) {
 	}
 }
 
-func TestScenesWithEventDuring(t *testing.T) {
-	m := eventFixture(t)
-	scenes, err := m.ScenesWithEventDuring("net-play", "rally")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scenes) != 1 {
-		t.Fatalf("scenes = %+v", scenes)
-	}
-	if scenes[0].Video.Name != "a" || scenes[0].Event.Start != 40 {
-		t.Fatalf("scene = %+v", scenes[0])
-	}
-}
-
 func TestEventsRelatedUnknownKind(t *testing.T) {
 	m := eventFixture(t)
 	pairs, err := m.EventsRelated("tiebreak", "rally")

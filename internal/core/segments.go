@@ -272,28 +272,6 @@ func (s *SegmentedIndex) EventsFollowing(kindA, kindB string, maxGap int) ([]Eve
 	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsFollowing(kindA, kindB, maxGap) })
 }
 
-// ScenesReference is Scenes through each partition's retained row-store
-// path — the baseline the frozen columnar view is benchmarked and parity-
-// tested against.
-func (s *SegmentedIndex) ScenesReference(kind string) ([]Scene, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]Scene, error) { return p.ScenesReference(kind) })
-}
-
-// EventsByKindReference is EventsByKind through the row-store path.
-func (s *SegmentedIndex) EventsByKindReference(kind string) ([]Event, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]Event, error) { return p.EventsByKindReference(kind) })
-}
-
-// EventsRelatedReference is EventsRelated through the row-store path.
-func (s *SegmentedIndex) EventsRelatedReference(kindA, kindB string, wanted ...AllenRelation) ([]EventPair, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsRelatedReference(kindA, kindB, wanted...) })
-}
-
-// EventsFollowingReference is EventsFollowing through the row-store path.
-func (s *SegmentedIndex) EventsFollowingReference(kindA, kindB string, maxGap int) ([]EventPair, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsFollowingReference(kindA, kindB, maxGap) })
-}
-
 // ------------------------------------------------------------ compaction
 
 // MergeSegmentRange replays partitions [from, to) into one new partition

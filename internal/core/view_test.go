@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/segset"
 )
 
 // sameErr asserts two errors agree in presence and text: the frozen read
@@ -21,9 +23,10 @@ func sameErr(t *testing.T, label string, got, want error) {
 }
 
 // TestFrozenViewMatchesReference locks every frozen-view query form to its
-// retained row-store reference, byte for byte (reflect.DeepEqual covers
-// ordering, nil-vs-empty, and field values), on an adversarial random
-// corpus.
+// oracle — the retained row-store read, or for the pair joins the naive
+// enumeration over row-store operands — byte for byte (reflect.DeepEqual
+// covers ordering, nil-vs-empty, and field values), on an adversarial
+// random corpus.
 func TestFrozenViewMatchesReference(t *testing.T) {
 	m := randomEventIndex(t, 99, 6, 80)
 
@@ -69,7 +72,7 @@ func TestFrozenViewMatchesReference(t *testing.T) {
 		for i, rels := range relSets {
 			label := fmt.Sprintf("EventsRelated(%s,%s)#%d", p[0], p[1], i)
 			got, err := m.EventsRelated(p[0], p[1], rels...)
-			want, wantErr := m.EventsRelatedReference(p[0], p[1], rels...)
+			want, wantErr := m.EventsRelatedNaive(p[0], p[1], rels...)
 			sameErr(t, label, err, wantErr)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s diverges: %d pairs vs %d", label, len(got), len(want))
@@ -78,24 +81,17 @@ func TestFrozenViewMatchesReference(t *testing.T) {
 		for _, gap := range []int{0, 10, 80} {
 			label := fmt.Sprintf("EventsFollowing(%s,%s,%d)", p[0], p[1], gap)
 			got, err := m.EventsFollowing(p[0], p[1], gap)
-			want, wantErr := m.EventsFollowingReference(p[0], p[1], gap)
+			want, wantErr := followingNaive(m, p[0], p[1], gap)
 			sameErr(t, label, err, wantErr)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s diverges: %d pairs vs %d", label, len(got), len(want))
 			}
 		}
-		gotSc, errSc := m.ScenesWithEventDuring(p[0], p[1])
-		wantSc, wantErrSc := m.ScenesWithEventDuringReference(p[0], p[1])
-		sameErr(t, "ScenesWithEventDuring", errSc, wantErrSc)
-		if !reflect.DeepEqual(gotSc, wantSc) {
-			t.Fatalf("ScenesWithEventDuring(%s,%s) diverges", p[0], p[1])
-		}
 	}
 
-	// Negative gap must error identically (and before building any view).
+	// A negative gap is refused before any view is built.
 	_, err := m.EventsFollowing("rally", "service", -1)
-	_, wantErr := m.EventsFollowingReference("rally", "service", -1)
-	sameErr(t, "EventsFollowing(gap=-1)", err, wantErr)
+	sameErr(t, "EventsFollowing(gap=-1)", err, fmt.Errorf("core: negative gap -1"))
 }
 
 // chainedParts builds nseg ID-chained partitions with a random event layout,
@@ -141,7 +137,8 @@ func chainedParts(t *testing.T, nseg int) ([]*MetaIndex, []SegmentMeta) {
 }
 
 // TestFrozenViewSegmentedMatchesReference repeats the parity check through
-// the SegmentedIndex scatter path at 1, 2 and 3 partitions.
+// the SegmentedIndex scatter path at 1, 2 and 3 partitions, against each
+// oracle's answers concatenated in partition order.
 func TestFrozenViewSegmentedMatchesReference(t *testing.T) {
 	for _, nseg := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("segs=%d", nseg), func(t *testing.T) {
@@ -152,13 +149,13 @@ func TestFrozenViewSegmentedMatchesReference(t *testing.T) {
 			}
 			for _, k := range []string{"rally", "net-play", "service", "absent"} {
 				gotS, errS := si.Scenes(k)
-				wantS, wantErrS := si.ScenesReference(k)
+				wantS, wantErrS := segset.Gather(si.parts, func(p *MetaIndex) ([]Scene, error) { return p.ScenesReference(k) })
 				sameErr(t, "Scenes("+k+")", errS, wantErrS)
 				if !reflect.DeepEqual(gotS, wantS) {
 					t.Fatalf("Scenes(%q) diverges across %d segments", k, nseg)
 				}
 				gotE, errE := si.EventsByKind(k)
-				wantE, wantErrE := si.EventsByKindReference(k)
+				wantE, wantErrE := segset.Gather(si.parts, func(p *MetaIndex) ([]Event, error) { return p.EventsByKindReference(k) })
 				sameErr(t, "EventsByKind("+k+")", errE, wantErrE)
 				if !reflect.DeepEqual(gotE, wantE) {
 					t.Fatalf("EventsByKind(%q) diverges across %d segments", k, nseg)
@@ -166,14 +163,18 @@ func TestFrozenViewSegmentedMatchesReference(t *testing.T) {
 			}
 			for _, rels := range [][]AllenRelation{nil, {RelDuring}, {RelMeets, RelMetBy}} {
 				got, err := si.EventsRelated("net-play", "rally", rels...)
-				want, wantErr := si.EventsRelatedReference("net-play", "rally", rels...)
+				want, wantErr := segset.Gather(si.parts, func(p *MetaIndex) ([]EventPair, error) {
+					return p.EventsRelatedNaive("net-play", "rally", rels...)
+				})
 				sameErr(t, "EventsRelated", err, wantErr)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("EventsRelated(%v) diverges across %d segments", rels, nseg)
 				}
 			}
 			got, err := si.EventsFollowing("service", "rally", 25)
-			want, wantErr := si.EventsFollowingReference("service", "rally", 25)
+			want, wantErr := segset.Gather(si.parts, func(p *MetaIndex) ([]EventPair, error) {
+				return followingNaive(p, "service", "rally", 25)
+			})
 			sameErr(t, "EventsFollowing", err, wantErr)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("EventsFollowing diverges across %d segments", nseg)
@@ -225,10 +226,6 @@ func TestFrozenViewMissingVideoErrors(t *testing.T) {
 	if _, err := m.Scenes("net-play"); err != nil {
 		t.Fatalf("Scenes(net-play) on same index: %v", err)
 	}
-
-	_, gotErr = m.ScenesWithEventDuring("rally", "net-play")
-	_, wantErr = m.ScenesWithEventDuringReference("rally", "net-play")
-	sameErr(t, "ScenesWithEventDuring with dangling video", gotErr, wantErr)
 }
 
 // TestFrozenViewInvalidation: a write must invalidate the frozen view so

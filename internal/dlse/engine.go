@@ -381,9 +381,6 @@ type Request struct {
 	// via this role path instead of the result object's own pages (e.g.
 	// rank players by their interviews).
 	TextPath []string
-	// TopNFragments, when > 0, uses the optimized top-N text search with
-	// that fragment count instead of the exhaustive scan.
-	TopNFragments int
 	// Limit caps the result count (0 = unlimited).
 	Limit int
 }

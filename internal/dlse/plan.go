@@ -218,18 +218,10 @@ func (e *Engine) runOperator(ctx context.Context, kind OpKind, req Request, st *
 		st.scenesByName = byName
 	case OpText:
 		// The merge only joins scores by doc ID, so the ranking-free
-		// ScoreQuery/ScoreTopN forms of the scoring kernel apply: no hit
+		// ScoreQuery form of the scoring kernel applies: no hit
 		// construction, no top-k selection, no per-query score table — just
 		// a leased view of one pooled dense accumulator per text segment.
-		var scores ir.SegScores
-		var stats ir.SearchStats
-		var err error
-		if req.TopNFragments > 0 {
-			scores, stats, err = e.text.ScoreTopN(req.Text, e.text.Docs(),
-				ir.TopNOptions{Fragments: req.TopNFragments})
-		} else {
-			scores, stats, err = e.text.ScoreQuery(req.Text)
-		}
+		scores, stats, err := e.text.ScoreQuery(req.Text)
 		st.textStats = stats
 		if err == ir.ErrEmptyQry {
 			return nil // unrankable text: scores stay zero, like before
@@ -350,8 +342,7 @@ func (r Request) CanonicalKey() string {
 		fmt.Fprintf(&b, "|scenes=%s!%s!%t", r.SceneKind, strings.Join(r.VideoPath, "."), r.RequireScenes)
 	}
 	if r.Text != "" {
-		fmt.Fprintf(&b, "|rank=%s!%s!%d",
-			strings.Join(ir.Analyze(r.Text), " "), strings.Join(r.TextPath, "."), r.TopNFragments)
+		fmt.Fprintf(&b, "|rank=%s!%s", strings.Join(ir.Analyze(r.Text), " "), strings.Join(r.TextPath, "."))
 	}
 	fmt.Fprintf(&b, "|limit=%d", r.Limit)
 	return b.String()

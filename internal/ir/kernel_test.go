@@ -177,50 +177,6 @@ func TestScoreQueryMatchesSearch(t *testing.T) {
 	zero.Release() // must be a no-op, not a panic
 }
 
-// TestScoreTopNMatchesSearchTopN: the top-N handle must expose exactly the
-// scores SearchTopN ranks, in safe and budget mode, and zeros when every
-// query term is unknown.
-func TestScoreTopNMatchesSearchTopN(t *testing.T) {
-	ix := synthCorpus(t, 1200, 150, 37)
-	for _, opts := range []TopNOptions{
-		{Fragments: 16},
-		{Fragments: 32, MaxFragments: 2},
-	} {
-		for _, q := range []string{"w0 w1", "w2 w5 w9", "w1 nosuchterm"} {
-			k := ix.Docs() // rank everything, as the dlse text operator does
-			hits, hStats, err := ix.SearchTopN(q, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, sStats, err := ix.ScoreTopN(q, k, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sStats != hStats {
-				t.Fatalf("q=%q opts=%+v: stats %+v vs %+v", q, opts, sStats, hStats)
-			}
-			byDoc := make(map[DocID]float64, len(hits))
-			for _, h := range hits {
-				byDoc[h.Doc] = h.Score
-			}
-			for d := 0; d < ix.Docs(); d++ {
-				if got := sc.Get(DocID(d)); got != byDoc[DocID(d)] {
-					t.Fatalf("q=%q opts=%+v doc %d: %v vs %v", q, opts, d, got, byDoc[DocID(d)])
-				}
-			}
-			sc.Release()
-		}
-	}
-	sc, stats, err := ix.ScoreTopN("zzznosuch", 10, TopNOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Valid() || stats.DocsTouched != 0 || sc.Get(0) != 0 {
-		t.Fatalf("unknown-term handle: valid=%t stats=%+v", sc.Valid(), stats)
-	}
-	sc.Release()
-}
-
 // TestScoreQueryAllocs: the leased-handle scorer's only allocations are
 // query analysis.
 func TestScoreQueryAllocs(t *testing.T) {

@@ -67,17 +67,6 @@ func TestSegfileRoundTripParity(t *testing.T) {
 					hsc.Release()
 					msc.Release()
 				}
-				// Safe top-N: same hit set and order.
-				hn, _, _ := heap.SearchTopN(q, 5, TopNOptions{Fragments: 4})
-				mn, _, _ := mapped.SearchTopN(q, 5, TopNOptions{Fragments: 4})
-				if len(hn) != len(mn) {
-					t.Fatalf("q=%q: topN %d vs %d hits", q, len(hn), len(mn))
-				}
-				for i := range hn {
-					if hn[i].Doc != mn[i].Doc || hn[i].Name != mn[i].Name {
-						t.Fatalf("q=%q topN[%d]: %+v vs %+v", q, i, hn[i], mn[i])
-					}
-				}
 				// Partial scatter legs merge identically.
 				if nseg > 1 {
 					ords := []int{0, nseg - 1}
@@ -88,8 +77,16 @@ func TestSegfileRoundTripParity(t *testing.T) {
 					}
 				}
 			}
-			// Boolean retrieval on each part.
+			// Boolean retrieval and safe top-N (the mapped impact-ordered
+			// lists) on each part.
 			for i := 0; i < nseg; i++ {
+				for _, q := range segQueries {
+					hn, _, herr := heap.Part(i).SearchTopN(q, 5, TopNOptions{Fragments: 4})
+					mn, _, merr := mapped.Part(i).SearchTopN(q, 5, TopNOptions{Fragments: 4})
+					if (herr == nil) != (merr == nil) || !reflect.DeepEqual(hn, mn) {
+						t.Fatalf("part %d q=%q topN: %v/%v vs %v/%v", i, q, hn, herr, mn, merr)
+					}
+				}
 				hb, herr := heap.Part(i).SearchBoolean("w0 w1")
 				mb, merr := mapped.Part(i).SearchBoolean("w0 w1")
 				if (herr == nil) != (merr == nil) || !reflect.DeepEqual(hb, mb) {

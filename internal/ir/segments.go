@@ -90,33 +90,18 @@ func (s *Segments) DocName(d DocID) (string, error) {
 // the leg's wall time — the payload of per-segment explain plans.
 type SegStat = segset.Leg[SearchStats]
 
-// scorer scores one query on one segment into a pooled accumulator it
-// leases from that segment.
-type scorer func(ix *Index) (*Accum, SearchStats)
-
-// exhaustive is the scorer of the full scan.
-func exhaustive(terms []string) scorer {
-	return func(ix *Index) (*Accum, SearchStats) {
-		ac := ix.getAccum()
-		return ac, ix.scoreTerms(terms, ac)
-	}
-}
-
-// topN is the scorer of the fragment-at-a-time optimization.
-func topN(terms []string, k int, opts TopNOptions) scorer {
-	return func(ix *Index) (*Accum, SearchStats) { return ix.scoreTopNTerms(terms, k, opts) }
-}
-
-// scoreOrds is the lane's one scatter body: score runs on every named
-// segment, keep takes over the scored accumulator (to rank and return it,
-// or to hold it for a SegScores handle), and the per-leg stats fold into
+// scoreOrds is the lane's one scatter body: the exhaustive scan scores
+// every named segment into an accumulator pooled by that segment, keep takes
+// it over (to rank and return it, or to hold it for a SegScores handle),
+// and the per-leg stats fold into
 // what a monolithic run over the same segments would have reported —
 // TermsMatched counts query terms present in any of them, the work counters
 // sum (segments touch disjoint docs), and early termination is reported if
 // any leg terminated early.
-func (s *Segments) scoreOrds(terms []string, ords []int, score scorer, keep func(slot, ord int, ac *Accum)) (SearchStats, []SegStat) {
+func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int, ac *Accum)) (SearchStats, []SegStat) {
 	legs := segset.Scatter(ords, func(slot, ord int) SearchStats {
-		ac, st := score(s.segs[ord])
+		ac := s.segs[ord].getAccum()
+		st := s.segs[ord].scoreTerms(terms, ac)
 		keep(slot, ord, ac)
 		return st
 	})
@@ -142,9 +127,9 @@ func (s *Segments) scoreOrds(terms []string, ords []int, score scorer, keep func
 // desc, DocID asc) total order, capped at k (k <= 0 keeps everything). A
 // non-nil hold takes over every leg's scored accumulator, by ordinal,
 // still leased; otherwise the legs release them.
-func (s *Segments) searchOrds(terms []string, k int, ords []int, score scorer, hold []*Accum) ([]Hit, SearchStats, []SegStat) {
+func (s *Segments) searchOrds(terms []string, k int, ords []int, hold []*Accum) ([]Hit, SearchStats, []SegStat) {
 	per := make([][]Hit, len(ords))
-	stats, legs := s.scoreOrds(terms, ords, score, func(slot, ord int, ac *Accum) {
+	stats, legs := s.scoreOrds(terms, ords, func(slot, ord int, ac *Accum) {
 		hits := s.segs[ord].topKDense(ac, k)
 		base := DocID(s.bases.Start(ord))
 		for j := range hits {
@@ -213,25 +198,8 @@ func (s *Segments) search(query string, k int, ords []int, hold []*Accum) ([]Hit
 	} else if err := segset.Check(len(s.segs), ords...); err != nil {
 		return nil, SearchStats{}, nil, err
 	}
-	hits, stats, legs := s.searchOrds(terms, k, ords, exhaustive(terms), hold)
+	hits, stats, legs := s.searchOrds(terms, k, ords, hold)
 	return hits, stats, legs, nil
-}
-
-// SearchTopN runs the fragment-at-a-time top-N optimization independently
-// inside every segment and merges the per-segment top k. Safe mode returns
-// the same hit set a monolithic safe run would; as in the monolithic case,
-// reported scores may be partial when early termination fires, so exact
-// score bytes depend on the fragment schedule (and hence the segmentation).
-func (s *Segments) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, SearchStats, error) {
-	if k <= 0 {
-		k = 10
-	}
-	terms := dedupe(Analyze(query))
-	if len(terms) == 0 {
-		return nil, SearchStats{}, ErrEmptyQry
-	}
-	hits, stats, _ := s.searchOrds(terms, k, s.bases.Ords(), topN(terms, k, opts), nil)
-	return hits, stats, nil
 }
 
 // SegScores is the segmented counterpart of Scores: a leased, read-only
@@ -318,32 +286,17 @@ func (sc SegScores) Release() {
 	}
 }
 
-// scoreAll is the ranking-free scatter: every segment's scored accumulator
-// is kept, leased, behind a SegScores handle.
-func (s *Segments) scoreAll(terms []string, score scorer) (SegScores, SearchStats, error) {
+// ScoreQuery runs the exhaustive scorer across all segments and returns a
+// leased handle over the per-doc scores — the ranking-free form of Search
+// for callers that join scores into their own result sets: every segment's
+// scored accumulator is kept, leased, behind the handle. Scores are
+// byte-identical to Index.ScoreQuery on the merged collection.
+func (s *Segments) ScoreQuery(query string) (SegScores, SearchStats, error) {
+	terms := dedupe(Analyze(query))
 	if len(terms) == 0 {
 		return SegScores{}, SearchStats{}, ErrEmptyQry
 	}
 	acs := make([]*Accum, len(s.segs))
-	stats, legs := s.scoreOrds(terms, s.bases.Ords(), score, func(slot, _ int, ac *Accum) { acs[slot] = ac })
+	stats, legs := s.scoreOrds(terms, s.bases.Ords(), func(slot, _ int, ac *Accum) { acs[slot] = ac })
 	return SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
-}
-
-// ScoreQuery runs the exhaustive scorer across all segments and returns a
-// leased handle over the per-doc scores — the ranking-free form of Search
-// for callers that join scores into their own result sets. Scores are
-// byte-identical to Index.ScoreQuery on the merged collection.
-func (s *Segments) ScoreQuery(query string) (SegScores, SearchStats, error) {
-	terms := dedupe(Analyze(query))
-	return s.scoreAll(terms, exhaustive(terms))
-}
-
-// ScoreTopN is ScoreQuery for the fragmented top-N scorer, run per segment
-// with the same k. The handle must be Released.
-func (s *Segments) ScoreTopN(query string, k int, opts TopNOptions) (SegScores, SearchStats, error) {
-	if k <= 0 {
-		k = 10
-	}
-	terms := dedupe(Analyze(query))
-	return s.scoreAll(terms, topN(terms, k, opts))
 }

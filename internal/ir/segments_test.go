@@ -188,42 +188,6 @@ func TestSearchScoresRanks(t *testing.T) {
 	}
 }
 
-// TestSegmentsTopNSafeHitSet checks the per-segment safe top-N merge
-// returns the same documents in the same rank order as the exhaustive
-// segmented search (the safe-termination contract), and that budget mode
-// reports early termination.
-func TestSegmentsTopNSafeHitSet(t *testing.T) {
-	docs := segCorpus(200)
-	segs := buildSegs(t, docs, 3)
-	const k = 10
-	for _, q := range segQueries[:4] {
-		full, _, err := segs.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		safe, _, err := segs.SearchTopN(q, k, TopNOptions{Fragments: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(full) != len(safe) {
-			t.Fatalf("q=%q: %d exhaustive vs %d safe hits", q, len(full), len(safe))
-		}
-		for i := range full {
-			if full[i].Doc != safe[i].Doc {
-				t.Fatalf("q=%q rank %d: doc %d vs %d", q, i, full[i].Doc, safe[i].Doc)
-			}
-		}
-	}
-	// Budget mode on a heavy query terminates early and says so.
-	_, stats, err := segs.SearchTopN("w0 w1 w2 w3", k, TopNOptions{Fragments: 16, MaxFragments: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Terminated {
-		t.Fatal("budget run did not report early termination")
-	}
-}
-
 // TestSegmentsDocName checks global doc-ID routing across segment bounds,
 // including out-of-range IDs.
 func TestSegmentsDocName(t *testing.T) {

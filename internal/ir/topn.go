@@ -59,21 +59,6 @@ func (ix *Index) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Searc
 	return ix.topKDense(ac, k), stats, nil
 }
 
-// ScoreTopN is ScoreQuery for the fragmented top-N scorer: it returns a
-// leased handle over the scores the (safe or budgeted) run accumulated.
-// Callers joining by DocID get exactly the scores SearchTopN would have
-// ranked; the handle must be Released.
-func (ix *Index) ScoreTopN(query string, k int, opts TopNOptions) (Scores, SearchStats, error) {
-	if k <= 0 {
-		k = 10
-	}
-	ac, stats, err := ix.scoreTopN(query, k, opts)
-	if err != nil {
-		return Scores{}, stats, err
-	}
-	return Scores{ac: ac}, stats, nil
-}
-
 // scoreTopN runs the top-N algorithm into a leased accumulator, which the
 // caller owns (and must return to the pool) on success.
 func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, SearchStats, error) {
@@ -84,13 +69,6 @@ func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, Searc
 	if len(terms) == 0 {
 		return nil, SearchStats{}, ErrEmptyQry
 	}
-	ac, stats := ix.scoreTopNTerms(terms, k, opts)
-	return ac, stats, nil
-}
-
-// scoreTopNTerms is scoreTopN after query analysis: the entry point the
-// Segments reader scatters across segments with one shared term list.
-func (ix *Index) scoreTopNTerms(terms []string, k int, opts TopNOptions) (*Accum, SearchStats) {
 	opts = opts.withDefaults()
 	var states []*termState
 	for _, t := range terms {
@@ -113,7 +91,7 @@ func (ix *Index) scoreTopNTerms(terms []string, k int, opts TopNOptions) (*Accum
 		runSafe(states, ac, &stats, k)
 	}
 	stats.DocsTouched = len(ac.touched)
-	return ac, stats
+	return ac, stats, nil
 }
 
 // runBudget processes fragment rounds round-robin across terms: round r

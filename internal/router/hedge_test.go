@@ -328,8 +328,8 @@ func TestProxyTimeoutFailsOver(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("proxied query took %v with a 100ms node timeout", elapsed)
 	}
-	if via.n.Load() != 2 || r.nodes[0].healthy.Value() != 0 {
-		t.Fatalf("%d requests through the router's client (want 2: the hung node, then its neighbour), hung node healthy=%d",
-			via.n.Load(), r.nodes[0].healthy.Value())
+	if via.n.Load() != 2 || r.nodes[0].healthy.Load() {
+		t.Fatalf("%d requests through the router's client (want 2: the hung node, then its neighbour), hung node healthy=%v",
+			via.n.Load(), r.nodes[0].healthy.Load())
 	}
 }

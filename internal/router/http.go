@@ -2,8 +2,8 @@ package router
 
 // The router's HTTP surface — the same /v2/search contract dlserve
 // exposes, backed by the cluster instead of one engine, plus /healthz,
-// Prometheus /metrics, and expvar /debug/vars. Parameter parsing, the
-// response shape, and the typed error envelope are the serve package's
+// /metrics and /debug/vars. Parameter parsing, the response shape, the
+// typed error envelope and the metrics registry are the serve package's
 // own exported helpers, so a client cannot tell a router from a node by
 // the bytes (modulo cursor tokens embedding the cluster generation).
 
@@ -63,7 +63,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	var lastErr error
 	for _, preferHealthy := range []bool{true, false} {
 		for _, n := range r.nodes {
-			if preferHealthy != (n.healthy.Value() == 1) {
+			if preferHealthy != n.healthy.Load() {
 				continue
 			}
 			addr := n.src.Addr()
@@ -79,7 +79,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 			}
 			if availability(err) {
 				r.nodeErrs.Add(addr, 1)
-				n.healthy.Set(0)
+				n.healthy.Store(false)
 			}
 			lastErr = err
 		}
@@ -128,9 +128,12 @@ type nodeHealth struct {
 
 // handleHealthz answers GET /healthz.
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
+	if !serve.OnlyGet(w, req) {
+		return
+	}
 	h := routerHealth{Status: "ok"}
 	for _, n := range r.nodes {
-		up := n.healthy.Value() == 1
+		up := n.healthy.Load()
 		if up {
 			h.Healthy++
 		}
@@ -139,18 +142,4 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = json.NewEncoder(w).Encode(h)
-}
-
-// handleMetrics answers GET /metrics in Prometheus text exposition format:
-// router counters (scatters, hedges, failovers, stale retries) plus
-// per-node request/error/hedge counters labeled node="...".
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", serve.PromContentType)
-	serve.WriteProm(w, "dl", r.metrics)
-}
-
-// handleVars answers GET /debug/vars with the same map as expvar JSON.
-func (r *Router) handleVars(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, r.metrics.String())
 }

@@ -24,14 +24,15 @@ package router
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dlse"
 	"repro/internal/ir"
+	"repro/internal/serve"
 	"repro/internal/transport"
 )
 
@@ -75,7 +76,7 @@ func (o Options) withDefaults(nodes int) Options {
 // attempted anyway (the mark may be stale).
 type node struct {
 	src     transport.SegmentSource
-	healthy expvar.Int // 1 healthy, 0 down (expvar so /metrics exports it)
+	healthy atomic.Bool // false once a leg or probe found it down
 }
 
 // Router fans queries over a fixed node set. Safe for concurrent use.
@@ -85,22 +86,21 @@ type Router struct {
 	client *http.Client // proxies whole requests (q=, explain) to a node
 
 	// Counters and gauges, exported on /metrics and /debug/vars.
-	queries   *expvar.Int // v2 searches handled
-	lexicalQ  *expvar.Int // keyword-lane searches
-	vectorQ   *expvar.Int // vector-lane searches
-	hybridQ   *expvar.Int // hybrid-lane searches
-	proxied   *expvar.Int // queries proxied whole to one node (q=, explain)
-	scatters  *expvar.Int // scatter attempts (stale retries count again)
-	staleRe   *expvar.Int // scatter attempts retried on ErrStale
-	hedges    *expvar.Int // hedge legs launched
-	hedgeWins *expvar.Int // groups won by a non-primary leg
-	failovers *expvar.Int // legs moved to a replica after an error
-	partials  *expvar.Int // fail-open answers served incomplete
-	failures  *expvar.Int // queries failed
-	nodeReqs  *expvar.Map // per-node legs launched
-	nodeErrs  *expvar.Map // per-node legs failed
-	nodeHedge *expvar.Map // per-node hedge legs launched
-	metrics   *expvar.Map
+	queries   *serve.Counter       // v2 searches handled
+	lexicalQ  *serve.Counter       // keyword-lane searches
+	vectorQ   *serve.Counter       // vector-lane searches
+	hybridQ   *serve.Counter       // hybrid-lane searches
+	proxied   *serve.Counter       // queries proxied whole to one node (q=, explain)
+	scatters  *serve.Counter       // scatter attempts (stale retries count again)
+	staleRe   *serve.Counter       // scatter attempts retried on ErrStale
+	hedges    *serve.Counter       // hedge legs launched
+	hedgeWins *serve.Counter       // groups won by a non-primary leg
+	failovers *serve.Counter       // legs moved to a replica after an error
+	partials  *serve.Counter       // fail-open answers served incomplete
+	failures  *serve.Counter       // queries failed
+	nodeReqs  *serve.CounterFamily // per-node legs launched
+	nodeErrs  *serve.CounterFamily // per-node legs failed
+	nodeHedge *serve.CounterFamily // per-node hedge legs launched
 
 	mux *http.ServeMux
 }
@@ -136,57 +136,50 @@ func NewWithSources(srcs []transport.SegmentSource, opts Options) (*Router, erro
 			return nil, fmt.Errorf("router: duplicate node %s", srcs[i].Addr())
 		}
 	}
+	reg := serve.NewRegistry()
 	r := &Router{
-		opts:      opts.withDefaults(len(srcs)),
-		client:    http.DefaultClient,
-		queries:   new(expvar.Int),
-		lexicalQ:  new(expvar.Int),
-		vectorQ:   new(expvar.Int),
-		hybridQ:   new(expvar.Int),
-		proxied:   new(expvar.Int),
-		scatters:  new(expvar.Int),
-		staleRe:   new(expvar.Int),
-		hedges:    new(expvar.Int),
-		hedgeWins: new(expvar.Int),
-		failovers: new(expvar.Int),
-		partials:  new(expvar.Int),
-		failures:  new(expvar.Int),
-		nodeReqs:  new(expvar.Map).Init(),
-		nodeErrs:  new(expvar.Map).Init(),
-		nodeHedge: new(expvar.Map).Init(),
+		opts:    opts.withDefaults(len(srcs)),
+		client:  http.DefaultClient,
+		queries: reg.Counter("router_queries"),
+		// The lane counters share the node surface's names
+		// (dl_queries_*_total) so one dashboard query covers routers and
+		// nodes alike.
+		lexicalQ:  reg.Counter("queries_lexical"),
+		vectorQ:   reg.Counter("queries_vector"),
+		hybridQ:   reg.Counter("queries_hybrid"),
+		proxied:   reg.Counter("router_proxied"),
+		scatters:  reg.Counter("router_scatters"),
+		staleRe:   reg.Counter("router_stale_retries"),
+		hedges:    reg.Counter("router_hedges"),
+		hedgeWins: reg.Counter("router_hedge_wins"),
+		failovers: reg.Counter("router_failovers"),
+		partials:  reg.Counter("router_partial_answers"),
+		failures:  reg.Counter("router_failures"),
+		nodeReqs:  reg.CounterFamily("node_requests", "node"),
+		nodeErrs:  reg.CounterFamily("node_errors", "node"),
+		nodeHedge: reg.CounterFamily("node_hedges", "node"),
 	}
-	healthMap := new(expvar.Map).Init()
 	for _, s := range srcs {
 		n := &node{src: s}
-		n.healthy.Set(1)
+		n.healthy.Store(true)
 		r.nodes = append(r.nodes, n)
-		healthMap.Set(s.Addr(), &n.healthy)
 	}
-	r.metrics = new(expvar.Map).Init()
-	r.metrics.Set("router_queries", r.queries)
-	// The lane counters share the node surface's names (dl_queries_*_total)
-	// so one dashboard query covers routers and nodes alike.
-	r.metrics.Set("queries_lexical", r.lexicalQ)
-	r.metrics.Set("queries_vector", r.vectorQ)
-	r.metrics.Set("queries_hybrid", r.hybridQ)
-	r.metrics.Set("router_proxied", r.proxied)
-	r.metrics.Set("router_scatters", r.scatters)
-	r.metrics.Set("router_stale_retries", r.staleRe)
-	r.metrics.Set("router_hedges", r.hedges)
-	r.metrics.Set("router_hedge_wins", r.hedgeWins)
-	r.metrics.Set("router_failovers", r.failovers)
-	r.metrics.Set("router_partial_answers", r.partials)
-	r.metrics.Set("router_failures", r.failures)
-	r.metrics.Set("node_requests", r.nodeReqs)
-	r.metrics.Set("node_errors", r.nodeErrs)
-	r.metrics.Set("node_hedges", r.nodeHedge)
-	r.metrics.Set("node_healthy", healthMap)
-	r.metrics.Set("nodes", expvar.Func(func() any { return len(r.nodes) }))
+	reg.GaugeFamilyFunc("node_healthy", "node", func() map[string]float64 {
+		up := make(map[string]float64, len(r.nodes))
+		for _, n := range r.nodes {
+			up[n.src.Addr()] = 0
+			if n.healthy.Load() {
+				up[n.src.Addr()] = 1
+			}
+		}
+		return up
+	})
+	reg.GaugeFunc("nodes", func() float64 { return float64(len(r.nodes)) })
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("/v2/search", r.handleSearch)
 	r.mux.HandleFunc("/healthz", r.handleHealthz)
-	r.mux.HandleFunc("/metrics", r.handleMetrics)
-	r.mux.HandleFunc("/debug/vars", r.handleVars)
+	r.mux.HandleFunc("/metrics", reg.HandleProm)
+	r.mux.HandleFunc("/debug/vars", reg.HandleJSON)
 	return r, nil
 }
 
@@ -204,10 +197,9 @@ func (r *Router) Nodes() []string {
 func (r *Router) CheckHealth(ctx context.Context) int {
 	healthy := 0
 	for _, n := range r.nodes {
-		if err := n.src.Health(ctx); err != nil {
-			n.healthy.Set(0)
-		} else {
-			n.healthy.Set(1)
+		up := n.src.Health(ctx) == nil
+		n.healthy.Store(up)
+		if up {
 			healthy++
 		}
 	}
@@ -229,7 +221,7 @@ func (r *Router) manifest(ctx context.Context) (transport.Manifest, error) {
 	var lastErr error
 	for _, preferHealthy := range []bool{true, false} {
 		for _, n := range r.nodes {
-			if preferHealthy != (n.healthy.Value() == 1) {
+			if preferHealthy != n.healthy.Load() {
 				continue
 			}
 			m, err := n.src.Manifest(ctx)
@@ -240,7 +232,7 @@ func (r *Router) manifest(ctx context.Context) (transport.Manifest, error) {
 			if !availability(err) {
 				return transport.Manifest{}, err
 			}
-			n.healthy.Set(0)
+			n.healthy.Store(false)
 		}
 	}
 	return transport.Manifest{}, fmt.Errorf("no node answered a manifest: %w", lastErr)
@@ -272,7 +264,7 @@ func (r *Router) plan(textOrds, videoOrds []int) []group {
 				g.candidates = append(g.candidates, r.nodes[(p+rep)%n])
 			}
 			sort.SliceStable(g.candidates, func(i, j int) bool {
-				return g.candidates[i].healthy.Value() > g.candidates[j].healthy.Value()
+				return g.candidates[i].healthy.Load() && !g.candidates[j].healthy.Load()
 			})
 			byPrimary[p] = g
 		}
@@ -372,7 +364,7 @@ func (r *Router) runGroup(ctx context.Context, q transport.Query, g group, expec
 			// replica try — another node may already serve the expected
 			// generation — but it is not down, so its health mark stays.
 			if !stale {
-				res.node.healthy.Set(0)
+				res.node.healthy.Store(false)
 			}
 			lastErr = res.err
 			if launched < len(g.candidates) {

@@ -687,3 +687,27 @@ func forgeCursor(t *testing.T, q dlse.Query, offset uint64) dlse.Cursor {
 	buf = binary.AppendVarint(buf, 0)
 	return dlse.Cursor(base64.RawURLEncoding.EncodeToString(buf))
 }
+
+// TestObservabilityEndpointsGetOnly: /healthz, /metrics and /debug/vars
+// refuse anything but GET the same way on a node and on a router.
+func TestObservabilityEndpointsGetOnly(t *testing.T) {
+	c := newCluster(t, 2)
+	for _, base := range []string{c.urls[0], c.router(t, Options{})} {
+		for _, path := range []string{"/healthz", "/metrics", "/debug/vars"} {
+			resp, err := http.Post(base+path, "text/plain", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet ||
+				!strings.Contains(string(body), "method POST not allowed") {
+				t.Errorf("POST %s%s: %d Allow=%q %s", base, path, resp.StatusCode, resp.Header.Get("Allow"), body)
+			}
+			if resp, err = http.Get(base + path); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s%s: %v %v", base, path, resp, err)
+			}
+			resp.Body.Close()
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package serve
 
-// Tests of the segmented-serving surface: the /metrics expvar endpoint and
+// Tests of the segmented-serving surface: the metrics endpoints and
 // the /v2/commit incremental-growth endpoint.
 
 import (
@@ -15,7 +15,7 @@ import (
 	"repro/internal/core"
 )
 
-// metricsJSON fetches and decodes the expvar JSON surface at /debug/vars
+// metricsJSON fetches and decodes the JSON surface at /debug/vars
 // (the Prometheus exposition at /metrics has its own test in prom_test.go).
 func metricsJSON(t *testing.T, base string) map[string]float64 {
 	t.Helper()

@@ -100,7 +100,7 @@ func TestV2SearchLanes(t *testing.T) {
 		}
 	}
 
-	// The same counters surface as expvar JSON on /debug/vars.
+	// The same counters surface as JSON on /debug/vars.
 	resp, err = http.Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)

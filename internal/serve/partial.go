@@ -20,7 +20,7 @@ import (
 // handleV2Manifest answers GET /v2/manifest with the current snapshot's
 // segment sets — the placement input of the distributed router.
 func (s *Server) handleV2Manifest(w http.ResponseWriter, r *http.Request) {
-	if !onlyGetV2(w, r) {
+	if !OnlyGetV2(w, r) {
 		return
 	}
 	writeJSON(w, http.StatusOK, transport.ManifestOf(s.Engine()))
@@ -62,7 +62,7 @@ func parseOrds(name, s string) ([]int, error) {
 // union corpus statistics, so partial answers merge into results
 // byte-identical to a monolithic search.
 func (s *Server) handleV2Partial(w http.ResponseWriter, r *http.Request) {
-	if !onlyGetV2(w, r) {
+	if !OnlyGetV2(w, r) {
 		return
 	}
 	params := r.URL.Query()

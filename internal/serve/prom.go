@@ -1,158 +1,196 @@
 package serve
 
-// Prometheus text exposition (version 0.0.4) over an expvar.Map, without
-// depending on a client library: *expvar.Int entries render as counters
-// under <ns>_<name>_total, numeric gauges (expvar.Float, expvar.Func)
-// render as <ns>_<name>, and nested *expvar.Map entries render as one
-// labeled sample per key — how per-node router counters come out as
-// dl_node_requests_total{node="http://..."}. expvar.Map.Do iterates keys
-// in sorted order, so the exposition is deterministic.
+// The metrics registry: typed counters and gauges registered by name once,
+// rendered on /metrics as Prometheus text exposition (version 0.0.4, no
+// client library) and on /debug/vars as one JSON object. A counter renders
+// as dl_<name>_total, a gauge as dl_<name>, and a one-label family as
+// one sample per label value — how per-node router counters come out as
+// dl_node_requests_total{node="http://..."}. Metrics render sorted by name
+// and a family's samples by label value, so both forms are deterministic.
 
 import (
-	"expvar"
+	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
+	"net/http"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
-// PromContentType is the text exposition format content type — shared
-// with dlrouter's /metrics.
-const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+// Counter is a monotone count, safe for concurrent use.
+type Counter struct{ v atomic.Int64 }
 
-// promName sanitizes an expvar key into a Prometheus metric-name fragment:
-// [a-zA-Z0-9_] kept, everything else mapped to '_'.
-func promName(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_',
-			c >= '0' && c <= '9' && i > 0:
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
+// Add increments the counter.
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
+
+// Value reads the counter.
+func (c *Counter) Value() int64 { return c.v.Load() }
+
+// CounterFamily is a set of counts told apart by one label. A label value
+// has no sample until its first Add.
+type CounterFamily struct {
+	mu     sync.Mutex
+	counts map[string]int64
+}
+
+// Add increments the count of one label value.
+func (f *CounterFamily) Add(labelValue string, delta int64) {
+	f.mu.Lock()
+	f.counts[labelValue] += delta
+	f.mu.Unlock()
+}
+
+// values reads every label value's count.
+func (f *CounterFamily) values() map[string]float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make(map[string]float64, len(f.counts))
+	for lv, n := range f.counts {
+		out[lv] = float64(n)
 	}
-	return b.String()
+	return out
+}
+
+// metric is one registered name, read as label value → sample: a family
+// under its label, or a scalar (label "") as the one sample keyed "".
+type metric struct {
+	name    string
+	counter bool
+	label   string
+	read    func() map[string]float64
+}
+
+// Registry holds the metrics of one server or router. It is per-instance,
+// not process-global, so many servers coexist in one process.
+type Registry struct {
+	mu      sync.Mutex
+	metrics []metric // sorted by name
+}
+
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return new(Registry) }
+
+// register files a metric under its name. Names are fixed at wiring time, so
+// a repeat is a bug.
+func (r *Registry) register(m metric) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, found := slices.BinarySearchFunc(r.metrics, m.name, func(e metric, name string) int {
+		return strings.Compare(e.name, name)
+	})
+	if found {
+		panic("serve: metric " + m.name + " registered twice")
+	}
+	r.metrics = slices.Insert(r.metrics, i, m)
+}
+
+// snapshot returns the metrics in name order.
+func (r *Registry) snapshot() []metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.metrics)
+}
+
+// Counter registers and returns a new counter.
+func (r *Registry) Counter(name string) *Counter {
+	c := new(Counter)
+	r.CounterFunc(name, c.Value)
+	return c
+}
+
+// CounterFunc registers a counter whose count lives elsewhere (the engine's
+// frozen-view builds, the WAL's records); f must be monotone.
+func (r *Registry) CounterFunc(name string, f func() int64) {
+	r.register(metric{name: name, counter: true, read: func() map[string]float64 {
+		return map[string]float64{"": float64(f())}
+	}})
+}
+
+// GaugeFunc registers a gauge read at scrape time.
+func (r *Registry) GaugeFunc(name string, f func() float64) {
+	r.register(metric{name: name, read: func() map[string]float64 { return map[string]float64{"": f()} }})
+}
+
+// CounterFamily registers and returns a counter family with the given label.
+func (r *Registry) CounterFamily(name, label string) *CounterFamily {
+	f := &CounterFamily{counts: map[string]int64{}}
+	r.register(metric{name: name, counter: true, label: label, read: f.values})
+	return f
+}
+
+// GaugeFamilyFunc registers a gauge family read at scrape time as label
+// value → sample.
+func (r *Registry) GaugeFamilyFunc(name, label string, f func() map[string]float64) {
+	r.register(metric{name: name, label: label, read: f})
 }
 
 // promLabel escapes a label value per the exposition format.
-func promLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
-}
+var promLabel = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
-// CounterFunc adapts a monotone int64 function into an expvar.Var that the
-// exposition renders as a Prometheus counter (<ns>_<name>_total), the way
-// *expvar.Int entries are. Use it for counters whose source of truth lives
-// outside the server — e.g. the engine's frozen-view build count.
-type CounterFunc func() int64
-
-// String renders the current value (expvar.Var).
-func (f CounterFunc) String() string { return strconv.FormatInt(f(), 10) }
-
-// isCounter reports whether an expvar entry renders as a counter.
-func isCounter(v expvar.Var) bool {
-	switch v.(type) {
-	case *expvar.Int, CounterFunc:
-		return true
-	}
-	return false
-}
-
-// promValue extracts a numeric value from an expvar entry. Funcs are
-// evaluated; non-numeric entries report ok=false and are skipped.
-func promValue(v expvar.Var) (float64, bool) {
-	switch x := v.(type) {
-	case *expvar.Int:
-		return float64(x.Value()), true
-	case CounterFunc:
-		return float64(x()), true
-	case *expvar.Float:
-		return x.Value(), true
-	case expvar.Func:
-		switch n := x.Value().(type) {
-		case int:
-			return float64(n), true
-		case int64:
-			return float64(n), true
-		case float64:
-			return n, true
+// WriteProm renders the registry in Prometheus text exposition format: one
+// "# TYPE" line per metric that has samples, then its samples sorted by
+// label value. Integral values print without an exponent so counters read
+// naturally.
+func (r *Registry) WriteProm(w io.Writer) {
+	for _, m := range r.snapshot() {
+		name, typ := "dl_"+m.name, "gauge"
+		if m.counter {
+			name, typ = name+"_total", "counter"
+		}
+		samples := m.read()
+		labelValues := make([]string, 0, len(samples))
+		for lv := range samples {
+			labelValues = append(labelValues, lv)
+		}
+		slices.Sort(labelValues)
+		for i, lv := range labelValues {
+			if i == 0 {
+				fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+			}
+			labels := ""
+			if m.label != "" {
+				labels = fmt.Sprintf(`{%s="%s"}`, m.label, promLabel.Replace(lv))
+			}
+			if v := samples[lv]; v == float64(int64(v)) {
+				fmt.Fprintf(w, "%s%s %d\n", name, labels, int64(v))
+			} else {
+				fmt.Fprintf(w, "%s%s %g\n", name, labels, v)
+			}
 		}
 	}
-	// Fallback: every expvar renders JSON; accept anything that parses
-	// as a plain number.
-	if f, err := strconv.ParseFloat(v.String(), 64); err == nil {
-		return f, true
-	}
-	return 0, false
 }
 
-// writeSample emits one metric line; integral values print without
-// exponents so counters read naturally.
-func writeSample(w io.Writer, name, labels string, val float64) {
-	if val == float64(int64(val)) {
-		fmt.Fprintf(w, "%s%s %d\n", name, labels, int64(val))
-	} else {
-		fmt.Fprintf(w, "%s%s %g\n", name, labels, val)
-	}
-}
-
-// WriteProm renders an expvar.Map in Prometheus text exposition format
-// under a namespace prefix. *expvar.Int entries become counters named
-// <ns>_<key>_total, other numeric entries become gauges <ns>_<key>, and
-// nested *expvar.Map entries become per-key labeled samples
-// <ns>_<key>[_total]{node="<subkey>"}.
-func WriteProm(w io.Writer, ns string, m *expvar.Map) {
-	m.Do(func(kv expvar.KeyValue) {
-		name := promName(ns + "_" + kv.Key)
-		switch sub := kv.Value.(type) {
-		case *expvar.Map:
-			// One labeled sample per entry; counter vs gauge decided per
-			// entry type (router's nested maps hold *expvar.Int counters).
-			type sample struct {
-				label string
-				val   float64
-				ctr   bool
-			}
-			var samples []sample
-			sub.Do(func(skv expvar.KeyValue) {
-				if v, ok := promValue(skv.Value); ok {
-					samples = append(samples, sample{skv.Key, v, isCounter(skv.Value)})
-				}
-			})
-			// One TYPE header per metric name, then its samples (entries
-			// of one nested map share a type in practice).
-			for _, wantCtr := range []bool{true, false} {
-				n, typ := name, "gauge"
-				if wantCtr {
-					n, typ = name+"_total", "counter"
-				}
-				header := false
-				for _, sm := range samples {
-					if sm.ctr != wantCtr {
-						continue
-					}
-					if !header {
-						fmt.Fprintf(w, "# TYPE %s %s\n", n, typ)
-						header = true
-					}
-					writeSample(w, n, fmt.Sprintf(`{node="%s"}`, promLabel(sm.label)), sm.val)
-				}
-			}
-		default:
-			v, ok := promValue(kv.Value)
-			if !ok {
-				return
-			}
-			typ := "gauge"
-			if isCounter(kv.Value) {
-				name += "_total"
-				typ = "counter"
-			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-			writeSample(w, name, "", v)
+// WriteJSON renders the registry as one JSON object, name → number, a family
+// as a nested object keyed by label value.
+func (r *Registry) WriteJSON(w io.Writer) {
+	vars := map[string]any{}
+	for _, m := range r.snapshot() {
+		if samples := m.read(); m.label != "" {
+			vars[m.name] = samples
+		} else {
+			vars[m.name] = samples[""]
 		}
-	})
+	}
+	_ = json.NewEncoder(w).Encode(vars)
+}
+
+// HandleProm answers GET /metrics.
+func (r *Registry) HandleProm(w http.ResponseWriter, req *http.Request) {
+	if !OnlyGet(w, req) {
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	r.WriteProm(w)
+}
+
+// HandleJSON answers GET /debug/vars: the same metrics, for scripts and
+// debuggers that want JSON.
+func (r *Registry) HandleJSON(w http.ResponseWriter, req *http.Request) {
+	if !OnlyGet(w, req) {
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	r.WriteJSON(w)
 }

@@ -3,11 +3,13 @@ package serve
 // Tests of the Prometheus text exposition at /metrics.
 
 import (
-	"expvar"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -59,36 +61,113 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 }
 
-// TestWritePromLabeledMap locks the nested-map rendering per-node router
-// counters rely on: one labeled sample per sub-key, counters suffixed
-// _total, label values escaped.
-func TestWritePromLabeledMap(t *testing.T) {
-	m := new(expvar.Map).Init()
-	reqs := new(expvar.Map).Init()
-	reqs.Add("http://node-a:1", 3)
+// TestRegistryExposition locks the rendering per-node router counters rely
+// on: metrics sorted by name, one "# TYPE" line per family, one labeled
+// sample per label value (escaped, sorted), counters suffixed _total,
+// integral values without an exponent, an empty family silent.
+func TestRegistryExposition(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("scatters").Add(8)
+	reqs := reg.CounterFamily("node_requests", "node")
 	reqs.Add("http://node-b:2", 5)
-	m.Set("node_requests", reqs)
-	total := new(expvar.Int)
-	total.Set(8)
-	m.Set("scatters", total)
+	reqs.Add("http://node-a:1", 3)
+	reqs.Add(`odd"name\`+"\n", 1)
+	reg.CounterFamily("node_errors", "node")
+	reg.GaugeFamilyFunc("node_healthy", "node", func() map[string]float64 {
+		return map[string]float64{"http://node-a:1": 1, "http://node-b:2": 0}
+	})
+	reg.CounterFunc("big", func() int64 { return 12345678901234 })
+	reg.GaugeFunc("ratio", func() float64 { return 0.25 })
 
+	const want = `# TYPE dl_big_total counter
+dl_big_total 12345678901234
+# TYPE dl_node_healthy gauge
+dl_node_healthy{node="http://node-a:1"} 1
+dl_node_healthy{node="http://node-b:2"} 0
+# TYPE dl_node_requests_total counter
+dl_node_requests_total{node="http://node-a:1"} 3
+dl_node_requests_total{node="http://node-b:2"} 5
+dl_node_requests_total{node="odd\"name\\\n"} 1
+# TYPE dl_ratio gauge
+dl_ratio 0.25
+# TYPE dl_scatters_total counter
+dl_scatters_total 8
+`
 	var b strings.Builder
-	WriteProm(&b, "dl", m)
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE dl_node_requests_total counter",
-		`dl_node_requests_total{node="http://node-a:1"} 3`,
-		`dl_node_requests_total{node="http://node-b:2"} 5`,
-		"dl_scatters_total 8",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
+	reg.WriteProm(&b)
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
 	}
-	// Deterministic: expvar.Map iterates sorted, so two renders match.
-	var b2 strings.Builder
-	WriteProm(&b2, "dl", m)
-	if b2.String() != out {
-		t.Fatal("exposition not deterministic")
+
+	// /debug/vars is the same registry: name → number, a family nested.
+	b.Reset()
+	reg.WriteJSON(&b)
+	var vars struct {
+		Scatters float64
+		Ratio    float64
+		Errors   map[string]float64 `json:"node_errors"`
+		Healthy  map[string]float64 `json:"node_healthy"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &vars); err != nil {
+		t.Fatalf("%v in %s", err, b.String())
+	}
+	if vars.Scatters != 8 || vars.Ratio != 0.25 || vars.Errors == nil || len(vars.Errors) != 0 ||
+		len(vars.Healthy) != 2 || vars.Healthy["http://node-a:1"] != 1 {
+		t.Fatalf("/debug/vars shape: %s", b.String())
+	}
+}
+
+// TestRegistryConcurrentAdds: writers on a counter and a family race two
+// scrapers; nothing is lost (run under -race by `make race`).
+func TestRegistryConcurrentAdds(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("ops")
+	fam := reg.CounterFamily("node_ops", "node")
+	const writers, perWriter = 8, 2000
+	var writing, scraping sync.WaitGroup
+	stop := make(chan struct{})
+	for s := 0; s < 2; s++ {
+		scraping.Add(1)
+		go func() {
+			defer scraping.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					reg.WriteProm(io.Discard)
+					reg.WriteJSON(io.Discard)
+				}
+			}
+		}()
+	}
+	for g := 0; g < writers; g++ {
+		writing.Add(1)
+		go func(g int) {
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
+				c.Add(1)
+				fam.Add(fmt.Sprintf("n%d", (g+i)%3), 1)
+			}
+		}(g)
+	}
+	writing.Wait()
+	close(stop)
+	scraping.Wait()
+	var b strings.Builder
+	reg.WriteJSON(&b)
+	var vars struct {
+		Ops     float64
+		NodeOps map[string]float64 `json:"node_ops"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &vars); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, n := range vars.NodeOps {
+		sum += n
+	}
+	if vars.Ops != writers*perWriter || sum != writers*perWriter || len(vars.NodeOps) != 3 {
+		t.Fatalf("counter %v, family %v, want %d each over 3 label values", vars.Ops, vars.NodeOps, writers*perWriter)
 	}
 }

@@ -3,7 +3,7 @@ package serve
 // Observability of the frozen columnar scene view on the HTTP surface:
 // explain plans report whether a scene operator answered from the cached
 // view or had to rebuild it, and /metrics exposes the cumulative build
-// count as a Prometheus counter (with the expvar twin on /debug/vars).
+// count as a Prometheus counter (and the same count on /debug/vars).
 
 import (
 	"encoding/json"
@@ -111,7 +111,7 @@ func TestSceneViewObservability(t *testing.T) {
 		}
 	}
 
-	// The expvar twin on /debug/vars.
+	// The same count on /debug/vars.
 	resp, err = http.Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)

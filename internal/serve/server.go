@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -47,32 +46,32 @@ type Server struct {
 	start     time.Time
 
 	// Serving counters, exported (with live gauges) on /metrics in
-	// Prometheus text format and on /debug/vars as expvar JSON. The map
-	// is per-server, not globally published, so many servers can coexist
-	// in one process without expvar name collisions.
-	queries     *expvar.Int
-	lexicalQ    *expvar.Int
-	vectorQ     *expvar.Int
-	hybridQ     *expvar.Int
-	commits     *expvar.Int
-	compactions *expvar.Int
-	partials    *expvar.Int
-	deepens     *expvar.Int // re-executions deepening a cached ranked prefix
-	metrics     *expvar.Map
+	// Prometheus text format and on /debug/vars as JSON.
+	metrics     *Registry
+	queries     *Counter
+	lexicalQ    *Counter
+	vectorQ     *Counter
+	hybridQ     *Counter
+	commits     *Counter
+	compactions *Counter
+	partials    *Counter
+	deepens     *Counter // re-executions deepening a cached ranked prefix
 }
 
 // New builds a Server over an engine.
 func New(engine *dlse.Engine, opts Options) *Server {
+	reg := NewRegistry()
 	s := &Server{
 		start:       time.Now(),
-		queries:     new(expvar.Int),
-		lexicalQ:    new(expvar.Int),
-		vectorQ:     new(expvar.Int),
-		hybridQ:     new(expvar.Int),
-		commits:     new(expvar.Int),
-		compactions: new(expvar.Int),
-		partials:    new(expvar.Int),
-		deepens:     new(expvar.Int),
+		metrics:     reg,
+		queries:     reg.Counter("queries"),
+		lexicalQ:    reg.Counter("queries_lexical"),
+		vectorQ:     reg.Counter("queries_vector"),
+		hybridQ:     reg.Counter("queries_hybrid"),
+		commits:     reg.Counter("commits"),
+		compactions: reg.Counter("compactions"),
+		partials:    reg.Counter("partials"),
+		deepens:     reg.Counter("cache_deepens"),
 	}
 	s.engine.Store(engine)
 	if opts.CacheSize >= 0 {
@@ -81,41 +80,32 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	if opts.Workers > 0 {
 		s.sem = make(chan struct{}, opts.Workers)
 	}
-	s.metrics = new(expvar.Map).Init()
-	s.metrics.Set("queries", s.queries)
-	s.metrics.Set("queries_lexical", s.lexicalQ)
-	s.metrics.Set("queries_vector", s.vectorQ)
-	s.metrics.Set("queries_hybrid", s.hybridQ)
-	s.metrics.Set("commits", s.commits)
-	s.metrics.Set("compactions", s.compactions)
-	s.metrics.Set("partials", s.partials)
-	s.metrics.Set("cache_entries", expvar.Func(func() any { e, _, _ := s.CacheStats(); return e }))
-	s.metrics.Set("cache_hits", expvar.Func(func() any { _, h, _ := s.CacheStats(); return h }))
-	s.metrics.Set("cache_misses", expvar.Func(func() any { _, _, m := s.CacheStats(); return m }))
-	s.metrics.Set("cache_deepens", s.deepens)
+	reg.GaugeFunc("cache_entries", func() float64 { e, _, _ := s.CacheStats(); return float64(e) })
+	reg.GaugeFunc("cache_hits", func() float64 { _, h, _ := s.CacheStats(); return float64(h) })
+	reg.GaugeFunc("cache_misses", func() float64 { _, _, m := s.CacheStats(); return float64(m) })
 	// How much ranking the cache retains: answer items held across entries.
-	s.metrics.Set("cache_items", expvar.Func(func() any {
+	reg.GaugeFunc("cache_items", func() float64 {
 		n := 0
 		if s.cache != nil {
 			s.cache.Each(func(rs *dlse.ResultSet) { n += rs.Held() })
 		}
-		return n
-	}))
-	s.metrics.Set("active_segments", expvar.Func(func() any {
-		return s.engine.Load().VideoIndex().NumSegments()
-	}))
+		return float64(n)
+	})
+	reg.GaugeFunc("active_segments", func() float64 {
+		return float64(s.engine.Load().VideoIndex().NumSegments())
+	})
 	// Monotone across Swap: WithVideo-derived engines share partitions, so
 	// the per-partition build counters carry over.
-	s.metrics.Set("sceneview_builds", CounterFunc(func() int64 {
+	reg.CounterFunc("sceneview_builds", func() int64 {
 		return s.engine.Load().VideoIndex().ViewBuilds()
-	}))
-	s.metrics.Set("generation", expvar.Func(func() any { return s.gen.Load() }))
-	s.metrics.Set("snapshot", expvar.Func(func() any { return s.engine.Load().Snapshot() }))
-	s.metrics.Set("uptime_sec", expvar.Func(func() any { return time.Since(s.start).Seconds() }))
+	})
+	reg.GaugeFunc("generation", func() float64 { return float64(s.gen.Load()) })
+	reg.GaugeFunc("snapshot", func() float64 { return float64(s.engine.Load().Snapshot()) })
+	reg.GaugeFunc("uptime_sec", func() float64 { return time.Since(s.start).Seconds() })
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/vars", s.handleVars)
+	s.mux.HandleFunc("/metrics", reg.HandleProm)
+	s.mux.HandleFunc("/debug/vars", reg.HandleJSON)
 	s.mux.HandleFunc("/v2/search", s.handleV2Search)
 	s.mux.HandleFunc("/v2/reload", s.handleV2Reload)
 	s.mux.HandleFunc("/v2/commit", s.handleV2Commit)
@@ -168,15 +158,10 @@ func (s *Server) SetCompactor(fn func(ctx context.Context, target int) (bool, er
 	s.compactor.Store(&fn)
 }
 
-// RegisterMetric adds a metric to the server's /metrics and /debug/vars
-// surfaces under the given name, following the shared naming rules
-// (*expvar.Int renders as a dl_<name>_total counter, Func and Float as
-// gauges — see WriteProm). Subsystems with their own counters (the WAL,
-// say) register them once at wiring time; re-registering a name replaces
-// the previous var.
-func (s *Server) RegisterMetric(name string, v expvar.Var) {
-	s.metrics.Set(name, v)
-}
+// Metrics returns the registry behind /metrics and /debug/vars. Subsystems
+// with their own counters (the WAL, say) register them on it once at wiring
+// time.
+func (s *Server) Metrics() *Registry { return s.metrics }
 
 // InvalidateCache drops every cached result. Callers that mutate the
 // meta-index do not strictly need it — entries are version-tagged and a
@@ -352,7 +337,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-func onlyGet(w http.ResponseWriter, r *http.Request) bool {
+// OnlyGet enforces GET with the plain {error} shape /healthz, /metrics and
+// /debug/vars answer in, on nodes and routers alike.
+func OnlyGet(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
@@ -375,7 +362,7 @@ func toSceneJSON(scenes []core.Scene) []sceneJSON {
 
 // handleHealthz answers GET /healthz with liveness and index stats.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
+	if !OnlyGet(w, r) {
 		return
 	}
 	e := s.engine.Load()

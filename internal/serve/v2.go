@@ -148,9 +148,9 @@ func writeV2Error(w http.ResponseWriter, err error) {
 // emits byte-identical errors to dlserve.
 func WriteSearchError(w http.ResponseWriter, err error) { writeV2Error(w, err) }
 
-// onlyGetV2 enforces GET with the v2 error envelope (/healthz, /metrics and
-// /debug/vars keep onlyGet's plain {error} shape).
-func onlyGetV2(w http.ResponseWriter, r *http.Request) bool {
+// OnlyGetV2 enforces GET with the v2 error envelope (/healthz, /metrics and
+// /debug/vars keep OnlyGet's plain {error} shape).
+func OnlyGetV2(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeJSON(w, http.StatusMethodNotAllowed, v2ErrorResponse{
@@ -160,9 +160,6 @@ func onlyGetV2(w http.ResponseWriter, r *http.Request) bool {
 	}
 	return true
 }
-
-// OnlyGetV2 is onlyGetV2 for external v2 surfaces (dlrouter).
-func OnlyGetV2(w http.ResponseWriter, r *http.Request) bool { return onlyGetV2(w, r) }
 
 // onlyPostV2 enforces POST with the v2 error envelope — the admin
 // endpoints (/v2/commit, /v2/reload, /v2/compact) share it.
@@ -324,7 +321,7 @@ func toV2Explain(ex *dlse.Explain) *v2ExplainJSON {
 // plus optional limit=<page size>, cursor=<opaque token from a previous
 // page>, and explain=1.
 func (s *Server) handleV2Search(w http.ResponseWriter, r *http.Request) {
-	if !onlyGetV2(w, r) {
+	if !OnlyGetV2(w, r) {
 		return
 	}
 	q, cursor, limit, explain, err := ParseSearchQuery(r)
@@ -422,28 +419,6 @@ func (s *Server) handleV2Commit(w http.ResponseWriter, r *http.Request) {
 		Generation: vi.Generation(),
 		TookMs:     float64(time.Since(start).Microseconds()) / 1000,
 	})
-}
-
-// handleMetrics answers GET /metrics in Prometheus text exposition format:
-// query/commit/compaction/partial counters plus live gauges (cache
-// hit/miss, active segments, swap/commit generation, current snapshot).
-// The same map in expvar JSON stays available at /debug/vars.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
-		return
-	}
-	w.Header().Set("Content-Type", PromContentType)
-	WriteProm(w, "dl", s.metrics)
-}
-
-// handleVars answers GET /debug/vars with the server's expvar map as JSON
-// — the pre-Prometheus /metrics payload, kept for scripts and debuggers.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	if !onlyGet(w, r) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, s.metrics.String())
 }
 
 // handleV2Compact answers POST /v2/compact with an optional JSON body:

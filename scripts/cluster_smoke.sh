@@ -152,6 +152,8 @@ metrics=$(curl -fsS "$router/metrics")
 echo "$metrics" | grep -q '^# TYPE dl_router_queries_total counter'
 echo "$metrics" | grep -q '^dl_router_queries_total '
 echo "$metrics" | grep -q "dl_node_requests_total{node=\"http://127.0.0.1:$port1\"}"
+echo "$metrics" | grep -q '^# TYPE dl_node_healthy gauge'
+echo "$metrics" | grep -q "^dl_node_healthy{node=\"http://127.0.0.1:$port2\"} 1"
 curl -fsS "$router/debug/vars" | jq -e '.router_queries >= 1' >/dev/null
 curl -fsS "$router/healthz" | jq -e '.healthy == 2' >/dev/null
 
@@ -160,6 +162,7 @@ kill "${pids[1]}" 2>/dev/null || true
 wait "${pids[1]}" 2>/dev/null || true
 check_parity 'kw=australian%20open%20final'
 check_parity 'kind=net-play'
+curl -fsS "$router/metrics" | grep -q "^dl_node_healthy{node=\"http://127.0.0.1:$port2\"} 0"
 
 echo "--- graceful shutdown"
 kill -INT "${pids[2]}"

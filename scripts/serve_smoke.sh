@@ -103,7 +103,7 @@ curl -fsS --get "http://127.0.0.1:$port/v2/search" \
     --data-urlencode 'kw=final' --data-urlencode 'explain=1' \
     | grep -q '"plan":'
 
-echo "--- /metrics (Prometheus) and /debug/vars (expvar JSON)"
+echo "--- /metrics (Prometheus) and /debug/vars (the same registry as JSON)"
 metrics=$(curl -fsS "http://127.0.0.1:$port/metrics")
 echo "$metrics"
 echo "$metrics" | grep -q '^# TYPE dl_queries_total counter'
@@ -111,9 +111,8 @@ echo "$metrics" | grep -q '^dl_queries_total '
 echo "$metrics" | grep -q '^dl_active_segments 1'
 echo "$metrics" | grep -q '^dl_cache_deepens_total [1-9]'
 echo "$metrics" | grep -q '^dl_cache_items [1-9]'
-vars=$(curl -fsS "http://127.0.0.1:$port/debug/vars")
-echo "$vars" | grep -q '"queries":'
-echo "$vars" | grep -q '"active_segments": 1'
+curl -fsS "http://127.0.0.1:$port/debug/vars" \
+    | jq -e '.queries >= 1 and .active_segments == 1' >/dev/null
 
 echo "--- /v2/commit (grow the corpus by one broadcast, no reload)"
 go build -o "$tmp/synthgen" ./cmd/synthgen
@@ -124,7 +123,7 @@ echo "$commit"
 echo "$commit" | grep -q '"segments":2'
 curl -fsS --get "http://127.0.0.1:$port/v2/search" \
     --data-urlencode 'kind=rally' | grep -q '"total":'
-curl -fsS "http://127.0.0.1:$port/debug/vars" | grep -q '"commits": 1'
+curl -fsS "http://127.0.0.1:$port/debug/vars" | jq -e '.commits == 1' >/dev/null
 curl -fsS "http://127.0.0.1:$port/metrics" | grep -q '^dl_commits_total 1'
 # Commit error paths: no paths, malformed body.
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \

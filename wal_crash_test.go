@@ -32,6 +32,7 @@ import (
 	"testing"
 
 	"repro/internal/fsx"
+	"repro/internal/serve"
 )
 
 // crashFixture caches the expensive immutable inputs: a small site and two
@@ -349,9 +350,7 @@ func TestRecoverDuringSearch(t *testing.T) {
 	}
 	dl.AttachWAL(w)
 	srv := NewServer(dl, ServerOptions{})
-	for name, v := range w.MetricVars() {
-		srv.RegisterMetric(name, v)
-	}
+	w.RegisterMetrics(srv.Metrics())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -497,8 +496,13 @@ func TestWALTokenDedup(t *testing.T) {
 	if got := videos(lib); got != 1 {
 		t.Fatalf("duplicate applied: videos = %d, want 1", got)
 	}
-	if got := w.MetricVars()["wal_duplicate_commits"].String(); got != "1" {
-		t.Fatalf("wal_duplicate_commits = %s, want 1", got)
+	reg := serve.NewRegistry()
+	w.RegisterMetrics(reg)
+	var vars bytes.Buffer
+	reg.WriteJSON(&vars)
+	var got map[string]float64
+	if err := json.Unmarshal(vars.Bytes(), &got); err != nil || got["wal_duplicate_commits"] != 1 {
+		t.Fatalf("wal_duplicate_commits = %v (%v), want 1", got["wal_duplicate_commits"], err)
 	}
 	w.Close()
 
