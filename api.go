@@ -158,7 +158,11 @@ func ReadSVF(path string) ([]*Image, int, error) {
 // Compact, which assemble new segments privately and install them by
 // building a new view.
 type Library struct {
-	engine *fde.Engine
+	// engine parses a video that is alone in flight, fanning per-frame
+	// extraction out over the CPUs; pinned parses the videos of a batch
+	// that already has several in flight, one goroutine each. Both are
+	// built once: binding a grammar is not part of a commit.
+	engine, pinned *fde.Engine
 	// view is the current segment set: an immutable snapshot that Commit
 	// and Compact replace and the Index* methods append to in place (its
 	// newest segment). On a loaded library its segments decode on first
@@ -171,15 +175,26 @@ type Library struct {
 
 // NewLibrary creates an empty library with the standard tennis FDE.
 func NewLibrary() (*Library, error) {
-	engine, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
-	if err != nil {
-		return nil, err
-	}
 	index, err := core.NewMetaIndex()
 	if err != nil {
 		return nil, err
 	}
-	return &Library{engine: engine, view: core.SingleSegment(index), nextSeg: 2}, nil
+	return newLibrary(core.SingleSegment(index), 2, nil)
+}
+
+// newLibrary binds the library's two tennis engines around a segment set.
+func newLibrary(view *core.SegmentedIndex, nextSeg int64, mapping io.Closer) (*Library, error) {
+	cfg := fde.DefaultTennisConfig()
+	engine, err := fde.NewTennisEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Shot.Workers = 1
+	pinned, err := fde.NewTennisEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Library{engine: engine, pinned: pinned, view: view, nextSeg: nextSeg, mapping: mapping}, nil
 }
 
 // head returns the newest segment — the write target of the legacy Index*
@@ -363,19 +378,13 @@ func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOpti
 		}
 	}
 	engine := l.engine
-	if pipeline.Workers(opts.Workers) > 1 {
+	if pipeline.InFlight(opts.Workers, len(jobs)) > 1 {
 		// With several videos in flight the job fan-out already saturates
 		// the CPUs; nested per-frame histogram pools inside each parse
-		// would only add scheduler overhead, so pin intra-video extraction
-		// to one goroutine. A single-worker batch keeps the library
-		// engine's parallel extraction instead.
-		cfg := fde.DefaultTennisConfig()
-		cfg.Shot.Workers = 1
-		pinned, err := fde.NewTennisEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		engine = pinned
+		// would only add scheduler overhead, so intra-video extraction is
+		// pinned to one goroutine. A video alone in flight — a one-video
+		// commit, a single-worker batch — keeps the parallel extraction.
+		engine = l.pinned
 	}
 	in, err := pipeline.New(engine, pipeline.Config{
 		Workers:         opts.Workers,
@@ -538,17 +547,13 @@ func (l *Library) SaveIndex(w io.Writer) error {
 // newLoadedLibrary finishes a load: attach a fresh FDE and derive the next
 // segment ID from the manifest. Segments decode lazily from the view.
 func newLoadedLibrary(view *core.SegmentedIndex, mapping io.Closer) (*Library, error) {
-	engine, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
-	if err != nil {
-		return nil, err
-	}
 	nextSeg := int64(1)
 	for _, m := range view.Metas() {
 		if m.ID >= nextSeg {
 			nextSeg = m.ID + 1
 		}
 	}
-	return &Library{engine: engine, view: view, nextSeg: nextSeg, mapping: mapping}, nil
+	return newLibrary(view, nextSeg, mapping)
 }
 
 // LoadLibrary restores a library from a segfile stream written by

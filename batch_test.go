@@ -214,3 +214,51 @@ func TestIndexBatchValidation(t *testing.T) {
 		t.Fatalf("empty batch: %v, %v", results, err)
 	}
 }
+
+// The engine is chosen by the jobs actually in flight, not by the CPUs the
+// pool could use: a one-video commit on a many-core node (Workers: 0) has
+// one video in flight and runs on the library engine, with parallel
+// per-frame extraction; a batch with several in flight runs on the pinned
+// engine. Neither builds an engine, and the index bytes are the same.
+func TestBatchEngineFollowsJobsInFlight(t *testing.T) {
+	jobs := batchJobs(batchTestCorpus(t))[:3]
+	segmentRuns := func(lib *Library) (engine, pinned int) {
+		return lib.engine.Stats()["segment"].Runs, lib.pinned.Stats()["segment"].Runs
+	}
+	var saved [2]bytes.Buffer
+	for k, oneAtATime := range []bool{true, false} {
+		lib, err := NewLibrary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, pinned := lib.engine, lib.pinned
+		if oneAtATime {
+			for _, job := range jobs {
+				if _, err := lib.Commit(context.Background(), []IngestJob{job}, BatchOptions{Workers: 8}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if _, err := lib.Commit(context.Background(), jobs, BatchOptions{Workers: 8}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lib.Compact(0); err != nil {
+			t.Fatal(err)
+		}
+		if lib.engine != engine || lib.pinned != pinned {
+			t.Fatal("a commit rebuilt an engine")
+		}
+		e, p := segmentRuns(lib)
+		if oneAtATime && (e != len(jobs) || p != 0) {
+			t.Errorf("one-video commits: %d parses on the library engine, %d on the pinned one; want %d and 0", e, p, len(jobs))
+		}
+		if !oneAtATime && (e != 0 || p != len(jobs)) {
+			t.Errorf("three-video commit: %d parses on the library engine, %d on the pinned one; want 0 and %d", e, p, len(jobs))
+		}
+		if err := lib.Index().Serialize(&saved[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+		t.Error("index bytes differ between the library engine and the pinned engine")
+	}
+}

@@ -767,6 +767,54 @@ func BenchmarkFDEPipeline(b *testing.B) {
 	b.ReportMetric(float64(len(v.Frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
+// BenchmarkIngestVideo measures what one one-video commit pays before the
+// index is installed, in dlbench's shape (3 shots x 32 frames, 160x120),
+// single worker: SVF decode, the FDE parse and the materialisation into a
+// one-video meta-index. The decode/process split is reported beside it.
+func BenchmarkIngestVideo(b *testing.B) {
+	cfg := synth.DefaultConfig(7920)
+	cfg.Shots = 3
+	cfg.MinShotLen, cfg.MaxShotLen = 32, 32
+	bc, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "live.svf")
+	if err := vidfmt.WriteFile(path, bc.Frames, bc.FPS, 0); err != nil {
+		b.Fatal(err)
+	}
+	tcfg := fde.DefaultTennisConfig()
+	tcfg.Shot.Workers = 1
+	engine, err := fde.NewTennisEngine(tcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var decode time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		frames, meta, err := vidfmt.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decode += time.Since(t0)
+		doc := core.Video{Name: "live", Path: path, Width: meta.Width, Height: meta.Height, FPS: meta.FPS, Frames: meta.Frames}
+		res, err := engine.Process(doc, frames)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx, err := core.NewMetaIndex()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fde.IndexResult(res, idx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(decode.Milliseconds())/float64(b.N), "decode-ms/op")
+}
+
 // BenchmarkBatchIngest measures concurrent batch-ingestion throughput:
 // the full FDE pipeline over an 8-video corpus with 1 worker vs one worker
 // per CPU. The outputs are byte-identical (see TestIndexBatchMatchesSequential);

@@ -54,7 +54,7 @@ func main() {
 	if *segdet != "" {
 		cfg.SegmentImpl = fde.BlackBoxSegment(*segdet)
 	}
-	if pipeline.Workers(*workers) > 1 {
+	if pipeline.InFlight(*workers, len(paths)) > 1 {
 		// The video fan-out saturates the CPUs; avoid nested per-frame
 		// histogram pools inside each parse.
 		cfg.Shot.Workers = 1

@@ -131,10 +131,7 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	// page-embedding segment o hold the same slice of pages.
 	pages := segset.Partition(len(site.Pages), opts.TextSegments)
 	var err error
-	if e.text, err = buildTextLane(site.Pages, pages, opts.TextSegfile); err != nil {
-		return nil, err
-	}
-	if e.vecPages, err = buildVecPages(site.Pages, pages, e.emb, opts.VecSegfile); err != nil {
+	if e.text, e.vecPages, err = buildPageLanes(site.Pages, pages, e.emb, opts); err != nil {
 		return nil, err
 	}
 	// The video side hydrates every lazy segment once at build: embeddings
@@ -149,68 +146,101 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	return e, nil
 }
 
-// buildTextLane indexes the pages for full-text retrieval, one frozen
-// segment per part — or memory-maps them from the cache at cachePath when its
-// signature says it was written for these pages and this partition (mapped,
-// verified: the tokenize-and-freeze build is skipped entirely). A missing,
-// stale or damaged cache is rebuilt and rewritten.
-func buildTextLane(all []webspace.Page, pages segset.Bases, cachePath string) (*ir.Segments, error) {
-	sig := pagesSignature("", all, pages.Parts())
-	if cachePath != "" {
-		if text, _, err := ir.OpenSegmentsFile(cachePath, sig); err == nil {
-			return text, nil // the mapping lives for the life of the process
+// buildPageLanes builds the two page lanes over one partition of the pages:
+// the full-text index, one frozen segment per part, and the page embeddings,
+// one builder per part. A lane whose cache file (opts.TextSegfile,
+// opts.VecSegfile) carries the signature of these pages and this partition
+// is memory-mapped, verified, and its build skipped entirely; a missing,
+// stale or damaged cache is rebuilt and rewritten. A cold build runs
+// concurrently what is independent: first every part of either lane is
+// tokenized or embedded as one scatter leg, then the text lane freezes its
+// parts against the union statistics and writes its cache while the vector
+// lane writes its own, so the two fsyncs overlap.
+func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, opts Options) (*ir.Segments, []*vec.Builder, error) {
+	textSig := pagesSignature("", all, pages.Parts())
+	vecSig := pagesSignature(emb.Name(), all, pages.Parts())
+	var text *ir.Segments
+	var vecs []*vec.Builder
+	if opts.TextSegfile != "" {
+		if t, _, err := ir.OpenSegmentsFile(opts.TextSegfile, textSig); err == nil {
+			text = t // the mapping lives for the life of the process
 		}
 	}
-	parts := make([]*ir.Index, pages.Parts())
-	for i := range parts {
-		parts[i] = ir.NewIndex()
-	}
-	for i, pg := range all {
-		ord, _ := pages.Of(i)
-		if _, err := parts[ord].Add(pg.Name, pg.Text); err != nil {
-			return nil, fmt.Errorf("dlse: indexing page %s: %w", pg.Name, err)
+	if opts.VecSegfile != "" {
+		if parts, _, err := vec.OpenFile(opts.VecSegfile, emb, vecSig); err == nil && len(parts) == pages.Parts() {
+			vecs = parts // zero-copy views of a process-lifetime mapping
 		}
 	}
-	text, err := ir.NewSegments(parts)
-	if err != nil {
-		return nil, fmt.Errorf("dlse: freezing text segments: %w", err)
+
+	var build, finish []func() error
+	if text == nil {
+		parts := make([]*ir.Index, pages.Parts())
+		for ord := range parts {
+			build = append(build, func() error {
+				parts[ord] = ir.NewIndex()
+				for _, pg := range all[pages.Start(ord):pages.Start(ord+1)] {
+					if _, err := parts[ord].Add(pg.Name, pg.Text); err != nil {
+						return fmt.Errorf("dlse: indexing page %s: %w", pg.Name, err)
+					}
+				}
+				return nil
+			})
+		}
+		finish = append(finish, func() (err error) {
+			if text, err = ir.NewSegments(parts); err != nil {
+				return fmt.Errorf("dlse: freezing text segments: %w", err)
+			}
+			if opts.TextSegfile == "" {
+				return nil
+			}
+			// Durable replace (temp file, fsync, rename, parent-dir fsync): a
+			// concurrent reader sees either the old cache or the new one, and
+			// a crash at any step cannot leave a torn file behind.
+			err = fsx.WriteAtomic(fsx.OS, opts.TextSegfile, func(w io.Writer) error { return ir.WriteSegments(w, text, textSig) })
+			if err != nil {
+				return fmt.Errorf("dlse: writing text segfile cache: %w", err)
+			}
+			return nil
+		})
 	}
-	if cachePath != "" {
-		// Durable replace (temp file, fsync, rename, parent-dir fsync): a
-		// concurrent reader sees either the old cache or the new one, and
-		// a crash at any step cannot leave a torn file behind.
-		err := fsx.WriteAtomic(fsx.OS, cachePath, func(w io.Writer) error { return ir.WriteSegments(w, text, sig) })
-		if err != nil {
-			return nil, fmt.Errorf("dlse: writing text segfile cache: %w", err)
+	if vecs == nil {
+		vecs = make([]*vec.Builder, pages.Parts())
+		for ord := range vecs {
+			build = append(build, func() error {
+				vecs[ord] = vec.NewBuilder(emb)
+				for _, pg := range all[pages.Start(ord):pages.Start(ord+1)] {
+					vecs[ord].Add(pg.Name, pg.Text, emb)
+				}
+				return nil
+			})
+		}
+		if opts.VecSegfile != "" {
+			finish = append(finish, func() error {
+				if err := vec.WriteFile(opts.VecSegfile, emb, vecs, vecSig); err != nil {
+					return fmt.Errorf("dlse: writing vec segfile cache: %w", err)
+				}
+				return nil
+			})
 		}
 	}
-	return text, nil
+	for _, stage := range [][]func() error{build, finish} {
+		if err := concurrently(stage); err != nil {
+			return nil, nil, err
+		}
+	}
+	return text, vecs, nil
 }
 
-// buildVecPages embeds the pages for the vector lane, partitioned exactly
-// like the text segments — or maps the embedding matrices from the cache at
-// cachePath, under the same signature and rewrite rules as the text cache.
-func buildVecPages(all []webspace.Page, pages segset.Bases, emb vec.Embedder, cachePath string) ([]*vec.Builder, error) {
-	sig := pagesSignature(emb.Name(), all, pages.Parts())
-	if cachePath != "" {
-		if parts, _, err := vec.OpenFile(cachePath, emb, sig); err == nil && len(parts) == pages.Parts() {
-			return parts, nil // zero-copy views of a process-lifetime mapping
+// concurrently runs the tasks as the legs of one scatter and returns the
+// first failure in task order.
+func concurrently(tasks []func() error) error {
+	legs := segset.Scatter(make([]int, len(tasks)), func(slot, _ int) error { return tasks[slot]() })
+	for _, leg := range legs {
+		if leg.Stats != nil {
+			return leg.Stats
 		}
 	}
-	parts := make([]*vec.Builder, pages.Parts())
-	for i := range parts {
-		parts[i] = vec.NewBuilder(emb)
-	}
-	for i, pg := range all {
-		ord, _ := pages.Of(i)
-		parts[ord].Add(pg.Name, pg.Text, emb)
-	}
-	if cachePath != "" {
-		if err := vec.WriteFile(cachePath, emb, parts, sig); err != nil {
-			return nil, fmt.Errorf("dlse: writing vec segfile cache: %w", err)
-		}
-	}
-	return parts, nil
+	return nil
 }
 
 // VecOrds maps a placement — text and video segment ordinals — onto the

@@ -147,6 +147,11 @@ func (r Rect) Clip(im *Image) Rect {
 	return r
 }
 
+// Shift returns the rectangle moved by (dx, dy).
+func (r Rect) Shift(dx, dy int) Rect {
+	return Rect{r.X0 + dx, r.Y0 + dy, r.X1 + dx, r.Y1 + dy}
+}
+
 // Contains reports whether the point (x, y) lies inside the rectangle.
 func (r Rect) Contains(x, y int) bool {
 	return x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1

@@ -52,34 +52,85 @@ func (m *Mask) Clone() *Mask {
 	return out
 }
 
+// Reset resizes the mask to w×h and clears it, reusing its storage when it
+// is large enough: the form for scratch masks that live across frames.
+func (m *Mask) Reset(w, h int) {
+	m.resize(w, h)
+	clear(m.Bits)
+}
+
+// resize is Reset without the clear, for callers that write every bit.
+func (m *Mask) resize(w, h int) {
+	if n := w * h; cap(m.Bits) < n {
+		m.Bits = make([]bool, n)
+	} else {
+		m.Bits = m.Bits[:n]
+	}
+	m.W, m.H = w, h
+}
+
+// row returns row y of the mask.
+func (m *Mask) row(y int) []bool { return m.Bits[y*m.W : (y+1)*m.W] }
+
 // Erode applies one pass of 4-neighbour binary erosion: a pixel stays set
 // only if it and all four direct neighbours are set. Border pixels treat
 // out-of-bounds neighbours as unset, so erosion shrinks regions touching
 // the border.
-func (m *Mask) Erode() *Mask {
-	out := NewMask(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if m.Get(x, y) && m.Get(x-1, y) && m.Get(x+1, y) && m.Get(x, y-1) && m.Get(x, y+1) {
-				out.Bits[y*m.W+x] = true
-			}
+func (m *Mask) Erode() *Mask { return m.ErodeInto(new(Mask)) }
+
+// ErodeInto is Erode writing into dst (resized to match, and returned),
+// which must not be m itself. It works a row at a time on the row and its
+// two neighbours, with no per-pixel bounds test.
+func (m *Mask) ErodeInto(dst *Mask) *Mask {
+	dst.resize(m.W, m.H)
+	w := m.W
+	for y := 0; y < m.H && w > 0; y++ {
+		out := dst.row(y)
+		if y == 0 || y == m.H-1 {
+			clear(out) // a neighbour is out of bounds
+			continue
+		}
+		row, up, down := m.row(y), m.row(y-1), m.row(y+1)
+		out[0], out[w-1] = false, false
+		for x := 1; x < w-1; x++ {
+			out[x] = row[x] && row[x-1] && row[x+1] && up[x] && down[x]
 		}
 	}
-	return out
+	return dst
 }
 
 // Dilate applies one pass of 4-neighbour binary dilation: a pixel becomes
 // set if it or any direct neighbour is set.
-func (m *Mask) Dilate() *Mask {
-	out := NewMask(m.W, m.H)
+func (m *Mask) Dilate() *Mask { return m.DilateInto(new(Mask)) }
+
+// DilateInto is Dilate writing into dst (resized to match, and returned),
+// which must not be m itself: every set pixel of a row marks itself and its
+// neighbours, so an empty stretch costs one test a pixel.
+func (m *Mask) DilateInto(dst *Mask) *Mask {
+	dst.Reset(m.W, m.H)
+	w := m.W
 	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if m.Get(x, y) || m.Get(x-1, y) || m.Get(x+1, y) || m.Get(x, y-1) || m.Get(x, y+1) {
-				out.Bits[y*m.W+x] = true
+		out := dst.row(y)
+		for x, set := range m.row(y) {
+			if !set {
+				continue
+			}
+			out[x] = true
+			if x > 0 {
+				out[x-1] = true
+			}
+			if x < w-1 {
+				out[x+1] = true
+			}
+			if y > 0 {
+				dst.Bits[(y-1)*w+x] = true
+			}
+			if y < m.H-1 {
+				dst.Bits[(y+1)*w+x] = true
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Open performs erosion followed by dilation, removing isolated noise
@@ -110,62 +161,71 @@ func (c Component) Centroid() (float64, float64) {
 }
 
 // Components labels all 4-connected regions of set pixels using an
-// iterative flood fill (BFS) and returns them. labels, if non-nil, receives
-// the per-pixel label (0 for background). Components are returned in label
-// order, which follows raster-scan discovery order.
-func (m *Mask) Components() []Component {
-	labels := make([]int32, m.W*m.H)
-	var comps []Component
-	var queue []int32
-	for start := 0; start < len(m.Bits); start++ {
-		if !m.Bits[start] || labels[start] != 0 {
+// iterative flood fill and returns them in label order, which follows
+// raster-scan discovery order.
+func (m *Mask) Components() []Component { return new(Labeler).Components(m) }
+
+// Labeler is the working memory of connected-component labelling — the
+// per-pixel label buffer, the flood-fill stack and the component list —
+// kept so that labelling one mask per frame allocates nothing in steady
+// state. The zero value is ready to use.
+type Labeler struct {
+	labels []int32
+	stack  []int32
+	comps  []Component
+}
+
+// Components is Mask.Components through the labeler's buffers. The returned
+// slice is overwritten by the next call.
+func (l *Labeler) Components(m *Mask) []Component {
+	w, h := m.W, m.H
+	if cap(l.labels) < len(m.Bits) {
+		l.labels = make([]int32, len(m.Bits))
+	}
+	labels := l.labels[:len(m.Bits)]
+	clear(labels)
+	bits := m.Bits
+	comps, stack := l.comps[:0], l.stack
+	for start, set := range bits {
+		if !set || labels[start] != 0 {
 			continue
 		}
 		label := int32(len(comps) + 1)
-		comp := Component{
-			Label: int(label),
-			BBox:  Rect{m.W, m.H, 0, 0},
-		}
-		queue = queue[:0]
-		queue = append(queue, int32(start))
+		comp := Component{Label: int(label), BBox: Rect{w, h, 0, 0}}
+		stack = append(stack[:0], int32(start))
 		labels[start] = label
-		for len(queue) > 0 {
-			p := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			x := int(p) % m.W
-			y := int(p) / m.W
+		for len(stack) > 0 {
+			p := int(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			y := p / w
+			x := p - y*w
 			comp.Area++
 			comp.SumX += int64(x)
 			comp.SumY += int64(y)
-			if x < comp.BBox.X0 {
-				comp.BBox.X0 = x
+			comp.BBox.X0 = min(comp.BBox.X0, x)
+			comp.BBox.Y0 = min(comp.BBox.Y0, y)
+			comp.BBox.X1 = max(comp.BBox.X1, x+1)
+			comp.BBox.Y1 = max(comp.BBox.Y1, y+1)
+			if x > 0 && bits[p-1] && labels[p-1] == 0 {
+				labels[p-1] = label
+				stack = append(stack, int32(p-1))
 			}
-			if y < comp.BBox.Y0 {
-				comp.BBox.Y0 = y
+			if x < w-1 && bits[p+1] && labels[p+1] == 0 {
+				labels[p+1] = label
+				stack = append(stack, int32(p+1))
 			}
-			if x+1 > comp.BBox.X1 {
-				comp.BBox.X1 = x + 1
+			if y > 0 && bits[p-w] && labels[p-w] == 0 {
+				labels[p-w] = label
+				stack = append(stack, int32(p-w))
 			}
-			if y+1 > comp.BBox.Y1 {
-				comp.BBox.Y1 = y + 1
+			if y < h-1 && bits[p+w] && labels[p+w] == 0 {
+				labels[p+w] = label
+				stack = append(stack, int32(p+w))
 			}
-			tryPush := func(nx, ny int) {
-				if nx < 0 || ny < 0 || nx >= m.W || ny >= m.H {
-					return
-				}
-				np := int32(ny*m.W + nx)
-				if m.Bits[np] && labels[np] == 0 {
-					labels[np] = label
-					queue = append(queue, np)
-				}
-			}
-			tryPush(x-1, y)
-			tryPush(x+1, y)
-			tryPush(x, y-1)
-			tryPush(x, y+1)
 		}
 		comps = append(comps, comp)
 	}
+	l.comps, l.stack = comps, stack
 	return comps
 }
 
@@ -183,37 +243,4 @@ func (m *Mask) Largest() (Component, bool) {
 		}
 	}
 	return best, true
-}
-
-// SubMask returns the portion of the mask within r (clipped) as a new mask
-// whose origin is r's top-left corner.
-func (m *Mask) SubMask(r Rect) *Mask {
-	r = r.Canon()
-	if r.X0 < 0 {
-		r.X0 = 0
-	}
-	if r.Y0 < 0 {
-		r.Y0 = 0
-	}
-	if r.X1 > m.W {
-		r.X1 = m.W
-	}
-	if r.Y1 > m.H {
-		r.Y1 = m.H
-	}
-	if r.X1 < r.X0 {
-		r.X1 = r.X0
-	}
-	if r.Y1 < r.Y0 {
-		r.Y1 = r.Y0
-	}
-	out := NewMask(r.W(), r.H())
-	for y := r.Y0; y < r.Y1; y++ {
-		for x := r.X0; x < r.X1; x++ {
-			if m.Bits[y*m.W+x] {
-				out.Bits[(y-r.Y0)*out.W+(x-r.X0)] = true
-			}
-		}
-	}
-	return out
 }

@@ -178,27 +178,6 @@ func TestMorphologyMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSubMask(t *testing.T) {
-	m := NewMask(10, 10)
-	m.Set(4, 4, true)
-	m.Set(5, 5, true)
-	sub := m.SubMask(Rect{4, 4, 7, 7})
-	if sub.W != 3 || sub.H != 3 {
-		t.Fatalf("submask dims %dx%d", sub.W, sub.H)
-	}
-	if !sub.Get(0, 0) || !sub.Get(1, 1) {
-		t.Fatal("submask lost pixels")
-	}
-	if sub.Count() != 2 {
-		t.Fatalf("submask count = %d", sub.Count())
-	}
-	// Clipped sub-mask
-	sub2 := m.SubMask(Rect{8, 8, 20, 20})
-	if sub2.W != 2 || sub2.H != 2 {
-		t.Fatalf("clipped submask dims %dx%d", sub2.W, sub2.H)
-	}
-}
-
 func TestSkinModel(t *testing.T) {
 	skin := RGB{200, 140, 110}
 	if !IsSkin(skin) {

@@ -28,30 +28,28 @@ type Shape struct {
 
 // ShapeOf computes shape descriptors from a binary mask. If the mask is
 // empty the zero Shape is returned.
-func ShapeOf(m *Mask) Shape {
+func ShapeOf(m *Mask) Shape { return ShapeOfRect(m, Rect{0, 0, m.W, m.H}) }
+
+// ShapeOfRect computes the shape descriptors of the part of the mask inside
+// r, which must lie within the mask, in coordinates relative to r's
+// top-left corner: the shape of the sub-mask, without copying it out.
+func ShapeOfRect(m *Mask, r Rect) Shape {
 	var s Shape
 	var sx, sy float64
-	s.BBox = Rect{m.W, m.H, 0, 0}
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if !m.Bits[y*m.W+x] {
+	w, h := r.W(), r.H()
+	s.BBox = Rect{w, h, 0, 0}
+	for y := 0; y < h; y++ {
+		for x, set := range m.row(r.Y0 + y)[r.X0:r.X1] {
+			if !set {
 				continue
 			}
 			s.Area++
 			sx += float64(x)
 			sy += float64(y)
-			if x < s.BBox.X0 {
-				s.BBox.X0 = x
-			}
-			if y < s.BBox.Y0 {
-				s.BBox.Y0 = y
-			}
-			if x+1 > s.BBox.X1 {
-				s.BBox.X1 = x + 1
-			}
-			if y+1 > s.BBox.Y1 {
-				s.BBox.Y1 = y + 1
-			}
+			s.BBox.X0 = min(s.BBox.X0, x)
+			s.BBox.Y0 = min(s.BBox.Y0, y)
+			s.BBox.X1 = max(s.BBox.X1, x+1)
+			s.BBox.Y1 = max(s.BBox.Y1, y+1)
 		}
 	}
 	if s.Area == 0 {
@@ -62,9 +60,9 @@ func ShapeOf(m *Mask) Shape {
 	s.CX, s.CY = sx/n, sy/n
 	// Second pass: central moments.
 	var mu20, mu02, mu11 float64
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if !m.Bits[y*m.W+x] {
+	for y := 0; y < h; y++ {
+		for x, set := range m.row(r.Y0 + y)[r.X0:r.X1] {
+			if !set {
 				continue
 			}
 			dx := float64(x) - s.CX

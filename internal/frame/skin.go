@@ -60,12 +60,9 @@ func SkinRatio(im *Image) float64 {
 // SkinMask returns a binary mask marking skin-coloured pixels.
 func SkinMask(im *Image) *Mask {
 	m := NewMask(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			if IsSkin(im.At(x, y)) {
-				m.Set(x, y, true)
-			}
-		}
+	p := im.Pix
+	for i := range m.Bits {
+		m.Bits[i] = IsSkin(RGB{p[3*i], p[3*i+1], p[3*i+2]})
 	}
 	return m
 }

@@ -59,10 +59,13 @@ func NewSegments(parts []*Index) (*Segments, error) {
 		}
 	}
 	cs := corpusStats{docs: docs, totalLn: totalLn, df: func(t string) int { return df[t] }}
-	for _, p := range parts {
-		p.freezeWith(cs)
-	}
-	return &Segments{segs: append([]*Index(nil), parts...), bases: segset.NewBases(sizes), vocb: len(df)}, nil
+	bases := segset.NewBases(sizes)
+	// Freezing reads the shared statistics and writes only its own part.
+	segset.Scatter(bases.Ords(), func(_, ord int) struct{} {
+		parts[ord].freezeWith(cs)
+		return struct{}{}
+	})
+	return &Segments{segs: append([]*Index(nil), parts...), bases: bases, vocb: len(df)}, nil
 }
 
 // NumSegments returns the segment count.

@@ -14,6 +14,13 @@ func Workers(n int) int {
 	return n
 }
 
+// InFlight is how many of n jobs a pool with the given worker-count option
+// runs at once: a one-job batch has one job in flight however many CPUs
+// the pool could use.
+func InFlight(workers, n int) int {
+	return min(Workers(workers), n)
+}
+
 // ForEach runs fn(ctx, i) for every i in [0, n) across a pool of workers
 // goroutines and returns the per-item errors. Cancellation is cooperative:
 // once ctx is done no new items are dispatched — items never started report
@@ -25,10 +32,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	if n == 0 {
 		return errs
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = InFlight(workers, n)
 	items := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)

@@ -237,37 +237,106 @@ func foregroundPixel(c frame.RGB, bg *Background, cfg *Config) bool {
 func QuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg Config) *frame.Mask {
 	cfg = cfg.withDefaults()
 	mask := frame.NewMask(im.W, im.H)
-	r = r.Clip(im)
-	var split func(b frame.Rect)
-	split = func(b frame.Rect) {
-		if b.Empty() {
+	q := quadSegmenter{im: im, bg: &bg, cfg: &cfg, mask: mask}
+	q.split(r.Clip(im))
+	return mask
+}
+
+// quadSegmenter is one quadtree segmentation in progress. The mask may
+// cover just a window of the image: its pixel (0, 0) is image pixel
+// (ox, oy), and only blocks inside it are split.
+type quadSegmenter struct {
+	im     *frame.Image
+	bg     *Background
+	cfg    *Config
+	mask   *frame.Mask
+	ox, oy int
+}
+
+func (q *quadSegmenter) split(b frame.Rect) {
+	if b.Empty() {
+		return
+	}
+	if b.W() > q.cfg.QuadMinBlock || b.H() > q.cfg.QuadMinBlock {
+		s := frame.StatsOfRegion(q.im, b)
+		// A block is all-background if its mean matches a cluster and
+		// it is internally homogeneous.
+		if blockIsBackground(s, q.bg, q.cfg) {
 			return
 		}
-		if b.W() > cfg.QuadMinBlock || b.H() > cfg.QuadMinBlock {
-			s := frame.StatsOfRegion(im, b)
-			// A block is all-background if its mean matches a cluster and
-			// it is internally homogeneous.
-			if blockIsBackground(s, &bg, &cfg) {
-				return
-			}
-			mx := (b.X0 + b.X1) / 2
-			my := (b.Y0 + b.Y1) / 2
-			split(frame.Rect{X0: b.X0, Y0: b.Y0, X1: mx, Y1: my})
-			split(frame.Rect{X0: mx, Y0: b.Y0, X1: b.X1, Y1: my})
-			split(frame.Rect{X0: b.X0, Y0: my, X1: mx, Y1: b.Y1})
-			split(frame.Rect{X0: mx, Y0: my, X1: b.X1, Y1: b.Y1})
-			return
-		}
-		for y := b.Y0; y < b.Y1; y++ {
-			for x := b.X0; x < b.X1; x++ {
-				if foregroundPixel(im.At(x, y), &bg, &cfg) {
-					mask.Set(x, y, true)
-				}
+		mx := (b.X0 + b.X1) / 2
+		my := (b.Y0 + b.Y1) / 2
+		q.split(frame.Rect{X0: b.X0, Y0: b.Y0, X1: mx, Y1: my})
+		q.split(frame.Rect{X0: mx, Y0: b.Y0, X1: b.X1, Y1: my})
+		q.split(frame.Rect{X0: b.X0, Y0: my, X1: mx, Y1: b.Y1})
+		q.split(frame.Rect{X0: mx, Y0: my, X1: b.X1, Y1: b.Y1})
+		return
+	}
+	for y := b.Y0; y < b.Y1; y++ {
+		pix := q.im.Pix[q.im.Offset(b.X0, y):q.im.Offset(b.X1, y)]
+		out := q.mask.Bits[(y-q.oy)*q.mask.W+b.X0-q.ox:][:b.W()]
+		for x := range out {
+			if foregroundPixel(frame.RGB{R: pix[3*x], G: pix[3*x+1], B: pix[3*x+2]}, q.bg, q.cfg) {
+				out[x] = true
 			}
 		}
 	}
-	split(r)
-	return mask
+}
+
+// scratch is the detector's working memory for one shot: the masks of the
+// three morphology stages over the window last segmented, the labelling
+// buffers and the dominant-colour histogram. Both trackers of a shot share
+// one, so after a shot's first frames a Feed allocates nothing.
+type scratch struct {
+	win                 frame.Rect
+	seg, eroded, opened frame.Mask
+	labeler             frame.Labeler
+	hist                *frame.Histogram
+}
+
+// segment segments the window r of im (clipped to the image), opens the
+// mask and labels it, returning the components in frame coordinates. Only
+// the window is segmented, eroded, dilated and labelled — outside it no bit
+// can be set, and since erosion already treats what lies beyond a mask's
+// edge as unset the window needs no apron — so the work scales with the
+// search window, not with the frame.
+func (s *scratch) segment(im *frame.Image, bg *Background, r frame.Rect, cfg *Config) []frame.Component {
+	r = r.Clip(im)
+	s.win = r
+	s.seg.Reset(r.W(), r.H())
+	q := quadSegmenter{im: im, bg: bg, cfg: cfg, mask: &s.seg, ox: r.X0, oy: r.Y0}
+	q.split(r)
+	s.seg.ErodeInto(&s.eroded).DilateInto(&s.opened)
+	comps := s.labeler.Components(&s.opened)
+	for i := range comps {
+		c := &comps[i]
+		c.BBox = c.BBox.Shift(r.X0, r.Y0)
+		c.SumX += int64(r.X0) * int64(c.Area)
+		c.SumY += int64(r.Y0) * int64(c.Area)
+	}
+	return comps
+}
+
+// observe builds a full observation (position, shape features rebased to
+// frame coordinates, dominant colour) from a component of the window just
+// segmented.
+func (s *scratch) observe(im *frame.Image, c frame.Component, frameIdx int) Observation {
+	cx, cy := c.Centroid()
+	shape := frame.ShapeOfRect(&s.opened, c.BBox.Shift(-s.win.X0, -s.win.Y0))
+	shape.CX += float64(c.BBox.X0)
+	shape.CY += float64(c.BBox.Y0)
+	shape.BBox = shape.BBox.Shift(c.BBox.X0, c.BBox.Y0)
+	if s.hist == nil {
+		s.hist = frame.NewHistogram(8)
+	}
+	s.hist.Reset()
+	s.hist.AddRegion(im, shape.BBox)
+	dom, _ := s.hist.Peak()
+	return Observation{
+		Frame: frameIdx, Found: true,
+		X: cx, Y: cy,
+		Shape: shape, Dominant: dom,
+	}
 }
 
 // blockIsBackground tests whether a whole block can be pruned.
@@ -331,18 +400,22 @@ type Tracker struct {
 	bg    Background
 	pos   Observation
 	coast int
-	init  bool
 	scale float64 // 1.0 near player, <1 far player (smaller area gate)
+	s     *scratch
 }
 
 // NewTracker builds a tracker from an initial observation. scale shrinks
 // the component-area gate for the smaller far player (use 1 for the near
 // player, ~0.5 for the far player).
 func NewTracker(cfg Config, bg Background, initial Observation, scale float64) *Tracker {
+	return newTracker(cfg, bg, initial, scale, new(scratch))
+}
+
+func newTracker(cfg Config, bg Background, initial Observation, scale float64, s *scratch) *Tracker {
 	if scale <= 0 {
 		scale = 1
 	}
-	return &Tracker{cfg: cfg.withDefaults(), bg: bg, pos: initial, init: true, scale: scale}
+	return &Tracker{cfg: cfg.withDefaults(), bg: bg, pos: initial, scale: scale, s: s}
 }
 
 // minArea returns the component-area gate for this tracker.
@@ -363,8 +436,7 @@ func (t *Tracker) Feed(im *frame.Image, frameIdx int) Observation {
 		X0: int(predX) - r, Y0: int(predY) - r,
 		X1: int(predX) + r, Y1: int(predY) + r,
 	}
-	mask := QuadSegment(im, t.bg, window, t.cfg).Open()
-	comps := mask.Components()
+	comps := t.s.segment(im, &t.bg, window, &t.cfg)
 	best, ok := selectComponent(comps, predX, predY, t.minArea())
 	if !ok {
 		// Coast on the prediction.
@@ -377,34 +449,12 @@ func (t *Tracker) Feed(im *frame.Image, frameIdx int) Observation {
 		t.pos = obs
 		return obs
 	}
-	obs := observe(mask, im, best, frameIdx)
+	obs := t.s.observe(im, best, frameIdx)
 	obs.VX = obs.X - t.pos.X
 	obs.VY = obs.Y - t.pos.Y
 	t.coast = 0
 	t.pos = obs
 	return obs
-}
-
-// observe builds a full observation (position, shape features rebased to
-// frame coordinates, dominant colour) from a segmented component.
-func observe(mask *frame.Mask, im *frame.Image, c frame.Component, frameIdx int) Observation {
-	cx, cy := c.Centroid()
-	sub := mask.SubMask(c.BBox)
-	shape := frame.ShapeOf(sub)
-	shape.CX += float64(c.BBox.X0)
-	shape.CY += float64(c.BBox.Y0)
-	shape.BBox = frame.Rect{
-		X0: shape.BBox.X0 + c.BBox.X0, Y0: shape.BBox.Y0 + c.BBox.Y0,
-		X1: shape.BBox.X1 + c.BBox.X0, Y1: shape.BBox.Y1 + c.BBox.Y0,
-	}
-	h := frame.NewHistogram(8)
-	h.AddRegion(im, shape.BBox)
-	dom, _ := h.Peak()
-	return Observation{
-		Frame: frameIdx, Found: true,
-		X: cx, Y: cy,
-		Shape: shape, Dominant: dom,
-	}
 }
 
 // Lost reports whether the tracker has coasted past MaxCoast frames.
@@ -449,8 +499,8 @@ func TrackShot(frames []*frame.Image, cfg Config) ShotResult {
 	first := frames[0]
 	res.Background = EstimateBackground(first, cfg)
 	// Initial segmentation over the whole frame.
-	mask := QuadSegment(first, res.Background, first.Bounds(), cfg).Open()
-	comps := mask.Components()
+	s := new(scratch)
+	comps := s.segment(first, &res.Background, first.Bounds(), &cfg)
 	// Split candidates by vertical half: the broadcast camera always has
 	// the near player in the lower half, the far player in the upper half.
 	midY := float64(first.H) / 2
@@ -465,8 +515,8 @@ func TrackShot(frames []*frame.Image, cfg Config) ShotResult {
 	}
 	sortByArea(lower)
 	sortByArea(upper)
-	nearTracker := initTracker(cfg, res.Background, mask, first, lower, 1.0)
-	farTracker := initTracker(cfg, res.Background, mask, first, upper, 0.55)
+	nearTracker := s.initTracker(cfg, res.Background, first, lower, 1.0)
+	farTracker := s.initTracker(cfg, res.Background, first, upper, 0.55)
 	for i, im := range frames {
 		if i == 0 {
 			res.Near.Obs = append(res.Near.Obs, firstObservation(nearTracker))
@@ -499,11 +549,13 @@ func firstObservation(t *Tracker) Observation {
 	return t.pos
 }
 
-func initTracker(cfg Config, bg Background, mask *frame.Mask, im *frame.Image, comps []frame.Component, scale float64) *Tracker {
+// initTracker starts a tracker, sharing s, on the largest of comps (sorted
+// by area) that passes the area gate.
+func (s *scratch) initTracker(cfg Config, bg Background, im *frame.Image, comps []frame.Component, scale float64) *Tracker {
 	minArea := int(float64(cfg.MinArea) * scale * scale)
 	for _, c := range comps {
 		if c.Area >= minArea {
-			return NewTracker(cfg, bg, observe(mask, im, c, 0), scale)
+			return newTracker(cfg, bg, s.observe(im, c, 0), scale, s)
 		}
 	}
 	return nil

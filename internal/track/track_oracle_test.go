@@ -1,0 +1,186 @@
+package track
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/frame"
+	"repro/internal/synth"
+)
+
+// The tracker the package shipped before the window-bounded one: every
+// frame gets a full-frame mask (foreground only inside the search window),
+// a full-frame Open, full-frame labelling and a copied-out sub-mask. Kept
+// only as the oracle the windowed tracker is checked against.
+
+type refTracker struct {
+	cfg   Config
+	bg    Background
+	pos   Observation
+	scale float64
+}
+
+func refObserve(mask *frame.Mask, im *frame.Image, c frame.Component, frameIdx int) Observation {
+	cx, cy := c.Centroid()
+	sub := frame.NewMask(c.BBox.W(), c.BBox.H())
+	for y := c.BBox.Y0; y < c.BBox.Y1; y++ {
+		for x := c.BBox.X0; x < c.BBox.X1; x++ {
+			sub.Set(x-c.BBox.X0, y-c.BBox.Y0, mask.Get(x, y))
+		}
+	}
+	shape := frame.ShapeOf(sub)
+	shape.CX += float64(c.BBox.X0)
+	shape.CY += float64(c.BBox.Y0)
+	shape.BBox = frame.Rect{
+		X0: shape.BBox.X0 + c.BBox.X0, Y0: shape.BBox.Y0 + c.BBox.Y0,
+		X1: shape.BBox.X1 + c.BBox.X0, Y1: shape.BBox.Y1 + c.BBox.Y0,
+	}
+	h := frame.NewHistogram(8)
+	h.AddRegion(im, shape.BBox)
+	dom, _ := h.Peak()
+	return Observation{Frame: frameIdx, Found: true, X: cx, Y: cy, Shape: shape, Dominant: dom}
+}
+
+func (t *refTracker) feed(im *frame.Image, frameIdx int) Observation {
+	predX := t.pos.X + t.pos.VX
+	predY := t.pos.Y + t.pos.VY
+	r := t.cfg.SearchRadius
+	window := frame.Rect{X0: int(predX) - r, Y0: int(predY) - r, X1: int(predX) + r, Y1: int(predY) + r}
+	mask := QuadSegment(im, t.bg, window, t.cfg).Open()
+	minArea := max(int(float64(t.cfg.MinArea)*t.scale*t.scale), 4)
+	best, ok := selectComponent(mask.Components(), predX, predY, minArea)
+	if !ok {
+		t.pos = Observation{Frame: frameIdx, X: predX, Y: predY, VX: t.pos.VX, VY: t.pos.VY}
+		return t.pos
+	}
+	obs := refObserve(mask, im, best, frameIdx)
+	obs.VX = obs.X - t.pos.X
+	obs.VY = obs.Y - t.pos.Y
+	t.pos = obs
+	return obs
+}
+
+func refTrackShot(frames []*frame.Image, cfg Config) ShotResult {
+	cfg = cfg.withDefaults()
+	var res ShotResult
+	first := frames[0]
+	res.Background = EstimateBackground(first, cfg)
+	mask := QuadSegment(first, res.Background, first.Bounds(), cfg).Open()
+	var lower, upper []frame.Component
+	for _, c := range mask.Components() {
+		if _, cy := c.Centroid(); cy >= float64(first.H)/2 {
+			lower = append(lower, c)
+		} else {
+			upper = append(upper, c)
+		}
+	}
+	sortByArea(lower)
+	sortByArea(upper)
+	start := func(comps []frame.Component, scale float64) *refTracker {
+		for _, c := range comps {
+			if c.Area >= int(float64(cfg.MinArea)*scale*scale) {
+				return &refTracker{cfg: cfg, bg: res.Background, pos: refObserve(mask, first, c, 0), scale: scale}
+			}
+		}
+		return nil
+	}
+	near, far := start(lower, 1.0), start(upper, 0.55)
+	for i, im := range frames {
+		for _, p := range []struct {
+			tr *Track
+			t  *refTracker
+		}{{&res.Near, near}, {&res.Far, far}} {
+			switch {
+			case p.t == nil:
+				p.tr.Obs = append(p.tr.Obs, Observation{Frame: i})
+				if i > 0 {
+					p.tr.LostFrames++
+				}
+			case i == 0:
+				p.tr.Obs = append(p.tr.Obs, p.t.pos)
+			default:
+				obs := p.t.feed(im, i)
+				p.tr.Obs = append(p.tr.Obs, obs)
+				if !obs.Found {
+					p.tr.LostFrames++
+				}
+			}
+		}
+	}
+	return res
+}
+
+// The windowed tracker must report, float for float, what the full-frame
+// one does: on every script, with the players at the frame's edges (the
+// window is clipped there), through an occlusion (coasting), and with a
+// search radius larger than the frame.
+func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
+	type shot struct {
+		name   string
+		frames []*frame.Image
+		cfg    Config
+	}
+	var shots []shot
+	for i, script := range []string{"rally", "net-approach", "service"} {
+		frames, _, _ := renderShot(t, script, 40, int64(60+i))
+		shots = append(shots, shot{script, frames, DefaultConfig()})
+	}
+	occluded, _, _ := renderShot(t, "rally", 30, 9)
+	probe := TrackShot(occluded, DefaultConfig())
+	for i := 10; i < 14; i++ {
+		p := probe.Near.Obs[i]
+		occluded[i].FillRect(frame.Rect{X0: int(p.X) - 12, Y0: int(p.Y) - 18, X1: int(p.X) + 12, Y1: int(p.Y) + 18}, synth.CourtColor)
+	}
+	shots = append(shots, shot{"occluded", occluded, DefaultConfig()})
+	wide, _, _ := renderShot(t, "rally", 12, 63)
+	shots = append(shots, shot{"radius beyond the frame", wide, Config{SearchRadius: 400}})
+	tight, _, _ := renderShot(t, "net-approach", 25, 64)
+	shots = append(shots, shot{"radius 6", tight, Config{SearchRadius: 6}})
+
+	for _, s := range shots {
+		got, want := TrackShot(s.frames, s.cfg), refTrackShot(s.frames, s.cfg)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: windowed tracking differs from the full-frame oracle", s.name)
+			for i := range want.Near.Obs {
+				if got.Near.Obs[i] != want.Near.Obs[i] || got.Far.Obs[i] != want.Far.Obs[i] {
+					t.Logf("first difference at frame %d:\n got %+v / %+v\nwant %+v / %+v", i,
+						got.Near.Obs[i], got.Far.Obs[i], want.Near.Obs[i], want.Far.Obs[i])
+					break
+				}
+			}
+		}
+		if want.Near.Found() == 0 {
+			t.Errorf("%s: the oracle never found the near player; the comparison is vacuous", s.name)
+		}
+		if s.name == "occluded" && want.Near.LostFrames == 0 {
+			t.Errorf("%s: the oracle never coasted; the comparison is vacuous", s.name)
+		}
+	}
+}
+
+// After the first frames of a shot have sized the scratch, a Feed allocates
+// nothing, found or coasting.
+func TestFeedAllocations(t *testing.T) {
+	frames, _, _ := renderShot(t, "rally", 30, 65)
+	cfg := DefaultConfig()
+	bg := EstimateBackground(frames[0], cfg)
+	res := TrackShot(frames[:2], cfg)
+	tr := NewTracker(cfg, bg, res.Near.Obs[1], 1)
+	tr.Feed(frames[2], 2)
+	tr.Feed(frames[3], 3)
+	i := 4
+	allocs := testing.AllocsPerRun(20, func() {
+		if obs := tr.Feed(frames[i], i); !obs.Found {
+			t.Fatalf("frame %d: player lost", i)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Tracker.Feed allocates %.0f times a frame in steady state, want 0", allocs)
+	}
+	blank := frame.New(frames[0].W, frames[0].H)
+	blank.Fill(frame.RGB{R: 40, G: 130, B: 60})
+	if allocs := testing.AllocsPerRun(5, func() { tr.Feed(blank, i) }); allocs != 0 {
+		t.Errorf("a coasting Feed allocates %.0f times, want 0", allocs)
+	}
+}

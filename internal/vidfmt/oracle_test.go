@@ -1,0 +1,234 @@
+package vidfmt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"testing"
+
+	"repro/internal/frame"
+)
+
+// The two-pass decoder the package shipped before the fused one: expand the
+// token stream into a residual buffer, then undo the prediction. It is kept
+// here only as the oracle the in-place decoder is checked against.
+
+// undoSpatialDeltas reconstructs pixels from spatial residuals.
+func undoSpatialDeltas(deltas []uint8, out []uint8) {
+	copy(out[:min(3, len(deltas))], deltas)
+	for i := 3; i < len(deltas); i++ {
+		out[i] = deltas[i] + out[i-3]
+	}
+}
+
+// decodeRuns expands a token stream into exactly want bytes.
+func decodeRuns(src []byte, want int) ([]uint8, error) {
+	out := make([]uint8, 0, want)
+	i := 0
+	for i < len(src) {
+		tok := src[i]
+		i++
+		if tok&0x80 != 0 {
+			run := int(tok&0x7F) + 1
+			if len(out)+run > want {
+				return nil, ErrCorrupt
+			}
+			out = out[:len(out)+run]
+			for k := len(out) - run; k < len(out); k++ {
+				out[k] = 0
+			}
+			continue
+		}
+		n := int(tok) + 1
+		if i+n > len(src) || len(out)+n > want {
+			return nil, ErrCorrupt
+		}
+		out = append(out, src[i:i+n]...)
+		i += n
+	}
+	if len(out) != want {
+		return nil, ErrCorrupt
+	}
+	return out, nil
+}
+
+// refDecodeFrame decodes one payload the old way on top of prev (the
+// previous frame's pixels, unused for an I-frame) into fresh pixels.
+func refDecodeFrame(typ uint8, payload []byte, prev []uint8) ([]uint8, error) {
+	deltas, err := decodeRuns(payload, len(prev))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint8, len(prev))
+	if typ == frameTypeI {
+		undoSpatialDeltas(deltas, out)
+		return out, nil
+	}
+	for i, d := range deltas {
+		out[i] = prev[i] + d
+	}
+	return out, nil
+}
+
+// refDecodeAll decodes a whole stream sequentially with refDecodeFrame. The
+// container (header, index, trailer) is parsed by OpenReader: the oracle is
+// for the frame codec.
+func refDecodeAll(data []byte) ([][]uint8, error) {
+	r, err := OpenReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	want := 3 * r.meta.Width * r.meta.Height
+	if want > 1<<22 {
+		return nil, errTooBig
+	}
+	prev := make([]uint8, want)
+	havePrev := false
+	var frames [][]uint8
+	for j, e := range r.index {
+		// A frame's record ends where the next one begins.
+		off, end := int(e.offset), int(r.indexOff)
+		if j+1 < len(r.index) {
+			end = int(r.index[j+1].offset)
+		}
+		if data[off] != e.typ || e.typ > frameTypeP {
+			return nil, ErrCorrupt
+		}
+		plen := int(binary.LittleEndian.Uint32(data[off+1:]))
+		if off+5+plen > end {
+			return nil, ErrCorrupt
+		}
+		if e.typ == frameTypeP && !havePrev {
+			return nil, ErrCorrupt
+		}
+		pix, err := refDecodeFrame(e.typ, data[off+5:off+5+plen], prev)
+		if err != nil {
+			return nil, err
+		}
+		frames = append(frames, pix)
+		prev, havePrev = pix, true
+	}
+	return frames, nil
+}
+
+var errTooBig = errors.New("oracle: frame too large to decode twice")
+
+// FuzzDecode checks the fused decoder against the oracle, never a panic and
+// never a silent difference: on a whole stream (mode 0; the corpus seeds are
+// valid files, which the fuzzer mutates) the same pixels or an error from
+// both, and on a bare token stream applied as an I-frame (mode 1) or as a
+// P-frame over a fixed predecessor (mode 2) likewise.
+func FuzzDecode(f *testing.F) {
+	for _, gop := range []int{1, 4} {
+		data, err := EncodeAll(testFrames(4, 5, 3, 300+int64(gop)), 25, gop)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint8(0))
+	}
+	resid := []uint8{0, 0, 0, 9, 8, 7, 0, 1, 0, 0, 0, 0, 0, 200, 255, 1, 0, 0}
+	f.Add(append([]byte{5}, encodeRuns(resid)...), uint8(1))
+	f.Add(append([]byte{5}, encodeRuns(resid)...), uint8(2))
+	f.Add([]byte{0, 0xFF}, uint8(1))
+	f.Add([]byte{3, 0x05, 1, 2}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		if mode%3 == 0 {
+			want, refErr := refDecodeAll(data)
+			if refErr == errTooBig {
+				return
+			}
+			got, _, err := DecodeAll(data)
+			if (err != nil) != (refErr != nil) {
+				t.Fatalf("DecodeAll error %v, oracle error %v", err, refErr)
+			}
+			for i := range want {
+				if !bytes.Equal(got[i].Pix, want[i]) {
+					t.Fatalf("frame %d differs from the oracle", i)
+				}
+			}
+			return
+		}
+		if len(data) == 0 {
+			return
+		}
+		// The first byte sizes the frame: 1..64 pixels.
+		prev := make([]uint8, 3*(1+int(data[0]%64)))
+		for i := range prev {
+			prev[i] = uint8(31*i + 7)
+		}
+		typ, tokens := uint8(frameTypeI), data[1:]
+		if mode%3 == 2 {
+			typ = frameTypeP
+		}
+		want, refErr := refDecodeFrame(typ, tokens, prev)
+		got := append([]uint8(nil), prev...)
+		var err error
+		if typ == frameTypeI {
+			err = decodeIntra(tokens, got)
+		} else {
+			err = decodeInter(tokens, got)
+		}
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("decoder error %v, oracle error %v", err, refErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("type %d: pixels differ from the oracle", typ)
+		}
+	})
+}
+
+// TestDecodeMatchesOracle runs the oracle comparison over streams with
+// every mix of run kinds: flat (zero runs), noise (literals), and motion.
+func TestDecodeMatchesOracle(t *testing.T) {
+	flat := make([]*frame.Image, 5)
+	for i := range flat {
+		flat[i] = frame.New(37, 5) // 3*37*5 is no multiple of 8 or 128
+		flat[i].Fill(frame.RGB{R: 30, G: 120, B: uint8(50 + i/3)})
+	}
+	for name, frames := range map[string][]*frame.Image{
+		"motion": testFrames(30, 48, 32, 11),
+		"odd":    testFrames(9, 7, 3, 12),
+		"flat":   flat,
+	} {
+		for _, gop := range []int{1, 4, 12} {
+			data, err := EncodeAll(frames, 25, gop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refDecodeAll(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := DecodeAll(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range frames {
+				if !bytes.Equal(got[i].Pix, want[i]) || !got[i].Equal(frames[i]) {
+					t.Fatalf("%s gop=%d: frame %d differs", name, gop, i)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeAllocations locks the decoder's allocation profile: one pixel
+// buffer per decoded frame, plus a constant for the reader, its index and
+// state, and the slab of image headers.
+func TestDecodeAllocations(t *testing.T) {
+	const constant = 8
+	for _, n := range []int{12, 48} {
+		data, err := EncodeAll(testFrames(n, 48, 32, 13), 25, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := DecodeAll(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(n+constant) {
+			t.Errorf("DecodeAll of %d frames: %.0f allocations, want <= %d", n, allocs, n+constant)
+		}
+	}
+}

@@ -2,7 +2,11 @@ package vidfmt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -153,5 +157,130 @@ func TestHighEntropyFramesStillRoundTrip(t *testing.T) {
 	raw := 5 * 3 * 32 * 32
 	if len(data) > raw+raw/32+256 {
 		t.Fatalf("noise expanded to %d bytes (raw %d)", len(data), raw)
+	}
+}
+
+// craftSVF assembles a container by hand: header, the given frame records,
+// an index with the given declared count and entries, trailer.
+func craftSVF(w, h uint32, frames []byte, count uint32, entries []indexEntry) []byte {
+	out := []byte(magicHeader)
+	for _, v := range []uint32{w, h, 25, 12} {
+		out = binary.LittleEndian.AppendUint32(out, v)
+	}
+	out = append(out, frames...)
+	indexOff := uint64(len(out))
+	out = binary.LittleEndian.AppendUint32(out, count)
+	for _, e := range entries {
+		out = binary.LittleEndian.AppendUint64(out, e.offset)
+		out = append(out, e.typ)
+	}
+	out = binary.LittleEndian.AppendUint64(out, indexOff)
+	return append(out, magicTrail...)
+}
+
+// Sizes a header or an index declares must be checked against what the file
+// can hold before anything is allocated for them: each of these files is a
+// few dozen bytes and used to cost gigabytes before failing.
+func TestDeclaredSizesAreBoundedByTheFile(t *testing.T) {
+	oneFrame := []byte{frameTypeI, 1, 0, 0, 0, 0xFF} // a 128-byte zero run
+	cases := map[string][]byte{
+		// 65,536 x 65,536 pixels behind a one-byte payload.
+		"huge frame": craftSVF(1<<16, 1<<16, oneFrame, 1, []indexEntry{{offset: 20}}),
+		// 2^28 index entries declared, none present.
+		"huge index": craftSVF(8, 8, oneFrame, 1<<28, nil),
+		// An entry pointing past the index, and one pointing backwards.
+		"offset outside":   craftSVF(8, 8, oneFrame, 1, []indexEntry{{offset: 1 << 40}}),
+		"offset in header": craftSVF(8, 8, oneFrame, 1, []indexEntry{{offset: 4}}),
+		"offsets descending": craftSVF(8, 8, append(oneFrame, oneFrame...), 2,
+			[]indexEntry{{offset: 26}, {offset: 20}}),
+		// A payload length reaching into the index.
+		"payload past frames": craftSVF(8, 8, []byte{frameTypeI, 200, 0, 0, 0, 0xFF}, 1, []indexEntry{{offset: 20}}),
+		// An index offset beyond the file.
+		"index outside": append(craftSVF(8, 8, oneFrame, 0, nil)[:26],
+			append(binary.LittleEndian.AppendUint64(nil, 1<<50), magicTrail...)...),
+	}
+	for name, data := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeAll(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: %d bytes allocated for a %d-byte file", name, grew, len(data))
+		}
+	}
+	// The same frame record in a well-formed container still decodes.
+	ok := craftSVF(8, 2, []byte{frameTypeI, 1, 0, 0, 0, 0xAF}, 1, []indexEntry{{offset: 20}})
+	if frames, _, err := DecodeAll(ok); err != nil || len(frames) != 1 {
+		t.Fatalf("well-formed crafted file: %v", err)
+	}
+}
+
+// A generic io.ReadSeeker (no in-memory stream to slice) reads payloads
+// through the reader's reused buffer and must decode the same frames.
+func TestReadSeekerSourceMatchesInMemory(t *testing.T) {
+	frames := testFrames(20, 24, 16, 104)
+	data, err := EncodeAll(frames, 25, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(struct{ io.ReadSeeker }{bytes.NewReader(data)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 2, 19, 7, 8, 3} {
+		im, err := r.Frame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !im.Equal(frames[i]) {
+			t.Fatalf("frame %d mismatch", i)
+		}
+		im.Fill(frame.RGB{}) // a returned frame is the caller's: scribbling on it must not disturb the reader
+	}
+}
+
+// countingSource counts the payload reads a Reader makes of its source.
+type countingSource struct {
+	io.ReadSeeker
+	reads int
+}
+
+func (c *countingSource) Read(p []byte) (int, error) {
+	c.reads++
+	return c.ReadSeeker.Read(p)
+}
+
+// Sequential access decodes every frame once — one read of the source a
+// frame — instead of restarting at the I-frame for each P-frame, and
+// asking for the frame the state already holds decodes nothing.
+func TestSequentialAccessDecodesEachFrameOnce(t *testing.T) {
+	frames := testFrames(25, 16, 12, 105)
+	data, err := EncodeAll(frames, 25, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{ReadSeeker: bytes.NewReader(data)}
+	r, err := OpenReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.reads = 0
+	for i := range frames {
+		im, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !im.Equal(frames[i]) {
+			t.Fatalf("frame %d mismatch", i)
+		}
+	}
+	if im, err := r.Frame(len(frames) - 1); err != nil || !im.Equal(frames[len(frames)-1]) {
+		t.Fatalf("re-reading the last frame: %v", err)
+	}
+	if want := len(frames); src.reads != want {
+		t.Fatalf("%d reads of the source for %d sequential frames, want %d", src.reads, len(frames), want)
 	}
 }

@@ -23,7 +23,6 @@
 package vidfmt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -149,9 +148,9 @@ func (w *Writer) WriteFrame(im *frame.Image) error {
 	}
 	var payload []byte
 	if typ == frameTypeI {
-		payload = encodeRuns(spatialDeltas(im.Pix, nil))
+		payload = encodeRuns(spatialDeltas(im.Pix))
 	} else {
-		payload = encodeRuns(temporalDeltas(im.Pix, w.prev, nil))
+		payload = encodeRuns(temporalDeltas(im.Pix, w.prev))
 	}
 	w.index = append(w.index, indexEntry{offset: w.w.n, typ: typ})
 	var hdr [5]byte
@@ -194,23 +193,38 @@ func (w *Writer) Close() error {
 
 // Reader decodes an SVF stream with random access by frame number.
 type Reader struct {
-	r     io.ReadSeeker
-	meta  Meta
-	index []indexEntry
-	// decoded caches the most recently decoded frame for fast sequential
-	// access and short forward seeks.
+	r io.ReadSeeker
+	// data is the whole stream when it is already in memory (ReadFile,
+	// DecodeAll): payloads are then sub-slices of it and decoding makes no
+	// read call. Otherwise payloads are read through r into buf, which is
+	// reused from frame to frame.
+	data     []byte
+	buf      []byte
+	meta     Meta
+	index    []indexEntry
+	indexOff uint64
+	// state holds the pixels of frame decodedIdx (-1: none). Frames decode
+	// in place on top of it, so rolling forward through frames nobody asked
+	// for allocates nothing; a returned frame is a copy.
+	state      []uint8
 	decodedIdx int
-	decodedPix []uint8
 	pos        int // next frame for Next()
 }
 
-// OpenReader parses the header and index of an SVF stream.
+// OpenReader parses the header and index of an SVF stream. Every size the
+// stream declares is checked against the stream's own length before
+// anything is allocated for it.
 func OpenReader(r io.ReadSeeker) (*Reader, error) {
-	var hdr [20]byte
+	size, err := r.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("vidfmt: seek: %w", err)
+	}
+	var scratch [20]byte // header, then trailer, then index count
+	hdr := scratch[:]
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("vidfmt: seek: %w", err)
 	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("vidfmt: reading header: %w", err)
 	}
 	if string(hdr[:4]) != magicHeader {
@@ -229,39 +243,44 @@ func OpenReader(r io.ReadSeeker) (*Reader, error) {
 	if _, err := r.Seek(-12, io.SeekEnd); err != nil {
 		return nil, fmt.Errorf("vidfmt: seeking trailer: %w", err)
 	}
-	var trail [12]byte
-	if _, err := io.ReadFull(r, trail[:]); err != nil {
+	trail := scratch[:12]
+	if _, err := io.ReadFull(r, trail); err != nil {
 		return nil, fmt.Errorf("vidfmt: reading trailer: %w", err)
 	}
 	if string(trail[8:]) != magicTrail {
 		return nil, ErrBadMagic
 	}
 	indexOff := binary.LittleEndian.Uint64(trail[:8])
+	if indexOff < uint64(len(hdr)) || indexOff > uint64(size)-16 {
+		return nil, ErrCorrupt
+	}
 	if _, err := r.Seek(int64(indexOff), io.SeekStart); err != nil {
 		return nil, fmt.Errorf("vidfmt: seeking index: %w", err)
 	}
-	br := bufio.NewReader(r)
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
+	cnt := scratch[:4]
+	if _, err := io.ReadFull(r, cnt); err != nil {
 		return nil, fmt.Errorf("vidfmt: reading index count: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint32(cnt[:]))
-	if n < 0 || n > 1<<28 {
+	n := int(binary.LittleEndian.Uint32(cnt))
+	if uint64(n) > (uint64(size)-indexOff-16)/9 {
 		return nil, ErrCorrupt
 	}
+	raw := make([]byte, 9*n)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return nil, fmt.Errorf("vidfmt: reading index: %w", err)
+	}
 	index := make([]indexEntry, n)
-	ebuf := make([]byte, 9)
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, ebuf); err != nil {
-			return nil, fmt.Errorf("vidfmt: reading index entry %d: %w", i, err)
+	end := uint64(len(hdr)) // frames start after the header, in ascending order
+	for i := range index {
+		e := indexEntry{offset: binary.LittleEndian.Uint64(raw[9*i:]), typ: raw[9*i+8]}
+		if e.offset < end || e.offset > indexOff-5 {
+			return nil, ErrCorrupt
 		}
-		index[i] = indexEntry{
-			offset: binary.LittleEndian.Uint64(ebuf[:8]),
-			typ:    ebuf[8],
-		}
+		end = e.offset + 5
+		index[i] = e
 	}
 	meta.Frames = n
-	return &Reader{r: r, meta: meta, index: index, decodedIdx: -1}, nil
+	return &Reader{r: r, meta: meta, index: index, indexOff: indexOff, decodedIdx: -1}, nil
 }
 
 // Meta returns the stream metadata.
@@ -270,30 +289,36 @@ func (r *Reader) Meta() Meta { return r.meta }
 // Frame decodes and returns frame i. Decoding a P-frame that is not the
 // successor of the cached frame walks back to the nearest I-frame.
 func (r *Reader) Frame(i int) (*frame.Image, error) {
+	im := new(frame.Image)
+	if err := r.frameInto(i, im); err != nil {
+		return nil, err
+	}
+	return im, nil
+}
+
+// frameInto is Frame writing the image header into im, so that a caller
+// decoding many frames can allocate the headers together.
+func (r *Reader) frameInto(i int, im *frame.Image) error {
 	if i < 0 || i >= len(r.index) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrFrameRange, i, len(r.index))
+		return fmt.Errorf("%w: %d of %d", ErrFrameRange, i, len(r.index))
 	}
-	start := i
-	if r.decodedIdx >= 0 && r.decodedIdx < i && i-r.decodedIdx < r.meta.GOP {
-		// Roll forward from the cache if no I-frame interposes a cheaper
-		// restart point.
-		start = r.decodedIdx + 1
-	}
-	// Walk back to the governing I-frame unless rolling forward from cache.
-	if start == i {
-		for start > 0 && r.index[start].typ != frameTypeI {
-			start--
+	// Roll forward from the decode state when it holds frame i itself or a
+	// frame less than a GOP before it (further back, an I-frame is the
+	// cheaper restart point); otherwise start at the governing I-frame.
+	start := r.decodedIdx + 1
+	if r.decodedIdx < 0 || r.decodedIdx > i || i-r.decodedIdx >= r.meta.GOP {
+		for start = i; start > 0 && r.index[start].typ != frameTypeI; start-- {
 		}
-		r.decodedIdx = -1
 	}
 	for j := start; j <= i; j++ {
-		if err := r.decodeInto(j); err != nil {
-			return nil, err
+		if err := r.decode(j); err != nil {
+			return err
 		}
 	}
-	im := frame.New(r.meta.Width, r.meta.Height)
-	copy(im.Pix, r.decodedPix)
-	return im, nil
+	pix := make([]uint8, len(r.state))
+	copy(pix, r.state)
+	*im = frame.Image{W: r.meta.Width, H: r.meta.Height, Pix: pix}
+	return nil
 }
 
 // Next decodes the next frame in sequence, returning io.EOF after the last.
@@ -312,59 +337,162 @@ func (r *Reader) Next() (*frame.Image, error) {
 // Rewind resets the sequential cursor used by Next.
 func (r *Reader) Rewind() { r.pos = 0 }
 
-// decodeInto decodes frame j on top of the current decode state.
-func (r *Reader) decodeInto(j int) error {
-	e := r.index[j]
-	if _, err := r.r.Seek(int64(e.offset), io.SeekStart); err != nil {
-		return fmt.Errorf("vidfmt: seek frame %d: %w", j, err)
+// all decodes every frame: one pixel buffer per frame, and one allocation
+// for all the image headers.
+func (r *Reader) all() ([]*frame.Image, Meta, error) {
+	imgs := make([]frame.Image, len(r.index))
+	frames := make([]*frame.Image, len(r.index))
+	for i := range imgs {
+		if err := r.frameInto(i, &imgs[i]); err != nil {
+			return nil, Meta{}, err
+		}
+		frames[i] = &imgs[i]
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		return fmt.Errorf("vidfmt: frame %d header: %w", j, err)
+	return frames, r.meta, nil
+}
+
+// payload returns the token stream of frame j. The frame's record runs to
+// the next frame's offset (the index is ascending): a sub-slice of the
+// stream when it is in memory, otherwise one read into the reader's reused
+// buffer. A payload too short to expand to a whole frame (one token byte
+// yields at most 128 pixel bytes) is rejected here, before a frame is
+// allocated.
+func (r *Reader) payload(j int) ([]byte, error) {
+	e, end := r.index[j], r.indexOff
+	if j+1 < len(r.index) {
+		end = r.index[j+1].offset
 	}
-	if hdr[0] != e.typ {
-		return ErrCorrupt
+	rec := r.data
+	if rec != nil {
+		rec = rec[e.offset:end]
+	} else {
+		if uint64(cap(r.buf)) < end-e.offset {
+			r.buf = make([]byte, end-e.offset)
+		}
+		rec = r.buf[:end-e.offset]
+		if _, err := r.r.Seek(int64(e.offset), io.SeekStart); err != nil {
+			return nil, fmt.Errorf("vidfmt: seek frame %d: %w", j, err)
+		}
+		if _, err := io.ReadFull(r.r, rec); err != nil {
+			return nil, fmt.Errorf("vidfmt: reading frame %d: %w", j, err)
+		}
 	}
-	plen := int(binary.LittleEndian.Uint32(hdr[1:]))
-	if plen < 0 || plen > 64<<20 {
-		return ErrCorrupt
+	plen := uint64(binary.LittleEndian.Uint32(rec[1:]))
+	if rec[0] != e.typ || plen > uint64(len(rec))-5 || uint64(3*r.meta.Width*r.meta.Height) > 128*plen {
+		return nil, ErrCorrupt
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return fmt.Errorf("vidfmt: frame %d payload: %w", j, err)
-	}
-	want := 3 * r.meta.Width * r.meta.Height
-	deltas, err := decodeRuns(payload, want)
+	return rec[5 : 5+plen], nil
+}
+
+// decode advances the decode state to frame j, which must be an I-frame or
+// the successor of the frame the state holds. The token stream (see
+// encodeRuns) is walked once and applied to the state in place: an I-frame
+// undoes the left-neighbour prediction as it expands, a P-frame adds its
+// literal runs onto the predecessor and steps over the zero runs. A stream
+// that does not expand to exactly one frame leaves the state undefined.
+func (r *Reader) decode(j int) error {
+	src, err := r.payload(j)
 	if err != nil {
-		return fmt.Errorf("vidfmt: frame %d: %w", j, err)
+		return err
 	}
-	if r.decodedPix == nil {
-		r.decodedPix = make([]uint8, want)
+	if r.state == nil {
+		r.state = make([]uint8, 3*r.meta.Width*r.meta.Height)
 	}
-	switch e.typ {
+	switch r.index[j].typ {
 	case frameTypeI:
-		undoSpatialDeltas(deltas, r.decodedPix)
+		err = decodeIntra(src, r.state)
 	case frameTypeP:
-		if r.decodedIdx != j-1 {
+		if j == 0 || r.decodedIdx != j-1 {
 			return fmt.Errorf("%w: P-frame %d without predecessor", ErrCorrupt, j)
 		}
-		for i, d := range deltas {
-			r.decodedPix[i] += d
-		}
+		err = decodeInter(src, r.state)
 	default:
-		return ErrCorrupt
+		err = ErrCorrupt
+	}
+	if err != nil {
+		r.decodedIdx = -1
+		return fmt.Errorf("vidfmt: frame %d: %w", j, err)
 	}
 	r.decodedIdx = j
 	return nil
 }
 
-// spatialDeltas computes left-neighbour prediction residuals (per channel,
-// mod 256) for I-frames. dst is reused if large enough.
-func spatialDeltas(pix []uint8, dst []uint8) []uint8 {
-	if cap(dst) < len(pix) {
-		dst = make([]uint8, len(pix))
+// decodeIntra expands an I-frame token stream into out, undoing the
+// left-neighbour prediction run by run: every byte is its residual plus the
+// same channel of the pixel to its left (the first pixel predicts from zero).
+func decodeIntra(src []byte, out []uint8) error {
+	o := 0
+	for i := 0; i < len(src); {
+		tok := src[i]
+		i++
+		n := int(tok&0x7F) + 1
+		if n > len(out)-o {
+			return ErrCorrupt
+		}
+		run := out[o : o+n]
+		if tok&0x80 != 0 {
+			clear(run)
+		} else if n > len(src)-i {
+			return ErrCorrupt
+		} else {
+			i += copy(run, src[i:])
+		}
+		for k := max(o, 3); k < o+n; k++ {
+			out[k] += out[k-3]
+		}
+		o += n
 	}
-	dst = dst[:len(pix)]
+	if o != len(out) {
+		return ErrCorrupt
+	}
+	return nil
+}
+
+// decodeInter applies a P-frame token stream to out, which holds the
+// previous frame: literal runs are added byte-wise (mod 256), eight bytes a
+// step, and zero runs are skipped — the pixels already have their value.
+func decodeInter(src []byte, out []uint8) error {
+	const lo7 = 0x7f7f7f7f7f7f7f7f
+	o := 0
+	for i := 0; i < len(src); {
+		tok := src[i]
+		i++
+		n := int(tok&0x7F) + 1
+		if n > len(out)-o {
+			return ErrCorrupt
+		}
+		if tok&0x80 != 0 {
+			o += n
+			continue
+		}
+		if n > len(src)-i {
+			return ErrCorrupt
+		}
+		dst, lit := out[o:o+n], src[i:i+n]
+		o += n
+		i += n
+		for len(lit) >= 8 {
+			a := binary.LittleEndian.Uint64(dst)
+			b := binary.LittleEndian.Uint64(lit)
+			// Eight byte-wise sums in one word: add the low seven bits of
+			// every byte (no carry can leave a byte), then the top bits.
+			binary.LittleEndian.PutUint64(dst, ((a&lo7)+(b&lo7))^((a^b)&^lo7))
+			dst, lit = dst[8:], lit[8:]
+		}
+		for k := range lit {
+			dst[k] += lit[k]
+		}
+	}
+	if o != len(out) {
+		return ErrCorrupt
+	}
+	return nil
+}
+
+// spatialDeltas computes left-neighbour prediction residuals (per channel,
+// mod 256) for I-frames.
+func spatialDeltas(pix []uint8) []uint8 {
+	dst := make([]uint8, len(pix))
 	copy(dst[:min(3, len(pix))], pix)
 	for i := 3; i < len(pix); i++ {
 		dst[i] = pix[i] - pix[i-3]
@@ -372,20 +500,9 @@ func spatialDeltas(pix []uint8, dst []uint8) []uint8 {
 	return dst
 }
 
-// undoSpatialDeltas reconstructs pixels from spatial residuals.
-func undoSpatialDeltas(deltas []uint8, out []uint8) {
-	copy(out[:min(3, len(deltas))], deltas)
-	for i := 3; i < len(deltas); i++ {
-		out[i] = deltas[i] + out[i-3]
-	}
-}
-
 // temporalDeltas computes residuals against the previous frame (mod 256).
-func temporalDeltas(pix, prev []uint8, dst []uint8) []uint8 {
-	if cap(dst) < len(pix) {
-		dst = make([]uint8, len(pix))
-	}
-	dst = dst[:len(pix)]
+func temporalDeltas(pix, prev []uint8) []uint8 {
+	dst := make([]uint8, len(pix))
 	for i := range pix {
 		dst[i] = pix[i] - prev[i]
 	}
@@ -427,93 +544,25 @@ func encodeRuns(src []uint8) []byte {
 	return out
 }
 
-// decodeRuns expands a token stream into exactly want bytes.
-func decodeRuns(src []byte, want int) ([]uint8, error) {
-	out := make([]uint8, 0, want)
-	i := 0
-	for i < len(src) {
-		tok := src[i]
-		i++
-		if tok&0x80 != 0 {
-			run := int(tok&0x7F) + 1
-			if len(out)+run > want {
-				return nil, ErrCorrupt
-			}
-			out = out[:len(out)+run] // zeros via reslice of zeroed capacity
-			// out capacity may exceed len; ensure zeros explicitly.
-			for k := len(out) - run; k < len(out); k++ {
-				out[k] = 0
-			}
-			continue
-		}
-		n := int(tok) + 1
-		if i+n > len(src) || len(out)+n > want {
-			return nil, ErrCorrupt
-		}
-		out = append(out, src[i:i+n]...)
-		i += n
-	}
-	if len(out) != want {
-		return nil, ErrCorrupt
-	}
-	return out, nil
-}
-
 // WriteFile encodes the frame sequence to path with the given parameters.
 func WriteFile(path string, frames []*frame.Image, fps, gop int) error {
-	if len(frames) == 0 {
-		return errors.New("vidfmt: no frames to write")
-	}
-	f, err := os.Create(path)
+	data, err := EncodeAll(frames, fps, gop)
 	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o666); err != nil {
 		return fmt.Errorf("vidfmt: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	w, err := NewWriter(bw, frames[0].W, frames[0].H, fps, gop)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for _, im := range frames {
-		if err := w.WriteFrame(im); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("vidfmt: flush: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
-// ReadFile decodes all frames from an SVF file.
+// ReadFile decodes all frames from an SVF file, which is read in one call.
 func ReadFile(path string) ([]*frame.Image, Meta, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("vidfmt: %w", err)
 	}
-	defer f.Close()
-	r, err := OpenReader(f)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	frames := make([]*frame.Image, 0, r.Meta().Frames)
-	for {
-		im, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, Meta{}, err
-		}
-		frames = append(frames, im)
-	}
-	return frames, r.Meta(), nil
+	return DecodeAll(data)
 }
 
 // EncodeAll encodes frames into an in-memory SVF stream.
@@ -543,18 +592,8 @@ func DecodeAll(data []byte) ([]*frame.Image, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	frames := make([]*frame.Image, 0, r.Meta().Frames)
-	for {
-		im, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, Meta{}, err
-		}
-		frames = append(frames, im)
-	}
-	return frames, r.Meta(), nil
+	r.data = data
+	return r.all()
 }
 
 // BaseName derives a document name from an SVF path: the file's base name

@@ -195,12 +195,10 @@ func TestMetaDuration(t *testing.T) {
 // Property: run-length coding round-trips arbitrary residual streams.
 func TestRunCodingRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		enc := encodeRuns(data)
-		dec, err := decodeRuns(enc, len(data))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(dec, data)
+		// A P-frame over an all-zero predecessor decodes to its residuals.
+		dec := make([]uint8, len(data))
+		err := decodeInter(encodeRuns(data), dec)
+		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -210,28 +208,29 @@ func TestRunCodingRoundTripProperty(t *testing.T) {
 // Property: spatial prediction round-trips arbitrary pixel buffers.
 func TestSpatialDeltaRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		d := spatialDeltas(data, nil)
 		out := make([]uint8, len(data))
-		undoSpatialDeltas(d, out)
-		return bytes.Equal(out, data)
+		err := decodeIntra(encodeRuns(spatialDeltas(data)), out)
+		return err == nil && bytes.Equal(out, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDecodeRunsRejectsOverflow(t *testing.T) {
-	// A zero-run longer than the expected output.
-	if _, err := decodeRuns([]byte{0xFF}, 10); err == nil {
-		t.Fatal("overlong run accepted")
-	}
-	// Literal token promising more bytes than present.
-	if _, err := decodeRuns([]byte{0x05, 1, 2}, 10); err == nil {
-		t.Fatal("truncated literal accepted")
-	}
-	// Underflow: stream ends before want bytes are produced.
-	if _, err := decodeRuns([]byte{0x81}, 10); err == nil {
-		t.Fatal("short stream accepted")
+func TestDecodeRejectsOverflow(t *testing.T) {
+	for name, decode := range map[string]func([]byte, []uint8) error{"intra": decodeIntra, "inter": decodeInter} {
+		// A zero-run longer than the expected output.
+		if err := decode([]byte{0xFF}, make([]uint8, 10)); err == nil {
+			t.Errorf("%s: overlong run accepted", name)
+		}
+		// Literal token promising more bytes than present.
+		if err := decode([]byte{0x05, 1, 2}, make([]uint8, 10)); err == nil {
+			t.Errorf("%s: truncated literal accepted", name)
+		}
+		// Underflow: stream ends before want bytes are produced.
+		if err := decode([]byte{0x81}, make([]uint8, 10)); err == nil {
+			t.Errorf("%s: short stream accepted", name)
+		}
 	}
 }
 
