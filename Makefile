@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReader$$' -fuzztime=5s ./internal/segfile
 	$(GO) test -run=NONE -fuzz='^FuzzSegfileOpen$$' -fuzztime=5s ./internal/ir
 	$(GO) test -run=NONE -fuzz='^FuzzVecSegfileOpen$$' -fuzztime=5s ./internal/vec
+	$(GO) test -run=NONE -fuzz='^FuzzMetaSegfileOpen$$' -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz='^FuzzDeserialize$$' -fuzztime=5s ./internal/store
 	$(GO) test -run=NONE -fuzz='^FuzzParseRequest$$' -fuzztime=5s ./internal/dlse
 	$(GO) test -run=NONE -fuzz='^FuzzCursor$$' -fuzztime=5s ./internal/dlse

@@ -1442,7 +1442,10 @@ func BenchmarkRankedPage(b *testing.B) {
 func BenchmarkEngineWithVideo(b *testing.B) {
 	eng := rankedEngine(b)
 	vi := eng.VideoIndex()
-	base := vi.Part(0)
+	base, err := vi.Part(0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	seg, err := core.NewMetaIndexAt(base.IDState())
 	if err != nil {
 		b.Fatal(err)

@@ -165,10 +165,12 @@ func main() {
 		}
 	}
 
-	// /v2/reload: rebuild the library from the meta file and install it
-	// across every registered server; returning nil tells the endpoint the
-	// swap already happened.
-	srv.SetReloader(func(ctx context.Context) (*dlse.Engine, error) {
+	// reload rebuilds the library from the meta file and installs it across
+	// every registered server — /v2/reload and SIGHUP alike. A reload
+	// replaces the library wholesale: checkpoint so logged commits the new
+	// library supersedes are dropped deliberately instead of replaying over
+	// it after a crash.
+	reload := func() (*repro.Library, error) {
 		lib2, err := loadLib()
 		if err != nil {
 			return nil, err
@@ -176,11 +178,13 @@ func main() {
 		if err := dl.Swap(lib2); err != nil {
 			return nil, err
 		}
-		// A reload replaces the library wholesale: checkpoint so logged
-		// commits the new library supersedes are dropped deliberately
-		// instead of replaying over it after a crash.
 		checkpointWAL("reload")
-		return nil, nil
+		return lib2, nil
+	}
+	// Returning a nil engine tells the endpoint the swap already happened.
+	srv.SetReloader(func(ctx context.Context) (*dlse.Engine, error) {
+		_, err := reload()
+		return nil, err
 	})
 
 	// compacting admits one background compaction at a time; a commit that
@@ -249,16 +253,12 @@ func main() {
 	go func() {
 		for range hup {
 			t0 := time.Now()
-			lib2, err := loadLib()
-			if err == nil {
-				err = dl.Swap(lib2)
-			}
+			lib2, err := reload()
 			if err != nil {
 				log.Printf("SIGHUP reload failed (still serving snapshot %d): %v",
 					dl.Snapshot(), err)
 				continue
 			}
-			checkpointWAL("reload")
 			view := lib2.View()
 			log.Printf("SIGHUP reload: snapshot %d live in %v (videos=%d, segments=%d)",
 				dl.Snapshot(), time.Since(t0).Round(time.Millisecond),

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/store"
@@ -27,8 +28,9 @@ type MetaIndex struct {
 	objects  *store.Table
 	states   *store.Table
 	events   *store.Table
-	nextID   map[string]int64
-	version  atomic.Int64
+	// ids holds the last video, segment, object and event ID assigned.
+	ids     IDBase
+	version atomic.Int64
 
 	// viewSlot caches the frozen columnar read path (see view.go); it is
 	// invalidated by comparing its version tag against the write counter.
@@ -41,30 +43,12 @@ type MetaIndex struct {
 // check for query-result caches layered above the index.
 func (m *MetaIndex) Version() int64 { return m.version.Load() }
 
-// Table names within the meta-index database.
-const (
-	tblVideos   = "videos"
-	tblSegments = "segments"
-	tblFeatures = "features"
-	tblObjects  = "objects"
-	tblStates   = "states"
-	tblEvents   = "events"
-)
-
-// NewMetaIndex creates an empty meta-index with its schema and indexes.
-func NewMetaIndex() (*MetaIndex, error) {
-	db := store.NewDB()
-	m := &MetaIndex{db: db, nextID: map[string]int64{}}
-	var err error
-	mk := func(s store.Schema) *store.Table {
-		if err != nil {
-			return nil
-		}
-		var t *store.Table
-		t, err = db.Create(s)
-		return t
-	}
-	m.videos = mk(store.Schema{Name: tblVideos, Columns: []store.Column{
+// schemas declares the six meta-index tables, in the order of MetaIndex's
+// table fields (see bind). NewMetaIndex creates them; a decoded index must
+// match them column for column — name, type and order — because the row
+// decoders (videoAt, eventAt, ...) read cells by position.
+var schemas = [...]store.Schema{
+	{Name: "videos", Columns: []store.Column{
 		{Name: "id", Type: store.TInt},
 		{Name: "name", Type: store.TString},
 		{Name: "path", Type: store.TString},
@@ -72,29 +56,29 @@ func NewMetaIndex() (*MetaIndex, error) {
 		{Name: "height", Type: store.TInt},
 		{Name: "fps", Type: store.TInt},
 		{Name: "frames", Type: store.TInt},
-	}})
-	m.segments = mk(store.Schema{Name: tblSegments, Columns: []store.Column{
+	}},
+	{Name: "segments", Columns: []store.Column{
 		{Name: "id", Type: store.TInt},
 		{Name: "video", Type: store.TInt},
 		{Name: "start", Type: store.TInt},
 		{Name: "end", Type: store.TInt},
 		{Name: "class", Type: store.TString},
-	}})
-	m.features = mk(store.Schema{Name: tblFeatures, Columns: []store.Column{
+	}},
+	{Name: "features", Columns: []store.Column{
 		{Name: "video", Type: store.TInt},
 		{Name: "frame", Type: store.TInt},
 		{Name: "name", Type: store.TString},
 		{Name: "value", Type: store.TFloat},
-	}})
-	m.objects = mk(store.Schema{Name: tblObjects, Columns: []store.Column{
+	}},
+	{Name: "objects", Columns: []store.Column{
 		{Name: "id", Type: store.TInt},
 		{Name: "video", Type: store.TInt},
 		{Name: "segment", Type: store.TInt},
 		{Name: "name", Type: store.TString},
 		{Name: "start", Type: store.TInt},
 		{Name: "end", Type: store.TInt},
-	}})
-	m.states = mk(store.Schema{Name: tblStates, Columns: []store.Column{
+	}},
+	{Name: "states", Columns: []store.Column{
 		{Name: "object", Type: store.TInt},
 		{Name: "frame", Type: store.TInt},
 		{Name: "found", Type: store.TBool},
@@ -109,8 +93,8 @@ func NewMetaIndex() (*MetaIndex, error) {
 		{Name: "by1", Type: store.TInt},
 		{Name: "orientation", Type: store.TFloat},
 		{Name: "eccentricity", Type: store.TFloat},
-	}})
-	m.events = mk(store.Schema{Name: tblEvents, Columns: []store.Column{
+	}},
+	{Name: "events", Columns: []store.Column{
 		{Name: "id", Type: store.TInt},
 		{Name: "video", Type: store.TInt},
 		{Name: "segment", Type: store.TInt},
@@ -119,53 +103,43 @@ func NewMetaIndex() (*MetaIndex, error) {
 		{Name: "end", Type: store.TInt},
 		{Name: "actor", Type: store.TInt},
 		{Name: "confidence", Type: store.TFloat},
-	}})
-	if err != nil {
+	}},
+}
+
+// NewMetaIndex creates an empty meta-index with its schema and indexes.
+func NewMetaIndex() (*MetaIndex, error) {
+	m := &MetaIndex{db: store.NewDB()}
+	if err := m.bind(m.db.Create); err != nil {
 		return nil, fmt.Errorf("core: building meta-index schema: %w", err)
-	}
-	if err := m.buildIndexes(); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
 
-func (m *MetaIndex) buildIndexes() error {
-	steps := []struct {
+// bind points the table fields at what table returns for their schemas,
+// then builds the hash indexes — only the four the lookups of CopyVideo, the
+// merge and compaction path, probe (VideoByID, SegmentsOf, ObjectsIn,
+// StatesOf). Every other lookup scans.
+func (m *MetaIndex) bind(table func(store.Schema) (*store.Table, error)) error {
+	fields := [len(schemas)]**store.Table{&m.videos, &m.segments, &m.features, &m.objects, &m.states, &m.events}
+	for i, f := range fields {
+		t, err := table(schemas[i])
+		if err != nil {
+			return err
+		}
+		*f = t
+	}
+	for _, ix := range []struct {
 		t   *store.Table
 		col string
-		fn  func(*store.Table, string) error
 	}{
-		{m.videos, "id", (*store.Table).CreateHashIndex},
-		{m.videos, "name", (*store.Table).CreateHashIndex},
-		{m.segments, "video", (*store.Table).CreateHashIndex},
-		{m.segments, "class", (*store.Table).CreateHashIndex},
-		{m.objects, "segment", (*store.Table).CreateHashIndex},
-		{m.objects, "id", (*store.Table).CreateHashIndex},
-		{m.states, "object", (*store.Table).CreateHashIndex},
-		{m.events, "kind", (*store.Table).CreateHashIndex},
-		{m.events, "video", (*store.Table).CreateHashIndex},
-		{m.features, "name", (*store.Table).CreateHashIndex},
-	}
-	for _, s := range steps {
-		if err := s.fn(s.t, s.col); err != nil {
-			return fmt.Errorf("core: indexing: %w", err)
+		{m.videos, "id"}, {m.segments, "video"}, {m.objects, "segment"}, {m.states, "object"},
+	} {
+		if err := ix.t.CreateHashIndex(ix.col); err != nil {
+			return fmt.Errorf("indexing: %w", err)
 		}
 	}
 	return nil
 }
-
-func (m *MetaIndex) id(kind string) int64 {
-	m.nextID[kind]++
-	return m.nextID[kind]
-}
-
-// ID-counter kinds, also the keys of nextID.
-const (
-	idVideo   = "video"
-	idSegment = "segment"
-	idObject  = "object"
-	idEvent   = "event"
-)
 
 // NewMetaIndexAt creates an empty meta-index whose ID counters start at the
 // given base — the building block of segmented libraries, where a new
@@ -175,47 +149,27 @@ func NewMetaIndexAt(base IDBase) (*MetaIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.setIDs(base)
+	m.ids = base
 	return m, nil
 }
 
 // IDState returns the current ID-counter state: the base the next segment
 // of a segmented library must start at.
-func (m *MetaIndex) IDState() IDBase {
-	return IDBase{
-		Video:   m.nextID[idVideo],
-		Segment: m.nextID[idSegment],
-		Object:  m.nextID[idObject],
-		Event:   m.nextID[idEvent],
-	}
-}
-
-func (m *MetaIndex) setIDs(base IDBase) {
-	m.nextID[idVideo] = base.Video
-	m.nextID[idSegment] = base.Segment
-	m.nextID[idObject] = base.Object
-	m.nextID[idEvent] = base.Event
-}
+func (m *MetaIndex) IDState() IDBase { return m.ids }
 
 // floorIDs raises any counter below the given base up to it (counters
 // already past the base — restored from persisted rows — are kept).
 func (m *MetaIndex) floorIDs(base IDBase) {
-	for _, kv := range []struct {
-		kind string
-		min  int64
-	}{
-		{idVideo, base.Video}, {idSegment, base.Segment},
-		{idObject, base.Object}, {idEvent, base.Event},
-	} {
-		if m.nextID[kv.kind] < kv.min {
-			m.nextID[kv.kind] = kv.min
-		}
-	}
+	m.ids.Video = max(m.ids.Video, base.Video)
+	m.ids.Segment = max(m.ids.Segment, base.Segment)
+	m.ids.Object = max(m.ids.Object, base.Object)
+	m.ids.Event = max(m.ids.Event, base.Event)
 }
 
 // AddVideo registers a video and returns its assigned ID.
 func (m *MetaIndex) AddVideo(v Video) (int64, error) {
-	v.ID = m.id("video")
+	m.ids.Video++
+	v.ID = m.ids.Video
 	err := m.videos.Append(
 		store.Int(v.ID), store.Str(v.Name), store.Str(v.Path),
 		store.Int(int64(v.Width)), store.Int(int64(v.Height)),
@@ -230,7 +184,8 @@ func (m *MetaIndex) AddVideo(v Video) (int64, error) {
 
 // AddSegment registers a shot and returns its assigned ID.
 func (m *MetaIndex) AddSegment(s Segment) (int64, error) {
-	s.ID = m.id("segment")
+	m.ids.Segment++
+	s.ID = m.ids.Segment
 	err := m.segments.Append(
 		store.Int(s.ID), store.Int(s.VideoID),
 		store.Int(int64(s.Start)), store.Int(int64(s.End)),
@@ -258,7 +213,8 @@ func (m *MetaIndex) AddFeature(f FeatureValue) error {
 
 // AddObject registers an object and returns its assigned ID.
 func (m *MetaIndex) AddObject(o Object) (int64, error) {
-	o.ID = m.id("object")
+	m.ids.Object++
+	o.ID = m.ids.Object
 	err := m.objects.Append(
 		store.Int(o.ID), store.Int(o.VideoID), store.Int(o.SegmentID),
 		store.Str(o.Name), store.Int(int64(o.Start)), store.Int(int64(o.End)),
@@ -289,7 +245,8 @@ func (m *MetaIndex) AddState(s ObjectState) error {
 
 // AddEvent registers an event and returns its assigned ID.
 func (m *MetaIndex) AddEvent(e Event) (int64, error) {
-	e.ID = m.id("event")
+	m.ids.Event++
+	e.ID = m.ids.Event
 	err := m.events.Append(
 		store.Int(e.ID), store.Int(e.VideoID), store.Int(e.SegmentID),
 		store.Str(e.Kind), store.Int(int64(e.Start)), store.Int(int64(e.End)),
@@ -329,7 +286,7 @@ func (m *MetaIndex) videoAt(row int) (Video, error) {
 
 // VideoByID returns the video with the given ID.
 func (m *MetaIndex) VideoByID(id int64) (Video, error) {
-	rows, err := m.videos.Select(store.Eq("id", store.Int(id)))
+	rows, err := m.videos.Lookup("id", store.Int(id))
 	if err != nil {
 		return Video{}, err
 	}
@@ -341,7 +298,7 @@ func (m *MetaIndex) VideoByID(id int64) (Video, error) {
 
 // VideoByName returns the video with the given name.
 func (m *MetaIndex) VideoByName(name string) (Video, error) {
-	rows, err := m.videos.Select(store.Eq("name", store.Str(name)))
+	rows, err := m.videos.Lookup("name", store.Str(name))
 	if err != nil {
 		return Video{}, err
 	}
@@ -365,7 +322,7 @@ func (m *MetaIndex) segmentAt(row int) (Segment, error) {
 
 // SegmentsOf returns all shots of a video in index order.
 func (m *MetaIndex) SegmentsOf(videoID int64) ([]Segment, error) {
-	rows, err := m.segments.Select(store.Eq("video", store.Int(videoID)))
+	rows, err := m.segments.Lookup("video", store.Int(videoID))
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +339,7 @@ func (m *MetaIndex) SegmentsOf(videoID int64) ([]Segment, error) {
 
 // SegmentsByClass returns all shots with the given class across videos.
 func (m *MetaIndex) SegmentsByClass(class string) ([]Segment, error) {
-	rows, err := m.segments.Select(store.Eq("class", store.Str(class)))
+	rows, err := m.segments.Lookup("class", store.Str(class))
 	if err != nil {
 		return nil, err
 	}
@@ -426,11 +383,11 @@ func (m *MetaIndex) EventsByKind(kind string) ([]Event, error) {
 }
 
 // EventsByKindReference is the retained row-store path of EventsByKind:
-// a predicate select plus per-row decode. It exists so parity tests and
-// benchmarks can cross-check the frozen view; both must return identical
+// a scan of the events table plus per-row decode. It exists so parity tests
+// and benchmarks can cross-check the frozen view; both must return identical
 // output on any index.
 func (m *MetaIndex) EventsByKindReference(kind string) ([]Event, error) {
-	rows, err := m.events.Select(store.Eq("kind", store.Str(kind)))
+	rows, err := m.events.Lookup("kind", store.Str(kind))
 	if err != nil {
 		return nil, err
 	}
@@ -457,9 +414,9 @@ func (m *MetaIndex) EventsOf(videoID int64) ([]Event, error) {
 	return out, nil
 }
 
-// EventsOfReference is the retained row-store path of EventsOf.
+// EventsOfReference is the retained row-store path of EventsOf (a scan).
 func (m *MetaIndex) EventsOfReference(videoID int64) ([]Event, error) {
-	rows, err := m.events.Select(store.Eq("video", store.Int(videoID)))
+	rows, err := m.events.Lookup("video", store.Int(videoID))
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +451,7 @@ func (m *MetaIndex) Scenes(kind string) ([]Scene, error) {
 	return out, nil
 }
 
-// ScenesReference is the retained row-store path of Scenes: event select,
+// ScenesReference is the retained row-store path of Scenes: an event scan,
 // then a video hash-probe and row decode per event.
 func (m *MetaIndex) ScenesReference(kind string) ([]Scene, error) {
 	evs, err := m.EventsByKindReference(kind)
@@ -514,7 +471,7 @@ func (m *MetaIndex) ScenesReference(kind string) ([]Scene, error) {
 
 // ObjectsIn returns the objects tracked within a segment.
 func (m *MetaIndex) ObjectsIn(segmentID int64) ([]Object, error) {
-	rows, err := m.objects.Select(store.Eq("segment", store.Int(segmentID)))
+	rows, err := m.objects.Lookup("segment", store.Int(segmentID))
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +491,7 @@ func (m *MetaIndex) ObjectsIn(segmentID int64) ([]Object, error) {
 
 // StatesOf returns the per-frame states of an object in frame order.
 func (m *MetaIndex) StatesOf(objectID int64) ([]ObjectState, error) {
-	rows, err := m.states.Select(store.Eq("object", store.Int(objectID)))
+	rows, err := m.states.Lookup("object", store.Int(objectID))
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +515,7 @@ func (m *MetaIndex) StatesOf(objectID int64) ([]ObjectState, error) {
 // FeaturesOf returns all feature-layer measurements of a video in append
 // order.
 func (m *MetaIndex) FeaturesOf(videoID int64) ([]FeatureValue, error) {
-	rows, err := m.features.Select(store.Eq("video", store.Int(videoID)))
+	rows, err := m.features.Lookup("video", store.Int(videoID))
 	if err != nil {
 		return nil, err
 	}
@@ -577,7 +534,7 @@ func (m *MetaIndex) FeaturesOf(videoID int64) ([]FeatureValue, error) {
 
 // FeaturesNamed returns all measurements of the named feature.
 func (m *MetaIndex) FeaturesNamed(name string) ([]FeatureValue, error) {
-	rows, err := m.features.Select(store.Eq("name", store.Str(name)))
+	rows, err := m.features.Lookup("name", store.Str(name))
 	if err != nil {
 		return nil, err
 	}
@@ -625,55 +582,39 @@ func DeserializeMetaIndex(r io.Reader) (*MetaIndex, error) {
 }
 
 // metaIndexFromDB rebuilds a meta-index around an already-deserialized
-// database: secondary indexes and ID counters (restored from the row
-// maxima; segmented loads additionally floor them at the manifest base).
+// database: each table is checked against its schema, then the hash indexes
+// are built and the ID counters restored from the row maxima (segmented
+// loads additionally floor them at the manifest base).
 func metaIndexFromDB(db *store.DB) (*MetaIndex, error) {
-	m := &MetaIndex{db: db, nextID: map[string]int64{}}
-	var err error
-	get := func(name string) *store.Table {
+	m := &MetaIndex{db: db}
+	err := m.bind(func(want store.Schema) (*store.Table, error) {
+		t, err := db.Table(want.Name)
 		if err != nil {
-			return nil
+			return nil, err
 		}
-		var t *store.Table
-		t, err = db.Table(name)
-		return t
-	}
-	m.videos = get(tblVideos)
-	m.segments = get(tblSegments)
-	m.features = get(tblFeatures)
-	m.objects = get(tblObjects)
-	m.states = get(tblStates)
-	m.events = get(tblEvents)
+		if !slices.Equal(t.Schema().Columns, want.Columns) {
+			return nil, fmt.Errorf("table %q has columns %v, want %v", want.Name, t.Schema().Columns, want.Columns)
+		}
+		return t, nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: loading meta-index: %w", err)
 	}
-	if err := m.buildIndexes(); err != nil {
-		return nil, err
-	}
-	// Restore ID counters from the maxima.
-	restore := func(t *store.Table, kind string) error {
-		var maxID int64
-		for i := 0; i < t.Len(); i++ {
-			v, err := t.Get(i, 0)
-			if err != nil {
-				return err
-			}
-			if v.I > maxID {
-				maxID = v.I
-			}
-		}
-		m.nextID[kind] = maxID
-		return nil
-	}
-	for _, s := range []struct {
-		t    *store.Table
-		kind string
+	// Restore ID counters from the maxima of the id columns (column 0, an
+	// int column by the schema check above).
+	for _, c := range []struct {
+		t  *store.Table
+		id *int64
 	}{
-		{m.videos, "video"}, {m.segments, "segment"},
-		{m.objects, "object"}, {m.events, "event"},
+		{m.videos, &m.ids.Video}, {m.segments, &m.ids.Segment},
+		{m.objects, &m.ids.Object}, {m.events, &m.ids.Event},
 	} {
-		if err := restore(s.t, s.kind); err != nil {
-			return nil, fmt.Errorf("core: restoring id counters: %w", err)
+		for i := 0; i < c.t.Len(); i++ {
+			v, err := c.t.Get(i, 0)
+			if err != nil {
+				return nil, fmt.Errorf("core: restoring id counters: %w", err)
+			}
+			*c.id = max(*c.id, v.I)
 		}
 	}
 	return m, nil

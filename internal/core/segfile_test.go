@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/segfile"
+	"repro/internal/store"
 )
 
-func coreSegfileBytes(t *testing.T, parts []*MetaIndex, metas []SegmentMeta, gen int64) []byte {
+func coreSegfileBytes(t testing.TB, parts []*MetaIndex, metas []SegmentMeta, gen int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteSegfile(&buf, parts, metas, gen); err != nil {
@@ -249,5 +251,66 @@ func TestSegfileLibraryHostile(t *testing.T) {
 		for ord := 0; ord < l2.NumSegments(); ord++ {
 			_, _ = l2.PartScenes(ord, "rally")
 		}
+	}
+}
+
+// misshapenSegfile is a checksum-valid one-segment segfile holding one
+// video in a videos table whose columns were changed by reshape: it passes
+// every container and column-store check, so only the decoder's schema
+// check stands between it and the row decoders, which read cells by
+// position.
+func misshapenSegfile(tb testing.TB, reshape func([]store.Column) []store.Column) []byte {
+	tb.Helper()
+	ref, err := NewMetaIndex()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bad := &MetaIndex{db: store.NewDB()}
+	for _, f := range []struct{ dst, src **store.Table }{
+		{&bad.videos, &ref.videos}, {&bad.segments, &ref.segments}, {&bad.features, &ref.features},
+		{&bad.objects, &ref.objects}, {&bad.states, &ref.states}, {&bad.events, &ref.events},
+	} {
+		s := (*f.src).Schema()
+		if s.Name == "videos" {
+			s.Columns = reshape(append([]store.Column(nil), s.Columns...))
+		}
+		if *f.dst, err = bad.db.Create(s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	row := make([]store.Value, len(bad.videos.Schema().Columns))
+	for i, c := range bad.videos.Schema().Columns {
+		row[i] = store.Value{T: c.Type, I: 1, S: "final", F: 1, B: true}
+	}
+	if err := bad.videos.Append(row...); err != nil {
+		tb.Fatal(err)
+	}
+	return coreSegfileBytes(tb, []*MetaIndex{bad}, []SegmentMeta{{ID: 1}}, 1)
+}
+
+// TestSegfileMisshapenTables: a segment whose tables decode but do not have
+// the meta-index's columns — too few, a wrong type, a wrong order — fails
+// the first read with an error instead of panicking in the row decoders.
+func TestSegfileMisshapenTables(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		reshape func([]store.Column) []store.Column
+	}{
+		{"truncated", func(c []store.Column) []store.Column { return c[:2] }},
+		{"retyped", func(c []store.Column) []store.Column { c[2].Type = store.TInt; return c }},
+		{"reordered", func(c []store.Column) []store.Column { c[3], c[4] = c[4], c[3]; return c }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lib, err := OpenSegfileBytes(misshapenSegfile(t, tc.reshape))
+			if err != nil {
+				t.Fatal(err) // the manifest is sound; decoding is lazy
+			}
+			if _, err := lib.Scenes("rally"); err == nil || !strings.Contains(err.Error(), `"videos"`) {
+				t.Fatalf("Scenes over a misshapen videos table: err = %v", err)
+			}
+			if _, err := lib.Videos(); err == nil {
+				t.Fatal("Videos over a misshapen videos table succeeded")
+			}
+		})
 	}
 }

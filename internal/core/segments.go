@@ -82,17 +82,10 @@ func SingleSegment(m *MetaIndex) *SegmentedIndex {
 // NumSegments returns the partition count.
 func (s *SegmentedIndex) NumSegments() int { return len(s.parts) }
 
-// Part returns partition i, decoding it first if nothing has yet. It panics
+// Part returns partition i, decoding it first if nothing has yet. It fails
 // if the ordinal is out of range or the partition's block fails verification
-// or decode — callers that must handle corrupt storage gracefully use Parts
-// or the query methods, which report the error instead.
-func (s *SegmentedIndex) Part(i int) *MetaIndex {
-	p, err := s.parts.Part(i)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+// or decode.
+func (s *SegmentedIndex) Part(i int) (*MetaIndex, error) { return s.parts.Part(i) }
 
 // Parts resolves every partition and returns them in order — the full
 // hydration the write paths need before mutating.
@@ -218,7 +211,7 @@ func (s *SegmentedIndex) VideoByName(name string) (Video, error) {
 		if err != nil {
 			return Video{}, err
 		}
-		rows, err := p.videos.Select(store.Eq("name", store.Str(name)))
+		rows, err := p.videos.Lookup("name", store.Str(name))
 		if err != nil {
 			return Video{}, err
 		}

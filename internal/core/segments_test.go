@@ -8,7 +8,7 @@ import (
 
 // fillVideo materializes one synthetic video (video + segment + events)
 // into idx, the way fde.IndexResult would, deterministically from seq.
-func fillVideo(t *testing.T, idx *MetaIndex, seq int) {
+func fillVideo(t testing.TB, idx *MetaIndex, seq int) {
 	t.Helper()
 	vid, err := idx.AddVideo(Video{
 		Name: fmt.Sprintf("clip-%02d", seq), Width: 160, Height: 120,
@@ -66,7 +66,7 @@ func buildMonoMeta(t *testing.T, n int) *MetaIndex {
 
 // buildSegMeta splits the same n videos across partitions of the given
 // sizes, each partition seeded at the previous one's ID state.
-func buildSegMeta(t *testing.T, sizes []int) (*SegmentedIndex, []*MetaIndex, []SegmentMeta) {
+func buildSegMeta(t testing.TB, sizes []int) (*SegmentedIndex, []*MetaIndex, []SegmentMeta) {
 	t.Helper()
 	var parts []*MetaIndex
 	var metas []SegmentMeta

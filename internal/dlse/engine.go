@@ -234,7 +234,11 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 // concurrently runs the tasks as the legs of one scatter and returns the
 // first failure in task order.
 func concurrently(tasks []func() error) error {
-	legs := segset.Scatter(make([]int, len(tasks)), func(slot, _ int) error { return tasks[slot]() })
+	return firstError(segset.Scatter(make([]int, len(tasks)), func(slot, _ int) error { return tasks[slot]() }))
+}
+
+// firstError returns the first failed leg's error in slot order.
+func firstError(legs []segset.Leg[error]) error {
 	for _, leg := range legs {
 		if leg.Stats != nil {
 			return leg.Stats
@@ -296,7 +300,10 @@ func buildVideoVecParts(video *core.SegmentedIndex, prev []videoVecPart, emb vec
 				continue
 			}
 		}
-		part := video.Part(i)
+		part, err := video.Part(i)
+		if err != nil {
+			return nil, err
+		}
 		videos, err := part.Videos()
 		if err != nil {
 			return nil, err
@@ -355,8 +362,8 @@ func pagesSignature(scheme string, pages []webspace.Page, nseg int) uint64 {
 // video segment. The vector lane embeds exactly the segments the commit
 // added (or a compaction merged; see buildVideoVecParts) and composes them
 // after the ones it keeps. The new engine has its own snapshot ID.
-// Like core.SegmentedIndex.Part, it panics if a committed segment fails
-// to hydrate — that is corrupt-storage territory, not a caller error.
+// It panics if a committed segment fails to hydrate — that is
+// corrupt-storage territory, not a caller error.
 func (e *Engine) WithVideo(video *core.SegmentedIndex) *Engine {
 	ne := *e
 	ne.video = video

@@ -196,11 +196,11 @@ func TestVectorHybridExplain(t *testing.T) {
 func withCommittedVideo(t *testing.T, e *Engine, name string, kinds ...string) *Engine {
 	t.Helper()
 	vi := e.VideoIndex()
-	parts := make([]*core.MetaIndex, vi.NumSegments())
-	metas := vi.Metas()
-	for i := range parts {
-		parts[i] = vi.Part(i)
+	parts, err := vi.Parts()
+	if err != nil {
+		t.Fatal(err)
 	}
+	metas := vi.Metas()
 	base := parts[len(parts)-1].IDState()
 	seg, err := core.NewMetaIndexAt(base)
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
+	"repro/internal/segset"
 	"repro/internal/webspace"
 )
 
@@ -108,48 +108,31 @@ type execState struct {
 	explain bool
 }
 
-// run executes the plan: independent operators concurrently, then the
-// deterministic merge. Single-operator plans (concept-only queries, the
-// most common shape) run inline — no goroutine to spawn, nothing to
-// parallelize. With explain set it also collects per-operator wall times,
-// row counts, and the text operator's kernel stats into an Explain payload;
-// the results themselves are identical either way.
+// run executes the plan: independent operators as the legs of one scatter
+// (a single-operator plan — concept-only queries, the most common shape —
+// runs inline on the caller's goroutine), then the deterministic merge.
+// With explain set it also collects per-operator wall times, row counts,
+// and the text operator's kernel stats into an Explain payload; the results
+// themselves are identical either way.
 func (e *Engine) run(ctx context.Context, p Plan, explain bool) ([]Item, *Explain, error) {
 	st := &execState{explain: explain}
 	defer func() { st.textScores.Release() }() // recycle the text operator's accumulator
-	var durs []time.Duration
-	if explain {
-		durs = make([]time.Duration, len(p.ops))
-	}
-	step := func(ctx context.Context, i int) error {
-		if durs == nil {
-			return e.runOperator(ctx, p.ops[i], p.req, st)
-		}
-		t0 := time.Now()
-		err := e.runOperator(ctx, p.ops[i], p.req, st)
-		durs[i] = clampDur(time.Since(t0))
-		return err
-	}
-	if len(p.ops) == 1 {
-		if err := step(ctx, 0); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		errs := pipeline.ForEach(ctx, len(p.ops), len(p.ops), step)
-		// ops are in priority order, so the first error found is the one the
-		// sequential engine would have reported.
-		if err := pipeline.FirstError(errs); err != nil {
-			return nil, nil, err
-		}
+	legs := segset.Scatter(make([]int, len(p.ops)), func(i, _ int) error {
+		return e.runOperator(ctx, p.ops[i], p.req, st) // checks ctx first
+	})
+	// ops are in priority order, so the first error found is the one the
+	// sequential engine would have reported.
+	if err := firstError(legs); err != nil {
+		return nil, nil, err
 	}
 	t0 := time.Now()
 	results := e.merge(p.req, st)
-	if durs == nil {
+	if !explain {
 		return results, nil, nil
 	}
 	ex := &Explain{Plan: p.String()}
 	for i, k := range p.ops {
-		op := OpStat{Op: k.String(), Duration: durs[i]}
+		op := OpStat{Op: k.String(), Duration: clampDur(legs[i].Duration)}
 		switch k {
 		case OpConcept:
 			op.Items = len(st.objs)
@@ -238,28 +221,24 @@ func (e *Engine) runOperator(ctx context.Context, kind OpKind, req Request, st *
 
 // videoScatter retrieves the scenes of an event kind across the video
 // index's partitions. A single-partition library reads directly; a
-// segmented one fans the per-partition lookups out on the executor's
-// worker goroutines and concatenates in segment order — the append order
-// of the monolithic index, so the gathered list is byte-identical to the
-// unsegmented read. With explain set it records one OpStat per partition.
+// segmented one scatters the per-partition lookups and concatenates in
+// segment order — the append order of the monolithic index, so the gathered
+// list is byte-identical to the unsegmented read. With explain set it
+// records one OpStat per partition.
 func (e *Engine) videoScatter(ctx context.Context, kind string, st *execState) ([]core.Scene, error) {
 	n := e.video.NumSegments()
 	if n <= 1 {
 		return e.video.Scenes(kind)
 	}
 	perSeg := make([][]core.Scene, n)
-	durs := make([]time.Duration, n)
-	errs := pipeline.ForEach(ctx, n, n, func(sctx context.Context, i int) error {
-		if err := sctx.Err(); err != nil {
+	legs := segset.Scatter(make([]int, n), func(i, _ int) (err error) {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t0 := time.Now()
-		scenes, err := e.video.PartScenes(i, kind)
-		durs[i] = clampDur(time.Since(t0))
-		perSeg[i] = scenes
+		perSeg[i], err = e.video.PartScenes(i, kind)
 		return err
 	})
-	if err := pipeline.FirstError(errs); err != nil {
+	if err := firstError(legs); err != nil {
 		return nil, err
 	}
 	var out []core.Scene
@@ -267,7 +246,7 @@ func (e *Engine) videoScatter(ctx context.Context, kind string, st *execState) (
 		out = append(out, scenes...)
 		if st.explain {
 			st.videoSegs = append(st.videoSegs, OpStat{
-				Op: fmt.Sprintf("video[%d]", i), Duration: durs[i], Items: len(scenes),
+				Op: fmt.Sprintf("video[%d]", i), Duration: clampDur(legs[i].Duration), Items: len(scenes),
 			})
 		}
 	}

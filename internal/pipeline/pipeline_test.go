@@ -27,7 +27,7 @@ func TestForEachRunsAll(t *testing.T) {
 		if ran.Load() != 20 {
 			t.Fatalf("workers=%d: ran %d of 20", workers, ran.Load())
 		}
-		if err := FirstError(errs); err != nil {
+		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 	}
@@ -68,8 +68,8 @@ func TestForEachPerItemErrors(t *testing.T) {
 			t.Fatalf("item %d: err = %v", i, err)
 		}
 	}
-	if err := FirstError(errs); !errors.Is(err, boom) {
-		t.Fatalf("FirstError = %v", err)
+	if err := errors.Join(errs...); !errors.Is(err, boom) {
+		t.Fatalf("joined errors = %v", err)
 	}
 }
 

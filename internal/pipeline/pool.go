@@ -26,7 +26,7 @@ func InFlight(workers, n int) int {
 // once ctx is done no new items are dispatched — items never started report
 // ctx.Err() — but items already in flight run to completion, so partial
 // work remains observable. ForEach itself never fails; inspect the returned
-// slice (or FirstError) for item outcomes.
+// slice for item outcomes.
 func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) []error {
 	errs := make([]error, n)
 	if n == 0 {
@@ -61,14 +61,4 @@ dispatch:
 		}
 	}
 	return errs
-}
-
-// FirstError returns the lowest-index non-nil error, or nil.
-func FirstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -269,11 +269,11 @@ func TestClusterErrorParity(t *testing.T) {
 func (c *cluster) commitView(t *testing.T) {
 	t.Helper()
 	vi := c.engine.VideoIndex()
-	parts := make([]*core.MetaIndex, vi.NumSegments())
-	metas := vi.Metas()
-	for i := range parts {
-		parts[i] = vi.Part(i)
+	parts, err := vi.Parts()
+	if err != nil {
+		t.Fatal(err)
 	}
+	metas := vi.Metas()
 	base := parts[len(parts)-1].IDState()
 	seg, err := core.NewMetaIndexAt(base)
 	if err != nil {

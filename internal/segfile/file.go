@@ -19,7 +19,6 @@ import (
 type File struct {
 	*Reader
 	path      string
-	mapped    bool
 	closeOnce sync.Once
 	release   func() error
 	closeErr  error
@@ -45,15 +44,11 @@ func Open(path string) (*File, error) {
 		release()
 		return nil, fmt.Errorf("segfile: %s: %w", path, err)
 	}
-	return &File{Reader: r, path: path, mapped: usesMmap, release: release}, nil
+	return &File{Reader: r, path: path, release: release}, nil
 }
 
 // Path returns the path the file was opened from.
 func (f *File) Path() string { return f.path }
-
-// Mapped reports whether the file is memory-mapped (false on platforms
-// where Open falls back to a heap read).
-func (f *File) Mapped() bool { return f.mapped }
 
 // Close releases the mapping. Idempotent.
 func (f *File) Close() error {

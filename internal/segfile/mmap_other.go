@@ -21,5 +21,3 @@ func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	}
 	return data, func() error { return nil }, nil
 }
-
-const usesMmap = false

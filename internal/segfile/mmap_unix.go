@@ -24,7 +24,3 @@ func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	}
 	return data, func() error { return syscall.Munmap(data) }, nil
 }
-
-// usesMmap reports whether Open maps files (true) or falls back to reading
-// them into the heap (non-unix platforms).
-const usesMmap = true

@@ -1,6 +1,7 @@
 package segfile
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,9 +9,25 @@ import (
 	"repro/internal/fsx"
 )
 
+// writeAtomic durably replaces path with a segfile produced by write, the
+// way every segfile owner does: a Writer streaming into fsx.WriteAtomic's
+// temp file, which is fsynced, renamed over path, and its directory fsynced.
+func writeAtomic(fs fsx.FS, path string, write func(*Writer) error) error {
+	return fsx.WriteAtomic(fs, path, func(w io.Writer) error {
+		sw, err := NewWriter(w)
+		if err != nil {
+			return err
+		}
+		if err := write(sw); err != nil {
+			return err
+		}
+		return sw.Close()
+	})
+}
+
 func writeSampleAtomic(t *testing.T, fs fsx.FS, path string) error {
 	t.Helper()
-	return WriteFileAtomic(fs, path, func(w *Writer) error {
+	return writeAtomic(fs, path, func(w *Writer) error {
 		if err := w.Block("alpha", []byte("hello"), []byte(" world")); err != nil {
 			return err
 		}
@@ -21,7 +38,7 @@ func writeSampleAtomic(t *testing.T, fs fsx.FS, path string) error {
 func TestWriteFileAtomicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sample.segfile")
-	if err := writeSampleAtomic(t, nil, path); err != nil {
+	if err := writeSampleAtomic(t, fsx.OS, path); err != nil {
 		t.Fatal(err)
 	}
 	f, err := Open(path)
@@ -58,7 +75,7 @@ func TestWriteFileAtomicFaultMatrix(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "m.segfile")
 			// Seed an old generation, then rewrite under fault.
-			if err := WriteFileAtomic(nil, path, func(w *Writer) error {
+			if err := writeAtomic(fsx.OS, path, func(w *Writer) error {
 				return w.Block("old", []byte("previous generation"))
 			}); err != nil {
 				t.Fatal(err)
@@ -95,7 +112,7 @@ func TestOpenTruncatedFileRefused(t *testing.T) {
 	{
 		dir := t.TempDir()
 		path := filepath.Join(dir, "full.segfile")
-		if err := writeSampleAtomic(t, nil, path); err != nil {
+		if err := writeSampleAtomic(t, fsx.OS, path); err != nil {
 			t.Fatal(err)
 		}
 		var err error

@@ -1,31 +1,18 @@
 package store
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 )
 
-func TestSelectNoPredicatesReturnsAll(t *testing.T) {
-	tbl, _ := NewTable(playerSchema())
-	fillPlayers(t, tbl)
-	rows, err := tbl.Select()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
 func TestSelectOnEmptyTable(t *testing.T) {
 	tbl, _ := NewTable(playerSchema())
-	rows, err := tbl.Select(Eq("name", Str("x")))
+	rows, err := tbl.Lookup("name", Str("x"))
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("rows = %v, err = %v", rows, err)
 	}
 	_ = tbl.CreateHashIndex("name")
-	_ = tbl.CreateSortedIndex("rank")
-	rows, err = tbl.Select(Eq("name", Str("x")))
+	rows, err = tbl.Lookup("name", Str("x"))
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("indexed rows = %v, err = %v", rows, err)
 	}
@@ -36,40 +23,6 @@ func TestIndexOnMissingColumn(t *testing.T) {
 	if err := tbl.CreateHashIndex("ghost"); err == nil {
 		t.Fatal("hash index on missing column accepted")
 	}
-	if err := tbl.CreateSortedIndex("ghost"); err == nil {
-		t.Fatal("sorted index on missing column accepted")
-	}
-}
-
-func TestSortedIndexStringColumn(t *testing.T) {
-	tbl, _ := NewTable(playerSchema())
-	fillPlayers(t, tbl)
-	if err := tbl.CreateSortedIndex("name"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := tbl.Select(Ge("name", Str("n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// navratilova and seles follow "n".
-	if !reflect.DeepEqual(rows, []int{2, 4}) {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestHashAndSortedIndexTogether(t *testing.T) {
-	tbl, _ := NewTable(playerSchema())
-	fillPlayers(t, tbl)
-	_ = tbl.CreateHashIndex("lefty")
-	_ = tbl.CreateSortedIndex("rank")
-	// Equality uses the hash index; the range predicate filters.
-	rows, err := tbl.Select(Eq("lefty", Bool(true)), Gt("rank", Float(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, []int{4}) {
-		t.Fatalf("rows = %v", rows)
-	}
 }
 
 func TestPersistenceEmptyTable(t *testing.T) {
@@ -77,11 +30,11 @@ func TestPersistenceEmptyTable(t *testing.T) {
 	if _, err := db.Create(playerSchema()); err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/empty.db"
-	if err := db.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := db.Serialize(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := Deserialize(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

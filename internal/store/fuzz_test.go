@@ -92,7 +92,7 @@ func TestDeserializeRoundTrip(t *testing.T) {
 	if ev.Len() != 17 {
 		t.Fatalf("events rows = %d", ev.Len())
 	}
-	v, err := ev.GetByName(3, "kind")
+	v, err := ev.Get(3, 2)
 	if err != nil || v.S == "" {
 		t.Fatalf("kind[3] = %v, %v", v, err)
 	}

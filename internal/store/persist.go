@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
-
-	"repro/internal/fsx"
 )
 
 // Binary persistence: a DB serializes to a single stream.
@@ -226,23 +223,6 @@ func readTable(br *bufio.Reader) (*Table, error) {
 	}
 	t.n = nRows
 	return t, nil
-}
-
-// SaveFile durably persists the database to a file: the bytes land in a
-// temp file that is fsynced and renamed over path, so a crash mid-save
-// leaves either the previous file or the complete new one.
-func (db *DB) SaveFile(path string) error {
-	return fsx.WriteAtomic(fsx.OS, path, db.Serialize)
-}
-
-// LoadFile reads a database from a file.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return Deserialize(f)
 }
 
 func writeUvarint(bw *bufio.Writer, v uint64) {

@@ -2,17 +2,16 @@
 // meta-index backend of the reproduction. The original system kept its
 // meta-data in Monet, a main-memory DBMS built around vertical
 // fragmentation (one binary association table per attribute); this package
-// reproduces that flavour with typed column vectors, predicate scans,
-// secondary hash and sorted indexes, and a compact binary persistence
-// format — everything the Feature Detector Engine and the digital-library
-// query planner need from their database layer.
+// reproduces that flavour with typed column vectors, one keyed read — an
+// equality lookup, answered by a secondary hash index where the column has
+// one and by a scan otherwise — and a compact binary persistence format:
+// what the Feature Detector Engine writes and the meta-index reads.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Type enumerates column types.
@@ -90,21 +89,6 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Less orders two values of the same type (bool: false < true).
-func (v Value) Less(o Value) bool {
-	switch v.T {
-	case TInt:
-		return v.I < o.I
-	case TFloat:
-		return v.F < o.F
-	case TString:
-		return v.S < o.S
-	case TBool:
-		return !v.B && o.B
-	}
-	return false
-}
-
 // Column declares one attribute of a table.
 type Column struct {
 	Name string
@@ -135,7 +119,6 @@ var (
 	ErrArity     = errors.New("store: row arity does not match schema")
 	ErrRowRange  = errors.New("store: row index out of range")
 	ErrDupTable  = errors.New("store: table already exists")
-	ErrNoIndex   = errors.New("store: no index on column")
 )
 
 // colData is one vertically fragmented attribute vector.
@@ -177,35 +160,17 @@ func (c *colData) get(i int) Value {
 	}
 }
 
-func (c *colData) len() int {
-	switch c.typ {
-	case TInt:
-		return len(c.ints)
-	case TFloat:
-		return len(c.flts)
-	case TString:
-		return len(c.strs)
-	default:
-		return len(c.bls)
-	}
-}
-
-// Table is a columnar table with optional secondary indexes.
+// Table is a columnar table with optional secondary hash indexes.
 //
 // Concurrency: a Table supports any number of concurrent readers (Get, Row,
-// Select, Len) provided no writer (Append, Create*Index) runs at the same
-// time. The one mutation on the read path — the lazy rebuild of a dirty
-// sorted index inside Select — is serialized by sortedMu so that concurrent
-// readers racing to rebuild the same index remain safe.
+// Lookup, Len) provided no writer (Append, CreateHashIndex) runs at the same
+// time. Readers mutate nothing, so they take no lock.
 type Table struct {
 	schema Schema
 	cols   []colData
 	n      int
 
-	hashIdx     map[int]map[string][]int // colIdx -> key -> rows
-	sortedMu    sync.Mutex               // guards lazy sorted-index rebuilds
-	sortedIdx   map[int][]int            // colIdx -> row order
-	sortedDirty map[int]bool             // sorted indexes needing rebuild
+	hashIdx map[int]map[string][]int // colIdx -> key -> rows, in row order
 }
 
 // NewTable allocates an empty table for the schema.
@@ -262,11 +227,6 @@ func (t *Table) Append(row ...Value) error {
 		k := t.cols[ci].get(rowIdx).String()
 		m[k] = append(m[k], rowIdx)
 	}
-	// Sorted indexes are rebuilt lazily on first use after a write; eager
-	// maintenance would cost O(n log n) per appended row during bulk loads.
-	for ci := range t.sortedIdx {
-		t.sortedDirty[ci] = true
-	}
 	return nil
 }
 
@@ -281,15 +241,6 @@ func (t *Table) Get(row, col int) (Value, error) {
 	return t.cols[col].get(row), nil
 }
 
-// GetByName returns the value at (row, named column).
-func (t *Table) GetByName(row int, col string) (Value, error) {
-	ci := t.schema.Col(col)
-	if ci < 0 {
-		return Value{}, fmt.Errorf("%w: %q", ErrNoColumn, col)
-	}
-	return t.Get(row, ci)
-}
-
 // Row materializes a full row.
 func (t *Table) Row(i int) ([]Value, error) {
 	if i < 0 || i >= t.n {
@@ -302,182 +253,33 @@ func (t *Table) Row(i int) ([]Value, error) {
 	return out, nil
 }
 
-// Pred is a column predicate for Select.
-type Pred struct {
-	Col string
-	Op  Op
-	Val Value
-}
-
-// Op enumerates predicate operators.
-type Op uint8
-
-// Predicate operators.
-const (
-	OpEq Op = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// String names the operator.
-func (o Op) String() string {
-	switch o {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
+// Lookup returns the rows whose value in column col equals v, in ascending
+// row order: a hash probe when the column is indexed, a scan otherwise. The
+// slice belongs to the caller.
+func (t *Table) Lookup(col string, v Value) ([]int, error) {
+	ci := t.schema.Col(col)
+	if ci < 0 {
+		return nil, fmt.Errorf("%w: %q", ErrNoColumn, col)
 	}
-	return "?"
-}
-
-// eval applies the operator.
-func (p Pred) eval(v Value) bool {
-	switch p.Op {
-	case OpEq:
-		return v.Equal(p.Val)
-	case OpNe:
-		return !v.Equal(p.Val)
-	case OpLt:
-		return v.Less(p.Val)
-	case OpLe:
-		return v.Less(p.Val) || v.Equal(p.Val)
-	case OpGt:
-		return p.Val.Less(v)
-	case OpGe:
-		return p.Val.Less(v) || v.Equal(p.Val)
+	if v.T != t.cols[ci].typ {
+		return nil, fmt.Errorf("%w: lookup on %q got %s want %s",
+			ErrTypeClash, col, v.T, t.cols[ci].typ)
 	}
-	return false
-}
-
-// Eq, Ne, Lt, Le, Gt, Ge build predicates.
-func Eq(col string, v Value) Pred { return Pred{col, OpEq, v} }
-func Ne(col string, v Value) Pred { return Pred{col, OpNe, v} }
-func Lt(col string, v Value) Pred { return Pred{col, OpLt, v} }
-func Le(col string, v Value) Pred { return Pred{col, OpLe, v} }
-func Gt(col string, v Value) Pred { return Pred{col, OpGt, v} }
-func Ge(col string, v Value) Pred { return Pred{col, OpGe, v} }
-
-// Select returns the row indexes satisfying all predicates (conjunction).
-// Equality predicates use a hash index when one exists; range predicates
-// use a sorted index when one exists; remaining predicates are applied as
-// filters over the candidate set.
-func (t *Table) Select(preds ...Pred) ([]int, error) {
-	// Validate predicates and locate columns.
-	cis := make([]int, len(preds))
-	for i, p := range preds {
-		ci := t.schema.Col(p.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("%w: %q", ErrNoColumn, p.Col)
-		}
-		if p.Val.T != t.cols[ci].typ {
-			return nil, fmt.Errorf("%w: predicate on %q got %s want %s",
-				ErrTypeClash, p.Col, p.Val.T, t.cols[ci].typ)
-		}
-		cis[i] = ci
-	}
-	// Pick the most selective indexed predicate as the access path.
-	candidates := []int(nil) // nil means "all rows"
-	used := -1
-	for i, p := range preds {
-		ci := cis[i]
-		if p.Op == OpEq {
-			if m, ok := t.hashIdx[ci]; ok {
-				candidates = m[p.Val.String()]
-				used = i
-				break
-			}
-		}
-	}
-	if used < 0 {
-		t.sortedMu.Lock()
-		for i, p := range preds {
-			ci := cis[i]
-			if ord, ok := t.sortedIdx[ci]; ok && p.Op != OpNe {
-				if t.sortedDirty[ci] {
-					t.rebuildSorted(ci)
-					ord = t.sortedIdx[ci]
-				}
-				candidates = t.rangeFromSorted(ci, ord, p)
-				used = i
-				break
-			}
-		}
-		t.sortedMu.Unlock()
+	if m, ok := t.hashIdx[ci]; ok {
+		// Candidate lists are appended in row order, so they are sorted.
+		return append([]int(nil), m[v.String()]...), nil
 	}
 	var out []int
-	scan := func(row int) {
-		for i, p := range preds {
-			if i == used {
-				continue
-			}
-			if !p.eval(t.cols[cis[i]].get(row)) {
-				return
-			}
-		}
-		out = append(out, row)
-	}
-	if used >= 0 {
-		for _, row := range candidates {
-			scan(row)
-		}
-		// Hash-index candidate lists are maintained in append (= row) order,
-		// so the common single-predicate probe is already sorted; only a
-		// sorted-index range (value order) can arrive out of row order. The
-		// O(n) sortedness check skips the O(n log n) sort on the hot path.
-		if !sort.IntsAreSorted(out) {
-			sort.Ints(out)
-		}
-		return out, nil
-	}
 	for row := 0; row < t.n; row++ {
-		scan(row)
+		if t.cols[ci].get(row).Equal(v) {
+			out = append(out, row)
+		}
 	}
 	return out, nil
 }
 
-// rangeFromSorted answers a range/eq predicate from a sorted index.
-func (t *Table) rangeFromSorted(ci int, ord []int, p Pred) []int {
-	col := &t.cols[ci]
-	// Binary search boundaries over ord.
-	lower := sort.Search(len(ord), func(k int) bool {
-		return !col.get(ord[k]).Less(p.Val) // first >= val
-	})
-	upper := sort.Search(len(ord), func(k int) bool {
-		return p.Val.Less(col.get(ord[k])) // first > val
-	})
-	var lo, hi int
-	switch p.Op {
-	case OpEq:
-		lo, hi = lower, upper
-	case OpLt:
-		lo, hi = 0, lower
-	case OpLe:
-		lo, hi = 0, upper
-	case OpGt:
-		lo, hi = upper, len(ord)
-	case OpGe:
-		lo, hi = lower, len(ord)
-	default:
-		lo, hi = 0, len(ord)
-	}
-	out := make([]int, hi-lo)
-	copy(out, ord[lo:hi])
-	return out
-}
-
-// CreateHashIndex builds (or rebuilds) a hash index on the column,
-// accelerating equality predicates.
+// CreateHashIndex builds (or rebuilds) a hash index on the column, which
+// Lookup then probes instead of scanning.
 func (t *Table) CreateHashIndex(col string) error {
 	ci := t.schema.Col(col)
 	if ci < 0 {
@@ -493,36 +295,6 @@ func (t *Table) CreateHashIndex(col string) error {
 	}
 	t.hashIdx[ci] = m
 	return nil
-}
-
-// CreateSortedIndex builds (or rebuilds) a sorted index on the column,
-// accelerating range predicates.
-func (t *Table) CreateSortedIndex(col string) error {
-	ci := t.schema.Col(col)
-	if ci < 0 {
-		return fmt.Errorf("%w: %q", ErrNoColumn, col)
-	}
-	if t.sortedIdx == nil {
-		t.sortedIdx = map[int][]int{}
-	}
-	if t.sortedDirty == nil {
-		t.sortedDirty = map[int]bool{}
-	}
-	t.rebuildSorted(ci)
-	return nil
-}
-
-func (t *Table) rebuildSorted(ci int) {
-	ord := make([]int, t.n)
-	for i := range ord {
-		ord[i] = i
-	}
-	col := &t.cols[ci]
-	sort.SliceStable(ord, func(a, b int) bool {
-		return col.get(ord[a]).Less(col.get(ord[b]))
-	})
-	t.sortedIdx[ci] = ord
-	t.sortedDirty[ci] = false
 }
 
 // DB is a named collection of tables.

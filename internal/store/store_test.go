@@ -52,9 +52,9 @@ func TestTableAppendGet(t *testing.T) {
 	if tbl.Len() != 5 {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
-	v, err := tbl.GetByName(2, "name")
+	v, err := tbl.Get(2, 1)
 	if err != nil || v.S != "seles" {
-		t.Fatalf("GetByName = %v, %v", v, err)
+		t.Fatalf("Get(2, name) = %v, %v", v, err)
 	}
 	row, err := tbl.Row(4)
 	if err != nil {
@@ -97,104 +97,83 @@ func TestSchemaValidation(t *testing.T) {
 	}
 }
 
+// TestSelectFullScan: Lookup on an unindexed column scans, one column type
+// at a time, and an absent value selects nothing.
 func TestSelectFullScan(t *testing.T) {
 	tbl, _ := NewTable(playerSchema())
 	fillPlayers(t, tbl)
-	rows, err := tbl.Select(Eq("lefty", Bool(true)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, []int{2, 4}) {
-		t.Fatalf("lefty rows = %v", rows)
-	}
-	rows, _ = tbl.Select(Gt("rank", Float(2.0)), Eq("lefty", Bool(false)))
-	if !reflect.DeepEqual(rows, []int{3}) {
-		t.Fatalf("conjunction rows = %v", rows)
-	}
-	rows, _ = tbl.Select(Ne("name", Str("hingis")))
-	if len(rows) != 4 {
-		t.Fatalf("Ne rows = %v", rows)
-	}
-	rows, _ = tbl.Select(Le("rank", Float(2.0)))
-	if !reflect.DeepEqual(rows, []int{0, 1}) {
-		t.Fatalf("Le rows = %v", rows)
-	}
-	rows, _ = tbl.Select(Ge("rank", Float(4.0)))
-	if !reflect.DeepEqual(rows, []int{3, 4}) {
-		t.Fatalf("Ge rows = %v", rows)
-	}
-	rows, _ = tbl.Select(Lt("id", Int(3)))
-	if !reflect.DeepEqual(rows, []int{0, 1}) {
-		t.Fatalf("Lt rows = %v", rows)
+	for _, c := range []struct {
+		col  string
+		val  Value
+		want []int
+	}{
+		{"lefty", Bool(true), []int{2, 4}},
+		{"name", Str("hingis"), []int{1}},
+		{"rank", Float(4.0), []int{3}},
+		{"id", Int(5), []int{4}},
+		{"id", Int(7), nil},
+	} {
+		rows, err := tbl.Lookup(c.col, c.val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, c.want) {
+			t.Fatalf("Lookup(%s = %v) = %v, want %v", c.col, c.val, rows, c.want)
+		}
 	}
 }
 
 func TestSelectErrors(t *testing.T) {
 	tbl, _ := NewTable(playerSchema())
 	fillPlayers(t, tbl)
-	if _, err := tbl.Select(Eq("nope", Int(1))); !errors.Is(err, ErrNoColumn) {
+	if _, err := tbl.Lookup("nope", Int(1)); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("missing column error = %v", err)
 	}
-	if _, err := tbl.Select(Eq("id", Str("1"))); !errors.Is(err, ErrTypeClash) {
-		t.Fatalf("predicate type error = %v", err)
+	if _, err := tbl.Lookup("id", Str("1")); !errors.Is(err, ErrTypeClash) {
+		t.Fatalf("lookup type error = %v", err)
 	}
 }
 
 func TestHashIndexMatchesScan(t *testing.T) {
 	tbl, _ := NewTable(playerSchema())
 	fillPlayers(t, tbl)
-	scan, _ := tbl.Select(Eq("lefty", Bool(true)))
+	scan, _ := tbl.Lookup("lefty", Bool(true))
 	if err := tbl.CreateHashIndex("lefty"); err != nil {
 		t.Fatal(err)
 	}
-	idx, _ := tbl.Select(Eq("lefty", Bool(true)))
+	idx, _ := tbl.Lookup("lefty", Bool(true))
 	if !reflect.DeepEqual(scan, idx) {
 		t.Fatalf("hash index %v != scan %v", idx, scan)
 	}
 	// Index maintained across appends.
 	_ = tbl.Append(Int(6), Str("sabatini"), Float(6), Bool(true))
-	idx, _ = tbl.Select(Eq("lefty", Bool(true)))
+	idx, _ = tbl.Lookup("lefty", Bool(true))
 	if !reflect.DeepEqual(idx, []int{2, 4, 5}) {
 		t.Fatalf("post-append hash rows = %v", idx)
 	}
-}
-
-func TestSortedIndexMatchesScan(t *testing.T) {
-	tbl, _ := NewTable(playerSchema())
-	fillPlayers(t, tbl)
-	scan, _ := tbl.Select(Ge("rank", Float(3.5)))
-	if err := tbl.CreateSortedIndex("rank"); err != nil {
-		t.Fatal(err)
-	}
-	idx, _ := tbl.Select(Ge("rank", Float(3.5)))
-	if !reflect.DeepEqual(scan, idx) {
-		t.Fatalf("sorted index %v != scan %v", idx, scan)
-	}
-	// Lazy rebuild after append.
-	_ = tbl.Append(Int(6), Str("sabatini"), Float(0.5), Bool(true))
-	idx, _ = tbl.Select(Lt("rank", Float(1.5)))
-	if !reflect.DeepEqual(idx, []int{0, 5}) {
-		t.Fatalf("post-append sorted rows = %v", idx)
+	// The caller owns the slice: writing it must not reach the index.
+	idx[0] = 99
+	if again, _ := tbl.Lookup("lefty", Bool(true)); !reflect.DeepEqual(again, []int{2, 4, 5}) {
+		t.Fatalf("caller's write leaked into the index: %v", again)
 	}
 }
 
-// Property: for random data, indexed selection equals full-scan selection.
+// Property: for random data, the hash probe equals the scan.
 func TestIndexEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		plain, _ := NewTable(Schema{Name: "t", Columns: []Column{{Name: "k", Type: TInt}}})
 		indexed, _ := NewTable(Schema{Name: "t", Columns: []Column{{Name: "k", Type: TInt}}})
 		_ = indexed.CreateHashIndex("k")
-		_ = indexed.CreateSortedIndex("k")
 		for i := 0; i < 200; i++ {
 			v := Int(int64(rng.Intn(20)))
 			_ = plain.Append(v)
 			_ = indexed.Append(v)
 		}
-		for _, op := range []Op{OpEq, OpLt, OpLe, OpGt, OpGe, OpNe} {
-			val := Int(int64(rng.Intn(20)))
-			a, _ := plain.Select(Pred{Col: "k", Op: op, Val: val})
-			b, _ := indexed.Select(Pred{Col: "k", Op: op, Val: val})
+		for i := 0; i < 6; i++ {
+			val := Int(int64(rng.Intn(22))) // 20 and 21 are never stored
+			a, _ := plain.Lookup("k", val)
+			b, _ := indexed.Lookup("k", val)
 			if !reflect.DeepEqual(a, b) {
 				return false
 			}
@@ -207,20 +186,17 @@ func TestIndexEquivalenceProperty(t *testing.T) {
 }
 
 func TestValueOrderingAndEquality(t *testing.T) {
-	if !Int(1).Less(Int(2)) || Int(2).Less(Int(1)) {
-		t.Fatal("int ordering broken")
+	if !Int(1).Equal(Int(1)) || Int(1).Equal(Int(2)) {
+		t.Fatal("int equality broken")
 	}
-	if !Str("a").Less(Str("b")) {
-		t.Fatal("string ordering broken")
+	if !Str("a").Equal(Str("a")) || Str("a").Equal(Str("b")) {
+		t.Fatal("string equality broken")
 	}
-	if !Bool(false).Less(Bool(true)) || Bool(true).Less(Bool(false)) {
-		t.Fatal("bool ordering broken")
+	if !Bool(true).Equal(Bool(true)) || Bool(false).Equal(Bool(true)) {
+		t.Fatal("bool equality broken")
 	}
 	if Int(1).Equal(Float(1)) {
 		t.Fatal("cross-type equality")
-	}
-	if Int(1).Less(Float(2)) {
-		t.Fatal("cross-type Less should be false")
 	}
 }
 
@@ -277,15 +253,15 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		}
 	}
 	gs, _ := got.Table("scores")
-	v, _ := gs.GetByName(99, "pts")
+	v, _ := gs.Get(99, 1)
 	if v.F != 99*0.25 {
 		t.Fatalf("float round trip = %v", v.F)
 	}
 	// Indexes still work after load.
 	_ = gp.CreateHashIndex("name")
-	rows, _ := gp.Select(Eq("name", Str("seles")))
+	rows, _ := gp.Lookup("name", Str("seles"))
 	if !reflect.DeepEqual(rows, []int{2}) {
-		t.Fatalf("post-load select = %v", rows)
+		t.Fatalf("post-load lookup = %v", rows)
 	}
 }
 
@@ -295,24 +271,6 @@ func TestPersistenceRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Deserialize(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	db := NewDB()
-	tbl, _ := db.Create(playerSchema())
-	fillPlayers(t, tbl)
-	path := t.TempDir() + "/meta.db"
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, _ := got.Table("players")
-	if gp.Len() != 5 {
-		t.Fatalf("loaded len = %d", gp.Len())
 	}
 }
 
@@ -373,20 +331,8 @@ func TestGetErrors(t *testing.T) {
 	if _, err := tbl.Get(0, 99); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("col range = %v", err)
 	}
-	if _, err := tbl.GetByName(0, "ghost"); !errors.Is(err, ErrNoColumn) {
-		t.Fatalf("missing name = %v", err)
-	}
 	if _, err := tbl.Row(-1); !errors.Is(err, ErrRowRange) {
 		t.Fatalf("row -1 = %v", err)
-	}
-}
-
-func TestOpString(t *testing.T) {
-	ops := map[Op]string{OpEq: "=", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">="}
-	for op, want := range ops {
-		if op.String() != want {
-			t.Errorf("%v String = %s", op, op.String())
-		}
 	}
 }
 

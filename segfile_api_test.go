@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/segfile"
 )
 
 // segfileVariants persists lib and returns it reloaded through each
@@ -88,6 +89,45 @@ func TestOpenNotASegfile(t *testing.T) {
 	// A missing file stays a not-exist error (dlserve maps it to 404 on reload).
 	if _, err := LoadLibraryFile(filepath.Join(dir, "absent")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
+	}
+}
+
+// TestCorruptSegmentFailsEngineBuild: opening verifies only the manifest,
+// so a segment block with one flipped byte passes LoadLibrary and its
+// checksum failure surfaces where the engine build hydrates the segment —
+// as NewDigitalLibrary's error (dlserve -meta exits with it), never a panic.
+func TestCorruptSegmentFailsEngineBuild(t *testing.T) {
+	idx, err := core.NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.AddVideo(core.Video{Name: "final-2001", FPS: 25, Frames: 100}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := core.WriteSegfile(&buf, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, ok := r.Block("core/seg/0") // aliases data
+	if !ok || len(blk) == 0 {
+		t.Fatal("no segment block")
+	}
+	blk[len(blk)/2] ^= 0xFF
+	lib, err := LoadLibrary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("LoadLibrary: %v (segments are verified lazily)", err)
+	}
+	site, err := GenerateSite(SiteConfig{Players: 8, YearStart: 2000, YearEnd: 2001, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDigitalLibrary(site, lib); err == nil {
+		t.Fatal("engine built over a segment that fails its checksum")
 	}
 }
 
