@@ -18,9 +18,11 @@ race:
 # Time-boxed run of every fuzz target (go test -fuzz takes one target and
 # one package at a time). The segfile openers are the only door persisted
 # bytes come in through, the query parser and cursor decoder the only ones
-# for request text, and the SVF decoder the one for the video a commit names.
+# for request text, and the SVF decoder the one for the video a commit names;
+# FuzzAnalyze holds the build's one-analysis path to the query-side chain.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/vidfmt
+	$(GO) test -run=NONE -fuzz='^FuzzAnalyze$$' -fuzztime=5s ./internal/ir
 	$(GO) test -run=NONE -fuzz='^FuzzReader$$' -fuzztime=5s ./internal/segfile
 	$(GO) test -run=NONE -fuzz='^FuzzSegfileOpen$$' -fuzztime=5s ./internal/ir
 	$(GO) test -run=NONE -fuzz='^FuzzVecSegfileOpen$$' -fuzztime=5s ./internal/vec

@@ -815,6 +815,38 @@ func BenchmarkIngestVideo(b *testing.B) {
 	b.ReportMetric(float64(decode.Milliseconds())/float64(b.N), "decode-ms/op")
 }
 
+// BenchmarkColdLaneBuild measures the cold page-lane build behind
+// dlse.engine_build_ms: dlbench's site (8,192 players, 40 editions, 8,352
+// pages) at four text segments, both lanes built and both segfile caches
+// written, as a first dlserve boot does. The caches are deleted between
+// iterations so every build is cold.
+func BenchmarkColdLaneBuild(b *testing.B) {
+	site, err := webspace.GenerateAusOpen(webspace.SiteConfig{Players: 8192, YearStart: 1962, YearEnd: 2001, Seed: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	opts := dlse.Options{
+		TextSegments: 4,
+		TextSegfile:  filepath.Join(dir, "text.segf"),
+		VecSegfile:   filepath.Join(dir, "vec.segf"),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dlse.NewSegmented(site, nil, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for _, p := range []string{opts.TextSegfile, opts.VecSegfile} {
+			if err := os.Remove(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkBatchIngest measures concurrent batch-ingestion throughput:
 // the full FDE pipeline over an 8-video corpus with 1 worker vs one worker
 // per CPU. The outputs are byte-identical (see TestIndexBatchMatchesSequential);

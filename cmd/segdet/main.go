@@ -52,12 +52,7 @@ func main() {
 	if *chi2 {
 		cfg.Metric = shotdet.MetricChiSquare
 	}
-	ccfg := shotdet.ClassifierConfig{}
-	if est, ok := shotdet.EstimateCourtColor(frames, cfg.Bins, 0.3); ok {
-		ccfg.CourtColor = est
-	}
-	cls := shotdet.NewClassifier(ccfg)
-	shots := shotdet.SegmentAndClassify(frames, cfg, cls)
+	shots := shotdet.SegmentAndClassify(frames, cfg, shotdet.ClassifierConfig{})
 	var buf bytes.Buffer
 	buf.WriteString(fde.FormatShotProtocol(shots))
 	if _, err := io.Copy(os.Stdout, &buf); err != nil {

@@ -152,8 +152,9 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 // opts.VecSegfile) carries the signature of these pages and this partition
 // is memory-mapped, verified, and its build skipped entirely; a missing,
 // stale or damaged cache is rebuilt and rewritten. A cold build runs
-// concurrently what is independent: first every part of either lane is
-// tokenized or embedded as one scatter leg, then the text lane freezes its
+// concurrently what is independent: first every part is one scatter leg
+// that analyses each of its pages once and feeds the same tokens to the
+// part's text index and its vector builder, then the text lane freezes its
 // parts against the union statistics and writes its cache while the vector
 // lane writes its own, so the two fsyncs overlap.
 func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, opts Options) (*ir.Segments, []*vec.Builder, error) {
@@ -171,23 +172,51 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 			vecs = parts // zero-copy views of a process-lifetime mapping
 		}
 	}
+	if text != nil && vecs != nil {
+		return text, vecs, nil
+	}
 
-	var build, finish []func() error
+	var textParts []*ir.Index
 	if text == nil {
-		parts := make([]*ir.Index, pages.Parts())
-		for ord := range parts {
-			build = append(build, func() error {
-				parts[ord] = ir.NewIndex()
-				for _, pg := range all[pages.Start(ord):pages.Start(ord+1)] {
-					if _, err := parts[ord].Add(pg.Name, pg.Text); err != nil {
+		textParts = make([]*ir.Index, pages.Parts())
+	}
+	buildVecs := vecs == nil
+	if buildVecs {
+		vecs = make([]*vec.Builder, pages.Parts())
+	}
+	build := make([]func() error, pages.Parts())
+	for ord := range build {
+		build[ord] = func() error {
+			// The stem memo lives for this leg only (see ir.Analyzer).
+			var an ir.Analyzer
+			var ix *ir.Index
+			var vb *vec.Builder
+			if textParts != nil {
+				ix = ir.NewIndex()
+				textParts[ord] = ix
+			}
+			if buildVecs {
+				vb = vec.NewBuilder(emb)
+				vecs[ord] = vb
+			}
+			for _, pg := range all[pages.Start(ord):pages.Start(ord+1)] {
+				toks := an.Analyze(pg.Text)
+				if ix != nil {
+					if _, err := ix.AddTokens(pg.Name, toks); err != nil {
 						return fmt.Errorf("dlse: indexing page %s: %w", pg.Name, err)
 					}
 				}
-				return nil
-			})
+				if vb != nil {
+					vb.AddTokens(pg.Name, toks, emb)
+				}
+			}
+			return nil
 		}
+	}
+	var finish []func() error
+	if textParts != nil {
 		finish = append(finish, func() (err error) {
-			if text, err = ir.NewSegments(parts); err != nil {
+			if text, err = ir.NewSegments(textParts); err != nil {
 				return fmt.Errorf("dlse: freezing text segments: %w", err)
 			}
 			if opts.TextSegfile == "" {
@@ -203,25 +232,13 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 			return nil
 		})
 	}
-	if vecs == nil {
-		vecs = make([]*vec.Builder, pages.Parts())
-		for ord := range vecs {
-			build = append(build, func() error {
-				vecs[ord] = vec.NewBuilder(emb)
-				for _, pg := range all[pages.Start(ord):pages.Start(ord+1)] {
-					vecs[ord].Add(pg.Name, pg.Text, emb)
-				}
-				return nil
-			})
-		}
-		if opts.VecSegfile != "" {
-			finish = append(finish, func() error {
-				if err := vec.WriteFile(opts.VecSegfile, emb, vecs, vecSig); err != nil {
-					return fmt.Errorf("dlse: writing vec segfile cache: %w", err)
-				}
-				return nil
-			})
-		}
+	if buildVecs && opts.VecSegfile != "" {
+		finish = append(finish, func() error {
+			if err := vec.WriteFile(opts.VecSegfile, emb, vecs, vecSig); err != nil {
+				return fmt.Errorf("dlse: writing vec segfile cache: %w", err)
+			}
+			return nil
+		})
 	}
 	for _, stage := range [][]func() error{build, finish} {
 		if err := concurrently(stage); err != nil {

@@ -88,14 +88,7 @@ func NewTennisEngine(cfg TennisConfig) (*Engine, error) {
 // classification, published as the "shots" and "classes" symbols.
 func whiteBoxSegment(cfg TennisConfig) Impl {
 	return func(ctx *Context) error {
-		ccfg := cfg.Classifier
-		if ccfg.CourtColor == (frame.RGB{}) {
-			if est, ok := shotdet.EstimateCourtColor(ctx.Frames, cfg.Shot.Bins, 0.3); ok {
-				ccfg.CourtColor = est
-			}
-		}
-		cls := shotdet.NewClassifier(ccfg)
-		shots := shotdet.SegmentAndClassify(ctx.Frames, cfg.Shot, cls)
+		shots := shotdet.SegmentAndClassify(ctx.Frames, cfg.Shot, cfg.Classifier)
 		classes := make([]string, len(shots))
 		for i, s := range shots {
 			classes[i] = s.Class.String()

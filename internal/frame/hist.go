@@ -67,18 +67,77 @@ func (h *Histogram) Add(c RGB) {
 	h.Total++
 }
 
+// laneCells is the largest bin cube AddImage counts in integer lanes: four
+// [laneCells]uint32 arrays, 8 KiB on the stack. It admits every bin count up
+// to 8 per channel, the resolution the shot detector and classifier use.
+const laneCells = 512
+
+// cellLUT maps a channel value straight to its term of the flat bin index
+// (rBin*Bins*Bins, gBin*Bins, bBin), so a pixel's cell is three loads and
+// two adds. Built lazily per bin count like binLUTs.
+type cellLUT struct{ r, g, b [256]uint16 }
+
+var cellLUTs [9]atomic.Pointer[cellLUT]
+
+// cellLUTFor returns the cell table for bins <= 8.
+func cellLUTFor(bins int) *cellLUT {
+	if p := cellLUTs[bins].Load(); p != nil {
+		return p
+	}
+	lut := binLUTFor(bins)
+	var t cellLUT
+	for v := 0; v < 256; v++ {
+		bin := uint16(lut[v])
+		t.r[v], t.g[v], t.b[v] = bin*uint16(bins*bins), bin*uint16(bins), bin
+	}
+	cellLUTs[bins].Store(&t)
+	return &t
+}
+
 // AddImage accumulates every pixel of the image. This is the profiled hot
-// loop of shot-boundary detection (E2): per pixel, three LUT loads replace
-// the three multiply/divide quantizations of Index, and the slice-advance
-// form proves the three channel loads in bounds once per pixel.
+// loop of shot-boundary detection (E2). When the bin cube fits laneCells,
+// pixels are counted four at a time into four independent uint32 lanes —
+// consecutive pixels of a flat region hit the same cell, and separate lanes
+// keep those increments from queueing on one memory location — and each
+// cell's lane sum is added to Counts once. That is exact, not approximately
+// equal: every count is an integer below 2^53, where float64 adds integers
+// without rounding, so one add of the sum gives the bits the per-pixel ++
+// loop gives. Otherwise three LUT loads per pixel replace the
+// multiply/divide quantizations of Index, and the slice-advance form proves
+// the channel loads in bounds once per pixel.
 func (h *Histogram) AddImage(im *Image) {
-	lut := binLUTFor(h.Bins)
 	bins := h.Bins
-	counts := h.Counts
-	for p := im.Pix; len(p) >= 3; p = p[3:] {
-		counts[(int(lut[p[0]])*bins+int(lut[p[1]]))*bins+int(lut[p[2]])]++
+	if bins*bins*bins <= laneCells && len(im.Pix)/3 <= math.MaxUint32 {
+		h.addImageLanes(im.Pix)
+	} else {
+		lut := binLUTFor(bins)
+		counts := h.Counts
+		for p := im.Pix; len(p) >= 3; p = p[3:] {
+			counts[(int(lut[p[0]])*bins+int(lut[p[1]]))*bins+int(lut[p[2]])]++
+		}
 	}
 	h.Total += float64(im.W * im.H)
+}
+
+// addImageLanes is AddImage's integer-lane kernel (Bins <= 8). A cell index
+// is below Bins^3 <= laneCells, so masking it with laneCells-1 changes
+// nothing and lets the compiler drop the lane bounds checks.
+func (h *Histogram) addImageLanes(pix []byte) {
+	t := cellLUTFor(h.Bins)
+	var lanes [4][laneCells]uint32
+	p := pix
+	for ; len(p) >= 12; p = p[12:] {
+		lanes[0][(t.r[p[0]]+t.g[p[1]]+t.b[p[2]])&(laneCells-1)]++
+		lanes[1][(t.r[p[3]]+t.g[p[4]]+t.b[p[5]])&(laneCells-1)]++
+		lanes[2][(t.r[p[6]]+t.g[p[7]]+t.b[p[8]])&(laneCells-1)]++
+		lanes[3][(t.r[p[9]]+t.g[p[10]]+t.b[p[11]])&(laneCells-1)]++
+	}
+	for ; len(p) >= 3; p = p[3:] {
+		lanes[0][(t.r[p[0]]+t.g[p[1]]+t.b[p[2]])&(laneCells-1)]++
+	}
+	for i := range h.Counts {
+		h.Counts[i] += float64(uint64(lanes[0][i]) + uint64(lanes[1][i]) + uint64(lanes[2][i]) + uint64(lanes[3][i]))
+	}
 }
 
 // AddRegion accumulates the pixels of im inside r (clipped to the image).

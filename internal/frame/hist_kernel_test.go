@@ -79,23 +79,34 @@ func referenceIntersection(h, other *Histogram) float64 {
 	return s
 }
 
-// TestAddImageMatchesReference locks the LUT extraction loop to the Index
-// loop, bin count by bin count (including odd bins, where the quantization
-// truncation is easiest to get wrong).
+// TestAddImageMatchesReference locks both extraction kernels — the integer
+// lanes (bins <= 8) and the float LUT loop — to the Index loop, bin count
+// by bin count (including odd bins, where the quantization truncation is
+// easiest to get wrong), accumulating over several frames so the lanes' one
+// add per cell lands on non-zero counts. The shapes cover a pixel count
+// that is not a multiple of the four lanes and a flat frame whose every
+// pixel hits one cell.
 func TestAddImageMatchesReference(t *testing.T) {
-	frames := randomFrames(4, 37, 23, 1001)
-	for _, bins := range []int{2, 3, 7, 8, 16, 100, 256} {
-		got, want := NewHistogram(bins), NewHistogram(bins)
-		for _, im := range frames {
-			got.AddImage(im)
-			referenceAddImage(want, im)
-		}
-		if got.Total != want.Total {
-			t.Fatalf("bins=%d: total %v != %v", bins, got.Total, want.Total)
-		}
-		for b := range got.Counts {
-			if got.Counts[b] != want.Counts[b] {
-				t.Fatalf("bins=%d bin %d: %v != %v", bins, b, got.Counts[b], want.Counts[b])
+	flat := New(19, 11)
+	flat.Fill(RGB{R: 30, G: 140, B: 70})
+	shapes := [][]*Image{
+		randomFrames(4, 37, 23, 1001),
+		append(randomFrames(2, 160, 120, 1003), flat),
+	}
+	for _, frames := range shapes {
+		for _, bins := range []int{2, 3, 4, 5, 7, 8, 9, 16, 100, 256} {
+			got, want := NewHistogram(bins), NewHistogram(bins)
+			for _, im := range frames {
+				got.AddImage(im)
+				referenceAddImage(want, im)
+			}
+			if got.Total != want.Total {
+				t.Fatalf("%dx%d bins=%d: total %v != %v", frames[0].W, frames[0].H, bins, got.Total, want.Total)
+			}
+			for b := range got.Counts {
+				if got.Counts[b] != want.Counts[b] {
+					t.Fatalf("%dx%d bins=%d bin %d: %v != %v", frames[0].W, frames[0].H, bins, b, got.Counts[b], want.Counts[b])
+				}
 			}
 		}
 	}

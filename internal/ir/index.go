@@ -76,10 +76,17 @@ func NewIndex() *Index {
 // Add indexes a document under the given name and returns its ID.
 // Documents cannot be added after Freeze.
 func (ix *Index) Add(name, text string) (DocID, error) {
+	return ix.AddTokens(name, Analyze(text))
+}
+
+// AddTokens is Add for a document already analysed: toks must be what
+// Analyze (or an Analyzer) returned for its text. The index keeps the term
+// strings, never the slice, so a caller may recycle it — the form a build
+// uses to analyse each page once for both page lanes.
+func (ix *Index) AddTokens(name string, toks []string) (DocID, error) {
 	if ix.frozen {
 		return 0, ErrFrozen
 	}
-	toks := Analyze(text)
 	id := DocID(len(ix.docs))
 	ix.docs = append(ix.docs, docInfo{Name: name, Len: int32(len(toks))})
 	ix.totalLn += int64(len(toks))

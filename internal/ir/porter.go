@@ -4,53 +4,56 @@ package ir
 // from the published definition. Stem expects a lowercase word and returns
 // its stem; words of length <= 2 are returned unchanged.
 
-// isCons reports whether w[i] is a consonant in Porter's sense.
-func isCons(w string, i int) bool {
+// consAfter reports whether w[i] is a consonant in Porter's sense — a
+// letter other than a, e, i, o, u, and other than a y preceded by a
+// consonant — given whether w[i-1] is (ignored at i == 0). It is the one
+// letter classifier: every caller scans forward with it, so a run of y's
+// costs linear time (stemming runs on query text, which is user input).
+func consAfter(w string, i int, prevCons bool) bool {
 	switch w[i] {
 	case 'a', 'e', 'i', 'o', 'u':
 		return false
 	case 'y':
-		if i == 0 {
-			return true
-		}
-		return !isCons(w, i-1)
+		return i == 0 || !prevCons
 	default:
 		return true
 	}
 }
 
-// measure returns m, the number of VC sequences in the word.
+// isCons reports whether w[i] is a consonant, scanning from the letter
+// before i's run of y's: that letter is not a y, so its class is its own.
+func isCons(w string, i int) bool {
+	j := i
+	for j > 0 && w[j-1] == 'y' {
+		j--
+	}
+	cons := false
+	for j = max(j-1, 0); j <= i; j++ {
+		cons = consAfter(w, j, cons)
+	}
+	return cons
+}
+
+// measure returns m, the number of VC sequences in the word — the number of
+// vowel-to-consonant transitions, counted in one forward scan.
 func measure(w string) int {
 	m := 0
-	i := 0
-	n := len(w)
-	// skip initial consonants
-	for i < n && isCons(w, i) {
-		i++
+	cons := false
+	for i := range len(w) {
+		c := consAfter(w, i, cons)
+		if c && i > 0 && !cons {
+			m++
+		}
+		cons = c
 	}
-	for {
-		// vowels
-		for i < n && !isCons(w, i) {
-			i++
-		}
-		if i >= n {
-			return m
-		}
-		// consonants
-		for i < n && isCons(w, i) {
-			i++
-		}
-		m++
-		if i >= n {
-			return m
-		}
-	}
+	return m
 }
 
 // hasVowel reports whether the word contains a vowel.
 func hasVowel(w string) bool {
-	for i := range w {
-		if !isCons(w, i) {
+	cons := false
+	for i := range len(w) {
+		if cons = consAfter(w, i, cons); !cons {
 			return true
 		}
 	}

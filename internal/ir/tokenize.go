@@ -9,29 +9,64 @@ package ir
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lowercases the text and splits it into maximal runs of letters
-// and digits. Purely ASCII-agnostic: any Unicode letter/digit counts.
+// and digits. The rule is Unicode's: any rune for which unicode.IsLetter or
+// unicode.IsDigit holds extends a token (lowercased by unicode.ToLower), any
+// other rune — and every byte of invalid UTF-8 — ends one. ASCII text takes
+// a byte-table path that applies exactly that rule to the ASCII range.
 func Tokenize(text string) []string {
 	var out []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			out = append(out, b.String())
-			b.Reset()
-		}
-	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
-		}
-	}
-	flush()
+	scanTokens(text, nil, func(tok []byte) { out = append(out, string(tok)) })
 	return out
+}
+
+// asciiFold maps an ASCII byte to its lowercase form when it is a letter or
+// a digit and to 0 when it separates tokens: unicode.IsLetter/IsDigit and
+// unicode.ToLower restricted to the ASCII range.
+var asciiFold = func() (t [utf8.RuneSelf]byte) {
+	for c := byte('0'); c <= '9'; c++ {
+		t[c] = c
+	}
+	for c := byte('a'); c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = c, c
+	}
+	return t
+}()
+
+// scanTokens is the one tokenizer: it calls emit with every token of text
+// in order, lowercased, in buf's storage (reused and returned so callers can
+// recycle it). emit must copy what it keeps. Bytes below 0x80 go through
+// asciiFold; a byte at or above it decodes one rune and applies the Unicode
+// rule, so mixed text switches path rune by rune with the same result.
+func scanTokens(text string, buf []byte, emit func(tok []byte)) []byte {
+	buf = buf[:0]
+	for i := 0; i < len(text); {
+		if c := text[i]; c < utf8.RuneSelf {
+			i++
+			if f := asciiFold[c]; f != 0 {
+				buf = append(buf, f)
+				continue
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(text[i:])
+			i += size
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+				continue
+			}
+		}
+		if len(buf) > 0 {
+			emit(buf)
+			buf = buf[:0]
+		}
+	}
+	if len(buf) > 0 {
+		emit(buf)
+	}
+	return buf
 }
 
 // stopwords is a compact English stopword list; function words carry no
@@ -54,13 +89,46 @@ func IsStopword(tok string) bool { return stopwords[tok] }
 // Analyze runs the full text-analysis chain: tokenize, drop stopwords,
 // stem. This is the canonical document/query preprocessing.
 func Analyze(text string) []string {
-	toks := Tokenize(text)
-	out := toks[:0]
-	for _, t := range toks {
-		if IsStopword(t) {
-			continue
+	var out []string
+	scanTokens(text, nil, func(tok []byte) {
+		if !stopwords[string(tok)] {
+			out = append(out, Stem(string(tok)))
 		}
-		out = append(out, Stem(t))
-	}
+	})
 	return out
+}
+
+// Analyzer is Analyze for a batch of documents: each distinct token is
+// stemmed once per Analyzer instead of once per occurrence, and the token
+// and output buffers are recycled across calls. A build owns one Analyzer
+// per goroutine and drops it with the build; nothing is cached between
+// builds or process-wide, so query traffic — which calls Analyze — can
+// never grow a memo. The zero value is ready to use; an Analyzer is not
+// safe for concurrent use.
+type Analyzer struct {
+	stems map[string]string // token -> Stem(token), stopwords excluded
+	buf   []byte
+	out   []string
+}
+
+// Analyze returns exactly what the package-level Analyze returns for text.
+// The slice is reused by the next call; its strings are not.
+func (a *Analyzer) Analyze(text string) []string {
+	if a.stems == nil {
+		a.stems = map[string]string{}
+	}
+	a.out = a.out[:0]
+	a.buf = scanTokens(text, a.buf, func(tok []byte) {
+		if stopwords[string(tok)] {
+			return
+		}
+		st, ok := a.stems[string(tok)]
+		if !ok {
+			t := string(tok)
+			st = Stem(t)
+			a.stems[t] = st
+		}
+		a.out = append(a.out, st)
+	})
+	return a.out
 }

@@ -288,6 +288,12 @@ type Sweeper struct {
 // result is identical for every configuration and every reuse pattern,
 // only the allocation profile changes.
 func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []Boundary {
+	return s.detect(frames, cfg, nil)
+}
+
+// detect is Detect that, given a non-nil colors of len(frames), also
+// summarises every frame's histogram into it as the pass goes by.
+func (s *Sweeper) detect(frames []*frame.Image, cfg Config, colors []frameColor) []Boundary {
 	s.d = Detector{cfg: cfg.withDefaults(), recent: s.d.recent[:0]}
 	d := &s.d
 	var out []Boundary
@@ -297,7 +303,10 @@ func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []Boundary {
 			end = len(frames)
 		}
 		s.hists = frame.HistogramsInto(s.hists, frames[start:end], d.cfg.Bins, cfg.Workers)
-		for _, h := range s.hists {
+		for i, h := range s.hists {
+			if colors != nil {
+				colors[start+i] = colorOf(h)
+			}
 			if b, ok := d.FeedHistogram(h); ok {
 				out = append(out, b)
 			}
@@ -333,10 +342,16 @@ func (s Shot) String() string {
 // Segment splits frames into shots at the detected boundaries. The class of
 // every shot is ClassOther until classified (see SegmentAndClassify).
 func Segment(frames []*frame.Image, cfg Config) []Shot {
-	bs := DetectBoundaries(frames, cfg)
+	return segment(frames, cfg, nil)
+}
+
+// segment is Segment that, given a non-nil colors of len(frames), also
+// summarises every frame's colour histogram into it from the boundary pass.
+func segment(frames []*frame.Image, cfg Config, colors []frameColor) []Shot {
+	var s Sweeper
 	var shots []Shot
 	start := 0
-	for _, b := range bs {
+	for _, b := range s.detect(frames, cfg, colors) {
 		shots = append(shots, Shot{Start: start, End: b.Frame})
 		start = b.Frame
 	}
@@ -346,12 +361,20 @@ func Segment(frames []*frame.Image, cfg Config) []Shot {
 	return shots
 }
 
-// SegmentAndClassify segments the video and classifies every shot using the
-// given classifier. This is the complete "segment detector" of the paper.
-func SegmentAndClassify(frames []*frame.Image, cfg Config, cls *Classifier) []Shot {
-	shots := Segment(frames, cfg)
-	for i := range shots {
-		shots[i].Class, shots[i].Features = cls.ClassifyShot(frames, shots[i].Start, shots[i].End)
+// SegmentAndClassify segments the video and classifies every shot. This is
+// the complete "segment detector" of the paper. When ccfg has no court
+// colour it is estimated from the video, as EstimateCourtColor does at
+// minimum share 0.3. Each frame's colour histogram is computed once, by the
+// boundary pass; the court-colour vote and the classifier read its
+// summaries instead of recomputing them.
+func SegmentAndClassify(frames []*frame.Image, cfg Config, ccfg ClassifierConfig) []Shot {
+	cs := videoColors{bins: cfg.withDefaults().Bins, frames: make([]frameColor, len(frames))}
+	shots := segment(frames, cfg, cs.frames)
+	if ccfg.CourtColor == (frame.RGB{}) {
+		if est, ok := cs.courtColor(0.3); ok {
+			ccfg.CourtColor = est
+		}
 	}
+	NewClassifier(ccfg).classifyShots(frames, shots, cs)
 	return shots
 }

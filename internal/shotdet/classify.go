@@ -152,25 +152,72 @@ func NewClassifier(cfg ClassifierConfig) *Classifier {
 	return &Classifier{cfg: cfg.withDefaults()}
 }
 
+// frameColor is what the detectors downstream of the boundary pass read of
+// a frame's colour histogram: the centre colour of its most populated cell,
+// that cell's share of the pixels, and the histogram's entropy.
+type frameColor struct {
+	peak    frame.RGB
+	share   float64
+	entropy float64
+}
+
+// colorOf summarises a colour histogram.
+func colorOf(h *frame.Histogram) frameColor {
+	peak, share := h.Peak()
+	return frameColor{peak: peak, share: share, entropy: h.Entropy()}
+}
+
+// videoColors is a video's per-frame colour feature at one bin count — in
+// the feature grammar's terms, a feature computed once and read by every
+// detector that depends on it. SegmentAndClassify fills it from the
+// boundary pass; the court-colour vote and the shot classifier read it.
+type videoColors struct {
+	bins   int          // the histogram resolution of the summaries
+	frames []frameColor // one summary per frame, in frame order
+}
+
+// courtVoteStep is the stride of the frames that vote on the court colour.
+func courtVoteStep(frames int) int { return frames/64 + 1 }
+
 // ExtractFeatures measures the classification features of a single frame.
 func (c *Classifier) ExtractFeatures(im *frame.Image) Features {
-	h := frame.HistogramOf(im, c.cfg.Bins)
-	dom, share := h.Peak()
+	return c.extract(im, colorOf(frame.HistogramOf(im, c.cfg.Bins)))
+}
+
+// extract measures a frame's features given its colour summary at the
+// classifier's bin count. Both skin features read one skin mask: the ratio
+// is its pixel count (what frame.SkinRatio counts), the blob its opening's
+// largest component.
+func (c *Classifier) extract(im *frame.Image, col frameColor) Features {
 	g := frame.GrayHistogramOf(im)
-	blob := 0.0
-	if comp, ok := frame.SkinMask(im).Open().Largest(); ok {
+	skin := frame.SkinMask(im)
+	ratio, blob := 0.0, 0.0
+	if n := im.W * im.H; n > 0 {
+		ratio = float64(skin.Count()) / float64(n)
+	}
+	if comp, ok := skin.Open().Largest(); ok {
 		blob = float64(comp.Area) / float64(im.W*im.H)
 	}
 	return Features{
-		Dominant:      dom,
-		DominantShare: share,
+		Dominant:      col.peak,
+		DominantShare: col.share,
 		CourtShare:    c.courtShare(im),
-		SkinRatio:     frame.SkinRatio(im),
+		SkinRatio:     ratio,
 		SkinBlob:      blob,
-		Entropy:       h.Entropy(),
+		Entropy:       col.entropy,
 		Mean:          g.Mean(),
 		Variance:      g.Variance(),
 	}
+}
+
+// colorAt returns frame i's colour summary at the classifier's bin count:
+// read from cs when cs covers these frames at that count, computed
+// otherwise.
+func (c *Classifier) colorAt(frames []*frame.Image, cs videoColors, i int) frameColor {
+	if cs.bins == c.cfg.Bins && len(cs.frames) == len(frames) {
+		return cs.frames[i]
+	}
+	return colorOf(frame.HistogramOf(frames[i], c.cfg.Bins))
 }
 
 // courtShare returns the fraction of pixels within CourtTolerance of the
@@ -214,6 +261,20 @@ func (c *Classifier) ClassifyFrame(im *frame.Image) (Class, Features) {
 // averages their features, and classifies the aggregate. Averaging smooths
 // over transient occlusions within the shot.
 func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class, Features) {
+	return c.classifyShot(frames, videoColors{}, start, end)
+}
+
+// classifyShots classifies every shot in place (Class and Features) like
+// ClassifyShot, reading each sampled frame's colour summary from cs — the
+// boundary pass's histograms — instead of recomputing it when cs was
+// computed at the classifier's bin count.
+func (c *Classifier) classifyShots(frames []*frame.Image, shots []Shot, cs videoColors) {
+	for i := range shots {
+		shots[i].Class, shots[i].Features = c.classifyShot(frames, cs, shots[i].Start, shots[i].End)
+	}
+}
+
+func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, end int) (Class, Features) {
 	if start < 0 {
 		start = 0
 	}
@@ -230,7 +291,7 @@ func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class,
 	var agg Features
 	for k := 0; k < n; k++ {
 		idx := start + (end-start-1)*k/maxInt(n-1, 1)
-		f := c.ExtractFeatures(frames[idx])
+		f := c.extract(frames[idx], c.colorAt(frames, cs, idx))
 		agg.DominantShare += f.DominantShare
 		agg.CourtShare += f.CourtShare
 		agg.SkinRatio += f.SkinRatio
@@ -247,9 +308,9 @@ func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class,
 	agg.Entropy *= inv
 	agg.Mean *= inv
 	agg.Variance *= inv
-	// Dominant colour of the middle sample is representative.
-	mid := c.ExtractFeatures(frames[(start+end)/2])
-	agg.Dominant = mid.Dominant
+	// Dominant colour of the middle frame is representative; it is the only
+	// feature read of that frame.
+	agg.Dominant = c.colorAt(frames, cs, (start+end)/2).peak
 	return c.Classify(agg), agg
 }
 
@@ -261,22 +322,33 @@ func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class,
 // blue, clay) are saturated, while the near-grey backgrounds of close-ups
 // and crowd shots are not, and would otherwise outvote the court in videos
 // with few playing shots. The boolean is false if no frame had a
-// sufficiently dominant chromatic colour.
+// sufficiently dominant chromatic colour. It computes the voting frames'
+// histograms itself; SegmentAndClassify reads them from its boundary pass
+// instead.
 func EstimateCourtColor(frames []*frame.Image, bins int, minShare float64) (frame.RGB, bool) {
 	if bins == 0 {
 		bins = 8
 	}
+	cs := videoColors{bins: bins, frames: make([]frameColor, len(frames))}
+	for i := 0; i < len(frames); i += courtVoteStep(len(frames)) {
+		cs.frames[i] = colorOf(frame.HistogramOf(frames[i], bins))
+	}
+	return cs.courtColor(minShare)
+}
+
+// courtColor is EstimateCourtColor's vote over the summaries in cs: the
+// same frames vote (every courtVoteStep-th), so over the colours of the
+// boundary pass it answers exactly what EstimateCourtColor answers for the
+// frames at cs.bins.
+func (cs videoColors) courtColor(minShare float64) (frame.RGB, bool) {
 	if minShare == 0 {
 		minShare = 0.3
 	}
 	const minSaturation = 0.25
 	votes := map[frame.RGB]int{}
-	step := len(frames)/64 + 1
-	for i := 0; i < len(frames); i += step {
-		h := frame.HistogramOf(frames[i], bins)
-		dom, share := h.Peak()
-		if share >= minShare && frame.ToHSV(dom).S >= minSaturation {
-			votes[dom]++
+	for i := 0; i < len(cs.frames); i += courtVoteStep(len(cs.frames)) {
+		if fc := cs.frames[i]; fc.share >= minShare && frame.ToHSV(fc.peak).S >= minSaturation {
+			votes[fc.peak]++
 		}
 	}
 	// The winner is picked under a total order — most votes, then R, G, B

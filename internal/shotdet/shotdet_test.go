@@ -162,8 +162,7 @@ func TestSegmentEmptyInput(t *testing.T) {
 
 func TestClassifyShotsMatchTruth(t *testing.T) {
 	v := genVideo(t, 26, 12)
-	cls := NewClassifier(DefaultClassifierConfig(synth.CourtColor))
-	shots := SegmentAndClassify(v.Frames, DefaultConfig(), cls)
+	shots := SegmentAndClassify(v.Frames, DefaultConfig(), DefaultClassifierConfig(synth.CourtColor))
 	if len(shots) != len(v.Truth.Shots) {
 		t.Fatalf("detected %d shots, want %d", len(shots), len(v.Truth.Shots))
 	}
@@ -172,6 +171,36 @@ func TestClassifyShotsMatchTruth(t *testing.T) {
 		if s.Class.String() != want {
 			t.Errorf("shot %d [%d,%d): classified %s, want %s (features %+v)",
 				i, s.Start, s.End, s.Class, want, s.Features)
+		}
+	}
+}
+
+// TestColorsMatchRecomputed: SegmentAndClassify, whose court vote and
+// classifier read the boundary pass's per-frame colours, must answer
+// exactly what recomputing every histogram answers — Segment, then
+// EstimateCourtColor, then ClassifyShot shot by shot, features included —
+// at the detector's bin count (colours read) and at another (recomputed).
+func TestColorsMatchRecomputed(t *testing.T) {
+	v := genVideo(t, 26, 12)
+	want := Segment(v.Frames, DefaultConfig())
+	court, ok := EstimateCourtColor(v.Frames, 8, 0.3)
+	if !ok {
+		t.Fatal("no court colour estimated")
+	}
+	for _, bins := range []int{8, 4} {
+		ccfg := DefaultClassifierConfig(frame.RGB{})
+		ccfg.Bins = bins
+		got := SegmentAndClassify(v.Frames, DefaultConfig(), ccfg)
+		if len(got) != len(want) {
+			t.Fatalf("bins %d: %d shots, Segment found %d", bins, len(got), len(want))
+		}
+		ccfg.CourtColor = court
+		cls := NewClassifier(ccfg)
+		for i, s := range got {
+			class, f := cls.ClassifyShot(v.Frames, want[i].Start, want[i].End)
+			if s.Start != want[i].Start || s.End != want[i].End || s.Class != class || s.Features != f {
+				t.Fatalf("bins %d shot %d: SegmentAndClassify %v %+v, recomputed %v %v %+v", bins, i, s, s.Features, want[i], class, f)
+			}
 		}
 	}
 }

@@ -100,13 +100,14 @@ func (s *Segments) DocName(d ir.DocID) (string, error) {
 	return s.segs[ord].b.Name(local), nil
 }
 
-// embedQuery embeds and validates a query: a query with no indexable
-// tokens reports ir.ErrEmptyQry exactly like the lexical lane.
+// embedQuery embeds and validates a query, analysing it once: a query with
+// no indexable tokens reports ir.ErrEmptyQry exactly like the lexical lane.
 func (s *Segments) embedQuery(query string) ([]float32, error) {
-	if len(ir.Analyze(query)) == 0 {
+	toks := ir.Analyze(query)
+	if len(toks) == 0 {
 		return nil, ir.ErrEmptyQry
 	}
-	return s.emb.Embed(query), nil
+	return s.emb.EmbedTokens(toks), nil
 }
 
 // scan scores every document of sg, in one pass over its row-major matrix,

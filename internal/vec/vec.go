@@ -47,6 +47,11 @@ type Embedder interface {
 	// Embed returns the text's embedding. A text with no indexable
 	// tokens embeds to the zero vector.
 	Embed(text string) []float32
+	// EmbedTokens is Embed for text already analysed: for every text,
+	// EmbedTokens(ir.Analyze(text)) must equal Embed(text) bit for bit. It
+	// lets a caller analyse once and feed both lanes (or validate a query
+	// and embed it) without a second analysis.
+	EmbedTokens(toks []string) []float32
 }
 
 // DefaultDim is the dimension of the default hash embedder — small
@@ -59,7 +64,8 @@ const DefaultDim = 64
 // unigram contributes ±1 to one hashed coordinate and every bigram
 // contributes ±0.5 to another, accumulated in token order and
 // L2-normalized. Tokenization reuses ir.Analyze, so the vector lane and
-// the lexical lane agree on what a term is.
+// the lexical lane agree on what a term is — and a build that analysed a
+// page for the lexical lane feeds the same tokens here (EmbedTokens).
 type HashEmbedder struct {
 	dim int
 }
@@ -82,38 +88,48 @@ func (h *HashEmbedder) Name() string { return fmt.Sprintf("hash-v1/%d", h.dim) }
 // Dim implements Embedder.
 func (h *HashEmbedder) Dim() int { return h.dim }
 
-// fnv1a64 is the tokenizer-independent string hash behind the projection.
-func fnv1a64(s string) uint64 {
-	h := uint64(14695981039346656037)
+// FNV-1a, 64-bit: the tokenizer-independent string hash behind the
+// projection. fnvAdd continues a hash over s, so a bigram "prev tok" is
+// hashed as prev, then ' ', then tok, without building the string.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }
 
-// Embed implements Embedder. The accumulation order is the token order,
-// so the resulting float32 bits are a deterministic function of the text.
+// Embed implements Embedder: EmbedTokens over ir.Analyze(text).
 func (h *HashEmbedder) Embed(text string) []float32 {
+	return h.EmbedTokens(ir.Analyze(text))
+}
+
+// EmbedTokens implements Embedder. The accumulation order is the token
+// order, so the resulting float32 bits are a deterministic function of the
+// token stream.
+func (h *HashEmbedder) EmbedTokens(toks []string) []float32 {
 	v := make([]float32, h.dim)
-	toks := ir.Analyze(text)
-	prev := ""
-	for _, tok := range toks {
-		hash := fnv1a64(tok)
+	dim := uint64(h.dim)
+	for i, tok := range toks {
+		hash := fnvAdd(fnvOffset, tok)
 		w := float32(1)
 		if hash>>63&1 == 1 {
 			w = -1
 		}
-		v[int(hash%uint64(h.dim))] += w
-		if prev != "" {
-			bh := fnv1a64(prev + " " + tok)
+		v[int(hash%dim)] += w
+		if i > 0 {
+			bh := fnvAdd(fnvAdd(fnvAdd(fnvOffset, toks[i-1]), " "), tok)
 			bw := float32(0.5)
 			if bh>>63&1 == 1 {
 				bw = -0.5
 			}
-			v[int(bh%uint64(h.dim))] += bw
+			v[int(bh%dim)] += bw
 		}
-		prev = tok
 	}
 	normalize(v)
 	return v
@@ -155,11 +171,18 @@ func NewBuilder(e Embedder) *Builder {
 
 // Add embeds text and appends it as the next document.
 func (b *Builder) Add(name, text string, e Embedder) {
+	b.AddTokens(name, ir.Analyze(text), e)
+}
+
+// AddTokens is Add for a document already analysed: toks must be what
+// ir.Analyze (or an ir.Analyzer) returned for its text. The slice is not
+// kept.
+func (b *Builder) AddTokens(name string, toks []string, e Embedder) {
 	if e.Dim() != b.dim {
 		panic(fmt.Sprintf("vec: embedder dim %d does not match builder dim %d", e.Dim(), b.dim))
 	}
 	b.names = append(b.names, name)
-	b.vecs = append(b.vecs, e.Embed(text)...)
+	b.vecs = append(b.vecs, e.EmbedTokens(toks)...)
 }
 
 // Len returns the number of documents added.
