@@ -240,45 +240,22 @@ func (l *Library) Close() error {
 }
 
 // IndexFrames runs the full detector pipeline over the frames and stores
-// all extracted meta-data under the given video name.
+// all extracted meta-data under the given video name: a one-job IndexBatch.
 func (l *Library) IndexFrames(name string, frames []*Image, fps int) (int64, error) {
-	if len(frames) == 0 {
-		return 0, fmt.Errorf("repro: no frames for video %q", name)
-	}
-	head, err := l.head()
-	if err != nil {
-		return 0, err
-	}
-	v := core.Video{
-		Name: name, Width: frames[0].W, Height: frames[0].H,
-		FPS: fps, Frames: len(frames),
-	}
-	res, err := l.engine.Process(v, frames)
-	if err != nil {
-		return 0, fmt.Errorf("repro: indexing %q: %w", name, err)
-	}
-	return fde.IndexResult(res, head)
+	return l.indexOne(IngestJob{Name: name, Frames: frames, FPS: fps})
 }
 
-// IndexSVF indexes a video stored in an SVF file.
+// IndexSVF indexes a video stored in an SVF file, like IndexFrames.
 func (l *Library) IndexSVF(name, path string) (int64, error) {
-	frames, meta, err := vidfmt.ReadFile(path)
+	return l.indexOne(IngestJob{Name: name, Path: path})
+}
+
+func (l *Library) indexOne(job IngestJob) (int64, error) {
+	res, err := l.IndexBatch(context.Background(), []IngestJob{job}, BatchOptions{})
 	if err != nil {
 		return 0, err
 	}
-	head, err := l.head()
-	if err != nil {
-		return 0, err
-	}
-	v := core.Video{
-		Name: name, Path: path, Width: meta.Width, Height: meta.Height,
-		FPS: meta.FPS, Frames: meta.Frames,
-	}
-	res, err := l.engine.Process(v, frames)
-	if err != nil {
-		return 0, fmt.Errorf("repro: indexing %q: %w", name, err)
-	}
-	return fde.IndexResult(res, head)
+	return res[0].VideoID, nil
 }
 
 // IngestJob describes one video of a batch-ingestion request. Exactly one

@@ -1105,6 +1105,24 @@ func BenchmarkColdOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkCompact measures a full compaction of the cold-open corpus: its
+// four partitions (64 videos, 12,288 tracked states) merged into one, the
+// work Library.Compact does per merged run.
+func BenchmarkCompact(b *testing.B) {
+	parts, metas := coldCorpusParts(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged, _, err := core.MergeSegmentRange(parts, metas, 0, len(parts))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if merged.Stats().Videos != 64 {
+			b.Fatalf("merged %d videos", merged.Stats().Videos)
+		}
+	}
+}
+
 // BenchmarkSegfileSearch is BenchmarkSegmentedSearch over the memory-mapped
 // text-index segfile: the same 20k-document corpus searched through
 // zero-copy posting views instead of heap-decoded postings. Answers are

@@ -62,10 +62,11 @@ func serializeBytes(t *testing.T, idx *MetaIndex) []byte {
 	return buf.Bytes()
 }
 
-// TestCopyVideoMatchesSequential is the byte-identity contract of the batch
+// TestAppendMatchesSequential is the byte-identity contract of the batch
 // ingest merge: videos built concurrently, each in a private index, and
-// replayed in sequence order reproduce the sequential index exactly.
-func TestCopyVideoMatchesSequential(t *testing.T) {
+// appended from base zero in sequence order reproduce the sequential index
+// exactly.
+func TestAppendMatchesSequential(t *testing.T) {
 	const n = 7
 	seq, err := NewMetaIndex()
 	if err != nil {
@@ -79,7 +80,6 @@ func TestCopyVideoMatchesSequential(t *testing.T) {
 	want := serializeBytes(t, seq)
 
 	parts := make([]*MetaIndex, n)
-	vids := make([]int64, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for j := n - 1; j >= 0; j-- {
@@ -87,7 +87,7 @@ func TestCopyVideoMatchesSequential(t *testing.T) {
 		go func(j int) {
 			defer wg.Done()
 			if parts[j], errs[j] = NewMetaIndex(); errs[j] == nil {
-				vids[j], errs[j] = materializeVideo(parts[j], j)
+				_, errs[j] = materializeVideo(parts[j], j)
 			}
 		}(j)
 	}
@@ -100,8 +100,8 @@ func TestCopyVideoMatchesSequential(t *testing.T) {
 		if errs[j] != nil {
 			t.Fatalf("build %d: %v", j, errs[j])
 		}
-		if _, err := CopyVideo(dst, parts[j], vids[j]); err != nil {
-			t.Fatalf("copy %d: %v", j, err)
+		if err := dst.Append(parts[j], IDBase{}); err != nil {
+			t.Fatalf("append %d: %v", j, err)
 		}
 	}
 	if got := serializeBytes(t, dst); !bytes.Equal(got, want) {
@@ -109,9 +109,9 @@ func TestCopyVideoMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCopyVideoIntoExistingIndex merges into a non-empty destination: IDs
-// continue from its counters and cross-row references are remapped.
-func TestCopyVideoIntoExistingIndex(t *testing.T) {
+// TestAppendIntoExistingIndex merges into a non-empty destination: IDs
+// continue from its counters and cross-row references are shifted with them.
+func TestAppendIntoExistingIndex(t *testing.T) {
 	dst, err := NewMetaIndex()
 	if err != nil {
 		t.Fatal(err)
@@ -125,13 +125,13 @@ func TestCopyVideoIntoExistingIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vid, err := materializeVideo(src, j)
-		if err != nil {
+		if _, err := materializeVideo(src, j); err != nil {
 			t.Fatal(err)
 		}
-		if ids[j], err = CopyVideo(dst, src, vid); err != nil {
+		if err := dst.Append(src, IDBase{}); err != nil {
 			t.Fatal(err)
 		}
+		ids[j] = dst.IDState().Video
 	}
 	// Sequence order continues after the pre-existing video.
 	for j := 0; j < 3; j++ {
@@ -149,7 +149,7 @@ func TestCopyVideoIntoExistingIndex(t *testing.T) {
 	if st := dst.Stats(); st.Videos != 4 || st.Events != 4 {
 		t.Fatalf("merged stats = %+v", st)
 	}
-	// Event actor/segment references were remapped into dst's ID space.
+	// Event actor/segment references were shifted into dst's ID space.
 	evs, err := dst.EventsOf(ids[2])
 	if err != nil || len(evs) != 1 {
 		t.Fatalf("events of merged video: %v, %v", evs, err)
@@ -157,5 +157,20 @@ func TestCopyVideoIntoExistingIndex(t *testing.T) {
 	objs, err := dst.ObjectsIn(evs[0].SegmentID)
 	if err != nil || len(objs) != 1 || objs[0].ID != evs[0].ActorID {
 		t.Fatalf("actor remap broken: objs=%v ev=%+v err=%v", objs, evs[0], err)
+	}
+	// An event without an actor keeps actor 0 rather than gaining dst's
+	// object offset.
+	src, err := NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.AddEvent(Event{VideoID: 1, SegmentID: 1, Kind: "service"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Append(src, IDBase{}); err != nil {
+		t.Fatal(err)
+	}
+	if evs, err := dst.EventsByKind("service"); err != nil || len(evs) != 1 || evs[0].ActorID != 0 || evs[0].ID != 5 {
+		t.Fatalf("actorless event appended as %+v (%v)", evs, err)
 	}
 }

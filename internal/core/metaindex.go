@@ -17,7 +17,7 @@ import (
 //
 // Concurrency: a MetaIndex is safe for any number of concurrent readers as
 // long as no writer is active (the serving path). Writes (the Add* methods
-// and batch merges) require exclusive access. Every write bumps Version, so
+// and Append) require exclusive access. Every write bumps Version, so
 // read-side caches can tag entries with the version they observed and drop
 // them when the index has moved on.
 type MetaIndex struct {
@@ -106,7 +106,26 @@ var schemas = [...]store.Schema{
 	}},
 }
 
-// NewMetaIndex creates an empty meta-index with its schema and indexes.
+// idColumns declares, per table in schemas order, the columns that hold an
+// ID, each mapped to the IDBase counter its IDs are drawn from. "id" is the
+// table's own key: metaIndexFromDB restores the counter from its maximum.
+// Every other ID column references a key, 0 meaning none. Append shifts
+// exactly these columns.
+var idColumns = [len(schemas)]map[string]func(*IDBase) *int64{
+	{"id": videoIDs},
+	{"id": segmentIDs, "video": videoIDs},
+	{"video": videoIDs},
+	{"id": objectIDs, "video": videoIDs, "segment": segmentIDs},
+	{"object": objectIDs},
+	{"id": eventIDs, "video": videoIDs, "segment": segmentIDs, "actor": objectIDs},
+}
+
+func videoIDs(b *IDBase) *int64   { return &b.Video }
+func segmentIDs(b *IDBase) *int64 { return &b.Segment }
+func objectIDs(b *IDBase) *int64  { return &b.Object }
+func eventIDs(b *IDBase) *int64   { return &b.Event }
+
+// NewMetaIndex creates an empty meta-index with its schema.
 func NewMetaIndex() (*MetaIndex, error) {
 	m := &MetaIndex{db: store.NewDB()}
 	if err := m.bind(m.db.Create); err != nil {
@@ -115,10 +134,7 @@ func NewMetaIndex() (*MetaIndex, error) {
 	return m, nil
 }
 
-// bind points the table fields at what table returns for their schemas,
-// then builds the hash indexes — only the four the lookups of CopyVideo, the
-// merge and compaction path, probe (VideoByID, SegmentsOf, ObjectsIn,
-// StatesOf). Every other lookup scans.
+// bind points the table fields at what table returns for their schemas.
 func (m *MetaIndex) bind(table func(store.Schema) (*store.Table, error)) error {
 	fields := [len(schemas)]**store.Table{&m.videos, &m.segments, &m.features, &m.objects, &m.states, &m.events}
 	for i, f := range fields {
@@ -128,17 +144,12 @@ func (m *MetaIndex) bind(table func(store.Schema) (*store.Table, error)) error {
 		}
 		*f = t
 	}
-	for _, ix := range []struct {
-		t   *store.Table
-		col string
-	}{
-		{m.videos, "id"}, {m.segments, "video"}, {m.objects, "segment"}, {m.states, "object"},
-	} {
-		if err := ix.t.CreateHashIndex(ix.col); err != nil {
-			return fmt.Errorf("indexing: %w", err)
-		}
-	}
 	return nil
+}
+
+// tables returns the table fields in schemas order.
+func (m *MetaIndex) tables() [len(schemas)]*store.Table {
+	return [...]*store.Table{m.videos, m.segments, m.features, m.objects, m.states, m.events}
 }
 
 // NewMetaIndexAt creates an empty meta-index whose ID counters start at the
@@ -164,6 +175,45 @@ func (m *MetaIndex) floorIDs(base IDBase) {
 	m.ids.Segment = max(m.ids.Segment, base.Segment)
 	m.ids.Object = max(m.ids.Object, base.Object)
 	m.ids.Event = max(m.ids.Event, base.Event)
+}
+
+// Append appends every row of src, whose IDs were assigned from base, after
+// m's rows, table by table in src's row order. Each ID column (idColumns) is
+// shifted by m's counters minus base — a 0 reference stays 0 — and m's
+// counters end as src's plus that shift. Appending the private one-video
+// indexes of a batch from base zero, in job order, builds the index a
+// sequential run would have; appending the parts of a compaction, each at
+// its own base, shifts nothing.
+func (m *MetaIndex) Append(src *MetaIndex, base IDBase) error {
+	shift := IDBase{
+		Video: m.ids.Video - base.Video, Segment: m.ids.Segment - base.Segment,
+		Object: m.ids.Object - base.Object, Event: m.ids.Event - base.Event,
+	}
+	from, to := src.tables(), m.tables()
+	for t, ids := range idColumns {
+		delta := make([]int64, len(schemas[t].Columns))
+		for col, counter := range ids {
+			delta[schemas[t].Col(col)] = *counter(&shift)
+		}
+		row := make([]store.Value, len(delta))
+		for r := 0; r < from[t].Len(); r++ {
+			for c := range row {
+				row[c], _ = from[t].Get(r, c) // in range: cannot fail
+				if row[c].I != 0 {
+					row[c].I += delta[c]
+				}
+			}
+			if err := to[t].Append(row...); err != nil {
+				return fmt.Errorf("core: append %s: %w", schemas[t].Name, err)
+			}
+		}
+		m.version.Add(int64(from[t].Len()))
+	}
+	m.ids = IDBase{
+		Video: src.ids.Video + shift.Video, Segment: src.ids.Segment + shift.Segment,
+		Object: src.ids.Object + shift.Object, Event: src.ids.Event + shift.Event,
+	}
+	return nil
 }
 
 // AddVideo registers a video and returns its assigned ID.
@@ -452,7 +502,7 @@ func (m *MetaIndex) Scenes(kind string) ([]Scene, error) {
 }
 
 // ScenesReference is the retained row-store path of Scenes: an event scan,
-// then a video hash-probe and row decode per event.
+// then a video scan and row decode per event.
 func (m *MetaIndex) ScenesReference(kind string) ([]Scene, error) {
 	evs, err := m.EventsByKindReference(kind)
 	if err != nil {
@@ -571,8 +621,8 @@ func (m *MetaIndex) Stats() Stats {
 // Serialize writes the meta-index to w.
 func (m *MetaIndex) Serialize(w io.Writer) error { return m.db.Serialize(w) }
 
-// DeserializeMetaIndex reads a meta-index written by Serialize and rebuilds
-// its secondary indexes and ID counters.
+// DeserializeMetaIndex reads a meta-index written by Serialize and restores
+// its ID counters.
 func DeserializeMetaIndex(r io.Reader) (*MetaIndex, error) {
 	db, err := store.Deserialize(r)
 	if err != nil {
@@ -582,9 +632,9 @@ func DeserializeMetaIndex(r io.Reader) (*MetaIndex, error) {
 }
 
 // metaIndexFromDB rebuilds a meta-index around an already-deserialized
-// database: each table is checked against its schema, then the hash indexes
-// are built and the ID counters restored from the row maxima (segmented
-// loads additionally floor them at the manifest base).
+// database: each table is checked against its schema, then the ID counters
+// are restored from the maxima of the key columns (segmented loads
+// additionally floor them at the manifest base).
 func metaIndexFromDB(db *store.DB) (*MetaIndex, error) {
 	m := &MetaIndex{db: db}
 	err := m.bind(func(want store.Schema) (*store.Table, error) {
@@ -600,21 +650,20 @@ func metaIndexFromDB(db *store.DB) (*MetaIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: loading meta-index: %w", err)
 	}
-	// Restore ID counters from the maxima of the id columns (column 0, an
-	// int column by the schema check above).
-	for _, c := range []struct {
-		t  *store.Table
-		id *int64
-	}{
-		{m.videos, &m.ids.Video}, {m.segments, &m.ids.Segment},
-		{m.objects, &m.ids.Object}, {m.events, &m.ids.Event},
-	} {
-		for i := 0; i < c.t.Len(); i++ {
-			v, err := c.t.Get(i, 0)
+	// Restore ID counters from the maxima of the key columns (int columns by
+	// the schema check above).
+	for i, t := range m.tables() {
+		counter, col := idColumns[i]["id"], schemas[i].Col("id")
+		if counter == nil {
+			continue
+		}
+		id := counter(&m.ids)
+		for row := 0; row < t.Len(); row++ {
+			v, err := t.Get(row, col)
 			if err != nil {
 				return nil, fmt.Errorf("core: restoring id counters: %w", err)
 			}
-			*c.id = max(*c.id, v.I)
+			*id = max(*id, v.I)
 		}
 	}
 	return m, nil

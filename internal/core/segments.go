@@ -267,12 +267,12 @@ func (s *SegmentedIndex) EventsFollowing(kindA, kindB string, maxGap int) ([]Eve
 
 // ------------------------------------------------------------ compaction
 
-// MergeSegmentRange replays partitions [from, to) into one new partition
-// seeded at the range's starting ID base. Because every ID was originally
-// assigned sequentially from that same base, the replay reassigns each row
-// the ID it already had: the merged partition is byte-identical (Serialize)
-// to indexing the same videos into one index at that base, and every query
-// answer over the compacted set matches the uncompacted set exactly.
+// MergeSegmentRange appends partitions [from, to) in order to one new
+// partition at the range's starting ID base. Each must start where the one
+// before it ended (its manifest base equal to the merged counters so far), so
+// no ID shifts: the result is byte-identical (Serialize) to indexing the same
+// videos into one index at that base, and every answer over the compacted set
+// matches the uncompacted one. A range whose bases do not chain fails.
 func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*MetaIndex, SegmentMeta, error) {
 	if from < 0 || to > len(parts) || to-from < 1 {
 		return nil, SegmentMeta{}, fmt.Errorf("core: bad merge range [%d, %d)", from, to)
@@ -282,103 +282,13 @@ func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*
 		return nil, SegmentMeta{}, err
 	}
 	for i := from; i < to; i++ {
-		vids, err := parts[i].Videos()
-		if err != nil {
-			return nil, SegmentMeta{}, err
+		if dst.ids != metas[i].Base {
+			return nil, SegmentMeta{}, fmt.Errorf("core: segment %d starts at IDs %+v, not where the range reached (%+v)",
+				metas[i].ID, metas[i].Base, dst.ids)
 		}
-		for _, v := range vids {
-			nvid, err := CopyVideo(dst, parts[i], v.ID)
-			if err != nil {
-				return nil, SegmentMeta{}, fmt.Errorf("core: compacting segment %d: %w", metas[i].ID, err)
-			}
-			if nvid != v.ID {
-				return nil, SegmentMeta{}, fmt.Errorf("core: compaction renumbered video %d to %d", v.ID, nvid)
-			}
+		if err := dst.Append(parts[i], metas[i].Base); err != nil {
+			return nil, SegmentMeta{}, fmt.Errorf("core: compacting segment %d: %w", metas[i].ID, err)
 		}
 	}
 	return dst, SegmentMeta{ID: metas[from].ID, Base: metas[from].Base}, nil
-}
-
-// CopyVideo replays one video's rows from src into dst, reassigning video,
-// segment, object and event IDs from dst's counters, and returns the video's
-// ID in dst. Row append order mirrors the materialization order of a direct
-// sequential indexing run (segments, then objects with their states, then
-// features, then events), so replaying videos in their original order — a
-// compaction's segment range, or a batch ingest's per-job indexes in job
-// order — reproduces the sequential index exactly.
-func CopyVideo(dst, src *MetaIndex, videoID int64) (int64, error) {
-	v, err := src.VideoByID(videoID)
-	if err != nil {
-		return 0, err
-	}
-	nvid, err := dst.AddVideo(v)
-	if err != nil {
-		return 0, err
-	}
-	segs, err := src.SegmentsOf(videoID)
-	if err != nil {
-		return 0, err
-	}
-	segMap := make(map[int64]int64, len(segs))
-	for _, sg := range segs {
-		old := sg.ID
-		sg.VideoID = nvid
-		nsid, err := dst.AddSegment(sg)
-		if err != nil {
-			return 0, err
-		}
-		segMap[old] = nsid
-	}
-	objMap := map[int64]int64{}
-	for _, sg := range segs {
-		objs, err := src.ObjectsIn(sg.ID)
-		if err != nil {
-			return 0, err
-		}
-		for _, o := range objs {
-			old := o.ID
-			o.VideoID = nvid
-			o.SegmentID = segMap[sg.ID]
-			noid, err := dst.AddObject(o)
-			if err != nil {
-				return 0, err
-			}
-			objMap[old] = noid
-			states, err := src.StatesOf(old)
-			if err != nil {
-				return 0, err
-			}
-			for _, st := range states {
-				st.ObjectID = noid
-				if err := dst.AddState(st); err != nil {
-					return 0, err
-				}
-			}
-		}
-	}
-	feats, err := src.FeaturesOf(videoID)
-	if err != nil {
-		return 0, err
-	}
-	for _, f := range feats {
-		f.VideoID = nvid
-		if err := dst.AddFeature(f); err != nil {
-			return 0, err
-		}
-	}
-	evs, err := src.EventsOf(videoID)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range evs {
-		e.VideoID = nvid
-		e.SegmentID = segMap[e.SegmentID]
-		if e.ActorID != 0 {
-			e.ActorID = objMap[e.ActorID]
-		}
-		if _, err := dst.AddEvent(e); err != nil {
-			return 0, err
-		}
-	}
-	return nvid, nil
 }

@@ -213,3 +213,39 @@ func TestMergeSegmentRange(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeSegmentRangeRejectsBaseGap: compaction keeps every ID, so a
+// range whose manifest bases do not chain — a part starting past where the
+// one before it ended, in any of the four ID spaces — cannot be merged
+// without renumbering rows, and must fail instead.
+func TestMergeSegmentRangeRejectsBaseGap(t *testing.T) {
+	for _, gap := range []struct {
+		space string
+		bump  func(*IDBase)
+	}{
+		{"video", func(b *IDBase) { b.Video += 3 }},
+		{"segment", func(b *IDBase) { b.Segment += 3 }},
+		{"object", func(b *IDBase) { b.Object += 3 }},
+		{"event", func(b *IDBase) { b.Event += 3 }},
+	} {
+		t.Run(gap.space, func(t *testing.T) {
+			_, parts, metas := buildSegMeta(t, []int{2, 1})
+			base := parts[1].IDState()
+			gap.bump(&base)
+			p, err := NewMetaIndexAt(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillVideo(t, p, 3)
+			parts = append(parts, p)
+			metas = append(metas, SegmentMeta{ID: 3, Base: base})
+			if _, _, err := MergeSegmentRange(parts, metas, 1, 3); err == nil {
+				t.Fatalf("merged across a gap in %s IDs", gap.space)
+			}
+			// The chained prefix still merges.
+			if _, _, err := MergeSegmentRange(parts, metas, 0, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -7,9 +7,9 @@ import (
 
 // Frozen columnar read path for the event/scene tables.
 //
-// The row-store answers `Scenes(kind)` by a predicate select over the events
-// table, a value-by-value row decode per event, and a hash-probe plus row
-// decode per video — on every query. The frozen view does all of that work
+// The row-store answers `Scenes(kind)` by a scan of the events table, a
+// value-by-value row decode per event, and a videos scan plus row decode per
+// event — on every query. The frozen view does all of that work
 // once per index version: events are decoded into typed slices grouped by
 // kind, videos are pre-joined into per-kind scene runs, and the per-video
 // sorted groups the interval sweep needs are precomputed. After the build,
@@ -26,8 +26,8 @@ import (
 //
 // Determinism invariants, locked by TestFrozenViewMatchesReference:
 //   - kindView.events is the events-table row order filtered by kind —
-//     identical to the hash-index candidate order EventsByKindReference
-//     returns (store hash lists are maintained in append order).
+//     identical to the ascending row order EventsByKindReference's scan
+//     returns.
 //   - kindView.scenes joins each event with its video in that same order;
 //     a missing video is recorded as sceneErr at the first offender, exactly
 //     where the row-store join would have failed.

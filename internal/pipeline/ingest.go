@@ -1,7 +1,7 @@
 // Package pipeline implements the concurrent batch-ingestion subsystem: a
 // worker pool that fans per-video Feature Detector Engine parses out across
 // CPUs, materializing each parse into a private one-video meta-index and
-// replaying those into the destination in job order. The paper's
+// appending those to the destination in job order. The paper's
 // architecture separates the offline indexing pipeline (FDE -> meta-index)
 // from the online search engine precisely so the former can be scaled out;
 // this package is that seam: job -> worker -> per-job index -> merge.
@@ -92,7 +92,7 @@ type Config struct {
 }
 
 // Ingestor runs batches of videos through one FDE, holding the parsed
-// videos of the latest Run until MergeInto replays them into an index.
+// videos of the latest Run until MergeInto appends them to an index.
 type Ingestor struct {
 	engine *fde.Engine
 	cfg    Config
@@ -221,26 +221,21 @@ func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
 	return res
 }
 
-// MergeInto replays the videos of the latest Run into dst in job order,
-// reassigning all IDs from dst's counters — so dst ends up byte-identical
-// to indexing the successful jobs sequentially — and returns the
-// job-sequence -> merged-video-ID mapping. Jobs that failed or never ran
-// are absent from the mapping.
+// MergeInto appends each successful job's private index of the latest Run
+// to dst in job order, through MetaIndex.Append from base zero — each
+// shifted past dst's IDs, so dst ends up byte-identical to indexing those
+// jobs sequentially — and returns the job-sequence -> merged-video-ID
+// mapping. Jobs that failed or never ran are absent from the mapping.
 func (in *Ingestor) MergeInto(dst *core.MetaIndex) (map[int]int64, error) {
 	ids := make(map[int]int64, len(in.parts))
 	for seq, part := range in.parts {
 		if part == nil {
 			continue
 		}
-		vids, err := part.Videos()
-		if err != nil {
+		if err := dst.Append(part, core.IDBase{}); err != nil {
 			return nil, fmt.Errorf("pipeline: merging job %d: %w", seq, err)
 		}
-		for _, v := range vids {
-			if ids[seq], err = core.CopyVideo(dst, part, v.ID); err != nil {
-				return nil, fmt.Errorf("pipeline: merging job %d: %w", seq, err)
-			}
-		}
+		ids[seq] = dst.IDState().Video // a job's index holds its one video
 	}
 	return ids, nil
 }

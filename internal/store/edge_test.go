@@ -11,18 +11,6 @@ func TestSelectOnEmptyTable(t *testing.T) {
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("rows = %v, err = %v", rows, err)
 	}
-	_ = tbl.CreateHashIndex("name")
-	rows, err = tbl.Lookup("name", Str("x"))
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("indexed rows = %v, err = %v", rows, err)
-	}
-}
-
-func TestIndexOnMissingColumn(t *testing.T) {
-	tbl, _ := NewTable(playerSchema())
-	if err := tbl.CreateHashIndex("ghost"); err == nil {
-		t.Fatal("hash index on missing column accepted")
-	}
 }
 
 func TestPersistenceEmptyTable(t *testing.T) {

@@ -21,8 +21,7 @@ import (
 //	bool vectors:   packed bits
 const persistMagic = "CSDB"
 
-// Serialize writes the database to w. Indexes are not persisted; rebuild
-// them after loading.
+// Serialize writes the database to w.
 func (db *DB) Serialize(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(persistMagic); err != nil {

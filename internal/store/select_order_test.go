@@ -7,22 +7,15 @@ import (
 )
 
 // TestSelectRowOrder locks Lookup's output-order contract: row indexes come
-// back in ascending row order on both access paths — the scan and the
-// hash-index probe, whose candidate lists are kept in append order.
+// back in ascending row order from the full scan, Lookup's one access path.
 func TestSelectRowOrder(t *testing.T) {
-	mk := func(index func(*Table) error) *Table {
-		t.Helper()
+	t.Run("full-scan", func(t *testing.T) {
 		tbl, err := NewTable(Schema{Name: "evs", Columns: []Column{
 			{Name: "kind", Type: TString},
 			{Name: "score", Type: TInt},
 		}})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if index != nil {
-			if err := index(tbl); err != nil {
-				t.Fatal(err)
-			}
 		}
 		// Appended so "rally" rows interleave with the rest.
 		for _, r := range []struct {
@@ -36,29 +29,15 @@ func TestSelectRowOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tbl
-	}
-
-	cases := []struct {
-		name  string
-		index func(*Table) error
-	}{
-		{"full-scan", nil},
-		{"hash-probe", func(tb *Table) error { return tb.CreateHashIndex("kind") }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tbl := mk(tc.index)
-			got, err := tbl.Lookup("kind", Str("rally"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sort.IntsAreSorted(got) {
-				t.Fatalf("Lookup returned rows out of order: %v", got)
-			}
-			if want := []int{0, 2, 4, 6}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("Lookup = %v, want %v", got, want)
-			}
-		})
-	}
+		got, err := tbl.Lookup("kind", Str("rally"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sort.IntsAreSorted(got) {
+			t.Fatalf("Lookup returned rows out of order: %v", got)
+		}
+		if want := []int{0, 2, 4, 6}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lookup = %v, want %v", got, want)
+		}
+	})
 }

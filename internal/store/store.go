@@ -3,9 +3,8 @@
 // meta-data in Monet, a main-memory DBMS built around vertical
 // fragmentation (one binary association table per attribute); this package
 // reproduces that flavour with typed column vectors, one keyed read — an
-// equality lookup, answered by a secondary hash index where the column has
-// one and by a scan otherwise — and a compact binary persistence format:
-// what the Feature Detector Engine writes and the meta-index reads.
+// equality lookup, answered by a scan — and a compact binary persistence
+// format: what the Feature Detector Engine writes and the meta-index reads.
 package store
 
 import (
@@ -160,17 +159,15 @@ func (c *colData) get(i int) Value {
 	}
 }
 
-// Table is a columnar table with optional secondary hash indexes.
+// Table is a columnar table.
 //
 // Concurrency: a Table supports any number of concurrent readers (Get, Row,
-// Lookup, Len) provided no writer (Append, CreateHashIndex) runs at the same
-// time. Readers mutate nothing, so they take no lock.
+// Lookup, Len) provided no writer (Append) runs at the same time. Readers
+// mutate nothing, so they take no lock.
 type Table struct {
 	schema Schema
 	cols   []colData
 	n      int
-
-	hashIdx map[int]map[string][]int // colIdx -> key -> rows, in row order
 }
 
 // NewTable allocates an empty table for the schema.
@@ -220,13 +217,7 @@ func (t *Table) Append(row ...Value) error {
 			return err
 		}
 	}
-	rowIdx := t.n
 	t.n++
-	// Maintain indexes incrementally.
-	for ci, m := range t.hashIdx {
-		k := t.cols[ci].get(rowIdx).String()
-		m[k] = append(m[k], rowIdx)
-	}
 	return nil
 }
 
@@ -254,8 +245,7 @@ func (t *Table) Row(i int) ([]Value, error) {
 }
 
 // Lookup returns the rows whose value in column col equals v, in ascending
-// row order: a hash probe when the column is indexed, a scan otherwise. The
-// slice belongs to the caller.
+// row order: a scan. The slice belongs to the caller.
 func (t *Table) Lookup(col string, v Value) ([]int, error) {
 	ci := t.schema.Col(col)
 	if ci < 0 {
@@ -265,10 +255,6 @@ func (t *Table) Lookup(col string, v Value) ([]int, error) {
 		return nil, fmt.Errorf("%w: lookup on %q got %s want %s",
 			ErrTypeClash, col, v.T, t.cols[ci].typ)
 	}
-	if m, ok := t.hashIdx[ci]; ok {
-		// Candidate lists are appended in row order, so they are sorted.
-		return append([]int(nil), m[v.String()]...), nil
-	}
 	var out []int
 	for row := 0; row < t.n; row++ {
 		if t.cols[ci].get(row).Equal(v) {
@@ -276,25 +262,6 @@ func (t *Table) Lookup(col string, v Value) ([]int, error) {
 		}
 	}
 	return out, nil
-}
-
-// CreateHashIndex builds (or rebuilds) a hash index on the column, which
-// Lookup then probes instead of scanning.
-func (t *Table) CreateHashIndex(col string) error {
-	ci := t.schema.Col(col)
-	if ci < 0 {
-		return fmt.Errorf("%w: %q", ErrNoColumn, col)
-	}
-	m := make(map[string][]int)
-	for row := 0; row < t.n; row++ {
-		k := t.cols[ci].get(row).String()
-		m[k] = append(m[k], row)
-	}
-	if t.hashIdx == nil {
-		t.hashIdx = map[int]map[string][]int{}
-	}
-	t.hashIdx[ci] = m
-	return nil
 }
 
 // DB is a named collection of tables.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -134,57 +133,6 @@ func TestSelectErrors(t *testing.T) {
 	}
 }
 
-func TestHashIndexMatchesScan(t *testing.T) {
-	tbl, _ := NewTable(playerSchema())
-	fillPlayers(t, tbl)
-	scan, _ := tbl.Lookup("lefty", Bool(true))
-	if err := tbl.CreateHashIndex("lefty"); err != nil {
-		t.Fatal(err)
-	}
-	idx, _ := tbl.Lookup("lefty", Bool(true))
-	if !reflect.DeepEqual(scan, idx) {
-		t.Fatalf("hash index %v != scan %v", idx, scan)
-	}
-	// Index maintained across appends.
-	_ = tbl.Append(Int(6), Str("sabatini"), Float(6), Bool(true))
-	idx, _ = tbl.Lookup("lefty", Bool(true))
-	if !reflect.DeepEqual(idx, []int{2, 4, 5}) {
-		t.Fatalf("post-append hash rows = %v", idx)
-	}
-	// The caller owns the slice: writing it must not reach the index.
-	idx[0] = 99
-	if again, _ := tbl.Lookup("lefty", Bool(true)); !reflect.DeepEqual(again, []int{2, 4, 5}) {
-		t.Fatalf("caller's write leaked into the index: %v", again)
-	}
-}
-
-// Property: for random data, the hash probe equals the scan.
-func TestIndexEquivalenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		plain, _ := NewTable(Schema{Name: "t", Columns: []Column{{Name: "k", Type: TInt}}})
-		indexed, _ := NewTable(Schema{Name: "t", Columns: []Column{{Name: "k", Type: TInt}}})
-		_ = indexed.CreateHashIndex("k")
-		for i := 0; i < 200; i++ {
-			v := Int(int64(rng.Intn(20)))
-			_ = plain.Append(v)
-			_ = indexed.Append(v)
-		}
-		for i := 0; i < 6; i++ {
-			val := Int(int64(rng.Intn(22))) // 20 and 21 are never stored
-			a, _ := plain.Lookup("k", val)
-			b, _ := indexed.Lookup("k", val)
-			if !reflect.DeepEqual(a, b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValueOrderingAndEquality(t *testing.T) {
 	if !Int(1).Equal(Int(1)) || Int(1).Equal(Int(2)) {
 		t.Fatal("int equality broken")
@@ -257,8 +205,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if v.F != 99*0.25 {
 		t.Fatalf("float round trip = %v", v.F)
 	}
-	// Indexes still work after load.
-	_ = gp.CreateHashIndex("name")
+	// Lookups still work after load.
 	rows, _ := gp.Lookup("name", Str("seles"))
 	if !reflect.DeepEqual(rows, []int{2}) {
 		t.Fatalf("post-load lookup = %v", rows)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — build dlserve, start it on a random port, hit /healthz
 # and the /v2 surface (/v2/search pagination — combined and ranked lanes —
-# explain, SIGHUP hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and check it
+# explain, /v2/commit, /v2/compact, SIGHUP hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and check it
 # exits 0. Run via `make serve-smoke`; CI runs it alongside the race job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -130,6 +130,36 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     "http://127.0.0.1:$port/v2/commit" -d '{"paths":[]}')
 [ "$code" = 400 ] || { echo "serve-smoke: empty commit got $code" >&2; exit 1; }
 
+# normalize strips the per-request fields (timing, snapshot id, cache hit,
+# opaque cursor) so two answers can be compared bytewise.
+normalize() {
+    sed -E 's/"tookMs":[0-9.]+,?//g; s/"snapshot":[0-9]+,?//g; s/"cached":(true|false),?//g; s/"cursor":"[^"]*",?//g'
+}
+
+echo "--- POST /v2/compact (two segments -> one, answers unchanged)"
+# The vector lane ranks the committed video's embedding beside the pages,
+# so it reads both segments' rows, like the scene lookup.
+answers() {
+    curl -fsS --get "http://127.0.0.1:$port/v2/search" --data-urlencode 'kind=rally' | normalize >"$tmp/rally.$1"
+    curl -fsS --get "http://127.0.0.1:$port/v2/search" \
+        --data-urlencode 'kw=rally serve tennis' --data-urlencode 'kind=vector' | normalize >"$tmp/vector.$1"
+}
+answers before
+grep -q '"total":[1-9]' "$tmp/rally.before"
+grep -q '"page":"video/clip-000"' "$tmp/vector.before"
+compact=$(curl -fsS -X POST "http://127.0.0.1:$port/v2/compact")
+echo "$compact"
+echo "$compact" | grep -q '"segments":1'
+metrics=$(curl -fsS "http://127.0.0.1:$port/metrics")
+echo "$metrics" | grep -q '^dl_active_segments 1'
+echo "$metrics" | grep -q '^dl_compactions_total 1'
+answers after
+for a in rally vector; do
+    cmp "$tmp/$a.before" "$tmp/$a.after" || {
+        echo "serve-smoke: compaction changed the $a answer" >&2; exit 1; }
+    echo "match: $a"
+done
+
 echo "--- SIGHUP hot reload"
 kill -HUP "$pid"
 sleep 0.3
@@ -203,12 +233,6 @@ start_server "$tmp/log-heap" "$tmp/info-heap" -meta "$tmp/meta.segf"
 read -r sf_pid sf_port <"$tmp/info-segf"
 read -r hp_pid hp_port <"$tmp/info-heap"
 trap 'kill "$sf_pid" "$hp_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-
-# normalize strips the per-request fields (timing, snapshot id, cache hit,
-# opaque cursor) so the two servers' answers can be compared bytewise.
-normalize() {
-    sed -E 's/"tookMs":[0-9.]+,?//g; s/"snapshot":[0-9]+,?//g; s/"cached":(true|false),?//g; s/"cursor":"[^"]*",?//g'
-}
 
 echo "--- /v2/search parity: mapped vs heap text index"
 for q in 'q=find Player where sex = "female"' 'kw=australian final' 'kind=rally'; do
