@@ -15,9 +15,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Time-boxed run of every fuzz target (go test -fuzz takes one target and
-# one package at a time). The segfile openers are the only door persisted
-# bytes come in through, the query parser and cursor decoder the only ones
+# Time-boxed run of the eight fuzz targets (go test -fuzz takes one target
+# and one package at a time). The segfile openers are the only door persisted
+# bytes come in through (FuzzMetaSegfileOpen also feeds its input to the
+# meta-index table decoder), the query parser and cursor decoder the only ones
 # for request text, and the SVF decoder the one for the video a commit names;
 # FuzzAnalyze holds the build's one-analysis path to the query-side chain.
 fuzz-smoke:
@@ -27,7 +28,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSegfileOpen$$' -fuzztime=5s ./internal/ir
 	$(GO) test -run=NONE -fuzz='^FuzzVecSegfileOpen$$' -fuzztime=5s ./internal/vec
 	$(GO) test -run=NONE -fuzz='^FuzzMetaSegfileOpen$$' -fuzztime=5s ./internal/core
-	$(GO) test -run=NONE -fuzz='^FuzzDeserialize$$' -fuzztime=5s ./internal/store
 	$(GO) test -run=NONE -fuzz='^FuzzParseRequest$$' -fuzztime=5s ./internal/dlse
 	$(GO) test -run=NONE -fuzz='^FuzzCursor$$' -fuzztime=5s ./internal/dlse
 

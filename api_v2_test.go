@@ -34,30 +34,18 @@ func v2Library(t testing.TB, site *Site, extraEvents int) *Library {
 	idx := lib.Index()
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
-		id, err := idx.AddVideo(Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := idx.AddSegment(Segment{VideoID: id, Interval: Interval{Start: 0, End: 200}, Class: "tennis"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.AddEvent(Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: Interval{Start: 120, End: 180}, Confidence: 0.9}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.AddEvent(Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: Interval{Start: 0, End: 100}, Confidence: 0.8}); err != nil {
-			t.Fatal(err)
-		}
+		id := idx.AddVideo(Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
+		seg := idx.AddSegment(Segment{VideoID: id, Interval: Interval{Start: 0, End: 200}, Class: "tennis"})
+		idx.AddEvent(Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: Interval{Start: 120, End: 180}, Confidence: 0.9})
+		idx.AddEvent(Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
 	vids, err := idx.Videos()
 	if err != nil || len(vids) == 0 {
 		t.Fatalf("videos: %v", err)
 	}
 	for i := 0; i < extraEvents; i++ {
-		if _, err := idx.AddEvent(Event{VideoID: vids[0].ID, Kind: "net-play",
-			Interval: Interval{Start: 300 + 10*i, End: 305 + 10*i}, Confidence: 0.5}); err != nil {
-			t.Fatal(err)
-		}
+		idx.AddEvent(Event{VideoID: vids[0].ID, Kind: "net-play",
+			Interval: Interval{Start: 300 + 10*i, End: 305 + 10*i}, Confidence: 0.5})
 	}
 	return lib
 }

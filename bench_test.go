@@ -1005,45 +1005,32 @@ func coldCorpusParts(nseg int) ([]*core.MetaIndex, []core.SegmentMeta) {
 			panic(err)
 		}
 		for v := 0; v < per; v++ {
-			vid, err := p.AddVideo(core.Video{
+			vid := p.AddVideo(core.Video{
 				Name: fmt.Sprintf("bench-%04d", seq), Path: fmt.Sprintf("/corpus/b%04d.svf", seq),
 				Width: 160, Height: 120, FPS: 25, Frames: 2400,
 			})
-			if err != nil {
-				panic(err)
-			}
 			for s := 0; s < 8; s++ {
 				iv := core.Interval{Start: 300 * s, End: 300 * (s + 1)}
 				class := "tennis"
 				if s%3 == 2 {
 					class = "close-up"
 				}
-				seg, err := p.AddSegment(core.Segment{VideoID: vid, Interval: iv, Class: class})
-				if err != nil {
-					panic(err)
-				}
-				obj, err := p.AddObject(core.Object{
+				seg := p.AddSegment(core.Segment{VideoID: vid, Interval: iv, Class: class})
+				obj := p.AddObject(core.Object{
 					VideoID: vid, SegmentID: seg, Name: "player", Interval: iv,
 				})
-				if err != nil {
-					panic(err)
-				}
 				for f := 0; f < 24; f++ {
-					if err := p.AddState(core.ObjectState{
+					p.AddState(core.ObjectState{
 						ObjectID: obj, Frame: iv.Start + 12*f, Found: true,
 						X: float64(10 + f), Y: float64(20 + s), Area: 40 + f,
-					}); err != nil {
-						panic(err)
-					}
+					})
 				}
 				for e := 0; e < 4; e++ {
-					if _, err := p.AddEvent(core.Event{
+					p.AddEvent(core.Event{
 						VideoID: vid, SegmentID: seg, Kind: kinds[(s+e)%len(kinds)],
 						ActorID: obj, Interval: core.Interval{Start: iv.Start + 60*e, End: iv.Start + 60*e + 40},
 						Confidence: 0.5 + float64(e)/10,
-					}); err != nil {
-						panic(err)
-					}
+					})
 				}
 			}
 			seq++
@@ -1305,17 +1292,9 @@ func serveFixture(b *testing.B) (*dlse.Engine, *webspace.Site) {
 		}
 		for _, vid := range site.W.All("Video") {
 			vo, _ := site.W.Get(vid)
-			id, err := idx.AddVideo(core.Video{Name: vo.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
-			if err != nil {
-				panic(err)
-			}
-			seg, err := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
-			if err != nil {
-				panic(err)
-			}
-			if _, err := idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9}); err != nil {
-				panic(err)
-			}
+			id := idx.AddVideo(core.Video{Name: vo.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
+			seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
+			idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 		}
 		eng, err := dlse.New(site, idx)
 		if err != nil {
@@ -1500,13 +1479,8 @@ func BenchmarkEngineWithVideo(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	id, err := seg.AddVideo(core.Video{Name: "committed-final", FPS: 25, Frames: 96})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5}); err != nil {
-		b.Fatal(err)
-	}
+	id := seg.AddVideo(core.Video{Name: "committed-final", FPS: 25, Frames: 96})
+	seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5})
 	metas := vi.Metas()
 	view, err := core.NewSegmentedIndex([]*core.MetaIndex{base, seg},
 		append(metas, core.SegmentMeta{ID: metas[0].ID + 1, Base: base.IDState()}), vi.Generation()+1)
@@ -1534,22 +1508,14 @@ func BenchmarkEventsRelated(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
 	kinds := []string{"rally", "net-play", "service"}
 	for v := 0; v < 8; v++ {
-		vid, err := idx.AddVideo(core.Video{Name: "v", Frames: 100000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		seg, err := idx.AddSegment(core.Segment{VideoID: vid, Interval: core.Interval{Start: 0, End: 100000}, Class: "tennis"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		vid := idx.AddVideo(core.Video{Name: "v", Frames: 100000})
+		seg := idx.AddSegment(core.Segment{VideoID: vid, Interval: core.Interval{Start: 0, End: 100000}, Class: "tennis"})
 		for e := 0; e < 500; e++ {
 			start := rng.Intn(99000)
-			if _, err := idx.AddEvent(core.Event{
+			idx.AddEvent(core.Event{
 				VideoID: vid, SegmentID: seg, Kind: kinds[rng.Intn(len(kinds))],
 				Interval: core.Interval{Start: start, End: start + 1 + rng.Intn(400)},
-			}); err != nil {
-				b.Fatal(err)
-			}
+			})
 		}
 	}
 	wanted := []core.AllenRelation{core.RelDuring, core.RelStarts, core.RelFinishes, core.RelEquals}
@@ -1602,9 +1568,7 @@ func BenchmarkSceneJoin(b *testing.B) {
 				// Invalidate every partition's view; features are not read
 				// by the view build, so the corpus answer is unchanged.
 				for _, p := range parts {
-					if err := p.AddFeature(core.FeatureValue{Name: "bump"}); err != nil {
-						b.Fatal(err)
-					}
+					p.AddFeature(core.FeatureValue{Name: "bump"})
 				}
 				if _, err := si.Scenes(kinds[i%len(kinds)]); err != nil {
 					b.Fatal(err)

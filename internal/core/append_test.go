@@ -8,49 +8,33 @@ import (
 )
 
 // materializeVideo writes one deterministic synthetic video into idx,
-// exercising every table, and returns the assigned video ID.
-func materializeVideo(idx *MetaIndex, j int) (int64, error) {
-	vid, err := idx.AddVideo(Video{
+// exercising every table.
+func materializeVideo(idx *MetaIndex, j int) {
+	vid := idx.AddVideo(Video{
 		Name: fmt.Sprintf("v%02d", j), Path: fmt.Sprintf("v%02d.svf", j),
 		Width: 32, Height: 24, FPS: 25, Frames: 100 + j,
 	})
-	if err != nil {
-		return 0, err
-	}
-	sid, err := idx.AddSegment(Segment{
+	sid := idx.AddSegment(Segment{
 		VideoID: vid, Interval: Interval{Start: 0, End: 50 + j}, Class: "tennis",
 	})
-	if err != nil {
-		return 0, err
-	}
-	oid, err := idx.AddObject(Object{
+	oid := idx.AddObject(Object{
 		VideoID: vid, SegmentID: sid, Name: "player-near",
 		Interval: Interval{Start: 0, End: 50 + j},
 	})
-	if err != nil {
-		return 0, err
-	}
 	for f := 0; f < 3; f++ {
-		if err := idx.AddState(ObjectState{
+		idx.AddState(ObjectState{
 			ObjectID: oid, Frame: f, Found: true,
 			X: float64(j) + float64(f)/10, Y: float64(j),
 			Area: 10 * j, BBox: [4]int{j, j, j + 4, j + 6},
-		}); err != nil {
-			return 0, err
-		}
+		})
 	}
-	if err := idx.AddFeature(FeatureValue{
+	idx.AddFeature(FeatureValue{
 		VideoID: vid, Frame: j, Name: "entropy", Value: float64(j) / 7,
-	}); err != nil {
-		return 0, err
-	}
-	if _, err := idx.AddEvent(Event{
+	})
+	idx.AddEvent(Event{
 		VideoID: vid, SegmentID: sid, Kind: "rally",
 		Interval: Interval{Start: 1, End: 40}, ActorID: oid, Confidence: 0.9,
-	}); err != nil {
-		return 0, err
-	}
-	return vid, nil
+	})
 }
 
 func serializeBytes(t *testing.T, idx *MetaIndex) []byte {
@@ -73,9 +57,7 @@ func TestAppendMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < n; j++ {
-		if _, err := materializeVideo(seq, j); err != nil {
-			t.Fatal(err)
-		}
+		materializeVideo(seq, j)
 	}
 	want := serializeBytes(t, seq)
 
@@ -87,7 +69,7 @@ func TestAppendMatchesSequential(t *testing.T) {
 		go func(j int) {
 			defer wg.Done()
 			if parts[j], errs[j] = NewMetaIndex(); errs[j] == nil {
-				_, errs[j] = materializeVideo(parts[j], j)
+				materializeVideo(parts[j], j)
 			}
 		}(j)
 	}
@@ -100,9 +82,7 @@ func TestAppendMatchesSequential(t *testing.T) {
 		if errs[j] != nil {
 			t.Fatalf("build %d: %v", j, errs[j])
 		}
-		if err := dst.Append(parts[j], IDBase{}); err != nil {
-			t.Fatalf("append %d: %v", j, err)
-		}
+		dst.Append(parts[j], IDBase{})
 	}
 	if got := serializeBytes(t, dst); !bytes.Equal(got, want) {
 		t.Fatalf("merged serialization differs from sequential (%d vs %d bytes)", len(got), len(want))
@@ -116,21 +96,15 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := materializeVideo(dst, 99); err != nil {
-		t.Fatal(err)
-	}
+	materializeVideo(dst, 99)
 	ids := map[int]int64{}
 	for j := 0; j < 3; j++ {
 		src, err := NewMetaIndex()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := materializeVideo(src, j); err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Append(src, IDBase{}); err != nil {
-			t.Fatal(err)
-		}
+		materializeVideo(src, j)
+		dst.Append(src, IDBase{})
 		ids[j] = dst.IDState().Video
 	}
 	// Sequence order continues after the pre-existing video.
@@ -164,12 +138,8 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.AddEvent(Event{VideoID: 1, SegmentID: 1, Kind: "service"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Append(src, IDBase{}); err != nil {
-		t.Fatal(err)
-	}
+	src.AddEvent(Event{VideoID: 1, SegmentID: 1, Kind: "service"})
+	dst.Append(src, IDBase{})
 	if evs, err := dst.EventsByKind("service"); err != nil || len(evs) != 1 || evs[0].ActorID != 0 || evs[0].ID != 5 {
 		t.Fatalf("actorless event appended as %+v (%v)", evs, err)
 	}

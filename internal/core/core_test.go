@@ -127,41 +127,25 @@ func buildIndex(t *testing.T) *MetaIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid, err := m.AddVideo(Video{Name: "final-2001", Path: "/tmp/final.svf", Width: 160, Height: 120, FPS: 25, Frames: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vid2, _ := m.AddVideo(Video{Name: "semi-2001", Width: 160, Height: 120, FPS: 25, Frames: 300})
+	vid := m.AddVideo(Video{Name: "final-2001", Path: "/tmp/final.svf", Width: 160, Height: 120, FPS: 25, Frames: 500})
+	vid2 := m.AddVideo(Video{Name: "semi-2001", Width: 160, Height: 120, FPS: 25, Frames: 300})
 
-	seg1, err := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 100}, Class: "tennis"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg2, _ := m.AddSegment(Segment{VideoID: vid, Interval: Interval{100, 150}, Class: "close-up"})
-	seg3, _ := m.AddSegment(Segment{VideoID: vid2, Interval: Interval{0, 80}, Class: "tennis"})
-	_ = seg2
+	seg1 := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 100}, Class: "tennis"})
+	m.AddSegment(Segment{VideoID: vid, Interval: Interval{100, 150}, Class: "close-up"})
+	seg3 := m.AddSegment(Segment{VideoID: vid2, Interval: Interval{0, 80}, Class: "tennis"})
 
-	obj, err := m.AddObject(Object{VideoID: vid, SegmentID: seg1, Name: "player-near", Interval: Interval{0, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := m.AddObject(Object{VideoID: vid, SegmentID: seg1, Name: "player-near", Interval: Interval{0, 100}})
 	for f := 0; f < 10; f++ {
-		if err := m.AddState(ObjectState{
+		m.AddState(ObjectState{
 			ObjectID: obj, Frame: f, Found: true,
 			X: float64(f) * 2, Y: 100, Area: 120,
 			BBox: [4]int{10, 20, 30, 60}, Orientation: 1.5, Eccentricity: 0.9,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
-	if _, err := m.AddEvent(Event{VideoID: vid, SegmentID: seg1, Kind: "net-play", Interval: Interval{60, 100}, ActorID: obj, Confidence: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = m.AddEvent(Event{VideoID: vid, SegmentID: seg1, Kind: "rally", Interval: Interval{0, 40}, ActorID: obj, Confidence: 0.8})
-	_, _ = m.AddEvent(Event{VideoID: vid2, SegmentID: seg3, Kind: "net-play", Interval: Interval{10, 50}, Confidence: 0.7})
-	if err := m.AddFeature(FeatureValue{VideoID: vid, Frame: 0, Name: "entropy", Value: 4.2}); err != nil {
-		t.Fatal(err)
-	}
+	m.AddEvent(Event{VideoID: vid, SegmentID: seg1, Kind: "net-play", Interval: Interval{60, 100}, ActorID: obj, Confidence: 0.9})
+	_ = m.AddEvent(Event{VideoID: vid, SegmentID: seg1, Kind: "rally", Interval: Interval{0, 40}, ActorID: obj, Confidence: 0.8})
+	_ = m.AddEvent(Event{VideoID: vid2, SegmentID: seg3, Kind: "net-play", Interval: Interval{10, 50}, Confidence: 0.7})
+	m.AddFeature(FeatureValue{VideoID: vid, Frame: 0, Name: "entropy", Value: 4.2})
 	return m
 }
 
@@ -239,7 +223,7 @@ func TestMetaIndexPersistence(t *testing.T) {
 	if err := m.Serialize(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DeserializeMetaIndex(&buf)
+	got, err := DeserializeMetaIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,17 +236,14 @@ func TestMetaIndexPersistence(t *testing.T) {
 		t.Fatalf("post-load Scenes = %v, %v", scenes, err)
 	}
 	// ID counters resume correctly: a new video gets a fresh ID.
-	id, err := got.AddVideo(Video{Name: "fresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := got.AddVideo(Video{Name: "fresh"})
 	if id != 3 {
 		t.Fatalf("resumed video id = %d, want 3", id)
 	}
 }
 
 func TestDeserializeGarbage(t *testing.T) {
-	if _, err := DeserializeMetaIndex(bytes.NewReader([]byte("oops"))); err == nil {
+	if _, err := DeserializeMetaIndex([]byte("oops")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -35,13 +35,10 @@ type EventPair struct {
 // EventsByKind(kindB).
 //
 // Both operands and their per-video groupings come precomputed from the
-// frozen columnar view, so a hot call does no store reads, no grouping and
+// frozen columnar view, so a hot call does no table scans, no grouping and
 // no sorting beyond the final scan-order restore.
 func (m *MetaIndex) EventsRelated(kindA, kindB string, wanted ...AllenRelation) ([]EventPair, error) {
-	v, err := m.frozenView()
-	if err != nil {
-		return nil, fmt.Errorf("core: composite query: %w", err)
-	}
+	v := m.frozenView()
 	as, _, _ := v.kindEvents(kindA)
 	_, byVideo, groups := v.kindEvents(kindB)
 	want := map[AllenRelation]bool{}
@@ -238,10 +235,7 @@ func (m *MetaIndex) EventsFollowing(kindA, kindB string, maxGap int) ([]EventPai
 	if maxGap < 0 {
 		return nil, fmt.Errorf("core: negative gap %d", maxGap)
 	}
-	v, err := m.frozenView()
-	if err != nil {
-		return nil, fmt.Errorf("core: composite query: %w", err)
-	}
+	v := m.frozenView()
 	as, _, _ := v.kindEvents(kindA)
 	_, _, groups := v.kindEvents(kindB)
 	return followingSweep(as, groups, kindA == kindB, maxGap), nil

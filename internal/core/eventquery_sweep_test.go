@@ -18,14 +18,8 @@ func randomEventIndex(t testing.TB, seed int64, videos, eventsPerVideo int) *Met
 	rng := rand.New(rand.NewSource(seed))
 	kinds := []string{"rally", "net-play", "service"}
 	for v := 0; v < videos; v++ {
-		vid, err := m.AddVideo(Video{Name: "v", Frames: 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 1000}, Class: "tennis"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		vid := m.AddVideo(Video{Name: "v", Frames: 1000})
+		seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 1000}, Class: "tennis"})
 		for e := 0; e < eventsPerVideo; e++ {
 			start := rng.Intn(900)
 			length := rng.Intn(120) // 0 allowed: empty intervals must agree too
@@ -34,9 +28,7 @@ func randomEventIndex(t testing.TB, seed int64, videos, eventsPerVideo int) *Met
 				Kind:     kinds[rng.Intn(len(kinds))],
 				Interval: Interval{Start: start, End: start + length},
 			}
-			if _, err := m.AddEvent(ev); err != nil {
-				t.Fatal(err)
-			}
+			m.AddEvent(ev)
 		}
 	}
 	return m
@@ -144,14 +136,12 @@ func TestMetaIndexVersion(t *testing.T) {
 	if v := m.Version(); v != 0 {
 		t.Fatalf("fresh index version = %d", v)
 	}
-	vid, _ := m.AddVideo(Video{Name: "x", Frames: 10})
+	vid := m.AddVideo(Video{Name: "x", Frames: 10})
 	if v := m.Version(); v != 1 {
 		t.Fatalf("after AddVideo version = %d", v)
 	}
-	seg, _ := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 10}, Class: "tennis"})
-	if _, err := m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{0, 5}}); err != nil {
-		t.Fatal(err)
-	}
+	seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 10}, Class: "tennis"})
+	m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{0, 5}})
 	if v := m.Version(); v != 3 {
 		t.Fatalf("after 3 writes version = %d", v)
 	}

@@ -13,14 +13,12 @@ func eventFixture(t *testing.T) *MetaIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, _ := m.AddVideo(Video{Name: "a", Frames: 300})
-	v2, _ := m.AddVideo(Video{Name: "b", Frames: 100})
-	s1, _ := m.AddSegment(Segment{VideoID: v1, Interval: Interval{0, 300}, Class: "tennis"})
-	s2, _ := m.AddSegment(Segment{VideoID: v2, Interval: Interval{0, 100}, Class: "tennis"})
+	v1 := m.AddVideo(Video{Name: "a", Frames: 300})
+	v2 := m.AddVideo(Video{Name: "b", Frames: 100})
+	s1 := m.AddSegment(Segment{VideoID: v1, Interval: Interval{0, 300}, Class: "tennis"})
+	s2 := m.AddSegment(Segment{VideoID: v2, Interval: Interval{0, 100}, Class: "tennis"})
 	add := func(vid, seg int64, kind string, start, end int) {
-		if _, err := m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: kind, Interval: Interval{start, end}}); err != nil {
-			t.Fatal(err)
-		}
+		m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: kind, Interval: Interval{start, end}})
 	}
 	add(v1, s1, "rally", 0, 100)
 	add(v1, s1, "net-play", 40, 60)

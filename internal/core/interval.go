@@ -3,9 +3,9 @@
 // with MPEG-7 — four layers: the raw data, the feature, the object, and the
 // event layer. Objects are entities with a prominent spatial dimension
 // (e.g. a tennis player), events entities with a prominent temporal
-// dimension (e.g. a net-play). The package also provides the meta-index, a
-// column-store-backed database of all extracted meta-data, which the
-// Feature Detector Engine populates and the digital-library search engine
+// dimension (e.g. a net-play). The package also provides the meta-index,
+// six typed tables of all extracted meta-data, which the Feature Detector
+// Engine populates and the digital-library search engine
 // queries.
 package core
 

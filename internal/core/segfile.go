@@ -3,16 +3,16 @@ package core
 // Segfile persistence for the segmented meta-index: the same container
 // format the IR kernel uses (internal/segfile), holding a checksummed
 // manifest block — segment IDs, ID bases, generation, and per-segment row
-// counts — plus one column-store block per segment. Opening parses and
+// counts — plus one table-stream block per segment. Opening parses and
 // verifies ONLY the manifest: each segment's block is decoded on first
 // touch (a segset.Cell per segment), so cold start is O(segments), a process
 // serving only scene-free queries never decodes video metadata at all, and
 // under mmap the undecoded blocks are never even paged in.
 //
-// Each segment's payload is the column store's stream encoding
-// (store.Serialize bytes, one database per block), so a decoded segment is
-// row for row the MetaIndex that was written and segfile-loaded query
-// answers are byte-identical to the heap path.
+// Each segment's payload is its MetaIndex's Serialize bytes (the stream
+// format of tables.go), so a decoded segment is row for row the MetaIndex
+// that was written and segfile-loaded query answers are byte-identical to
+// the heap path.
 
 import (
 	"bytes"
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/segfile"
 	"repro/internal/segset"
-	"repro/internal/store"
 )
 
 const (
@@ -40,9 +39,15 @@ const (
 )
 
 // WriteSegfile persists a segmented library in segfile form: manifest
-// block first, then each partition's column-store bytes as its own block.
+// block first, then each partition's Serialize bytes as its own block.
 // The write streams through w in one forward pass (SaveIndex compatible).
 func WriteSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int64) error {
+	return writeSegfile(w, parts, metas, gen, tables[:])
+}
+
+// writeSegfile is WriteSegfile with each partition encoded under the given
+// table declarations.
+func writeSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int64, ts []tableCodec) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("core: segfile needs at least one partition")
 	}
@@ -70,11 +75,7 @@ func WriteSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int6
 		return err
 	}
 	for i, p := range parts {
-		var buf bytes.Buffer
-		if err := p.Serialize(&buf); err != nil {
-			return fmt.Errorf("core: segment %d: %w", metas[i].ID, err)
-		}
-		if err := sw.Block(fmt.Sprintf(sfSegPattern, i), buf.Bytes()); err != nil {
+		if err := sw.Block(fmt.Sprintf(sfSegPattern, i), encodeTables(nil, p, ts)); err != nil {
 			return err
 		}
 	}
@@ -207,11 +208,7 @@ func decodeSegment(r *segfile.Reader, name string, meta SegmentMeta, want Stats)
 	if err != nil {
 		return nil, err
 	}
-	db, err := store.Deserialize(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("core: segment %d: %w", meta.ID, err)
-	}
-	m, err := metaIndexFromDB(db)
+	m, err := DeserializeMetaIndex(b)
 	if err != nil {
 		return nil, fmt.Errorf("core: segment %d: %w", meta.ID, err)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/segfile"
-	"repro/internal/store"
 )
 
 func coreSegfileBytes(t testing.TB, parts []*MetaIndex, metas []SegmentMeta, gen int64) []byte {
@@ -255,53 +254,51 @@ func TestSegfileLibraryHostile(t *testing.T) {
 }
 
 // misshapenSegfile is a checksum-valid one-segment segfile holding one
-// video in a videos table whose columns were changed by reshape: it passes
-// every container and column-store check, so only the decoder's schema
-// check stands between it and the row decoders, which read cells by
-// position.
-func misshapenSegfile(tb testing.TB, reshape func([]store.Column) []store.Column) []byte {
+// video, with its stream encoded under the declarations reshape returns:
+// it passes every container check and the manifest's row counts, so only
+// the stream decoder stands between it and a hydrated index.
+func misshapenSegfile(tb testing.TB, reshape func([]tableCodec) []tableCodec) []byte {
 	tb.Helper()
-	ref, err := NewMetaIndex()
+	m, err := NewMetaIndex()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bad := &MetaIndex{db: store.NewDB()}
-	for _, f := range []struct{ dst, src **store.Table }{
-		{&bad.videos, &ref.videos}, {&bad.segments, &ref.segments}, {&bad.features, &ref.features},
-		{&bad.objects, &ref.objects}, {&bad.states, &ref.states}, {&bad.events, &ref.events},
-	} {
-		s := (*f.src).Schema()
-		if s.Name == "videos" {
-			s.Columns = reshape(append([]store.Column(nil), s.Columns...))
-		}
-		if *f.dst, err = bad.db.Create(s); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	row := make([]store.Value, len(bad.videos.Schema().Columns))
-	for i, c := range bad.videos.Schema().Columns {
-		row[i] = store.Value{T: c.Type, I: 1, S: "final", F: 1, B: true}
-	}
-	if err := bad.videos.Append(row...); err != nil {
+	m.AddVideo(Video{Name: "final", Path: "final.svf", Width: 1, Height: 1, FPS: 1, Frames: 1})
+	var buf bytes.Buffer
+	if err := writeSegfile(&buf, []*MetaIndex{m}, []SegmentMeta{{ID: 1}}, 1, reshape(append([]tableCodec(nil), tables[:]...))); err != nil {
 		tb.Fatal(err)
 	}
-	return coreSegfileBytes(tb, []*MetaIndex{bad}, []SegmentMeta{{ID: 1}}, 1)
+	return buf.Bytes()
 }
 
-// TestSegfileMisshapenTables: a segment whose tables decode but do not have
-// the meta-index's columns — too few, a wrong type, a wrong order — fails
-// the first read with an error instead of panicking in the row decoders.
+// reshapeVideos returns a reshape that changes the videos table's columns.
+func reshapeVideos(f func([]column[Video]) []column[Video]) func([]tableCodec) []tableCodec {
+	return func(ts []tableCodec) []tableCodec {
+		for i, t := range ts {
+			if v, ok := t.(*table[Video]); ok {
+				w := *v
+				w.cols = f(append([]column[Video](nil), v.cols...))
+				ts[i] = &w
+			}
+		}
+		return ts
+	}
+}
+
+// TestSegfileMisshapenTables: a segment whose videos table does not have
+// the declared columns — too few, a wrong type, a wrong order — fails the
+// first read with an error naming the table instead of decoding garbage.
 func TestSegfileMisshapenTables(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		reshape func([]store.Column) []store.Column
+		reshape func([]column[Video]) []column[Video]
 	}{
-		{"truncated", func(c []store.Column) []store.Column { return c[:2] }},
-		{"retyped", func(c []store.Column) []store.Column { c[2].Type = store.TInt; return c }},
-		{"reordered", func(c []store.Column) []store.Column { c[3], c[4] = c[4], c[3]; return c }},
+		{"truncated", func(c []column[Video]) []column[Video] { return c[:2] }},
+		{"retyped", func(c []column[Video]) []column[Video] { c[2].field = c[3].field; return c }},
+		{"reordered", func(c []column[Video]) []column[Video] { c[3], c[4] = c[4], c[3]; return c }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lib, err := OpenSegfileBytes(misshapenSegfile(t, tc.reshape))
+			lib, err := OpenSegfileBytes(misshapenSegfile(t, reshapeVideos(tc.reshape)))
 			if err != nil {
 				t.Fatal(err) // the manifest is sound; decoding is lazy
 			}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/segset"
-	"repro/internal/store"
 )
 
 // IDBase is the state of the meta-index ID counters at a segment boundary:
@@ -203,7 +202,7 @@ func (s *SegmentedIndex) VideoByID(id int64) (Video, error) {
 }
 
 // VideoByName returns the video with the given name (first match in
-// segment order, like the monolithic index's row order). Real storage
+// segment order, like the monolithic index's row order). Partition decode
 // errors propagate; only a genuinely absent name reports not-found.
 func (s *SegmentedIndex) VideoByName(name string) (Video, error) {
 	for i := range s.parts {
@@ -211,12 +210,8 @@ func (s *SegmentedIndex) VideoByName(name string) (Video, error) {
 		if err != nil {
 			return Video{}, err
 		}
-		rows, err := p.videos.Lookup("name", store.Str(name))
-		if err != nil {
-			return Video{}, err
-		}
-		if len(rows) > 0 {
-			return p.videoAt(rows[0])
+		if v, err := p.VideoByName(name); err == nil {
+			return v, nil
 		}
 	}
 	return Video{}, fmt.Errorf("core: no video named %q", name)
@@ -286,9 +281,7 @@ func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*
 			return nil, SegmentMeta{}, fmt.Errorf("core: segment %d starts at IDs %+v, not where the range reached (%+v)",
 				metas[i].ID, metas[i].Base, dst.ids)
 		}
-		if err := dst.Append(parts[i], metas[i].Base); err != nil {
-			return nil, SegmentMeta{}, fmt.Errorf("core: compacting segment %d: %w", metas[i].ID, err)
-		}
+		dst.Append(parts[i], metas[i].Base)
 	}
 	return dst, SegmentMeta{ID: metas[from].ID, Base: metas[from].Base}, nil
 }

@@ -10,44 +10,29 @@ import (
 // into idx, the way fde.IndexResult would, deterministically from seq.
 func fillVideo(t testing.TB, idx *MetaIndex, seq int) {
 	t.Helper()
-	vid, err := idx.AddVideo(Video{
+	vid := idx.AddVideo(Video{
 		Name: fmt.Sprintf("clip-%02d", seq), Width: 160, Height: 120,
 		FPS: 25, Frames: 300 + seq,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := idx.AddSegment(Segment{
+	seg := idx.AddSegment(Segment{
 		VideoID: vid, Interval: Interval{Start: 0, End: 200}, Class: "tennis",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, err := idx.AddObject(Object{
+	obj := idx.AddObject(Object{
 		VideoID: vid, SegmentID: seg, Name: "player",
 		Interval: Interval{Start: 0, End: 100},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for f := 0; f < 3; f++ {
-		if err := idx.AddState(ObjectState{ObjectID: obj, Frame: f, Found: true, X: float64(f)}); err != nil {
-			t.Fatal(err)
-		}
+		idx.AddState(ObjectState{ObjectID: obj, Frame: f, Found: true, X: float64(f)})
 	}
-	if err := idx.AddFeature(FeatureValue{VideoID: vid, Frame: 0, Name: "netline", Value: 0.5}); err != nil {
-		t.Fatal(err)
-	}
+	idx.AddFeature(FeatureValue{VideoID: vid, Frame: 0, Name: "netline", Value: 0.5})
 	kinds := []string{"net-play", "rally", "service"}
 	for e := 0; e < 2+seq%2; e++ {
 		k := kinds[(seq+e)%len(kinds)]
-		if _, err := idx.AddEvent(Event{
+		idx.AddEvent(Event{
 			VideoID: vid, SegmentID: seg, Kind: k, ActorID: obj,
 			Interval:   Interval{Start: 10 * e, End: 10*e + 8},
 			Confidence: 0.5 + float64(e)/10,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 }
 

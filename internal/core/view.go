@@ -7,14 +7,13 @@ import (
 
 // Frozen columnar read path for the event/scene tables.
 //
-// The row-store answers `Scenes(kind)` by a scan of the events table, a
-// value-by-value row decode per event, and a videos scan plus row decode per
-// event — on every query. The frozen view does all of that work
-// once per index version: events are decoded into typed slices grouped by
-// kind, videos are pre-joined into per-kind scene runs, and the per-video
-// sorted groups the interval sweep needs are precomputed. After the build,
-// every read-path query is a slice copy or a merge-sweep over flat arrays
-// with zero store round-trips.
+// The reference path answers `Scenes(kind)` by a scan of the events table
+// and a videos scan per event — on every query. The frozen view does that
+// work once per index version: events are grouped by kind, videos are
+// pre-joined into per-kind scene runs, and the per-video sorted groups the
+// interval sweep needs are precomputed. After the build, every read-path
+// query is a slice copy or a merge-sweep over flat arrays with zero table
+// scans.
 //
 // Freshness follows the existing write counter: a view is tagged with the
 // Version() it was built at, and the accessor discards it the moment the
@@ -30,7 +29,7 @@ import (
 //     returns.
 //   - kindView.scenes joins each event with its video in that same order;
 //     a missing video is recorded as sceneErr at the first offender, exactly
-//     where the row-store join would have failed.
+//     where the reference join would have failed.
 //   - kindView.groups carries the naive operand positions (ordEvent.ord), so
 //     sweep answers restore to scan order byte-identically.
 
@@ -61,12 +60,11 @@ type viewSlot struct {
 	version int64
 	once    sync.Once
 	view    *metaView
-	err     error
 }
 
 // frozenView returns the view for the current version, building it at most
 // once per version across all concurrent readers.
-func (m *MetaIndex) frozenView() (*metaView, error) {
+func (m *MetaIndex) frozenView() *metaView {
 	for {
 		cur := m.version.Load()
 		slot := m.viewSlot.Load()
@@ -78,10 +76,10 @@ func (m *MetaIndex) frozenView() (*metaView, error) {
 			slot = fresh
 		}
 		slot.once.Do(func() {
-			slot.view, slot.err = m.buildView()
+			slot.view = m.buildView()
 			m.viewBuilds.Add(1)
 		})
-		return slot.view, slot.err
+		return slot.view
 	}
 }
 
@@ -89,30 +87,22 @@ func (m *MetaIndex) frozenView() (*metaView, error) {
 // the observability hook behind dl_sceneview_builds_total.
 func (m *MetaIndex) ViewBuilds() int64 { return m.viewBuilds.Load() }
 
-// buildView decodes the videos and events tables once into the columnar
-// snapshot. Only store read errors fail the build; join misses are recorded
-// per kind so they surface exactly like the reference path.
-func (m *MetaIndex) buildView() (*metaView, error) {
+// buildView groups the videos and events tables once into the columnar
+// snapshot. Join misses are recorded per kind so they surface exactly like
+// the reference path.
+func (m *MetaIndex) buildView() *metaView {
 	v := &metaView{
-		videosByID:    make(map[int64]Video, m.videos.Len()),
+		videosByID:    make(map[int64]Video, len(m.videos)),
 		eventsByVideo: map[int64][]Event{},
 		kinds:         map[string]*kindView{},
 	}
-	for row := 0; row < m.videos.Len(); row++ {
-		vid, err := m.videoAt(row)
-		if err != nil {
-			return nil, err
-		}
+	for _, vid := range m.videos {
 		if _, dup := v.videosByID[vid.ID]; !dup {
-			// First row wins, matching VideoByID's rows[0] probe.
+			// First row wins, matching VideoByID's scan.
 			v.videosByID[vid.ID] = vid
 		}
 	}
-	for row := 0; row < m.events.Len(); row++ {
-		e, err := m.eventAt(row)
-		if err != nil {
-			return nil, err
-		}
+	for _, e := range m.events {
 		kv := v.kinds[e.Kind]
 		if kv == nil {
 			kv = &kindView{byVideo: map[int64][]Event{}}
@@ -134,7 +124,7 @@ func (m *MetaIndex) buildView() (*metaView, error) {
 		}
 		kv.groups = groupByVideoSorted(kv.events)
 	}
-	return v, nil
+	return v
 }
 
 // kindEvents returns the frozen operand for a kind: its events, scan groups

@@ -109,14 +109,8 @@ func chainedParts(t *testing.T, nseg int) ([]*MetaIndex, []SegmentMeta) {
 			t.Fatal(err)
 		}
 		for v := 0; v < 4; v++ {
-			vid, err := m.AddVideo(Video{Name: fmt.Sprintf("p%d-v%d", i, v), Frames: 1000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg, err := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 1000}, Class: "tennis"})
-			if err != nil {
-				t.Fatal(err)
-			}
+			vid := m.AddVideo(Video{Name: fmt.Sprintf("p%d-v%d", i, v), Frames: 1000})
+			seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 1000}, Class: "tennis"})
 			for e := 0; e < 30; e++ {
 				start := rng.Intn(900)
 				ev := Event{
@@ -124,9 +118,7 @@ func chainedParts(t *testing.T, nseg int) ([]*MetaIndex, []SegmentMeta) {
 					Kind:     kinds[rng.Intn(len(kinds))],
 					Interval: Interval{Start: start, End: start + rng.Intn(120)},
 				}
-				if _, err := m.AddEvent(ev); err != nil {
-					t.Fatal(err)
-				}
+				m.AddEvent(ev)
 			}
 		}
 		parts[i] = m
@@ -191,14 +183,8 @@ func TestFrozenViewMissingVideoErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid, err := m.AddVideo(Video{Name: "good", Frames: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 100}, Class: "tennis"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vid := m.AddVideo(Video{Name: "good", Frames: 100})
+	seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 100}, Class: "tennis"})
 	// First rally event dangles; a later one is fine. The error must name
 	// the first dangling video.
 	for _, e := range []Event{
@@ -207,9 +193,7 @@ func TestFrozenViewMissingVideoErrors(t *testing.T) {
 		{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{10, 20}},
 		{VideoID: vid, SegmentID: seg, Kind: "net-play", Interval: Interval{12, 15}},
 	} {
-		if _, err := m.AddEvent(e); err != nil {
-			t.Fatal(err)
-		}
+		m.AddEvent(e)
 	}
 
 	_, gotErr := m.Scenes("rally")
@@ -254,17 +238,9 @@ func TestFrozenViewInvalidation(t *testing.T) {
 		t.Fatalf("ViewBuilds after hot reads = %d, want 1", n)
 	}
 
-	vid, err := m.AddVideo(Video{Name: "new", Frames: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 50}, Class: "tennis"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{1, 4}}); err != nil {
-		t.Fatal(err)
-	}
+	vid := m.AddVideo(Video{Name: "new", Frames: 50})
+	seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 50}, Class: "tennis"})
+	m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{1, 4}})
 
 	after, err := m.Scenes("rally")
 	if err != nil {

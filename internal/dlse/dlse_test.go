@@ -29,20 +29,10 @@ func fixture(t *testing.T) (*Engine, *webspace.Site) {
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
 		vrec := core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500}
-		id, err := idx.AddVideo(vrec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8}); err != nil {
-			t.Fatal(err)
-		}
+		id := idx.AddVideo(vrec)
+		seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
+		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
+		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
 	e, err := New(site, idx)
 	if err != nil {

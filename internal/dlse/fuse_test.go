@@ -206,15 +206,10 @@ func withCommittedVideo(t *testing.T, e *Engine, name string, kinds ...string) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := seg.AddVideo(core.Video{Name: name, FPS: 25, Frames: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := seg.AddVideo(core.Video{Name: name, FPS: 25, Frames: 100})
 	for _, kind := range kinds {
-		if _, err := seg.AddEvent(core.Event{VideoID: id, Kind: kind,
-			Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5}); err != nil {
-			t.Fatal(err)
-		}
+		seg.AddEvent(core.Event{VideoID: id, Kind: kind,
+			Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5})
 	}
 	view, err := core.NewSegmentedIndex(append(parts, seg),
 		append(metas, core.SegmentMeta{ID: metas[len(metas)-1].ID + 1, Base: base}),

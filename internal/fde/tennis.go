@@ -208,10 +208,7 @@ func TrackToSeries(res track.ShotResult) rules.Series {
 // objects with their per-frame states, and events. It returns the assigned
 // video ID.
 func IndexResult(res *Result, idx *core.MetaIndex) (int64, error) {
-	vid, err := idx.AddVideo(res.Video)
-	if err != nil {
-		return 0, err
-	}
+	vid := idx.AddVideo(res.Video)
 	shotsV, ok := res.Get("shots")
 	if !ok {
 		return 0, fmt.Errorf("fde: result has no shots symbol")
@@ -222,15 +219,11 @@ func IndexResult(res *Result, idx *core.MetaIndex) (int64, error) {
 	}
 	segIDs := make([]int64, len(shots))
 	for i, s := range shots {
-		id, err := idx.AddSegment(core.Segment{
+		segIDs[i] = idx.AddSegment(core.Segment{
 			VideoID:  vid,
 			Interval: core.Interval{Start: s.Start, End: s.End},
 			Class:    s.Class.String(),
 		})
-		if err != nil {
-			return 0, err
-		}
-		segIDs[i] = id
 	}
 	// Objects and states.
 	objIDs := map[int]map[string]int64{} // shotIdx -> role -> objectID
@@ -258,26 +251,20 @@ func IndexResult(res *Result, idx *core.MetaIndex) (int64, error) {
 				if len(tr.Obs) == 0 {
 					continue
 				}
-				oid, err := idx.AddObject(core.Object{
+				oid := idx.AddObject(core.Object{
 					VideoID: vid, SegmentID: segIDs[shotIdx],
 					Name:     "player-" + role,
 					Interval: core.Interval{Start: s.Start, End: s.End},
 				})
-				if err != nil {
-					return 0, err
-				}
 				objIDs[shotIdx][role] = oid
 				for _, o := range tr.Obs {
-					st := core.ObjectState{
+					idx.AddState(core.ObjectState{
 						ObjectID: oid, Frame: s.Start + o.Frame, Found: o.Found,
 						X: o.X, Y: o.Y, VX: o.VX, VY: o.VY,
 						Area:        o.Shape.Area,
 						BBox:        [4]int{o.Shape.BBox.X0, o.Shape.BBox.Y0, o.Shape.BBox.X1, o.Shape.BBox.Y1},
 						Orientation: o.Shape.Orientation, Eccentricity: o.Shape.Eccentricity,
-					}
-					if err := idx.AddState(st); err != nil {
-						return 0, err
-					}
+					})
 				}
 			}
 		}
@@ -297,13 +284,11 @@ func IndexResult(res *Result, idx *core.MetaIndex) (int64, error) {
 			if m := objIDs[ev.ShotIdx]; m != nil {
 				actor = m[ev.Object]
 			}
-			if _, err := idx.AddEvent(core.Event{
+			idx.AddEvent(core.Event{
 				VideoID: vid, SegmentID: segIDs[ev.ShotIdx], Kind: ev.Kind,
 				Interval: core.Interval{Start: ev.Start, End: ev.End},
 				ActorID:  actor, Confidence: ev.Confidence,
-			}); err != nil {
-				return 0, err
-			}
+			})
 		}
 	}
 	return vid, nil

@@ -255,7 +255,7 @@ func TestIngestorMergeIntoExistingWithFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		dst, err := core.DeserializeMetaIndex(bytes.NewReader(base))
+		dst, err := core.DeserializeMetaIndex(base)
 		if err != nil {
 			t.Fatal(err)
 		}

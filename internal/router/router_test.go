@@ -43,33 +43,18 @@ func buildEngine(t testing.TB) *dlse.Engine {
 	}
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
-		id, err := seg1.AddVideo(core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sid, err := seg1.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := seg1.AddEvent(core.Event{VideoID: id, SegmentID: sid, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := seg1.AddEvent(core.Event{VideoID: id, SegmentID: sid, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8}); err != nil {
-			t.Fatal(err)
-		}
+		id := seg1.AddVideo(core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
+		sid := seg1.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
+		seg1.AddEvent(core.Event{VideoID: id, SegmentID: sid, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
+		seg1.AddEvent(core.Event{VideoID: id, SegmentID: sid, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
 	base := seg1.IDState()
 	seg2, err := core.NewMetaIndexAt(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := seg2.AddVideo(core.Video{Name: "earlier-commit", FPS: 25, Frames: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seg2.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 10, End: 60}, Confidence: 0.7}); err != nil {
-		t.Fatal(err)
-	}
+	id := seg2.AddVideo(core.Video{Name: "earlier-commit", FPS: 25, Frames: 300})
+	seg2.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 10, End: 60}, Confidence: 0.7})
 	view, err := core.NewSegmentedIndex(
 		[]*core.MetaIndex{seg1, seg2},
 		[]core.SegmentMeta{{ID: 1}, {ID: 2, Base: base}}, 1)
@@ -279,13 +264,8 @@ func (c *cluster) commitView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := seg.AddVideo(core.Video{Name: "live-commit", FPS: 25, Frames: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 5, End: 45}, Confidence: 0.6}); err != nil {
-		t.Fatal(err)
-	}
+	id := seg.AddVideo(core.Video{Name: "live-commit", FPS: 25, Frames: 200})
+	seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 5, End: 45}, Confidence: 0.6})
 	view, err := core.NewSegmentedIndex(append(parts, seg),
 		append(metas, core.SegmentMeta{ID: metas[len(metas)-1].ID + 1, Base: base}),
 		vi.Generation()+1)

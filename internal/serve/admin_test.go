@@ -114,14 +114,9 @@ func wireAdmin(t *testing.T, srv *Server, idx *core.MetaIndex) {
 		if err != nil {
 			return err
 		}
-		vid, err := seg.AddVideo(core.Video{Name: "committed-clip", FPS: 25, Frames: 100})
-		if err != nil {
-			return err
-		}
-		if _, err := seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
-			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7}); err != nil {
-			return err
-		}
+		vid := seg.AddVideo(core.Video{Name: "committed-clip", FPS: 25, Frames: 100})
+		seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
+			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7})
 		parts = append(parts, seg)
 		metas = append(metas, core.SegmentMeta{ID: nextID, Base: base})
 		nextID++

@@ -105,14 +105,9 @@ func TestV2CommitEndpoint(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		vid, err := seg.AddVideo(core.Video{Name: "committed-clip", FPS: 25, Frames: 100})
-		if err != nil {
-			return err
-		}
-		if _, err := seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
-			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7}); err != nil {
-			return err
-		}
+		vid := seg.AddVideo(core.Video{Name: "committed-clip", FPS: 25, Frames: 100})
+		seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
+			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7})
 		view, err := core.NewSegmentedIndex(
 			[]*core.MetaIndex{idx, seg},
 			[]core.SegmentMeta{{ID: 1}, {ID: 2, Base: base}}, 1)

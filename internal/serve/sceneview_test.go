@@ -68,12 +68,10 @@ func TestSceneViewObservability(t *testing.T) {
 	if err != nil || len(vids) == 0 {
 		t.Fatalf("videos: %v", err)
 	}
-	if _, err := idx.AddEvent(core.Event{
+	idx.AddEvent(core.Event{
 		VideoID: vids[0].ID, Kind: "net-play",
 		Interval: core.Interval{Start: 300, End: 350}, Confidence: 0.5,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if v := viewOf(get("kind=net-play&explain=1"), "scenes"); v != "rebuilt" {
 		t.Fatalf("post-write scene query view = %q, want rebuilt", v)
 	}

@@ -30,20 +30,10 @@ func fixture(t testing.TB) (*dlse.Engine, *core.MetaIndex) {
 	}
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
-		id, err := idx.AddVideo(core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8}); err != nil {
-			t.Fatal(err)
-		}
+		id := idx.AddVideo(core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
+		seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
+		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
+		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
 	e, err := dlse.New(site, idx)
 	if err != nil {
@@ -106,12 +96,10 @@ func TestCacheNeverStaleAfterIndexUpdate(t *testing.T) {
 	if err != nil || len(vids) == 0 {
 		t.Fatalf("videos: %v", err)
 	}
-	if _, err := idx.AddEvent(core.Event{
+	idx.AddEvent(core.Event{
 		VideoID: vids[0].ID, Kind: "net-play",
 		Interval: core.Interval{Start: 300, End: 350}, Confidence: 0.5,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	after, cached, err := search(s, dlse.Query{Scenes: "net-play"})
 	if err != nil {

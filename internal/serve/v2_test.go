@@ -235,23 +235,13 @@ func TestV2SwapStaleness(t *testing.T) {
 	}
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
-		id, err := idx.AddVideo(core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9}); err != nil {
-			t.Fatal(err)
-		}
+		id := idx.AddVideo(core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
+		seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
+		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 	}
 	// The one extra scene that distinguishes the snapshots.
 	vids, _ := idx.Videos()
-	if _, err := idx.AddEvent(core.Event{VideoID: vids[0].ID, Kind: "net-play", Interval: core.Interval{Start: 300, End: 360}, Confidence: 0.7}); err != nil {
-		t.Fatal(err)
-	}
+	idx.AddEvent(core.Event{VideoID: vids[0].ID, Kind: "net-play", Interval: core.Interval{Start: 300, End: 360}, Confidence: 0.7})
 	e2, err := dlse.New(site, idx)
 	if err != nil {
 		t.Fatal(err)

@@ -101,9 +101,7 @@ func TestCorruptSegmentFailsEngineBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.AddVideo(core.Video{Name: "final-2001", FPS: 25, Frames: 100}); err != nil {
-		t.Fatal(err)
-	}
+	idx.AddVideo(core.Video{Name: "final-2001", FPS: 25, Frames: 100})
 	var buf bytes.Buffer
 	if err := core.WriteSegfile(&buf, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 1); err != nil {
 		t.Fatal(err)
