@@ -158,8 +158,12 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 // parts against the union statistics and writes its cache while the vector
 // lane writes its own, so the two fsyncs overlap.
 func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, opts Options) (*ir.Segments, []*vec.Builder, error) {
-	textSig := pagesSignature("", all, pages.Parts())
-	vecSig := pagesSignature(emb.Name(), all, pages.Parts())
+	// Each signature hashes every page body; the two are independent.
+	var textSig, vecSig uint64
+	_ = concurrently([]func() error{ // the legs cannot fail
+		func() error { textSig = pagesSignature("", all, pages.Parts()); return nil },
+		func() error { vecSig = pagesSignature(emb.Name(), all, pages.Parts()); return nil },
+	})
 	var text *ir.Segments
 	var vecs []*vec.Builder
 	if opts.TextSegfile != "" {

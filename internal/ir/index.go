@@ -45,6 +45,10 @@ type Index struct {
 	totalLn int64
 	frozen  bool
 
+	// tf is AddTokens' term-count map, cleared and reused for every
+	// document and dropped by Freeze.
+	tf map[string]int32
+
 	// scratch recycles per-query accumulators (see kernel.go) so that
 	// steady-state searches allocate ~nothing. Populated by Freeze.
 	scratch sync.Pool
@@ -90,10 +94,16 @@ func (ix *Index) AddTokens(name string, toks []string) (DocID, error) {
 	id := DocID(len(ix.docs))
 	ix.docs = append(ix.docs, docInfo{Name: name, Len: int32(len(toks))})
 	ix.totalLn += int64(len(toks))
-	tf := map[string]int32{}
+	if ix.tf == nil {
+		ix.tf = map[string]int32{}
+	}
+	tf := ix.tf
+	clear(tf)
 	for _, t := range toks {
 		tf[t]++
 	}
+	// Map order only decides which term's list is appended to first; each
+	// list still gets this document's posting after every earlier one's.
 	for term, f := range tf {
 		pl := ix.terms[term]
 		if pl == nil {
@@ -153,6 +163,7 @@ func (ix *Index) freezeWith(cs corpusStats) {
 			pl.impImp[i] = ix.impact(pl.idf, p, avg)
 		}
 	}
+	ix.tf = nil
 	n := len(ix.docs)
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	ix.frozen = true

@@ -2,6 +2,7 @@ package shotdet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/frame"
 )
@@ -144,12 +145,39 @@ func (c ClassifierConfig) withDefaults() ClassifierConfig {
 // the paper: court shots by dominant colour, close-ups by skin fraction,
 // audience by entropy, otherwise other.
 type Classifier struct {
-	cfg ClassifierConfig
+	cfg     ClassifierConfig
+	courtSq int // courtThreshold(cfg.CourtTolerance)
 }
 
 // NewClassifier builds a classifier with the given configuration.
 func NewClassifier(cfg ClassifierConfig) *Classifier {
-	return &Classifier{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	return &Classifier{cfg: cfg, courtSq: courtThreshold(cfg.CourtTolerance)}
+}
+
+// maxColorSq is the largest squared distance between two RGB colours.
+const maxColorSq = 3 * 255 * 255
+
+// courtThreshold returns the largest integer x in [0, maxColorSq] with
+// math.Sqrt(float64(x)) <= tol, or -1 if there is none. frame.ColorDist is
+// math.Sqrt of the squared distance, an integer that float64 holds exactly,
+// and Sqrt is monotone, so for every pair of colours
+// ColorDist(a, b) <= tol iff their integer squared distance <= courtThreshold(tol).
+func courtThreshold(tol float64) int {
+	if !(tol >= 0) { // negative or NaN: no distance qualifies
+		return -1
+	}
+	x := maxColorSq
+	if tol*tol < maxColorSq {
+		x = int(tol * tol)
+	}
+	for x < maxColorSq && math.Sqrt(float64(x+1)) <= tol {
+		x++
+	}
+	for x >= 0 && math.Sqrt(float64(x)) > tol {
+		x--
+	}
+	return x
 }
 
 // frameColor is what the detectors downstream of the boundary pass read of
@@ -181,33 +209,70 @@ func courtVoteStep(frames int) int { return frames/64 + 1 }
 
 // ExtractFeatures measures the classification features of a single frame.
 func (c *Classifier) ExtractFeatures(im *frame.Image) Features {
-	return c.extract(im, colorOf(frame.HistogramOf(im, c.cfg.Bins)))
+	return c.extract(im, colorOf(frame.HistogramOf(im, c.cfg.Bins)), new(sampleScratch))
+}
+
+// sampleScratch is the working memory of extract — the skin mask, its
+// opening and the labelling buffers — reused across the sampled frames of
+// one classifyShots call. It is never kept on the Classifier: the FDE engine
+// that owns one is shared by the pipeline's workers.
+type sampleScratch struct {
+	skin, eroded, opened frame.Mask
+	labeler              frame.Labeler
 }
 
 // extract measures a frame's features given its colour summary at the
-// classifier's bin count. Both skin features read one skin mask: the ratio
-// is its pixel count (what frame.SkinRatio counts), the blob its opening's
-// largest component.
-func (c *Classifier) extract(im *frame.Image, col frameColor) Features {
-	g := frame.GrayHistogramOf(im)
-	skin := frame.SkinMask(im)
-	ratio, blob := 0.0, 0.0
-	if n := im.W * im.H; n > 0 {
-		ratio = float64(skin.Count()) / float64(n)
+// classifier's bin count. One pass over the pixels counts the luminance
+// histogram in integers, writes the skin mask and counts its pixels and the
+// court-coloured ones (an integer squared distance against courtSq); the
+// skin blob is the largest component of the mask's opening, and is 0 with no
+// skin pixel to open. Every count is an integer below 2^53, so the features
+// are the float64 values per-feature pixel passes give.
+func (c *Classifier) extract(im *frame.Image, col frameColor, s *sampleScratch) Features {
+	n := im.W * im.H
+	s.skin.Reset(im.W, im.H)
+	var gray [256]int
+	skinN, courtN := 0, 0
+	court := c.cfg.CourtColor
+	cr, cg, cb := int(court.R), int(court.G), int(court.B)
+	bits := s.skin.Bits
+	for i, p := 0, im.Pix; len(p) >= 3 && i < len(bits); i, p = i+1, p[3:] {
+		px := frame.RGB{R: p[0], G: p[1], B: p[2]}
+		gray[int(frame.Luma(px))]++
+		if frame.IsSkin(px) {
+			bits[i] = true
+			skinN++
+		}
+		dr, dg, db := int(p[0])-cr, int(p[1])-cg, int(p[2])-cb
+		if dr*dr+dg*dg+db*db <= c.courtSq {
+			courtN++
+		}
 	}
-	if comp, ok := skin.Open().Largest(); ok {
-		blob = float64(comp.Area) / float64(im.W*im.H)
+	g := frame.GrayHistogram{Total: float64(n)}
+	for v, k := range gray {
+		g.Counts[v] = float64(k)
 	}
-	return Features{
+	f := Features{
 		Dominant:      col.peak,
 		DominantShare: col.share,
-		CourtShare:    c.courtShare(im),
-		SkinRatio:     ratio,
-		SkinBlob:      blob,
 		Entropy:       col.entropy,
 		Mean:          g.Mean(),
 		Variance:      g.Variance(),
 	}
+	if n == 0 {
+		return f
+	}
+	f.CourtShare = float64(courtN) / float64(n)
+	f.SkinRatio = float64(skinN) / float64(n)
+	if skinN > 0 {
+		s.skin.ErodeInto(&s.eroded).DilateInto(&s.opened)
+		largest := 0
+		for _, comp := range s.labeler.Components(&s.opened) {
+			largest = max(largest, comp.Area)
+		}
+		f.SkinBlob = float64(largest) / float64(n)
+	}
+	return f
 }
 
 // colorAt returns frame i's colour summary at the classifier's bin count:
@@ -218,23 +283,6 @@ func (c *Classifier) colorAt(frames []*frame.Image, cs videoColors, i int) frame
 		return cs.frames[i]
 	}
 	return colorOf(frame.HistogramOf(frames[i], c.cfg.Bins))
-}
-
-// courtShare returns the fraction of pixels within CourtTolerance of the
-// reference court colour.
-func (c *Classifier) courtShare(im *frame.Image) float64 {
-	n := im.W * im.H
-	if n == 0 {
-		return 0
-	}
-	cnt := 0
-	for i := 0; i < len(im.Pix); i += 3 {
-		px := frame.RGB{R: im.Pix[i], G: im.Pix[i+1], B: im.Pix[i+2]}
-		if frame.ColorDist(px, c.cfg.CourtColor) <= c.cfg.CourtTolerance {
-			cnt++
-		}
-	}
-	return float64(cnt) / float64(n)
 }
 
 // Classify applies the decision rule to a feature vector.
@@ -261,7 +309,7 @@ func (c *Classifier) ClassifyFrame(im *frame.Image) (Class, Features) {
 // averages their features, and classifies the aggregate. Averaging smooths
 // over transient occlusions within the shot.
 func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class, Features) {
-	return c.classifyShot(frames, videoColors{}, start, end)
+	return c.classifyShot(frames, videoColors{}, start, end, new(sampleScratch))
 }
 
 // classifyShots classifies every shot in place (Class and Features) like
@@ -269,12 +317,13 @@ func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class,
 // boundary pass's histograms — instead of recomputing it when cs was
 // computed at the classifier's bin count.
 func (c *Classifier) classifyShots(frames []*frame.Image, shots []Shot, cs videoColors) {
+	s := new(sampleScratch)
 	for i := range shots {
-		shots[i].Class, shots[i].Features = c.classifyShot(frames, cs, shots[i].Start, shots[i].End)
+		shots[i].Class, shots[i].Features = c.classifyShot(frames, cs, shots[i].Start, shots[i].End, s)
 	}
 }
 
-func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, end int) (Class, Features) {
+func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, end int, s *sampleScratch) (Class, Features) {
 	if start < 0 {
 		start = 0
 	}
@@ -291,7 +340,7 @@ func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, 
 	var agg Features
 	for k := 0; k < n; k++ {
 		idx := start + (end-start-1)*k/maxInt(n-1, 1)
-		f := c.extract(frames[idx], c.colorAt(frames, cs, idx))
+		f := c.extract(frames[idx], c.colorAt(frames, cs, idx), s)
 		agg.DominantShare += f.DominantShare
 		agg.CourtShare += f.CourtShare
 		agg.SkinRatio += f.SkinRatio

@@ -138,7 +138,7 @@ func TestClassFeatureSeparation(t *testing.T) {
 		mid := v.Frames[(s.Start+s.End)/2]
 		h := frame.HistogramOf(mid, 8)
 		peak, share := h.Peak()
-		skin := frame.SkinRatio(mid)
+		skin := float64(frame.SkinMask(mid).Count()) / float64(mid.W*mid.H)
 		ent := h.Entropy()
 		seen[s.Class] = true
 		switch s.Class {

@@ -19,6 +19,7 @@ package track
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/frame"
 )
@@ -137,17 +138,26 @@ func (b *Background) Match(c frame.RGB, k, minStd float64) bool {
 // statistics of the tennis field color" of the paper without requiring a
 // calibrated court model.
 func EstimateBackground(im *frame.Image, cfg Config) Background {
-	cfg = cfg.withDefaults()
+	var sums frame.SumTable
+	sums.Reset(im, im.Bounds())
+	return estimateBackground(&sums, cfg.withDefaults())
+}
+
+// estimateBackground is EstimateBackground over a summed-area table of the
+// whole frame. Block edges are proportional (bx*W/n), so the grid covers
+// every pixel at any size; on a frame narrower or shorter than the grid some
+// blocks are empty, and an empty block does not vote.
+func estimateBackground(sums *frame.SumTable, cfg Config) Background {
 	n := cfg.GridBlocks
-	type blockInfo struct {
-		stats frame.ColorStats
-	}
-	blocks := make([]blockInfo, 0, n*n)
-	bw, bh := im.W/n, im.H/n
+	win := sums.Window()
+	w, h := win.W(), win.H()
+	blocks := make([]frame.ColorStats, 0, n*n)
 	for by := 0; by < n; by++ {
 		for bx := 0; bx < n; bx++ {
-			r := frame.Rect{X0: bx * bw, Y0: by * bh, X1: (bx + 1) * bw, Y1: (by + 1) * bh}
-			blocks = append(blocks, blockInfo{stats: frame.StatsOfRegion(im, r)})
+			r := frame.Rect{X0: bx * w / n, Y0: by * h / n, X1: (bx + 1) * w / n, Y1: (by + 1) * h / n}
+			if s := sums.Stats(r.Shift(win.X0, win.Y0)); s.N > 0 {
+				blocks = append(blocks, s)
+			}
 		}
 	}
 	// Greedy clustering by mean colour.
@@ -157,7 +167,7 @@ func EstimateBackground(im *frame.Image, cfg Config) Background {
 	}
 	var clusters []*cluster
 	for _, b := range blocks {
-		m := b.stats.Mean()
+		m := b.Mean()
 		var best *cluster
 		bestD := cfg.ClusterTol
 		for _, cl := range clusters {
@@ -166,10 +176,10 @@ func EstimateBackground(im *frame.Image, cfg Config) Background {
 			}
 		}
 		if best == nil {
-			clusters = append(clusters, &cluster{members: []frame.ColorStats{b.stats}, mean: m})
+			clusters = append(clusters, &cluster{members: []frame.ColorStats{b}, mean: m})
 			continue
 		}
-		best.members = append(best.members, b.stats)
+		best.members = append(best.members, b)
 		// Update the running mean colour.
 		var sr, sg, sb float64
 		for _, s := range best.members {
@@ -220,13 +230,78 @@ func mergeStats(ss []frame.ColorStats) frame.ColorStats {
 	return out
 }
 
-// foregroundPixel reports whether one pixel is foreground under the model.
-func foregroundPixel(c frame.RGB, bg *Background, cfg *Config) bool {
-	l := frame.Luma(c)
-	if l < cfg.LumaMin || l > cfg.LumaMax {
+// bgTable is the foreground test of one background model and Config as
+// lookup tables. Membership is tabulated per channel: bit i of word w of
+// r[v*words+w] is set iff cluster 64w+i passes ColorStats.ChannelWithin for
+// red value v, and likewise g and b. Within is the conjunction of the three
+// channel tests, so a colour matches cluster i iff bit i is set in all three
+// of its channel entries, and it matches the background iff r&g&b is non-zero
+// in some word: Background.Match's answer, float test for float test, at
+// three loads and an AND per word of 64 clusters.
+type bgTable struct {
+	words            int
+	r, g, b          []uint64
+	lumaMin, lumaMax float64
+}
+
+func newBGTable(bg *Background, cfg *Config) *bgTable {
+	words := (len(bg.Clusters) + 63) / 64
+	cells := make([]uint64, 3*256*words)
+	t := &bgTable{
+		words:   words,
+		r:       cells[:256*words],
+		g:       cells[256*words : 512*words],
+		b:       cells[512*words:],
+		lumaMin: cfg.LumaMin,
+		lumaMax: cfg.LumaMax,
+	}
+	for i, cl := range bg.Clusters {
+		word, bit := i/64, uint64(1)<<(i%64)
+		for ch, tab := range [3][]uint64{t.r, t.g, t.b} {
+			for v := 0; v < 256; v++ {
+				if cl.ChannelWithin(ch, uint8(v), cfg.CourtK, cfg.MinStd) {
+					tab[v*words+word] |= bit
+				}
+			}
+		}
+	}
+	return t
+}
+
+// match reports whether the colour belongs to any background cluster.
+func (t *bgTable) match(cr, cg, cb uint8) bool {
+	w := t.words
+	r, g, b := t.r[int(cr)*w:][:w], t.g[int(cg)*w:][:w], t.b[int(cb)*w:][:w]
+	for i := range r {
+		if r[i]&g[i]&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// foreground reports whether one pixel is foreground: inside the luminance
+// bounds and in no background cluster.
+func (t *bgTable) foreground(cr, cg, cb uint8) bool {
+	l := frame.Luma(frame.RGB{R: cr, G: cg, B: cb})
+	if l < t.lumaMin || l > t.lumaMax {
 		return false
 	}
-	return !bg.Match(c, cfg.CourtK, cfg.MinStd)
+	return !t.match(cr, cg, cb)
+}
+
+// blockIsBackground tests whether a whole block can be pruned.
+func blockIsBackground(s frame.ColorStats, bg *bgTable, cfg *Config) bool {
+	if s.N == 0 {
+		return true
+	}
+	if m := s.Mean(); !bg.match(m.R, m.G, m.B) {
+		return false
+	}
+	// Internally heterogeneous blocks may hide a small player against a
+	// matching mean; require low spread to prune.
+	lim := 2.5 * cfg.MinStd
+	return s.StdR < lim && s.StdG < lim && s.StdB < lim
 }
 
 // QuadSegment performs the quadtree ("quadratic") segmentation of the
@@ -236,18 +311,23 @@ func foregroundPixel(c frame.RGB, bg *Background, cfg *Config) bool {
 // foreground only inside r.
 func QuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg Config) *frame.Mask {
 	cfg = cfg.withDefaults()
+	var sums frame.SumTable
+	sums.Reset(im, r)
 	mask := frame.NewMask(im.W, im.H)
-	q := quadSegmenter{im: im, bg: &bg, cfg: &cfg, mask: mask}
-	q.split(r.Clip(im))
+	q := quadSegmenter{im: im, sums: &sums, bg: newBGTable(&bg, &cfg), cfg: &cfg, mask: mask}
+	q.split(sums.Window())
 	return mask
 }
 
-// quadSegmenter is one quadtree segmentation in progress. The mask may
-// cover just a window of the image: its pixel (0, 0) is image pixel
-// (ox, oy), and only blocks inside it are split.
+// quadSegmenter is one quadtree segmentation in progress. A block's colour
+// statistics are read from sums, a summed-area table over the window being
+// segmented, and leaf pixels are tested through bg's tables. The mask may
+// cover just the window: its pixel (0, 0) is image pixel (ox, oy), and only
+// blocks inside it are split.
 type quadSegmenter struct {
 	im     *frame.Image
-	bg     *Background
+	sums   *frame.SumTable
+	bg     *bgTable
 	cfg    *Config
 	mask   *frame.Mask
 	ox, oy int
@@ -258,10 +338,9 @@ func (q *quadSegmenter) split(b frame.Rect) {
 		return
 	}
 	if b.W() > q.cfg.QuadMinBlock || b.H() > q.cfg.QuadMinBlock {
-		s := frame.StatsOfRegion(q.im, b)
 		// A block is all-background if its mean matches a cluster and
 		// it is internally homogeneous.
-		if blockIsBackground(s, q.bg, q.cfg) {
+		if blockIsBackground(q.sums.Stats(b), q.bg, q.cfg) {
 			return
 		}
 		mx := (b.X0 + b.X1) / 2
@@ -276,23 +355,31 @@ func (q *quadSegmenter) split(b frame.Rect) {
 		pix := q.im.Pix[q.im.Offset(b.X0, y):q.im.Offset(b.X1, y)]
 		out := q.mask.Bits[(y-q.oy)*q.mask.W+b.X0-q.ox:][:b.W()]
 		for x := range out {
-			if foregroundPixel(frame.RGB{R: pix[3*x], G: pix[3*x+1], B: pix[3*x+2]}, q.bg, q.cfg) {
+			if q.bg.foreground(pix[3*x], pix[3*x+1], pix[3*x+2]) {
 				out[x] = true
 			}
 		}
 	}
 }
 
-// scratch is the detector's working memory for one shot: the masks of the
+// scratch is the detector's working memory for one shot: the background
+// tables of the shot's model, the summed-area table and the masks of the
 // three morphology stages over the window last segmented, the labelling
 // buffers and the dominant-colour histogram. Both trackers of a shot share
 // one, so after a shot's first frames a Feed allocates nothing.
 type scratch struct {
-	win                 frame.Rect
+	bg                  *bgTable
+	sums                frame.SumTable
 	seg, eroded, opened frame.Mask
 	labeler             frame.Labeler
 	hist                *frame.Histogram
 }
+
+// scratchPool recycles TrackShot's scratch across shots: its whole-frame
+// summed-area table alone is about 1 MB at 160×120, which a scratch per shot
+// would turn into garbage at the rate ingest tracks shots. Nothing TrackShot
+// returns points into a scratch.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // segment segments the window r of im (clipped to the image), opens the
 // mask and labels it, returning the components in frame coordinates. Only
@@ -300,11 +387,16 @@ type scratch struct {
 // can be set, and since erosion already treats what lies beyond a mask's
 // edge as unset the window needs no apron — so the work scales with the
 // search window, not with the frame.
-func (s *scratch) segment(im *frame.Image, bg *Background, r frame.Rect, cfg *Config) []frame.Component {
-	r = r.Clip(im)
-	s.win = r
+func (s *scratch) segment(im *frame.Image, r frame.Rect, cfg *Config) []frame.Component {
+	s.sums.Reset(im, r)
+	return s.segmentSums(im, cfg)
+}
+
+// segmentSums is segment over the window s.sums was last built on.
+func (s *scratch) segmentSums(im *frame.Image, cfg *Config) []frame.Component {
+	r := s.sums.Window()
 	s.seg.Reset(r.W(), r.H())
-	q := quadSegmenter{im: im, bg: bg, cfg: cfg, mask: &s.seg, ox: r.X0, oy: r.Y0}
+	q := quadSegmenter{im: im, sums: &s.sums, bg: s.bg, cfg: cfg, mask: &s.seg, ox: r.X0, oy: r.Y0}
 	q.split(r)
 	s.seg.ErodeInto(&s.eroded).DilateInto(&s.opened)
 	comps := s.labeler.Components(&s.opened)
@@ -322,7 +414,8 @@ func (s *scratch) segment(im *frame.Image, bg *Background, r frame.Rect, cfg *Co
 // segmented.
 func (s *scratch) observe(im *frame.Image, c frame.Component, frameIdx int) Observation {
 	cx, cy := c.Centroid()
-	shape := frame.ShapeOfRect(&s.opened, c.BBox.Shift(-s.win.X0, -s.win.Y0))
+	win := s.sums.Window()
+	shape := frame.ShapeOfRect(&s.opened, c.BBox.Shift(-win.X0, -win.Y0))
 	shape.CX += float64(c.BBox.X0)
 	shape.CY += float64(c.BBox.Y0)
 	shape.BBox = shape.BBox.Shift(c.BBox.X0, c.BBox.Y0)
@@ -337,21 +430,6 @@ func (s *scratch) observe(im *frame.Image, c frame.Component, frameIdx int) Obse
 		X: cx, Y: cy,
 		Shape: shape, Dominant: dom,
 	}
-}
-
-// blockIsBackground tests whether a whole block can be pruned.
-func blockIsBackground(s frame.ColorStats, bg *Background, cfg *Config) bool {
-	if s.N == 0 {
-		return true
-	}
-	m := s.Mean()
-	if !bg.Match(m, cfg.CourtK, cfg.MinStd) {
-		return false
-	}
-	// Internally heterogeneous blocks may hide a small player against a
-	// matching mean; require low spread to prune.
-	lim := 2.5 * cfg.MinStd
-	return s.StdR < lim && s.StdG < lim && s.StdB < lim
 }
 
 // Observation is the per-frame output of the tennis detector for one
@@ -397,7 +475,6 @@ func (t *Track) Positions() ([]float64, []float64) {
 // local search window, as the paper describes.
 type Tracker struct {
 	cfg   Config
-	bg    Background
 	pos   Observation
 	coast int
 	scale float64 // 1.0 near player, <1 far player (smaller area gate)
@@ -408,14 +485,17 @@ type Tracker struct {
 // the component-area gate for the smaller far player (use 1 for the near
 // player, ~0.5 for the far player).
 func NewTracker(cfg Config, bg Background, initial Observation, scale float64) *Tracker {
-	return newTracker(cfg, bg, initial, scale, new(scratch))
+	cfg = cfg.withDefaults()
+	return newTracker(cfg, initial, scale, &scratch{bg: newBGTable(&bg, &cfg)})
 }
 
-func newTracker(cfg Config, bg Background, initial Observation, scale float64, s *scratch) *Tracker {
+// newTracker builds a tracker on s, whose background tables must have been
+// built for cfg (with defaults applied).
+func newTracker(cfg Config, initial Observation, scale float64, s *scratch) *Tracker {
 	if scale <= 0 {
 		scale = 1
 	}
-	return &Tracker{cfg: cfg.withDefaults(), bg: bg, pos: initial, scale: scale, s: s}
+	return &Tracker{cfg: cfg, pos: initial, scale: scale, s: s}
 }
 
 // minArea returns the component-area gate for this tracker.
@@ -436,7 +516,7 @@ func (t *Tracker) Feed(im *frame.Image, frameIdx int) Observation {
 		X0: int(predX) - r, Y0: int(predY) - r,
 		X1: int(predX) + r, Y1: int(predY) + r,
 	}
-	comps := t.s.segment(im, &t.bg, window, &t.cfg)
+	comps := t.s.segment(im, window, &t.cfg)
 	best, ok := selectComponent(comps, predX, predY, t.minArea())
 	if !ok {
 		// Coast on the prediction.
@@ -497,10 +577,14 @@ func TrackShot(frames []*frame.Image, cfg Config) ShotResult {
 		return res
 	}
 	first := frames[0]
-	res.Background = EstimateBackground(first, cfg)
-	// Initial segmentation over the whole frame.
-	s := new(scratch)
-	comps := s.segment(first, &res.Background, first.Bounds(), &cfg)
+	// One summed-area table of the first frame serves the background
+	// estimate and the initial segmentation over the whole frame.
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.sums.Reset(first, first.Bounds())
+	res.Background = estimateBackground(&s.sums, cfg)
+	s.bg = newBGTable(&res.Background, &cfg)
+	comps := s.segmentSums(first, &cfg)
 	// Split candidates by vertical half: the broadcast camera always has
 	// the near player in the lower half, the far player in the upper half.
 	midY := float64(first.H) / 2
@@ -515,8 +599,8 @@ func TrackShot(frames []*frame.Image, cfg Config) ShotResult {
 	}
 	sortByArea(lower)
 	sortByArea(upper)
-	nearTracker := s.initTracker(cfg, res.Background, first, lower, 1.0)
-	farTracker := s.initTracker(cfg, res.Background, first, upper, 0.55)
+	nearTracker := s.initTracker(cfg, first, lower, 1.0)
+	farTracker := s.initTracker(cfg, first, upper, 0.55)
 	for i, im := range frames {
 		if i == 0 {
 			res.Near.Obs = append(res.Near.Obs, firstObservation(nearTracker))
@@ -551,11 +635,11 @@ func firstObservation(t *Tracker) Observation {
 
 // initTracker starts a tracker, sharing s, on the largest of comps (sorted
 // by area) that passes the area gate.
-func (s *scratch) initTracker(cfg Config, bg Background, im *frame.Image, comps []frame.Component, scale float64) *Tracker {
+func (s *scratch) initTracker(cfg Config, im *frame.Image, comps []frame.Component, scale float64) *Tracker {
 	minArea := int(float64(cfg.MinArea) * scale * scale)
 	for _, c := range comps {
 		if c.Area >= minArea {
-			return newTracker(cfg, bg, s.observe(im, c, 0), scale, s)
+			return newTracker(cfg, s.observe(im, c, 0), scale, s)
 		}
 	}
 	return nil

@@ -184,3 +184,51 @@ func TestFeedAllocations(t *testing.T) {
 		t.Errorf("a coasting Feed allocates %.0f times, want 0", allocs)
 	}
 }
+
+// The per-pixel segmentation the package shipped before the summed-area
+// table and the background tables: every quadtree block's statistics from a
+// pass over its pixels, every membership test a float test per cluster.
+// Kept only as the oracle the kernels are checked against.
+
+// foregroundPixel reports whether one pixel is foreground under the model.
+func foregroundPixel(c frame.RGB, bg *Background, cfg *Config) bool {
+	l := frame.Luma(c)
+	if l < cfg.LumaMin || l > cfg.LumaMax {
+		return false
+	}
+	return !bg.Match(c, cfg.CourtK, cfg.MinStd)
+}
+
+// refQuadSegment is QuadSegment through foregroundPixel and StatsOfRegion.
+func refQuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg Config) *frame.Mask {
+	cfg = cfg.withDefaults()
+	mask := frame.NewMask(im.W, im.H)
+	var split func(b frame.Rect)
+	split = func(b frame.Rect) {
+		if b.Empty() {
+			return
+		}
+		if b.W() > cfg.QuadMinBlock || b.H() > cfg.QuadMinBlock {
+			s := frame.StatsOfRegion(im, b)
+			lim := 2.5 * cfg.MinStd
+			if s.N == 0 || bg.Match(s.Mean(), cfg.CourtK, cfg.MinStd) && s.StdR < lim && s.StdG < lim && s.StdB < lim {
+				return
+			}
+			mx, my := (b.X0+b.X1)/2, (b.Y0+b.Y1)/2
+			split(frame.Rect{X0: b.X0, Y0: b.Y0, X1: mx, Y1: my})
+			split(frame.Rect{X0: mx, Y0: b.Y0, X1: b.X1, Y1: my})
+			split(frame.Rect{X0: b.X0, Y0: my, X1: mx, Y1: b.Y1})
+			split(frame.Rect{X0: mx, Y0: my, X1: b.X1, Y1: b.Y1})
+			return
+		}
+		for y := b.Y0; y < b.Y1; y++ {
+			for x := b.X0; x < b.X1; x++ {
+				if foregroundPixel(im.At(x, y), &bg, &cfg) {
+					mask.Set(x, y, true)
+				}
+			}
+		}
+	}
+	split(r.Clip(im))
+	return mask
+}
