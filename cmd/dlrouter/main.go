@@ -14,6 +14,8 @@
 //	curl --get 'http://localhost:8372/v2/search' --data-urlencode 'kw=champion'
 //	curl 'http://localhost:8372/healthz'
 //	curl 'http://localhost:8372/metrics'
+//	# with -debug-addr 127.0.0.1:6061 (off by default; never the serving port):
+//	curl -o heap.pprof 'http://127.0.0.1:6061/debug/pprof/heap'
 //
 // The cluster model is replicated storage, partitioned compute: every
 // node loads the full library (same -meta file, same site seed), and the
@@ -82,6 +84,8 @@ func main() {
 		failOpen = flag.Bool("fail-open", false,
 			"serve the reachable subset (marked partial) instead of 503 when every replica of a segment is down")
 		healthEvery = flag.Duration("health-interval", 2*time.Second, "node health probe period (0 disables)")
+		debugAddr   = flag.String("debug-addr", "",
+			"serve net/http/pprof profiles under /debug/pprof/ on this separate address (empty disables)")
 	)
 	flag.Var(&nodes, "node", "dlserve node base URL (repeatable, or comma-separated)")
 	flag.Parse()
@@ -127,6 +131,19 @@ func main() {
 		log.Printf("warning: nodes disagree on segment generation: %v", gens)
 	}
 	healthy := r.CheckHealth(context.Background())
+
+	// -debug-addr: the runtime profiles, on a listener of their own and
+	// never on the serving mux.
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		debugSrv := &http.Server{Handler: serve.DebugHandler()}
+		go debugSrv.Serve(dln) // returns ErrServerClosed once Close runs
+		defer debugSrv.Close()
+		log.Printf("profiles on http://%s/debug/pprof/", dln.Addr())
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -13,6 +13,8 @@
 //	curl 'http://localhost:8372/healthz'
 //	curl 'http://localhost:8372/metrics'      # Prometheus text format
 //	curl 'http://localhost:8372/debug/vars'   # same metrics as JSON
+//	# with -debug-addr 127.0.0.1:6060 (off by default; never the serving port):
+//	curl -o heap.pprof 'http://127.0.0.1:6060/debug/pprof/heap'
 //	curl 'http://localhost:8372/v2/manifest'  # segment sets (router placement)
 //	curl --get 'http://localhost:8372/v2/search' \
 //	     --data-urlencode 'q=find Player where sex = "female"' \
@@ -59,6 +61,7 @@ import (
 
 	"repro"
 	"repro/internal/dlse"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -81,9 +84,11 @@ func main() {
 			"write-ahead log directory: commits are durably logged before indexing and replayed on boot, so an acknowledged commit survives any crash (empty disables)")
 		walCheckpoint = flag.Int("wal-checkpoint", 16,
 			"checkpoint the WAL (snapshot + log rotation) after this many logged commits; 0 checkpoints only at shutdown and reload")
-		players = flag.Int("players", 64, "site size: number of players")
-		seed    = flag.Int64("seed", 16, "site generation seed")
-		years   = flag.Int("years", 10, "site size: number of tournament editions")
+		players   = flag.Int("players", 64, "site size: number of players")
+		seed      = flag.Int64("seed", 16, "site generation seed")
+		years     = flag.Int("years", 10, "site size: number of tournament editions")
+		debugAddr = flag.String("debug-addr", "",
+			"serve net/http/pprof profiles under /debug/pprof/ on this separate address (empty disables)")
 	)
 	flag.Parse()
 
@@ -237,6 +242,19 @@ func main() {
 	srv.SetCompactor(func(ctx context.Context, target int) (bool, error) {
 		return dl.Compact(target)
 	})
+
+	// -debug-addr: the runtime profiles, on a listener of their own and
+	// never on the serving mux.
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		debugSrv := &http.Server{Handler: serve.DebugHandler()}
+		go debugSrv.Serve(dln) // returns ErrServerClosed once Close runs
+		defer debugSrv.Close()
+		log.Printf("profiles on http://%s/debug/pprof/", dln.Addr())
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -156,7 +156,10 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 // that analyses each of its pages once and feeds the same tokens to the
 // part's text index and its vector builder, then the text lane freezes its
 // parts against the union statistics and writes its cache while the vector
-// lane writes its own, so the two fsyncs overlap.
+// lane writes its own, so the two fsyncs overlap. A lane with a cache file
+// is always served from its mapping: after writing the file, the cold build
+// opens it as a warm boot would and drops the heap it was built in, so a
+// cold node and a warm node hold the same index.
 func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, opts Options) (*ir.Segments, []*vec.Builder, error) {
 	// Each signature hashes every page body; the two are independent.
 	var textSig, vecSig uint64
@@ -164,17 +167,25 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 		func() error { textSig = pagesSignature("", all, pages.Parts()); return nil },
 		func() error { vecSig = pagesSignature(emb.Name(), all, pages.Parts()); return nil },
 	})
+	// The mappings live for the life of the process: the lanes alias them.
+	openText := func() (*ir.Segments, error) {
+		t, _, err := ir.OpenSegmentsFile(opts.TextSegfile, textSig)
+		return t, err
+	}
+	openVecs := func() ([]*vec.Builder, error) {
+		parts, _, err := vec.OpenFile(opts.VecSegfile, emb, vecSig)
+		if err == nil && len(parts) != pages.Parts() {
+			err = fmt.Errorf("vec segfile holds %d parts, want %d", len(parts), pages.Parts())
+		}
+		return parts, err
+	}
 	var text *ir.Segments
 	var vecs []*vec.Builder
 	if opts.TextSegfile != "" {
-		if t, _, err := ir.OpenSegmentsFile(opts.TextSegfile, textSig); err == nil {
-			text = t // the mapping lives for the life of the process
-		}
+		text, _ = openText() // a cache that does not open is rebuilt
 	}
 	if opts.VecSegfile != "" {
-		if parts, _, err := vec.OpenFile(opts.VecSegfile, emb, vecSig); err == nil && len(parts) == pages.Parts() {
-			vecs = parts // zero-copy views of a process-lifetime mapping
-		}
+		vecs, _ = openVecs()
 	}
 	if text != nil && vecs != nil {
 		return text, vecs, nil
@@ -233,13 +244,19 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 			if err != nil {
 				return fmt.Errorf("dlse: writing text segfile cache: %w", err)
 			}
+			if text, err = openText(); err != nil {
+				return fmt.Errorf("dlse: opening the text segfile cache just written: %w", err)
+			}
 			return nil
 		})
 	}
 	if buildVecs && opts.VecSegfile != "" {
-		finish = append(finish, func() error {
-			if err := vec.WriteFile(opts.VecSegfile, emb, vecs, vecSig); err != nil {
+		finish = append(finish, func() (err error) {
+			if err = vec.WriteFile(opts.VecSegfile, emb, vecs, vecSig); err != nil {
 				return fmt.Errorf("dlse: writing vec segfile cache: %w", err)
+			}
+			if vecs, err = openVecs(); err != nil {
+				return fmt.Errorf("dlse: opening the vec segfile cache just written: %w", err)
 			}
 			return nil
 		})

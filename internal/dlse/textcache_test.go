@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/webspace"
@@ -117,5 +119,70 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 	}
 	if _, err := NewSegmented(siteB, nil, Options{TextSegments: 3, TextSegfile: path}); err != nil {
 		t.Fatalf("corrupt cache not recovered: %v", err)
+	}
+}
+
+// liveHeap collects garbage and reads the live heap it leaves. The second
+// collection empties what sync.Pools kept through the first.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// A cold boot serves the page-lane caches it has just written, so it equals
+// a warm boot over the same files: the same answers in the lexical, vector
+// and hybrid lanes, and the same live heap — the lanes are mapped, and what
+// the cold build allocated to make them is garbage once it returns.
+func TestColdBootEqualsWarmBoot(t *testing.T) {
+	site := laneCacheSite(t)
+	dir := t.TempDir()
+	opts := Options{
+		TextSegments: 4,
+		TextSegfile:  filepath.Join(dir, "text.segf"),
+		VecSegfile:   filepath.Join(dir, "vec.segf"),
+	}
+	queries := []Query{
+		{Keyword: "australian open final"},
+		{Keyword: "left-handed champion"},
+		{Vector: "australian open final"},
+		{Vector: "women's singles winner"},
+		{Hybrid: "australian open final"},
+		{Hybrid: "champion interview"},
+	}
+	ctx := context.Background()
+	boot := func() (answers [][]Item, heap uint64) {
+		base := liveHeap()
+		e, err := NewSegmented(site, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap = liveHeap() - base
+		for _, q := range queries {
+			rs, err := e.Search(ctx, q)
+			if err != nil {
+				t.Fatalf("%+v: %v", q, err)
+			}
+			if len(rs.Items) == 0 {
+				t.Fatalf("%+v: no answers", q)
+			}
+			answers = append(answers, rs.Items)
+		}
+		runtime.KeepAlive(e)
+		return answers, heap
+	}
+	cold, coldHeap := boot()
+	warm, warmHeap := boot()
+	for i, q := range queries {
+		if !reflect.DeepEqual(cold[i], warm[i]) {
+			t.Errorf("%+v: cold and warm answers diverge\ncold: %v\nwarm: %v", q, cold[i], warm[i])
+		}
+	}
+	runtime.KeepAlive(site) // its pages must not be freed inside the warm boot's measurement
+	t.Logf("live heap of the engine: cold %d bytes, warm %d bytes", coldHeap, warmHeap)
+	if coldHeap > warmHeap+warmHeap/10+64<<10 {
+		t.Errorf("a cold boot holds %d bytes of live heap, a warm boot %d: want within 10%% + 64 KB", coldHeap, warmHeap)
 	}
 }

@@ -175,6 +175,7 @@ func NewWithSources(srcs []transport.SegmentSource, opts Options) (*Router, erro
 		return up
 	})
 	reg.GaugeFunc("nodes", func() float64 { return float64(len(r.nodes)) })
+	reg.GaugeFunc("heap_live_bytes", serve.HeapLiveBytes)
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("/v2/search", r.handleSearch)
 	r.mux.HandleFunc("/healthz", r.handleHealthz)

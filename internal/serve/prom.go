@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"sync"
@@ -124,6 +125,16 @@ func (r *Registry) CounterFamily(name, label string) *CounterFamily {
 // value → sample.
 func (r *Registry) GaugeFamilyFunc(name, label string, f func() map[string]float64) {
 	r.register(metric{name: name, label: label, read: f})
+}
+
+// HeapLiveBytes reads the heap the last garbage collection left live (0
+// before the first): the process's index and serving state, without the
+// garbage a cycle has yet to collect. It reads runtime/metrics, which,
+// unlike runtime.ReadMemStats, does not stop the world on every scrape.
+func HeapLiveBytes() float64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s[:])
+	return float64(s[0].Value.Uint64())
 }
 
 // promLabel escapes a label value per the exposition format.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	runtime.GC() // the live heap is measured by a collection
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +49,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"# TYPE dl_compactions_total counter",
 		"# TYPE dl_active_segments gauge",
 		"dl_active_segments 1",
+		"# TYPE dl_segments_hydrated gauge",
+		"dl_segments_hydrated 1",
+		"# TYPE dl_heap_live_bytes gauge",
 		"# TYPE dl_generation gauge",
 		"# TYPE dl_snapshot gauge",
 		"# TYPE dl_uptime_sec gauge",
@@ -54,6 +59,11 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
 		}
+	}
+	// The heap gauge reads the live heap, which holds at least the engine.
+	var heap float64
+	if _, err := fmt.Sscanf(body[strings.Index(body, "\ndl_heap_live_bytes ")+1:], "dl_heap_live_bytes %g", &heap); err != nil || heap <= 0 {
+		t.Fatalf("dl_heap_live_bytes = %v (%v)", heap, err)
 	}
 	// No JSON leaked in.
 	if strings.Contains(body, "{\"") {
@@ -169,5 +179,31 @@ func TestRegistryConcurrentAdds(t *testing.T) {
 	}
 	if vars.Ops != writers*perWriter || sum != writers*perWriter || len(vars.NodeOps) != 3 {
 		t.Fatalf("counter %v, family %v, want %d each over 3 label values", vars.Ops, vars.NodeOps, writers*perWriter)
+	}
+}
+
+// The profiles are served by DebugHandler alone: the serving mux has no
+// /debug/pprof/ path.
+func TestProfilesOnlyOnTheDebugHandler(t *testing.T) {
+	e, _ := fixture(t)
+	for _, c := range []struct {
+		name string
+		h    http.Handler
+		want int
+	}{
+		{"serving mux", New(e, Options{}), http.StatusNotFound},
+		{"debug handler", DebugHandler(), http.StatusOK},
+	} {
+		ts := httptest.NewServer(c.h)
+		resp, err := http.Get(ts.URL + "/debug/pprof/heap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		if resp.StatusCode != c.want || (c.want == http.StatusOK && len(body) == 0) {
+			t.Errorf("%s: GET /debug/pprof/heap = %d (%d bytes), want %d", c.name, resp.StatusCode, len(body), c.want)
+		}
 	}
 }

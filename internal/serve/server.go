@@ -94,6 +94,18 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	reg.GaugeFunc("active_segments", func() float64 {
 		return float64(s.engine.Load().VideoIndex().NumSegments())
 	})
+	// Of those, the segments decoded into the heap: a mapped segment decodes
+	// at its first read (today the vector lane's build reads every one).
+	reg.GaugeFunc("segments_hydrated", func() float64 {
+		video, n := s.engine.Load().VideoIndex(), 0
+		for i := range video.NumSegments() {
+			if video.Hydrated(i) {
+				n++
+			}
+		}
+		return float64(n)
+	})
+	reg.GaugeFunc("heap_live_bytes", HeapLiveBytes)
 	// Monotone across Swap: WithVideo-derived engines share partitions, so
 	// the per-partition build counters carry over.
 	reg.CounterFunc("sceneview_builds", func() int64 {

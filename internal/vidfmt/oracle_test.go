@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/frame"
@@ -137,7 +140,7 @@ func FuzzDecode(f *testing.F) {
 			if refErr == errTooBig {
 				return
 			}
-			got, _, err := DecodeAll(data)
+			got, _, err := decodeBoth(t, data)
 			if (err != nil) != (refErr != nil) {
 				t.Fatalf("DecodeAll error %v, oracle error %v", err, refErr)
 			}
@@ -213,12 +216,17 @@ func TestDecodeMatchesOracle(t *testing.T) {
 }
 
 // TestDecodeAllocations locks the decoder's allocation profile: one pixel
-// buffer per decoded frame, plus a constant for the reader, its index and
-// state, and the slab of image headers.
+// buffer per decoded frame, plus a constant for the source, the reader, its
+// index, record buffer and state, and the slab of image headers. ReadFile
+// is also held to a byte bound: the frames and the decode state, one frame
+// record, 128 bytes per index entry and 4 KB for the file handle — never
+// the file itself beside the frames it decodes.
 func TestDecodeAllocations(t *testing.T) {
-	const constant = 8
+	const constant = 9
 	for _, n := range []int{12, 48} {
-		data, err := EncodeAll(testFrames(n, 48, 32, 13), 25, 12)
+		// 3·64·32 bytes is one of the allocator's size classes, so a frame
+		// costs exactly its pixels.
+		data, err := EncodeAll(testFrames(n, 64, 32, 13), 25, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,6 +237,27 @@ func TestDecodeAllocations(t *testing.T) {
 		})
 		if allocs > float64(n+constant) {
 			t.Errorf("DecodeAll of %d frames: %.0f allocations, want <= %d", n, allocs, n+constant)
+		}
+
+		path := filepath.Join(t.TempDir(), "v.svf")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pix := uint64(3 * 64 * 32)
+		bound := uint64(n+1)*pix + r.maxRec + 128*uint64(n) + 4096
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, _, err := ReadFile(path)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(got) != n {
+			t.Fatalf("ReadFile: %d frames, %v", len(got), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+			t.Errorf("ReadFile of %d frames (%d-byte file): %d bytes allocated, want <= %d", n, len(data), grew, bound)
 		}
 	}
 }

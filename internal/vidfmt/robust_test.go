@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -15,6 +17,33 @@ import (
 
 // Robustness tests: corrupted and adversarial streams must produce errors,
 // never panics or silent wrong frames.
+
+// decodeBoth decodes data twice, with DecodeAll and with ReadFile from a
+// file holding it: the two sources must fail together or decode the same
+// frames. It returns DecodeAll's answer.
+func decodeBoth(t *testing.T, data []byte) ([]*frame.Image, Meta, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "v.svf")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, meta, err := DecodeAll(data)
+	fromFile, fileMeta, fileErr := ReadFile(path)
+	if (err != nil) != (fileErr != nil) {
+		t.Fatalf("DecodeAll error %v, ReadFile error %v", err, fileErr)
+	}
+	if err == nil {
+		if meta != fileMeta || len(got) != len(fromFile) {
+			t.Fatalf("DecodeAll %+v (%d frames), ReadFile %+v (%d frames)", meta, len(got), fileMeta, len(fromFile))
+		}
+		for i := range got {
+			if !got[i].Equal(fromFile[i]) {
+				t.Fatalf("frame %d: DecodeAll and ReadFile differ", i)
+			}
+		}
+	}
+	return got, meta, err
+}
 
 func TestGOPOneAllIntra(t *testing.T) {
 	frames := testFrames(10, 16, 16, 100)
@@ -87,7 +116,7 @@ func TestByteFlipNeverPanics(t *testing.T) {
 				t.Errorf("panic on byte flip at %d", int(pos)%len(data))
 			}
 		}()
-		got, meta, err := DecodeAll(corrupted)
+		got, meta, err := decodeBoth(t, corrupted)
 		if err != nil {
 			return true // detected corruption
 		}
@@ -124,7 +153,7 @@ func TestTruncatedStream(t *testing.T) {
 	frames := testFrames(6, 16, 16, 102)
 	data, _ := EncodeAll(frames, 25, 3)
 	for _, cut := range []int{1, 10, 19, len(data) / 2, len(data) - 1} {
-		if _, _, err := DecodeAll(data[:cut]); err == nil {
+		if _, _, err := decodeBoth(t, data[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -215,30 +244,6 @@ func TestDeclaredSizesAreBoundedByTheFile(t *testing.T) {
 	ok := craftSVF(8, 2, []byte{frameTypeI, 1, 0, 0, 0, 0xAF}, 1, []indexEntry{{offset: 20}})
 	if frames, _, err := DecodeAll(ok); err != nil || len(frames) != 1 {
 		t.Fatalf("well-formed crafted file: %v", err)
-	}
-}
-
-// A generic io.ReadSeeker (no in-memory stream to slice) reads payloads
-// through the reader's reused buffer and must decode the same frames.
-func TestReadSeekerSourceMatchesInMemory(t *testing.T) {
-	frames := testFrames(20, 24, 16, 104)
-	data, err := EncodeAll(frames, 25, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(struct{ io.ReadSeeker }{bytes.NewReader(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 1, 2, 19, 7, 8, 3} {
-		im, err := r.Frame(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !im.Equal(frames[i]) {
-			t.Fatalf("frame %d mismatch", i)
-		}
-		im.Fill(frame.RGB{}) // a returned frame is the caller's: scribbling on it must not disturb the reader
 	}
 }
 

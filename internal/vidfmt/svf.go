@@ -194,12 +194,11 @@ func (w *Writer) Close() error {
 // Reader decodes an SVF stream with random access by frame number.
 type Reader struct {
 	r io.ReadSeeker
-	// data is the whole stream when it is already in memory (ReadFile,
-	// DecodeAll): payloads are then sub-slices of it and decoding makes no
-	// read call. Otherwise payloads are read through r into buf, which is
-	// reused from frame to frame.
-	data     []byte
+	// buf holds one frame record read through r. It is sized once, to the
+	// largest record the index declares, and reused from frame to frame, so
+	// a decode holds one record of the stream, never the whole of it.
 	buf      []byte
+	maxRec   uint64
 	meta     Meta
 	index    []indexEntry
 	indexOff uint64
@@ -271,16 +270,23 @@ func OpenReader(r io.ReadSeeker) (*Reader, error) {
 	}
 	index := make([]indexEntry, n)
 	end := uint64(len(hdr)) // frames start after the header, in ascending order
+	var maxRec uint64
 	for i := range index {
 		e := indexEntry{offset: binary.LittleEndian.Uint64(raw[9*i:]), typ: raw[9*i+8]}
 		if e.offset < end || e.offset > indexOff-5 {
 			return nil, ErrCorrupt
 		}
+		if i > 0 {
+			maxRec = max(maxRec, e.offset-index[i-1].offset)
+		}
 		end = e.offset + 5
 		index[i] = e
 	}
+	if n > 0 {
+		maxRec = max(maxRec, indexOff-index[n-1].offset)
+	}
 	meta.Frames = n
-	return &Reader{r: r, meta: meta, index: index, indexOff: indexOff, decodedIdx: -1}, nil
+	return &Reader{r: r, meta: meta, index: index, indexOff: indexOff, maxRec: maxRec, decodedIdx: -1}, nil
 }
 
 // Meta returns the stream metadata.
@@ -337,45 +343,44 @@ func (r *Reader) Next() (*frame.Image, error) {
 // Rewind resets the sequential cursor used by Next.
 func (r *Reader) Rewind() { r.pos = 0 }
 
-// all decodes every frame: one pixel buffer per frame, and one allocation
-// for all the image headers.
-func (r *Reader) all() ([]*frame.Image, Meta, error) {
-	imgs := make([]frame.Image, len(r.index))
-	frames := make([]*frame.Image, len(r.index))
+// Frames decodes frames [start, end): one pixel buffer per frame, and one
+// allocation for all the image headers. Decoding starts at the I-frame that
+// governs start and rolls forward, so a range costs its own frames plus at
+// most one GOP before it.
+func (r *Reader) Frames(start, end int) ([]*frame.Image, error) {
+	if start < 0 || start > end || end > len(r.index) {
+		return nil, fmt.Errorf("%w: [%d, %d) of %d", ErrFrameRange, start, end, len(r.index))
+	}
+	imgs := make([]frame.Image, end-start)
+	frames := make([]*frame.Image, end-start)
 	for i := range imgs {
-		if err := r.frameInto(i, &imgs[i]); err != nil {
-			return nil, Meta{}, err
+		if err := r.frameInto(start+i, &imgs[i]); err != nil {
+			return nil, err
 		}
 		frames[i] = &imgs[i]
 	}
-	return frames, r.meta, nil
+	return frames, nil
 }
 
 // payload returns the token stream of frame j. The frame's record runs to
-// the next frame's offset (the index is ascending): a sub-slice of the
-// stream when it is in memory, otherwise one read into the reader's reused
-// buffer. A payload too short to expand to a whole frame (one token byte
-// yields at most 128 pixel bytes) is rejected here, before a frame is
-// allocated.
+// the next frame's offset (the index is ascending) and is read in one call
+// into the reader's reused buffer. A payload too short to expand to a whole
+// frame (one token byte yields at most 128 pixel bytes) is rejected here,
+// before a frame is allocated.
 func (r *Reader) payload(j int) ([]byte, error) {
 	e, end := r.index[j], r.indexOff
 	if j+1 < len(r.index) {
 		end = r.index[j+1].offset
 	}
-	rec := r.data
-	if rec != nil {
-		rec = rec[e.offset:end]
-	} else {
-		if uint64(cap(r.buf)) < end-e.offset {
-			r.buf = make([]byte, end-e.offset)
-		}
-		rec = r.buf[:end-e.offset]
-		if _, err := r.r.Seek(int64(e.offset), io.SeekStart); err != nil {
-			return nil, fmt.Errorf("vidfmt: seek frame %d: %w", j, err)
-		}
-		if _, err := io.ReadFull(r.r, rec); err != nil {
-			return nil, fmt.Errorf("vidfmt: reading frame %d: %w", j, err)
-		}
+	if r.buf == nil {
+		r.buf = make([]byte, r.maxRec)
+	}
+	rec := r.buf[:end-e.offset]
+	if _, err := r.r.Seek(int64(e.offset), io.SeekStart); err != nil {
+		return nil, fmt.Errorf("vidfmt: seek frame %d: %w", j, err)
+	}
+	if _, err := io.ReadFull(r.r, rec); err != nil {
+		return nil, fmt.Errorf("vidfmt: reading frame %d: %w", j, err)
 	}
 	plen := uint64(binary.LittleEndian.Uint32(rec[1:]))
 	if rec[0] != e.typ || plen > uint64(len(rec))-5 || uint64(3*r.meta.Width*r.meta.Height) > 128*plen {
@@ -556,13 +561,16 @@ func WriteFile(path string, frames []*frame.Image, fps, gop int) error {
 	return nil
 }
 
-// ReadFile decodes all frames from an SVF file, which is read in one call.
+// ReadFile decodes all frames from an SVF file. The file is read one frame
+// record at a time, so the decode holds the frames and one record, not the
+// file beside them.
 func ReadFile(path string) ([]*frame.Image, Meta, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("vidfmt: %w", err)
 	}
-	return DecodeAll(data)
+	defer f.Close() // only read
+	return decodeAll(f)
 }
 
 // EncodeAll encodes frames into an in-memory SVF stream.
@@ -588,12 +596,20 @@ func EncodeAll(frames []*frame.Image, fps, gop int) ([]byte, error) {
 
 // DecodeAll decodes every frame of an in-memory SVF stream.
 func DecodeAll(data []byte) ([]*frame.Image, Meta, error) {
-	r, err := OpenReader(bytes.NewReader(data))
+	return decodeAll(bytes.NewReader(data))
+}
+
+// decodeAll decodes every frame of a stream.
+func decodeAll(src io.ReadSeeker) ([]*frame.Image, Meta, error) {
+	r, err := OpenReader(src)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	r.data = data
-	return r.all()
+	frames, err := r.Frames(0, r.meta.Frames)
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return frames, r.meta, nil
 }
 
 // BaseName derives a document name from an SVF path: the file's base name

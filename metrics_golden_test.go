@@ -39,8 +39,9 @@ func promShape(t *testing.T, url string) string {
 }
 
 // The two goldens below were recorded at PR 18's commit, one metrics model
-// ago; the one intended difference since is dl_node_healthy, which read
-// "dl_node_healthy_total counter" there.
+// ago. The intended differences since: dl_node_healthy, which read
+// "dl_node_healthy_total counter" there, and the memory gauges
+// dl_heap_live_bytes (node and router) and dl_segments_hydrated (node).
 const (
 	nodeMetricsShape = `# TYPE dl_active_segments gauge
 dl_active_segments
@@ -60,6 +61,8 @@ dl_commits_total
 dl_compactions_total
 # TYPE dl_generation gauge
 dl_generation
+# TYPE dl_heap_live_bytes gauge
+dl_heap_live_bytes
 # TYPE dl_partials_total counter
 dl_partials_total
 # TYPE dl_queries_total counter
@@ -72,6 +75,8 @@ dl_queries_lexical_total
 dl_queries_vector_total
 # TYPE dl_sceneview_builds_total counter
 dl_sceneview_builds_total
+# TYPE dl_segments_hydrated gauge
+dl_segments_hydrated
 # TYPE dl_snapshot gauge
 dl_snapshot
 # TYPE dl_uptime_sec gauge
@@ -88,7 +93,9 @@ dl_wal_last_checkpoint_gen
 dl_wal_records_total
 # TYPE dl_wal_recovered_total counter
 dl_wal_recovered_total`
-	routerMetricsShape = `# TYPE dl_node_healthy gauge
+	routerMetricsShape = `# TYPE dl_heap_live_bytes gauge
+dl_heap_live_bytes
+# TYPE dl_node_healthy gauge
 dl_node_healthy{node}
 # TYPE dl_node_requests_total counter
 dl_node_requests_total{node}

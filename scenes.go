@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/vidfmt"
@@ -39,30 +40,48 @@ func (l *Library) ScenesFollowing(kindA, kindB string, maxGap int) ([]EventPair,
 	return l.View().EventsFollowing(kindA, kindB, maxGap)
 }
 
-// ExtractScene cuts the frames of a scene out of its source video. The
-// scene's video must have been indexed from an SVF file (Path set); for
-// frame-indexed videos pass the frames explicitly to ExtractSceneFrames.
+// ExtractScene decodes the frames of a scene from its source video: only
+// the scene's interval, rolled forward from the I-frame that governs its
+// first frame, never the whole video. The scene's video must have been
+// indexed from an SVF file (Path set); for frame-indexed videos pass the
+// frames explicitly to ExtractSceneFrames.
 func (l *Library) ExtractScene(s Scene) ([]*Image, error) {
 	if s.Video.Path == "" {
 		return nil, fmt.Errorf("repro: video %q has no file path; use ExtractSceneFrames", s.Video.Name)
 	}
-	frames, _, err := vidfmt.ReadFile(s.Video.Path)
+	f, err := os.Open(s.Video.Path)
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	defer f.Close() // only read
+	r, err := vidfmt.OpenReader(f)
 	if err != nil {
 		return nil, err
 	}
-	return ExtractSceneFrames(s, frames)
+	if err := checkSceneInterval(s, r.Meta().Frames); err != nil {
+		return nil, err
+	}
+	return r.Frames(s.Event.Start, s.Event.End)
 }
 
 // ExtractSceneFrames cuts a scene's interval out of the supplied decoded
 // frames of its video.
 func ExtractSceneFrames(s Scene, frames []*Image) ([]*Image, error) {
-	iv := s.Event.Interval
-	if iv.Start < 0 || iv.End > len(frames) || iv.Empty() {
-		return nil, fmt.Errorf("repro: scene interval %v outside video of %d frames", iv, len(frames))
+	if err := checkSceneInterval(s, len(frames)); err != nil {
+		return nil, err
 	}
-	out := make([]*Image, iv.Len())
-	copy(out, frames[iv.Start:iv.End])
+	out := make([]*Image, s.Event.Len())
+	copy(out, frames[s.Event.Start:s.Event.End])
 	return out, nil
+}
+
+// checkSceneInterval refuses a scene interval that is empty or reaches
+// outside a video of n frames.
+func checkSceneInterval(s Scene, n int) error {
+	if iv := s.Event.Interval; iv.Start < 0 || iv.End > n || iv.Empty() {
+		return fmt.Errorf("repro: scene interval %v outside video of %d frames", iv, n)
+	}
+	return nil
 }
 
 // SaveScene writes a scene's frames to an SVF file, a playable clip

@@ -2,12 +2,21 @@ package repro
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // sceneFixture indexes one SVF-backed broadcast and returns the library
 // plus a detected scene.
 func sceneFixture(t *testing.T) (*Library, Scene) {
+	t.Helper()
+	lib, scenes := sceneLibrary(t)
+	return lib, scenes[0]
+}
+
+// sceneLibrary indexes one SVF-backed broadcast and returns the library
+// plus every rally, net-play and service scene detected in it.
+func sceneLibrary(t *testing.T) (*Library, []Scene) {
 	t.Helper()
 	cfg := DefaultBroadcastConfig(501)
 	cfg.Shots = 6
@@ -26,17 +35,58 @@ func sceneFixture(t *testing.T) (*Library, Scene) {
 	if _, err := lib.IndexSVF("clip", path); err != nil {
 		t.Fatal(err)
 	}
+	var all []Scene
 	for _, kind := range []string{"rally", "net-play", "service"} {
 		scenes, err := lib.Scenes(kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(scenes) > 0 {
-			return lib, scenes[0]
+		all = append(all, scenes...)
+	}
+	if len(all) == 0 {
+		t.Fatal("no scenes detected in fixture broadcast")
+	}
+	return lib, all
+}
+
+// ExtractScene decodes the scene, not the video: every scene of a broadcast
+// equals ExtractSceneFrames over the whole decoded video, and extracting it
+// allocates the scene's frames plus three frames of slack (the decode
+// state, one frame record, the index) — not the video and its file.
+func TestExtractSceneDecodesOnlyTheScene(t *testing.T) {
+	lib, scenes := sceneLibrary(t)
+	whole, _, err := ReadSVF(scenes[0].Video.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frame's pixels round up to whole 8 KB pages in the allocator.
+	frameBytes := uint64(3*whole[0].W*whole[0].H+8191) &^ 8191
+	for _, s := range scenes {
+		want, err := ExtractSceneFrames(s, whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := lib.ExtractScene(s)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s %v: %v", s.Event.Kind, s.Event.Interval, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s %v: %d frames, want %d", s.Event.Kind, s.Event.Interval, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s %v: frame %d differs", s.Event.Kind, s.Event.Interval, s.Event.Start+i)
+			}
+		}
+		bound := uint64(len(want)+3) * frameBytes
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+			t.Errorf("%s %v: %d bytes allocated for %d frames of %d, want <= %d",
+				s.Event.Kind, s.Event.Interval, grew, len(want), len(whole), bound)
 		}
 	}
-	t.Fatal("no scenes detected in fixture broadcast")
-	return nil, Scene{}
 }
 
 func TestExtractAndSaveScene(t *testing.T) {

@@ -2,7 +2,9 @@
 # serve_smoke.sh — build dlserve, start it on a random port, hit /healthz
 # and the /v2 surface (/v2/search pagination — combined and ranked lanes —
 # explain, /v2/commit, /v2/compact, SIGHUP hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and check it
-# exits 0. Run via `make serve-smoke`; CI runs it alongside the race job.
+# exits 0; then segfile boots: mapped vs heap text index, and a cold boot vs
+# a warm boot on the same page-lane caches (answers, live heap, -debug-addr
+# profiles). Run via `make serve-smoke`; CI runs it alongside the race job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -261,6 +263,53 @@ if [ "$after" != "$want" ]; then
     exit 1
 fi
 
-kill -INT "$sf_pid" "$hp_pid"
-wait "$sf_pid" "$hp_pid"
+# ---------------------------------------------------------------------------
+# A cold boot serves the page-lane caches it has just written: boot dlserve
+# twice on the same -text-segfile/-vec-segfile paths (the first writes them,
+# the second maps them) and require equal answers in every lane and live
+# heaps within 10 %. -debug-addr serves the runtime profiles on a port of
+# their own; /debug/pprof/heap?gc=1 also collects before the gauge is read.
+
+echo "--- cold boot == warm boot on the same page-lane caches"
+lanes=(-meta "$tmp/meta.segf" -text-segfile "$tmp/lane-text.segf" -vec-segfile "$tmp/lane-vec.segf" -debug-addr 127.0.0.1:0)
+start_server "$tmp/log-cold" "$tmp/info-cold" "${lanes[@]}"
+[ -s "$tmp/lane-text.segf" ] && [ -s "$tmp/lane-vec.segf" ] || {
+    echo "serve-smoke: the cold boot wrote no page-lane caches" >&2; exit 1; }
+start_server "$tmp/log-warm" "$tmp/info-warm" "${lanes[@]}"
+read -r cold_pid cold_port <"$tmp/info-cold"
+read -r warm_pid warm_port <"$tmp/info-warm"
+trap 'kill "$sf_pid" "$hp_pid" "$cold_pid" "$warm_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+for q in 'q=find Player where sex = "female"' 'kw=australian final' 'kind=rally'; do
+    a=$(curl -fsS --get "http://127.0.0.1:$cold_port/v2/search" --data-urlencode "$q" --data-urlencode 'limit=5' | normalize)
+    b=$(curl -fsS --get "http://127.0.0.1:$warm_port/v2/search" --data-urlencode "$q" --data-urlencode 'limit=5' | normalize)
+    [ "$a" = "$b" ] || { echo "serve-smoke: cold/warm answers diverge for $q" >&2; exit 1; }
+    echo "match: $q"
+done
+for kind in vector hybrid; do
+    a=$(curl -fsS --get "http://127.0.0.1:$cold_port/v2/search" --data-urlencode 'kw=australian final' \
+        --data-urlencode "kind=$kind" --data-urlencode 'limit=5' | normalize)
+    b=$(curl -fsS --get "http://127.0.0.1:$warm_port/v2/search" --data-urlencode 'kw=australian final' \
+        --data-urlencode "kind=$kind" --data-urlencode 'limit=5' | normalize)
+    [ "$a" = "$b" ] || { echo "serve-smoke: cold/warm answers diverge for kind=$kind" >&2; exit 1; }
+    echo "match: kind=$kind"
+done
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$cold_port/debug/pprof/heap")
+[ "$code" = 404 ] || { echo "serve-smoke: the serving port answered /debug/pprof/heap with $code" >&2; exit 1; }
+heap_of() {
+    local dport
+    dport=$(sed -n 's|.*profiles on http://127\.0\.0\.1:\([0-9]*\)/.*|\1|p' "$1" | head -1)
+    [ -n "$dport" ] || { echo "serve-smoke: no -debug-addr in $1" >&2; exit 1; }
+    curl -fsS -o "$tmp/heap.pprof" "http://127.0.0.1:$dport/debug/pprof/heap?gc=1"
+    [ -s "$tmp/heap.pprof" ] || { echo "serve-smoke: empty heap profile ($1)" >&2; exit 1; }
+    curl -fsS "http://127.0.0.1:$2/metrics" | sed -n 's/^dl_heap_live_bytes //p'
+}
+cold_heap=$(heap_of "$tmp/log-cold" "$cold_port")
+warm_heap=$(heap_of "$tmp/log-warm" "$warm_port")
+echo "dl_heap_live_bytes: cold $cold_heap, warm $warm_heap"
+awk -v c="$cold_heap" -v w="$warm_heap" 'BEGIN { d = c - w; if (d < 0) d = -d; exit !(w > 0 && d <= w / 10) }' || {
+    echo "serve-smoke: cold and warm live heaps differ by more than 10 %" >&2; exit 1; }
+curl -fsS "http://127.0.0.1:$cold_port/metrics" | grep -q '^dl_segments_hydrated 1'
+
+kill -INT "$sf_pid" "$hp_pid" "$cold_pid" "$warm_pid"
+wait "$sf_pid" "$hp_pid" "$cold_pid" "$warm_pid"
 echo "serve-smoke: OK (graceful shutdown, exit 0)"
