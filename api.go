@@ -134,16 +134,6 @@ func WriteSVF(path string, frames []*Image, fps int) error {
 	return vidfmt.WriteFile(path, frames, fps, 0)
 }
 
-// ReadSVF decodes all frames of an SVF file, returning them with the
-// stream's frame rate.
-func ReadSVF(path string) ([]*Image, int, error) {
-	frames, meta, err := vidfmt.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return frames, meta.FPS, nil
-}
-
 // Library is a content-based video library: the tennis FDE plus the COBRA
 // meta-index it populates — stored as an ordered set of immutable index
 // segments. The legacy Index* methods append to the newest segment; Commit
@@ -242,16 +232,7 @@ func (l *Library) Close() error {
 // IndexFrames runs the full detector pipeline over the frames and stores
 // all extracted meta-data under the given video name: a one-job IndexBatch.
 func (l *Library) IndexFrames(name string, frames []*Image, fps int) (int64, error) {
-	return l.indexOne(IngestJob{Name: name, Frames: frames, FPS: fps})
-}
-
-// IndexSVF indexes a video stored in an SVF file, like IndexFrames.
-func (l *Library) IndexSVF(name, path string) (int64, error) {
-	return l.indexOne(IngestJob{Name: name, Path: path})
-}
-
-func (l *Library) indexOne(job IngestJob) (int64, error) {
-	res, err := l.IndexBatch(context.Background(), []IngestJob{job}, BatchOptions{})
+	res, err := l.IndexBatch(context.Background(), []IngestJob{{Name: name, Frames: frames, FPS: fps}}, BatchOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -319,7 +300,7 @@ type BatchResult struct {
 // one-video index, and on completion those are replayed into the library in
 // job order — so the resulting index, and SaveIndex output, are
 // byte-identical to indexing the same jobs sequentially with
-// IndexFrames/IndexSVF.
+// IndexFrames.
 //
 // Cancellation stops dispatching new jobs; jobs already in flight finish
 // and are merged, and every job that never ran reports the context error in
@@ -494,20 +475,6 @@ func (l *Library) Segments(videoID int64) ([]Segment, error) {
 	return l.View().SegmentsOf(videoID)
 }
 
-// Index exposes the newest meta-index segment — the write target of the
-// Index* methods — for advanced direct use. Whole-library reads should go
-// through View, which spans every segment. On a segfile-backed library
-// this hydrates every segment and panics if the file is corrupt; the
-// query paths, which stay lazy and report errors instead, are View and
-// the Library query methods.
-func (l *Library) Index() *MetaIndex {
-	head, err := l.head()
-	if err != nil {
-		panic(fmt.Sprintf("repro: hydrating library: %v", err))
-	}
-	return head
-}
-
 // SaveIndex persists the segmented meta-index as a segfile: the
 // block-aligned, checksummed container that memory-maps with O(segments)
 // cold start (LoadLibraryFile) and decodes segments lazily. Single-segment
@@ -533,22 +500,6 @@ func newLoadedLibrary(view *core.SegmentedIndex, mapping io.Closer) (*Library, e
 	return newLibrary(view, nextSeg, mapping)
 }
 
-// LoadLibrary restores a library from a segfile stream written by
-// SaveIndex, held in memory with segments decoded lazily; to memory-map
-// instead, use LoadLibraryFile. A stream that is not a segfile fails with
-// an error wrapping core.ErrNotSegfile.
-func LoadLibrary(r io.Reader) (*Library, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	view, err := core.OpenSegfileBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	return newLoadedLibrary(view, nil)
-}
-
 // LoadLibraryFile restores a library from a segfile by memory-mapping it:
 // the open is O(segments) — one mmap plus a manifest parse — and a
 // segment's bytes are decoded (and its pages faulted in) only when a query
@@ -562,10 +513,6 @@ func LoadLibraryFile(path string) (*Library, error) {
 	}
 	return newLoadedLibrary(view, mapping)
 }
-
-// GrammarDOT returns the tennis feature grammar's detector dependency
-// graph in Graphviz DOT form — Figure 1 of the paper.
-func GrammarDOT() string { return grammar.Tennis().DOT() }
 
 // GrammarText returns the dependency graph as an indented text tree.
 func GrammarText() string { return grammar.Tennis().Text() }
@@ -581,16 +528,16 @@ func GenerateSite(cfg SiteConfig) (*Site, error) {
 //
 // Internally it holds an immutable engine snapshot behind an atomic
 // pointer: every query runs against the snapshot current at its start, and
-// Swap (a full rebuild) or Commit (an incremental segment install) replace
-// the snapshot without disturbing queries in flight. A DigitalLibrary is
-// safe for concurrent use from any number of goroutines, Swap and Commit
-// included.
+// Swap (a full rebuild) or CommitToken (an incremental segment install)
+// replace the snapshot without disturbing queries in flight. A
+// DigitalLibrary is safe for concurrent use from any number of goroutines,
+// Swap and CommitToken included.
 type DigitalLibrary struct {
 	engine atomic.Pointer[dlse.Engine]
 	site   *webspace.Site
 	opts   LibraryOptions
 
-	// commitMu serializes the writers of the backing library (Commit,
+	// commitMu serializes the writers of the backing library (CommitToken,
 	// Compact, Swap) — queries never take it.
 	commitMu sync.Mutex
 	lib      *Library // commit target; guarded by commitMu
@@ -624,7 +571,7 @@ type LibraryOptions struct {
 }
 
 // NewDigitalLibrary combines a generated site with an indexed video
-// library. lib may be nil for a text/concept-only engine (Commit then
+// library. lib may be nil for a text/concept-only engine (CommitToken then
 // reports an error until Swap installs a library).
 func NewDigitalLibrary(site *Site, lib *Library) (*DigitalLibrary, error) {
 	return NewDigitalLibraryWith(site, lib, LibraryOptions{})
@@ -694,22 +641,6 @@ func (dl *DigitalLibrary) install(e *dlse.Engine) {
 	for _, s := range dl.servers {
 		s.Swap(e)
 	}
-}
-
-// Commit ingests new videos into a brand-new segment of the backing
-// library and atomically installs an engine snapshot over the extended
-// segment set — the incremental scale-out path: the site's text index and
-// every existing video segment are reused as-is (nothing is re-indexed or
-// re-frozen), queries in flight finish on the snapshot they started with,
-// result sets and cursor walks pinned to the old snapshot stay
-// byte-identical, and the serving layer's cache generation moves so no
-// stale answer can be served. Commits are serialized; Search never blocks
-// on one.
-//
-// With a WAL attached (AttachWAL) the batch is durably logged before any
-// indexing runs — see CommitToken, which this delegates to.
-func (dl *DigitalLibrary) Commit(ctx context.Context, jobs []IngestJob, opts BatchOptions) ([]BatchResult, error) {
-	return dl.CommitToken(ctx, "", jobs, opts)
 }
 
 // Compact merges small adjacent segments of the backing library (see

@@ -1,12 +1,13 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/vidfmt"
 )
 
 func TestLibraryIndexAndScenes(t *testing.T) {
@@ -55,15 +56,8 @@ func TestLibraryPersistence(t *testing.T) {
 	if _, err := lib.IndexFrames("clip", b.Frames, b.FPS); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := lib.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lib2, err := LoadLibrary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lib2.Index().Stats() != lib.Index().Stats() {
+	lib2 := saveAndLoad(t, lib)
+	if lib2.View().Stats() != lib.View().Stats() {
 		t.Fatal("restored index differs")
 	}
 }
@@ -76,15 +70,15 @@ func TestSVFRoundTripViaFacade(t *testing.T) {
 	if err := WriteSVF(path, b.Frames[:20], b.FPS); err != nil {
 		t.Fatal(err)
 	}
-	frames, fps, err := ReadSVF(path)
+	frames, meta, err := vidfmt.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != 20 || fps != b.FPS {
-		t.Fatalf("got %d frames @%dfps", len(frames), fps)
+	if len(frames) != 20 || meta.FPS != b.FPS {
+		t.Fatalf("got %d frames @%dfps", len(frames), meta.FPS)
 	}
 	lib, _ := NewLibrary()
-	if _, err := lib.IndexSVF("from-file", path); err != nil {
+	if _, err := lib.IndexBatch(context.Background(), []IngestJob{{Name: "from-file", Path: path}}, BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,10 +112,6 @@ func TestDigitalLibraryMotivatingQuery(t *testing.T) {
 }
 
 func TestGrammarExports(t *testing.T) {
-	dot := GrammarDOT()
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "segment") {
-		t.Fatalf("DOT output malformed:\n%s", dot)
-	}
 	txt := GrammarText()
 	if !strings.Contains(txt, "feature grammar") {
 		t.Fatalf("text output malformed:\n%s", txt)

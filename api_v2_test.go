@@ -31,7 +31,7 @@ func v2Library(t testing.TB, site *Site, extraEvents int) *Library {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := lib.Index()
+	idx := newest(t, lib)
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
 		id := idx.AddVideo(Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})

@@ -1,6 +1,6 @@
 package repro
 
-// Durable commits: a WAL makes DigitalLibrary.Commit crash-safe. Every
+// Durable commits: a WAL makes DigitalLibrary.CommitToken crash-safe. Every
 // commit batch is encoded, appended to a write-ahead log, and fsynced
 // BEFORE any indexing work runs; the caller's acknowledgment therefore
 // implies the jobs are on stable storage. If the process dies at any later
@@ -97,9 +97,6 @@ func OpenWALFS(dir string, fs fsx.FS) (*WAL, error) {
 	w.lastCkptGen.Store(state.CheckpointGen)
 	return w, nil
 }
-
-// Dir returns the WAL directory.
-func (w *WAL) Dir() string { return w.dir }
 
 // Pending returns how many logged commits await replay.
 func (w *WAL) Pending() int {
@@ -307,10 +304,20 @@ func (dl *DigitalLibrary) CheckpointWAL() error {
 	return dl.wal.checkpoint(dl.lib)
 }
 
-// CommitToken is Commit with an idempotency token: a non-empty token names
-// the batch, and a batch whose token is already logged acknowledges
-// immediately (nil results) instead of applying twice — the contract that
-// makes client retries after ambiguous failures safe.
+// CommitToken ingests new videos into a brand-new segment of the backing
+// library and atomically installs an engine snapshot over the extended
+// segment set — the incremental scale-out path: the site's text index and
+// every existing video segment are reused as-is (nothing is re-indexed or
+// re-frozen), queries in flight finish on the snapshot they started with,
+// result sets and cursor walks pinned to the old snapshot stay
+// byte-identical, and the serving layer's cache generation moves so no
+// stale answer can be served. Commits are serialized; Search never blocks
+// on one.
+//
+// A non-empty token names the batch, and a batch whose token is already
+// logged acknowledges immediately (nil results) instead of applying twice —
+// the contract that makes client retries after ambiguous failures safe. An
+// empty token never deduplicates.
 //
 // With a WAL attached the batch is durably logged before indexing and the
 // apply runs to completion even if ctx is cancelled mid-way — a logged

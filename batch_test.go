@@ -141,7 +141,7 @@ func TestIndexBatchCancellation(t *testing.T) {
 	if canceled == 0 {
 		t.Fatal("no job reports context.Canceled")
 	}
-	vs, err := lib.Index().Videos()
+	vs, err := newest(t, lib).Videos()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +189,14 @@ func TestIndexBatchSVFAndErrors(t *testing.T) {
 		if want := int64(i + 2); r.VideoID != want {
 			t.Fatalf("job %q: video ID %d, want %d", r.Name, r.VideoID, want)
 		}
-		if v, err := lib.Index().VideoByID(r.VideoID); err != nil || v.Name != r.Name {
+		if v, err := newest(t, lib).VideoByID(r.VideoID); err != nil || v.Name != r.Name {
 			t.Fatalf("job %q: video ID %d names %q (%v)", r.Name, r.VideoID, v.Name, err)
 		}
 	}
 	if results[1].Err == nil || results[1].VideoID != 0 {
 		t.Fatalf("missing file: err=%v videoID=%d", results[1].Err, results[1].VideoID)
 	}
-	if st := lib.Index().Stats(); st.Videos != 3 {
+	if st := newest(t, lib).Stats(); st.Videos != 3 {
 		t.Fatalf("index holds %d videos, want 3", st.Videos)
 	}
 }
@@ -225,7 +225,7 @@ func TestBatchEngineFollowsJobsInFlight(t *testing.T) {
 	segmentRuns := func(lib *Library) (engine, pinned int) {
 		return lib.engine.Stats()["segment"].Runs, lib.pinned.Stats()["segment"].Runs
 	}
-	var saved [2]bytes.Buffer
+	var saved [2][]byte
 	for k, oneAtATime := range []bool{true, false} {
 		lib, err := NewLibrary()
 		if err != nil {
@@ -254,11 +254,9 @@ func TestBatchEngineFollowsJobsInFlight(t *testing.T) {
 		if !oneAtATime && (e != 0 || p != len(jobs)) {
 			t.Errorf("three-video commit: %d parses on the library engine, %d on the pinned one; want 0 and %d", e, p, len(jobs))
 		}
-		if err := lib.Index().Serialize(&saved[k]); err != nil {
-			t.Fatal(err)
-		}
+		saved[k] = segmentBytes(t, newest(t, lib))
 	}
-	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+	if !bytes.Equal(saved[0], saved[1]) {
 		t.Error("index bytes differ between the library engine and the pinned engine")
 	}
 }

@@ -170,7 +170,7 @@ var e3Once sync.Once
 // other}.
 func BenchmarkE3ShotClassification(b *testing.B) {
 	vids := benchCorpus(b)
-	cls := shotdet.NewClassifier(shotdet.DefaultClassifierConfig(synth.CourtColor))
+	cls := shotdet.NewClassifier(shotdet.ClassifierConfig{CourtColor: synth.CourtColor})
 	e3Once.Do(func() {
 		conf := eval.NewConfusion("tennis", "close-up", "audience", "other")
 		for _, v := range vids {
@@ -735,19 +735,6 @@ func BenchmarkHistogram(b *testing.B) {
 	})
 }
 
-// BenchmarkQuadSegment measures the quadtree player segmentation.
-func BenchmarkQuadSegment(b *testing.B) {
-	cfg := synth.DefaultConfig(9000)
-	frames, _, _, _, _ := synth.RenderTennisShot(cfg, "rally", 2)
-	tcfg := track.DefaultConfig()
-	bg := track.EstimateBackground(frames[0], tcfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = track.QuadSegment(frames[0], bg, frames[0].Bounds(), tcfg)
-	}
-}
-
 // BenchmarkFDEPipeline measures full-pipeline indexing throughput.
 func BenchmarkFDEPipeline(b *testing.B) {
 	vids := benchCorpus(b)
@@ -1176,7 +1163,7 @@ func BenchmarkAblationHistogram(b *testing.B) {
 					cfg := shotdet.DefaultConfig()
 					cfg.Bins = bins
 					cfg.Metric = m
-					got := boundariesOf(shotdet.DetectBoundaries(v.Frames, cfg))
+					got := boundariesOf(new(shotdet.Sweeper).Detect(v.Frames, cfg))
 					pr.Add(eval.MatchBoundaries(got, v.Truth.Boundaries(), 2))
 				}
 				fmt.Printf("%-8d %-8s %10.3f\n", bins, m, pr.F1())
@@ -1189,7 +1176,7 @@ func BenchmarkAblationHistogram(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = shotdet.DetectBoundaries(v.Frames, cfg)
+		_ = new(shotdet.Sweeper).Detect(v.Frames, cfg)
 	}
 }
 
@@ -1496,48 +1483,6 @@ func BenchmarkEngineWithVideo(b *testing.B) {
 	}
 }
 
-// BenchmarkEventsRelated measures the composite event query: the reference
-// O(A·B) pairwise scan against the sort + interval-sweep, on the same
-// seeded corpus (identical output, locked by the cross-check test in
-// internal/core).
-func BenchmarkEventsRelated(b *testing.B) {
-	idx, err := core.NewMetaIndex()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(77))
-	kinds := []string{"rally", "net-play", "service"}
-	for v := 0; v < 8; v++ {
-		vid := idx.AddVideo(core.Video{Name: "v", Frames: 100000})
-		seg := idx.AddSegment(core.Segment{VideoID: vid, Interval: core.Interval{Start: 0, End: 100000}, Class: "tennis"})
-		for e := 0; e < 500; e++ {
-			start := rng.Intn(99000)
-			idx.AddEvent(core.Event{
-				VideoID: vid, SegmentID: seg, Kind: kinds[rng.Intn(len(kinds))],
-				Interval: core.Interval{Start: start, End: start + 1 + rng.Intn(400)},
-			})
-		}
-	}
-	wanted := []core.AllenRelation{core.RelDuring, core.RelStarts, core.RelFinishes, core.RelEquals}
-
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := idx.EventsRelatedNaive("net-play", "rally", wanted...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := idx.EventsRelated("net-play", "rally", wanted...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSceneJoin measures the event→video scene join across its three
 // regimes: the retained row-store reference path (per-event Select +
 // VideoByID round-trips), the frozen columnar view built cold (a cheap
@@ -1565,10 +1510,10 @@ func BenchmarkSceneJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("cold/segs=%d", nseg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Invalidate every partition's view; features are not read
-				// by the view build, so the corpus answer is unchanged.
+				// Invalidate every partition's view; object states are not
+				// read by the view build, so the corpus answer is unchanged.
 				for _, p := range parts {
-					p.AddFeature(core.FeatureValue{Name: "bump"})
+					p.AddState(core.ObjectState{})
 				}
 				if _, err := si.Scenes(kinds[i%len(kinds)]); err != nil {
 					b.Fatal(err)

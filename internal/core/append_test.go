@@ -28,22 +28,13 @@ func materializeVideo(idx *MetaIndex, j int) {
 			Area: 10 * j, BBox: [4]int{j, j, j + 4, j + 6},
 		})
 	}
-	idx.AddFeature(FeatureValue{
+	idx.features = append(idx.features, FeatureValue{
 		VideoID: vid, Frame: j, Name: "entropy", Value: float64(j) / 7,
 	})
 	idx.AddEvent(Event{
 		VideoID: vid, SegmentID: sid, Kind: "rally",
 		Interval: Interval{Start: 1, End: 40}, ActorID: oid, Confidence: 0.9,
 	})
-}
-
-func serializeBytes(t *testing.T, idx *MetaIndex) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := idx.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestAppendMatchesSequential is the byte-identity contract of the batch
@@ -59,7 +50,7 @@ func TestAppendMatchesSequential(t *testing.T) {
 	for j := 0; j < n; j++ {
 		materializeVideo(seq, j)
 	}
-	want := serializeBytes(t, seq)
+	want := serialized(t, seq)
 
 	parts := make([]*MetaIndex, n)
 	errs := make([]error, n)
@@ -84,7 +75,7 @@ func TestAppendMatchesSequential(t *testing.T) {
 		}
 		dst.Append(parts[j], IDBase{})
 	}
-	if got := serializeBytes(t, dst); !bytes.Equal(got, want) {
+	if got := serialized(t, dst); !bytes.Equal(got, want) {
 		t.Fatalf("merged serialization differs from sequential (%d vs %d bytes)", len(got), len(want))
 	}
 }
@@ -128,9 +119,14 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 	if err != nil || len(evs) != 1 {
 		t.Fatalf("events of merged video: %v, %v", evs, err)
 	}
-	objs, err := dst.ObjectsIn(evs[0].SegmentID)
-	if err != nil || len(objs) != 1 || objs[0].ID != evs[0].ActorID {
-		t.Fatalf("actor remap broken: objs=%v ev=%+v err=%v", objs, evs[0], err)
+	var objs []Object
+	for _, o := range dst.objects {
+		if o.SegmentID == evs[0].SegmentID {
+			objs = append(objs, o)
+		}
+	}
+	if len(objs) != 1 || objs[0].ID != evs[0].ActorID {
+		t.Fatalf("actor remap broken: objs=%v ev=%+v", objs, evs[0])
 	}
 	// An event without an actor keeps actor 0 rather than gaining dst's
 	// object offset.
@@ -140,7 +136,7 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 	}
 	src.AddEvent(Event{VideoID: 1, SegmentID: 1, Kind: "service"})
 	dst.Append(src, IDBase{})
-	if evs, err := dst.EventsByKind("service"); err != nil || len(evs) != 1 || evs[0].ActorID != 0 || evs[0].ID != 5 {
-		t.Fatalf("actorless event appended as %+v (%v)", evs, err)
+	if evs := dst.events[len(dst.events)-1:]; evs[0].Kind != "service" || evs[0].ActorID != 0 || evs[0].ID != 5 {
+		t.Fatalf("actorless event appended as %+v", evs)
 	}
 }

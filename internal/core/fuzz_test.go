@@ -18,11 +18,7 @@ func FuzzMetaSegfileOpen(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(misshapenSegfile(f, reshapeVideos(func(c []column[Video]) []column[Video] { return c[:2] })))
-	var seg bytes.Buffer
-	if err := parts[0].Serialize(&seg); err != nil {
-		f.Fatal(err)
-	}
-	stream := seg.Bytes()
+	stream := serialized(f, parts[0])
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])                                    // mid-table truncation
 	f.Add(stream[:len(streamMagic)+1])                               // header only
@@ -51,17 +47,19 @@ func FuzzMetaSegfileOpen(f *testing.F) {
 // readAll opens data as a meta-index segfile, hydrates every partition and
 // runs each read the engine build and the scene path make, ignoring errors.
 func readAll(data []byte) {
-	lib, err := OpenSegfileBytes(data)
+	lib, err := openBytes(data)
 	if err != nil {
 		return
 	}
-	_, _ = lib.Parts()
 	for _, kind := range []string{"net-play", "rally", "service"} {
 		_, _ = lib.Scenes(kind)
 	}
-	vids, _ := lib.Videos()
-	for _, v := range vids {
-		_, _ = lib.EventsOf(v.ID)
-		_, _ = lib.SegmentsOf(v.ID)
+	parts, _ := lib.Parts()
+	for _, p := range parts {
+		vids, _ := p.Videos()
+		for _, v := range vids {
+			_, _ = p.EventsOf(v.ID)
+			_, _ = lib.SegmentsOf(v.ID)
+		}
 	}
 }

@@ -101,12 +101,6 @@ func (m *MetaIndex) AddSegment(s Segment) int64 {
 	return s.ID
 }
 
-// AddFeature records a feature-layer measurement.
-func (m *MetaIndex) AddFeature(f FeatureValue) {
-	m.features = append(m.features, f)
-	m.version.Add(1)
-}
-
 // AddObject registers an object and returns its assigned ID.
 func (m *MetaIndex) AddObject(o Object) int64 {
 	m.ids.Object++
@@ -157,45 +151,9 @@ func (m *MetaIndex) VideoByID(id int64) (Video, error) {
 	return Video{}, fmt.Errorf("core: no video with id %d", id)
 }
 
-// VideoByName returns the video with the given name.
-func (m *MetaIndex) VideoByName(name string) (Video, error) {
-	for _, v := range m.videos {
-		if v.Name == name {
-			return v, nil
-		}
-	}
-	return Video{}, fmt.Errorf("core: no video named %q", name)
-}
-
 // SegmentsOf returns all shots of a video in index order.
 func (m *MetaIndex) SegmentsOf(videoID int64) ([]Segment, error) {
 	return filter(m.segments, func(s *Segment) bool { return s.VideoID == videoID }), nil
-}
-
-// SegmentsByClass returns all shots with the given class across videos.
-func (m *MetaIndex) SegmentsByClass(class string) ([]Segment, error) {
-	return filter(m.segments, func(s *Segment) bool { return s.Class == class }), nil
-}
-
-// EventsByKind returns all events of the given kind, answered from the
-// frozen columnar view (a slice copy).
-func (m *MetaIndex) EventsByKind(kind string) ([]Event, error) {
-	v := m.frozenView()
-	kv := v.kinds[kind]
-	if kv == nil {
-		return []Event{}, nil
-	}
-	out := make([]Event, len(kv.events))
-	copy(out, kv.events)
-	return out, nil
-}
-
-// EventsByKindReference is the retained scan path of EventsByKind: a
-// filter over the events table. It exists so parity tests and benchmarks
-// can cross-check the frozen view; both must return identical output on any
-// index.
-func (m *MetaIndex) EventsByKindReference(kind string) ([]Event, error) {
-	return filter(m.events, func(e *Event) bool { return e.Kind == kind }), nil
 }
 
 // EventsOf returns all events of a video, answered from the frozen view.
@@ -232,10 +190,7 @@ func (m *MetaIndex) Scenes(kind string) ([]Scene, error) {
 // ScenesReference is the retained scan path of Scenes: an event scan, then
 // a video scan per event.
 func (m *MetaIndex) ScenesReference(kind string) ([]Scene, error) {
-	evs, err := m.EventsByKindReference(kind)
-	if err != nil {
-		return nil, err
-	}
+	evs := filter(m.events, func(e *Event) bool { return e.Kind == kind })
 	out := make([]Scene, 0, len(evs))
 	for _, e := range evs {
 		v, err := m.VideoByID(e.VideoID)
@@ -245,27 +200,6 @@ func (m *MetaIndex) ScenesReference(kind string) ([]Scene, error) {
 		out = append(out, Scene{Video: v, Event: e})
 	}
 	return out, nil
-}
-
-// ObjectsIn returns the objects tracked within a segment.
-func (m *MetaIndex) ObjectsIn(segmentID int64) ([]Object, error) {
-	return filter(m.objects, func(o *Object) bool { return o.SegmentID == segmentID }), nil
-}
-
-// StatesOf returns the per-frame states of an object in frame order.
-func (m *MetaIndex) StatesOf(objectID int64) ([]ObjectState, error) {
-	return filter(m.states, func(s *ObjectState) bool { return s.ObjectID == objectID }), nil
-}
-
-// FeaturesOf returns all feature-layer measurements of a video in append
-// order.
-func (m *MetaIndex) FeaturesOf(videoID int64) ([]FeatureValue, error) {
-	return filter(m.features, func(f *FeatureValue) bool { return f.VideoID == videoID }), nil
-}
-
-// FeaturesNamed returns all measurements of the named feature.
-func (m *MetaIndex) FeaturesNamed(name string) ([]FeatureValue, error) {
-	return filter(m.features, func(f *FeatureValue) bool { return f.Name == name }), nil
 }
 
 // Stats summarizes the index contents.

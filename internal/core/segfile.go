@@ -9,13 +9,12 @@ package core
 // serving only scene-free queries never decodes video metadata at all, and
 // under mmap the undecoded blocks are never even paged in.
 //
-// Each segment's payload is its MetaIndex's Serialize bytes (the stream
-// format of tables.go), so a decoded segment is row for row the MetaIndex
+// Each segment's payload is its MetaIndex's stream encoding (the format of
+// tables.go), so a decoded segment is row for row the MetaIndex
 // that was written and segfile-loaded query answers are byte-identical to
 // the heap path.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -39,7 +38,7 @@ const (
 )
 
 // WriteSegfile persists a segmented library in segfile form: manifest
-// block first, then each partition's Serialize bytes as its own block.
+// block first, then each partition's stream encoding as its own block.
 // The write streams through w in one forward pass (SaveIndex compatible).
 func WriteSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int64) error {
 	return writeSegfile(w, parts, metas, gen, tables[:])
@@ -87,20 +86,6 @@ func writeSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int6
 // retired pre-segfile stream format. (Input that has the magic but is
 // damaged further in fails with the container's own corruption errors.)
 var ErrNotSegfile = errors.New("not a segfile meta-index; re-index the corpus with cobraindex")
-
-// OpenSegfileBytes opens a segmented view over in-memory segfile bytes,
-// with lazy per-segment decode. The view aliases data until every segment
-// is hydrated.
-func OpenSegfileBytes(data []byte) (*SegmentedIndex, error) {
-	if !bytes.HasPrefix(data, []byte(segfile.Magic)) {
-		return nil, fmt.Errorf("core: index stream (%d bytes): %w", len(data), ErrNotSegfile)
-	}
-	r, err := segfile.NewReader(data)
-	if err != nil {
-		return nil, err
-	}
-	return openSegfileReader(r)
-}
 
 // OpenSegmentedFile memory-maps the segfile at path as a segmented view
 // with lazy per-segment decode: the O(segments) cold start of the zero-copy

@@ -22,9 +22,19 @@ func coreSegfileBytes(t testing.TB, parts []*MetaIndex, metas []SegmentMeta, gen
 	return buf.Bytes()
 }
 
-// compareSegViews drives every SegmentedIndex read through both views and
-// requires identical answers — the byte-identical invariant at the core
-// layer.
+// openBytes opens in-memory segfile bytes the way OpenSegmentedFile opens
+// the mapping: a container reader handed to the meta-index opener.
+func openBytes(data []byte) (*SegmentedIndex, error) {
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	return openSegfileReader(r)
+}
+
+// compareSegViews drives every SegmentedIndex read, and the per-partition
+// reads the engine build makes, through both views and requires identical
+// answers — the byte-identical invariant at the core layer.
 func compareSegViews(t *testing.T, want, got *SegmentedIndex) {
 	t.Helper()
 	if want.Stats() != got.Stats() {
@@ -33,49 +43,36 @@ func compareSegViews(t *testing.T, want, got *SegmentedIndex) {
 	if !reflect.DeepEqual(want.Metas(), got.Metas()) {
 		t.Fatalf("metas %+v vs %+v", want.Metas(), got.Metas())
 	}
-	wv, err1 := want.Videos()
-	gv, err2 := got.Videos()
-	if err1 != nil || err2 != nil || !reflect.DeepEqual(wv, gv) {
-		t.Fatalf("videos diverge: %v/%v vs %v/%v", wv, err1, gv, err2)
+	wparts, err1 := want.Parts()
+	gparts, err2 := got.Parts()
+	if err1 != nil || err2 != nil || len(wparts) != len(gparts) {
+		t.Fatalf("parts: %d/%v vs %d/%v", len(wparts), err1, len(gparts), err2)
 	}
-	for _, v := range wv {
-		wb, _ := want.VideoByID(v.ID)
-		gb, _ := got.VideoByID(v.ID)
-		if wb != gb {
-			t.Fatalf("video %d: %+v vs %+v", v.ID, wb, gb)
+	for i, wp := range wparts {
+		wv, _ := wp.Videos()
+		gv, _ := gparts[i].Videos()
+		if !reflect.DeepEqual(wv, gv) {
+			t.Fatalf("segment %d: videos diverge: %v vs %v", i, wv, gv)
 		}
-		ws, _ := want.SegmentsOf(v.ID)
-		gs, _ := got.SegmentsOf(v.ID)
-		if !reflect.DeepEqual(ws, gs) {
-			t.Fatalf("segments of %d diverge", v.ID)
-		}
-		we, _ := want.EventsOf(v.ID)
-		ge, _ := got.EventsOf(v.ID)
-		if !reflect.DeepEqual(we, ge) {
-			t.Fatalf("events of %d diverge", v.ID)
+		for _, v := range wv {
+			ws, _ := want.SegmentsOf(v.ID)
+			gs, _ := got.SegmentsOf(v.ID)
+			if !reflect.DeepEqual(ws, gs) {
+				t.Fatalf("segments of %d diverge", v.ID)
+			}
+			we, _ := wp.EventsOf(v.ID)
+			ge, _ := gparts[i].EventsOf(v.ID)
+			if !reflect.DeepEqual(we, ge) {
+				t.Fatalf("events of %d diverge", v.ID)
+			}
 		}
 	}
 	for _, kind := range []string{"net-play", "rally", "service", "absent"} {
-		wk, _ := want.EventsByKind(kind)
-		gk, _ := got.EventsByKind(kind)
-		if !reflect.DeepEqual(wk, gk) {
-			t.Fatalf("events kind %q diverge", kind)
-		}
 		wsc, _ := want.Scenes(kind)
 		gsc, _ := got.Scenes(kind)
 		if !reflect.DeepEqual(wsc, gsc) {
 			t.Fatalf("scenes kind %q diverge", kind)
 		}
-	}
-	wp, _ := want.EventsRelated("net-play", "rally")
-	gp, _ := got.EventsRelated("net-play", "rally")
-	if !reflect.DeepEqual(wp, gp) {
-		t.Fatal("related pairs diverge")
-	}
-	wf, _ := want.EventsFollowing("service", "rally", 50)
-	gf, _ := got.EventsFollowing("service", "rally", 50)
-	if !reflect.DeepEqual(wf, gf) {
-		t.Fatal("following pairs diverge")
 	}
 }
 
@@ -84,7 +81,7 @@ func TestSegfileLibraryParity(t *testing.T) {
 		t.Run(fmt.Sprintf("sizes=%v", sizes), func(t *testing.T) {
 			si, parts, metas := buildSegMeta(t, sizes)
 			data := coreSegfileBytes(t, parts, metas, 5)
-			lazy, err := OpenSegfileBytes(data)
+			lazy, err := openBytes(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +103,7 @@ func TestSegfileLibraryParity(t *testing.T) {
 			// Version parity against an eager load of the same bytes: loaded
 			// partitions start at version 0, so the lazy view's version —
 			// before and after hydration — must equal the eager view's.
-			elib, err := OpenSegfileBytes(data)
+			elib, err := openBytes(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +141,7 @@ func TestSegfileLibraryParity(t *testing.T) {
 
 func TestSegfileLibraryLazyHydration(t *testing.T) {
 	_, parts, metas := buildSegMeta(t, []int{2, 2, 2})
-	lazy, err := OpenSegfileBytes(coreSegfileBytes(t, parts, metas, 1))
+	lazy, err := openBytes(coreSegfileBytes(t, parts, metas, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +157,7 @@ func TestSegfileLibraryLazyHydration(t *testing.T) {
 	if err != nil || len(vids) == 0 {
 		t.Fatalf("seed videos: %v", err)
 	}
-	if _, err := lazy.VideoByID(vids[0].ID); err != nil {
+	if _, err := lazy.SegmentsOf(vids[0].ID); err != nil {
 		t.Fatal(err)
 	}
 	if lazy.Hydrated(0) {
@@ -213,13 +210,13 @@ func TestSegfileLibraryHostile(t *testing.T) {
 	_, parts, metas := buildSegMeta(t, []int{2, 2})
 	data := coreSegfileBytes(t, parts, metas, 1)
 	for _, n := range []int{0, 16, 100, len(data) / 2, len(data) - 1} {
-		if _, err := OpenSegfileBytes(data[:n]); err == nil {
+		if _, err := openBytes(data[:n]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
 	// Corrupting a segment block passes open (manifest intact) but fails
 	// at hydration with an error, not a panic.
-	lib, err := OpenSegfileBytes(data)
+	lib, err := openBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +240,7 @@ func TestSegfileLibraryHostile(t *testing.T) {
 	for i := 0; i < len(data); i += 11 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xA5
-		l2, err := OpenSegfileBytes(mut)
+		l2, err := openBytes(mut)
 		if err != nil {
 			continue
 		}
@@ -298,15 +295,15 @@ func TestSegfileMisshapenTables(t *testing.T) {
 		{"reordered", func(c []column[Video]) []column[Video] { c[3], c[4] = c[4], c[3]; return c }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lib, err := OpenSegfileBytes(misshapenSegfile(t, reshapeVideos(tc.reshape)))
+			lib, err := openBytes(misshapenSegfile(t, reshapeVideos(tc.reshape)))
 			if err != nil {
 				t.Fatal(err) // the manifest is sound; decoding is lazy
 			}
 			if _, err := lib.Scenes("rally"); err == nil || !strings.Contains(err.Error(), `"videos"`) {
 				t.Fatalf("Scenes over a misshapen videos table: err = %v", err)
 			}
-			if _, err := lib.Videos(); err == nil {
-				t.Fatal("Videos over a misshapen videos table succeeded")
+			if _, err := lib.Parts(); err == nil {
+				t.Fatal("Parts over a misshapen videos table succeeded")
 			}
 		})
 	}

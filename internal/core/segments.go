@@ -96,9 +96,6 @@ func (s *SegmentedIndex) Parts() ([]*MetaIndex, error) {
 // segfile-backed and no read has touched it).
 func (s *SegmentedIndex) Hydrated(i int) bool { return s.parts[i].Peek() != nil }
 
-// Meta returns partition i's manifest entry.
-func (s *SegmentedIndex) Meta(i int) SegmentMeta { return s.metas[i] }
-
 // Metas returns a copy of the full segment manifest in partition order —
 // the placement input of the distributed tier.
 func (s *SegmentedIndex) Metas() []SegmentMeta {
@@ -187,36 +184,6 @@ func (s *SegmentedIndex) partOf(videoID int64) (*MetaIndex, error) {
 	return s.parts.Part(i)
 }
 
-// Videos returns all registered videos in ID order.
-func (s *SegmentedIndex) Videos() ([]Video, error) {
-	return segset.Gather(s.parts, (*MetaIndex).Videos)
-}
-
-// VideoByID returns the video with the given ID.
-func (s *SegmentedIndex) VideoByID(id int64) (Video, error) {
-	p, err := s.partOf(id)
-	if err != nil {
-		return Video{}, err
-	}
-	return p.VideoByID(id)
-}
-
-// VideoByName returns the video with the given name (first match in
-// segment order, like the monolithic index's row order). Partition decode
-// errors propagate; only a genuinely absent name reports not-found.
-func (s *SegmentedIndex) VideoByName(name string) (Video, error) {
-	for i := range s.parts {
-		p, err := s.parts.Part(i)
-		if err != nil {
-			return Video{}, err
-		}
-		if v, err := p.VideoByName(name); err == nil {
-			return v, nil
-		}
-	}
-	return Video{}, fmt.Errorf("core: no video named %q", name)
-}
-
 // SegmentsOf returns all shots of a video in index order.
 func (s *SegmentedIndex) SegmentsOf(videoID int64) ([]Segment, error) {
 	p, err := s.partOf(videoID)
@@ -226,38 +193,9 @@ func (s *SegmentedIndex) SegmentsOf(videoID int64) ([]Segment, error) {
 	return p.SegmentsOf(videoID)
 }
 
-// EventsOf returns all events of a video.
-func (s *SegmentedIndex) EventsOf(videoID int64) ([]Event, error) {
-	p, err := s.partOf(videoID)
-	if err != nil {
-		return nil, err
-	}
-	return p.EventsOf(videoID)
-}
-
-// EventsByKind returns all events of the given kind.
-func (s *SegmentedIndex) EventsByKind(kind string) ([]Event, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]Event, error) { return p.EventsByKind(kind) })
-}
-
 // Scenes returns playable scenes for all events of the given kind.
 func (s *SegmentedIndex) Scenes(kind string) ([]Scene, error) {
 	return segset.Gather(s.parts, func(p *MetaIndex) ([]Scene, error) { return p.Scenes(kind) })
-}
-
-// EventsRelated answers the composite temporal query across all
-// partitions. Related events always share a video, and a video lives
-// wholly inside one partition, so the per-partition answers concatenate
-// into the monolithic pair order (ascending by the position of the first
-// event in EventsByKind).
-func (s *SegmentedIndex) EventsRelated(kindA, kindB string, wanted ...AllenRelation) ([]EventPair, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsRelated(kindA, kindB, wanted...) })
-}
-
-// EventsFollowing returns kindB events starting within maxGap frames after
-// a kindA event ends, across all partitions.
-func (s *SegmentedIndex) EventsFollowing(kindA, kindB string, maxGap int) ([]EventPair, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]EventPair, error) { return p.EventsFollowing(kindA, kindB, maxGap) })
 }
 
 // ------------------------------------------------------------ compaction
@@ -265,7 +203,7 @@ func (s *SegmentedIndex) EventsFollowing(kindA, kindB string, maxGap int) ([]Eve
 // MergeSegmentRange appends partitions [from, to) in order to one new
 // partition at the range's starting ID base. Each must start where the one
 // before it ended (its manifest base equal to the merged counters so far), so
-// no ID shifts: the result is byte-identical (Serialize) to indexing the same
+// no ID shifts: the result encodes byte-identically to indexing the same
 // videos into one index at that base, and every answer over the compacted set
 // matches the uncompacted one. A range whose bases do not chain fails.
 func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*MetaIndex, SegmentMeta, error) {

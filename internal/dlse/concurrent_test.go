@@ -90,7 +90,7 @@ func TestPlanShapes(t *testing.T) {
 			[]OpKind{OpConcept, OpVideo, OpText}},
 	}
 	for i, tc := range cases {
-		if got := e.Plan(tc.req).Operators(); !reflect.DeepEqual(got, tc.want) {
+		if got := e.Plan(tc.req).ops; !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("case %d: plan = %v, want %v", i, got, tc.want)
 		}
 	}

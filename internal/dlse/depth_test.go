@@ -226,15 +226,12 @@ func TestBoundedWalkAndStream(t *testing.T) {
 				continue
 			}
 			st := second.Stream()
-			if st.Remaining() != full.Total-size {
-				t.Fatalf("%+v size %d: stream remaining %d, want %d", q, size, st.Remaining(), full.Total-size)
-			}
 			var rest []Item
 			for it, ok := st.Next(); ok; it, ok = st.Next() {
 				rest = append(rest, it)
 			}
-			if err := sameItems(rest, full.Items[size:]); err != nil || st.Remaining() != 0 {
-				t.Fatalf("%+v size %d: stream from page 2: %v (remaining %d)", q, size, err, st.Remaining())
+			if err := sameItems(rest, full.Items[size:]); err != nil {
+				t.Fatalf("%+v size %d: stream from page 2: %v", q, size, err)
 			}
 		}
 		// Pages of one result set share the prefix: cutting a deep page

@@ -58,9 +58,6 @@ type Plan struct {
 	ops []OpKind
 }
 
-// Operators returns the plan's operator kinds in priority order.
-func (p Plan) Operators() []OpKind { return append([]OpKind(nil), p.ops...) }
-
 // String renders the plan for explain output.
 func (p Plan) String() string {
 	names := make([]string, len(p.ops))

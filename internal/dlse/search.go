@@ -578,7 +578,3 @@ func (s *Stream) Next() (item Item, ok bool) {
 	s.i++
 	return item, true
 }
-
-// Remaining reports how many items of the answer lie past the stream's
-// position.
-func (s *Stream) Remaining() int { return s.ans.total - s.i }

@@ -86,9 +86,6 @@ func New(g *grammar.Grammar) (*Engine, error) {
 	}, nil
 }
 
-// Grammar returns the engine's grammar.
-func (e *Engine) Grammar() *grammar.Grammar { return e.g }
-
 // Bind attaches an implementation to a named detector.
 func (e *Engine) Bind(name string, impl Impl) error {
 	if e.g.Detector(name) == nil {

@@ -42,67 +42,6 @@ func ToHSV(c RGB) HSV {
 	return HSV{H: h, S: s, V: maxc}
 }
 
-// FromHSV converts an HSV colour back to RGB. Inputs outside the valid
-// ranges are clamped.
-func FromHSV(c HSV) RGB {
-	h := math.Mod(c.H, 360)
-	if h < 0 {
-		h += 360
-	}
-	s := clamp01(c.S)
-	v := clamp01(c.V)
-	cc := v * s
-	x := cc * (1 - math.Abs(math.Mod(h/60, 2)-1))
-	m := v - cc
-	var r, g, b float64
-	switch {
-	case h < 60:
-		r, g, b = cc, x, 0
-	case h < 120:
-		r, g, b = x, cc, 0
-	case h < 180:
-		r, g, b = 0, cc, x
-	case h < 240:
-		r, g, b = 0, x, cc
-	case h < 300:
-		r, g, b = x, 0, cc
-	default:
-		r, g, b = cc, 0, x
-	}
-	return RGB{
-		R: uint8(math.Round((r + m) * 255)),
-		G: uint8(math.Round((g + m) * 255)),
-		B: uint8(math.Round((b + m) * 255)),
-	}
-}
-
-// YCbCr holds a colour in ITU-R BT.601 YCbCr space, full range,
-// each component in [0, 255].
-type YCbCr struct {
-	Y, Cb, Cr float64
-}
-
-// ToYCbCr converts an RGB colour to full-range BT.601 YCbCr.
-func ToYCbCr(c RGB) YCbCr {
-	r, g, b := float64(c.R), float64(c.G), float64(c.B)
-	return YCbCr{
-		Y:  0.299*r + 0.587*g + 0.114*b,
-		Cb: 128 - 0.168736*r - 0.331264*g + 0.5*b,
-		Cr: 128 + 0.5*r - 0.418688*g - 0.081312*b,
-	}
-}
-
-// FromYCbCr converts a full-range BT.601 YCbCr colour back to RGB,
-// clamping to the representable range.
-func FromYCbCr(c YCbCr) RGB {
-	y, cb, cr := c.Y, c.Cb-128, c.Cr-128
-	return RGB{
-		R: clamp255(y + 1.402*cr),
-		G: clamp255(y - 0.344136*cb - 0.714136*cr),
-		B: clamp255(y + 1.772*cb),
-	}
-}
-
 // ColorDist returns the Euclidean distance between two RGB colours,
 // in [0, ~441.7].
 func ColorDist(a, b RGB) float64 {

@@ -37,43 +37,6 @@ func TestHSVKnownValues(t *testing.T) {
 	}
 }
 
-// Property: RGB -> HSV -> RGB round-trips within rounding error.
-func TestHSVRoundTripProperty(t *testing.T) {
-	f := func(r, g, b uint8) bool {
-		in := RGB{r, g, b}
-		out := FromHSV(ToHSV(in))
-		return absInt(int(in.R)-int(out.R)) <= 1 &&
-			absInt(int(in.G)-int(out.G)) <= 1 &&
-			absInt(int(in.B)-int(out.B)) <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: RGB -> YCbCr -> RGB round-trips within rounding error.
-func TestYCbCrRoundTripProperty(t *testing.T) {
-	f := func(r, g, b uint8) bool {
-		in := RGB{r, g, b}
-		out := FromYCbCr(ToYCbCr(in))
-		return absInt(int(in.R)-int(out.R)) <= 1 &&
-			absInt(int(in.G)-int(out.G)) <= 1 &&
-			absInt(int(in.B)-int(out.B)) <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestYCbCrNeutralAxis(t *testing.T) {
-	for _, v := range []uint8{0, 64, 128, 200, 255} {
-		yc := ToYCbCr(RGB{v, v, v})
-		if math.Abs(yc.Cb-128) > 1e-6 || math.Abs(yc.Cr-128) > 1e-6 {
-			t.Errorf("gray %d has chroma (%v,%v), want (128,128)", v, yc.Cb, yc.Cr)
-		}
-	}
-}
-
 func TestColorDist(t *testing.T) {
 	if d := ColorDist(RGB{0, 0, 0}, RGB{0, 0, 0}); d != 0 {
 		t.Fatalf("self distance = %v", d)

@@ -61,12 +61,6 @@ func (h *Histogram) Index(c RGB) int {
 	return (h.binOf(c.R)*h.Bins+h.binOf(c.G))*h.Bins + h.binOf(c.B)
 }
 
-// Add accumulates one pixel.
-func (h *Histogram) Add(c RGB) {
-	h.Counts[h.Index(c)]++
-	h.Total++
-}
-
 // laneCells is the largest bin cube AddImage counts in integer lanes: four
 // [laneCells]uint32 arrays, 8 KiB on the stack. It admits every bin count up
 // to 8 per channel, the resolution the shot detector and classifier use.
@@ -183,21 +177,15 @@ func HistogramOf(im *Image, bins int) *Histogram {
 	return h
 }
 
-// HistogramsOf computes the per-frame histograms of a frame sequence,
+// HistogramsInto computes the per-frame histograms of a frame sequence,
 // fanning the frames out over a pool of workers goroutines (workers < 1
 // selects GOMAXPROCS). Per-frame extraction is the hot loop of shot
 // boundary detection; the output is identical to calling HistogramOf on
-// every frame in order.
-func HistogramsOf(frames []*Image, bins, workers int) []*Histogram {
-	return HistogramsInto(nil, frames, bins, workers)
-}
-
-// HistogramsInto is HistogramsOf writing through a reusable buffer: out
-// entries with a matching bin count are recomputed in place instead of
-// reallocated, and out is grown or shrunk to len(frames). Callers recycle
-// the returned slice across batches so the ingest hot loop stops paying
-// one histogram allocation per frame. Passing nil out allocates everything,
-// which is exactly HistogramsOf.
+// every frame in order. It writes through a reusable buffer: out entries
+// with a matching bin count are recomputed in place instead of reallocated,
+// and out is grown or shrunk to len(frames). Callers recycle the returned
+// slice across batches so the ingest hot loop stops paying one histogram
+// allocation per frame; a nil out allocates everything.
 func HistogramsInto(out []*Histogram, frames []*Image, bins, workers int) []*Histogram {
 	for len(out) < len(frames) {
 		out = append(out, nil)
@@ -245,20 +233,6 @@ func fillHistogram(out []*Histogram, frames []*Image, bins, i int) {
 	} else {
 		out[i] = HistogramOf(frames[i], bins)
 	}
-}
-
-// Normalized returns a copy of the histogram whose counts sum to 1.
-// An empty histogram normalizes to all zeros.
-func (h *Histogram) Normalized() *Histogram {
-	out := NewHistogram(h.Bins)
-	out.Total = 1
-	if h.Total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out.Counts[i] = c / h.Total
-	}
-	return out
 }
 
 // L1Dist returns the L1 (sum of absolute differences) distance between two
@@ -312,32 +286,6 @@ func (h *Histogram) ChiSquare(other *Histogram) float64 {
 		}
 	}
 	return d
-}
-
-// Intersection returns the histogram intersection similarity of the
-// normalized histograms, in [0, 1]; 1 means identical distributions.
-func (h *Histogram) Intersection(other *Histogram) float64 {
-	mustSameBins(h, other)
-	var s float64
-	ht, ot := h.Total, other.Total
-	if ht == 0 {
-		ht = 1
-	}
-	if ot == 0 {
-		ot = 1
-	}
-	a, b := h.Counts, other.Counts[:len(h.Counts)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s += math.Min(a[i]/ht, b[i]/ot)
-		s += math.Min(a[i+1]/ht, b[i+1]/ot)
-		s += math.Min(a[i+2]/ht, b[i+2]/ot)
-		s += math.Min(a[i+3]/ht, b[i+3]/ot)
-	}
-	for ; i < len(a); i++ {
-		s += math.Min(a[i]/ht, b[i]/ot)
-	}
-	return s
 }
 
 // Peak returns the most populated bin's representative colour (the centre
@@ -396,22 +344,11 @@ func mustSameBins(a, b *Histogram) {
 	}
 }
 
-// GrayHistogram is a 256-bin luminance histogram, used for the entropy,
-// mean and variance characteristics the shot classifier relies on.
+// GrayHistogram is a 256-bin luminance histogram, used for the mean and
+// variance characteristics the shot classifier relies on.
 type GrayHistogram struct {
 	Counts [256]float64
 	Total  float64
-}
-
-// GrayHistogramOf computes the luminance histogram of an image.
-func GrayHistogramOf(im *Image) *GrayHistogram {
-	h := &GrayHistogram{}
-	for i := 0; i < len(im.Pix); i += 3 {
-		y := Luma(RGB{im.Pix[i], im.Pix[i+1], im.Pix[i+2]})
-		h.Counts[int(y)]++
-	}
-	h.Total = float64(im.W * im.H)
-	return h
 }
 
 // Mean returns the mean luminance in [0, 255].
@@ -438,19 +375,4 @@ func (h *GrayHistogram) Variance() float64 {
 		s += d * d * c
 	}
 	return s / h.Total
-}
-
-// Entropy returns the Shannon entropy (bits) of the luminance distribution.
-func (h *GrayHistogram) Entropy() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var e float64
-	for _, c := range h.Counts {
-		if c > 0 {
-			p := c / h.Total
-			e -= p * math.Log2(p)
-		}
-	}
-	return e
 }

@@ -64,21 +64,6 @@ func referenceChiSquare(h, other *Histogram) float64 {
 	return d
 }
 
-func referenceIntersection(h, other *Histogram) float64 {
-	var s float64
-	ht, ot := h.Total, other.Total
-	if ht == 0 {
-		ht = 1
-	}
-	if ot == 0 {
-		ot = 1
-	}
-	for i := range h.Counts {
-		s += math.Min(h.Counts[i]/ht, other.Counts[i]/ot)
-	}
-	return s
-}
-
 // TestAddImageMatchesReference locks both extraction kernels — the integer
 // lanes (bins <= 8) and the float LUT loop — to the Index loop, bin count
 // by bin count (including odd bins, where the quantization truncation is
@@ -162,9 +147,6 @@ func TestDistanceKernelsMatchReference(t *testing.T) {
 			}
 			if got, want := a.ChiSquare(b), referenceChiSquare(a, b); got != want {
 				t.Fatalf("bins=%d trial=%d: chi2 %v != %v", bins, trial, got, want)
-			}
-			if got, want := a.Intersection(b), referenceIntersection(a, b); got != want {
-				t.Fatalf("bins=%d trial=%d: intersection %v != %v", bins, trial, got, want)
 			}
 		}
 	}

@@ -23,7 +23,7 @@ func TestHistogramsOfMatchesSequential(t *testing.T) {
 		want[i] = HistogramOf(im, 8)
 	}
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got := HistogramsOf(frames, 8, workers)
+		got := HistogramsInto(nil, frames, 8, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d histograms", workers, len(got))
 		}
@@ -41,7 +41,7 @@ func TestHistogramsOfMatchesSequential(t *testing.T) {
 }
 
 func TestHistogramsOfEmpty(t *testing.T) {
-	if got := HistogramsOf(nil, 8, 4); len(got) != 0 {
+	if got := HistogramsInto(nil, nil, 8, 4); len(got) != 0 {
 		t.Fatalf("empty input yielded %d histograms", len(got))
 	}
 }

@@ -28,7 +28,7 @@ func TestSetImageMatchesHistogramOf(t *testing.T) {
 // and matching slots must actually be reused.
 func TestHistogramsIntoReuse(t *testing.T) {
 	frames := randomFrames(9, 24, 18, 12)
-	want := HistogramsOf(frames, 8, 1)
+	want := HistogramsInto(nil, frames, 8, 1)
 
 	// A dirty buffer: some nil, some wrong bins, some matching.
 	buf := make([]*Histogram, 5)

@@ -11,10 +11,7 @@
 // detector (internal/track) and the event rules (internal/rules).
 package frame
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // RGB is a packed 8-bit-per-channel colour.
 type RGB struct {
@@ -39,10 +36,6 @@ func New(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]uint8, 3*w*h)}
 }
 
-// ErrBounds is returned by checked accessors when coordinates fall outside
-// the image.
-var ErrBounds = errors.New("frame: coordinates out of bounds")
-
 // Offset returns the index into Pix of the pixel at (x, y).
 // It performs no bounds checking.
 func (im *Image) Offset(x, y int) int { return 3 * (y*im.W + x) }
@@ -50,15 +43,6 @@ func (im *Image) Offset(x, y int) int { return 3 * (y*im.W + x) }
 // In reports whether (x, y) lies inside the image.
 func (im *Image) In(x, y int) bool {
 	return x >= 0 && y >= 0 && x < im.W && y < im.H
-}
-
-// At returns the colour at (x, y). Out-of-bounds coordinates return black.
-func (im *Image) At(x, y int) RGB {
-	if !im.In(x, y) {
-		return RGB{}
-	}
-	o := im.Offset(x, y)
-	return RGB{im.Pix[o], im.Pix[o+1], im.Pix[o+2]}
 }
 
 // Set writes the colour at (x, y). Out-of-bounds coordinates are ignored.
@@ -152,11 +136,6 @@ func (r Rect) Shift(dx, dy int) Rect {
 	return Rect{r.X0 + dx, r.Y0 + dy, r.X1 + dx, r.Y1 + dy}
 }
 
-// Contains reports whether the point (x, y) lies inside the rectangle.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1
-}
-
 // Intersect returns the intersection of two rectangles (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{max(r.X0, s.X0), max(r.Y0, s.Y0), min(r.X1, s.X1), min(r.Y1, s.Y1)}
@@ -169,56 +148,5 @@ func (r Rect) Intersect(s Rect) Rect {
 	return out
 }
 
-// Union returns the smallest rectangle containing both r and s.
-// If either is empty the other is returned.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{min(r.X0, s.X0), min(r.Y0, s.Y0), max(r.X1, s.X1), max(r.Y1, s.Y1)}
-}
-
-// Center returns the centre point of the rectangle in floating point.
-func (r Rect) Center() (float64, float64) {
-	return float64(r.X0+r.X1) / 2, float64(r.Y0+r.Y1) / 2
-}
-
 // Bounds returns the rectangle covering the whole image.
 func (im *Image) Bounds() Rect { return Rect{0, 0, im.W, im.H} }
-
-// Equal reports whether two images have identical dimensions and pixels.
-func (im *Image) Equal(other *Image) bool {
-	if im.W != other.W || im.H != other.H {
-		return false
-	}
-	for i := range im.Pix {
-		if im.Pix[i] != other.Pix[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Diff returns the mean absolute per-channel difference between two images
-// of identical dimensions, in [0, 255]. It returns an error if dimensions
-// differ.
-func (im *Image) Diff(other *Image) (float64, error) {
-	if im.W != other.W || im.H != other.H {
-		return 0, fmt.Errorf("frame: dimension mismatch %dx%d vs %dx%d", im.W, im.H, other.W, other.H)
-	}
-	var sum uint64
-	for i := range im.Pix {
-		d := int(im.Pix[i]) - int(other.Pix[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += uint64(d)
-	}
-	if len(im.Pix) == 0 {
-		return 0, nil
-	}
-	return float64(sum) / float64(len(im.Pix)), nil
-}

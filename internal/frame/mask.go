@@ -8,50 +8,6 @@ type Mask struct {
 	Bits []bool
 }
 
-// NewMask allocates an all-false mask.
-func NewMask(w, h int) *Mask {
-	return &Mask{W: w, H: h, Bits: make([]bool, w*h)}
-}
-
-// In reports whether (x, y) lies inside the mask.
-func (m *Mask) In(x, y int) bool {
-	return x >= 0 && y >= 0 && x < m.W && y < m.H
-}
-
-// Get returns the bit at (x, y); out of bounds reads return false.
-func (m *Mask) Get(x, y int) bool {
-	if !m.In(x, y) {
-		return false
-	}
-	return m.Bits[y*m.W+x]
-}
-
-// Set writes the bit at (x, y); out of bounds writes are ignored.
-func (m *Mask) Set(x, y int, v bool) {
-	if !m.In(x, y) {
-		return
-	}
-	m.Bits[y*m.W+x] = v
-}
-
-// Count returns the number of set bits.
-func (m *Mask) Count() int {
-	n := 0
-	for _, b := range m.Bits {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns a deep copy of the mask.
-func (m *Mask) Clone() *Mask {
-	out := NewMask(m.W, m.H)
-	copy(out.Bits, m.Bits)
-	return out
-}
-
 // Reset resizes the mask to w×h and clears it, reusing its storage when it
 // is large enough: the form for scratch masks that live across frames.
 func (m *Mask) Reset(w, h int) {
@@ -72,14 +28,11 @@ func (m *Mask) resize(w, h int) {
 // row returns row y of the mask.
 func (m *Mask) row(y int) []bool { return m.Bits[y*m.W : (y+1)*m.W] }
 
-// Erode applies one pass of 4-neighbour binary erosion: a pixel stays set
-// only if it and all four direct neighbours are set. Border pixels treat
-// out-of-bounds neighbours as unset, so erosion shrinks regions touching
-// the border.
-func (m *Mask) Erode() *Mask { return m.ErodeInto(new(Mask)) }
-
-// ErodeInto is Erode writing into dst (resized to match, and returned),
-// which must not be m itself. It works a row at a time on the row and its
+// ErodeInto applies one pass of 4-neighbour binary erosion into dst
+// (resized to match, and returned), which must not be m itself: a pixel
+// stays set only if it and all four direct neighbours are set. Border pixels
+// treat out-of-bounds neighbours as unset, so erosion shrinks regions
+// touching the border. It works a row at a time on the row and its
 // two neighbours, with no per-pixel bounds test.
 func (m *Mask) ErodeInto(dst *Mask) *Mask {
 	dst.resize(m.W, m.H)
@@ -99,12 +52,9 @@ func (m *Mask) ErodeInto(dst *Mask) *Mask {
 	return dst
 }
 
-// Dilate applies one pass of 4-neighbour binary dilation: a pixel becomes
-// set if it or any direct neighbour is set.
-func (m *Mask) Dilate() *Mask { return m.DilateInto(new(Mask)) }
-
-// DilateInto is Dilate writing into dst (resized to match, and returned),
-// which must not be m itself: every set pixel of a row marks itself and its
+// DilateInto applies one pass of 4-neighbour binary dilation into dst
+// (resized to match, and returned), which must not be m itself: a pixel
+// becomes set if it or any direct neighbour is set. Every set pixel of a row marks itself and its
 // neighbours, so an empty stretch costs one test a pixel.
 func (m *Mask) DilateInto(dst *Mask) *Mask {
 	dst.Reset(m.W, m.H)
@@ -133,13 +83,6 @@ func (m *Mask) DilateInto(dst *Mask) *Mask {
 	return dst
 }
 
-// Open performs erosion followed by dilation, removing isolated noise
-// pixels while approximately preserving larger regions.
-func (m *Mask) Open() *Mask { return m.Erode().Dilate() }
-
-// Close performs dilation followed by erosion, filling small holes.
-func (m *Mask) Close() *Mask { return m.Dilate().Erode() }
-
 // Component is one 4-connected region of set pixels.
 type Component struct {
 	// Label is the 1-based component identifier.
@@ -160,11 +103,6 @@ func (c Component) Centroid() (float64, float64) {
 	return float64(c.SumX) / float64(c.Area), float64(c.SumY) / float64(c.Area)
 }
 
-// Components labels all 4-connected regions of set pixels using an
-// iterative flood fill and returns them in label order, which follows
-// raster-scan discovery order.
-func (m *Mask) Components() []Component { return new(Labeler).Components(m) }
-
 // Labeler is the working memory of connected-component labelling — the
 // per-pixel label buffer, the flood-fill stack and the component list —
 // kept so that labelling one mask per frame allocates nothing in steady
@@ -175,8 +113,10 @@ type Labeler struct {
 	comps  []Component
 }
 
-// Components is Mask.Components through the labeler's buffers. The returned
-// slice is overwritten by the next call.
+// Components labels all 4-connected regions of set pixels of m using an
+// iterative flood fill and returns them in label order, which follows
+// raster-scan discovery order. The returned slice is overwritten by the next
+// call.
 func (l *Labeler) Components(m *Mask) []Component {
 	w, h := m.W, m.H
 	if cap(l.labels) < len(m.Bits) {
@@ -227,20 +167,4 @@ func (l *Labeler) Components(m *Mask) []Component {
 	}
 	l.comps, l.stack = comps, stack
 	return comps
-}
-
-// Largest returns the largest connected component and true, or a zero
-// component and false if the mask is empty.
-func (m *Mask) Largest() (Component, bool) {
-	comps := m.Components()
-	if len(comps) == 0 {
-		return Component{}, false
-	}
-	best := comps[0]
-	for _, c := range comps[1:] {
-		if c.Area > best.Area {
-			best = c
-		}
-	}
-	return best, true
 }

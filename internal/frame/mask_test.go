@@ -6,37 +6,19 @@ import (
 	"testing/quick"
 )
 
-func TestMaskBasicOps(t *testing.T) {
-	m := NewMask(8, 8)
-	if m.Count() != 0 {
-		t.Fatal("new mask not empty")
-	}
-	m.Set(3, 3, true)
-	if !m.Get(3, 3) {
-		t.Fatal("Set/Get round trip failed")
-	}
-	if m.Get(-1, 0) || m.Get(8, 0) {
-		t.Fatal("out-of-bounds Get returned true")
-	}
-	m.Set(-1, -1, true) // must not panic
-	if m.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", m.Count())
-	}
-}
-
 func TestComponentsTwoRegions(t *testing.T) {
-	m := NewMask(10, 10)
+	m := &Mask{W: 10, H: 10, Bits: make([]bool, 10*10)}
 	// Region A: 2x2 square at (1,1).
 	for y := 1; y < 3; y++ {
 		for x := 1; x < 3; x++ {
-			m.Set(x, y, true)
+			m.Bits[y*m.W+x] = true
 		}
 	}
 	// Region B: 3x1 line at (6,6).
 	for x := 6; x < 9; x++ {
-		m.Set(x, 6, true)
+		m.Bits[6*m.W+x] = true
 	}
-	comps := m.Components()
+	comps := new(Labeler).Components(m)
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2", len(comps))
 	}
@@ -56,42 +38,26 @@ func TestComponentsTwoRegions(t *testing.T) {
 }
 
 func TestComponentsDiagonalNotConnected(t *testing.T) {
-	m := NewMask(4, 4)
-	m.Set(0, 0, true)
-	m.Set(1, 1, true)
-	if got := len(m.Components()); got != 2 {
+	m := &Mask{W: 4, H: 4, Bits: make([]bool, 4*4)}
+	m.Bits[0*m.W+0] = true
+	m.Bits[1*m.W+1] = true
+	if got := len(new(Labeler).Components(m)); got != 2 {
 		t.Fatalf("diagonal pixels formed %d components, want 2 (4-connectivity)", got)
 	}
 }
 
-func TestLargestComponent(t *testing.T) {
-	m := NewMask(10, 10)
-	m.Set(0, 0, true)
-	for x := 3; x < 8; x++ {
-		m.Set(x, 5, true)
-	}
-	c, ok := m.Largest()
-	if !ok || c.Area != 5 {
-		t.Fatalf("Largest = %+v ok=%v", c, ok)
-	}
-	empty := NewMask(3, 3)
-	if _, ok := empty.Largest(); ok {
-		t.Fatal("empty mask returned a largest component")
-	}
-}
-
 func TestErodeDilateInverse(t *testing.T) {
-	m := NewMask(12, 12)
+	m := &Mask{W: 12, H: 12, Bits: make([]bool, 12*12)}
 	for y := 3; y < 9; y++ {
 		for x := 3; x < 9; x++ {
-			m.Set(x, y, true)
+			m.Bits[y*m.W+x] = true
 		}
 	}
-	er := m.Erode()
-	if er.Count() != 16 { // 6x6 erodes to 4x4
-		t.Fatalf("eroded count = %d, want 16", er.Count())
+	er := m.ErodeInto(new(Mask))
+	if setBits(er) != 16 { // 6x6 erodes to 4x4
+		t.Fatalf("eroded count = %d, want 16", setBits(er))
 	}
-	di := er.Dilate()
+	di := er.DilateInto(new(Mask))
 	// Dilating the eroded square must stay within the original.
 	for i, b := range di.Bits {
 		if b && !m.Bits[i] {
@@ -101,36 +67,36 @@ func TestErodeDilateInverse(t *testing.T) {
 }
 
 func TestOpenRemovesSpeckle(t *testing.T) {
-	m := NewMask(20, 20)
+	m := &Mask{W: 20, H: 20, Bits: make([]bool, 20*20)}
 	// solid blob
 	for y := 5; y < 15; y++ {
 		for x := 5; x < 15; x++ {
-			m.Set(x, y, true)
+			m.Bits[y*m.W+x] = true
 		}
 	}
 	// isolated noise pixels
-	m.Set(0, 0, true)
-	m.Set(19, 19, true)
-	m.Set(2, 17, true)
-	opened := m.Open()
-	if opened.Get(0, 0) || opened.Get(19, 19) || opened.Get(2, 17) {
+	m.Bits[0*m.W+0] = true
+	m.Bits[19*m.W+19] = true
+	m.Bits[17*m.W+2] = true
+	opened := m.ErodeInto(new(Mask)).DilateInto(new(Mask))
+	if bit(opened, 0, 0) || bit(opened, 19, 19) || bit(opened, 2, 17) {
 		t.Fatal("Open did not remove isolated pixels")
 	}
-	if !opened.Get(10, 10) {
+	if !bit(opened, 10, 10) {
 		t.Fatal("Open destroyed blob interior")
 	}
 }
 
 func TestCloseFillsHoles(t *testing.T) {
-	m := NewMask(10, 10)
+	m := &Mask{W: 10, H: 10, Bits: make([]bool, 10*10)}
 	for y := 2; y < 8; y++ {
 		for x := 2; x < 8; x++ {
-			m.Set(x, y, true)
+			m.Bits[y*m.W+x] = true
 		}
 	}
-	m.Set(5, 5, false) // one-pixel hole
-	closed := m.Close()
-	if !closed.Get(5, 5) {
+	m.Bits[5*m.W+5] = false // one-pixel hole
+	closed := m.DilateInto(new(Mask)).ErodeInto(new(Mask))
+	if !bit(closed, 5, 5) {
 		t.Fatal("Close did not fill one-pixel hole")
 	}
 }
@@ -139,15 +105,15 @@ func TestCloseFillsHoles(t *testing.T) {
 func TestComponentsPartitionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewMask(16, 16)
+		m := &Mask{W: 16, H: 16, Bits: make([]bool, 16*16)}
 		for i := range m.Bits {
 			m.Bits[i] = rng.Float64() < 0.4
 		}
 		total := 0
-		for _, c := range m.Components() {
+		for _, c := range new(Labeler).Components(m) {
 			total += c.Area
 		}
-		return total == m.Count()
+		return total == setBits(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -158,11 +124,11 @@ func TestComponentsPartitionProperty(t *testing.T) {
 func TestMorphologyMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewMask(12, 12)
+		m := &Mask{W: 12, H: 12, Bits: make([]bool, 12*12)}
 		for i := range m.Bits {
 			m.Bits[i] = rng.Float64() < 0.5
 		}
-		er, di := m.Erode(), m.Dilate()
+		er, di := m.ErodeInto(new(Mask)), m.DilateInto(new(Mask))
 		for i := range m.Bits {
 			if er.Bits[i] && !m.Bits[i] {
 				return false
@@ -192,16 +158,6 @@ func TestSkinModel(t *testing.T) {
 		if IsSkin(c) {
 			t.Errorf("%v misclassified as skin", c)
 		}
-	}
-}
-
-func TestSkinRatioAndMask(t *testing.T) {
-	im := New(10, 10)
-	im.Fill(RGB{40, 150, 60})
-	im.FillRect(Rect{0, 0, 5, 10}, RGB{200, 140, 110})
-	m := SkinMask(im)
-	if m.Count() != 50 {
-		t.Fatalf("skin mask count = %d, want 50", m.Count())
 	}
 }
 

@@ -26,13 +26,10 @@ type Shape struct {
 	Mu20, Mu02, Mu11 float64
 }
 
-// ShapeOf computes shape descriptors from a binary mask. If the mask is
-// empty the zero Shape is returned.
-func ShapeOf(m *Mask) Shape { return ShapeOfRect(m, Rect{0, 0, m.W, m.H}) }
-
 // ShapeOfRect computes the shape descriptors of the part of the mask inside
 // r, which must lie within the mask, in coordinates relative to r's
-// top-left corner: the shape of the sub-mask, without copying it out.
+// top-left corner: the shape of the sub-mask, without copying it out. If
+// that part is empty the zero Shape is returned.
 func ShapeOfRect(m *Mask, r Rect) Shape {
 	var s Shape
 	var sx, sy float64
@@ -93,15 +90,6 @@ func ShapeOfRect(m *Mask, r Rect) Shape {
 	return s
 }
 
-// Elongation returns the major/minor axis ratio (1 for a circle).
-// An empty or degenerate shape returns 1.
-func (s Shape) Elongation() float64 {
-	if s.MinorAxis <= 0 {
-		return 1
-	}
-	return s.MajorAxis / s.MinorAxis
-}
-
 // AspectRatio returns the bounding-box height/width ratio; a standing
 // human figure typically has a ratio well above 1.
 func (s Shape) AspectRatio() float64 {
@@ -109,13 +97,4 @@ func (s Shape) AspectRatio() float64 {
 		return 0
 	}
 	return float64(s.BBox.H()) / float64(s.BBox.W())
-}
-
-// Extent returns the fraction of the bounding box filled by the shape.
-func (s Shape) Extent() float64 {
-	a := s.BBox.Area()
-	if a == 0 {
-		return 0
-	}
-	return float64(s.Area) / float64(a)
 }

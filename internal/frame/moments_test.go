@@ -6,10 +6,10 @@ import (
 )
 
 func rectMask(w, h int, r Rect) *Mask {
-	m := NewMask(w, h)
+	m := &Mask{W: w, H: h, Bits: make([]bool, w*h)}
 	for y := r.Y0; y < r.Y1; y++ {
 		for x := r.X0; x < r.X1; x++ {
-			m.Set(x, y, true)
+			m.Bits[y*m.W+x] = true
 		}
 	}
 	return m
@@ -17,7 +17,7 @@ func rectMask(w, h int, r Rect) *Mask {
 
 func TestShapeOfSquare(t *testing.T) {
 	m := rectMask(20, 20, Rect{5, 5, 15, 15})
-	s := ShapeOf(m)
+	s := ShapeOfRect(m, Rect{0, 0, m.W, m.H})
 	if s.Area != 100 {
 		t.Fatalf("area = %d", s.Area)
 	}
@@ -31,15 +31,12 @@ func TestShapeOfSquare(t *testing.T) {
 	if s.Eccentricity > 1e-9 {
 		t.Fatalf("square eccentricity = %v", s.Eccentricity)
 	}
-	if math.Abs(s.Elongation()-1) > 1e-9 {
-		t.Fatalf("square elongation = %v", s.Elongation())
-	}
 }
 
 func TestShapeOfTallRectangle(t *testing.T) {
 	// A standing-player-like shape: 6 wide, 24 tall.
 	m := rectMask(40, 40, Rect{10, 5, 16, 29})
-	s := ShapeOf(m)
+	s := ShapeOfRect(m, Rect{0, 0, m.W, m.H})
 	if s.Area != 6*24 {
 		t.Fatalf("area = %d", s.Area)
 	}
@@ -53,25 +50,22 @@ func TestShapeOfTallRectangle(t *testing.T) {
 	if s.AspectRatio() != 4 {
 		t.Fatalf("aspect ratio = %v, want 4", s.AspectRatio())
 	}
-	if math.Abs(s.Extent()-1) > 1e-9 {
-		t.Fatalf("extent of solid rect = %v", s.Extent())
-	}
 }
 
 func TestShapeOfWideRectangleOrientation(t *testing.T) {
 	m := rectMask(40, 40, Rect{5, 10, 29, 16})
-	s := ShapeOf(m)
+	s := ShapeOfRect(m, Rect{0, 0, m.W, m.H})
 	if math.Abs(s.Orientation) > 1e-6 {
 		t.Fatalf("horizontal rect orientation = %v, want 0", s.Orientation)
 	}
 }
 
 func TestShapeOfDiagonalLine(t *testing.T) {
-	m := NewMask(30, 30)
+	m := &Mask{W: 30, H: 30, Bits: make([]bool, 30*30)}
 	for i := 0; i < 20; i++ {
-		m.Set(5+i, 5+i, true)
+		m.Bits[(5+i)*m.W+(5+i)] = true
 	}
-	s := ShapeOf(m)
+	s := ShapeOfRect(m, Rect{0, 0, m.W, m.H})
 	// Orientation should be ~45 degrees. Note image y grows downward, so a
 	// line with dy=dx has positive mu11 and orientation +pi/4.
 	if math.Abs(s.Orientation-math.Pi/4) > 0.01 {
@@ -83,22 +77,19 @@ func TestShapeOfDiagonalLine(t *testing.T) {
 }
 
 func TestShapeOfEmptyMask(t *testing.T) {
-	s := ShapeOf(NewMask(8, 8))
+	s := ShapeOfRect(&Mask{W: 8, H: 8, Bits: make([]bool, 8*8)}, Rect{0, 0, 8, 8})
 	if s.Area != 0 || s.CX != 0 || s.CY != 0 {
 		t.Fatalf("empty shape = %+v", s)
 	}
-	if s.AspectRatio() != 0 || s.Extent() != 0 {
-		t.Fatal("empty shape ratios should be 0")
-	}
-	if s.Elongation() != 1 {
-		t.Fatalf("empty elongation = %v", s.Elongation())
+	if s.AspectRatio() != 0 {
+		t.Fatal("empty shape aspect ratio should be 0")
 	}
 }
 
 func TestShapeOfSinglePixel(t *testing.T) {
-	m := NewMask(8, 8)
-	m.Set(4, 6, true)
-	s := ShapeOf(m)
+	m := &Mask{W: 8, H: 8, Bits: make([]bool, 8*8)}
+	m.Bits[6*m.W+4] = true
+	s := ShapeOfRect(m, Rect{0, 0, m.W, m.H})
 	if s.Area != 1 || s.CX != 4 || s.CY != 6 {
 		t.Fatalf("single pixel shape = %+v", s)
 	}
@@ -108,8 +99,8 @@ func TestShapeOfSinglePixel(t *testing.T) {
 }
 
 func TestShapeTranslationInvariance(t *testing.T) {
-	a := ShapeOf(rectMask(50, 50, Rect{2, 2, 8, 20}))
-	b := ShapeOf(rectMask(50, 50, Rect{30, 25, 36, 43}))
+	a := ShapeOfRect(rectMask(50, 50, Rect{2, 2, 8, 20}), Rect{0, 0, 50, 50})
+	b := ShapeOfRect(rectMask(50, 50, Rect{30, 25, 36, 43}), Rect{0, 0, 50, 50})
 	if math.Abs(a.Eccentricity-b.Eccentricity) > 1e-9 {
 		t.Fatal("eccentricity not translation invariant")
 	}
@@ -124,15 +115,15 @@ func TestShapeTranslationInvariance(t *testing.T) {
 func TestEllipseShapeApproximation(t *testing.T) {
 	im := New(60, 60)
 	im.FillEllipse(30, 30, 20, 8, RGB{255, 255, 255})
-	m := NewMask(60, 60)
+	m := &Mask{W: 60, H: 60, Bits: make([]bool, 60*60)}
 	for y := 0; y < 60; y++ {
 		for x := 0; x < 60; x++ {
-			if im.At(x, y) != (RGB{}) {
-				m.Set(x, y, true)
+			if o := im.Offset(x, y); im.Pix[o] != 0 || im.Pix[o+1] != 0 || im.Pix[o+2] != 0 {
+				m.Bits[y*m.W+x] = true
 			}
 		}
 	}
-	s := ShapeOf(m)
+	s := ShapeOfRect(m, Rect{0, 0, m.W, m.H})
 	if math.Abs(s.CX-30) > 0.5 || math.Abs(s.CY-30) > 0.5 {
 		t.Fatalf("ellipse centroid = (%v,%v)", s.CX, s.CY)
 	}

@@ -42,16 +42,6 @@ func IsSkin(c RGB) bool {
 	return d > 15 && r > g && r > b
 }
 
-// SkinMask returns a binary mask marking skin-coloured pixels.
-func SkinMask(im *Image) *Mask {
-	m := NewMask(im.W, im.H)
-	p := im.Pix
-	for i := range m.Bits {
-		m.Bits[i] = IsSkin(RGB{p[3*i], p[3*i+1], p[3*i+2]})
-	}
-	return m
-}
-
 // ColorStats holds per-channel mean and standard deviation of a pixel
 // region. The tennis detector estimates these statistics for the court
 // colour and segments the player as pixels deviating from them.

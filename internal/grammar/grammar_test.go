@@ -122,9 +122,10 @@ func TestAffectedClosure(t *testing.T) {
 	}
 }
 
+// TestDOTOutput checks Figure 1 of the paper as cmd/fdegraph prints it:
+// the tennis grammar's detector graph in Graphviz DOT form.
 func TestDOTOutput(t *testing.T) {
-	g := Tennis()
-	dot := g.DOT()
+	dot := Tennis().DOT()
 	for _, want := range []string{
 		`digraph "tennis"`,
 		`"video" [shape=box]`,

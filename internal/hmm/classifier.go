@@ -87,9 +87,6 @@ func (c *Classifier) Classes() []string {
 	return out
 }
 
-// Model returns the trained model for a class, or nil.
-func (c *Classifier) Model(class string) *Model { return c.models[class] }
-
 // Classify labels a sequence with the maximum-likelihood class; it returns
 // the class, its log-likelihood, and the per-class log-likelihoods.
 func (c *Classifier) Classify(obs []int) (string, float64, map[string]float64, error) {

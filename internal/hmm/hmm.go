@@ -79,38 +79,6 @@ var (
 	ErrNoData        = errors.New("hmm: no training data")
 )
 
-// Validate checks the stochastic constraints.
-func (h *Model) Validate() error {
-	if h.N <= 0 || h.M <= 0 {
-		return fmt.Errorf("hmm: invalid dimensions N=%d M=%d", h.N, h.M)
-	}
-	checkRow := func(row []float64, what string) error {
-		var sum float64
-		for _, v := range row {
-			if v < 0 || math.IsNaN(v) {
-				return fmt.Errorf("hmm: negative/NaN probability in %s", what)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("hmm: %s sums to %g, want 1", what, sum)
-		}
-		return nil
-	}
-	if err := checkRow(h.Pi, "Pi"); err != nil {
-		return err
-	}
-	for i := range h.A {
-		if err := checkRow(h.A[i], fmt.Sprintf("A[%d]", i)); err != nil {
-			return err
-		}
-		if err := checkRow(h.B[i], fmt.Sprintf("B[%d]", i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (h *Model) checkObs(obs []int) error {
 	if len(obs) == 0 {
 		return ErrEmptySequence
@@ -175,67 +143,6 @@ func (h *Model) LogLikelihood(obs []int) (float64, error) {
 		lp += math.Log(c)
 	}
 	return lp, nil
-}
-
-// Viterbi returns the most likely hidden state path and its log
-// probability.
-func (h *Model) Viterbi(obs []int) ([]int, float64, error) {
-	if err := h.checkObs(obs); err != nil {
-		return nil, 0, err
-	}
-	T := len(obs)
-	logA := make([][]float64, h.N)
-	logB := make([][]float64, h.N)
-	for i := 0; i < h.N; i++ {
-		logA[i] = make([]float64, h.N)
-		logB[i] = make([]float64, h.M)
-		for j := 0; j < h.N; j++ {
-			logA[i][j] = safeLog(h.A[i][j])
-		}
-		for k := 0; k < h.M; k++ {
-			logB[i][k] = safeLog(h.B[i][k])
-		}
-	}
-	delta := make([][]float64, T)
-	psi := make([][]int, T)
-	delta[0] = make([]float64, h.N)
-	psi[0] = make([]int, h.N)
-	for i := 0; i < h.N; i++ {
-		delta[0][i] = safeLog(h.Pi[i]) + logB[i][obs[0]]
-	}
-	for t := 1; t < T; t++ {
-		delta[t] = make([]float64, h.N)
-		psi[t] = make([]int, h.N)
-		for j := 0; j < h.N; j++ {
-			best, bestI := math.Inf(-1), 0
-			for i := 0; i < h.N; i++ {
-				if v := delta[t-1][i] + logA[i][j]; v > best {
-					best, bestI = v, i
-				}
-			}
-			delta[t][j] = best + logB[j][obs[t]]
-			psi[t][j] = bestI
-		}
-	}
-	best, bestI := math.Inf(-1), 0
-	for i := 0; i < h.N; i++ {
-		if delta[T-1][i] > best {
-			best, bestI = delta[T-1][i], i
-		}
-	}
-	path := make([]int, T)
-	path[T-1] = bestI
-	for t := T - 2; t >= 0; t-- {
-		path[t] = psi[t+1][path[t+1]]
-	}
-	return path, best, nil
-}
-
-func safeLog(v float64) float64 {
-	if v <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(v)
 }
 
 // TrainConfig tunes Baum-Welch.
@@ -385,27 +292,4 @@ func (h *Model) BaumWelch(seqs [][]int, cfg TrainConfig) (float64, int, error) {
 		prevLL = totalLL
 	}
 	return prevLL, iters, nil
-}
-
-// Sample generates an observation sequence of length T from the model.
-func (h *Model) Sample(T int, rng *rand.Rand) []int {
-	obs := make([]int, T)
-	state := sampleFrom(h.Pi, rng)
-	for t := 0; t < T; t++ {
-		obs[t] = sampleFrom(h.B[state], rng)
-		state = sampleFrom(h.A[state], rng)
-	}
-	return obs
-}
-
-func sampleFrom(dist []float64, rng *rand.Rand) int {
-	r := rng.Float64()
-	var cum float64
-	for i, p := range dist {
-		cum += p
-		if r < cum {
-			return i
-		}
-	}
-	return len(dist) - 1
 }

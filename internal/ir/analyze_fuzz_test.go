@@ -18,15 +18,14 @@ import (
 )
 
 // referenceAnalyze is the analysis chain as it stood before the ASCII path:
-// range over runes, keep letters and digits lowercased, drop stopwords, stem.
+// range over runes, keep letters and digits lowercased, then drop stopwords
+// and stem, which Analyze does to a text that is one such token.
 func referenceAnalyze(text string) []string {
 	var out []string
 	var b strings.Builder
 	flush := func() {
 		if b.Len() > 0 {
-			if tok := b.String(); !ir.IsStopword(tok) {
-				out = append(out, ir.Stem(tok))
-			}
+			out = append(out, ir.Analyze(b.String())...)
 			b.Reset()
 		}
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 func TestTokenizeUnicode(t *testing.T) {
-	got := Tokenize("Müller très bien 東京 2024!")
+	got := tokens("Müller très bien 東京 2024!")
 	want := []string{"müller", "très", "bien", "東京", "2024"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Tokenize = %v", got)
+		t.Fatalf("tokens = %v", got)
 	}
 }
 
@@ -27,7 +27,7 @@ func TestAnalyzeEmptyAndStopOnly(t *testing.T) {
 // query sides always agree.
 func TestStemIdempotentOnTokens(t *testing.T) {
 	f := func(s string) bool {
-		for _, tok := range Tokenize(s) {
+		for _, tok := range tokens(s) {
 			st := Stem(tok)
 			if Stem(st) != st {
 				// Porter is not formally idempotent on all strings, but on

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -184,14 +183,6 @@ func (ix *Index) Docs() int { return len(ix.docs) }
 // Terms returns the vocabulary size.
 func (ix *Index) Terms() int { return len(ix.terms) }
 
-// DocName returns the name a document was indexed under.
-func (ix *Index) DocName(id DocID) (string, error) {
-	if int(id) < 0 || int(id) >= len(ix.docs) {
-		return "", fmt.Errorf("ir: no document %d", id)
-	}
-	return ix.docs[id].Name, nil
-}
-
 // avgDocLen returns the mean analyzed document length.
 func (ix *Index) avgDocLen() float64 {
 	if len(ix.docs) == 0 {
@@ -290,25 +281,6 @@ func (ix *Index) scoreTerms(terms []string, ac *Accum) SearchStats {
 	}
 	stats.DocsTouched = len(ac.touched)
 	return stats
-}
-
-// ScoreQuery runs the exhaustive scorer and returns a leased handle over
-// the dense per-doc scores — the ranking-free form of Search for callers
-// that join scores into their own result sets (e.g. the DLSE text
-// operator). It skips hit construction and top-k selection entirely and
-// shares the kernel's accumulator pool, so steady-state calls allocate
-// nothing beyond query analysis. The caller must Release the handle.
-func (ix *Index) ScoreQuery(query string) (Scores, SearchStats, error) {
-	if !ix.frozen {
-		return Scores{}, SearchStats{}, ErrNotFrozen
-	}
-	terms := dedupe(Analyze(query))
-	if len(terms) == 0 {
-		return Scores{}, SearchStats{}, ErrEmptyQry
-	}
-	ac := ix.getAccum()
-	stats := ix.scoreTerms(terms, ac)
-	return Scores{ac: ac}, stats, nil
 }
 
 // SearchBoolean returns the documents containing every query term

@@ -9,23 +9,30 @@ import (
 	"testing/quick"
 )
 
+// tokens collects the tokens scanTokens emits for text.
+func tokens(text string) []string {
+	var out []string
+	scanTokens(text, nil, func(tok []byte) { out = append(out, string(tok)) })
+	return out
+}
+
 func TestTokenize(t *testing.T) {
-	got := Tokenize("Hello, World! 42 foo-bar   baz")
+	got := tokens("Hello, World! 42 foo-bar   baz")
 	want := []string{"hello", "world", "42", "foo", "bar", "baz"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Tokenize = %v", got)
+		t.Fatalf("tokens = %v", got)
 	}
-	if len(Tokenize("...!!!")) != 0 {
+	if len(tokens("...!!!")) != 0 {
 		t.Fatal("punctuation-only text produced tokens")
 	}
 }
 
 func TestStopwords(t *testing.T) {
-	if !IsStopword("the") || !IsStopword("and") {
-		t.Fatal("common stopwords not recognized")
+	if got := Analyze("the and"); len(got) != 0 {
+		t.Fatalf("common stopwords not recognized: %v", got)
 	}
-	if IsStopword("tennis") {
-		t.Fatal("content word flagged as stopword")
+	if got := Analyze("tennis"); len(got) != 1 {
+		t.Fatalf("content word flagged as stopword: %v", got)
 	}
 }
 
@@ -218,17 +225,6 @@ func TestSearchBoolean(t *testing.T) {
 	docs, _ = ix.SearchBoolean("tennis zeppelin")
 	if len(docs) != 0 {
 		t.Fatalf("impossible conjunction = %v", docs)
-	}
-}
-
-func TestDocName(t *testing.T) {
-	ix := buildSmallIndex(t)
-	n, err := ix.DocName(2)
-	if err != nil || n != "doc2" {
-		t.Fatalf("DocName = %q, %v", n, err)
-	}
-	if _, err := ix.DocName(99); err == nil {
-		t.Fatal("bad id accepted")
 	}
 }
 

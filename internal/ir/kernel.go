@@ -80,30 +80,6 @@ func (ix *Index) getAccum() *Accum {
 	return ac
 }
 
-// Scores is a leased, read-only view of one query's dense per-doc scores,
-// backed by a pooled accumulator. It lets callers join BM25 scores by
-// DocID without the index materializing (or the caller re-zeroing) a
-// per-query score table. Release returns the accumulator to the pool;
-// the handle must not be used after Release, and each handle must be
-// released exactly once. The zero value is invalid (Valid reports false).
-type Scores struct {
-	ac *Accum
-}
-
-// Valid reports whether the handle holds a scored query.
-func (s Scores) Valid() bool { return s.ac != nil }
-
-// Get returns doc d's score (0 for documents the query did not touch).
-func (s Scores) Get(d DocID) float64 { return s.ac.Get(d) }
-
-// Release returns the backing accumulator to the index's pool. Safe on the
-// zero value.
-func (s Scores) Release() {
-	if s.ac != nil {
-		s.ac.Release()
-	}
-}
-
 // worseHit reports whether a ranks strictly below b under the result order
 // (score descending, ties broken by ascending DocID). Documents are unique,
 // so this is a strict total order and heap selection reproduces the full

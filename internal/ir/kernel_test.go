@@ -132,67 +132,6 @@ func TestSearchAllocs(t *testing.T) {
 	}
 }
 
-// TestScoreQueryMatchesSearch: the ranking-free leased-handle scorer must
-// report the same float64 score for every document as the ranked search,
-// and zero for untouched documents — including after handle recycling.
-func TestScoreQueryMatchesSearch(t *testing.T) {
-	ix := synthCorpus(t, 1500, 200, 23)
-	for _, q := range kernelQueries {
-		hits, hStats, err := ix.Search(q, 0) // all touched docs, ranked
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, sStats, err := ix.ScoreQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Valid() {
-			t.Fatalf("q=%q: invalid handle without error", q)
-		}
-		if sStats != hStats {
-			t.Fatalf("q=%q: stats %+v (ScoreQuery) vs %+v (Search)", q, sStats, hStats)
-		}
-		byDoc := make(map[DocID]float64, len(hits))
-		for _, h := range hits {
-			byDoc[h.Doc] = h.Score
-		}
-		for d := 0; d < ix.Docs(); d++ {
-			if got := sc.Get(DocID(d)); got != byDoc[DocID(d)] {
-				t.Fatalf("q=%q doc %d: score %v (ScoreQuery) vs %v (Search)", q, d, got, byDoc[DocID(d)])
-			}
-		}
-		sc.Release() // recycled accumulator must not leak into the next query
-	}
-	if _, _, err := ix.ScoreQuery("the of"); err != ErrEmptyQry {
-		t.Fatalf("stopword-only query err = %v", err)
-	}
-	ix2 := NewIndex()
-	if _, _, err := ix2.ScoreQuery("w0"); err != ErrNotFrozen {
-		t.Fatalf("unfrozen err = %v", err)
-	}
-	var zero Scores
-	if zero.Valid() {
-		t.Fatal("zero handle reports valid")
-	}
-	zero.Release() // must be a no-op, not a panic
-}
-
-// TestScoreQueryAllocs: the leased-handle scorer's only allocations are
-// query analysis.
-func TestScoreQueryAllocs(t *testing.T) {
-	ix := synthCorpus(t, 2000, 300, 29)
-	allocs := testing.AllocsPerRun(200, func() {
-		sc, _, err := ix.ScoreQuery("w0 w1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Release()
-	})
-	if allocs > 10 {
-		t.Fatalf("ScoreQuery allocates %.1f objects/query", allocs)
-	}
-}
-
 // TestDedupeManyTerms exercises the set path of dedupe (the small-query
 // linear scan switches to a set past the threshold) and the order/identity
 // contract on both sides of the switch.

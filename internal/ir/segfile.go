@@ -211,17 +211,6 @@ func OpenSegmentsFile(path string, wantSignature uint64) (*Segments, io.Closer, 
 	})
 }
 
-// OpenSegmentsBytes reconstructs a Segments reader over in-memory segfile
-// bytes (tests, benchmarks, byte-slice transports). The returned reader
-// aliases data; the caller must keep it reachable and unmodified.
-func OpenSegmentsBytes(data []byte, wantSignature uint64) (*Segments, error) {
-	r, err := segfile.NewReader(data)
-	if err != nil {
-		return nil, err
-	}
-	return OpenSegmentsReader(r, wantSignature)
-}
-
 // OpenSegmentsReader reconstructs a frozen Segments over an already-parsed
 // container. Everything the reader returns aliases the container's bytes.
 func OpenSegmentsReader(r *segfile.Reader, wantSignature uint64) (*Segments, error) {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/segfile"
 )
 
 // segfileBytes serializes a built Segments reader.
@@ -20,6 +22,16 @@ func segfileBytes(t testing.TB, s *Segments, sig uint64) []byte {
 	return buf.Bytes()
 }
 
+// openSegmentsBytes opens in-memory segfile bytes the way OpenSegmentsFile
+// opens the mapping: a container reader handed to OpenSegmentsReader.
+func openSegmentsBytes(data []byte, wantSignature uint64) (*Segments, error) {
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	return OpenSegmentsReader(r, wantSignature)
+}
+
 // TestSegfileRoundTripParity is the hard invariant of the zero-copy path:
 // a Segments reader reopened from segfile bytes answers every query form
 // byte-identically to the heap-built reader it was written from — same
@@ -30,14 +42,14 @@ func TestSegfileRoundTripParity(t *testing.T) {
 	for _, nseg := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("segs=%d", nseg), func(t *testing.T) {
 			heap := buildSegs(t, docs, nseg)
-			mapped, err := OpenSegmentsBytes(segfileBytes(t, heap, 7), 7)
+			mapped, err := openSegmentsBytes(segfileBytes(t, heap, 7), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mapped.Docs() != heap.Docs() || mapped.Terms() != heap.Terms() ||
+			if mapped.Docs() != heap.Docs() || mapped.vocb != heap.vocb ||
 				mapped.NumSegments() != heap.NumSegments() {
 				t.Fatalf("shape: docs %d/%d terms %d/%d segs %d/%d",
-					mapped.Docs(), heap.Docs(), mapped.Terms(), heap.Terms(),
+					mapped.Docs(), heap.Docs(), mapped.vocb, heap.vocb,
 					mapped.NumSegments(), heap.NumSegments())
 			}
 			for _, q := range segQueries {
@@ -81,24 +93,24 @@ func TestSegfileRoundTripParity(t *testing.T) {
 			// lists) on each part.
 			for i := 0; i < nseg; i++ {
 				for _, q := range segQueries {
-					hn, _, herr := heap.Part(i).SearchTopN(q, 5, TopNOptions{Fragments: 4})
-					mn, _, merr := mapped.Part(i).SearchTopN(q, 5, TopNOptions{Fragments: 4})
+					hn, _, herr := heap.segs[i].SearchTopN(q, 5, TopNOptions{Fragments: 4})
+					mn, _, merr := mapped.segs[i].SearchTopN(q, 5, TopNOptions{Fragments: 4})
 					if (herr == nil) != (merr == nil) || !reflect.DeepEqual(hn, mn) {
 						t.Fatalf("part %d q=%q topN: %v/%v vs %v/%v", i, q, hn, herr, mn, merr)
 					}
 				}
-				hb, herr := heap.Part(i).SearchBoolean("w0 w1")
-				mb, merr := mapped.Part(i).SearchBoolean("w0 w1")
+				hb, herr := heap.segs[i].SearchBoolean("w0 w1")
+				mb, merr := mapped.segs[i].SearchBoolean("w0 w1")
 				if (herr == nil) != (merr == nil) || !reflect.DeepEqual(hb, mb) {
 					t.Fatalf("part %d boolean: %v/%v vs %v/%v", i, hb, herr, mb, merr)
 				}
 			}
-			// Doc names across the whole ID space.
-			for d := 0; d < heap.Docs(); d++ {
-				hn, _ := heap.DocName(DocID(d))
-				mn, _ := mapped.DocName(DocID(d))
-				if hn != mn {
-					t.Fatalf("doc %d: name %q vs %q", d, hn, mn)
+			// Doc names of every part.
+			for i, p := range heap.segs {
+				for d, doc := range p.docs {
+					if mn := mapped.segs[i].docs[d].Name; doc.Name != mn {
+						t.Fatalf("part %d doc %d: name %q vs %q", i, d, doc.Name, mn)
+					}
 				}
 			}
 		})
@@ -123,13 +135,13 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 func TestSegfileSignature(t *testing.T) {
 	s := buildSegs(t, segCorpus(20), 2)
 	data := segfileBytes(t, s, 42)
-	if _, err := OpenSegmentsBytes(data, 42); err != nil {
+	if _, err := openSegmentsBytes(data, 42); err != nil {
 		t.Fatalf("matching signature rejected: %v", err)
 	}
-	if _, err := OpenSegmentsBytes(data, 43); err == nil {
+	if _, err := openSegmentsBytes(data, 43); err == nil {
 		t.Fatal("signature mismatch accepted")
 	}
-	if _, err := OpenSegmentsBytes(data, 0); err != nil {
+	if _, err := openSegmentsBytes(data, 0); err != nil {
 		t.Fatalf("signature opt-out rejected: %v", err)
 	}
 }
@@ -167,7 +179,7 @@ func TestSegfileEmptySegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenSegmentsBytes(segfileBytes(t, segs, 0), 0)
+	m, err := openSegmentsBytes(segfileBytes(t, segs, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +196,7 @@ func TestSegfileHostileBytes(t *testing.T) {
 	s := buildSegs(t, segCorpus(30), 2)
 	data := segfileBytes(t, s, 0)
 	for _, n := range []int{0, 8, 80, len(data) / 2, len(data) - 1} {
-		if _, err := OpenSegmentsBytes(data[:n], 0); err == nil {
+		if _, err := openSegmentsBytes(data[:n], 0); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
@@ -195,7 +207,7 @@ func TestSegfileHostileBytes(t *testing.T) {
 		mut[i] ^= 0xA5
 		// Must never panic; may legitimately succeed when the flip lands in
 		// padding or a lazily-verified bulk block.
-		_, _ = OpenSegmentsBytes(mut, 0)
+		_, _ = openSegmentsBytes(mut, 0)
 	}
 }
 
@@ -223,21 +235,15 @@ func FuzzSegfileOpen(f *testing.F) {
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := OpenSegmentsBytes(data, 0)
+		s, err := openSegmentsBytes(data, 0)
 		if err != nil {
 			return
 		}
 		// A successfully opened file must hold internally consistent
 		// metadata: these reads must not panic.
-		for i := 0; i < s.NumSegments(); i++ {
-			ix := s.Part(i)
-			_ = ix.Docs()
+		for _, ix := range s.segs {
 			_ = ix.Terms()
-		}
-		for d := 0; d < s.Docs(); d++ {
-			if _, err := s.DocName(DocID(d)); err != nil {
-				t.Fatalf("doc %d in range but DocName failed: %v", d, err)
-			}
+			_ = ix.Docs()
 		}
 	})
 }

@@ -71,23 +71,8 @@ func NewSegments(parts []*Index) (*Segments, error) {
 // NumSegments returns the segment count.
 func (s *Segments) NumSegments() int { return len(s.segs) }
 
-// Part returns segment i (a frozen Index; its doc IDs are segment-local).
-func (s *Segments) Part(i int) *Index { return s.segs[i] }
-
 // Docs returns the total document count across segments.
 func (s *Segments) Docs() int { return s.bases.Total() }
-
-// Terms returns the union vocabulary size.
-func (s *Segments) Terms() int { return s.vocb }
-
-// DocName returns the name a document was indexed under.
-func (s *Segments) DocName(d DocID) (string, error) {
-	if d < 0 || int(d) >= s.Docs() {
-		return "", fmt.Errorf("ir: no document %d", d)
-	}
-	ord, local := s.bases.Of(int(d))
-	return s.segs[ord].DocName(DocID(local))
-}
 
 // SegStat reports one scatter leg: the segment's kernel work counters and
 // the leg's wall time — the payload of per-segment explain plans.

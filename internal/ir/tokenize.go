@@ -12,17 +12,6 @@ import (
 	"unicode/utf8"
 )
 
-// Tokenize lowercases the text and splits it into maximal runs of letters
-// and digits. The rule is Unicode's: any rune for which unicode.IsLetter or
-// unicode.IsDigit holds extends a token (lowercased by unicode.ToLower), any
-// other rune — and every byte of invalid UTF-8 — ends one. ASCII text takes
-// a byte-table path that applies exactly that rule to the ASCII range.
-func Tokenize(text string) []string {
-	var out []string
-	scanTokens(text, nil, func(tok []byte) { out = append(out, string(tok)) })
-	return out
-}
-
 // asciiFold maps an ASCII byte to its lowercase form when it is a letter or
 // a digit and to 0 when it separates tokens: unicode.IsLetter/IsDigit and
 // unicode.ToLower restricted to the ASCII range.
@@ -36,11 +25,16 @@ var asciiFold = func() (t [utf8.RuneSelf]byte) {
 	return t
 }()
 
-// scanTokens is the one tokenizer: it calls emit with every token of text
-// in order, lowercased, in buf's storage (reused and returned so callers can
-// recycle it). emit must copy what it keeps. Bytes below 0x80 go through
-// asciiFold; a byte at or above it decodes one rune and applies the Unicode
-// rule, so mixed text switches path rune by rune with the same result.
+// scanTokens is the one tokenizer: it lowercases the text and splits it
+// into maximal runs of letters and digits, calling emit with every token in
+// order, in buf's storage (reused and returned so callers can recycle it).
+// emit must copy what it keeps. The rule is Unicode's: any rune for which
+// unicode.IsLetter or unicode.IsDigit holds extends a token (lowercased by
+// unicode.ToLower), any other rune — and every byte of invalid UTF-8 — ends
+// one. Bytes below 0x80 go through asciiFold, a byte-table path that applies
+// exactly that rule to the ASCII range; a byte at or above it decodes one
+// rune and applies the Unicode rule, so mixed text switches path rune by
+// rune with the same result.
 func scanTokens(text string, buf []byte, emit func(tok []byte)) []byte {
 	buf = buf[:0]
 	for i := 0; i < len(text); {
@@ -82,9 +76,6 @@ these they this to was we were what when where which who will with you your
 		stopwords[w] = true
 	}
 }
-
-// IsStopword reports whether the (lowercased) token is a stopword.
-func IsStopword(tok string) bool { return stopwords[tok] }
 
 // Analyze runs the full text-analysis chain: tokenize, drop stopwords,
 // stem. This is the canonical document/query preprocessing.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,7 +179,7 @@ func newIndex(t *testing.T) *core.MetaIndex {
 func serialized(t *testing.T, idx *core.MetaIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := idx.Serialize(&buf); err != nil {
+	if err := core.WriteSegfile(&buf, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -242,7 +243,6 @@ func TestIngestorMergeIntoExistingWithFailure(t *testing.T) {
 
 	seqIdx := newIndex(t)
 	indexSequential(t, seqIdx, existing)
-	base := serialized(t, seqIdx)
 	indexSequential(t, seqIdx, jobs...)
 	want := serialized(t, seqIdx)
 
@@ -255,10 +255,8 @@ func TestIngestorMergeIntoExistingWithFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		dst, err := core.DeserializeMetaIndex(base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dst := newIndex(t)
+		indexSequential(t, dst, existing)
 		ids, err := in.MergeInto(dst)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -375,8 +373,12 @@ func TestIngestorOpenAndErrors(t *testing.T) {
 	if _, ok := ids[2]; ok {
 		t.Fatal("failed job present in merge mapping")
 	}
-	if _, err := dst.VideoByName("opened"); err != nil {
+	merged, err := dst.Videos()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(merged, func(v core.Video) bool { return v.Name == "opened" }) {
+		t.Fatalf("lazy-open job not merged: %v", merged)
 	}
 }
 

@@ -68,11 +68,6 @@ func (g Geometry) zone(name string) (func(x, y float64) bool, bool) {
 	return nil, false
 }
 
-// Zones lists the zone names the geometry defines.
-func Zones() []string {
-	return []string{"court", "netzone", "nearbase", "farbase", "nearhalf", "farhalf"}
-}
-
 // State is the per-frame state of one object as the rules see it.
 type State struct {
 	Found  bool
@@ -123,9 +118,6 @@ func NewEngine(rs []Rule, g Geometry) (*Engine, error) {
 	}
 	return &Engine{rules: rs, geom: g, MaxGap: 4, SpeedWindow: 5}, nil
 }
-
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
 
 // evalCtx is the per-frame evaluation context.
 type evalCtx struct {

@@ -18,7 +18,6 @@ import (
 // but the caller must guarantee no reader still holds a slice.
 type File struct {
 	*Reader
-	path      string
 	closeOnce sync.Once
 	release   func() error
 	closeErr  error
@@ -44,11 +43,8 @@ func Open(path string) (*File, error) {
 		release()
 		return nil, fmt.Errorf("segfile: %s: %w", path, err)
 	}
-	return &File{Reader: r, path: path, release: release}, nil
+	return &File{Reader: r, release: release}, nil
 }
-
-// Path returns the path the file was opened from.
-func (f *File) Path() string { return f.path }
 
 // Close releases the mapping. Idempotent.
 func (f *File) Close() error {

@@ -303,9 +303,6 @@ func (r *Reader) Block(name string) ([]byte, bool) {
 	return r.data[ref.off : ref.off+ref.len], true
 }
 
-// Names returns the block names in TOC (write) order.
-func (r *Reader) Names() []string { return append([]string(nil), r.names...) }
-
 // Has reports whether the named block exists.
 func (r *Reader) Has(name string) bool { _, ok := r.refs[name]; return ok }
 
@@ -321,19 +318,6 @@ func (r *Reader) VerifyBlock(name string) error {
 	}
 	return nil
 }
-
-// VerifyAll checks every block payload. It reads the whole file.
-func (r *Reader) VerifyAll() error {
-	for _, name := range r.names {
-		if err := r.VerifyBlock(name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Size returns the total file size in bytes.
-func (r *Reader) Size() int { return len(r.data) }
 
 // ------------------------------------------------- block-owner helpers
 

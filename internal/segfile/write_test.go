@@ -46,7 +46,7 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.VerifyAll(); err != nil {
+	if err := verifyBlocks(f.Reader); err != nil {
 		t.Fatal(err)
 	}
 	b, ok := f.Block("alpha")
@@ -86,7 +86,7 @@ func TestWriteFileAtomicFaultMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v k=%d: torn container: %v", mode, k, err)
 			}
-			if err := f.VerifyAll(); err != nil {
+			if err := verifyBlocks(f.Reader); err != nil {
 				f.Close()
 				t.Fatalf("%v k=%d: corrupt blocks: %v", mode, k, err)
 			}

@@ -1,24 +1,17 @@
 package serve
 
-// AdminClient is a small typed client for a dlserve node's admin and
-// health surface — /healthz, /v2/manifest, /v2/commit, /v2/reload,
-// /v2/compact. dlrouter uses it for boot checks and the tests and smoke
-// scripts use it instead of hand-rolled curl parsing; every non-2xx
-// answer decodes the shared {error,code,pos} envelope into an AdminError.
+// AdminClient is a small typed client for a dlserve node's health
+// surface — /healthz and /v2/manifest — which dlrouter uses for its boot
+// checks; every non-2xx answer decodes the shared {error,code,pos} envelope
+// into an AdminError.
 
 import (
-	"bytes"
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/transport"
 )
@@ -35,38 +28,15 @@ func (e *AdminError) Error() string {
 	return fmt.Sprintf("node error %d (%s): %s", e.Status, e.Code, e.Msg)
 }
 
-// Typed answers of the admin surface.
-type (
-	// HealthInfo mirrors /healthz.
-	HealthInfo struct {
-		Status     string `json:"status"`
-		Docs       int    `json:"docs"`
-		Videos     int    `json:"videos"`
-		Events     int    `json:"events"`
-		Segments   int    `json:"segments"`
-		Generation int64  `json:"generation"`
-	}
-	// CommitInfo mirrors /v2/commit's answer.
-	CommitInfo struct {
-		Snapshot   int64 `json:"snapshot"`
-		Segments   int   `json:"segments"`
-		Videos     int   `json:"videos"`
-		Generation int64 `json:"generation"`
-	}
-	// ReloadInfo mirrors /v2/reload's answer.
-	ReloadInfo struct {
-		Snapshot int64 `json:"snapshot"`
-		Docs     int   `json:"docs"`
-		Videos   int   `json:"videos"`
-	}
-	// CompactInfo mirrors /v2/compact's answer.
-	CompactInfo struct {
-		Changed    bool  `json:"changed"`
-		Snapshot   int64 `json:"snapshot"`
-		Segments   int   `json:"segments"`
-		Generation int64 `json:"generation"`
-	}
-)
+// HealthInfo mirrors /healthz.
+type HealthInfo struct {
+	Status     string `json:"status"`
+	Docs       int    `json:"docs"`
+	Videos     int    `json:"videos"`
+	Events     int    `json:"events"`
+	Segments   int    `json:"segments"`
+	Generation int64  `json:"generation"`
+}
 
 // AdminClient talks to one node's admin surface. The zero HTTP client
 // falls back to http.DefaultClient.
@@ -84,23 +54,12 @@ func (c *AdminClient) client() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues one request and decodes the JSON answer into out; non-2xx
-// answers decode into *AdminError.
-func (c *AdminClient) do(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.Base, "/")+path, rd)
+// get issues one GET and decodes the JSON answer into out; non-2xx answers
+// decode into *AdminError.
+func (c *AdminClient) get(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(c.Base, "/")+path, nil)
 	if err != nil {
 		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.client().Do(req)
 	if err != nil {
@@ -122,9 +81,6 @@ func (c *AdminClient) do(ctx context.Context, method, path string, body, out any
 		return &AdminError{Status: resp.StatusCode, Code: "internal",
 			Msg: strings.TrimSpace(string(raw))}
 	}
-	if out == nil {
-		return nil
-	}
 	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("decoding %s answer: %w", path, err)
 	}
@@ -134,81 +90,13 @@ func (c *AdminClient) do(ctx context.Context, method, path string, body, out any
 // Health fetches the node's /healthz state.
 func (c *AdminClient) Health(ctx context.Context) (HealthInfo, error) {
 	var h HealthInfo
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h)
+	err := c.get(ctx, "/healthz", &h)
 	return h, err
 }
 
 // Manifest fetches the node's segment manifest.
 func (c *AdminClient) Manifest(ctx context.Context) (transport.Manifest, error) {
 	var m transport.Manifest
-	err := c.do(ctx, http.MethodGet, "/v2/manifest", nil, &m)
+	err := c.get(ctx, "/v2/manifest", &m)
 	return m, err
-}
-
-// commitAttempts bounds Commit's retry loop; commitBackoff is the base of
-// its jittered exponential backoff (base, ~2x, ~4x between attempts).
-const (
-	commitAttempts = 4
-	commitBackoff  = 50 * time.Millisecond
-)
-
-// Commit ingests the named SVF files into a new segment on the node.
-//
-// Transport-level failures (connection refused, dropped mid-response —
-// transport.ErrUnavailable) are retried up to commitAttempts times with
-// jittered exponential backoff. Every attempt carries the same random
-// idempotency token, so a retry after an ambiguous failure — the node may
-// or may not have logged the first attempt — can never double-ingest: a
-// WAL-backed node deduplicates the token and simply acknowledges. Typed
-// node errors (4xx/5xx envelopes) are never retried.
-func (c *AdminClient) Commit(ctx context.Context, paths []string) (CommitInfo, error) {
-	token, err := commitToken()
-	if err != nil {
-		return CommitInfo{}, err
-	}
-	var ci CommitInfo
-	var lastErr error
-	for attempt := 0; attempt < commitAttempts; attempt++ {
-		if attempt > 0 {
-			// Full jitter: sleep in [0, base<<attempt) so a fleet of
-			// retrying clients never thunders in lockstep.
-			max := commitBackoff << (attempt - 1)
-			select {
-			case <-time.After(time.Duration(rand.Int64N(int64(max)))):
-			case <-ctx.Done():
-				return ci, fmt.Errorf("%w (after %v)", lastErr, ctx.Err())
-			}
-		}
-		ci = CommitInfo{}
-		lastErr = c.do(ctx, http.MethodPost, "/v2/commit",
-			v2CommitRequest{Paths: paths, Token: token}, &ci)
-		if lastErr == nil || !errors.Is(lastErr, transport.ErrUnavailable) || ctx.Err() != nil {
-			return ci, lastErr
-		}
-	}
-	return ci, fmt.Errorf("commit failed after %d attempts: %w", commitAttempts, lastErr)
-}
-
-// commitToken draws a fresh random idempotency token.
-func commitToken() (string, error) {
-	var b [16]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("generating commit token: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
-// Reload rebuilds the node's engine through its configured reloader.
-func (c *AdminClient) Reload(ctx context.Context) (ReloadInfo, error) {
-	var ri ReloadInfo
-	err := c.do(ctx, http.MethodPost, "/v2/reload", nil, &ri)
-	return ri, err
-}
-
-// Compact merges the node's segments down toward target videos per
-// segment (target <= 0 merges everything into one segment).
-func (c *AdminClient) Compact(ctx context.Context, target int) (CompactInfo, error) {
-	var ci CompactInfo
-	err := c.do(ctx, http.MethodPost, "/v2/compact", v2CompactRequest{Target: target}, &ci)
-	return ci, err
 }

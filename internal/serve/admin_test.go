@@ -146,11 +146,9 @@ func TestV2CompactAndAdminClient(t *testing.T) {
 	ctx := context.Background()
 	ac := &AdminClient{Base: ts.URL}
 
-	// Unconfigured compactor: 501 decoded as a typed AdminError.
-	_, err := ac.Compact(ctx, 0)
-	var ae *AdminError
-	if !isAdminError(err, &ae) || ae.Status != http.StatusNotImplemented || ae.Code != "no_compactor" {
-		t.Fatalf("unconfigured compact: err = %v", err)
+	// Unconfigured compactor: 501 with the typed envelope.
+	if m := postJSON(t, ts.URL, "/v2/compact", `{"target":0}`, http.StatusNotImplemented); m["code"] != "no_compactor" {
+		t.Fatalf("unconfigured compact: %v", m)
 	}
 
 	wireAdmin(t, srv, idx)
@@ -171,41 +169,30 @@ func TestV2CompactAndAdminClient(t *testing.T) {
 		t.Fatalf("manifest off: %+v", man)
 	}
 
-	// Commit grows the segment set; the client decodes the typed answer.
+	// Commit grows the segment set.
 	scenesBefore := countScenes(t, ts.URL)
-	ci, err := ac.Commit(ctx, []string{"a.svf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Segments != 2 || ci.Generation != man.Generation+1 {
-		t.Fatalf("commit info off: %+v", ci)
+	ci := postJSON(t, ts.URL, "/v2/commit", `{"paths":["a.svf"]}`, http.StatusOK)
+	if ci["segments"] != 2.0 || ci["generation"] != float64(man.Generation+1) {
+		t.Fatalf("commit answer off: %v", ci)
 	}
 
 	// Compact merges back to one segment; answers are unchanged.
-	co, err := ac.Compact(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !co.Changed || co.Segments != 1 || co.Generation != ci.Generation+1 {
-		t.Fatalf("compact info off: %+v", co)
+	co := postJSON(t, ts.URL, "/v2/compact", `{"target":0}`, http.StatusOK)
+	if co["changed"] != true || co["segments"] != 1.0 || co["generation"] != ci["generation"].(float64)+1 {
+		t.Fatalf("compact answer off: %v", co)
 	}
 	if got := countScenes(t, ts.URL); got != scenesBefore+1 {
 		t.Fatalf("scenes after compact = %d, want %d", got, scenesBefore+1)
 	}
 
 	// A second compact is a no-op.
-	co2, err := ac.Compact(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co2.Changed {
+	if co2 := postJSON(t, ts.URL, "/v2/compact", `{"target":0}`, http.StatusOK); co2["changed"] != false {
 		t.Fatal("compacting one segment reported a change")
 	}
 
-	// Commit with no paths: typed 400 through the client.
-	_, err = ac.Commit(ctx, nil)
-	if !isAdminError(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != "parse" {
-		t.Fatalf("empty commit: err = %v", err)
+	// Commit with no paths: typed 400.
+	if m := postJSON(t, ts.URL, "/v2/commit", `{"paths":[]}`, http.StatusBadRequest); m["code"] != "parse" {
+		t.Fatalf("empty commit: %v", m)
 	}
 
 	// Metrics counted the work.
@@ -215,12 +202,23 @@ func TestV2CompactAndAdminClient(t *testing.T) {
 	}
 }
 
-func isAdminError(err error, out **AdminError) bool {
-	if e, ok := err.(*AdminError); ok {
-		*out = e
-		return true
+// postJSON posts body to path and decodes the JSON answer, requiring the
+// given status.
+func postJSON(t *testing.T, base, path, body string, wantStatus int) map[string]any {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return false
+	defer resp.Body.Close()
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("POST %s: status %d, want %d", path, resp.StatusCode, wantStatus)
+	}
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatalf("POST %s: bad JSON: %v", path, err)
+	}
+	return m
 }
 
 func countScenes(t *testing.T, base string) int {

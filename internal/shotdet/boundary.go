@@ -109,8 +109,8 @@ type Boundary struct {
 	Gradual bool
 }
 
-// Detector detects shot boundaries in streaming fashion: feed frames one at
-// a time. This is the form the FDE drives.
+// Detector detects shot boundaries in streaming fashion: feed frame
+// histograms one at a time.
 type Detector struct {
 	cfg      Config
 	prevHist *frame.Histogram
@@ -120,55 +120,18 @@ type Detector struct {
 	// gradual-transition state
 	anchorHist *frame.Histogram
 	runLen     int
-	// scratch is a displaced histogram no longer referenced by the
-	// detector state, recycled by the streaming Feed path so steady-state
-	// ingest stops allocating one histogram per frame. prevOwned marks
-	// whether prevHist was allocated by Feed itself: histograms handed in
-	// through FeedHistogram belong to the caller and are never recycled
-	// (recycling would overwrite caller-held data on a later Feed).
-	scratch   *frame.Histogram
-	prevOwned bool
 	// distFn caches the metric dispatch so the per-frame distance call is a
 	// direct function call instead of a config compare per frame.
 	distFn func(a, b *frame.Histogram) float64
 }
 
-// NewDetector creates a streaming boundary detector.
-func NewDetector(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), lastCut: 0}
-}
-
-// Feed processes the next frame and reports a boundary ending at this frame
-// if one is detected. The first frame never yields a boundary. The frame's
-// histogram is computed into a detector-owned scratch buffer, so streaming
-// ingest allocates nothing per frame in steady state.
-func (d *Detector) Feed(im *frame.Image) (Boundary, bool) {
-	h := d.scratch
-	d.scratch = nil
-	if h == nil || h.Bins != d.cfg.Bins {
-		h = frame.NewHistogram(d.cfg.Bins)
-	}
-	h.SetImage(im)
-	prev := d.prevHist
-	prevWasOwned := d.prevOwned
-	b, ok := d.FeedHistogram(h) // clears prevOwned: the public path is caller-owned
-	d.prevOwned = true          // ...but this h is Feed's own
-	// The displaced previous histogram can be reused for the next frame if
-	// Feed allocated it and the detector no longer holds it as the
-	// gradual-transition anchor.
-	if prevWasOwned && prev != nil && prev != d.anchorHist && prev != d.prevHist {
-		d.scratch = prev
-	}
-	return b, ok
-}
-
-// FeedHistogram is Feed for a precomputed frame histogram (with the
-// detector's configured bin count). It lets callers extract histograms in
-// parallel and keep only the cheap boundary decision sequential.
+// FeedHistogram processes the next frame's histogram (with the detector's
+// configured bin count) and reports a boundary ending at this frame if one is
+// detected. The first frame never yields a boundary. Callers extract the
+// histograms in parallel and keep only this cheap decision sequential.
 func (d *Detector) FeedHistogram(h *frame.Histogram) (Boundary, bool) {
 	idx := d.frameIdx
 	d.frameIdx++
-	d.prevOwned = false // h belongs to the caller; Feed overrides after its own calls
 	if d.prevHist == nil {
 		d.prevHist = h
 		return Boundary{}, false
@@ -259,34 +222,27 @@ func meanStd(xs []float64) (mean, std float64) {
 	return mean, std
 }
 
-// histChunk bounds how many histograms DetectBoundaries materializes at
+// histChunk bounds how many histograms a Sweeper materializes at
 // once: large enough to keep every worker busy, small enough that memory
 // stays O(chunk) instead of O(video) even for hour-long inputs.
 const histChunk = 1024
 
-// DetectBoundaries runs the detector over a frame slice. Histogram
-// extraction — the dominant cost — is fanned out over cfg.Workers
-// goroutines, one bounded chunk at a time; the stateful boundary decision
-// then consumes the histograms in frame order, so the result is identical
-// to the streaming path.
-func DetectBoundaries(frames []*frame.Image, cfg Config) []Boundary {
-	var s Sweeper
-	return s.Detect(frames, cfg)
-}
-
-// Sweeper amortizes DetectBoundaries' scratch — the chunk histogram buffer
-// and the adaptive-rule window — across repeated detection runs, so a
-// threshold sweep over the same footage pays the per-frame histogram
-// allocations once instead of once per configuration. The zero value is
-// ready to use. A Sweeper is not safe for concurrent use.
+// Sweeper runs the detector over a frame slice. Histogram extraction — the
+// dominant cost — is fanned out over cfg.Workers goroutines, one bounded
+// chunk at a time; the stateful boundary decision then consumes the
+// histograms in frame order. A Sweeper amortizes its scratch — the chunk
+// histogram buffer and the adaptive-rule window — across repeated detection
+// runs, so a threshold sweep over the same footage pays the per-frame
+// histogram allocations once instead of once per configuration. The zero
+// value is ready to use. A Sweeper is not safe for concurrent use.
 type Sweeper struct {
 	d     Detector
 	hists []*frame.Histogram // chunk scratch, recycled across chunks and runs
 }
 
-// Detect is DetectBoundaries through the Sweeper's recycled scratch: the
-// result is identical for every configuration and every reuse pattern,
-// only the allocation profile changes.
+// Detect returns the boundaries of frames under cfg. Through the Sweeper's
+// recycled scratch the result is identical for every configuration and
+// every reuse pattern; only the allocation profile changes.
 func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []Boundary {
 	return s.detect(frames, cfg, nil)
 }
@@ -339,14 +295,10 @@ func (s Shot) String() string {
 	return fmt.Sprintf("[%d,%d) %s", s.Start, s.End, s.Class)
 }
 
-// Segment splits frames into shots at the detected boundaries. The class of
-// every shot is ClassOther until classified (see SegmentAndClassify).
-func Segment(frames []*frame.Image, cfg Config) []Shot {
-	return segment(frames, cfg, nil)
-}
-
-// segment is Segment that, given a non-nil colors of len(frames), also
-// summarises every frame's colour histogram into it from the boundary pass.
+// segment splits frames into shots at the detected boundaries; every shot's
+// class is ClassOther until classified. Given a non-nil colors of
+// len(frames), it also summarises every frame's colour histogram into it
+// from the boundary pass.
 func segment(frames []*frame.Image, cfg Config, colors []frameColor) []Shot {
 	var s Sweeper
 	var shots []Shot
@@ -363,7 +315,7 @@ func segment(frames []*frame.Image, cfg Config, colors []frameColor) []Shot {
 
 // SegmentAndClassify segments the video and classifies every shot. This is
 // the complete "segment detector" of the paper. When ccfg has no court
-// colour it is estimated from the video, as EstimateCourtColor does at
+// colour it is estimated from the video by the court-colour vote at
 // minimum share 0.3. Each frame's colour histogram is computed once, by the
 // boundary pass; the court-colour vote and the classifier read its
 // summaries instead of recomputing them.

@@ -101,21 +101,6 @@ type ClassifierConfig struct {
 	SampleFrames int
 }
 
-// DefaultClassifierConfig returns the tuned thresholds used by the
-// experiments. The court colour must still be set (or estimated).
-func DefaultClassifierConfig(court frame.RGB) ClassifierConfig {
-	return ClassifierConfig{
-		CourtColor:     court,
-		CourtTolerance: 60,
-		CourtShareMin:  0.35,
-		SkinRatioMin:   0.12,
-		SkinBlobMin:    0.05,
-		EntropyMin:     6.0,
-		Bins:           8,
-		SampleFrames:   5,
-	}
-}
-
 func (c ClassifierConfig) withDefaults() ClassifierConfig {
 	if c.CourtTolerance == 0 {
 		c.CourtTolerance = 60
@@ -207,11 +192,6 @@ type videoColors struct {
 // courtVoteStep is the stride of the frames that vote on the court colour.
 func courtVoteStep(frames int) int { return frames/64 + 1 }
 
-// ExtractFeatures measures the classification features of a single frame.
-func (c *Classifier) ExtractFeatures(im *frame.Image) Features {
-	return c.extract(im, colorOf(frame.HistogramOf(im, c.cfg.Bins)), new(sampleScratch))
-}
-
 // sampleScratch is the working memory of extract — the skin mask, its
 // opening and the labelling buffers — reused across the sampled frames of
 // one classifyShots call. It is never kept on the Classifier: the FDE engine
@@ -299,23 +279,16 @@ func (c *Classifier) Classify(f Features) Class {
 	}
 }
 
-// ClassifyFrame extracts features and classifies one frame.
-func (c *Classifier) ClassifyFrame(im *frame.Image) (Class, Features) {
-	f := c.ExtractFeatures(im)
-	return c.Classify(f), f
-}
-
-// ClassifyShot samples SampleFrames frames evenly across [start, end),
-// averages their features, and classifies the aggregate. Averaging smooths
-// over transient occlusions within the shot.
+// ClassifyShot classifies the shot [start, end) of frames on its own,
+// computing each sampled frame's colour summary afresh.
 func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class, Features) {
 	return c.classifyShot(frames, videoColors{}, start, end, new(sampleScratch))
 }
 
-// classifyShots classifies every shot in place (Class and Features) like
-// ClassifyShot, reading each sampled frame's colour summary from cs — the
-// boundary pass's histograms — instead of recomputing it when cs was
-// computed at the classifier's bin count.
+// classifyShots classifies every shot in place (Class and Features), reading
+// each sampled frame's colour summary from cs — the boundary pass's
+// histograms — instead of recomputing it when cs was computed at the
+// classifier's bin count.
 func (c *Classifier) classifyShots(frames []*frame.Image, shots []Shot, cs videoColors) {
 	s := new(sampleScratch)
 	for i := range shots {
@@ -323,6 +296,9 @@ func (c *Classifier) classifyShots(frames []*frame.Image, shots []Shot, cs video
 	}
 }
 
+// classifyShot samples SampleFrames frames evenly across [start, end),
+// averages their features, and classifies the aggregate. Averaging smooths
+// over transient occlusions within the shot.
 func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, end int, s *sampleScratch) (Class, Features) {
 	if start < 0 {
 		start = 0
@@ -363,32 +339,16 @@ func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, 
 	return c.Classify(agg), agg
 }
 
-// EstimateCourtColor scans sample frames and returns the modal dominant
-// colour among frames where one colour holds at least minShare of pixels —
-// over broadcast footage this converges on the court surface, mirroring the
-// paper's "estimated statistics of the tennis field color". Only chromatic
-// candidates (HSV saturation >= 0.25) are counted: playing surfaces (green,
-// blue, clay) are saturated, while the near-grey backgrounds of close-ups
-// and crowd shots are not, and would otherwise outvote the court in videos
-// with few playing shots. The boolean is false if no frame had a
-// sufficiently dominant chromatic colour. It computes the voting frames'
-// histograms itself; SegmentAndClassify reads them from its boundary pass
-// instead.
-func EstimateCourtColor(frames []*frame.Image, bins int, minShare float64) (frame.RGB, bool) {
-	if bins == 0 {
-		bins = 8
-	}
-	cs := videoColors{bins: bins, frames: make([]frameColor, len(frames))}
-	for i := 0; i < len(frames); i += courtVoteStep(len(frames)) {
-		cs.frames[i] = colorOf(frame.HistogramOf(frames[i], bins))
-	}
-	return cs.courtColor(minShare)
-}
-
-// courtColor is EstimateCourtColor's vote over the summaries in cs: the
-// same frames vote (every courtVoteStep-th), so over the colours of the
-// boundary pass it answers exactly what EstimateCourtColor answers for the
-// frames at cs.bins.
+// courtColor votes over the colour summaries in cs (every
+// courtVoteStep-th frame) for the modal dominant colour among frames where
+// one colour holds at least minShare of pixels — over broadcast footage this
+// converges on the court surface, mirroring the paper's "estimated
+// statistics of the tennis field color". Only chromatic candidates (HSV
+// saturation >= 0.25) are counted: playing surfaces (green, blue, clay) are
+// saturated, while the near-grey backgrounds of close-ups and crowd shots
+// are not, and would otherwise outvote the court in videos with few playing
+// shots. The boolean is false if no frame had a sufficiently dominant
+// chromatic colour.
 func (cs videoColors) courtColor(minShare float64) (frame.RGB, bool) {
 	if minShare == 0 {
 		minShare = 0.3

@@ -14,17 +14,28 @@ import (
 // only as the oracle the fused pass is checked against.
 
 func extractReference(c *Classifier, im *frame.Image, col frameColor) Features {
-	g := frame.GrayHistogramOf(im)
-	skin := frame.SkinMask(im)
-	ratio, blob := 0.0, 0.0
-	if n := im.W * im.H; n > 0 {
-		ratio = float64(skin.Count()) / float64(n)
+	n := im.W * im.H
+	g := frame.GrayHistogram{Total: float64(n)}
+	for i := 0; i < len(im.Pix); i += 3 {
+		g.Counts[int(frame.Luma(frame.RGB{R: im.Pix[i], G: im.Pix[i+1], B: im.Pix[i+2]}))]++
 	}
-	if comp, ok := skin.Open().Largest(); ok {
-		blob = float64(comp.Area) / float64(im.W*im.H)
+	skin := &frame.Mask{W: im.W, H: im.H, Bits: make([]bool, n)}
+	skinN := 0
+	for i := range skin.Bits {
+		if frame.IsSkin(frame.RGB{R: im.Pix[3*i], G: im.Pix[3*i+1], B: im.Pix[3*i+2]}) {
+			skin.Bits[i] = true
+			skinN++
+		}
+	}
+	ratio, blob := 0.0, 0.0
+	if n > 0 {
+		ratio = float64(skinN) / float64(n)
+	}
+	for _, comp := range new(frame.Labeler).Components(skin.ErodeInto(new(frame.Mask)).DilateInto(new(frame.Mask))) {
+		blob = max(blob, float64(comp.Area)/float64(n))
 	}
 	court := 0.0
-	if n := im.W * im.H; n > 0 {
+	if n > 0 {
 		cnt := 0
 		for i := 0; i < len(im.Pix); i += 3 {
 			px := frame.RGB{R: im.Pix[i], G: im.Pix[i+1], B: im.Pix[i+2]}
@@ -46,7 +57,7 @@ func extractReference(c *Classifier, im *frame.Image, col frameColor) Features {
 	}
 }
 
-// classifyShotReference is ClassifyShot through extractReference.
+// classifyShotReference is classifyShot through extractReference.
 func classifyShotReference(c *Classifier, frames []*frame.Image, start, end int) (Class, Features) {
 	start, end = max(start, 0), min(end, len(frames))
 	if start >= end {
@@ -80,25 +91,25 @@ func classifyShotReference(c *Classifier, frames []*frame.Image, start, end int)
 
 // The fused pass measures, bit for bit, what the per-feature passes did:
 // every shot SegmentAndClassify classifies, over broadcasts holding all four
-// classes, and ExtractFeatures on single frames of each class.
+// classes, and extract on single frames of each class.
 func TestFusedFeaturesMatchReference(t *testing.T) {
 	classes := map[Class]bool{}
 	for _, seed := range []int64{31, 32, 33} {
 		v := genVideo(t, seed, 10)
-		court, ok := EstimateCourtColor(v.Frames, 8, 0.3)
+		court, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
 		if !ok {
 			t.Fatalf("seed %d: no court colour estimated", seed)
 		}
-		cls := NewClassifier(DefaultClassifierConfig(court))
-		for i, s := range SegmentAndClassify(v.Frames, DefaultConfig(), DefaultClassifierConfig(frame.RGB{})) {
+		cls := NewClassifier(ClassifierConfig{CourtColor: court})
+		for i, s := range SegmentAndClassify(v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: frame.RGB{}}) {
 			class, f := classifyShotReference(cls, v.Frames, s.Start, s.End)
 			if s.Class != class || s.Features != f {
 				t.Fatalf("seed %d shot %d: fused %v %+v, reference %v %+v", seed, i, s.Class, s.Features, class, f)
 			}
 			classes[s.Class] = true
 			mid := v.Frames[(s.Start+s.End)/2]
-			want := extractReference(cls, mid, colorOf(frame.HistogramOf(mid, 8)))
-			if got := cls.ExtractFeatures(mid); got != want {
+			col := colorOf(frame.HistogramOf(mid, 8))
+			if got, want := cls.extract(mid, col, new(sampleScratch)), extractReference(cls, mid, col); got != want {
 				t.Fatalf("seed %d shot %d middle frame: fused %+v, reference %+v", seed, i, got, want)
 			}
 		}

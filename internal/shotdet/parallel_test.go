@@ -22,11 +22,11 @@ func TestDetectBoundariesWorkerInvariance(t *testing.T) {
 	} {
 		base := dcfg
 		base.Workers = 1
-		want := DetectBoundaries(v.Frames, base)
+		want := new(Sweeper).Detect(v.Frames, base)
 		for _, workers := range []int{0, 2, 8} {
 			par := dcfg
 			par.Workers = workers
-			got := DetectBoundaries(v.Frames, par)
+			got := new(Sweeper).Detect(v.Frames, par)
 			if len(got) != len(want) {
 				t.Fatalf("cfg=%+v workers=%d: %d boundaries, want %d", dcfg, workers, len(got), len(want))
 			}
@@ -35,32 +35,6 @@ func TestDetectBoundariesWorkerInvariance(t *testing.T) {
 					t.Fatalf("cfg=%+v workers=%d: boundary %d = %+v, want %+v", dcfg, workers, i, got[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-// The streaming Feed path and the precomputed FeedHistogram path must agree.
-func TestFeedHistogramMatchesFeed(t *testing.T) {
-	cfg := synth.DefaultConfig(43)
-	cfg.Shots = 4
-	v, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := NewDetector(DefaultConfig())
-	var fromStream []Boundary
-	for _, im := range v.Frames {
-		if b, ok := stream.Feed(im); ok {
-			fromStream = append(fromStream, b)
-		}
-	}
-	fromBatch := DetectBoundaries(v.Frames, DefaultConfig())
-	if len(fromStream) != len(fromBatch) {
-		t.Fatalf("stream %d boundaries, batch %d", len(fromStream), len(fromBatch))
-	}
-	for i := range fromStream {
-		if fromStream[i] != fromBatch[i] {
-			t.Fatalf("boundary %d: stream %+v batch %+v", i, fromStream[i], fromBatch[i])
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // feedReference is the pre-reuse streaming path: one fresh histogram per
 // frame, no scratch recycling. The reuse paths must match it exactly.
 func feedReference(frames []*frame.Image, cfg Config) []Boundary {
-	d := NewDetector(cfg)
+	d := &Detector{cfg: cfg.withDefaults()}
 	var out []Boundary
 	for _, im := range frames {
 		if b, ok := d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)); ok {
@@ -18,42 +18,6 @@ func feedReference(frames []*frame.Image, cfg Config) []Boundary {
 		}
 	}
 	return out
-}
-
-// TestFeedReuseMatchesReference: the scratch-recycling Feed path must be
-// boundary-identical to fresh-histogram feeding for every detector mode —
-// in particular with gradual detection on, where the detector retains the
-// anchor histogram across frames and a wrong recycle would corrupt it.
-func TestFeedReuseMatchesReference(t *testing.T) {
-	cfg := synth.DefaultConfig(77)
-	cfg.Shots = 6
-	v, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dcfg := range []Config{
-		DefaultConfig(),
-		{Adaptive: true},
-		{GradualLow: 0.08},
-		{GradualLow: 0.02, Threshold: 0.2}, // low bar: anchors held often
-	} {
-		want := feedReference(v.Frames, dcfg)
-		d := NewDetector(dcfg)
-		var got []Boundary
-		for _, im := range v.Frames {
-			if b, ok := d.Feed(im); ok {
-				got = append(got, b)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("cfg=%+v: %d boundaries, want %d", dcfg, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cfg=%+v boundary %d: %+v, want %+v", dcfg, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // TestDetectBoundariesChunkRecycleMatchesReference drives DetectBoundaries
@@ -74,7 +38,7 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 	}
 	for _, dcfg := range []Config{DefaultConfig(), {GradualLow: 0.08}} {
 		want := feedReference(frames, dcfg)
-		got := DetectBoundaries(frames, dcfg)
+		got := new(Sweeper).Detect(frames, dcfg)
 		if len(got) != len(want) {
 			t.Fatalf("cfg=%+v: %d boundaries, want %d", dcfg, len(got), len(want))
 		}
@@ -83,58 +47,6 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 				t.Fatalf("cfg=%+v boundary %d: %+v, want %+v", dcfg, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestFeedNeverRecyclesCallerHistograms: mixing FeedHistogram (caller-owned
-// histograms) and Feed (detector-owned scratch) on one detector must never
-// overwrite a histogram the caller handed in — only Feed's own allocations
-// are recycled.
-func TestFeedNeverRecyclesCallerHistograms(t *testing.T) {
-	cfg := synth.DefaultConfig(80)
-	cfg.Shots = 3
-	v, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDetector(DefaultConfig())
-	d.Feed(v.Frames[0])
-	// Caller-owned histogram enters through the public precomputed path.
-	callerHist := frame.HistogramOf(v.Frames[1], d.cfg.Bins)
-	want := append([]float64(nil), callerHist.Counts...)
-	d.FeedHistogram(callerHist)
-	// Subsequent Feed calls displace callerHist from prevHist; they must
-	// not adopt it as scratch and overwrite it.
-	for _, im := range v.Frames[2:8] {
-		d.Feed(im)
-	}
-	for i, c := range callerHist.Counts {
-		if c != want[i] {
-			t.Fatalf("caller-owned histogram mutated at bin %d: %v -> %v", i, want[i], c)
-		}
-	}
-}
-
-// TestFeedSteadyStateAllocs: after warm-up the streaming Feed path must not
-// allocate a histogram per frame.
-func TestFeedSteadyStateAllocs(t *testing.T) {
-	cfg := synth.DefaultConfig(79)
-	cfg.Shots = 2
-	v, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDetector(DefaultConfig())
-	d.Feed(v.Frames[0])
-	d.Feed(v.Frames[1])
-	im := v.Frames[2]
-	allocs := testing.AllocsPerRun(100, func() {
-		d.Feed(im)
-	})
-	// The adaptive window append and boundary bookkeeping may allocate
-	// occasionally; the per-frame histogram (the hot 4 KB) must not.
-	if allocs > 0.5 {
-		t.Fatalf("steady-state Feed allocates %.2f objects/frame", allocs)
 	}
 }
 
@@ -171,7 +83,7 @@ func TestSweeperMatchesDetectBoundaries(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, frames := range [][]*frame.Image{short, other, long, short} {
 			for ci, dcfg := range configs {
-				want := DetectBoundaries(frames, dcfg)
+				want := new(Sweeper).Detect(frames, dcfg)
 				got := sw.Detect(frames, dcfg)
 				if len(got) != len(want) {
 					t.Fatalf("round=%d cfg=%d frames=%d: %d boundaries, want %d",
@@ -203,7 +115,7 @@ func TestSweeperSteadyStateAllocs(t *testing.T) {
 	var sw Sweeper
 	sw.Detect(v.Frames, dcfg) // warm the chunk buffer
 	warm := testing.AllocsPerRun(20, func() { sw.Detect(v.Frames, dcfg) })
-	fresh := testing.AllocsPerRun(5, func() { DetectBoundaries(v.Frames, dcfg) })
+	fresh := testing.AllocsPerRun(5, func() { new(Sweeper).Detect(v.Frames, dcfg) })
 	if warm*5 > fresh {
 		t.Fatalf("warm Sweeper allocates %.1f objects/run vs %.1f fresh (< 5x reduction)", warm, fresh)
 	}

@@ -8,6 +8,16 @@ import (
 	"repro/internal/synth"
 )
 
+// recomputedColors summarises every frame's colour histogram at bins afresh,
+// as the boundary pass would: the court-colour vote's input.
+func recomputedColors(frames []*frame.Image, bins int) videoColors {
+	cs := videoColors{bins: bins, frames: make([]frameColor, len(frames))}
+	for i, im := range frames {
+		cs.frames[i] = colorOf(frame.HistogramOf(im, bins))
+	}
+	return cs
+}
+
 func genVideo(t *testing.T, seed int64, shots int) *synth.Video {
 	t.Helper()
 	cfg := synth.DefaultConfig(seed)
@@ -21,7 +31,7 @@ func genVideo(t *testing.T, seed int64, shots int) *synth.Video {
 
 func TestDetectBoundariesExact(t *testing.T) {
 	v := genVideo(t, 21, 8)
-	got := DetectBoundaries(v.Frames, DefaultConfig())
+	got := new(Sweeper).Detect(v.Frames, DefaultConfig())
 	want := v.Truth.Boundaries()
 	if len(got) != len(want) {
 		t.Fatalf("detected %d boundaries, want %d (got %v want %v)", len(got), len(want), got, want)
@@ -40,7 +50,7 @@ func TestAdaptiveThresholdDetects(t *testing.T) {
 	v := genVideo(t, 22, 6)
 	cfg := DefaultConfig()
 	cfg.Adaptive = true
-	got := DetectBoundaries(v.Frames, cfg)
+	got := new(Sweeper).Detect(v.Frames, cfg)
 	want := v.Truth.Boundaries()
 	if len(got) != len(want) {
 		t.Fatalf("adaptive detected %d boundaries, want %d", len(got), len(want))
@@ -56,7 +66,7 @@ func TestChiSquareMetricDetects(t *testing.T) {
 	v := genVideo(t, 23, 6)
 	cfg := DefaultConfig()
 	cfg.Metric = MetricChiSquare
-	got := DetectBoundaries(v.Frames, cfg)
+	got := new(Sweeper).Detect(v.Frames, cfg)
 	if len(got) != len(v.Truth.Boundaries()) {
 		t.Fatalf("chi2 detected %d boundaries, want %d", len(got), len(v.Truth.Boundaries()))
 	}
@@ -68,7 +78,7 @@ func TestNoFalseCutsOnSingleShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := DetectBoundaries(frames, DefaultConfig()); len(got) != 0 {
+	if got := new(Sweeper).Detect(frames, DefaultConfig()); len(got) != 0 {
 		t.Fatalf("false cuts on continuous shot: %v", got)
 	}
 }
@@ -91,7 +101,7 @@ func TestMinShotLenSuppression(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		frames = append(frames, c.Clone())
 	}
-	got := DetectBoundaries(frames, DefaultConfig())
+	got := new(Sweeper).Detect(frames, DefaultConfig())
 	if len(got) != 1 || got[0].Frame != 10 {
 		t.Fatalf("got %v, want single cut at 10", got)
 	}
@@ -122,7 +132,7 @@ func TestGradualTransitionDetected(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.GradualLow = 0.05
-	got := DetectBoundaries(frames, cfg)
+	got := new(Sweeper).Detect(frames, cfg)
 	if len(got) != 1 {
 		t.Fatalf("got %d boundaries %v, want exactly 1", len(got), got)
 	}
@@ -134,14 +144,14 @@ func TestGradualTransitionDetected(t *testing.T) {
 		t.Fatalf("gradual boundary at %d, want within wipe [15,%d]", bd.Frame, 15+dn+1)
 	}
 	// Without GradualLow the wipe must be invisible.
-	if got := DetectBoundaries(frames, DefaultConfig()); len(got) != 0 {
+	if got := new(Sweeper).Detect(frames, DefaultConfig()); len(got) != 0 {
 		t.Fatalf("wipe triggered hard-cut detector: %v", got)
 	}
 }
 
 func TestSegmentCoversAllFrames(t *testing.T) {
 	v := genVideo(t, 25, 7)
-	shots := Segment(v.Frames, DefaultConfig())
+	shots := segment(v.Frames, DefaultConfig(), nil)
 	pos := 0
 	for _, s := range shots {
 		if s.Start != pos {
@@ -155,14 +165,14 @@ func TestSegmentCoversAllFrames(t *testing.T) {
 }
 
 func TestSegmentEmptyInput(t *testing.T) {
-	if shots := Segment(nil, DefaultConfig()); len(shots) != 0 {
+	if shots := segment(nil, DefaultConfig(), nil); len(shots) != 0 {
 		t.Fatalf("empty video produced shots: %v", shots)
 	}
 }
 
 func TestClassifyShotsMatchTruth(t *testing.T) {
 	v := genVideo(t, 26, 12)
-	shots := SegmentAndClassify(v.Frames, DefaultConfig(), DefaultClassifierConfig(synth.CourtColor))
+	shots := SegmentAndClassify(v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: synth.CourtColor})
 	if len(shots) != len(v.Truth.Shots) {
 		t.Fatalf("detected %d shots, want %d", len(shots), len(v.Truth.Shots))
 	}
@@ -177,18 +187,18 @@ func TestClassifyShotsMatchTruth(t *testing.T) {
 
 // TestColorsMatchRecomputed: SegmentAndClassify, whose court vote and
 // classifier read the boundary pass's per-frame colours, must answer
-// exactly what recomputing every histogram answers — Segment, then
-// EstimateCourtColor, then ClassifyShot shot by shot, features included —
+// exactly what recomputing every histogram answers — segment, then the
+// court vote, then classifyShot shot by shot, features included —
 // at the detector's bin count (colours read) and at another (recomputed).
 func TestColorsMatchRecomputed(t *testing.T) {
 	v := genVideo(t, 26, 12)
-	want := Segment(v.Frames, DefaultConfig())
-	court, ok := EstimateCourtColor(v.Frames, 8, 0.3)
+	want := segment(v.Frames, DefaultConfig(), nil)
+	court, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
 	if !ok {
 		t.Fatal("no court colour estimated")
 	}
 	for _, bins := range []int{8, 4} {
-		ccfg := DefaultClassifierConfig(frame.RGB{})
+		ccfg := ClassifierConfig{CourtColor: frame.RGB{}}
 		ccfg.Bins = bins
 		got := SegmentAndClassify(v.Frames, DefaultConfig(), ccfg)
 		if len(got) != len(want) {
@@ -197,7 +207,7 @@ func TestColorsMatchRecomputed(t *testing.T) {
 		ccfg.CourtColor = court
 		cls := NewClassifier(ccfg)
 		for i, s := range got {
-			class, f := cls.ClassifyShot(v.Frames, want[i].Start, want[i].End)
+			class, f := cls.classifyShot(v.Frames, videoColors{}, want[i].Start, want[i].End, new(sampleScratch))
 			if s.Start != want[i].Start || s.End != want[i].End || s.Class != class || s.Features != f {
 				t.Fatalf("bins %d shot %d: SegmentAndClassify %v %+v, recomputed %v %v %+v", bins, i, s, s.Features, want[i], class, f)
 			}
@@ -206,7 +216,7 @@ func TestColorsMatchRecomputed(t *testing.T) {
 }
 
 func TestClassifierRules(t *testing.T) {
-	cls := NewClassifier(DefaultClassifierConfig(synth.CourtColor))
+	cls := NewClassifier(ClassifierConfig{CourtColor: synth.CourtColor})
 	cases := []struct {
 		f    Features
 		want Class
@@ -231,18 +241,18 @@ func TestClassifierRules(t *testing.T) {
 
 func TestClassifyShotDegenerateRanges(t *testing.T) {
 	v := genVideo(t, 27, 3)
-	cls := NewClassifier(DefaultClassifierConfig(synth.CourtColor))
-	if c, _ := cls.ClassifyShot(v.Frames, 5, 5); c != ClassOther {
+	cls := NewClassifier(ClassifierConfig{CourtColor: synth.CourtColor})
+	if c, _ := cls.classifyShot(v.Frames, videoColors{}, 5, 5, new(sampleScratch)); c != ClassOther {
 		t.Fatal("empty range should classify as other")
 	}
-	if c, _ := cls.ClassifyShot(v.Frames, -10, 1); c == ClassOther {
+	if c, _ := cls.classifyShot(v.Frames, videoColors{}, -10, 1, new(sampleScratch)); c == ClassOther {
 		t.Fatal("clamped range lost the first tennis frame")
 	}
 }
 
 func TestEstimateCourtColor(t *testing.T) {
 	v := genVideo(t, 28, 10)
-	got, ok := EstimateCourtColor(v.Frames, 8, 0.3)
+	got, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
 	if !ok {
 		t.Fatal("no court colour estimated")
 	}
@@ -262,7 +272,7 @@ func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := EstimateCourtColor(v.Frames, 8, 0.3)
+	got, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
 	if !ok {
 		t.Fatal("no court colour estimated")
 	}
@@ -270,9 +280,9 @@ func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
 		t.Fatalf("estimate %v drifted to a non-court colour (true %v)", got, synth.CourtColor)
 	}
 	// And classification downstream of the estimate stays correct.
-	cls := NewClassifier(DefaultClassifierConfig(got))
+	cls := NewClassifier(ClassifierConfig{CourtColor: got})
 	for i, s := range v.Truth.Shots {
-		c, _ := cls.ClassifyShot(v.Frames, s.Start, s.End)
+		c, _ := cls.classifyShot(v.Frames, videoColors{}, s.Start, s.End, new(sampleScratch))
 		if c.String() != s.Class.String() {
 			t.Errorf("shot %d: classified %s, want %s", i, c, s.Class)
 		}
@@ -292,15 +302,15 @@ func TestEstimateCourtColorTieIsDeterministic(t *testing.T) {
 		im.Fill(c)
 		frames = append(frames, im)
 	}
-	want, ok := EstimateCourtColor(frames[1:3], 8, 0.3) // the court's histogram cell
+	want, ok := recomputedColors(frames[1:3], 8).courtColor(0.3) // the court's histogram cell
 	if !ok || frame.ColorDist(want, synth.CourtColor) > 40 {
 		t.Fatalf("court-only estimate = %v, %t", want, ok)
 	}
-	if other, _ := EstimateCourtColor(frames[:1], 8, 0.3); !lessRGB(want, other) {
+	if other, _ := recomputedColors(frames[:1], 8).courtColor(0.3); !lessRGB(want, other) {
 		t.Fatalf("fixture: court cell %v should order before backdrop cell %v", want, other)
 	}
 	for i := 0; i < 50; i++ {
-		if got, ok := EstimateCourtColor(frames, 8, 0.3); !ok || got != want {
+		if got, ok := recomputedColors(frames, 8).courtColor(0.3); !ok || got != want {
 			t.Fatalf("call %d: tied vote estimated %v, want %v", i, got, want)
 		}
 	}
@@ -314,7 +324,7 @@ func TestEstimateCourtColorNoDominant(t *testing.T) {
 		im.SpeckleNoise(rng, 1)
 		frames[i] = im
 	}
-	if _, ok := EstimateCourtColor(frames, 8, 0.3); ok {
+	if _, ok := recomputedColors(frames, 8).courtColor(0.3); ok {
 		t.Fatal("court colour found in pure noise")
 	}
 }
@@ -338,9 +348,9 @@ func TestMetricString(t *testing.T) {
 }
 
 func TestStreamingDetectorFirstFrame(t *testing.T) {
-	d := NewDetector(DefaultConfig())
+	d := &Detector{cfg: DefaultConfig().withDefaults()}
 	im := frame.New(16, 16)
-	if _, ok := d.Feed(im); ok {
+	if _, ok := d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)); ok {
 		t.Fatal("first frame yielded a boundary")
 	}
 }

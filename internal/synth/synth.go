@@ -11,7 +11,6 @@ package synth
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/frame"
@@ -43,21 +42,6 @@ func (c ShotClass) String() string {
 	}
 }
 
-// ParseShotClass converts a class name back to a ShotClass.
-func ParseShotClass(s string) (ShotClass, error) {
-	switch s {
-	case "tennis":
-		return ClassTennis, nil
-	case "close-up", "closeup":
-		return ClassCloseUp, nil
-	case "audience":
-		return ClassAudience, nil
-	case "other":
-		return ClassOther, nil
-	}
-	return ClassOther, fmt.Errorf("synth: unknown shot class %q", s)
-}
-
 // EventKind identifies a scripted (and detectable) tennis event.
 type EventKind string
 
@@ -72,11 +56,6 @@ const (
 // Point is a pixel-space position.
 type Point struct {
 	X, Y float64
-}
-
-// Dist returns the Euclidean distance between two points.
-func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
 // ShotTruth is the ground truth for one shot.
@@ -123,16 +102,6 @@ func (g GroundTruth) Boundaries() []int {
 		b = append(b, s.Start)
 	}
 	return b
-}
-
-// ShotAt returns the index of the shot containing the given frame, or -1.
-func (g GroundTruth) ShotAt(f int) int {
-	for i, s := range g.Shots {
-		if f >= s.Start && f < s.End {
-			return i
-		}
-	}
-	return -1
 }
 
 // Video is a generated clip plus its ground truth.

@@ -2,6 +2,7 @@ package track
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/frame"
@@ -22,7 +23,7 @@ func shotBackgrounds(t *testing.T) []Background {
 		}
 		for _, s := range v.Truth.Shots {
 			if s.Class == synth.ClassTennis {
-				bgs = append(bgs, EstimateBackground(v.Frames[s.Start], DefaultConfig()))
+				bgs = append(bgs, backgroundOf(v.Frames[s.Start], DefaultConfig()))
 				break
 			}
 		}
@@ -94,12 +95,13 @@ func TestEstimateBackgroundSmallFrame(t *testing.T) {
 	for _, size := range [][2]int{{6, 6}, {3, 20}, {20, 5}} {
 		im := frame.New(size[0], size[1])
 		im.Fill(frame.RGB{R: 128, G: 128, B: 128})
-		bg := EstimateBackground(im, cfg)
+		bg := backgroundOf(im, cfg)
 		if len(bg.Clusters) != 1 || bg.Clusters[0].N != size[0]*size[1] || bg.Clusters[0].MeanR != 128 {
 			t.Fatalf("%dx%d grey frame: background %+v, want one grey cluster over every pixel", size[0], size[1], bg.Clusters)
 		}
-		if n := QuadSegment(im, bg, im.Bounds(), cfg).Count(); n != 0 {
-			t.Errorf("%dx%d grey frame: %d foreground pixels, want 0", size[0], size[1], n)
+		s, _ := segmentWindow(im, bg, im.Bounds(), cfg)
+		if n := slices.Index(s.seg.Bits, true); n >= 0 {
+			t.Errorf("%dx%d grey frame: pixel %d is foreground, want none", size[0], size[1], n)
 		}
 	}
 }
@@ -160,10 +162,11 @@ func FuzzQuadSegment(f *testing.F) {
 		}
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				kernel := got.Contains(x, y) && s.seg.Get(x-got.X0, y-got.Y0)
-				if oracle := want.Get(x, y); kernel != oracle {
+				inWin := x >= got.X0 && x < got.X1 && y >= got.Y0 && y < got.Y1
+				kernel := inWin && s.seg.Bits[(y-got.Y0)*s.seg.W+x-got.X0]
+				if oracle := want.Bits[y*want.W+x]; kernel != oracle {
 					t.Fatalf("pixel (%d,%d) colour %v: kernel %v, oracle %v (window %+v, %d clusters)",
-						x, y, im.At(x, y), kernel, oracle, got, len(bg.Clusters))
+						x, y, im.Pix[im.Offset(x, y):][:3], kernel, oracle, got, len(bg.Clusters))
 				}
 			}
 		}

@@ -54,10 +54,6 @@ type Config struct {
 	// MinClusterBlocks is the minimum number of grid blocks for a cluster
 	// to count as background (default 4).
 	MinClusterBlocks int
-	// MaxCoast is how many consecutive frames a tracker may coast on its
-	// prediction without any matching component before it reports lost
-	// (default 10).
-	MaxCoast int
 }
 
 // DefaultConfig returns tuned defaults for 160x120 broadcast frames.
@@ -73,7 +69,6 @@ func DefaultConfig() Config {
 		GridBlocks:       8,
 		ClusterTol:       35,
 		MinClusterBlocks: 4,
-		MaxCoast:         10,
 	}
 }
 
@@ -109,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.MinClusterBlocks == 0 {
 		c.MinClusterBlocks = d.MinClusterBlocks
 	}
-	if c.MaxCoast == 0 {
-		c.MaxCoast = d.MaxCoast
-	}
 	return c
 }
 
@@ -131,20 +123,12 @@ func (b *Background) Match(c frame.RGB, k, minStd float64) bool {
 	return false
 }
 
-// EstimateBackground builds the background colour model from one frame by
-// clustering the mean colours of a GridBlocks×GridBlocks partition. Large
-// homogeneous clusters (the court and its surround) become background;
-// small ones (players, lines) are ignored. This realizes the "estimated
-// statistics of the tennis field color" of the paper without requiring a
-// calibrated court model.
-func EstimateBackground(im *frame.Image, cfg Config) Background {
-	var sums frame.SumTable
-	sums.Reset(im, im.Bounds())
-	return estimateBackground(&sums, cfg.withDefaults())
-}
-
-// estimateBackground is EstimateBackground over a summed-area table of the
-// whole frame. Block edges are proportional (bx*W/n), so the grid covers
+// estimateBackground builds the background colour model from a summed-area
+// table of one whole frame by clustering the mean colours of a
+// GridBlocks×GridBlocks partition. Large homogeneous clusters (the court and
+// its surround) become background; small ones (players, lines) are ignored.
+// This realizes the "estimated statistics of the tennis field color" of the
+// paper without requiring a calibrated court model. Block edges are proportional (bx*W/n), so the grid covers
 // every pixel at any size; on a frame narrower or shorter than the grid some
 // blocks are empty, and an empty block does not vote.
 func estimateBackground(sums *frame.SumTable, cfg Config) Background {
@@ -304,22 +288,10 @@ func blockIsBackground(s frame.ColorStats, bg *bgTable, cfg *Config) bool {
 	return s.StdR < lim && s.StdG < lim && s.StdB < lim
 }
 
-// QuadSegment performs the quadtree ("quadratic") segmentation of the
-// region r: blocks whose colour statistics match a background cluster are
-// discarded whole; heterogeneous blocks are split until QuadMinBlock, then
-// tested per pixel. The returned mask has the dimensions of im, with
-// foreground only inside r.
-func QuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg Config) *frame.Mask {
-	cfg = cfg.withDefaults()
-	var sums frame.SumTable
-	sums.Reset(im, r)
-	mask := frame.NewMask(im.W, im.H)
-	q := quadSegmenter{im: im, sums: &sums, bg: newBGTable(&bg, &cfg), cfg: &cfg, mask: mask}
-	q.split(sums.Window())
-	return mask
-}
-
-// quadSegmenter is one quadtree segmentation in progress. A block's colour
+// quadSegmenter is one quadtree ("quadratic") segmentation in progress:
+// blocks whose colour statistics match a background cluster are discarded
+// whole; heterogeneous blocks are split until QuadMinBlock, then tested per
+// pixel. A block's colour
 // statistics are read from sums, a summed-area table over the window being
 // segmented, and leaf pixels are tested through bg's tables. The mask may
 // cover just the window: its pixel (0, 0) is image pixel (ox, oy), and only
@@ -458,39 +430,19 @@ type Track struct {
 	LostFrames int
 }
 
-// Found returns the number of frames with a positive acquisition.
-func (t *Track) Found() int { return len(t.Obs) - t.LostFrames }
-
-// Positions returns the (x, y) series of the track.
-func (t *Track) Positions() ([]float64, []float64) {
-	xs := make([]float64, len(t.Obs))
-	ys := make([]float64, len(t.Obs))
-	for i, o := range t.Obs {
-		xs[i], ys[i] = o.X, o.Y
-	}
-	return xs, ys
-}
-
 // Tracker follows a single player with a constant-velocity predictor and a
 // local search window, as the paper describes.
 type Tracker struct {
 	cfg   Config
 	pos   Observation
-	coast int
 	scale float64 // 1.0 near player, <1 far player (smaller area gate)
 	s     *scratch
 }
 
-// NewTracker builds a tracker from an initial observation. scale shrinks
-// the component-area gate for the smaller far player (use 1 for the near
-// player, ~0.5 for the far player).
-func NewTracker(cfg Config, bg Background, initial Observation, scale float64) *Tracker {
-	cfg = cfg.withDefaults()
-	return newTracker(cfg, initial, scale, &scratch{bg: newBGTable(&bg, &cfg)})
-}
-
-// newTracker builds a tracker on s, whose background tables must have been
-// built for cfg (with defaults applied).
+// newTracker builds a tracker from an initial observation on s, whose
+// background tables must have been built for cfg (with defaults applied).
+// scale shrinks the component-area gate for the smaller far player (1 for
+// the near player, ~0.5 for the far player).
 func newTracker(cfg Config, initial Observation, scale float64, s *scratch) *Tracker {
 	if scale <= 0 {
 		scale = 1
@@ -520,7 +472,6 @@ func (t *Tracker) Feed(im *frame.Image, frameIdx int) Observation {
 	best, ok := selectComponent(comps, predX, predY, t.minArea())
 	if !ok {
 		// Coast on the prediction.
-		t.coast++
 		obs := Observation{
 			Frame: frameIdx, Found: false,
 			X: predX, Y: predY,
@@ -532,13 +483,9 @@ func (t *Tracker) Feed(im *frame.Image, frameIdx int) Observation {
 	obs := t.s.observe(im, best, frameIdx)
 	obs.VX = obs.X - t.pos.X
 	obs.VY = obs.Y - t.pos.Y
-	t.coast = 0
 	t.pos = obs
 	return obs
 }
-
-// Lost reports whether the tracker has coasted past MaxCoast frames.
-func (t *Tracker) Lost() bool { return t.coast > t.cfg.MaxCoast }
 
 // selectComponent picks the component nearest the prediction among those
 // meeting the area gate, scoring by area/(1+dist).

@@ -22,13 +22,13 @@ type refTracker struct {
 
 func refObserve(mask *frame.Mask, im *frame.Image, c frame.Component, frameIdx int) Observation {
 	cx, cy := c.Centroid()
-	sub := frame.NewMask(c.BBox.W(), c.BBox.H())
+	sub := &frame.Mask{W: c.BBox.W(), H: c.BBox.H(), Bits: make([]bool, c.BBox.W()*c.BBox.H())}
 	for y := c.BBox.Y0; y < c.BBox.Y1; y++ {
 		for x := c.BBox.X0; x < c.BBox.X1; x++ {
-			sub.Set(x-c.BBox.X0, y-c.BBox.Y0, mask.Get(x, y))
+			sub.Bits[(y-c.BBox.Y0)*sub.W+(x-c.BBox.X0)] = mask.Bits[y*mask.W+x]
 		}
 	}
-	shape := frame.ShapeOf(sub)
+	shape := frame.ShapeOfRect(sub, frame.Rect{X1: sub.W, Y1: sub.H})
 	shape.CX += float64(c.BBox.X0)
 	shape.CY += float64(c.BBox.Y0)
 	shape.BBox = frame.Rect{
@@ -46,9 +46,9 @@ func (t *refTracker) feed(im *frame.Image, frameIdx int) Observation {
 	predY := t.pos.Y + t.pos.VY
 	r := t.cfg.SearchRadius
 	window := frame.Rect{X0: int(predX) - r, Y0: int(predY) - r, X1: int(predX) + r, Y1: int(predY) + r}
-	mask := QuadSegment(im, t.bg, window, t.cfg).Open()
+	mask := refQuadSegment(im, t.bg, window, t.cfg).ErodeInto(new(frame.Mask)).DilateInto(new(frame.Mask))
 	minArea := max(int(float64(t.cfg.MinArea)*t.scale*t.scale), 4)
-	best, ok := selectComponent(mask.Components(), predX, predY, minArea)
+	best, ok := selectComponent(new(frame.Labeler).Components(mask), predX, predY, minArea)
 	if !ok {
 		t.pos = Observation{Frame: frameIdx, X: predX, Y: predY, VX: t.pos.VX, VY: t.pos.VY}
 		return t.pos
@@ -64,10 +64,10 @@ func refTrackShot(frames []*frame.Image, cfg Config) ShotResult {
 	cfg = cfg.withDefaults()
 	var res ShotResult
 	first := frames[0]
-	res.Background = EstimateBackground(first, cfg)
-	mask := QuadSegment(first, res.Background, first.Bounds(), cfg).Open()
+	res.Background = backgroundOf(first, cfg)
+	mask := refQuadSegment(first, res.Background, first.Bounds(), cfg).ErodeInto(new(frame.Mask)).DilateInto(new(frame.Mask))
 	var lower, upper []frame.Component
-	for _, c := range mask.Components() {
+	for _, c := range new(frame.Labeler).Components(mask) {
 		if _, cy := c.Centroid(); cy >= float64(first.H)/2 {
 			lower = append(lower, c)
 		} else {
@@ -149,7 +149,7 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 				}
 			}
 		}
-		if want.Near.Found() == 0 {
+		if want.Near.LostFrames == len(want.Near.Obs)-1 {
 			t.Errorf("%s: the oracle never found the near player; the comparison is vacuous", s.name)
 		}
 		if s.name == "occluded" && want.Near.LostFrames == 0 {
@@ -163,9 +163,8 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 func TestFeedAllocations(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 30, 65)
 	cfg := DefaultConfig()
-	bg := EstimateBackground(frames[0], cfg)
 	res := TrackShot(frames[:2], cfg)
-	tr := NewTracker(cfg, bg, res.Near.Obs[1], 1)
+	tr := newTracker(cfg.withDefaults(), res.Near.Obs[1], 1, &scratch{bg: newBGTable(&res.Background, &cfg)})
 	tr.Feed(frames[2], 2)
 	tr.Feed(frames[3], 3)
 	i := 4
@@ -199,10 +198,12 @@ func foregroundPixel(c frame.RGB, bg *Background, cfg *Config) bool {
 	return !bg.Match(c, cfg.CourtK, cfg.MinStd)
 }
 
-// refQuadSegment is QuadSegment through foregroundPixel and StatsOfRegion.
+// refQuadSegment is the quadtree segmentation of the window r through
+// foregroundPixel and StatsOfRegion, as a mask of the whole frame with
+// foreground only inside r.
 func refQuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg Config) *frame.Mask {
 	cfg = cfg.withDefaults()
-	mask := frame.NewMask(im.W, im.H)
+	mask := &frame.Mask{W: im.W, H: im.H, Bits: make([]bool, im.W*im.H)}
 	var split func(b frame.Rect)
 	split = func(b frame.Rect) {
 		if b.Empty() {
@@ -223,8 +224,9 @@ func refQuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg Config) *f
 		}
 		for y := b.Y0; y < b.Y1; y++ {
 			for x := b.X0; x < b.X1; x++ {
-				if foregroundPixel(im.At(x, y), &bg, &cfg) {
-					mask.Set(x, y, true)
+				o := im.Offset(x, y)
+				if foregroundPixel(frame.RGB{R: im.Pix[o], G: im.Pix[o+1], B: im.Pix[o+2]}, &bg, &cfg) {
+					mask.Bits[y*mask.W+x] = true
 				}
 			}
 		}

@@ -18,6 +18,21 @@ func renderShot(t *testing.T, script string, n int, seed int64) ([]*frame.Image,
 	return frames, near, far
 }
 
+// backgroundOf is the background model TrackShot estimates from im as the
+// first frame of a shot.
+func backgroundOf(im *frame.Image, cfg Config) Background {
+	return TrackShot([]*frame.Image{im}, cfg).Background
+}
+
+// segmentWindow runs the tracker's segmentation kernel over the window r of
+// im against bg: it returns the scratch holding the window's masks and the
+// components of the opened mask.
+func segmentWindow(im *frame.Image, bg Background, r frame.Rect, cfg Config) (*scratch, []frame.Component) {
+	cfg = cfg.withDefaults()
+	s := &scratch{bg: newBGTable(&bg, &cfg)}
+	return s, s.segment(im, r, &cfg)
+}
+
 func meanError(tr Track, truth []synth.Point) float64 {
 	var sum float64
 	n := 0
@@ -36,7 +51,7 @@ func meanError(tr Track, truth []synth.Point) float64 {
 
 func TestEstimateBackgroundFindsCourtAndSurround(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 2, 1)
-	bg := EstimateBackground(frames[0], DefaultConfig())
+	bg := backgroundOf(frames[0], DefaultConfig())
 	if len(bg.Clusters) < 2 {
 		t.Fatalf("found %d background clusters, want >= 2 (court + surround)", len(bg.Clusters))
 	}
@@ -54,9 +69,8 @@ func TestEstimateBackgroundFindsCourtAndSurround(t *testing.T) {
 func TestQuadSegmentFindsPlayers(t *testing.T) {
 	frames, near, far := renderShot(t, "rally", 2, 2)
 	cfg := DefaultConfig()
-	bg := EstimateBackground(frames[0], cfg)
-	mask := QuadSegment(frames[0], bg, frames[0].Bounds(), cfg).Open()
-	comps := mask.Components()
+	bg := backgroundOf(frames[0], cfg)
+	_, comps := segmentWindow(frames[0], bg, frames[0].Bounds(), cfg)
 	foundNear, foundFar := false, false
 	for _, c := range comps {
 		if c.Area < 10 {
@@ -81,11 +95,11 @@ func TestQuadSegmentFindsPlayers(t *testing.T) {
 func TestQuadSegmentIgnoresLinesAndNet(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 1, 3)
 	cfg := DefaultConfig()
-	bg := EstimateBackground(frames[0], cfg)
-	mask := QuadSegment(frames[0], bg, frames[0].Bounds(), cfg).Open()
+	bg := backgroundOf(frames[0], cfg)
 	// No connected component should be line-like: wider than half the
 	// frame (lines and net span the court).
-	for _, c := range mask.Components() {
+	_, comps := segmentWindow(frames[0], bg, frames[0].Bounds(), cfg)
+	for _, c := range comps {
 		if c.BBox.W() > frames[0].W/2 {
 			t.Fatalf("segmented a line-like component: %+v", c)
 		}
@@ -239,12 +253,8 @@ func TestTrackNoPlayersInFrame(t *testing.T) {
 func TestTrackPositionsSeries(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 15, 10)
 	res := TrackShot(frames, DefaultConfig())
-	xs, ys := res.Near.Positions()
-	if len(xs) != 15 || len(ys) != 15 {
-		t.Fatalf("positions lengths %d/%d", len(xs), len(ys))
-	}
-	if res.Near.Found()+res.Near.LostFrames != 15 {
-		t.Fatal("Found + LostFrames != total")
+	if len(res.Near.Obs) != 15 || res.Near.LostFrames > 15 {
+		t.Fatalf("%d observations, %d lost, want 15 frames", len(res.Near.Obs), res.Near.LostFrames)
 	}
 }
 

@@ -93,20 +93,10 @@ func WriteFile(path string, e Embedder, parts []*Builder, signature uint64) erro
 	})
 }
 
-// OpenBytes reconstructs builders from in-memory segfile bytes. The
-// returned builders alias data (names and embedding matrices are
-// zero-copy views); the caller must keep data reachable and unmodified.
-// e must match the embedder the file was written with; wantSignature,
-// when non-zero, must match the stored signature (ErrSignature
-// otherwise) — the staleness guard for cached embedding files.
-func OpenBytes(data []byte, e Embedder, wantSignature uint64) ([]*Builder, error) {
-	r, err := segfile.NewReader(data)
-	if err != nil {
-		return nil, err
-	}
-	return openReader(r, e, wantSignature)
-}
-
+// openReader reconstructs builders from a parsed container; they alias its
+// bytes. e must match the embedder the file was written with;
+// wantSignature, when non-zero, must match the stored signature
+// (ErrSignature otherwise) — the staleness guard for cached embedding files.
 func openReader(r *segfile.Reader, e Embedder, wantSignature uint64) ([]*Builder, error) {
 	if e == nil || e.Dim() <= 0 {
 		return nil, fmt.Errorf("vec: nil or zero-dimension embedder")

@@ -9,9 +9,20 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/segfile"
 )
 
 // writtenBytes serializes a small real corpus split nseg ways.
+// openBytes opens in-memory segfile bytes the way OpenFile opens the
+// mapping: a container reader handed to openReader.
+func openBytes(data []byte, e Embedder, wantSignature uint64) ([]*Builder, error) {
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	return openReader(r, e, wantSignature)
+}
+
 func writtenBytes(t testing.TB, ndocs, nseg int, sig uint64) []byte {
 	t.Helper()
 	e := DefaultEmbedder()
@@ -50,7 +61,7 @@ func TestVecSegfileRoundTrip(t *testing.T) {
 	for _, nseg := range []int{1, 2, 4} {
 		built := partitioned(e, names, texts, nseg)
 		data := writtenBytes(t, 90, nseg, 77)
-		opened, err := OpenBytes(data, e, 77)
+		opened, err := openBytes(data, e, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,16 +100,16 @@ func TestVecSegfileWriteDeterministic(t *testing.T) {
 // are all refused with ErrSignature.
 func TestVecSegfileSignature(t *testing.T) {
 	data := writtenBytes(t, 30, 2, 42)
-	if _, err := OpenBytes(data, DefaultEmbedder(), 42); err != nil {
+	if _, err := openBytes(data, DefaultEmbedder(), 42); err != nil {
 		t.Fatalf("matching signature refused: %v", err)
 	}
-	if _, err := OpenBytes(data, DefaultEmbedder(), 0); err != nil {
+	if _, err := openBytes(data, DefaultEmbedder(), 0); err != nil {
 		t.Fatalf("unchecked signature refused: %v", err)
 	}
-	if _, err := OpenBytes(data, DefaultEmbedder(), 43); !errors.Is(err, ErrSignature) {
+	if _, err := openBytes(data, DefaultEmbedder(), 43); !errors.Is(err, ErrSignature) {
 		t.Fatalf("wrong signature: err %v, want ErrSignature", err)
 	}
-	if _, err := OpenBytes(data, NewHashEmbedder(32), 42); !errors.Is(err, ErrSignature) {
+	if _, err := openBytes(data, NewHashEmbedder(32), 42); !errors.Is(err, ErrSignature) {
 		t.Fatalf("wrong dimension: err %v, want ErrSignature", err)
 	}
 }
@@ -141,18 +152,17 @@ func TestVecSegfileHostileBytes(t *testing.T) {
 				t.Fatalf("panic: %v", r)
 			}
 		}()
-		parts, err := OpenBytes(b, DefaultEmbedder(), 0)
+		parts, err := openBytes(b, DefaultEmbedder(), 0)
 		if err != nil {
 			return
 		}
 		// A successfully opened file must be internally consistent.
-		s, err := NewSegments(DefaultEmbedder(), parts)
-		if err != nil {
+		if _, err := NewSegments(DefaultEmbedder(), parts); err != nil {
 			return
 		}
-		for d := 0; d < s.Docs(); d++ {
-			if _, err := s.DocName(ir.DocID(d)); err != nil {
-				return
+		for _, p := range parts {
+			for i := 0; i < p.Len(); i++ {
+				_ = p.Name(i)
 			}
 		}
 	}
@@ -178,7 +188,7 @@ func FuzzVecSegfileOpen(f *testing.F) {
 	mut[len(mut)/3] ^= 0xFF
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		parts, err := OpenBytes(b, DefaultEmbedder(), 0)
+		parts, err := openBytes(b, DefaultEmbedder(), 0)
 		if err != nil {
 			return
 		}
@@ -186,9 +196,9 @@ func FuzzVecSegfileOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for d := 0; d < s.Docs(); d++ {
-			if _, err := s.DocName(ir.DocID(d)); err != nil {
-				t.Fatalf("opened file has inconsistent names: %v", err)
+		for _, p := range parts {
+			for i := 0; i < p.Len(); i++ {
+				_ = p.Name(i)
 			}
 		}
 		if _, _, err := s.Search("net play", 5); err != nil && !errors.Is(err, ir.ErrEmptyQry) {

@@ -79,9 +79,6 @@ func dot(a, b []float32) float64 {
 	return sum
 }
 
-// NumSegments returns the partition count.
-func (s *Segments) NumSegments() int { return len(s.segs) }
-
 // Docs returns the union document count.
 func (s *Segments) Docs() int { return s.bases.Total() }
 
@@ -90,15 +87,6 @@ func (s *Segments) Dim() int { return s.emb.Dim() }
 
 // Embedder returns the embedding scheme the reader was composed with.
 func (s *Segments) Embedder() Embedder { return s.emb }
-
-// DocName resolves a global DocID to its document name.
-func (s *Segments) DocName(d ir.DocID) (string, error) {
-	if d < 0 || int(d) >= s.Docs() {
-		return "", fmt.Errorf("vec: doc %d out of range [0,%d)", d, s.Docs())
-	}
-	ord, local := s.bases.Of(int(d))
-	return s.segs[ord].b.Name(local), nil
-}
 
 // embedQuery embeds and validates a query, analysing it once: a query with
 // no indexable tokens reports ir.ErrEmptyQry exactly like the lexical lane.

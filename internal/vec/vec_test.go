@@ -300,29 +300,6 @@ func TestVecEmptyQuery(t *testing.T) {
 	}
 }
 
-func TestVecDocName(t *testing.T) {
-	e := DefaultEmbedder()
-	names, texts := synthDocs(57, 5)
-	s, err := NewSegments(e, partitioned(e, names, texts, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range names {
-		got, err := s.DocName(ir.DocID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("doc %d: name %q, want %q", i, got, want)
-		}
-	}
-	for _, d := range []ir.DocID{-1, ir.DocID(len(names))} {
-		if _, err := s.DocName(d); err == nil {
-			t.Fatalf("doc %d: want error", d)
-		}
-	}
-}
-
 // TestVecEmptySegment: zero-document parts compose and search cleanly.
 func TestVecEmptySegment(t *testing.T) {
 	e := DefaultEmbedder()

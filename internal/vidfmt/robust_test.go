@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,7 +38,7 @@ func decodeBoth(t *testing.T, data []byte) ([]*frame.Image, Meta, error) {
 			t.Fatalf("DecodeAll %+v (%d frames), ReadFile %+v (%d frames)", meta, len(got), fileMeta, len(fromFile))
 		}
 		for i := range got {
-			if !got[i].Equal(fromFile[i]) {
+			if !slices.Equal(got[i].Pix, fromFile[i].Pix) {
 				t.Fatalf("frame %d: DecodeAll and ReadFile differ", i)
 			}
 		}
@@ -71,11 +72,11 @@ func TestGOPOneAllIntra(t *testing.T) {
 	}
 	// Random access to any frame is a single-frame decode.
 	for _, i := range []int{9, 0, 5} {
-		im, err := r.Frame(i)
+		im, err := frameAt(r, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !im.Equal(frames[i]) {
+		if !slices.Equal(im.Pix, frames[i].Pix) {
 			t.Fatalf("frame %d mismatch", i)
 		}
 	}
@@ -92,7 +93,7 @@ func TestSingleFrameVideo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Frames != 1 || !got[0].Equal(im) {
+	if meta.Frames != 1 || !slices.Equal(got[0].Pix, im.Pix) {
 		t.Fatal("single-frame round trip failed")
 	}
 }
@@ -177,7 +178,7 @@ func TestHighEntropyFramesStillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range frames {
-		if !got[i].Equal(frames[i]) {
+		if !slices.Equal(got[i].Pix, frames[i].Pix) {
 			t.Fatalf("noise frame %d corrupted", i)
 		}
 	}
@@ -274,15 +275,15 @@ func TestSequentialAccessDecodesEachFrameOnce(t *testing.T) {
 	}
 	src.reads = 0
 	for i := range frames {
-		im, err := r.Next()
+		im, err := frameAt(r, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !im.Equal(frames[i]) {
+		if !slices.Equal(im.Pix, frames[i].Pix) {
 			t.Fatalf("frame %d mismatch", i)
 		}
 	}
-	if im, err := r.Frame(len(frames) - 1); err != nil || !im.Equal(frames[len(frames)-1]) {
+	if im, err := frameAt(r, len(frames)-1); err != nil || !slices.Equal(im.Pix, frames[len(frames)-1].Pix) {
 		t.Fatalf("re-reading the last frame: %v", err)
 	}
 	if want := len(frames); src.reads != want {

@@ -67,14 +67,6 @@ type Meta struct {
 	Frames int
 }
 
-// Duration returns the video duration in seconds.
-func (m Meta) Duration() float64 {
-	if m.FPS == 0 {
-		return 0
-	}
-	return float64(m.Frames) / float64(m.FPS)
-}
-
 // Writer encodes frames into an SVF stream. Frames must all share the
 // dimensions given at construction. Close must be called to emit the index
 // and trailer.
@@ -129,9 +121,6 @@ func NewWriter(w io.Writer, width, height, fps, gop int) (*Writer, error) {
 		meta: Meta{Width: width, Height: height, FPS: fps, GOP: gop},
 	}, nil
 }
-
-// Meta returns the stream metadata written so far.
-func (w *Writer) Meta() Meta { return w.meta }
 
 // WriteFrame appends one frame. The image dimensions must match the stream.
 func (w *Writer) WriteFrame(im *frame.Image) error {
@@ -207,7 +196,6 @@ type Reader struct {
 	// for allocates nothing; a returned frame is a copy.
 	state      []uint8
 	decodedIdx int
-	pos        int // next frame for Next()
 }
 
 // OpenReader parses the header and index of an SVF stream. Every size the
@@ -289,21 +277,9 @@ func OpenReader(r io.ReadSeeker) (*Reader, error) {
 	return &Reader{r: r, meta: meta, index: index, indexOff: indexOff, maxRec: maxRec, decodedIdx: -1}, nil
 }
 
-// Meta returns the stream metadata.
-func (r *Reader) Meta() Meta { return r.meta }
-
-// Frame decodes and returns frame i. Decoding a P-frame that is not the
+// frameInto decodes frame i into im, so that a caller decoding many frames
+// can allocate the headers together. Decoding a P-frame that is not the
 // successor of the cached frame walks back to the nearest I-frame.
-func (r *Reader) Frame(i int) (*frame.Image, error) {
-	im := new(frame.Image)
-	if err := r.frameInto(i, im); err != nil {
-		return nil, err
-	}
-	return im, nil
-}
-
-// frameInto is Frame writing the image header into im, so that a caller
-// decoding many frames can allocate the headers together.
 func (r *Reader) frameInto(i int, im *frame.Image) error {
 	if i < 0 || i >= len(r.index) {
 		return fmt.Errorf("%w: %d of %d", ErrFrameRange, i, len(r.index))
@@ -326,22 +302,6 @@ func (r *Reader) frameInto(i int, im *frame.Image) error {
 	*im = frame.Image{W: r.meta.Width, H: r.meta.Height, Pix: pix}
 	return nil
 }
-
-// Next decodes the next frame in sequence, returning io.EOF after the last.
-func (r *Reader) Next() (*frame.Image, error) {
-	if r.pos >= len(r.index) {
-		return nil, io.EOF
-	}
-	im, err := r.Frame(r.pos)
-	if err != nil {
-		return nil, err
-	}
-	r.pos++
-	return im, nil
-}
-
-// Rewind resets the sequential cursor used by Next.
-func (r *Reader) Rewind() { r.pos = 0 }
 
 // Frames decodes frames [start, end): one pixel buffer per frame, and one
 // allocation for all the image headers. Decoding starts at the I-frame that

@@ -266,13 +266,6 @@ func encodeRecord(seq uint64, kind Kind, token string, data []byte) []byte {
 	return buf
 }
 
-// NextSeq returns the sequence number the next Append will use.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
 // Append durably adds one record: it is written and fsynced before Append
 // returns, so a caller that then acknowledges the commit can never lose it
 // to a crash. A failed append poisons the log — the tail may be torn, so
@@ -342,9 +335,6 @@ func (l *Log) Rotate(coveredSeq uint64, gen int64) error {
 	l.appendErr = nil
 	return nil
 }
-
-// Dir returns the directory the log lives in.
-func (l *Log) Dir() string { return l.dir }
 
 // Close releases the append handle. Appended records are already durable;
 // Close adds nothing and loses nothing.

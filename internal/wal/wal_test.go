@@ -49,8 +49,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if st2.Pending[1].Seq != 2 || st2.Pending[1].Token != "" {
 		t.Fatalf("record 1 %+v", st2.Pending[1])
 	}
-	if got := l2.NextSeq(); got != 3 {
-		t.Fatalf("next seq %d, want 3", got)
+	if got, err := l2.Append(KindCommit, "", []byte("payload three")); err != nil || got != 3 {
+		t.Fatalf("next seq %d (%v), want 3", got, err)
 	}
 }
 

@@ -15,7 +15,6 @@ package webspace
 
 import (
 	"fmt"
-	"sort"
 )
 
 // AttrType enumerates attribute types.
@@ -125,14 +124,4 @@ func (s *Schema) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ClassNames returns the sorted class names.
-func (s *Schema) ClassNames() []string {
-	out := make([]string, 0, len(s.Classes))
-	for n := range s.Classes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

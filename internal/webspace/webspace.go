@@ -16,12 +16,6 @@ type Object struct {
 	Links map[string][]int64
 }
 
-// Attr returns an attribute value.
-func (o *Object) Attr(name string) (any, bool) {
-	v, ok := o.Attrs[name]
-	return v, ok
-}
-
 // StringAttr returns a string/text attribute or "".
 func (o *Object) StringAttr(name string) string {
 	if v, ok := o.Attrs[name].(string); ok {

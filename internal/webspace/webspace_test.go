@@ -1,6 +1,7 @@
 package webspace
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,11 @@ func TestSchemaConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"Final", "Interview", "Player", "Video"}
-	got := s.ClassNames()
+	var got []string
+	for name := range s.Classes {
+		got = append(got, name)
+	}
+	sort.Strings(got)
 	if len(got) != len(want) {
 		t.Fatalf("classes = %v", got)
 	}

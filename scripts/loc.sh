@@ -3,8 +3,9 @@
 # *_test.go that git tracks or would track — the count README.md's package
 # map shows and ROADMAP.md's "Net state" quotes, and how "less code at equal
 # behaviour" is judged. The root module is listed package by package (the
-# root package as `repro`, cmd/ and examples/ as one row each), then its
-# total and its test lines; bench/ is its own module and is counted apart.
+# root package as `repro`, cmd/, examples/ and scripts/ as one row each),
+# then its total and its test lines; bench/ is its own module and is counted
+# apart.
 #
 #   scripts/loc.sh          print "<package> <lines>" rows
 #   scripts/loc.sh -check   fail unless README.md's package map agrees
@@ -20,7 +21,7 @@ lines() {
 
 loc() {
 	echo "repro $(lines '^[^/]+\.go$' '_test\.go$')"
-	for d in internal/*/ cmd/ examples/; do
+	for d in internal/*/ cmd/ examples/ scripts/; do
 		echo "${d%/} $(lines "^$d" '_test\.go$')"
 	done
 	echo "total $(lines . '_test\.go$|^bench/')"
@@ -34,9 +35,9 @@ if [ "${1:-}" != -check ]; then
 fi
 
 # The package map names one or more packages per row in backticks (bare
-# names are internal/ packages, `cmd/*` and `examples/*` whole trees, file
-# names are skipped) and gives their counts in the same order in the next
-# column; the sentence above it states the two module totals.
+# names are internal/ packages, `cmd/*`, `examples/*` and `scripts/*` whole
+# trees, file names are skipped) and gives their counts in the same order in
+# the next column; the sentence above it states the two module totals.
 commas() { sed -E ':a;s/([0-9])([0-9]{3})($|,)/\1,\2\3/;ta'; }
 readme=$(awk '/^## Package map/{on=1;next} /^## /{on=0} on' README.md)
 shown=$(printf '%s\n' "$readme" | awk -F'|' '
@@ -48,7 +49,7 @@ shown=$(printf '%s\n' "$readme" | awk -F'|' '
 			rest = substr(rest, RSTART + RLENGTH)
 			if (name ~ /\.go$/) continue
 			sub(/\/\*$/, "", name)
-			if (name !~ /^(repro|cmd|examples)$/ && name !~ /^internal\//) name = "internal/" name
+			if (name !~ /^(repro|cmd|examples|scripts)$/ && name !~ /^internal\//) name = "internal/" name
 			names[++n] = name
 		}
 		m = split($3, nums, /, /)

@@ -22,27 +22,52 @@ import (
 	"repro/internal/segfile"
 )
 
-// segfileVariants persists lib and returns it reloaded through each
-// loader, keyed by variant name.
-func segfileVariants(t *testing.T, lib *Library) map[string]*Library {
+// saveAndLoad persists lib with SaveIndex and maps it back with
+// LoadLibraryFile.
+func saveAndLoad(t *testing.T, lib *Library) *Library {
 	t.Helper()
 	var sf bytes.Buffer
 	if err := lib.SaveIndex(&sf); err != nil {
 		t.Fatal(err)
 	}
-	sfPath := filepath.Join(t.TempDir(), "lib.segf")
-	if err := os.WriteFile(sfPath, sf.Bytes(), 0o644); err != nil {
+	return loadSegfile(t, sf.Bytes())
+}
+
+// loadSegfile writes segfile bytes to a temporary file and maps it with
+// LoadLibraryFile.
+func loadSegfile(t *testing.T, data []byte) *Library {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "lib.segf")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]*Library{}
-	var err error
-	if out["segfile-bytes"], err = LoadLibrary(bytes.NewReader(sf.Bytes())); err != nil {
+	lib, err := LoadLibraryFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out["segfile-mmap"], err = LoadLibraryFile(sfPath); err != nil {
+	t.Cleanup(func() { lib.Close() })
+	return lib
+}
+
+// segmentBytes is a segment's stream encoding as SaveIndex writes it, framed
+// alone in a one-segment segfile.
+func segmentBytes(t testing.TB, m *core.MetaIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := core.WriteSegfile(&buf, []*core.MetaIndex{m}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return buf.Bytes()
+}
+
+// newest is the library's newest segment, the write target of IndexBatch.
+func newest(t testing.TB, lib *Library) *core.MetaIndex {
+	t.Helper()
+	m, err := lib.head()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestOpenNotASegfile: every loader refuses input without the segfile magic
@@ -79,11 +104,6 @@ func TestOpenNotASegfile(t *testing.T) {
 					t.Fatalf("%s: error %q names neither the path nor the remedy", what, msg)
 				}
 			}
-			if tc.data != nil {
-				if _, err := LoadLibrary(bytes.NewReader(tc.data)); !errors.Is(err, core.ErrNotSegfile) {
-					t.Fatalf("LoadLibrary: err = %v, want ErrNotSegfile", err)
-				}
-			}
 		})
 	}
 	// A missing file stays a not-exist error (dlserve maps it to 404 on reload).
@@ -93,15 +113,16 @@ func TestOpenNotASegfile(t *testing.T) {
 }
 
 // TestCorruptSegmentFailsEngineBuild: opening verifies only the manifest,
-// so a segment block with one flipped byte passes LoadLibrary and its
-// checksum failure surfaces where the engine build hydrates the segment —
-// as NewDigitalLibrary's error (dlserve -meta exits with it), never a panic.
+// so a segment block with one flipped byte passes LoadLibraryFile and its
+// checksum failure surfaces where a read or the engine build hydrates the
+// segment — as the facade read's or NewDigitalLibrary's error (dlserve -meta
+// exits with it), never a panic.
 func TestCorruptSegmentFailsEngineBuild(t *testing.T) {
 	idx, err := core.NewMetaIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.AddVideo(core.Video{Name: "final-2001", FPS: 25, Frames: 100})
+	vid := idx.AddVideo(core.Video{Name: "final-2001", FPS: 25, Frames: 100})
 	var buf bytes.Buffer
 	if err := core.WriteSegfile(&buf, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 1); err != nil {
 		t.Fatal(err)
@@ -116,9 +137,15 @@ func TestCorruptSegmentFailsEngineBuild(t *testing.T) {
 		t.Fatal("no segment block")
 	}
 	blk[len(blk)/2] ^= 0xFF
-	lib, err := LoadLibrary(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("LoadLibrary: %v (segments are verified lazily)", err)
+	lib := loadSegfile(t, data)
+	if _, err := lib.View().Parts(); err == nil {
+		t.Fatal("View().Parts() hydrated a segment that fails its checksum")
+	}
+	if _, err := lib.Scenes("rally"); err == nil {
+		t.Fatal("Scenes read a segment that fails its checksum")
+	}
+	if _, err := lib.Segments(vid); err == nil {
+		t.Fatal("Segments read a segment that fails its checksum")
 	}
 	site, err := GenerateSite(SiteConfig{Players: 8, YearStart: 2000, YearEnd: 2001, Seed: 3})
 	if err != nil {
@@ -189,27 +216,26 @@ func TestSegfileLibraryMatchesHeap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, loaded := range segfileVariants(t, build.lib) {
-				if got := loaded.View().NumSegments(); got != build.nparts {
-					t.Fatalf("%s: %d segments, want %d", name, got, build.nparts)
-				}
-				if loaded.View().Stats() != build.lib.View().Stats() {
-					t.Fatalf("%s: stats diverge", name)
-				}
-				dl, err := NewDigitalLibrary(site, loaded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, q := range queries {
-					compareSearch(t, refDL, dl, q)
-				}
-				// Library-level scene reads too.
-				for _, kind := range kinds {
-					want, _ := build.lib.Scenes(kind)
-					got, err := loaded.Scenes(kind)
-					if err != nil || !reflect.DeepEqual(want, got) {
-						t.Fatalf("%s: Scenes(%q) diverge (%v)", name, kind, err)
-					}
+			loaded := saveAndLoad(t, build.lib)
+			if got := loaded.View().NumSegments(); got != build.nparts {
+				t.Fatalf("%d segments, want %d", got, build.nparts)
+			}
+			if loaded.View().Stats() != build.lib.View().Stats() {
+				t.Fatal("stats diverge")
+			}
+			dl, err := NewDigitalLibrary(site, loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				compareSearch(t, refDL, dl, q)
+			}
+			// Library-level scene reads too.
+			for _, kind := range kinds {
+				want, _ := build.lib.Scenes(kind)
+				got, err := loaded.Scenes(kind)
+				if err != nil || !reflect.DeepEqual(want, got) {
+					t.Fatalf("Scenes(%q) diverge (%v)", kind, err)
 				}
 			}
 		})
@@ -227,31 +253,23 @@ func TestSegfileCompactionReplay(t *testing.T) {
 	lib := buildSegmentedLib(t, jobs, 2, 2, 2)
 	kinds := segLibKinds(t, mono)
 
-	for name, loaded := range segfileVariants(t, lib) {
-		changed, err := loaded.Compact(0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	loaded := saveAndLoad(t, lib)
+	changed, err := loaded.Compact(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !changed || loaded.View().NumSegments() != 1 {
+		t.Fatalf("changed=%t segments=%d", changed, loaded.View().NumSegments())
+	}
+	for _, kind := range kinds {
+		want, _ := mono.Scenes(kind)
+		got, err := loaded.Scenes(kind)
+		if err != nil || !reflect.DeepEqual(want, got) {
+			t.Fatalf("Scenes(%q) diverge after compaction (%v)", kind, err)
 		}
-		if !changed || loaded.View().NumSegments() != 1 {
-			t.Fatalf("%s: changed=%t segments=%d", name, changed, loaded.View().NumSegments())
-		}
-		for _, kind := range kinds {
-			want, _ := mono.Scenes(kind)
-			got, err := loaded.Scenes(kind)
-			if err != nil || !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: Scenes(%q) diverge after compaction (%v)", name, kind, err)
-			}
-		}
-		var got, want bytes.Buffer
-		if err := loaded.Index().Serialize(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := mono.Index().Serialize(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: compacted segment not byte-identical to monolithic", name)
-		}
+	}
+	if !bytes.Equal(segmentBytes(t, newest(t, loaded)), segmentBytes(t, newest(t, mono))) {
+		t.Fatal("compacted segment not byte-identical to monolithic")
 	}
 }
 
@@ -266,10 +284,7 @@ func TestSegfileSaveLoadSaveStable(t *testing.T) {
 	if err := lib.SaveIndex(&first); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadLibrary(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadSegfile(t, first.Bytes())
 	var second bytes.Buffer
 	if err := loaded.SaveIndex(&second); err != nil {
 		t.Fatal(err)
@@ -290,18 +305,7 @@ func TestSegfileConcurrentSearchCommit(t *testing.T) {
 	base := buildSegmentedLib(t, jobs[:4], 2, 2)
 	kind := segLibKinds(t, base)[0]
 
-	var sf bytes.Buffer
-	if err := base.SaveIndex(&sf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "lib.segf")
-	if err := os.WriteFile(path, sf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lib, err := LoadLibraryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := saveAndLoad(t, base)
 	dl, err := NewDigitalLibrary(site, lib)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +341,7 @@ func TestSegfileConcurrentSearchCommit(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := dl.Commit(ctx, jobs[4:], BatchOptions{Workers: 2}); err != nil {
+	if _, err := dl.CommitToken(ctx, "", jobs[4:], BatchOptions{Workers: 2}); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	close(stop)

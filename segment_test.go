@@ -134,28 +134,8 @@ func TestSegmentedEngineMatchesMonolithic(t *testing.T) {
 					t.Fatalf("paginated walk of %q diverges from monolithic answer", kind)
 				}
 			}
-			// Temporal composite queries span segments too.
-			wantP, err := mono.ScenesRelated(kinds[0], kinds[0], RelBefore)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotP, err := lib.ScenesRelated(kinds[0], kinds[0], RelBefore)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(wantP, gotP) {
-				t.Fatal("ScenesRelated diverges")
-			}
-
 			// Persistence round-trip keeps the segmentation and the answers.
-			var buf bytes.Buffer
-			if err := lib.SaveIndex(&buf); err != nil {
-				t.Fatal(err)
-			}
-			lib2, err := LoadLibrary(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			lib2 := saveAndLoad(t, lib)
 			if lib2.View().NumSegments() != lib.View().NumSegments() {
 				t.Fatalf("round-trip changed segmentation: %d vs %d",
 					lib2.View().NumSegments(), lib.View().NumSegments())
@@ -200,14 +180,7 @@ func TestCompactionPreservesAnswers(t *testing.T) {
 		}
 	}
 	// The compacted single segment is byte-identical to the monolithic one.
-	var got, want bytes.Buffer
-	if err := lib.Index().Serialize(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := mono.Index().Serialize(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if !bytes.Equal(segmentBytes(t, newest(t, lib)), segmentBytes(t, newest(t, mono))) {
 		t.Fatal("compacted segment is not byte-identical to the monolithic index")
 	}
 	// Size-capped compaction only merges runs within the target.
@@ -282,7 +255,7 @@ func TestCommitConcurrentSearch(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := dl.Commit(ctx, jobs[3:], BatchOptions{Workers: 2}); err != nil {
+	if _, err := dl.CommitToken(ctx, "", jobs[3:], BatchOptions{Workers: 2}); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	close(stop)
@@ -354,7 +327,7 @@ func TestFailedCommitInstallsNothing(t *testing.T) {
 	}
 	preSnap := dl.Snapshot()
 	preSegs := lib.View().NumSegments()
-	if _, err := dl.Commit(context.Background(),
+	if _, err := dl.CommitToken(context.Background(), "",
 		[]IngestJob{{Name: "ghost", Path: "/nonexistent/ghost.svf"}}, BatchOptions{}); err == nil {
 		t.Fatal("commit of a missing file succeeded")
 	}

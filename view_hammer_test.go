@@ -88,7 +88,7 @@ func TestFrozenViewHammerRace(t *testing.T) {
 
 	// Writers: one live commit growing the corpus, then hot swaps — each
 	// swap rebuilds an engine whose hydration reads the shared partitions.
-	if _, err := dl.Commit(ctx, jobs[3:], BatchOptions{Workers: 2}); err != nil {
+	if _, err := dl.CommitToken(ctx, "", jobs[3:], BatchOptions{Workers: 2}); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	for i := 0; i < 2; i++ {
