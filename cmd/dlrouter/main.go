@@ -49,6 +49,7 @@ import (
 
 	"repro/internal/router"
 	"repro/internal/serve"
+	"repro/internal/transport"
 )
 
 // nodeList collects repeated -node flags (each may also hold a
@@ -112,12 +113,12 @@ func main() {
 	bootCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	gens := map[int64][]string{}
 	for _, u := range r.Nodes() {
-		ac := &serve.AdminClient{Base: u, HTTP: client}
-		if _, err := ac.Health(bootCtx); err != nil {
+		node := transport.NewRemote(u, client)
+		if err := node.Health(bootCtx); err != nil {
 			log.Printf("warning: node %s not healthy at boot: %v", u, err)
 			continue
 		}
-		m, err := ac.Manifest(bootCtx)
+		m, err := node.Manifest(bootCtx)
 		if err != nil {
 			log.Printf("warning: node %s has no manifest: %v", u, err)
 			continue

@@ -32,8 +32,8 @@ type TennisConfig struct {
 	// Shot tunes the segment detector.
 	Shot shotdet.Config
 	// Classifier tunes the shot classifier; if its CourtColor is zero it
-	// is estimated from the video (EstimateCourtColor), which is what the
-	// original system did.
+	// is estimated from the video (SegmentAndClassify's court-colour vote),
+	// which is what the original system did.
 	Classifier shotdet.ClassifierConfig
 	// Track tunes the tennis detector.
 	Track track.Config

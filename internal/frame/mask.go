@@ -54,8 +54,9 @@ func (m *Mask) ErodeInto(dst *Mask) *Mask {
 
 // DilateInto applies one pass of 4-neighbour binary dilation into dst
 // (resized to match, and returned), which must not be m itself: a pixel
-// becomes set if it or any direct neighbour is set. Every set pixel of a row marks itself and its
-// neighbours, so an empty stretch costs one test a pixel.
+// becomes set if it or any direct neighbour is set. Every set pixel of a
+// row marks itself and its neighbours, so an empty stretch costs one test a
+// pixel.
 func (m *Mask) DilateInto(dst *Mask) *Mask {
 	dst.Reset(m.W, m.H)
 	w := m.W

@@ -2,17 +2,20 @@ package serve
 
 // Tests of the unified admin surface: strict limit parsing on /v2/search,
 // the /v2/compact endpoint, the shared v2 error envelope across admin
-// endpoints, and the typed AdminClient.
+// endpoints, and the node client dlrouter's boot check uses
+// (transport.Remote).
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/transport"
 )
 
 // TestV2SearchLimitStrict locks /v2/search's limit validation: only plain
@@ -91,9 +94,9 @@ func TestV2MethodEnvelope(t *testing.T) {
 	check(http.MethodGet, "/v2/compact")
 }
 
-// commitOneVideo returns a compactor-ready committer pair: a committer
-// that appends one extra single-video segment, mirroring
-// DigitalLibrary.Commit, and a compactor that merges all segments.
+// wireAdmin installs a committer that appends one extra single-video
+// segment, as DigitalLibrary.CommitToken does, and a compactor that merges
+// all segments.
 func wireAdmin(t *testing.T, srv *Server, idx *core.MetaIndex) {
 	t.Helper()
 	parts := []*core.MetaIndex{idx}
@@ -138,13 +141,16 @@ func wireAdmin(t *testing.T, srv *Server, idx *core.MetaIndex) {
 	})
 }
 
+// TestV2CompactAndAdminClient drives commit and compact over HTTP and reads
+// the node back through transport.Remote, the client dlrouter's boot check
+// uses.
 func TestV2CompactAndAdminClient(t *testing.T) {
 	e, idx := fixture(t)
 	srv := New(e, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	ctx := context.Background()
-	ac := &AdminClient{Base: ts.URL}
+	node := transport.NewRemote(ts.URL, nil)
 
 	// Unconfigured compactor: 501 with the typed envelope.
 	if m := postJSON(t, ts.URL, "/v2/compact", `{"target":0}`, http.StatusNotImplemented); m["code"] != "no_compactor" {
@@ -153,15 +159,14 @@ func TestV2CompactAndAdminClient(t *testing.T) {
 
 	wireAdmin(t, srv, idx)
 
-	// Health and manifest through the client.
-	h, err := ac.Health(ctx)
-	if err != nil {
+	// Health and manifest through the node client dlrouter boots with.
+	if err := node.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Segments != 1 {
-		t.Fatalf("health off: %+v", h)
+	if h := getJSON(t, ts.URL, "/healthz", http.StatusOK); h["status"] != "ok" || h["segments"] != 1.0 {
+		t.Fatalf("health off: %v", h)
 	}
-	man, err := ac.Manifest(ctx)
+	man, err := node.Manifest(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +179,13 @@ func TestV2CompactAndAdminClient(t *testing.T) {
 	ci := postJSON(t, ts.URL, "/v2/commit", `{"paths":["a.svf"]}`, http.StatusOK)
 	if ci["segments"] != 2.0 || ci["generation"] != float64(man.Generation+1) {
 		t.Fatalf("commit answer off: %v", ci)
+	}
+	// The client decodes the node's typed envelope: a read conditional on
+	// the pre-commit generation is a 409 stale_generation, which arrives as
+	// ErrStale.
+	_, err = node.Partial(ctx, transport.Query{Scenes: "net-play"}, transport.Sel{Video: []int{0}}, man.Generation)
+	if !errors.Is(err, transport.ErrStale) {
+		t.Fatalf("stale read through the node client: err = %v, want ErrStale", err)
 	}
 
 	// Compact merges back to one segment; answers are unchanged.

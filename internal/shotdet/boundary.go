@@ -62,7 +62,7 @@ type Config struct {
 	// whose cumulative distance from the run's anchor frame exceeds
 	// Threshold is reported as a gradual boundary.
 	GradualLow float64
-	// Workers bounds the goroutines used by DetectBoundaries to precompute
+	// Workers bounds the goroutines a Sweeper uses to precompute
 	// per-frame histograms (< 1 selects GOMAXPROCS, 1 forces sequential).
 	// The detection result is identical at any setting.
 	Workers int

@@ -76,8 +76,9 @@ type Features struct {
 
 // ClassifierConfig tunes the shot classifier.
 type ClassifierConfig struct {
-	// CourtColor is the reference playing-surface colour. Estimate it from
-	// the corpus with EstimateCourtColor, or supply a calibrated value.
+	// CourtColor is the reference playing-surface colour. Supply a
+	// calibrated value, or leave it zero and SegmentAndClassify estimates it
+	// by the video's court-colour vote.
 	CourtColor frame.RGB
 	// CourtTolerance is the per-colour Euclidean distance within which a
 	// pixel counts as court-coloured (default 60).

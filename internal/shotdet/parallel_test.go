@@ -6,7 +6,7 @@ import (
 	"repro/internal/synth"
 )
 
-// DetectBoundaries must produce identical boundaries at any worker count:
+// Sweeper.Detect must produce identical boundaries at any worker count:
 // histogram extraction is parallel but the decision stays sequential.
 func TestDetectBoundariesWorkerInvariance(t *testing.T) {
 	cfg := synth.DefaultConfig(42)

@@ -20,7 +20,7 @@ func feedReference(frames []*frame.Image, cfg Config) []Boundary {
 	return out
 }
 
-// TestDetectBoundariesChunkRecycleMatchesReference drives DetectBoundaries
+// TestDetectBoundariesChunkRecycleMatchesReference drives Sweeper.Detect
 // across multiple chunks (frames > histChunk) so chunk recycling actually
 // exercises the prev/anchor retention logic, and cross-checks the result
 // against the per-frame reference.
@@ -51,7 +51,7 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 }
 
 // TestSweeperMatchesDetectBoundaries: a recycled Sweeper must answer every
-// configuration byte-identically to a fresh DetectBoundaries, in any order
+// configuration byte-identically to a fresh Sweeper, in any order
 // and across videos — the E2 threshold sweep is exactly this access
 // pattern. The multi-chunk case exercises buffer reuse across both chunk
 // boundaries and runs.
@@ -102,7 +102,7 @@ func TestSweeperMatchesDetectBoundaries(t *testing.T) {
 
 // TestSweeperSteadyStateAllocs encodes the E2 acceptance bound directly: a
 // warm Sweeper run must allocate at least 5x fewer objects than a fresh
-// DetectBoundaries over the same frames.
+// Sweeper over the same frames.
 func TestSweeperSteadyStateAllocs(t *testing.T) {
 	cfg := synth.DefaultConfig(82)
 	cfg.Shots = 4

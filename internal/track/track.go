@@ -128,9 +128,10 @@ func (b *Background) Match(c frame.RGB, k, minStd float64) bool {
 // GridBlocks×GridBlocks partition. Large homogeneous clusters (the court and
 // its surround) become background; small ones (players, lines) are ignored.
 // This realizes the "estimated statistics of the tennis field color" of the
-// paper without requiring a calibrated court model. Block edges are proportional (bx*W/n), so the grid covers
-// every pixel at any size; on a frame narrower or shorter than the grid some
-// blocks are empty, and an empty block does not vote.
+// paper without requiring a calibrated court model. Block edges are
+// proportional (bx*W/n), so the grid covers every pixel at any size; on a
+// frame narrower or shorter than the grid some blocks are empty, and an
+// empty block does not vote.
 func estimateBackground(sums *frame.SumTable, cfg Config) Background {
 	n := cfg.GridBlocks
 	win := sums.Window()
@@ -291,11 +292,10 @@ func blockIsBackground(s frame.ColorStats, bg *bgTable, cfg *Config) bool {
 // quadSegmenter is one quadtree ("quadratic") segmentation in progress:
 // blocks whose colour statistics match a background cluster are discarded
 // whole; heterogeneous blocks are split until QuadMinBlock, then tested per
-// pixel. A block's colour
-// statistics are read from sums, a summed-area table over the window being
-// segmented, and leaf pixels are tested through bg's tables. The mask may
-// cover just the window: its pixel (0, 0) is image pixel (ox, oy), and only
-// blocks inside it are split.
+// pixel. A block's colour statistics are read from sums, a summed-area
+// table over the window being segmented, and leaf pixels are tested through
+// bg's tables. The mask may cover just the window: its pixel (0, 0) is
+// image pixel (ox, oy), and only blocks inside it are split.
 type quadSegmenter struct {
 	im     *frame.Image
 	sums   *frame.SumTable

@@ -57,7 +57,7 @@ func buildSegmentedLib(t *testing.T, jobs []IngestJob, first int, groups ...int)
 // same corpus built as one segment, as batch+commit (2 segments), and as a
 // chain of commits (3 segments) answers every query byte-identically —
 // same scenes, same ordering, same pagination — and a segmented library
-// round-trips through SaveIndex/LoadLibrary.
+// round-trips through SaveIndex/LoadLibraryFile.
 func TestSegmentedEngineMatchesMonolithic(t *testing.T) {
 	vids := batchTestCorpus(t)
 	jobs := batchJobs(vids)
