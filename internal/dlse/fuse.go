@@ -6,9 +6,11 @@ package dlse
 // lane's, see internal/ir and internal/vec), so fused scores are sums of
 // exactly-representable reciprocals accumulated in a fixed lane order,
 // and the fused ranking is again a pure function of the engine snapshot.
-// The router fuses gathered cluster lanes with this same function, which
-// is what keeps hybrid answers byte-identical between a single node and
-// a scatter-gathered cluster.
+// A page's fusion is bounded (FuseCandidates over each lane's top
+// fuseDepth): the node and the router both fuse through it, which is what
+// keeps hybrid answers byte-identical between a single node and a
+// scatter-gathered cluster; FuseRRF over full rankings is the depth-0
+// fusion and the oracle both are locked against.
 
 import (
 	"fmt"
@@ -82,15 +84,34 @@ func fuseDepth(d int) int {
 	return 2*d + RRFK
 }
 
+// FuseDepths clamps a page depth (Depth; 0 ranks everything) to the n
+// documents of the hybrid lane and returns it with the depth each lane must
+// be ranked to for FuseCandidates to give the fusion's exact top d:
+// fuseDepth(d), at most n. The clamp comes before the doubling because depth
+// is client input — a forged cursor makes Depth saturate at MaxInt.
+func FuseDepths(depth, n int) (d, lane int) {
+	d = min(max(depth, 0), n)
+	return d, min(fuseDepth(d), n)
+}
+
 // fuseTop is FuseRRF's top d computed from the top fuseDepth(d) of each
-// lane. The candidates are the union of the two hit lists; a candidate's
-// rank in the lane that did not list it is counted over that lane's still
-// leased scores, so every candidate gets the reciprocal ranks, the sum in
-// lane order and hence the float64 bits FuseRRF over the full rankings gives
-// it, under the same order. Both lanes name a shared document alike (the
-// engine indexes them from the same pages): either hit is its metadata.
+// lane, the node's bounded fusion: it counts each candidate's rank in the
+// lane that did not list it over that lane's still leased scores and fuses
+// the candidates (FuseCandidates).
 func fuseTop(d int, lex, vec []ir.Hit, lexScores, vecScores ir.SegScores) []Item {
-	vecOfLex, lexOfVec := vecScores.Ranks(lex), lexScores.Ranks(vec)
+	return FuseCandidates(d, lex, vec, vecScores.Ranks(lex), lexScores.Ranks(vec))
+}
+
+// FuseCandidates is FuseRRF's top d computed from the top fuseDepth(d) of
+// each lane — the one bounded fusion, which the node (fuseTop) and the
+// router (over gathered legs) both call. The candidates are the union of the
+// two hit lists; vecOfLex[i] is lex[i]'s 1-based rank in the vector lane and
+// lexOfVec[i] vec[i]'s in the lexical lane, 0 where that lane did not score
+// the document. Every candidate gets the reciprocal ranks, the sum in lane
+// order and hence the float64 bits FuseRRF over the full rankings gives it,
+// under the same order. Both lanes name a shared document alike (the engine
+// indexes them from the same pages): either hit is its metadata.
+func FuseCandidates(d int, lex, vec []ir.Hit, vecOfLex, lexOfVec []int) []Item {
 	rr := func(rank int) float64 { // one lane's term: exactly 0 where it did not rank the document
 		if rank == 0 {
 			return 0

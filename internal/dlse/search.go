@@ -455,9 +455,8 @@ func (e *Engine) rank(nq Query, depth int, withExplain bool) (items []Item, tota
 		return hitItems(hits), stats.DocsScanned, ex, nil
 	}
 	// Hybrid: each lane to the depth an exact fusion of the top depth needs
-	// (fuseDepth), its scores kept leased for the rank-count step.
-	depth = min(depth, e.vecs.Docs())
-	laneDepth := fuseDepth(depth)
+	// (FuseDepths), its scores kept leased for the rank-count step.
+	depth, laneDepth := FuseDepths(depth, e.vecs.Docs())
 	lexHits, lexScores, lexStats, err := e.text.SearchScores(nq.Hybrid, laneDepth)
 	if err != nil {
 		return nil, 0, nil, err

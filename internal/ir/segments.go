@@ -192,9 +192,11 @@ func (s *Segments) search(query string, k int, ords []int, hold []*Accum) ([]Hit
 
 // SegScores is the segmented counterpart of Scores: a leased, read-only
 // view over one query's dense per-doc scores, one pooled accumulator per
-// segment, addressed by global doc ID. Release returns every accumulator
-// to its segment's pool; the handle must not be used after Release. The
-// zero value is invalid (Valid reports false) and safe to Release.
+// scored segment, addressed by global doc ID. A segment the query did not
+// score (ScoreSegments over a selection) holds no accumulator: its documents
+// read as unscored. Release returns every accumulator to its segment's pool;
+// the handle must not be used after Release. The zero value is invalid
+// (Valid reports false) and safe to Release.
 type SegScores struct {
 	bases segset.Bases
 	acs   []*Accum
@@ -216,6 +218,9 @@ func (sc SegScores) Get(d DocID) float64 {
 		return 0
 	}
 	ord, local := sc.bases.Of(int(d))
+	if sc.acs[ord] == nil {
+		return 0
+	}
 	return sc.acs[ord].Get(DocID(local))
 }
 
@@ -239,7 +244,7 @@ func (sc SegScores) Ranks(hits []Hit) []int {
 			continue
 		}
 		ord, local := sc.bases.Of(int(h.Doc))
-		if ac := sc.acs[ord]; ac.stamps[local] == ac.epoch {
+		if ac := sc.acs[ord]; ac != nil && ac.stamps[local] == ac.epoch {
 			cands = append(cands, cand{Hit{Doc: h.Doc, Score: ac.scores[local]}, i})
 		}
 	}
@@ -248,6 +253,9 @@ func (sc SegScores) Ranks(hits []Hit) []int {
 	// cands[p]: they rank ahead of it and of every candidate after it.
 	ahead := make([]int, len(cands)+1)
 	for ord, ac := range sc.acs {
+		if ac == nil {
+			continue
+		}
 		base := DocID(sc.bases.Start(ord))
 		for _, d := range ac.touched {
 			t := Hit{Doc: base + d, Score: ac.scores[d]}
@@ -270,7 +278,9 @@ func (sc SegScores) SegmentStats() []SegStat { return sc.per }
 // on the zero value.
 func (sc SegScores) Release() {
 	for _, ac := range sc.acs {
-		ac.Release()
+		if ac != nil {
+			ac.Release()
+		}
 	}
 }
 
@@ -280,11 +290,24 @@ func (sc SegScores) Release() {
 // scored accumulator is kept, leased, behind the handle. Scores are
 // byte-identical to Index.ScoreQuery on the merged collection.
 func (s *Segments) ScoreQuery(query string) (SegScores, SearchStats, error) {
+	return s.ScoreSegments(query, nil)
+}
+
+// ScoreSegments is ScoreQuery over only the named segment ordinals (nil names
+// them all): the partial-read form a rank lookup counts over, where the
+// handle's Ranks place documents among what the selection scored and a
+// document of an unselected segment ranks 0. Stats cover only the selection.
+func (s *Segments) ScoreSegments(query string, ords []int) (SegScores, SearchStats, error) {
 	terms := dedupe(Analyze(query))
 	if len(terms) == 0 {
 		return SegScores{}, SearchStats{}, ErrEmptyQry
 	}
+	if ords == nil {
+		ords = s.bases.Ords()
+	} else if err := segset.Check(len(s.segs), ords...); err != nil {
+		return SegScores{}, SearchStats{}, err
+	}
 	acs := make([]*Accum, len(s.segs))
-	stats, legs := s.scoreOrds(terms, s.bases.Ords(), func(slot, _ int, ac *Accum) { acs[slot] = ac })
+	stats, legs := s.scoreOrds(terms, ords, func(_, ord int, ac *Accum) { acs[ord] = ac })
 	return SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
 }

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -222,6 +223,115 @@ func TestFailOpenVersusClosed(t *testing.T) {
 	if _, _, err := open.Search(context.Background(), dlse.Query{Keyword: "the of and"}, "", 0); err == nil || errors.Is(err, transport.ErrUnavailable) {
 		t.Fatalf("semantic error leaked through fail-open: %v", err)
 	}
+
+	// A fail-open hybrid page is FuseRRF over the reachable legs' full
+	// rankings: its rank legs count over exactly the ordinals whose round-1
+	// legs answered. Node 0 is the only candidate of text ordinal 0 and
+	// video ordinal 0; the site's pages outnumber a page's 2d+60
+	// candidates, so the vector lane's round-1 list stops short and its rank
+	// leg runs.
+	e := buildEngineOf(t, 200)
+	local := transport.NewLocal(func() *dlse.Engine { return e })
+	fakes3 := []*fakeSource{{inner: local, addr: "node-0"}, {inner: local, addr: "node-1"}, {inner: local, addr: "node-2"}}
+	hybridOpen, err := NewWithSources(srcs(fakes3), Options{Replicas: 1, HedgeAfter: -1, FailOpen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fakes3[0].fail.Store(true)
+	const text = "australian open final player"
+	reachable := transport.Sel{Text: []int{1, 2}, Video: []int{1}}
+	var lanes [][]dlse.Item
+	for _, q := range []transport.Query{{Keyword: text}, {Vector: text}} {
+		sel := reachable
+		if q.Keyword != "" {
+			sel.Video = nil
+		}
+		p, err := local.Partial(context.Background(), q, sel, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, _ := hitItems([]*transport.Partial{p}, 0)
+		lanes = append(lanes, items)
+	}
+	want := dlse.FuseRRF(lanes...)
+	cursor := dlse.Cursor("")
+	for offset := 0; offset < 30; offset += 10 {
+		got, partial, err := hybridOpen.Search(context.Background(), dlse.Query{Hybrid: text}, cursor, 10)
+		if err != nil || !partial {
+			t.Fatalf("fail-open hybrid at %d: err %v, partial %t", offset, err, partial)
+		}
+		if !reflect.DeepEqual(got.Items, want[offset:offset+10]) || got.Total != len(want) {
+			t.Fatalf("fail-open hybrid at %d diverges from FuseRRF over the reachable legs (total %d, want %d)",
+				offset, got.Total, len(want))
+		}
+		cursor = got.Cursor
+	}
+}
+
+// bumpingSource is a Local source over a swappable engine that installs the
+// next generation right before it answers the first rank-lookup leg it is
+// sent — a commit landing between a hybrid query's two rounds.
+type bumpingSource struct {
+	*transport.Local
+	addr string
+	bump func()
+}
+
+func (s *bumpingSource) Addr() string { return s.addr }
+
+func (s *bumpingSource) Partial(ctx context.Context, q transport.Query, sel transport.Sel, gen int64) (*transport.Partial, error) {
+	if q.Ranks != nil {
+		s.bump()
+	}
+	return s.Local.Partial(ctx, q, sel, gen)
+}
+
+// TestHybridCommitBetweenRounds: a commit that lands after a hybrid query's
+// round-1 legs and before its rank legs makes those stale, so the router
+// re-plans against the new manifest instead of fusing lanes from two
+// segment sets; the answer is one generation's own.
+func TestHybridCommitBetweenRounds(t *testing.T) {
+	ctx := context.Background()
+	pre := buildEngineOf(t, 200)
+	post := commitEngine(t, pre)
+	var cur atomic.Pointer[dlse.Engine]
+	cur.Store(pre)
+	local := transport.NewLocal(cur.Load)
+	var once sync.Once
+	bump := func() { once.Do(func() { cur.Store(post) }) }
+	r, err := NewWithSources([]transport.SegmentSource{
+		&bumpingSource{Local: local, addr: "node-0", bump: bump},
+		&bumpingSource{Local: local, addr: "node-1", bump: bump},
+	}, Options{Replicas: 2, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := dlse.Query{Hybrid: "australian open final player"}
+	got, partial, err := r.Search(ctx, q, "", 10)
+	if err != nil || partial {
+		t.Fatalf("err %v, partial %t", err, partial)
+	}
+	if cur.Load() != post || r.staleRe.Value() == 0 {
+		t.Fatalf("commit installed %t, stale re-plans %d", cur.Load() == post, r.staleRe.Value())
+	}
+	before, err := pre.Search(ctx, q, dlse.WithLimit(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := post.Search(ctx, q, dlse.WithLimit(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Total == after.Total {
+		t.Fatal("the commit does not change the hybrid answer")
+	}
+	for _, ans := range []*dlse.ResultSet{before, after} {
+		if reflect.DeepEqual(got.Items, ans.Items) && got.Total == ans.Total {
+			return
+		}
+	}
+	t.Fatalf("answer (total %d) is neither the pre-commit (%d) nor the post-commit (%d) one",
+		got.Total, before.Total, after.Total)
 }
 
 func itemsOf(rs *dlse.ResultSet) []dlse.Item {

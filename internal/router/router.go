@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync/atomic"
@@ -260,13 +261,7 @@ func (r *Router) plan(textOrds, videoOrds []int) []group {
 		p := ord % n
 		g := byPrimary[p]
 		if g == nil {
-			g = &group{}
-			for rep := 0; rep < r.opts.Replicas; rep++ {
-				g.candidates = append(g.candidates, r.nodes[(p+rep)%n])
-			}
-			sort.SliceStable(g.candidates, func(i, j int) bool {
-				return g.candidates[i].healthy.Load() && !g.candidates[j].healthy.Load()
-			})
+			g = &group{candidates: r.candidates(p, r.opts.Replicas)}
 			byPrimary[p] = g
 		}
 		if video {
@@ -288,6 +283,19 @@ func (r *Router) plan(textOrds, videoOrds []int) []group {
 		}
 	}
 	return groups
+}
+
+// candidates lists the nodes (p+r) mod N for r < reps, healthy ones first
+// (order among each class preserved).
+func (r *Router) candidates(p, reps int) []*node {
+	cands := make([]*node, reps)
+	for rep := range cands {
+		cands[rep] = r.nodes[(p+rep)%len(r.nodes)]
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		return cands[i].healthy.Load() && !cands[j].healthy.Load()
+	})
+	return cands
 }
 
 // legResult is one candidate's answer to a group's partial query.
@@ -383,7 +391,22 @@ func (r *Router) runGroup(ctx context.Context, q transport.Query, g group, expec
 type gathered struct {
 	man     transport.Manifest
 	parts   []*transport.Partial
-	missing int // groups lost to fail-open
+	sels    []transport.Sel // the selection each part answered
+	missing int             // groups lost to fail-open
+}
+
+// answered is the union of the selections the parts answered, in ordinal
+// order: everything the gather covered, which under fail-open is less than
+// what it asked for.
+func (g *gathered) answered() transport.Sel {
+	var sel transport.Sel
+	for _, s := range g.sels {
+		sel.Text = append(sel.Text, s.Text...)
+		sel.Video = append(sel.Video, s.Video...)
+	}
+	sort.Ints(sel.Text)
+	sort.Ints(sel.Video)
+	return sel
 }
 
 // scatter plans and executes one consistent read of the wanted segments.
@@ -425,6 +448,7 @@ func (r *Router) scatter(ctx context.Context, q transport.Query, man transport.M
 			continue
 		}
 		g.parts = append(g.parts, outs[i].p)
+		g.sels = append(g.sels, groups[i].sel)
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -482,9 +506,8 @@ const maxStaleRetries = 4
 // is the full ranking): keyword and vector legs are asked for their top
 // depth — clamped to the documents the manifest says the lane has, since
 // depth is client input — and report how many documents matched, so the
-// merged prefix carries the exact total. Hybrid legs still fetch both full
-// rankings: an exact fusion needs every candidate's rank in the other lane,
-// and /v2/partial has no rank lookup yet.
+// merged prefix carries the exact total. A hybrid query is bounded the same
+// way, in two rounds (hybrid).
 func (r *Router) gather(ctx context.Context, q dlse.Query, key string, depth int) (*dlse.ResultSet, bool, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxStaleRetries; attempt++ {
@@ -500,31 +523,12 @@ func (r *Router) gather(ctx context.Context, q dlse.Query, key string, depth int
 			return nil, false, err
 		}
 		if q.Hybrid != "" {
-			// Hybrid fans out twice under one manifest generation — the
-			// keyword lane over the text ordinals, the vector lane over
-			// text + video ordinals — and fuses the two full rankings by
-			// RRF, exactly as a monolithic engine does. Either scatter
-			// going stale aborts the pair: both lanes must answer against
-			// the same segment set or the fusion is meaningless.
-			kw, err := r.scatter(ctx, transport.Query{Keyword: q.Hybrid, K: 0},
-				man, ordinals(man.TextSegments), nil)
-			if err == nil {
-				var vec *gathered
-				vec, err = r.scatter(ctx, transport.Query{Vector: q.Hybrid, K: 0},
-					man, ordinals(man.TextSegments), ordinals(len(man.Segments)))
-				if err == nil {
-					lex, _ := hitItems(kw.parts, 0)
-					sem, _ := hitItems(vec.parts, 0)
-					items := dlse.FuseRRF(lex, sem)
-					rs := dlse.NewResultSet(items, len(items), key, man.Generation)
-					return rs, kw.missing > 0 || vec.missing > 0, nil
-				}
-			}
+			rs, partial, err := r.hybrid(ctx, q.Hybrid, key, man, depth)
 			if errors.Is(err, transport.ErrStale) {
 				lastErr = err
 				continue
 			}
-			return nil, false, err
+			return rs, partial, err
 		}
 		var tq transport.Query
 		var textOrds, videoOrds []int
@@ -565,11 +569,119 @@ func (r *Router) gather(ctx context.Context, q dlse.Query, key string, depth int
 	return nil, false, fmt.Errorf("router: segment set kept moving during query: %w", lastErr)
 }
 
-// hitItems merges per-group ranked partial answers (keyword or vector —
+// hybrid answers a hybrid query to the given depth under one manifest
+// generation, as a node does (dlse.FuseCandidates), in two rounds:
+//
+//  1. both lanes scatter at the depth an exact fusion of the page needs
+//     (dlse.FuseDepths: the page depth clamped to the lane before it is
+//     doubled, since depth is client input) — the keyword lane over the
+//     text ordinals, the vector lane over text + video ordinals;
+//  2. each lane places the other's candidates: one rank-lookup leg per lane
+//     (Query.Ranks) counts their ranks over exactly the ordinals that lane
+//     answered in round 1, so a fail-open page fuses the reachable legs as
+//     FuseRRF over their full rankings would. Storage is replicated, so any
+//     node can count over every ordinal: the two legs start on different
+//     nodes and hedge and fail over like any group. A lane whose round-1
+//     list is its whole ranking needs no leg.
+//
+// Any leg going stale aborts the query for a re-plan: both lanes must
+// answer against the same segment set or the fusion is meaningless.
+func (r *Router) hybrid(ctx context.Context, text, key string, man transport.Manifest, depth int) (*dlse.ResultSet, bool, error) {
+	if depth <= 0 {
+		depth = math.MaxInt // no limit: fuse the whole lanes
+	}
+	d, vecK := dlse.FuseDepths(depth, man.Docs+man.Videos)
+	kwK := min(vecK, man.Docs)
+	kw, err := r.scatter(ctx, transport.Query{Keyword: text, K: kwK},
+		man, ordinals(man.TextSegments), nil)
+	if err != nil {
+		return nil, false, err
+	}
+	vec, err := r.scatter(ctx, transport.Query{Vector: text, K: vecK},
+		man, ordinals(man.TextSegments), ordinals(len(man.Segments)))
+	if err != nil {
+		return nil, false, err
+	}
+	lex, lexMatched := mergeHits(kw.parts, kwK)
+	sem, semMatched := mergeHits(vec.parts, vecK)
+
+	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
+	defer cancel()
+	var vecOfLex []int
+	var vecErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		vecOfLex, vecErr = r.laneRanks(ctx, transport.Query{Vector: text}, vec, sem, semMatched, lex, 1)
+	}()
+	lexOfVec, err := r.laneRanks(ctx, transport.Query{Keyword: text}, kw, lex, lexMatched, sem, 0)
+	<-done
+	if err == nil || errors.Is(vecErr, transport.ErrStale) {
+		err = vecErr
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	items := dlse.FuseCandidates(d, lex, sem, vecOfLex, lexOfVec)
+
+	// The total is the union of the lanes' answers: what the vector lane
+	// scanned (every document of its segments), plus under fail-open the
+	// pages of text ordinals only the keyword lane reached. Both lanes group
+	// text ordinals by the same primaries, so a keyword part's ordinals were
+	// all answered by the vector lane or none were.
+	total := semMatched
+	vecText := map[int]bool{}
+	for _, o := range vec.answered().Text {
+		vecText[o] = true
+	}
+	for i, p := range kw.parts {
+		if !vecText[kw.sels[i].Text[0]] {
+			total += p.Matched
+		}
+	}
+	rs := dlse.NewResultSet(items, total, key, man.Generation)
+	return rs, kw.missing > 0 || vec.missing > 0, nil
+}
+
+// laneRanks places docs (the other lane's candidates) in the lane g
+// gathered: from list itself when it holds all matched documents — the
+// lane's whole ranking over what g answered — and otherwise through a
+// rank-lookup leg over exactly that selection, starting on node first.
+func (r *Router) laneRanks(ctx context.Context, q transport.Query, g *gathered, list []ir.Hit, matched int, docs []ir.Hit, first int) ([]int, error) {
+	ranks := make([]int, len(docs))
+	if len(docs) == 0 {
+		return ranks, nil
+	}
+	if len(list) == matched {
+		at := make(map[ir.DocID]int, len(list))
+		for i, h := range list {
+			at[h.Doc] = i + 1
+		}
+		for i, h := range docs {
+			ranks[i] = at[h.Doc]
+		}
+		return ranks, nil
+	}
+	q.Ranks = make([]ir.DocID, len(docs))
+	for i, h := range docs {
+		q.Ranks[i] = h.Doc
+	}
+	leg := group{sel: g.answered(), candidates: r.candidates(first%len(r.nodes), len(r.nodes))}
+	p, err := r.runGroup(ctx, q, leg, g.man.Generation)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.Ranks) != len(docs) {
+		return nil, fmt.Errorf("router: rank lookup of %d documents answered %d ranks", len(docs), len(p.Ranks))
+	}
+	return p.Ranks, nil
+}
+
+// mergeHits merges per-group ranked partial answers (keyword or vector —
 // both rank under the engine's global score desc, DocID asc order) into
-// the global item list, capped at k (0 keeps everything), and sums what the
+// the global hit list, capped at k (0 keeps everything), and sums what the
 // groups matched.
-func hitItems(parts []*transport.Partial, k int) (items []dlse.Item, matched int) {
+func mergeHits(parts []*transport.Partial, k int) (hits []ir.Hit, matched int) {
 	per := make([][]ir.Hit, 0, len(parts))
 	for _, p := range parts {
 		hits := make([]ir.Hit, len(p.Hits))
@@ -579,7 +691,12 @@ func hitItems(parts []*transport.Partial, k int) (items []dlse.Item, matched int
 		per = append(per, hits)
 		matched += p.Matched
 	}
-	merged := ir.MergeHits(per, k)
+	return ir.MergeHits(per, k), matched
+}
+
+// hitItems is mergeHits as result items.
+func hitItems(parts []*transport.Partial, k int) (items []dlse.Item, matched int) {
+	merged, matched := mergeHits(parts, k)
 	items = make([]dlse.Item, len(merged))
 	for i, h := range merged {
 		items[i] = dlse.Item{Page: h.Name, Doc: h.Doc, Score: h.Score}

@@ -29,10 +29,16 @@ import (
 
 // buildEngine assembles the test engine: 3 text segments over the site's
 // pages, 2 video segments (the second a simulated earlier commit).
-func buildEngine(t testing.TB) *dlse.Engine {
+func buildEngine(t testing.TB) *dlse.Engine { return buildEngineOf(t, 32) }
+
+// buildEngineOf is buildEngine over a site of the given number of players.
+// The default 32 make 44 pages, fewer than the 2d+60 candidates a hybrid
+// page fuses from, so its lanes come back whole; tests of the rank-lookup
+// round take more.
+func buildEngineOf(t testing.TB, players int) *dlse.Engine {
 	t.Helper()
 	site, err := webspace.GenerateAusOpen(webspace.SiteConfig{
-		Players: 32, YearStart: 1999, YearEnd: 2001, Seed: 11,
+		Players: players, YearStart: 1999, YearEnd: 2001, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +259,18 @@ func TestClusterErrorParity(t *testing.T) {
 // ingest the same file set).
 func (c *cluster) commitView(t *testing.T) {
 	t.Helper()
-	vi := c.engine.VideoIndex()
+	next := commitEngine(t, c.engine)
+	for _, s := range c.servers {
+		s.Swap(next)
+	}
+	c.monoSrv.Swap(next)
+}
+
+// commitEngine is e after a commit of one more video segment (generation
+// plus one).
+func commitEngine(t *testing.T, e *dlse.Engine) *dlse.Engine {
+	t.Helper()
+	vi := e.VideoIndex()
 	parts, err := vi.Parts()
 	if err != nil {
 		t.Fatal(err)
@@ -272,11 +289,7 @@ func (c *cluster) commitView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := c.engine.WithVideo(view)
-	for _, s := range c.servers {
-		s.Swap(next)
-	}
-	c.monoSrv.Swap(next)
+	return e.WithVideo(view)
 }
 
 // TestClusterLiveCommit walks a paginated scene query through the router
@@ -560,12 +573,15 @@ func (s *recordingSource) Partial(ctx context.Context, q transport.Query, sel tr
 
 // TestRouterBoundedLegs locks the depth the router asks its legs for:
 // keyword and vector legs carry K = offset+limit and answer with at most K
-// hits plus the matched count the total is summed from; pages 1-3 by cursor
-// equal the single node's, total included; hybrid legs still fetch full
-// rankings (K = 0); and a forged cursor (offset 2^40) with the largest limit
-// asks for no more than the lane's documents and gets an empty last page.
+// hits plus the matched count the total is summed from; hybrid's round-1
+// legs carry K = min(2(offset+limit)+60, lane) and, for each lane whose list
+// that cuts short, one rank-lookup leg carries the other lane's candidates;
+// no leg of a limited page asks for K = 0 (a full ranking); pages 1-3 by
+// cursor equal the single node's, total included; and a forged cursor
+// (offset 2^40) with the largest limit asks for no more than the lane's
+// documents and gets an empty last page.
 func TestRouterBoundedLegs(t *testing.T) {
-	e := buildEngine(t)
+	e := buildEngineOf(t, 200)
 	local := transport.NewLocal(func() *dlse.Engine { return e })
 	nodes := []*recordingSource{{Local: local, addr: "node-0"}, {Local: local, addr: "node-1"}}
 	r, err := NewWithSources([]transport.SegmentSource{nodes[0], nodes[1]}, Options{Replicas: 1, HedgeAfter: -1})
@@ -584,14 +600,19 @@ func TestRouterBoundedLegs(t *testing.T) {
 	}
 	const limit = 3
 	docs, vecDocs := e.TextIndex().Docs(), e.VecIndex().Docs()
+	laneOf := func(q transport.Query) (string, int) { // the lane a leg reads and its documents
+		if q.Vector != "" {
+			return "vec", vecDocs
+		}
+		return "kw", docs
+	}
 	for _, tc := range []struct {
-		q       dlse.Query
-		bounded bool
-		lane    int // documents in the lane the legs read
+		q      dlse.Query
+		hybrid bool
 	}{
-		{dlse.Query{Keyword: "australian open final"}, true, docs},
-		{dlse.Query{Vector: "australian open final"}, true, vecDocs},
-		{dlse.Query{Hybrid: "australian open final"}, false, vecDocs},
+		{dlse.Query{Keyword: "australian open final player"}, false},
+		{dlse.Query{Vector: "australian open final player"}, false},
+		{dlse.Query{Hybrid: "australian open final player"}, true},
 	} {
 		cursor, monoCursor := dlse.Cursor(""), dlse.Cursor("")
 		for pageNo := 1; pageNo <= 3; pageNo++ {
@@ -606,23 +627,45 @@ func TestRouterBoundedLegs(t *testing.T) {
 			if !reflect.DeepEqual(got.Items, want.Items) || got.Total != want.Total || (got.Cursor == "") != (want.Cursor == "") {
 				t.Fatalf("%+v page %d: router answer diverges from the single node's", tc.q, pageNo)
 			}
-			matched := map[string]int{}
+			depth := pageNo * limit
+			matched, hits, ranks := map[string]int{}, map[string]int{}, map[string]int{}
+			var candK int      // the depth hybrid's round-1 legs were asked for
+			var rankDocs []int // documents each rank leg carried
 			for _, leg := range drain() {
-				wantK := 0
-				if tc.bounded {
-					wantK = pageNo * limit
+				lane, laneDocs := laneOf(leg.q)
+				if leg.q.Ranks != nil {
+					ranks[lane]++
+					rankDocs = append(rankDocs, len(leg.q.Ranks))
+					continue
 				}
-				if leg.q.K != wantK || wantK > 0 && len(leg.p.Hits) > wantK {
+				wantK := depth
+				if tc.hybrid {
+					wantK = min(2*depth+dlse.RRFK, laneDocs)
+					candK = max(candK, wantK)
+				}
+				if leg.q.K != wantK || len(leg.p.Hits) > wantK {
 					t.Fatalf("%+v page %d: leg K=%d with %d hits, want K=%d", tc.q, pageNo, leg.q.K, len(leg.p.Hits), wantK)
 				}
-				lane := "kw"
-				if leg.q.Vector != "" {
-					lane = "vec"
-				}
 				matched[lane] += leg.p.Matched
+				hits[lane] += len(leg.p.Hits)
 			}
-			if !tc.bounded {
+			if tc.hybrid {
+				// A rank leg places the other lane's candidates, for each lane
+				// whose round-1 list stops short of everything it matched.
+				for lane, n := range ranks {
+					if n != 1 || hits[lane] == matched[lane] {
+						t.Fatalf("%+v page %d: %d %s rank legs, %d of %d hits listed", tc.q, pageNo, n, lane, hits[lane], matched[lane])
+					}
+				}
+				if len(ranks) != 2 {
+					t.Fatalf("%+v page %d: rank legs %v, want one per lane", tc.q, pageNo, ranks)
+				}
 				matched = map[string]int{"": matched["vec"]} // the union is what the vector lane scanned
+			}
+			for _, n := range rankDocs {
+				if n > candK {
+					t.Fatalf("%+v page %d: a rank leg carries %d documents, the lanes were cut at %d", tc.q, pageNo, n, candK)
+				}
 			}
 			for lane, n := range matched {
 				if n != want.Total {
@@ -630,9 +673,6 @@ func TestRouterBoundedLegs(t *testing.T) {
 				}
 			}
 			cursor, monoCursor = got.Cursor, want.Cursor
-		}
-		if !tc.bounded {
-			continue
 		}
 		first, _, err := r.Search(ctx, tc.q, "", limit)
 		if err != nil {
@@ -644,8 +684,11 @@ func TestRouterBoundedLegs(t *testing.T) {
 			t.Fatalf("%+v forged cursor: err %v, %d items, total %d", tc.q, err, len(last.Items), last.Total)
 		}
 		for _, leg := range drain() {
-			if leg.q.K != tc.lane {
-				t.Fatalf("%+v forged cursor: leg K=%d, want the lane's %d documents", tc.q, leg.q.K, tc.lane)
+			// Clamped before it is doubled: both hybrid lanes come back whole,
+			// so no rank leg is needed either.
+			if _, laneDocs := laneOf(leg.q); leg.q.K != laneDocs || leg.q.Ranks != nil {
+				t.Fatalf("%+v forged cursor: leg K=%d (rank lookup %t), want the lane's %d documents",
+					tc.q, leg.q.K, leg.q.Ranks != nil, laneDocs)
 			}
 		}
 	}

@@ -13,6 +13,7 @@ package segset
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,11 +76,22 @@ func (b Bases) Of(id int) (ord, local int) {
 	return ord, id - b.start[ord]
 }
 
-// Check reports the first of ords that names no part of a list of have.
+// Check reports the first of ords that names no part of a list of have, or
+// that names a part a second time: a scatter over a repeated ordinal would
+// answer that part's documents twice. Selections arrive in ordinal order, so
+// the repeat search runs only once the order breaks.
 func Check(have int, ords ...int) error {
-	for _, o := range ords {
+	ascending := true
+	for i, o := range ords {
 		if o < 0 || o >= have {
 			return fmt.Errorf("segset: no segment ordinal %d (have %d)", o, have)
+		}
+		if i == 0 || ascending && o > ords[i-1] {
+			continue
+		}
+		ascending = false
+		if slices.Contains(ords[:i], o) {
+			return fmt.Errorf("segset: segment ordinal %d selected twice", o)
 		}
 	}
 	return nil

@@ -79,10 +79,13 @@ func TestCheck(t *testing.T) {
 	if err := Check(3, 0, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, ords := range [][]int{{-1}, {3}, {0, 1, 7}} {
+	for _, ords := range [][]int{{-1}, {3}, {0, 1, 7}, {0, 0}, {2, 1, 2}, {1, 0, 2, 0}} {
 		if err := Check(3, ords...); err == nil {
 			t.Fatalf("ordinals %v accepted", ords)
 		}
+	}
+	if err := Check(3, 2, 1, 2); err == nil || err.Error() != "segset: segment ordinal 2 selected twice" {
+		t.Fatalf("repeated ordinal: %v", err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/dlse"
+	"repro/internal/ir"
 	"repro/internal/transport"
 )
 
@@ -26,23 +27,24 @@ func (s *Server) handleV2Manifest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, transport.ManifestOf(s.Engine()))
 }
 
-// parseOrds parses a CSV of segment ordinals ("0,2,5"). Strict digits
-// only — anything else is a parse error, never silently dropped.
-func parseOrds(name, s string) ([]int, error) {
+// parseCSV parses a CSV of non-negative integers ("0,2,5") — segment
+// ordinals or document IDs, what says which. Strict digits only — anything
+// else is a parse error, never silently dropped.
+func parseCSV[T ~int | ~int32](name, what, s string) ([]T, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ",")
-	ords := make([]int, 0, len(parts))
+	vals := make([]T, 0, len(parts))
 	for _, p := range parts {
-		o, err := parseLimitStrict(name, p)
+		v, err := parseLimitStrict(name, p)
 		if err != nil || p == "" {
 			return nil, &dlse.QueryError{Kind: dlse.ErrParse, Pos: -1,
-				Msg: fmt.Sprintf("bad %s %q: want CSV of segment ordinals", name, s)}
+				Msg: fmt.Sprintf("bad %s %q: want CSV of %s", name, s, what)}
 		}
-		ords = append(ords, o)
+		vals = append(vals, T(v))
 	}
-	return ords, nil
+	return vals, nil
 }
 
 // handleV2Partial answers GET /v2/partial — one partial query over an
@@ -54,13 +56,20 @@ func parseOrds(name, s string) ([]int, error) {
 //	                                            segments, video ordinals
 //	                                            video-embedding segments)
 //	kind=<event kind>&video=<ordinal CSV>     — partial scenes lookup
+//	kw=|vq=<terms>&ranks=<doc ID CSV>&...     — rank lookup: each document's
+//	                                            1-based rank among what the
+//	                                            query scored over the
+//	                                            selection, 0 for none
+//	                                            ("ranks" in the answer, in
+//	                                            the order asked); no k=, and
+//	                                            at most the lane's documents
 //	gen=<generation>                          — optional conditional read:
 //	                                            409 stale_generation when the
 //	                                            serving segment set moved
 //
-// Exactly one of kw/vq/kind must be set. Scores are computed against
-// union corpus statistics, so partial answers merge into results
-// byte-identical to a monolithic search.
+// Exactly one of kw/vq/kind must be set, and no ordinal twice (400
+// bad_segment). Scores are computed against union corpus statistics, so
+// partial answers merge into results byte-identical to a monolithic search.
 func (s *Server) handleV2Partial(w http.ResponseWriter, r *http.Request) {
 	if !OnlyGetV2(w, r) {
 		return
@@ -77,12 +86,20 @@ func (s *Server) handleV2Partial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q.K = k
-	var sel transport.Sel
-	if sel.Text, err = parseOrds("text", params.Get("text")); err != nil {
+	if q.Ranks, err = parseCSV[ir.DocID]("ranks", "document IDs", params.Get("ranks")); err != nil {
 		writeV2Error(w, err)
 		return
 	}
-	if sel.Video, err = parseOrds("video", params.Get("video")); err != nil {
+	if q.Ranks != nil && params.Has("k") {
+		writeV2Error(w, fmt.Errorf("%w: ranks= takes no k=", transport.ErrBadSelection))
+		return
+	}
+	var sel transport.Sel
+	if sel.Text, err = parseCSV[int]("text", "segment ordinals", params.Get("text")); err != nil {
+		writeV2Error(w, err)
+		return
+	}
+	if sel.Video, err = parseCSV[int]("video", "segment ordinals", params.Get("video")); err != nil {
 		writeV2Error(w, err)
 		return
 	}

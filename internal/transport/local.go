@@ -90,6 +90,12 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSelection, err)
 	}
+	if len(q.Ranks) > 0 {
+		if p.Ranks, err = rankLookup(e, q, sel.Text, vecOrds); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
 	var hits []ir.Hit
 	switch {
 	case q.Keyword != "":
@@ -134,4 +140,44 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 		}
 	}
 	return p, nil
+}
+
+// rankLookup answers a rank lookup (Query.Ranks): the lane scores the
+// selection without ranking it, and the leased scores count each
+// document's rank (ir.SegScores.Ranks) — the node's own rank-count step of
+// the bounded hybrid fusion, asked for over the wire.
+func rankLookup(e *dlse.Engine, q Query, text, vecOrds []int) ([]int, error) {
+	if q.K != 0 || q.Scenes != "" {
+		return nil, fmt.Errorf("%w: a rank lookup takes a keyword or vector query and no K", ErrBadSelection)
+	}
+	lane, ords, docs := "keyword", text, e.TextIndex().Docs()
+	if q.Vector != "" {
+		lane, ords, docs = "vector", vecOrds, e.VecIndex().Docs()
+	}
+	if len(ords) == 0 {
+		return nil, fmt.Errorf("%w: %s rank lookup selects no segments", ErrBadSelection, lane)
+	}
+	if len(q.Ranks) > docs {
+		return nil, fmt.Errorf("%w: rank lookup of %d documents in a %s lane of %d",
+			ErrBadSelection, len(q.Ranks), lane, docs)
+	}
+	cands := make([]ir.Hit, len(q.Ranks))
+	for i, d := range q.Ranks {
+		if d < 0 {
+			return nil, fmt.Errorf("%w: rank lookup of document %d", ErrBadSelection, d)
+		}
+		cands[i].Doc = d
+	}
+	var scores ir.SegScores
+	var err error
+	if q.Vector != "" {
+		scores, err = e.VecIndex().ScoreSegments(q.Vector, ords)
+	} else {
+		scores, _, err = e.TextIndex().ScoreSegments(q.Keyword, ords)
+	}
+	if err != nil {
+		return nil, err // incl. ir.ErrEmptyQry, raw
+	}
+	defer scores.Release()
+	return scores.Ranks(cands), nil
 }

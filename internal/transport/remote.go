@@ -43,17 +43,25 @@ type wireError struct {
 }
 
 // decodeError maps a non-2xx response back onto the shared error taxonomy
-// so callers branch identically against Local and Remote sources.
+// so callers branch identically against Local and Remote sources. An error
+// the node's PartialOf raised already names its sentinel and comes back
+// with the text Local gives.
 func decodeError(status int, body []byte) error {
 	var we wireError
 	if err := json.Unmarshal(body, &we); err != nil || we.Code == "" {
 		return fmt.Errorf("%w: status %d: %s", ErrUnavailable, status, truncate(body))
 	}
+	rewrap := func(sentinel error) error {
+		if rest, ok := strings.CutPrefix(we.Error, sentinel.Error()); ok {
+			return fmt.Errorf("%w%s", sentinel, rest)
+		}
+		return fmt.Errorf("%w: %s", sentinel, we.Error)
+	}
 	switch we.Code {
 	case "stale_generation":
-		return fmt.Errorf("%w: %s", ErrStale, we.Error)
+		return rewrap(ErrStale)
 	case "bad_segment", "parse":
-		return fmt.Errorf("%w: %s", ErrBadSelection, we.Error)
+		return rewrap(ErrBadSelection)
 	case "empty_query":
 		return ir.ErrEmptyQry
 	case "no_index":
@@ -121,16 +129,17 @@ func (r *Remote) Health(ctx context.Context) error {
 	return nil
 }
 
-// ordCSV renders segment ordinals as a compact CSV query value.
-func ordCSV(ords []int) string {
-	var b strings.Builder
-	for i, o := range ords {
+// intCSV renders segment ordinals or document IDs as a compact CSV query
+// value.
+func intCSV[T ~int | ~int32](vals []T) string {
+	b := make([]byte, 0, 8*len(vals))
+	for i, v := range vals {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(o))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Partial answers one partial query via GET /v2/partial.
@@ -151,11 +160,14 @@ func (r *Remote) Partial(ctx context.Context, q Query, sel Sel, expectGen int64)
 	if q.Scenes != "" {
 		params.Set("kind", q.Scenes)
 	}
+	if len(q.Ranks) > 0 {
+		params.Set("ranks", intCSV(q.Ranks))
+	}
 	if len(sel.Text) > 0 {
-		params.Set("text", ordCSV(sel.Text))
+		params.Set("text", intCSV(sel.Text))
 	}
 	if len(sel.Video) > 0 {
-		params.Set("video", ordCSV(sel.Video))
+		params.Set("video", intCSV(sel.Video))
 	}
 	if expectGen >= 0 {
 		params.Set("gen", strconv.FormatInt(expectGen, 10))

@@ -3,8 +3,9 @@
 // Local source wraps the in-process engine snapshot (ir.Segments text
 // partitions + core.SegmentedIndex video partitions), a Remote source
 // speaks the /v2/partial HTTP surface of a dlserve node. Both answer the
-// same partial-read primitives — partial top-K text search, per-partition
-// scenes lookup, manifest, health — with identical bytes, which is what
+// same partial-read primitives — partial top-K text and vector search, rank
+// lookup, per-partition scenes lookup, manifest, health — with identical
+// bytes, which is what
 // lets the distributed router (internal/router) merge per-node partial
 // answers into a result byte-identical to the monolithic build.
 package transport
@@ -26,8 +27,10 @@ var (
 	// landed in between). The caller should refetch the manifest and
 	// re-plan.
 	ErrStale = errors.New("transport: stale segment generation")
-	// ErrBadSelection reports a selection naming a segment ordinal the
-	// source does not have.
+	// ErrBadSelection reports a partial query malformed for the source: a
+	// selection naming a segment ordinal it does not have, or one twice; not
+	// exactly one query form; a rank lookup beside K, beside Scenes, or
+	// longer than the lane.
 	ErrBadSelection = errors.New("transport: bad segment selection")
 	// ErrUnavailable reports a source that could not be reached at all —
 	// the signal replica failover and health accounting key on.
@@ -74,7 +77,7 @@ type Sel struct {
 }
 
 // Query is one partial query: exactly one of Keyword, Vector, or Scenes
-// set.
+// set, and Ranks only beside Keyword or Vector.
 type Query struct {
 	// Keyword is ranked BM25 retrieval over the selected text partitions.
 	Keyword string `json:"keyword,omitempty"`
@@ -89,6 +92,13 @@ type Query struct {
 	// Scenes looks up scenes of this event kind in the selected video
 	// partitions.
 	Scenes string `json:"scenes,omitempty"`
+	// Ranks, when set, turns a Keyword or Vector query into a rank lookup:
+	// the answer is Partial.Ranks, each of these documents' 1-based rank
+	// among what the query scored over the selection, instead of hits. It is
+	// the second round of a bounded hybrid fusion (dlse.FuseCandidates): a
+	// candidate one lane listed needs its exact rank in the other. At most
+	// the lane's document count; K must be 0.
+	Ranks []ir.DocID `json:"ranks,omitempty"`
 }
 
 // Hit is one partial keyword hit under its global doc ID. Scores are
@@ -126,6 +136,12 @@ type Partial struct {
 	Stats ir.SearchStats `json:"stats"`
 	// Groups is the scenes answer, one group per selected video partition.
 	Groups []SceneGroup `json:"groups,omitempty"`
+	// Ranks is the rank-lookup answer, aligned with Query.Ranks: each
+	// document's 1-based rank under the global (score desc, DocID asc)
+	// order among the documents the query scored in the selected
+	// partitions, 0 where it scored nothing there (a document outside the
+	// selection included).
+	Ranks []int `json:"ranks,omitempty"`
 }
 
 // SegmentSource is one place index segments can be read from. All

@@ -7,6 +7,7 @@ package transport_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -289,6 +290,166 @@ func TestPartialOfBadOrdinalsAcrossLanes(t *testing.T) {
 	p, err := transport.PartialOf(e, transport.Query{Vector: "late commit"}, transport.Sel{Video: []int{1}}, -1)
 	if err != nil || len(p.Hits) != 1 || p.Hits[0].Page != "video/late-commit" {
 		t.Fatalf("video ordinal 1 through the vector lane: %+v, %v", p, err)
+	}
+}
+
+// TestPartialRepeatedOrdinal: a selection naming an ordinal twice is refused
+// — answering it would list that segment's hits twice and double matched —
+// with the same ErrBadSelection, byte for byte, through Local and Remote,
+// which on the wire is 400 bad_segment.
+func TestPartialRepeatedOrdinal(t *testing.T) {
+	e := fixture(t)
+	local, remote := sources(t, e)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		q   transport.Query
+		sel transport.Sel
+	}{
+		{transport.Query{Keyword: "final"}, transport.Sel{Text: []int{0, 0}}},
+		{transport.Query{Keyword: "final"}, transport.Sel{Text: []int{2, 0, 2}}},
+		{transport.Query{Vector: "final"}, transport.Sel{Text: []int{0}, Video: []int{1, 1}}},
+		{transport.Query{Scenes: "net-play"}, transport.Sel{Video: []int{1, 0, 1}}},
+		{transport.Query{Keyword: "final", Ranks: []ir.DocID{1}}, transport.Sel{Text: []int{1, 1}}},
+	} {
+		_, lerr := local.Partial(ctx, tc.q, tc.sel, -1)
+		_, rerr := remote.Partial(ctx, tc.q, tc.sel, -1)
+		if !errors.Is(lerr, transport.ErrBadSelection) || !strings.Contains(lerr.Error(), "selected twice") ||
+			rerr == nil || lerr.Error() != rerr.Error() {
+			t.Fatalf("%+v %+v: local %v, remote %v", tc.q, tc.sel, lerr, rerr)
+		}
+	}
+	status, code := getPartial(t, remote, "kw=final&text=0,0")
+	if status != http.StatusBadRequest || code != "bad_segment" {
+		t.Fatalf("text=0,0: %d %s, want 400 bad_segment", status, code)
+	}
+}
+
+// getPartial GETs /v2/partial?query from the node behind remote and returns
+// the status and error code.
+func getPartial(t *testing.T, remote *transport.Remote, query string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(remote.Addr() + "/v2/partial?" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Code string `json:"code"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&body)
+	return resp.StatusCode, body.Code
+}
+
+// TestPartialRankLookup locks the rank leg of the hybrid fusion: for either
+// lane and any selection, each asked document's rank is its 1-based position
+// in the selection's full ranking — 0 for one it does not hold, whether the
+// document lies outside the selection or outside the lane — and the Partial
+// is identical through Local and Remote.
+func TestPartialRankLookup(t *testing.T) {
+	e := fixture(t)
+	local, remote := sources(t, e)
+	ctx := context.Background()
+	const text = "australian open final"
+	ranked := 0
+	for _, sel := range []transport.Sel{{Text: []int{0}}, {Text: []int{1, 2}}, {Text: []int{0, 1, 2}, Video: []int{1}}, {Text: []int{2}, Video: []int{0, 1}}} {
+		for _, lane := range []transport.Query{{Keyword: text}, {Vector: text}} {
+			full, err := local.Partial(ctx, lane, sel, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[ir.DocID]int{}
+			for i, h := range full.Hits {
+				want[h.Doc] = i + 1
+			}
+			// As many documents as the lane holds, backwards, from one past
+			// its last (the keyword lane's pages end where videos begin).
+			q, laneDocs := lane, e.TextIndex().Docs()
+			if lane.Vector != "" {
+				laneDocs = e.VecIndex().Docs()
+			}
+			for d := laneDocs; d > 0; d-- {
+				q.Ranks = append(q.Ranks, ir.DocID(d))
+			}
+			lp, err := local.Partial(ctx, q, sel, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := remote.Partial(ctx, q, sel, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(lp, rp) {
+				t.Fatalf("%+v %+v: rank lookups diverge:\nlocal  %+v\nremote %+v", lane, sel, lp, rp)
+			}
+			for i, d := range q.Ranks {
+				if lp.Ranks[i] != want[d] {
+					t.Fatalf("%+v %+v: doc %d ranks %d, want %d", lane, sel, d, lp.Ranks[i], want[d])
+				}
+				if want[d] > 0 {
+					ranked++
+				}
+			}
+			if lp.Hits != nil || lp.Matched != 0 {
+				t.Fatalf("%+v %+v: a rank lookup answered hits: %+v", lane, sel, lp)
+			}
+		}
+	}
+	if ranked == 0 {
+		t.Fatal("no lookup ranked anything")
+	}
+}
+
+// TestPartialRankLookupErrors: a rank lookup beside K, beside a scenes
+// query, longer than its lane, or naming a negative document is refused as a
+// bad selection; an unrankable text or a moved generation fails as any
+// partial read does — through Local and Remote with the same error, and the
+// same text wherever the node's PartialOf raised it.
+func TestPartialRankLookupErrors(t *testing.T) {
+	e := fixture(t)
+	local, remote := sources(t, e)
+	ctx := context.Background()
+	text := transport.Sel{Text: []int{0}}
+	tooMany := make([]ir.DocID, e.TextIndex().Docs()+1)
+	for _, tc := range []struct {
+		q        transport.Query
+		sel      transport.Sel
+		gen      int64
+		want     error
+		sameText bool
+	}{
+		{transport.Query{Keyword: "final", K: 3, Ranks: []ir.DocID{1}}, text, -1, transport.ErrBadSelection, false},
+		{transport.Query{Scenes: "net-play", Ranks: []ir.DocID{1}}, transport.Sel{Video: []int{0}}, -1, transport.ErrBadSelection, true},
+		{transport.Query{Keyword: "final", Ranks: tooMany}, text, -1, transport.ErrBadSelection, true},
+		{transport.Query{Vector: "final", Ranks: []ir.DocID{1}}, transport.Sel{}, -1, transport.ErrBadSelection, true},
+		{transport.Query{Keyword: "final", Ranks: []ir.DocID{1}}, transport.Sel{Video: []int{0}}, -1, transport.ErrBadSelection, true},
+		{transport.Query{Keyword: "final", Ranks: []ir.DocID{2, -1}}, text, -1, transport.ErrBadSelection, false},
+		{transport.Query{Keyword: "the of and", Ranks: []ir.DocID{1}}, text, -1, ir.ErrEmptyQry, true},
+		{transport.Query{Vector: "final", Ranks: []ir.DocID{1}}, text, 99, transport.ErrStale, true},
+	} {
+		_, lerr := local.Partial(ctx, tc.q, tc.sel, tc.gen)
+		_, rerr := remote.Partial(ctx, tc.q, tc.sel, tc.gen)
+		if !errors.Is(lerr, tc.want) || !errors.Is(rerr, tc.want) || tc.sameText && lerr.Error() != rerr.Error() {
+			t.Fatalf("%+v %+v: local %v, remote %v, want %v", tc.q, tc.sel, lerr, rerr, tc.want)
+		}
+	}
+	// The wire form is strict: a CSV of non-negative document IDs, never
+	// beside k= (even empty) or kind=, and only with kw= or vq=.
+	for _, q := range []string{
+		"kw=final&text=0&ranks=1,2&k=3",
+		"kw=final&text=0&ranks=1,2&k=",
+		"kind=net-play&video=0&ranks=1",
+		"text=0&ranks=1",
+		"kw=final&text=0&ranks=1,,2",
+		"kw=final&text=0&ranks=1,x",
+		"kw=final&text=0&ranks=-1",
+		"kw=final&text=0&ranks=+1",
+	} {
+		if status, code := getPartial(t, remote, q); status != http.StatusBadRequest || code == "" {
+			t.Fatalf("%s: %d %q, want a 400", q, status, code)
+		}
+	}
+	if status, _ := getPartial(t, remote, "vq=final&text=0&video=1&ranks=0,1,999999999"); status != http.StatusOK {
+		t.Fatalf("well-formed rank lookup: status %d", status)
 	}
 }
 

@@ -98,17 +98,23 @@ func (s *Segments) embedQuery(query string) ([]float32, error) {
 	return s.emb.EmbedTokens(toks), nil
 }
 
-// scan scores every document of sg, in one pass over its row-major matrix,
-// into a pooled dense array and selects the best k under the global total
-// order (score desc, DocID asc; k <= 0 keeps every document), resolving
-// names only for the survivors. The scored array comes back still leased:
-// the caller releases or holds it.
-func (sg *segment) scan(q []float32, k int) ([]ir.Hit, *ir.Accum) {
+// score scores every document of sg, in one pass over its row-major
+// matrix, into a pooled dense array, which comes back still leased.
+func (sg *segment) score(q []float32) *ir.Accum {
 	ac := sg.scratch.Get().(*ir.Accum)
 	ac.Begin()
 	for i := 0; i < sg.b.Len(); i++ {
 		ac.Add(ir.DocID(i), dot(q, sg.b.Vec(i)))
 	}
+	return ac
+}
+
+// scan is score plus the selection of the best k under the global total
+// order (score desc, DocID asc; k <= 0 keeps every document), resolving
+// names only for the survivors. The scored array comes back still leased:
+// the caller releases or holds it.
+func (sg *segment) scan(q []float32, k int) ([]ir.Hit, *ir.Accum) {
+	ac := sg.score(q)
 	hits := ac.TopK(k)
 	for i := range hits {
 		hits[i].Name = sg.b.Name(int(hits[i].Doc))
@@ -168,6 +174,26 @@ func (s *Segments) SearchScores(query string, k int) ([]ir.Hit, ir.SegScores, Se
 		return nil, ir.SegScores{}, SearchStats{}, nil, err
 	}
 	return hits, ir.LeaseScores(s.bases, acs), stats, legs, nil
+}
+
+// ScoreSegments scores the segments named by ords without ranking them and
+// returns the leased handle over their scores — what a rank lookup counts
+// over: its Ranks place documents among what the selection scored, and a
+// document of an unselected segment ranks 0. The caller must Release it.
+func (s *Segments) ScoreSegments(query string, ords []int) (ir.SegScores, error) {
+	if err := segset.Check(len(s.segs), ords...); err != nil {
+		return ir.SegScores{}, err
+	}
+	q, err := s.embedQuery(query)
+	if err != nil {
+		return ir.SegScores{}, err
+	}
+	acs := make([]*ir.Accum, len(s.segs))
+	segset.Scatter(ords, func(_, ord int) struct{} {
+		acs[ord] = s.segs[ord].score(q)
+		return struct{}{}
+	})
+	return ir.LeaseScores(s.bases, acs), nil
 }
 
 // SearchSegments is Search over only the segments named by ords (a

@@ -2,8 +2,9 @@
 # cluster_smoke.sh — end-to-end check of the distributed tier: start two
 # dlserve nodes over the same library, front them with dlrouter, and check
 # that the cluster answers byte-identical to a single node (scattered kw=
-# and kind= forms, proxied q= form, cursor pagination), that a commit
-# applied to every node shows up through the router, that killing one node
+# and kind= forms, proxied q= form, cursor pagination in every ranked lane),
+# that a commit applied to every node shows up through the router (in the
+# scene and the hybrid lane), that killing one node
 # of a replicas=2 cluster keeps answers identical, and that the router's
 # Prometheus /metrics counted the work. Run via `make cluster-smoke`; CI
 # runs it alongside the race job.
@@ -23,8 +24,10 @@ go build -o "$tmp/dlrouter" ./cmd/dlrouter
 go build -o "$tmp/synthgen" ./cmd/synthgen
 
 # Replicated storage: every node loads the same library (same site flags,
-# same seed), so partial answers merge byte-identical to one engine.
-SITE_FLAGS="-players 16 -years 3 -seed 16 -text-segments 3"
+# same seed), so partial answers merge byte-identical to one engine. 80
+# players make more pages than a hybrid page's 2d+60 candidates, so the
+# vector lane is cut short and its rank-lookup leg goes over the wire.
+SITE_FLAGS="-players 80 -years 3 -seed 16 -text-segments 3"
 
 # wait_port reads a daemon's log until the listen port appears and the
 # daemon answers /healthz. Runs in a command substitution, so the daemon
@@ -113,7 +116,7 @@ walk() { # base -> concatenated items
 diff <(walk "$node") <(walk "$router") || {
     echo "cluster-smoke: paginated walk diverged" >&2; exit 1; }
 
-echo "--- parity: page 2 by cursor, keyword and vector lanes (depth-bounded legs)"
+echo "--- parity: page 2 by cursor, keyword, vector and hybrid lanes (depth-bounded legs)"
 page2() { # base lane -> normalized second page of a limit=3 walk
     local base=$1 lane=$2 cursor
     cursor=$(curl -fsS --get "$base/v2/search" --data-urlencode 'kw=australian open final' \
@@ -122,7 +125,7 @@ page2() { # base lane -> normalized second page of a limit=3 walk
     curl -fsS --get "$base/v2/search" --data-urlencode 'kw=australian open final' \
         --data-urlencode "kind=$lane" --data-urlencode 'limit=3' --data-urlencode "cursor=$cursor" | normalize
 }
-for lane in lexical vector; do
+for lane in lexical vector hybrid; do
     a=$(page2 "$node" "$lane")
     b=$(page2 "$router" "$lane")
     if [ "$a" != "$b" ] || ! echo "$b" | jq -e '.count == 3 and .total > 6' >/dev/null; then
@@ -146,6 +149,12 @@ if [ "$after" -le "$before" ]; then
     exit 1
 fi
 check_parity 'kind=rally'
+# The committed video ranks in the vector lane, so the hybrid page fuses a
+# document of the new segment: router and node must agree on it too.
+check_parity 'kw=clip%20rally&kind=hybrid&limit=5'
+curl -fsS "$router/v2/search?kw=clip%20rally&kind=hybrid&limit=5" |
+    jq -e '[.items[].page | select(startswith("video/"))] | length > 0' >/dev/null || {
+    echo "cluster-smoke: the committed video is not on the hybrid page" >&2; exit 1; }
 
 echo "--- router /metrics (Prometheus) and /debug/vars"
 metrics=$(curl -fsS "$router/metrics")
