@@ -2,12 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench bench-smoke bench-check staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet loc-check ci
+.PHONY: all build cross test race fuzz-smoke bench bench-smoke bench-check staticcheck serve-smoke cluster-smoke crash-smoke fmt fmt-check vet loc-check ci
 
 all: build test
 
 build:
 	$(GO) build ./...
+
+# Cross-builds the module for a 32-bit host (linux/386), a big-endian one
+# (linux/s390x: the segfile codec compiles there and refuses to read or
+# write) and one without syscall.Mmap (windows/amd64: the heap-read
+# fallback).
+cross:
+	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=linux GOARCH=s390x $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -99,4 +108,4 @@ vet:
 loc-check:
 	bash scripts/loc.sh -check
 
-ci: fmt-check vet loc-check staticcheck build test race fuzz-smoke bench-smoke bench-check serve-smoke cluster-smoke crash-smoke
+ci: fmt-check vet loc-check staticcheck build cross test race fuzz-smoke bench-smoke bench-check serve-smoke cluster-smoke crash-smoke

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/segfile"
 	"repro/internal/segset"
@@ -36,6 +35,19 @@ const (
 	// headers (decode preallocates O(segments) slot records).
 	maxSegfileSegments = 1 << 16
 )
+
+// manifestHead and manifestEntry make up the manifest record: the head, then
+// one entry per segment — its identity and ID bases, then its row counts in
+// Stats order.
+type manifestHead struct {
+	Version, Segments uint32
+	Gen               int64
+}
+
+type manifestEntry struct {
+	SegmentMeta
+	Rows [6]int64
+}
 
 // WriteSegfile persists a segmented library in segfile form: manifest
 // block first, then each partition's stream encoding as its own block.
@@ -57,34 +69,26 @@ func writeSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int6
 	if err != nil {
 		return err
 	}
-	man := make([]byte, 0, 8+len(parts)*11*8)
-	man = segfile.AppendUint32s(man, []uint32{coreLayoutVersion, uint32(len(parts))})
-	man = segfile.AppendUint64s(man, []uint64{uint64(gen)})
+	ents := make([]manifestEntry, len(parts))
 	for i, m := range metas {
 		st := parts[i].Stats()
-		man = segfile.AppendUint64s(man, []uint64{
-			uint64(m.ID),
-			uint64(m.Base.Video), uint64(m.Base.Segment),
-			uint64(m.Base.Object), uint64(m.Base.Event),
-			uint64(st.Videos), uint64(st.Segments), uint64(st.Features),
-			uint64(st.Objects), uint64(st.States), uint64(st.Events),
-		})
+		ents[i] = manifestEntry{m, [6]int64{
+			int64(st.Videos), int64(st.Segments), int64(st.Features),
+			int64(st.Objects), int64(st.States), int64(st.Events),
+		}}
 	}
-	if err := sw.Block(sfManifest, man); err != nil {
-		return err
-	}
+	head := manifestHead{coreLayoutVersion, uint32(len(parts)), gen}
+	sw.Record(sfManifest, head, ents)
 	for i, p := range parts {
-		if err := sw.Block(fmt.Sprintf(sfSegPattern, i), encodeTables(nil, p, ts)); err != nil {
-			return err
-		}
+		sw.Block(fmt.Sprintf(sfSegPattern, i), encodeTables(nil, p, ts))
 	}
 	return sw.Close()
 }
 
-// ErrNotSegfile reports input that does not begin with the segfile magic —
-// an empty or cut-short file, a directory, or an index written in the
-// retired pre-segfile stream format. (Input that has the magic but is
-// damaged further in fails with the container's own corruption errors.)
+// ErrNotSegfile reports a path that holds no segfile at all — an empty or
+// cut-short file, a directory, or an index written in the retired
+// pre-segfile stream format (segfile.ErrNotSegfile). Input that has the magic
+// but is damaged further in fails with the container's own corruption errors.
 var ErrNotSegfile = errors.New("not a segfile meta-index; re-index the corpus with cobraindex")
 
 // OpenSegmentedFile memory-maps the segfile at path as a segmented view
@@ -95,86 +99,50 @@ var ErrNotSegfile = errors.New("not a segfile meta-index; re-index the corpus wi
 // not-yet-hydrated segments become unreadable — close only when no reader
 // can hydrate anymore (process-lifetime readers may never).
 func OpenSegmentedFile(path string) (*SegmentedIndex, io.Closer, error) {
-	if err := sniffSegfile(path); err != nil {
-		return nil, nil, err
+	s, c, err := segfile.OpenAs(path, openSegfileReader)
+	if errors.Is(err, segfile.ErrNotSegfile) {
+		err = fmt.Errorf("core: open meta-index %s: %w", path, ErrNotSegfile)
 	}
-	return segfile.OpenAs(path, openSegfileReader)
-}
-
-// sniffSegfile checks that path starts with the segfile magic, so that
-// anything else is refused with one error naming the path and the remedy
-// instead of whatever the mapping or the container parser trips over first.
-func sniffSegfile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("core: open meta-index: %w", err)
-	}
-	defer f.Close()
-	magic := make([]byte, len(segfile.Magic))
-	if _, err := io.ReadFull(f, magic); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		// Not a short file but an unreadable one, e.g. a directory.
-		return fmt.Errorf("core: open meta-index %s: %w (%v)", path, ErrNotSegfile, err)
-	}
-	if string(magic) != segfile.Magic {
-		return fmt.Errorf("core: open meta-index %s: %w", path, ErrNotSegfile)
-	}
-	return nil
+	return s, c, err
 }
 
 func openSegfileReader(r *segfile.Reader) (*SegmentedIndex, error) {
-	man, err := r.Structural(sfManifest, -1)
-	if err != nil {
+	var head manifestHead
+	var ents []manifestEntry
+	if err := r.Record(sfManifest, &head, &ents); err != nil {
 		return nil, err
 	}
-	if len(man) < 16 {
-		return nil, fmt.Errorf("core: manifest block too short (%d bytes)", len(man))
+	if head.Version != coreLayoutVersion {
+		return nil, fmt.Errorf("core: unsupported segfile layout version %d (want %d)", head.Version, coreLayoutVersion)
 	}
-	u32, _ := segfile.Uint32s(man[0:8])
-	if u32[0] != coreLayoutVersion {
-		return nil, fmt.Errorf("core: unsupported segfile layout version %d (want %d)", u32[0], coreLayoutVersion)
+	if head.Segments < 1 || head.Segments > maxSegfileSegments {
+		return nil, fmt.Errorf("core: implausible segment count %d", head.Segments)
 	}
-	nsegs := int(u32[1])
-	if nsegs < 1 || nsegs > maxSegfileSegments {
-		return nil, fmt.Errorf("core: implausible segment count %d", nsegs)
+	nsegs := int(head.Segments)
+	if len(ents) != nsegs {
+		return nil, fmt.Errorf("core: manifest holds %d entries, want %d", len(ents), nsegs)
 	}
-	if len(man) != 16+nsegs*11*8 {
-		return nil, fmt.Errorf("core: manifest block is %d bytes, want %d for %d segments",
-			len(man), 16+nsegs*11*8, nsegs)
+	if head.Gen < 0 {
+		return nil, fmt.Errorf("core: negative generation %d", head.Gen)
 	}
-	genU, _ := segfile.Uint64s(man[8:16])
 	s := &SegmentedIndex{
 		parts: make(segset.Set[MetaIndex], nsegs),
 		metas: make([]SegmentMeta, nsegs),
 		rows:  make([]Stats, nsegs),
-		gen:   int64(genU[0]),
+		gen:   head.Gen,
 	}
-	if s.gen < 0 {
-		return nil, fmt.Errorf("core: negative generation %d", s.gen)
-	}
-	rows, err := segfile.Uint64s(man[16:])
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nsegs; i++ {
-		e := rows[i*11 : (i+1)*11]
-		for _, v := range e {
-			if v > math.MaxInt64 {
-				return nil, fmt.Errorf("core: manifest entry %d overflows int64", i)
-			}
+	for i, e := range ents {
+		if b := e.Base; min(e.ID, b.Video, b.Segment, b.Object, b.Event) < 0 {
+			return nil, fmt.Errorf("core: manifest entry %d overflows int64", i)
 		}
-		for _, v := range e[5:] {
-			if v > math.MaxInt32 {
+		n := e.Rows
+		for _, v := range n {
+			if v < 0 || v > math.MaxInt32 {
 				return nil, fmt.Errorf("core: manifest entry %d: implausible row count %d", i, v)
 			}
 		}
-		s.metas[i] = SegmentMeta{
-			ID:   int64(e[0]),
-			Base: IDBase{Video: int64(e[1]), Segment: int64(e[2]), Object: int64(e[3]), Event: int64(e[4])},
-		}
-		s.rows[i] = Stats{
-			Videos: int(e[5]), Segments: int(e[6]), Features: int(e[7]),
-			Objects: int(e[8]), States: int(e[9]), Events: int(e[10]),
-		}
+		s.metas[i] = e.SegmentMeta
+		s.rows[i] = Stats{int(n[0]), int(n[1]), int(n[2]), int(n[3]), int(n[4]), int(n[5])}
 		name := fmt.Sprintf(sfSegPattern, i)
 		if !r.Has(name) {
 			return nil, fmt.Errorf("core: manifest lists segment %d but block is missing", i)
@@ -185,11 +153,10 @@ func openSegfileReader(r *segfile.Reader) (*SegmentedIndex, error) {
 	return s, nil
 }
 
-// decodeSegment decodes one segment's block on first touch. The block's
-// checksum is verified before decode (the lazy half of the checksum policy:
-// bulk payloads are verified exactly when they are first trusted).
+// decodeSegment decodes one segment's block on first touch. The block is
+// structural: its checksum is verified before the decode trusts it.
 func decodeSegment(r *segfile.Reader, name string, meta SegmentMeta, want Stats) (*MetaIndex, error) {
-	b, err := r.Structural(name, -1)
+	b, err := segfile.Structural[byte](r, name, -1)
 	if err != nil {
 		return nil, err
 	}

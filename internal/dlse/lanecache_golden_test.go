@@ -4,11 +4,17 @@ package dlse
 // 4fccc99, the commit before the build analysed each page once for both
 // lanes (PR 22), so they pin the two segfile caches that build writes —
 // postings, impacts, vectors and layout — across that change rather than
-// comparing the build with itself.
+// comparing the build with itself. The text hash was re-recorded once for
+// text format 2, which drops the impact-ordered blocks and keeps every other
+// block byte for byte; the page answers it serves are pinned across that
+// change by goldenLanePages.
 
 import (
+	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,7 +25,7 @@ import (
 // Sha256 of the text and vector segfile caches a cold build writes for
 // laneCacheSite at four text segments.
 const (
-	goldenTextCache = "e1c5b4a5c8380c1bda22d9aaa0e9a33f05b23055b04eb17d1819ed9e006557f5"
+	goldenTextCache = "6fdbebf885a463b35de4cd7dd6dfa6b3c82c393f6cc22eea115ca73ff90c6add"
 	goldenVecCache  = "893b98baae1dc914a6d5e16064d43501d49f26eb324e735e7edf0a6920e9cc4d"
 )
 
@@ -56,6 +62,66 @@ func TestPageLaneCacheGolden(t *testing.T) {
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s: sha256 %s, want %s", filepath.Base(c.path), got, c.want)
+		}
+	}
+}
+
+// goldenLanePages is sha256 over, per page of each laneCachePageQueries
+// query in order: the answer's Total, then (Doc, Float64bits(Score)) of every
+// item, little-endian. It was recorded at the commit before the text cache
+// dropped its impact-ordered blocks (format 2), so it pins the answers the
+// mapped lanes serve across that change, at one and at four text segments.
+const goldenLanePages = "68bc590633bebadd02b11ad515a9bd1ed1bb4f484a00aa2671b0e00f0ad1d71f"
+
+var laneCachePageQueries = []Query{
+	{Keyword: "australian open final"},
+	{Keyword: "left-handed champion"},
+	{Vector: "women's singles winner"},
+	{Vector: "australian open final"},
+	{Hybrid: "australian open final"},
+	{Hybrid: "champion interview"},
+}
+
+// TestLaneCachePageGolden reads the first two 10-item pages of keyword,
+// vector and hybrid queries from an engine serving the page-lane caches it
+// has just written.
+func TestLaneCachePageGolden(t *testing.T) {
+	site := laneCacheSite(t)
+	ctx := context.Background()
+	for _, nseg := range []int{1, 4} {
+		dir := t.TempDir()
+		e, err := NewSegmented(site, nil, Options{
+			TextSegments: nseg,
+			TextSegfile:  filepath.Join(dir, "text.segf"),
+			VecSegfile:   filepath.Join(dir, "vec.segf"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var rec [16]byte
+		for _, q := range laneCachePageQueries {
+			var cur Cursor
+			for page := 0; page < 2; page++ {
+				rs, err := e.Search(ctx, q, WithLimit(10), WithCursor(cur))
+				if err != nil {
+					t.Fatalf("%+v page %d: %v", q, page, err)
+				}
+				if len(rs.Items) != 10 {
+					t.Fatalf("%+v page %d: %d items of %d", q, page, len(rs.Items), rs.Total)
+				}
+				binary.LittleEndian.PutUint64(rec[:8], uint64(rs.Total))
+				h.Write(rec[:8])
+				for _, it := range rs.Items {
+					binary.LittleEndian.PutUint64(rec[:8], uint64(it.Doc))
+					binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(it.Score))
+					h.Write(rec[:])
+				}
+				cur = rs.Cursor
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != goldenLanePages {
+			t.Errorf("text segments %d: pages hash %s, want %s", nseg, got, goldenLanePages)
 		}
 	}
 }

@@ -6,14 +6,17 @@ package dlse
 // served.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/metrics"
+	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/webspace"
 )
 
@@ -111,7 +114,7 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 	}
 	// A corrupt cache is rebuilt, not served and not fatal. Flip a header
 	// byte so the open reliably fails (mid-file flips may land in bulk
-	// blocks that are only checksummed on demand).
+	// blocks, which are never checksummed).
 	data, _ := os.ReadFile(path)
 	data[2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -119,6 +122,59 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 	}
 	if _, err := NewSegmented(siteB, nil, Options{TextSegments: 3, TextSegfile: path}); err != nil {
 		t.Fatalf("corrupt cache not recovered: %v", err)
+	}
+}
+
+// TestTextSegfileCacheV1Rebuild: testdata/text-v1.segf is the format-1 text
+// cache (with the impact-ordered blocks) that the last format-1 build wrote
+// for cacheSite(3) at two text segments. Its signature matches, so only its
+// version refuses it: the boot rebuilds, replaces it with the cache a fresh
+// cold build writes, and answers as a cache-free build does.
+func TestTextSegfileCacheV1Rebuild(t *testing.T) {
+	site := cacheSite(t, 3)
+	v1, err := os.ReadFile(filepath.Join("testdata", "text-v1.segf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "text.segf")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ir.OpenSegmentsFile(path, 0); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 cache: open err = %v, want a version refusal", err)
+	}
+	booted, err := NewSegmented(site, nil, Options{TextSegments: 2, TextSegfile: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "fresh.segf")
+	if _, err := NewSegmented(site, nil, Options{TextSegments: 2, TextSegfile: fresh}); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(path)
+	want, _ := os.ReadFile(fresh)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the version-1 cache was not replaced by a fresh one (%d bytes, fresh %d)", len(got), len(want))
+	}
+	plain, err := NewSegmented(site, nil, Options{TextSegments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range []Query{
+		{Keyword: "australian open final"},
+		{Hybrid: "champion"},
+		{Source: `find Player rank "left-handed winner"`},
+	} {
+		br, berr := booted.Search(ctx, q)
+		pr, perr := plain.Search(ctx, q)
+		if berr != nil || perr != nil {
+			t.Fatalf("%+v: err %v / %v", q, berr, perr)
+		}
+		if !reflect.DeepEqual(br.Items, pr.Items) {
+			t.Fatalf("%+v: answers diverge\nbooted: %v\nplain:  %v", q, br.Items, pr.Items)
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func cellLUTFor(bins int) *cellLUT {
 // the channel loads in bounds once per pixel.
 func (h *Histogram) AddImage(im *Image) {
 	bins := h.Bins
-	if bins*bins*bins <= laneCells && len(im.Pix)/3 <= math.MaxUint32 {
+	if bins*bins*bins <= laneCells && uint64(len(im.Pix)/3) <= math.MaxUint32 {
 		h.addImageLanes(im.Pix)
 	} else {
 		lut := binLUTFor(bins)

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -10,24 +11,23 @@ import (
 // DocID identifies an indexed document.
 type DocID int32
 
-// Posting is one (document, term frequency) pair.
+// Posting is one (document, term frequency) pair. The text segfile stores
+// postings as this struct's memory image (segfile.View), so its layout is
+// part of the format: changing it changes irFormatVersion.
 type Posting struct {
 	Doc DocID
 	TF  int32
 }
 
-// postingList holds a term's postings in two orders: docOrder for boolean
-// operations, impactOrder (descending TF) for top-N early termination.
-// Freeze aligns a float32 impact vector with each order: the posting's
-// full BM25 contribution (idf, tf saturation and document-length
-// normalization folded in), so query-time scoring is a single add per
-// posting instead of a transcendental-laden formula.
+// postingList holds a term's postings in document order. Freeze aligns a
+// float32 impact vector with it: the posting's full BM25 contribution (idf,
+// tf saturation and document-length normalization folded in), so query-time
+// scoring is a single add per posting instead of a transcendental-laden
+// formula. (SearchTopN derives its impact order from these; see topn.go.)
 type postingList struct {
-	docOrder    []Posting
-	impactOrder []Posting // built by Freeze
-	docImp      []float32 // impact of docOrder[i], built by Freeze
-	impImp      []float32 // impact of impactOrder[i], built by Freeze
-	idf         float64   // BM25 idf, built by Freeze
+	docOrder []Posting
+	docImp   []float32 // impact of docOrder[i], built by Freeze
+	idf      float64   // BM25 idf, built by Freeze
 }
 
 // Index is an in-memory inverted index with BM25 ranking.
@@ -51,6 +51,10 @@ type Index struct {
 	// scratch recycles per-query accumulators (see kernel.go) so that
 	// steady-state searches allocate ~nothing. Populated by Freeze.
 	scratch sync.Pool
+
+	// byImpact is SearchTopN's impact order, derived on its first call.
+	byImpact     map[string]impactList
+	byImpactOnce sync.Once
 }
 
 type docInfo struct {
@@ -130,9 +134,9 @@ func (ix *Index) localStats() corpusStats {
 	return corpusStats{docs: len(ix.docs), totalLn: ix.totalLn, df: ix.df}
 }
 
-// Freeze finalizes the index: impact-ordered lists and per-posting impact
-// vectors are built, the accumulator pool is sized, and the index becomes
-// searchable. Adding after Freeze fails.
+// Freeze finalizes the index: per-posting impact vectors are built, the
+// accumulator pool is sized, and the index becomes searchable. Adding after
+// Freeze fails.
 func (ix *Index) Freeze() { ix.freezeWith(ix.localStats()) }
 
 // freezeWith finalizes the index against the given collection statistics.
@@ -149,17 +153,9 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	}
 	for term, pl := range ix.terms {
 		pl.idf = idfFor(cs.docs, cs.df(term))
-		pl.impactOrder = append([]Posting(nil), pl.docOrder...)
-		sort.SliceStable(pl.impactOrder, func(a, b int) bool {
-			return pl.impactOrder[a].TF > pl.impactOrder[b].TF
-		})
 		pl.docImp = make([]float32, len(pl.docOrder))
 		for i, p := range pl.docOrder {
 			pl.docImp[i] = ix.impact(pl.idf, p, avg)
-		}
-		pl.impImp = make([]float32, len(pl.impactOrder))
-		for i, p := range pl.impactOrder {
-			pl.impImp[i] = ix.impact(pl.idf, p, avg)
 		}
 	}
 	ix.tf = nil
@@ -258,15 +254,22 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 	}
 	ac := ix.getAccum()
 	defer ac.Release()
-	stats := ix.scoreTerms(terms, ac)
+	stats, err := ix.scoreTerms(terms, ac)
+	if err != nil {
+		return nil, stats, err
+	}
 	return ix.topKDense(ac, k), stats, nil
 }
 
 // scoreTerms accumulates every term's full posting list into ac, in term
 // order — the one exhaustive-scan scoring loop shared by Search and
 // ScoreQuery, so their per-doc float64 sums are identical by construction.
-func (ix *Index) scoreTerms(terms []string, ac *Accum) SearchStats {
+// A posting whose doc ID lies outside the index (a damaged mapped block:
+// bulk blocks carry no verified checksum) fails the query instead of
+// indexing past the accumulator.
+func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 	var stats SearchStats
+	docs := uint32(len(ac.stamps))
 	for _, term := range terms {
 		pl := ix.terms[term]
 		if pl == nil {
@@ -274,13 +277,16 @@ func (ix *Index) scoreTerms(terms []string, ac *Accum) SearchStats {
 		}
 		imps := pl.docImp
 		for i, p := range pl.docOrder {
+			if uint32(p.Doc) >= docs {
+				return stats, fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, i, p.Doc, docs)
+			}
 			ac.Add(p.Doc, float64(imps[i]))
 		}
 		stats.TermsMatched++
 		stats.PostingsScored += len(pl.docOrder)
 	}
 	stats.DocsTouched = len(ac.touched)
-	return stats
+	return stats, nil
 }
 
 // SearchBoolean returns the documents containing every query term

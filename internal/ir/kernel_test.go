@@ -44,9 +44,12 @@ func TestKernelMatchesMapReference(t *testing.T) {
 
 // TestImpactMatchesFormula: the impact vectors built at Freeze must be the
 // reference BM25 formula evaluated per posting, rounded once to float32 —
-// for both posting orders.
+// for both posting orders, the impact order SearchTopN derives being a
+// TF-descending permutation of the doc order that keeps equal TFs in doc
+// order.
 func TestImpactMatchesFormula(t *testing.T) {
 	ix := synthCorpus(t, 500, 100, 7)
+	lists := ix.impactLists()
 	for term, pl := range ix.terms {
 		for i, p := range pl.docOrder {
 			want := float32(ix.bm25(term, p))
@@ -54,10 +57,19 @@ func TestImpactMatchesFormula(t *testing.T) {
 				t.Fatalf("term %q docOrder[%d]: impact %v, formula %v", term, i, pl.docImp[i], want)
 			}
 		}
-		for i, p := range pl.impactOrder {
+		il := lists[term]
+		if len(il.list) != len(pl.docOrder) {
+			t.Fatalf("term %q: %d impact-ordered postings, %d doc-ordered", term, len(il.list), len(pl.docOrder))
+		}
+		for i, p := range il.list {
 			want := float32(ix.bm25(term, p))
-			if pl.impImp[i] != want {
-				t.Fatalf("term %q impactOrder[%d]: impact %v, formula %v", term, i, pl.impImp[i], want)
+			if il.imp[i] != want {
+				t.Fatalf("term %q impact order[%d]: impact %v, formula %v", term, i, il.imp[i], want)
+			}
+			if i > 0 {
+				if q := il.list[i-1]; q.TF < p.TF || q.TF == p.TF && q.Doc >= p.Doc {
+					t.Fatalf("term %q impact order[%d]: %+v after %+v", term, i, p, q)
+				}
 			}
 		}
 		if got, want := pl.idf, ix.idf(term); got != want {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/segfile"
@@ -124,9 +125,11 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same reader produced different bytes")
 	}
-	// Golden: the bytes PR 15 wrote for this corpus. A cache written by an
-	// older build must keep opening, so the layout may not drift silently.
-	const golden = "802ff0f1cf623aaca63ab5ea68403402276de7c44ec0eae91a387cc3f39bee76"
+	// Golden: the bytes format 2 writes for this corpus (the format-1 bytes
+	// less the two impact-ordered blocks, with the version bumped). The
+	// layout may not drift silently: a cache written by an older build must
+	// keep opening, or be refused by version and rebuilt.
+	const golden = "1d00885df8c05366c27a78919657ebf0563433dc0c5eb063b0e662e520aeb935"
 	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
 		t.Fatalf("text segfile bytes changed: sha256 %s, want %s", got, golden)
 	}
@@ -211,6 +214,45 @@ func TestSegfileHostileBytes(t *testing.T) {
 	}
 }
 
+// TestCorruptPostingDocFailsSearch: a doc ID in a mapped posting block that
+// lies outside its segment opens (bulk blocks are not checksummed) but fails
+// every scoring entry point with an error naming the segment, instead of
+// panicking a scatter goroutine.
+func TestCorruptPostingDocFailsSearch(t *testing.T) {
+	s := buildSegs(t, segCorpus(40), 2)
+	data := segfileBytes(t, s, 0)
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, ok := r.Block("ir/1/docpost") // aliases data
+	if !ok || len(post) < 8 {
+		t.Fatal("no posting block")
+	}
+	post[3] = 0x7F // the first posting's Doc, little-endian: now 0x7F______
+	m, err := OpenSegmentsReader(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "segment 1") {
+			t.Fatalf("%s: err = %v, want one naming segment 1", what, err)
+		}
+	}
+	_, _, _, err = m.SearchSegments(q, 10, nil)
+	check("SearchSegments", err)
+	_, _, _, err = m.SearchScores(q, 10)
+	check("SearchScores", err)
+	_, _, err = m.ScoreSegments(q, nil)
+	check("ScoreSegments", err)
+	// The undamaged segment still answers alone.
+	if _, _, _, err := m.SearchSegments(q, 10, []int{0}); err != nil {
+		t.Fatalf("segment 0: %v", err)
+	}
+}
+
 // FuzzSegfileOpen asserts the open path never panics or over-allocates on
 // hostile bytes: truncations, overflowing offsets, bad checksums, shuffled
 // dictionaries. Seeded with a real written segment file.
@@ -240,10 +282,16 @@ func FuzzSegfileOpen(f *testing.F) {
 			return
 		}
 		// A successfully opened file must hold internally consistent
-		// metadata: these reads must not panic.
+		// metadata, and one search over every term it holds must answer or
+		// fail, never panic.
+		var q strings.Builder
 		for _, ix := range s.segs {
-			_ = ix.Terms()
 			_ = ix.Docs()
+			for term := range ix.terms {
+				q.WriteString(term)
+				q.WriteByte(' ')
+			}
 		}
+		_, _, _ = s.Search(q.String()+"w0", 10)
 	})
 }

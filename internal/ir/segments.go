@@ -85,15 +85,25 @@ type SegStat = segset.Leg[SearchStats]
 // what a monolithic run over the same segments would have reported —
 // TermsMatched counts query terms present in any of them, the work counters
 // sum (segments touch disjoint docs), and early termination is reported if
-// any leg terminated early.
-func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int, ac *Accum)) (SearchStats, []SegStat) {
+// any leg terminated early. A leg whose postings fail the kernel's bound
+// check releases its accumulator instead, and the error names its segment.
+func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int, ac *Accum)) (SearchStats, []SegStat, error) {
+	errs := make([]error, len(ords))
 	legs := segset.Scatter(ords, func(slot, ord int) SearchStats {
 		ac := s.segs[ord].getAccum()
-		st := s.segs[ord].scoreTerms(terms, ac)
+		st, err := s.segs[ord].scoreTerms(terms, ac)
+		if err != nil {
+			ac.Release()
+			errs[slot] = fmt.Errorf("ir: segment %d: %w", ord, err)
+			return st
+		}
 		keep(slot, ord, ac)
 		return st
 	})
 	var out SearchStats
+	if err := errors.Join(errs...); err != nil {
+		return out, nil, err
+	}
 	for _, t := range terms {
 		for _, o := range ords {
 			if s.segs[o].terms[t] != nil {
@@ -107,7 +117,7 @@ func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int
 		out.DocsTouched += l.Stats.DocsTouched
 		out.Terminated = out.Terminated || l.Stats.Terminated
 	}
-	return out, legs
+	return out, legs, nil
 }
 
 // searchOrds ranks the named segments: each leg selects its own top k
@@ -115,9 +125,9 @@ func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int
 // desc, DocID asc) total order, capped at k (k <= 0 keeps everything). A
 // non-nil hold takes over every leg's scored accumulator, by ordinal,
 // still leased; otherwise the legs release them.
-func (s *Segments) searchOrds(terms []string, k int, ords []int, hold []*Accum) ([]Hit, SearchStats, []SegStat) {
+func (s *Segments) searchOrds(terms []string, k int, ords []int, hold []*Accum) ([]Hit, SearchStats, []SegStat, error) {
 	per := make([][]Hit, len(ords))
-	stats, legs := s.scoreOrds(terms, ords, func(slot, ord int, ac *Accum) {
+	stats, legs, err := s.scoreOrds(terms, ords, func(slot, ord int, ac *Accum) {
 		hits := s.segs[ord].topKDense(ac, k)
 		base := DocID(s.bases.Start(ord))
 		for j := range hits {
@@ -130,7 +140,10 @@ func (s *Segments) searchOrds(terms []string, k int, ords []int, hold []*Accum) 
 			ac.Release()
 		}
 	})
-	return MergeHits(per, k), stats, legs
+	if err != nil {
+		return nil, SearchStats{}, nil, err
+	}
+	return MergeHits(per, k), stats, legs, nil
 }
 
 // MergeHits gathers independently produced best-first hit streams (per
@@ -169,6 +182,7 @@ func (s *Segments) SearchScores(query string, k int) ([]Hit, SegScores, SearchSt
 	acs := make([]*Accum, len(s.segs))
 	hits, stats, legs, err := s.search(query, k, nil, acs)
 	if err != nil {
+		SegScores{acs: acs}.Release() // the legs that did score
 		return nil, SegScores{}, SearchStats{}, err
 	}
 	return hits, SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
@@ -186,8 +200,7 @@ func (s *Segments) search(query string, k int, ords []int, hold []*Accum) ([]Hit
 	} else if err := segset.Check(len(s.segs), ords...); err != nil {
 		return nil, SearchStats{}, nil, err
 	}
-	hits, stats, legs := s.searchOrds(terms, k, ords, hold)
-	return hits, stats, legs, nil
+	return s.searchOrds(terms, k, ords, hold)
 }
 
 // SegScores is the segmented counterpart of Scores: a leased, read-only
@@ -308,6 +321,10 @@ func (s *Segments) ScoreSegments(query string, ords []int) (SegScores, SearchSta
 		return SegScores{}, SearchStats{}, err
 	}
 	acs := make([]*Accum, len(s.segs))
-	stats, legs := s.scoreOrds(terms, ords, func(_, ord int, ac *Accum) { acs[ord] = ac })
+	stats, legs, err := s.scoreOrds(terms, ords, func(_, ord int, ac *Accum) { acs[ord] = ac })
+	if err != nil {
+		SegScores{acs: acs}.Release() // the legs that did score
+		return SegScores{}, SearchStats{}, err
+	}
 	return SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
 }

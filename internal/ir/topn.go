@@ -1,6 +1,6 @@
 package ir
 
-// Top-N optimization (Blok et al.): posting lists are kept impact-ordered
+// Top-N optimization (Blok et al.): posting lists are read impact-ordered
 // (descending term frequency) and horizontally fragmented. Safe mode
 // consumes fragments best-first and stops as soon as the top N provably
 // cannot change (a no-random-access bound in the style of NRA); budget mode
@@ -8,6 +8,45 @@ package ir
 // the "quality/time trade-off" studied in the paper, where answer quality
 // is traded for response time. All modes score through the dense
 // epoch-stamped accumulator and the per-posting impacts built at Freeze.
+//
+// The impact order belongs to this experiment alone: the serving lanes scan
+// documents in doc order, so Freeze builds only that order and the text
+// segfile stores only it. SearchTopN derives the impact order once per Index,
+// on its first call, as a stable TF-descending permutation of each term's
+// doc-ordered postings and their impacts — the same postings and the same
+// float32 bits a freeze-time sort would produce.
+
+import (
+	"slices"
+	"sort"
+)
+
+// impactList is one term's postings in impact order, each with its impact;
+// its sort.Interface orders by descending TF.
+type impactList struct {
+	list []Posting
+	imp  []float32
+}
+
+func (l impactList) Len() int           { return len(l.list) }
+func (l impactList) Less(a, b int) bool { return l.list[a].TF > l.list[b].TF }
+func (l impactList) Swap(a, b int) {
+	l.list[a], l.list[b] = l.list[b], l.list[a]
+	l.imp[a], l.imp[b] = l.imp[b], l.imp[a]
+}
+
+// impactLists returns the index's impact order, deriving it on first use.
+func (ix *Index) impactLists() map[string]impactList {
+	ix.byImpactOnce.Do(func() {
+		ix.byImpact = make(map[string]impactList, len(ix.terms))
+		for term, pl := range ix.terms {
+			il := impactList{slices.Clone(pl.docOrder), slices.Clone(pl.docImp)}
+			sort.Stable(il)
+			ix.byImpact[term] = il
+		}
+	})
+	return ix.byImpact
+}
 
 // TopNOptions tunes the optimized search.
 type TopNOptions struct {
@@ -36,8 +75,7 @@ const ceilingSlack = 1 + 1e-6
 
 // termState tracks one query term's impact-ordered list during processing.
 type termState struct {
-	list []Posting
-	imp  []float32 // impact of list[i]
+	impactList
 	idf  float64
 	pos  int     // next unprocessed posting
 	step int     // fragment size
@@ -70,14 +108,15 @@ func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, Searc
 		return nil, SearchStats{}, ErrEmptyQry
 	}
 	opts = opts.withDefaults()
+	lists := ix.impactLists()
 	var states []*termState
 	for _, t := range terms {
-		pl := ix.terms[t]
-		if pl == nil || len(pl.impactOrder) == 0 {
+		il := lists[t]
+		if len(il.list) == 0 {
 			continue
 		}
-		step := (len(pl.impactOrder) + opts.Fragments - 1) / opts.Fragments
-		st := &termState{list: pl.impactOrder, imp: pl.impImp, idf: pl.idf, step: step}
+		step := (len(il.list) + opts.Fragments - 1) / opts.Fragments
+		st := &termState{impactList: il, idf: ix.terms[t].idf, step: step}
 		st.ub = scoreCeiling(st.idf, st.list[0].TF)
 		states = append(states, st)
 	}

@@ -23,7 +23,9 @@ type File struct {
 	closeErr  error
 }
 
-// Open maps the file at path and parses its container structure.
+// Open maps the file at path and parses its container structure. It is the
+// one place that decides a path holds no segfile at all: a directory, or a
+// file NewReader refuses with ErrNotSegfile, fails wrapping ErrNotSegfile.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -33,6 +35,9 @@ func Open(path string) (*File, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("segfile: %w", err)
+	}
+	if st.IsDir() {
+		return nil, fmt.Errorf("segfile: %s is a directory: %w", path, ErrNotSegfile)
 	}
 	data, release, err := mapFile(f, st.Size())
 	if err != nil {

@@ -22,29 +22,35 @@
 // work no matter how large the blocks are.
 //
 // All multi-byte integers are little-endian, declared by the byte-order
-// marker in the header; NewReader refuses to open on a big-endian host so
-// the zero-copy typed views (view.go) can alias mapped bytes directly.
+// marker in the header; NewWriter and NewReader refuse big-endian hosts, so
+// the typed codec (view.go) writes arrays as their memory image and reads
+// them back by aliasing mapped bytes directly.
 //
 // Checksum policy: the header, footer, and TOC are verified on every open —
 // a truncated, rewritten, or arbitrarily corrupted file fails before any
-// block is trusted. Individual block payloads carry a CRC32 (IEEE) that is
-// verified by VerifyBlock/VerifyAll, NOT on open: verifying bulk blocks
-// would fault every page in, defeating lazy on-demand paging. Structural
-// block owners (offset tables, dictionaries) verify their small blocks at
-// open and leave the bulk payloads to demand paging.
+// block is trusted. Every block carries a CRC32 (IEEE) in the TOC. Structural
+// blocks (records, dictionaries, offset tables, names) are small and are
+// verified when their owner reads them (Structural, Record). Bulk blocks
+// (Bulk) are never checksummed: verifying them would fault every page of a
+// mapped file in, defeating lazy on-demand paging. Their owners bound-check
+// what they read instead — sizes and offsets at open, and values used as
+// indexes where they are used (the text kernel bounds every posting's doc
+// ID), so a damaged bulk block yields an error, never a panic.
 package segfile
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"reflect"
 	"unsafe"
 )
 
-// Magic is the 8-byte file prefix identifying the segfile container —
-// what loaders check to tell a segfile from anything else.
-const Magic = "DLSEGF1\n"
+// magic is the 8-byte file prefix identifying the segfile container.
+const magic = "DLSEGF1\n"
 
 const (
 	footerMagic = "DLSEGF.E"
@@ -73,6 +79,13 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
+var errBigEndian = errors.New("segfile: big-endian hosts are not supported")
+
+// ErrNotSegfile reports input that is not a segfile at all: no magic, too
+// short to hold a header and a footer, or a directory. (Input that has the
+// magic but is damaged further in fails with the container's own errors.)
+var ErrNotSegfile = errors.New("segfile: not a segfile")
+
 // ---------------------------------------------------------------- writer
 
 type tocEntry struct {
@@ -83,8 +96,10 @@ type tocEntry struct {
 }
 
 // Writer produces a segfile with a single forward pass over w. Blocks are
-// written in Block call order; Close appends the TOC and footer. A Writer
-// is not safe for concurrent use.
+// written in Block call order; Close appends the TOC and footer. Errors are
+// sticky: the first failure of any call is kept, every later call writes
+// nothing, and Close returns it — so a block owner writes its blocks and
+// returns what Close returns. A Writer is not safe for concurrent use.
 type Writer struct {
 	w     io.Writer
 	off   uint64
@@ -96,8 +111,11 @@ type Writer struct {
 // NewWriter writes the container header and returns a writer positioned at
 // the first block.
 func NewWriter(w io.Writer) (*Writer, error) {
+	if !hostLittleEndian {
+		return nil, errBigEndian
+	}
 	var h [headerSize]byte
-	copy(h[0:8], Magic)
+	copy(h[0:8], magic)
 	binary.LittleEndian.PutUint32(h[8:12], Version)
 	binary.LittleEndian.PutUint32(h[12:16], byteOrderMark)
 	// h[16:20] flags, h[20:28] reserved: zero.
@@ -114,19 +132,22 @@ var padding [Align]byte
 // boundary first. parts are concatenated — callers can assemble a block
 // from several buffers without copying them together. Names must be unique
 // and non-empty.
-func (w *Writer) Block(name string, parts ...[]byte) error {
+func (w *Writer) Block(name string, parts ...[]byte) {
 	if w.erred != nil {
-		return w.erred
+		return
 	}
 	if name == "" || len(name) > maxNameLen {
-		return w.fail(fmt.Errorf("segfile: bad block name %q", name))
+		w.erred = fmt.Errorf("segfile: bad block name %q", name)
+		return
 	}
 	if _, dup := w.seen[name]; dup {
-		return w.fail(fmt.Errorf("segfile: duplicate block %q", name))
+		w.erred = fmt.Errorf("segfile: duplicate block %q", name)
+		return
 	}
 	if pad := (Align - w.off%Align) % Align; pad != 0 {
 		if _, err := w.w.Write(padding[:pad]); err != nil {
-			return w.fail(fmt.Errorf("segfile: pad: %w", err))
+			w.erred = fmt.Errorf("segfile: pad: %w", err)
+			return
 		}
 		w.off += pad
 	}
@@ -134,7 +155,8 @@ func (w *Writer) Block(name string, parts ...[]byte) error {
 	crc := crc32.NewIEEE()
 	for _, p := range parts {
 		if _, err := w.w.Write(p); err != nil {
-			return w.fail(fmt.Errorf("segfile: block %q: %w", name, err))
+			w.erred = fmt.Errorf("segfile: block %q: %w", name, err)
+			return
 		}
 		crc.Write(p)
 		ent.len += uint64(len(p))
@@ -143,15 +165,10 @@ func (w *Writer) Block(name string, parts ...[]byte) error {
 	w.off += ent.len
 	w.seen[name] = struct{}{}
 	w.ents = append(w.ents, ent)
-	return nil
 }
 
-func (w *Writer) fail(err error) error {
-	w.erred = err
-	return err
-}
-
-// Close writes the TOC and footer. The Writer is unusable afterwards.
+// Close writes the TOC and footer and returns the writer's first error. The
+// Writer is unusable afterwards.
 func (w *Writer) Close() error {
 	if w.erred != nil {
 		return w.erred
@@ -167,7 +184,8 @@ func (w *Writer) Close() error {
 	}
 	tocOff := w.off
 	if _, err := w.w.Write(toc); err != nil {
-		return w.fail(fmt.Errorf("segfile: write TOC: %w", err))
+		w.erred = fmt.Errorf("segfile: write TOC: %w", err)
+		return w.erred
 	}
 	var f [footerSize]byte
 	binary.LittleEndian.PutUint64(f[0:8], tocOff)
@@ -177,7 +195,8 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint64(f[24:32], tocOff+uint64(len(toc))+footerSize)
 	copy(f[32:40], footerMagic)
 	if _, err := w.w.Write(f[:]); err != nil {
-		return w.fail(fmt.Errorf("segfile: write footer: %w", err))
+		w.erred = fmt.Errorf("segfile: write footer: %w", err)
+		return w.erred
 	}
 	w.erred = fmt.Errorf("segfile: writer closed")
 	return nil
@@ -202,19 +221,17 @@ type Reader struct {
 }
 
 // NewReader parses the container structure (header, footer, TOC) of data.
-// Block payloads are NOT checksummed here — see VerifyBlock/VerifyAll and
-// the package checksum policy.
+// Block payloads are NOT checksummed here — see the package checksum policy.
+// Data without the magic, or too short for a header and a footer, fails with
+// ErrNotSegfile.
 func NewReader(data []byte) (*Reader, error) {
 	if !hostLittleEndian {
-		return nil, fmt.Errorf("segfile: big-endian hosts are not supported")
+		return nil, errBigEndian
 	}
-	if len(data) < headerSize+footerSize {
-		return nil, fmt.Errorf("segfile: file too short (%d bytes)", len(data))
+	if len(data) < headerSize+footerSize || string(data[:len(magic)]) != magic {
+		return nil, ErrNotSegfile
 	}
 	h := data[:headerSize]
-	if string(h[0:8]) != Magic {
-		return nil, fmt.Errorf("segfile: bad magic %q", h[0:8])
-	}
 	if got, want := binary.LittleEndian.Uint32(h[28:32]), crc32.ChecksumIEEE(h[:28]); got != want {
 		return nil, fmt.Errorf("segfile: header checksum mismatch (got %#x, want %#x)", got, want)
 	}
@@ -321,61 +338,102 @@ func (r *Reader) VerifyBlock(name string) error {
 
 // ------------------------------------------------- block-owner helpers
 
-// Structural fetches a block that opening depends on: present,
-// checksum-verified (these are the small blocks — dictionaries, offset
-// tables, names — so the cost never scales with the bulk payloads), and
-// exactly wantLen bytes when wantLen >= 0.
-func (r *Reader) Structural(name string, wantLen int) ([]byte, error) {
+// Structural returns a block that opening depends on as n values of T (any
+// count when n < 0): present, checksum-verified (these are the small blocks
+// — dictionaries, offset tables, names — so the cost never scales with the
+// bulk payloads), and viewed through View.
+func Structural[T any](r *Reader, name string, n int) ([]T, error) {
 	if err := r.VerifyBlock(name); err != nil {
 		return nil, err
 	}
-	return r.Bulk(name, wantLen)
+	return Bulk[T](r, name, n)
 }
 
-// Bulk fetches a bulk block: present and exactly wantLen bytes (any length
-// when wantLen < 0), but NOT checksummed — verifying would fault every page
-// of a mapped file in. VerifyAll covers bulk blocks.
-func (r *Reader) Bulk(name string, wantLen int) ([]byte, error) {
+// Bulk returns a bulk block as n values of T (any count when n < 0), NOT
+// checksummed — verifying would fault every page of a mapped file in. Its
+// owner bound-checks what it reads from it (see the checksum policy).
+func Bulk[T any](r *Reader, name string, n int) ([]T, error) {
 	b, ok := r.Block(name)
 	if !ok {
 		return nil, fmt.Errorf("segfile: no block %q", name)
 	}
-	if wantLen >= 0 && len(b) != wantLen {
-		return nil, fmt.Errorf("segfile: block %q is %d bytes, want %d", name, len(b), wantLen)
+	vs, err := View[T](b)
+	if err != nil {
+		return nil, fmt.Errorf("segfile: block %q: %w", name, err)
 	}
-	return b, nil
+	if n >= 0 && len(vs) != n {
+		return nil, fmt.Errorf("segfile: block %q holds %d values, want %d", name, len(vs), n)
+	}
+	return vs, nil
+}
+
+// Record writes vs as one fixed-layout block in encoding/binary's packed
+// little-endian form: each value a fixed-size struct, number or array, or a
+// slice of them, one after the other with no padding.
+func (w *Writer) Record(name string, vs ...any) {
+	var buf bytes.Buffer
+	for _, v := range vs {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil && w.erred == nil {
+			w.erred = fmt.Errorf("segfile: record %q: %w", name, err)
+		}
+	}
+	w.Block(name, buf.Bytes())
+}
+
+// Record decodes the structural block name, written by Writer.Record, into
+// vs: pointers to fixed-size values, of which the last may point to a slice
+// that takes every remaining whole value. The block must hold exactly that.
+func (r *Reader) Record(name string, vs ...any) error {
+	b, err := Structural[byte](r, name, -1)
+	if err != nil {
+		return err
+	}
+	rd := bytes.NewReader(b)
+	for i, v := range vs {
+		if s := reflect.ValueOf(v).Elem(); i == len(vs)-1 && s.Kind() == reflect.Slice {
+			size := binary.Size(reflect.Zero(s.Type().Elem()).Interface())
+			if size <= 0 || rd.Len()%size != 0 {
+				return fmt.Errorf("segfile: record %q: %d trailing bytes are not whole %s values", name, rd.Len(), s.Type().Elem())
+			}
+			s.Set(reflect.MakeSlice(s.Type(), rd.Len()/size, rd.Len()/size))
+		}
+		if err := binary.Read(rd, binary.LittleEndian, v); err != nil {
+			return fmt.Errorf("segfile: record %q is %d bytes: %w", name, len(b), err)
+		}
+	}
+	if rd.Len() != 0 {
+		return fmt.Errorf("segfile: record %q is %d bytes, %d past its end", name, len(b), rd.Len())
+	}
+	return nil
 }
 
 // Strings writes a string table as two blocks: the strings' bytes
 // concatenated under bytesName, and under offName the u32[n+1] offsets
 // delimiting them.
-func (w *Writer) Strings(bytesName, offName string, n int, at func(i int) string) error {
+func (w *Writer) Strings(bytesName, offName string, n int, at func(i int) string) {
 	var data []byte
-	off := make([]byte, 0, 4*(n+1))
+	off := make([]uint32, 0, n+1)
 	for i := 0; i < n; i++ {
-		off = binary.LittleEndian.AppendUint32(off, uint32(len(data)))
+		off = append(off, uint32(len(data)))
 		data = append(data, at(i)...)
 	}
-	off = binary.LittleEndian.AppendUint32(off, uint32(len(data)))
-	if err := w.Block(bytesName, data); err != nil {
-		return err
-	}
-	return w.Block(offName, off)
+	off = append(off, uint32(len(data)))
+	w.Block(bytesName, data)
+	w.Block(offName, Bytes(off))
 }
 
 // Strings reads back a table of n strings written by Writer.Strings. Both
 // blocks are structural; the offsets must start at 0, never descend, and
 // end at the byte block's length. The strings alias the reader's bytes.
 func (r *Reader) Strings(bytesName, offName string, n int) ([]string, error) {
-	data, err := r.Structural(bytesName, -1)
+	if n < 0 {
+		return nil, fmt.Errorf("segfile: string table %q of %d entries", bytesName, n)
+	}
+	data, err := Structural[byte](r, bytesName, -1)
 	if err != nil {
 		return nil, err
 	}
-	offB, err := r.Structural(offName, 4*(n+1))
-	if err != nil {
-		return nil, err
-	}
-	off, err := Uint32s(offB)
+	off, err := Structural[uint32](r, offName, n+1)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +445,9 @@ func (r *Reader) Strings(bytesName, offName string, n int) ([]string, error) {
 		if off[i] > off[i+1] {
 			return nil, fmt.Errorf("segfile: offsets %q descend at entry %d", offName, i)
 		}
-		out[i] = String(data[off[i]:off[i+1]])
+		if s := data[off[i]:off[i+1]]; len(s) > 0 {
+			out[i] = unsafe.String(&s[0], len(s))
+		}
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -26,15 +27,9 @@ func writeSample(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Block("alpha", []byte("hello"), []byte(" world")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Block("beta/0", AppendFloat32s(nil, []float32{1.5, -2.25, 3})); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Block("empty"); err != nil {
-		t.Fatal(err)
-	}
+	w.Block("alpha", []byte("hello"), []byte(" world"))
+	w.Block("beta/0", Bytes([]float32{1.5, -2.25, 3}))
+	w.Block("empty")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +53,7 @@ func TestRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("no beta/0")
 	}
-	fs, err := Float32s(fb)
+	fs, err := View[float32](fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +101,16 @@ func TestWriterDeterministic(t *testing.T) {
 func TestWriterRejects(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
-	if err := w.Block(""); err == nil {
+	w.Block("")
+	if err := w.Close(); err == nil {
 		t.Fatal("empty name accepted")
 	}
 	w, _ = NewWriter(&buf)
-	if err := w.Block("x", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Block("x", nil); err == nil {
-		t.Fatal("duplicate name accepted")
+	w.Block("x", nil)
+	w.Block("x", nil)
+	w.Block("y", nil) // after the first error nothing more is written
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), `duplicate block "x"`) {
+		t.Fatalf("duplicate name: Close = %v", err)
 	}
 }
 
@@ -165,74 +161,6 @@ func TestHostileBytes(t *testing.T) {
 	}
 }
 
-func TestViewsMisalignedFallback(t *testing.T) {
-	raw := AppendFloat32s(nil, []float32{1, 2, 3, 4})
-	buf := make([]byte, len(raw)+1)
-	copy(buf[1:], raw)
-	odd := buf[1:] // deliberately misaligned base pointer
-	fs, err := Float32s(odd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []float32{1, 2, 3, 4} {
-		if fs[i] != want {
-			t.Fatalf("fs[%d] = %v, want %v", i, fs[i], want)
-		}
-	}
-	if _, err := Float32s(buf[:3]); err == nil {
-		t.Fatal("length not multiple of 4 accepted")
-	}
-	if _, err := Uint64s(buf[:7]); err == nil {
-		t.Fatal("length not multiple of 8 accepted")
-	}
-}
-
-func TestViewsRoundTrip(t *testing.T) {
-	u32 := []uint32{0, 1, 1<<32 - 1}
-	got32, err := Uint32s(AppendUint32s(nil, u32))
-	if err != nil || len(got32) != len(u32) {
-		t.Fatalf("u32: %v %v", got32, err)
-	}
-	for i := range u32 {
-		if got32[i] != u32[i] {
-			t.Fatalf("u32[%d] = %d", i, got32[i])
-		}
-	}
-	i32 := []int32{-5, 0, 7}
-	goti, err := Int32s(AppendInt32s(nil, i32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range i32 {
-		if goti[i] != i32[i] {
-			t.Fatalf("i32[%d] = %d", i, goti[i])
-		}
-	}
-	u64 := []uint64{0, 1 << 40}
-	got64, err := Uint64s(AppendUint64s(nil, u64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range u64 {
-		if got64[i] != u64[i] {
-			t.Fatalf("u64[%d] = %d", i, got64[i])
-		}
-	}
-	f64 := []float64{1.5, -0.25}
-	gotf, err := Float64s(AppendFloat64s(nil, f64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f64 {
-		if gotf[i] != f64[i] {
-			t.Fatalf("f64[%d] = %v", i, gotf[i])
-		}
-	}
-	if String([]byte("abc")) != "abc" || String(nil) != "" {
-		t.Fatal("String view")
-	}
-}
-
 func TestOpenFile(t *testing.T) {
 	data := writeSample(t)
 	path := filepath.Join(t.TempDir(), "sample.segf")
@@ -263,7 +191,7 @@ func TestOpenFile(t *testing.T) {
 
 func FuzzReader(f *testing.F) {
 	f.Add(writeSampleBytes())
-	f.Add([]byte(Magic))
+	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(data)
@@ -283,7 +211,53 @@ func writeSampleBytes() []byte {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	w.Block("alpha", []byte("hello world"))
-	w.Block("nums", AppendUint64s(nil, []uint64{1, 2, 3}))
+	w.Block("nums", Bytes([]uint64{1, 2, 3}))
 	w.Close()
 	return buf.Bytes()
+}
+
+// TestRecord round-trips a fixed-layout record with a variable tail and
+// refuses blocks that are not exactly one.
+func TestRecord(t *testing.T) {
+	type head struct {
+		Version, N uint32
+		Gen        uint64
+	}
+	type entry struct{ A, B uint64 }
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.Record("rec", head{2, 3, 9}, []entry{{1, 2}, {3, 4}, {5, 6}})
+	w.Record("short", uint32(7))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := r.Block("rec"); len(b) != 16+3*16 {
+		t.Fatalf("record is %d bytes, want packed %d", len(b), 16+3*16)
+	}
+	var h head
+	var ents []entry
+	if err := r.Record("rec", &h, &ents); err != nil {
+		t.Fatal(err)
+	}
+	if h != (head{2, 3, 9}) || fmt.Sprint(ents) != "[{1 2} {3 4} {5 6}]" {
+		t.Fatalf("record = %+v %v", h, ents)
+	}
+	if err := r.Record("rec", &h); err == nil {
+		t.Fatal("record with bytes past its end accepted")
+	}
+	if err := r.Record("short", &h); err == nil {
+		t.Fatal("short record accepted")
+	}
+	var one uint32
+	if err := r.Record("short", &one); err != nil || one != 7 {
+		t.Fatalf("short = %d, %v", one, err)
+	}
+	var odd []head
+	if err := r.Record("rec", &one, &odd); err == nil {
+		t.Fatal("tail of partial values accepted")
+	}
 }

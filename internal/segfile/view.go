@@ -1,163 +1,68 @@
 package segfile
 
-// Typed zero-copy views over block bytes. On the aligned path each view is
-// an unsafe.Slice aliasing the underlying bytes — no decode, no copy, no
-// build tags; the safety conditions (exact length multiple, pointer
-// alignment, little-endian host — the last enforced by NewReader) are
-// checked at runtime and a misaligned input falls back to an explicit
-// little-endian decode into a fresh slice, so callers never observe torn
-// values. Blocks start on 64-byte file offsets (Align), so views over whole
-// blocks of mapped files always take the aliasing path; the fallback exists
-// for sub-slices and odd callers.
+// The typed codec: zero-copy views of block bytes as arrays of a fixed-size
+// element type, and the byte image of such an array for the writer. A
+// block's bytes are its array's little-endian memory image, which is also the
+// host's: NewWriter and NewReader refuse big-endian hosts. On the aligned path
+// View is an unsafe.Slice aliasing the bytes — no decode, no copy; a
+// misaligned base (a sub-slice, an odd caller) gets a copy instead, so callers
+// never observe torn values. Blocks start on 64-byte file offsets (Align), so
+// views over whole blocks of mapped files always alias.
+//
+// An element type must be a fixed-size value whose memory image has no
+// padding and no pointers: a fixed-size number, or a struct or array of them
+// laid out without gaps. View and Bytes check the first two at run time
+// (encoding/binary's packed size must equal the in-memory size).
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"unsafe"
 )
 
-// Float32s views b as a little-endian []float32.
-func Float32s(b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("segfile: float32 view over %d bytes (not a multiple of 4)", len(b))
+// elemSize returns the size of one T, or an error when T is not a packed
+// fixed-size type.
+func elemSize[T any]() (int, error) {
+	var zero T
+	if n := binary.Size(zero); n <= 0 || n != int(unsafe.Sizeof(zero)) {
+		return 0, fmt.Errorf("segfile: %T is not a packed fixed-size element type", zero)
 	}
-	n := len(b) / 4
+	return int(unsafe.Sizeof(zero)), nil
+}
+
+// View views b as a []T without decoding it. The view aliases b when b's base
+// is aligned for T and is a copy otherwise.
+func View[T any](b []byte) ([]T, error) {
+	size, err := elemSize[T]()
+	if err != nil {
+		return nil, err
+	}
+	if len(b)%size != 0 {
+		var zero T
+		return nil, fmt.Errorf("segfile: %T view over %d bytes (not a multiple of %d)", zero, len(b), size)
+	}
+	n := len(b) / size
 	if n == 0 {
 		return nil, nil
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(float32(0)) == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n), nil
+	var zero T
+	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(zero) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n), nil
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
+	out := make([]T, n)
+	copy(Bytes(out), b)
 	return out, nil
 }
 
-// Float64s views b as a little-endian []float64.
-func Float64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("segfile: float64 view over %d bytes (not a multiple of 8)", len(b))
+// Bytes returns the memory image of vs — what View reads back — aliasing vs,
+// so a writer can pass an array as a Block part without copying it.
+func Bytes[T any](vs []T) []byte {
+	size, err := elemSize[T]()
+	if err != nil {
+		panic(err) // a programming error: the element type is fixed at compile time
 	}
-	n := len(b) / 8
-	if n == 0 {
-		return nil, nil
+	if len(vs) == 0 {
+		return nil
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(float64(0)) == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
-}
-
-// Int32s views b as a little-endian []int32.
-func Int32s(b []byte) ([]int32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("segfile: int32 view over %d bytes (not a multiple of 4)", len(b))
-	}
-	n := len(b) / 4
-	if n == 0 {
-		return nil, nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(int32(0)) == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out, nil
-}
-
-// Uint32s views b as a little-endian []uint32.
-func Uint32s(b []byte) ([]uint32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("segfile: uint32 view over %d bytes (not a multiple of 4)", len(b))
-	}
-	n := len(b) / 4
-	if n == 0 {
-		return nil, nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(uint32(0)) == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out, nil
-}
-
-// Uint64s views b as a little-endian []uint64.
-func Uint64s(b []byte) ([]uint64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("segfile: uint64 view over %d bytes (not a multiple of 8)", len(b))
-	}
-	n := len(b) / 8
-	if n == 0 {
-		return nil, nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(uint64(0)) == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out, nil
-}
-
-// String views b as a string aliasing the underlying bytes — valid only
-// while the backing mapping is, like every block payload.
-func String(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
-
-// AppendUint32s appends vs little-endian to dst — the write-side encoder
-// matching Uint32s.
-func AppendUint32s(dst []byte, vs []uint32) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint32(dst, v)
-	}
-	return dst
-}
-
-// AppendUint64s appends vs little-endian to dst.
-func AppendUint64s(dst []byte, vs []uint64) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
-
-// AppendInt32s appends vs little-endian to dst.
-func AppendInt32s(dst []byte, vs []int32) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
-}
-
-// AppendFloat32s appends vs as little-endian IEEE bits to dst.
-func AppendFloat32s(dst []byte, vs []float32) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-	}
-	return dst
-}
-
-// AppendFloat64s appends vs as little-endian IEEE bits to dst.
-func AppendFloat64s(dst []byte, vs []float64) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs)*size)
 }

@@ -12,26 +12,22 @@ import (
 // writeAtomic durably replaces path with a segfile produced by write, the
 // way every segfile owner does: a Writer streaming into fsx.WriteAtomic's
 // temp file, which is fsynced, renamed over path, and its directory fsynced.
-func writeAtomic(fs fsx.FS, path string, write func(*Writer) error) error {
+func writeAtomic(fs fsx.FS, path string, write func(*Writer)) error {
 	return fsx.WriteAtomic(fs, path, func(w io.Writer) error {
 		sw, err := NewWriter(w)
 		if err != nil {
 			return err
 		}
-		if err := write(sw); err != nil {
-			return err
-		}
+		write(sw)
 		return sw.Close()
 	})
 }
 
 func writeSampleAtomic(t *testing.T, fs fsx.FS, path string) error {
 	t.Helper()
-	return writeAtomic(fs, path, func(w *Writer) error {
-		if err := w.Block("alpha", []byte("hello"), []byte(" world")); err != nil {
-			return err
-		}
-		return w.Block("beta", AppendFloat32s(nil, []float32{1.5, -2.25, 3}))
+	return writeAtomic(fs, path, func(w *Writer) {
+		w.Block("alpha", []byte("hello"), []byte(" world"))
+		w.Block("beta", Bytes([]float32{1.5, -2.25, 3}))
 	})
 }
 
@@ -75,8 +71,8 @@ func TestWriteFileAtomicFaultMatrix(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "m.segfile")
 			// Seed an old generation, then rewrite under fault.
-			if err := writeAtomic(fsx.OS, path, func(w *Writer) error {
-				return w.Block("old", []byte("previous generation"))
+			if err := writeAtomic(fsx.OS, path, func(w *Writer) {
+				w.Block("old", []byte("previous generation"))
 			}); err != nil {
 				t.Fatal(err)
 			}

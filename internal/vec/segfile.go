@@ -7,10 +7,10 @@ package vec
 //
 // Block layout (names within the segfile container):
 //
-//	vec/meta           u32 vecVersion | u32 dim | u32 nsegs | u32 0 |
+//	vec/meta           record: u32 vecVersion | u32 dim | u32 nsegs | u32 0 |
 //	                   u64 signature
 //	vec/emb            embedder name bytes
-//	vec/<i>/meta       u32 docs
+//	vec/<i>/meta       record: u32 docs
 //	vec/<i>/names      doc name bytes, concatenated
 //	vec/<i>/nameoff    u32[D+1] offsets into names
 //	vec/<i>/vecs       f32[D*dim] embeddings (bulk: size-validated at
@@ -18,8 +18,9 @@ package vec
 //
 // Open verifies the container structure and the checksums of every
 // structural block (meta, emb, per-segment meta and name tables); the
-// embedding matrices are bounds-validated but not checksummed at open,
-// preserving on-demand paging (segfile.Reader.VerifyAll covers them).
+// embedding matrices are size-validated but never checksummed, preserving
+// on-demand paging (a damaged float is a wrong score, not an out-of-range
+// read).
 // Every malformation — truncation, bit flips, hostile offsets — must
 // surface as an error, never a panic (locked by FuzzVecSegfileOpen).
 
@@ -38,6 +39,12 @@ const vecFormatVersion = 1
 // maxSegments bounds the declared segment count of an opened file long
 // before any per-segment allocation happens (hostile-input guard).
 const maxSegments = 1 << 16
+
+// fileMeta is the vec/meta record.
+type fileMeta struct {
+	Version, Dim, Segments, _ uint32
+	Signature                 uint64
+}
 
 // ErrSignature reports that an opened vec segfile was written for a
 // different corpus or embedder than the caller expected.
@@ -58,29 +65,16 @@ func Write(w io.Writer, e Embedder, parts []*Builder, signature uint64) error {
 	if err != nil {
 		return err
 	}
-	meta := make([]byte, 0, 24)
-	meta = segfile.AppendUint32s(meta, []uint32{vecFormatVersion, uint32(e.Dim()), uint32(len(parts)), 0})
-	meta = segfile.AppendUint64s(meta, []uint64{signature})
-	if err := sw.Block("vec/meta", meta); err != nil {
-		return err
-	}
-	if err := sw.Block("vec/emb", []byte(e.Name())); err != nil {
-		return err
-	}
+	sw.Record("vec/meta", fileMeta{Version: vecFormatVersion, Dim: uint32(e.Dim()), Segments: uint32(len(parts)), Signature: signature})
+	sw.Block("vec/emb", []byte(e.Name()))
 	for i, b := range parts {
 		if b == nil || b.Dim() != e.Dim() {
 			return fmt.Errorf("vec: part %d does not match embedder dim %d", i, e.Dim())
 		}
 		prefix := fmt.Sprintf("vec/%d/", i)
-		if err := sw.Block(prefix+"meta", segfile.AppendUint32s(nil, []uint32{uint32(b.Len())})); err != nil {
-			return err
-		}
-		if err := sw.Strings(prefix+"names", prefix+"nameoff", b.Len(), b.Name); err != nil {
-			return err
-		}
-		if err := sw.Block(prefix+"vecs", segfile.AppendFloat32s(nil, b.vecs)); err != nil {
-			return err
-		}
+		sw.Record(prefix+"meta", uint32(b.Len()))
+		sw.Strings(prefix+"names", prefix+"nameoff", b.Len(), b.Name)
+		sw.Block(prefix+"vecs", segfile.Bytes(b.vecs))
 	}
 	return sw.Close()
 }
@@ -101,23 +95,21 @@ func openReader(r *segfile.Reader, e Embedder, wantSignature uint64) ([]*Builder
 	if e == nil || e.Dim() <= 0 {
 		return nil, fmt.Errorf("vec: nil or zero-dimension embedder")
 	}
-	meta, err := r.Structural("vec/meta", 24)
-	if err != nil {
+	var meta fileMeta
+	if err := r.Record("vec/meta", &meta); err != nil {
 		return nil, err
 	}
-	u32, _ := segfile.Uint32s(meta[:16])
-	u64, _ := segfile.Uint64s(meta[16:24])
-	version, dim, nsegs, sig := u32[0], int(u32[1]), int(u32[2]), u64[0]
-	if version != vecFormatVersion {
-		return nil, fmt.Errorf("vec: unsupported format version %d", version)
+	if meta.Version != vecFormatVersion {
+		return nil, fmt.Errorf("vec: unsupported format version %d", meta.Version)
 	}
-	if nsegs <= 0 || nsegs > maxSegments {
-		return nil, fmt.Errorf("vec: implausible segment count %d", nsegs)
+	if meta.Segments == 0 || meta.Segments > maxSegments {
+		return nil, fmt.Errorf("vec: implausible segment count %d", meta.Segments)
 	}
-	if dim != e.Dim() {
-		return nil, fmt.Errorf("%w: stored dim %d, embedder dim %d", ErrSignature, dim, e.Dim())
+	if meta.Dim != uint32(e.Dim()) {
+		return nil, fmt.Errorf("%w: stored dim %d, embedder dim %d", ErrSignature, meta.Dim, e.Dim())
 	}
-	emb, err := r.Structural("vec/emb", -1)
+	dim, nsegs, sig := e.Dim(), int(meta.Segments), meta.Signature
+	emb, err := segfile.Structural[byte](r, "vec/emb", -1)
 	if err != nil {
 		return nil, err
 	}
@@ -140,26 +132,20 @@ func openReader(r *segfile.Reader, e Embedder, wantSignature uint64) ([]*Builder
 
 func openSegment(r *segfile.Reader, i, dim int) (*Builder, error) {
 	prefix := fmt.Sprintf("vec/%d/", i)
-	meta, err := r.Structural(prefix+"meta", 4)
-	if err != nil {
+	var docs uint32
+	if err := r.Record(prefix+"meta", &docs); err != nil {
 		return nil, err
 	}
-	u32, _ := segfile.Uint32s(meta)
-	docs := int(u32[0])
-	if docs < 0 || docs > (1<<31-1)/dim {
+	if docs > uint32((1<<31-1)/dim) {
 		return nil, fmt.Errorf("vec: segment %d: implausible doc count %d", i, docs)
 	}
-	names, err := r.Strings(prefix+"names", prefix+"nameoff", docs)
+	names, err := r.Strings(prefix+"names", prefix+"nameoff", int(docs))
 	if err != nil {
 		return nil, err
 	}
-	// The embedding matrix is bulk: size-validated, served zero-copy,
-	// checksummed only by VerifyAll.
-	vecBytes, err := r.Bulk(prefix+"vecs", docs*dim*4)
-	if err != nil {
-		return nil, err
-	}
-	vecs, err := segfile.Float32s(vecBytes)
+	// The embedding matrix is bulk: size-validated, served zero-copy, never
+	// checksummed.
+	vecs, err := segfile.Bulk[float32](r, prefix+"vecs", int(docs)*dim)
 	if err != nil {
 		return nil, err
 	}
