@@ -11,8 +11,8 @@ package segfile
 //
 // An element type must be a fixed-size value whose memory image has no
 // padding and no pointers: a fixed-size number, or a struct or array of them
-// laid out without gaps. View and Bytes check the first two at run time
-// (encoding/binary's packed size must equal the in-memory size).
+// laid out without gaps. View and Bytes check this at run time:
+// encoding/binary's packed size of the type must equal its in-memory size.
 
 import (
 	"encoding/binary"

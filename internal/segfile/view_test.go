@@ -37,8 +37,12 @@ func roundTrip[T any](name string, vs []T) viewCase {
 		}
 
 		// Misaligned: the view is a decoded copy.
-		buf := make([]byte, len(b)+1)
-		odd := buf[1:]
+		buf := make([]byte, len(b)+16)
+		o := 0
+		for uintptr(unsafe.Pointer(&buf[o]))%unsafe.Alignof(vs[0]) == 0 {
+			o++
+		}
+		odd := buf[o : o+len(b)]
 		copy(odd, b)
 		got, err = segfile.View[T](odd)
 		if err != nil {
