@@ -65,6 +65,29 @@ func roundTrip[T any](name string, vs []T) viewCase {
 	}}
 }
 
+// TestViewsMisalignedFallback views float32s through a base pointer that is
+// off by one byte, and refuses lengths that are not whole elements.
+func TestViewsMisalignedFallback(t *testing.T) {
+	want := []float32{1, 2, 3, 4}
+	raw := segfile.Bytes(want)
+	buf := make([]byte, len(raw)+1)
+	copy(buf[1:], raw)
+	odd := buf[1:] // deliberately misaligned base pointer
+	fs, err := segfile.View[float32](odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fs, want) {
+		t.Fatalf("misaligned view = %v, want %v", fs, want)
+	}
+	if _, err := segfile.View[float32](buf[:3]); err == nil {
+		t.Fatal("length not multiple of 4 accepted")
+	}
+	if _, err := segfile.View[uint64](buf[:7]); err == nil {
+		t.Fatal("length not multiple of 8 accepted")
+	}
+}
+
 // TestViewsRoundTrip covers every element type the segfile lanes alias.
 func TestViewsRoundTrip(t *testing.T) {
 	for _, c := range []viewCase{
