@@ -534,8 +534,6 @@ func GenerateSite(cfg SiteConfig) (*Site, error) {
 // Swap and CommitToken included.
 type DigitalLibrary struct {
 	engine atomic.Pointer[dlse.Engine]
-	site   *webspace.Site
-	opts   LibraryOptions
 
 	// commitMu serializes the writers of the backing library (CommitToken,
 	// Compact, Swap) — queries never take it.
@@ -577,8 +575,10 @@ func NewDigitalLibrary(site *Site, lib *Library) (*DigitalLibrary, error) {
 	return NewDigitalLibraryWith(site, lib, LibraryOptions{})
 }
 
-// NewDigitalLibraryWith is NewDigitalLibrary with explicit engine options;
-// rebuilds triggered by Swap keep using them.
+// NewDigitalLibraryWith is NewDigitalLibrary with explicit engine options.
+// The page lanes built here serve for the library's lifetime: Swap and
+// CommitToken replace only the video side. The library keeps the site's
+// object graph, not its pages.
 func NewDigitalLibraryWith(site *Site, lib *Library, opts LibraryOptions) (*DigitalLibrary, error) {
 	var view *core.SegmentedIndex
 	if lib != nil {
@@ -590,7 +590,7 @@ func NewDigitalLibraryWith(site *Site, lib *Library, opts LibraryOptions) (*Digi
 	if err != nil {
 		return nil, err
 	}
-	dl := &DigitalLibrary{site: site, lib: lib, opts: opts}
+	dl := &DigitalLibrary{lib: lib}
 	dl.engine.Store(e)
 	return dl, nil
 }
@@ -609,11 +609,12 @@ func (dl *DigitalLibrary) Search(ctx context.Context, q Query, opts ...SearchOpt
 	return dl.engine.Load().Search(ctx, q, opts...)
 }
 
-// Swap atomically replaces the library's engine snapshot with one rebuilt
-// over the same site and the given (re)indexed video library (nil for a
-// text/concept-only engine). Queries in flight finish on the snapshot they
-// started with; servers created by NewServer follow the swap and can never
-// serve results of a superseded snapshot from their caches.
+// Swap atomically replaces the library's engine snapshot with one over the
+// same site and page lanes and the given (re)indexed video library (nil for
+// a text/concept-only engine), whose every segment it embeds anew. Queries
+// in flight finish on the snapshot they started with; servers created by
+// NewServer follow the swap and can never serve results of a superseded
+// snapshot from their caches.
 func (dl *DigitalLibrary) Swap(lib *Library) error {
 	dl.commitMu.Lock()
 	defer dl.commitMu.Unlock()
@@ -621,9 +622,7 @@ func (dl *DigitalLibrary) Swap(lib *Library) error {
 	if lib != nil {
 		view = lib.View()
 	}
-	e, err := dlse.NewSegmented(dl.site, view, dlse.Options{
-		TextSegments: dl.opts.TextSegments, TextSegfile: dl.opts.TextSegfile, VecSegfile: dl.opts.VecSegfile,
-	})
+	e, err := dl.engine.Load().Reload(view)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func main() {
 		fmt.Printf("  %s (%s)\n", o.StringAttr("name"), o.StringAttr("handedness"))
 		for _, fid := range o.Links["wonFinals"] {
 			f, _ := site.W.Get(fid)
-			fmt.Printf("      won %d %s's final\n", f.Attrs["year"], f.StringAttr("category"))
+			fmt.Printf("      won %d %s's final\n", f.Attr("year"), f.StringAttr("category"))
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -26,19 +27,19 @@ import (
 // Engine is the combined digital-library search engine.
 //
 // Concurrency: an Engine is immutable after New — the webspace graph, the
-// frozen inverted-file segments, and the object→docs map are only read —
+// frozen inverted-file segments, and the object→page table are only read —
 // so any number of goroutines may call Search and SearchAll concurrently
 // on one shared Engine. The video segment set is an immutable snapshot;
 // its newest partition may be appended to between queries (single writer,
 // no concurrent readers), and its Version feeds the serving layer's cache
 // invalidation. Growing the segment set (a commit) installs a new Engine
-// via WithVideo.
+// via WithVideo, replacing it (a reload) one via Reload; both keep the page
+// lanes.
 type Engine struct {
 	space *webspace.Webspace
 	text  *ir.Segments
 	video *core.SegmentedIndex
-	// objDocs maps object IDs to their page doc IDs.
-	objDocs map[int64][]ir.DocID
+	pages objPages
 	// snap is this engine's process-unique snapshot ID (see Snapshot).
 	snap int64
 
@@ -89,14 +90,11 @@ type Options struct {
 // New builds the engine over a generated site and a (possibly empty) video
 // meta-index. The site's pages are indexed for full-text retrieval.
 func New(site *webspace.Site, video *core.MetaIndex) (*Engine, error) {
-	if video == nil {
-		var err error
-		video, err = core.NewMetaIndex()
-		if err != nil {
-			return nil, err
-		}
+	var view *core.SegmentedIndex
+	if video != nil {
+		view = core.SingleSegment(video)
 	}
-	return NewSegmented(site, core.SingleSegment(video), Options{})
+	return NewSegmented(site, view, Options{})
 }
 
 // NewSegmented builds the engine over a generated site and a segmented
@@ -106,25 +104,13 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	if site == nil || site.W == nil {
 		return nil, fmt.Errorf("dlse: nil site")
 	}
-	if video == nil {
-		m, err := core.NewMetaIndex()
-		if err != nil {
-			return nil, err
-		}
-		video = core.SingleSegment(m)
-	}
+	// The object→page table depends only on page order (global doc ID =
+	// position in site.Pages), so it is identical whether the text index is
+	// built or mapped from a cache.
 	e := &Engine{
-		space:   site.W,
-		video:   video,
-		objDocs: map[int64][]ir.DocID{},
-		snap:    snapshots.Add(1),
-		emb:     vec.DefaultEmbedder(),
-	}
-	// The object→docs map depends only on page order (global doc ID =
-	// position in site.Pages), so it is identical whether the text index
-	// is built or mapped from a cache.
-	for i, pg := range site.Pages {
-		e.objDocs[pg.ObjectID] = append(e.objDocs[pg.ObjectID], ir.DocID(i))
+		space: site.W,
+		pages: newObjPages(site.W.Len(), site.Pages),
+		emb:   vec.DefaultEmbedder(),
 	}
 	// One contiguous partition of the pages serves both page lanes, exactly
 	// as the monolithic build assigned doc IDs: text segment o and
@@ -134,16 +120,47 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	if e.text, e.vecPages, err = buildPageLanes(site.Pages, pages, e.emb, opts); err != nil {
 		return nil, err
 	}
-	// The video side hydrates every lazy segment once at build: embeddings
-	// need the rows, so a memory-mapped library pays its first-touch decode
-	// here rather than at first query.
-	if e.vecVideo, err = buildVideoVecParts(video, nil, e.emb); err != nil {
-		return nil, fmt.Errorf("dlse: embedding video segments: %w", err)
+	return e.withVideo(video, nil)
+}
+
+// objPages is the object→page table in compressed sparse row form: the
+// pages of object id are docs[off[id]:off[id+1]], in doc order, for the
+// webspace's dense IDs 1 … len(off)-2.
+type objPages struct {
+	off  []int32
+	docs []ir.DocID
+}
+
+// newObjPages tables the pages of n objects. A page whose ObjectID names no
+// object is left out.
+func newObjPages(n int, pages []webspace.Page) objPages {
+	owned := func(id int64) bool { return id >= 1 && id <= int64(n) }
+	off := make([]int32, n+2)
+	for _, pg := range pages {
+		if owned(pg.ObjectID) {
+			off[pg.ObjectID+1]++
+		}
 	}
-	if e.vecs, err = e.composeVecs(); err != nil {
-		return nil, err
+	for id := 1; id <= n; id++ {
+		off[id+1] += off[id]
 	}
-	return e, nil
+	docs := make([]ir.DocID, off[n+1])
+	next := slices.Clone(off)
+	for d, pg := range pages {
+		if owned(pg.ObjectID) {
+			docs[next[pg.ObjectID]] = ir.DocID(d)
+			next[pg.ObjectID]++
+		}
+	}
+	return objPages{off: off, docs: docs}
+}
+
+// of returns the doc IDs of object id's pages.
+func (t objPages) of(id int64) []ir.DocID {
+	if id < 1 || id > int64(len(t.off)-2) {
+		return nil
+	}
+	return t.docs[t.off[id]:t.off[id+1]]
 }
 
 // buildPageLanes builds the two page lanes over one partition of the pages:
@@ -393,27 +410,56 @@ func pagesSignature(scheme string, pages []webspace.Page, nseg int) uint64 {
 	return 1 // 0 means "don't check" to the readers; never emit it
 }
 
-// WithVideo returns a new engine snapshot sharing this engine's site,
-// text segments, page embeddings, and object→docs map (all immutable)
-// over a different video segment set — the install path of an
-// incremental commit, which must not re-index the site or any existing
-// video segment. The vector lane embeds exactly the segments the commit
-// added (or a compaction merged; see buildVideoVecParts) and composes them
-// after the ones it keeps. The new engine has its own snapshot ID.
-// It panics if a committed segment fails to hydrate — that is
-// corrupt-storage territory, not a caller error.
-func (e *Engine) WithVideo(video *core.SegmentedIndex) *Engine {
+// withVideo composes an engine snapshot: this engine's site, text
+// segments, page embeddings and object→page table (all immutable) over the
+// video segment set video (nil for none), with its own snapshot ID. The
+// vector lane embeds every video segment but those reuse holds unchanged
+// (see buildVideoVecParts) and composes them after the page embeddings. It
+// hydrates every lazy segment it embeds: embeddings need the rows, so a
+// memory-mapped library pays its first-touch decode here rather than at
+// first query.
+func (e *Engine) withVideo(video *core.SegmentedIndex, reuse []videoVecPart) (*Engine, error) {
+	if video == nil {
+		m, err := core.NewMetaIndex()
+		if err != nil {
+			return nil, err
+		}
+		video = core.SingleSegment(m)
+	}
 	ne := *e
 	ne.video = video
 	var err error
-	if ne.vecVideo, err = buildVideoVecParts(video, e.vecVideo, e.emb); err == nil {
-		ne.vecs, err = ne.composeVecs()
+	if ne.vecVideo, err = buildVideoVecParts(video, reuse, e.emb); err != nil {
+		return nil, fmt.Errorf("dlse: embedding video segments: %w", err)
 	}
+	if ne.vecs, err = ne.composeVecs(); err != nil {
+		return nil, err
+	}
+	ne.snap = snapshots.Add(1)
+	return &ne, nil
+}
+
+// WithVideo returns a new engine snapshot sharing this engine's site and
+// page lanes over a grown or compacted video segment set — the install path
+// of an incremental commit, which must not re-index the site or any
+// existing video segment: the vector lane embeds exactly the segments the
+// commit added (or a compaction merged). It panics if a committed segment
+// fails to hydrate — that is corrupt-storage territory, not a caller error.
+func (e *Engine) WithVideo(video *core.SegmentedIndex) *Engine {
+	ne, err := e.withVideo(video, e.vecVideo)
 	if err != nil {
 		panic(fmt.Sprintf("dlse: rebuilding vector lane over committed segments: %v", err))
 	}
-	ne.snap = snapshots.Add(1)
-	return &ne
+	return ne
+}
+
+// Reload returns a new engine snapshot sharing this engine's site and page
+// lanes over a video library loaded anew (nil for a text/concept-only
+// engine) — the install path of a reload, which re-reads neither the site
+// nor the page-lane caches. Unlike WithVideo it embeds every video segment:
+// another library can repeat a manifest entry of this one over other rows.
+func (e *Engine) Reload(video *core.SegmentedIndex) (*Engine, error) {
+	return e.withVideo(video, nil)
 }
 
 // Snapshot returns the engine's process-unique snapshot ID, assigned at

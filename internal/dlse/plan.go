@@ -279,7 +279,7 @@ func (e *Engine) merge(req Request, st *execState) []Item {
 			for i := range results {
 				var best float64
 				for _, o := range e.walkObjects(results[i].Object, req.TextPath) {
-					for _, d := range e.objDocs[o.ID] {
+					for _, d := range e.pages.of(o.ID) {
 						if s := st.textScores.Get(d); s > best {
 							best = s
 						}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/segfile"
 )
 
 // DocID identifies an indexed document.
@@ -19,18 +21,18 @@ type Posting struct {
 	TF  int32
 }
 
-// postingList holds a term's postings in document order. Freeze aligns a
-// float32 impact vector with it: the posting's full BM25 contribution (idf,
-// tf saturation and document-length normalization folded in), so query-time
-// scoring is a single add per posting instead of a transcendental-laden
-// formula. (SearchTopN derives its impact order from these; see topn.go.)
-type postingList struct {
-	docOrder []Posting
-	docImp   []float32 // impact of docOrder[i], built by Freeze
-	idf      float64   // BM25 idf, built by Freeze
-}
-
 // Index is an in-memory inverted index with BM25 ranking.
+//
+// A frozen index holds its dictionary as one sorted term table and each
+// term's postings as a range of flat arrays aligned with it: term ordinal o
+// owns post[postOff[o]:postOff[o+1]] (doc order) and the float32 impacts
+// imp over the same range — each posting's full BM25 contribution, idf, tf
+// saturation and document-length normalization folded in, so query-time
+// scoring is one add per posting — and its idf is termIdf[o]. This is the
+// text segfile's layout: an index opened from a file aliases the file's
+// blocks, and a heap build holds the same arrays, built once by Freeze. A
+// query term is found by binary search over the table.
+// (SearchTopN derives its impact order from these; see topn.go.)
 //
 // Concurrency: the index has a strict build-then-serve life cycle. Add and
 // Freeze mutate and must run from a single goroutine; after Freeze every
@@ -39,21 +41,30 @@ type postingList struct {
 // goroutines concurrently. Search entry points enforce the life cycle by
 // returning ErrNotFrozen before the freeze.
 type Index struct {
-	terms   map[string]*postingList
-	docs    []docInfo
-	totalLn int64
-	frozen  bool
-
+	// build holds each term's doc-ordered postings while documents are
+	// added; Freeze flattens it into the arrays below and drops it.
+	build map[string][]Posting
 	// tf is AddTokens' term-count map, cleared and reused for every
 	// document and dropped by Freeze.
 	tf map[string]int32
+
+	dict    segfile.Table // sorted, non-empty, distinct terms
+	termIdf []float64
+	postOff []uint64
+	post    []Posting
+	imp     []float32
+
+	docs    []docInfo
+	totalLn int64
+	frozen  bool
 
 	// scratch recycles per-query accumulators (see kernel.go) so that
 	// steady-state searches allocate ~nothing. Populated by Freeze.
 	scratch sync.Pool
 
-	// byImpact is SearchTopN's impact order, derived on its first call.
-	byImpact     map[string]impactList
+	// byImpact is SearchTopN's impact order by term ordinal, derived on its
+	// first call.
+	byImpact     []impactList
 	byImpactOnce sync.Once
 }
 
@@ -77,7 +88,7 @@ var (
 
 // NewIndex creates an empty index.
 func NewIndex() *Index {
-	return &Index{terms: map[string]*postingList{}}
+	return &Index{build: map[string][]Posting{}}
 }
 
 // Add indexes a document under the given name and returns its ID.
@@ -108,12 +119,7 @@ func (ix *Index) AddTokens(name string, toks []string) (DocID, error) {
 	// Map order only decides which term's list is appended to first; each
 	// list still gets this document's posting after every earlier one's.
 	for term, f := range tf {
-		pl := ix.terms[term]
-		if pl == nil {
-			pl = &postingList{}
-			ix.terms[term] = pl
-		}
-		pl.docOrder = append(pl.docOrder, Posting{Doc: id, TF: f})
+		ix.build[term] = append(ix.build[term], Posting{Doc: id, TF: f})
 	}
 	return id, nil
 }
@@ -134,9 +140,9 @@ func (ix *Index) localStats() corpusStats {
 	return corpusStats{docs: len(ix.docs), totalLn: ix.totalLn, df: ix.df}
 }
 
-// Freeze finalizes the index: per-posting impact vectors are built, the
-// accumulator pool is sized, and the index becomes searchable. Adding after
-// Freeze fails.
+// Freeze finalizes the index: the sorted term table and the flat posting
+// and impact arrays are built, the accumulator pool is sized, and the index
+// becomes searchable. Adding after Freeze fails.
 func (ix *Index) Freeze() { ix.freezeWith(ix.localStats()) }
 
 // freezeWith finalizes the index against the given collection statistics.
@@ -151,14 +157,28 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	if cs.docs > 0 {
 		avg = float64(cs.totalLn) / float64(cs.docs)
 	}
-	for term, pl := range ix.terms {
-		pl.idf = idfFor(cs.docs, cs.df(term))
-		pl.docImp = make([]float32, len(pl.docOrder))
-		for i, p := range pl.docOrder {
-			pl.docImp[i] = ix.impact(pl.idf, p, avg)
-		}
+	terms := make([]string, 0, len(ix.build))
+	npost := 0
+	for term, pl := range ix.build {
+		terms = append(terms, term)
+		npost += len(pl)
 	}
-	ix.tf = nil
+	sort.Strings(terms)
+	ix.dict = segfile.NewTable(len(terms), func(o int) string { return terms[o] })
+	ix.termIdf = make([]float64, len(terms))
+	ix.postOff = make([]uint64, 1, len(terms)+1)
+	ix.post = make([]Posting, 0, npost)
+	ix.imp = make([]float32, 0, npost)
+	for o, term := range terms {
+		idf := idfFor(cs.docs, cs.df(term))
+		ix.termIdf[o] = idf
+		for _, p := range ix.build[term] {
+			ix.post = append(ix.post, p)
+			ix.imp = append(ix.imp, ix.impact(idf, p, avg))
+		}
+		ix.postOff = append(ix.postOff, uint64(len(ix.post)))
+	}
+	ix.build, ix.tf = nil, nil
 	n := len(ix.docs)
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	ix.frozen = true
@@ -177,7 +197,26 @@ func (ix *Index) impact(idf float64, p Posting, avg float64) float32 {
 func (ix *Index) Docs() int { return len(ix.docs) }
 
 // Terms returns the vocabulary size.
-func (ix *Index) Terms() int { return len(ix.terms) }
+func (ix *Index) Terms() int {
+	if !ix.frozen {
+		return len(ix.build)
+	}
+	return ix.dict.Len()
+}
+
+// lookup returns the ordinal of term in the frozen term table, by binary
+// search, and whether the table holds it.
+func (ix *Index) lookup(term string) (int, bool) {
+	n := ix.dict.Len()
+	o := sort.Search(n, func(i int) bool { return ix.dict.At(i) >= term })
+	return o, o < n && ix.dict.At(o) == term
+}
+
+// postings returns term ordinal o's doc-ordered postings and their impacts.
+func (ix *Index) postings(o int) ([]Posting, []float32) {
+	lo, hi := ix.postOff[o], ix.postOff[o+1]
+	return ix.post[lo:hi], ix.imp[lo:hi]
+}
 
 // avgDocLen returns the mean analyzed document length.
 func (ix *Index) avgDocLen() float64 {
@@ -271,19 +310,19 @@ func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 	var stats SearchStats
 	docs := uint32(len(ac.stamps))
 	for _, term := range terms {
-		pl := ix.terms[term]
-		if pl == nil {
+		o, ok := ix.lookup(term)
+		if !ok {
 			continue
 		}
-		imps := pl.docImp
-		for i, p := range pl.docOrder {
+		post, imps := ix.postings(o)
+		for i, p := range post {
 			if uint32(p.Doc) >= docs {
 				return stats, fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, i, p.Doc, docs)
 			}
 			ac.Add(p.Doc, float64(imps[i]))
 		}
 		stats.TermsMatched++
-		stats.PostingsScored += len(pl.docOrder)
+		stats.PostingsScored += len(post)
 	}
 	stats.DocsTouched = len(ac.touched)
 	return stats, nil
@@ -303,20 +342,22 @@ func (ix *Index) SearchBoolean(query string) ([]DocID, error) {
 	sort.Slice(terms, func(a, b int) bool {
 		return ix.df(terms[a]) < ix.df(terms[b])
 	})
-	pl := ix.terms[terms[0]]
-	if pl == nil {
+	o, ok := ix.lookup(terms[0])
+	if !ok {
 		return nil, nil
 	}
-	cur := make([]DocID, 0, len(pl.docOrder))
-	for _, p := range pl.docOrder {
+	post, _ := ix.postings(o)
+	cur := make([]DocID, 0, len(post))
+	for _, p := range post {
 		cur = append(cur, p.Doc)
 	}
 	for _, term := range terms[1:] {
-		pl := ix.terms[term]
-		if pl == nil {
+		o, ok := ix.lookup(term)
+		if !ok {
 			return nil, nil
 		}
-		cur = intersect(cur, pl.docOrder)
+		post, _ := ix.postings(o)
+		cur = intersect(cur, post)
 		if len(cur) == 0 {
 			return nil, nil
 		}
@@ -324,9 +365,14 @@ func (ix *Index) SearchBoolean(query string) ([]DocID, error) {
 	return cur, nil
 }
 
+// df returns a term's document frequency: its posting count, in the build
+// lists before Freeze and in the term table after.
 func (ix *Index) df(term string) int {
-	if pl := ix.terms[term]; pl != nil {
-		return len(pl.docOrder)
+	if !ix.frozen {
+		return len(ix.build[term])
+	}
+	if o, ok := ix.lookup(term); ok {
+		return int(ix.postOff[o+1] - ix.postOff[o])
 	}
 	return 0
 }

@@ -50,16 +50,18 @@ func TestKernelMatchesMapReference(t *testing.T) {
 func TestImpactMatchesFormula(t *testing.T) {
 	ix := synthCorpus(t, 500, 100, 7)
 	lists := ix.impactLists()
-	for term, pl := range ix.terms {
-		for i, p := range pl.docOrder {
+	for o := 0; o < ix.dict.Len(); o++ {
+		term := ix.dict.At(o)
+		post, imps := ix.postings(o)
+		for i, p := range post {
 			want := float32(ix.bm25(term, p))
-			if pl.docImp[i] != want {
-				t.Fatalf("term %q docOrder[%d]: impact %v, formula %v", term, i, pl.docImp[i], want)
+			if imps[i] != want {
+				t.Fatalf("term %q docOrder[%d]: impact %v, formula %v", term, i, imps[i], want)
 			}
 		}
-		il := lists[term]
-		if len(il.list) != len(pl.docOrder) {
-			t.Fatalf("term %q: %d impact-ordered postings, %d doc-ordered", term, len(il.list), len(pl.docOrder))
+		il := lists[o]
+		if len(il.list) != len(post) {
+			t.Fatalf("term %q: %d impact-ordered postings, %d doc-ordered", term, len(il.list), len(post))
 		}
 		for i, p := range il.list {
 			want := float32(ix.bm25(term, p))
@@ -72,7 +74,7 @@ func TestImpactMatchesFormula(t *testing.T) {
 				}
 			}
 		}
-		if got, want := pl.idf, ix.idf(term); got != want {
+		if got, want := ix.termIdf[o], ix.idf(term); got != want {
 			t.Fatalf("term %q: cached idf %v, formula %v", term, got, want)
 		}
 	}

@@ -23,12 +23,13 @@ func (ix *Index) searchMapReference(query string, k int) ([]Hit, SearchStats, er
 	var stats SearchStats
 	scores := map[DocID]float64{}
 	for _, term := range terms {
-		pl := ix.terms[term]
-		if pl == nil {
+		o, ok := ix.lookup(term)
+		if !ok {
 			continue
 		}
-		for i, p := range pl.docOrder {
-			scores[p.Doc] += float64(pl.docImp[i])
+		post, imps := ix.postings(o)
+		for i, p := range post {
+			scores[p.Doc] += float64(imps[i])
 			stats.PostingsScored++
 		}
 		stats.TermsMatched++

@@ -5,16 +5,19 @@ package ir
 // 64-byte-aligned arrays — doc-ordered postings, their float32 BM25
 // impact vectors, per-term idf, doc-length norms, and the sorted term
 // dictionary — and opens back up with one mmap plus an O(terms) dictionary
-// scan: every slice of the reconstructed Index aliases the mapped bytes
-// directly (segfile's typed views), so no posting is decoded, nothing bulk is
-// copied to the heap, and the kernel's accumulator loop in scoreTerms
-// scores straight over the file's pages.
+// check: the reconstructed Index's term table, idf, offsets, postings and
+// impacts are the mapped blocks themselves (segfile's typed views), so no
+// posting is decoded, no per-term structure is built on the heap, queries
+// find their terms by binary search over the mapped dictionary, and the
+// kernel's accumulator loop in scoreTerms scores straight over the file's
+// pages.
 //
-// Byte-identity: segments persist exactly the arrays Freeze built — impact
-// float32 bits, idf float64 bits, and doc order — so a search over an opened
-// file accumulates the same float32 values in the same order as the
-// heap-built index and returns byte-identical hits, scores, stats, and
-// tie-breaks (locked by segfile_test.go across 1/2/4-way splits).
+// Byte-identity: segments persist exactly the arrays Freeze built — the
+// sorted term table, impact float32 bits, idf float64 bits, and doc order —
+// so a search over an opened file accumulates the same float32 values in the
+// same order as the heap-built index and returns byte-identical hits,
+// scores, stats, and tie-breaks (locked by segfile_test.go across 1/2/4-way
+// splits).
 //
 // Block layout (names within the container):
 //
@@ -43,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/segfile"
 	"repro/internal/segset"
@@ -95,35 +97,19 @@ func WriteSegments(w io.Writer, s *Segments, signature uint64) error {
 	return sw.Close()
 }
 
-// writeIndexBlocks writes one segment. The bulk blocks are the posting
-// lists' own arrays, passed to the writer as parts in term order.
+// writeIndexBlocks writes one segment: the frozen index's own arrays, block
+// for block.
 func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
-	terms := make([]string, 0, len(ix.terms))
-	for t := range ix.terms {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	idf := make([]float64, len(terms))
-	postOff := make([]uint64, len(terms)+1)
-	docPost := make([][]byte, len(terms))
-	docImp := make([][]byte, len(terms))
-	for i, t := range terms {
-		pl := ix.terms[t]
-		idf[i] = pl.idf
-		postOff[i+1] = postOff[i] + uint64(len(pl.docOrder))
-		docPost[i] = segfile.Bytes(pl.docOrder)
-		docImp[i] = segfile.Bytes(pl.docImp)
-	}
 	docLen := make([]int32, len(ix.docs))
 	for i, d := range ix.docs {
 		docLen[i] = d.Len
 	}
-	sw.Record(prefix+"meta", segMeta{uint32(len(ix.docs)), uint64(ix.totalLn), uint32(len(terms)), postOff[len(terms)]})
-	sw.Strings(prefix+"terms", prefix+"termoff", len(terms), func(i int) string { return terms[i] })
-	sw.Block(prefix+"idf", segfile.Bytes(idf))
-	sw.Block(prefix+"postoff", segfile.Bytes(postOff))
-	sw.Block(prefix+"docpost", docPost...)
-	sw.Block(prefix+"docimp", docImp...)
+	sw.Record(prefix+"meta", segMeta{uint32(len(ix.docs)), uint64(ix.totalLn), uint32(ix.dict.Len()), uint64(len(ix.post))})
+	sw.Table(prefix+"terms", prefix+"termoff", ix.dict)
+	sw.Block(prefix+"idf", segfile.Bytes(ix.termIdf))
+	sw.Block(prefix+"postoff", segfile.Bytes(ix.postOff))
+	sw.Block(prefix+"docpost", segfile.Bytes(ix.post))
+	sw.Block(prefix+"docimp", segfile.Bytes(ix.imp))
 	sw.Strings(prefix+"names", prefix+"nameoff", len(ix.docs), func(i int) string { return ix.docs[i].Name })
 	sw.Block(prefix+"doclen", segfile.Bytes(docLen))
 }
@@ -194,7 +180,7 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	}
 	D, T, P := int(meta.Docs), int(meta.Terms), int(meta.Postings)
 
-	terms, err := r.Strings(prefix+"terms", prefix+"termoff", T)
+	dict, err := r.Table(prefix+"terms", prefix+"termoff", T)
 	if err != nil {
 		return nil, err
 	}
@@ -223,32 +209,30 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		return nil, err
 	}
 
-	ix := &Index{
-		terms:   make(map[string]*postingList, T),
-		docs:    make([]docInfo, D),
-		totalLn: int64(meta.TotalLen),
-		frozen:  true,
-	}
-	// O(terms) dictionary scan: point each term's postingList into the bulk
-	// views, validating the posting offsets on the way. Terms were written
-	// sorted; strict ascent also rejects duplicates.
-	pls := make([]postingList, T)
-	for t, term := range terms {
-		if term == "" || (t > 0 && term <= terms[t-1]) {
+	// The index serves straight from these blocks, so check what lookup and
+	// postings rely on, in O(terms): the dictionary is sorted, with no empty
+	// or repeated term, and the posting offsets ascend from 0 to P.
+	for t := 0; t < T; t++ {
+		term := dict.At(t)
+		if term == "" || (t > 0 && term <= dict.At(t-1)) {
 			return nil, fmt.Errorf("ir: term %d (%q) breaks the sorted dictionary", t, term)
 		}
-		plo, phi := postOff[t], postOff[t+1]
-		if plo > phi || phi > uint64(P) {
-			return nil, fmt.Errorf("ir: term %q postings [%d, %d) out of range", term, plo, phi)
+		if postOff[t] > postOff[t+1] {
+			return nil, fmt.Errorf("ir: term %q postings [%d, %d) descend", term, postOff[t], postOff[t+1])
 		}
-		pl := &pls[t]
-		pl.docOrder = docPost[plo:phi]
-		pl.docImp = docImp[plo:phi]
-		pl.idf = idf[t]
-		ix.terms[term] = pl
 	}
 	if postOff[0] != 0 || postOff[T] != uint64(P) {
 		return nil, fmt.Errorf("ir: posting offsets span [%d, %d), want [0, %d)", postOff[0], postOff[T], P)
+	}
+	ix := &Index{
+		dict:    dict,
+		termIdf: idf,
+		postOff: postOff,
+		post:    docPost,
+		imp:     docImp,
+		docs:    make([]docInfo, D),
+		totalLn: int64(meta.TotalLen),
+		frozen:  true,
 	}
 	for d, name := range names {
 		ix.docs[d] = docInfo{Name: name, Len: docLen[d]}

@@ -166,6 +166,43 @@ func TestSegfileOpenFile(t *testing.T) {
 	if !reflect.DeepEqual(hh, mh) {
 		t.Fatalf("file-backed hits diverge: %v vs %v", hh, mh)
 	}
+	// Lookup parity: the mapped term table finds every term of the heap-built
+	// one at the same ordinal, with the same postings, impacts and idf, and
+	// places the absent terms before the first, after the last and between
+	// neighbours where the heap-built one does.
+	for i, hx := range s.segs {
+		mx := m.segs[i]
+		n := hx.dict.Len()
+		if n == 0 || mx.dict.Len() != n {
+			t.Fatalf("segment %d: %d mapped terms, %d heap-built", i, mx.dict.Len(), n)
+		}
+		type probe struct {
+			term  string
+			at    int
+			found bool
+		}
+		probes := []probe{{"", 0, false}, {"\x00", 0, false}, {"\xff", n, false}}
+		for o := 0; o < n; o++ {
+			term := hx.dict.At(o)
+			probes = append(probes, probe{term, o, true}, probe{term + "\x00", o + 1, false})
+		}
+		for _, p := range probes {
+			ho, hok := hx.lookup(p.term)
+			mo, mok := mx.lookup(p.term)
+			if ho != p.at || hok != p.found || mo != p.at || mok != p.found {
+				t.Fatalf("segment %d lookup(%q): heap (%d, %v), mapped (%d, %v), want (%d, %v)",
+					i, p.term, ho, hok, mo, mok, p.at, p.found)
+			}
+			if !p.found {
+				continue
+			}
+			hp, himp := hx.postings(ho)
+			mp, mimp := mx.postings(mo)
+			if !reflect.DeepEqual(hp, mp) || !reflect.DeepEqual(himp, mimp) || hx.termIdf[ho] != mx.termIdf[mo] {
+				t.Fatalf("segment %d term %q: postings, impacts or idf diverge", i, p.term)
+			}
+		}
+	}
 	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,22 +313,66 @@ func FuzzSegfileOpen(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:len(buf.Bytes())/2])
 	f.Add([]byte{})
+	// Well-formed files whose dictionary a binary search cannot use: an empty
+	// term, terms out of order, a term twice. The open must refuse them.
+	f.Add(dictFile(f, "w0", "w1"))
+	for _, bad := range [][]string{{"", "w0"}, {"w1", "w0"}, {"w0", "w0"}} {
+		f.Add(dictFile(f, bad...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := openSegmentsBytes(data, 0)
 		if err != nil {
 			return
 		}
 		// A successfully opened file must hold internally consistent
-		// metadata, and one search over every term it holds must answer or
-		// fail, never panic.
+		// metadata — a sorted dictionary of distinct non-empty terms — and
+		// one search over every term it holds must answer or fail, never
+		// panic.
 		var q strings.Builder
-		for _, ix := range s.segs {
+		for i, ix := range s.segs {
 			_ = ix.Docs()
-			for term := range ix.terms {
+			for o := 0; o < ix.dict.Len(); o++ {
+				term := ix.dict.At(o)
+				if term == "" || o > 0 && term <= ix.dict.At(o-1) {
+					t.Fatalf("segment %d opened with term %d (%q) out of order", i, o, term)
+				}
 				q.WriteString(term)
 				q.WriteByte(' ')
 			}
 		}
 		_, _, _ = s.Search(q.String()+"w0", 10)
 	})
+}
+
+// dictFile writes a one-segment text segfile of one document by hand, with
+// the given dictionary in the given order, one posting per term: what
+// WriteSegments writes when the terms are sorted and distinct.
+func dictFile(t testing.TB, terms ...string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw, err := segfile.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := len(terms)
+	idf := make([]float64, T)
+	postOff := make([]uint64, T+1)
+	post := make([]Posting, T)
+	imp := make([]float32, T)
+	for o := range terms {
+		idf[o], postOff[o+1], post[o], imp[o] = 1, uint64(o+1), Posting{Doc: 0, TF: 1}, 1
+	}
+	sw.Record("ir/meta", fileMeta{irFormatVersion, 1, 1, uint64(T), 0})
+	sw.Record("ir/0/meta", segMeta{1, uint64(T), uint32(T), uint64(T)})
+	sw.Strings("ir/0/terms", "ir/0/termoff", T, func(o int) string { return terms[o] })
+	sw.Block("ir/0/idf", segfile.Bytes(idf))
+	sw.Block("ir/0/postoff", segfile.Bytes(postOff))
+	sw.Block("ir/0/docpost", segfile.Bytes(post))
+	sw.Block("ir/0/docimp", segfile.Bytes(imp))
+	sw.Strings("ir/0/names", "ir/0/nameoff", 1, func(int) string { return "doc" })
+	sw.Block("ir/0/doclen", segfile.Bytes([]int32{int32(T)}))
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -54,8 +54,8 @@ func NewSegments(parts []*Index) (*Segments, error) {
 		sizes[i] = len(p.docs)
 		docs += len(p.docs)
 		totalLn += p.totalLn
-		for t, pl := range p.terms {
-			df[t] += len(pl.docOrder)
+		for t, pl := range p.build {
+			df[t] += len(pl)
 		}
 	}
 	cs := corpusStats{docs: docs, totalLn: totalLn, df: func(t string) int { return df[t] }}
@@ -106,7 +106,7 @@ func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int
 	}
 	for _, t := range terms {
 		for _, o := range ords {
-			if s.segs[o].terms[t] != nil {
+			if _, ok := s.segs[o].lookup(t); ok {
 				out.TermsMatched++
 				break
 			}

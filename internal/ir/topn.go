@@ -35,14 +35,16 @@ func (l impactList) Swap(a, b int) {
 	l.imp[a], l.imp[b] = l.imp[b], l.imp[a]
 }
 
-// impactLists returns the index's impact order, deriving it on first use.
-func (ix *Index) impactLists() map[string]impactList {
+// impactLists returns the index's impact order by term ordinal, deriving it
+// on first use.
+func (ix *Index) impactLists() []impactList {
 	ix.byImpactOnce.Do(func() {
-		ix.byImpact = make(map[string]impactList, len(ix.terms))
-		for term, pl := range ix.terms {
-			il := impactList{slices.Clone(pl.docOrder), slices.Clone(pl.docImp)}
+		ix.byImpact = make([]impactList, ix.dict.Len())
+		for o := range ix.byImpact {
+			post, imp := ix.postings(o)
+			il := impactList{slices.Clone(post), slices.Clone(imp)}
 			sort.Stable(il)
-			ix.byImpact[term] = il
+			ix.byImpact[o] = il
 		}
 	})
 	return ix.byImpact
@@ -111,12 +113,13 @@ func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, Searc
 	lists := ix.impactLists()
 	var states []*termState
 	for _, t := range terms {
-		il := lists[t]
-		if len(il.list) == 0 {
+		o, ok := ix.lookup(t)
+		if !ok || len(lists[o].list) == 0 {
 			continue
 		}
+		il := lists[o]
 		step := (len(il.list) + opts.Fragments - 1) / opts.Fragments
-		st := &termState{impactList: il, idf: ix.terms[t].idf, step: step}
+		st := &termState{impactList: il, idf: ix.termIdf[o], step: step}
 		st.ub = scoreCeiling(st.idf, st.list[0].TF)
 		states = append(states, st)
 	}

@@ -5,7 +5,16 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 )
+
+// mapped counts the bytes of every File open in this process: Open adds a
+// file's size, and its Close takes it away again.
+var mapped atomic.Int64
+
+// MappedBytes returns the bytes of the segfiles this process holds open —
+// mapped, or read into the heap where the platform cannot map.
+func MappedBytes() int64 { return mapped.Load() }
 
 // File is a Reader over a memory-mapped segfile. Opening costs one mmap
 // plus the O(blocks) TOC parse — block payloads page in from disk on first
@@ -18,6 +27,7 @@ import (
 // but the caller must guarantee no reader still holds a slice.
 type File struct {
 	*Reader
+	size      int64
 	closeOnce sync.Once
 	release   func() error
 	closeErr  error
@@ -48,12 +58,16 @@ func Open(path string) (*File, error) {
 		release()
 		return nil, fmt.Errorf("segfile: %s: %w", path, err)
 	}
-	return &File{Reader: r, release: release}, nil
+	mapped.Add(st.Size())
+	return &File{Reader: r, size: st.Size(), release: release}, nil
 }
 
 // Close releases the mapping. Idempotent.
 func (f *File) Close() error {
-	f.closeOnce.Do(func() { f.closeErr = f.release() })
+	f.closeOnce.Do(func() {
+		f.closeErr = f.release()
+		mapped.Add(-f.size)
+	})
 	return f.closeErr
 }
 

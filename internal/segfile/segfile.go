@@ -407,47 +407,87 @@ func (r *Reader) Record(name string, vs ...any) error {
 	return nil
 }
 
-// Strings writes a string table as two blocks: the strings' bytes
-// concatenated under bytesName, and under offName the u32[n+1] offsets
-// delimiting them.
-func (w *Writer) Strings(bytesName, offName string, n int, at func(i int) string) {
+// Table is a string table in its stored form: the strings' bytes
+// concatenated in Data, and the n+1 offsets delimiting them in Off, so
+// string i is Data[Off[i]:Off[i+1]]. A table read from a file aliases the
+// file's bytes; one built by NewTable owns its arrays.
+type Table struct {
+	Data []byte
+	Off  []uint32
+}
+
+// NewTable builds the table of the n strings at(0) … at(n-1).
+func NewTable(n int, at func(i int) string) Table {
 	var data []byte
 	off := make([]uint32, 0, n+1)
 	for i := 0; i < n; i++ {
 		off = append(off, uint32(len(data)))
 		data = append(data, at(i)...)
 	}
-	off = append(off, uint32(len(data)))
-	w.Block(bytesName, data)
-	w.Block(offName, Bytes(off))
+	return Table{Data: data, Off: append(off, uint32(len(data)))}
 }
 
-// Strings reads back a table of n strings written by Writer.Strings. Both
-// blocks are structural; the offsets must start at 0, never descend, and
-// end at the byte block's length. The strings alias the reader's bytes.
-func (r *Reader) Strings(bytesName, offName string, n int) ([]string, error) {
+// Len returns the number of strings in the table.
+func (t Table) Len() int { return max(len(t.Off)-1, 0) }
+
+// At returns string i, aliasing the table's bytes.
+func (t Table) At(i int) string {
+	s := t.Data[t.Off[i]:t.Off[i+1]]
+	if len(s) == 0 {
+		return ""
+	}
+	return unsafe.String(&s[0], len(s))
+}
+
+// Table writes t as two blocks: its bytes under bytesName and its u32
+// offsets under offName.
+func (w *Writer) Table(bytesName, offName string, t Table) {
+	w.Block(bytesName, t.Data)
+	w.Block(offName, Bytes(t.Off))
+}
+
+// Strings writes the n strings at(0) … at(n-1) as a Table.
+func (w *Writer) Strings(bytesName, offName string, n int, at func(i int) string) {
+	w.Table(bytesName, offName, NewTable(n, at))
+}
+
+// Table reads back a table of n strings written by Writer.Table, aliasing
+// the reader's bytes. Both blocks are structural; the offsets must start at
+// 0, never descend, and end at the byte block's length, so every At of the
+// returned table is in range.
+func (r *Reader) Table(bytesName, offName string, n int) (Table, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("segfile: string table %q of %d entries", bytesName, n)
+		return Table{}, fmt.Errorf("segfile: string table %q of %d entries", bytesName, n)
 	}
 	data, err := Structural[byte](r, bytesName, -1)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	off, err := Structural[uint32](r, offName, n+1)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	if off[0] != 0 || uint64(off[n]) != uint64(len(data)) {
-		return nil, fmt.Errorf("segfile: offsets %q do not span block %q", offName, bytesName)
+		return Table{}, fmt.Errorf("segfile: offsets %q do not span block %q", offName, bytesName)
+	}
+	for i := 0; i < n; i++ {
+		if off[i] > off[i+1] {
+			return Table{}, fmt.Errorf("segfile: offsets %q descend at entry %d", offName, i)
+		}
+	}
+	return Table{Data: data, Off: off}, nil
+}
+
+// Strings reads back a table of n strings written by Writer.Strings or
+// Writer.Table as a []string. The strings alias the reader's bytes.
+func (r *Reader) Strings(bytesName, offName string, n int) ([]string, error) {
+	t, err := r.Table(bytesName, offName, n)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]string, n)
 	for i := range out {
-		if off[i] > off[i+1] {
-			return nil, fmt.Errorf("segfile: offsets %q descend at entry %d", offName, i)
-		}
-		if s := data[off[i]:off[i+1]]; len(s) > 0 {
-			out[i] = unsafe.String(&s[0], len(s))
-		}
+		out[i] = t.At(i)
 	}
 	return out, nil
 }

@@ -167,9 +167,13 @@ func TestOpenFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before := MappedBytes()
 	f, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := MappedBytes() - before; got != int64(len(data)) {
+		t.Fatalf("Open counted %d mapped bytes, want the file's %d", got, len(data))
 	}
 	b, ok := f.Block("alpha")
 	if !ok || string(b) != "hello world" {
@@ -186,6 +190,16 @@ func TestOpenFile(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.segf")); err == nil {
 		t.Fatal("opened missing file")
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); err == nil {
+		t.Fatal("opened a truncated file")
+	}
+	// Two Closes and a refused open leave the count where it began.
+	if got := MappedBytes(); got != before {
+		t.Fatalf("mapped bytes %d after Close, want %d", got, before)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dlse"
+	"repro/internal/segfile"
 )
 
 // Options tunes a Server.
@@ -106,6 +107,9 @@ func New(engine *dlse.Engine, opts Options) *Server {
 		return float64(n)
 	})
 	reg.GaugeFunc("heap_live_bytes", HeapLiveBytes)
+	// The segfiles the process holds open: page-lane caches and meta-index
+	// files, each counted once per mapping.
+	reg.GaugeFunc("mapped_bytes", func() float64 { return float64(segfile.MappedBytes()) })
 	// Monotone across Swap: WithVideo-derived engines share partitions, so
 	// the per-partition build counters carry over.
 	reg.CounterFunc("sceneview_builds", func() int64 {

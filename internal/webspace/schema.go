@@ -15,6 +15,7 @@ package webspace
 
 import (
 	"fmt"
+	"sort"
 )
 
 // AttrType enumerates attribute types.
@@ -63,6 +64,17 @@ type Class struct {
 	Name   string
 	Attrs  map[string]AttrType
 	Assocs map[string]Assoc
+
+	// names are the attribute names AddClass declared, sorted: an object's
+	// attribute values are stored in this order.
+	names []string
+}
+
+// attrIndex returns the position of an attribute in the class's sorted
+// attribute names.
+func (c *Class) attrIndex(name string) (int, bool) {
+	i := sort.SearchStrings(c.names, name)
+	return i, i < len(c.names) && c.names[i] == name
 }
 
 // Schema is a conceptual webspace schema.
@@ -87,7 +99,9 @@ func (s *Schema) AddClass(name string, attrs map[string]AttrType) (*Class, error
 	c := &Class{Name: name, Attrs: map[string]AttrType{}, Assocs: map[string]Assoc{}}
 	for a, t := range attrs {
 		c.Attrs[a] = t
+		c.names = append(c.names, a)
 	}
+	sort.Strings(c.names)
 	s.Classes[name] = c
 	return c, nil
 }

@@ -6,30 +6,41 @@ import (
 	"strings"
 )
 
-// Object is one instance in the materialized webspace.
+// Object is one instance in the materialized webspace, made by NewObject.
 type Object struct {
 	ID    int64
 	Class string
-	// Attrs holds typed attribute values: string, int64, float64 or bool.
-	Attrs map[string]any
-	// Links maps role names to target object IDs.
+	// Links maps role names to target object IDs; nil until the first link.
 	Links map[string][]int64
+
+	class *Class
+	// vals holds the attribute values — string, int64, float64 or bool, nil
+	// where unset — aligned with class.names.
+	vals []any
+}
+
+// Attr returns the value of an attribute: a string, int64, float64 or bool,
+// or nil when the object does not set it.
+func (o *Object) Attr(name string) any {
+	if i, ok := o.class.attrIndex(name); ok {
+		return o.vals[i]
+	}
+	return nil
 }
 
 // StringAttr returns a string/text attribute or "".
 func (o *Object) StringAttr(name string) string {
-	if v, ok := o.Attrs[name].(string); ok {
-		return v
-	}
-	return ""
+	s, _ := o.Attr(name).(string)
+	return s
 }
 
-// Webspace is a materialized object graph conforming to a schema.
+// Webspace is a materialized object graph conforming to a schema. Object
+// IDs are dense: the webspace hands out 1, 2, … in creation order, and
+// objects[id-1] is object id.
 type Webspace struct {
 	schema  *Schema
-	objects map[int64]*Object
+	objects []*Object
 	byClass map[string][]int64
-	nextID  int64
 }
 
 // New creates an empty webspace over a validated schema.
@@ -37,11 +48,7 @@ func New(s *Schema) (*Webspace, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Webspace{
-		schema:  s,
-		objects: map[int64]*Object{},
-		byClass: map[string][]int64{},
-	}, nil
+	return &Webspace{schema: s, byClass: map[string][]int64{}}, nil
 }
 
 // Schema returns the webspace's schema.
@@ -53,26 +60,23 @@ func (w *Webspace) NewObject(class string, attrs map[string]any) (*Object, error
 	if !ok {
 		return nil, fmt.Errorf("webspace: unknown class %q", class)
 	}
+	o := &Object{
+		ID:    int64(len(w.objects)) + 1,
+		Class: class,
+		class: c,
+		vals:  make([]any, len(c.names)),
+	}
 	for name, v := range attrs {
-		at, ok := c.Attrs[name]
+		i, ok := c.attrIndex(name)
 		if !ok {
 			return nil, fmt.Errorf("webspace: class %q has no attribute %q", class, name)
 		}
-		if !typeMatches(at, v) {
+		if at := c.Attrs[name]; !typeMatches(at, v) {
 			return nil, fmt.Errorf("webspace: attribute %s.%s: value %T does not match %s", class, name, v, at)
 		}
+		o.vals[i] = v
 	}
-	w.nextID++
-	o := &Object{
-		ID:    w.nextID,
-		Class: class,
-		Attrs: map[string]any{},
-		Links: map[string][]int64{},
-	}
-	for k, v := range attrs {
-		o.Attrs[k] = v
-	}
-	w.objects[o.ID] = o
+	w.objects = append(w.objects, o)
 	w.byClass[class] = append(w.byClass[class], o.ID)
 	return o, nil
 }
@@ -108,15 +112,23 @@ func (w *Webspace) Link(from *Object, role string, to *Object) error {
 	if !a.Many && len(from.Links[role]) >= 1 {
 		return fmt.Errorf("webspace: role %s.%s is to-one and already linked", from.Class, role)
 	}
+	if from.Links == nil {
+		from.Links = map[string][]int64{}
+	}
 	from.Links[role] = append(from.Links[role], to.ID)
 	return nil
 }
 
 // Get returns the object with the given ID.
 func (w *Webspace) Get(id int64) (*Object, bool) {
-	o, ok := w.objects[id]
-	return o, ok
+	if id < 1 || id > int64(len(w.objects)) {
+		return nil, false
+	}
+	return w.objects[id-1], true
 }
+
+// Len returns the number of objects, whose IDs are 1 … Len().
+func (w *Webspace) Len() int { return len(w.objects) }
 
 // All returns the IDs of all objects of a class, in creation order.
 func (w *Webspace) All(class string) []int64 {
@@ -181,7 +193,7 @@ func (w *Webspace) Run(q Query) ([]*Object, error) {
 	}
 	var out []*Object
 	for _, id := range w.byClass[q.Class] {
-		o := w.objects[id]
+		o := w.objects[id-1]
 		ok := true
 		for _, c := range q.Where {
 			if !w.satisfies(o, c) {
@@ -206,7 +218,7 @@ func (w *Webspace) satisfies(o *Object, c Constraint) bool {
 		return true
 	}
 	for _, r := range reached {
-		if cmpAttr(r.Attrs[c.Attr], c.Op, c.Val) {
+		if cmpAttr(r.Attr(c.Attr), c.Op, c.Val) {
 			return true
 		}
 	}
@@ -220,7 +232,7 @@ func (w *Webspace) walk(o *Object, path []string) []*Object {
 		var next []*Object
 		for _, c := range cur {
 			for _, id := range c.Links[role] {
-				if t, ok := w.objects[id]; ok {
+				if t, ok := w.Get(id); ok {
 					next = append(next, t)
 				}
 			}

@@ -247,7 +247,7 @@ func TestQueryPathSemantics(t *testing.T) {
 		hit := false
 		for _, fid := range p.Links["wonFinals"] {
 			f, _ := site.W.Get(fid)
-			if f.Attrs["year"].(int64) >= 2000 {
+			if f.Attr("year").(int64) >= 2000 {
 				hit = true
 			}
 		}

@@ -41,7 +41,8 @@ func promShape(t *testing.T, url string) string {
 // The two goldens below were recorded at PR 18's commit, one metrics model
 // ago. The intended differences since: dl_node_healthy, which read
 // "dl_node_healthy_total counter" there, and the memory gauges
-// dl_heap_live_bytes (node and router) and dl_segments_hydrated (node).
+// dl_heap_live_bytes (node and router), dl_segments_hydrated and
+// dl_mapped_bytes (node).
 const (
 	nodeMetricsShape = `# TYPE dl_active_segments gauge
 dl_active_segments
@@ -63,6 +64,8 @@ dl_compactions_total
 dl_generation
 # TYPE dl_heap_live_bytes gauge
 dl_heap_live_bytes
+# TYPE dl_mapped_bytes gauge
+dl_mapped_bytes
 # TYPE dl_partials_total counter
 dl_partials_total
 # TYPE dl_queries_total counter

@@ -4,7 +4,7 @@
 # explain, /v2/commit, /v2/compact, SIGHUP hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and check it
 # exits 0; then segfile boots: mapped vs heap text index, and a cold boot vs
 # a warm boot on the same page-lane caches (answers, live heap, -debug-addr
-# profiles). Run via `make serve-smoke`; CI runs it alongside the race job.
+# profiles, and what two reloads map). Run via `make serve-smoke`; CI runs it alongside the race job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -309,6 +309,21 @@ echo "dl_heap_live_bytes: cold $cold_heap, warm $warm_heap"
 awk -v c="$cold_heap" -v w="$warm_heap" 'BEGIN { d = c - w; if (d < 0) d = -d; exit !(w > 0 && d <= w / 10) }' || {
     echo "serve-smoke: cold and warm live heaps differ by more than 10 %" >&2; exit 1; }
 curl -fsS "http://127.0.0.1:$cold_port/metrics" | grep -q '^dl_segments_hydrated 1'
+
+# A reload swaps the video library and keeps the page lanes: the lane server
+# maps its -meta file again on each POST /v2/reload (superseded libraries are
+# never unmapped), and its page-lane caches never again.
+echo "--- two POST /v2/reload on the lane server map the -meta file, not the caches"
+mapped_of() { curl -fsS "http://127.0.0.1:$1/metrics" | sed -n 's/^dl_mapped_bytes //p'; }
+mapped_before=$(mapped_of "$cold_port")
+for _ in 1 2; do
+    curl -fsS -X POST "http://127.0.0.1:$cold_port/v2/reload" | grep -q '"snapshot":'
+done
+mapped_after=$(mapped_of "$cold_port")
+meta_bytes=$(wc -c <"$tmp/meta.segf")
+echo "dl_mapped_bytes: $mapped_before -> $mapped_after (-meta is $meta_bytes bytes)"
+[ -n "$mapped_before" ] && [ "$((mapped_after - mapped_before))" -eq "$((2 * meta_bytes))" ] || {
+    echo "serve-smoke: two reloads grew dl_mapped_bytes by $((mapped_after - mapped_before)), want $((2 * meta_bytes))" >&2; exit 1; }
 
 kill -INT "$sf_pid" "$hp_pid" "$cold_pid" "$warm_pid"
 wait "$sf_pid" "$hp_pid" "$cold_pid" "$warm_pid"

@@ -14,12 +14,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/segfile"
+	"repro/internal/webspace"
 )
 
 // saveAndLoad persists lib with SaveIndex and maps it back with
@@ -360,4 +364,141 @@ func TestSegfileConcurrentSearchCommit(t *testing.T) {
 			t.Fatalf("Scenes(%q) diverge after mapped commit (%v)", k, err)
 		}
 	}
+}
+
+// lanePages reads the first two 5-item pages of a concept, a lexical, a
+// vector and a hybrid query.
+func lanePages(t *testing.T, dl *DigitalLibrary) []*ResultSet {
+	t.Helper()
+	ctx := context.Background()
+	var out []*ResultSet
+	for _, q := range []Query{
+		{Source: `find Player where sex = "female" and exists wonFinals` +
+			` scenes "net-play" via wonFinals.video rank "australian open final"`},
+		{Keyword: "australian open final"},
+		{Vector: "women's singles winner"},
+		{Hybrid: "champion interview"},
+	} {
+		var cur Cursor
+		for page := 0; page < 2; page++ {
+			rs, err := dl.Search(ctx, q, WithLimit(5), WithCursor(cur))
+			if err != nil {
+				t.Fatalf("%+v page %d: %v", q, page, err)
+			}
+			if len(rs.Items) == 0 {
+				t.Fatalf("%+v page %d: no items", q, page)
+			}
+			out = append(out, &ResultSet{Items: rs.Items, Total: rs.Total})
+			cur = rs.Cursor
+		}
+	}
+	return out
+}
+
+// TestSwapKeepsPageLanes: a swap replaces the video side only. It neither
+// rebuilds the page lanes from the site nor maps their caches again — with
+// both cache files deleted, two swaps write neither back and map nothing —
+// and every lane answers as before.
+func TestSwapKeepsPageLanes(t *testing.T) {
+	site := v2Site(t)
+	dir := t.TempDir()
+	opts := LibraryOptions{
+		TextSegments: 2,
+		TextSegfile:  filepath.Join(dir, "text.segf"),
+		VecSegfile:   filepath.Join(dir, "vec.segf"),
+	}
+	dl, err := NewDigitalLibraryWith(site, v2Library(t, site, 0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := lanePages(t, dl)
+	for _, path := range []string{opts.TextSegfile, opts.VecSegfile} {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapped := segfile.MappedBytes()
+	for i := 0; i < 2; i++ {
+		if err := dl.Swap(v2Library(t, site, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{opts.TextSegfile, opts.VecSegfile} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s after two swaps: %v, want it still deleted", filepath.Base(path), err)
+		}
+	}
+	if got := segfile.MappedBytes(); got != mapped {
+		t.Errorf("two swaps over heap libraries moved the mapped bytes %d -> %d", mapped, got)
+	}
+	if after := lanePages(t, dl); !reflect.DeepEqual(after, before) {
+		t.Error("pages after the swaps differ from the pages before them")
+	}
+}
+
+// footprintPerObject bounds the live heap a warm-booted library holds per
+// webspace object in TestWarmLibraryFootprint: 510 bytes, measured when the
+// library stopped keeping the site's pages, the webspace a map per object
+// and the text index a map per term (1,298 bytes before), plus 15 %.
+const footprintPerObject = 587
+
+// TestWarmLibraryFootprint: a library warm-booted from both page-lane
+// caches keeps the site's object graph and what its lanes serve from, not
+// the generated pages — they are garbage once the caller drops the site —
+// and its live heap per webspace object stays under footprintPerObject.
+func TestWarmLibraryFootprint(t *testing.T) {
+	gen := func() *Site {
+		site, err := GenerateSite(SiteConfig{Players: 2048, Seed: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return site
+	}
+	dir := t.TempDir()
+	opts := LibraryOptions{
+		TextSegments: 4,
+		TextSegfile:  filepath.Join(dir, "text.segf"),
+		VecSegfile:   filepath.Join(dir, "vec.segf"),
+	}
+	if _, err := NewDigitalLibraryWith(gen(), nil, opts); err != nil { // writes the caches
+		t.Fatal(err)
+	}
+	base := liveHeap()
+	site := gen()
+	objects := site.W.Len()
+	collected := make(chan struct{})
+	runtime.SetFinalizer(&site.Pages[0], func(*webspace.Page) { close(collected) })
+	dl, err := NewDigitalLibraryWith(site, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site = nil
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(10 * time.Millisecond):
+			if i < 100 {
+				continue
+			}
+			t.Fatal("the library keeps the site's pages alive")
+		}
+		break
+	}
+	perObject := (liveHeap() - base) / uint64(objects)
+	runtime.KeepAlive(dl)
+	t.Logf("live heap of a warm-booted library: %d bytes per webspace object (%d objects)", perObject, objects)
+	if perObject > footprintPerObject {
+		t.Errorf("live heap %d bytes per webspace object, want at most %d", perObject, footprintPerObject)
+	}
+}
+
+// liveHeap collects garbage and reads the live heap it leaves. The second
+// collection empties what sync.Pools kept through the first.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
