@@ -214,7 +214,7 @@ func BenchmarkE4TrackingError(b *testing.B) {
 				if err != nil {
 					panic(err)
 				}
-				res := track.TrackShot(frames, track.DefaultConfig())
+				res := trackFrames(frames, track.DefaultConfig())
 				fmt.Printf("%-14s %-6d %12.2f %12.2f %9d%%\n", script, noise,
 					meanTrackError(res.Near, near), meanTrackError(res.Far, far),
 					100*(res.Near.LostFrames+res.Far.LostFrames)/(2*len(frames)))
@@ -226,9 +226,19 @@ func BenchmarkE4TrackingError(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = track.TrackShot(frames, track.DefaultConfig())
+		_ = trackFrames(frames, track.DefaultConfig())
 	}
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// trackFrames is track.ShotTracker.TrackShot over a whole in-memory shot,
+// which cannot fail.
+func trackFrames(frames []*frame.Image, cfg track.Config) track.ShotResult {
+	res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func meanTrackError(tr track.Track, truth []synth.Point) float64 {
@@ -283,7 +293,7 @@ func BenchmarkE5EventRules(b *testing.B) {
 					panic(err)
 				}
 				shots++
-				res := track.TrackShot(frames, track.DefaultConfig())
+				res := trackFrames(frames, track.DefaultConfig())
 				dets := eng.Detect(fde.TrackToSeries(res), len(frames))
 				for kind, pr := range perKind {
 					var dIv, tIv []eval.Interval
@@ -308,7 +318,7 @@ func BenchmarkE5EventRules(b *testing.B) {
 	})
 	cfg := synth.DefaultConfig(5000)
 	frames, _, _, _, _ := synth.RenderTennisShot(cfg, "net-approach", 70)
-	res := track.TrackShot(frames, track.DefaultConfig())
+	res := trackFrames(frames, track.DefaultConfig())
 	series := fde.TrackToSeries(res)
 	eng, _ := rules.NewEngine(rules.TennisRules(), rules.StandardGeometry(cfg.W, cfg.H))
 	b.ReportAllocs()
@@ -756,8 +766,10 @@ func BenchmarkFDEPipeline(b *testing.B) {
 
 // BenchmarkIngestVideo measures what one one-video commit pays before the
 // index is installed, in dlbench's shape (3 shots x 32 frames, 160x120),
-// single worker: SVF decode, the FDE parse and the materialisation into a
-// one-video meta-index. The decode/process split is reported beside it.
+// single worker: opening the SVF file, the FDE parse — whose detectors
+// decode the frames they scan through the file's frame index — and the
+// materialisation into a one-video meta-index. Beside it, the most decoded
+// frames the parse held at once (fde.Result.Held).
 func BenchmarkIngestVideo(b *testing.B) {
 	cfg := synth.DefaultConfig(7920)
 	cfg.Shots = 3
@@ -776,21 +788,22 @@ func BenchmarkIngestVideo(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var decode time.Duration
+	held := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		frames, meta, err := vidfmt.ReadFile(path)
+		f, err := vidfmt.Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		decode += time.Since(t0)
+		meta := f.Meta()
 		doc := core.Video{Name: "live", Path: path, Width: meta.Width, Height: meta.Height, FPS: meta.FPS, Frames: meta.Frames}
-		res, err := engine.Process(doc, frames)
+		res, err := engine.ProcessSource(doc, f)
+		f.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
+		held = max(held, res.Held)
 		idx, err := core.NewMetaIndex()
 		if err != nil {
 			b.Fatal(err)
@@ -799,7 +812,7 @@ func BenchmarkIngestVideo(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(decode.Milliseconds())/float64(b.N), "decode-ms/op")
+	b.ReportMetric(float64(held), "peak-frames-held")
 }
 
 // BenchmarkColdLaneBuild measures the cold page-lane build behind
@@ -1196,7 +1209,7 @@ func BenchmarkAblationSearchWindow(b *testing.B) {
 			}
 			tcfg := track.DefaultConfig()
 			tcfg.SearchRadius = r
-			res := track.TrackShot(frames, tcfg)
+			res := trackFrames(frames, tcfg)
 			fmt.Printf("%-8d %12.2f %7d%%\n", r,
 				meanTrackError(res.Near, near), 100*res.Near.LostFrames/len(frames))
 		}
@@ -1208,7 +1221,7 @@ func BenchmarkAblationSearchWindow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = track.TrackShot(frames, tcfg)
+		_ = trackFrames(frames, tcfg)
 	}
 }
 
@@ -1235,7 +1248,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 		}
 		full := time.Since(t0)
 		t0 = time.Now()
-		if _, err := engine.Reprocess(prior, v.Frames, "rally"); err != nil {
+		if _, err := engine.Reprocess(prior, frame.Frames(v.Frames), "rally"); err != nil {
 			panic(err)
 		}
 		inc := time.Since(t0)
@@ -1247,7 +1260,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Reprocess(prior, v.Frames, "rally"); err != nil {
+		if _, err := engine.Reprocess(prior, frame.Frames(v.Frames), "rally"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,13 @@
 // Command cobraindex runs the tennis Feature Detector Engine over a corpus
 // of SVF videos, populating the COBRA meta-index and persisting it as a
 // memory-mappable segfile. Videos are processed by a worker pool: each
-// worker decodes and parses one video at a time into its own index, and the
-// per-video indexes are merged in argument order — the output is
-// byte-identical at any worker count.
+// worker parses one video at a time into its own index, and the per-video
+// indexes are merged in argument order — the output is byte-identical at
+// any worker count. A worker opens its video's SVF file and the detectors
+// decode frames through its frame index as they scan them, holding at most
+// the current shot plus one GOP (the codec's I-frame interval) ahead, so
+// memory per worker is O(longest shot), not O(video): the summary reports
+// the most decoded frames one parse held.
 //
 // Usage:
 //
@@ -110,16 +114,18 @@ func main() {
 	}
 	st := idx.Stats()
 	var busy time.Duration
-	frames := 0
+	frames, held := 0, 0
 	for _, r := range results {
 		busy += r.Duration
 		frames += r.Frames
+		held = max(held, r.Held)
 	}
 	fmt.Printf("meta-index: %d videos, %d segments, %d objects, %d states, %d events\n",
 		st.Videos, st.Segments, st.Objects, st.States, st.Events)
 	fmt.Printf("indexed %d frames in %v wall (%.1f frames/s, %.2fx parallel speed-up)\n",
 		frames, wall.Round(time.Millisecond),
 		float64(frames)/wall.Seconds(), float64(busy)/float64(wall))
+	fmt.Printf("at most %d decoded frames held by one parse\n", held)
 	fmt.Println("detector statistics:")
 	stats := engine.Stats()
 	names := make([]string, 0, len(stats))

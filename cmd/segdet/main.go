@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"repro/internal/fde"
+	"repro/internal/frame"
 	"repro/internal/shotdet"
 	"repro/internal/vidfmt"
 )
@@ -52,7 +53,10 @@ func main() {
 	if *chi2 {
 		cfg.Metric = shotdet.MetricChiSquare
 	}
-	shots := shotdet.SegmentAndClassify(frames, cfg, shotdet.ClassifierConfig{})
+	shots, err := shotdet.SegmentAndClassify(frame.Frames(frames), cfg, shotdet.ClassifierConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var buf bytes.Buffer
 	buf.WriteString(fde.FormatShotProtocol(shots))
 	if _, err := io.Copy(os.Stdout, &buf); err != nil {

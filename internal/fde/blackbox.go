@@ -3,11 +3,14 @@ package fde
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os/exec"
 	"strconv"
 	"strings"
 
+	"repro/internal/frame"
 	"repro/internal/shotdet"
 	"repro/internal/vidfmt"
 )
@@ -15,8 +18,9 @@ import (
 // BlackBoxSegment adapts an external segment-detector program into a
 // detector implementation, preserving the paper's architecture where the
 // segment detector "is implemented externally" and the FDE merely triggers
-// it. The program receives the video as an SVF stream on stdin and must
-// print one line per shot:
+// it. The program receives the video as an SVF stream on stdin — encoded
+// frame by frame as the source is scanned, so the video is never held whole
+// — and must print one line per shot:
 //
 //	SHOT <start> <end> <class>
 //
@@ -24,17 +28,27 @@ import (
 // '#' are ignored. cmd/segdet implements this protocol.
 func BlackBoxSegment(path string, args ...string) Impl {
 	return func(ctx *Context) error {
-		data, err := vidfmt.EncodeAll(ctx.Frames, ctx.Video.FPS, 0)
-		if err != nil {
-			return fmt.Errorf("blackbox segdet: encoding input: %w", err)
-		}
 		cmd := exec.Command(path, args...)
-		cmd.Stdin = bytes.NewReader(data)
+		stdin, err := cmd.StdinPipe()
+		if err != nil {
+			return fmt.Errorf("blackbox segdet %s: %w", path, err)
+		}
 		var out, errb bytes.Buffer
 		cmd.Stdout = &out
 		cmd.Stderr = &errb
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("blackbox segdet %s: %w (stderr: %s)", path, err, errb.String())
+		if err := cmd.Start(); err != nil {
+			return fmt.Errorf("blackbox segdet %s: %w", path, err)
+		}
+		encErr := encodeSVF(stdin, ctx.Frames, ctx.Video.FPS)
+		stdin.Close() // end of input; a failed encode leaves segdet a truncated stream
+		if encErr != nil {
+			encErr = fmt.Errorf("blackbox segdet: encoding input: %w", encErr)
+		}
+		if err := cmd.Wait(); err != nil {
+			return errors.Join(encErr, fmt.Errorf("blackbox segdet %s: %w (stderr: %s)", path, err, errb.String()))
+		}
+		if encErr != nil {
+			return encErr
 		}
 		shots, err := ParseShotProtocol(out.String())
 		if err != nil {
@@ -48,6 +62,29 @@ func BlackBoxSegment(path string, args ...string) Impl {
 		ctx.Set("classes", classes)
 		return nil
 	}
+}
+
+// encodeSVF writes src to w as one SVF stream at the default GOP — the bytes
+// vidfmt.EncodeAll gives for the same frames — encoding each frame as the
+// source hands it out.
+func encodeSVF(w io.Writer, src frame.Source, fps int) error {
+	var enc *vidfmt.Writer
+	err := src.Scan(0, src.Len(), func(_ int, im *frame.Image) error {
+		if enc == nil {
+			var err error
+			if enc, err = vidfmt.NewWriter(w, im.W, im.H, fps, 0); err != nil {
+				return err
+			}
+		}
+		return enc.WriteFrame(im)
+	})
+	switch {
+	case err != nil:
+		return err
+	case enc == nil:
+		return errors.New("vidfmt: no frames to encode")
+	}
+	return enc.Close()
 }
 
 // ParseShotProtocol parses the SHOT line protocol produced by black-box

@@ -28,9 +28,17 @@ import (
 type Context struct {
 	// Video identifies the document being parsed.
 	Video core.Video
-	// Frames is the decoded raw-data layer.
-	Frames []*frame.Image
+	// Frames is the raw-data layer. Detectors scan the ranges they read,
+	// so a parse decodes frames only as a detector asks for them.
+	Frames frame.Source
 	values map[string]any
+	held   int // see Hold
+}
+
+// Hold records that a detector held n decoded frames at once; the parse
+// reports the most any detector held as Result.Held.
+func (c *Context) Hold(n int) {
+	c.held = max(c.held, n)
 }
 
 // Set publishes a symbol value. Detectors must only set symbols they
@@ -119,7 +127,10 @@ type Result struct {
 	Video core.Video
 	// Durations records per-detector wall time for this parse.
 	Durations map[string]time.Duration
-	values    map[string]any
+	// Held is the most decoded frames a detector of this parse held at once
+	// (Context.Hold), beside the source's own decode state.
+	Held   int
+	values map[string]any
 }
 
 // Get reads a symbol from the parse result.
@@ -138,12 +149,18 @@ func (r *Result) Symbols() []string {
 	return out
 }
 
-// Process parses one video: all detectors run in dependency order.
+// Process parses one video held in memory; see ProcessSource.
 func (e *Engine) Process(v core.Video, frames []*frame.Image) (*Result, error) {
+	return e.ProcessSource(v, frame.Frames(frames))
+}
+
+// ProcessSource parses one video: all detectors run in dependency order,
+// each reading the frames it needs from src.
+func (e *Engine) ProcessSource(v core.Video, src frame.Source) (*Result, error) {
 	if err := e.bound(); err != nil {
 		return nil, err
 	}
-	ctx := &Context{Video: v, Frames: frames, values: map[string]any{}}
+	ctx := &Context{Video: v, Frames: src, values: map[string]any{}}
 	for _, a := range e.g.Atoms {
 		ctx.values[a] = v // atoms carry the document itself
 	}
@@ -153,13 +170,15 @@ func (e *Engine) Process(v core.Video, frames []*frame.Image) (*Result, error) {
 			return nil, err
 		}
 	}
+	res.Held = ctx.held
 	return res, nil
 }
 
 // Reprocess re-parses a video after the named detectors changed: only the
 // downstream closure re-runs; upstream symbols come from the prior result.
-// The prior result is not modified.
-func (e *Engine) Reprocess(prior *Result, frames []*frame.Image, changed ...string) (*Result, error) {
+// The prior result is not modified. Frames are decoded from src only as the
+// re-run detectors scan them: re-running the event rules reads none.
+func (e *Engine) Reprocess(prior *Result, src frame.Source, changed ...string) (*Result, error) {
 	if err := e.bound(); err != nil {
 		return nil, err
 	}
@@ -184,7 +203,7 @@ func (e *Engine) Reprocess(prior *Result, frames []*frame.Image, changed ...stri
 			}
 		}
 	}
-	ctx := &Context{Video: prior.Video, Frames: frames, values: values}
+	ctx := &Context{Video: prior.Video, Frames: src, values: values}
 	res := &Result{Video: prior.Video, Durations: map[string]time.Duration{}, values: values}
 	for _, d := range e.sched {
 		if !affectedSet[d.Name] {
@@ -194,6 +213,7 @@ func (e *Engine) Reprocess(prior *Result, frames []*frame.Image, changed ...stri
 			return nil, err
 		}
 	}
+	res.Held = ctx.held
 	return res, nil
 }
 

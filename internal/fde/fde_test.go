@@ -138,7 +138,7 @@ func TestReprocessOnlyRunsDownstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e.Reprocess(res, v.Frames, "rally")
+	res2, err := e.Reprocess(res, frame.Frames(v.Frames), "rally")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestReprocessOnlyRunsDownstream(t *testing.T) {
 		t.Fatal("prior result mutated")
 	}
 	// Changing tennis re-runs the event detectors too.
-	res3, err := e.Reprocess(res, v.Frames, "tennis")
+	res3, err := e.Reprocess(res, frame.Frames(v.Frames), "tennis")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res3.Durations) != 4 {
 		t.Fatalf("reprocess(tennis) ran %v, want 4 detectors", res3.Durations)
 	}
-	if _, err := e.Reprocess(res, v.Frames, "ghost"); err == nil {
+	if _, err := e.Reprocess(res, frame.Frames(v.Frames), "ghost"); err == nil {
 		t.Fatal("unknown changed detector accepted")
 	}
 }

@@ -88,7 +88,12 @@ func NewTennisEngine(cfg TennisConfig) (*Engine, error) {
 // classification, published as the "shots" and "classes" symbols.
 func whiteBoxSegment(cfg TennisConfig) Impl {
 	return func(ctx *Context) error {
-		shots := shotdet.SegmentAndClassify(ctx.Frames, cfg.Shot, cfg.Classifier)
+		var sw shotdet.Sweeper
+		shots, err := sw.SegmentAndClassify(ctx.Frames, cfg.Shot, cfg.Classifier)
+		if err != nil {
+			return err
+		}
+		ctx.Hold(sw.Held())
 		classes := make([]string, len(shots))
 		for i, s := range shots {
 			classes[i] = s.Class.String()
@@ -100,8 +105,9 @@ func whiteBoxSegment(cfg TennisConfig) Impl {
 }
 
 // tennisDetector tracks the players within every shot classified "tennis"
-// (the grammar guard), publishing per-shot tracking results and the rule
-// state series.
+// (the grammar guard), scanning each such shot from the source one frame at
+// a time, and publishes per-shot tracking results and the rule state
+// series.
 func tennisDetector(cfg TennisConfig) Impl {
 	return func(ctx *Context) error {
 		shotsV, _ := ctx.Get("shots")
@@ -112,11 +118,15 @@ func tennisDetector(cfg TennisConfig) Impl {
 		players := map[int]track.ShotResult{}
 		trajectories := map[int]rules.Series{}
 		shapes := map[int][]frame.Shape{}
+		var tr track.ShotTracker
 		for i, s := range shots {
 			if s.Class != shotdet.ClassTennis {
 				continue // guard: class==tennis
 			}
-			res := track.TrackShot(ctx.Frames[s.Start:s.End], cfg.Track)
+			res, err := tr.TrackShot(ctx.Frames, s.Start, s.End, cfg.Track)
+			if err != nil {
+				return err
+			}
 			players[i] = res
 			trajectories[i] = TrackToSeries(res)
 			var shp []frame.Shape

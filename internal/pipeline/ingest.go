@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -20,37 +21,41 @@ import (
 	"repro/internal/vidfmt"
 )
 
-// Job is one video to ingest. Either Frames is set, or Open returns the
-// decoded frames on demand — the latter keeps decode I/O inside the worker
-// pool so it overlaps with detector compute on other workers.
+// Job is one video to ingest. Either Frames is set, or Open returns a frame
+// source on demand — the latter keeps decode I/O inside the worker pool so it
+// overlaps with detector compute on other workers, and the detectors decode
+// only the frames they scan.
 type Job struct {
 	// Video carries the document metadata. When Open is set the metadata
 	// returned by Open wins.
 	Video core.Video
 	// Frames is the decoded raw-data layer, if already in memory.
 	Frames []*frame.Image
-	// Open lazily decodes the video (e.g. from an SVF file).
-	Open func() (core.Video, []*frame.Image, error)
+	// Open opens the video's frames (e.g. an SVF file). A source that is an
+	// io.Closer is closed when the job's parse ends.
+	Open func() (core.Video, frame.Source, error)
 }
 
-// SVFJob builds a Job that lazily decodes an SVF file inside the worker
-// pool. name defaults to the file's base name without extension.
+// SVFJob builds a Job that opens an SVF file inside the worker pool; the
+// detectors decode its frames through the file's frame index. name
+// defaults to the file's base name without extension.
 func SVFJob(path, name string) Job {
 	if name == "" {
 		name = vidfmt.BaseName(path)
 	}
 	return Job{
 		Video: core.Video{Name: name},
-		Open: func() (core.Video, []*frame.Image, error) {
-			frames, meta, err := vidfmt.ReadFile(path)
+		Open: func() (core.Video, frame.Source, error) {
+			f, err := vidfmt.Open(path)
 			if err != nil {
 				return core.Video{}, nil, err
 			}
+			meta := f.Meta()
 			return core.Video{
 				Name: name, Path: path,
 				Width: meta.Width, Height: meta.Height,
 				FPS: meta.FPS, Frames: meta.Frames,
-			}, frames, nil
+			}, f, nil
 		},
 	}
 }
@@ -63,6 +68,9 @@ type Result struct {
 	Name string
 	// Frames is the number of frames parsed.
 	Frames int
+	// Held is the most decoded frames the parse held at once
+	// (fde.Result.Held).
+	Held int
 	// Duration is the wall-clock time spent decoding and parsing.
 	Duration time.Duration
 	// Err is the job failure, nil on success. Jobs never started after a
@@ -184,23 +192,26 @@ func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
 		return res
 	}
 	start := time.Now()
-	v, frames := job.Video, job.Frames
+	v, src := job.Video, frame.Source(frame.Frames(job.Frames))
 	if job.Open != nil {
 		var err error
-		v, frames, err = job.Open()
+		v, src, err = job.Open()
 		if err != nil {
 			res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
 			res.Duration = time.Since(start)
 			return res
 		}
+		if c, ok := src.(io.Closer); ok {
+			defer c.Close() // only read
+		}
 		res.Name = v.Name
 	}
-	if len(frames) == 0 {
+	if src.Len() == 0 {
 		res.Err = fmt.Errorf("pipeline: job %d (%s): no frames", seq, res.Name)
 		res.Duration = time.Since(start)
 		return res
 	}
-	parse, err := in.engine.Process(v, frames)
+	parse, err := in.engine.ProcessSource(v, src)
 	if err != nil {
 		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
 		res.Duration = time.Since(start)
@@ -216,7 +227,7 @@ func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
 		return res
 	}
 	in.parts[seq] = idx
-	res.Frames = len(frames)
+	res.Frames, res.Held = src.Len(), parse.Held
 	res.Duration = time.Since(start)
 	return res
 }

@@ -235,7 +235,7 @@ func TestIngestorMergeIntoExistingWithFailure(t *testing.T) {
 	existing.Video.Name = "existing"
 	broken := Job{
 		Video: core.Video{Name: "broken"},
-		Open: func() (core.Video, []*frame.Image, error) {
+		Open: func() (core.Video, frame.Source, error) {
 			return core.Video{}, nil, errors.New("decode failed")
 		},
 	}
@@ -293,9 +293,9 @@ func TestIngestorCancelledRunMergesFinishedJobs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	canceller := jobs[1]
-	jobs[1] = Job{Open: func() (core.Video, []*frame.Image, error) {
+	jobs[1] = Job{Open: func() (core.Video, frame.Source, error) {
 		cancel()
-		return canceller.Video, canceller.Frames, nil
+		return canceller.Video, frame.Frames(canceller.Frames), nil
 	}}
 	in, err := New(newEngine(t), Config{Workers: 1})
 	if err != nil {
@@ -331,17 +331,17 @@ func TestIngestorOpenAndErrors(t *testing.T) {
 	openErr := errors.New("decode failed")
 	jobs = append(jobs, Job{
 		Video: core.Video{Name: "broken"},
-		Open: func() (core.Video, []*frame.Image, error) {
+		Open: func() (core.Video, frame.Source, error) {
 			return core.Video{}, nil, openErr
 		},
 	})
 	v := vids[2]
 	jobs = append(jobs, Job{
-		Open: func() (core.Video, []*frame.Image, error) {
+		Open: func() (core.Video, frame.Source, error) {
 			return core.Video{
 				Name: "opened", Width: v.W, Height: v.H, FPS: v.FPS,
 				Frames: len(v.Frames),
-			}, v.Frames, nil
+			}, frame.Frames(v.Frames), nil
 		},
 	})
 

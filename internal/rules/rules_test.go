@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/synth"
 	"repro/internal/track"
 )
@@ -299,7 +300,10 @@ func TestEndToEndEventDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := track.TrackShot(frames, track.DefaultConfig())
+		res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), track.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
 		e, err := NewEngine(TennisRules(), StandardGeometry(cfg.W, cfg.H))
 		if err != nil {
 			t.Fatal(err)

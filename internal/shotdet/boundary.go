@@ -222,61 +222,171 @@ func meanStd(xs []float64) (mean, std float64) {
 	return mean, std
 }
 
-// histChunk bounds how many histograms a Sweeper materializes at
-// once: large enough to keep every worker busy, small enough that memory
-// stays O(chunk) instead of O(video) even for hour-long inputs.
-const histChunk = 1024
+// ahead is how many frames the boundary pass decodes before it consumes
+// their histograms: one GOP at vidfmt's default, so the histograms of a
+// batch spread over the workers while the frames held beyond the current
+// shot stay within one restart interval of the codec.
+const ahead = 12
 
-// Sweeper runs the detector over a frame slice. Histogram extraction — the
-// dominant cost — is fanned out over cfg.Workers goroutines, one bounded
-// chunk at a time; the stateful boundary decision then consumes the
-// histograms in frame order. A Sweeper amortizes its scratch — the chunk
-// histogram buffer and the adaptive-rule window — across repeated detection
-// runs, so a threshold sweep over the same footage pays the per-frame
-// histogram allocations once instead of once per configuration. The zero
+// Sweeper runs the boundary detector over a frame source in one forward
+// scan. Each frame is copied into the sweeper's window as it is decoded;
+// every ahead frames, the batch's histograms — the dominant cost — are
+// computed over cfg.Workers goroutines, and the stateful boundary decision
+// consumes them in frame order. A Sweeper amortizes its scratch — the batch
+// histograms, the window's frame buffers and the adaptive-rule window —
+// across repeated runs, so a threshold sweep over the same footage pays the
+// per-frame allocations once instead of once per configuration. The zero
 // value is ready to use. A Sweeper is not safe for concurrent use.
 type Sweeper struct {
 	d     Detector
-	hists []*frame.Histogram // chunk scratch, recycled across chunks and runs
+	hists []*frame.Histogram // batch scratch, recycled across batches and runs
+	kept  []*frame.Histogram // taken out of hists while the detector held them
+	win   window
+	// The run in progress: the first frame whose histogram is not yet
+	// consumed, the histogram workers and the visitor.
+	next, workers int
+	v             visitor
 }
+
+// spare removes and returns a kept histogram the detector no longer
+// references, or nil.
+func (s *Sweeper) spare() *frame.Histogram {
+	for i, h := range s.kept {
+		if h != s.d.prevHist && h != s.d.anchorHist {
+			s.kept = append(s.kept[:i], s.kept[i+1:]...)
+			return h
+		}
+	}
+	return nil
+}
+
+// window holds copies of the consecutive frames [base, base+len(frames))
+// that a pass still needs, recycling the buffers of the frames it drops.
+type window struct {
+	base   int
+	frames []*frame.Image
+	free   []*frame.Image
+	peak   int // the most frames held at once since the last reset
+}
+
+// reset drops every frame and rebases the window at base.
+func (w *window) reset(base int) {
+	w.drop(w.base + len(w.frames))
+	w.base = base
+}
+
+// push copies im in as the window's next frame, into a dropped frame's
+// buffer when there is one.
+func (w *window) push(im *frame.Image) {
+	var buf *frame.Image
+	if n := len(w.free); n > 0 {
+		buf, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		buf = new(frame.Image)
+	}
+	if cap(buf.Pix) < len(im.Pix) {
+		buf.Pix = make([]uint8, len(im.Pix))
+	}
+	buf.W, buf.H, buf.Pix = im.W, im.H, buf.Pix[:len(im.Pix)]
+	copy(buf.Pix, im.Pix)
+	w.frames = append(w.frames, buf)
+	w.peak = max(w.peak, len(w.frames))
+}
+
+// at returns frame i, which the window must hold.
+func (w *window) at(i int) *frame.Image { return w.frames[i-w.base] }
+
+// drop releases every frame before to.
+func (w *window) drop(to int) {
+	k := min(max(to-w.base, 0), len(w.frames))
+	w.free = append(w.free, w.frames[:k]...)
+	n := copy(w.frames, w.frames[k:])
+	clear(w.frames[n:])
+	w.frames = w.frames[:n]
+	w.base += k
+}
+
+// Held returns the most decoded frames the last run held at once.
+func (s *Sweeper) Held() int { return s.win.peak }
 
 // Detect returns the boundaries of frames under cfg. Through the Sweeper's
 // recycled scratch the result is identical for every configuration and
 // every reuse pattern; only the allocation profile changes.
 func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []Boundary {
-	return s.detect(frames, cfg, nil)
+	bl := &boundaryList{win: &s.win}
+	// An in-memory source cannot fail.
+	_ = s.sweep(frame.Frames(frames), cfg, bl)
+	return bl.out
 }
 
-// detect is Detect that, given a non-nil colors of len(frames), also
-// summarises every frame's histogram into it as the pass goes by.
-func (s *Sweeper) detect(frames []*frame.Image, cfg Config, colors []frameColor) []Boundary {
+// visitor consumes the boundary pass frame by frame: visit is called in
+// frame order with every frame's histogram and the boundary, if one starts
+// at that frame. When it is called the window holds every frame from its
+// base up to the end of the frame's batch; the visitor drops what it no
+// longer needs.
+type visitor interface {
+	visit(i int, h *frame.Histogram, b Boundary, cut bool)
+}
+
+// boundaryList is the visitor of Detect: it keeps the boundaries and none
+// of the frames.
+type boundaryList struct {
+	win *window
+	out []Boundary
+}
+
+func (bl *boundaryList) visit(i int, _ *frame.Histogram, b Boundary, cut bool) {
+	if cut {
+		bl.out = append(bl.out, b)
+	}
+	bl.win.drop(i + 1)
+}
+
+// sweep runs the boundary pass over src for v.
+func (s *Sweeper) sweep(src frame.Source, cfg Config, v visitor) error {
 	s.d = Detector{cfg: cfg.withDefaults(), recent: s.d.recent[:0]}
+	s.win.reset(0)
+	s.win.peak = 0
+	s.next, s.workers, s.v = 0, cfg.Workers, v
+	defer func() { s.v = nil }()
+	if err := src.Scan(0, src.Len(), s.take); err != nil {
+		return err
+	}
+	if s.next < src.Len() {
+		s.flush()
+	}
+	return nil
+}
+
+// take copies frame i into the window and flushes a full batch.
+func (s *Sweeper) take(i int, im *frame.Image) error {
+	s.win.push(im)
+	if i+1-s.next == ahead {
+		s.flush()
+	}
+	return nil
+}
+
+// flush histograms the frames taken since the last flush and feeds them to
+// the detector and the visitor in frame order.
+func (s *Sweeper) flush() {
 	d := &s.d
-	var out []Boundary
-	for start := 0; start < len(frames); start += histChunk {
-		end := start + histChunk
-		if end > len(frames) {
-			end = len(frames)
-		}
-		s.hists = frame.HistogramsInto(s.hists, frames[start:end], d.cfg.Bins, cfg.Workers)
-		for i, h := range s.hists {
-			if colors != nil {
-				colors[start+i] = colorOf(h)
-			}
-			if b, ok := d.FeedHistogram(h); ok {
-				out = append(out, b)
-			}
-		}
-		// Every histogram of this chunk can be overwritten by the next one
-		// except the two the detector still references: the previous frame's
-		// histogram and the gradual-transition anchor.
-		for i, h := range s.hists {
-			if h == d.prevHist || h == d.anchorHist {
-				s.hists[i] = nil
-			}
+	s.hists = frame.HistogramsInto(s.hists, s.win.frames[s.next-s.win.base:], d.cfg.Bins, s.workers)
+	for _, h := range s.hists {
+		b, cut := d.FeedHistogram(h)
+		s.v.visit(s.next, h, b, cut)
+		s.next++
+	}
+	// Every histogram of this batch can be overwritten by the next one
+	// except the two the detector still references, the previous frame's
+	// histogram and the gradual-transition anchor: those trade places with
+	// kept histograms the detector has let go of.
+	for i, h := range s.hists {
+		if h == d.prevHist || h == d.anchorHist {
+			s.hists[i] = s.spare()
+			s.kept = append(s.kept, h)
 		}
 	}
-	return out
 }
 
 // Shot is a detected, classified shot: frames [Start, End).
@@ -295,38 +405,97 @@ func (s Shot) String() string {
 	return fmt.Sprintf("[%d,%d) %s", s.Start, s.End, s.Class)
 }
 
-// segment splits frames into shots at the detected boundaries; every shot's
-// class is ClassOther until classified. Given a non-nil colors of
-// len(frames), it also summarises every frame's colour histogram into it
-// from the boundary pass.
-func segment(frames []*frame.Image, cfg Config, colors []frameColor) []Shot {
-	var s Sweeper
-	var shots []Shot
-	start := 0
-	for _, b := range s.detect(frames, cfg, colors) {
-		shots = append(shots, Shot{Start: start, End: b.Frame})
-		start = b.Frame
-	}
-	if start < len(frames) {
-		shots = append(shots, Shot{Start: start, End: len(frames)})
-	}
-	return shots
+// SegmentAndClassify segments the video and classifies every shot: the
+// complete "segment detector" of the paper, run by a fresh Sweeper.
+func SegmentAndClassify(src frame.Source, cfg Config, ccfg ClassifierConfig) ([]Shot, error) {
+	return new(Sweeper).SegmentAndClassify(src, cfg, ccfg)
 }
 
-// SegmentAndClassify segments the video and classifies every shot. This is
-// the complete "segment detector" of the paper. When ccfg has no court
-// colour it is estimated from the video by the court-colour vote at
-// minimum share 0.3. Each frame's colour histogram is computed once, by the
+// SegmentAndClassify segments src in one forward scan and classifies every
+// shot as it closes, holding only the frames of the current shot and of the
+// batch ahead of it. Each frame's colour histogram is computed once, by the
 // boundary pass; the court-colour vote and the classifier read its
 // summaries instead of recomputing them.
-func SegmentAndClassify(frames []*frame.Image, cfg Config, ccfg ClassifierConfig) []Shot {
-	cs := videoColors{bins: cfg.withDefaults().Bins, frames: make([]frameColor, len(frames))}
-	shots := segment(frames, cfg, cs.frames)
-	if ccfg.CourtColor == (frame.RGB{}) {
-		if est, ok := cs.courtColor(0.3); ok {
-			ccfg.CourtColor = est
-		}
+//
+// When ccfg has no court colour it is the winner of the court-colour vote
+// at minimum share 0.3, which is only final once the scan ends. A shot
+// closes under the vote's winner so far; after the scan, the shots that
+// closed under another colour than the final one are scanned again from
+// the source and re-classified, so the result is exactly that of
+// classifying every shot under the final colour.
+func (s *Sweeper) SegmentAndClassify(src frame.Source, cfg Config, ccfg ClassifierConfig) ([]Shot, error) {
+	n := src.Len()
+	sg := &segmentation{
+		win:  &s.win,
+		cs:   videoColors{bins: cfg.withDefaults().Bins, frames: make([]frameColor, n)},
+		cls:  NewClassifier(ccfg),
+		vote: ccfg.CourtColor == (frame.RGB{}),
+		step: courtVoteStep(n),
+		sc:   new(sampleScratch),
 	}
-	NewClassifier(ccfg).classifyShots(frames, shots, cs)
-	return shots
+	if err := s.sweep(src, cfg, sg); err != nil {
+		return nil, err
+	}
+	if sg.start < n {
+		sg.close(n)
+	}
+	if !sg.vote {
+		return sg.shots, nil
+	}
+	final := sg.ballot.best
+	sg.cls.cfg.CourtColor = final
+	for i, sh := range sg.shots {
+		if sg.under[i] == final {
+			continue
+		}
+		s.win.reset(sh.Start)
+		if err := src.Scan(sh.Start, sh.End, func(_ int, im *frame.Image) error {
+			s.win.push(im)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		sg.shots[i].Class, sg.shots[i].Features = sg.cls.classifyShot(s.win.at, sg.cs, sh.Start, sh.End, sg.sc)
+	}
+	s.win.reset(n)
+	return sg.shots, nil
+}
+
+// segmentation is the visitor of SegmentAndClassify: it summarises every
+// frame's colour, counts the court-colour votes, and classifies each shot
+// as it closes from the frames the window holds.
+type segmentation struct {
+	win    *window
+	cs     videoColors
+	cls    *Classifier
+	vote   bool // the court colour is the vote's: ccfg had none
+	ballot courtBallot
+	step   int // courtVoteStep of the video
+	sc     *sampleScratch
+	start  int         // the first frame of the open shot
+	shots  []Shot      // the closed shots
+	under  []frame.RGB // the court colour each closed shot was classified under
+}
+
+func (sg *segmentation) visit(i int, h *frame.Histogram, _ Boundary, cut bool) {
+	sg.cs.frames[i] = colorOf(h)
+	if sg.vote && i%sg.step == 0 {
+		sg.ballot.add(sg.cs.frames[i], 0.3)
+	}
+	if cut {
+		sg.close(i)
+	}
+}
+
+// close classifies the open shot, ending it at end, and drops its frames.
+func (sg *segmentation) close(end int) {
+	if sg.vote {
+		sg.cls.cfg.CourtColor = sg.ballot.best
+	}
+	shot := Shot{Start: sg.start, End: end}
+	shot.Class, shot.Features = sg.cls.classifyShot(sg.win.at, sg.cs, sg.start, end, sg.sc)
+	sg.shots = append(sg.shots, shot)
+	sg.under = append(sg.under, sg.cls.cfg.CourtColor)
+	sg.win.drop(end)
+	sg.start = end
 }

@@ -195,8 +195,8 @@ func courtVoteStep(frames int) int { return frames/64 + 1 }
 
 // sampleScratch is the working memory of extract — the skin mask, its
 // opening and the labelling buffers — reused across the sampled frames of
-// one classifyShots call. It is never kept on the Classifier: the FDE engine
-// that owns one is shared by the pipeline's workers.
+// one segmentation. It is never kept on the Classifier: the FDE engine that
+// owns one is shared by the pipeline's workers.
 type sampleScratch struct {
 	skin, eroded, opened frame.Mask
 	labeler              frame.Labeler
@@ -257,13 +257,12 @@ func (c *Classifier) extract(im *frame.Image, col frameColor, s *sampleScratch) 
 }
 
 // colorAt returns frame i's colour summary at the classifier's bin count:
-// read from cs when cs covers these frames at that count, computed
-// otherwise.
-func (c *Classifier) colorAt(frames []*frame.Image, cs videoColors, i int) frameColor {
-	if cs.bins == c.cfg.Bins && len(cs.frames) == len(frames) {
+// read from cs when cs was computed at that count, computed otherwise.
+func (c *Classifier) colorAt(at func(int) *frame.Image, cs videoColors, i int) frameColor {
+	if cs.bins == c.cfg.Bins {
 		return cs.frames[i]
 	}
-	return colorOf(frame.HistogramOf(frames[i], c.cfg.Bins))
+	return colorOf(frame.HistogramOf(at(i), c.cfg.Bins))
 }
 
 // Classify applies the decision rule to a feature vector.
@@ -283,41 +282,25 @@ func (c *Classifier) Classify(f Features) Class {
 // ClassifyShot classifies the shot [start, end) of frames on its own,
 // computing each sampled frame's colour summary afresh.
 func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class, Features) {
-	return c.classifyShot(frames, videoColors{}, start, end, new(sampleScratch))
-}
-
-// classifyShots classifies every shot in place (Class and Features), reading
-// each sampled frame's colour summary from cs — the boundary pass's
-// histograms — instead of recomputing it when cs was computed at the
-// classifier's bin count.
-func (c *Classifier) classifyShots(frames []*frame.Image, shots []Shot, cs videoColors) {
-	s := new(sampleScratch)
-	for i := range shots {
-		shots[i].Class, shots[i].Features = c.classifyShot(frames, cs, shots[i].Start, shots[i].End, s)
-	}
+	start, end = max(start, 0), min(end, len(frames))
+	at := func(i int) *frame.Image { return frames[i] }
+	return c.classifyShot(at, videoColors{}, start, end, new(sampleScratch))
 }
 
 // classifyShot samples SampleFrames frames evenly across [start, end),
 // averages their features, and classifies the aggregate. Averaging smooths
-// over transient occlusions within the shot.
-func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, end int, s *sampleScratch) (Class, Features) {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(frames) {
-		end = len(frames)
-	}
+// over transient occlusions within the shot. at returns a frame of the
+// shot; each sampled frame's colour summary is read from cs — the boundary
+// pass's histograms — when cs was computed at the classifier's bin count.
+func (c *Classifier) classifyShot(at func(int) *frame.Image, cs videoColors, start, end int, s *sampleScratch) (Class, Features) {
 	if start >= end {
 		return ClassOther, Features{}
 	}
-	n := c.cfg.SampleFrames
-	if n > end-start {
-		n = end - start
-	}
+	n := min(c.cfg.SampleFrames, end-start)
 	var agg Features
 	for k := 0; k < n; k++ {
-		idx := start + (end-start-1)*k/maxInt(n-1, 1)
-		f := c.extract(frames[idx], c.colorAt(frames, cs, idx), s)
+		idx := start + (end-start-1)*k/max(n-1, 1)
+		f := c.extract(at(idx), c.colorAt(at, cs, idx), s)
 		agg.DominantShare += f.DominantShare
 		agg.CourtShare += f.CourtShare
 		agg.SkinRatio += f.SkinRatio
@@ -336,43 +319,57 @@ func (c *Classifier) classifyShot(frames []*frame.Image, cs videoColors, start, 
 	agg.Variance *= inv
 	// Dominant colour of the middle frame is representative; it is the only
 	// feature read of that frame.
-	agg.Dominant = c.colorAt(frames, cs, (start+end)/2).peak
+	agg.Dominant = c.colorAt(at, cs, (start+end)/2).peak
 	return c.Classify(agg), agg
 }
 
-// courtColor votes over the colour summaries in cs (every
-// courtVoteStep-th frame) for the modal dominant colour among frames where
-// one colour holds at least minShare of pixels — over broadcast footage this
-// converges on the court surface, mirroring the paper's "estimated
-// statistics of the tennis field color". Only chromatic candidates (HSV
-// saturation >= 0.25) are counted: playing surfaces (green, blue, clay) are
-// saturated, while the near-grey backgrounds of close-ups and crowd shots
-// are not, and would otherwise outvote the court in videos with few playing
-// shots. The boolean is false if no frame had a sufficiently dominant
-// chromatic colour.
+// courtColor is the court-colour vote over the colour summaries in cs:
+// every courtVoteStep-th frame casts a ballot (see courtBallot.add). The
+// boolean is false if no frame voted.
 func (cs videoColors) courtColor(minShare float64) (frame.RGB, bool) {
+	var b courtBallot
+	for i := 0; i < len(cs.frames); i += courtVoteStep(len(cs.frames)) {
+		b.add(cs.frames[i], minShare)
+	}
+	return b.best, b.bestN > 0
+}
+
+// courtBallot counts the court-colour vote: the modal dominant colour among
+// the voting frames where one colour holds at least minShare (default 0.3)
+// of pixels — over broadcast footage this converges on the court surface,
+// mirroring the paper's "estimated statistics of the tennis field color".
+// Only chromatic candidates (HSV saturation >= 0.25) are counted: playing
+// surfaces (green, blue, clay) are saturated, while the near-grey
+// backgrounds of close-ups and crowd shots are not, and would otherwise
+// outvote the court in videos with few playing shots. The winner so far is
+// kept as the votes arrive, under a total order — most votes, then R, G, B
+// ascending — so that a tie does not fall to map iteration order: the same
+// frames must index the same way on every run, or a WAL replay would not
+// rebuild what the live commit built. Only the colour a vote counts can
+// overtake the winner, so the running winner is the winner of the votes
+// counted so far.
+type courtBallot struct {
+	votes map[frame.RGB]int
+	best  frame.RGB // zero until a frame votes
+	bestN int
+}
+
+// add counts fc's vote, if it casts one.
+func (b *courtBallot) add(fc frameColor, minShare float64) {
 	if minShare == 0 {
 		minShare = 0.3
 	}
 	const minSaturation = 0.25
-	votes := map[frame.RGB]int{}
-	for i := 0; i < len(cs.frames); i += courtVoteStep(len(cs.frames)) {
-		if fc := cs.frames[i]; fc.share >= minShare && frame.ToHSV(fc.peak).S >= minSaturation {
-			votes[fc.peak]++
-		}
+	if fc.share < minShare || frame.ToHSV(fc.peak).S < minSaturation {
+		return
 	}
-	// The winner is picked under a total order — most votes, then R, G, B
-	// ascending — so that a tie does not fall to map iteration order: the
-	// same frames must index the same way on every run, or a WAL replay
-	// would not rebuild what the live commit built.
-	var best frame.RGB
-	bestN := 0
-	for c, n := range votes {
-		if n > bestN || n == bestN && lessRGB(c, best) {
-			best, bestN = c, n
-		}
+	if b.votes == nil {
+		b.votes = map[frame.RGB]int{}
 	}
-	return best, bestN > 0
+	b.votes[fc.peak]++
+	if n := b.votes[fc.peak]; n > b.bestN || n == b.bestN && lessRGB(fc.peak, b.best) {
+		b.best, b.bestN = fc.peak, n
+	}
 }
 
 // lessRGB orders colours by R, then G, then B.
@@ -384,11 +381,4 @@ func lessRGB(a, b frame.RGB) bool {
 		return a.G < b.G
 	}
 	return a.B < b.B
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

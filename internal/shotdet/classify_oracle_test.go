@@ -101,7 +101,7 @@ func TestFusedFeaturesMatchReference(t *testing.T) {
 			t.Fatalf("seed %d: no court colour estimated", seed)
 		}
 		cls := NewClassifier(ClassifierConfig{CourtColor: court})
-		for i, s := range SegmentAndClassify(v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: frame.RGB{}}) {
+		for i, s := range segmentAll(t, v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: frame.RGB{}}) {
 			class, f := classifyShotReference(cls, v.Frames, s.Start, s.End)
 			if s.Class != class || s.Features != f {
 				t.Fatalf("seed %d shot %d: fused %v %+v, reference %v %+v", seed, i, s.Class, s.Features, class, f)

@@ -21,7 +21,7 @@ func feedReference(frames []*frame.Image, cfg Config) []Boundary {
 }
 
 // TestDetectBoundariesChunkRecycleMatchesReference drives Sweeper.Detect
-// across multiple chunks (frames > histChunk) so chunk recycling actually
+// across multiple chunks (frames > ahead) so chunk recycling actually
 // exercises the prev/anchor retention logic, and cross-checks the result
 // against the per-frame reference.
 func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
@@ -33,7 +33,7 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 	}
 	frames := v.Frames
 	// Tile the video past one chunk so at least two chunk recycles happen.
-	for len(frames) <= 2*histChunk {
+	for len(frames) <= 2*ahead {
 		frames = append(frames, v.Frames...)
 	}
 	for _, dcfg := range []Config{DefaultConfig(), {GradualLow: 0.08}} {
@@ -68,7 +68,7 @@ func TestSweeperMatchesDetectBoundaries(t *testing.T) {
 	short := mk(81, 8)
 	other := mk(83, 5)
 	long := short
-	for len(long) <= 2*histChunk {
+	for len(long) <= 2*ahead {
 		long = append(long, short...)
 	}
 	configs := []Config{

@@ -18,6 +18,31 @@ func recomputedColors(frames []*frame.Image, bins int) videoColors {
 	return cs
 }
 
+// segmentAll is SegmentAndClassify over an in-memory video, which cannot
+// fail.
+func segmentAll(t *testing.T, frames []*frame.Image, cfg Config, ccfg ClassifierConfig) []Shot {
+	t.Helper()
+	shots, err := SegmentAndClassify(frame.Frames(frames), cfg, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shots
+}
+
+// shotsOf splits frames into shots at the boundaries Detect finds.
+func shotsOf(frames []*frame.Image, cfg Config) []Shot {
+	var shots []Shot
+	start := 0
+	for _, b := range new(Sweeper).Detect(frames, cfg) {
+		shots = append(shots, Shot{Start: start, End: b.Frame})
+		start = b.Frame
+	}
+	if start < len(frames) {
+		shots = append(shots, Shot{Start: start, End: len(frames)})
+	}
+	return shots
+}
+
 func genVideo(t *testing.T, seed int64, shots int) *synth.Video {
 	t.Helper()
 	cfg := synth.DefaultConfig(seed)
@@ -151,7 +176,7 @@ func TestGradualTransitionDetected(t *testing.T) {
 
 func TestSegmentCoversAllFrames(t *testing.T) {
 	v := genVideo(t, 25, 7)
-	shots := segment(v.Frames, DefaultConfig(), nil)
+	shots := segmentAll(t, v.Frames, DefaultConfig(), ClassifierConfig{})
 	pos := 0
 	for _, s := range shots {
 		if s.Start != pos {
@@ -165,14 +190,14 @@ func TestSegmentCoversAllFrames(t *testing.T) {
 }
 
 func TestSegmentEmptyInput(t *testing.T) {
-	if shots := segment(nil, DefaultConfig(), nil); len(shots) != 0 {
+	if shots := segmentAll(t, nil, DefaultConfig(), ClassifierConfig{}); len(shots) != 0 {
 		t.Fatalf("empty video produced shots: %v", shots)
 	}
 }
 
 func TestClassifyShotsMatchTruth(t *testing.T) {
 	v := genVideo(t, 26, 12)
-	shots := SegmentAndClassify(v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: synth.CourtColor})
+	shots := segmentAll(t, v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: synth.CourtColor})
 	if len(shots) != len(v.Truth.Shots) {
 		t.Fatalf("detected %d shots, want %d", len(shots), len(v.Truth.Shots))
 	}
@@ -192,7 +217,7 @@ func TestClassifyShotsMatchTruth(t *testing.T) {
 // at the detector's bin count (colours read) and at another (recomputed).
 func TestColorsMatchRecomputed(t *testing.T) {
 	v := genVideo(t, 26, 12)
-	want := segment(v.Frames, DefaultConfig(), nil)
+	want := shotsOf(v.Frames, DefaultConfig())
 	court, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
 	if !ok {
 		t.Fatal("no court colour estimated")
@@ -200,14 +225,14 @@ func TestColorsMatchRecomputed(t *testing.T) {
 	for _, bins := range []int{8, 4} {
 		ccfg := ClassifierConfig{CourtColor: frame.RGB{}}
 		ccfg.Bins = bins
-		got := SegmentAndClassify(v.Frames, DefaultConfig(), ccfg)
+		got := segmentAll(t, v.Frames, DefaultConfig(), ccfg)
 		if len(got) != len(want) {
 			t.Fatalf("bins %d: %d shots, Segment found %d", bins, len(got), len(want))
 		}
 		ccfg.CourtColor = court
 		cls := NewClassifier(ccfg)
 		for i, s := range got {
-			class, f := cls.classifyShot(v.Frames, videoColors{}, want[i].Start, want[i].End, new(sampleScratch))
+			class, f := cls.ClassifyShot(v.Frames, want[i].Start, want[i].End)
 			if s.Start != want[i].Start || s.End != want[i].End || s.Class != class || s.Features != f {
 				t.Fatalf("bins %d shot %d: SegmentAndClassify %v %+v, recomputed %v %v %+v", bins, i, s, s.Features, want[i], class, f)
 			}
@@ -242,10 +267,10 @@ func TestClassifierRules(t *testing.T) {
 func TestClassifyShotDegenerateRanges(t *testing.T) {
 	v := genVideo(t, 27, 3)
 	cls := NewClassifier(ClassifierConfig{CourtColor: synth.CourtColor})
-	if c, _ := cls.classifyShot(v.Frames, videoColors{}, 5, 5, new(sampleScratch)); c != ClassOther {
+	if c, _ := cls.ClassifyShot(v.Frames, 5, 5); c != ClassOther {
 		t.Fatal("empty range should classify as other")
 	}
-	if c, _ := cls.classifyShot(v.Frames, videoColors{}, -10, 1, new(sampleScratch)); c == ClassOther {
+	if c, _ := cls.ClassifyShot(v.Frames, -10, 1); c == ClassOther {
 		t.Fatal("clamped range lost the first tennis frame")
 	}
 }
@@ -282,7 +307,7 @@ func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
 	// And classification downstream of the estimate stays correct.
 	cls := NewClassifier(ClassifierConfig{CourtColor: got})
 	for i, s := range v.Truth.Shots {
-		c, _ := cls.classifyShot(v.Frames, videoColors{}, s.Start, s.End, new(sampleScratch))
+		c, _ := cls.ClassifyShot(v.Frames, s.Start, s.End)
 		if c.String() != s.Class.String() {
 			t.Errorf("shot %d: classified %s, want %s", i, c, s.Class)
 		}
@@ -352,5 +377,75 @@ func TestStreamingDetectorFirstFrame(t *testing.T) {
 	im := frame.New(16, 16)
 	if _, ok := d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)); ok {
 		t.Fatal("first frame yielded a boundary")
+	}
+}
+
+// scanCounter is an in-memory source that counts the frames it hands out.
+type scanCounter struct {
+	frame.Frames
+	scanned int
+}
+
+func (c *scanCounter) Scan(start, end int, fn func(int, *frame.Image) error) error {
+	c.scanned += end - start
+	return c.Frames.Scan(start, end, fn)
+}
+
+// flatFrames is n noisy 160×120 frames of one colour.
+func flatFrames(c frame.RGB, n int, seed int64) []*frame.Image {
+	rng := rand.New(rand.NewSource(seed))
+	frames := make([]*frame.Image, n)
+	for i := range frames {
+		im := frame.New(160, 120)
+		im.Fill(c)
+		im.AddNoise(rng, 4)
+		frames[i] = im
+	}
+	return frames
+}
+
+// The streaming pass classifies each shot as it closes, under the
+// court-colour vote's winner so far. Every shot must still come out as it
+// does under the final vote of the whole video — here on a video whose
+// winner changes after its first shot closed (a court shot, then a longer
+// one on a saturated backdrop), on one without a chromatic vote, and on a
+// broadcast — while the window holds at most the longest shot plus one
+// batch, and only the flipped video's first shot is scanned twice.
+func TestStreamingMatchesFinalVote(t *testing.T) {
+	court, backdrop := genVideo(t, 41, 1).Frames[:14], flatFrames(frame.RGB{R: 200, G: 40, B: 40}, 44, 42)
+	videos := map[string][]*frame.Image{
+		"vote-flip": append(append(append([]*frame.Image(nil), court...), backdrop...), court...),
+		"no-vote": append(flatFrames(frame.RGB{R: 90, G: 90, B: 90}, 20, 47),
+			flatFrames(frame.RGB{R: 180, G: 180, B: 180}, 20, 48)...),
+		"broadcast": genVideo(t, 26, 12).Frames,
+	}
+	for name, frames := range videos {
+		want := shotsOf(frames, DefaultConfig())
+		finalCourt, _ := recomputedColors(frames, 8).courtColor(0.3)
+		cls := NewClassifier(ClassifierConfig{CourtColor: finalCourt})
+		src := &scanCounter{Frames: frames}
+		var sw Sweeper
+		got, err := sw.SegmentAndClassify(src, DefaultConfig(), ClassifierConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d shots, want %d", name, len(got), len(want))
+		}
+		longest := 0
+		for i, s := range got {
+			class, f := cls.ClassifyShot(frames, want[i].Start, want[i].End)
+			if s.Start != want[i].Start || s.End != want[i].End || s.Class != class || s.Features != f {
+				t.Fatalf("%s shot %d: streamed %v %+v, under the final vote %v %v %+v", name, i, s, s.Features, want[i], class, f)
+			}
+			longest = max(longest, s.Len())
+		}
+		if sw.Held() > longest+ahead {
+			t.Errorf("%s: held %d frames, want <= longest shot %d + %d", name, sw.Held(), longest, ahead)
+		}
+		rescanned := src.scanned - len(frames)
+		if flip := name == "vote-flip"; flip && rescanned != got[0].Len() || !flip && rescanned != 0 {
+			t.Errorf("%s: %d frames scanned twice", name, rescanned)
+		}
 	}
 }

@@ -19,7 +19,6 @@ package track
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/frame"
 )
@@ -347,12 +346,6 @@ type scratch struct {
 	hist                *frame.Histogram
 }
 
-// scratchPool recycles TrackShot's scratch across shots: its whole-frame
-// summed-area table alone is about 1 MB at 160×120, which a scratch per shot
-// would turn into garbage at the rate ingest tracks shots. Nothing TrackShot
-// returns points into a scratch.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
 // segment segments the window r of im (clipped to the image), opens the
 // mask and labels it, returning the components in frame coordinates. Only
 // the window is segmented, eroded, dilated and labelled — outside it no bit
@@ -514,50 +507,58 @@ type ShotResult struct {
 	Background Background
 }
 
-// TrackShot runs the complete tennis detector over a playing shot:
-// background estimation and initial quadratic segmentation on the first
-// frame, then predict-and-search tracking of both players.
-func TrackShot(frames []*frame.Image, cfg Config) ShotResult {
+// ShotTracker runs the tennis detector shot after shot through one working
+// memory (see scratch; its whole-frame summed-area table alone is about
+// 1 MB at 160×120), which nothing it returns points into. The zero value is
+// ready to use. A ShotTracker is not safe for concurrent use.
+type ShotTracker struct {
+	s scratch
+}
+
+// TrackShot runs the complete tennis detector over the playing shot
+// [start, end) of src: background estimation and initial quadratic
+// segmentation on the first frame, then predict-and-search tracking of both
+// players. It reads the shot in one scan and keeps no frame past its Scan
+// call, so it holds one decoded frame, never the shot. The only error is
+// the source's.
+func (t *ShotTracker) TrackShot(src frame.Source, start, end int, cfg Config) (ShotResult, error) {
 	cfg = cfg.withDefaults()
 	var res ShotResult
-	if len(frames) == 0 {
-		return res
-	}
-	first := frames[0]
-	// One summed-area table of the first frame serves the background
-	// estimate and the initial segmentation over the whole frame.
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.sums.Reset(first, first.Bounds())
-	res.Background = estimateBackground(&s.sums, cfg)
-	s.bg = newBGTable(&res.Background, &cfg)
-	comps := s.segmentSums(first, &cfg)
-	// Split candidates by vertical half: the broadcast camera always has
-	// the near player in the lower half, the far player in the upper half.
-	midY := float64(first.H) / 2
-	var lower, upper []frame.Component
-	for _, c := range comps {
-		_, cy := c.Centroid()
-		if cy >= midY {
-			lower = append(lower, c)
-		} else {
-			upper = append(upper, c)
+	s := &t.s
+	var near, far *Tracker
+	err := src.Scan(start, end, func(i int, im *frame.Image) error {
+		if i > start {
+			feedInto(&res.Near, near, im, i-start)
+			feedInto(&res.Far, far, im, i-start)
+			return nil
 		}
-	}
-	sortByArea(lower)
-	sortByArea(upper)
-	nearTracker := s.initTracker(cfg, first, lower, 1.0)
-	farTracker := s.initTracker(cfg, first, upper, 0.55)
-	for i, im := range frames {
-		if i == 0 {
-			res.Near.Obs = append(res.Near.Obs, firstObservation(nearTracker))
-			res.Far.Obs = append(res.Far.Obs, firstObservation(farTracker))
-			continue
+		// One summed-area table of the first frame serves the background
+		// estimate and the initial segmentation over the whole frame.
+		s.sums.Reset(im, im.Bounds())
+		res.Background = estimateBackground(&s.sums, cfg)
+		s.bg = newBGTable(&res.Background, &cfg)
+		comps := s.segmentSums(im, &cfg)
+		// Split candidates by vertical half: the broadcast camera always has
+		// the near player in the lower half, the far player in the upper half.
+		midY := float64(im.H) / 2
+		var lower, upper []frame.Component
+		for _, c := range comps {
+			_, cy := c.Centroid()
+			if cy >= midY {
+				lower = append(lower, c)
+			} else {
+				upper = append(upper, c)
+			}
 		}
-		feedInto(&res.Near, nearTracker, im, i)
-		feedInto(&res.Far, farTracker, im, i)
-	}
-	return res
+		sortByArea(lower)
+		sortByArea(upper)
+		near = s.initTracker(cfg, im, lower, 1.0)
+		far = s.initTracker(cfg, im, upper, 0.55)
+		res.Near.Obs = append(res.Near.Obs, firstObservation(near))
+		res.Far.Obs = append(res.Far.Obs, firstObservation(far))
+		return nil
+	})
+	return res, err
 }
 
 func feedInto(tr *Track, t *Tracker, im *frame.Image, i int) {

@@ -126,7 +126,7 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 		shots = append(shots, shot{script, frames, DefaultConfig()})
 	}
 	occluded, _, _ := renderShot(t, "rally", 30, 9)
-	probe := TrackShot(occluded, DefaultConfig())
+	probe := trackFrames(occluded, DefaultConfig())
 	for i := 10; i < 14; i++ {
 		p := probe.Near.Obs[i]
 		occluded[i].FillRect(frame.Rect{X0: int(p.X) - 12, Y0: int(p.Y) - 18, X1: int(p.X) + 12, Y1: int(p.Y) + 18}, synth.CourtColor)
@@ -138,7 +138,7 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 	shots = append(shots, shot{"radius 6", tight, Config{SearchRadius: 6}})
 
 	for _, s := range shots {
-		got, want := TrackShot(s.frames, s.cfg), refTrackShot(s.frames, s.cfg)
+		got, want := trackFrames(s.frames, s.cfg), refTrackShot(s.frames, s.cfg)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: windowed tracking differs from the full-frame oracle", s.name)
 			for i := range want.Near.Obs {
@@ -163,7 +163,7 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 func TestFeedAllocations(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 30, 65)
 	cfg := DefaultConfig()
-	res := TrackShot(frames[:2], cfg)
+	res := trackFrames(frames[:2], cfg)
 	tr := newTracker(cfg.withDefaults(), res.Near.Obs[1], 1, &scratch{bg: newBGTable(&res.Background, &cfg)})
 	tr.Feed(frames[2], 2)
 	tr.Feed(frames[3], 3)

@@ -18,10 +18,20 @@ func renderShot(t *testing.T, script string, n int, seed int64) ([]*frame.Image,
 	return frames, near, far
 }
 
+// trackFrames is ShotTracker.TrackShot over a whole in-memory shot, which
+// cannot fail.
+func trackFrames(frames []*frame.Image, cfg Config) ShotResult {
+	res, err := new(ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // backgroundOf is the background model TrackShot estimates from im as the
 // first frame of a shot.
 func backgroundOf(im *frame.Image, cfg Config) Background {
-	return TrackShot([]*frame.Image{im}, cfg).Background
+	return trackFrames([]*frame.Image{im}, cfg).Background
 }
 
 // segmentWindow runs the tracker's segmentation kernel over the window r of
@@ -108,7 +118,7 @@ func TestQuadSegmentIgnoresLinesAndNet(t *testing.T) {
 
 func TestTrackRallyShotAccuracy(t *testing.T) {
 	frames, near, far := renderShot(t, "rally", 60, 4)
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	if len(res.Near.Obs) != 60 || len(res.Far.Obs) != 60 {
 		t.Fatalf("tracks have %d/%d observations, want 60", len(res.Near.Obs), len(res.Far.Obs))
 	}
@@ -128,7 +138,7 @@ func TestTrackRallyShotAccuracy(t *testing.T) {
 
 func TestTrackNetApproach(t *testing.T) {
 	frames, near, _ := renderShot(t, "net-approach", 60, 5)
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	if e := meanError(res.Near, near); e > 5 {
 		t.Errorf("net-approach near error %.2f px", e)
 	}
@@ -142,7 +152,7 @@ func TestTrackNetApproach(t *testing.T) {
 
 func TestTrackServiceShot(t *testing.T) {
 	frames, near, _ := renderShot(t, "service", 50, 6)
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	if e := meanError(res.Near, near); e > 5 {
 		t.Errorf("service near error %.2f px", e)
 	}
@@ -158,7 +168,7 @@ func TestTrackServiceShot(t *testing.T) {
 
 func TestShapeFeaturesPlausible(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 20, 7)
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	for i, o := range res.Near.Obs {
 		if !o.Found {
 			continue
@@ -179,7 +189,7 @@ func TestShapeFeaturesPlausible(t *testing.T) {
 
 func TestDominantColourIsShirt(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 10, 8)
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	hits := 0
 	for _, o := range res.Near.Obs[1:] {
 		if o.Found && frame.ColorDist(o.Dominant, synth.NearShirt) < 80 {
@@ -195,7 +205,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 30, 9)
 	// Paint over the near player in frames 10-13 with court colour
 	// (simulated occlusion).
-	res0 := TrackShot(frames, DefaultConfig())
+	res0 := trackFrames(frames, DefaultConfig())
 	for i := 10; i < 14; i++ {
 		p := res0.Near.Obs[i]
 		frames[i].FillRect(frame.Rect{
@@ -203,7 +213,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 			X1: int(p.X) + 12, Y1: int(p.Y) + 18,
 		}, synth.CourtColor)
 	}
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	lostIn := 0
 	for i := 10; i < 14; i++ {
 		if !res.Near.Obs[i].Found {
@@ -227,7 +237,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 }
 
 func TestTrackShotEmptyInput(t *testing.T) {
-	res := TrackShot(nil, DefaultConfig())
+	res := trackFrames(nil, DefaultConfig())
 	if len(res.Near.Obs) != 0 || len(res.Far.Obs) != 0 {
 		t.Fatal("empty input produced observations")
 	}
@@ -244,7 +254,7 @@ func TestTrackNoPlayersInFrame(t *testing.T) {
 		im.FillRect(g.Court, synth.CourtColor)
 		frames[i] = im
 	}
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	if res.Near.LostFrames < 9 {
 		t.Fatalf("expected near track lost, got %d lost frames", res.Near.LostFrames)
 	}
@@ -252,7 +262,7 @@ func TestTrackNoPlayersInFrame(t *testing.T) {
 
 func TestTrackPositionsSeries(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 15, 10)
-	res := TrackShot(frames, DefaultConfig())
+	res := trackFrames(frames, DefaultConfig())
 	if len(res.Near.Obs) != 15 || res.Near.LostFrames > 15 {
 		t.Fatalf("%d observations, %d lost, want 15 frames", len(res.Near.Obs), res.Near.LostFrames)
 	}

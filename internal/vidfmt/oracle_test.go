@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,9 +14,9 @@ import (
 	"repro/internal/frame"
 )
 
-// The two-pass decoder the package shipped before the fused one: expand the
-// token stream into a residual buffer, then undo the prediction. It is kept
-// here only as the oracle the in-place decoder is checked against.
+// The whole-frame decoder the package once shipped: expand the token stream
+// into a frame-sized residual buffer, then undo the prediction. It is kept
+// here only as the oracle the production decoder is checked against.
 
 // undoSpatialDeltas reconstructs pixels from spatial residuals.
 func undoSpatialDeltas(deltas []uint8, out []uint8) {
@@ -117,11 +118,73 @@ func refDecodeAll(data []byte) ([][]uint8, error) {
 
 var errTooBig = errors.New("oracle: frame too large to decode twice")
 
-// FuzzDecode checks the fused decoder against the oracle, never a panic and
-// never a silent difference: on a whole stream (mode 0; the corpus seeds are
-// valid files, which the fuzzer mutates) the same pixels or an error from
-// both, and on a bare token stream applied as an I-frame (mode 1) or as a
-// P-frame over a fixed predecessor (mode 2) likewise.
+// checkScans scans four ranges of the stream data, drawn from a hash of it,
+// through one Reader — so a range may roll forward from the previous one or
+// restart at an I-frame — and holds each to DecodeAll's answer all (err its
+// error): where DecodeAll decoded every frame, the same pixels; where it
+// failed, ErrCorrupt or, for a range clear of the damage, the pixels a fresh
+// reader gives decoding the range one frame at a time, last frame first.
+func checkScans(t *testing.T, data []byte, all []*frame.Image, err error) {
+	r, openErr := OpenReader(bytes.NewReader(data))
+	if openErr != nil {
+		return
+	}
+	seed := int64(len(data))
+	for _, b := range data {
+		seed = seed*31 + int64(b)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	n := r.Len()
+	for k := 0; k < 4; k++ {
+		start := rng.Intn(n + 1)
+		end := start + rng.Intn(n-start+1)
+		var scanned [][]uint8
+		scanErr := r.Scan(start, end, func(i int, im *frame.Image) error {
+			if i != start+len(scanned) {
+				t.Fatalf("Scan [%d, %d) handed out frame %d after %d frames", start, end, i, len(scanned))
+			}
+			scanned = append(scanned, slices.Clone(im.Pix))
+			return nil
+		})
+		switch {
+		case scanErr != nil && err == nil:
+			t.Fatalf("Scan [%d, %d): %v, where DecodeAll decoded every frame", start, end, scanErr)
+		case scanErr != nil && !errors.Is(scanErr, ErrCorrupt):
+			t.Fatalf("Scan [%d, %d): %v, want ErrCorrupt", start, end, scanErr)
+		case scanErr != nil:
+			continue
+		}
+		want := make([][]uint8, 0, end-start)
+		if err == nil {
+			for _, im := range all[start:end] {
+				want = append(want, im.Pix)
+			}
+		} else {
+			fresh, _ := OpenReader(bytes.NewReader(data))
+			want = want[:end-start]
+			for i := end - 1; i >= start; i-- {
+				if err := fresh.Scan(i, i+1, func(_ int, im *frame.Image) error {
+					want[i-start] = slices.Clone(im.Pix)
+					return nil
+				}); err != nil {
+					t.Fatalf("Scan [%d, %d) decoded, but frame %d alone: %v", start, end, i, err)
+				}
+			}
+		}
+		for j := range want {
+			if !bytes.Equal(scanned[j], want[j]) {
+				t.Fatalf("Scan [%d, %d): frame %d differs", start, end, start+j)
+			}
+		}
+	}
+}
+
+// FuzzDecode checks the decoder against the oracle, never a panic and never
+// a silent difference: on a whole stream (mode 0; the corpus seeds are valid
+// files, which the fuzzer mutates) the same pixels or an error from both,
+// and on a bare token stream applied as an I-frame (mode 1) or as a P-frame
+// over a fixed predecessor (mode 2) likewise. On a whole stream it also
+// scans ranges drawn from the input (see checkScans).
 func FuzzDecode(f *testing.F) {
 	for _, gop := range []int{1, 4} {
 		data, err := EncodeAll(testFrames(4, 5, 3, 300+int64(gop)), 25, gop)
@@ -150,6 +213,7 @@ func FuzzDecode(f *testing.F) {
 					t.Fatalf("frame %d differs from the oracle", i)
 				}
 			}
+			checkScans(t, data, got, err)
 			return
 		}
 		if len(data) == 0 {

@@ -45,6 +45,12 @@ const (
 
 	frameTypeI = 0
 	frameTypeP = 1
+
+	noPos = ^uint64(0) // Reader.pos when the stream offset is unknown
+
+	// skipRun is the shortest zero run decodeInter steps over instead of
+	// adding: shorter ones cost less inside a chunk than as a stretch's end.
+	skipRun = 32
 )
 
 // Errors returned by the package.
@@ -180,22 +186,30 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Reader decodes an SVF stream with random access by frame number.
+// Reader decodes an SVF stream with random access by frame number. It is a
+// frame.Source: Scan decodes each frame in place into the reader's one
+// decode state and hands that to the caller, so reading a video allocates
+// nothing per frame. A Reader is not safe for concurrent use.
 type Reader struct {
 	r io.ReadSeeker
+	// name, when set, prefixes every decode error (Open sets the path).
+	name string
 	// buf holds one frame record read through r. It is sized once, to the
 	// largest record the index declares, and reused from frame to frame, so
 	// a decode holds one record of the stream, never the whole of it.
-	buf      []byte
-	maxRec   uint64
+	buf    []byte
+	maxRec uint64
+	// pos is r's offset after the last record read (noPos: unknown), so
+	// reading the next record in order needs no seek.
+	pos      uint64
 	meta     Meta
 	index    []indexEntry
 	indexOff uint64
 	// state holds the pixels of frame decodedIdx (-1: none). Frames decode
-	// in place on top of it, so rolling forward through frames nobody asked
-	// for allocates nothing; a returned frame is a copy.
+	// in place on top of it; img is the header Scan hands out over it.
 	state      []uint8
 	decodedIdx int
+	img        frame.Image
 }
 
 // OpenReader parses the header and index of an SVF stream. Every size the
@@ -274,19 +288,45 @@ func OpenReader(r io.ReadSeeker) (*Reader, error) {
 		maxRec = max(maxRec, indexOff-index[n-1].offset)
 	}
 	meta.Frames = n
-	return &Reader{r: r, meta: meta, index: index, indexOff: indexOff, maxRec: maxRec, decodedIdx: -1}, nil
+	return &Reader{r: r, meta: meta, index: index, indexOff: indexOff, maxRec: maxRec, pos: noPos, decodedIdx: -1}, nil
 }
 
-// frameInto decodes frame i into im, so that a caller decoding many frames
-// can allocate the headers together. Decoding a P-frame that is not the
-// successor of the cached frame walks back to the nearest I-frame.
-func (r *Reader) frameInto(i int, im *frame.Image) error {
-	if i < 0 || i >= len(r.index) {
-		return fmt.Errorf("%w: %d of %d", ErrFrameRange, i, len(r.index))
+// Meta returns the stream's parameters.
+func (r *Reader) Meta() Meta { return r.meta }
+
+// Len returns the number of frames.
+func (r *Reader) Len() int { return len(r.index) }
+
+// Scan decodes frames [start, end) in order, calling fn with each. The
+// image fn receives is the reader's decode state: valid only during the
+// call, and fn must not modify it. Decoding starts at the I-frame that
+// governs start, or rolls forward from the frame the state already holds
+// when that is less than a GOP back, so a range costs its own frames plus
+// at most GOP-1 before it.
+func (r *Reader) Scan(start, end int, fn func(i int, im *frame.Image) error) error {
+	if start < 0 || start > end || end > len(r.index) {
+		return fmt.Errorf("%w: [%d, %d) of %d", ErrFrameRange, start, end, len(r.index))
 	}
-	// Roll forward from the decode state when it holds frame i itself or a
-	// frame less than a GOP before it (further back, an I-frame is the
-	// cheaper restart point); otherwise start at the governing I-frame.
+	for i := start; i < end; i++ {
+		if err := r.seek(i); err != nil {
+			if r.name != "" {
+				err = fmt.Errorf("vidfmt: %s: %w", r.name, err)
+			}
+			return err
+		}
+		r.img = frame.Image{W: r.meta.Width, H: r.meta.Height, Pix: r.state}
+		if err := fn(i, &r.img); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// seek brings the decode state to frame i. It rolls forward when the state
+// holds frame i itself or a frame less than a GOP before it (further back,
+// an I-frame is the cheaper restart point); otherwise it restarts at the
+// I-frame that governs i.
+func (r *Reader) seek(i int) error {
 	start := r.decodedIdx + 1
 	if r.decodedIdx < 0 || r.decodedIdx > i || i-r.decodedIdx >= r.meta.GOP {
 		for start = i; start > 0 && r.index[start].typ != frameTypeI; start-- {
@@ -297,27 +337,25 @@ func (r *Reader) frameInto(i int, im *frame.Image) error {
 			return err
 		}
 	}
-	pix := make([]uint8, len(r.state))
-	copy(pix, r.state)
-	*im = frame.Image{W: r.meta.Width, H: r.meta.Height, Pix: pix}
 	return nil
 }
 
-// Frames decodes frames [start, end): one pixel buffer per frame, and one
-// allocation for all the image headers. Decoding starts at the I-frame that
-// governs start and rolls forward, so a range costs its own frames plus at
-// most one GOP before it.
+// Frames decodes frames [start, end) into memory: one pixel buffer per
+// frame, and one allocation for all the image headers.
 func (r *Reader) Frames(start, end int) ([]*frame.Image, error) {
 	if start < 0 || start > end || end > len(r.index) {
 		return nil, fmt.Errorf("%w: [%d, %d) of %d", ErrFrameRange, start, end, len(r.index))
 	}
 	imgs := make([]frame.Image, end-start)
 	frames := make([]*frame.Image, end-start)
-	for i := range imgs {
-		if err := r.frameInto(start+i, &imgs[i]); err != nil {
-			return nil, err
-		}
-		frames[i] = &imgs[i]
+	err := r.Scan(start, end, func(i int, im *frame.Image) error {
+		k := i - start
+		imgs[k] = frame.Image{W: im.W, H: im.H, Pix: append([]uint8(nil), im.Pix...)}
+		frames[k] = &imgs[k]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return frames, nil
 }
@@ -336,12 +374,17 @@ func (r *Reader) payload(j int) ([]byte, error) {
 		r.buf = make([]byte, r.maxRec)
 	}
 	rec := r.buf[:end-e.offset]
-	if _, err := r.r.Seek(int64(e.offset), io.SeekStart); err != nil {
-		return nil, fmt.Errorf("vidfmt: seek frame %d: %w", j, err)
+	if r.pos != e.offset {
+		if _, err := r.r.Seek(int64(e.offset), io.SeekStart); err != nil {
+			r.pos = noPos
+			return nil, fmt.Errorf("vidfmt: seek frame %d: %w", j, err)
+		}
 	}
 	if _, err := io.ReadFull(r.r, rec); err != nil {
+		r.pos = noPos
 		return nil, fmt.Errorf("vidfmt: reading frame %d: %w", j, err)
 	}
+	r.pos = end
 	plen := uint64(binary.LittleEndian.Uint32(rec[1:]))
 	if rec[0] != e.typ || plen > uint64(len(rec))-5 || uint64(3*r.meta.Width*r.meta.Height) > 128*plen {
 		return nil, ErrCorrupt
@@ -382,10 +425,10 @@ func (r *Reader) decode(j int) error {
 	return nil
 }
 
-// decodeIntra expands an I-frame token stream into out, undoing the
-// left-neighbour prediction run by run: every byte is its residual plus the
-// same channel of the pixel to its left (the first pixel predicts from zero).
-func decodeIntra(src []byte, out []uint8) error {
+// expand expands a token stream (see encodeRuns) into out: a literal run is
+// one copy, a zero run one clear. A stream that does not expand to exactly
+// len(out) bytes is corrupt.
+func expand(src []byte, out []uint8) error {
 	o := 0
 	for i := 0; i < len(src); {
 		tok := src[i]
@@ -394,16 +437,12 @@ func decodeIntra(src []byte, out []uint8) error {
 		if n > len(out)-o {
 			return ErrCorrupt
 		}
-		run := out[o : o+n]
 		if tok&0x80 != 0 {
-			clear(run)
+			clear(out[o : o+n])
 		} else if n > len(src)-i {
 			return ErrCorrupt
 		} else {
-			i += copy(run, src[i:])
-		}
-		for k := max(o, 3); k < o+n; k++ {
-			out[k] += out[k-3]
+			i += copy(out[o:o+n], src[i:])
 		}
 		o += n
 	}
@@ -413,45 +452,96 @@ func decodeIntra(src []byte, out []uint8) error {
 	return nil
 }
 
+// decodeIntra expands an I-frame token stream into out, then undoes the
+// left-neighbour prediction: every byte is its residual plus the same
+// channel of the pixel to its left (the first pixel predicts from zero),
+// one running sum per channel.
+func decodeIntra(src []byte, out []uint8) error {
+	if err := expand(src, out); err != nil || len(out) < 3 {
+		return err
+	}
+	r, g, b := out[0], out[1], out[2]
+	k := 3
+	for ; k+3 <= len(out); k += 3 {
+		p := out[k : k+3 : k+3]
+		r, g, b = r+p[0], g+p[1], b+p[2]
+		p[0], p[1], p[2] = r, g, b
+	}
+	for ; k < len(out); k++ {
+		out[k] += out[k-3]
+	}
+	return nil
+}
+
 // decodeInter applies a P-frame token stream to out, which holds the
-// previous frame: literal runs are added byte-wise (mod 256), eight bytes a
-// step, and zero runs are skipped — the pixels already have their value.
+// previous frame, in two steps per stretch of the frame: the tokens expand
+// into a residual chunk on the stack (a literal run is one copy, a short zero
+// run one clear), which is then added onto out byte-wise (mod 256), so the
+// per-token work is a copy whatever the run lengths and the adding runs
+// over whole chunks; a zero run of skipRun bytes or more ends the stretch
+// and is stepped over. A stream that does not expand to exactly one frame
+// leaves out undefined.
 func decodeInter(src []byte, out []uint8) error {
-	const lo7 = 0x7f7f7f7f7f7f7f7f
-	o := 0
+	var chunk [4096]uint8
+	o, k := 0, 0 // out[o:] is where chunk[:k] goes
 	for i := 0; i < len(src); {
 		tok := src[i]
 		i++
 		n := int(tok&0x7F) + 1
-		if n > len(out)-o {
+		lit := tok&0x80 == 0
+		if n > len(out)-o-k || lit && n > len(src)-i {
 			return ErrCorrupt
 		}
-		if tok&0x80 != 0 {
-			o += n
+		if !lit && n >= skipRun {
+			// The pixels already have their value: add what the chunk
+			// holds and step over the run.
+			addBytes(out[o:o+k], chunk[:k])
+			o, k = o+k+n, 0
 			continue
 		}
-		if n > len(src)-i {
-			return ErrCorrupt
-		}
-		dst, lit := out[o:o+n], src[i:i+n]
-		o += n
-		i += n
-		for len(lit) >= 8 {
-			a := binary.LittleEndian.Uint64(dst)
-			b := binary.LittleEndian.Uint64(lit)
-			// Eight byte-wise sums in one word: add the low seven bits of
-			// every byte (no carry can leave a byte), then the top bits.
-			binary.LittleEndian.PutUint64(dst, ((a&lo7)+(b&lo7))^((a^b)&^lo7))
-			dst, lit = dst[8:], lit[8:]
-		}
-		for k := range lit {
-			dst[k] += lit[k]
+		for n > 0 {
+			m := min(n, len(chunk)-k)
+			if lit {
+				i += copy(chunk[k:k+m], src[i:])
+			} else {
+				clear(chunk[k : k+m])
+			}
+			k, n = k+m, n-m
+			if k == len(chunk) {
+				addBytes(out[o:o+k], chunk[:k])
+				o, k = o+k, 0
+			}
 		}
 	}
-	if o != len(out) {
+	if o+k != len(out) {
 		return ErrCorrupt
 	}
+	addBytes(out[o:], chunk[:k])
 	return nil
+}
+
+// addBytes adds src onto dst byte-wise (mod 256), 32 bytes a step. Eight
+// byte-wise sums fit in one word: add the low seven bits of every byte (no
+// carry can leave a byte), then the top bits.
+func addBytes(dst, src []uint8) {
+	const lo7 = 0x7f7f7f7f7f7f7f7f
+	le := binary.LittleEndian
+	src = src[:len(dst)]
+	for len(dst) >= 32 {
+		d, s := dst[:32:32], src[:32:32]
+		a0, b0 := le.Uint64(d[0:]), le.Uint64(s[0:])
+		a1, b1 := le.Uint64(d[8:]), le.Uint64(s[8:])
+		a2, b2 := le.Uint64(d[16:]), le.Uint64(s[16:])
+		a3, b3 := le.Uint64(d[24:]), le.Uint64(s[24:])
+		le.PutUint64(d[0:], ((a0&lo7)+(b0&lo7))^((a0^b0)&^lo7))
+		le.PutUint64(d[8:], ((a1&lo7)+(b1&lo7))^((a1^b1)&^lo7))
+		le.PutUint64(d[16:], ((a2&lo7)+(b2&lo7))^((a2^b2)&^lo7))
+		le.PutUint64(d[24:], ((a3&lo7)+(b3&lo7))^((a3^b3)&^lo7))
+		dst, src = dst[32:], src[32:]
+	}
+	for i := range dst {
+		dst[i] += src[i]
+	}
 }
 
 // spatialDeltas computes left-neighbour prediction residuals (per channel,
@@ -521,16 +611,46 @@ func WriteFile(path string, frames []*frame.Image, fps, gop int) error {
 	return nil
 }
 
+// File is an SVF file open for reading: a Reader whose decode errors name
+// the file. Close releases it.
+type File struct {
+	*Reader
+	f *os.File
+}
+
+// Open opens an SVF file and reads its header and frame index; frames are
+// decoded only as they are scanned.
+func Open(path string) (*File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("vidfmt: %w", err)
+	}
+	r, err := OpenReader(f)
+	if err != nil {
+		f.Close() // only read
+		return nil, fmt.Errorf("vidfmt: %s: %w", path, err)
+	}
+	r.name = path
+	return &File{Reader: r, f: f}, nil
+}
+
+// Close closes the file.
+func (f *File) Close() error { return f.f.Close() }
+
 // ReadFile decodes all frames from an SVF file. The file is read one frame
 // record at a time, so the decode holds the frames and one record, not the
 // file beside them.
 func ReadFile(path string) ([]*frame.Image, Meta, error) {
-	f, err := os.Open(path)
+	f, err := Open(path)
 	if err != nil {
-		return nil, Meta{}, fmt.Errorf("vidfmt: %w", err)
+		return nil, Meta{}, err
 	}
 	defer f.Close() // only read
-	return decodeAll(f)
+	frames, err := f.Frames(0, f.Len())
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return frames, f.meta, nil
 }
 
 // EncodeAll encodes frames into an in-memory SVF stream.
@@ -556,16 +676,11 @@ func EncodeAll(frames []*frame.Image, fps, gop int) ([]byte, error) {
 
 // DecodeAll decodes every frame of an in-memory SVF stream.
 func DecodeAll(data []byte) ([]*frame.Image, Meta, error) {
-	return decodeAll(bytes.NewReader(data))
-}
-
-// decodeAll decodes every frame of a stream.
-func decodeAll(src io.ReadSeeker) ([]*frame.Image, Meta, error) {
-	r, err := OpenReader(src)
+	r, err := OpenReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	frames, err := r.Frames(0, r.meta.Frames)
+	frames, err := r.Frames(0, r.Len())
 	if err != nil {
 		return nil, Meta{}, err
 	}
