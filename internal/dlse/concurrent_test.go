@@ -16,6 +16,7 @@ var mixedQueries = []string{
 	MotivatingQueryText,
 	`find Player where exists wonFinals scenes "rally" via wonFinals.video required rank "interview" limit 5`,
 	`find Final scenes "net-play" via video`,
+	`find Player where contains(bio, "LEFT-handed") and contains(playedFinals.winner.country, "ia")`,
 }
 
 // TestConcurrentQueriesMatchSequential hammers one shared Engine with many

@@ -54,7 +54,10 @@ type Index struct {
 	post    []Posting
 	imp     []float32
 
-	docs    []docInfo
+	// names and doclen hold each document's name and analyzed token
+	// count, by DocID.
+	names   segfile.Table
+	doclen  []int32
 	totalLn int64
 	frozen  bool
 
@@ -66,11 +69,6 @@ type Index struct {
 	// first call.
 	byImpact     []impactList
 	byImpactOnce sync.Once
-}
-
-type docInfo struct {
-	Name string
-	Len  int32 // analyzed token count
 }
 
 // BM25 parameters (standard Robertson values).
@@ -105,8 +103,9 @@ func (ix *Index) AddTokens(name string, toks []string) (DocID, error) {
 	if ix.frozen {
 		return 0, ErrFrozen
 	}
-	id := DocID(len(ix.docs))
-	ix.docs = append(ix.docs, docInfo{Name: name, Len: int32(len(toks))})
+	id := DocID(len(ix.doclen))
+	ix.names.Append(name)
+	ix.doclen = append(ix.doclen, int32(len(toks)))
 	ix.totalLn += int64(len(toks))
 	if ix.tf == nil {
 		ix.tf = map[string]int32{}
@@ -137,7 +136,7 @@ type corpusStats struct {
 
 // localStats returns the index's own collection statistics.
 func (ix *Index) localStats() corpusStats {
-	return corpusStats{docs: len(ix.docs), totalLn: ix.totalLn, df: ix.df}
+	return corpusStats{docs: len(ix.doclen), totalLn: ix.totalLn, df: ix.df}
 }
 
 // Freeze finalizes the index: the sorted term table and the flat posting
@@ -179,7 +178,7 @@ func (ix *Index) freezeWith(cs corpusStats) {
 		ix.postOff = append(ix.postOff, uint64(len(ix.post)))
 	}
 	ix.build, ix.tf = nil, nil
-	n := len(ix.docs)
+	n := len(ix.doclen)
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	ix.frozen = true
 }
@@ -189,12 +188,12 @@ func (ix *Index) freezeWith(cs corpusStats) {
 // freeze time and rounded to float32.
 func (ix *Index) impact(idf float64, p Posting, avg float64) float32 {
 	tf := float64(p.TF)
-	dl := float64(ix.docs[p.Doc].Len)
+	dl := float64(ix.doclen[p.Doc])
 	return float32(idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/avg)))
 }
 
 // Docs returns the number of indexed documents.
-func (ix *Index) Docs() int { return len(ix.docs) }
+func (ix *Index) Docs() int { return len(ix.doclen) }
 
 // Terms returns the vocabulary size.
 func (ix *Index) Terms() int {
@@ -220,16 +219,16 @@ func (ix *Index) postings(o int) ([]Posting, []float32) {
 
 // avgDocLen returns the mean analyzed document length.
 func (ix *Index) avgDocLen() float64 {
-	if len(ix.docs) == 0 {
+	if len(ix.doclen) == 0 {
 		return 0
 	}
-	return float64(ix.totalLn) / float64(len(ix.docs))
+	return float64(ix.totalLn) / float64(len(ix.doclen))
 }
 
 // idf returns the BM25 idf of a term against this index's own collection
 // (0 for unknown terms).
 func (ix *Index) idf(term string) float64 {
-	return idfFor(len(ix.docs), ix.df(term))
+	return idfFor(len(ix.doclen), ix.df(term))
 }
 
 // idfFor computes the BM25 idf for a term with document frequency df in a
@@ -250,7 +249,7 @@ func (ix *Index) bm25(term string, p Posting) float64 {
 		return 0
 	}
 	tf := float64(p.TF)
-	dl := float64(ix.docs[p.Doc].Len)
+	dl := float64(ix.doclen[p.Doc])
 	denom := tf + bm25K1*(1-bm25B+bm25B*dl/ix.avgDocLen())
 	return idf * tf * (bm25K1 + 1) / denom
 }

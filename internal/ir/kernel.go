@@ -132,7 +132,7 @@ func (ac *Accum) TopK(k int) []Hit {
 func (ix *Index) topKDense(ac *Accum, k int) []Hit {
 	out := ac.TopK(k)
 	for i := range out {
-		out[i].Name = ix.docs[out[i].Doc].Name
+		out[i].Name = ix.names.At(int(out[i].Doc))
 	}
 	return out
 }

@@ -100,18 +100,14 @@ func WriteSegments(w io.Writer, s *Segments, signature uint64) error {
 // writeIndexBlocks writes one segment: the frozen index's own arrays, block
 // for block.
 func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
-	docLen := make([]int32, len(ix.docs))
-	for i, d := range ix.docs {
-		docLen[i] = d.Len
-	}
-	sw.Record(prefix+"meta", segMeta{uint32(len(ix.docs)), uint64(ix.totalLn), uint32(ix.dict.Len()), uint64(len(ix.post))})
+	sw.Record(prefix+"meta", segMeta{uint32(ix.Docs()), uint64(ix.totalLn), uint32(ix.dict.Len()), uint64(len(ix.post))})
 	sw.Table(prefix+"terms", prefix+"termoff", ix.dict)
 	sw.Block(prefix+"idf", segfile.Bytes(ix.termIdf))
 	sw.Block(prefix+"postoff", segfile.Bytes(ix.postOff))
 	sw.Block(prefix+"docpost", segfile.Bytes(ix.post))
 	sw.Block(prefix+"docimp", segfile.Bytes(ix.imp))
-	sw.Strings(prefix+"names", prefix+"nameoff", len(ix.docs), func(i int) string { return ix.docs[i].Name })
-	sw.Block(prefix+"doclen", segfile.Bytes(docLen))
+	sw.Table(prefix+"names", prefix+"nameoff", ix.names)
+	sw.Block(prefix+"doclen", segfile.Bytes(ix.doclen))
 }
 
 // OpenSegmentsFile maps the segfile at path and reconstructs the Segments
@@ -154,11 +150,11 @@ func OpenSegmentsReader(r *segfile.Reader, wantSignature uint64) (*Segments, err
 		if err != nil {
 			return nil, fmt.Errorf("ir: segment %d: %w", i, err)
 		}
-		if len(ix.docs) > math.MaxInt32-docs {
+		if ix.Docs() > math.MaxInt32-docs {
 			return nil, fmt.Errorf("ir: segment %d overflows the doc-ID space", i)
 		}
-		segs[i], sizes[i] = ix, len(ix.docs)
-		docs += len(ix.docs)
+		segs[i], sizes[i] = ix, ix.Docs()
+		docs += ix.Docs()
 	}
 	if uint64(docs) != meta.Docs {
 		return nil, fmt.Errorf("ir: segments hold %d docs, header claims %d", docs, meta.Docs)
@@ -192,7 +188,7 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	names, err := r.Strings(prefix+"names", prefix+"nameoff", D)
+	names, err := r.Table(prefix+"names", prefix+"nameoff", D)
 	if err != nil {
 		return nil, err
 	}
@@ -230,12 +226,10 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		postOff: postOff,
 		post:    docPost,
 		imp:     docImp,
-		docs:    make([]docInfo, D),
+		names:   names,
+		doclen:  docLen,
 		totalLn: int64(meta.TotalLen),
 		frozen:  true,
-	}
-	for d, name := range names {
-		ix.docs[d] = docInfo{Name: name, Len: docLen[d]}
 	}
 	n := D
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }

@@ -106,11 +106,12 @@ func TestSegfileRoundTripParity(t *testing.T) {
 					t.Fatalf("part %d boolean: %v/%v vs %v/%v", i, hb, herr, mb, merr)
 				}
 			}
-			// Doc names of every part.
+			// Doc names and lengths of every part.
 			for i, p := range heap.segs {
-				for d, doc := range p.docs {
-					if mn := mapped.segs[i].docs[d].Name; doc.Name != mn {
-						t.Fatalf("part %d doc %d: name %q vs %q", i, d, doc.Name, mn)
+				m := mapped.segs[i]
+				for d := 0; d < p.Docs(); d++ {
+					if hn, mn := p.names.At(d), m.names.At(d); hn != mn || p.doclen[d] != m.doclen[d] {
+						t.Fatalf("part %d doc %d: name %q len %d vs %q len %d", i, d, hn, p.doclen[d], mn, m.doclen[d])
 					}
 				}
 			}
@@ -364,12 +365,12 @@ func dictFile(t testing.TB, terms ...string) []byte {
 	}
 	sw.Record("ir/meta", fileMeta{irFormatVersion, 1, 1, uint64(T), 0})
 	sw.Record("ir/0/meta", segMeta{1, uint64(T), uint32(T), uint64(T)})
-	sw.Strings("ir/0/terms", "ir/0/termoff", T, func(o int) string { return terms[o] })
+	sw.Table("ir/0/terms", "ir/0/termoff", segfile.NewTable(T, func(o int) string { return terms[o] }))
 	sw.Block("ir/0/idf", segfile.Bytes(idf))
 	sw.Block("ir/0/postoff", segfile.Bytes(postOff))
 	sw.Block("ir/0/docpost", segfile.Bytes(post))
 	sw.Block("ir/0/docimp", segfile.Bytes(imp))
-	sw.Strings("ir/0/names", "ir/0/nameoff", 1, func(int) string { return "doc" })
+	sw.Table("ir/0/names", "ir/0/nameoff", segfile.NewTable(1, func(int) string { return "doc" }))
 	sw.Block("ir/0/doclen", segfile.Bytes([]int32{int32(T)}))
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)

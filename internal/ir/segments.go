@@ -51,8 +51,8 @@ func NewSegments(parts []*Index) (*Segments, error) {
 		if p.frozen {
 			return nil, fmt.Errorf("ir: segment %d is already frozen", i)
 		}
-		sizes[i] = len(p.docs)
-		docs += len(p.docs)
+		sizes[i] = p.Docs()
+		docs += p.Docs()
 		totalLn += p.totalLn
 		for t, pl := range p.build {
 			df[t] += len(pl)

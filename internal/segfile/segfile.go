@@ -418,13 +418,23 @@ type Table struct {
 
 // NewTable builds the table of the n strings at(0) … at(n-1).
 func NewTable(n int, at func(i int) string) Table {
-	var data []byte
-	off := make([]uint32, 0, n+1)
+	t := Table{Off: make([]uint32, 1, n+1)}
 	for i := 0; i < n; i++ {
-		off = append(off, uint32(len(data)))
-		data = append(data, at(i)...)
+		t.Append(at(i))
 	}
-	return Table{Data: data, Off: append(off, uint32(len(data)))}
+	return t
+}
+
+// Append adds s as the table's last string. Only a table that owns its
+// arrays may grow: the zero Table or one built by NewTable, never one read
+// from a file. The bytes of earlier strings are never rewritten, so a
+// string At returned stays valid.
+func (t *Table) Append(s string) {
+	if len(t.Off) == 0 {
+		t.Off = append(t.Off, 0)
+	}
+	t.Data = append(t.Data, s...)
+	t.Off = append(t.Off, uint32(len(t.Data)))
 }
 
 // Len returns the number of strings in the table.
@@ -440,15 +450,13 @@ func (t Table) At(i int) string {
 }
 
 // Table writes t as two blocks: its bytes under bytesName and its u32
-// offsets under offName.
+// offsets under offName. The zero Table is written as the empty table.
 func (w *Writer) Table(bytesName, offName string, t Table) {
+	if len(t.Off) == 0 {
+		t.Off = []uint32{0}
+	}
 	w.Block(bytesName, t.Data)
 	w.Block(offName, Bytes(t.Off))
-}
-
-// Strings writes the n strings at(0) … at(n-1) as a Table.
-func (w *Writer) Strings(bytesName, offName string, n int, at func(i int) string) {
-	w.Table(bytesName, offName, NewTable(n, at))
 }
 
 // Table reads back a table of n strings written by Writer.Table, aliasing
@@ -476,18 +484,4 @@ func (r *Reader) Table(bytesName, offName string, n int) (Table, error) {
 		}
 	}
 	return Table{Data: data, Off: off}, nil
-}
-
-// Strings reads back a table of n strings written by Writer.Strings or
-// Writer.Table as a []string. The strings alias the reader's bytes.
-func (r *Reader) Strings(bytesName, offName string, n int) ([]string, error) {
-	t, err := r.Table(bytesName, offName, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = t.At(i)
-	}
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -273,5 +274,47 @@ func TestRecord(t *testing.T) {
 	var odd []head
 	if err := r.Record("rec", &one, &odd); err == nil {
 		t.Fatal("tail of partial values accepted")
+	}
+}
+
+// TestTableAppend: a table grown by Append holds what NewTable builds from
+// the same strings, a string At returned survives later appends, and the
+// zero Table is written as the empty table.
+func TestTableAppend(t *testing.T) {
+	strs := []string{"", "alpha", "", "ßeta", "gamma"}
+	var grown Table
+	first := ""
+	for i, s := range strs {
+		grown.Append(s)
+		if i == 1 {
+			first = grown.At(1)
+		}
+	}
+	built := NewTable(len(strs), func(i int) string { return strs[i] })
+	if !reflect.DeepEqual(grown.Off, built.Off) || !bytes.Equal(grown.Data, built.Data) || first != "alpha" {
+		t.Fatalf("grown %v %q, built %v %q, first %q", grown.Off, grown.Data, built.Off, built.Data, first)
+	}
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.Table("s", "soff", grown)
+	w.Table("z", "zoff", Table{})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := r.Table("s", "soff", len(strs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range strs {
+		if back.At(i) != s {
+			t.Fatalf("string %d = %q, want %q", i, back.At(i), s)
+		}
+	}
+	if z, err := r.Table("z", "zoff", 0); err != nil || z.Len() != 0 {
+		t.Fatalf("zero table read back as %d strings, %v", z.Len(), err)
 	}
 }

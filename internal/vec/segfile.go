@@ -73,7 +73,7 @@ func Write(w io.Writer, e Embedder, parts []*Builder, signature uint64) error {
 		}
 		prefix := fmt.Sprintf("vec/%d/", i)
 		sw.Record(prefix+"meta", uint32(b.Len()))
-		sw.Strings(prefix+"names", prefix+"nameoff", b.Len(), b.Name)
+		sw.Table(prefix+"names", prefix+"nameoff", b.names)
 		sw.Block(prefix+"vecs", segfile.Bytes(b.vecs))
 	}
 	return sw.Close()
@@ -139,7 +139,7 @@ func openSegment(r *segfile.Reader, i, dim int) (*Builder, error) {
 	if docs > uint32((1<<31-1)/dim) {
 		return nil, fmt.Errorf("vec: segment %d: implausible doc count %d", i, docs)
 	}
-	names, err := r.Strings(prefix+"names", prefix+"nameoff", int(docs))
+	names, err := r.Table(prefix+"names", prefix+"nameoff", int(docs))
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,7 @@ import (
 	"math"
 
 	"repro/internal/ir"
+	"repro/internal/segfile"
 )
 
 // Embedder maps text to a fixed-dimension dense vector. Implementations
@@ -160,8 +161,8 @@ func normalize(v []float32) {
 // engine re-composes the same page builders on every commit).
 type Builder struct {
 	dim   int
-	names []string
-	vecs  []float32 // len = dim * len(names), row-major
+	names segfile.Table
+	vecs  []float32 // len = dim * names.Len(), row-major
 }
 
 // NewBuilder starts an empty segment for e's embedding space.
@@ -181,18 +182,18 @@ func (b *Builder) AddTokens(name string, toks []string, e Embedder) {
 	if e.Dim() != b.dim {
 		panic(fmt.Sprintf("vec: embedder dim %d does not match builder dim %d", e.Dim(), b.dim))
 	}
-	b.names = append(b.names, name)
+	b.names.Append(name)
 	b.vecs = append(b.vecs, e.EmbedTokens(toks)...)
 }
 
 // Len returns the number of documents added.
-func (b *Builder) Len() int { return len(b.names) }
+func (b *Builder) Len() int { return b.names.Len() }
 
 // Dim returns the embedding dimension.
 func (b *Builder) Dim() int { return b.dim }
 
 // Name returns document i's name.
-func (b *Builder) Name(i int) string { return b.names[i] }
+func (b *Builder) Name(i int) string { return b.names.At(i) }
 
 // Vec returns document i's embedding (aliasing the builder's storage).
 func (b *Builder) Vec(i int) []float32 { return b.vecs[i*b.dim : (i+1)*b.dim] }

@@ -132,12 +132,16 @@ func GenerateAusOpen(cfg SiteConfig) (*Site, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	site := &Site{W: w}
+	years := cfg.YearEnd - cfg.YearStart + 1
+	site := &Site{W: w, Pages: make([]Page, 0, cfg.Players+4*years)}
 
-	// Players: half female, half male; 15% left-handed.
-	var females, males []*Object
+	// Players: half female, half male; 15% left-handed. Their attribute
+	// values are drawn first, so that the Player columns are sized once.
+	type player struct{ name, sex, hand, country, bio string }
+	players := make([]player, cfg.Players)
+	strBytes := map[string]int{}
 	seen := map[string]bool{}
-	for i := 0; i < cfg.Players; i++ {
+	for i := range players {
 		name := genName(rng)
 		for seen[name] {
 			name = genName(rng)
@@ -161,21 +165,33 @@ func GenerateAusOpen(cfg SiteConfig) (*Site, error) {
 				"and is known for a powerful baseline game. %s joined the "+
 				"professional tour as a teenager.",
 			name, country, pronoun, hand, pronoun)
+		players[i] = player{name, sex, hand, country, bio}
+		strBytes["name"] += len(name)
+		strBytes["sex"] += len(sex)
+		strBytes["handedness"] += len(hand)
+		strBytes["country"] += len(country)
+		strBytes["bio"] += len(bio)
+	}
+	if err := w.reserve("Player", len(players), strBytes); err != nil {
+		return nil, err
+	}
+	var females, males []*Object
+	for _, pl := range players {
 		p, err := w.NewObject("Player", map[string]any{
-			"name": name, "sex": sex, "handedness": hand,
-			"country": country, "bio": bio,
+			"name": pl.name, "sex": pl.sex, "handedness": pl.hand,
+			"country": pl.country, "bio": pl.bio,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if sex == "female" {
+		if pl.sex == "female" {
 			females = append(females, p)
 		} else {
 			males = append(males, p)
 		}
 		site.Pages = append(site.Pages, Page{
-			Name:     fmt.Sprintf("players/%s.html", strings.ReplaceAll(strings.ToLower(name), " ", "-")),
-			Text:     name + "\n" + bio,
+			Name:     fmt.Sprintf("players/%s.html", strings.ReplaceAll(strings.ToLower(pl.name), " ", "-")),
+			Text:     pl.name + "\n" + pl.bio,
 			ObjectID: p.ID,
 		})
 	}

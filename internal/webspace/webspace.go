@@ -1,46 +1,134 @@
 package webspace
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
+
+	"repro/internal/segfile"
 )
 
 // Object is one instance in the materialized webspace, made by NewObject.
+// Its attribute values are not held here but in its class's columns, at
+// the object's row.
 type Object struct {
 	ID    int64
 	Class string
 	// Links maps role names to target object IDs; nil until the first link.
 	Links map[string][]int64
 
-	class *Class
-	// vals holds the attribute values — string, int64, float64 or bool, nil
-	// where unset — aligned with class.names.
-	vals []any
+	tab *table
+	row int32
 }
 
 // Attr returns the value of an attribute: a string, int64, float64 or bool,
 // or nil when the object does not set it.
 func (o *Object) Attr(name string) any {
-	if i, ok := o.class.attrIndex(name); ok {
-		return o.vals[i]
+	if i, ok := o.tab.class.attrIndex(name); ok {
+		return o.tab.cols[i].value(o.row)
 	}
 	return nil
 }
 
-// StringAttr returns a string/text attribute or "".
+// StringAttr returns a string/text attribute or "". The string aliases the
+// class's column.
 func (o *Object) StringAttr(name string) string {
-	s, _ := o.Attr(name).(string)
-	return s
+	i, ok := o.tab.class.attrIndex(name)
+	if !ok {
+		return ""
+	}
+	c := &o.tab.cols[i]
+	if !c.isString() || !c.has(o.row) {
+		return ""
+	}
+	return c.str.At(int(o.row))
 }
+
+// table holds the objects of one class as rows, in creation order: row r is
+// object ids[r], and cols[i] holds attribute class.names[i] of every row.
+type table struct {
+	class *Class
+	ids   []int64
+	cols  []column
+}
+
+// column is one attribute of every row of a class, typed: a string or text
+// attribute is a byte arena with u32 offsets (the shape of a segfile
+// string table), an int, float or bool attribute a plain slice. An unset
+// row holds the zero value and a clear bit in set.
+type column struct {
+	typ    AttrType
+	set    []uint64 // presence bitmap by row
+	str    segfile.Table
+	ints   []int64
+	floats []float64
+	bools  []bool
+}
+
+func (c *column) isString() bool { return c.typ == AttrString || c.typ == AttrText }
+
+func (c *column) has(row int32) bool { return c.set[row>>6]&(1<<(row&63)) != 0 }
+
+// value boxes row's value, or returns nil when the row does not set it.
+func (c *column) value(row int32) any {
+	if !c.has(row) {
+		return nil
+	}
+	switch c.typ {
+	case AttrString, AttrText:
+		return c.str.At(int(row))
+	case AttrInt:
+		return c.ints[row]
+	case AttrFloat:
+		return c.floats[row]
+	case AttrBool:
+		return c.bools[row]
+	}
+	return nil
+}
+
+// push appends the next row's value: v, already checked against the
+// column's type, or nil for an unset row.
+func (c *column) push(row int32, v any) {
+	if row&63 == 0 {
+		c.set = append(c.set, 0)
+	}
+	if v != nil {
+		c.set[row>>6] |= 1 << (row & 63)
+	}
+	switch c.typ {
+	case AttrString, AttrText:
+		s, _ := v.(string)
+		c.str.Append(s)
+	case AttrInt:
+		i, _ := v.(int64)
+		c.ints = append(c.ints, i)
+	case AttrFloat:
+		f, _ := v.(float64)
+		c.floats = append(c.floats, f)
+	case AttrBool:
+		b, _ := v.(bool)
+		c.bools = append(c.bools, b)
+	}
+}
+
+// objChunk is how many objects share one allocation.
+const objChunk = 128
 
 // Webspace is a materialized object graph conforming to a schema. Object
 // IDs are dense: the webspace hands out 1, 2, … in creation order, and
-// objects[id-1] is object id.
+// object id is element (id-1)%objChunk of chunk (id-1)/objChunk. Chunks
+// never move, so an *Object stays valid as the webspace grows.
 type Webspace struct {
-	schema  *Schema
-	objects []*Object
-	byClass map[string][]int64
+	schema *Schema
+	chunks [][]Object
+	n      int
+	tables map[string]*table
 }
 
 // New creates an empty webspace over a validated schema.
@@ -48,24 +136,63 @@ func New(s *Schema) (*Webspace, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Webspace{schema: s, byClass: map[string][]int64{}}, nil
+	return &Webspace{schema: s, tables: map[string]*table{}}, nil
 }
 
 // Schema returns the webspace's schema.
 func (w *Webspace) Schema() *Schema { return w.schema }
 
-// NewObject materializes an instance of the class, validating attributes.
-func (w *Webspace) NewObject(class string, attrs map[string]any) (*Object, error) {
+// table returns the rows of class, made on the class's first object.
+func (w *Webspace) table(class string) (*table, error) {
+	if t := w.tables[class]; t != nil {
+		return t, nil
+	}
 	c, ok := w.schema.Classes[class]
 	if !ok {
 		return nil, fmt.Errorf("webspace: unknown class %q", class)
 	}
-	o := &Object{
-		ID:    int64(len(w.objects)) + 1,
-		Class: class,
-		class: c,
-		vals:  make([]any, len(c.names)),
+	t := &table{class: c, cols: make([]column, len(c.names))}
+	for i, name := range c.names {
+		t.cols[i].typ = c.Attrs[name]
 	}
+	w.tables[class] = t
+	return t, nil
+}
+
+// reserve sizes class's columns for rows more objects whose string
+// attributes hold strBytes[name] bytes in all, so that adding them copies
+// no column as it grows.
+func (w *Webspace) reserve(class string, rows int, strBytes map[string]int) error {
+	t, err := w.table(class)
+	if err != nil {
+		return err
+	}
+	t.ids = slices.Grow(t.ids, rows)
+	for i := range t.cols {
+		c := &t.cols[i]
+		c.set = slices.Grow(c.set, (len(t.ids)+rows+63)/64-len(c.set))
+		switch c.typ {
+		case AttrString, AttrText:
+			c.str.Data = slices.Grow(c.str.Data, strBytes[t.class.names[i]])
+			c.str.Off = slices.Grow(c.str.Off, rows+1)
+		case AttrInt:
+			c.ints = slices.Grow(c.ints, rows)
+		case AttrFloat:
+			c.floats = slices.Grow(c.floats, rows)
+		case AttrBool:
+			c.bools = slices.Grow(c.bools, rows)
+		}
+	}
+	return nil
+}
+
+// NewObject materializes an instance of the class, validating attributes.
+func (w *Webspace) NewObject(class string, attrs map[string]any) (*Object, error) {
+	t, err := w.table(class)
+	if err != nil {
+		return nil, err
+	}
+	c := t.class
 	for name, v := range attrs {
 		i, ok := c.attrIndex(name)
 		if !ok {
@@ -74,10 +201,22 @@ func (w *Webspace) NewObject(class string, attrs map[string]any) (*Object, error
 		if at := c.Attrs[name]; !typeMatches(at, v) {
 			return nil, fmt.Errorf("webspace: attribute %s.%s: value %T does not match %s", class, name, v, at)
 		}
-		o.vals[i] = v
+		if s, ok := v.(string); ok && uint64(len(t.cols[i].str.Data))+uint64(len(s)) > math.MaxUint32 {
+			return nil, fmt.Errorf("webspace: attribute %s.%s: column passes 4 GiB", class, name)
+		}
 	}
-	w.objects = append(w.objects, o)
-	w.byClass[class] = append(w.byClass[class], o.ID)
+	row := int32(len(t.ids))
+	for i := range t.cols {
+		t.cols[i].push(row, attrs[c.names[i]])
+	}
+	if w.n%objChunk == 0 {
+		w.chunks = append(w.chunks, make([]Object, 0, objChunk))
+	}
+	last := &w.chunks[len(w.chunks)-1]
+	*last = append(*last, Object{ID: int64(w.n) + 1, Class: class, tab: t, row: row})
+	w.n++
+	o := &(*last)[len(*last)-1]
+	t.ids = append(t.ids, o.ID)
 	return o, nil
 }
 
@@ -121,22 +260,31 @@ func (w *Webspace) Link(from *Object, role string, to *Object) error {
 
 // Get returns the object with the given ID.
 func (w *Webspace) Get(id int64) (*Object, bool) {
-	if id < 1 || id > int64(len(w.objects)) {
+	if id < 1 || id > int64(w.n) {
 		return nil, false
 	}
-	return w.objects[id-1], true
+	i := id - 1
+	return &w.chunks[i/objChunk][i%objChunk], true
 }
 
 // Len returns the number of objects, whose IDs are 1 … Len().
-func (w *Webspace) Len() int { return len(w.objects) }
+func (w *Webspace) Len() int { return w.n }
 
 // All returns the IDs of all objects of a class, in creation order.
 func (w *Webspace) All(class string) []int64 {
-	return append([]int64(nil), w.byClass[class]...)
+	if t := w.tables[class]; t != nil {
+		return append([]int64(nil), t.ids...)
+	}
+	return nil
 }
 
 // Count returns the number of objects of a class.
-func (w *Webspace) Count(class string) int { return len(w.byClass[class]) }
+func (w *Webspace) Count(class string) int {
+	if t := w.tables[class]; t != nil {
+		return len(t.ids)
+	}
+	return 0
+}
 
 // Op enumerates constraint operators.
 type Op int
@@ -169,12 +317,30 @@ type Query struct {
 	Where []Constraint
 }
 
+// cond is a Constraint compiled against the schema: the column its
+// attribute names in the path's end class, and Val unboxed into that
+// column's type. A Val of another type matches no row, as in a comparison
+// of boxed values.
+type cond struct {
+	path  []string
+	col   int // -1 when the constraint names no attribute
+	op    Op
+	typed bool // Val has the column's type
+	s     string
+	lower []byte // strings.ToLower(s), for OpContains
+	i     int64
+	f     float64
+	b     bool
+}
+
 // Run evaluates the query, returning matching objects in creation order.
+// Each constraint is compared against the typed column of its attribute;
+// no value is boxed.
 func (w *Webspace) Run(q Query) ([]*Object, error) {
 	if _, ok := w.schema.Classes[q.Class]; !ok {
 		return nil, fmt.Errorf("webspace: unknown class %q", q.Class)
 	}
-	// Static validation of constraint paths and attributes.
+	conds := make([]cond, len(q.Where))
 	for i, c := range q.Where {
 		cls := q.Class
 		for _, role := range c.Path {
@@ -185,18 +351,43 @@ func (w *Webspace) Run(q Query) ([]*Object, error) {
 			}
 			cls = a.Target
 		}
-		if c.Attr != "" {
-			if _, ok := w.schema.Classes[cls].Attrs[c.Attr]; !ok {
-				return nil, fmt.Errorf("webspace: constraint %d: class %q has no attribute %q", i, cls, c.Attr)
+		cd := &conds[i]
+		cd.path, cd.col, cd.op = c.Path, -1, c.Op
+		if c.Attr == "" {
+			continue
+		}
+		end := w.schema.Classes[cls]
+		at, ok := end.Attrs[c.Attr]
+		if !ok {
+			return nil, fmt.Errorf("webspace: constraint %d: class %q has no attribute %q", i, cls, c.Attr)
+		}
+		cd.col, _ = end.attrIndex(c.Attr)
+		cd.typed = typeMatches(at, c.Val)
+		switch v := c.Val.(type) {
+		case string:
+			cd.s = v
+			if c.Op == OpContains {
+				cd.lower = []byte(strings.ToLower(v))
 			}
+		case int64:
+			cd.i = v
+		case float64:
+			cd.f = v
+		case bool:
+			cd.b = v
 		}
 	}
+	t := w.tables[q.Class]
+	if t == nil {
+		return nil, nil
+	}
+	ev := evaluator{w: w}
 	var out []*Object
-	for _, id := range w.byClass[q.Class] {
-		o := w.objects[id-1]
+	for _, id := range t.ids {
+		o, _ := w.Get(id)
 		ok := true
-		for _, c := range q.Where {
-			if !w.satisfies(o, c) {
+		for i := range conds {
+			if !ev.satisfies(o, &conds[i], conds[i].path) {
 				ok = false
 				break
 			}
@@ -208,93 +399,77 @@ func (w *Webspace) Run(q Query) ([]*Object, error) {
 	return out, nil
 }
 
-// satisfies checks one constraint with exists semantics.
-func (w *Webspace) satisfies(o *Object, c Constraint) bool {
-	reached := w.walk(o, c.Path)
-	if len(reached) == 0 {
-		return false
+// evaluator runs one query's constraints; buf is the buffer OpContains
+// lowercases stored values into.
+type evaluator struct {
+	w   *Webspace
+	buf []byte
+}
+
+// satisfies reports whether some object at the end of path from o meets c
+// (exists semantics), depth first, without collecting the reachable set.
+func (ev *evaluator) satisfies(o *Object, c *cond, path []string) bool {
+	if len(path) == 0 {
+		return c.col < 0 || ev.cmpAttr(&o.tab.cols[c.col], o.row, c)
 	}
-	if c.Attr == "" {
-		return true
-	}
-	for _, r := range reached {
-		if cmpAttr(r.Attr(c.Attr), c.Op, c.Val) {
+	for _, id := range o.Links[path[0]] {
+		if t, ok := ev.w.Get(id); ok && ev.satisfies(t, c, path[1:]) {
 			return true
 		}
 	}
 	return false
 }
 
-// walk follows a role path breadth-first, returning the reachable objects.
-func (w *Webspace) walk(o *Object, path []string) []*Object {
-	cur := []*Object{o}
-	for _, role := range path {
-		var next []*Object
-		for _, c := range cur {
-			for _, id := range c.Links[role] {
-				if t, ok := w.Get(id); ok {
-					next = append(next, t)
-				}
-			}
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
-}
-
-func cmpAttr(v any, op Op, want any) bool {
-	switch op {
-	case OpContains:
-		s, ok1 := v.(string)
-		sub, ok2 := want.(string)
-		return ok1 && ok2 && strings.Contains(strings.ToLower(s), strings.ToLower(sub))
-	}
-	switch a := v.(type) {
-	case string:
-		b, ok := want.(string)
-		if !ok {
-			return false
-		}
-		return cmpOrdered(strings.Compare(a, b), op)
-	case int64:
-		b, ok := want.(int64)
-		if !ok {
-			return false
-		}
-		return cmpOrdered(compareInt(a, b), op)
-	case float64:
-		b, ok := want.(float64)
-		if !ok {
-			return false
-		}
-		switch {
-		case a < b:
-			return cmpOrdered(-1, op)
-		case a > b:
-			return cmpOrdered(1, op)
-		default:
-			return cmpOrdered(0, op)
-		}
-	case bool:
-		b, ok := want.(bool)
-		if !ok {
-			return false
-		}
-		if op == OpEq {
-			return a == b
-		}
-		if op == OpNe {
-			return a != b
-		}
+// cmpAttr compares row's value in col with the constraint's. An unset row
+// matches nothing; bool values support only OpEq and OpNe.
+func (ev *evaluator) cmpAttr(col *column, row int32, c *cond) bool {
+	if !c.typed || !col.has(row) {
 		return false
+	}
+	switch col.typ {
+	case AttrString, AttrText:
+		s := col.str.At(int(row))
+		if c.op == OpContains {
+			ev.buf = appendLower(slices.Grow(ev.buf[:0], len(s)), s)
+			return bytes.Contains(ev.buf, c.lower)
+		}
+		return cmpOrdered(strings.Compare(s, c.s), c.op)
+	case AttrInt:
+		return c.op != OpContains && cmpOrdered(compare(col.ints[row], c.i), c.op)
+	case AttrFloat:
+		return c.op != OpContains && cmpOrdered(compare(col.floats[row], c.f), c.op)
+	case AttrBool:
+		switch c.op {
+		case OpEq:
+			return col.bools[row] == c.b
+		case OpNe:
+			return col.bools[row] != c.b
+		}
 	}
 	return false
 }
 
-func compareInt(a, b int64) int {
+// appendLower appends strings.ToLower(s) to dst: every rune through
+// unicode.ToLower, and a byte that is not valid UTF-8 as U+FFFD.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += n
+	}
+	return dst
+}
+
+// compare orders a and b; an unordered pair (a NaN) compares equal.
+func compare[T int64 | float64](a, b T) int {
 	switch {
 	case a < b:
 		return -1

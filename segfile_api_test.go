@@ -437,10 +437,11 @@ func TestSwapKeepsPageLanes(t *testing.T) {
 }
 
 // footprintPerObject bounds the live heap a warm-booted library holds per
-// webspace object in TestWarmLibraryFootprint: 510 bytes, measured when the
-// library stopped keeping the site's pages, the webspace a map per object
-// and the text index a map per term (1,298 bytes before), plus 15 %.
-const footprintPerObject = 587
+// webspace object in TestWarmLibraryFootprint: 335 bytes, measured when the
+// webspace's attribute values became typed columns and the lanes' document
+// names string tables (510 bytes before; 1,298 before the library stopped
+// keeping the site's pages), plus 15 %.
+const footprintPerObject = 385
 
 // TestWarmLibraryFootprint: a library warm-booted from both page-lane
 // caches keeps the site's object graph and what its lanes serve from, not
