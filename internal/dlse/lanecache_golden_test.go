@@ -6,8 +6,10 @@ package dlse
 // postings, impacts, vectors and layout — across that change rather than
 // comparing the build with itself. The text hash was re-recorded once for
 // text format 2, which drops the impact-ordered blocks and keeps every other
-// block byte for byte; the page answers it serves are pinned across that
-// change by goldenLanePages.
+// block byte for byte, and once for text format 3, which stores the same
+// fields at their narrowest widths (TestTextFormat3EqualsFormat2 compares
+// them field by field); the page answers it serves are pinned across both
+// changes by goldenLanePages.
 
 import (
 	"context"
@@ -25,7 +27,7 @@ import (
 // Sha256 of the text and vector segfile caches a cold build writes for
 // laneCacheSite at four text segments.
 const (
-	goldenTextCache = "6fdbebf885a463b35de4cd7dd6dfa6b3c82c393f6cc22eea115ca73ff90c6add"
+	goldenTextCache = "99091c7ef57820ab92d04b312f95903426676ee14ef2fc4815297a84b2a3271d"
 	goldenVecCache  = "893b98baae1dc914a6d5e16064d43501d49f26eb324e735e7edf0a6920e9cc4d"
 )
 
@@ -63,6 +65,34 @@ func TestPageLaneCacheGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s: sha256 %s, want %s", filepath.Base(c.path), got, c.want)
 		}
+	}
+}
+
+// textCacheBytes is the size of the text cache a cold build writes for
+// laneCacheSite at four text segments, measured when the integer columns
+// went to their narrowest widths (text format 3; format 2 wrote 329,431
+// bytes).
+const textCacheBytes = 216367
+
+// TestTextCacheSize holds the text cache of laneCacheSite at four segments to
+// textCacheBytes plus 2 %, and logs what it costs per posting.
+func TestTextCacheSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "text.segf")
+	if _, err := NewSegmented(laneCacheSite(t), nil, Options{TextSegments: 4, TextSegfile: path}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	postings := 0
+	for _, seg := range decodeTextFile(t, path).segs {
+		postings += seg.postings()
+	}
+	size := fi.Size()
+	t.Logf("text cache: %d bytes for %d postings, %.2f bytes per posting", size, postings, float64(size)/float64(postings))
+	if bound := int64(textCacheBytes + textCacheBytes/50); size > bound {
+		t.Errorf("text cache is %d bytes, want at most %d (%d + 2 %%)", size, bound, textCacheBytes)
 	}
 }
 

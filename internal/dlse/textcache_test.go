@@ -8,6 +8,8 @@ package dlse
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/segfile"
 	"repro/internal/webspace"
 )
 
@@ -125,56 +128,242 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 	}
 }
 
-// TestTextSegfileCacheV1Rebuild: testdata/text-v1.segf is the format-1 text
-// cache (with the impact-ordered blocks) that the last format-1 build wrote
-// for cacheSite(3) at two text segments. Its signature matches, so only its
-// version refuses it: the boot rebuilds, replaces it with the cache a fresh
-// cold build writes, and answers as a cache-free build does.
-func TestTextSegfileCacheV1Rebuild(t *testing.T) {
+// TestTextSegfileCacheOldVersionRebuild: testdata/text-v1.segf is the
+// format-1 text cache (with the impact-ordered blocks) that the last format-1
+// build wrote for cacheSite(3) at two text segments, and text-v2.segf the
+// format-2 cache (8-byte postings) the last format-2 build wrote for the same
+// site. Their signatures match, so only their version refuses them: the boot
+// rebuilds, replaces the file with the cache a fresh cold build writes, and
+// answers as a cache-free build does.
+func TestTextSegfileCacheOldVersionRebuild(t *testing.T) {
 	site := cacheSite(t, 3)
-	v1, err := os.ReadFile(filepath.Join("testdata", "text-v1.segf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "text.segf")
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ir.OpenSegmentsFile(path, 0); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("version-1 cache: open err = %v, want a version refusal", err)
-	}
-	booted, err := NewSegmented(site, nil, Options{TextSegments: 2, TextSegfile: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := filepath.Join(dir, "fresh.segf")
-	if _, err := NewSegmented(site, nil, Options{TextSegments: 2, TextSegfile: fresh}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := os.ReadFile(path)
-	want, _ := os.ReadFile(fresh)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("the version-1 cache was not replaced by a fresh one (%d bytes, fresh %d)", len(got), len(want))
-	}
 	plain, err := NewSegmented(site, nil, Options{TextSegments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	for _, q := range []Query{
-		{Keyword: "australian open final"},
-		{Hybrid: "champion"},
-		{Source: `find Player rank "left-handed winner"`},
-	} {
-		br, berr := booted.Search(ctx, q)
-		pr, perr := plain.Search(ctx, q)
-		if berr != nil || perr != nil {
-			t.Fatalf("%+v: err %v / %v", q, berr, perr)
+	for _, version := range []string{"1", "2"} {
+		t.Run("v"+version, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", "text-v"+version+".segf"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "text.segf")
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ir.OpenSegmentsFile(path, 0); err == nil || !strings.Contains(err.Error(), "version "+version) {
+				t.Fatalf("version-%s cache: open err = %v, want a version refusal", version, err)
+			}
+			booted, err := NewSegmented(site, nil, Options{TextSegments: 2, TextSegfile: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := filepath.Join(dir, "fresh.segf")
+			if _, err := NewSegmented(site, nil, Options{TextSegments: 2, TextSegfile: fresh}); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := os.ReadFile(path)
+			want, _ := os.ReadFile(fresh)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("the version-%s cache was not replaced by a fresh one (%d bytes, fresh %d)", version, len(got), len(want))
+			}
+			ctx := context.Background()
+			for _, q := range []Query{
+				{Keyword: "australian open final"},
+				{Hybrid: "champion"},
+				{Source: `find Player rank "left-handed winner"`},
+			} {
+				br, berr := booted.Search(ctx, q)
+				pr, perr := plain.Search(ctx, q)
+				if berr != nil || perr != nil {
+					t.Fatalf("%+v: err %v / %v", q, berr, perr)
+				}
+				if !reflect.DeepEqual(br.Items, pr.Items) {
+					t.Fatalf("%+v: answers diverge\nbooted: %v\nplain:  %v", q, br.Items, pr.Items)
+				}
+			}
+		})
+	}
+}
+
+// textFile is a text cache decoded field by field straight from its blocks,
+// independently of package ir's reader: the header record, and per segment
+// its dictionary, idf bits, each term's doc IDs, TFs and impact bits, and
+// its document names and lengths.
+type textFile struct {
+	docs, vocab, signature uint64
+	segs                   []textSeg
+}
+
+type textSeg struct {
+	totalLen uint64
+	terms    []string
+	idf      []uint64   // float64 bits
+	docs     [][]uint64 // by term
+	tfs      [][]uint64
+	imps     [][]uint32 // float32 bits
+	names    []string
+	doclen   []uint64
+}
+
+// postings returns the segment's posting count.
+func (s textSeg) postings() int {
+	n := 0
+	for _, d := range s.docs {
+		n += len(d)
+	}
+	return n
+}
+
+// decodeTextFile decodes the text cache at path, of layout version 2 (8-byte
+// postings, u64 offsets, i32 lengths) or 3 (the integer columns at the
+// widths the segment record names, each of which must be the narrowest
+// that holds the column's largest value).
+func decodeTextFile(t *testing.T, path string) textFile {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head struct {
+		Version, Segments      uint32
+		Docs, Vocab, Signature uint64
+	}
+	if err := r.Record("ir/meta", &head); err != nil {
+		t.Fatal(err)
+	}
+	block := func(name string) []byte {
+		b, ok := r.Block(name)
+		if !ok {
+			t.Fatalf("%s: no block %q", path, name)
 		}
-		if !reflect.DeepEqual(br.Items, pr.Items) {
-			t.Fatalf("%+v: answers diverge\nbooted: %v\nplain:  %v", q, br.Items, pr.Items)
+		return b
+	}
+	// uints decodes a column of w-byte little-endian values and checks that
+	// w is the narrowest width holding them (when narrowest is set).
+	uints := func(name string, w int, narrowest bool) []uint64 {
+		b := block(name)
+		if w <= 0 || len(b)%w != 0 {
+			t.Fatalf("%s: block %q of %d bytes is not %d-byte values", path, name, len(b), w)
 		}
+		vs := make([]uint64, len(b)/w)
+		var top uint64
+		for i := range vs {
+			var v [8]byte
+			copy(v[:], b[i*w:(i+1)*w])
+			vs[i] = binary.LittleEndian.Uint64(v[:])
+			top = max(top, vs[i])
+		}
+		want := 1
+		for want < 8 && top>>(8*want) != 0 {
+			want *= 2
+		}
+		if narrowest && len(b) > 0 && w != want {
+			t.Fatalf("%s: block %q stores %d-byte values, its largest is %d", path, name, w, top)
+		}
+		return vs
+	}
+	f := textFile{docs: head.Docs, vocab: head.Vocab, signature: head.Signature}
+	for i := 0; i < int(head.Segments); i++ {
+		pre := fmt.Sprintf("ir/%d/", i)
+		var meta struct {
+			Docs     uint32
+			TotalLen uint64
+			Terms    uint32
+			Postings uint64
+		}
+		var widths [4]uint8 // offsets, doc IDs, TFs, lengths
+		var postoff, docs, tfs, doclen []uint64
+		var imp []byte
+		switch head.Version {
+		case 2:
+			if err := r.Record(pre+"meta", &meta); err != nil {
+				t.Fatal(err)
+			}
+			postoff = uints(pre+"postoff", 8, false)
+			post := uints(pre+"docpost", 4, false) // (Doc, TF) int32 pairs
+			for j := 0; j+1 < len(post); j += 2 {
+				docs, tfs = append(docs, post[j]), append(tfs, post[j+1])
+			}
+			doclen = uints(pre+"doclen", 4, false)
+			imp = block(pre + "docimp")
+		case 3:
+			if err := r.Record(pre+"meta", &meta, &widths); err != nil {
+				t.Fatal(err)
+			}
+			postoff = uints(pre+"postoff", int(widths[0]), true)
+			docs = uints(pre+"postdoc", int(widths[1]), true)
+			tfs = uints(pre+"posttf", int(widths[2]), true)
+			doclen = uints(pre+"doclen", int(widths[3]), true)
+			imp = block(pre + "postimp")
+		default:
+			t.Fatalf("%s: layout version %d", path, head.Version)
+		}
+		terms, err := r.Table(pre+"terms", pre+"termoff", int(meta.Terms))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := r.Table(pre+"names", pre+"nameoff", int(meta.Docs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		idf := block(pre + "idf")
+		seg := textSeg{totalLen: meta.TotalLen, doclen: doclen}
+		if len(postoff) != int(meta.Terms)+1 || len(docs) != int(meta.Postings) || len(tfs) != len(docs) ||
+			len(imp) != 4*len(docs) || len(idf) != 8*int(meta.Terms) || len(doclen) != int(meta.Docs) {
+			t.Fatalf("%s segment %d: column lengths disagree with the record %+v", path, i, meta)
+		}
+		for o := 0; o < int(meta.Terms); o++ {
+			lo, hi := postoff[o], postoff[o+1]
+			seg.terms = append(seg.terms, terms.At(o))
+			seg.idf = append(seg.idf, binary.LittleEndian.Uint64(idf[8*o:]))
+			seg.docs = append(seg.docs, docs[lo:hi])
+			seg.tfs = append(seg.tfs, tfs[lo:hi])
+			var ib []uint32
+			for j := lo; j < hi; j++ {
+				ib = append(ib, binary.LittleEndian.Uint32(imp[4*j:]))
+			}
+			seg.imps = append(seg.imps, ib)
+		}
+		for d := 0; d < int(meta.Docs); d++ {
+			seg.names = append(seg.names, names.At(d))
+		}
+		f.segs = append(f.segs, seg)
+	}
+	return f
+}
+
+// TestTextFormat3EqualsFormat2 is the evidence behind re-recording the text
+// cache's byte goldens for format 3: the committed format-2 cache of
+// cacheSite(3) at two segments (written by the last format-2 build) and a
+// format-3 build of the same site hold the same header, and per segment the
+// same dictionary, idf bits, per-term doc IDs, TFs and impact bits, names
+// and doc lengths. Only the widths the values are stored at differ.
+func TestTextFormat3EqualsFormat2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "text.segf")
+	if _, err := NewSegmented(cacheSite(t, 3), nil, Options{TextSegments: 2, TextSegfile: path}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := decodeTextFile(t, filepath.Join("testdata", "text-v2.segf"))
+	v3 := decodeTextFile(t, path)
+	if len(v2.segs) != 2 || v2.segs[0].postings() == 0 {
+		t.Fatalf("format-2 file holds %d segments", len(v2.segs))
+	}
+	if !reflect.DeepEqual(v2, v3) {
+		if v2.docs != v3.docs || v2.vocab != v3.vocab || v2.signature != v3.signature {
+			t.Fatalf("header: format 2 (%d, %d, %#x), format 3 (%d, %d, %#x)", v2.docs, v2.vocab, v2.signature, v3.docs, v3.vocab, v3.signature)
+		}
+		for i := range v2.segs {
+			if !reflect.DeepEqual(v2.segs[i], v3.segs[i]) {
+				t.Fatalf("segment %d differs between format 2 and format 3", i)
+			}
+		}
+		t.Fatal("format 2 and format 3 differ")
 	}
 }
 

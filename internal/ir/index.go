@@ -13,9 +13,9 @@ import (
 // DocID identifies an indexed document.
 type DocID int32
 
-// Posting is one (document, term frequency) pair. The text segfile stores
-// postings as this struct's memory image (segfile.View), so its layout is
-// part of the format: changing it changes irFormatVersion.
+// Posting is one (document, term frequency) pair: an entry of a term's
+// build list, and what postings reads back from a frozen index's columns.
+// The index stores no Posting array (see Index).
 type Posting struct {
 	Doc DocID
 	TF  int32
@@ -24,14 +24,18 @@ type Posting struct {
 // Index is an in-memory inverted index with BM25 ranking.
 //
 // A frozen index holds its dictionary as one sorted term table and each
-// term's postings as a range of flat arrays aligned with it: term ordinal o
-// owns post[postOff[o]:postOff[o+1]] (doc order) and the float32 impacts
-// imp over the same range — each posting's full BM25 contribution, idf, tf
-// saturation and document-length normalization folded in, so query-time
-// scoring is one add per posting — and its idf is termIdf[o]. This is the
-// text segfile's layout: an index opened from a file aliases the file's
-// blocks, and a heap build holds the same arrays, built once by Freeze. A
-// query term is found by binary search over the table.
+// term's postings as a range of flat columns aligned with it: term ordinal o
+// owns the postings [postOff[o], postOff[o+1]) (doc order) — their doc IDs
+// in docs, their term frequencies in tfs, and in imp their float32 impacts,
+// each posting's full BM25 contribution with idf, tf saturation and
+// document-length normalization folded in, so query-time scoring is one add
+// per posting — and its idf is termIdf[o]. The integer columns (postOff,
+// docs, tfs, doclen) are each stored at the narrowest width that holds their
+// largest value (column.go); only Freeze, impactLists and the bm25 oracle
+// read tfs, and the kernel reads docs and imp alone. This is the text
+// segfile's layout: an index opened from a file aliases the file's blocks,
+// and a heap build holds the same columns, built once by Freeze. A query
+// term is found by binary search over the table.
 // (SearchTopN derives its impact order from these; see topn.go.)
 //
 // Concurrency: the index has a strict build-then-serve life cycle. Add and
@@ -42,22 +46,26 @@ type Posting struct {
 // returning ErrNotFrozen before the freeze.
 type Index struct {
 	// build holds each term's doc-ordered postings while documents are
-	// added; Freeze flattens it into the arrays below and drops it.
+	// added; Freeze flattens it into the columns below and drops it.
 	build map[string][]Posting
 	// tf is AddTokens' term-count map, cleared and reused for every
 	// document and dropped by Freeze.
 	tf map[string]int32
+	// lens holds each added document's analyzed token count until Freeze
+	// narrows it into doclen.
+	lens []uint32
 
 	dict    segfile.Table // sorted, non-empty, distinct terms
 	termIdf []float64
-	postOff []uint64
-	post    []Posting
+	postOff column
+	docs    column
+	tfs     column
 	imp     []float32
 
 	// names and doclen hold each document's name and analyzed token
 	// count, by DocID.
 	names   segfile.Table
-	doclen  []int32
+	doclen  column
 	totalLn int64
 	frozen  bool
 
@@ -103,9 +111,9 @@ func (ix *Index) AddTokens(name string, toks []string) (DocID, error) {
 	if ix.frozen {
 		return 0, ErrFrozen
 	}
-	id := DocID(len(ix.doclen))
+	id := DocID(ix.Docs())
 	ix.names.Append(name)
-	ix.doclen = append(ix.doclen, int32(len(toks)))
+	ix.lens = append(ix.lens, uint32(len(toks)))
 	ix.totalLn += int64(len(toks))
 	if ix.tf == nil {
 		ix.tf = map[string]int32{}
@@ -136,12 +144,12 @@ type corpusStats struct {
 
 // localStats returns the index's own collection statistics.
 func (ix *Index) localStats() corpusStats {
-	return corpusStats{docs: len(ix.doclen), totalLn: ix.totalLn, df: ix.df}
+	return corpusStats{docs: ix.Docs(), totalLn: ix.totalLn, df: ix.df}
 }
 
-// Freeze finalizes the index: the sorted term table and the flat posting
-// and impact arrays are built, the accumulator pool is sized, and the index
-// becomes searchable. Adding after Freeze fails.
+// Freeze finalizes the index: the sorted term table and the flat posting,
+// impact and length columns are built, the accumulator pool is sized, and
+// the index becomes searchable. Adding after Freeze fails.
 func (ix *Index) Freeze() { ix.freezeWith(ix.localStats()) }
 
 // freezeWith finalizes the index against the given collection statistics.
@@ -157,28 +165,46 @@ func (ix *Index) freezeWith(cs corpusStats) {
 		avg = float64(cs.totalLn) / float64(cs.docs)
 	}
 	terms := make([]string, 0, len(ix.build))
-	npost := 0
+	var npost int
+	var maxDoc DocID
+	var maxTF int32
 	for term, pl := range ix.build {
 		terms = append(terms, term)
 		npost += len(pl)
+		maxDoc = max(maxDoc, pl[len(pl)-1].Doc) // lists are in doc order
+		for _, p := range pl {
+			maxTF = max(maxTF, p.TF)
+		}
 	}
 	sort.Strings(terms)
+	var maxLen uint32
+	for _, n := range ix.lens {
+		maxLen = max(maxLen, n)
+	}
+	ix.doclen = newColumn(len(ix.lens), uint64(maxLen))
+	for d, n := range ix.lens {
+		ix.doclen.set(d, uint64(n))
+	}
 	ix.dict = segfile.NewTable(len(terms), func(o int) string { return terms[o] })
 	ix.termIdf = make([]float64, len(terms))
-	ix.postOff = make([]uint64, 1, len(terms)+1)
-	ix.post = make([]Posting, 0, npost)
-	ix.imp = make([]float32, 0, npost)
+	ix.postOff = newColumn(len(terms)+1, uint64(npost))
+	ix.docs = newColumn(npost, uint64(maxDoc))
+	ix.tfs = newColumn(npost, uint64(maxTF))
+	ix.imp = make([]float32, npost)
+	i := 0
 	for o, term := range terms {
 		idf := idfFor(cs.docs, cs.df(term))
 		ix.termIdf[o] = idf
 		for _, p := range ix.build[term] {
-			ix.post = append(ix.post, p)
-			ix.imp = append(ix.imp, ix.impact(idf, p, avg))
+			ix.docs.set(i, uint64(p.Doc))
+			ix.tfs.set(i, uint64(p.TF))
+			ix.imp[i] = ix.impact(idf, p, avg)
+			i++
 		}
-		ix.postOff = append(ix.postOff, uint64(len(ix.post)))
+		ix.postOff.set(o+1, uint64(i))
 	}
-	ix.build, ix.tf = nil, nil
-	n := len(ix.doclen)
+	ix.build, ix.tf, ix.lens = nil, nil, nil
+	n := ix.Docs()
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	ix.frozen = true
 }
@@ -188,12 +214,12 @@ func (ix *Index) freezeWith(cs corpusStats) {
 // freeze time and rounded to float32.
 func (ix *Index) impact(idf float64, p Posting, avg float64) float32 {
 	tf := float64(p.TF)
-	dl := float64(ix.doclen[p.Doc])
+	dl := float64(ix.doclen.at(int(p.Doc)))
 	return float32(idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/avg)))
 }
 
 // Docs returns the number of indexed documents.
-func (ix *Index) Docs() int { return len(ix.doclen) }
+func (ix *Index) Docs() int { return ix.names.Len() }
 
 // Terms returns the vocabulary size.
 func (ix *Index) Terms() int {
@@ -211,24 +237,36 @@ func (ix *Index) lookup(term string) (int, bool) {
 	return o, o < n && ix.dict.At(o) == term
 }
 
-// postings returns term ordinal o's doc-ordered postings and their impacts.
+// span returns term ordinal o's range of the posting columns.
+func (ix *Index) span(o int) (lo, hi int) {
+	return int(ix.postOff.at(o)), int(ix.postOff.at(o + 1))
+}
+
+// postings returns term ordinal o's doc-ordered postings, read from the doc
+// and TF columns into a new slice, and their impacts, aliasing the index.
+// The serving paths read the columns in place; this is the impact order's
+// and the reference scorer's form.
 func (ix *Index) postings(o int) ([]Posting, []float32) {
-	lo, hi := ix.postOff[o], ix.postOff[o+1]
-	return ix.post[lo:hi], ix.imp[lo:hi]
+	lo, hi := ix.span(o)
+	post := make([]Posting, hi-lo)
+	for i := range post {
+		post[i] = Posting{Doc: DocID(ix.docs.at(lo + i)), TF: int32(ix.tfs.at(lo + i))}
+	}
+	return post, ix.imp[lo:hi]
 }
 
 // avgDocLen returns the mean analyzed document length.
 func (ix *Index) avgDocLen() float64 {
-	if len(ix.doclen) == 0 {
+	if ix.Docs() == 0 {
 		return 0
 	}
-	return float64(ix.totalLn) / float64(len(ix.doclen))
+	return float64(ix.totalLn) / float64(ix.Docs())
 }
 
 // idf returns the BM25 idf of a term against this index's own collection
 // (0 for unknown terms).
 func (ix *Index) idf(term string) float64 {
-	return idfFor(len(ix.doclen), ix.df(term))
+	return idfFor(ix.Docs(), ix.df(term))
 }
 
 // idfFor computes the BM25 idf for a term with document frequency df in a
@@ -249,7 +287,7 @@ func (ix *Index) bm25(term string, p Posting) float64 {
 		return 0
 	}
 	tf := float64(p.TF)
-	dl := float64(ix.doclen[p.Doc])
+	dl := float64(ix.doclen.at(int(p.Doc)))
 	denom := tf + bm25K1*(1-bm25B+bm25B*dl/ix.avgDocLen())
 	return idf * tf * (bm25K1 + 1) / denom
 }
@@ -302,29 +340,50 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 // scoreTerms accumulates every term's full posting list into ac, in term
 // order — the one exhaustive-scan scoring loop shared by Search and
 // ScoreQuery, so their per-doc float64 sums are identical by construction.
-// A posting whose doc ID lies outside the index (a damaged mapped block:
-// bulk blocks carry no verified checksum) fails the query instead of
-// indexing past the accumulator.
+// The doc-ID column's width is chosen once per term, and scoreList is
+// instantiated for each. A posting whose doc ID lies outside the index (a
+// damaged mapped block: bulk blocks carry no verified checksum) fails the
+// query instead of indexing past the accumulator.
 func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 	var stats SearchStats
-	docs := uint32(len(ac.stamps))
 	for _, term := range terms {
 		o, ok := ix.lookup(term)
 		if !ok {
 			continue
 		}
-		post, imps := ix.postings(o)
-		for i, p := range post {
-			if uint32(p.Doc) >= docs {
-				return stats, fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, i, p.Doc, docs)
-			}
-			ac.Add(p.Doc, float64(imps[i]))
+		lo, hi := ix.span(o)
+		imps := ix.imp[lo:hi]
+		var bad int
+		switch docs := ix.docs.vals.(type) {
+		case []uint8:
+			bad = scoreList(docs[lo:hi], imps, ac)
+		case []uint16:
+			bad = scoreList(docs[lo:hi], imps, ac)
+		default:
+			bad = scoreList(ix.docs.vals.([]uint32)[lo:hi], imps, ac)
+		}
+		if bad >= 0 {
+			return stats, fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, bad, ix.docs.at(lo+bad), len(ac.stamps))
 		}
 		stats.TermsMatched++
-		stats.PostingsScored += len(post)
+		stats.PostingsScored += hi - lo
 	}
 	stats.DocsTouched = len(ac.touched)
 	return stats, nil
+}
+
+// scoreList adds each posting's impact to its document's score and returns
+// -1, or the index of the first posting whose doc ID lies outside ac.
+func scoreList[D uint8 | uint16 | uint32](docs []D, imps []float32, ac *Accum) int {
+	n := uint32(len(ac.stamps))
+	imps = imps[:len(docs)]
+	for i, d := range docs {
+		if uint32(d) >= n {
+			return i
+		}
+		ac.Add(DocID(d), float64(imps[i]))
+	}
+	return -1
 }
 
 // SearchBoolean returns the documents containing every query term
@@ -345,18 +404,17 @@ func (ix *Index) SearchBoolean(query string) ([]DocID, error) {
 	if !ok {
 		return nil, nil
 	}
-	post, _ := ix.postings(o)
-	cur := make([]DocID, 0, len(post))
-	for _, p := range post {
-		cur = append(cur, p.Doc)
+	lo, hi := ix.span(o)
+	cur := make([]DocID, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		cur = append(cur, DocID(ix.docs.at(i)))
 	}
 	for _, term := range terms[1:] {
 		o, ok := ix.lookup(term)
 		if !ok {
 			return nil, nil
 		}
-		post, _ := ix.postings(o)
-		cur = intersect(cur, post)
+		cur = ix.intersect(cur, o)
 		if len(cur) == 0 {
 			return nil, nil
 		}
@@ -371,21 +429,26 @@ func (ix *Index) df(term string) int {
 		return len(ix.build[term])
 	}
 	if o, ok := ix.lookup(term); ok {
-		return int(ix.postOff[o+1] - ix.postOff[o])
+		lo, hi := ix.span(o)
+		return hi - lo
 	}
 	return 0
 }
 
-func intersect(a []DocID, b []Posting) []DocID {
+// intersect keeps, in place, the documents of the ascending list a that
+// term ordinal o's postings name, reading the doc-ID column.
+func (ix *Index) intersect(a []DocID, o int) []DocID {
 	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	j, hi := ix.span(o)
+	i := 0
+	for i < len(a) && j < hi {
+		d := DocID(ix.docs.at(j))
 		switch {
-		case a[i] == b[j].Doc:
+		case a[i] == d:
 			out = append(out, a[i])
 			i++
 			j++
-		case a[i] < b[j].Doc:
+		case a[i] < d:
 			i++
 		default:
 			j++

@@ -2,42 +2,53 @@ package ir
 
 // Zero-copy segment persistence for the text-retrieval kernel. A frozen
 // Segments reader serializes into the segfile container as flat,
-// 64-byte-aligned arrays — doc-ordered postings, their float32 BM25
-// impact vectors, per-term idf, doc-length norms, and the sorted term
-// dictionary — and opens back up with one mmap plus an O(terms) dictionary
-// check: the reconstructed Index's term table, idf, offsets, postings and
-// impacts are the mapped blocks themselves (segfile's typed views), so no
-// posting is decoded, no per-term structure is built on the heap, queries
-// find their terms by binary search over the mapped dictionary, and the
-// kernel's accumulator loop in scoreTerms scores straight over the file's
-// pages.
+// 64-byte-aligned columns — doc-ordered posting doc IDs and term
+// frequencies, their float32 BM25 impacts, per-term idf and posting
+// offsets, doc lengths, and the sorted term dictionary — and opens back up
+// with one mmap plus an O(terms) dictionary check: the reconstructed Index's
+// term table, idf, offsets, doc IDs, TFs, impacts and lengths are the mapped
+// blocks themselves (segfile's typed views), so no posting is decoded, no
+// per-term structure is built on the heap, queries find their terms by
+// binary search over the mapped dictionary, and the kernel's accumulator
+// loop in scoreTerms scores straight over the file's pages.
 //
-// Byte-identity: segments persist exactly the arrays Freeze built — the
+// Every integer column is stored at the narrowest of 1, 2, 4 and 8 bytes
+// that holds its largest value (column.go), and the segment's meta record
+// names each width: at dlbench's shape (≤ 2,088 documents a segment, TF ≤ 4)
+// doc IDs are u16 and TFs u8, and a segment past 65,536 documents stores
+// u32 doc IDs. The rule needs no option: a heap build and the file it writes
+// hold the same columns. Impacts keep their float32 bits.
+//
+// Byte-identity: segments persist exactly the columns Freeze built — the
 // sorted term table, impact float32 bits, idf float64 bits, and doc order —
 // so a search over an opened file accumulates the same float32 values in the
 // same order as the heap-built index and returns byte-identical hits,
 // scores, stats, and tie-breaks (locked by segfile_test.go across 1/2/4-way
 // splits).
 //
-// Block layout (names within the container):
+// Block layout (names within the container; uW is an unsigned column of
+// the width the segment's meta record gives it):
 //
 //	ir/meta            record: u32 irVersion | u32 nsegs | u64 docs |
 //	                   u64 vocab | u64 signature
 //	ir/<i>/meta        record: u32 docs | u64 totalLen | u32 terms |
-//	                   u64 postings
+//	                   u64 postings | u8 offWidth | u8 docWidth |
+//	                   u8 tfWidth | u8 lenWidth
 //	ir/<i>/terms       sorted term bytes, concatenated
 //	ir/<i>/termoff     u32[T+1] offsets into terms
 //	ir/<i>/idf         f64[T]
-//	ir/<i>/postoff     u64[T+1] posting offsets per term
-//	ir/<i>/docpost     Posting[P] in docOrder      (bulk, lazily paged)
-//	ir/<i>/docimp      f32[P] impacts of docpost   (bulk, lazily paged)
+//	ir/<i>/postoff     uW[T+1] posting offsets per term (W ≤ 8)
+//	ir/<i>/postdoc     uW[P] doc IDs in doc order (W ≤ 4; bulk, lazily paged)
+//	ir/<i>/posttf      uW[P] TFs of postdoc       (W ≤ 4; bulk, lazily paged)
+//	ir/<i>/postimp     f32[P] impacts of postdoc  (bulk, lazily paged)
 //	ir/<i>/names       doc name bytes, concatenated
 //	ir/<i>/nameoff     u32[D+1] offsets into names
-//	ir/<i>/doclen      i32[D] analyzed token counts
+//	ir/<i>/doclen      uW[D] analyzed token counts (W ≤ 4)
 //
 // Open verifies the container structure plus the checksums of every
-// structural block (meta, dictionaries, offset tables, names, doclen); the
-// two bulk posting/impact blocks are size- and bounds-validated but never
+// structural block (meta, dictionaries, offset tables, names, doclen), and
+// that every column holds exactly as many values of its width as the meta
+// record counts; the three bulk posting blocks are size-validated but never
 // checksummed, preserving on-demand paging. A doc ID in them that lies
 // outside its segment fails the query that reads it (scoreTerms).
 
@@ -53,8 +64,10 @@ import (
 
 // irFormatVersion versions the ir block layout inside the container
 // (independent of the container version). Version 2 dropped the
-// impact-ordered posting blocks; a version-1 cache is refused and rebuilt.
-const irFormatVersion = 2
+// impact-ordered posting blocks; version 3 split the 8-byte postings into
+// doc-ID and TF columns and stores every integer column at its narrowest
+// width. A cache of an older version is refused and rebuilt.
+const irFormatVersion = 3
 
 // fileMeta is the ir/meta record.
 type fileMeta struct {
@@ -63,12 +76,14 @@ type fileMeta struct {
 	Signature         uint64
 }
 
-// segMeta is the ir/<i>/meta record.
+// segMeta is the ir/<i>/meta record. The widths are the bytes per value of
+// the postoff, postdoc, posttf and doclen columns.
 type segMeta struct {
-	Docs     uint32
-	TotalLen uint64
-	Terms    uint32
-	Postings uint64
+	Docs                                  uint32
+	TotalLen                              uint64
+	Terms                                 uint32
+	Postings                              uint64
+	OffWidth, DocWidth, TFWidth, LenWidth uint8
 }
 
 // ErrSignature reports that an opened segfile was written for a different
@@ -97,17 +112,21 @@ func WriteSegments(w io.Writer, s *Segments, signature uint64) error {
 	return sw.Close()
 }
 
-// writeIndexBlocks writes one segment: the frozen index's own arrays, block
-// for block.
+// writeIndexBlocks writes one segment: the frozen index's own columns,
+// block for block.
 func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
-	sw.Record(prefix+"meta", segMeta{uint32(ix.Docs()), uint64(ix.totalLn), uint32(ix.dict.Len()), uint64(len(ix.post))})
+	sw.Record(prefix+"meta", segMeta{
+		Docs: uint32(ix.Docs()), TotalLen: uint64(ix.totalLn), Terms: uint32(ix.dict.Len()), Postings: uint64(len(ix.imp)),
+		OffWidth: ix.postOff.width(), DocWidth: ix.docs.width(), TFWidth: ix.tfs.width(), LenWidth: ix.doclen.width(),
+	})
 	sw.Table(prefix+"terms", prefix+"termoff", ix.dict)
 	sw.Block(prefix+"idf", segfile.Bytes(ix.termIdf))
-	sw.Block(prefix+"postoff", segfile.Bytes(ix.postOff))
-	sw.Block(prefix+"docpost", segfile.Bytes(ix.post))
-	sw.Block(prefix+"docimp", segfile.Bytes(ix.imp))
+	sw.Block(prefix+"postoff", ix.postOff.bytes())
+	sw.Block(prefix+"postdoc", ix.docs.bytes())
+	sw.Block(prefix+"posttf", ix.tfs.bytes())
+	sw.Block(prefix+"postimp", segfile.Bytes(ix.imp))
 	sw.Table(prefix+"names", prefix+"nameoff", ix.names)
-	sw.Block(prefix+"doclen", segfile.Bytes(ix.doclen))
+	sw.Block(prefix+"doclen", ix.doclen.bytes())
 }
 
 // OpenSegmentsFile maps the segfile at path and reconstructs the Segments
@@ -184,7 +203,7 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	postOff, err := segfile.Structural[uint64](r, prefix+"postoff", T+1)
+	postOff, err := readColumn(r, prefix+"postoff", T+1, meta.OffWidth, 8, true)
 	if err != nil {
 		return nil, err
 	}
@@ -192,40 +211,48 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	docLen, err := segfile.Structural[int32](r, prefix+"doclen", D)
+	docLen, err := readColumn(r, prefix+"doclen", D, meta.LenWidth, 4, true)
 	if err != nil {
 		return nil, err
 	}
-	docPost, err := segfile.Bulk[Posting](r, prefix+"docpost", P)
+	docs, err := readColumn(r, prefix+"postdoc", P, meta.DocWidth, 4, false)
 	if err != nil {
 		return nil, err
 	}
-	docImp, err := segfile.Bulk[float32](r, prefix+"docimp", P)
+	tfs, err := readColumn(r, prefix+"posttf", P, meta.TFWidth, 4, false)
+	if err != nil {
+		return nil, err
+	}
+	imp, err := segfile.Bulk[float32](r, prefix+"postimp", P)
 	if err != nil {
 		return nil, err
 	}
 
 	// The index serves straight from these blocks, so check what lookup and
-	// postings rely on, in O(terms): the dictionary is sorted, with no empty
-	// or repeated term, and the posting offsets ascend from 0 to P.
+	// span rely on, in O(terms): the dictionary is sorted, with no empty or
+	// repeated term, and the posting offsets ascend from 0 to P.
+	prev := postOff.at(0)
 	for t := 0; t < T; t++ {
 		term := dict.At(t)
 		if term == "" || (t > 0 && term <= dict.At(t-1)) {
 			return nil, fmt.Errorf("ir: term %d (%q) breaks the sorted dictionary", t, term)
 		}
-		if postOff[t] > postOff[t+1] {
-			return nil, fmt.Errorf("ir: term %q postings [%d, %d) descend", term, postOff[t], postOff[t+1])
+		next := postOff.at(t + 1)
+		if prev > next {
+			return nil, fmt.Errorf("ir: term %q postings [%d, %d) descend", term, prev, next)
 		}
+		prev = next
 	}
-	if postOff[0] != 0 || postOff[T] != uint64(P) {
-		return nil, fmt.Errorf("ir: posting offsets span [%d, %d), want [0, %d)", postOff[0], postOff[T], P)
+	if first := postOff.at(0); first != 0 || prev != uint64(P) {
+		return nil, fmt.Errorf("ir: posting offsets span [%d, %d), want [0, %d)", first, prev, P)
 	}
 	ix := &Index{
 		dict:    dict,
 		termIdf: idf,
 		postOff: postOff,
-		post:    docPost,
-		imp:     docImp,
+		docs:    docs,
+		tfs:     tfs,
+		imp:     imp,
 		names:   names,
 		doclen:  docLen,
 		totalLn: int64(meta.TotalLen),

@@ -3,6 +3,7 @@ package ir
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,8 +111,8 @@ func TestSegfileRoundTripParity(t *testing.T) {
 			for i, p := range heap.segs {
 				m := mapped.segs[i]
 				for d := 0; d < p.Docs(); d++ {
-					if hn, mn := p.names.At(d), m.names.At(d); hn != mn || p.doclen[d] != m.doclen[d] {
-						t.Fatalf("part %d doc %d: name %q len %d vs %q len %d", i, d, hn, p.doclen[d], mn, m.doclen[d])
+					if hn, mn := p.names.At(d), m.names.At(d); hn != mn || p.doclen.at(d) != m.doclen.at(d) {
+						t.Fatalf("part %d doc %d: name %q len %d vs %q len %d", i, d, hn, p.doclen.at(d), mn, m.doclen.at(d))
 					}
 				}
 			}
@@ -126,11 +127,12 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same reader produced different bytes")
 	}
-	// Golden: the bytes format 2 writes for this corpus (the format-1 bytes
-	// less the two impact-ordered blocks, with the version bumped). The
-	// layout may not drift silently: a cache written by an older build must
-	// keep opening, or be refused by version and rebuilt.
-	const golden = "1d00885df8c05366c27a78919657ebf0563433dc0c5eb063b0e662e520aeb935"
+	// Golden: the bytes format 3 writes for this corpus. It was re-recorded
+	// once for format 3 (narrowest-width columns), whose fields equal format
+	// 2's field by field (dlse.TestTextFormat3EqualsFormat2). The layout may
+	// not drift silently: a cache written by an older build must keep
+	// opening, or be refused by version and rebuilt.
+	const golden = "359aec51f96ebe7e8f2d9c537b9ce7f24de4bef05e489c162706f3f5e2305d54"
 	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
 		t.Fatalf("text segfile bytes changed: sha256 %s, want %s", got, golden)
 	}
@@ -255,45 +257,178 @@ func TestSegfileHostileBytes(t *testing.T) {
 // TestCorruptPostingDocFailsSearch: a doc ID in a mapped posting block that
 // lies outside its segment opens (bulk blocks are not checksummed) but fails
 // every scoring entry point with an error naming the segment, instead of
-// panicking a scatter goroutine.
+// panicking a scatter goroutine — at each doc-ID width, including a u16 ID
+// that is past the segment's documents but below 65,536.
 func TestCorruptPostingDocFailsSearch(t *testing.T) {
-	s := buildSegs(t, segCorpus(40), 2)
-	data := segfileBytes(t, s, 0)
-	r, err := segfile.NewReader(data)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		docs  int
+		width uint8
+		bad   []byte // the first posting's doc ID, little-endian
+	}{
+		{"u8", 40, 1, []byte{0xFF}},
+		{"u16", 600, 2, []byte{0xFF, 0xFF}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := buildSegs(t, segCorpus(c.docs), 2)
+			data := segfileBytes(t, s, 0)
+			r, err := segfile.NewReader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			post, ok := r.Block("ir/1/postdoc") // aliases data
+			if !ok || len(post) < len(c.bad) {
+				t.Fatal("no posting block")
+			}
+			copy(post, c.bad)
+			m, err := OpenSegmentsReader(r, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := m.segs[1].docs.width(); w != c.width {
+				t.Fatalf("segment 1 of %d docs stores %d-byte doc IDs, want %d", m.segs[1].Docs(), w, c.width)
+			}
+			const q = "w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "segment 1") {
+					t.Fatalf("%s: err = %v, want one naming segment 1", what, err)
+				}
+			}
+			_, _, _, err = m.SearchSegments(q, 10, nil)
+			check("SearchSegments", err)
+			_, _, _, err = m.SearchScores(q, 10)
+			check("SearchScores", err)
+			_, _, err = m.ScoreSegments(q, nil)
+			check("ScoreSegments", err)
+			// The undamaged segment still answers alone.
+			if _, _, _, err := m.SearchSegments(q, 10, []int{0}); err != nil {
+				t.Fatalf("segment 0: %v", err)
+			}
+		})
 	}
-	post, ok := r.Block("ir/1/docpost") // aliases data
-	if !ok || len(post) < 8 {
-		t.Fatal("no posting block")
-	}
-	post[3] = 0x7F // the first posting's Doc, little-endian: now 0x7F______
-	m, err := OpenSegmentsReader(r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const q = "w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"
-	check := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "segment 1") {
-			t.Fatalf("%s: err = %v, want one naming segment 1", what, err)
+}
+
+// TestSegfileColumnWidths: each integer column is stored at the narrowest
+// width holding its largest value, and segments on either side of each
+// boundary — 65,536 and 65,537 documents (the largest doc ID 65,535 and
+// 65,536), a TF of 255 and of 256 — answer identically heap-built and
+// mapped.
+func TestSegfileColumnWidths(t *testing.T) {
+	parts := []*Index{NewIndex(), NewIndex()}
+	for i, n := range []int{65536, 65537} {
+		for d := 0; d < n; d++ {
+			text := fmt.Sprintf("w%d x%d", d%50, d%7)
+			switch d {
+			case 5:
+				text += strings.Repeat(" hot", 255+i) // TF 255, then 256
+			case n - 1:
+				text += " last"
+			}
+			if _, err := parts[i].Add(fmt.Sprintf("p%d-%d", i, d), text); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	_, _, _, err = m.SearchSegments(q, 10, nil)
-	check("SearchSegments", err)
-	_, _, _, err = m.SearchScores(q, 10)
-	check("SearchScores", err)
-	_, _, err = m.ScoreSegments(q, nil)
-	check("ScoreSegments", err)
-	// The undamaged segment still answers alone.
-	if _, _, _, err := m.SearchSegments(q, 10, []int{0}); err != nil {
-		t.Fatalf("segment 0: %v", err)
+	heap, err := NewSegments(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := openSegmentsBytes(segfileBytes(t, heap, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type widths struct{ off, doc, tf, len uint8 }
+	for i, want := range []widths{{4, 2, 1, 2}, {4, 4, 2, 2}} {
+		for _, ix := range []*Index{heap.segs[i], mapped.segs[i]} {
+			got := widths{ix.postOff.width(), ix.docs.width(), ix.tfs.width(), ix.doclen.width()}
+			if got != want {
+				t.Fatalf("segment %d: widths (off, doc, tf, len) %v, want %v", i, got, want)
+			}
+		}
+	}
+	for _, q := range []string{"last", "hot", "w3 x4", "w49 last hot", "x0"} {
+		hh, hs, herr := heap.Search(q, 20)
+		mh, ms, merr := mapped.Search(q, 20)
+		if herr != nil || merr != nil || !reflect.DeepEqual(hh, mh) || hs != ms {
+			t.Fatalf("q=%q: heap %v %+v %v, mapped %v %+v %v", q, hh, hs, herr, mh, ms, merr)
+		}
+		if len(hh) == 0 {
+			t.Fatalf("q=%q: no hits", q)
+		}
+		for i := range heap.segs {
+			hn, _, herr := heap.segs[i].SearchTopN(q, 5, TopNOptions{})
+			mn, _, merr := mapped.segs[i].SearchTopN(q, 5, TopNOptions{})
+			if herr != nil || merr != nil || !reflect.DeepEqual(hn, mn) {
+				t.Fatalf("segment %d q=%q topN: %v/%v vs %v/%v", i, q, hn, herr, mn, merr)
+			}
+			hb, herr := heap.segs[i].SearchBoolean(q)
+			mb, merr := mapped.segs[i].SearchBoolean(q)
+			if herr != nil || merr != nil || !reflect.DeepEqual(hb, mb) {
+				t.Fatalf("segment %d q=%q boolean: %v/%v vs %v/%v", i, q, hb, herr, mb, merr)
+			}
+		}
+	}
+	// The boundary documents are the ones the queries reach.
+	last, _, _ := mapped.Search("last", 0)
+	if len(last) != 2 || last[0].Doc != 65535 || last[1].Doc != 65536+65536 {
+		t.Fatalf("last: %v, want global docs 65535 and 131072", last)
+	}
+	for i, name := range []string{"p0-5", "p1-5"} {
+		o, ok := mapped.segs[i].lookup("hot")
+		if !ok {
+			t.Fatalf("segment %d has no term hot", i)
+		}
+		post, _ := mapped.segs[i].postings(o)
+		if len(post) != 1 || post[0].TF != int32(255+i) || mapped.segs[i].names.At(int(post[0].Doc)) != name {
+			t.Fatalf("segment %d hot postings %v", i, post)
+		}
+	}
+}
+
+// TestSegfileColumnLengthsChecked: a file whose columns hold a different
+// number of values than its meta record counts, or values of a width other
+// than the one the record names, is refused at open.
+func TestSegfileColumnLengthsChecked(t *testing.T) {
+	if _, err := openSegmentsBytes(handFile(t, 2, nil, "w0", "w1"), 0); err != nil {
+		t.Fatalf("untampered file refused: %v", err)
+	}
+	short := func(w int) func([]byte) []byte { return func(b []byte) []byte { return b[:len(b)-w] } }
+	long := func(w int) func([]byte) []byte { return func(b []byte) []byte { return append(b, make([]byte, w)...) } }
+	metaWidth := func(at int, w byte) func([]byte) []byte {
+		return func(b []byte) []byte { b[at] = w; return b }
+	}
+	for _, c := range []struct {
+		block string
+		edit  func([]byte) []byte
+	}{
+		{"ir/0/postdoc", short(2)},
+		{"ir/0/postdoc", long(2)},
+		{"ir/0/postdoc", func(b []byte) []byte { return append(b, b...) }}, // twice the width
+		{"ir/0/posttf", short(1)},
+		{"ir/0/posttf", long(1)},
+		{"ir/0/postimp", short(4)},
+		{"ir/0/postoff", short(1)},
+		{"ir/0/doclen", long(1)},
+		{"ir/0/meta", metaWidth(25, 1)}, // doc width 1 under a 2-byte column
+		{"ir/0/meta", metaWidth(25, 3)}, // no such width
+		{"ir/0/meta", metaWidth(26, 0)}, // TF width 0
+	} {
+		edits := map[string]func([]byte) []byte{c.block: c.edit}
+		if _, err := openSegmentsBytes(handFile(t, 2, edits, "w0", "w1"), 0); err == nil {
+			t.Errorf("%s edited: opened", c.block)
+		}
+	}
+	// Doc IDs are at most 4 bytes, even when the column and the record agree.
+	if _, err := openSegmentsBytes(handFile(t, 8, nil, "w0", "w1"), 0); err == nil {
+		t.Error("a u64 doc-ID column opened")
 	}
 }
 
 // FuzzSegfileOpen asserts the open path never panics or over-allocates on
 // hostile bytes: truncations, overflowing offsets, bad checksums, shuffled
-// dictionaries. Seeded with a real written segment file.
+// dictionaries, columns of every width. Seeded with real written segment
+// files and hand-written ones at each doc-ID width.
 func FuzzSegfileOpen(f *testing.F) {
 	docs := segCorpus(25)
 	parts := make([]*Index, 2)
@@ -320,6 +455,24 @@ func FuzzSegfileOpen(f *testing.F) {
 	for _, bad := range [][]string{{"", "w0"}, {"w1", "w0"}, {"w0", "w0"}} {
 		f.Add(dictFile(f, bad...))
 	}
+	// A written file whose second segment stores u16 doc IDs, and
+	// hand-written files at u16 and u32.
+	wide := NewIndex()
+	for d := 0; d < 300; d++ {
+		wide.Add(fmt.Sprintf("d%d", d), fmt.Sprintf("w%d", d%3))
+	}
+	narrow := NewIndex()
+	narrow.Add("only", "w0 w1")
+	segs, err = NewSegments([]*Index{narrow, wide})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if w := segs.segs[1].docs.width(); w != 2 {
+		f.Fatalf("300-document segment stores %d-byte doc IDs", w)
+	}
+	f.Add(segfileBytes(f, segs, 0))
+	f.Add(handFile(f, 2, nil, "w0", "w1"))
+	f.Add(handFile(f, 4, nil, "w0", "w1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := openSegmentsBytes(data, 0)
 		if err != nil {
@@ -348,30 +501,55 @@ func FuzzSegfileOpen(f *testing.F) {
 // dictFile writes a one-segment text segfile of one document by hand, with
 // the given dictionary in the given order, one posting per term: what
 // WriteSegments writes when the terms are sorted and distinct.
-func dictFile(t testing.TB, terms ...string) []byte {
+func dictFile(t testing.TB, terms ...string) []byte { return handFile(t, 1, nil, terms...) }
+
+// handFile is dictFile with the doc-ID column stored docWidth bytes wide,
+// and each block named in edits rewritten by its function before it is
+// written (its checksum is the edited bytes').
+func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte, terms ...string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := segfile.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	block := func(name string, b []byte) {
+		if edit := edits[name]; edit != nil {
+			b = edit(append([]byte(nil), b...))
+		}
+		sw.Block(name, b)
+	}
+	record := func(name string, v any) {
+		var rec bytes.Buffer
+		if err := binary.Write(&rec, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+		block(name, rec.Bytes())
+	}
 	T := len(terms)
 	idf := make([]float64, T)
-	postOff := make([]uint64, T+1)
-	post := make([]Posting, T)
+	postOff := newColumn(T+1, uint64(T))
+	docs := map[uint8]column{1: {make([]uint8, T)}, 2: {make([]uint16, T)}, 4: {make([]uint32, T)}, 8: {make([]uint64, T)}}[docWidth]
+	tfs := newColumn(T, 1)
 	imp := make([]float32, T)
 	for o := range terms {
-		idf[o], postOff[o+1], post[o], imp[o] = 1, uint64(o+1), Posting{Doc: 0, TF: 1}, 1
+		idf[o], imp[o] = 1, 1
+		postOff.set(o+1, uint64(o+1))
+		tfs.set(o, 1)
 	}
-	sw.Record("ir/meta", fileMeta{irFormatVersion, 1, 1, uint64(T), 0})
-	sw.Record("ir/0/meta", segMeta{1, uint64(T), uint32(T), uint64(T)})
-	sw.Table("ir/0/terms", "ir/0/termoff", segfile.NewTable(T, func(o int) string { return terms[o] }))
-	sw.Block("ir/0/idf", segfile.Bytes(idf))
-	sw.Block("ir/0/postoff", segfile.Bytes(postOff))
-	sw.Block("ir/0/docpost", segfile.Bytes(post))
-	sw.Block("ir/0/docimp", segfile.Bytes(imp))
-	sw.Table("ir/0/names", "ir/0/nameoff", segfile.NewTable(1, func(int) string { return "doc" }))
-	sw.Block("ir/0/doclen", segfile.Bytes([]int32{int32(T)}))
+	record("ir/meta", fileMeta{irFormatVersion, 1, 1, uint64(T), 0})
+	record("ir/0/meta", segMeta{1, uint64(T), uint32(T), uint64(T), postOff.width(), docWidth, 1, 1})
+	dict := segfile.NewTable(T, func(o int) string { return terms[o] })
+	block("ir/0/terms", dict.Data)
+	block("ir/0/termoff", segfile.Bytes(dict.Off))
+	block("ir/0/idf", segfile.Bytes(idf))
+	block("ir/0/postoff", postOff.bytes())
+	block("ir/0/postdoc", docs.bytes())
+	block("ir/0/posttf", tfs.bytes())
+	block("ir/0/postimp", segfile.Bytes(imp))
+	block("ir/0/names", []byte("doc"))
+	block("ir/0/nameoff", segfile.Bytes([]uint32{0, 3}))
+	block("ir/0/doclen", []byte{byte(T)})
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@ package ir
 // documents in doc order, so Freeze builds only that order and the text
 // segfile stores only it. SearchTopN derives the impact order once per Index,
 // on its first call, as a stable TF-descending permutation of each term's
-// doc-ordered postings and their impacts — the same postings and the same
-// float32 bits a freeze-time sort would produce.
+// doc-ordered postings (read from the doc-ID and TF columns) and their
+// impacts — the same postings and the same float32 bits a freeze-time sort
+// would produce.
 
 import (
 	"slices"
@@ -41,8 +42,8 @@ func (ix *Index) impactLists() []impactList {
 	ix.byImpactOnce.Do(func() {
 		ix.byImpact = make([]impactList, ix.dict.Len())
 		for o := range ix.byImpact {
-			post, imp := ix.postings(o)
-			il := impactList{slices.Clone(post), slices.Clone(imp)}
+			post, imp := ix.postings(o) // post is a fresh slice
+			il := impactList{post, slices.Clone(imp)}
 			sort.Stable(il)
 			ix.byImpact[o] = il
 		}
