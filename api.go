@@ -611,24 +611,19 @@ func (dl *DigitalLibrary) Search(ctx context.Context, q Query, opts ...SearchOpt
 
 // Swap atomically replaces the library's engine snapshot with one over the
 // same site and page lanes and the given (re)indexed video library (nil for
-// a text/concept-only engine), whose every segment it embeds anew. Queries
-// in flight finish on the snapshot they started with; servers created by
-// NewServer follow the swap and can never serve results of a superseded
-// snapshot from their caches.
-func (dl *DigitalLibrary) Swap(lib *Library) error {
+// a text/concept-only engine). It reads no segment, so it cannot fail.
+// Queries in flight finish on the snapshot they started with; servers
+// created by NewServer follow the swap and can never serve results of a
+// superseded snapshot from their caches.
+func (dl *DigitalLibrary) Swap(lib *Library) {
 	dl.commitMu.Lock()
 	defer dl.commitMu.Unlock()
 	var view *core.SegmentedIndex
 	if lib != nil {
 		view = lib.View()
 	}
-	e, err := dl.engine.Load().Reload(view)
-	if err != nil {
-		return err
-	}
 	dl.lib = lib
-	dl.install(e)
-	return nil
+	dl.install(dl.engine.Load().WithVideo(view))
 }
 
 // install atomically publishes an engine snapshot to the library and every

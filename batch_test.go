@@ -141,12 +141,8 @@ func TestIndexBatchCancellation(t *testing.T) {
 	if canceled == 0 {
 		t.Fatal("no job reports context.Canceled")
 	}
-	vs, err := newest(t, lib).Videos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != done {
-		t.Fatalf("index holds %d videos, %d jobs completed", len(vs), done)
+	if n := newest(t, lib).Stats().Videos; n != done {
+		t.Fatalf("index holds %d videos, %d jobs completed", n, done)
 	}
 }
 

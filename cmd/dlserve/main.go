@@ -180,9 +180,7 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		if err := dl.Swap(lib2); err != nil {
-			return nil, err
-		}
+		dl.Swap(lib2)
 		checkpointWAL("reload")
 		return lib2, nil
 	}

@@ -107,9 +107,7 @@ func main() {
 		log.Fatal(err)
 	}
 	before := dl.Snapshot()
-	if err := dl.Swap(lib); err != nil {
-		log.Fatal(err)
-	}
+	dl.Swap(lib)
 	fmt.Printf("hot swap: snapshot %d -> %d\n", before, dl.Snapshot())
 	scenes, err := dl.Search(ctx, repro.Query{Scenes: "rally"})
 	if err != nil {

@@ -115,9 +115,9 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 		t.Fatalf("merged stats = %+v", st)
 	}
 	// Event actor/segment references were shifted into dst's ID space.
-	evs, err := dst.EventsOf(ids[2])
-	if err != nil || len(evs) != 1 {
-		t.Fatalf("events of merged video: %v, %v", evs, err)
+	evs := filter(dst.events, func(e *Event) bool { return e.VideoID == ids[2] })
+	if len(evs) != 1 {
+		t.Fatalf("events of merged video: %v", evs)
 	}
 	var objs []Object
 	for _, o := range dst.objects {

@@ -56,9 +56,7 @@ func readAll(data []byte) {
 	}
 	parts, _ := lib.Parts()
 	for _, p := range parts {
-		vids, _ := p.Videos()
-		for _, v := range vids {
-			_, _ = p.EventsOf(v.ID)
+		for _, v := range p.videos {
 			_, _ = lib.SegmentsOf(v.ID)
 		}
 	}

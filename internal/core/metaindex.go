@@ -136,11 +136,6 @@ func filter[R any](rows []R, keep func(*R) bool) []R {
 	return out
 }
 
-// Videos returns all registered videos.
-func (m *MetaIndex) Videos() ([]Video, error) {
-	return append(make([]Video, 0, len(m.videos)), m.videos...), nil
-}
-
 // VideoByID returns the video with the given ID.
 func (m *MetaIndex) VideoByID(id int64) (Video, error) {
 	for _, v := range m.videos {
@@ -154,20 +149,6 @@ func (m *MetaIndex) VideoByID(id int64) (Video, error) {
 // SegmentsOf returns all shots of a video in index order.
 func (m *MetaIndex) SegmentsOf(videoID int64) ([]Segment, error) {
 	return filter(m.segments, func(s *Segment) bool { return s.VideoID == videoID }), nil
-}
-
-// EventsOf returns all events of a video, answered from the frozen view.
-func (m *MetaIndex) EventsOf(videoID int64) ([]Event, error) {
-	v := m.frozenView()
-	evs := v.eventsByVideo[videoID]
-	out := make([]Event, len(evs))
-	copy(out, evs)
-	return out, nil
-}
-
-// EventsOfReference is the retained scan path of EventsOf.
-func (m *MetaIndex) EventsOfReference(videoID int64) ([]Event, error) {
-	return filter(m.events, func(e *Event) bool { return e.VideoID == videoID }), nil
 }
 
 // Scenes returns playable scenes for all events of the given kind, joining

@@ -49,21 +49,17 @@ func compareSegViews(t *testing.T, want, got *SegmentedIndex) {
 		t.Fatalf("parts: %d/%v vs %d/%v", len(wparts), err1, len(gparts), err2)
 	}
 	for i, wp := range wparts {
-		wv, _ := wp.Videos()
-		gv, _ := gparts[i].Videos()
-		if !reflect.DeepEqual(wv, gv) {
-			t.Fatalf("segment %d: videos diverge: %v vs %v", i, wv, gv)
+		if !reflect.DeepEqual(wp.videos, gparts[i].videos) {
+			t.Fatalf("segment %d: videos diverge: %v vs %v", i, wp.videos, gparts[i].videos)
 		}
-		for _, v := range wv {
+		if !reflect.DeepEqual(wp.events, gparts[i].events) {
+			t.Fatalf("segment %d: events diverge", i)
+		}
+		for _, v := range wp.videos {
 			ws, _ := want.SegmentsOf(v.ID)
 			gs, _ := got.SegmentsOf(v.ID)
 			if !reflect.DeepEqual(ws, gs) {
 				t.Fatalf("segments of %d diverge", v.ID)
-			}
-			we, _ := wp.EventsOf(v.ID)
-			ge, _ := gparts[i].EventsOf(v.ID)
-			if !reflect.DeepEqual(we, ge) {
-				t.Fatalf("events of %d diverge", v.ID)
 			}
 		}
 	}
@@ -153,9 +149,9 @@ func TestSegfileLibraryLazyHydration(t *testing.T) {
 		t.Fatalf("hydration state = %v %v %v", lazy.Hydrated(0), lazy.Hydrated(1), lazy.Hydrated(2))
 	}
 	// An ID-routed read hydrates only the owning partition.
-	vids, err := parts[2].Videos()
-	if err != nil || len(vids) == 0 {
-		t.Fatalf("seed videos: %v", err)
+	vids := parts[2].videos
+	if len(vids) == 0 {
+		t.Fatal("no seed videos")
 	}
 	if _, err := lazy.SegmentsOf(vids[0].ID); err != nil {
 		t.Fatal(err)

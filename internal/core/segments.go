@@ -81,11 +81,6 @@ func SingleSegment(m *MetaIndex) *SegmentedIndex {
 // NumSegments returns the partition count.
 func (s *SegmentedIndex) NumSegments() int { return len(s.parts) }
 
-// Part returns partition i, decoding it first if nothing has yet. It fails
-// if the ordinal is out of range or the partition's block fails verification
-// or decode.
-func (s *SegmentedIndex) Part(i int) (*MetaIndex, error) { return s.parts.Part(i) }
-
 // Parts resolves every partition and returns them in order — the full
 // hydration the write paths need before mutating.
 func (s *SegmentedIndex) Parts() ([]*MetaIndex, error) {

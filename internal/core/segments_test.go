@@ -101,21 +101,14 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 			if si.Stats() != mono.Stats() {
 				t.Fatalf("stats %+v vs %+v", si.Stats(), mono.Stats())
 			}
-			wantV, err := mono.Videos()
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantV := mono.videos
 			parts, err := si.Parts()
 			if err != nil {
 				t.Fatal(err)
 			}
 			var gotV []Video
 			for _, p := range parts {
-				vs, err := p.Videos()
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotV = append(gotV, vs...)
+				gotV = append(gotV, p.videos...)
 			}
 			if fmt.Sprint(wantV) != fmt.Sprint(gotV) {
 				t.Fatalf("videos diverge:\n%v\n%v", wantV, gotV)

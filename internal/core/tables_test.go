@@ -240,13 +240,10 @@ func TestMetaStreamRejects(t *testing.T) {
 func TestLookupOnEmptyIndex(t *testing.T) {
 	m, _ := NewMetaIndex()
 	segs, _ := m.SegmentsOf(1)
-	evs, _ := m.EventsOf(1)
-	evsRef, _ := m.EventsOfReference(1)
 	scenes, _ := m.Scenes("rally")
 	scenesRef, _ := m.ScenesReference("rally")
 	for name, got := range map[string]any{
-		"SegmentsOf": segs, "EventsOf": evs, "EventsOfReference": evsRef,
-		"Scenes": scenes, "ScenesReference": scenesRef,
+		"SegmentsOf": segs, "Scenes": scenes, "ScenesReference": scenesRef,
 	} {
 		if v := reflect.ValueOf(got); v.IsNil() || v.Len() != 0 {
 			t.Errorf("%s on an empty index = %#v, want an empty slice", name, got)
@@ -272,7 +269,6 @@ func TestLookupFullScan(t *testing.T) {
 		{"ScenesReference(absent)", count(m.ScenesReference("absent")), 0},
 		{"SegmentsOf(v1)", count(m.SegmentsOf(v1)), 3},
 		{"SegmentsOf(absent)", count(m.SegmentsOf(99)), 0},
-		{"EventsOfReference(v2)", count(m.EventsOfReference(v2)), 0},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s found %d rows, want %d", c.name, c.got, c.want)
@@ -295,12 +291,12 @@ func TestLookupRowOrder(t *testing.T) {
 		m, _ := NewMetaIndex()
 		v := []int64{m.AddVideo(Video{Name: "a"}), m.AddVideo(Video{Name: "b"}), m.AddVideo(Video{Name: "c"})}
 		order := []int{0, 1, 0, 2, 0, 1, 0}
-		var segs, evs []int64
+		var segs []int64
 		for i, k := range order {
 			seg := m.AddSegment(Segment{VideoID: v[k], Class: []string{"tennis", "close-up"}[i%2]})
-			ev := m.AddEvent(Event{VideoID: v[k], SegmentID: seg, Kind: "rally"})
+			m.AddEvent(Event{VideoID: v[k], SegmentID: seg, Kind: "rally"})
 			if k == 0 {
-				segs, evs = append(segs, seg), append(evs, ev)
+				segs = append(segs, seg)
 			}
 		}
 		ids := func(n int, id func(int) int64) []int64 {
@@ -311,14 +307,12 @@ func TestLookupRowOrder(t *testing.T) {
 			return out
 		}
 		gotSegs, _ := m.SegmentsOf(v[0])
-		gotEvs, _ := m.EventsOfReference(v[0])
 		gotKind, _ := m.ScenesReference("rally")
 		for _, c := range []struct {
 			name      string
 			got, want []int64
 		}{
 			{"SegmentsOf", ids(len(gotSegs), func(i int) int64 { return gotSegs[i].ID }), segs},
-			{"EventsOfReference", ids(len(gotEvs), func(i int) int64 { return gotEvs[i].ID }), evs},
 			{"ScenesReference", ids(len(gotKind), func(i int) int64 { return gotKind[i].Event.ID }), []int64{1, 2, 3, 4, 5, 6, 7}},
 		} {
 			if !reflect.DeepEqual(c.got, c.want) {

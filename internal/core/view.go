@@ -9,9 +9,9 @@ import (
 //
 // The reference path answers `Scenes(kind)` by a scan of the events table
 // and a videos scan per event — on every query. The frozen view does that
-// work once per index version: events are grouped by kind and by video, and
-// videos are pre-joined into per-kind scene runs. After the build, every
-// read-path query is a slice copy with zero table scans.
+// work once per index version: events are grouped by kind, and videos are
+// pre-joined into per-kind scene runs. After the build, every read-path
+// query is a slice copy with zero table scans.
 //
 // Freshness follows the existing write counter: a view is tagged with the
 // Version() it was built at, and the accessor discards it the moment the
@@ -27,8 +27,6 @@ import (
 //   - kindView.scenes joins each event with its video in that same order;
 //     a missing video is recorded as sceneErr at the first offender, exactly
 //     where the reference join would have failed.
-//   - metaView.eventsByVideo is the events-table row order filtered by
-//     video, as EventsOfReference's scan returns it.
 
 // kindView is one kind's frozen column run.
 type kindView struct {
@@ -42,9 +40,8 @@ type kindView struct {
 
 // metaView is a complete frozen snapshot of the event/scene read path.
 type metaView struct {
-	videosByID    map[int64]Video
-	eventsByVideo map[int64][]Event // events-table row order per video
-	kinds         map[string]*kindView
+	videosByID map[int64]Video
+	kinds      map[string]*kindView
 }
 
 // viewSlot pairs a built (or building) view with the version it belongs to.
@@ -84,9 +81,8 @@ func (m *MetaIndex) ViewBuilds() int64 { return m.viewBuilds.Load() }
 // the reference path.
 func (m *MetaIndex) buildView() *metaView {
 	v := &metaView{
-		videosByID:    make(map[int64]Video, len(m.videos)),
-		eventsByVideo: map[int64][]Event{},
-		kinds:         map[string]*kindView{},
+		videosByID: make(map[int64]Video, len(m.videos)),
+		kinds:      map[string]*kindView{},
 	}
 	for _, vid := range m.videos {
 		if _, dup := v.videosByID[vid.ID]; !dup {
@@ -101,7 +97,6 @@ func (m *MetaIndex) buildView() *metaView {
 			v.kinds[e.Kind] = kv
 		}
 		kv.events = append(kv.events, e)
-		v.eventsByVideo[e.VideoID] = append(v.eventsByVideo[e.VideoID], e)
 	}
 	for _, kv := range v.kinds {
 		kv.scenes = make([]Scene, 0, len(kv.events))

@@ -92,15 +92,6 @@ func TestFrozenViewMatchesReference(t *testing.T) {
 			t.Fatalf("Scenes(%q) = %d scenes, reference %d: %v vs %v", k, len(gotS), len(wantS), gotS, wantS)
 		}
 	}
-
-	for vid := int64(0); vid <= 8; vid++ { // includes absent IDs
-		got, err := m.EventsOf(vid)
-		want, wantErr := m.EventsOfReference(vid)
-		sameErr(t, fmt.Sprintf("EventsOf(%d)", vid), err, wantErr)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("EventsOf(%d) diverges: %v vs %v", vid, got, want)
-		}
-	}
 }
 
 // chainedParts builds nseg ID-chained partitions with a random event layout,
@@ -212,11 +203,8 @@ func TestFrozenViewInvalidation(t *testing.T) {
 	if n := m.ViewBuilds(); n != 1 {
 		t.Fatalf("ViewBuilds after first read = %d, want 1", n)
 	}
-	// Hot reads across all forms share the one view.
+	// Hot reads across all kinds share the one view.
 	if _, err := m.Scenes("service"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.EventsOf(1); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.ViewBuilds(); n != 1 {
@@ -251,7 +239,7 @@ func TestFrozenViewInvalidation(t *testing.T) {
 }
 
 // TestFrozenViewHotPathAllocs pins the hot-path cost: with the view built,
-// Scenes and EventsOf allocate only the defensive result copy.
+// Scenes allocates only the defensive result copy.
 func TestFrozenViewHotPathAllocs(t *testing.T) {
 	m := randomEventIndex(t, 5, 4, 40)
 	if _, err := m.Scenes("rally"); err != nil { // build the view
@@ -264,13 +252,5 @@ func TestFrozenViewHotPathAllocs(t *testing.T) {
 	})
 	if scenes > 1.5 {
 		t.Fatalf("hot Scenes allocates %.1f objects/op, want <= 1 (result copy)", scenes)
-	}
-	events := testing.AllocsPerRun(100, func() {
-		if _, err := m.EventsOf(1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if events > 1.5 {
-		t.Fatalf("hot EventsOf allocates %.1f objects/op, want <= 1 (result copy)", events)
 	}
 }

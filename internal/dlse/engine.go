@@ -13,7 +13,6 @@ import (
 	"hash/fnv"
 	"io"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -32,33 +31,20 @@ import (
 // on one shared Engine. The video segment set is an immutable snapshot;
 // its newest partition may be appended to between queries (single writer,
 // no concurrent readers), and its Version feeds the serving layer's cache
-// invalidation. Growing the segment set (a commit) installs a new Engine
-// via WithVideo, replacing it (a reload) one via Reload; both keep the page
-// lanes.
+// invalidation. Growing, compacting or replacing the segment set (a commit,
+// a compaction, a reload) installs a new Engine via WithVideo, which keeps
+// the page lanes.
 type Engine struct {
 	space *webspace.Webspace
+	// The two ranked lanes index the same pages under one partition: text
+	// segment o and vector segment o hold the same slice of pages, at the
+	// same doc IDs.
 	text  *ir.Segments
+	vecs  *vec.Segments
 	video *core.SegmentedIndex
 	pages objPages
 	// snap is this engine's process-unique snapshot ID (see Snapshot).
 	snap int64
-
-	// The vector lane: vecs reads page embeddings followed by video
-	// embeddings (see VecOrds for the layout). vecPages and vecVideo hold
-	// the immutable per-segment builders so a commit re-composes without
-	// re-embedding anything that already exists.
-	emb      vec.Embedder
-	vecs     *vec.Segments
-	vecPages []*vec.Builder
-	vecVideo []videoVecPart
-}
-
-// videoVecPart pairs one video segment's embeddings with the manifest
-// entry they were built from, so WithVideo can reuse them when the
-// segment survives a commit unchanged.
-type videoVecPart struct {
-	meta core.SegmentMeta
-	b    *vec.Builder
 }
 
 // snapshots issues process-unique engine snapshot IDs.
@@ -79,11 +65,9 @@ type Options struct {
 	// rewritten atomically (temp file + rename). The mapping lives for the
 	// life of the process; engines built from it must not outlive it.
 	TextSegfile string
-	// VecSegfile, when set, caches the page embeddings of the vector
-	// lane in a segfile at this path — the vec counterpart of
-	// TextSegfile, with the same signature/staleness and atomic-rewrite
-	// semantics. Only page embeddings persist: video embeddings follow
-	// the library's commits.
+	// VecSegfile, when set, caches the vector lane's page embeddings in a
+	// segfile at this path — the vec counterpart of TextSegfile, with the
+	// same signature/staleness and atomic-rewrite semantics.
 	VecSegfile string
 }
 
@@ -104,23 +88,24 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	if site == nil || site.W == nil {
 		return nil, fmt.Errorf("dlse: nil site")
 	}
-	// The object→page table depends only on page order (global doc ID =
-	// position in site.Pages), so it is identical whether the text index is
-	// built or mapped from a cache.
-	e := &Engine{
-		space: site.W,
-		pages: newObjPages(site.W.Len(), site.Pages),
-		emb:   vec.DefaultEmbedder(),
-	}
 	// One contiguous partition of the pages serves both page lanes, exactly
 	// as the monolithic build assigned doc IDs: text segment o and
 	// page-embedding segment o hold the same slice of pages.
 	pages := segset.Partition(len(site.Pages), opts.TextSegments)
-	var err error
-	if e.text, e.vecPages, err = buildPageLanes(site.Pages, pages, e.emb, opts); err != nil {
+	emb := vec.DefaultEmbedder()
+	text, vecParts, err := buildPageLanes(site.Pages, pages, emb, opts)
+	if err != nil {
 		return nil, err
 	}
-	return e.withVideo(video, nil)
+	vecs, err := vec.NewSegments(emb, vecParts)
+	if err != nil {
+		return nil, err
+	}
+	// The object→page table depends only on page order (global doc ID =
+	// position in site.Pages), so it is identical whether the text index is
+	// built or mapped from a cache.
+	e := &Engine{space: site.W, text: text, vecs: vecs, pages: newObjPages(site.W.Len(), site.Pages)}
+	return e.WithVideo(video), nil
 }
 
 // objPages is the object→page table in compressed sparse row form: the
@@ -302,87 +287,6 @@ func firstError(legs []segset.Leg[error]) error {
 	return nil
 }
 
-// VecOrds maps a placement — text and video segment ordinals — onto the
-// vector lane's ordinal space, failing on an ordinal this snapshot does not
-// have. The engine is the one place that knows the lane's layout: it reads
-// page embeddings first (one segment per text segment, same ordinals), then
-// video embeddings (one per video segment), so text ordinal o is vec
-// segment o and video ordinal o is vec segment nText+o; its global DocIDs
-// extend the page doc space the same way — page doc d keeps ID d, and the
-// video of core ID v gets Docs()+v-1 (video IDs are contiguous across
-// segments).
-func (e *Engine) VecOrds(text, video []int) ([]int, error) {
-	nText := e.text.NumSegments()
-	if err := segset.Check(nText, text...); err != nil {
-		return nil, fmt.Errorf("text selection: %w", err)
-	}
-	if err := segset.Check(e.video.NumSegments(), video...); err != nil {
-		return nil, fmt.Errorf("video selection: %w", err)
-	}
-	ords := append(make([]int, 0, len(text)+len(video)), text...)
-	for _, o := range video {
-		ords = append(ords, nText+o)
-	}
-	return ords, nil
-}
-
-// composeVecs lays the page and video embedding segments out in one doc
-// space (see VecOrds). It reads no vector, so a commit pays for the segment
-// it embeds, not for the corpus.
-func (e *Engine) composeVecs() (*vec.Segments, error) {
-	parts := make([]*vec.Builder, 0, len(e.vecPages)+len(e.vecVideo))
-	parts = append(parts, e.vecPages...)
-	for _, vp := range e.vecVideo {
-		parts = append(parts, vp.b)
-	}
-	return vec.NewSegments(e.emb, parts)
-}
-
-// buildVideoVecParts embeds video segments, reusing prev's builders for
-// every segment whose manifest entry and row count are unchanged — on a
-// commit only the appended segment embeds, on a compaction only the
-// merged one. A video document embeds its name plus the kinds of its
-// events in insertion order; a compaction's ID-preserving replay
-// reproduces both exactly, so re-embedding a merged segment yields
-// bit-identical vectors.
-func buildVideoVecParts(video *core.SegmentedIndex, prev []videoVecPart, emb vec.Embedder) ([]videoVecPart, error) {
-	metas := video.Metas()
-	out := make([]videoVecPart, 0, len(metas))
-	for i, m := range metas {
-		if i < len(prev) && prev[i].meta == m {
-			if st, err := video.PartStats(i); err == nil && st.Videos == prev[i].b.Len() {
-				out = append(out, prev[i])
-				continue
-			}
-		}
-		part, err := video.Part(i)
-		if err != nil {
-			return nil, err
-		}
-		videos, err := part.Videos()
-		if err != nil {
-			return nil, err
-		}
-		b := vec.NewBuilder(emb)
-		var sb strings.Builder
-		for _, v := range videos {
-			events, err := part.EventsOf(v.ID)
-			if err != nil {
-				return nil, err
-			}
-			sb.Reset()
-			sb.WriteString(v.Name)
-			for _, ev := range events {
-				sb.WriteByte(' ')
-				sb.WriteString(ev.Kind)
-			}
-			b.Add("video/"+v.Name, sb.String(), emb)
-		}
-		out = append(out, videoVecPart{meta: m, b: b})
-	}
-	return out, nil
-}
-
 // pagesSignature fingerprints the corpus a cached page-lane segfile was
 // built from: the scheme that derived it (the embedder's name; empty for
 // the text index), the partition count, and the page names and bodies in
@@ -410,56 +314,20 @@ func pagesSignature(scheme string, pages []webspace.Page, nseg int) uint64 {
 	return 1 // 0 means "don't check" to the readers; never emit it
 }
 
-// withVideo composes an engine snapshot: this engine's site, text
-// segments, page embeddings and object→page table (all immutable) over the
-// video segment set video (nil for none), with its own snapshot ID. The
-// vector lane embeds every video segment but those reuse holds unchanged
-// (see buildVideoVecParts) and composes them after the page embeddings. It
-// hydrates every lazy segment it embeds: embeddings need the rows, so a
-// memory-mapped library pays its first-touch decode here rather than at
-// first query.
-func (e *Engine) withVideo(video *core.SegmentedIndex, reuse []videoVecPart) (*Engine, error) {
+// WithVideo returns a new engine snapshot sharing this engine's site and
+// page lanes (all immutable) over the video segment set video (nil for a
+// text/concept-only engine), with its own snapshot ID — the one install path
+// of a commit, a compaction and a reload. It reads no segment: a lazily
+// opened library decodes a segment at its first scene query.
+func (e *Engine) WithVideo(video *core.SegmentedIndex) *Engine {
 	if video == nil {
-		m, err := core.NewMetaIndex()
-		if err != nil {
-			return nil, err
-		}
+		m, _ := core.NewMetaIndex() // does not fail
 		video = core.SingleSegment(m)
 	}
 	ne := *e
 	ne.video = video
-	var err error
-	if ne.vecVideo, err = buildVideoVecParts(video, reuse, e.emb); err != nil {
-		return nil, fmt.Errorf("dlse: embedding video segments: %w", err)
-	}
-	if ne.vecs, err = ne.composeVecs(); err != nil {
-		return nil, err
-	}
 	ne.snap = snapshots.Add(1)
-	return &ne, nil
-}
-
-// WithVideo returns a new engine snapshot sharing this engine's site and
-// page lanes over a grown or compacted video segment set — the install path
-// of an incremental commit, which must not re-index the site or any
-// existing video segment: the vector lane embeds exactly the segments the
-// commit added (or a compaction merged). It panics if a committed segment
-// fails to hydrate — that is corrupt-storage territory, not a caller error.
-func (e *Engine) WithVideo(video *core.SegmentedIndex) *Engine {
-	ne, err := e.withVideo(video, e.vecVideo)
-	if err != nil {
-		panic(fmt.Sprintf("dlse: rebuilding vector lane over committed segments: %v", err))
-	}
-	return ne
-}
-
-// Reload returns a new engine snapshot sharing this engine's site and page
-// lanes over a video library loaded anew (nil for a text/concept-only
-// engine) — the install path of a reload, which re-reads neither the site
-// nor the page-lane caches. Unlike WithVideo it embeds every video segment:
-// another library can repeat a manifest entry of this one over other rows.
-func (e *Engine) Reload(video *core.SegmentedIndex) (*Engine, error) {
-	return e.withVideo(video, nil)
+	return &ne
 }
 
 // Snapshot returns the engine's process-unique snapshot ID, assigned at
@@ -478,8 +346,8 @@ func (e *Engine) TextIndex() *ir.Segments { return e.text }
 // VideoIndex returns the segmented video meta-index.
 func (e *Engine) VideoIndex() *core.SegmentedIndex { return e.video }
 
-// VecIndex returns the vector lane: a scatter-gather reader over page
-// embedding segments followed by video embedding segments (see VecOrds).
+// VecIndex returns the vector lane: a scatter-gather reader over the page
+// embeddings, partitioned, ordered and numbered as TextIndex.
 func (e *Engine) VecIndex() *vec.Segments { return e.vecs }
 
 // Request is a combined query.

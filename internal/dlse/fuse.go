@@ -29,8 +29,7 @@ const RRFK = 60
 
 // FuseRRF fuses ranked lanes by reciprocal rank fusion. Documents are
 // identified by Item.Doc (the lanes must share a doc ID space — the
-// vector lane's doc space extends the lexical lane's, so page hits fuse
-// across lanes and video hits ride the vector contribution alone). Item
+// lexical and vector lanes number the same pages alike). Item
 // metadata is taken from the first lane that ranked the document; Score
 // becomes the RRF score. The fused order is (score desc, Doc asc).
 func FuseRRF(lanes ...[]Item) []Item {

@@ -61,12 +61,16 @@ var laneQueries = []string{"australian open final", "champion", "smith net play"
 
 // TestVectorHybridSegmentedParity: vector and hybrid answers are
 // byte-identical across 1-, 2-, and 3-segment text partitionings, and the
-// vector lane reaches video documents.
+// vector lane is the text lane's twin: it holds exactly the pages, under
+// the same doc IDs, and no video document.
 func TestVectorHybridSegmentedParity(t *testing.T) {
 	mono, _ := segFixture(t, 1)
 	ctx := context.Background()
 	for _, nseg := range []int{2, 3} {
 		seg, _ := segFixture(t, nseg)
+		if seg.VecIndex().Docs() != seg.TextIndex().Docs() {
+			t.Fatalf("nseg=%d: vector lane %d docs, text lane %d", nseg, seg.VecIndex().Docs(), seg.TextIndex().Docs())
+		}
 		for _, text := range laneQueries {
 			for _, form := range []Query{{Vector: text}, {Hybrid: text}} {
 				want, err := mono.Search(ctx, form)
@@ -83,19 +87,38 @@ func TestVectorHybridSegmentedParity(t *testing.T) {
 			}
 		}
 	}
-	// The vector doc space includes committed videos.
-	rs, err := mono.Search(ctx, Query{Vector: "smith championship video"})
+	// Both lanes name a page by the same doc ID, and the vector lane ranks
+	// every page and nothing else.
+	text := "smith championship video"
+	kw, err := mono.Search(ctx, Query{Keyword: text})
 	if err != nil {
 		t.Fatal(err)
 	}
-	videoDocs := 0
+	pageOf := map[ir.DocID]string{}
+	for _, it := range kw.Items {
+		pageOf[it.Doc] = it.Page
+	}
+	rs, err := mono.Search(ctx, Query{Vector: text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Total != mono.TextIndex().Docs() || len(rs.Items) != rs.Total {
+		t.Fatalf("vector answer: %d items of %d, want every one of %d pages", len(rs.Items), rs.Total, mono.TextIndex().Docs())
+	}
+	shared := 0
 	for _, it := range rs.Items {
 		if strings.HasPrefix(it.Page, "video/") {
-			videoDocs++
+			t.Fatalf("vector answer holds video document %q", it.Page)
+		}
+		if page, ok := pageOf[it.Doc]; ok {
+			shared++
+			if page != it.Page {
+				t.Fatalf("doc %d: keyword lane names %q, vector lane %q", it.Doc, page, it.Page)
+			}
 		}
 	}
-	if videoDocs == 0 {
-		t.Fatal("vector answer reaches no video documents")
+	if shared != len(kw.Items) {
+		t.Fatalf("%d of %d keyword hits found in the vector answer", shared, len(kw.Items))
 	}
 }
 
@@ -221,36 +244,30 @@ func withCommittedVideo(t *testing.T, e *Engine, name string, kinds ...string) *
 }
 
 // TestVectorLaneCommit: growing the video library (the engine image of a
-// commit) re-embeds only the new segment, the new video document ranks,
-// and the extended answers stay byte-identical across partitionings.
+// commit) shares both page lanes and leaves every vector and hybrid answer
+// byte-identical, at every partitioning.
 func TestVectorLaneCommit(t *testing.T) {
 	ctx := context.Background()
-	mono, _ := segFixture(t, 1)
-	seg, _ := segFixture(t, 3)
-	mono = withCommittedVideo(t, mono, "committed-final-highlight", "net-play")
-	seg = withCommittedVideo(t, seg, "committed-final-highlight", "net-play")
-	found := false
-	for _, text := range laneQueries {
-		for _, form := range []Query{{Vector: text}, {Hybrid: text}} {
-			want, err := mono.Search(ctx, form)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := seg.Search(ctx, form)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want.Items, got.Items) {
-				t.Fatalf("post-commit %+v: answer diverges", form)
-			}
-			for _, it := range want.Items {
-				if it.Page == "video/committed-final-highlight" {
-					found = true
+	for _, nseg := range []int{1, 3} {
+		before, _ := segFixture(t, nseg)
+		after := withCommittedVideo(t, before, "committed-final-highlight", "net-play")
+		if after.VecIndex() != before.VecIndex() || after.TextIndex() != before.TextIndex() {
+			t.Fatalf("nseg=%d: the commit rebuilt a page lane", nseg)
+		}
+		for _, text := range laneQueries {
+			for _, form := range []Query{{Vector: text}, {Hybrid: text}} {
+				want, err := before.Search(ctx, form)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := after.Search(ctx, form)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.Items, got.Items) || want.Total != got.Total {
+					t.Fatalf("nseg=%d post-commit %+v: answer moved", nseg, form)
 				}
 			}
 		}
-	}
-	if !found {
-		t.Fatal("committed video never ranked in any lane answer")
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // goldenRankings is sha256 over (Doc, Float64bits(Score)), little-endian, of
 // the full Vector then Hybrid ranking of each goldenQueries text in order.
-const goldenRankings = "9b3d179fecc7b046ee12b6eee9e271112569dc9a1542fa0e30ac24aff634a8c1"
+const goldenRankings = "848e903b702ac26067ad037e9282295c631b5a9d7e83a786117baf463f7d90a1"
 
 var goldenQueries = []string{
 	"australian open final",
@@ -82,7 +82,7 @@ func TestVectorHybridGolden(t *testing.T) {
 // the webspace graph without per-object maps and looked text terms up in the
 // sorted dictionary, so it pins the concept, lexical, vector and
 // hybrid answers across those changes. See hashAnswer for what is hashed.
-const goldenSiteAnswers = "4cff488f0c377625a8c5d38970e9fefdb2b8d56cf03f7bca3f04ecca76e18db0"
+const goldenSiteAnswers = "df6431dc8133c6ba4df2e93c6240a839a8bc260841dd962b4e6cd981474e4027"
 
 var siteAnswerQueries = []Query{
 	{Source: `find Player where sex = "female" and handedness = "left" and exists wonFinals scenes "net-play" via wonFinals.video`},

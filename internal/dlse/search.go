@@ -43,8 +43,7 @@ type Query struct {
 	// retrieval over page text, no concepts, no video content.
 	Keyword string
 	// Vector ranks by embedding similarity over the vector lane: every
-	// page plus every indexed video, cosine-scored against the query's
-	// embedding (see internal/vec).
+	// page, cosine-scored against the query's embedding (see internal/vec).
 	Vector string
 	// Hybrid runs the Keyword and Vector lanes on the same text and
 	// fuses their rankings by reciprocal rank fusion (FuseRRF).
@@ -82,10 +81,8 @@ func (q Query) forms() int {
 //
 //   - combined queries (Source/Request): Object, Score, Scenes
 //   - keyword queries: Page, Doc, Score
-//   - vector/hybrid queries: Page, Doc, Score (Page is the matched
-//     document's name — a site page, or "video/<name>" for an indexed
-//     video; Doc is its ID in the vector lane's doc space, which extends
-//     the page doc space)
+//   - vector/hybrid queries: Page, Doc, Score (Page is the matched site
+//     page; Doc is its doc ID, the same in both ranked lanes)
 //   - scene queries: Scene
 type Item struct {
 	// Object is the concept object a combined query selected.
@@ -427,8 +424,8 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, dep
 // best depth items (everything when depth <= 0 or beyond the lane) and the
 // size of the whole answer — documents touched for the lexical lane, scanned
 // for the vector lane, and for the hybrid their union, which is what the
-// vector lane scanned: it scores every document of a doc space that extends
-// the pages'. Explain operators report those matched counts, not returned ones.
+// vector lane scanned: it scores every page. Explain operators report those
+// matched counts, not returned ones.
 func (e *Engine) rank(nq Query, depth int, withExplain bool) (items []Item, total int, ex *Explain, err error) {
 	depth = max(depth, 0)
 	t0 := time.Now()

@@ -123,10 +123,12 @@ func TestIndexResultPopulatesAllLayers(t *testing.T) {
 		t.Fatalf("%d object states for %d tennis frames", st.States, tennisFrames)
 	}
 	// Events must reference real segments and use absolute frames.
-	evs, _ := idx.EventsOf(vid)
-	for _, ev := range evs {
-		if ev.Start < 0 || ev.End > len(v.Frames) || ev.Start >= ev.End {
-			t.Fatalf("event interval %v outside video", ev.Interval)
+	for _, kind := range []string{"net-play", "rally", "service"} {
+		scenes, _ := idx.Scenes(kind)
+		for _, sc := range scenes {
+			if ev := sc.Event; ev.Start < 0 || ev.End > len(v.Frames) || ev.Start >= ev.End {
+				t.Fatalf("event interval %v outside video", ev.Interval)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -373,12 +372,8 @@ func TestIngestorOpenAndErrors(t *testing.T) {
 	if _, ok := ids[2]; ok {
 		t.Fatal("failed job present in merge mapping")
 	}
-	merged, err := dst.Videos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.ContainsFunc(merged, func(v core.Video) bool { return v.Name == "opened" }) {
-		t.Fatalf("lazy-open job not merged: %v", merged)
+	if v, err := dst.VideoByID(ids[3]); err != nil || v.Name != "opened" {
+		t.Fatalf("lazy-open job merged as %+v, %v", v, err)
 	}
 }
 

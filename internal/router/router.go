@@ -533,16 +533,10 @@ func (r *Router) gather(ctx context.Context, q dlse.Query, key string, depth int
 		var tq transport.Query
 		var textOrds, videoOrds []int
 		switch {
-		case q.Keyword != "":
-			tq = transport.Query{Keyword: q.Keyword, K: min(depth, man.Docs)}
+		case q.Keyword != "", q.Vector != "":
+			// Both ranked lanes index the pages, under the text ordinals.
+			tq = transport.Query{Keyword: q.Keyword, Vector: q.Vector, K: min(depth, man.Docs)}
 			textOrds = ordinals(man.TextSegments)
-		case q.Vector != "":
-			// The vector lane spans both ordinal spaces: pages first, then
-			// video-embedding segments, one document per video (see
-			// transport.PartialOf).
-			tq = transport.Query{Vector: q.Vector, K: min(depth, man.Docs+man.Videos)}
-			textOrds = ordinals(man.TextSegments)
-			videoOrds = ordinals(len(man.Segments))
 		default:
 			if man.Videos == 0 {
 				return nil, false, fmt.Errorf("%w: scene query %q needs an indexed video library",
@@ -572,10 +566,9 @@ func (r *Router) gather(ctx context.Context, q dlse.Query, key string, depth int
 // hybrid answers a hybrid query to the given depth under one manifest
 // generation, as a node does (dlse.FuseCandidates), in two rounds:
 //
-//  1. both lanes scatter at the depth an exact fusion of the page needs
-//     (dlse.FuseDepths: the page depth clamped to the lane before it is
-//     doubled, since depth is client input) — the keyword lane over the
-//     text ordinals, the vector lane over text + video ordinals;
+//  1. both lanes scatter over the text ordinals at the depth an exact
+//     fusion of the page needs (dlse.FuseDepths: the page depth clamped to
+//     the pages before it is doubled, since depth is client input);
 //  2. each lane places the other's candidates: one rank-lookup leg per lane
 //     (Query.Ranks) counts their ranks over exactly the ordinals that lane
 //     answered in round 1, so a fail-open page fuses the reachable legs as
@@ -590,20 +583,19 @@ func (r *Router) hybrid(ctx context.Context, text, key string, man transport.Man
 	if depth <= 0 {
 		depth = math.MaxInt // no limit: fuse the whole lanes
 	}
-	d, vecK := dlse.FuseDepths(depth, man.Docs+man.Videos)
-	kwK := min(vecK, man.Docs)
-	kw, err := r.scatter(ctx, transport.Query{Keyword: text, K: kwK},
+	d, laneK := dlse.FuseDepths(depth, man.Docs)
+	kw, err := r.scatter(ctx, transport.Query{Keyword: text, K: laneK},
 		man, ordinals(man.TextSegments), nil)
 	if err != nil {
 		return nil, false, err
 	}
-	vec, err := r.scatter(ctx, transport.Query{Vector: text, K: vecK},
-		man, ordinals(man.TextSegments), ordinals(len(man.Segments)))
+	vec, err := r.scatter(ctx, transport.Query{Vector: text, K: laneK},
+		man, ordinals(man.TextSegments), nil)
 	if err != nil {
 		return nil, false, err
 	}
-	lex, lexMatched := mergeHits(kw.parts, kwK)
-	sem, semMatched := mergeHits(vec.parts, vecK)
+	lex, lexMatched := mergeHits(kw.parts, laneK)
+	sem, semMatched := mergeHits(vec.parts, laneK)
 
 	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
 	defer cancel()
@@ -625,8 +617,8 @@ func (r *Router) hybrid(ctx context.Context, text, key string, man transport.Man
 	items := dlse.FuseCandidates(d, lex, sem, vecOfLex, lexOfVec)
 
 	// The total is the union of the lanes' answers: what the vector lane
-	// scanned (every document of its segments), plus under fail-open the
-	// pages of text ordinals only the keyword lane reached. Both lanes group
+	// scanned (every page of its segments), plus under fail-open the pages
+	// of text ordinals only the keyword lane reached. Both lanes group
 	// text ordinals by the same primaries, so a keyword part's ordinals were
 	// all answered by the vector lane or none were.
 	total := semMatched

@@ -51,10 +51,9 @@ func parseCSV[T ~int | ~int32](name, what, s string) ([]T, error) {
 // explicit segment selection:
 //
 //	kw=<terms>&k=<top-k>&text=<ordinal CSV>   — partial keyword search
-//	vq=<terms>&k=<top-k>&text=...&video=...   — partial vector search (text
+//	vq=<terms>&k=<top-k>&text=<ordinal CSV>   — partial vector search (text
 //	                                            ordinals select page-embedding
-//	                                            segments, video ordinals
-//	                                            video-embedding segments)
+//	                                            segments)
 //	kind=<event kind>&video=<ordinal CSV>     — partial scenes lookup
 //	kw=|vq=<terms>&ranks=<doc ID CSV>&...     — rank lookup: each document's
 //	                                            1-based rank among what the
@@ -68,8 +67,11 @@ func parseCSV[T ~int | ~int32](name, what, s string) ([]T, error) {
 //	                                            serving segment set moved
 //
 // Exactly one of kw/vq/kind must be set, and no ordinal twice (400
-// bad_segment). Scores are computed against union corpus statistics, so
-// partial answers merge into results byte-identical to a monolithic search.
+// bad_segment). A kw= or vq= leg reads its text ordinals; video= ordinals
+// beside it are range-checked and otherwise ignored, so one with no text=
+// ordinals is a 400 bad_segment. Scores are computed against union corpus
+// statistics, so partial answers merge into results byte-identical to a
+// monolithic search.
 func (s *Server) handleV2Partial(w http.ResponseWriter, r *http.Request) {
 	if !OnlyGetV2(w, r) {
 		return

@@ -56,20 +56,22 @@ func TestSceneViewObservability(t *testing.T) {
 		return ""
 	}
 
-	// Engine construction hydrates the vector lane through the meta-index,
-	// so the frozen view already exists: the first scene query is a cache
-	// hit.
-	if v := viewOf(get("kind=net-play&explain=1"), "scenes"); v != "cached" {
-		t.Fatalf("first scene query view = %q, want cached", v)
+	// Engine construction reads no segment, so the first scene query builds
+	// the frozen view and the next one, of another kind, answers from it.
+	if v := viewOf(get("kind=net-play&explain=1"), "scenes"); v != "rebuilt" {
+		t.Fatalf("first scene query view = %q, want rebuilt", v)
+	}
+	if v := viewOf(get("kind=service&explain=1"), "scenes"); v != "cached" {
+		t.Fatalf("second scene query view = %q, want cached", v)
 	}
 
 	// A write invalidates the view; the next scene query rebuilds it.
-	vids, err := idx.Videos()
-	if err != nil || len(vids) == 0 {
-		t.Fatalf("videos: %v", err)
+	scenes, err := idx.Scenes("net-play")
+	if err != nil || len(scenes) == 0 {
+		t.Fatalf("scenes: %v, %v", scenes, err)
 	}
 	idx.AddEvent(core.Event{
-		VideoID: vids[0].ID, Kind: "net-play",
+		VideoID: scenes[0].Video.ID, Kind: "net-play",
 		Interval: core.Interval{Start: 300, End: 350}, Confidence: 0.5,
 	})
 	if v := viewOf(get("kind=net-play&explain=1"), "scenes"); v != "rebuilt" {
@@ -89,7 +91,7 @@ func TestSceneViewObservability(t *testing.T) {
 	}
 
 	// /metrics: the cumulative build count in Prometheus counter form —
-	// one build from engine hydration, one from the post-write rebuild.
+	// one build from the first scene query, one from the post-write rebuild.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

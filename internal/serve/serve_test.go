@@ -92,12 +92,8 @@ func TestCacheNeverStaleAfterIndexUpdate(t *testing.T) {
 	}
 
 	// Single writer, no concurrent readers: append one more event.
-	vids, err := idx.Videos()
-	if err != nil || len(vids) == 0 {
-		t.Fatalf("videos: %v", err)
-	}
 	idx.AddEvent(core.Event{
-		VideoID: vids[0].ID, Kind: "net-play",
+		VideoID: before.Items[0].Scene.Video.ID, Kind: "net-play",
 		Interval: core.Interval{Start: 300, End: 350}, Confidence: 0.5,
 	})
 

@@ -96,7 +96,7 @@ func New(engine *dlse.Engine, opts Options) *Server {
 		return float64(s.engine.Load().VideoIndex().NumSegments())
 	})
 	// Of those, the segments decoded into the heap: a mapped segment decodes
-	// at its first read (today the vector lane's build reads every one).
+	// at its first read, which only a scene or combined query makes.
 	reg.GaugeFunc("segments_hydrated", func() float64 {
 		video, n := s.engine.Load().VideoIndex(), 0
 		for i := range video.NumSegments() {

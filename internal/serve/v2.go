@@ -314,7 +314,7 @@ func toV2Explain(ex *dlse.Explain) *v2ExplainJSON {
 //
 //	q=<query language>            — combined conceptual/content/text query
 //	kw=<terms>                    — flattened-pages keyword baseline
-//	kw=<terms>&kind=vector        — embedding-similarity search (pages+videos)
+//	kw=<terms>&kind=vector        — embedding-similarity search over the pages
 //	kw=<terms>&kind=hybrid        — keyword ‖ vector, fused by RRF
 //	kind=<event kind>             — raw scene lookup
 //

@@ -233,15 +233,18 @@ func TestV2SwapStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var first int64
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
 		id := idx.AddVideo(core.Video{Name: v.StringAttr("name"), Width: 160, Height: 120, FPS: 25, Frames: 500})
 		seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
+		if first == 0 {
+			first = id
+		}
 	}
 	// The one extra scene that distinguishes the snapshots.
-	vids, _ := idx.Videos()
-	idx.AddEvent(core.Event{VideoID: vids[0].ID, Kind: "net-play", Interval: core.Interval{Start: 300, End: 360}, Confidence: 0.7})
+	idx.AddEvent(core.Event{VideoID: first, Kind: "net-play", Interval: core.Interval{Start: 300, End: 360}, Confidence: 0.7})
 	e2, err := dlse.New(site, idx)
 	if err != nil {
 		t.Fatal(err)

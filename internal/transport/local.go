@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dlse"
 	"repro/internal/ir"
+	"repro/internal/segset"
 	"repro/internal/vec"
 )
 
@@ -83,15 +84,18 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 	if forms != 1 {
 		return nil, fmt.Errorf("%w: exactly one of Keyword, Vector, or Scenes must be set", ErrBadSelection)
 	}
-	// The engine validates the selection and maps it onto the vector lane;
-	// a placement naming a segment this snapshot lacks is a bad selection
-	// whichever lane the query would have read.
-	vecOrds, err := e.VecOrds(sel.Text, sel.Video)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSelection, err)
+	// A placement naming a segment this snapshot lacks is a bad selection
+	// whichever lane the query would have read. Both ranked lanes read text
+	// ordinals; video ordinals beside them are checked and otherwise ignored.
+	if err := segset.Check(e.TextIndex().NumSegments(), sel.Text...); err != nil {
+		return nil, fmt.Errorf("%w: text selection: %v", ErrBadSelection, err)
 	}
+	if err := segset.Check(vi.NumSegments(), sel.Video...); err != nil {
+		return nil, fmt.Errorf("%w: video selection: %v", ErrBadSelection, err)
+	}
+	var err error
 	if len(q.Ranks) > 0 {
-		if p.Ranks, err = rankLookup(e, q, sel.Text, vecOrds); err != nil {
+		if p.Ranks, err = rankLookup(e, q, sel.Text); err != nil {
 			return nil, err
 		}
 		return p, nil
@@ -105,11 +109,11 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 		hits, p.Stats, _, err = e.TextIndex().SearchSegments(q.Keyword, q.K, sel.Text)
 		p.Matched = p.Stats.DocsTouched
 	case q.Vector != "":
-		if len(vecOrds) == 0 {
-			return nil, fmt.Errorf("%w: vector query selects no segments", ErrBadSelection)
+		if len(sel.Text) == 0 {
+			return nil, fmt.Errorf("%w: vector query selects no text segments", ErrBadSelection)
 		}
 		var stats vec.SearchStats
-		hits, stats, _, err = e.VecIndex().SearchSegments(q.Vector, q.K, vecOrds)
+		hits, stats, _, err = e.VecIndex().SearchSegments(q.Vector, q.K, sel.Text)
 		p.Matched = stats.DocsScanned
 	case q.Scenes != "":
 		if len(sel.Video) == 0 {
@@ -146,18 +150,18 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 // selection without ranking it, and the leased scores count each
 // document's rank (ir.SegScores.Ranks) — the node's own rank-count step of
 // the bounded hybrid fusion, asked for over the wire.
-func rankLookup(e *dlse.Engine, q Query, text, vecOrds []int) ([]int, error) {
+func rankLookup(e *dlse.Engine, q Query, ords []int) ([]int, error) {
 	if q.K != 0 || q.Scenes != "" {
 		return nil, fmt.Errorf("%w: a rank lookup takes a keyword or vector query and no K", ErrBadSelection)
 	}
-	lane, ords, docs := "keyword", text, e.TextIndex().Docs()
+	lane := "keyword"
 	if q.Vector != "" {
-		lane, ords, docs = "vector", vecOrds, e.VecIndex().Docs()
+		lane = "vector"
 	}
 	if len(ords) == 0 {
 		return nil, fmt.Errorf("%w: %s rank lookup selects no segments", ErrBadSelection, lane)
 	}
-	if len(q.Ranks) > docs {
+	if docs := e.TextIndex().Docs(); len(q.Ranks) > docs {
 		return nil, fmt.Errorf("%w: rank lookup of %d documents in a %s lane of %d",
 			ErrBadSelection, len(q.Ranks), lane, docs)
 	}

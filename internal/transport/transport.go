@@ -70,7 +70,7 @@ type Manifest struct {
 
 // Sel selects the segment subset a partial read covers, by ordinal.
 type Sel struct {
-	// Text selects full-text partitions (for Keyword queries).
+	// Text selects page partitions (for Keyword and Vector queries).
 	Text []int `json:"text,omitempty"`
 	// Video selects video partitions (for Scenes queries).
 	Video []int `json:"video,omitempty"`
@@ -86,8 +86,8 @@ type Query struct {
 	// Matched still counts everything that would have ranked.
 	K int `json:"k,omitempty"`
 	// Vector is embedding-similarity retrieval over the vector lane: the
-	// selected text ordinals name page-embedding segments, the selected
-	// video ordinals name video-embedding segments.
+	// selected text ordinals name page-embedding segments, which hold the
+	// same pages at the same doc IDs as the text partitions.
 	Vector string `json:"vector,omitempty"`
 	// Scenes looks up scenes of this event kind in the selected video
 	// partitions.

@@ -256,11 +256,12 @@ func TestPartialErrorsParity(t *testing.T) {
 	}
 }
 
-// TestPartialOfBadOrdinalsAcrossLanes: whichever lane a query reads —
-// text segments, the vector lane's pages-then-videos layout, or video
-// partitions — a placement naming a segment the snapshot lacks fails the
-// same way: ErrBadSelection, saying which ordinal space, which ordinal and
-// how many segments there are. The fixture has 3 text and 2 video segments.
+// TestPartialOfBadOrdinalsAcrossLanes: whichever lane a query reads — the
+// text ordinals both ranked lanes share, or video partitions — a placement
+// naming a segment the snapshot lacks fails the same way: ErrBadSelection,
+// saying which ordinal space, which ordinal and how many segments there
+// are, also for video ordinals a ranked query does not read. The fixture
+// has 3 text and 2 video segments.
 func TestPartialOfBadOrdinalsAcrossLanes(t *testing.T) {
 	e := fixture(t)
 	shape := regexp.MustCompile(`^transport: bad segment selection: (text|video) selection: segset: no segment ordinal -?\d+ \(have [23]\)$`)
@@ -272,9 +273,8 @@ func TestPartialOfBadOrdinalsAcrossLanes(t *testing.T) {
 		{transport.Query{Keyword: "final"}, transport.Sel{Text: []int{3}}, "text selection: segset: no segment ordinal 3 (have 3)"},
 		{transport.Query{Keyword: "final"}, transport.Sel{Text: []int{0, -1}}, "text selection: segset: no segment ordinal -1 (have 3)"},
 		{transport.Query{Vector: "final"}, transport.Sel{Text: []int{3}}, "text selection: segset: no segment ordinal 3 (have 3)"},
-		// Text ordinal 4 would alias video segment 1 if it reached the lane.
-		{transport.Query{Vector: "final"}, transport.Sel{Text: []int{4}}, "text selection: segset: no segment ordinal 4 (have 3)"},
 		{transport.Query{Vector: "final"}, transport.Sel{Text: []int{0}, Video: []int{2}}, "video selection: segset: no segment ordinal 2 (have 2)"},
+		{transport.Query{Keyword: "final"}, transport.Sel{Text: []int{0}, Video: []int{2}}, "video selection: segset: no segment ordinal 2 (have 2)"},
 		{transport.Query{Scenes: "net-play"}, transport.Sel{Video: []int{2}}, "video selection: segset: no segment ordinal 2 (have 2)"},
 		{transport.Query{Scenes: "net-play"}, transport.Sel{Video: []int{-1, 0}}, "video selection: segset: no segment ordinal -1 (have 2)"},
 	} {
@@ -286,10 +286,28 @@ func TestPartialOfBadOrdinalsAcrossLanes(t *testing.T) {
 			t.Fatalf("%+v %+v: message %q, want suffix %q", tc.q, tc.sel, err, tc.want)
 		}
 	}
-	// In range, a video ordinal reaches its own embedding segment (Engine.VecOrds).
-	p, err := transport.PartialOf(e, transport.Query{Vector: "late commit"}, transport.Sel{Video: []int{1}}, -1)
-	if err != nil || len(p.Hits) != 1 || p.Hits[0].Page != "video/late-commit" {
-		t.Fatalf("video ordinal 1 through the vector lane: %+v, %v", p, err)
+	// In range, video ordinals beside a vector query are ignored: the lane
+	// reads its text ordinals alone, and with none it refuses the leg.
+	want, err := transport.PartialOf(e, transport.Query{Vector: "late commit"}, transport.Sel{Text: []int{1}}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := transport.PartialOf(e, transport.Query{Vector: "late commit"}, transport.Sel{Text: []int{1}, Video: []int{0, 1}}, -1)
+	if err != nil || !reflect.DeepEqual(got.Hits, want.Hits) || got.Matched != want.Matched {
+		t.Fatalf("vector leg with video ordinals: %+v, %v; want %+v", got, err, want)
+	}
+	for _, h := range got.Hits {
+		if strings.HasPrefix(h.Page, "video/") {
+			t.Fatalf("vector leg answers video document %q", h.Page)
+		}
+	}
+	_, err = transport.PartialOf(e, transport.Query{Vector: "late commit"}, transport.Sel{Video: []int{1}}, -1)
+	if !errors.Is(err, transport.ErrBadSelection) {
+		t.Fatalf("vector leg over video ordinals only: err = %v, want ErrBadSelection", err)
+	}
+	_, remote := sources(t, e)
+	if status, code := getPartial(t, remote, "vq=late+commit&video=1"); status != http.StatusBadRequest || code != "bad_segment" {
+		t.Fatalf("vq= with video= ordinals only: %d %s, want 400 bad_segment", status, code)
 	}
 }
 
@@ -362,12 +380,9 @@ func TestPartialRankLookup(t *testing.T) {
 				want[h.Doc] = i + 1
 			}
 			// As many documents as the lane holds, backwards, from one past
-			// its last (the keyword lane's pages end where videos begin).
-			q, laneDocs := lane, e.TextIndex().Docs()
-			if lane.Vector != "" {
-				laneDocs = e.VecIndex().Docs()
-			}
-			for d := laneDocs; d > 0; d-- {
+			// its last page.
+			q := lane
+			for d := e.TextIndex().Docs(); d > 0; d-- {
 				q.Ranks = append(q.Ranks, ir.DocID(d))
 			}
 			lp, err := local.Partial(ctx, q, sel, 7)

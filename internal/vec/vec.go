@@ -157,8 +157,7 @@ func normalize(v []float32) {
 // and embeddings in insertion order. Local document ordinal = insertion
 // position; the global DocID is assigned when NewSegments composes
 // builders into a Segments reader. A filled Builder is immutable by
-// convention and may back any number of Segments compositions (the
-// engine re-composes the same page builders on every commit).
+// convention and may back any number of Segments compositions.
 type Builder struct {
 	dim   int
 	names segfile.Table
@@ -170,14 +169,9 @@ func NewBuilder(e Embedder) *Builder {
 	return &Builder{dim: e.Dim()}
 }
 
-// Add embeds text and appends it as the next document.
-func (b *Builder) Add(name, text string, e Embedder) {
-	b.AddTokens(name, ir.Analyze(text), e)
-}
-
-// AddTokens is Add for a document already analysed: toks must be what
-// ir.Analyze (or an ir.Analyzer) returned for its text. The slice is not
-// kept.
+// AddTokens embeds a document and appends it as the next one: toks must be
+// what ir.Analyze (or an ir.Analyzer) returned for its text. The slice is
+// not kept.
 func (b *Builder) AddTokens(name string, toks []string, e Embedder) {
 	if e.Dim() != b.dim {
 		panic(fmt.Sprintf("vec: embedder dim %d does not match builder dim %d", e.Dim(), b.dim))

@@ -49,7 +49,7 @@ func partitioned(e Embedder, names, texts []string, nseg int) []*Builder {
 		if p >= nseg {
 			p = nseg - 1
 		}
-		parts[p].Add(names[i], texts[i], e)
+		parts[p].AddTokens(names[i], ir.Analyze(texts[i]), e)
 	}
 	return parts
 }

@@ -116,7 +116,19 @@ echo "$metrics" | grep -q '^dl_cache_items [1-9]'
 curl -fsS "http://127.0.0.1:$port/debug/vars" \
     | jq -e '.queries >= 1 and .active_segments == 1' >/dev/null
 
+# normalize strips the per-request fields (timing, snapshot id, cache hit,
+# opaque cursor) so two answers can be compared bytewise.
+normalize() {
+    sed -E 's/"tookMs":[0-9.]+,?//g; s/"snapshot":[0-9]+,?//g; s/"cached":(true|false),?//g; s/"cursor":"[^"]*",?//g'
+}
+vector() {
+    curl -fsS --get "http://127.0.0.1:$port/v2/search" \
+        --data-urlencode 'kw=rally serve tennis' --data-urlencode 'kind=vector' | normalize
+}
+
 echo "--- /v2/commit (grow the corpus by one broadcast, no reload)"
+# Both ranked lanes index the pages alone: the commit moves no vector answer.
+vector >"$tmp/vector.precommit"
 go build -o "$tmp/synthgen" ./cmd/synthgen
 "$tmp/synthgen" -out "$tmp/corpus" -n 1 -shots 3 >/dev/null
 commit=$(curl -fsS -X POST "http://127.0.0.1:$port/v2/commit" \
@@ -132,23 +144,15 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     "http://127.0.0.1:$port/v2/commit" -d '{"paths":[]}')
 [ "$code" = 400 ] || { echo "serve-smoke: empty commit got $code" >&2; exit 1; }
 
-# normalize strips the per-request fields (timing, snapshot id, cache hit,
-# opaque cursor) so two answers can be compared bytewise.
-normalize() {
-    sed -E 's/"tookMs":[0-9.]+,?//g; s/"snapshot":[0-9]+,?//g; s/"cached":(true|false),?//g; s/"cursor":"[^"]*",?//g'
-}
-
 echo "--- POST /v2/compact (two segments -> one, answers unchanged)"
-# The vector lane ranks the committed video's embedding beside the pages,
-# so it reads both segments' rows, like the scene lookup.
 answers() {
     curl -fsS --get "http://127.0.0.1:$port/v2/search" --data-urlencode 'kind=rally' | normalize >"$tmp/rally.$1"
-    curl -fsS --get "http://127.0.0.1:$port/v2/search" \
-        --data-urlencode 'kw=rally serve tennis' --data-urlencode 'kind=vector' | normalize >"$tmp/vector.$1"
+    vector >"$tmp/vector.$1"
 }
 answers before
 grep -q '"total":[1-9]' "$tmp/rally.before"
-grep -q '"page":"video/clip-000"' "$tmp/vector.before"
+cmp "$tmp/vector.precommit" "$tmp/vector.before" || {
+    echo "serve-smoke: the commit changed the vector answer" >&2; exit 1; }
 compact=$(curl -fsS -X POST "http://127.0.0.1:$port/v2/compact")
 echo "$compact"
 echo "$compact" | grep -q '"segments":1'
@@ -279,20 +283,21 @@ start_server "$tmp/log-warm" "$tmp/info-warm" "${lanes[@]}"
 read -r cold_pid cold_port <"$tmp/info-cold"
 read -r warm_pid warm_port <"$tmp/info-warm"
 trap 'kill "$sf_pid" "$hp_pid" "$cold_pid" "$warm_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-for q in 'q=find Player where sex = "female"' 'kw=australian final' 'kind=rally'; do
-    a=$(curl -fsS --get "http://127.0.0.1:$cold_port/v2/search" --data-urlencode "$q" --data-urlencode 'limit=5' | normalize)
-    b=$(curl -fsS --get "http://127.0.0.1:$warm_port/v2/search" --data-urlencode "$q" --data-urlencode 'limit=5' | normalize)
-    [ "$a" = "$b" ] || { echo "serve-smoke: cold/warm answers diverge for $q" >&2; exit 1; }
-    echo "match: $q"
-done
+cold_warm() { # query-string args -> fails unless both servers answer alike
+    a=$(curl -fsS --get "http://127.0.0.1:$cold_port/v2/search" "$@" --data-urlencode 'limit=5' | normalize)
+    b=$(curl -fsS --get "http://127.0.0.1:$warm_port/v2/search" "$@" --data-urlencode 'limit=5' | normalize)
+    [ "$a" = "$b" ] || { echo "serve-smoke: cold/warm answers diverge for $*" >&2; exit 1; }
+    echo "match: $*"
+}
+cold_warm --data-urlencode 'q=find Player where sex = "female"'
+cold_warm --data-urlencode 'kw=australian final'
 for kind in vector hybrid; do
-    a=$(curl -fsS --get "http://127.0.0.1:$cold_port/v2/search" --data-urlencode 'kw=australian final' \
-        --data-urlencode "kind=$kind" --data-urlencode 'limit=5' | normalize)
-    b=$(curl -fsS --get "http://127.0.0.1:$warm_port/v2/search" --data-urlencode 'kw=australian final' \
-        --data-urlencode "kind=$kind" --data-urlencode 'limit=5' | normalize)
-    [ "$a" = "$b" ] || { echo "serve-smoke: cold/warm answers diverge for kind=$kind" >&2; exit 1; }
-    echo "match: kind=$kind"
+    cold_warm --data-urlencode 'kw=australian final' --data-urlencode "kind=$kind"
 done
+# Concept-only and ranked queries decode no segment of the mapped -meta.
+curl -fsS "http://127.0.0.1:$cold_port/metrics" | grep -q '^dl_segments_hydrated 0' || {
+    echo "serve-smoke: a ranked or concept-only query decoded a video segment" >&2; exit 1; }
+cold_warm --data-urlencode 'kind=rally'
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$cold_port/debug/pprof/heap")
 [ "$code" = 404 ] || { echo "serve-smoke: the serving port answered /debug/pprof/heap with $code" >&2; exit 1; }
 heap_of() {

@@ -116,12 +116,13 @@ func TestOpenNotASegfile(t *testing.T) {
 	}
 }
 
-// TestCorruptSegmentFailsEngineBuild: opening verifies only the manifest,
+// TestCorruptSegmentFailsSceneReads: opening verifies only the manifest,
 // so a segment block with one flipped byte passes LoadLibraryFile and its
-// checksum failure surfaces where a read or the engine build hydrates the
-// segment — as the facade read's or NewDigitalLibrary's error (dlserve -meta
-// exits with it), never a panic.
-func TestCorruptSegmentFailsEngineBuild(t *testing.T) {
+// checksum failure surfaces where a read hydrates the segment — as the
+// facade read's error, or as the error of a scene or scenes-joining query
+// through a digital library, never a panic or an empty answer. Building the
+// library reads no segment, so it succeeds, and a keyword query answers.
+func TestCorruptSegmentFailsSceneReads(t *testing.T) {
 	idx, err := core.NewMetaIndex()
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +156,22 @@ func TestCorruptSegmentFailsEngineBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDigitalLibrary(site, lib); err == nil {
-		t.Fatal("engine built over a segment that fails its checksum")
+	dl, err := NewDigitalLibrary(site, lib)
+	if err != nil {
+		t.Fatalf("building over a corrupt segment: %v", err)
+	}
+	ctx := context.Background()
+	for _, q := range []Query{
+		{Scenes: "rally"},
+		{Source: `find Final scenes "rally" via video`},
+	} {
+		rs, err := dl.Search(ctx, q)
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("%+v over a corrupt segment: %v, %v; want the checksum error", q, rs, err)
+		}
+	}
+	if rs, err := dl.Search(ctx, Query{Keyword: "australian open final"}); err != nil || rs.Total == 0 {
+		t.Fatalf("keyword query beside a corrupt segment: %v, %v", rs, err)
 	}
 }
 
@@ -419,9 +434,7 @@ func TestSwapKeepsPageLanes(t *testing.T) {
 	}
 	mapped := segfile.MappedBytes()
 	for i := 0; i < 2; i++ {
-		if err := dl.Swap(v2Library(t, site, 0)); err != nil {
-			t.Fatal(err)
-		}
+		dl.Swap(v2Library(t, site, 0))
 	}
 	for _, path := range []string{opts.TextSegfile, opts.VecSegfile} {
 		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
@@ -433,6 +446,102 @@ func TestSwapKeepsPageLanes(t *testing.T) {
 	}
 	if after := lanePages(t, dl); !reflect.DeepEqual(after, before) {
 		t.Error("pages after the swaps differ from the pages before them")
+	}
+}
+
+// TestRankedAnswersIgnoreVideoLibrary: both ranked lanes index the pages
+// alone. Over a library opened from a segfile, lexical, vector and hybrid
+// answers are byte-identical before and after a commit, a compaction and a
+// swap, and no segment is decoded until the first scene or combined query.
+func TestRankedAnswersIgnoreVideoLibrary(t *testing.T) {
+	jobs := batchJobs(batchTestCorpus(t))
+	site := v2Site(t)
+	var sf bytes.Buffer
+	if err := buildSegmentedLib(t, jobs[:4], 2, 1, 1).SaveIndex(&sf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lib.segf")
+	if err := os.WriteFile(path, sf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Library {
+		lib, err := LoadLibraryFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lib.Close() })
+		return lib
+	}
+	lib := open()
+	dl, err := NewDigitalLibrary(site, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// ranked reads each ranked answer whole and as its first two 5-item pages.
+	ranked := func() []*ResultSet {
+		t.Helper()
+		var out []*ResultSet
+		for _, q := range []Query{
+			{Keyword: "australian open final"},
+			{Vector: "women's singles winner"},
+			{Hybrid: "champion interview"},
+		} {
+			rs, err := dl.Search(ctx, q)
+			if err != nil || rs.Total == 0 {
+				t.Fatalf("%+v: %v, %v", q, rs, err)
+			}
+			out = append(out, &ResultSet{Items: rs.Items, Total: rs.Total})
+			var cur Cursor
+			for page := 0; page < 2; page++ {
+				rs, err := dl.Search(ctx, q, WithLimit(5), WithCursor(cur))
+				if err != nil {
+					t.Fatalf("%+v page %d: %v", q, page, err)
+				}
+				out = append(out, &ResultSet{Items: rs.Items, Total: rs.Total})
+				cur = rs.Cursor
+			}
+		}
+		return out
+	}
+	// noneHydrated requires every segment of lib's view to be undecoded.
+	noneHydrated := func(lib *Library, when string) {
+		t.Helper()
+		view := lib.View()
+		for i := range view.NumSegments() {
+			if view.Hydrated(i) {
+				t.Fatalf("%s: segment %d of %d decoded", when, i, view.NumSegments())
+			}
+		}
+	}
+	noneHydrated(lib, "after building the library")
+	before := ranked()
+	noneHydrated(lib, "after ranked queries")
+
+	if _, err := dl.CommitToken(ctx, "", jobs[4:5], BatchOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ranked(), before) {
+		t.Fatal("the commit moved a ranked answer")
+	}
+	if changed, err := dl.Compact(0); err != nil || !changed {
+		t.Fatalf("compact: changed %t, %v", changed, err)
+	}
+	if !reflect.DeepEqual(ranked(), before) {
+		t.Fatal("the compaction moved a ranked answer")
+	}
+	lib = open()
+	dl.Swap(lib)
+	if !reflect.DeepEqual(ranked(), before) {
+		t.Fatal("the swap moved a ranked answer")
+	}
+	noneHydrated(lib, "after a swap and ranked queries")
+
+	if _, err := dl.Search(ctx, Query{Source: `find Final scenes "rally" via video`}); err != nil {
+		t.Fatal(err)
+	}
+	if view := lib.View(); !view.Hydrated(0) {
+		t.Fatal("a combined query with a scene join decoded no segment")
 	}
 }
 
