@@ -4,8 +4,10 @@
 // detector dependency graph (Figure 1). E1 regenerates that figure exactly;
 // E2-E9 reconstruct the quantitative behaviour of the four subsystems the
 // demo integrates, with the methodology of the cited companion papers.
-// Each benchmark prints its table once (on the first invocation) and then
-// times the experiment's core operation for the -benchmem report.
+// The scores of E2-E6 and E8 live in testdata/quality.tsv, checked by
+// TestQualityLedger (quality_test.go); their benchmarks here only time the
+// experiment's core operation for the -benchmem report. E1, E7 and E9
+// still print their table once, on the first invocation.
 //
 // Run: go test -bench=. -benchmem
 package repro
@@ -47,8 +49,8 @@ var (
 	corpus     []*synth.Video // 6 videos, ground truth attached
 )
 
-func benchCorpus(b *testing.B) []*synth.Video {
-	b.Helper()
+func benchCorpus(tb testing.TB) []*synth.Video {
+	tb.Helper()
 	corpusOnce.Do(func() {
 		cfg := synth.DefaultConfig(1000)
 		cfg.Shots = 10
@@ -110,38 +112,11 @@ func BenchmarkFig1DependencyGraph(b *testing.B) {
 
 // ----------------------------------------------- E2: shot boundary sweep
 
-var e2Once sync.Once
-
-// BenchmarkE2ShotBoundarySweep reproduces the segment detector's boundary
-// accuracy: precision/recall across the histogram-difference threshold
-// sweep, fixed vs adaptive thresholds.
+// BenchmarkE2ShotBoundarySweep times the segment detector over one video.
+// Its boundary precision/recall across the threshold sweep, fixed and
+// adaptive, are the E2 rows of the quality ledger.
 func BenchmarkE2ShotBoundarySweep(b *testing.B) {
 	vids := benchCorpus(b)
-	e2Once.Do(func() {
-		// One sweeper for the whole table: the sweep is exactly the access
-		// pattern Sweeper amortizes (same footage, many configurations).
-		var sweep shotdet.Sweeper
-		fmt.Printf("\n=== E2: shot boundary detection, threshold sweep (%d videos) ===\n", len(vids))
-		fmt.Printf("%-10s %-9s %10s %10s %10s\n", "threshold", "mode", "precision", "recall", "F1")
-		for _, th := range []float64{0.05, 0.10, 0.20, 0.35, 0.50, 0.80, 1.20, 1.60, 1.90} {
-			var pr eval.PR
-			for _, v := range vids {
-				cfg := shotdet.DefaultConfig()
-				cfg.Threshold = th
-				got := boundariesOf(sweep.Detect(v.Frames, cfg))
-				pr.Add(eval.MatchBoundaries(got, v.Truth.Boundaries(), 2))
-			}
-			fmt.Printf("%-10.2f %-9s %10.3f %10.3f %10.3f\n", th, "fixed", pr.Precision(), pr.Recall(), pr.F1())
-		}
-		var pr eval.PR
-		for _, v := range vids {
-			cfg := shotdet.DefaultConfig()
-			cfg.Adaptive = true
-			got := boundariesOf(sweep.Detect(v.Frames, cfg))
-			pr.Add(eval.MatchBoundaries(got, v.Truth.Boundaries(), 2))
-		}
-		fmt.Printf("%-10s %-9s %10.3f %10.3f %10.3f\n", "-", "adaptive", pr.Precision(), pr.Recall(), pr.F1())
-	})
 	v := vids[0]
 	cfg := shotdet.DefaultConfig()
 	var sweep shotdet.Sweeper
@@ -153,39 +128,14 @@ func BenchmarkE2ShotBoundarySweep(b *testing.B) {
 	b.ReportMetric(float64(len(v.Frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-func boundariesOf(bs []shotdet.Boundary) []int {
-	out := make([]int, len(bs))
-	for i, bd := range bs {
-		out[i] = bd.Frame
-	}
-	return out
-}
-
 // -------------------------------------------- E3: shot classification
 
-var e3Once sync.Once
-
-// BenchmarkE3ShotClassification reproduces the four-way shot classifier
-// evaluation: the confusion matrix over {tennis, close-up, audience,
-// other}.
+// BenchmarkE3ShotClassification times the four-way shot classifier on one
+// shot. Its accuracy and per-class precision/recall over {tennis, close-up,
+// audience, other} are the E3 rows of the quality ledger.
 func BenchmarkE3ShotClassification(b *testing.B) {
 	vids := benchCorpus(b)
 	cls := shotdet.NewClassifier(shotdet.ClassifierConfig{CourtColor: synth.CourtColor})
-	e3Once.Do(func() {
-		conf := eval.NewConfusion("tennis", "close-up", "audience", "other")
-		for _, v := range vids {
-			for _, s := range v.Truth.Shots {
-				got, _ := cls.ClassifyShot(v.Frames, s.Start, s.End)
-				conf.Observe(s.Class.String(), got.String())
-			}
-		}
-		fmt.Printf("\n=== E3: shot classification confusion (%d shots, accuracy %.3f) ===\n",
-			conf.Total(), conf.Accuracy())
-		fmt.Print(conf.String())
-		for _, l := range conf.Labels {
-			fmt.Printf("  %-9s %s\n", l, conf.PerClass()[l])
-		}
-	})
 	v := vids[0]
 	s := v.Truth.Shots[0]
 	b.ReportAllocs()
@@ -197,30 +147,10 @@ func BenchmarkE3ShotClassification(b *testing.B) {
 
 // ------------------------------------------------- E4: tracking error
 
-var e4Once sync.Once
-
-// BenchmarkE4TrackingError reproduces the tennis detector evaluation:
-// player position error against scripted ground truth, per script and
-// noise level, plus the track-loss rate.
+// BenchmarkE4TrackingError times the player tracker over one scripted
+// shot. Its position error against the scripted truth and its track-loss
+// rate, per script and noise level, are the E4 rows of the quality ledger.
 func BenchmarkE4TrackingError(b *testing.B) {
-	e4Once.Do(func() {
-		fmt.Printf("\n=== E4: player tracking error (60-frame shots) ===\n")
-		fmt.Printf("%-14s %-6s %12s %12s %10s\n", "script", "noise", "near err px", "far err px", "lost")
-		for _, script := range synth.Scripts() {
-			for _, noise := range []int{2, 4, 8} {
-				cfg := synth.DefaultConfig(4000)
-				cfg.Noise = noise
-				frames, near, far, _, err := synth.RenderTennisShot(cfg, script, 60)
-				if err != nil {
-					panic(err)
-				}
-				res := trackFrames(frames, track.DefaultConfig())
-				fmt.Printf("%-14s %-6d %12.2f %12.2f %9d%%\n", script, noise,
-					meanTrackError(res.Near, near), meanTrackError(res.Far, far),
-					100*(res.Near.LostFrames+res.Far.LostFrames)/(2*len(frames)))
-			}
-		}
-	})
 	cfg := synth.DefaultConfig(4000)
 	frames, _, _, _, _ := synth.RenderTennisShot(cfg, "rally", 60)
 	b.ReportAllocs()
@@ -231,91 +161,13 @@ func BenchmarkE4TrackingError(b *testing.B) {
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// trackFrames is track.ShotTracker.TrackShot over a whole in-memory shot,
-// which cannot fail.
-func trackFrames(frames []*frame.Image, cfg track.Config) track.ShotResult {
-	res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-func meanTrackError(tr track.Track, truth []synth.Point) float64 {
-	var sum float64
-	n := 0
-	for i, o := range tr.Obs {
-		if i >= len(truth) {
-			break
-		}
-		dx, dy := o.X-truth[i].X, o.Y-truth[i].Y
-		sum += sqrtf(dx*dx + dy*dy)
-		n++
-	}
-	if n == 0 {
-		return -1
-	}
-	return sum / float64(n)
-}
-
-func sqrtf(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 24; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
-}
-
 // ------------------------------------------------ E5: event detection
 
-var e5Once sync.Once
-
-// BenchmarkE5EventRules reproduces the spatio-temporal rule evaluation:
-// precision/recall of net-play, rally and service detection over scripted
-// shots, matched by interval IoU >= 0.5.
+// BenchmarkE5EventRules times the spatio-temporal rules over one tracked
+// shot. Their net-play, rally and service precision/recall over scripted
+// shots, matched by interval IoU >= 0.5, are the E5 rows of the quality
+// ledger.
 func BenchmarkE5EventRules(b *testing.B) {
-	e5Once.Do(func() {
-		geomCfg := synth.DefaultConfig(0)
-		eng, err := rules.NewEngine(rules.TennisRules(), rules.StandardGeometry(geomCfg.W, geomCfg.H))
-		if err != nil {
-			panic(err)
-		}
-		perKind := map[string]*eval.PR{"net-play": {}, "rally": {}, "service": {}}
-		shots := 0
-		for seed := int64(0); seed < 12; seed++ {
-			for _, script := range synth.Scripts() {
-				cfg := synth.DefaultConfig(5000 + seed)
-				frames, _, _, truth, err := synth.RenderTennisShot(cfg, script, 70)
-				if err != nil {
-					panic(err)
-				}
-				shots++
-				res := trackFrames(frames, track.DefaultConfig())
-				dets := eng.Detect(fde.TrackToSeries(res), len(frames))
-				for kind, pr := range perKind {
-					var dIv, tIv []eval.Interval
-					for _, d := range dets {
-						if d.Kind == kind {
-							dIv = append(dIv, eval.Interval{Start: d.Start, End: d.End, Label: kind})
-						}
-					}
-					for _, tv := range truth {
-						if string(tv.Kind) == kind {
-							tIv = append(tIv, eval.Interval{Start: tv.Start, End: tv.End, Label: kind})
-						}
-					}
-					pr.Add(eval.MatchIntervals(dIv, tIv, 0.5))
-				}
-			}
-		}
-		fmt.Printf("\n=== E5: event detection via spatio-temporal rules (%d shots) ===\n", shots)
-		for _, kind := range []string{"net-play", "rally", "service"} {
-			fmt.Printf("  %-9s %s\n", kind, *perKind[kind])
-		}
-	})
 	cfg := synth.DefaultConfig(5000)
 	frames, _, _, _, _ := synth.RenderTennisShot(cfg, "net-approach", 70)
 	res := trackFrames(frames, track.DefaultConfig())
@@ -330,41 +182,10 @@ func BenchmarkE5EventRules(b *testing.B) {
 
 // --------------------------------------------- E6: HMM stroke recognition
 
-var e6Once sync.Once
-
-// BenchmarkE6HMMStrokes reproduces the stochastic stroke recognition of
-// the companion paper: per-class HMMs over quantized pose sequences,
-// accuracy and confusion across observation-noise levels.
+// BenchmarkE6HMMStrokes times training the companion paper's per-class
+// stroke HMMs over quantized pose sequences. Their accuracy across
+// observation-noise levels is the E6 rows of the quality ledger.
 func BenchmarkE6HMMStrokes(b *testing.B) {
-	e6Once.Do(func() {
-		fmt.Printf("\n=== E6: HMM stroke recognition (5 classes, 30 train / 20 test per class) ===\n")
-		fmt.Printf("%-8s %10s\n", "noise", "accuracy")
-		var lastConf *eval.Confusion
-		for _, noise := range []float64{0.02, 0.05, 0.10, 0.20, 0.35} {
-			train := hmm.StrokeDataset(30, noise, 6000)
-			test := hmm.StrokeDataset(20, noise, 7000)
-			cls, err := hmm.TrainClassifier(train, hmm.ClassifierConfig{
-				States: 4, Symbols: hmm.StrokeAlphabet, Seed: 8,
-				Train: hmm.TrainConfig{MaxIters: 30},
-			})
-			if err != nil {
-				panic(err)
-			}
-			conf := eval.NewConfusion(hmm.StrokeClasses...)
-			for class, seqs := range test {
-				for _, q := range seqs {
-					got, _, _, err := cls.Classify(q)
-					if err != nil {
-						panic(err)
-					}
-					conf.Observe(class, got)
-				}
-			}
-			fmt.Printf("%-8.2f %10.3f\n", noise, conf.Accuracy())
-			lastConf = conf
-		}
-		fmt.Printf("confusion at noise 0.35:\n%s", lastConf.String())
-	})
 	train := hmm.StrokeDataset(10, 0.05, 6000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -458,124 +279,16 @@ func BenchmarkE7TopNOptimization(b *testing.B) {
 
 // ------------------------------------- E8: webspace vs keyword baseline
 
-var e8Once sync.Once
-
-// BenchmarkE8WebspaceVsKeyword reproduces the webspace argument: precision
-// and recall of conceptual queries vs the best keyword formulation over the
-// flattened pages, on five query templates including the motivating query.
+// BenchmarkE8WebspaceVsKeyword times the webspace's conceptual queries on
+// E8's five templates, the motivating query among them. Their answers
+// through dlse, and the keyword, vector and hybrid lanes' rankings, scored
+// against them, are the E8 rows of the quality ledger.
 func BenchmarkE8WebspaceVsKeyword(b *testing.B) {
-	site, err := webspace.GenerateAusOpen(webspace.SiteConfig{
-		Players: 128, YearStart: 1982, YearEnd: 2001, Seed: 8000,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib, err := core.NewMetaIndex()
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := newDlseForBench(site, lib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	type tmpl struct {
-		name    string
-		query   webspace.Query
-		keyword string
-	}
-	templates := []tmpl{
-		{
-			"lefty female champions (motivating)",
-			webspace.MotivatingQuery(),
-			"left-handed female champion winner australian open",
-		},
-		{
-			"male champions",
-			webspace.Query{Class: "Player", Where: []webspace.Constraint{
-				{Attr: "sex", Op: webspace.OpEq, Val: "male"},
-				{Path: []string{"wonFinals"}},
-			}},
-			"male champion winner australian open final",
-		},
-		{
-			"champions since 1998",
-			webspace.Query{Class: "Player", Where: []webspace.Constraint{
-				{Path: []string{"wonFinals"}, Attr: "year", Op: webspace.OpGe, Val: int64(1998)},
-			}},
-			"winner 1998 1999 2000 2001 australian open",
-		},
-		{
-			"swiss players",
-			webspace.Query{Class: "Player", Where: []webspace.Constraint{
-				{Attr: "country", Op: webspace.OpEq, Val: "Switzerland"},
-			}},
-			"tennis player from switzerland",
-		},
-		{
-			"left-handed players",
-			webspace.Query{Class: "Player", Where: []webspace.Constraint{
-				{Attr: "handedness", Op: webspace.OpEq, Val: "left"},
-			}},
-			"left-handed tennis player",
-		},
-	}
-	e8Once.Do(func() {
-		fmt.Printf("\n=== E8: webspace conceptual queries vs keyword baseline (128 players, 40 finals) ===\n")
-		fmt.Printf("%-38s %8s | %18s | %18s\n", "query", "answers", "webspace P / R", "keyword P / R")
-		for _, tm := range templates {
-			truthObjs, err := site.W.Run(tm.query)
-			if err != nil {
-				panic(err)
-			}
-			truth := map[int64]bool{}
-			for _, o := range truthObjs {
-				truth[o.ID] = true
-			}
-			// Webspace result is exact by construction; verify anyway.
-			var wsPR eval.PR
-			for _, o := range truthObjs {
-				if truth[o.ID] {
-					wsPR.TP++
-				} else {
-					wsPR.FP++
-				}
-			}
-			// Keyword baseline: top 2*|truth| pages mapped to objects.
-			k := 2 * len(truthObjs)
-			if k < 10 {
-				k = 10
-			}
-			kw, err := eng.Search(context.Background(), dlse.Query{Keyword: tm.keyword}, dlse.WithLimit(k))
-			if err != nil {
-				panic(err)
-			}
-			var kwPR eval.PR
-			matched := map[int64]bool{}
-			seen := map[int64]bool{}
-			for _, it := range kw.Items {
-				id := site.Pages[it.Doc].ObjectID // doc ID = page position
-				if seen[id] {
-					continue
-				}
-				seen[id] = true
-				if truth[id] {
-					kwPR.TP++
-					matched[id] = true
-				} else {
-					kwPR.FP++
-				}
-			}
-			kwPR.FN = len(truth) - len(matched)
-			fmt.Printf("%-38s %8d |    %6.3f / %6.3f |    %6.3f / %6.3f\n",
-				tm.name, len(truthObjs),
-				wsPR.Precision(), wsPR.Recall(),
-				kwPR.Precision(), kwPR.Recall())
-		}
-	})
+	site := e8Fixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := site.W.Run(templates[i%len(templates)].query); err != nil {
+		if _, err := site.W.Run(e8Templates[i%len(e8Templates)].query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -668,7 +381,7 @@ var (
 	e9site *webspace.Site
 )
 
-// benchQuerier is the combined engine used by E8/E9.
+// benchQuerier is the combined engine E9 queries.
 type benchQuerier = *dlse.Engine
 
 func newDlseForBench(site *webspace.Site, idx *core.MetaIndex) (*dlse.Engine, error) {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/eval"
 	"repro/internal/ir"
 )
 
@@ -60,7 +61,15 @@ func main() {
 	}
 	fmt.Printf("\nsafe top-N:        %v, %d postings scored (terminated=%v)\n",
 		time.Since(start).Round(time.Microsecond), optStats.PostingsScored, optStats.Terminated)
-	fmt.Printf("result agreement with exhaustive: %.3f\n", ir.Overlap(full, opt))
+	exhaustive := map[ir.DocID]bool{}
+	for _, h := range full {
+		exhaustive[h.Doc] = true
+	}
+	optDocs := make([]ir.DocID, len(opt))
+	for i, h := range opt {
+		optDocs[i] = h.Doc
+	}
+	fmt.Printf("P@10 against exhaustive: %.3f\n", eval.AtK(optDocs, exhaustive, 10).Precision())
 
 	// The quality/time trade-off: stop after a budget of fragment rounds.
 	fmt.Println("\nbudgeted quality/time trade-off:")

@@ -1,12 +1,13 @@
-// Package eval provides the measurement utilities shared by the
-// experiments: boundary matching with tolerance, interval matching by
-// intersection-over-union, precision/recall/F1, and labelled confusion
-// matrices. All experiment harnesses (bench_test.go) and the evaluation
-// binaries report through these.
+// Package eval is the one scorer of the experiments: boundary matching
+// with tolerance, interval matching by intersection-over-union,
+// precision/recall/F1, labelled confusion matrices, and the ranked-list
+// metrics P@k, recall@k and nDCG@k. The quality ledger (quality_test.go,
+// testdata/quality.tsv) and the examples score through these.
 package eval
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -48,10 +49,41 @@ func (p *PR) Add(o PR) {
 	p.FN += o.FN
 }
 
-// String renders "P=0.97 R=0.95 F1=0.96 (tp=..,fp=..,fn=..)".
-func (p PR) String() string {
-	return fmt.Sprintf("P=%.3f R=%.3f F1=%.3f (tp=%d fp=%d fn=%d)",
-		p.Precision(), p.Recall(), p.F1(), p.TP, p.FP, p.FN)
+// AtK scores the first k items of a ranked list against the relevant set,
+// which maps each relevant item to true: TP counts the relevant items among
+// them, FP the others, FN the relevant items not among them. Precision is
+// then P@k and Recall is recall@k. A list shorter than k is scored as it
+// stands, so its precision is over the items returned, not over k.
+func AtK[T comparable](ranked []T, relevant map[T]bool, k int) PR {
+	ranked = ranked[:min(k, len(ranked))]
+	var pr PR
+	for _, x := range ranked {
+		if relevant[x] {
+			pr.TP++
+		}
+	}
+	pr.FP, pr.FN = len(ranked)-pr.TP, len(relevant)-pr.TP
+	return pr
+}
+
+// NDCG returns the binary-gain nDCG@k of a ranked list: the discounted
+// gain sum over i < k of [ranked[i] relevant] / log2(i+2), divided by that
+// of the ideal list, which puts min(k, |relevant|) relevant items first.
+// It is 1 when nothing is relevant. The list must not repeat an item.
+func NDCG[T comparable](ranked []T, relevant map[T]bool, k int) float64 {
+	var dcg, ideal float64
+	for i := 0; i < k; i++ {
+		if i < len(ranked) && relevant[ranked[i]] {
+			dcg += 1 / math.Log2(float64(i+2))
+		}
+		if i < len(relevant) {
+			ideal += 1 / math.Log2(float64(i+2))
+		}
+	}
+	if ideal == 0 {
+		return 1
+	}
+	return dcg / ideal
 }
 
 // MatchBoundaries greedily matches detected frame positions against true
@@ -64,28 +96,15 @@ func MatchBoundaries(detected, truth []int, tol int) PR {
 	usedT := make([]bool, len(tr))
 	var pr PR
 	for _, x := range d {
-		matched := false
 		for i, y := range tr {
-			if usedT[i] {
-				continue
-			}
-			if abs(x-y) <= tol {
+			if !usedT[i] && max(x-y, y-x) <= tol {
 				usedT[i] = true
-				matched = true
+				pr.TP++
 				break
 			}
 		}
-		if matched {
-			pr.TP++
-		} else {
-			pr.FP++
-		}
 	}
-	for _, u := range usedT {
-		if !u {
-			pr.FN++
-		}
-	}
+	pr.FP, pr.FN = len(d)-pr.TP, len(tr)-pr.TP
 	return pr
 }
 
@@ -137,16 +156,7 @@ func MatchIntervals(detected, truth []Interval, minIoU float64) PR {
 		usedD[c.d], usedT[c.t] = true, true
 		pr.TP++
 	}
-	for _, u := range usedD {
-		if !u {
-			pr.FP++
-		}
-	}
-	for _, u := range usedT {
-		if !u {
-			pr.FN++
-		}
-	}
+	pr.FP, pr.FN = len(detected)-pr.TP, len(truth)-pr.TP
 	return pr
 }
 
@@ -171,8 +181,9 @@ func NewConfusion(labels ...string) *Confusion {
 	return c
 }
 
-// Observe records one (truth, predicted) pair. Unknown labels are ignored
-// and reported false.
+// Observe records one (truth, predicted) pair. A pair with a label the
+// matrix does not know is not recorded and reports false; a scorer must
+// treat that as a failure, not skip it.
 func (c *Confusion) Observe(truth, predicted string) bool {
 	ti, ok1 := c.index[truth]
 	pi, ok2 := c.index[predicted]
@@ -183,21 +194,16 @@ func (c *Confusion) Observe(truth, predicted string) bool {
 	return true
 }
 
-// Accuracy returns the trace fraction.
+// Accuracy returns the trace fraction, 0 for an empty matrix.
 func (c *Confusion) Accuracy() float64 {
-	diag, total := 0, 0
+	diag := 0
 	for i := range c.Counts {
-		for j, n := range c.Counts[i] {
-			total += n
-			if i == j {
-				diag += n
-			}
-		}
+		diag += c.Counts[i][i]
 	}
-	if total == 0 {
-		return 0
+	if total := c.Total(); total > 0 {
+		return float64(diag) / float64(total)
 	}
-	return float64(diag) / float64(total)
+	return 0
 }
 
 // Total returns the number of observations.
@@ -253,11 +259,4 @@ func (c *Confusion) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,8 +28,49 @@ func TestPRBasics(t *testing.T) {
 	if acc.TP != 9 || acc.FP != 2 || acc.FN != 2 {
 		t.Fatalf("Add = %+v", acc)
 	}
-	if !strings.Contains(pr.String(), "F1=0.800") {
-		t.Fatalf("String = %s", pr.String())
+}
+
+func TestAtK(t *testing.T) {
+	rel := map[string]bool{"a": true, "c": true, "e": true}
+	ranked := []string{"a", "b", "c", "d", "e"}
+	// First two: a hit, b miss; c and e not reached.
+	if pr := AtK(ranked, rel, 2); pr != (PR{TP: 1, FP: 1, FN: 2}) {
+		t.Fatalf("AtK k=2 = %+v", pr)
+	}
+	pr := AtK(ranked, rel, 4)
+	if pr.Precision() != 0.5 || pr.Recall() != 2.0/3.0 {
+		t.Fatalf("P@4=%v R@4=%v", pr.Precision(), pr.Recall())
+	}
+	// k past the list scores the list as it stands.
+	if pr := AtK(ranked, rel, 10); pr != (PR{TP: 3, FP: 2, FN: 0}) {
+		t.Fatalf("AtK k=10 = %+v", pr)
+	}
+	if pr := AtK(nil, rel, 10); pr != (PR{FN: 3}) || pr.Recall() != 0 {
+		t.Fatalf("AtK empty list = %+v", pr)
+	}
+}
+
+func TestNDCG(t *testing.T) {
+	rel := map[int]bool{1: true, 3: true}
+	// Relevant at ranks 1 and 3: (1 + 1/log2 4) / (1 + 1/log2 3).
+	want := (1 + 0.5) / (1 + 1/math.Log2(3))
+	if got := NDCG([]int{1, 2, 3}, rel, 10); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("NDCG = %v, want %v", got, want)
+	}
+	if got := NDCG([]int{3, 1, 2}, rel, 10); got != 1 {
+		t.Fatalf("ideal order NDCG = %v", got)
+	}
+	// Cut at k=1: the ideal list has one relevant item in one slot.
+	if got := NDCG([]int{2, 1, 3}, rel, 1); got != 0 {
+		t.Fatalf("NDCG@1 = %v", got)
+	}
+	// Relevant at rank 2 only, k=2: (1/log2 3) / (1 + 1/log2 3).
+	want = (1 / math.Log2(3)) / (1 + 1/math.Log2(3))
+	if got := NDCG([]int{2, 1}, rel, 2); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("NDCG@2 = %v, want %v", got, want)
+	}
+	if got := NDCG([]int{5}, map[int]bool{}, 10); got != 1 {
+		t.Fatalf("nothing relevant: NDCG = %v", got)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/eval"
 )
 
 // tokens collects the tokens scanTokens emits for text.
@@ -261,7 +263,7 @@ func TestTopNSafeEqualsExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if Overlap(full, opt) != 1 {
+			if !sameDocs(full, opt) {
 				t.Fatalf("q=%q k=%d: safe top-N differs from exhaustive\nfull: %v\nopt: %v", q, k, full, opt)
 			}
 			_ = stats
@@ -280,7 +282,7 @@ func TestTopNScoresFewerPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Overlap(full, opt) != 1 {
+	if !sameDocs(full, opt) {
 		t.Fatal("safe top-N wrong")
 	}
 	if !optStats.Terminated {
@@ -355,25 +357,26 @@ func TestTopNSafetyProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil // both fail the same way
 		}
-		return Overlap(full, opt) == 1
+		return sameDocs(full, opt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestOverlapMeasure(t *testing.T) {
-	a := []Hit{{Doc: 1}, {Doc: 2}, {Doc: 3}}
-	b := []Hit{{Doc: 2}, {Doc: 3}, {Doc: 4}}
-	if got := Overlap(a, b); got != 2.0/3.0 {
-		t.Fatalf("Overlap = %v", got)
+// sameDocs reports whether got holds exactly want's documents: scored
+// over all of got against want, no false positive and no miss.
+func sameDocs(want, got []Hit) bool {
+	rel := map[DocID]bool{}
+	for _, h := range want {
+		rel[h.Doc] = true
 	}
-	if Overlap(nil, nil) != 1 {
-		t.Fatal("empty overlap should be 1")
+	docs := make([]DocID, len(got))
+	for i, h := range got {
+		docs[i] = h.Doc
 	}
-	if Overlap(a, nil) != 0 {
-		t.Fatal("one-sided overlap should be 0")
-	}
+	pr := eval.AtK(docs, rel, len(docs))
+	return pr.FP == 0 && pr.FN == 0
 }
 
 func TestIndexCounters(t *testing.T) {

@@ -237,29 +237,6 @@ func scoreCeiling(idf float64, tf int32) float64 {
 	return idf * f * (bm25K1 + 1) / (f + bm25K1*(1-bm25B)) * ceilingSlack
 }
 
-// Overlap returns |a ∩ b| / max(|a|,|b|) over hit documents: the raw set
-// agreement between two top-N lists.
-func Overlap(a, b []Hit) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	set := map[DocID]bool{}
-	for _, h := range a {
-		set[h.Doc] = true
-	}
-	inter := 0
-	for _, h := range b {
-		if set[h.Doc] {
-			inter++
-		}
-	}
-	den := len(a)
-	if len(b) > den {
-		den = len(b)
-	}
-	return float64(inter) / float64(den)
-}
-
 // ScoreQuality compares an approximate top-N against the exhaustive ranking
 // by realized score mass: the sum of the true (exhaustive) scores of the
 // returned documents divided by the true score sum of the ideal top N.

@@ -1,0 +1,619 @@
+package repro
+
+import (
+	"bufio"
+	"context"
+	"fmt"
+	"math"
+	"os"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"text/tabwriter"
+
+	"repro/internal/core"
+	"repro/internal/dlse"
+	"repro/internal/eval"
+	"repro/internal/fde"
+	"repro/internal/frame"
+	"repro/internal/hmm"
+	"repro/internal/rules"
+	"repro/internal/shotdet"
+	"repro/internal/synth"
+	"repro/internal/track"
+	"repro/internal/webspace"
+)
+
+// ledgerPath is the committed quality table TestQualityLedger checks.
+const ledgerPath = "testdata/quality.tsv"
+
+// ledgerHeader is the first line of the table.
+const ledgerHeader = "experiment\tsubject\tcondition\tmetric\tvalue\tfloor\tdir"
+
+// A ledgerRow is one score: an experiment's metric for one subject under
+// one condition. dir is "min" for a score, whose floor is a lower bound,
+// and "max" for an error, whose floor is a ceiling. prec is the number of
+// decimals the table stores and the value is compared at.
+type ledgerRow struct {
+	exp, subject, cond, metric string
+	value, floor               float64
+	prec                       int
+	dir                        string
+}
+
+func (r ledgerRow) key() string {
+	return r.exp + "\t" + r.subject + "\t" + r.cond + "\t" + r.metric
+}
+
+func (r ledgerRow) format(v float64) string {
+	return strconv.FormatFloat(v, 'f', r.prec, 64)
+}
+
+// rounded is the value at the precision the table stores it. Parsing the
+// formatted value back gives the float that the same text in the file
+// parses to, so a value equal to its floor compares equal on every GOARCH.
+func (r ledgerRow) rounded() float64 {
+	v, _ := strconv.ParseFloat(r.format(r.value), 64)
+	return v
+}
+
+// holds reports whether v is within the floor (a ceiling for dir "max").
+// NaN holds neither way.
+func (r ledgerRow) holds(v float64) bool {
+	if r.dir == "max" {
+		return v <= r.floor
+	}
+	return v >= r.floor
+}
+
+// score is a "min" row at 3 decimals: a precision, recall, F1, accuracy or
+// ranked-lane score.
+func score(exp, subject, cond, metric string, v float64) ledgerRow {
+	return ledgerRow{exp: exp, subject: subject, cond: cond, metric: metric, value: v, prec: 3, dir: "min"}
+}
+
+// errorRow is a "max" row at 2 decimals: E4's pixels and lost percentage.
+func errorRow(exp, subject, cond, metric string, v float64) ledgerRow {
+	return ledgerRow{exp: exp, subject: subject, cond: cond, metric: metric, value: v, prec: 2, dir: "max"}
+}
+
+func prRows(exp, subject, cond string, pr eval.PR) []ledgerRow {
+	return []ledgerRow{
+		score(exp, subject, cond, "P", pr.Precision()),
+		score(exp, subject, cond, "R", pr.Recall()),
+		score(exp, subject, cond, "F1", pr.F1()),
+	}
+}
+
+// confusionRows is the accuracy row and each label's precision and recall.
+func confusionRows(exp, subject string, c *eval.Confusion) []ledgerRow {
+	rows := []ledgerRow{score(exp, subject, "all", "accuracy", c.Accuracy())}
+	per := c.PerClass()
+	for _, l := range c.Labels {
+		rows = append(rows,
+			score(exp, subject, l, "P", per[l].Precision()),
+			score(exp, subject, l, "R", per[l].Recall()))
+	}
+	return rows
+}
+
+// observe records one classification and fails the family on a label the
+// matrix does not know, so a dropped observation cannot pass as a score.
+func observe(t *testing.T, c *eval.Confusion, truth, got string) {
+	t.Helper()
+	if !c.Observe(truth, got) {
+		t.Fatalf("confusion over %v has no label for (%q, %q)", c.Labels, truth, got)
+	}
+}
+
+// ledgerFamilies are the experiments the ledger recomputes, one parallel
+// subtest each. The name is the experiment column of its rows.
+var ledgerFamilies = []struct {
+	name string
+	rows func(t *testing.T) []ledgerRow
+}{
+	{"E2", e2Rows},
+	{"E3", e3Rows},
+	{"E4", e4Rows},
+	{"E5", e5Rows},
+	{"E6", e6Rows},
+	{"E8", e8Rows},
+	{"shipped", shippedRows},
+}
+
+// TestQualityLedger recomputes every score of the paper's experiments
+// (DESIGN.md §5: E2–E6 and E8) and of the shipped segment detector from
+// their seeded fixtures, and checks each against testdata/quality.tsv. It
+// fails when a row falls below its floor (rises above its ceiling for an
+// error), when a row of the table is not recomputed, and when a
+// recomputed row is not in the table. On failure it prints the whole table
+// with the recomputed values and their difference from the recorded ones,
+// and the unlisted rows as TSV lines to paste in. There is no update flag:
+// the table is edited by hand, under two rules.
+//
+//   - A floor may be raised, never lowered, unless a ROADMAP item allows it
+//     and CHANGES.md names the row.
+//   - TestIngestGolden's digest may be re-recorded when every detector row
+//     (E2–E6 and shipped) is equal or better than before the change.
+func TestQualityLedger(t *testing.T) {
+	want, err := readLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]ledgerRow, len(ledgerFamilies))
+	ran := make([]bool, len(ledgerFamilies))
+	t.Run("families", func(t *testing.T) {
+		for i, f := range ledgerFamilies {
+			t.Run(f.name, func(t *testing.T) {
+				t.Parallel()
+				ran[i] = true
+				got[i] = f.rows(t)
+			})
+		}
+	})
+	computed := map[string]ledgerRow{}
+	var unlisted []ledgerRow
+	for i := range ledgerFamilies {
+		for _, r := range got[i] {
+			computed[r.key()] = r
+			if _, ok := want.byKey[r.key()]; !ok {
+				unlisted = append(unlisted, r)
+			}
+		}
+	}
+	filtered := map[string]bool{} // families -run left out
+	for i, f := range ledgerFamilies {
+		filtered[f.name] = !ran[i]
+	}
+
+	var table strings.Builder
+	tw := tabwriter.NewWriter(&table, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, ledgerHeader+"\tnow\tdiff\tstatus")
+	failed := false
+	for _, w := range want.rows {
+		if filtered[w.exp] {
+			continue
+		}
+		now, diff, status := "-", "-", "ok"
+		g, ok := computed[w.key()]
+		switch {
+		case !ok:
+			status = "MISSING"
+		case g.dir != w.dir || g.prec != w.prec:
+			status = fmt.Sprintf("WANT dir %s at %d decimals", g.dir, g.prec)
+		default:
+			v := g.rounded()
+			now, diff = w.format(v), fmt.Sprintf("%+.*f", w.prec, v-w.value)
+			if !w.holds(v) {
+				status = "BELOW FLOOR"
+				if w.dir == "max" {
+					status = "ABOVE CEILING"
+				}
+			}
+		}
+		if status != "ok" {
+			failed = true
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", w.key(), w.format(w.value), w.format(w.floor), w.dir, now, diff, status)
+	}
+	tw.Flush()
+	if failed || len(unlisted) > 0 {
+		t.Errorf("%s does not hold:\n%s", ledgerPath, table.String())
+	}
+	if len(unlisted) > 0 {
+		var tsv strings.Builder
+		for _, r := range unlisted {
+			v := r.format(r.value)
+			fmt.Fprintf(&tsv, "%s\t%s\t%s\t%s\n", r.key(), v, v, r.dir)
+		}
+		t.Errorf("%d recomputed rows are not in %s; paste them in:\n%s", len(unlisted), ledgerPath, tsv.String())
+	}
+}
+
+// ledger is testdata/quality.tsv: its rows in file order, and by key.
+type ledger struct {
+	rows  []ledgerRow
+	byKey map[string]ledgerRow
+}
+
+// readLedger parses the table. The precision of a row is the number of
+// decimals of its floor; a duplicate key, an unknown dir or a row whose
+// value or floor does not parse is an error.
+func readLedger(path string) (*ledger, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	l := &ledger{byKey: map[string]ledgerRow{}}
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if n == 1 {
+			if line != ledgerHeader {
+				return nil, fmt.Errorf("%s:1: header %q, want %q", path, line, ledgerHeader)
+			}
+			continue
+		}
+		fs := strings.Split(line, "\t")
+		if len(fs) != 7 {
+			return nil, fmt.Errorf("%s:%d: %d fields, want 7", path, n, len(fs))
+		}
+		r := ledgerRow{exp: fs[0], subject: fs[1], cond: fs[2], metric: fs[3], dir: fs[6]}
+		if _, frac, ok := strings.Cut(fs[5], "."); ok {
+			r.prec = len(frac)
+		}
+		var errV, errF error
+		r.value, errV = strconv.ParseFloat(fs[4], 64)
+		r.floor, errF = strconv.ParseFloat(fs[5], 64)
+		switch {
+		case errV != nil || errF != nil:
+			return nil, fmt.Errorf("%s:%d: value %q or floor %q is not a number", path, n, fs[4], fs[5])
+		case r.dir != "min" && r.dir != "max":
+			return nil, fmt.Errorf("%s:%d: dir %q, want min or max", path, n, r.dir)
+		}
+		if _, dup := l.byKey[r.key()]; dup {
+			return nil, fmt.Errorf("%s:%d: duplicate row %q", path, n, r.key())
+		}
+		l.byKey[r.key()] = r
+		l.rows = append(l.rows, r)
+	}
+	return l, sc.Err()
+}
+
+// ------------------------------------------------------------- families
+
+// e2Thresholds is E2's sweep of the fixed histogram-difference threshold.
+var e2Thresholds = []float64{0.05, 0.10, 0.20, 0.35, 0.50, 0.80, 1.20, 1.60, 1.90}
+
+// boundaryPR scores cfg's boundaries on the corpus at ±2 frames.
+func boundaryPR(sweep *shotdet.Sweeper, vids []*synth.Video, cfg shotdet.Config) eval.PR {
+	var pr eval.PR
+	for _, v := range vids {
+		got := boundariesOf(sweep.Detect(v.Frames, cfg))
+		pr.Add(eval.MatchBoundaries(got, v.Truth.Boundaries(), 2))
+	}
+	return pr
+}
+
+func boundariesOf(bs []shotdet.Boundary) []int {
+	out := make([]int, len(bs))
+	for i, bd := range bs {
+		out[i] = bd.Frame
+	}
+	return out
+}
+
+// e2Rows is the segment detector's boundary precision and recall across
+// the threshold sweep, fixed and adaptive. One Sweeper serves the whole
+// sweep: the access pattern it amortizes (same footage, many configs).
+func e2Rows(t *testing.T) []ledgerRow {
+	vids := benchCorpus(t)
+	var sweep shotdet.Sweeper
+	var rows []ledgerRow
+	for _, th := range e2Thresholds {
+		cfg := shotdet.DefaultConfig()
+		cfg.Threshold = th
+		rows = append(rows, prRows("E2", "boundary ±2", fmt.Sprintf("threshold %.2f", th), boundaryPR(&sweep, vids, cfg))...)
+	}
+	cfg := shotdet.DefaultConfig()
+	cfg.Adaptive = true
+	return append(rows, prRows("E2", "boundary ±2", "adaptive", boundaryPR(&sweep, vids, cfg))...)
+}
+
+var shotLabels = []string{"tennis", "close-up", "audience", "other"}
+
+// e3Rows is the four-way classifier on the ground-truth shots, given the
+// calibrated court colour.
+func e3Rows(t *testing.T) []ledgerRow {
+	vids := benchCorpus(t)
+	cls := shotdet.NewClassifier(shotdet.ClassifierConfig{CourtColor: synth.CourtColor})
+	conf := eval.NewConfusion(shotLabels...)
+	for _, v := range vids {
+		for _, s := range v.Truth.Shots {
+			got, _ := cls.ClassifyShot(v.Frames, s.Start, s.End)
+			observe(t, conf, s.Class.String(), got.String())
+		}
+	}
+	return confusionRows("E3", "shot class, court given", conf)
+}
+
+// shippedRows scores what ingest runs: shotdet.SegmentAndClassify under
+// fde.DefaultTennisConfig() on E2's corpus, boundaries at ±2 frames and
+// each true shot's class as the detected shot over its middle frame
+// classifies it under the court-colour vote. The boundary rows name the
+// shipped threshold, so moving that default re-keys them.
+func shippedRows(t *testing.T) []ledgerRow {
+	vids := benchCorpus(t)
+	cfg := fde.DefaultTennisConfig()
+	var pr eval.PR
+	conf := eval.NewConfusion(shotLabels...)
+	for _, v := range vids {
+		shots, err := shotdet.SegmentAndClassify(frame.Frames(v.Frames), cfg.Shot, cfg.Classifier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, s := range shots[1:] {
+			got = append(got, s.Start)
+		}
+		pr.Add(eval.MatchBoundaries(got, v.Truth.Boundaries(), 2))
+		for _, s := range v.Truth.Shots {
+			mid := (s.Start + s.End) / 2
+			for _, d := range shots {
+				if d.Start <= mid && mid < d.End {
+					observe(t, conf, s.Class.String(), d.Class.String())
+				}
+			}
+		}
+	}
+	cond := fmt.Sprintf("default threshold %.2f", cfg.Shot.Threshold)
+	return append(prRows("shipped", "boundary ±2", cond, pr), confusionRows("shipped", "shot class, court voted", conf)...)
+}
+
+// e4Rows is the player tracker's mean position error against the scripted
+// truth, per script and noise level, and the share of frames it lost.
+func e4Rows(t *testing.T) []ledgerRow {
+	var rows []ledgerRow
+	for _, script := range synth.Scripts() {
+		for _, noise := range []int{2, 4, 8} {
+			cfg := synth.DefaultConfig(4000)
+			cfg.Noise = noise
+			frames, near, far, _, err := synth.RenderTennisShot(cfg, script, 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := trackFrames(frames, track.DefaultConfig())
+			cond := fmt.Sprintf("noise %d", noise)
+			lost := 100 * float64(res.Near.LostFrames+res.Far.LostFrames) / float64(2*len(frames))
+			rows = append(rows,
+				errorRow("E4", script, cond, "near px", meanTrackError(res.Near, near)),
+				errorRow("E4", script, cond, "far px", meanTrackError(res.Far, far)),
+				errorRow("E4", script, cond, "lost %", lost))
+		}
+	}
+	return rows
+}
+
+// trackFrames is track.ShotTracker.TrackShot over a whole in-memory shot,
+// which cannot fail.
+func trackFrames(frames []*frame.Image, cfg track.Config) track.ShotResult {
+	res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// meanTrackError is the mean Euclidean distance between a track's
+// observations and the truth; +Inf for a track with no observations, which
+// fails any ceiling.
+func meanTrackError(tr track.Track, truth []synth.Point) float64 {
+	var sum float64
+	n := 0
+	for i, o := range tr.Obs {
+		if i >= len(truth) {
+			break
+		}
+		dx, dy := o.X-truth[i].X, o.Y-truth[i].Y
+		sum += math.Sqrt(dx*dx + dy*dy)
+		n++
+	}
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return sum / float64(n)
+}
+
+// e5Rows is the spatio-temporal rules' event detection over scripted
+// shots, matched by interval IoU >= 0.5.
+func e5Rows(t *testing.T) []ledgerRow {
+	geom := synth.DefaultConfig(0)
+	eng, err := rules.NewEngine(rules.TennisRules(), rules.StandardGeometry(geom.W, geom.H))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []string{"net-play", "rally", "service"}
+	perKind := map[string]*eval.PR{}
+	for _, kind := range kinds {
+		perKind[kind] = new(eval.PR)
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		for _, script := range synth.Scripts() {
+			frames, _, _, truth, err := synth.RenderTennisShot(synth.DefaultConfig(5000+seed), script, 70)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dets := eng.Detect(fde.TrackToSeries(trackFrames(frames, track.DefaultConfig())), len(frames))
+			for _, kind := range kinds {
+				var dIv, tIv []eval.Interval
+				for _, d := range dets {
+					if d.Kind == kind {
+						dIv = append(dIv, eval.Interval{Start: d.Start, End: d.End, Label: kind})
+					}
+				}
+				for _, tv := range truth {
+					if string(tv.Kind) == kind {
+						tIv = append(tIv, eval.Interval{Start: tv.Start, End: tv.End, Label: kind})
+					}
+				}
+				perKind[kind].Add(eval.MatchIntervals(dIv, tIv, 0.5))
+			}
+		}
+	}
+	var rows []ledgerRow
+	for _, kind := range kinds {
+		rows = append(rows, prRows("E5", kind, "iou >= 0.5", *perKind[kind])...)
+	}
+	return rows
+}
+
+// e6Rows is HMM stroke recognition accuracy (5 classes, 30 training and 20
+// test sequences per class) across observation-noise levels.
+func e6Rows(t *testing.T) []ledgerRow {
+	var rows []ledgerRow
+	for _, noise := range []float64{0.02, 0.05, 0.10, 0.20, 0.35} {
+		cls, err := hmm.TrainClassifier(hmm.StrokeDataset(30, noise, 6000), hmm.ClassifierConfig{
+			States: 4, Symbols: hmm.StrokeAlphabet, Seed: 8,
+			Train: hmm.TrainConfig{MaxIters: 30},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf := eval.NewConfusion(hmm.StrokeClasses...)
+		for class, seqs := range hmm.StrokeDataset(20, noise, 7000) {
+			for _, q := range seqs {
+				got, _, _, err := cls.Classify(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				observe(t, conf, class, got)
+			}
+		}
+		rows = append(rows, score("E6", "strokes", fmt.Sprintf("noise %.2f", noise), "accuracy", conf.Accuracy()))
+	}
+	return rows
+}
+
+// An e8Template is one of E8's queries in three forms: the structural
+// query whose W.Run answer is the truth, its text in the query language,
+// and the words a keyword searcher would type.
+type e8Template struct {
+	name    string
+	query   webspace.Query
+	text    string
+	keyword string
+}
+
+var e8Templates = []e8Template{
+	{
+		"lefty female champions (motivating)",
+		webspace.MotivatingQuery(),
+		dlse.MotivatingQueryText,
+		"left-handed female champion winner australian open",
+	},
+	{
+		"male champions",
+		webspace.Query{Class: "Player", Where: []webspace.Constraint{
+			{Attr: "sex", Op: webspace.OpEq, Val: "male"},
+			{Path: []string{"wonFinals"}},
+		}},
+		`find Player where sex = "male" and exists wonFinals`,
+		"male champion winner australian open final",
+	},
+	{
+		"champions since 1998",
+		webspace.Query{Class: "Player", Where: []webspace.Constraint{
+			{Path: []string{"wonFinals"}, Attr: "year", Op: webspace.OpGe, Val: int64(1998)},
+		}},
+		`find Player where wonFinals.year >= 1998`,
+		"winner 1998 1999 2000 2001 australian open",
+	},
+	{
+		"swiss players",
+		webspace.Query{Class: "Player", Where: []webspace.Constraint{
+			{Attr: "country", Op: webspace.OpEq, Val: "Switzerland"},
+		}},
+		`find Player where country = "Switzerland"`,
+		"tennis player from switzerland",
+	},
+	{
+		"left-handed players",
+		webspace.Query{Class: "Player", Where: []webspace.Constraint{
+			{Attr: "handedness", Op: webspace.OpEq, Val: "left"},
+		}},
+		`find Player where handedness = "left"`,
+		"left-handed tennis player",
+	},
+}
+
+var (
+	e8Once sync.Once
+	e8Site *webspace.Site
+	e8Err  error
+)
+
+// e8Fixture is E8's 128-player site (finals 1982–2001, seed 8000).
+func e8Fixture(tb testing.TB) *webspace.Site {
+	tb.Helper()
+	e8Once.Do(func() {
+		e8Site, e8Err = webspace.GenerateAusOpen(webspace.SiteConfig{
+			Players: 128, YearStart: 1982, YearEnd: 2001, Seed: 8000,
+		})
+	})
+	if e8Err != nil {
+		tb.Fatal(e8Err)
+	}
+	return e8Site
+}
+
+// e8Rows scores each template's conceptual query through dlse against
+// W.Run by set precision and recall, and the keyword, vector and hybrid
+// lanes on its keyword text by P@10, recall@2n (n the truth's size) and
+// nDCG@10. A lane ranks pages; each is mapped to its object and a repeated
+// object keeps only its first rank.
+func e8Rows(t *testing.T) []ledgerRow {
+	site := e8Fixture(t)
+	lib, err := core.NewMetaIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := dlse.New(site, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	search := func(q dlse.Query) []dlse.Item {
+		rs, err := eng.Search(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs.Items
+	}
+	var rows []ledgerRow
+	for _, tm := range e8Templates {
+		truthObjs, err := site.W.Run(tm.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := map[int64]bool{}
+		for _, o := range truthObjs {
+			truth[o.ID] = true
+		}
+		req, err := dlse.ParseRequest(site.W.Schema(), tm.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var found []int64
+		for _, it := range search(dlse.Query{Request: &req}) {
+			found = append(found, it.Object.ID)
+		}
+		set := eval.AtK(found, truth, len(found))
+		rows = append(rows,
+			score("E8", tm.name, "conceptual", "P", set.Precision()),
+			score("E8", tm.name, "conceptual", "R", set.Recall()))
+		for _, lane := range []struct {
+			name string
+			q    dlse.Query
+		}{
+			{"keyword", dlse.Query{Keyword: tm.keyword}},
+			{"vector", dlse.Query{Vector: tm.keyword}},
+			{"hybrid", dlse.Query{Hybrid: tm.keyword}},
+		} {
+			var ranked []int64
+			seen := map[int64]bool{}
+			for _, it := range search(lane.q) {
+				if id := site.Pages[it.Doc].ObjectID; !seen[id] { // doc ID = page position
+					seen[id] = true
+					ranked = append(ranked, id)
+				}
+			}
+			rows = append(rows,
+				score("E8", tm.name, lane.name, "P@10", eval.AtK(ranked, truth, 10).Precision()),
+				score("E8", tm.name, lane.name, "R@2n", eval.AtK(ranked, truth, 2*len(truth)).Recall()),
+				score("E8", tm.name, lane.name, "nDCG@10", eval.NDCG(ranked, truth, 10)))
+		}
+	}
+	return rows
+}
