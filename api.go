@@ -565,6 +565,8 @@ type LibraryOptions struct {
 	// in a memory-mappable segfile at this path, skipping re-embedding the
 	// site on startup. Same contract as TextSegfile: stale or missing
 	// caches rebuild atomically, answers are byte-identical either way.
+	// The file takes its page names from the TextSegfile cache, so it is
+	// read only beside that one and rebuilt whenever the text cache is.
 	VecSegfile string
 }
 

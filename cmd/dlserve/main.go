@@ -79,7 +79,7 @@ func main() {
 		textSegfile = flag.String("text-segfile", "",
 			"cache the frozen full-text index in a memory-mappable segfile at this path (skips re-tokenizing the site when the cache matches)")
 		vecSegfile = flag.String("vec-segfile", "",
-			"cache the vector lane's page embeddings in a memory-mappable segfile at this path (skips re-embedding the site when the cache matches)")
+			"cache the vector lane's page embeddings in a memory-mappable segfile at this path (skips re-embedding the site when the cache matches; read beside -text-segfile, whose page names it uses)")
 		walDir = flag.String("wal", "",
 			"write-ahead log directory: commits are durably logged before indexing and replayed on boot, so an acknowledged commit survives any crash (empty disables)")
 		walCheckpoint = flag.Int("wal-checkpoint", 16,

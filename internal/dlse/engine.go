@@ -67,7 +67,10 @@ type Options struct {
 	TextSegfile string
 	// VecSegfile, when set, caches the vector lane's page embeddings in a
 	// segfile at this path — the vec counterpart of TextSegfile, with the
-	// same signature/staleness and atomic-rewrite semantics.
+	// same signature/staleness and atomic-rewrite semantics. The file
+	// holds no page names (it takes the text lane's), so a boot opens it
+	// only once the text lane is mapped from TextSegfile; a boot that
+	// builds the text lane rebuilds and rewrites this cache too.
 	VecSegfile string
 }
 
@@ -92,12 +95,7 @@ func NewSegmented(site *webspace.Site, video *core.SegmentedIndex, opts Options)
 	// as the monolithic build assigned doc IDs: text segment o and
 	// page-embedding segment o hold the same slice of pages.
 	pages := segset.Partition(len(site.Pages), opts.TextSegments)
-	emb := vec.DefaultEmbedder()
-	text, vecParts, err := buildPageLanes(site.Pages, pages, emb, opts)
-	if err != nil {
-		return nil, err
-	}
-	vecs, err := vec.NewSegments(emb, vecParts)
+	text, vecs, err := buildPageLanes(site.Pages, pages, vec.DefaultEmbedder(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -150,44 +148,40 @@ func (t objPages) of(id int64) []ir.DocID {
 
 // buildPageLanes builds the two page lanes over one partition of the pages:
 // the full-text index, one frozen segment per part, and the page embeddings,
-// one builder per part. A lane whose cache file (opts.TextSegfile,
-// opts.VecSegfile) carries the signature of these pages and this partition
-// is memory-mapped, verified, and its build skipped entirely; a missing,
-// stale or damaged cache is rebuilt and rewritten. A cold build runs
-// concurrently what is independent: first every part is one scatter leg
-// that analyses each of its pages once and feeds the same tokens to the
-// part's text index and its vector builder, then the text lane freezes its
-// parts against the union statistics and writes its cache while the vector
-// lane writes its own, so the two fsyncs overlap. A lane with a cache file
-// is always served from its mapping: after writing the file, the cold build
-// opens it as a warm boot would and drops the heap it was built in, so a
-// cold node and a warm node hold the same index.
-func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, opts Options) (*ir.Segments, []*vec.Builder, error) {
-	// Each signature hashes every page body; the two are independent.
-	var textSig, vecSig uint64
-	_ = concurrently([]func() error{ // the legs cannot fail
-		func() error { textSig = pagesSignature("", all, pages.Parts()); return nil },
-		func() error { vecSig = pagesSignature(emb.Name(), all, pages.Parts()); return nil },
-	})
+// one builder per part, whose hits the text lane's name tables name. A lane
+// whose cache file (opts.TextSegfile, opts.VecSegfile) carries the signature
+// of these pages and this partition is memory-mapped, verified, and its
+// build skipped entirely; a missing, stale or damaged cache is rebuilt and
+// rewritten. The vector cache is opened only beside a text lane already
+// there: it holds no names, and its signature derives from the text lane's
+// (vec.Signature), so when the text lane is rebuilt so is the vector lane.
+// A cold build runs concurrently what is independent: first every part is
+// one scatter leg that analyses each of its pages once and feeds the same
+// tokens to the part's text index and its vector builder, then the text lane
+// freezes its parts against the union statistics and writes its cache while
+// the vector lane writes its own, so the two fsyncs overlap. A lane with a
+// cache file is always served from its mapping: after writing the file, the
+// cold build opens it as a warm boot would and drops the heap it was built
+// in, so a cold node and a warm node hold the same index.
+func buildPageLanes(all []webspace.Page, pages segset.Bases, emb *vec.HashEmbedder, opts Options) (*ir.Segments, *vec.Segments, error) {
+	textSig := pagesSignature(all, pages.Parts())
+	vecSig := vec.Signature(textSig, emb)
 	// The mappings live for the life of the process: the lanes alias them.
 	openText := func() (*ir.Segments, error) {
 		t, _, err := ir.OpenSegmentsFile(opts.TextSegfile, textSig)
 		return t, err
 	}
-	openVecs := func() ([]*vec.Builder, error) {
-		parts, _, err := vec.OpenFile(opts.VecSegfile, emb, vecSig)
-		if err == nil && len(parts) != pages.Parts() {
-			err = fmt.Errorf("vec segfile holds %d parts, want %d", len(parts), pages.Parts())
-		}
-		return parts, err
+	openVecs := func(text *ir.Segments) (*vec.Segments, error) {
+		v, _, err := vec.OpenFile(opts.VecSegfile, emb, vecSig, text.NameTables())
+		return v, err
 	}
 	var text *ir.Segments
-	var vecs []*vec.Builder
+	var vecs *vec.Segments
 	if opts.TextSegfile != "" {
 		text, _ = openText() // a cache that does not open is rebuilt
 	}
-	if opts.VecSegfile != "" {
-		vecs, _ = openVecs()
+	if text != nil && opts.VecSegfile != "" {
+		vecs, _ = openVecs(text)
 	}
 	if text != nil && vecs != nil {
 		return text, vecs, nil
@@ -197,25 +191,19 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 	if text == nil {
 		textParts = make([]*ir.Index, pages.Parts())
 	}
-	buildVecs := vecs == nil
-	if buildVecs {
-		vecs = make([]*vec.Builder, pages.Parts())
-	}
+	vecParts := make([]*vec.Builder, pages.Parts())
 	build := make([]func() error, pages.Parts())
 	for ord := range build {
 		build[ord] = func() error {
 			// The stem memo lives for this leg only (see ir.Analyzer).
 			var an ir.Analyzer
 			var ix *ir.Index
-			var vb *vec.Builder
 			if textParts != nil {
 				ix = ir.NewIndex()
 				textParts[ord] = ix
 			}
-			if buildVecs {
-				vb = vec.NewBuilder(emb)
-				vecs[ord] = vb
-			}
+			vb := vec.NewBuilder(emb)
+			vecParts[ord] = vb
 			for _, pg := range all[pages.Start(ord):pages.Start(ord+1)] {
 				toks := an.Analyze(pg.Text)
 				if ix != nil {
@@ -223,9 +211,7 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 						return fmt.Errorf("dlse: indexing page %s: %w", pg.Name, err)
 					}
 				}
-				if vb != nil {
-					vb.AddTokens(pg.Name, toks, emb)
-				}
+				vb.AddTokens(toks)
 			}
 			return nil
 		}
@@ -252,13 +238,10 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 			return nil
 		})
 	}
-	if buildVecs && opts.VecSegfile != "" {
-		finish = append(finish, func() (err error) {
-			if err = vec.WriteFile(opts.VecSegfile, emb, vecs, vecSig); err != nil {
+	if opts.VecSegfile != "" {
+		finish = append(finish, func() error {
+			if err := vec.WriteFile(opts.VecSegfile, emb, vecParts, vecSig); err != nil {
 				return fmt.Errorf("dlse: writing vec segfile cache: %w", err)
-			}
-			if vecs, err = openVecs(); err != nil {
-				return fmt.Errorf("dlse: opening the vec segfile cache just written: %w", err)
 			}
 			return nil
 		})
@@ -267,6 +250,15 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb vec.Embedder, o
 		if err := concurrently(stage); err != nil {
 			return nil, nil, err
 		}
+	}
+	var err error
+	if opts.VecSegfile == "" {
+		vecs, err = vec.NewSegments(emb, vecParts, text.NameTables())
+	} else if vecs, err = openVecs(text); err != nil {
+		err = fmt.Errorf("dlse: opening the vec segfile cache just written: %w", err)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	return text, vecs, nil
 }
@@ -288,17 +280,13 @@ func firstError(legs []segset.Leg[error]) error {
 }
 
 // pagesSignature fingerprints the corpus a cached page-lane segfile was
-// built from: the scheme that derived it (the embedder's name; empty for
-// the text index), the partition count, and the page names and bodies in
-// order. The openers refuse a cache whose stored signature differs, so a
-// regenerated site, a changed -text-segments or another embedder can never
-// serve stale postings or vectors.
-func pagesSignature(scheme string, pages []webspace.Page, nseg int) uint64 {
+// built from: the partition count, and the page names and bodies in order.
+// It is the text cache's signature, and the vector cache's derives from it
+// (vec.Signature). The openers refuse a cache whose stored signature
+// differs, so a regenerated site, a changed -text-segments or another
+// embedder can never serve stale postings or vectors.
+func pagesSignature(pages []webspace.Page, nseg int) uint64 {
 	h := fnv.New64a()
-	if scheme != "" {
-		h.Write([]byte(scheme))
-		h.Write([]byte{0})
-	}
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(nseg))
 	h.Write(n[:])

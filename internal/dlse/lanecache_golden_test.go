@@ -9,7 +9,11 @@ package dlse
 // block byte for byte, and once for text format 3, which stores the same
 // fields at their narrowest widths (TestTextFormat3EqualsFormat2 compares
 // them field by field); the page answers it serves are pinned across both
-// changes by goldenLanePages.
+// changes by goldenLanePages. The vector hash was re-recorded once for vec
+// format 2, which stores each coordinate as the embedder's integer count at
+// the narrowest width plus one scale per page, and no page names
+// (TestVecFormat2EqualsFormat1 rebuilds every coordinate bit for bit);
+// goldenLanePages pins its answers across that change too.
 
 import (
 	"context"
@@ -28,7 +32,7 @@ import (
 // laneCacheSite at four text segments.
 const (
 	goldenTextCache = "99091c7ef57820ab92d04b312f95903426676ee14ef2fc4815297a84b2a3271d"
-	goldenVecCache  = "893b98baae1dc914a6d5e16064d43501d49f26eb324e735e7edf0a6920e9cc4d"
+	goldenVecCache  = "8199d591a1533ce8c121d59fc487f9dce241082bd27b486e516b5c0e3401dde7"
 )
 
 // laneCacheSite is a 1,024-player, 40-edition site: dlbench's shape at an

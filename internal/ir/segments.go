@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/segfile"
 	"repro/internal/segset"
 )
 
@@ -70,6 +71,18 @@ func NewSegments(parts []*Index) (*Segments, error) {
 
 // NumSegments returns the segment count.
 func (s *Segments) NumSegments() int { return len(s.segs) }
+
+// NameTables returns each segment's document names, by ordinal: table o
+// holds segment o's names in local doc order, aliasing the index (and so a
+// mapped file's bytes). The vector lane, which shares this partition,
+// names its hits from them.
+func (s *Segments) NameTables() []segfile.Table {
+	out := make([]segfile.Table, len(s.segs))
+	for o, ix := range s.segs {
+		out[o] = ix.names
+	}
+	return out
+}
 
 // Docs returns the total document count across segments.
 func (s *Segments) Docs() int { return s.bases.Total() }

@@ -5,14 +5,16 @@ import (
 	"sync"
 
 	"repro/internal/ir"
+	"repro/internal/segfile"
 	"repro/internal/segset"
 )
 
-// segment is one part of a composition: a builder's documents at their
-// global DocID base.
+// segment is one part of a composition: a builder's documents, their
+// names, at their global DocID base.
 type segment struct {
-	b    *Builder
-	base ir.DocID
+	b     *Builder
+	names segfile.Table
+	base  ir.DocID
 
 	// scratch recycles the per-query score arrays — the lexical kernel's
 	// accumulator, so both lanes select and rank-count with one code.
@@ -26,7 +28,7 @@ type segment struct {
 // union-corpus state to freeze. A Segments is immutable after NewSegments;
 // any number of goroutines may search it.
 type Segments struct {
-	emb   Embedder
+	emb   *HashEmbedder
 	segs  []*segment
 	bases segset.Bases
 }
@@ -43,11 +45,17 @@ type SegStat = segset.Leg[SearchStats]
 
 // NewSegments composes builders into a scatter-gather reader in O(parts):
 // parts receive contiguous global DocID bases in order and no vector is
-// read. The same documents composed under any partitioning answer every
-// query byte-identically (locked by TestVecSegmentsParity).
-func NewSegments(e Embedder, parts []*Builder) (*Segments, error) {
+// read. names holds each part's document names, by ordinal — the page
+// lanes share one partition, so the engine passes the text lane's
+// (ir.Segments.NameTables); a part and its names must count the same
+// documents. The same documents composed under any partitioning answer
+// every query byte-identically (locked by TestVecSegmentsParity).
+func NewSegments(e *HashEmbedder, parts []*Builder, names []segfile.Table) (*Segments, error) {
 	if e == nil {
 		return nil, fmt.Errorf("vec: nil embedder")
+	}
+	if len(names) != len(parts) {
+		return nil, fmt.Errorf("vec: %d name tables for %d parts", len(names), len(parts))
 	}
 	s := &Segments{emb: e}
 	sizes := make([]int, len(parts))
@@ -58,35 +66,25 @@ func NewSegments(e Embedder, parts []*Builder) (*Segments, error) {
 		if b.Dim() != e.Dim() {
 			return nil, fmt.Errorf("vec: part %d dim %d does not match embedder dim %d", i, b.Dim(), e.Dim())
 		}
+		if names[i].Len() != b.Len() {
+			return nil, fmt.Errorf("vec: part %d holds %d documents, its name table %d", i, b.Len(), names[i].Len())
+		}
 		sizes[i] = b.Len()
 	}
 	s.bases = segset.NewBases(sizes)
 	for i, b := range parts {
-		sg := &segment{b: b, base: ir.DocID(s.bases.Start(i))}
+		sg := &segment{b: b, names: names[i], base: ir.DocID(s.bases.Start(i))}
 		sg.scratch.New = func() any { return ir.NewAccum(sg.b.Len(), &sg.scratch) }
 		s.segs = append(s.segs, sg)
 	}
 	return s, nil
 }
 
-// dot accumulates in float64 with one fixed summation order, so a
-// score's bits depend only on the two vectors.
-func dot(a, b []float32) float64 {
-	var sum float64
-	for i := range a {
-		sum += float64(a[i]) * float64(b[i])
-	}
-	return sum
-}
-
 // Docs returns the union document count.
 func (s *Segments) Docs() int { return s.bases.Total() }
 
-// Dim returns the embedding dimension.
-func (s *Segments) Dim() int { return s.emb.Dim() }
-
 // Embedder returns the embedding scheme the reader was composed with.
-func (s *Segments) Embedder() Embedder { return s.emb }
+func (s *Segments) Embedder() *HashEmbedder { return s.emb }
 
 // embedQuery embeds and validates a query, analysing it once: a query with
 // no indexable tokens reports ir.ErrEmptyQry exactly like the lexical lane.
@@ -103,10 +101,77 @@ func (s *Segments) embedQuery(query string) ([]float32, error) {
 func (sg *segment) score(q []float32) *ir.Accum {
 	ac := sg.scratch.Get().(*ir.Accum)
 	ac.Begin()
-	for i := 0; i < sg.b.Len(); i++ {
-		ac.Add(ir.DocID(i), dot(q, sg.b.Vec(i)))
+	switch c := sg.b.codes.vals.(type) {
+	case []int8:
+		scoreRows8(ac, q, c, sg.b.scale)
+	case []int16:
+		scoreRowsFrom(ac, q, c, sg.b.scale, 0)
+	case []int32:
+		scoreRowsFrom(ac, q, c, sg.b.scale, 0)
 	}
 	return ac
+}
+
+// i8f holds float32(c) for every int8 code c, indexed by its byte. A load
+// from it is faster than converting the integer, whose instruction writes
+// part of a register and so waits on the register's last writer.
+var i8f = func() (t [256]float32) {
+	for b := range t {
+		t[b] = float32(int8(uint8(b)))
+	}
+	return t
+}()
+
+// scoreRows8 scores each row of an int8 matrix against q into ac. A row's
+// score is the float64 sum, in coordinate order, of q[j] times its stored
+// coordinate float32(float32(code)·scale): the explicit conversion rounds
+// the product to float32, as the embedding was, and forbids fusing it into
+// the sum. A one-row sum is a chain of dependent adds, so the scan scores
+// four rows per pass with four independent sums, each in the same order as
+// a one-row pass; the tail rows take the one-row path.
+func scoreRows8(ac *ir.Accum, q []float32, codes []int8, scale []float32) {
+	dim := len(q)
+	i := 0
+	for ; i+4 <= len(scale); i += 4 {
+		d0, d1, d2, d3 := dot4(q, codes[i*dim:(i+4)*dim], scale[i:i+4])
+		ac.Add(ir.DocID(i), d0)
+		ac.Add(ir.DocID(i+1), d1)
+		ac.Add(ir.DocID(i+2), d2)
+		ac.Add(ir.DocID(i+3), d3)
+	}
+	scoreRowsFrom(ac, q, codes, scale, i)
+}
+
+// dot4 returns q's scores against the four rows of rows, whose scales are
+// scale[0:4]. It is a call of its own so that its loop keeps every operand
+// in a register.
+func dot4(q []float32, rows []int8, scale []float32) (d0, d1, d2, d3 float64) {
+	dim := len(q)
+	r0, r1, r2, r3 := rows[:dim], rows[dim:][:dim], rows[2*dim:][:dim], rows[3*dim:][:dim]
+	s0, s1, s2, s3 := scale[0], scale[1], scale[2], scale[3]
+	for j, x := range q {
+		qx := float64(x)
+		d0 += qx * float64(float32(i8f[uint8(r0[j])]*s0))
+		d1 += qx * float64(float32(i8f[uint8(r1[j])]*s1))
+		d2 += qx * float64(float32(i8f[uint8(r2[j])]*s2))
+		d3 += qx * float64(float32(i8f[uint8(r3[j])]*s3))
+	}
+	return d0, d1, d2, d3
+}
+
+// scoreRowsFrom scores rows from, from+1, … of codes against q into ac,
+// one row per pass, to the same bits as scoreRows8: the path of the tail
+// rows, and of the rare int16 and int32 matrices.
+func scoreRowsFrom[T int8 | int16 | int32](ac *ir.Accum, q []float32, codes []T, scale []float32, from int) {
+	dim := len(q)
+	for i := from; i < len(scale); i++ {
+		r, s := codes[i*dim:][:dim], scale[i]
+		var d float64
+		for j, x := range q {
+			d += float64(x) * float64(float32(float32(r[j])*s))
+		}
+		ac.Add(ir.DocID(i), d)
+	}
 }
 
 // scan is score plus the selection of the best k under the global total
@@ -117,7 +182,7 @@ func (sg *segment) scan(q []float32, k int) ([]ir.Hit, *ir.Accum) {
 	ac := sg.score(q)
 	hits := ac.TopK(k)
 	for i := range hits {
-		hits[i].Name = sg.b.Name(int(hits[i].Doc))
+		hits[i].Name = sg.names.At(int(hits[i].Doc))
 		hits[i].Doc += sg.base
 	}
 	return hits, ac

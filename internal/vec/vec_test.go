@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/segfile"
 )
 
 // synthDocs generates a deterministic corpus: ndocs texts drawn from a
@@ -37,9 +40,11 @@ func synthDocs(ndocs int, seed int64) (names, texts []string) {
 	return names, texts
 }
 
-// partitioned builds the same corpus split contiguously into nseg parts.
-func partitioned(e Embedder, names, texts []string, nseg int) []*Builder {
+// partitioned builds the same corpus split contiguously into nseg parts,
+// and each part's name table.
+func partitioned(e *HashEmbedder, names, texts []string, nseg int) ([]*Builder, []segfile.Table) {
 	parts := make([]*Builder, nseg)
+	tables := make([]segfile.Table, nseg)
 	for i := range parts {
 		parts[i] = NewBuilder(e)
 	}
@@ -49,9 +54,21 @@ func partitioned(e Embedder, names, texts []string, nseg int) []*Builder {
 		if p >= nseg {
 			p = nseg - 1
 		}
-		parts[p].AddTokens(names[i], ir.Analyze(texts[i]), e)
+		parts[p].AddTokens(ir.Analyze(texts[i]))
+		tables[p].Append(names[i])
 	}
-	return parts
+	return parts, tables
+}
+
+// compose is NewSegments over partitioned.
+func compose(t testing.TB, e *HashEmbedder, names, texts []string, nseg int) *Segments {
+	t.Helper()
+	parts, tables := partitioned(e, names, texts, nseg)
+	s, err := NewSegments(e, parts, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 var testQueries = []string{
@@ -91,15 +108,9 @@ func TestEmbedDeterministic(t *testing.T) {
 func TestVecSegmentsParity(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(157, 7)
-	mono, err := NewSegments(e, partitioned(e, names, texts, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mono := compose(t, e, names, texts, 1)
 	for _, nseg := range []int{2, 3, 4} {
-		s, err := NewSegments(e, partitioned(e, names, texts, nseg))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := compose(t, e, names, texts, nseg)
 		for _, q := range testQueries {
 			for _, k := range []int{0, 1, 10} {
 				want, _, err := mono.Search(q, k)
@@ -123,16 +134,59 @@ func TestVecSegmentsParity(t *testing.T) {
 	}
 }
 
-// naiveRanking is the lane's oracle, kept here and nowhere in the package:
-// every document's dot with the query, sorted by (score desc, DocID asc).
-// DocIDs are positions in part order.
-func naiveRanking(e Embedder, parts []*Builder, q string) []ir.Hit {
-	qv := e.Embed(q)
-	var out []ir.Hit
-	for _, b := range parts {
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, ir.Hit{Doc: ir.DocID(len(out)), Name: b.Name(i), Score: dot(qv, b.Vec(i))})
+// oracleEmbed is the hash embedding as the lane computed it while it
+// stored float32 vectors (vec format 1): the ±1/±0.5 contributions summed
+// in float32 in token order, then scaled by float32(1/√ss).
+func oracleEmbed(dim int, toks []string) []float32 {
+	v := make([]float32, dim)
+	for i, tok := range toks {
+		hash := fnvAdd(fnvOffset, tok)
+		w := float32(1)
+		if hash>>63&1 == 1 {
+			w = -1
 		}
+		v[int(hash%uint64(dim))] += w
+		if i > 0 {
+			bh := fnvAdd(fnvAdd(fnvAdd(fnvOffset, toks[i-1]), " "), tok)
+			bw := float32(0.5)
+			if bh>>63&1 == 1 {
+				bw = -0.5
+			}
+			v[int(bh%uint64(dim))] += bw
+		}
+	}
+	var ss float64
+	for _, x := range v {
+		ss += float64(x) * float64(x)
+	}
+	if ss != 0 {
+		inv := float32(1 / math.Sqrt(ss))
+		for i := range v {
+			v[i] *= inv
+		}
+	}
+	return v
+}
+
+// oracleDot is the format-1 score: the float64 sum of the float32
+// coordinates' products, in coordinate order.
+func oracleDot(a, b []float32) float64 {
+	var sum float64
+	for i := range a {
+		sum += float64(a[i]) * float64(b[i])
+	}
+	return sum
+}
+
+// naiveRanking is the lane's oracle, kept here and nowhere in the package:
+// every document's oracleDot with the query, both embedded by oracleEmbed,
+// sorted by (score desc, DocID asc). docs holds each document's tokens in
+// DocID order.
+func naiveRanking(dim int, names []string, docs [][]string, q string) []ir.Hit {
+	qv := oracleEmbed(dim, ir.Analyze(q))
+	out := make([]ir.Hit, len(docs))
+	for d, toks := range docs {
+		out[d] = ir.Hit{Doc: ir.DocID(d), Name: names[d], Score: oracleDot(qv, oracleEmbed(dim, toks))}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -140,6 +194,15 @@ func naiveRanking(e Embedder, parts []*Builder, q string) []ir.Hit {
 		}
 		return out[i].Doc < out[j].Doc
 	})
+	return out
+}
+
+// analyzed returns each text's tokens.
+func analyzed(texts []string) [][]string {
+	out := make([][]string, len(texts))
+	for i, text := range texts {
+		out[i] = ir.Analyze(text)
+	}
 	return out
 }
 
@@ -163,9 +226,10 @@ func TestVecMatchesNaiveOracle(t *testing.T) {
 		all[i].Doc = ir.DocID(i)
 	}
 	for _, nseg := range []int{1, 2, 3, 5} {
-		parts := partitioned(e, names, texts, nseg)
+		parts, tables := partitioned(e, names, texts, nseg)
 		parts = slices.Insert(parts, nseg/2, NewBuilder(e))
-		s, err := NewSegments(e, parts)
+		tables = slices.Insert(tables, nseg/2, segfile.Table{})
+		s, err := NewSegments(e, parts, tables)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +243,7 @@ func TestVecMatchesNaiveOracle(t *testing.T) {
 		}
 		ties := 0
 		for _, q := range testQueries {
-			oracle := naiveRanking(e, parts, q)
+			oracle := naiveRanking(e.Dim(), names, analyzed(texts), q)
 			for i := 1; i < n; i++ {
 				if oracle[i].Score == oracle[i-1].Score {
 					ties++
@@ -244,10 +308,7 @@ func TestVecMatchesNaiveOracle(t *testing.T) {
 func TestVecSearchPartial(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(120, 11)
-	s, err := NewSegments(e, partitioned(e, names, texts, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := compose(t, e, names, texts, 4)
 	for _, q := range testQueries {
 		want, _, err := s.Search(q, 0)
 		if err != nil {
@@ -289,10 +350,7 @@ func TestVecSearchPartial(t *testing.T) {
 func TestVecEmptyQuery(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(10, 1)
-	s, err := NewSegments(e, partitioned(e, names, texts, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := compose(t, e, names, texts, 2)
 	for _, q := range []string{"", "  ", "..."} {
 		if _, _, err := s.Search(q, 5); !errors.Is(err, ir.ErrEmptyQry) {
 			t.Fatalf("query %q: err %v, want ErrEmptyQry", q, err)
@@ -304,9 +362,8 @@ func TestVecEmptyQuery(t *testing.T) {
 func TestVecEmptySegment(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(20, 9)
-	parts := partitioned(e, names, texts, 2)
-	parts = append(parts, NewBuilder(e))
-	s, err := NewSegments(e, parts)
+	parts, tables := partitioned(e, names, texts, 2)
+	s, err := NewSegments(e, append(parts, NewBuilder(e)), append(tables, segfile.Table{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +388,7 @@ func TestVecBoundedDepth(t *testing.T) {
 		all[i].Doc = ir.DocID(i)
 	}
 	for _, nseg := range []int{1, 2, 3} {
-		parts := partitioned(e, names, texts, nseg)
-		s, err := NewSegments(e, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := compose(t, e, names, texts, nseg)
 		for _, q := range testQueries {
 			full, stats, err := s.Search(q, 0)
 			if err != nil {
@@ -344,7 +397,7 @@ func TestVecBoundedDepth(t *testing.T) {
 			if len(full) != stats.DocsScanned {
 				t.Fatalf("%q: %d hits, %d scanned", q, len(full), stats.DocsScanned)
 			}
-			if !reflect.DeepEqual(full, naiveRanking(e, parts, q)) {
+			if !reflect.DeepEqual(full, naiveRanking(e.Dim(), names, analyzed(texts), q)) {
 				t.Fatalf("segs=%d %q: full ranking diverges from the sorted scan", nseg, q)
 			}
 			rank := map[ir.DocID]int{}
@@ -389,13 +442,159 @@ func TestVecBoundedDepth(t *testing.T) {
 func TestVecSearchAllocs(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(2000, 9)
-	s, err := NewSegments(e, partitioned(e, names, texts, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := compose(t, e, names, texts, 4)
 	const q = "champion final melbourne"
 	s.Search(q, 10) // warm the score-array pools
 	if allocs := testing.AllocsPerRun(50, func() { s.Search(q, 10) }); allocs > 60 {
 		t.Fatalf("Search(q, 10) allocates %.0f times per query, want <= 60", allocs)
 	}
+}
+
+// TestVecFormat2MatchesFloatOracle is the exactness lock of the count
+// layout: over random token streams, every embedding EmbedTokens returns
+// and every coordinate a segment stores are bit-equal to oracleEmbed, and
+// heap-built and mapped segments answer like the float32 scan they
+// replaced — hits, names and score bits, totals, and ScoreSegments ranks —
+// with int8, int16 and int32 segments, token-less documents (scale 0),
+// tied scores, and an odd row count per part, so the four-row kernel's
+// tail runs too.
+func TestVecFormat2MatchesFloatOracle(t *testing.T) {
+	e := DefaultEmbedder()
+	rng := rand.New(rand.NewSource(37))
+	words := ir.Analyze("net play rally serve ace smith jones final open melbourne backhand volley champion set tiebreak interview")
+	words = append(words, "x", "y\x00z", "é")
+	var names []string
+	var docs [][]string
+	add := func(toks []string) {
+		names = append(names, fmt.Sprintf("doc-%03d", len(names)))
+		docs = append(docs, toks)
+	}
+	for i := 0; i < 77; i++ {
+		toks := make([]string, rng.Intn(40))
+		for j := range toks {
+			toks[j] = words[rng.Intn(len(words))]
+		}
+		add(toks)
+	}
+	add(nil)                                              // no tokens: the zero vector, scale 0
+	add(strings.Fields(strings.Repeat("ace ", 70)))       // a count past 127: an int16 part
+	add(docs[5])                                          // ties
+	add(docs[40])                                         //
+	add(strings.Fields(strings.Repeat("volley ", 17000))) // a count past 32767: an int32 part
+	for i := 0; i < 12; i++ {
+		add(docs[rng.Intn(len(docs))]) // more ties, across parts
+	}
+	queries := []string{"net play", "ace", "ace ace ace", "volley tiebreak point", "champion final melbourne open", "smith jones"}
+	all := make([]ir.Hit, len(docs))
+	for d := range all {
+		all[d].Doc = ir.DocID(d)
+	}
+
+	for d, toks := range docs {
+		got, want := e.EmbedTokens(toks), oracleEmbed(e.Dim(), toks)
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("doc %d coordinate %d: EmbedTokens %v, oracle %v", d, j, got[j], want[j])
+			}
+		}
+	}
+
+	// Parts of 15 documents, except the one holding the int32 document,
+	// which is cut to hold it alone among int8 rows.
+	bounds := []int{0, 15, 30, 45, 60, 75, 81, 82, len(docs)}
+	parts := make([]*Builder, len(bounds)-1)
+	tables := make([]segfile.Table, len(parts))
+	for p := range parts {
+		parts[p] = NewBuilder(e)
+		for d := bounds[p]; d < bounds[p+1]; d++ {
+			parts[p].AddTokens(docs[d])
+			tables[p].Append(names[d])
+		}
+	}
+	widths := map[uint8]bool{}
+	for p, b := range parts {
+		widths[b.codes.width()] = true
+		for i := 0; i < b.Len(); i++ {
+			want := oracleEmbed(e.Dim(), docs[bounds[p]+i])
+			for j := range want {
+				c := codeAt(b.codes, i*e.Dim()+j)
+				if got := float32(c) * b.scale[i]; math.Float32bits(got) != math.Float32bits(want[j]) {
+					t.Fatalf("part %d doc %d coordinate %d: stored %d×%v = %v, oracle %v", p, i, j, c, b.scale[i], got, want[j])
+				}
+			}
+		}
+	}
+	if !widths[1] || !widths[2] || !widths[4] {
+		t.Fatalf("parts have code widths %v, want 1, 2 and 4", widths)
+	}
+
+	heap, err := NewSegments(e, parts, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "vec.segf")
+	if err := WriteFile(path, e, parts, 1); err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer, err := OpenFile(path, e, 1, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+
+	ties := 0
+	for _, q := range queries {
+		oracle := naiveRanking(e.Dim(), names, docs, q)
+		for i := 1; i < len(oracle); i++ {
+			if oracle[i].Score == oracle[i-1].Score {
+				ties++
+			}
+		}
+		for lane, s := range map[string]*Segments{"heap": heap, "mapped": mapped} {
+			for _, k := range []int{0, 1, 10} {
+				want := oracle
+				if k > 0 {
+					want = oracle[:k]
+				}
+				got, stats, err := s.Search(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.DocsScanned != len(docs) || len(got) != len(want) {
+					t.Fatalf("%s %q k=%d: %d hits of %d scanned, want %d of %d", lane, q, k, len(got), stats.DocsScanned, len(want), len(docs))
+				}
+				for i := range want {
+					if got[i].Doc != want[i].Doc || got[i].Name != want[i].Name ||
+						math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+						t.Fatalf("%s %q k=%d hit %d: %+v, oracle %+v", lane, q, k, i, got[i], want[i])
+					}
+				}
+			}
+			scores, err := s.ScoreSegments(q, s.bases.Ords())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranks := scores.Ranks(all)
+			scores.Release()
+			for i, h := range oracle {
+				if ranks[h.Doc] != i+1 {
+					t.Fatalf("%s %q: doc %d ranked %d, oracle has it at %d", lane, q, h.Doc, ranks[h.Doc], i+1)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equal scores in any ranking: the DocID tie-break went untested")
+	}
+}
+
+// codeAt returns count i of c.
+func codeAt(c codes, i int) int32 {
+	switch v := c.vals.(type) {
+	case []int8:
+		return int32(v[i])
+	case []int16:
+		return int32(v[i])
+	}
+	return c.vals.([]int32)[i]
 }
