@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dlse"
-	"repro/internal/eval"
 	"repro/internal/fde"
 	"repro/internal/frame"
 	"repro/internal/grammar"
@@ -113,8 +112,8 @@ func BenchmarkFig1DependencyGraph(b *testing.B) {
 // ----------------------------------------------- E2: shot boundary sweep
 
 // BenchmarkE2ShotBoundarySweep times the segment detector over one video.
-// Its boundary precision/recall across the threshold sweep, fixed and
-// adaptive, are the E2 rows of the quality ledger.
+// Its boundary precision/recall across the threshold sweep are the E2 rows
+// of the quality ledger.
 func BenchmarkE2ShotBoundarySweep(b *testing.B) {
 	vids := benchCorpus(b)
 	v := vids[0]
@@ -875,25 +874,18 @@ func BenchmarkSegfileSearch(b *testing.B) {
 
 var ablHistOnce sync.Once
 
-// BenchmarkAblationHistogram compares histogram resolutions and distance
-// metrics for boundary detection (DESIGN.md §6).
+// BenchmarkAblationHistogram compares histogram resolutions for boundary
+// detection (DESIGN.md §6).
 func BenchmarkAblationHistogram(b *testing.B) {
 	vids := benchCorpus(b)
 	ablHistOnce.Do(func() {
-		fmt.Printf("\n=== Ablation: histogram bins and metric (boundary F1) ===\n")
-		fmt.Printf("%-8s %-8s %10s\n", "bins", "metric", "F1")
+		fmt.Printf("\n=== Ablation: histogram bins (boundary F1) ===\n")
+		fmt.Printf("%-8s %10s\n", "bins", "F1")
+		var sweep shotdet.Sweeper
 		for _, bins := range []int{4, 8, 16} {
-			for _, m := range []shotdet.Metric{shotdet.MetricL1, shotdet.MetricChiSquare} {
-				var pr eval.PR
-				for _, v := range vids {
-					cfg := shotdet.DefaultConfig()
-					cfg.Bins = bins
-					cfg.Metric = m
-					got := boundariesOf(new(shotdet.Sweeper).Detect(v.Frames, cfg))
-					pr.Add(eval.MatchBoundaries(got, v.Truth.Boundaries(), 2))
-				}
-				fmt.Printf("%-8d %-8s %10.3f\n", bins, m, pr.F1())
-			}
+			cfg := shotdet.DefaultConfig()
+			cfg.Bins = bins
+			fmt.Printf("%-8d %10.3f\n", bins, boundaryPR(&sweep, vids, cfg).F1())
 		}
 	})
 	v := vids[0]

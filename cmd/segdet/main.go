@@ -8,9 +8,13 @@
 // and driven by the Feature Detector Engine; this binary plays that role
 // for fde.BlackBoxSegment.
 //
+// It takes no options: it runs the detector ingest runs, shotdet's one
+// boundary rule under shotdet.DefaultConfig() with the court-colour vote,
+// so its shots equal those of in-process ingest.
+//
 // Usage:
 //
-//	segdet [-threshold 0.35] [-bins 8] [-adaptive] < clip.svf
+//	segdet < clip.svf
 package main
 
 import (
@@ -30,13 +34,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("segdet: ")
-	var (
-		threshold = flag.Float64("threshold", 0.35, "histogram distance threshold")
-		bins      = flag.Int("bins", 8, "histogram bins per channel")
-		adaptive  = flag.Bool("adaptive", false, "use the adaptive local threshold")
-		chi2      = flag.Bool("chi2", false, "use chi-square distance instead of L1")
-	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatal("usage: segdet < clip.svf")
+	}
 
 	data, err := io.ReadAll(os.Stdin)
 	if err != nil {
@@ -46,14 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("decoding SVF: %v", err)
 	}
-	cfg := shotdet.DefaultConfig()
-	cfg.Threshold = *threshold
-	cfg.Bins = *bins
-	cfg.Adaptive = *adaptive
-	if *chi2 {
-		cfg.Metric = shotdet.MetricChiSquare
-	}
-	shots, err := shotdet.SegmentAndClassify(frame.Frames(frames), cfg, shotdet.ClassifierConfig{})
+	shots, err := shotdet.SegmentAndClassify(frame.Frames(frames), shotdet.DefaultConfig(), shotdet.ClassifierConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

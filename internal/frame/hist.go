@@ -265,29 +265,6 @@ func (h *Histogram) L1Dist(other *Histogram) float64 {
 	return d
 }
 
-// ChiSquare returns the chi-square distance between normalized histograms:
-// sum (a-b)^2/(a+b) over bins where a+b > 0. It lies in [0, 2].
-func (h *Histogram) ChiSquare(other *Histogram) float64 {
-	mustSameBins(h, other)
-	var d float64
-	ht, ot := h.Total, other.Total
-	if ht == 0 {
-		ht = 1
-	}
-	if ot == 0 {
-		ot = 1
-	}
-	as, bs := h.Counts, other.Counts[:len(h.Counts)]
-	for i := range as {
-		a := as[i] / ht
-		b := bs[i] / ot
-		if s := a + b; s > 0 {
-			d += (a - b) * (a - b) / s
-		}
-	}
-	return d
-}
-
 // Peak returns the most populated bin's representative colour (the centre
 // of the quantization cell) and its normalized share of all pixels.
 func (h *Histogram) Peak() (RGB, float64) {

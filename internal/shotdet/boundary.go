@@ -13,71 +13,36 @@ package shotdet
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/frame"
 )
-
-// Metric selects the histogram distance used for boundary detection.
-type Metric int
-
-// Supported histogram distances.
-const (
-	// MetricL1 is the sum of absolute bin differences (range [0, 2]).
-	MetricL1 Metric = iota
-	// MetricChiSquare is the chi-square distance (range [0, 2]).
-	MetricChiSquare
-)
-
-// String names the metric.
-func (m Metric) String() string {
-	if m == MetricChiSquare {
-		return "chi2"
-	}
-	return "l1"
-}
 
 // Config parameterizes boundary detection.
 type Config struct {
 	// Bins is the number of histogram bins per channel (default 8).
 	Bins int
-	// Metric selects the frame-distance function.
-	Metric Metric
 	// Threshold is the hard-cut distance threshold (default 0.35).
 	Threshold float64
-	// Adaptive, when set, replaces the fixed threshold with a local one:
-	// a cut requires dist > mean + AdaptiveK*std over the trailing Window
-	// distances, in addition to exceeding Threshold/2 as a noise floor.
-	Adaptive bool
-	// AdaptiveK is the adaptive multiplier (default 5).
-	AdaptiveK float64
-	// Window is the trailing window length for the adaptive rule
-	// (default 24).
-	Window int
-	// MinShotLen suppresses boundaries closer than this many frames to
-	// the previous boundary (default 6).
-	MinShotLen int
-	// GradualLow, when > 0, enables twin-threshold gradual-transition
-	// detection: a run of inter-frame distances each above GradualLow
-	// whose cumulative distance from the run's anchor frame exceeds
-	// Threshold is reported as a gradual boundary.
-	GradualLow float64
 	// Workers bounds the goroutines a Sweeper uses to precompute
 	// per-frame histograms (< 1 selects GOMAXPROCS, 1 forces sequential).
 	// The detection result is identical at any setting.
 	Workers int
 }
 
+// The boundary rule's fixed parameters. DESIGN.md §2 (internal/shotdet)
+// gives the measurements that chose the rule and its low threshold.
+const (
+	// minShotLen suppresses a boundary closer than this many frames to the
+	// previous one.
+	minShotLen = 6
+	// gradualLow is the twin-threshold rule's low threshold: a run of
+	// inter-frame distances above it is a transition in progress.
+	gradualLow = 0.08
+)
+
 // DefaultConfig returns the tuned defaults used by the experiments.
 func DefaultConfig() Config {
-	return Config{
-		Bins:       8,
-		Metric:     MetricL1,
-		Threshold:  0.35,
-		AdaptiveK:  5,
-		Window:     24,
-		MinShotLen: 6,
-	}
+	return Config{Bins: 8, Threshold: 0.35}
 }
 
 func (c Config) withDefaults() Config {
@@ -87,139 +52,67 @@ func (c Config) withDefaults() Config {
 	if c.Threshold == 0 {
 		c.Threshold = 0.35
 	}
-	if c.AdaptiveK == 0 {
-		c.AdaptiveK = 5
-	}
-	if c.Window == 0 {
-		c.Window = 24
-	}
-	if c.MinShotLen == 0 {
-		c.MinShotLen = 6
-	}
 	return c
 }
 
-// Boundary is a detected shot transition: the first frame of the new shot.
-type Boundary struct {
-	// Frame is the index of the first frame after the transition.
-	Frame int
-	// Dist is the histogram distance that triggered the detection.
-	Dist float64
-	// Gradual marks boundaries found by the twin-threshold rule.
-	Gradual bool
-}
-
 // Detector detects shot boundaries in streaming fashion: feed frame
-// histograms one at a time.
+// histograms one at a time. It applies the twin-threshold rule over the L1
+// distance of neighbouring frames' histograms: a distance above Threshold
+// is a hard cut; a run of at least two distances above gradualLow is a
+// gradual transition (a dissolve, fade or wipe) when the last frame before
+// the run is more than Threshold from the frame where the distance settles
+// back below gradualLow, and it is reported at that frame.
 type Detector struct {
 	cfg      Config
 	prevHist *frame.Histogram
 	frameIdx int
 	lastCut  int
-	recent   []float64 // trailing distances for the adaptive rule
-	// gradual-transition state
+	// The gradual transition in progress: the histogram of the last stable
+	// frame before it, nil outside one, and the run's length.
 	anchorHist *frame.Histogram
 	runLen     int
-	// distFn caches the metric dispatch so the per-frame distance call is a
-	// direct function call instead of a config compare per frame.
-	distFn func(a, b *frame.Histogram) float64
 }
 
 // FeedHistogram processes the next frame's histogram (with the detector's
-// configured bin count) and reports a boundary ending at this frame if one is
-// detected. The first frame never yields a boundary. Callers extract the
-// histograms in parallel and keep only this cheap decision sequential.
-func (d *Detector) FeedHistogram(h *frame.Histogram) (Boundary, bool) {
+// configured bin count) and reports whether a shot starts at this frame.
+// The first frame never starts one. Callers extract the histograms in
+// parallel and keep only this cheap decision sequential.
+func (d *Detector) FeedHistogram(h *frame.Histogram) bool {
 	idx := d.frameIdx
 	d.frameIdx++
-	if d.prevHist == nil {
-		d.prevHist = h
-		return Boundary{}, false
-	}
-	dist := d.distance(d.prevHist, h)
 	prev := d.prevHist
 	d.prevHist = h
-
-	cut := false
-	if d.cfg.Adaptive {
-		mean, std := meanStd(d.recent)
-		floor := d.cfg.Threshold / 2
-		if len(d.recent) >= d.cfg.Window/2 && dist > mean+d.cfg.AdaptiveK*std && dist > floor {
-			cut = true
-		}
-		if !cut {
-			// Cut distances are outliers by definition; admitting them
-			// into the window would inflate the local statistics and mask
-			// cuts that follow shortly after.
-			d.recent = append(d.recent, dist)
-			if len(d.recent) > d.cfg.Window {
-				d.recent = d.recent[1:]
-			}
-		}
-	} else if dist > d.cfg.Threshold {
-		cut = true
+	if prev == nil {
+		return false
 	}
-	if cut {
+	dist := prev.L1Dist(h)
+	if dist > d.cfg.Threshold {
 		d.anchorHist, d.runLen = nil, 0
-		if idx-d.lastCut < d.cfg.MinShotLen {
-			return Boundary{}, false
-		}
-		d.lastCut = idx
-		return Boundary{Frame: idx, Dist: dist}, true
+		return d.cut(idx)
 	}
-
-	// Twin-threshold gradual detection: while the inter-frame distance
-	// stays above GradualLow a transition may be in progress; when the
-	// distance settles back below GradualLow the transition has ended, and
-	// the accumulated distance from the anchor (last stable frame) to the
-	// current frame decides whether it was a real boundary.
-	if d.cfg.GradualLow > 0 {
-		if dist > d.cfg.GradualLow {
-			if d.anchorHist == nil {
-				d.anchorHist = prev
-				d.runLen = 0
-			}
-			d.runLen++
-		} else if d.anchorHist != nil {
-			cum := d.distance(d.anchorHist, h)
-			runLen := d.runLen
-			d.anchorHist, d.runLen = nil, 0
-			if cum > d.cfg.Threshold && runLen >= 2 && idx-d.lastCut >= d.cfg.MinShotLen {
-				d.lastCut = idx
-				return Boundary{Frame: idx, Dist: cum, Gradual: true}, true
-			}
+	if dist > gradualLow {
+		if d.anchorHist == nil {
+			d.anchorHist, d.runLen = prev, 0
 		}
+		d.runLen++
+		return false
 	}
-	return Boundary{}, false
+	if d.anchorHist == nil {
+		return false
+	}
+	anchor, runLen := d.anchorHist, d.runLen
+	d.anchorHist, d.runLen = nil, 0
+	return runLen >= 2 && anchor.L1Dist(h) > d.cfg.Threshold && d.cut(idx)
 }
 
-func (d *Detector) distance(a, b *frame.Histogram) float64 {
-	if d.distFn == nil {
-		// Lazy so zero-value and struct-literal detectors (the Sweeper
-		// resets itself this way every run) pick the metric up on first use.
-		if d.cfg.Metric == MetricChiSquare {
-			d.distFn = (*frame.Histogram).ChiSquare
-		} else {
-			d.distFn = (*frame.Histogram).L1Dist
-		}
+// cut starts a shot at frame idx unless the previous one began fewer than
+// minShotLen frames before.
+func (d *Detector) cut(idx int) bool {
+	if idx-d.lastCut < minShotLen {
+		return false
 	}
-	return d.distFn(a, b)
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
+	d.lastCut = idx
+	return true
 }
 
 // ahead is how many frames the boundary pass decodes before it consumes
@@ -233,10 +126,10 @@ const ahead = 12
 // every ahead frames, the batch's histograms — the dominant cost — are
 // computed over cfg.Workers goroutines, and the stateful boundary decision
 // consumes them in frame order. A Sweeper amortizes its scratch — the batch
-// histograms, the window's frame buffers and the adaptive-rule window —
-// across repeated runs, so a threshold sweep over the same footage pays the
-// per-frame allocations once instead of once per configuration. The zero
-// value is ready to use. A Sweeper is not safe for concurrent use.
+// histograms and the window's frame buffers — across repeated runs, so a
+// threshold sweep over the same footage pays the per-frame allocations once
+// instead of once per configuration. The zero value is ready to use. A
+// Sweeper is not safe for concurrent use.
 type Sweeper struct {
 	d     Detector
 	hists []*frame.Histogram // batch scratch, recycled across batches and runs
@@ -309,10 +202,11 @@ func (w *window) drop(to int) {
 // Held returns the most decoded frames the last run held at once.
 func (s *Sweeper) Held() int { return s.win.peak }
 
-// Detect returns the boundaries of frames under cfg. Through the Sweeper's
-// recycled scratch the result is identical for every configuration and
-// every reuse pattern; only the allocation profile changes.
-func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []Boundary {
+// Detect returns the first frame of every shot of frames after the first,
+// under cfg. Through the Sweeper's recycled scratch the result is identical
+// for every configuration and every reuse pattern; only the allocation
+// profile changes.
+func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []int {
 	bl := &boundaryList{win: &s.win}
 	// An in-memory source cannot fail.
 	_ = s.sweep(frame.Frames(frames), cfg, bl)
@@ -320,31 +214,31 @@ func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []Boundary {
 }
 
 // visitor consumes the boundary pass frame by frame: visit is called in
-// frame order with every frame's histogram and the boundary, if one starts
-// at that frame. When it is called the window holds every frame from its
+// frame order with every frame's histogram and whether a shot starts at
+// that frame. When it is called the window holds every frame from its
 // base up to the end of the frame's batch; the visitor drops what it no
 // longer needs.
 type visitor interface {
-	visit(i int, h *frame.Histogram, b Boundary, cut bool)
+	visit(i int, h *frame.Histogram, cut bool)
 }
 
 // boundaryList is the visitor of Detect: it keeps the boundaries and none
 // of the frames.
 type boundaryList struct {
 	win *window
-	out []Boundary
+	out []int
 }
 
-func (bl *boundaryList) visit(i int, _ *frame.Histogram, b Boundary, cut bool) {
+func (bl *boundaryList) visit(i int, _ *frame.Histogram, cut bool) {
 	if cut {
-		bl.out = append(bl.out, b)
+		bl.out = append(bl.out, i)
 	}
 	bl.win.drop(i + 1)
 }
 
 // sweep runs the boundary pass over src for v.
 func (s *Sweeper) sweep(src frame.Source, cfg Config, v visitor) error {
-	s.d = Detector{cfg: cfg.withDefaults(), recent: s.d.recent[:0]}
+	s.d = Detector{cfg: cfg.withDefaults()}
 	s.win.reset(0)
 	s.win.peak = 0
 	s.next, s.workers, s.v = 0, cfg.Workers, v
@@ -373,8 +267,7 @@ func (s *Sweeper) flush() {
 	d := &s.d
 	s.hists = frame.HistogramsInto(s.hists, s.win.frames[s.next-s.win.base:], d.cfg.Bins, s.workers)
 	for _, h := range s.hists {
-		b, cut := d.FeedHistogram(h)
-		s.v.visit(s.next, h, b, cut)
+		s.v.visit(s.next, h, d.FeedHistogram(h))
 		s.next++
 	}
 	// Every histogram of this batch can be overwritten by the next one
@@ -477,7 +370,7 @@ type segmentation struct {
 	under  []frame.RGB // the court colour each closed shot was classified under
 }
 
-func (sg *segmentation) visit(i int, h *frame.Histogram, _ Boundary, cut bool) {
+func (sg *segmentation) visit(i int, h *frame.Histogram, cut bool) {
 	sg.cs.frames[i] = colorOf(h)
 	if sg.vote && i%sg.step == 0 {
 		sg.ballot.add(sg.cs.frames[i], 0.3)

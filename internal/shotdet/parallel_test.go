@@ -1,13 +1,17 @@
 package shotdet
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/synth"
 )
 
 // Sweeper.Detect must produce identical boundaries at any worker count:
-// histogram extraction is parallel but the decision stays sequential.
+// histogram extraction is parallel but the decision stays sequential. The
+// broadcast cuts hard; the wipe is found by a transition run that spans a
+// batch.
 func TestDetectBoundariesWorkerInvariance(t *testing.T) {
 	cfg := synth.DefaultConfig(42)
 	cfg.Shots = 5
@@ -15,24 +19,17 @@ func TestDetectBoundariesWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dcfg := range []Config{
-		DefaultConfig(),
-		{Adaptive: true},
-		{GradualLow: 0.08},
-	} {
-		base := dcfg
-		base.Workers = 1
-		want := new(Sweeper).Detect(v.Frames, base)
-		for _, workers := range []int{0, 2, 8} {
-			par := dcfg
-			par.Workers = workers
-			got := new(Sweeper).Detect(v.Frames, par)
-			if len(got) != len(want) {
-				t.Fatalf("cfg=%+v workers=%d: %d boundaries, want %d", dcfg, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("cfg=%+v workers=%d: boundary %d = %+v, want %+v", dcfg, workers, i, got[i], want[i])
+	for _, frames := range [][]*frame.Image{v.Frames, wipeFrames(10)} {
+		for _, dcfg := range []Config{DefaultConfig(), {Threshold: 0.2}} {
+			base := dcfg
+			base.Workers = 1
+			want := new(Sweeper).Detect(frames, base)
+			for _, workers := range []int{0, 2, 8} {
+				par := dcfg
+				par.Workers = workers
+				got := new(Sweeper).Detect(frames, par)
+				if !slices.Equal(got, want) {
+					t.Fatalf("cfg=%+v workers=%d frames=%d: boundaries %v, want %v", dcfg, workers, len(frames), got, want)
 				}
 			}
 		}

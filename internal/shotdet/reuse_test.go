@@ -1,6 +1,7 @@
 package shotdet
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/frame"
@@ -9,12 +10,12 @@ import (
 
 // feedReference is the pre-reuse streaming path: one fresh histogram per
 // frame, no scratch recycling. The reuse paths must match it exactly.
-func feedReference(frames []*frame.Image, cfg Config) []Boundary {
+func feedReference(frames []*frame.Image, cfg Config) []int {
 	d := &Detector{cfg: cfg.withDefaults()}
-	var out []Boundary
-	for _, im := range frames {
-		if b, ok := d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)); ok {
-			out = append(out, b)
+	var out []int
+	for i, im := range frames {
+		if d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -23,7 +24,9 @@ func feedReference(frames []*frame.Image, cfg Config) []Boundary {
 // TestDetectBoundariesChunkRecycleMatchesReference drives Sweeper.Detect
 // across multiple chunks (frames > ahead) so chunk recycling actually
 // exercises the prev/anchor retention logic, and cross-checks the result
-// against the per-frame reference.
+// against the per-frame reference. The wipe's transition run opens in the
+// second batch and closes in the third, so its anchor histogram is held
+// across a batch.
 func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 	cfg := synth.DefaultConfig(78)
 	cfg.Shots = 12
@@ -36,15 +39,11 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 	for len(frames) <= 2*ahead {
 		frames = append(frames, v.Frames...)
 	}
-	for _, dcfg := range []Config{DefaultConfig(), {GradualLow: 0.08}} {
-		want := feedReference(frames, dcfg)
-		got := new(Sweeper).Detect(frames, dcfg)
-		if len(got) != len(want) {
-			t.Fatalf("cfg=%+v: %d boundaries, want %d", dcfg, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cfg=%+v boundary %d: %+v, want %+v", dcfg, i, got[i], want[i])
+	for _, frames := range [][]*frame.Image{frames, wipeFrames(10)} {
+		for _, dcfg := range []Config{DefaultConfig(), {Threshold: 0.2}} {
+			want := feedReference(frames, dcfg)
+			if got := new(Sweeper).Detect(frames, dcfg); !slices.Equal(got, want) {
+				t.Fatalf("cfg=%+v frames=%d: boundaries %v, want %v", dcfg, len(frames), got, want)
 			}
 		}
 	}
@@ -54,7 +53,7 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 // configuration byte-identically to a fresh Sweeper, in any order
 // and across videos — the E2 threshold sweep is exactly this access
 // pattern. The multi-chunk case exercises buffer reuse across both chunk
-// boundaries and runs.
+// boundaries and runs, and the wipe a transition run across a batch.
 func TestSweeperMatchesDetectBoundaries(t *testing.T) {
 	mk := func(seed int64, shots int) []*frame.Image {
 		cfg := synth.DefaultConfig(seed)
@@ -75,25 +74,17 @@ func TestSweeperMatchesDetectBoundaries(t *testing.T) {
 		DefaultConfig(),
 		{Threshold: 0.05},
 		{Threshold: 1.6},
-		{Adaptive: true},
-		{GradualLow: 0.08},
+		{Threshold: 0.2},
 		DefaultConfig(), // repeat: state from earlier configs must not leak
 	}
 	var sw Sweeper
 	for round := 0; round < 2; round++ {
-		for _, frames := range [][]*frame.Image{short, other, long, short} {
+		for _, frames := range [][]*frame.Image{short, other, wipeFrames(10), long, short} {
 			for ci, dcfg := range configs {
 				want := new(Sweeper).Detect(frames, dcfg)
-				got := sw.Detect(frames, dcfg)
-				if len(got) != len(want) {
-					t.Fatalf("round=%d cfg=%d frames=%d: %d boundaries, want %d",
-						round, ci, len(frames), len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("round=%d cfg=%d boundary %d: %+v, want %+v",
-							round, ci, i, got[i], want[i])
-					}
+				if got := sw.Detect(frames, dcfg); !slices.Equal(got, want) {
+					t.Fatalf("round=%d cfg=%d frames=%d: boundaries %v, want %v",
+						round, ci, len(frames), got, want)
 				}
 			}
 		}

@@ -34,8 +34,8 @@ func shotsOf(frames []*frame.Image, cfg Config) []Shot {
 	var shots []Shot
 	start := 0
 	for _, b := range new(Sweeper).Detect(frames, cfg) {
-		shots = append(shots, Shot{Start: start, End: b.Frame})
-		start = b.Frame
+		shots = append(shots, Shot{Start: start, End: b})
+		start = b
 	}
 	if start < len(frames) {
 		shots = append(shots, Shot{Start: start, End: len(frames)})
@@ -62,38 +62,9 @@ func TestDetectBoundariesExact(t *testing.T) {
 		t.Fatalf("detected %d boundaries, want %d (got %v want %v)", len(got), len(want), got, want)
 	}
 	for i := range got {
-		if got[i].Frame != want[i] {
-			t.Errorf("boundary %d at frame %d, want %d", i, got[i].Frame, want[i])
+		if got[i] != want[i] {
+			t.Errorf("boundary %d at frame %d, want %d", i, got[i], want[i])
 		}
-		if got[i].Gradual {
-			t.Errorf("hard cut %d reported gradual", i)
-		}
-	}
-}
-
-func TestAdaptiveThresholdDetects(t *testing.T) {
-	v := genVideo(t, 22, 6)
-	cfg := DefaultConfig()
-	cfg.Adaptive = true
-	got := new(Sweeper).Detect(v.Frames, cfg)
-	want := v.Truth.Boundaries()
-	if len(got) != len(want) {
-		t.Fatalf("adaptive detected %d boundaries, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Frame != want[i] {
-			t.Errorf("adaptive boundary %d at %d, want %d", i, got[i].Frame, want[i])
-		}
-	}
-}
-
-func TestChiSquareMetricDetects(t *testing.T) {
-	v := genVideo(t, 23, 6)
-	cfg := DefaultConfig()
-	cfg.Metric = MetricChiSquare
-	got := new(Sweeper).Detect(v.Frames, cfg)
-	if len(got) != len(v.Truth.Boundaries()) {
-		t.Fatalf("chi2 detected %d boundaries, want %d", len(got), len(v.Truth.Boundaries()))
 	}
 }
 
@@ -127,15 +98,17 @@ func TestMinShotLenSuppression(t *testing.T) {
 		frames = append(frames, c.Clone())
 	}
 	got := new(Sweeper).Detect(frames, DefaultConfig())
-	if len(got) != 1 || got[0].Frame != 10 {
+	if len(got) != 1 || got[0] != 10 {
 		t.Fatalf("got %v, want single cut at 10", got)
 	}
 }
 
-func TestGradualTransitionDetected(t *testing.T) {
-	// A 10-frame top-to-bottom wipe between two scenes; each step replaces
-	// ~10% of pixels, keeping the per-frame distance below the hard
-	// threshold while the cumulative distance crosses it.
+// wipeFrames is 15 frames of one flat scene, a top-to-bottom wipe to
+// another over dn frames, and 15 frames of the second scene. Each step of
+// the wipe replaces 1/dn of the pixels, so at dn = 10 the distance between
+// neighbouring frames stays below the hard-cut threshold while the
+// distance across the wipe crosses it.
+func wipeFrames(dn int) []*frame.Image {
 	colA := frame.RGB{R: 30, G: 120, B: 50}
 	colB := frame.RGB{R: 90, G: 90, B: 160}
 	a := frame.New(48, 48)
@@ -146,7 +119,6 @@ func TestGradualTransitionDetected(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		frames = append(frames, a.Clone())
 	}
-	const dn = 10
 	for i := 1; i <= dn; i++ {
 		im := a.Clone()
 		im.FillRect(frame.Rect{X0: 0, Y0: 0, X1: 48, Y1: 48 * i / dn}, colB)
@@ -155,22 +127,19 @@ func TestGradualTransitionDetected(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		frames = append(frames, b.Clone())
 	}
-	cfg := DefaultConfig()
-	cfg.GradualLow = 0.05
-	got := new(Sweeper).Detect(frames, cfg)
+	return frames
+}
+
+// TestGradualTransitionDetected: a wipe no neighbouring pair of frames
+// reveals is one boundary, inside the wipe.
+func TestGradualTransitionDetected(t *testing.T) {
+	const dn = 10
+	got := new(Sweeper).Detect(wipeFrames(dn), DefaultConfig())
 	if len(got) != 1 {
 		t.Fatalf("got %d boundaries %v, want exactly 1", len(got), got)
 	}
-	bd := got[0]
-	if !bd.Gradual {
-		t.Fatalf("wipe misdetected as hard cut at %d", bd.Frame)
-	}
-	if bd.Frame < 15 || bd.Frame > 15+dn+1 {
-		t.Fatalf("gradual boundary at %d, want within wipe [15,%d]", bd.Frame, 15+dn+1)
-	}
-	// Without GradualLow the wipe must be invisible.
-	if got := new(Sweeper).Detect(frames, DefaultConfig()); len(got) != 0 {
-		t.Fatalf("wipe triggered hard-cut detector: %v", got)
+	if got[0] < 15 || got[0] > 15+dn+1 {
+		t.Fatalf("gradual boundary at %d, want within wipe [15,%d]", got[0], 15+dn+1)
 	}
 }
 
@@ -366,16 +335,10 @@ func TestClassStringParse(t *testing.T) {
 	}
 }
 
-func TestMetricString(t *testing.T) {
-	if MetricL1.String() != "l1" || MetricChiSquare.String() != "chi2" {
-		t.Fatal("metric names wrong")
-	}
-}
-
 func TestStreamingDetectorFirstFrame(t *testing.T) {
 	d := &Detector{cfg: DefaultConfig().withDefaults()}
 	im := frame.New(16, 16)
-	if _, ok := d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)); ok {
+	if d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)) {
 		t.Fatal("first frame yielded a boundary")
 	}
 }
