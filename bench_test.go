@@ -1145,6 +1145,7 @@ func rankedEngine(b *testing.B) *dlse.Engine {
 // segments — with a query of their shape, whose first word is on every
 // player page. What a lane costs here is what a ranked-miss op costs inside
 // the engine; before ranking was bounded by the page it ranked all of them.
+// postings/op is the text kernel's PostingsScored for the page.
 func BenchmarkRankedPage(b *testing.B) {
 	eng := rankedEngine(b)
 	ctx := context.Background()
@@ -1158,13 +1159,28 @@ func BenchmarkRankedPage(b *testing.B) {
 		{"hybrid", dlse.Query{Hybrid: text}},
 	} {
 		b.Run(lane.name, func(b *testing.B) {
+			// The postings the text kernel scores for this page, at its own
+			// depth, from one untimed explained search (the vector lane
+			// scores none): what a pruned kernel would shrink.
+			rs, err := eng.Search(ctx, lane.q, dlse.WithLimit(10), dlse.WithExplain())
+			if err != nil {
+				b.Fatal(err)
+			}
+			postings := 0
+			for _, op := range rs.Explain.Ops {
+				if op.Kernel != nil {
+					postings += op.Kernel.PostingsScored
+				}
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rs, err := eng.Search(ctx, lane.q, dlse.WithLimit(10))
 				if err != nil || len(rs.Items) != 10 || rs.Total < 8000 {
 					b.Fatalf("err %v, %d items of %d", err, len(rs.Items), rs.Total)
 				}
 			}
+			b.ReportMetric(float64(postings), "postings/op")
 		})
 	}
 }

@@ -6,10 +6,14 @@ package dlse
 // postings, impacts, vectors and layout — across that change rather than
 // comparing the build with itself. The text hash was re-recorded once for
 // text format 2, which drops the impact-ordered blocks and keeps every other
-// block byte for byte, and once for text format 3, which stores the same
-// fields at their narrowest widths (TestTextFormat3EqualsFormat2 compares
-// them field by field); the page answers it serves are pinned across both
-// changes by goldenLanePages. The vector hash was re-recorded once for vec
+// block byte for byte, once for text format 3, which stores the same fields
+// at their narrowest widths (TestTextFormat3EqualsFormat2 compares them
+// field by field), and once for text format 4, which stores each term's
+// distinct (TF, impact) pairs once, in a book, and each posting a code into
+// it (TestTextFormat4EqualsFormat3 reads every posting's TF and impact back
+// through the books and compares them with format 3's field by field; that
+// test is what allows this one re-recording); the page answers it serves
+// are pinned across all three changes by goldenLanePages. The vector hash was re-recorded once for vec
 // format 2, which stores each coordinate as the embedder's integer count at
 // the narrowest width plus one scale per page, and no page names
 // (TestVecFormat2EqualsFormat1 rebuilds every coordinate bit for bit);
@@ -31,7 +35,7 @@ import (
 // Sha256 of the text and vector segfile caches a cold build writes for
 // laneCacheSite at four text segments.
 const (
-	goldenTextCache = "99091c7ef57820ab92d04b312f95903426676ee14ef2fc4815297a84b2a3271d"
+	goldenTextCache = "c1938e981c8de146307e1e100d06061354f633baf1285f2b8777789afed3a55d"
 	goldenVecCache  = "8199d591a1533ce8c121d59fc487f9dce241082bd27b486e516b5c0e3401dde7"
 )
 
@@ -73,10 +77,11 @@ func TestPageLaneCacheGolden(t *testing.T) {
 }
 
 // textCacheBytes is the size of the text cache a cold build writes for
-// laneCacheSite at four text segments, measured when the integer columns
-// went to their narrowest widths (text format 3; format 2 wrote 329,431
-// bytes).
-const textCacheBytes = 216367
+// laneCacheSite at four text segments, measured when each posting's TF and
+// impact went into its term's book (text format 4; format 3, the integer
+// columns at their narrowest widths, wrote 216,367 bytes, and format 2
+// 329,431).
+const textCacheBytes = 156115
 
 // TestTextCacheSize holds the text cache of laneCacheSite at four segments to
 // textCacheBytes plus 2 %, and logs what it costs per posting.

@@ -130,18 +130,20 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 
 // TestTextSegfileCacheOldVersionRebuild: testdata/text-v1.segf is the
 // format-1 text cache (with the impact-ordered blocks) that the last format-1
-// build wrote for cacheSite(3) at two text segments, and text-v2.segf the
+// build wrote for cacheSite(3) at two text segments, text-v2.segf the
 // format-2 cache (8-byte postings) the last format-2 build wrote for the same
-// site. Their signatures match, so only their version refuses them: the boot
-// rebuilds, replaces the file with the cache a fresh cold build writes, and
-// answers as a cache-free build does.
+// site, and text-v3.segf the format-3 cache (per-posting TF and impact
+// columns) the last format-3 build wrote for it. Their signatures match, so
+// only their version refuses them: the boot rebuilds, replaces the file with
+// the cache a fresh cold build writes, and answers as a cache-free build
+// does.
 func TestTextSegfileCacheOldVersionRebuild(t *testing.T) {
 	site := cacheSite(t, 3)
 	plain, err := NewSegmented(site, nil, Options{TextSegments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []string{"1", "2"} {
+	for _, version := range []string{"1", "2", "3"} {
 		t.Run("v"+version, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("testdata", "text-v"+version+".segf"))
 			if err != nil {
@@ -217,9 +219,11 @@ func (s textSeg) postings() int {
 }
 
 // decodeTextFile decodes the text cache at path, of layout version 2 (8-byte
-// postings, u64 offsets, i32 lengths) or 3 (the integer columns at the
-// widths the segment record names, each of which must be the narrowest
-// that holds the column's largest value).
+// postings, u64 offsets, i32 lengths), 3 (the integer columns at the widths
+// the segment record names, each of which must be the narrowest that holds
+// the column's largest value) or 4 (version 3 with each posting's TF and
+// impact read through its code into its term's book, whose pairs must be
+// distinct, in first-appearance order and all used).
 func decodeTextFile(t *testing.T, path string) textFile {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -301,6 +305,47 @@ func decodeTextFile(t *testing.T, path string) textFile {
 			tfs = uints(pre+"posttf", int(widths[2]), true)
 			doclen = uints(pre+"doclen", int(widths[3]), true)
 			imp = block(pre + "postimp")
+		case 4:
+			var entries uint64
+			var w [6]uint8 // offsets, doc IDs, codes, lengths, book offsets, book TFs
+			if err := r.Record(pre+"meta", &meta, &entries, &w); err != nil {
+				t.Fatal(err)
+			}
+			postoff = uints(pre+"postoff", int(w[0]), true)
+			docs = uints(pre+"postdoc", int(w[1]), true)
+			codes := uints(pre+"postcode", int(w[2]), true)
+			doclen = uints(pre+"doclen", int(w[3]), true)
+			bookoff := uints(pre+"bookoff", int(w[4]), true)
+			booktf := uints(pre+"booktf", int(w[5]), true)
+			bookimp := block(pre + "bookimp")
+			if len(postoff) != int(meta.Terms)+1 || len(codes) != len(docs) || len(bookoff) != len(postoff) ||
+				len(booktf) != int(entries) || len(bookimp) != 4*int(entries) || bookoff[len(bookoff)-1] != entries {
+				t.Fatalf("%s segment %d: book columns disagree with the record %+v, %d entries", path, i, meta, entries)
+			}
+			// Each posting reads its TF and impact through its term's book,
+			// whose pairs are distinct and in first-appearance order.
+			for o := 0; o+1 < len(postoff); o++ {
+				b, next := bookoff[o], uint64(0)
+				seen := map[[2]uint64]bool{}
+				for e := b; e < bookoff[o+1]; e++ {
+					pair := [2]uint64{booktf[e], uint64(binary.LittleEndian.Uint32(bookimp[4*e:]))}
+					if seen[pair] {
+						t.Fatalf("%s segment %d: term %d's book holds %v twice", path, i, o, pair)
+					}
+					seen[pair] = true
+				}
+				for _, c := range codes[postoff[o]:postoff[o+1]] {
+					if c > next || b+c >= bookoff[o+1] {
+						t.Fatalf("%s segment %d: term %d uses code %d before code %d, or past its book", path, i, o, c, next)
+					}
+					next = max(next, c+1)
+					tfs = append(tfs, booktf[b+c])
+					imp = append(imp, bookimp[4*(b+c):4*(b+c)+4]...)
+				}
+				if next != bookoff[o+1]-b {
+					t.Fatalf("%s segment %d: term %d uses %d of its %d book entries", path, i, o, next, bookoff[o+1]-b)
+				}
+			}
 		default:
 			t.Fatalf("%s: layout version %d", path, head.Version)
 		}
@@ -340,31 +385,50 @@ func decodeTextFile(t *testing.T, path string) textFile {
 
 // TestTextFormat3EqualsFormat2 is the evidence behind re-recording the text
 // cache's byte goldens for format 3: the committed format-2 cache of
-// cacheSite(3) at two segments (written by the last format-2 build) and a
-// format-3 build of the same site hold the same header, and per segment the
-// same dictionary, idf bits, per-term doc IDs, TFs and impact bits, names
-// and doc lengths. Only the widths the values are stored at differ.
+// cacheSite(3) at two segments (written by the last format-2 build) and the
+// committed format-3 cache of the same site (written by the last format-3
+// build) hold the same header, and per segment the same dictionary, idf
+// bits, per-term doc IDs, TFs and impact bits, names and doc lengths. Only
+// the widths the values are stored at differ.
 func TestTextFormat3EqualsFormat2(t *testing.T) {
+	sameTextFile(t, filepath.Join("testdata", "text-v2.segf"), filepath.Join("testdata", "text-v3.segf"))
+}
+
+// TestTextFormat4EqualsFormat3 is the evidence behind re-recording the text
+// cache's byte golden for format 4: the committed format-3 cache of
+// cacheSite(3) at two segments and a format-4 build of the same site hold
+// the same header, and per segment the same dictionary, idf bits, per-term
+// doc IDs, TFs and impact bits, names and doc lengths. Format 4 stores a
+// posting's TF and impact once per distinct pair, in its term's book, and
+// the posting a code into it; decodeTextFile reads them back through it.
+func TestTextFormat4EqualsFormat3(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "text.segf")
 	if _, err := NewSegmented(cacheSite(t, 3), nil, Options{TextSegments: 2, TextSegfile: path}); err != nil {
 		t.Fatal(err)
 	}
-	v2 := decodeTextFile(t, filepath.Join("testdata", "text-v2.segf"))
-	v3 := decodeTextFile(t, path)
-	if len(v2.segs) != 2 || v2.segs[0].postings() == 0 {
-		t.Fatalf("format-2 file holds %d segments", len(v2.segs))
+	sameTextFile(t, filepath.Join("testdata", "text-v3.segf"), path)
+}
+
+// sameTextFile decodes the text caches at the paths, the older layout first,
+// and fails on the first field they disagree on.
+func sameTextFile(t *testing.T, oldPath, newPath string) {
+	t.Helper()
+	old, cur := decodeTextFile(t, oldPath), decodeTextFile(t, newPath)
+	if len(old.segs) != 2 || old.segs[0].postings() == 0 {
+		t.Fatalf("%s holds %d segments", oldPath, len(old.segs))
 	}
-	if !reflect.DeepEqual(v2, v3) {
-		if v2.docs != v3.docs || v2.vocab != v3.vocab || v2.signature != v3.signature {
-			t.Fatalf("header: format 2 (%d, %d, %#x), format 3 (%d, %d, %#x)", v2.docs, v2.vocab, v2.signature, v3.docs, v3.vocab, v3.signature)
-		}
-		for i := range v2.segs {
-			if !reflect.DeepEqual(v2.segs[i], v3.segs[i]) {
-				t.Fatalf("segment %d differs between format 2 and format 3", i)
-			}
-		}
-		t.Fatal("format 2 and format 3 differ")
+	if reflect.DeepEqual(old, cur) {
+		return
 	}
+	if old.docs != cur.docs || old.vocab != cur.vocab || old.signature != cur.signature {
+		t.Fatalf("header: %s (%d, %d, %#x), %s (%d, %d, %#x)", oldPath, old.docs, old.vocab, old.signature, newPath, cur.docs, cur.vocab, cur.signature)
+	}
+	for i := range old.segs {
+		if i >= len(cur.segs) || !reflect.DeepEqual(old.segs[i], cur.segs[i]) {
+			t.Fatalf("segment %d differs between %s and %s", i, oldPath, newPath)
+		}
+	}
+	t.Fatalf("%s and %s differ", oldPath, newPath)
 }
 
 // liveHeap collects garbage and reads the live heap it leaves. The second

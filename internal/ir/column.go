@@ -1,11 +1,12 @@
 package ir
 
 // Integer columns at their narrowest exact width. Every integer array the
-// text lane stores — posting offsets, doc IDs, term frequencies, document
-// lengths — is one column of unsigned values held at the narrowest of 1, 2,
-// 4 and 8 bytes that holds the column's largest value. The rule depends on
-// the values alone, so a heap build and the file it writes hold the same
-// columns, and an opened file's columns alias its blocks.
+// text lane stores — posting and book offsets, doc IDs, book codes, term
+// frequencies, document lengths — is one column of unsigned values held at
+// the narrowest of 1, 2, 4 and 8 bytes that holds the column's largest
+// value. The rule depends on the values alone, so a heap build and the file
+// it writes hold the same columns, and an opened file's columns alias its
+// blocks.
 
 import (
 	"fmt"
@@ -43,6 +44,20 @@ func newColumn(n int, max uint64) column {
 		return column{make([]uint32, n)}
 	}
 	return column{make([]uint64, n)}
+}
+
+// columnOf returns vals at the narrowest width that holds their largest
+// value.
+func columnOf[T uint32 | uint64](vals []T) column {
+	var top T
+	for _, v := range vals {
+		top = max(top, v)
+	}
+	c := newColumn(len(vals), uint64(top))
+	for i, v := range vals {
+		c.set(i, uint64(v))
+	}
+	return c
 }
 
 // at returns value i.

@@ -26,17 +26,22 @@ type Posting struct {
 // A frozen index holds its dictionary as one sorted term table and each
 // term's postings as a range of flat columns aligned with it: term ordinal o
 // owns the postings [postOff[o], postOff[o+1]) (doc order) — their doc IDs
-// in docs, their term frequencies in tfs, and in imp their float32 impacts,
-// each posting's full BM25 contribution with idf, tf saturation and
-// document-length normalization folded in, so query-time scoring is one add
-// per posting — and its idf is termIdf[o]. The integer columns (postOff,
-// docs, tfs, doclen) are each stored at the narrowest width that holds their
-// largest value (column.go); only Freeze, impactLists and the bm25 oracle
-// read tfs, and the kernel reads docs and imp alone. This is the text
-// segfile's layout: an index opened from a file aliases the file's blocks,
-// and a heap build holds the same columns, built once by Freeze. A query
-// term is found by binary search over the table.
-// (SearchTopN derives its impact order from these; see topn.go.)
+// in docs and, in codes, each posting's entry in the term's book — and the
+// book entries [bookOff[o], bookOff[o+1]). A term's book holds the distinct
+// (TF, impact) pairs of its postings in first-appearance order: their term
+// frequencies in bookTF and in bookImp their float32 impacts, each a
+// posting's full BM25 contribution with idf, tf saturation and
+// document-length normalization folded in, so query-time scoring is one
+// book load and one add per posting. A term's postings share few distinct
+// pairs (at most 3 at dlbench's site), so a book is short and a code
+// narrower than the impact it names. The term's idf is termIdf[o]. The
+// integer columns (postOff, docs, codes, bookOff, bookTF, doclen) are each
+// stored at the narrowest width that holds their largest value (column.go);
+// only Freeze and postings read bookTF, and the kernel reads docs, codes and
+// bookImp alone. This is the text segfile's layout: an index opened from a
+// file aliases the file's blocks, and a heap build holds the same columns,
+// built once by Freeze. A query term is found by binary search over the
+// table. (SearchTopN derives its impact order from these; see topn.go.)
 //
 // Concurrency: the index has a strict build-then-serve life cycle. Add and
 // Freeze mutate and must run from a single goroutine; after Freeze every
@@ -59,8 +64,10 @@ type Index struct {
 	termIdf []float64
 	postOff column
 	docs    column
-	tfs     column
-	imp     []float32
+	codes   column
+	bookOff column
+	bookTF  column
+	bookImp []float32
 
 	// names and doclen hold each document's name and analyzed token
 	// count, by DocID.
@@ -147,9 +154,10 @@ func (ix *Index) localStats() corpusStats {
 	return corpusStats{docs: ix.Docs(), totalLn: ix.totalLn, df: ix.df}
 }
 
-// Freeze finalizes the index: the sorted term table and the flat posting,
-// impact and length columns are built, the accumulator pool is sized, and
-// the index becomes searchable. Adding after Freeze fails.
+// Freeze finalizes the index: the sorted term table, the flat posting
+// columns, each term's book of (TF, impact) pairs and the length column are
+// built, the accumulator pool is sized, and the index becomes searchable.
+// Adding after Freeze fails.
 func (ix *Index) Freeze() { ix.freezeWith(ix.localStats()) }
 
 // freezeWith finalizes the index against the given collection statistics.
@@ -167,14 +175,10 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	terms := make([]string, 0, len(ix.build))
 	var npost int
 	var maxDoc DocID
-	var maxTF int32
 	for term, pl := range ix.build {
 		terms = append(terms, term)
 		npost += len(pl)
 		maxDoc = max(maxDoc, pl[len(pl)-1].Doc) // lists are in doc order
-		for _, p := range pl {
-			maxTF = max(maxTF, p.TF)
-		}
 	}
 	sort.Strings(terms)
 	var maxLen uint32
@@ -189,24 +193,79 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	ix.termIdf = make([]float64, len(terms))
 	ix.postOff = newColumn(len(terms)+1, uint64(npost))
 	ix.docs = newColumn(npost, uint64(maxDoc))
-	ix.tfs = newColumn(npost, uint64(maxTF))
-	ix.imp = make([]float32, npost)
+	codes := make([]uint32, npost)
+	bookOff := make([]uint64, len(terms)+1)
+	var bk book
 	i := 0
 	for o, term := range terms {
 		idf := idfFor(cs.docs, cs.df(term))
 		ix.termIdf[o] = idf
+		bk.start()
 		for _, p := range ix.build[term] {
 			ix.docs.set(i, uint64(p.Doc))
-			ix.tfs.set(i, uint64(p.TF))
-			ix.imp[i] = ix.impact(idf, p, avg)
+			codes[i] = bk.code(uint32(p.TF), ix.impact(idf, p, avg))
 			i++
 		}
 		ix.postOff.set(o+1, uint64(i))
+		bookOff[o+1] = uint64(len(bk.imp))
 	}
+	ix.codes = columnOf(codes)
+	ix.bookOff = columnOf(bookOff)
+	ix.bookTF = columnOf(bk.tf)
+	ix.bookImp = bk.imp
 	ix.build, ix.tf, ix.lens = nil, nil, nil
 	n := ix.Docs()
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	ix.frozen = true
+}
+
+// bookScanMax is the book size up to which book.code finds a pair by a
+// linear scan; a longer book indexes its pairs in a map.
+const bookScanMax = 16
+
+// book accumulates the books of a frozen index's terms, one term at a time:
+// tf and imp hold every entry so far, the current term's from first on.
+type book struct {
+	tf    []uint32
+	imp   []float32
+	first int
+	index map[uint64]uint32 // pair key → code, once the term's book is long
+}
+
+// pairKey packs a (TF, impact) pair into one comparable value: impacts
+// compare by their bits.
+func pairKey(tf uint32, imp float32) uint64 { return uint64(tf)<<32 | uint64(math.Float32bits(imp)) }
+
+// start opens the next term's book.
+func (b *book) start() { b.first, b.index = len(b.imp), nil }
+
+// code returns the current term's code for the pair (tf, imp), adding the
+// pair to its book on its first appearance.
+func (b *book) code(tf uint32, imp float32) uint32 {
+	key := pairKey(tf, imp)
+	if b.index != nil {
+		if c, ok := b.index[key]; ok {
+			return c
+		}
+	} else {
+		for e := b.first; e < len(b.imp); e++ {
+			if pairKey(b.tf[e], b.imp[e]) == key {
+				return uint32(e - b.first)
+			}
+		}
+	}
+	c := uint32(len(b.imp) - b.first)
+	b.tf = append(b.tf, tf)
+	b.imp = append(b.imp, imp)
+	if b.index != nil {
+		b.index[key] = c
+	} else if c+1 == bookScanMax {
+		b.index = make(map[uint64]uint32, 2*bookScanMax)
+		for e := b.first; e < len(b.imp); e++ {
+			b.index[pairKey(b.tf[e], b.imp[e])] = uint32(e - b.first)
+		}
+	}
+	return c
 }
 
 // impact computes one posting's full BM25 contribution. It is the same
@@ -242,17 +301,26 @@ func (ix *Index) span(o int) (lo, hi int) {
 	return int(ix.postOff.at(o)), int(ix.postOff.at(o + 1))
 }
 
-// postings returns term ordinal o's doc-ordered postings, read from the doc
-// and TF columns into a new slice, and their impacts, aliasing the index.
-// The serving paths read the columns in place; this is the impact order's
-// and the reference scorer's form.
+// bookSpan returns term ordinal o's range of the book columns.
+func (ix *Index) bookSpan(o int) (lo, hi int) {
+	return int(ix.bookOff.at(o)), int(ix.bookOff.at(o + 1))
+}
+
+// postings returns term ordinal o's doc-ordered postings and their impacts,
+// read from the doc-ID and code columns through the term's book into new
+// slices. The serving paths read the columns in place; this is the impact
+// order's and the reference scorer's form.
 func (ix *Index) postings(o int) ([]Posting, []float32) {
 	lo, hi := ix.span(o)
+	b, _ := ix.bookSpan(o)
 	post := make([]Posting, hi-lo)
+	imps := make([]float32, hi-lo)
 	for i := range post {
-		post[i] = Posting{Doc: DocID(ix.docs.at(lo + i)), TF: int32(ix.tfs.at(lo + i))}
+		e := b + int(ix.codes.at(lo+i))
+		post[i] = Posting{Doc: DocID(ix.docs.at(lo + i)), TF: int32(ix.bookTF.at(e))}
+		imps[i] = ix.bookImp[e]
 	}
-	return post, ix.imp[lo:hi]
+	return post, imps
 }
 
 // avgDocLen returns the mean analyzed document length.
@@ -317,8 +385,8 @@ type SearchStats struct {
 
 // Search runs an exhaustive ranked BM25 query (disjunctive semantics) and
 // returns the top k hits. The hot path is allocation-free in steady state:
-// per-posting impacts are precomputed at Freeze, scores accumulate into a
-// pooled epoch-stamped dense array, and the top k are selected with a
+// impacts are precomputed at Freeze into each term's book, scores accumulate
+// into a pooled epoch-stamped dense array, and the top k are selected with a
 // bounded min-heap.
 func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 	if !ix.frozen {
@@ -340,10 +408,11 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 // scoreTerms accumulates every term's full posting list into ac, in term
 // order — the one exhaustive-scan scoring loop shared by Search and
 // ScoreQuery, so their per-doc float64 sums are identical by construction.
-// The doc-ID column's width is chosen once per term, and scoreList is
-// instantiated for each. A posting whose doc ID lies outside the index (a
-// damaged mapped block: bulk blocks carry no verified checksum) fails the
-// query instead of indexing past the accumulator.
+// The doc-ID and code columns' widths are chosen once per term, and
+// scoreList is instantiated for each pair. A posting whose doc ID lies
+// outside the index or whose code lies outside its term's book (a damaged
+// mapped block: bulk blocks carry no verified checksum) fails the query
+// instead of indexing past the accumulator or the book.
 func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 	var stats SearchStats
 	for _, term := range terms {
@@ -352,18 +421,22 @@ func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 			continue
 		}
 		lo, hi := ix.span(o)
-		imps := ix.imp[lo:hi]
+		blo, bhi := ix.bookSpan(o)
+		book := ix.bookImp[blo:bhi]
 		var bad int
 		switch docs := ix.docs.vals.(type) {
 		case []uint8:
-			bad = scoreList(docs[lo:hi], imps, ac)
+			bad = scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
 		case []uint16:
-			bad = scoreList(docs[lo:hi], imps, ac)
+			bad = scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
 		default:
-			bad = scoreList(ix.docs.vals.([]uint32)[lo:hi], imps, ac)
+			bad = scoreCodes(ix.docs.vals.([]uint32)[lo:hi], ix.codes, lo, book, ac)
 		}
 		if bad >= 0 {
-			return stats, fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, bad, ix.docs.at(lo+bad), len(ac.stamps))
+			if d := ix.docs.at(lo + bad); d >= uint64(len(ac.stamps)) {
+				return stats, fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, bad, d, len(ac.stamps))
+			}
+			return stats, fmt.Errorf("ir: term %q posting %d has code %d, past its book of %d", term, bad, ix.codes.at(lo+bad), len(book))
 		}
 		stats.TermsMatched++
 		stats.PostingsScored += hi - lo
@@ -372,17 +445,44 @@ func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 	return stats, nil
 }
 
-// scoreList adds each posting's impact to its document's score and returns
-// -1, or the index of the first posting whose doc ID lies outside ac.
-func scoreList[D uint8 | uint16 | uint32](docs []D, imps []float32, ac *Accum) int {
-	n := uint32(len(ac.stamps))
-	imps = imps[:len(docs)]
+// scoreCodes is scoreList over the postings from lo on, instantiated at the
+// code column's width.
+func scoreCodes[D uint8 | uint16 | uint32](docs []D, codes column, lo int, book []float32, ac *Accum) int {
+	hi := lo + len(docs)
+	switch c := codes.vals.(type) {
+	case []uint8:
+		return scoreList(docs, c[lo:hi], book, ac)
+	case []uint16:
+		return scoreList(docs, c[lo:hi], book, ac)
+	}
+	return scoreList(docs, codes.vals.([]uint32)[lo:hi], book, ac)
+}
+
+// scoreList adds each posting's impact, its code's entry in book, to its
+// document's score and returns -1, or the index of the first posting whose
+// doc ID lies outside ac or whose code lies outside book. It is Accum.Add
+// over a whole list with the accumulator's slices and epoch held in locals:
+// through ac the compiler reloads them after every store.
+func scoreList[D, C uint8 | uint16 | uint32](docs []D, codes []C, book []float32, ac *Accum) int {
+	stamps, epoch, touched := ac.stamps, ac.epoch, ac.touched
+	scores := ac.scores[:len(stamps)]
+	codes = codes[:len(docs)]
 	for i, d := range docs {
-		if uint32(d) >= n {
+		c := codes[i]
+		if int(d) >= len(stamps) || int(c) >= len(book) {
+			ac.touched = touched
 			return i
 		}
-		ac.Add(DocID(d), float64(imps[i]))
+		v := float64(book[c])
+		if stamps[d] != epoch {
+			stamps[d] = epoch
+			scores[d] = v
+			touched = append(touched, DocID(d))
+			continue
+		}
+		scores[d] += v
 	}
+	ac.touched = touched
 	return -1
 }
 

@@ -2,7 +2,7 @@ package ir
 
 // Scoring kernel scratch: dense epoch-stamped accumulators recycled through
 // the index's sync.Pool, plus the bounded-heap top-k selection. Together
-// with the impact vectors built at Freeze they make the ranked-search hot
+// with the impact books built at Freeze they make the ranked-search hot
 // path allocation-free in steady state: no score maps, no full sort.
 
 import "sync"

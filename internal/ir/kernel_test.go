@@ -3,8 +3,13 @@ package ir
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/segset"
 )
 
 // kernelQueries mixes list lengths: frequent terms (long lists), rare
@@ -242,5 +247,208 @@ func TestTopKDenseEmptyAndOversized(t *testing.T) {
 	}
 	if len(all) != 3 {
 		t.Fatalf("oversized k hits = %v", all)
+	}
+}
+
+// flatPosting is one posting of flatOracle: a document and its own float32
+// impact.
+type flatPosting struct {
+	doc DocID
+	imp float32
+}
+
+// flatOracle is the text lane's layout before books (format 3): every
+// posting keeps its own float32 impact. It is built here from each
+// document's analyzed tokens and the union collection statistics, with
+// BM25's formula, independently of Freeze.
+type flatOracle struct {
+	bases segset.Bases
+	names [][]string
+	post  []map[string][]flatPosting // by segment, term
+}
+
+func newFlatOracle(segDocs [][]string) *flatOracle {
+	o := &flatOracle{}
+	var sizes []int
+	var docs int
+	var totalLn int64
+	df := map[string]int{}
+	toks := make([][][]string, len(segDocs))
+	for s, texts := range segDocs {
+		sizes = append(sizes, len(texts))
+		for _, text := range texts {
+			ts := Analyze(text)
+			toks[s] = append(toks[s], ts)
+			docs++
+			totalLn += int64(len(ts))
+			for _, term := range dedupe(append([]string(nil), ts...)) {
+				df[term]++
+			}
+		}
+	}
+	avg := float64(totalLn) / float64(docs)
+	o.bases = segset.NewBases(sizes)
+	for s, seg := range toks {
+		post := map[string][]flatPosting{}
+		var names []string
+		for d, ts := range seg {
+			names = append(names, fmt.Sprintf("s%d-d%d", s, d))
+			tf := map[string]int{}
+			for _, term := range ts {
+				tf[term]++
+			}
+			dl := float64(len(ts))
+			for term, n := range tf {
+				idf, f := idfFor(docs, df[term]), float64(n)
+				imp := float32(idf * f * (bm25K1 + 1) / (f + bm25K1*(1-bm25B+bm25B*dl/avg)))
+				post[term] = append(post[term], flatPosting{DocID(d), imp})
+			}
+		}
+		o.names = append(o.names, names)
+		o.post = append(o.post, post)
+	}
+	return o
+}
+
+// search scores every posting of every query term, in term order, one
+// accumulator per segment, and returns the top k hits, the documents
+// touched, and every scored document's 1-based rank.
+func (o *flatOracle) search(query string, k int) ([]Hit, int, map[DocID]int) {
+	terms := dedupe(Analyze(query))
+	var per [][]Hit
+	var all []Hit
+	touched := 0
+	for s, post := range o.post {
+		ac := NewAccum(len(o.names[s]), &sync.Pool{})
+		ac.Begin()
+		for _, term := range terms {
+			for _, p := range post[term] {
+				ac.Add(p.doc, float64(p.imp))
+			}
+		}
+		touched += ac.Touched()
+		base := DocID(o.bases.Start(s))
+		hits := ac.TopK(0)
+		for i := range hits {
+			hits[i].Name = o.names[s][hits[i].Doc]
+			hits[i].Doc += base
+		}
+		all = append(all, hits...)
+		if k > 0 && len(hits) > k {
+			hits = hits[:k]
+		}
+		per = append(per, hits)
+	}
+	sort.Slice(all, func(a, b int) bool { return worseHit(all[b], all[a]) })
+	ranks := map[DocID]int{}
+	for i, h := range all {
+		ranks[h.Doc] = i + 1
+	}
+	return MergeHits(per, k), touched, ranks
+}
+
+// TestKernelMatchesFlatImpacts holds the book kernel to the per-posting
+// impacts it replaced: over random segmented collections, heap-built and
+// mapped, Search returns flatOracle's hits with the same score bits and
+// documents touched, and ScoreQuery ranks every probed document as the
+// oracle does. Each collection holds a term on every document at more than
+// 256 lengths in its first segment (u16 codes), a TF past 255 (u16 book
+// TFs), and duplicate documents (ties).
+func TestKernelMatchesFlatImpacts(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		segDocs := make([][]string, 1+rng.Intn(4))
+		for s := range segDocs {
+			n := 1 + rng.Intn(120)
+			if s == 0 {
+				n = 270 + rng.Intn(30)
+			}
+			for d := 0; d < n; d++ {
+				var sb strings.Builder
+				sb.WriteString("zall")
+				// The first segment's documents have distinct lengths.
+				words := rng.Intn(60)
+				if s == 0 {
+					words = d
+				}
+				for w := 0; w < words; w++ {
+					fmt.Fprintf(&sb, " w%d", rng.Intn(40))
+				}
+				segDocs[s] = append(segDocs[s], sb.String())
+			}
+		}
+		last := len(segDocs) - 1
+		segDocs[last][0] += strings.Repeat(" zhot", 256+rng.Intn(40))
+		for i := 0; i < 4; i++ { // duplicates, across segments too
+			a, b := rng.Intn(len(segDocs)), rng.Intn(len(segDocs))
+			segDocs[a][rng.Intn(len(segDocs[a]))] = segDocs[b][rng.Intn(len(segDocs[b]))]
+		}
+		parts := make([]*Index, len(segDocs))
+		for s, texts := range segDocs {
+			parts[s] = NewIndex()
+			for d, text := range texts {
+				if _, err := parts[s].Add(fmt.Sprintf("s%d-d%d", s, d), text); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		heap, err := NewSegments(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := openSegmentsBytes(segfileBytes(t, heap, 0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := newFlatOracle(segDocs)
+		if w := heap.segs[0].codes.width(); w != 2 {
+			t.Fatalf("seed %d: the first segment stores %d-byte codes, want 2", seed, w)
+		}
+		queries := []string{"zall", "zhot", "zall zhot w1", "nosuch w5", "w3 zall w3"}
+		for i := 0; i < 12; i++ {
+			var q []string
+			for j := 0; j <= rng.Intn(4); j++ {
+				q = append(q, fmt.Sprintf("w%d", rng.Intn(45)))
+			}
+			queries = append(queries, strings.Join(q, " "))
+		}
+		for _, s := range []*Segments{heap, mapped} {
+			if w := s.segs[last].bookTF.width(); w != 2 {
+				t.Fatalf("seed %d: the last segment stores %d-byte book TFs, want 2", seed, w)
+			}
+			for _, q := range queries {
+				for _, k := range []int{0, 1, 10, 50} {
+					want, touched, _ := oracle.search(q, k)
+					got, stats, err := s.Search(q, k)
+					if err != nil {
+						t.Fatalf("seed %d q=%q: %v", seed, q, err)
+					}
+					if len(got) != len(want) || stats.DocsTouched != touched {
+						t.Fatalf("seed %d q=%q k=%d: %d hits, %d touched; oracle %d, %d", seed, q, k, len(got), stats.DocsTouched, len(want), touched)
+					}
+					for i := range want {
+						if got[i].Doc != want[i].Doc || got[i].Name != want[i].Name ||
+							math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+							t.Fatalf("seed %d q=%q k=%d hit %d: %+v, oracle %+v", seed, q, k, i, got[i], want[i])
+						}
+					}
+				}
+				_, _, ranks := oracle.search(q, 0)
+				probe := []Hit{{Doc: -1}, {Doc: DocID(s.Docs())}}
+				for i := 0; i < 20; i++ {
+					probe = append(probe, Hit{Doc: DocID(rng.Intn(s.Docs()))})
+				}
+				sc, _, err := s.ScoreQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range sc.Ranks(probe) {
+					if r != ranks[probe[i].Doc] {
+						t.Fatalf("seed %d q=%q doc %d: rank %d, oracle %d", seed, q, probe[i].Doc, r, ranks[probe[i].Doc])
+					}
+				}
+				sc.Release()
+			}
+		}
 	}
 }

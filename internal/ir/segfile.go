@@ -2,21 +2,30 @@ package ir
 
 // Zero-copy segment persistence for the text-retrieval kernel. A frozen
 // Segments reader serializes into the segfile container as flat,
-// 64-byte-aligned columns — doc-ordered posting doc IDs and term
-// frequencies, their float32 BM25 impacts, per-term idf and posting
-// offsets, doc lengths, and the sorted term dictionary — and opens back up
-// with one mmap plus an O(terms) dictionary check: the reconstructed Index's
-// term table, idf, offsets, doc IDs, TFs, impacts and lengths are the mapped
-// blocks themselves (segfile's typed views), so no posting is decoded, no
-// per-term structure is built on the heap, queries find their terms by
-// binary search over the mapped dictionary, and the kernel's accumulator
-// loop in scoreTerms scores straight over the file's pages.
+// 64-byte-aligned columns — doc-ordered posting doc IDs and book codes, each
+// term's book of distinct (TF, float32 BM25 impact) pairs, per-term idf and
+// posting and book offsets, doc lengths, and the sorted term dictionary —
+// and opens back up with one mmap plus an O(terms + book entries) check: the
+// reconstructed Index's term table, idf, offsets, doc IDs, codes, books and
+// lengths are the mapped blocks themselves (segfile's typed views), so no
+// posting is decoded, no per-term structure is built on the heap, queries
+// find their terms by binary search over the mapped dictionary, and the
+// kernel's accumulator loop in scoreTerms scores straight over the file's
+// pages.
+//
+// A posting stores no TF and no impact of its own, only its code: the index
+// of its (TF, impact) pair in its term's book, in first-appearance order.
+// Within a term the impact depends on the TF and the document's length, and
+// a site's pages fall into few length classes, so books are short (at
+// dlbench's site at most 3 entries, 10,419 over 10,060 terms for 134,030
+// postings) and a code is one byte where the pair took five.
 //
 // Every integer column is stored at the narrowest of 1, 2, 4 and 8 bytes
 // that holds its largest value (column.go), and the segment's meta record
-// names each width: at dlbench's shape (≤ 2,088 documents a segment, TF ≤ 4)
-// doc IDs are u16 and TFs u8, and a segment past 65,536 documents stores
-// u32 doc IDs. The rule needs no option: a heap build and the file it writes
+// names each width: at dlbench's shape (≤ 2,088 documents a segment) doc IDs
+// are u16 and codes and TFs u8, a segment past 65,536 documents stores u32
+// doc IDs, and a term with more than 256 distinct pairs makes the segment's
+// codes u16. The rule needs no option: a heap build and the file it writes
 // hold the same columns. Impacts keep their float32 bits.
 //
 // Byte-identity: segments persist exactly the columns Freeze built — the
@@ -32,25 +41,31 @@ package ir
 //	ir/meta            record: u32 irVersion | u32 nsegs | u64 docs |
 //	                   u64 vocab | u64 signature
 //	ir/<i>/meta        record: u32 docs | u64 totalLen | u32 terms |
-//	                   u64 postings | u8 offWidth | u8 docWidth |
-//	                   u8 tfWidth | u8 lenWidth
+//	                   u64 postings | u64 book | u8 offWidth |
+//	                   u8 docWidth | u8 codeWidth | u8 lenWidth |
+//	                   u8 bookOffWidth | u8 tfWidth
 //	ir/<i>/terms       sorted term bytes, concatenated
 //	ir/<i>/termoff     u32[T+1] offsets into terms
 //	ir/<i>/idf         f64[T]
 //	ir/<i>/postoff     uW[T+1] posting offsets per term (W ≤ 8)
+//	ir/<i>/bookoff     uW[T+1] book offsets per term    (W ≤ 8)
+//	ir/<i>/booktf      uW[B] TF of each book entry      (W ≤ 4)
+//	ir/<i>/bookimp     f32[B] impact of each book entry
 //	ir/<i>/postdoc     uW[P] doc IDs in doc order (W ≤ 4; bulk, lazily paged)
-//	ir/<i>/posttf      uW[P] TFs of postdoc       (W ≤ 4; bulk, lazily paged)
-//	ir/<i>/postimp     f32[P] impacts of postdoc  (bulk, lazily paged)
+//	ir/<i>/postcode    uW[P] book codes of postdoc (W ≤ 4; bulk, lazily paged)
 //	ir/<i>/names       doc name bytes, concatenated
 //	ir/<i>/nameoff     u32[D+1] offsets into names
 //	ir/<i>/doclen      uW[D] analyzed token counts (W ≤ 4)
 //
 // Open verifies the container structure plus the checksums of every
-// structural block (meta, dictionaries, offset tables, names, doclen), and
-// that every column holds exactly as many values of its width as the meta
-// record counts; the three bulk posting blocks are size-validated but never
-// checksummed, preserving on-demand paging. A doc ID in them that lies
-// outside its segment fails the query that reads it (scoreTerms).
+// structural block (meta, dictionaries, offset tables, books, names,
+// doclen), that every column holds exactly as many values of its width as
+// the meta record counts, and that every book is one a freeze can write:
+// a term with postings has 1 to as many entries as postings, every TF is
+// positive and every impact finite and non-negative. The two bulk posting
+// blocks are size-validated but never checksummed, preserving on-demand
+// paging. A doc ID in them that lies outside its segment, or a code past its
+// term's book, fails the query that reads it (scoreTerms).
 
 import (
 	"errors"
@@ -66,8 +81,10 @@ import (
 // (independent of the container version). Version 2 dropped the
 // impact-ordered posting blocks; version 3 split the 8-byte postings into
 // doc-ID and TF columns and stores every integer column at its narrowest
-// width. A cache of an older version is refused and rebuilt.
-const irFormatVersion = 3
+// width; version 4 replaced the per-posting TF and impact columns with a
+// code into each term's book of distinct (TF, impact) pairs. A cache of an
+// older version is refused and rebuilt.
+const irFormatVersion = 4
 
 // fileMeta is the ir/meta record.
 type fileMeta struct {
@@ -76,14 +93,16 @@ type fileMeta struct {
 	Signature         uint64
 }
 
-// segMeta is the ir/<i>/meta record. The widths are the bytes per value of
-// the postoff, postdoc, posttf and doclen columns.
+// segMeta is the ir/<i>/meta record: Book counts the book entries of all
+// terms. The widths are the bytes per value of the postoff, postdoc,
+// postcode, doclen, bookoff and booktf columns.
 type segMeta struct {
-	Docs                                  uint32
-	TotalLen                              uint64
-	Terms                                 uint32
-	Postings                              uint64
-	OffWidth, DocWidth, TFWidth, LenWidth uint8
+	Docs                                    uint32
+	TotalLen                                uint64
+	Terms                                   uint32
+	Postings, Book                          uint64
+	OffWidth, DocWidth, CodeWidth, LenWidth uint8
+	BookOffWidth, TFWidth                   uint8
 }
 
 // ErrSignature reports that an opened segfile was written for a different
@@ -115,22 +134,27 @@ func WriteSegments(w io.Writer, s *Segments, signature uint64) error {
 // writeIndexBlocks writes one segment: the frozen index's own columns,
 // block for block.
 func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
+	T := ix.dict.Len()
 	sw.Record(prefix+"meta", segMeta{
-		Docs: uint32(ix.Docs()), TotalLen: uint64(ix.totalLn), Terms: uint32(ix.dict.Len()), Postings: uint64(len(ix.imp)),
-		OffWidth: ix.postOff.width(), DocWidth: ix.docs.width(), TFWidth: ix.tfs.width(), LenWidth: ix.doclen.width(),
+		Docs: uint32(ix.Docs()), TotalLen: uint64(ix.totalLn), Terms: uint32(T),
+		Postings: ix.postOff.at(T), Book: uint64(len(ix.bookImp)),
+		OffWidth: ix.postOff.width(), DocWidth: ix.docs.width(), CodeWidth: ix.codes.width(), LenWidth: ix.doclen.width(),
+		BookOffWidth: ix.bookOff.width(), TFWidth: ix.bookTF.width(),
 	})
 	sw.Table(prefix+"terms", prefix+"termoff", ix.dict)
 	sw.Block(prefix+"idf", segfile.Bytes(ix.termIdf))
 	sw.Block(prefix+"postoff", ix.postOff.bytes())
+	sw.Block(prefix+"bookoff", ix.bookOff.bytes())
+	sw.Block(prefix+"booktf", ix.bookTF.bytes())
+	sw.Block(prefix+"bookimp", segfile.Bytes(ix.bookImp))
 	sw.Block(prefix+"postdoc", ix.docs.bytes())
-	sw.Block(prefix+"posttf", ix.tfs.bytes())
-	sw.Block(prefix+"postimp", segfile.Bytes(ix.imp))
+	sw.Block(prefix+"postcode", ix.codes.bytes())
 	sw.Table(prefix+"names", prefix+"nameoff", ix.names)
 	sw.Block(prefix+"doclen", ix.doclen.bytes())
 }
 
 // OpenSegmentsFile maps the segfile at path and reconstructs the Segments
-// reader over it: postings, impacts, dictionary strings and document names
+// reader over it: postings, books, dictionary strings and document names
 // alias the mapping, so using the reader after closing it is invalid.
 // wantSignature, when non-zero, must match the signature the file was
 // written with (ErrSignature otherwise) — the staleness guard for cached
@@ -189,11 +213,12 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err := r.Record(prefix+"meta", &meta); err != nil {
 		return nil, err
 	}
-	if meta.Docs > math.MaxInt32 || meta.Terms > math.MaxInt32 || meta.TotalLen > math.MaxInt64 || meta.Postings > math.MaxInt {
-		return nil, fmt.Errorf("ir: implausible segment shape (docs=%d, terms=%d, totalLen=%d, postings=%d)",
-			meta.Docs, meta.Terms, meta.TotalLen, meta.Postings)
+	if meta.Docs > math.MaxInt32 || meta.Terms > math.MaxInt32 || meta.TotalLen > math.MaxInt64 ||
+		meta.Postings > math.MaxInt || meta.Book > meta.Postings {
+		return nil, fmt.Errorf("ir: implausible segment shape (docs=%d, terms=%d, totalLen=%d, postings=%d, book=%d)",
+			meta.Docs, meta.Terms, meta.TotalLen, meta.Postings, meta.Book)
 	}
-	D, T, P := int(meta.Docs), int(meta.Terms), int(meta.Postings)
+	D, T, P, B := int(meta.Docs), int(meta.Terms), int(meta.Postings), int(meta.Book)
 
 	dict, err := r.Table(prefix+"terms", prefix+"termoff", T)
 	if err != nil {
@@ -204,6 +229,18 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		return nil, err
 	}
 	postOff, err := readColumn(r, prefix+"postoff", T+1, meta.OffWidth, 8, true)
+	if err != nil {
+		return nil, err
+	}
+	bookOff, err := readColumn(r, prefix+"bookoff", T+1, meta.BookOffWidth, 8, true)
+	if err != nil {
+		return nil, err
+	}
+	bookTF, err := readColumn(r, prefix+"booktf", B, meta.TFWidth, 4, true)
+	if err != nil {
+		return nil, err
+	}
+	bookImp, err := segfile.Structural[float32](r, prefix+"bookimp", B)
 	if err != nil {
 		return nil, err
 	}
@@ -219,40 +256,56 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	tfs, err := readColumn(r, prefix+"posttf", P, meta.TFWidth, 4, false)
-	if err != nil {
-		return nil, err
-	}
-	imp, err := segfile.Bulk[float32](r, prefix+"postimp", P)
+	codes, err := readColumn(r, prefix+"postcode", P, meta.CodeWidth, 4, false)
 	if err != nil {
 		return nil, err
 	}
 
-	// The index serves straight from these blocks, so check what lookup and
-	// span rely on, in O(terms): the dictionary is sorted, with no empty or
-	// repeated term, and the posting offsets ascend from 0 to P.
-	prev := postOff.at(0)
+	// The index serves straight from these blocks, so check what lookup,
+	// span and bookSpan rely on, in O(terms): the dictionary is sorted, with
+	// no empty or repeated term, the posting and book offsets ascend from 0
+	// to P and B, and a term with postings has at least one book entry and
+	// no more than it has postings.
+	prev, prevBook := postOff.at(0), bookOff.at(0)
 	for t := 0; t < T; t++ {
 		term := dict.At(t)
 		if term == "" || (t > 0 && term <= dict.At(t-1)) {
 			return nil, fmt.Errorf("ir: term %d (%q) breaks the sorted dictionary", t, term)
 		}
-		next := postOff.at(t + 1)
+		next, nextBook := postOff.at(t+1), bookOff.at(t+1)
 		if prev > next {
 			return nil, fmt.Errorf("ir: term %q postings [%d, %d) descend", term, prev, next)
 		}
-		prev = next
+		if prevBook > nextBook {
+			return nil, fmt.Errorf("ir: term %q book [%d, %d) descends", term, prevBook, nextBook)
+		}
+		if n, nb := next-prev, nextBook-prevBook; nb > n || (n > 0 && nb == 0) {
+			return nil, fmt.Errorf("ir: term %q has %d book entries for %d postings", term, nb, n)
+		}
+		prev, prevBook = next, nextBook
 	}
 	if first := postOff.at(0); first != 0 || prev != uint64(P) {
 		return nil, fmt.Errorf("ir: posting offsets span [%d, %d), want [0, %d)", first, prev, P)
+	}
+	if first := bookOff.at(0); first != 0 || prevBook != uint64(B) {
+		return nil, fmt.Errorf("ir: book offsets span [%d, %d), want [0, %d)", first, prevBook, B)
+	}
+	// Every book entry is a pair a freeze writes: a posting occurs at least
+	// once, and a BM25 impact is finite and non-negative.
+	for e, imp := range bookImp {
+		if tf := bookTF.at(e); tf == 0 || !(imp >= 0) || math.IsInf(float64(imp), 1) {
+			return nil, fmt.Errorf("ir: book entry %d holds TF %d, impact %v", e, tf, imp)
+		}
 	}
 	ix := &Index{
 		dict:    dict,
 		termIdf: idf,
 		postOff: postOff,
 		docs:    docs,
-		tfs:     tfs,
-		imp:     imp,
+		codes:   codes,
+		bookOff: bookOff,
+		bookTF:  bookTF,
+		bookImp: bookImp,
 		names:   names,
 		doclen:  docLen,
 		totalLn: int64(meta.TotalLen),

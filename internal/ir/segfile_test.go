@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,12 +128,15 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same reader produced different bytes")
 	}
-	// Golden: the bytes format 3 writes for this corpus. It was re-recorded
+	// Golden: the bytes format 4 writes for this corpus. It was re-recorded
 	// once for format 3 (narrowest-width columns), whose fields equal format
-	// 2's field by field (dlse.TestTextFormat3EqualsFormat2). The layout may
-	// not drift silently: a cache written by an older build must keep
-	// opening, or be refused by version and rebuilt.
-	const golden = "359aec51f96ebe7e8f2d9c537b9ce7f24de4bef05e489c162706f3f5e2305d54"
+	// 2's field by field (dlse.TestTextFormat3EqualsFormat2), and once for
+	// format 4 (a code per posting into its term's book of (TF, impact)
+	// pairs), whose postings read back through the books equal format 3's
+	// (dlse.TestTextFormat4EqualsFormat3). The layout may not drift
+	// silently: a cache written by an older build must keep opening, or be
+	// refused by version and rebuilt.
+	const golden = "94271aa9eea0adeb5e89720561f218790fd229631fb89e2452eb8e127035095c"
 	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
 		t.Fatalf("text segfile bytes changed: sha256 %s, want %s", got, golden)
 	}
@@ -252,6 +256,58 @@ func TestSegfileHostileBytes(t *testing.T) {
 		// padding or a lazily-verified bulk block.
 		_, _ = openSegmentsBytes(mut, 0)
 	}
+	// Books are structural: open refuses one no freeze writes. Each edit
+	// keeps its block's checksum valid, so only the check of its values can
+	// refuse it.
+	set := func(b []byte) func([]byte) []byte { return func([]byte) []byte { return b } }
+	imps := func(vs ...float32) func([]byte) []byte { return set(segfile.Bytes(vs)) }
+	for _, c := range []struct {
+		name, block string
+		edit        func([]byte) []byte
+		want        string
+	}{
+		{"descending book offsets", "ir/0/bookoff", set([]byte{0, 1, 0}), `"w1" book [1, 0) descends`},
+		{"postings without a book", "ir/0/bookoff", set([]byte{0, 0, 2}), `"w0" has 0 book entries for 1 postings`},
+		{"more entries than postings", "ir/0/bookoff", set([]byte{0, 2, 2}), `"w0" has 2 book entries for 1 postings`},
+		{"book TF 0", "ir/0/booktf", set([]byte{1, 0}), "TF 0"},
+		{"NaN impact", "ir/0/bookimp", imps(1, float32(math.NaN())), "NaN"},
+		{"infinite impact", "ir/0/bookimp", imps(float32(math.Inf(1)), 1), "+Inf"},
+		{"negative impact", "ir/0/bookimp", imps(1, -0.5), "-0.5"},
+	} {
+		_, err := openSegmentsBytes(handFile(t, 1, map[string]func([]byte) []byte{c.block: c.edit}, "w0", "w1"), 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: open err = %v, want one containing %s", c.name, err, c.want)
+		}
+	}
+	// Codes are bulk, like doc IDs: a code past its term's book opens, and
+	// fails every query over the term with an error naming it and its
+	// segment, at each code width, instead of panicking.
+	for _, c := range []struct {
+		name  string
+		edits map[string]func([]byte) []byte
+	}{
+		{"u8", map[string]func([]byte) []byte{"ir/0/postcode": set([]byte{0, 1})}},
+		{"u16", map[string]func([]byte) []byte{
+			"ir/0/postcode": set([]byte{0, 0, 0, 1}), // w1's code is 256
+			"ir/0/meta":     func(b []byte) []byte { b[34] = 2; return b },
+		}},
+	} {
+		m, err := openSegmentsBytes(handFile(t, 1, c.edits, "w0", "w1"), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, _, err := m.Search("w0", 10); err != nil {
+			t.Fatalf("%s: the undamaged term fails: %v", c.name, err)
+		}
+		_, _, serr := m.Search("w0 w1", 10)
+		_, _, _, sserr := m.SearchScores("w1", 10)
+		_, _, scerr := m.ScoreSegments("w1", nil)
+		for _, err := range []error{serr, sserr, scerr} {
+			if err == nil || !strings.Contains(err.Error(), `segment 0: ir: term "w1" posting 0 has code`) {
+				t.Errorf("%s: err = %v, want one naming segment 0 and term w1", c.name, err)
+			}
+		}
+	}
 }
 
 // TestCorruptPostingDocFailsSearch: a doc ID in a mapped posting block that
@@ -312,8 +368,9 @@ func TestCorruptPostingDocFailsSearch(t *testing.T) {
 // TestSegfileColumnWidths: each integer column is stored at the narrowest
 // width holding its largest value, and segments on either side of each
 // boundary — 65,536 and 65,537 documents (the largest doc ID 65,535 and
-// 65,536), a TF of 255 and of 256 — answer identically heap-built and
-// mapped.
+// 65,536), a book TF of 255 and of 256 — answer identically heap-built and
+// mapped. (TestKernelMatchesFlatImpacts crosses the code column's u8/u16
+// boundary.)
 func TestSegfileColumnWidths(t *testing.T) {
 	parts := []*Index{NewIndex(), NewIndex()}
 	for i, n := range []int{65536, 65537} {
@@ -338,12 +395,12 @@ func TestSegfileColumnWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type widths struct{ off, doc, tf, len uint8 }
-	for i, want := range []widths{{4, 2, 1, 2}, {4, 4, 2, 2}} {
+	type widths struct{ off, doc, code, len, bookOff, tf uint8 }
+	for i, want := range []widths{{4, 2, 1, 2, 1, 1}, {4, 4, 1, 2, 1, 2}} {
 		for _, ix := range []*Index{heap.segs[i], mapped.segs[i]} {
-			got := widths{ix.postOff.width(), ix.docs.width(), ix.tfs.width(), ix.doclen.width()}
+			got := widths{ix.postOff.width(), ix.docs.width(), ix.codes.width(), ix.doclen.width(), ix.bookOff.width(), ix.bookTF.width()}
 			if got != want {
-				t.Fatalf("segment %d: widths (off, doc, tf, len) %v, want %v", i, got, want)
+				t.Fatalf("segment %d: widths (off, doc, code, len, bookOff, tf) %v, want %v", i, got, want)
 			}
 		}
 	}
@@ -405,14 +462,17 @@ func TestSegfileColumnLengthsChecked(t *testing.T) {
 		{"ir/0/postdoc", short(2)},
 		{"ir/0/postdoc", long(2)},
 		{"ir/0/postdoc", func(b []byte) []byte { return append(b, b...) }}, // twice the width
-		{"ir/0/posttf", short(1)},
-		{"ir/0/posttf", long(1)},
-		{"ir/0/postimp", short(4)},
+		{"ir/0/postcode", short(1)},
+		{"ir/0/postcode", long(1)},
+		{"ir/0/bookoff", short(1)},
+		{"ir/0/booktf", long(1)},
+		{"ir/0/bookimp", short(4)},
 		{"ir/0/postoff", short(1)},
 		{"ir/0/doclen", long(1)},
-		{"ir/0/meta", metaWidth(25, 1)}, // doc width 1 under a 2-byte column
-		{"ir/0/meta", metaWidth(25, 3)}, // no such width
-		{"ir/0/meta", metaWidth(26, 0)}, // TF width 0
+		{"ir/0/meta", metaWidth(33, 1)}, // doc width 1 under a 2-byte column
+		{"ir/0/meta", metaWidth(33, 3)}, // no such width
+		{"ir/0/meta", metaWidth(34, 0)}, // code width 0
+		{"ir/0/meta", metaWidth(37, 0)}, // TF width 0
 	} {
 		edits := map[string]func([]byte) []byte{c.block: c.edit}
 		if _, err := openSegmentsBytes(handFile(t, 2, edits, "w0", "w1"), 0); err == nil {
@@ -427,8 +487,8 @@ func TestSegfileColumnLengthsChecked(t *testing.T) {
 
 // FuzzSegfileOpen asserts the open path never panics or over-allocates on
 // hostile bytes: truncations, overflowing offsets, bad checksums, shuffled
-// dictionaries, columns of every width. Seeded with real written segment
-// files and hand-written ones at each doc-ID width.
+// dictionaries, columns of every width, codes past their books. Seeded with
+// real written segment files and hand-written ones at each doc-ID width.
 func FuzzSegfileOpen(f *testing.F) {
 	docs := segCorpus(25)
 	parts := make([]*Index, 2)
@@ -473,6 +533,24 @@ func FuzzSegfileOpen(f *testing.F) {
 	f.Add(segfileBytes(f, segs, 0))
 	f.Add(handFile(f, 2, nil, "w0", "w1"))
 	f.Add(handFile(f, 4, nil, "w0", "w1"))
+	// Format 4's books: a written file whose u16 codes name a book of more
+	// than 256 pairs and whose book TFs pass 255, a code past its term's
+	// book, and book offsets that descend.
+	books := NewIndex()
+	for d := 0; d < 300; d++ {
+		books.Add(fmt.Sprintf("d%d", d), "w0"+strings.Repeat(" w1", d)+strings.Repeat(" w2", 256*(d%2)))
+	}
+	segs, err = NewSegments([]*Index{books})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if cw, tw := segs.segs[0].codes.width(), segs.segs[0].bookTF.width(); cw != 2 || tw != 2 {
+		f.Fatalf("code width %d, book TF width %d, want 2 and 2", cw, tw)
+	}
+	f.Add(segfileBytes(f, segs, 0))
+	set := func(b []byte) func([]byte) []byte { return func([]byte) []byte { return b } }
+	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/postcode": set([]byte{0, 1})}, "w0", "w1"))
+	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/bookoff": set([]byte{0, 1, 0})}, "w0", "w1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := openSegmentsBytes(data, 0)
 		if err != nil {
@@ -505,7 +583,8 @@ func dictFile(t testing.TB, terms ...string) []byte { return handFile(t, 1, nil,
 
 // handFile is dictFile with the doc-ID column stored docWidth bytes wide,
 // and each block named in edits rewritten by its function before it is
-// written (its checksum is the edited bytes').
+// written (its checksum is the edited bytes'). Each term's book holds its
+// one posting's pair, (TF 1, impact 1).
 func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte, terms ...string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -530,23 +609,26 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 	idf := make([]float64, T)
 	postOff := newColumn(T+1, uint64(T))
 	docs := map[uint8]column{1: {make([]uint8, T)}, 2: {make([]uint16, T)}, 4: {make([]uint32, T)}, 8: {make([]uint64, T)}}[docWidth]
-	tfs := newColumn(T, 1)
-	imp := make([]float32, T)
+	codes := newColumn(T, 0)
+	bookTF := newColumn(T, 1)
+	bookImp := make([]float32, T)
 	for o := range terms {
-		idf[o], imp[o] = 1, 1
+		idf[o], bookImp[o] = 1, 1
 		postOff.set(o+1, uint64(o+1))
-		tfs.set(o, 1)
+		bookTF.set(o, 1)
 	}
 	record("ir/meta", fileMeta{irFormatVersion, 1, 1, uint64(T), 0})
-	record("ir/0/meta", segMeta{1, uint64(T), uint32(T), uint64(T), postOff.width(), docWidth, 1, 1})
+	record("ir/0/meta", segMeta{1, uint64(T), uint32(T), uint64(T), uint64(T), postOff.width(), docWidth, 1, 1, postOff.width(), 1})
 	dict := segfile.NewTable(T, func(o int) string { return terms[o] })
 	block("ir/0/terms", dict.Data)
 	block("ir/0/termoff", segfile.Bytes(dict.Off))
 	block("ir/0/idf", segfile.Bytes(idf))
 	block("ir/0/postoff", postOff.bytes())
+	block("ir/0/bookoff", postOff.bytes()) // one book entry per term, as one posting
+	block("ir/0/booktf", bookTF.bytes())
+	block("ir/0/bookimp", segfile.Bytes(bookImp))
 	block("ir/0/postdoc", docs.bytes())
-	block("ir/0/posttf", tfs.bytes())
-	block("ir/0/postimp", segfile.Bytes(imp))
+	block("ir/0/postcode", codes.bytes())
 	block("ir/0/names", []byte("doc"))
 	block("ir/0/nameoff", segfile.Bytes([]uint32{0, 3}))
 	block("ir/0/doclen", []byte{byte(T)})

@@ -7,20 +7,18 @@ package ir
 // processes the first MaxFragments fragment rounds and stops regardless —
 // the "quality/time trade-off" studied in the paper, where answer quality
 // is traded for response time. All modes score through the dense
-// epoch-stamped accumulator and the per-posting impacts built at Freeze.
+// epoch-stamped accumulator and the impacts of each term's book, built at
+// Freeze.
 //
 // The impact order belongs to this experiment alone: the serving lanes scan
 // documents in doc order, so Freeze builds only that order and the text
 // segfile stores only it. SearchTopN derives the impact order once per Index,
 // on its first call, as a stable TF-descending permutation of each term's
-// doc-ordered postings (read from the doc-ID and TF columns) and their
-// impacts — the same postings and the same float32 bits a freeze-time sort
-// would produce.
+// doc-ordered postings and their impacts (read from the doc-ID and code
+// columns through the term's book) — the same postings and the same float32
+// bits a freeze-time sort would produce.
 
-import (
-	"slices"
-	"sort"
-)
+import "sort"
 
 // impactList is one term's postings in impact order, each with its impact;
 // its sort.Interface orders by descending TF.
@@ -42,8 +40,8 @@ func (ix *Index) impactLists() []impactList {
 	ix.byImpactOnce.Do(func() {
 		ix.byImpact = make([]impactList, ix.dict.Len())
 		for o := range ix.byImpact {
-			post, imp := ix.postings(o) // post is a fresh slice
-			il := impactList{post, slices.Clone(imp)}
+			post, imp := ix.postings(o) // fresh slices
+			il := impactList{post, imp}
 			sort.Stable(il)
 			ix.byImpact[o] = il
 		}
