@@ -179,7 +179,7 @@ func newLibrary(view *core.SegmentedIndex, nextSeg int64, mapping io.Closer) (*L
 	if err != nil {
 		return nil, err
 	}
-	cfg.Shot.Workers = 1
+	cfg.Workers = 1
 	pinned, err := fde.NewTennisEngine(cfg)
 	if err != nil {
 		return nil, err

@@ -36,7 +36,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/shotdet"
 	"repro/internal/synth"
-	"repro/internal/track"
 	"repro/internal/vidfmt"
 	"repro/internal/webspace"
 )
@@ -67,8 +66,8 @@ var (
 	irCorpus     *ir.Index
 )
 
-func benchIRCorpus(b *testing.B) *ir.Index {
-	b.Helper()
+func benchIRCorpus(tb testing.TB) *ir.Index {
+	tb.Helper()
 	irCorpusOnce.Do(func() {
 		rng := rand.New(rand.NewSource(2000))
 		zipf := rand.NewZipf(rng, 1.15, 1, 2999)
@@ -117,12 +116,11 @@ func BenchmarkFig1DependencyGraph(b *testing.B) {
 func BenchmarkE2ShotBoundarySweep(b *testing.B) {
 	vids := benchCorpus(b)
 	v := vids[0]
-	cfg := shotdet.DefaultConfig()
 	var sweep shotdet.Sweeper
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sweep.Detect(v.Frames, cfg)
+		_ = sweep.Detect(v.Frames, shotdet.Threshold)
 	}
 	b.ReportMetric(float64(len(v.Frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
@@ -134,7 +132,7 @@ func BenchmarkE2ShotBoundarySweep(b *testing.B) {
 // audience, other} are the E3 rows of the quality ledger.
 func BenchmarkE3ShotClassification(b *testing.B) {
 	vids := benchCorpus(b)
-	cls := shotdet.NewClassifier(shotdet.ClassifierConfig{CourtColor: synth.CourtColor})
+	cls := shotdet.NewClassifier(synth.CourtColor)
 	v := vids[0]
 	s := v.Truth.Shots[0]
 	b.ReportAllocs()
@@ -155,7 +153,7 @@ func BenchmarkE4TrackingError(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = trackFrames(frames, track.DefaultConfig())
+		_ = trackFrames(frames)
 	}
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
@@ -169,7 +167,7 @@ func BenchmarkE4TrackingError(b *testing.B) {
 func BenchmarkE5EventRules(b *testing.B) {
 	cfg := synth.DefaultConfig(5000)
 	frames, _, _, _, _ := synth.RenderTennisShot(cfg, "net-approach", 70)
-	res := trackFrames(frames, track.DefaultConfig())
+	res := trackFrames(frames)
 	series := fde.TrackToSeries(res)
 	eng, _ := rules.NewEngine(rules.TennisRules(), rules.StandardGeometry(cfg.W, cfg.H))
 	b.ReportAllocs()
@@ -201,76 +199,20 @@ func BenchmarkE6HMMStrokes(b *testing.B) {
 
 // ------------------------------------------------ E7: IR top-N optimization
 
-var e7Once sync.Once
+// e7Queries are E7's queries over benchIRCorpus: one to four terms of the
+// Zipf vocabulary's head.
+var e7Queries = []string{"w3", "w1 w3", "w0 w2 w7", "w5 w11 w23 w47"}
 
-// BenchmarkE7TopNOptimization reproduces the top-N retrieval optimization
-// study: postings scored and latency for the optimized algorithm vs the
-// exhaustive scan, and the quality/time trade-off under unsafe budgets.
+// BenchmarkE7TopNOptimization times the top-N retrieval optimization on
+// the 20k-document corpus at k = 10. Its quality and postings scored
+// against the exhaustive scan, and under the unsafe fragment budgets, are
+// the E7 rows of the quality ledger.
 func BenchmarkE7TopNOptimization(b *testing.B) {
 	ix := benchIRCorpus(b)
-	queries := []string{"w3", "w1 w3", "w0 w2 w7", "w5 w11 w23 w47"}
-	e7Once.Do(func() {
-		fmt.Printf("\n=== E7: IR top-N optimization (20k docs, Zipf vocabulary) ===\n")
-		fmt.Printf("%-8s %-12s %12s %12s %10s %10s\n", "k", "mode", "postings", "latency", "speedup", "quality")
-		for _, k := range []int{10, 20, 50} {
-			var fullPostings, optPostings int
-			var fullDur, optDur time.Duration
-			quality := 1.0
-			for _, q := range queries {
-				start := time.Now()
-				_, fs, err := ix.Search(q, k)
-				if err != nil {
-					panic(err)
-				}
-				fullDur += time.Since(start)
-				fullPostings += fs.PostingsScored
-				start = time.Now()
-				opt, os, err := ix.SearchTopN(q, k, ir.TopNOptions{Fragments: 32})
-				if err != nil {
-					panic(err)
-				}
-				optDur += time.Since(start)
-				optPostings += os.PostingsScored
-				qv, err := ir.ScoreQuality(ix, q, k, opt)
-				if err != nil {
-					panic(err)
-				}
-				if qv < quality {
-					quality = qv
-				}
-			}
-			fmt.Printf("%-8d %-12s %12d %12v %10s %10.3f\n", k, "full", fullPostings, fullDur.Round(time.Microsecond), "1.0x", 1.0)
-			fmt.Printf("%-8d %-12s %12d %12v %9.1fx %10.3f\n", k, "topN-safe", optPostings, optDur.Round(time.Microsecond),
-				float64(fullDur)/float64(optDur), quality)
-		}
-		// Budget sweep: the quality/time trade-off at k=10. Budget b means
-		// the first b fragment rounds of every term's impact-ordered list.
-		fmt.Printf("--- budget sweep (k=10, fragments=32) ---\n")
-		fmt.Printf("%-10s %12s %10s\n", "rounds", "postings", "quality")
-		for _, budget := range []int{1, 2, 4, 8, 16, 24, 32} {
-			var postings int
-			quality := 1.0
-			for _, q := range queries {
-				opt, os, err := ix.SearchTopN(q, 10, ir.TopNOptions{Fragments: 32, MaxFragments: budget})
-				if err != nil {
-					panic(err)
-				}
-				postings += os.PostingsScored
-				qv, err := ir.ScoreQuality(ix, q, 10, opt)
-				if err != nil {
-					panic(err)
-				}
-				if qv < quality {
-					quality = qv
-				}
-			}
-			fmt.Printf("%-10d %12d %10.3f\n", budget, postings, quality)
-		}
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.SearchTopN(queries[i%len(queries)], 10, ir.TopNOptions{Fragments: 32}); err != nil {
+		if _, _, err := ix.SearchTopN(e7Queries[i%len(e7Queries)], 10, ir.TopNOptions{Fragments: 32}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,7 +283,7 @@ func BenchmarkE9EndToEnd(b *testing.B) {
 		indexDur := time.Since(t0)
 
 		t0 = time.Now()
-		eng, err := newDlseForBench(site, idx)
+		eng, err := dlse.New(site, idx)
 		if err != nil {
 			panic(err)
 		}
@@ -376,16 +318,9 @@ func BenchmarkE9EndToEnd(b *testing.B) {
 }
 
 var (
-	e9eng  benchQuerier
+	e9eng  *dlse.Engine
 	e9site *webspace.Site
 )
-
-// benchQuerier is the combined engine E9 queries.
-type benchQuerier = *dlse.Engine
-
-func newDlseForBench(site *webspace.Site, idx *core.MetaIndex) (*dlse.Engine, error) {
-	return dlse.New(site, idx)
-}
 
 func runMotivating(eng *dlse.Engine, site *webspace.Site) []dlse.Item {
 	req, err := dlse.ParseRequest(site.W.Schema(), dlse.MotivatingQueryText)
@@ -495,7 +430,7 @@ func BenchmarkIngestVideo(b *testing.B) {
 		b.Fatal(err)
 	}
 	tcfg := fde.DefaultTennisConfig()
-	tcfg.Shot.Workers = 1
+	tcfg.Workers = 1
 	engine, err := fde.NewTennisEngine(tcfg)
 	if err != nil {
 		b.Fatal(err)
@@ -867,107 +802,6 @@ func BenchmarkSegfileSearch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// -------------------------------------------------------- ablations
-
-var ablHistOnce sync.Once
-
-// BenchmarkAblationHistogram compares histogram resolutions for boundary
-// detection (DESIGN.md §6).
-func BenchmarkAblationHistogram(b *testing.B) {
-	vids := benchCorpus(b)
-	ablHistOnce.Do(func() {
-		fmt.Printf("\n=== Ablation: histogram bins (boundary F1) ===\n")
-		fmt.Printf("%-8s %10s\n", "bins", "F1")
-		var sweep shotdet.Sweeper
-		for _, bins := range []int{4, 8, 16} {
-			cfg := shotdet.DefaultConfig()
-			cfg.Bins = bins
-			fmt.Printf("%-8d %10.3f\n", bins, boundaryPR(&sweep, vids, cfg).F1())
-		}
-	})
-	v := vids[0]
-	cfg := shotdet.DefaultConfig()
-	cfg.Bins = 16
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = new(shotdet.Sweeper).Detect(v.Frames, cfg)
-	}
-}
-
-var ablWinOnce sync.Once
-
-// BenchmarkAblationSearchWindow sweeps the tracker's predict-and-search
-// window radius (DESIGN.md §6).
-func BenchmarkAblationSearchWindow(b *testing.B) {
-	ablWinOnce.Do(func() {
-		fmt.Printf("\n=== Ablation: tracker search window radius ===\n")
-		fmt.Printf("%-8s %12s %8s\n", "radius", "near err px", "lost")
-		for _, r := range []int{8, 16, 24, 40} {
-			cfg := synth.DefaultConfig(9100)
-			frames, near, _, _, err := synth.RenderTennisShot(cfg, "rally", 60)
-			if err != nil {
-				panic(err)
-			}
-			tcfg := track.DefaultConfig()
-			tcfg.SearchRadius = r
-			res := trackFrames(frames, tcfg)
-			fmt.Printf("%-8d %12.2f %7d%%\n", r,
-				meanTrackError(res.Near, near), 100*res.Near.LostFrames/len(frames))
-		}
-	})
-	cfg := synth.DefaultConfig(9100)
-	frames, _, _, _, _ := synth.RenderTennisShot(cfg, "rally", 60)
-	tcfg := track.DefaultConfig()
-	tcfg.SearchRadius = 16
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = trackFrames(frames, tcfg)
-	}
-}
-
-var ablIncOnce sync.Once
-
-// BenchmarkAblationIncremental compares full FDE re-processing against
-// incremental re-indexing when only a rule detector changed (DESIGN.md §6).
-func BenchmarkAblationIncremental(b *testing.B) {
-	vids := benchCorpus(b)
-	v := vids[0]
-	engine, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := core.Video{Name: "inc", Width: v.W, Height: v.H, FPS: v.FPS, Frames: len(v.Frames)}
-	prior, err := engine.Process(doc, v.Frames)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ablIncOnce.Do(func() {
-		t0 := time.Now()
-		if _, err := engine.Process(doc, v.Frames); err != nil {
-			panic(err)
-		}
-		full := time.Since(t0)
-		t0 = time.Now()
-		if _, err := engine.Reprocess(prior, frame.Frames(v.Frames), "rally"); err != nil {
-			panic(err)
-		}
-		inc := time.Since(t0)
-		fmt.Printf("\n=== Ablation: incremental re-indexing (rule change) ===\n")
-		fmt.Printf("full re-process:   %12v\n", full.Round(time.Microsecond))
-		fmt.Printf("incremental:       %12v  (%.0fx faster)\n",
-			inc.Round(time.Microsecond), float64(full)/float64(inc))
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Reprocess(prior, frame.Frames(v.Frames), "rally"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -61,7 +61,7 @@ func main() {
 	if pipeline.InFlight(*workers, len(paths)) > 1 {
 		// The video fan-out saturates the CPUs; avoid nested per-frame
 		// histogram pools inside each parse.
-		cfg.Shot.Workers = 1
+		cfg.Workers = 1
 	}
 	engine, err := fde.NewTennisEngine(cfg)
 	if err != nil {

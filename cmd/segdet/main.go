@@ -8,9 +8,10 @@
 // and driven by the Feature Detector Engine; this binary plays that role
 // for fde.BlackBoxSegment.
 //
-// It takes no options: it runs the detector ingest runs, shotdet's one
-// boundary rule under shotdet.DefaultConfig() with the court-colour vote,
-// so its shots equal those of in-process ingest.
+// It takes no options: it runs the detector ingest runs,
+// shotdet.SegmentAndClassify (the one boundary rule at shotdet.Threshold,
+// classes under the video's court-colour vote), so its shots equal those
+// of in-process ingest.
 //
 // Usage:
 //
@@ -47,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("decoding SVF: %v", err)
 	}
-	shots, err := shotdet.SegmentAndClassify(frame.Frames(frames), shotdet.DefaultConfig(), shotdet.ClassifierConfig{})
+	shots, err := shotdet.SegmentAndClassify(frame.Frames(frames))
 	if err != nil {
 		log.Fatal(err)
 	}

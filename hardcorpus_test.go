@@ -18,7 +18,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/shotdet"
 	"repro/internal/synth"
-	"repro/internal/track"
 )
 
 // The hard corpus is the detectors' fixture of difficulties that synth does
@@ -368,7 +367,7 @@ func voteTie(seed int64, backdrop frame.RGB) (hardVideo, error) {
 // ------------------------------------------------------------ the family
 
 // hardRows scores the shipped detectors column by column: the segment
-// detector's boundaries (Sweeper.Detect under the shipped configuration,
+// detector's boundaries (Sweeper.Detect at the shipped threshold,
 // which must start the shots SegmentAndClassify finds) against the
 // transitions at ±2 frames, and its shot classes under the court-colour
 // vote, as shippedRows does on the hard cuts; then, on hardTracked, the
@@ -376,15 +375,14 @@ func voteTie(seed int64, backdrop frame.RGB) (hardVideo, error) {
 // detections by interval IoU >= 0.5 (as E5).
 func hardRows(t *testing.T) []ledgerRow {
 	hc := hardCorpus(t)
-	cfg := fde.DefaultTennisConfig()
 	var sweep shotdet.Sweeper
 	var rows []ledgerRow
 	for _, col := range hardColumns {
 		var pr eval.PR
 		conf := eval.NewConfusion(shotLabels...)
 		for _, v := range hc[col] {
-			bounds := sweep.Detect(v.frames, cfg.Shot)
-			shots, err := shotdet.SegmentAndClassify(frame.Frames(v.frames), cfg.Shot, cfg.Classifier)
+			bounds := sweep.Detect(v.frames, shotdet.Threshold)
+			shots, err := shotdet.SegmentAndClassify(frame.Frames(v.frames))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,7 +441,7 @@ func trackedRows(t *testing.T, col string, vids []hardVideo) []ledgerRow {
 			if s.Class != synth.ClassTennis {
 				continue
 			}
-			res := trackFrames(v.frames[s.Start:s.End], track.DefaultConfig())
+			res := trackFrames(v.frames[s.Start:s.End])
 			nearErr += meanTrackError(res.Near, s.NearPlayer)
 			farErr += meanTrackError(res.Far, s.FarPlayer)
 			shots++

@@ -57,7 +57,7 @@ func indexLikeCobraindex(t *testing.T, paths []string, workers int) []byte {
 	t.Helper()
 	cfg := fde.DefaultTennisConfig()
 	if pipeline.InFlight(workers, len(paths)) > 1 {
-		cfg.Shot.Workers = 1
+		cfg.Workers = 1
 	}
 	engine, err := fde.NewTennisEngine(cfg)
 	if err != nil {

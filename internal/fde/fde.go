@@ -6,10 +6,10 @@
 // The engine compiles a feature grammar (internal/grammar) into an
 // executable schedule. Processing a video runs every detector in dependency
 // order over a shared blackboard of symbol values — the parse tree — and
-// records per-detector timing. Re-processing after a detector
-// implementation changes re-runs only the downstream closure of the changed
-// detectors, reusing the cached upstream symbols: the incremental
-// re-indexing that "managing the meta-index ... boils down to".
+// records per-detector timing. The tennis instantiation (NewTennisEngine)
+// binds the grammar's detectors to shotdet, track and rules; their tuning is
+// constant, so a TennisConfig chooses only the segment detector's
+// implementation and its histogram workers.
 package fde
 
 import (
@@ -67,9 +67,9 @@ type Stats struct {
 }
 
 // Engine is a compiled Feature Detector Engine. Once every detector is
-// bound, Process and Reprocess are safe to call from concurrent goroutines:
-// each parse has its own blackboard, and the shared statistics are guarded
-// by a mutex. Bind is not safe concurrently with Process.
+// bound, Process is safe to call from concurrent goroutines: each parse has
+// its own blackboard, and the shared statistics are guarded by a mutex.
+// Bind is not safe concurrently with Process.
 type Engine struct {
 	g     *grammar.Grammar
 	impls map[string]Impl
@@ -139,16 +139,6 @@ func (r *Result) Get(symbol string) (any, bool) {
 	return v, ok
 }
 
-// Symbols lists the populated symbols, sorted.
-func (r *Result) Symbols() []string {
-	out := make([]string, 0, len(r.values))
-	for s := range r.values {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Process parses one video held in memory; see ProcessSource.
 func (e *Engine) Process(v core.Video, frames []*frame.Image) (*Result, error) {
 	return e.ProcessSource(v, frame.Frames(frames))
@@ -166,49 +156,6 @@ func (e *Engine) ProcessSource(v core.Video, src frame.Source) (*Result, error) 
 	}
 	res := &Result{Video: v, Durations: map[string]time.Duration{}, values: ctx.values}
 	for _, d := range e.sched {
-		if err := e.runDetector(d, ctx, res); err != nil {
-			return nil, err
-		}
-	}
-	res.Held = ctx.held
-	return res, nil
-}
-
-// Reprocess re-parses a video after the named detectors changed: only the
-// downstream closure re-runs; upstream symbols come from the prior result.
-// The prior result is not modified. Frames are decoded from src only as the
-// re-run detectors scan them: re-running the event rules reads none.
-func (e *Engine) Reprocess(prior *Result, src frame.Source, changed ...string) (*Result, error) {
-	if err := e.bound(); err != nil {
-		return nil, err
-	}
-	affected, err := e.g.Affected(changed...)
-	if err != nil {
-		return nil, fmt.Errorf("fde: %w", err)
-	}
-	affectedSet := map[string]bool{}
-	for _, a := range affected {
-		affectedSet[a] = true
-	}
-	// Start from a copy of the prior blackboard with the affected
-	// detectors' products removed.
-	values := map[string]any{}
-	for k, v := range prior.values {
-		values[k] = v
-	}
-	for _, d := range e.g.Detectors {
-		if affectedSet[d.Name] {
-			for _, p := range d.Produces {
-				delete(values, p)
-			}
-		}
-	}
-	ctx := &Context{Video: prior.Video, Frames: src, values: values}
-	res := &Result{Video: prior.Video, Durations: map[string]time.Duration{}, values: values}
-	for _, d := range e.sched {
-		if !affectedSet[d.Name] {
-			continue
-		}
 		if err := e.runDetector(d, ctx, res); err != nil {
 			return nil, err
 		}

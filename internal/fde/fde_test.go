@@ -58,7 +58,7 @@ func TestTennisEngineFullParse(t *testing.T) {
 	// All grammar symbols must be populated.
 	for _, sym := range []string{"video", "shots", "classes", "players", "trajectories", "shapes", "event_netplay", "event_rally", "event_service"} {
 		if _, ok := res.Get(sym); !ok {
-			t.Errorf("symbol %s missing; have %v", sym, res.Symbols())
+			t.Errorf("symbol %s missing", sym)
 		}
 	}
 	shotsV, _ := res.Get("shots")
@@ -130,48 +130,6 @@ func TestIndexResultPopulatesAllLayers(t *testing.T) {
 				t.Fatalf("event interval %v outside video", ev.Interval)
 			}
 		}
-	}
-}
-
-func TestReprocessOnlyRunsDownstream(t *testing.T) {
-	v := genVideo(t, 52, 6)
-	e, _ := NewTennisEngine(DefaultTennisConfig())
-	res, err := e.Process(coreVideo(v, "v"), v.Frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e.Reprocess(res, frame.Frames(v.Frames), "rally")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only rally re-ran.
-	if len(res2.Durations) != 1 {
-		t.Fatalf("reprocess ran %v, want only rally", res2.Durations)
-	}
-	if _, ok := res2.Durations["rally"]; !ok {
-		t.Fatalf("rally missing from %v", res2.Durations)
-	}
-	// Upstream symbols preserved.
-	if _, ok := res2.Get("shots"); !ok {
-		t.Fatal("reprocess lost upstream shots symbol")
-	}
-	if _, ok := res2.Get("event_rally"); !ok {
-		t.Fatal("reprocess did not rebuild event_rally")
-	}
-	// Prior result untouched.
-	if _, ok := res.Get("event_rally"); !ok {
-		t.Fatal("prior result mutated")
-	}
-	// Changing tennis re-runs the event detectors too.
-	res3, err := e.Reprocess(res, frame.Frames(v.Frames), "tennis")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res3.Durations) != 4 {
-		t.Fatalf("reprocess(tennis) ran %v, want 4 detectors", res3.Durations)
-	}
-	if _, err := e.Reprocess(res, frame.Frames(v.Frames), "ghost"); err == nil {
-		t.Fatal("unknown changed detector accepted")
 	}
 }
 

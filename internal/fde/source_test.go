@@ -43,7 +43,7 @@ func recordingSegdet(path string) error {
 	if err != nil {
 		return err
 	}
-	shots, err := shotdet.SegmentAndClassify(frame.Frames(frames), shotdet.DefaultConfig(), shotdet.ClassifierConfig{})
+	shots, err := shotdet.SegmentAndClassify(frame.Frames(frames))
 	if err != nil {
 		return err
 	}

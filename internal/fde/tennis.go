@@ -27,30 +27,22 @@ type TennisEvent struct {
 	Confidence float64
 }
 
-// TennisConfig tunes the tennis FDE instantiation.
+// TennisConfig holds the two settings of the tennis FDE that callers
+// choose; every detector's tuning is a constant of its package.
 type TennisConfig struct {
-	// Shot tunes the segment detector.
-	Shot shotdet.Config
-	// Classifier tunes the shot classifier; if its CourtColor is zero it
-	// is estimated from the video (SegmentAndClassify's court-colour vote),
-	// which is what the original system did.
-	Classifier shotdet.ClassifierConfig
-	// Track tunes the tennis detector.
-	Track track.Config
-	// Rules is the event rule set; nil selects rules.TennisRules.
-	Rules []rules.Rule
 	// SegmentImpl optionally replaces the in-process segment detector,
 	// e.g. with a black-box adapter over cmd/segdet (see BlackBoxSegment).
 	SegmentImpl Impl
+	// Workers bounds the goroutines the in-process segment detector
+	// computes each frame's histogram on (shotdet.Sweeper.Workers). The
+	// shots are the same at any setting.
+	Workers int
 }
 
-// DefaultTennisConfig returns the standard configuration.
+// DefaultTennisConfig returns the standard configuration: the in-process
+// segment detector with a histogram worker per CPU.
 func DefaultTennisConfig() TennisConfig {
-	return TennisConfig{
-		Shot:       shotdet.DefaultConfig(),
-		Classifier: shotdet.ClassifierConfig{},
-		Track:      track.DefaultConfig(),
-	}
+	return TennisConfig{}
 }
 
 // NewTennisEngine compiles the tennis feature grammar (Figure 1) and binds
@@ -61,23 +53,20 @@ func NewTennisEngine(cfg TennisConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Rules == nil {
-		cfg.Rules = rules.TennisRules()
-	}
 	segImpl := cfg.SegmentImpl
 	if segImpl == nil {
-		segImpl = whiteBoxSegment(cfg)
+		segImpl = whiteBoxSegment(cfg.Workers)
 	}
 	if err := e.Bind("segment", segImpl); err != nil {
 		return nil, err
 	}
-	if err := e.Bind("tennis", tennisDetector(cfg)); err != nil {
+	if err := e.Bind("tennis", tennisDetector); err != nil {
 		return nil, err
 	}
 	for _, b := range []struct{ det, kind string }{
 		{"netplay", "net-play"}, {"rally", "rally"}, {"service", "service"},
 	} {
-		if err := e.Bind(b.det, eventDetector(cfg, b.det, b.kind)); err != nil {
+		if err := e.Bind(b.det, eventDetector(b.det, b.kind)); err != nil {
 			return nil, err
 		}
 	}
@@ -86,10 +75,10 @@ func NewTennisEngine(cfg TennisConfig) (*Engine, error) {
 
 // whiteBoxSegment is the in-process segment detector: shot boundaries plus
 // classification, published as the "shots" and "classes" symbols.
-func whiteBoxSegment(cfg TennisConfig) Impl {
+func whiteBoxSegment(workers int) Impl {
 	return func(ctx *Context) error {
-		var sw shotdet.Sweeper
-		shots, err := sw.SegmentAndClassify(ctx.Frames, cfg.Shot, cfg.Classifier)
+		sw := shotdet.Sweeper{Workers: workers}
+		shots, err := sw.SegmentAndClassify(ctx.Frames)
 		if err != nil {
 			return err
 		}
@@ -108,47 +97,49 @@ func whiteBoxSegment(cfg TennisConfig) Impl {
 // (the grammar guard), scanning each such shot from the source one frame at
 // a time, and publishes per-shot tracking results and the rule state
 // series.
-func tennisDetector(cfg TennisConfig) Impl {
-	return func(ctx *Context) error {
-		shotsV, _ := ctx.Get("shots")
-		shots, ok := shotsV.([]shotdet.Shot)
-		if !ok {
-			return fmt.Errorf("symbol shots has type %T", shotsV)
-		}
-		players := map[int]track.ShotResult{}
-		trajectories := map[int]rules.Series{}
-		shapes := map[int][]frame.Shape{}
-		var tr track.ShotTracker
-		for i, s := range shots {
-			if s.Class != shotdet.ClassTennis {
-				continue // guard: class==tennis
-			}
-			res, err := tr.TrackShot(ctx.Frames, s.Start, s.End, cfg.Track)
-			if err != nil {
-				return err
-			}
-			players[i] = res
-			trajectories[i] = TrackToSeries(res)
-			var shp []frame.Shape
-			for _, o := range res.Near.Obs {
-				shp = append(shp, o.Shape)
-			}
-			shapes[i] = shp
-		}
-		ctx.Set("players", players)
-		ctx.Set("trajectories", trajectories)
-		ctx.Set("shapes", shapes)
-		return nil
+func tennisDetector(ctx *Context) error {
+	shotsV, _ := ctx.Get("shots")
+	shots, ok := shotsV.([]shotdet.Shot)
+	if !ok {
+		return fmt.Errorf("symbol shots has type %T", shotsV)
 	}
+	players := map[int]track.ShotResult{}
+	trajectories := map[int]rules.Series{}
+	shapes := map[int][]frame.Shape{}
+	var tr track.ShotTracker
+	for i, s := range shots {
+		if s.Class != shotdet.ClassTennis {
+			continue // guard: class==tennis
+		}
+		res, err := tr.TrackShot(ctx.Frames, s.Start, s.End)
+		if err != nil {
+			return err
+		}
+		players[i] = res
+		trajectories[i] = TrackToSeries(res)
+		var shp []frame.Shape
+		for _, o := range res.Near.Obs {
+			shp = append(shp, o.Shape)
+		}
+		shapes[i] = shp
+	}
+	ctx.Set("players", players)
+	ctx.Set("trajectories", trajectories)
+	ctx.Set("shapes", shapes)
+	return nil
 }
 
-// eventDetector evaluates the rule of the given kind over every tennis
-// shot's trajectories, publishing []TennisEvent under the detector's
-// produced symbol (event_netplay, event_rally, event_service).
-func eventDetector(cfg TennisConfig, det, kind string) Impl {
-	symbol := "event_" + map[string]string{
-		"netplay": "netplay", "rally": "rally", "service": "service",
-	}[det]
+// eventDetector evaluates the rules.TennisRules of the given kind over
+// every tennis shot's trajectories, publishing []TennisEvent under the
+// detector's produced symbol (event_netplay, event_rally, event_service).
+func eventDetector(det, kind string) Impl {
+	symbol := "event_" + det
+	var ruleSet []rules.Rule
+	for _, r := range rules.TennisRules() {
+		if r.Kind == kind {
+			ruleSet = append(ruleSet, r)
+		}
+	}
 	return func(ctx *Context) error {
 		trajV, _ := ctx.Get("trajectories")
 		trajectories, ok := trajV.(map[int]rules.Series)
@@ -160,36 +151,28 @@ func eventDetector(cfg TennisConfig, det, kind string) Impl {
 		if !ok {
 			return fmt.Errorf("symbol shots has type %T", shotsV)
 		}
-		var ruleSet []rules.Rule
-		for _, r := range cfg.Rules {
-			if r.Kind == kind {
-				ruleSet = append(ruleSet, r)
-			}
+		geom := rules.StandardGeometry(ctx.Video.Width, ctx.Video.Height)
+		eng, err := rules.NewEngine(ruleSet, geom)
+		if err != nil {
+			return err
 		}
 		events := []TennisEvent{}
-		if len(ruleSet) > 0 {
-			geom := rules.StandardGeometry(ctx.Video.Width, ctx.Video.Height)
-			eng, err := rules.NewEngine(ruleSet, geom)
-			if err != nil {
-				return err
-			}
-			// Iterate shots in index order so event order — and therefore
-			// assigned event IDs and serialized row order — is deterministic.
-			shotIdxs := make([]int, 0, len(trajectories))
-			for shotIdx := range trajectories {
-				shotIdxs = append(shotIdxs, shotIdx)
-			}
-			sort.Ints(shotIdxs)
-			for _, shotIdx := range shotIdxs {
-				series := trajectories[shotIdx]
-				s := shots[shotIdx]
-				for _, d := range eng.Detect(series, s.Len()) {
-					events = append(events, TennisEvent{
-						ShotIdx: shotIdx, Kind: d.Kind,
-						Start: s.Start + d.Start, End: s.Start + d.End,
-						Object: d.Object, Confidence: d.Confidence,
-					})
-				}
+		// Iterate shots in index order so event order — and therefore
+		// assigned event IDs and serialized row order — is deterministic.
+		shotIdxs := make([]int, 0, len(trajectories))
+		for shotIdx := range trajectories {
+			shotIdxs = append(shotIdxs, shotIdx)
+		}
+		sort.Ints(shotIdxs)
+		for _, shotIdx := range shotIdxs {
+			series := trajectories[shotIdx]
+			s := shots[shotIdx]
+			for _, d := range eng.Detect(series, s.Len()) {
+				events = append(events, TennisEvent{
+					ShotIdx: shotIdx, Kind: d.Kind,
+					Start: s.Start + d.Start, End: s.Start + d.End,
+					Object: d.Object, Confidence: d.Confidence,
+				})
 			}
 		}
 		ctx.Set(symbol, events)

@@ -6,10 +6,9 @@
 // down to exploiting the dependencies in the feature grammar".
 //
 // From a grammar the package derives the detector dependency graph — the
-// exact content of Figure 1 of the paper, exportable as DOT or text — a
+// exact content of Figure 1 of the paper, exportable as DOT or text — and a
 // topological execution schedule for the Feature Detector Engine
-// (internal/fde), and the downstream closure needed for incremental
-// re-indexing when a detector implementation changes.
+// (internal/fde).
 package grammar
 
 import (
@@ -287,8 +286,9 @@ func (g *Grammar) Schedule() ([]*Detector, error) {
 			downstream[up] = append(downstream[up], name)
 		}
 	}
-	// Kahn's algorithm, deterministic order: ready queue kept sorted, with
-	// declaration order as the tiebreak base.
+	// Kahn's algorithm in a deterministic order. The ready queue is first
+	// in, first out and is not kept sorted: it starts in declaration order,
+	// and the successors each step makes ready join its tail sorted by name.
 	var ready []string
 	for _, d := range g.Detectors {
 		if indeg[d.Name] == 0 {
@@ -318,46 +318,6 @@ func (g *Grammar) Schedule() ([]*Detector, error) {
 		}
 		sort.Strings(stuck)
 		return nil, fmt.Errorf("grammar %s: dependency cycle among: %s", g.Name, strings.Join(stuck, ", "))
-	}
-	return out, nil
-}
-
-// Affected returns the names of all detectors downstream of (and including)
-// the given changed detectors, in schedule order: the set the FDE must
-// re-run for incremental re-indexing.
-func (g *Grammar) Affected(changed ...string) ([]string, error) {
-	sched, err := g.Schedule()
-	if err != nil {
-		return nil, err
-	}
-	deps := g.DependsOn()
-	in := map[string]bool{}
-	for _, c := range changed {
-		found := false
-		for _, d := range g.Detectors {
-			if d.Name == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("grammar %s: unknown detector %q", g.Name, c)
-		}
-		in[c] = true
-	}
-	var out []string
-	for _, d := range sched {
-		if in[d.Name] {
-			out = append(out, d.Name)
-			continue
-		}
-		for _, up := range deps[d.Name] {
-			if in[up] {
-				in[d.Name] = true
-				out = append(out, d.Name)
-				break
-			}
-		}
 	}
 	return out, nil
 }

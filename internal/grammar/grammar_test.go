@@ -99,29 +99,6 @@ func TestDependsOn(t *testing.T) {
 	}
 }
 
-func TestAffectedClosure(t *testing.T) {
-	g := Tennis()
-	got, err := g.Affected("tennis")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"tennis", "netplay", "rally", "service"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Affected(tennis) = %v, want %v", got, want)
-	}
-	got, _ = g.Affected("segment")
-	if len(got) != 5 {
-		t.Fatalf("Affected(segment) = %v, want all 5", got)
-	}
-	got, _ = g.Affected("rally")
-	if !reflect.DeepEqual(got, []string{"rally"}) {
-		t.Fatalf("Affected(rally) = %v", got)
-	}
-	if _, err := g.Affected("ghost"); err == nil {
-		t.Fatal("unknown detector accepted")
-	}
-}
-
 // TestDOTOutput checks Figure 1 of the paper as cmd/fdegraph prints it:
 // the tennis grammar's detector graph in Graphviz DOT form.
 func TestDOTOutput(t *testing.T) {
@@ -211,7 +188,7 @@ func TestMustParsePanics(t *testing.T) {
 }
 
 func TestDiamondDependency(t *testing.T) {
-	// a -> b, a -> c, {b,c} -> d : d scheduled last, Affected(a) = all.
+	// a -> b, a -> c, {b,c} -> d : d scheduled last.
 	src := `grammar g; atom v;
 detector a requires v produces s1 whitebox;
 detector b requires s1 produces s2 whitebox;
@@ -224,13 +201,5 @@ detector d requires s2, s3 produces s4 whitebox;`
 	sched, _ := g.Schedule()
 	if sched[len(sched)-1].Name != "d" {
 		t.Fatalf("d not last: %v", sched)
-	}
-	aff, _ := g.Affected("a")
-	if len(aff) != 4 {
-		t.Fatalf("Affected(a) = %v", aff)
-	}
-	aff, _ = g.Affected("b")
-	if !reflect.DeepEqual(aff, []string{"b", "d"}) {
-		t.Fatalf("Affected(b) = %v", aff)
 	}
 }

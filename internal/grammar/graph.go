@@ -76,7 +76,6 @@ func (g *Grammar) Text() string {
 		}
 	}
 	// Atom-fed detectors are roots.
-	prod := g.producers()
 	var roots []string
 	for _, d := range g.Detectors {
 		if len(deps[d.Name]) == 0 {
@@ -111,7 +110,6 @@ func (g *Grammar) Text() string {
 	for _, r := range roots {
 		walk(r, 0, seen)
 	}
-	_ = prod
 	return b.String()
 }
 

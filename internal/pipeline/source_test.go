@@ -191,7 +191,7 @@ func TestSVFIngestAllocations(t *testing.T) {
 	frames := synthFrames(t, 7920, 3, 32, 32)
 	path := writeSVF(t, t.TempDir(), "live", frames)
 	cfg := fde.DefaultTennisConfig()
-	cfg.Shot.Workers = 1 // no histogram goroutines in the count
+	cfg.Workers = 1 // no histogram goroutines in the count
 	engine, err := fde.NewTennisEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -300,7 +300,7 @@ func TestEndToEndEventDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), track.DefaultConfig())
+		res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,21 +17,18 @@ import (
 	"repro/internal/frame"
 )
 
-// Config parameterizes boundary detection.
-type Config struct {
-	// Bins is the number of histogram bins per channel (default 8).
-	Bins int
-	// Threshold is the hard-cut distance threshold (default 0.35).
-	Threshold float64
-	// Workers bounds the goroutines a Sweeper uses to precompute
-	// per-frame histograms (< 1 selects GOMAXPROCS, 1 forces sequential).
-	// The detection result is identical at any setting.
-	Workers int
-}
+// Threshold is the hard-cut distance threshold of the boundary rule that
+// SegmentAndClassify applies. Sweeper.Detect takes its threshold as an
+// argument, so that E2 can sweep it.
+const Threshold = 0.35
 
 // The boundary rule's fixed parameters. DESIGN.md §2 (internal/shotdet)
-// gives the measurements that chose the rule and its low threshold.
+// gives the measurements that chose the rule and its low threshold, and §6
+// the bin count.
 const (
+	// bins is the number of histogram bins per channel, of the boundary
+	// pass and of the colour summaries the classifier reads.
+	bins = 8
 	// minShotLen suppresses a boundary closer than this many frames to the
 	// previous one.
 	minShotLen = 6
@@ -40,43 +37,28 @@ const (
 	gradualLow = 0.08
 )
 
-// DefaultConfig returns the tuned defaults used by the experiments.
-func DefaultConfig() Config {
-	return Config{Bins: 8, Threshold: 0.35}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Bins == 0 {
-		c.Bins = 8
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.35
-	}
-	return c
-}
-
 // Detector detects shot boundaries in streaming fashion: feed frame
 // histograms one at a time. It applies the twin-threshold rule over the L1
-// distance of neighbouring frames' histograms: a distance above Threshold
+// distance of neighbouring frames' histograms: a distance above threshold
 // is a hard cut; a run of at least two distances above gradualLow is a
 // gradual transition (a dissolve, fade or wipe) when the last frame before
-// the run is more than Threshold from the frame where the distance settles
+// the run is more than threshold from the frame where the distance settles
 // back below gradualLow, and it is reported at that frame.
 type Detector struct {
-	cfg      Config
-	prevHist *frame.Histogram
-	frameIdx int
-	lastCut  int
+	threshold float64
+	prevHist  *frame.Histogram
+	frameIdx  int
+	lastCut   int
 	// The gradual transition in progress: the histogram of the last stable
 	// frame before it, nil outside one, and the run's length.
 	anchorHist *frame.Histogram
 	runLen     int
 }
 
-// FeedHistogram processes the next frame's histogram (with the detector's
-// configured bin count) and reports whether a shot starts at this frame.
-// The first frame never starts one. Callers extract the histograms in
-// parallel and keep only this cheap decision sequential.
+// FeedHistogram processes the next frame's histogram (at bins per channel)
+// and reports whether a shot starts at this frame. The first frame never
+// starts one. Callers extract the histograms in parallel and keep only this
+// cheap decision sequential.
 func (d *Detector) FeedHistogram(h *frame.Histogram) bool {
 	idx := d.frameIdx
 	d.frameIdx++
@@ -86,7 +68,7 @@ func (d *Detector) FeedHistogram(h *frame.Histogram) bool {
 		return false
 	}
 	dist := prev.L1Dist(h)
-	if dist > d.cfg.Threshold {
+	if dist > d.threshold {
 		d.anchorHist, d.runLen = nil, 0
 		return d.cut(idx)
 	}
@@ -102,7 +84,7 @@ func (d *Detector) FeedHistogram(h *frame.Histogram) bool {
 	}
 	anchor, runLen := d.anchorHist, d.runLen
 	d.anchorHist, d.runLen = nil, 0
-	return runLen >= 2 && anchor.L1Dist(h) > d.cfg.Threshold && d.cut(idx)
+	return runLen >= 2 && anchor.L1Dist(h) > d.threshold && d.cut(idx)
 }
 
 // cut starts a shot at frame idx unless the previous one began fewer than
@@ -124,21 +106,26 @@ const ahead = 12
 // Sweeper runs the boundary detector over a frame source in one forward
 // scan. Each frame is copied into the sweeper's window as it is decoded;
 // every ahead frames, the batch's histograms — the dominant cost — are
-// computed over cfg.Workers goroutines, and the stateful boundary decision
+// computed over Workers goroutines, and the stateful boundary decision
 // consumes them in frame order. A Sweeper amortizes its scratch — the batch
 // histograms and the window's frame buffers — across repeated runs, so a
 // threshold sweep over the same footage pays the per-frame allocations once
-// instead of once per configuration. The zero value is ready to use. A
-// Sweeper is not safe for concurrent use.
+// instead of once per threshold. The zero value is ready to use. A Sweeper
+// is not safe for concurrent use.
 type Sweeper struct {
+	// Workers bounds the goroutines that compute the per-frame histograms
+	// (< 1 selects GOMAXPROCS, 1 forces sequential). The result is the same
+	// at any setting.
+	Workers int
+
 	d     Detector
 	hists []*frame.Histogram // batch scratch, recycled across batches and runs
 	kept  []*frame.Histogram // taken out of hists while the detector held them
 	win   window
 	// The run in progress: the first frame whose histogram is not yet
-	// consumed, the histogram workers and the visitor.
-	next, workers int
-	v             visitor
+	// consumed, and the visitor.
+	next int
+	v    visitor
 }
 
 // spare removes and returns a kept histogram the detector no longer
@@ -203,13 +190,13 @@ func (w *window) drop(to int) {
 func (s *Sweeper) Held() int { return s.win.peak }
 
 // Detect returns the first frame of every shot of frames after the first,
-// under cfg. Through the Sweeper's recycled scratch the result is identical
-// for every configuration and every reuse pattern; only the allocation
-// profile changes.
-func (s *Sweeper) Detect(frames []*frame.Image, cfg Config) []int {
+// under the hard-cut threshold given. Through the Sweeper's recycled
+// scratch the result is identical for every threshold and every reuse
+// pattern; only the allocation profile changes.
+func (s *Sweeper) Detect(frames []*frame.Image, threshold float64) []int {
 	bl := &boundaryList{win: &s.win}
 	// An in-memory source cannot fail.
-	_ = s.sweep(frame.Frames(frames), cfg, bl)
+	_ = s.sweep(frame.Frames(frames), threshold, bl)
 	return bl.out
 }
 
@@ -237,11 +224,11 @@ func (bl *boundaryList) visit(i int, _ *frame.Histogram, cut bool) {
 }
 
 // sweep runs the boundary pass over src for v.
-func (s *Sweeper) sweep(src frame.Source, cfg Config, v visitor) error {
-	s.d = Detector{cfg: cfg.withDefaults()}
+func (s *Sweeper) sweep(src frame.Source, threshold float64, v visitor) error {
+	s.d = Detector{threshold: threshold}
 	s.win.reset(0)
 	s.win.peak = 0
-	s.next, s.workers, s.v = 0, cfg.Workers, v
+	s.next, s.v = 0, v
 	defer func() { s.v = nil }()
 	if err := src.Scan(0, src.Len(), s.take); err != nil {
 		return err
@@ -265,7 +252,7 @@ func (s *Sweeper) take(i int, im *frame.Image) error {
 // the detector and the visitor in frame order.
 func (s *Sweeper) flush() {
 	d := &s.d
-	s.hists = frame.HistogramsInto(s.hists, s.win.frames[s.next-s.win.base:], d.cfg.Bins, s.workers)
+	s.hists = frame.HistogramsInto(s.hists, s.win.frames[s.next-s.win.base:], bins, s.Workers)
 	for _, h := range s.hists {
 		s.v.visit(s.next, h, d.FeedHistogram(h))
 		s.next++
@@ -300,43 +287,38 @@ func (s Shot) String() string {
 
 // SegmentAndClassify segments the video and classifies every shot: the
 // complete "segment detector" of the paper, run by a fresh Sweeper.
-func SegmentAndClassify(src frame.Source, cfg Config, ccfg ClassifierConfig) ([]Shot, error) {
-	return new(Sweeper).SegmentAndClassify(src, cfg, ccfg)
+func SegmentAndClassify(src frame.Source) ([]Shot, error) {
+	return new(Sweeper).SegmentAndClassify(src)
 }
 
-// SegmentAndClassify segments src in one forward scan and classifies every
-// shot as it closes, holding only the frames of the current shot and of the
-// batch ahead of it. Each frame's colour histogram is computed once, by the
-// boundary pass; the court-colour vote and the classifier read its
-// summaries instead of recomputing them.
+// SegmentAndClassify segments src in one forward scan under Threshold and
+// classifies every shot as it closes, holding only the frames of the
+// current shot and of the batch ahead of it. Each frame's colour histogram
+// is computed once, by the boundary pass; the court-colour vote and the
+// classifier read its summaries instead of recomputing them.
 //
-// When ccfg has no court colour it is the winner of the court-colour vote
-// at minimum share 0.3, which is only final once the scan ends. A shot
-// closes under the vote's winner so far; after the scan, the shots that
-// closed under another colour than the final one are scanned again from
-// the source and re-classified, so the result is exactly that of
-// classifying every shot under the final colour.
-func (s *Sweeper) SegmentAndClassify(src frame.Source, cfg Config, ccfg ClassifierConfig) ([]Shot, error) {
+// The court colour is the winner of the video's court-colour vote, which is
+// only final once the scan ends. A shot closes under the vote's winner so
+// far; after the scan, the shots that closed under another colour than the
+// final one are scanned again from the source and re-classified, so the
+// result is exactly that of classifying every shot under the final colour.
+func (s *Sweeper) SegmentAndClassify(src frame.Source) ([]Shot, error) {
 	n := src.Len()
 	sg := &segmentation{
 		win:  &s.win,
-		cs:   videoColors{bins: cfg.withDefaults().Bins, frames: make([]frameColor, n)},
-		cls:  NewClassifier(ccfg),
-		vote: ccfg.CourtColor == (frame.RGB{}),
+		cs:   make(videoColors, n),
+		cls:  NewClassifier(frame.RGB{}), // aimed at the vote's winner as shots close
 		step: courtVoteStep(n),
 		sc:   new(sampleScratch),
 	}
-	if err := s.sweep(src, cfg, sg); err != nil {
+	if err := s.sweep(src, Threshold, sg); err != nil {
 		return nil, err
 	}
 	if sg.start < n {
 		sg.close(n)
 	}
-	if !sg.vote {
-		return sg.shots, nil
-	}
 	final := sg.ballot.best
-	sg.cls.cfg.CourtColor = final
+	sg.cls.court = final
 	for i, sh := range sg.shots {
 		if sg.under[i] == final {
 			continue
@@ -348,7 +330,7 @@ func (s *Sweeper) SegmentAndClassify(src frame.Source, cfg Config, ccfg Classifi
 		}); err != nil {
 			return nil, err
 		}
-		sg.shots[i].Class, sg.shots[i].Features = sg.cls.classifyShot(s.win.at, sg.cs, sh.Start, sh.End, sg.sc)
+		sg.shots[i].Class, sg.shots[i].Features = sg.cls.classifyShot(s.win.at, sg.color, sh.Start, sh.End, sg.sc)
 	}
 	s.win.reset(n)
 	return sg.shots, nil
@@ -360,8 +342,7 @@ func (s *Sweeper) SegmentAndClassify(src frame.Source, cfg Config, ccfg Classifi
 type segmentation struct {
 	win    *window
 	cs     videoColors
-	cls    *Classifier
-	vote   bool // the court colour is the vote's: ccfg had none
+	cls    *Classifier // under the vote's winner so far
 	ballot courtBallot
 	step   int // courtVoteStep of the video
 	sc     *sampleScratch
@@ -371,24 +352,25 @@ type segmentation struct {
 }
 
 func (sg *segmentation) visit(i int, h *frame.Histogram, cut bool) {
-	sg.cs.frames[i] = colorOf(h)
-	if sg.vote && i%sg.step == 0 {
-		sg.ballot.add(sg.cs.frames[i], 0.3)
+	sg.cs[i] = colorOf(h)
+	if i%sg.step == 0 {
+		sg.ballot.add(sg.cs[i])
 	}
 	if cut {
 		sg.close(i)
 	}
 }
 
+// color is frame i's colour summary, from the boundary pass.
+func (sg *segmentation) color(i int) frameColor { return sg.cs[i] }
+
 // close classifies the open shot, ending it at end, and drops its frames.
 func (sg *segmentation) close(end int) {
-	if sg.vote {
-		sg.cls.cfg.CourtColor = sg.ballot.best
-	}
+	sg.cls.court = sg.ballot.best
 	shot := Shot{Start: sg.start, End: end}
-	shot.Class, shot.Features = sg.cls.classifyShot(sg.win.at, sg.cs, sg.start, end, sg.sc)
+	shot.Class, shot.Features = sg.cls.classifyShot(sg.win.at, sg.color, sg.start, end, sg.sc)
 	sg.shots = append(sg.shots, shot)
-	sg.under = append(sg.under, sg.cls.cfg.CourtColor)
+	sg.under = append(sg.under, sg.cls.court)
 	sg.win.drop(end)
 	sg.start = end
 }

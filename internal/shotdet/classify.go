@@ -57,7 +57,7 @@ type Features struct {
 	// DominantShare is the fraction of pixels in the dominant colour's
 	// histogram cell.
 	DominantShare float64
-	// CourtShare is the fraction of pixels within CourtTolerance of the
+	// CourtShare is the fraction of pixels within courtTolerance of the
 	// classifier's court colour.
 	CourtShare float64
 	// SkinRatio is the fraction of skin-coloured pixels.
@@ -74,72 +74,43 @@ type Features struct {
 	Mean, Variance float64
 }
 
-// ClassifierConfig tunes the shot classifier.
-type ClassifierConfig struct {
-	// CourtColor is the reference playing-surface colour. Supply a
-	// calibrated value, or leave it zero and SegmentAndClassify estimates it
-	// by the video's court-colour vote.
-	CourtColor frame.RGB
-	// CourtTolerance is the per-colour Euclidean distance within which a
-	// pixel counts as court-coloured (default 60).
-	CourtTolerance float64
-	// CourtShareMin is the minimum court-coloured fraction for a tennis
-	// shot (default 0.35).
-	CourtShareMin float64
-	// SkinRatioMin is the minimum skin fraction for a close-up
-	// (default 0.12).
-	SkinRatioMin float64
-	// SkinBlobMin is the minimum largest-skin-blob share for a close-up
-	// (default 0.05).
-	SkinBlobMin float64
-	// EntropyMin is the minimum colour entropy (bits) for an audience shot
-	// (default 6.0).
-	EntropyMin float64
-	// Bins is the histogram resolution (default 8).
-	Bins int
-	// SampleFrames is how many frames of a shot are sampled and averaged
-	// when classifying a whole shot (default 5).
-	SampleFrames int
-}
-
-func (c ClassifierConfig) withDefaults() ClassifierConfig {
-	if c.CourtTolerance == 0 {
-		c.CourtTolerance = 60
-	}
-	if c.CourtShareMin == 0 {
-		c.CourtShareMin = 0.35
-	}
-	if c.SkinRatioMin == 0 {
-		c.SkinRatioMin = 0.12
-	}
-	if c.SkinBlobMin == 0 {
-		c.SkinBlobMin = 0.05
-	}
-	if c.EntropyMin == 0 {
-		c.EntropyMin = 6.0
-	}
-	if c.Bins == 0 {
-		c.Bins = 8
-	}
-	if c.SampleFrames == 0 {
-		c.SampleFrames = 5
-	}
-	return c
-}
+// The classifier's decision rule and sampling. DESIGN.md §2
+// (internal/shotdet) describes the rule.
+const (
+	// courtTolerance is the per-colour Euclidean distance within which a
+	// pixel counts as court-coloured.
+	courtTolerance = 60
+	// courtShareMin is the minimum court-coloured fraction for a tennis
+	// shot.
+	courtShareMin = 0.35
+	// skinRatioMin is the minimum skin fraction for a close-up.
+	skinRatioMin = 0.12
+	// skinBlobMin is the minimum largest-skin-blob share for a close-up.
+	skinBlobMin = 0.05
+	// entropyMin is the minimum colour entropy (bits) for an audience shot.
+	entropyMin = 6.0
+	// sampleFrames is how many frames of a shot are sampled and averaged
+	// when classifying a whole shot.
+	sampleFrames = 5
+)
 
 // Classifier assigns shot classes from features using the decision rule of
 // the paper: court shots by dominant colour, close-ups by skin fraction,
 // audience by entropy, otherwise other.
 type Classifier struct {
-	cfg     ClassifierConfig
-	courtSq int // courtThreshold(cfg.CourtTolerance)
+	court frame.RGB // the reference playing-surface colour
 }
 
-// NewClassifier builds a classifier with the given configuration.
-func NewClassifier(cfg ClassifierConfig) *Classifier {
-	cfg = cfg.withDefaults()
-	return &Classifier{cfg: cfg, courtSq: courtThreshold(cfg.CourtTolerance)}
+// NewClassifier builds a classifier for the given court colour.
+// SegmentAndClassify estimates the colour by the video's court-colour vote;
+// E3 supplies the calibrated one.
+func NewClassifier(court frame.RGB) *Classifier {
+	return &Classifier{court: court}
 }
+
+// courtSq is courtThreshold(courtTolerance): the largest integer squared
+// colour distance within courtTolerance.
+var courtSq = courtThreshold(courtTolerance)
 
 // maxColorSq is the largest squared distance between two RGB colours.
 const maxColorSq = 3 * 255 * 255
@@ -181,14 +152,12 @@ func colorOf(h *frame.Histogram) frameColor {
 	return frameColor{peak: peak, share: share, entropy: h.Entropy()}
 }
 
-// videoColors is a video's per-frame colour feature at one bin count — in
-// the feature grammar's terms, a feature computed once and read by every
-// detector that depends on it. SegmentAndClassify fills it from the
-// boundary pass; the court-colour vote and the shot classifier read it.
-type videoColors struct {
-	bins   int          // the histogram resolution of the summaries
-	frames []frameColor // one summary per frame, in frame order
-}
+// videoColors is a video's per-frame colour summary, one per frame in
+// frame order — in the feature grammar's terms, a feature computed once and
+// read by every detector that depends on it. SegmentAndClassify fills it
+// from the boundary pass; the court-colour vote and the shot classifier
+// read it.
+type videoColors []frameColor
 
 // courtVoteStep is the stride of the frames that vote on the court colour.
 func courtVoteStep(frames int) int { return frames/64 + 1 }
@@ -202,20 +171,19 @@ type sampleScratch struct {
 	labeler              frame.Labeler
 }
 
-// extract measures a frame's features given its colour summary at the
-// classifier's bin count. One pass over the pixels counts the luminance
-// histogram in integers, writes the skin mask and counts its pixels and the
-// court-coloured ones (an integer squared distance against courtSq); the
-// skin blob is the largest component of the mask's opening, and is 0 with no
-// skin pixel to open. Every count is an integer below 2^53, so the features
-// are the float64 values per-feature pixel passes give.
+// extract measures a frame's features given its colour summary. One pass
+// over the pixels counts the luminance histogram in integers, writes the
+// skin mask and counts its pixels and the court-coloured ones (an integer
+// squared distance against courtSq); the skin blob is the largest component
+// of the mask's opening, and is 0 with no skin pixel to open. Every count is
+// an integer below 2^53, so the features are the float64 values
+// per-feature pixel passes give.
 func (c *Classifier) extract(im *frame.Image, col frameColor, s *sampleScratch) Features {
 	n := im.W * im.H
 	s.skin.Reset(im.W, im.H)
 	var gray [256]int
 	skinN, courtN := 0, 0
-	court := c.cfg.CourtColor
-	cr, cg, cb := int(court.R), int(court.G), int(court.B)
+	cr, cg, cb := int(c.court.R), int(c.court.G), int(c.court.B)
 	bits := s.skin.Bits
 	for i, p := 0, im.Pix; len(p) >= 3 && i < len(bits); i, p = i+1, p[3:] {
 		px := frame.RGB{R: p[0], G: p[1], B: p[2]}
@@ -225,7 +193,7 @@ func (c *Classifier) extract(im *frame.Image, col frameColor, s *sampleScratch) 
 			skinN++
 		}
 		dr, dg, db := int(p[0])-cr, int(p[1])-cg, int(p[2])-cb
-		if dr*dr+dg*dg+db*db <= c.courtSq {
+		if dr*dr+dg*dg+db*db <= courtSq {
 			courtN++
 		}
 	}
@@ -256,23 +224,14 @@ func (c *Classifier) extract(im *frame.Image, col frameColor, s *sampleScratch) 
 	return f
 }
 
-// colorAt returns frame i's colour summary at the classifier's bin count:
-// read from cs when cs was computed at that count, computed otherwise.
-func (c *Classifier) colorAt(at func(int) *frame.Image, cs videoColors, i int) frameColor {
-	if cs.bins == c.cfg.Bins {
-		return cs.frames[i]
-	}
-	return colorOf(frame.HistogramOf(at(i), c.cfg.Bins))
-}
-
 // Classify applies the decision rule to a feature vector.
 func (c *Classifier) Classify(f Features) Class {
 	switch {
-	case f.CourtShare >= c.cfg.CourtShareMin:
+	case f.CourtShare >= courtShareMin:
 		return ClassTennis
-	case f.SkinBlob >= c.cfg.SkinBlobMin && f.SkinRatio >= c.cfg.SkinRatioMin:
+	case f.SkinBlob >= skinBlobMin && f.SkinRatio >= skinRatioMin:
 		return ClassCloseUp
-	case f.Entropy >= c.cfg.EntropyMin:
+	case f.Entropy >= entropyMin:
 		return ClassAudience
 	default:
 		return ClassOther
@@ -284,23 +243,23 @@ func (c *Classifier) Classify(f Features) Class {
 func (c *Classifier) ClassifyShot(frames []*frame.Image, start, end int) (Class, Features) {
 	start, end = max(start, 0), min(end, len(frames))
 	at := func(i int) *frame.Image { return frames[i] }
-	return c.classifyShot(at, videoColors{}, start, end, new(sampleScratch))
+	color := func(i int) frameColor { return colorOf(frame.HistogramOf(frames[i], bins)) }
+	return c.classifyShot(at, color, start, end, new(sampleScratch))
 }
 
-// classifyShot samples SampleFrames frames evenly across [start, end),
+// classifyShot samples sampleFrames frames evenly across [start, end),
 // averages their features, and classifies the aggregate. Averaging smooths
 // over transient occlusions within the shot. at returns a frame of the
-// shot; each sampled frame's colour summary is read from cs — the boundary
-// pass's histograms — when cs was computed at the classifier's bin count.
-func (c *Classifier) classifyShot(at func(int) *frame.Image, cs videoColors, start, end int, s *sampleScratch) (Class, Features) {
+// shot and color its colour summary.
+func (c *Classifier) classifyShot(at func(int) *frame.Image, color func(int) frameColor, start, end int, s *sampleScratch) (Class, Features) {
 	if start >= end {
 		return ClassOther, Features{}
 	}
-	n := min(c.cfg.SampleFrames, end-start)
+	n := min(sampleFrames, end-start)
 	var agg Features
 	for k := 0; k < n; k++ {
 		idx := start + (end-start-1)*k/max(n-1, 1)
-		f := c.extract(at(idx), c.colorAt(at, cs, idx), s)
+		f := c.extract(at(idx), color(idx), s)
 		agg.DominantShare += f.DominantShare
 		agg.CourtShare += f.CourtShare
 		agg.SkinRatio += f.SkinRatio
@@ -319,27 +278,27 @@ func (c *Classifier) classifyShot(at func(int) *frame.Image, cs videoColors, sta
 	agg.Variance *= inv
 	// Dominant colour of the middle frame is representative; it is the only
 	// feature read of that frame.
-	agg.Dominant = c.colorAt(at, cs, (start+end)/2).peak
+	agg.Dominant = color((start + end) / 2).peak
 	return c.Classify(agg), agg
 }
 
-// courtColor is the court-colour vote over the colour summaries in cs:
-// every courtVoteStep-th frame casts a ballot (see courtBallot.add). The
-// boolean is false if no frame voted.
-func (cs videoColors) courtColor(minShare float64) (frame.RGB, bool) {
+// courtColor is the court-colour vote over cs: every courtVoteStep-th
+// frame casts a ballot (see courtBallot.add). The boolean is false if no
+// frame voted.
+func (cs videoColors) courtColor() (frame.RGB, bool) {
 	var b courtBallot
-	for i := 0; i < len(cs.frames); i += courtVoteStep(len(cs.frames)) {
-		b.add(cs.frames[i], minShare)
+	for i := 0; i < len(cs); i += courtVoteStep(len(cs)) {
+		b.add(cs[i])
 	}
 	return b.best, b.bestN > 0
 }
 
 // courtBallot counts the court-colour vote: the modal dominant colour among
-// the voting frames where one colour holds at least minShare (default 0.3)
-// of pixels — over broadcast footage this converges on the court surface,
-// mirroring the paper's "estimated statistics of the tennis field color".
-// Only chromatic candidates (HSV saturation >= 0.25) are counted: playing
-// surfaces (green, blue, clay) are saturated, while the near-grey
+// the voting frames where one colour holds at least voteShareMin of pixels
+// — over broadcast footage this converges on the court surface, mirroring
+// the paper's "estimated statistics of the tennis field color". Only
+// chromatic candidates (HSV saturation >= voteSaturationMin) are counted:
+// playing surfaces (green, blue, clay) are saturated, while the near-grey
 // backgrounds of close-ups and crowd shots are not, and would otherwise
 // outvote the court in videos with few playing shots. The winner so far is
 // kept as the votes arrive, under a total order — most votes, then R, G, B
@@ -354,13 +313,15 @@ type courtBallot struct {
 	bestN int
 }
 
+// The court-colour vote's gates on a voting frame's dominant colour.
+const (
+	voteShareMin      = 0.3
+	voteSaturationMin = 0.25
+)
+
 // add counts fc's vote, if it casts one.
-func (b *courtBallot) add(fc frameColor, minShare float64) {
-	if minShare == 0 {
-		minShare = 0.3
-	}
-	const minSaturation = 0.25
-	if fc.share < minShare || frame.ToHSV(fc.peak).S < minSaturation {
+func (b *courtBallot) add(fc frameColor) {
+	if fc.share < voteShareMin || frame.ToHSV(fc.peak).S < voteSaturationMin {
 		return
 	}
 	if b.votes == nil {

@@ -39,7 +39,7 @@ func extractReference(c *Classifier, im *frame.Image, col frameColor) Features {
 		cnt := 0
 		for i := 0; i < len(im.Pix); i += 3 {
 			px := frame.RGB{R: im.Pix[i], G: im.Pix[i+1], B: im.Pix[i+2]}
-			if frame.ColorDist(px, c.cfg.CourtColor) <= c.cfg.CourtTolerance {
+			if frame.ColorDist(px, c.court) <= courtTolerance {
 				cnt++
 			}
 		}
@@ -63,8 +63,8 @@ func classifyShotReference(c *Classifier, frames []*frame.Image, start, end int)
 	if start >= end {
 		return ClassOther, Features{}
 	}
-	color := func(i int) frameColor { return colorOf(frame.HistogramOf(frames[i], c.cfg.Bins)) }
-	n := min(c.cfg.SampleFrames, end-start)
+	color := func(i int) frameColor { return colorOf(frame.HistogramOf(frames[i], bins)) }
+	n := min(sampleFrames, end-start)
 	var agg Features
 	for k := 0; k < n; k++ {
 		idx := start + (end-start-1)*k/max(n-1, 1)
@@ -96,19 +96,19 @@ func TestFusedFeaturesMatchReference(t *testing.T) {
 	classes := map[Class]bool{}
 	for _, seed := range []int64{31, 32, 33} {
 		v := genVideo(t, seed, 10)
-		court, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
+		court, ok := recomputedColors(v.Frames).courtColor()
 		if !ok {
 			t.Fatalf("seed %d: no court colour estimated", seed)
 		}
-		cls := NewClassifier(ClassifierConfig{CourtColor: court})
-		for i, s := range segmentAll(t, v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: frame.RGB{}}) {
+		cls := NewClassifier(court)
+		for i, s := range segmentAll(t, v.Frames) {
 			class, f := classifyShotReference(cls, v.Frames, s.Start, s.End)
 			if s.Class != class || s.Features != f {
 				t.Fatalf("seed %d shot %d: fused %v %+v, reference %v %+v", seed, i, s.Class, s.Features, class, f)
 			}
 			classes[s.Class] = true
 			mid := v.Frames[(s.Start+s.End)/2]
-			col := colorOf(frame.HistogramOf(mid, 8))
+			col := colorOf(frame.HistogramOf(mid, bins))
 			if got, want := cls.extract(mid, col, new(sampleScratch)), extractReference(cls, mid, col); got != want {
 				t.Fatalf("seed %d shot %d middle frame: fused %+v, reference %+v", seed, i, got, want)
 			}

@@ -20,16 +20,12 @@ func TestDetectBoundariesWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frames := range [][]*frame.Image{v.Frames, wipeFrames(10)} {
-		for _, dcfg := range []Config{DefaultConfig(), {Threshold: 0.2}} {
-			base := dcfg
-			base.Workers = 1
-			want := new(Sweeper).Detect(frames, base)
+		for _, th := range []float64{Threshold, 0.2} {
+			want := (&Sweeper{Workers: 1}).Detect(frames, th)
 			for _, workers := range []int{0, 2, 8} {
-				par := dcfg
-				par.Workers = workers
-				got := new(Sweeper).Detect(frames, par)
+				got := (&Sweeper{Workers: workers}).Detect(frames, th)
 				if !slices.Equal(got, want) {
-					t.Fatalf("cfg=%+v workers=%d frames=%d: boundaries %v, want %v", dcfg, workers, len(frames), got, want)
+					t.Fatalf("threshold=%v workers=%d frames=%d: boundaries %v, want %v", th, workers, len(frames), got, want)
 				}
 			}
 		}

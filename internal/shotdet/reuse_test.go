@@ -10,11 +10,11 @@ import (
 
 // feedReference is the pre-reuse streaming path: one fresh histogram per
 // frame, no scratch recycling. The reuse paths must match it exactly.
-func feedReference(frames []*frame.Image, cfg Config) []int {
-	d := &Detector{cfg: cfg.withDefaults()}
+func feedReference(frames []*frame.Image, threshold float64) []int {
+	d := &Detector{threshold: threshold}
 	var out []int
 	for i, im := range frames {
-		if d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)) {
+		if d.FeedHistogram(frame.HistogramOf(im, bins)) {
 			out = append(out, i)
 		}
 	}
@@ -40,17 +40,17 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 		frames = append(frames, v.Frames...)
 	}
 	for _, frames := range [][]*frame.Image{frames, wipeFrames(10)} {
-		for _, dcfg := range []Config{DefaultConfig(), {Threshold: 0.2}} {
-			want := feedReference(frames, dcfg)
-			if got := new(Sweeper).Detect(frames, dcfg); !slices.Equal(got, want) {
-				t.Fatalf("cfg=%+v frames=%d: boundaries %v, want %v", dcfg, len(frames), got, want)
+		for _, th := range []float64{Threshold, 0.2} {
+			want := feedReference(frames, th)
+			if got := new(Sweeper).Detect(frames, th); !slices.Equal(got, want) {
+				t.Fatalf("threshold=%v frames=%d: boundaries %v, want %v", th, len(frames), got, want)
 			}
 		}
 	}
 }
 
 // TestSweeperMatchesDetectBoundaries: a recycled Sweeper must answer every
-// configuration byte-identically to a fresh Sweeper, in any order
+// threshold byte-identically to a fresh Sweeper, in any order
 // and across videos — the E2 threshold sweep is exactly this access
 // pattern. The multi-chunk case exercises buffer reuse across both chunk
 // boundaries and runs, and the wipe a transition run across a batch.
@@ -70,21 +70,21 @@ func TestSweeperMatchesDetectBoundaries(t *testing.T) {
 	for len(long) <= 2*ahead {
 		long = append(long, short...)
 	}
-	configs := []Config{
-		DefaultConfig(),
-		{Threshold: 0.05},
-		{Threshold: 1.6},
-		{Threshold: 0.2},
-		DefaultConfig(), // repeat: state from earlier configs must not leak
+	thresholds := []float64{
+		Threshold,
+		0.05,
+		1.6,
+		0.2,
+		Threshold, // repeat: state from earlier thresholds must not leak
 	}
 	var sw Sweeper
 	for round := 0; round < 2; round++ {
 		for _, frames := range [][]*frame.Image{short, other, wipeFrames(10), long, short} {
-			for ci, dcfg := range configs {
-				want := new(Sweeper).Detect(frames, dcfg)
-				if got := sw.Detect(frames, dcfg); !slices.Equal(got, want) {
-					t.Fatalf("round=%d cfg=%d frames=%d: boundaries %v, want %v",
-						round, ci, len(frames), got, want)
+			for ti, th := range thresholds {
+				want := new(Sweeper).Detect(frames, th)
+				if got := sw.Detect(frames, th); !slices.Equal(got, want) {
+					t.Fatalf("round=%d threshold=%d frames=%d: boundaries %v, want %v",
+						round, ti, len(frames), got, want)
 				}
 			}
 		}
@@ -101,12 +101,11 @@ func TestSweeperSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := DefaultConfig()
-	dcfg.Workers = 1 // keep goroutine spawns out of the alloc counts
-	var sw Sweeper
-	sw.Detect(v.Frames, dcfg) // warm the chunk buffer
-	warm := testing.AllocsPerRun(20, func() { sw.Detect(v.Frames, dcfg) })
-	fresh := testing.AllocsPerRun(5, func() { new(Sweeper).Detect(v.Frames, dcfg) })
+	// One worker keeps goroutine spawns out of the alloc counts.
+	sw := Sweeper{Workers: 1}
+	sw.Detect(v.Frames, Threshold) // warm the chunk buffer
+	warm := testing.AllocsPerRun(20, func() { sw.Detect(v.Frames, Threshold) })
+	fresh := testing.AllocsPerRun(5, func() { (&Sweeper{Workers: 1}).Detect(v.Frames, Threshold) })
 	if warm*5 > fresh {
 		t.Fatalf("warm Sweeper allocates %.1f objects/run vs %.1f fresh (< 5x reduction)", warm, fresh)
 	}
@@ -124,11 +123,10 @@ func TestSweeperDetectAbsoluteAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := DefaultConfig()
-	dcfg.Workers = 1 // keep goroutine spawns out of the alloc counts
-	var sw Sweeper
-	sw.Detect(v.Frames, dcfg) // warm the chunk buffer
-	allocs := testing.AllocsPerRun(20, func() { sw.Detect(v.Frames, dcfg) })
+	// One worker keeps goroutine spawns out of the alloc counts.
+	sw := Sweeper{Workers: 1}
+	sw.Detect(v.Frames, Threshold) // warm the chunk buffer
+	allocs := testing.AllocsPerRun(20, func() { sw.Detect(v.Frames, Threshold) })
 	if allocs > 8 {
 		t.Fatalf("warm Sweeper.Detect allocates %.1f objects/run over %d frames, want <= 8", allocs, len(v.Frames))
 	}

@@ -8,21 +8,21 @@ import (
 	"repro/internal/synth"
 )
 
-// recomputedColors summarises every frame's colour histogram at bins afresh,
-// as the boundary pass would: the court-colour vote's input.
-func recomputedColors(frames []*frame.Image, bins int) videoColors {
-	cs := videoColors{bins: bins, frames: make([]frameColor, len(frames))}
+// recomputedColors summarises every frame's colour histogram afresh, as
+// the boundary pass would: the court-colour vote's input.
+func recomputedColors(frames []*frame.Image) videoColors {
+	cs := make(videoColors, len(frames))
 	for i, im := range frames {
-		cs.frames[i] = colorOf(frame.HistogramOf(im, bins))
+		cs[i] = colorOf(frame.HistogramOf(im, bins))
 	}
 	return cs
 }
 
 // segmentAll is SegmentAndClassify over an in-memory video, which cannot
 // fail.
-func segmentAll(t *testing.T, frames []*frame.Image, cfg Config, ccfg ClassifierConfig) []Shot {
+func segmentAll(t *testing.T, frames []*frame.Image) []Shot {
 	t.Helper()
-	shots, err := SegmentAndClassify(frame.Frames(frames), cfg, ccfg)
+	shots, err := SegmentAndClassify(frame.Frames(frames))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func segmentAll(t *testing.T, frames []*frame.Image, cfg Config, ccfg Classifier
 }
 
 // shotsOf splits frames into shots at the boundaries Detect finds.
-func shotsOf(frames []*frame.Image, cfg Config) []Shot {
+func shotsOf(frames []*frame.Image) []Shot {
 	var shots []Shot
 	start := 0
-	for _, b := range new(Sweeper).Detect(frames, cfg) {
+	for _, b := range new(Sweeper).Detect(frames, Threshold) {
 		shots = append(shots, Shot{Start: start, End: b})
 		start = b
 	}
@@ -56,7 +56,7 @@ func genVideo(t *testing.T, seed int64, shots int) *synth.Video {
 
 func TestDetectBoundariesExact(t *testing.T) {
 	v := genVideo(t, 21, 8)
-	got := new(Sweeper).Detect(v.Frames, DefaultConfig())
+	got := new(Sweeper).Detect(v.Frames, Threshold)
 	want := v.Truth.Boundaries()
 	if len(got) != len(want) {
 		t.Fatalf("detected %d boundaries, want %d (got %v want %v)", len(got), len(want), got, want)
@@ -74,7 +74,7 @@ func TestNoFalseCutsOnSingleShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := new(Sweeper).Detect(frames, DefaultConfig()); len(got) != 0 {
+	if got := new(Sweeper).Detect(frames, Threshold); len(got) != 0 {
 		t.Fatalf("false cuts on continuous shot: %v", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestMinShotLenSuppression(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		frames = append(frames, c.Clone())
 	}
-	got := new(Sweeper).Detect(frames, DefaultConfig())
+	got := new(Sweeper).Detect(frames, Threshold)
 	if len(got) != 1 || got[0] != 10 {
 		t.Fatalf("got %v, want single cut at 10", got)
 	}
@@ -134,7 +134,7 @@ func wipeFrames(dn int) []*frame.Image {
 // reveals is one boundary, inside the wipe.
 func TestGradualTransitionDetected(t *testing.T) {
 	const dn = 10
-	got := new(Sweeper).Detect(wipeFrames(dn), DefaultConfig())
+	got := new(Sweeper).Detect(wipeFrames(dn), Threshold)
 	if len(got) != 1 {
 		t.Fatalf("got %d boundaries %v, want exactly 1", len(got), got)
 	}
@@ -145,7 +145,7 @@ func TestGradualTransitionDetected(t *testing.T) {
 
 func TestSegmentCoversAllFrames(t *testing.T) {
 	v := genVideo(t, 25, 7)
-	shots := segmentAll(t, v.Frames, DefaultConfig(), ClassifierConfig{})
+	shots := segmentAll(t, v.Frames)
 	pos := 0
 	for _, s := range shots {
 		if s.Start != pos {
@@ -159,14 +159,14 @@ func TestSegmentCoversAllFrames(t *testing.T) {
 }
 
 func TestSegmentEmptyInput(t *testing.T) {
-	if shots := segmentAll(t, nil, DefaultConfig(), ClassifierConfig{}); len(shots) != 0 {
+	if shots := segmentAll(t, nil); len(shots) != 0 {
 		t.Fatalf("empty video produced shots: %v", shots)
 	}
 }
 
 func TestClassifyShotsMatchTruth(t *testing.T) {
 	v := genVideo(t, 26, 12)
-	shots := segmentAll(t, v.Frames, DefaultConfig(), ClassifierConfig{CourtColor: synth.CourtColor})
+	shots := segmentAll(t, v.Frames)
 	if len(shots) != len(v.Truth.Shots) {
 		t.Fatalf("detected %d shots, want %d", len(shots), len(v.Truth.Shots))
 	}
@@ -182,35 +182,29 @@ func TestClassifyShotsMatchTruth(t *testing.T) {
 // TestColorsMatchRecomputed: SegmentAndClassify, whose court vote and
 // classifier read the boundary pass's per-frame colours, must answer
 // exactly what recomputing every histogram answers — segment, then the
-// court vote, then classifyShot shot by shot, features included —
-// at the detector's bin count (colours read) and at another (recomputed).
+// court vote, then classifyShot shot by shot, features included.
 func TestColorsMatchRecomputed(t *testing.T) {
 	v := genVideo(t, 26, 12)
-	want := shotsOf(v.Frames, DefaultConfig())
-	court, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
+	want := shotsOf(v.Frames)
+	court, ok := recomputedColors(v.Frames).courtColor()
 	if !ok {
 		t.Fatal("no court colour estimated")
 	}
-	for _, bins := range []int{8, 4} {
-		ccfg := ClassifierConfig{CourtColor: frame.RGB{}}
-		ccfg.Bins = bins
-		got := segmentAll(t, v.Frames, DefaultConfig(), ccfg)
-		if len(got) != len(want) {
-			t.Fatalf("bins %d: %d shots, Segment found %d", bins, len(got), len(want))
-		}
-		ccfg.CourtColor = court
-		cls := NewClassifier(ccfg)
-		for i, s := range got {
-			class, f := cls.ClassifyShot(v.Frames, want[i].Start, want[i].End)
-			if s.Start != want[i].Start || s.End != want[i].End || s.Class != class || s.Features != f {
-				t.Fatalf("bins %d shot %d: SegmentAndClassify %v %+v, recomputed %v %v %+v", bins, i, s, s.Features, want[i], class, f)
-			}
+	got := segmentAll(t, v.Frames)
+	if len(got) != len(want) {
+		t.Fatalf("%d shots, Segment found %d", len(got), len(want))
+	}
+	cls := NewClassifier(court)
+	for i, s := range got {
+		class, f := cls.ClassifyShot(v.Frames, want[i].Start, want[i].End)
+		if s.Start != want[i].Start || s.End != want[i].End || s.Class != class || s.Features != f {
+			t.Fatalf("shot %d: SegmentAndClassify %v %+v, recomputed %v %v %+v", i, s, s.Features, want[i], class, f)
 		}
 	}
 }
 
 func TestClassifierRules(t *testing.T) {
-	cls := NewClassifier(ClassifierConfig{CourtColor: synth.CourtColor})
+	cls := NewClassifier(synth.CourtColor)
 	cases := []struct {
 		f    Features
 		want Class
@@ -235,7 +229,7 @@ func TestClassifierRules(t *testing.T) {
 
 func TestClassifyShotDegenerateRanges(t *testing.T) {
 	v := genVideo(t, 27, 3)
-	cls := NewClassifier(ClassifierConfig{CourtColor: synth.CourtColor})
+	cls := NewClassifier(synth.CourtColor)
 	if c, _ := cls.ClassifyShot(v.Frames, 5, 5); c != ClassOther {
 		t.Fatal("empty range should classify as other")
 	}
@@ -246,7 +240,7 @@ func TestClassifyShotDegenerateRanges(t *testing.T) {
 
 func TestEstimateCourtColor(t *testing.T) {
 	v := genVideo(t, 28, 10)
-	got, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
+	got, ok := recomputedColors(v.Frames).courtColor()
 	if !ok {
 		t.Fatal("no court colour estimated")
 	}
@@ -266,7 +260,7 @@ func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := recomputedColors(v.Frames, 8).courtColor(0.3)
+	got, ok := recomputedColors(v.Frames).courtColor()
 	if !ok {
 		t.Fatal("no court colour estimated")
 	}
@@ -274,7 +268,7 @@ func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
 		t.Fatalf("estimate %v drifted to a non-court colour (true %v)", got, synth.CourtColor)
 	}
 	// And classification downstream of the estimate stays correct.
-	cls := NewClassifier(ClassifierConfig{CourtColor: got})
+	cls := NewClassifier(got)
 	for i, s := range v.Truth.Shots {
 		c, _ := cls.ClassifyShot(v.Frames, s.Start, s.End)
 		if c.String() != s.Class.String() {
@@ -296,15 +290,15 @@ func TestEstimateCourtColorTieIsDeterministic(t *testing.T) {
 		im.Fill(c)
 		frames = append(frames, im)
 	}
-	want, ok := recomputedColors(frames[1:3], 8).courtColor(0.3) // the court's histogram cell
+	want, ok := recomputedColors(frames[1:3]).courtColor() // the court's histogram cell
 	if !ok || frame.ColorDist(want, synth.CourtColor) > 40 {
 		t.Fatalf("court-only estimate = %v, %t", want, ok)
 	}
-	if other, _ := recomputedColors(frames[:1], 8).courtColor(0.3); !lessRGB(want, other) {
+	if other, _ := recomputedColors(frames[:1]).courtColor(); !lessRGB(want, other) {
 		t.Fatalf("fixture: court cell %v should order before backdrop cell %v", want, other)
 	}
 	for i := 0; i < 50; i++ {
-		if got, ok := recomputedColors(frames, 8).courtColor(0.3); !ok || got != want {
+		if got, ok := recomputedColors(frames).courtColor(); !ok || got != want {
 			t.Fatalf("call %d: tied vote estimated %v, want %v", i, got, want)
 		}
 	}
@@ -318,7 +312,7 @@ func TestEstimateCourtColorNoDominant(t *testing.T) {
 		im.SpeckleNoise(rng, 1)
 		frames[i] = im
 	}
-	if _, ok := recomputedColors(frames, 8).courtColor(0.3); ok {
+	if _, ok := recomputedColors(frames).courtColor(); ok {
 		t.Fatal("court colour found in pure noise")
 	}
 }
@@ -336,9 +330,9 @@ func TestClassStringParse(t *testing.T) {
 }
 
 func TestStreamingDetectorFirstFrame(t *testing.T) {
-	d := &Detector{cfg: DefaultConfig().withDefaults()}
+	d := &Detector{threshold: Threshold}
 	im := frame.New(16, 16)
-	if d.FeedHistogram(frame.HistogramOf(im, d.cfg.Bins)) {
+	if d.FeedHistogram(frame.HistogramOf(im, bins)) {
 		t.Fatal("first frame yielded a boundary")
 	}
 }
@@ -383,12 +377,12 @@ func TestStreamingMatchesFinalVote(t *testing.T) {
 		"broadcast": genVideo(t, 26, 12).Frames,
 	}
 	for name, frames := range videos {
-		want := shotsOf(frames, DefaultConfig())
-		finalCourt, _ := recomputedColors(frames, 8).courtColor(0.3)
-		cls := NewClassifier(ClassifierConfig{CourtColor: finalCourt})
+		want := shotsOf(frames)
+		finalCourt, _ := recomputedColors(frames).courtColor()
+		cls := NewClassifier(finalCourt)
 		src := &scanCounter{Frames: frames}
 		var sw Sweeper
-		got, err := sw.SegmentAndClassify(src, DefaultConfig(), ClassifierConfig{})
+		got, err := sw.SegmentAndClassify(src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func shotBackgrounds(t *testing.T) []Background {
 		}
 		for _, s := range v.Truth.Shots {
 			if s.Class == synth.ClassTennis {
-				bgs = append(bgs, backgroundOf(v.Frames[s.Start], DefaultConfig()))
+				bgs = append(bgs, backgroundOf(v.Frames[s.Start], defaults))
 				break
 			}
 		}
@@ -37,7 +37,7 @@ func shotBackgrounds(t *testing.T) []Background {
 // The background tables answer foregroundPixel's float tests for every one
 // of the 2^24 colours.
 func TestBGTableMatchesOracleExhaustive(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaults
 	for i, bg := range shotBackgrounds(t) {
 		if len(bg.Clusters) == 0 {
 			t.Fatalf("broadcast %d: empty background model", i)
@@ -54,7 +54,7 @@ func TestBGTableMatchesOracleExhaustive(t *testing.T) {
 
 // More clusters than one table word holds: every word is consulted.
 func TestBGTableMultiWord(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaults
 	var bg Background
 	for i := 0; i < 130; i++ {
 		bg.Clusters = append(bg.Clusters, frame.ColorStats{
@@ -71,7 +71,7 @@ func TestBGTableMultiWord(t *testing.T) {
 		for g := 0; g < 256; g += 3 {
 			for b := 0; b < 256; b += 5 {
 				c := frame.RGB{R: uint8(r), G: uint8(g), B: uint8(b)}
-				want := bg.Match(c, cfg.CourtK, cfg.MinStd)
+				want := bg.Match(c, cfg.courtK, cfg.minStd)
 				if got := tab.match(c.R, c.G, c.B); got != want {
 					t.Fatalf("colour %v: table match=%v, oracle %v", c, got, want)
 				}
@@ -91,7 +91,7 @@ func TestBGTableMultiWord(t *testing.T) {
 // block was empty, the one cluster was {mean 0, N 0}, and the grey frame
 // came out all foreground.
 func TestEstimateBackgroundSmallFrame(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaults
 	for _, size := range [][2]int{{6, 6}, {3, 20}, {20, 5}} {
 		im := frame.New(size[0], size[1])
 		im.Fill(frame.RGB{R: 128, G: 128, B: 128})
@@ -123,13 +123,12 @@ func FuzzQuadSegment(f *testing.F) {
 		}
 		w, h := 1+int(data[0])%24, 1+int(data[1])%24
 		nclusters := int(data[2]) % 80
-		cfg := Config{
-			QuadMinBlock: 1 + int(data[3])%8,
-			CourtK:       float64(data[4]) / 32,
-			MinStd:       float64(data[5]) / 16,
-			LumaMin:      float64(data[6]),
-			LumaMax:      float64(data[7]) + 0.5,
-		}.withDefaults()
+		cfg := defaults
+		cfg.quadMinBlock = 1 + int(data[3])%8
+		cfg.courtK = float64(data[4]) / 32
+		cfg.minStd = float64(data[5]) / 16
+		cfg.lumaMin = float64(data[6])
+		cfg.lumaMax = float64(data[7]) + 0.5
 		win := frame.Rect{
 			X0: int(int8(data[8])) % 30, Y0: int(int8(data[9])) % 30,
 		}

@@ -23,87 +23,50 @@ import (
 	"repro/internal/frame"
 )
 
-// Config tunes segmentation and tracking.
-type Config struct {
-	// CourtK is the std-deviation multiplier for background membership
-	// (default 3).
-	CourtK float64
-	// MinStd floors the per-channel deviation of background clusters so
-	// sensor noise does not create foreground (default 6).
-	MinStd float64
-	// LumaMin and LumaMax bound foreground luminance: pixels brighter than
-	// LumaMax are court lines / net tape, darker than LumaMin net band or
-	// shadow (defaults 50 and 225).
-	LumaMin, LumaMax float64
-	// QuadMinBlock is the smallest quadtree block subdivided; blocks at or
-	// below this size are tested per pixel (default 8).
-	QuadMinBlock int
-	// SearchRadius is the half-size of the prediction search window
-	// (default 24).
-	SearchRadius int
-	// MinArea is the smallest component accepted as the (near) player;
-	// the far player uses MinArea/4 (default 24).
-	MinArea int
-	// GridBlocks is the background-estimation grid resolution per axis
-	// (default 8).
-	GridBlocks int
-	// ClusterTol is the mean-colour distance within which two grid blocks
-	// belong to the same background cluster (default 35).
-	ClusterTol float64
-	// MinClusterBlocks is the minimum number of grid blocks for a cluster
-	// to count as background (default 4).
-	MinClusterBlocks int
+// config is the tracker's tuning. The detector runs defaults; the set is a
+// value rather than constants so that the oracle tests and FuzzQuadSegment
+// can vary each parameter. DESIGN.md §6 records the search-radius sweep
+// that chose searchRadius.
+type config struct {
+	// courtK is the std-deviation multiplier for background membership.
+	courtK float64
+	// minStd floors the per-channel deviation of background clusters so
+	// sensor noise does not create foreground.
+	minStd float64
+	// lumaMin and lumaMax bound foreground luminance: pixels brighter than
+	// lumaMax are court lines / net tape, darker than lumaMin net band or
+	// shadow.
+	lumaMin, lumaMax float64
+	// quadMinBlock is the smallest quadtree block subdivided; blocks at or
+	// below this size are tested per pixel.
+	quadMinBlock int
+	// searchRadius is the half-size of the prediction search window.
+	searchRadius int
+	// minArea is the smallest component accepted as the (near) player; the
+	// far player's gate scales it by the square of its scale.
+	minArea int
+	// gridBlocks is the background-estimation grid resolution per axis.
+	gridBlocks int
+	// clusterTol is the mean-colour distance within which two grid blocks
+	// belong to the same background cluster.
+	clusterTol float64
+	// minClusterBlocks is the minimum number of grid blocks for a cluster
+	// to count as background.
+	minClusterBlocks int
 }
 
-// DefaultConfig returns tuned defaults for 160x120 broadcast frames.
-func DefaultConfig() Config {
-	return Config{
-		CourtK:           3,
-		MinStd:           6,
-		LumaMin:          50,
-		LumaMax:          225,
-		QuadMinBlock:     8,
-		SearchRadius:     24,
-		MinArea:          24,
-		GridBlocks:       8,
-		ClusterTol:       35,
-		MinClusterBlocks: 4,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.CourtK == 0 {
-		c.CourtK = d.CourtK
-	}
-	if c.MinStd == 0 {
-		c.MinStd = d.MinStd
-	}
-	if c.LumaMin == 0 {
-		c.LumaMin = d.LumaMin
-	}
-	if c.LumaMax == 0 {
-		c.LumaMax = d.LumaMax
-	}
-	if c.QuadMinBlock == 0 {
-		c.QuadMinBlock = d.QuadMinBlock
-	}
-	if c.SearchRadius == 0 {
-		c.SearchRadius = d.SearchRadius
-	}
-	if c.MinArea == 0 {
-		c.MinArea = d.MinArea
-	}
-	if c.GridBlocks == 0 {
-		c.GridBlocks = d.GridBlocks
-	}
-	if c.ClusterTol == 0 {
-		c.ClusterTol = d.ClusterTol
-	}
-	if c.MinClusterBlocks == 0 {
-		c.MinClusterBlocks = d.MinClusterBlocks
-	}
-	return c
+// defaults is the tuning for 160x120 broadcast frames.
+var defaults = config{
+	courtK:           3,
+	minStd:           6,
+	lumaMin:          50,
+	lumaMax:          225,
+	quadMinBlock:     8,
+	searchRadius:     24,
+	minArea:          24,
+	gridBlocks:       8,
+	clusterTol:       35,
+	minClusterBlocks: 4,
 }
 
 // Background is a set of colour clusters covering the static scene (court
@@ -124,15 +87,15 @@ func (b *Background) Match(c frame.RGB, k, minStd float64) bool {
 
 // estimateBackground builds the background colour model from a summed-area
 // table of one whole frame by clustering the mean colours of a
-// GridBlocks×GridBlocks partition. Large homogeneous clusters (the court and
+// gridBlocks×gridBlocks partition. Large homogeneous clusters (the court and
 // its surround) become background; small ones (players, lines) are ignored.
 // This realizes the "estimated statistics of the tennis field color" of the
 // paper without requiring a calibrated court model. Block edges are
 // proportional (bx*W/n), so the grid covers every pixel at any size; on a
 // frame narrower or shorter than the grid some blocks are empty, and an
 // empty block does not vote.
-func estimateBackground(sums *frame.SumTable, cfg Config) Background {
-	n := cfg.GridBlocks
+func estimateBackground(sums *frame.SumTable, cfg config) Background {
+	n := cfg.gridBlocks
 	win := sums.Window()
 	w, h := win.W(), win.H()
 	blocks := make([]frame.ColorStats, 0, n*n)
@@ -153,7 +116,7 @@ func estimateBackground(sums *frame.SumTable, cfg Config) Background {
 	for _, b := range blocks {
 		m := b.Mean()
 		var best *cluster
-		bestD := cfg.ClusterTol
+		bestD := cfg.clusterTol
 		for _, cl := range clusters {
 			if d := frame.ColorDist(m, cl.mean); d <= bestD {
 				best, bestD = cl, d
@@ -176,7 +139,7 @@ func estimateBackground(sums *frame.SumTable, cfg Config) Background {
 	}
 	var bg Background
 	for _, cl := range clusters {
-		if len(cl.members) < cfg.MinClusterBlocks {
+		if len(cl.members) < cfg.minClusterBlocks {
 			continue
 		}
 		bg.Clusters = append(bg.Clusters, mergeStats(cl.members))
@@ -214,7 +177,7 @@ func mergeStats(ss []frame.ColorStats) frame.ColorStats {
 	return out
 }
 
-// bgTable is the foreground test of one background model and Config as
+// bgTable is the foreground test of one background model and config as
 // lookup tables. Membership is tabulated per channel: bit i of word w of
 // r[v*words+w] is set iff cluster 64w+i passes ColorStats.ChannelWithin for
 // red value v, and likewise g and b. Within is the conjunction of the three
@@ -228,7 +191,7 @@ type bgTable struct {
 	lumaMin, lumaMax float64
 }
 
-func newBGTable(bg *Background, cfg *Config) *bgTable {
+func newBGTable(bg *Background, cfg *config) *bgTable {
 	words := (len(bg.Clusters) + 63) / 64
 	cells := make([]uint64, 3*256*words)
 	t := &bgTable{
@@ -236,14 +199,14 @@ func newBGTable(bg *Background, cfg *Config) *bgTable {
 		r:       cells[:256*words],
 		g:       cells[256*words : 512*words],
 		b:       cells[512*words:],
-		lumaMin: cfg.LumaMin,
-		lumaMax: cfg.LumaMax,
+		lumaMin: cfg.lumaMin,
+		lumaMax: cfg.lumaMax,
 	}
 	for i, cl := range bg.Clusters {
 		word, bit := i/64, uint64(1)<<(i%64)
 		for ch, tab := range [3][]uint64{t.r, t.g, t.b} {
 			for v := 0; v < 256; v++ {
-				if cl.ChannelWithin(ch, uint8(v), cfg.CourtK, cfg.MinStd) {
+				if cl.ChannelWithin(ch, uint8(v), cfg.courtK, cfg.minStd) {
 					tab[v*words+word] |= bit
 				}
 			}
@@ -275,7 +238,7 @@ func (t *bgTable) foreground(cr, cg, cb uint8) bool {
 }
 
 // blockIsBackground tests whether a whole block can be pruned.
-func blockIsBackground(s frame.ColorStats, bg *bgTable, cfg *Config) bool {
+func blockIsBackground(s frame.ColorStats, bg *bgTable, cfg *config) bool {
 	if s.N == 0 {
 		return true
 	}
@@ -284,13 +247,13 @@ func blockIsBackground(s frame.ColorStats, bg *bgTable, cfg *Config) bool {
 	}
 	// Internally heterogeneous blocks may hide a small player against a
 	// matching mean; require low spread to prune.
-	lim := 2.5 * cfg.MinStd
+	lim := 2.5 * cfg.minStd
 	return s.StdR < lim && s.StdG < lim && s.StdB < lim
 }
 
 // quadSegmenter is one quadtree ("quadratic") segmentation in progress:
 // blocks whose colour statistics match a background cluster are discarded
-// whole; heterogeneous blocks are split until QuadMinBlock, then tested per
+// whole; heterogeneous blocks are split until quadMinBlock, then tested per
 // pixel. A block's colour statistics are read from sums, a summed-area
 // table over the window being segmented, and leaf pixels are tested through
 // bg's tables. The mask may cover just the window: its pixel (0, 0) is
@@ -299,7 +262,7 @@ type quadSegmenter struct {
 	im     *frame.Image
 	sums   *frame.SumTable
 	bg     *bgTable
-	cfg    *Config
+	cfg    *config
 	mask   *frame.Mask
 	ox, oy int
 }
@@ -308,7 +271,7 @@ func (q *quadSegmenter) split(b frame.Rect) {
 	if b.Empty() {
 		return
 	}
-	if b.W() > q.cfg.QuadMinBlock || b.H() > q.cfg.QuadMinBlock {
+	if b.W() > q.cfg.quadMinBlock || b.H() > q.cfg.quadMinBlock {
 		// A block is all-background if its mean matches a cluster and
 		// it is internally homogeneous.
 		if blockIsBackground(q.sums.Stats(b), q.bg, q.cfg) {
@@ -352,13 +315,13 @@ type scratch struct {
 // can be set, and since erosion already treats what lies beyond a mask's
 // edge as unset the window needs no apron — so the work scales with the
 // search window, not with the frame.
-func (s *scratch) segment(im *frame.Image, r frame.Rect, cfg *Config) []frame.Component {
+func (s *scratch) segment(im *frame.Image, r frame.Rect, cfg *config) []frame.Component {
 	s.sums.Reset(im, r)
 	return s.segmentSums(im, cfg)
 }
 
 // segmentSums is segment over the window s.sums was last built on.
-func (s *scratch) segmentSums(im *frame.Image, cfg *Config) []frame.Component {
+func (s *scratch) segmentSums(im *frame.Image, cfg *config) []frame.Component {
 	r := s.sums.Window()
 	s.seg.Reset(r.W(), r.H())
 	q := quadSegmenter{im: im, sums: &s.sums, bg: s.bg, cfg: cfg, mask: &s.seg, ox: r.X0, oy: r.Y0}
@@ -426,17 +389,17 @@ type Track struct {
 // Tracker follows a single player with a constant-velocity predictor and a
 // local search window, as the paper describes.
 type Tracker struct {
-	cfg   Config
+	cfg   config
 	pos   Observation
 	scale float64 // 1.0 near player, <1 far player (smaller area gate)
 	s     *scratch
 }
 
 // newTracker builds a tracker from an initial observation on s, whose
-// background tables must have been built for cfg (with defaults applied).
+// background tables must have been built for cfg.
 // scale shrinks the component-area gate for the smaller far player (1 for
 // the near player, ~0.5 for the far player).
-func newTracker(cfg Config, initial Observation, scale float64, s *scratch) *Tracker {
+func newTracker(cfg config, initial Observation, scale float64, s *scratch) *Tracker {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -445,7 +408,7 @@ func newTracker(cfg Config, initial Observation, scale float64, s *scratch) *Tra
 
 // minArea returns the component-area gate for this tracker.
 func (t *Tracker) minArea() int {
-	a := int(float64(t.cfg.MinArea) * t.scale * t.scale)
+	a := int(float64(t.cfg.minArea) * t.scale * t.scale)
 	if a < 4 {
 		a = 4
 	}
@@ -456,7 +419,7 @@ func (t *Tracker) minArea() int {
 func (t *Tracker) Feed(im *frame.Image, frameIdx int) Observation {
 	predX := t.pos.X + t.pos.VX
 	predY := t.pos.Y + t.pos.VY
-	r := t.cfg.SearchRadius
+	r := t.cfg.searchRadius
 	window := frame.Rect{
 		X0: int(predX) - r, Y0: int(predY) - r,
 		X1: int(predX) + r, Y1: int(predY) + r,
@@ -521,8 +484,12 @@ type ShotTracker struct {
 // players. It reads the shot in one scan and keeps no frame past its Scan
 // call, so it holds one decoded frame, never the shot. The only error is
 // the source's.
-func (t *ShotTracker) TrackShot(src frame.Source, start, end int, cfg Config) (ShotResult, error) {
-	cfg = cfg.withDefaults()
+func (t *ShotTracker) TrackShot(src frame.Source, start, end int) (ShotResult, error) {
+	return t.trackShot(src, start, end, defaults)
+}
+
+// trackShot is TrackShot under cfg.
+func (t *ShotTracker) trackShot(src frame.Source, start, end int, cfg config) (ShotResult, error) {
 	var res ShotResult
 	s := &t.s
 	var near, far *Tracker
@@ -583,8 +550,8 @@ func firstObservation(t *Tracker) Observation {
 
 // initTracker starts a tracker, sharing s, on the largest of comps (sorted
 // by area) that passes the area gate.
-func (s *scratch) initTracker(cfg Config, im *frame.Image, comps []frame.Component, scale float64) *Tracker {
-	minArea := int(float64(cfg.MinArea) * scale * scale)
+func (s *scratch) initTracker(cfg config, im *frame.Image, comps []frame.Component, scale float64) *Tracker {
+	minArea := int(float64(cfg.minArea) * scale * scale)
 	for _, c := range comps {
 		if c.Area >= minArea {
 			return newTracker(cfg, s.observe(im, c, 0), scale, s)

@@ -14,7 +14,7 @@ import (
 // only as the oracle the windowed tracker is checked against.
 
 type refTracker struct {
-	cfg   Config
+	cfg   config
 	bg    Background
 	pos   Observation
 	scale float64
@@ -44,10 +44,10 @@ func refObserve(mask *frame.Mask, im *frame.Image, c frame.Component, frameIdx i
 func (t *refTracker) feed(im *frame.Image, frameIdx int) Observation {
 	predX := t.pos.X + t.pos.VX
 	predY := t.pos.Y + t.pos.VY
-	r := t.cfg.SearchRadius
+	r := t.cfg.searchRadius
 	window := frame.Rect{X0: int(predX) - r, Y0: int(predY) - r, X1: int(predX) + r, Y1: int(predY) + r}
 	mask := refQuadSegment(im, t.bg, window, t.cfg).ErodeInto(new(frame.Mask)).DilateInto(new(frame.Mask))
-	minArea := max(int(float64(t.cfg.MinArea)*t.scale*t.scale), 4)
+	minArea := max(int(float64(t.cfg.minArea)*t.scale*t.scale), 4)
 	best, ok := selectComponent(new(frame.Labeler).Components(mask), predX, predY, minArea)
 	if !ok {
 		t.pos = Observation{Frame: frameIdx, X: predX, Y: predY, VX: t.pos.VX, VY: t.pos.VY}
@@ -60,8 +60,7 @@ func (t *refTracker) feed(im *frame.Image, frameIdx int) Observation {
 	return obs
 }
 
-func refTrackShot(frames []*frame.Image, cfg Config) ShotResult {
-	cfg = cfg.withDefaults()
+func refTrackShot(frames []*frame.Image, cfg config) ShotResult {
 	var res ShotResult
 	first := frames[0]
 	res.Background = backgroundOf(first, cfg)
@@ -78,7 +77,7 @@ func refTrackShot(frames []*frame.Image, cfg Config) ShotResult {
 	sortByArea(upper)
 	start := func(comps []frame.Component, scale float64) *refTracker {
 		for _, c := range comps {
-			if c.Area >= int(float64(cfg.MinArea)*scale*scale) {
+			if c.Area >= int(float64(cfg.minArea)*scale*scale) {
 				return &refTracker{cfg: cfg, bg: res.Background, pos: refObserve(mask, first, c, 0), scale: scale}
 			}
 		}
@@ -118,24 +117,28 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 	type shot struct {
 		name   string
 		frames []*frame.Image
-		cfg    Config
+		cfg    config
 	}
 	var shots []shot
 	for i, script := range []string{"rally", "net-approach", "service"} {
 		frames, _, _ := renderShot(t, script, 40, int64(60+i))
-		shots = append(shots, shot{script, frames, DefaultConfig()})
+		shots = append(shots, shot{script, frames, defaults})
 	}
 	occluded, _, _ := renderShot(t, "rally", 30, 9)
-	probe := trackFrames(occluded, DefaultConfig())
+	probe := trackFrames(occluded, defaults)
 	for i := 10; i < 14; i++ {
 		p := probe.Near.Obs[i]
 		occluded[i].FillRect(frame.Rect{X0: int(p.X) - 12, Y0: int(p.Y) - 18, X1: int(p.X) + 12, Y1: int(p.Y) + 18}, synth.CourtColor)
 	}
-	shots = append(shots, shot{"occluded", occluded, DefaultConfig()})
+	shots = append(shots, shot{"occluded", occluded, defaults})
 	wide, _, _ := renderShot(t, "rally", 12, 63)
-	shots = append(shots, shot{"radius beyond the frame", wide, Config{SearchRadius: 400}})
+	beyond := defaults
+	beyond.searchRadius = 400
+	shots = append(shots, shot{"radius beyond the frame", wide, beyond})
 	tight, _, _ := renderShot(t, "net-approach", 25, 64)
-	shots = append(shots, shot{"radius 6", tight, Config{SearchRadius: 6}})
+	six := defaults
+	six.searchRadius = 6
+	shots = append(shots, shot{"radius 6", tight, six})
 
 	for _, s := range shots {
 		got, want := trackFrames(s.frames, s.cfg), refTrackShot(s.frames, s.cfg)
@@ -162,9 +165,9 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 // nothing, found or coasting.
 func TestFeedAllocations(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 30, 65)
-	cfg := DefaultConfig()
+	cfg := defaults
 	res := trackFrames(frames[:2], cfg)
-	tr := newTracker(cfg.withDefaults(), res.Near.Obs[1], 1, &scratch{bg: newBGTable(&res.Background, &cfg)})
+	tr := newTracker(cfg, res.Near.Obs[1], 1, &scratch{bg: newBGTable(&res.Background, &cfg)})
 	tr.Feed(frames[2], 2)
 	tr.Feed(frames[3], 3)
 	i := 4
@@ -190,29 +193,28 @@ func TestFeedAllocations(t *testing.T) {
 // Kept only as the oracle the kernels are checked against.
 
 // foregroundPixel reports whether one pixel is foreground under the model.
-func foregroundPixel(c frame.RGB, bg *Background, cfg *Config) bool {
+func foregroundPixel(c frame.RGB, bg *Background, cfg *config) bool {
 	l := frame.Luma(c)
-	if l < cfg.LumaMin || l > cfg.LumaMax {
+	if l < cfg.lumaMin || l > cfg.lumaMax {
 		return false
 	}
-	return !bg.Match(c, cfg.CourtK, cfg.MinStd)
+	return !bg.Match(c, cfg.courtK, cfg.minStd)
 }
 
 // refQuadSegment is the quadtree segmentation of the window r through
 // foregroundPixel and StatsOfRegion, as a mask of the whole frame with
 // foreground only inside r.
-func refQuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg Config) *frame.Mask {
-	cfg = cfg.withDefaults()
+func refQuadSegment(im *frame.Image, bg Background, r frame.Rect, cfg config) *frame.Mask {
 	mask := &frame.Mask{W: im.W, H: im.H, Bits: make([]bool, im.W*im.H)}
 	var split func(b frame.Rect)
 	split = func(b frame.Rect) {
 		if b.Empty() {
 			return
 		}
-		if b.W() > cfg.QuadMinBlock || b.H() > cfg.QuadMinBlock {
+		if b.W() > cfg.quadMinBlock || b.H() > cfg.quadMinBlock {
 			s := frame.StatsOfRegion(im, b)
-			lim := 2.5 * cfg.MinStd
-			if s.N == 0 || bg.Match(s.Mean(), cfg.CourtK, cfg.MinStd) && s.StdR < lim && s.StdG < lim && s.StdB < lim {
+			lim := 2.5 * cfg.minStd
+			if s.N == 0 || bg.Match(s.Mean(), cfg.courtK, cfg.minStd) && s.StdR < lim && s.StdG < lim && s.StdB < lim {
 				return
 			}
 			mx, my := (b.X0+b.X1)/2, (b.Y0+b.Y1)/2

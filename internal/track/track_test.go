@@ -18,10 +18,10 @@ func renderShot(t *testing.T, script string, n int, seed int64) ([]*frame.Image,
 	return frames, near, far
 }
 
-// trackFrames is ShotTracker.TrackShot over a whole in-memory shot, which
-// cannot fail.
-func trackFrames(frames []*frame.Image, cfg Config) ShotResult {
-	res, err := new(ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), cfg)
+// trackFrames is ShotTracker.trackShot over a whole in-memory shot under
+// cfg, which cannot fail.
+func trackFrames(frames []*frame.Image, cfg config) ShotResult {
+	res, err := new(ShotTracker).trackShot(frame.Frames(frames), 0, len(frames), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -30,15 +30,14 @@ func trackFrames(frames []*frame.Image, cfg Config) ShotResult {
 
 // backgroundOf is the background model TrackShot estimates from im as the
 // first frame of a shot.
-func backgroundOf(im *frame.Image, cfg Config) Background {
+func backgroundOf(im *frame.Image, cfg config) Background {
 	return trackFrames([]*frame.Image{im}, cfg).Background
 }
 
 // segmentWindow runs the tracker's segmentation kernel over the window r of
 // im against bg: it returns the scratch holding the window's masks and the
 // components of the opened mask.
-func segmentWindow(im *frame.Image, bg Background, r frame.Rect, cfg Config) (*scratch, []frame.Component) {
-	cfg = cfg.withDefaults()
+func segmentWindow(im *frame.Image, bg Background, r frame.Rect, cfg config) (*scratch, []frame.Component) {
 	s := &scratch{bg: newBGTable(&bg, &cfg)}
 	return s, s.segment(im, r, &cfg)
 }
@@ -61,7 +60,7 @@ func meanError(tr Track, truth []synth.Point) float64 {
 
 func TestEstimateBackgroundFindsCourtAndSurround(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 2, 1)
-	bg := backgroundOf(frames[0], DefaultConfig())
+	bg := backgroundOf(frames[0], defaults)
 	if len(bg.Clusters) < 2 {
 		t.Fatalf("found %d background clusters, want >= 2 (court + surround)", len(bg.Clusters))
 	}
@@ -78,7 +77,7 @@ func TestEstimateBackgroundFindsCourtAndSurround(t *testing.T) {
 
 func TestQuadSegmentFindsPlayers(t *testing.T) {
 	frames, near, far := renderShot(t, "rally", 2, 2)
-	cfg := DefaultConfig()
+	cfg := defaults
 	bg := backgroundOf(frames[0], cfg)
 	_, comps := segmentWindow(frames[0], bg, frames[0].Bounds(), cfg)
 	foundNear, foundFar := false, false
@@ -104,7 +103,7 @@ func TestQuadSegmentFindsPlayers(t *testing.T) {
 
 func TestQuadSegmentIgnoresLinesAndNet(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 1, 3)
-	cfg := DefaultConfig()
+	cfg := defaults
 	bg := backgroundOf(frames[0], cfg)
 	// No connected component should be line-like: wider than half the
 	// frame (lines and net span the court).
@@ -118,7 +117,7 @@ func TestQuadSegmentIgnoresLinesAndNet(t *testing.T) {
 
 func TestTrackRallyShotAccuracy(t *testing.T) {
 	frames, near, far := renderShot(t, "rally", 60, 4)
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	if len(res.Near.Obs) != 60 || len(res.Far.Obs) != 60 {
 		t.Fatalf("tracks have %d/%d observations, want 60", len(res.Near.Obs), len(res.Far.Obs))
 	}
@@ -138,7 +137,7 @@ func TestTrackRallyShotAccuracy(t *testing.T) {
 
 func TestTrackNetApproach(t *testing.T) {
 	frames, near, _ := renderShot(t, "net-approach", 60, 5)
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	if e := meanError(res.Near, near); e > 5 {
 		t.Errorf("net-approach near error %.2f px", e)
 	}
@@ -152,7 +151,7 @@ func TestTrackNetApproach(t *testing.T) {
 
 func TestTrackServiceShot(t *testing.T) {
 	frames, near, _ := renderShot(t, "service", 50, 6)
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	if e := meanError(res.Near, near); e > 5 {
 		t.Errorf("service near error %.2f px", e)
 	}
@@ -168,7 +167,7 @@ func TestTrackServiceShot(t *testing.T) {
 
 func TestShapeFeaturesPlausible(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 20, 7)
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	for i, o := range res.Near.Obs {
 		if !o.Found {
 			continue
@@ -189,7 +188,7 @@ func TestShapeFeaturesPlausible(t *testing.T) {
 
 func TestDominantColourIsShirt(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 10, 8)
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	hits := 0
 	for _, o := range res.Near.Obs[1:] {
 		if o.Found && frame.ColorDist(o.Dominant, synth.NearShirt) < 80 {
@@ -205,7 +204,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 30, 9)
 	// Paint over the near player in frames 10-13 with court colour
 	// (simulated occlusion).
-	res0 := trackFrames(frames, DefaultConfig())
+	res0 := trackFrames(frames, defaults)
 	for i := 10; i < 14; i++ {
 		p := res0.Near.Obs[i]
 		frames[i].FillRect(frame.Rect{
@@ -213,7 +212,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 			X1: int(p.X) + 12, Y1: int(p.Y) + 18,
 		}, synth.CourtColor)
 	}
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	lostIn := 0
 	for i := 10; i < 14; i++ {
 		if !res.Near.Obs[i].Found {
@@ -237,7 +236,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 }
 
 func TestTrackShotEmptyInput(t *testing.T) {
-	res := trackFrames(nil, DefaultConfig())
+	res := trackFrames(nil, defaults)
 	if len(res.Near.Obs) != 0 || len(res.Far.Obs) != 0 {
 		t.Fatal("empty input produced observations")
 	}
@@ -254,7 +253,7 @@ func TestTrackNoPlayersInFrame(t *testing.T) {
 		im.FillRect(g.Court, synth.CourtColor)
 		frames[i] = im
 	}
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	if res.Near.LostFrames < 9 {
 		t.Fatalf("expected near track lost, got %d lost frames", res.Near.LostFrames)
 	}
@@ -262,7 +261,7 @@ func TestTrackNoPlayersInFrame(t *testing.T) {
 
 func TestTrackPositionsSeries(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 15, 10)
-	res := trackFrames(frames, DefaultConfig())
+	res := trackFrames(frames, defaults)
 	if len(res.Near.Obs) != 15 || res.Near.LostFrames > 15 {
 		t.Fatalf("%d observations, %d lost, want 15 frames", len(res.Near.Obs), res.Near.LostFrames)
 	}

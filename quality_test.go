@@ -18,6 +18,7 @@ import (
 	"repro/internal/fde"
 	"repro/internal/frame"
 	"repro/internal/hmm"
+	"repro/internal/ir"
 	"repro/internal/rules"
 	"repro/internal/shotdet"
 	"repro/internal/synth"
@@ -78,6 +79,11 @@ func errorRow(exp, subject, cond, metric string, v float64) ledgerRow {
 	return ledgerRow{exp: exp, subject: subject, cond: cond, metric: metric, value: v, prec: 2, dir: "max"}
 }
 
+// countRow is a "max" row at 0 decimals: E7's postings scored.
+func countRow(exp, subject, cond, metric string, n int) ledgerRow {
+	return ledgerRow{exp: exp, subject: subject, cond: cond, metric: metric, value: float64(n), dir: "max"}
+}
+
 func prRows(exp, subject, cond string, pr eval.PR) []ledgerRow {
 	return []ledgerRow{
 		score(exp, subject, cond, "P", pr.Precision()),
@@ -118,13 +124,14 @@ var ledgerFamilies = []struct {
 	{"E4", e4Rows},
 	{"E5", e5Rows},
 	{"E6", e6Rows},
+	{"E7", e7Rows},
 	{"E8", e8Rows},
 	{"shipped", shippedRows},
 	{"hard", hardRows},
 }
 
 // TestQualityLedger recomputes every score of the paper's experiments
-// (DESIGN.md §5: E2–E6 and E8), of the shipped segment detector and of the
+// (DESIGN.md §5: E2–E8), of the shipped segment detector and of the
 // shipped detectors on the hard corpus (hardcorpus_test.go) from their
 // seeded fixtures, and checks each against testdata/quality.tsv. It
 // fails when a row falls below its floor (rises above its ceiling for an
@@ -271,26 +278,24 @@ func readLedger(path string) (*ledger, error) {
 // e2Thresholds is E2's sweep of the fixed histogram-difference threshold.
 var e2Thresholds = []float64{0.05, 0.10, 0.20, 0.35, 0.50, 0.80, 1.20, 1.60, 1.90}
 
-// boundaryPR scores cfg's boundaries on the corpus at ±2 frames.
-func boundaryPR(sweep *shotdet.Sweeper, vids []*synth.Video, cfg shotdet.Config) eval.PR {
+// boundaryPR scores the boundaries at threshold on the corpus at ±2 frames.
+func boundaryPR(sweep *shotdet.Sweeper, vids []*synth.Video, threshold float64) eval.PR {
 	var pr eval.PR
 	for _, v := range vids {
-		pr.Add(eval.MatchBoundaries(sweep.Detect(v.Frames, cfg), v.Truth.Boundaries(), 2))
+		pr.Add(eval.MatchBoundaries(sweep.Detect(v.Frames, threshold), v.Truth.Boundaries(), 2))
 	}
 	return pr
 }
 
 // e2Rows is the segment detector's boundary precision and recall across
 // the threshold sweep. One Sweeper serves the whole sweep: the access
-// pattern it amortizes (same footage, many configs).
+// pattern it amortizes (same footage, many thresholds).
 func e2Rows(t *testing.T) []ledgerRow {
 	vids := benchCorpus(t)
 	var sweep shotdet.Sweeper
 	var rows []ledgerRow
 	for _, th := range e2Thresholds {
-		cfg := shotdet.DefaultConfig()
-		cfg.Threshold = th
-		rows = append(rows, prRows("E2", "boundary ±2", fmt.Sprintf("threshold %.2f", th), boundaryPR(&sweep, vids, cfg))...)
+		rows = append(rows, prRows("E2", "boundary ±2", fmt.Sprintf("threshold %.2f", th), boundaryPR(&sweep, vids, th))...)
 	}
 	return rows
 }
@@ -301,7 +306,7 @@ var shotLabels = []string{"tennis", "close-up", "audience", "other"}
 // calibrated court colour.
 func e3Rows(t *testing.T) []ledgerRow {
 	vids := benchCorpus(t)
-	cls := shotdet.NewClassifier(shotdet.ClassifierConfig{CourtColor: synth.CourtColor})
+	cls := shotdet.NewClassifier(synth.CourtColor)
 	conf := eval.NewConfusion(shotLabels...)
 	for _, v := range vids {
 		for _, s := range v.Truth.Shots {
@@ -312,25 +317,24 @@ func e3Rows(t *testing.T) []ledgerRow {
 	return confusionRows("E3", "shot class, court given", conf)
 }
 
-// shippedRows scores what ingest runs: shotdet.SegmentAndClassify under
-// fde.DefaultTennisConfig() on E2's corpus, boundaries at ±2 frames and
-// each true shot's class as the detected shot over its middle frame
-// classifies it under the court-colour vote. The boundary rows name the
-// shipped threshold, so moving that default re-keys them.
+// shippedRows scores what ingest runs: shotdet.SegmentAndClassify on E2's
+// corpus, boundaries at ±2 frames and each true shot's class as the
+// detected shot over its middle frame classifies it under the court-colour
+// vote. The boundary rows name the shipped threshold, so moving
+// shotdet.Threshold re-keys them.
 func shippedRows(t *testing.T) []ledgerRow {
 	vids := benchCorpus(t)
-	cfg := fde.DefaultTennisConfig()
 	var pr eval.PR
 	conf := eval.NewConfusion(shotLabels...)
 	for _, v := range vids {
-		shots, err := shotdet.SegmentAndClassify(frame.Frames(v.Frames), cfg.Shot, cfg.Classifier)
+		shots, err := shotdet.SegmentAndClassify(frame.Frames(v.Frames))
 		if err != nil {
 			t.Fatal(err)
 		}
 		pr.Add(eval.MatchBoundaries(starts(shots), v.Truth.Boundaries(), 2))
 		observeShots(t, conf, shots, v.Truth.Shots)
 	}
-	cond := fmt.Sprintf("default threshold %.2f", cfg.Shot.Threshold)
+	cond := fmt.Sprintf("default threshold %.2f", shotdet.Threshold)
 	return append(prRows("shipped", "boundary ±2", cond, pr), confusionRows("shipped", "shot class, court voted", conf)...)
 }
 
@@ -346,7 +350,7 @@ func e4Rows(t *testing.T) []ledgerRow {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := trackFrames(frames, track.DefaultConfig())
+			res := trackFrames(frames)
 			cond := fmt.Sprintf("noise %d", noise)
 			lost := 100 * float64(res.Near.LostFrames+res.Far.LostFrames) / float64(2*len(frames))
 			rows = append(rows,
@@ -360,8 +364,8 @@ func e4Rows(t *testing.T) []ledgerRow {
 
 // trackFrames is track.ShotTracker.TrackShot over a whole in-memory shot,
 // which cannot fail.
-func trackFrames(frames []*frame.Image, cfg track.Config) track.ShotResult {
-	res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames), cfg)
+func trackFrames(frames []*frame.Image) track.ShotResult {
+	res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames))
 	if err != nil {
 		panic(err)
 	}
@@ -407,7 +411,7 @@ func e5Rows(t *testing.T) []ledgerRow {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dets := eng.Detect(fde.TrackToSeries(trackFrames(frames, track.DefaultConfig())), len(frames))
+			dets := eng.Detect(fde.TrackToSeries(trackFrames(frames)), len(frames))
 			for _, kind := range kinds {
 				var dIv, tIv []eval.Interval
 				for _, d := range dets {
@@ -454,6 +458,58 @@ func e6Rows(t *testing.T) []ledgerRow {
 			}
 		}
 		rows = append(rows, score("E6", "strokes", fmt.Sprintf("noise %.2f", noise), "accuracy", conf.Accuracy()))
+	}
+	return rows
+}
+
+// e7Rows is the top-N optimization against the exhaustive scan on the 20k
+// documents of benchIRCorpus, over e7Queries: per k, the safe mode's
+// quality (the worst query's ir.ScoreQuality) and the postings each mode
+// scores summed over the queries; then, at k = 10, the same two under each
+// fragment-round budget, the unsafe mode's quality/work trade-off.
+func e7Rows(t *testing.T) []ledgerRow {
+	ix := benchIRCorpus(t)
+	// run sums the postings opts scores over the queries at depth k and
+	// returns them with the worst query's quality.
+	run := func(k int, opts ir.TopNOptions) (postings int, quality float64) {
+		quality = 1
+		for _, q := range e7Queries {
+			hits, st, err := ix.SearchTopN(q, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			postings += st.PostingsScored
+			qv, err := ir.ScoreQuality(ix, q, k, hits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			quality = min(quality, qv)
+		}
+		return postings, quality
+	}
+	var rows []ledgerRow
+	for _, k := range []int{10, 20, 50} {
+		full := 0
+		for _, q := range e7Queries {
+			_, st, err := ix.Search(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full += st.PostingsScored
+		}
+		safe, quality := run(k, ir.TopNOptions{Fragments: 32})
+		cond := fmt.Sprintf("k %d", k)
+		rows = append(rows,
+			score("E7", "top-N safe", cond, "quality", quality),
+			countRow("E7", "top-N safe", cond, "postings", safe),
+			countRow("E7", "full scan", cond, "postings", full))
+	}
+	for _, budget := range []int{1, 2, 4, 8, 16, 24, 32} {
+		postings, quality := run(10, ir.TopNOptions{Fragments: 32, MaxFragments: budget})
+		cond := fmt.Sprintf("rounds %d", budget)
+		rows = append(rows,
+			score("E7", "top-N budget, k 10", cond, "quality", quality),
+			countRow("E7", "top-N budget, k 10", cond, "postings", postings))
 	}
 	return rows
 }
