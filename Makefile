@@ -95,13 +95,13 @@ fmt-check:
 
 # expvar was the second metrics model beside serve.Registry (DESIGN.md
 # §10); the grep keeps it from growing back into shipped code. The
-# dead-surface gate fails on exported API that only tests reach, unless
-# scripts/deadapi/allow.txt claims it with a reason.
+# dead-surface gate (exported API that only tests reach, unless
+# scripts/deadapi/allow.txt claims it with a reason) runs under `make test`
+# as scripts/deadapi's TestRepositoryGate.
 vet:
 	$(GO) vet ./...
 	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"expvar"' .); \
 		if [ -n "$$out" ]; then echo "expvar imported outside tests (use serve.Registry):"; echo "$$out"; exit 1; fi
-	$(GO) run ./scripts/deadapi
 
 # The README package map's line counts are how "less code at equal
 # behaviour" is judged; fail when they drift from what scripts/loc.sh counts.

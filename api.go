@@ -14,7 +14,8 @@
 //   - Broadcast generation (synthetic tennis video with ground truth) and
 //     the SVF video container are re-exported for building corpora.
 //
-// See examples/ for runnable programs and DESIGN.md for the system map.
+// The Example functions (example_test.go) are runnable tours whose output
+// `go test` checks; DESIGN.md is the system map.
 package repro
 
 import (
@@ -59,8 +60,6 @@ type (
 	Explain = dlse.Explain
 	// OpStat is one explain entry: operator, wall time, rows, kernel stats.
 	OpStat = dlse.OpStat
-	// Stream is a pull iterator over a ResultSet's full answer.
-	Stream = dlse.Stream
 	// QueryError is a structured query-language error with position info.
 	QueryError = dlse.QueryError
 	// Image is an interleaved 8-bit RGB raster frame.
@@ -601,8 +600,8 @@ func NewDigitalLibraryWith(site *Site, lib *Library, opts LibraryOptions) (*Digi
 // query-language string, the structured request, the keyword baseline,
 // the embedding-similarity and hybrid (RRF-fused) lanes, and the scene
 // lookup (Query's six forms), with cursor pagination
-// (WithLimit/WithCursor), a streaming iterator (ResultSet.Stream), and
-// optional explain plans (WithExplain).
+// (WithLimit/WithCursor) and optional explain plans (WithExplain). A large
+// answer is read by walking its cursor.
 //
 // Pagination is deterministic: on an unchanged snapshot, walking all pages
 // via cursors reproduces the unpaginated answer exactly. Failures use the

@@ -242,29 +242,3 @@ func TestV2SwapVisibility(t *testing.T) {
 		t.Fatalf("parse taxonomy: %v", err)
 	}
 }
-
-// TestV2StreamFacade exercises the streaming iterator through the facade.
-func TestV2StreamFacade(t *testing.T) {
-	site := v2Site(t)
-	dl, err := NewDigitalLibrary(site, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := dl.Search(context.Background(), Query{Keyword: "australian open final"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, err := dl.Search(context.Background(), Query{Keyword: "australian open final"}, WithLimit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for st := page.Stream(); ; n++ {
-		if _, ok := st.Next(); !ok {
-			break
-		}
-	}
-	if n != full.Total {
-		t.Fatalf("stream yielded %d items, want %d", n, full.Total)
-	}
-}

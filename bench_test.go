@@ -283,7 +283,7 @@ func BenchmarkE9EndToEnd(b *testing.B) {
 		indexDur := time.Since(t0)
 
 		t0 = time.Now()
-		eng, err := dlse.New(site, idx)
+		eng, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -835,7 +835,7 @@ func serveFixture(b *testing.B) (*dlse.Engine, *webspace.Site) {
 			seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
 			idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 		}
-		eng, err := dlse.New(site, idx)
+		eng, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
 		if err != nil {
 			panic(err)
 		}

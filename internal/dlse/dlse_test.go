@@ -34,7 +34,7 @@ func fixture(t *testing.T) (*Engine, *webspace.Site) {
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
-	e, err := New(site, idx)
+	e, err := NewSegmented(site, core.SingleSegment(idx), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestParsedConstraintTypes(t *testing.T) {
 
 func fixtureEngine(t *testing.T, site *webspace.Site) *Engine {
 	t.Helper()
-	e, err := New(site, nil)
+	e, err := NewSegmented(site, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func fixtureEngine(t *testing.T, site *webspace.Site) *Engine {
 }
 
 func TestNewEngineValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
+	if _, err := NewSegmented(nil, nil, Options{}); err == nil {
 		t.Fatal("nil site accepted")
 	}
 }

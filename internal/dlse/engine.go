@@ -74,16 +74,6 @@ type Options struct {
 	VecSegfile string
 }
 
-// New builds the engine over a generated site and a (possibly empty) video
-// meta-index. The site's pages are indexed for full-text retrieval.
-func New(site *webspace.Site, video *core.MetaIndex) (*Engine, error) {
-	var view *core.SegmentedIndex
-	if video != nil {
-		view = core.SingleSegment(video)
-	}
-	return NewSegmented(site, view, Options{})
-}
-
 // NewSegmented builds the engine over a generated site and a segmented
 // video meta-index — the entry point of segmented libraries and the commit
 // path. video may be nil for a text/concept-only engine.

@@ -224,7 +224,7 @@ type ResultSet struct {
 	Explain *Explain
 
 	// key is the FNV-1a hash of the query's canonical key, binding cursors
-	// to their query. ans/offset back Page and Stream.
+	// to their query. ans/offset back Page.
 	key    uint64
 	ans    *answer
 	offset int
@@ -484,8 +484,8 @@ func (e *Engine) rank(nq Query, depth int, withExplain bool) (items []Item, tota
 // Search is the unified v2 entrypoint: it executes the query (or, for a
 // cursor resume, re-executes it against the current snapshot) to the depth
 // the requested page needs and returns that page. A ResultSet is safe to
-// share between goroutines: Page and Stream deepen its shared prefix under
-// a lock, never in place.
+// share between goroutines: Page deepens its shared prefix under a lock,
+// never in place.
 func (e *Engine) Search(ctx context.Context, q Query, opts ...SearchOption) (*ResultSet, error) {
 	var o searchOpts
 	for _, opt := range opts {
@@ -545,32 +545,4 @@ func (rs *ResultSet) Page(c Cursor, limit int) (*ResultSet, error) {
 		page.Cursor = encodeCursor(rs.key, end, rs.Snapshot)
 	}
 	return page, nil
-}
-
-// Stream returns a pull-based iterator over the remainder of the answer,
-// starting at this page's first item and running through the end of the
-// full result list — the way to consume a large answer without
-// materializing page slices. It reads the snapshot the Search computed,
-// unaffected by later swaps, deepening the prefix as Page does.
-func (rs *ResultSet) Stream() *Stream {
-	return &Stream{ans: rs.ans, i: rs.offset}
-}
-
-// Stream is a pull iterator over a ResultSet's answer.
-type Stream struct {
-	ans   *answer
-	items []Item
-	i     int
-}
-
-// Next returns the next item. ok is false when the answer is exhausted.
-func (s *Stream) Next() (item Item, ok bool) {
-	if s.i >= len(s.items) {
-		if s.items = s.ans.upTo(s.i + 1); s.i >= len(s.items) {
-			return Item{}, false
-		}
-	}
-	item = s.items[s.i]
-	s.i++
-	return item, true
 }

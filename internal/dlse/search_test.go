@@ -266,7 +266,7 @@ func TestSearchErrorTaxonomy(t *testing.T) {
 	}
 
 	// Scene queries need a video index.
-	empty, err := New(site, nil)
+	empty, err := NewSegmented(site, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,55 +277,6 @@ func TestSearchErrorTaxonomy(t *testing.T) {
 	// Unrankable keyword text surfaces the raw IR sentinel.
 	if _, err := e.Search(ctx, Query{Keyword: "the of and"}); !errors.Is(err, ir.ErrEmptyQry) {
 		t.Fatalf("stopword keyword query: %v", err)
-	}
-}
-
-func TestStreamPullsFullRemainder(t *testing.T) {
-	e, _ := fixture(t)
-	ctx := context.Background()
-	q := Query{Keyword: "australian open final"}
-
-	full, err := e.Search(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Total < 4 {
-		t.Fatalf("fixture too small for streaming test: %d items", full.Total)
-	}
-
-	// Stream from the start.
-	var streamed []Item
-	for st := full.Stream(); ; {
-		it, ok := st.Next()
-		if !ok {
-			break
-		}
-		streamed = append(streamed, it)
-	}
-	if !reflect.DeepEqual(streamed, full.Items) {
-		t.Fatal("stream from page 1 diverges from the full answer")
-	}
-
-	// Stream resumed from page 2 yields everything after page 1.
-	p1, err := e.Search(ctx, q, WithLimit(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := e.Search(ctx, q, WithLimit(2), WithCursor(p1.Cursor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := p2.Stream()
-	var rest []Item
-	for {
-		it, ok := st.Next()
-		if !ok {
-			break
-		}
-		rest = append(rest, it)
-	}
-	if !reflect.DeepEqual(rest, full.Items[2:]) {
-		t.Fatal("stream from page 2 diverges from the full answer tail")
 	}
 }
 

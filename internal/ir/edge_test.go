@@ -77,17 +77,6 @@ func TestSearchKZeroReturnsAll(t *testing.T) {
 	}
 }
 
-func TestBooleanSingleTerm(t *testing.T) {
-	ix := buildSmallIndex(t)
-	docs, err := ix.SearchBoolean("tennis")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(docs, []DocID{0, 2, 4}) {
-		t.Fatalf("docs = %v", docs)
-	}
-}
-
 func TestFreezeIdempotent(t *testing.T) {
 	ix := buildSmallIndex(t)
 	ix.Freeze() // second freeze is a no-op

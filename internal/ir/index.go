@@ -45,7 +45,7 @@ type Posting struct {
 //
 // Concurrency: the index has a strict build-then-serve life cycle. Add and
 // Freeze mutate and must run from a single goroutine; after Freeze every
-// read path (Search, SearchTopN, SearchBoolean, Docs, DocName, …) only
+// read path (Search, SearchTopN, Docs, DocName, …) only
 // reads the frozen structures and is safe to call from any number of
 // goroutines concurrently. Search entry points enforce the life cycle by
 // returning ErrNotFrozen before the freeze.
@@ -280,14 +280,6 @@ func (ix *Index) impact(idf float64, p Posting, avg float64) float32 {
 // Docs returns the number of indexed documents.
 func (ix *Index) Docs() int { return ix.names.Len() }
 
-// Terms returns the vocabulary size.
-func (ix *Index) Terms() int {
-	if !ix.frozen {
-		return len(ix.build)
-	}
-	return ix.dict.Len()
-}
-
 // lookup returns the ordinal of term in the frozen term table, by binary
 // search, and whether the table holds it.
 func (ix *Index) lookup(term string) (int, bool) {
@@ -486,42 +478,6 @@ func scoreList[D, C uint8 | uint16 | uint32](docs []D, codes []C, book []float32
 	return -1
 }
 
-// SearchBoolean returns the documents containing every query term
-// (conjunctive), unranked, in docID order.
-func (ix *Index) SearchBoolean(query string) ([]DocID, error) {
-	if !ix.frozen {
-		return nil, ErrNotFrozen
-	}
-	terms := dedupe(Analyze(query))
-	if len(terms) == 0 {
-		return nil, ErrEmptyQry
-	}
-	// Intersect shortest-first.
-	sort.Slice(terms, func(a, b int) bool {
-		return ix.df(terms[a]) < ix.df(terms[b])
-	})
-	o, ok := ix.lookup(terms[0])
-	if !ok {
-		return nil, nil
-	}
-	lo, hi := ix.span(o)
-	cur := make([]DocID, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		cur = append(cur, DocID(ix.docs.at(i)))
-	}
-	for _, term := range terms[1:] {
-		o, ok := ix.lookup(term)
-		if !ok {
-			return nil, nil
-		}
-		cur = ix.intersect(cur, o)
-		if len(cur) == 0 {
-			return nil, nil
-		}
-	}
-	return cur, nil
-}
-
 // df returns a term's document frequency: its posting count, in the build
 // lists before Freeze and in the term table after.
 func (ix *Index) df(term string) int {
@@ -533,28 +489,6 @@ func (ix *Index) df(term string) int {
 		return hi - lo
 	}
 	return 0
-}
-
-// intersect keeps, in place, the documents of the ascending list a that
-// term ordinal o's postings name, reading the doc-ID column.
-func (ix *Index) intersect(a []DocID, o int) []DocID {
-	out := a[:0]
-	j, hi := ix.span(o)
-	i := 0
-	for i < len(a) && j < hi {
-		d := DocID(ix.docs.at(j))
-		switch {
-		case a[i] == d:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < d:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
 }
 
 // dedupeSetThreshold is the unique-term count past which dedupe switches

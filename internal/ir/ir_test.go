@@ -214,22 +214,6 @@ func TestSearchUnknownTerm(t *testing.T) {
 	}
 }
 
-func TestSearchBoolean(t *testing.T) {
-	ix := buildSmallIndex(t)
-	docs, err := ix.SearchBoolean("tennis tournament")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// docs 0 and 2 contain both.
-	if !reflect.DeepEqual(docs, []DocID{0, 2}) {
-		t.Fatalf("boolean = %v", docs)
-	}
-	docs, _ = ix.SearchBoolean("tennis zeppelin")
-	if len(docs) != 0 {
-		t.Fatalf("impossible conjunction = %v", docs)
-	}
-}
-
 // synthCorpus builds a Zipf-vocabulary corpus for top-N testing.
 func synthCorpus(t testing.TB, nDocs, vocab int, seed int64) *Index {
 	t.Helper()
@@ -384,7 +368,7 @@ func TestIndexCounters(t *testing.T) {
 	if ix.Docs() != 5 {
 		t.Fatalf("Docs = %d", ix.Docs())
 	}
-	if ix.Terms() == 0 {
+	if ix.dict.Len() == 0 {
 		t.Fatal("no terms")
 	}
 }

@@ -92,8 +92,7 @@ func TestSegfileRoundTripParity(t *testing.T) {
 					}
 				}
 			}
-			// Boolean retrieval and safe top-N (the mapped impact-ordered
-			// lists) on each part.
+			// Safe top-N (the mapped impact-ordered lists) on each part.
 			for i := 0; i < nseg; i++ {
 				for _, q := range segQueries {
 					hn, _, herr := heap.segs[i].SearchTopN(q, 5, TopNOptions{Fragments: 4})
@@ -101,11 +100,6 @@ func TestSegfileRoundTripParity(t *testing.T) {
 					if (herr == nil) != (merr == nil) || !reflect.DeepEqual(hn, mn) {
 						t.Fatalf("part %d q=%q topN: %v/%v vs %v/%v", i, q, hn, herr, mn, merr)
 					}
-				}
-				hb, herr := heap.segs[i].SearchBoolean("w0 w1")
-				mb, merr := mapped.segs[i].SearchBoolean("w0 w1")
-				if (herr == nil) != (merr == nil) || !reflect.DeepEqual(hb, mb) {
-					t.Fatalf("part %d boolean: %v/%v vs %v/%v", i, hb, herr, mb, merr)
 				}
 			}
 			// Doc names and lengths of every part.
@@ -418,11 +412,6 @@ func TestSegfileColumnWidths(t *testing.T) {
 			mn, _, merr := mapped.segs[i].SearchTopN(q, 5, TopNOptions{})
 			if herr != nil || merr != nil || !reflect.DeepEqual(hn, mn) {
 				t.Fatalf("segment %d q=%q topN: %v/%v vs %v/%v", i, q, hn, herr, mn, merr)
-			}
-			hb, herr := heap.segs[i].SearchBoolean(q)
-			mb, merr := mapped.segs[i].SearchBoolean(q)
-			if herr != nil || merr != nil || !reflect.DeepEqual(hb, mb) {
-				t.Fatalf("segment %d q=%q boolean: %v/%v vs %v/%v", i, q, hb, herr, mb, merr)
 			}
 		}
 	}

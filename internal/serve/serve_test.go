@@ -35,7 +35,7 @@ func fixture(t testing.TB) (*dlse.Engine, *core.MetaIndex) {
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
-	e, err := dlse.New(site, idx)
+	e, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

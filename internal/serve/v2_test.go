@@ -184,7 +184,7 @@ func TestV2ErrorStatuses(t *testing.T) {
 	}
 
 	// Scene query against an engine without a video index.
-	empty, err := dlse.New(fixtureSite(t), nil)
+	empty, err := dlse.NewSegmented(fixtureSite(t), nil, dlse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestV2SwapStaleness(t *testing.T) {
 	}
 	// The one extra scene that distinguishes the snapshots.
 	idx.AddEvent(core.Event{VideoID: first, Kind: "net-play", Interval: core.Interval{Start: 300, End: 360}, Confidence: 0.7})
-	e2, err := dlse.New(site, idx)
+	e2, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

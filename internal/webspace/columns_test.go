@@ -214,8 +214,8 @@ func TestRunMatchesBoxedReference(t *testing.T) {
 		for _, o := range objs {
 			for name := range attrs {
 				want, _ := vals[o.ID][name]
-				if got := o.Attr(name); !reflect.DeepEqual(got, want) && !isNaN(got, want) {
-					t.Fatalf("seed %d: object %d Attr(%q) = %#v, want %#v", seed, o.ID, name, got, want)
+				if got := boxed(o, name); !reflect.DeepEqual(got, want) && !isNaN(got, want) {
+					t.Fatalf("seed %d: object %d attribute %q = %#v, want %#v", seed, o.ID, name, got, want)
 				}
 				ws, _ := want.(string)
 				if got := o.StringAttr(name); got != ws {
@@ -253,6 +253,26 @@ func TestRunMatchesBoxedReference(t *testing.T) {
 				t.Fatalf("seed %d query %d %+v:\n got %v\nwant %v", seed, qi, q, ids, want)
 			}
 		}
+	}
+}
+
+// boxed reads attribute name of o from its typed column as the value
+// NewObject took: a string, int64, float64 or bool, or nil when o does not
+// set it.
+func boxed(o *Object, name string) any {
+	i, ok := o.tab.class.attrIndex(name)
+	if !ok || !o.tab.cols[i].has(o.row) {
+		return nil
+	}
+	switch c := &o.tab.cols[i]; c.typ {
+	case AttrString, AttrText:
+		return c.str.At(int(o.row))
+	case AttrInt:
+		return c.ints[o.row]
+	case AttrFloat:
+		return c.floats[o.row]
+	default:
+		return c.bools[o.row]
 	}
 }
 

@@ -26,15 +26,6 @@ type Object struct {
 	row int32
 }
 
-// Attr returns the value of an attribute: a string, int64, float64 or bool,
-// or nil when the object does not set it.
-func (o *Object) Attr(name string) any {
-	if i, ok := o.tab.class.attrIndex(name); ok {
-		return o.tab.cols[i].value(o.row)
-	}
-	return nil
-}
-
 // StringAttr returns a string/text attribute or "". The string aliases the
 // class's column.
 func (o *Object) StringAttr(name string) string {
@@ -73,24 +64,6 @@ type column struct {
 func (c *column) isString() bool { return c.typ == AttrString || c.typ == AttrText }
 
 func (c *column) has(row int32) bool { return c.set[row>>6]&(1<<(row&63)) != 0 }
-
-// value boxes row's value, or returns nil when the row does not set it.
-func (c *column) value(row int32) any {
-	if !c.has(row) {
-		return nil
-	}
-	switch c.typ {
-	case AttrString, AttrText:
-		return c.str.At(int(row))
-	case AttrInt:
-		return c.ints[row]
-	case AttrFloat:
-		return c.floats[row]
-	case AttrBool:
-		return c.bools[row]
-	}
-	return nil
-}
 
 // push appends the next row's value: v, already checked against the
 // column's type, or nil for an unset row.
@@ -276,14 +249,6 @@ func (w *Webspace) All(class string) []int64 {
 		return append([]int64(nil), t.ids...)
 	}
 	return nil
-}
-
-// Count returns the number of objects of a class.
-func (w *Webspace) Count(class string) int {
-	if t := w.tables[class]; t != nil {
-		return len(t.ids)
-	}
-	return 0
 }
 
 // Op enumerates constraint operators.

@@ -85,7 +85,7 @@ func TestObjectCreationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ID == 0 || w.Count("Player") != 1 {
+	if p.ID == 0 || len(w.All("Player")) != 1 {
 		t.Fatal("object not materialized")
 	}
 }
@@ -128,14 +128,14 @@ func genSite(t *testing.T) *Site {
 func TestGenerateAusOpenStructure(t *testing.T) {
 	site := genSite(t)
 	w := site.W
-	if w.Count("Player") != 40 {
-		t.Fatalf("players = %d", w.Count("Player"))
+	if len(w.All("Player")) != 40 {
+		t.Fatalf("players = %d", len(w.All("Player")))
 	}
 	years := 2001 - 1995 + 1
-	if w.Count("Final") != years*2 {
-		t.Fatalf("finals = %d, want %d", w.Count("Final"), years*2)
+	if len(w.All("Final")) != years*2 {
+		t.Fatalf("finals = %d, want %d", len(w.All("Final")), years*2)
 	}
-	if w.Count("Video") != years*2 || w.Count("Interview") != years*2 {
+	if len(w.All("Video")) != years*2 || len(w.All("Interview")) != years*2 {
 		t.Fatal("videos/interviews missing")
 	}
 	// Pages: one per player + 2 per final (report + interview).
@@ -247,7 +247,7 @@ func TestQueryPathSemantics(t *testing.T) {
 		hit := false
 		for _, fid := range p.Links["wonFinals"] {
 			f, _ := site.W.Get(fid)
-			if f.Attr("year").(int64) >= 2000 {
+			if boxed(f, "year").(int64) >= 2000 {
 				hit = true
 			}
 		}

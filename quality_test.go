@@ -597,7 +597,7 @@ func e8Rows(t *testing.T) []ledgerRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := dlse.New(site, lib)
+	eng, err := dlse.NewSegmented(site, core.SingleSegment(lib), dlse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Command deadapi is the dead-surface gate `make vet` runs: it lists every
+// Command deadapi is the dead-surface gate: it lists every
 // exported function, method, type, var and const declared in a non-test
 // file of a non-main package of the root module that nothing but tests
 // reaches, and fails unless scripts/deadapi/allow.txt claims each one.
@@ -6,7 +6,11 @@
 // A reference counts when it is in a non-test file of the root module
 // outside the identifier's own declaration, or in a non-test file of a
 // module nested under the root (bench/), which consumes the root module as
-// code outside it would. Test files never count. A method also counts as
+// code outside it would. Test files count in one case only: an Example
+// function of the root package's external test package that has an output
+// comment, so `go test` runs it and checks what it prints, counts for the
+// root package's names it references (the product a Go user imports); its
+// references to any other package do not count. A method also counts as
 // used when an interface declared in either module, or in a standard
 // package either imports, has a method of the same name and identical
 // signature (error, fmt.Stringer, flag.Value, io.Closer, fsx.FS, …). The
@@ -19,7 +23,8 @@
 //	<import path>.<Name>[.<Method>]  <category>: <reason>
 //
 // with category `oracle` (a reference implementation a named test compares
-// production against), `seam` (the fsx fault seam) or `item N` (claimed by
+// production against), `seam` (the fsx fault seam), `ledger` (a fixture or
+// scorer behind rows of testdata/quality.tsv) or `item N` (claimed by
 // ROADMAP open item N). An entry also claims every finding below it, so a
 // package path claims the package and a type its methods. An entry that
 // claims no finding is stale and fails the gate, as does a malformed line.
@@ -27,6 +32,8 @@
 // Run it from the repository root:
 //
 //	go run ./scripts/deadapi
+//
+// `go test ./scripts/deadapi` runs the same gate over the repository.
 //
 // It uses only go/parser and go/types, importing the standard library from
 // source, so nothing is downloaded.
@@ -36,6 +43,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/doc"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -81,7 +89,7 @@ func gate(root string, allow []byte) ([]string, error) {
 		}
 		m := allowLine.FindStringSubmatch(line)
 		if m == nil {
-			problems = append(problems, fmt.Sprintf("allow.txt:%d: want `<path>.<Name>  oracle|seam|item N: <reason>`: %q", i+1, line))
+			problems = append(problems, fmt.Sprintf("allow.txt:%d: want `<path>.<Name>  oracle|seam|ledger|item N: <reason>`: %q", i+1, line))
 			continue
 		}
 		entries = append(entries, m[1])
@@ -106,7 +114,7 @@ func gate(root string, allow []byte) ([]string, error) {
 	return problems, nil
 }
 
-var allowLine = regexp.MustCompile(`^(\S+)\s+(?:oracle|seam|item [1-9][0-9]*): \S`)
+var allowLine = regexp.MustCompile(`^(\S+)\s+(?:oracle|seam|ledger|item [1-9][0-9]*): \S`)
 
 // checker holds the loaded packages of the root module and of the modules
 // nested under it, keyed by import path.
@@ -183,6 +191,9 @@ func find(root string) ([]string, error) {
 			c.collect(path, p, path == rootMod, decls)
 		}
 	}
+	if err := c.examples(rootMod, decls); err != nil {
+		return nil, err
+	}
 	ifaces := c.interfaces()
 	for _, p := range c.pkgs {
 		for id, obj := range p.info.Uses {
@@ -207,6 +218,72 @@ func find(root string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// examples marks the root package's names that an Example function with an
+// output comment references, in the files of the root package's external
+// test package (package <name>_test in the root directory).
+func (c *checker) examples(rootMod string, decls map[types.Object]*decl) error {
+	root := c.pkgs[rootMod]
+	if root == nil {
+		return nil
+	}
+	ents, err := os.ReadDir(c.rootDir)
+	if err != nil {
+		return err
+	}
+	var files []*ast.File
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(c.rootDir, name); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(c.fset, filepath.Join(c.rootDir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == root.types.Name()+"_test" {
+			files = append(files, f)
+		}
+	}
+	if len(files) == 0 {
+		return nil
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: c}
+	if _, err := conf.Check(rootMod+"_test", c.fset, files, info); err != nil {
+		return err
+	}
+	checked := map[string]bool{}
+	for _, ex := range doc.Examples(files...) {
+		if ex.Output != "" || ex.EmptyOutput {
+			checked["Example"+ex.Name] = true
+		}
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !checked[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					obj := info.Uses[id]
+					if f, ok := obj.(*types.Func); ok {
+						obj = f.Origin()
+					}
+					if d := decls[obj]; d != nil && obj.Pkg() == root.types {
+						d.used = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return nil
 }
 
 func modulePath(dir string) (string, error) {

@@ -10,3 +10,9 @@ var Value = impl.Value
 
 // Used is called by cmd/tool.
 func Used() {}
+
+// Reached is called only by ExampleReached, which has an output comment.
+func Reached() {}
+
+// Unchecked is called only by ExampleUnchecked, which has none: a finding.
+func Unchecked() {}

@@ -11,6 +11,10 @@ func TestOnly() {}
 // Allowed is called only by a test but claimed by the allowlist.
 func Allowed() {}
 
+// ExampleOnly is not in the root package, so ExampleReached's call does
+// not count: a finding.
+func ExampleOnly() {}
+
 // BenchUsed is called by the nested module's non-test code.
 func BenchUsed() {}
 
