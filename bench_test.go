@@ -180,18 +180,15 @@ func BenchmarkE5EventRules(b *testing.B) {
 // --------------------------------------------- E6: HMM stroke recognition
 
 // BenchmarkE6HMMStrokes times training the companion paper's per-class
-// stroke HMMs over quantized pose sequences. Their accuracy across
-// observation-noise levels is the E6 rows of the quality ledger.
+// stroke HMMs on E6's training set at noise 0.05, over synthetic pose
+// symbol sequences. Their accuracy across observation-noise levels is the
+// E6 rows of the quality ledger.
 func BenchmarkE6HMMStrokes(b *testing.B) {
-	train := hmm.StrokeDataset(10, 0.05, 6000)
+	train := hmm.StrokeDataset(30, 0.05, 6000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := hmm.TrainClassifier(train, hmm.ClassifierConfig{
-			States: 4, Symbols: hmm.StrokeAlphabet, Seed: 8, Restarts: 1,
-			Train: hmm.TrainConfig{MaxIters: 10},
-		})
-		if err != nil {
+		if _, err := hmm.TrainClassifier(train); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,14 +2,12 @@
 // with tolerance, interval matching by intersection-over-union,
 // precision/recall/F1, labelled confusion matrices, and the ranked-list
 // metrics P@k, recall@k and nDCG@k. The quality ledger (quality_test.go,
-// testdata/quality.tsv) and the examples score through these.
+// testdata/quality.tsv) scores through these.
 package eval
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // PR holds precision/recall counts.
@@ -235,28 +233,4 @@ func (c *Confusion) PerClass() map[string]PR {
 		out[l] = pr
 	}
 	return out
-}
-
-// String renders an aligned table with truth as rows.
-func (c *Confusion) String() string {
-	var b strings.Builder
-	w := 9
-	for _, l := range c.Labels {
-		if len(l)+1 > w {
-			w = len(l) + 1
-		}
-	}
-	fmt.Fprintf(&b, "%*s", w, "truth\\pred")
-	for _, l := range c.Labels {
-		fmt.Fprintf(&b, "%*s", w, l)
-	}
-	b.WriteByte('\n')
-	for i, l := range c.Labels {
-		fmt.Fprintf(&b, "%*s", w, l)
-		for j := range c.Labels {
-			fmt.Fprintf(&b, "%*d", w, c.Counts[i][j])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -176,10 +175,6 @@ func TestConfusionMatrix(t *testing.T) {
 	cu := pc["close-up"]
 	if cu.TP != 1 || cu.FP != 1 {
 		t.Fatalf("close-up PR = %+v", cu)
-	}
-	s := c.String()
-	if !strings.Contains(s, "tennis") || !strings.Contains(s, "truth\\pred") {
-		t.Fatalf("table:\n%s", s)
 	}
 	if NewConfusion("a").Accuracy() != 0 {
 		t.Fatal("empty accuracy should be 0")

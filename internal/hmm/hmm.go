@@ -1,14 +1,15 @@
 // Package hmm implements discrete hidden Markov models with scaled
-// forward/backward, Viterbi decoding and Baum-Welch training, plus a
-// k-means codebook for quantizing continuous feature vectors into
-// observation symbols.
+// forward scoring and Baum-Welch training, and a classifier that keeps one
+// model per class.
 //
 // The COBRA system's companion work ("Content-based video retrieval by
 // integrating spatio-temporal and stochastic recognition of events",
 // reference [2] of the demo paper) recognizes tennis strokes (serve,
 // forehand, backhand, volley, smash) by feeding quantized player-shape
 // features into per-class HMMs and picking the class with the highest
-// likelihood; this package provides that machinery.
+// likelihood. Here the classifier is trained and scored on synthetic pose
+// symbol sequences (StrokeDataset), the E6 rows of the quality ledger; no
+// stroke is recognised from video.
 package hmm
 
 import (
@@ -145,47 +146,28 @@ func (h *Model) LogLikelihood(obs []int) (float64, error) {
 	return lp, nil
 }
 
-// TrainConfig tunes Baum-Welch.
-type TrainConfig struct {
-	// MaxIters caps the EM iterations (default 50).
-	MaxIters int
-	// Tol stops training when the total log-likelihood improves by less
-	// than Tol (default 1e-4).
-	Tol float64
-	// Smoothing is added to every accumulator to avoid zero probabilities
-	// (default 1e-6).
-	Smoothing float64
-}
-
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.MaxIters == 0 {
-		c.MaxIters = 50
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-4
-	}
-	if c.Smoothing == 0 {
-		c.Smoothing = 1e-6
-	}
-	return c
-}
+// Baum-Welch stops after maxIters EM iterations, or once the total
+// log-likelihood improves by less than tol. smoothing is added to every
+// accumulator to avoid zero probabilities.
+const (
+	maxIters  = 30
+	tol       = 1e-4
+	smoothing = 1e-6
+)
 
 // BaumWelch trains the model in place on multiple observation sequences,
-// returning the final total log-likelihood and iteration count.
-func (h *Model) BaumWelch(seqs [][]int, cfg TrainConfig) (float64, int, error) {
-	cfg = cfg.withDefaults()
+// returning the final total log-likelihood.
+func (h *Model) BaumWelch(seqs [][]int) (float64, error) {
 	if len(seqs) == 0 {
-		return 0, 0, ErrNoData
+		return 0, ErrNoData
 	}
 	for _, s := range seqs {
 		if err := h.checkObs(s); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	prevLL := math.Inf(-1)
-	iters := 0
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		iters = iter + 1
+	for iter := 0; iter < maxIters; iter++ {
 		piAcc := make([]float64, h.N)
 		aNum := make([][]float64, h.N)
 		aDen := make([]float64, h.N)
@@ -263,14 +245,14 @@ func (h *Model) BaumWelch(seqs [][]int, cfg TrainConfig) (float64, int, error) {
 		// Re-estimate with smoothing.
 		var piSum float64
 		for i := 0; i < h.N; i++ {
-			piAcc[i] += cfg.Smoothing
+			piAcc[i] += smoothing
 			piSum += piAcc[i]
 		}
 		for i := 0; i < h.N; i++ {
 			h.Pi[i] = piAcc[i] / piSum
 			var rowSum float64
 			for j := 0; j < h.N; j++ {
-				aNum[i][j] += cfg.Smoothing
+				aNum[i][j] += smoothing
 				rowSum += aNum[i][j]
 			}
 			for j := 0; j < h.N; j++ {
@@ -278,18 +260,18 @@ func (h *Model) BaumWelch(seqs [][]int, cfg TrainConfig) (float64, int, error) {
 			}
 			var bSum float64
 			for k := 0; k < h.M; k++ {
-				bNum[i][k] += cfg.Smoothing
+				bNum[i][k] += smoothing
 				bSum += bNum[i][k]
 			}
 			for k := 0; k < h.M; k++ {
 				h.B[i][k] = bNum[i][k] / bSum
 			}
 		}
-		if totalLL-prevLL < cfg.Tol && iter > 0 {
+		if totalLL-prevLL < tol && iter > 0 {
 			prevLL = totalLL
 			break
 		}
 		prevLL = totalLL
 	}
-	return prevLL, iters, nil
+	return prevLL, nil
 }

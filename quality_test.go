@@ -440,17 +440,14 @@ func e5Rows(t *testing.T) []ledgerRow {
 func e6Rows(t *testing.T) []ledgerRow {
 	var rows []ledgerRow
 	for _, noise := range []float64{0.02, 0.05, 0.10, 0.20, 0.35} {
-		cls, err := hmm.TrainClassifier(hmm.StrokeDataset(30, noise, 6000), hmm.ClassifierConfig{
-			States: 4, Symbols: hmm.StrokeAlphabet, Seed: 8,
-			Train: hmm.TrainConfig{MaxIters: 30},
-		})
+		cls, err := hmm.TrainClassifier(hmm.StrokeDataset(30, noise, 6000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		conf := eval.NewConfusion(hmm.StrokeClasses...)
 		for class, seqs := range hmm.StrokeDataset(20, noise, 7000) {
 			for _, q := range seqs {
-				got, _, _, err := cls.Classify(q)
+				got, err := cls.Classify(q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Non-test Go lines per package: `wc -l` over every .go file not named
-# *_test.go that git tracks or would track — the count README.md's package
-# map shows and ROADMAP.md's "Net state" quotes, and how "less code at equal
-# behaviour" is judged. The root module is listed package by package (the
-# root package as `repro`, cmd/, examples/ and scripts/ as one row each),
-# then its total and its test lines; bench/ is its own module and is counted
-# apart.
+# *_test.go that git tracks or would track and that the work tree holds (a
+# file deleted but still in the index is not counted) — the count README.md's
+# package map shows and ROADMAP.md's "Net state" quotes, and how "less code
+# at equal behaviour" is judged. The root module is listed package by package
+# (the root package as `repro`, cmd/ and scripts/ as one row each), then its
+# total and its test lines; bench/ is its own module and is counted apart.
 #
 #   scripts/loc.sh          print "<package> <lines>" rows
 #   scripts/loc.sh -check   fail unless README.md's package map agrees
@@ -16,12 +16,14 @@ cd "$(dirname "$0")/.."
 # path matches the first grep -E pattern and not the second.
 lines() {
 	git ls-files --cached --others --exclude-standard -- '*.go' |
-		grep -E "$1" | grep -vE "$2" | tr '\n' '\0' | xargs -0 -r cat | wc -l | tr -d ' '
+		grep -E "$1" | grep -vE "$2" | while IFS= read -r f; do
+			if [ -f "$f" ]; then printf '%s\0' "$f"; fi
+		done | xargs -0 -r cat | wc -l | tr -d ' '
 }
 
 loc() {
 	echo "repro $(lines '^[^/]+\.go$' '_test\.go$')"
-	for d in internal/*/ cmd/ examples/ scripts/; do
+	for d in internal/*/ cmd/ scripts/; do
 		echo "${d%/} $(lines "^$d" '_test\.go$')"
 	done
 	echo "total $(lines . '_test\.go$|^bench/')"
@@ -35,8 +37,8 @@ if [ "${1:-}" != -check ]; then
 fi
 
 # The package map names one or more packages per row in backticks (bare
-# names are internal/ packages, `cmd/*`, `examples/*` and `scripts/*` whole
-# trees, file names are skipped) and gives their counts in the same order in
+# names are internal/ packages, `cmd/*` and `scripts/*` whole trees, file
+# names are skipped) and gives their counts in the same order in
 # the next column; the sentence above it states the two module totals.
 commas() { sed -E ':a;s/([0-9])([0-9]{3})($|,)/\1,\2\3/;ta'; }
 readme=$(awk '/^## Package map/{on=1;next} /^## /{on=0} on' README.md)
@@ -49,7 +51,7 @@ shown=$(printf '%s\n' "$readme" | awk -F'|' '
 			rest = substr(rest, RSTART + RLENGTH)
 			if (name ~ /\.go$/) continue
 			sub(/\/\*$/, "", name)
-			if (name !~ /^(repro|cmd|examples|scripts)$/ && name !~ /^internal\//) name = "internal/" name
+			if (name !~ /^(repro|cmd|scripts)$/ && name !~ /^internal\//) name = "internal/" name
 			names[++n] = name
 		}
 		m = split($3, nums, /, /)
