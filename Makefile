@@ -24,18 +24,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Time-boxed run of the nine fuzz targets (go test -fuzz takes one target
+# Time-boxed run of the ten fuzz targets (go test -fuzz takes one target
 # and one package at a time). The segfile openers are the only door persisted
 # bytes come in through (FuzzMetaSegfileOpen also feeds its input to the
 # meta-index table decoder), the query parser and cursor decoder the only ones
 # for request text, and the SVF decoder the one for the video a commit names;
-# FuzzAnalyze holds the build's one-analysis path to the query-side chain, and
+# FuzzAnalyze holds the build's one-analysis path to the query-side chain,
+# FuzzTopKMatchesDense the text lane's top-k kernel to its dense scan, and
 # FuzzQuadSegment the tracker's segmentation kernel to its per-pixel oracle.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/vidfmt
 	$(GO) test -run=NONE -fuzz='^FuzzAnalyze$$' -fuzztime=5s ./internal/ir
 	$(GO) test -run=NONE -fuzz='^FuzzReader$$' -fuzztime=5s ./internal/segfile
 	$(GO) test -run=NONE -fuzz='^FuzzSegfileOpen$$' -fuzztime=5s ./internal/ir
+	$(GO) test -run=NONE -fuzz='^FuzzTopKMatchesDense$$' -fuzztime=5s ./internal/ir
 	$(GO) test -run=NONE -fuzz='^FuzzVecSegfileOpen$$' -fuzztime=5s ./internal/vec
 	$(GO) test -run=NONE -fuzz='^FuzzMetaSegfileOpen$$' -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz='^FuzzParseRequest$$' -fuzztime=5s ./internal/dlse

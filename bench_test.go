@@ -200,16 +200,17 @@ func BenchmarkE6HMMStrokes(b *testing.B) {
 // Zipf vocabulary's head.
 var e7Queries = []string{"w3", "w1 w3", "w0 w2 w7", "w5 w11 w23 w47"}
 
-// BenchmarkE7TopNOptimization times the top-N retrieval optimization on
-// the 20k-document corpus at k = 10. Its quality and postings scored
-// against the exhaustive scan, and under the unsafe fragment budgets, are
-// the E7 rows of the quality ledger.
+// BenchmarkE7TopNOptimization times the top-N retrieval optimization's
+// safe mode, the serving lanes' top-k kernel, on the 20k-document corpus at
+// k = 10. Its quality and postings scored against the exhaustive scan, and
+// those of the unsafe fragment budgets, are the E7 rows of the quality
+// ledger.
 func BenchmarkE7TopNOptimization(b *testing.B) {
 	ix := benchIRCorpus(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.SearchTopN(e7Queries[i%len(e7Queries)], 10, ir.TopNOptions{Fragments: 32}); err != nil {
+		if _, _, err := ix.SearchTopN(e7Queries[i%len(e7Queries)], 10, ir.TopNOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1014,6 +1015,32 @@ func BenchmarkRankedPage(b *testing.B) {
 			b.ReportMetric(float64(postings), "postings/op")
 		})
 	}
+	// ranks is the hybrid page's lexical rank count, which the router's rank
+	// lookups also run: where the keyword lane places the vector lane's
+	// candidates (SegScores.Ranks), at the depth each lane of a ten-item
+	// hybrid page is ranked to. postings/op is what the count reads.
+	b.Run("ranks", func(b *testing.B) {
+		_, depth := dlse.FuseDepths(10, eng.VecIndex().Docs())
+		_, lex, _, err := eng.TextIndex().SearchScores(text, depth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer lex.Release()
+		vec, vecScores, _, _, err := eng.VecIndex().SearchScores(text, depth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vecScores.Release()
+		_, st := lex.Ranks(vec)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ranks, _ := lex.Ranks(vec); len(ranks) != len(vec) {
+				b.Fatalf("%d ranks for %d candidates", len(ranks), len(vec))
+			}
+		}
+		b.ReportMetric(float64(st.PostingsScored), "postings/op")
+	})
 }
 
 // BenchmarkEngineWithVideo measures what installing a one-video commit

@@ -12,8 +12,12 @@ package dlse
 // distinct (TF, impact) pairs once, in a book, and each posting a code into
 // it (TestTextFormat4EqualsFormat3 reads every posting's TF and impact back
 // through the books and compares them with format 3's field by field; that
-// test is what allows this one re-recording); the page answers it serves
-// are pinned across all three changes by goldenLanePages. The vector hash was re-recorded once for vec
+// test is what allows this one re-recording), and once for text format 5,
+// which drops the idf block and keeps every other field
+// (TestTextFormat5EqualsFormat4 compares them with format 4's field by field
+// and format 4's idf bits with the union idf; that test is what allows this
+// one re-recording); the page answers it serves are pinned across all four
+// changes by goldenLanePages. The vector hash was re-recorded once for vec
 // format 2, which stores each coordinate as the embedder's integer count at
 // the narrowest width plus one scale per page, and no page names
 // (TestVecFormat2EqualsFormat1 rebuilds every coordinate bit for bit);
@@ -35,7 +39,7 @@ import (
 // Sha256 of the text and vector segfile caches a cold build writes for
 // laneCacheSite at four text segments.
 const (
-	goldenTextCache = "c1938e981c8de146307e1e100d06061354f633baf1285f2b8777789afed3a55d"
+	goldenTextCache = "fe837a34d8ac749e0be53cd0dff5b3b9224a8fcf0cf6bd2fb55cb64edee5e5d6"
 	goldenVecCache  = "8199d591a1533ce8c121d59fc487f9dce241082bd27b486e516b5c0e3401dde7"
 )
 
@@ -77,11 +81,11 @@ func TestPageLaneCacheGolden(t *testing.T) {
 }
 
 // textCacheBytes is the size of the text cache a cold build writes for
-// laneCacheSite at four text segments, measured when each posting's TF and
-// impact went into its term's book (text format 4; format 3, the integer
-// columns at their narrowest widths, wrote 216,367 bytes, and format 2
-// 329,431).
-const textCacheBytes = 156115
+// laneCacheSite at four text segments, measured when the idf block went
+// (text format 5; format 4, each posting's TF and impact in its term's book,
+// wrote 156,115 bytes, format 3, the integer columns at their narrowest
+// widths, 216,367, and format 2 329,431).
+const textCacheBytes = 138579
 
 // TestTextCacheSize holds the text cache of laneCacheSite at four segments to
 // textCacheBytes plus 2 %, and logs what it costs per posting.

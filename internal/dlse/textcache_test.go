@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -132,18 +133,19 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 // format-1 text cache (with the impact-ordered blocks) that the last format-1
 // build wrote for cacheSite(3) at two text segments, text-v2.segf the
 // format-2 cache (8-byte postings) the last format-2 build wrote for the same
-// site, and text-v3.segf the format-3 cache (per-posting TF and impact
-// columns) the last format-3 build wrote for it. Their signatures match, so
-// only their version refuses them: the boot rebuilds, replaces the file with
-// the cache a fresh cold build writes, and answers as a cache-free build
-// does.
+// site, text-v3.segf the format-3 cache (per-posting TF and impact
+// columns) the last format-3 build wrote for it, and text-v4.segf the
+// format-4 cache (with the idf block) the last format-4 build wrote for it.
+// Their signatures match, so only their version refuses them: the boot
+// rebuilds, replaces the file with the cache a fresh cold build writes, and
+// answers as a cache-free build does.
 func TestTextSegfileCacheOldVersionRebuild(t *testing.T) {
 	site := cacheSite(t, 3)
 	plain, err := NewSegmented(site, nil, Options{TextSegments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []string{"1", "2", "3"} {
+	for _, version := range []string{"1", "2", "3", "4"} {
 		t.Run("v"+version, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("testdata", "text-v"+version+".segf"))
 			if err != nil {
@@ -191,8 +193,8 @@ func TestTextSegfileCacheOldVersionRebuild(t *testing.T) {
 
 // textFile is a text cache decoded field by field straight from its blocks,
 // independently of package ir's reader: the header record, and per segment
-// its dictionary, idf bits, each term's doc IDs, TFs and impact bits, and
-// its document names and lengths.
+// its dictionary, idf bits (none from format 5 on), each term's doc IDs,
+// TFs and impact bits, and its document names and lengths.
 type textFile struct {
 	docs, vocab, signature uint64
 	segs                   []textSeg
@@ -221,9 +223,10 @@ func (s textSeg) postings() int {
 // decodeTextFile decodes the text cache at path, of layout version 2 (8-byte
 // postings, u64 offsets, i32 lengths), 3 (the integer columns at the widths
 // the segment record names, each of which must be the narrowest that holds
-// the column's largest value) or 4 (version 3 with each posting's TF and
+// the column's largest value), 4 (version 3 with each posting's TF and
 // impact read through its code into its term's book, whose pairs must be
-// distinct, in first-appearance order and all used).
+// distinct, in first-appearance order and all used) or 5 (version 4 without
+// the idf block).
 func decodeTextFile(t *testing.T, path string) textFile {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -305,7 +308,7 @@ func decodeTextFile(t *testing.T, path string) textFile {
 			tfs = uints(pre+"posttf", int(widths[2]), true)
 			doclen = uints(pre+"doclen", int(widths[3]), true)
 			imp = block(pre + "postimp")
-		case 4:
+		case 4, 5:
 			var entries uint64
 			var w [6]uint8 // offsets, doc IDs, codes, lengths, book offsets, book TFs
 			if err := r.Record(pre+"meta", &meta, &entries, &w); err != nil {
@@ -357,16 +360,23 @@ func decodeTextFile(t *testing.T, path string) textFile {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idf := block(pre + "idf")
+		var idf []byte
+		if head.Version < 5 {
+			idf = block(pre + "idf")
+		} else if _, ok := r.Block(pre + "idf"); ok {
+			t.Fatalf("%s segment %d: format %d stores an idf block", path, i, head.Version)
+		}
 		seg := textSeg{totalLen: meta.TotalLen, doclen: doclen}
 		if len(postoff) != int(meta.Terms)+1 || len(docs) != int(meta.Postings) || len(tfs) != len(docs) ||
-			len(imp) != 4*len(docs) || len(idf) != 8*int(meta.Terms) || len(doclen) != int(meta.Docs) {
+			len(imp) != 4*len(docs) || (idf != nil && len(idf) != 8*int(meta.Terms)) || len(doclen) != int(meta.Docs) {
 			t.Fatalf("%s segment %d: column lengths disagree with the record %+v", path, i, meta)
 		}
 		for o := 0; o < int(meta.Terms); o++ {
 			lo, hi := postoff[o], postoff[o+1]
 			seg.terms = append(seg.terms, terms.At(o))
-			seg.idf = append(seg.idf, binary.LittleEndian.Uint64(idf[8*o:]))
+			if idf != nil {
+				seg.idf = append(seg.idf, binary.LittleEndian.Uint64(idf[8*o:]))
+			}
 			seg.docs = append(seg.docs, docs[lo:hi])
 			seg.tfs = append(seg.tfs, tfs[lo:hi])
 			var ib []uint32
@@ -396,17 +406,54 @@ func TestTextFormat3EqualsFormat2(t *testing.T) {
 
 // TestTextFormat4EqualsFormat3 is the evidence behind re-recording the text
 // cache's byte golden for format 4: the committed format-3 cache of
-// cacheSite(3) at two segments and a format-4 build of the same site hold
-// the same header, and per segment the same dictionary, idf bits, per-term
-// doc IDs, TFs and impact bits, names and doc lengths. Format 4 stores a
-// posting's TF and impact once per distinct pair, in its term's book, and
-// the posting a code into it; decodeTextFile reads them back through it.
+// cacheSite(3) at two segments and the committed format-4 cache of the same
+// site (written by the last format-4 build) hold the same header, and per
+// segment the same dictionary, idf bits, per-term doc IDs, TFs and impact
+// bits, names and doc lengths. Format 4 stores a posting's TF and impact once
+// per distinct pair, in its term's book, and the posting a code into it;
+// decodeTextFile reads them back through it.
 func TestTextFormat4EqualsFormat3(t *testing.T) {
+	sameTextFile(t, filepath.Join("testdata", "text-v3.segf"), filepath.Join("testdata", "text-v4.segf"))
+}
+
+// TestTextFormat5EqualsFormat4 is the evidence behind re-recording the text
+// cache's byte goldens for format 5: the committed format-4 cache of
+// cacheSite(3) at two segments and a format-5 build of the same site hold
+// the same header, and per segment the same dictionary, per-term doc IDs,
+// TFs and impact bits, names and doc lengths. Format 5 drops the idf block;
+// what format 4 stored there is each term's BM25 idf over the union
+// collection, its document frequency the summed length of the term's lists,
+// which the impacts already fold in.
+func TestTextFormat5EqualsFormat4(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "text.segf")
 	if _, err := NewSegmented(cacheSite(t, 3), nil, Options{TextSegments: 2, TextSegfile: path}); err != nil {
 		t.Fatal(err)
 	}
-	sameTextFile(t, filepath.Join("testdata", "text-v3.segf"), path)
+	old := decodeTextFile(t, filepath.Join("testdata", "text-v4.segf"))
+	df := map[string]int{}
+	for _, seg := range old.segs {
+		for o, term := range seg.terms {
+			df[term] += len(seg.docs[o])
+		}
+	}
+	n := float64(old.docs)
+	for i := range old.segs {
+		seg := &old.segs[i]
+		if len(seg.idf) != len(seg.terms) {
+			t.Fatalf("format-4 segment %d holds %d idfs for %d terms", i, len(seg.idf), len(seg.terms))
+		}
+		for o, term := range seg.terms {
+			d := float64(df[term])
+			if want := math.Float64bits(math.Log(1 + (n-d+0.5)/(d+0.5))); seg.idf[o] != want {
+				t.Fatalf("format-4 segment %d term %q: idf bits %#x, union idf %#x", i, term, seg.idf[o], want)
+			}
+		}
+		seg.idf = nil
+	}
+	cur := decodeTextFile(t, path)
+	if !reflect.DeepEqual(old, cur) {
+		t.Fatal("the format-5 build differs from the format-4 cache outside the idf block")
+	}
 }
 
 // sameTextFile decodes the text caches at the paths, the older layout first,

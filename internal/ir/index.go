@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/segfile"
 )
@@ -34,14 +35,16 @@ type Posting struct {
 // document-length normalization folded in, so query-time scoring is one
 // book load and one add per posting. A term's postings share few distinct
 // pairs (at most 3 at dlbench's site), so a book is short and a code
-// narrower than the impact it names. The term's idf is termIdf[o]. The
+// narrower than the impact it names; the book's largest impact is the
+// term's bound in the top-k kernel (maxscore.go). The
 // integer columns (postOff, docs, codes, bookOff, bookTF, doclen) are each
 // stored at the narrowest width that holds their largest value (column.go);
 // only Freeze and postings read bookTF, and the kernel reads docs, codes and
 // bookImp alone. This is the text segfile's layout: an index opened from a
 // file aliases the file's blocks, and a heap build holds the same columns,
 // built once by Freeze. A query term is found by binary search over the
-// table. (SearchTopN derives its impact order from these; see topn.go.)
+// table. (SearchTopN's budget mode derives an impact order from these; see
+// topn.go.)
 //
 // Concurrency: the index has a strict build-then-serve life cycle. Add and
 // Freeze mutate and must run from a single goroutine; after Freeze every
@@ -61,7 +64,6 @@ type Index struct {
 	lens []uint32
 
 	dict    segfile.Table // sorted, non-empty, distinct terms
-	termIdf []float64
 	postOff column
 	docs    column
 	codes   column
@@ -76,12 +78,17 @@ type Index struct {
 	totalLn int64
 	frozen  bool
 
+	// checked has one bit per term ordinal of an opened index, set once a
+	// query has verified the term's list (checkList); it is nil for a heap
+	// build, whose lists are right by construction.
+	checked []atomic.Uint32
+
 	// scratch recycles per-query accumulators (see kernel.go) so that
 	// steady-state searches allocate ~nothing. Populated by Freeze.
 	scratch sync.Pool
 
-	// byImpact is SearchTopN's impact order by term ordinal, derived on its
-	// first call.
+	// byImpact is the impact order of SearchTopN's budget mode by term
+	// ordinal, derived on its first call.
 	byImpact     []impactList
 	byImpactOnce sync.Once
 }
@@ -190,7 +197,6 @@ func (ix *Index) freezeWith(cs corpusStats) {
 		ix.doclen.set(d, uint64(n))
 	}
 	ix.dict = segfile.NewTable(len(terms), func(o int) string { return terms[o] })
-	ix.termIdf = make([]float64, len(terms))
 	ix.postOff = newColumn(len(terms)+1, uint64(npost))
 	ix.docs = newColumn(npost, uint64(maxDoc))
 	codes := make([]uint32, npost)
@@ -199,7 +205,6 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	i := 0
 	for o, term := range terms {
 		idf := idfFor(cs.docs, cs.df(term))
-		ix.termIdf[o] = idf
 		bk.start()
 		for _, p := range ix.build[term] {
 			ix.docs.set(i, uint64(p.Doc))
@@ -376,10 +381,12 @@ type SearchStats struct {
 }
 
 // Search runs an exhaustive ranked BM25 query (disjunctive semantics) and
-// returns the top k hits. The hot path is allocation-free in steady state:
-// impacts are precomputed at Freeze into each term's book, scores accumulate
-// into a pooled epoch-stamped dense array, and the top k are selected with a
-// bounded min-heap.
+// returns the top k hits: every posting of every query term is scored. It is
+// the full scan E7 compares its top-N against; Segments, which serve the
+// ranked lanes, run the top-k kernel (maxscore.go). The hot path is
+// allocation-free in steady state: impacts are precomputed at Freeze into
+// each term's book, scores accumulate into a pooled epoch-stamped dense
+// array, and the top k are selected with a bounded min-heap.
 func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 	if !ix.frozen {
 		return nil, SearchStats{}, ErrNotFrozen
@@ -398,74 +405,87 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 }
 
 // scoreTerms accumulates every term's full posting list into ac, in term
-// order — the one exhaustive-scan scoring loop shared by Search and
-// ScoreQuery, so their per-doc float64 sums are identical by construction.
-// The doc-ID and code columns' widths are chosen once per term, and
-// scoreList is instantiated for each pair. A posting whose doc ID lies
-// outside the index or whose code lies outside its term's book (a damaged
-// mapped block: bulk blocks carry no verified checksum) fails the query
-// instead of indexing past the accumulator or the book.
+// order — the dense scan shared by Search, ScoreQuery and the top-k
+// kernel's deep pages, so their per-doc float64 sums are identical by
+// construction.
 func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
-	var stats SearchStats
-	for _, term := range terms {
-		o, ok := ix.lookup(term)
-		if !ok {
-			continue
-		}
-		lo, hi := ix.span(o)
-		blo, bhi := ix.bookSpan(o)
-		book := ix.bookImp[blo:bhi]
-		var bad int
-		switch docs := ix.docs.vals.(type) {
-		case []uint8:
-			bad = scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
-		case []uint16:
-			bad = scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
-		default:
-			bad = scoreCodes(ix.docs.vals.([]uint32)[lo:hi], ix.codes, lo, book, ac)
-		}
-		if bad >= 0 {
-			if d := ix.docs.at(lo + bad); d >= uint64(len(ac.stamps)) {
-				return stats, fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, bad, d, len(ac.stamps))
-			}
-			return stats, fmt.Errorf("ir: term %q posting %d has code %d, past its book of %d", term, bad, ix.codes.at(lo+bad), len(book))
-		}
-		stats.TermsMatched++
-		stats.PostingsScored += hi - lo
+	ql, err := ix.queryLists(terms)
+	if err != nil {
+		return SearchStats{}, err
 	}
-	stats.DocsTouched = len(ac.touched)
-	return stats, nil
+	ql.addAll(ac)
+	return SearchStats{TermsMatched: ql.count(), PostingsScored: ql.postings(), DocsTouched: len(ac.touched)}, nil
 }
 
-// scoreCodes is scoreList over the postings from lo on, instantiated at the
-// code column's width.
-func scoreCodes[D uint8 | uint16 | uint32](docs []D, codes column, lo int, book []float32, ac *Accum) int {
-	hi := lo + len(docs)
-	switch c := codes.vals.(type) {
-	case []uint8:
-		return scoreList(docs, c[lo:hi], book, ac)
-	case []uint16:
-		return scoreList(docs, c[lo:hi], book, ac)
+// rank returns the top k documents of the index's lists ql with the top-k
+// kernel (maxscore.go). A depth that
+// reaches every matching document (k <= 0, or k at least the union of the
+// lists) prunes nothing, so it takes the dense scan. DocsTouched is the
+// exact size of the union either way, and Terminated reports that the
+// kernel left postings unread.
+func (ix *Index) rank(ql queryLists, k int) ([]Hit, SearchStats) {
+	total := ql.union()
+	if k <= 0 || k >= total {
+		ac := ix.getAccum()
+		defer ac.Release()
+		ql.addAll(ac)
+		stats := SearchStats{TermsMatched: ql.count(), PostingsScored: ql.postings(), DocsTouched: total}
+		return ix.topKDense(ac, k), stats
 	}
-	return scoreList(docs, codes.vals.([]uint32)[lo:hi], book, ac)
+	hits, scored := ql.topK(k)
+	for i := range hits {
+		hits[i].Name = ix.names.At(int(hits[i].Doc))
+	}
+	return hits, SearchStats{TermsMatched: ql.count(), PostingsScored: scored, DocsTouched: total, Terminated: scored < ql.postings()}
+}
+
+// checkList verifies term ordinal o's list the first time a query reads it
+// from an opened index, whose bulk posting blocks carry no verified
+// checksum: its doc IDs ascend strictly inside the segment and its codes lie
+// inside the term's book. The kernels then index the accumulator and the
+// book, and gallop over the doc IDs, without checking each posting. A list
+// that fails is not marked, so every query that reads it fails.
+func (ix *Index) checkList(o int, term string) error {
+	if ix.checked == nil {
+		return nil
+	}
+	word, bit := &ix.checked[o/32], uint32(1)<<(o%32)
+	if word.Load()&bit != 0 {
+		return nil
+	}
+	lo, hi := ix.span(o)
+	blo, bhi := ix.bookSpan(o)
+	docs, book := uint64(ix.Docs()), uint64(bhi-blo)
+	for i := lo; i < hi; i++ {
+		d := ix.docs.at(i)
+		if d >= docs {
+			return fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, i-lo, d, docs)
+		}
+		if i > lo && d <= ix.docs.at(i-1) {
+			return fmt.Errorf("ir: term %q posting %d names doc %d after doc %d", term, i-lo, d, ix.docs.at(i-1))
+		}
+		if c := ix.codes.at(i); c >= book {
+			return fmt.Errorf("ir: term %q posting %d has code %d, past its book of %d", term, i-lo, c, book)
+		}
+	}
+	for {
+		old := word.Load()
+		if word.CompareAndSwap(old, old|bit) {
+			return nil
+		}
+	}
 }
 
 // scoreList adds each posting's impact, its code's entry in book, to its
-// document's score and returns -1, or the index of the first posting whose
-// doc ID lies outside ac or whose code lies outside book. It is Accum.Add
-// over a whole list with the accumulator's slices and epoch held in locals:
-// through ac the compiler reloads them after every store.
-func scoreList[D, C uint8 | uint16 | uint32](docs []D, codes []C, book []float32, ac *Accum) int {
+// document's score. It is Accum.Add over a whole list with the
+// accumulator's slices and epoch held in locals: through ac the compiler
+// reloads them after every store.
+func scoreList[D, C width](docs []D, codes []C, book []float32, ac *Accum) {
 	stamps, epoch, touched := ac.stamps, ac.epoch, ac.touched
 	scores := ac.scores[:len(stamps)]
 	codes = codes[:len(docs)]
 	for i, d := range docs {
-		c := codes[i]
-		if int(d) >= len(stamps) || int(c) >= len(book) {
-			ac.touched = touched
-			return i
-		}
-		v := float64(book[c])
+		v := float64(book[codes[i]])
 		if stamps[d] != epoch {
 			stamps[d] = epoch
 			scores[d] = v
@@ -475,7 +495,6 @@ func scoreList[D, C uint8 | uint16 | uint32](docs []D, codes []C, book []float32
 		scores[d] += v
 	}
 	ac.touched = touched
-	return -1
 }
 
 // df returns a term's document frequency: its posting count, in the build

@@ -21,8 +21,7 @@ type Accum struct {
 	home    *sync.Pool
 
 	// Selection scratch reused across queries.
-	hitHeap []Hit     // TopK
-	fHeap   []float64 // kthAndTrail
+	hitHeap []Hit // TopK
 }
 
 // NewAccum builds an accumulator over docs documents that Release returns
@@ -119,13 +118,18 @@ func (ac *Accum) TopK(k int) []Hit {
 	}
 	ac.hitHeap = h[:0]
 	out := make([]Hit, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDownHit(h)
-	}
+	copy(out, sortHeap(h))
 	return out
+}
+
+// sortHeap sorts the min-heap h in place, best first, and returns it: each
+// step swaps the worst hit left to the end of the shrinking heap.
+func sortHeap(h []Hit) []Hit {
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDownHit(h[:n])
+	}
+	return h
 }
 
 // topKDense is TopK with the index's document names filled in.
@@ -165,64 +169,5 @@ func siftDownHit(h []Hit) {
 		}
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
-	}
-}
-
-// kthAndTrail returns the k-th largest score and the largest score outside
-// the top k, in one O(n log k) pass over the touched documents. The caller
-// guarantees len(ac.touched) >= k.
-func (ac *Accum) kthAndTrail(k int) (kth, trail float64) {
-	// top is a min-heap of the k largest scores seen so far.
-	top := ac.fHeap[:0]
-	for _, d := range ac.touched {
-		s := ac.scores[d]
-		if len(top) < k {
-			top = append(top, s)
-			siftUp(top)
-			continue
-		}
-		if s > top[0] {
-			evicted := top[0]
-			top[0] = s
-			siftDown(top)
-			if evicted > trail {
-				trail = evicted
-			}
-		} else if s > trail {
-			trail = s
-		}
-	}
-	ac.fHeap = top[:0]
-	return top[0], trail
-}
-
-func siftUp(h []float64) {
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func siftDown(h []float64) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l] < h[smallest] {
-			smallest = l
-		}
-		if r < len(h) && h[r] < h[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
 	}
 }

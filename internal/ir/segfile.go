@@ -3,15 +3,16 @@ package ir
 // Zero-copy segment persistence for the text-retrieval kernel. A frozen
 // Segments reader serializes into the segfile container as flat,
 // 64-byte-aligned columns — doc-ordered posting doc IDs and book codes, each
-// term's book of distinct (TF, float32 BM25 impact) pairs, per-term idf and
-// posting and book offsets, doc lengths, and the sorted term dictionary —
+// term's book of distinct (TF, float32 BM25 impact) pairs, per-term posting
+// and book offsets, doc lengths, and the sorted term dictionary —
 // and opens back up with one mmap plus an O(terms + book entries) check: the
-// reconstructed Index's term table, idf, offsets, doc IDs, codes, books and
+// reconstructed Index's term table, offsets, doc IDs, codes, books and
 // lengths are the mapped blocks themselves (segfile's typed views), so no
 // posting is decoded, no per-term structure is built on the heap, queries
 // find their terms by binary search over the mapped dictionary, and the
-// kernel's accumulator loop in scoreTerms scores straight over the file's
-// pages.
+// kernels (maxscore.go and scoreTerms) score straight over the file's pages.
+// No idf is stored: every impact has it folded in, and a term's bound in the
+// top-k kernel is the largest impact in its book.
 //
 // A posting stores no TF and no impact of its own, only its code: the index
 // of its (TF, impact) pair in its term's book, in first-appearance order.
@@ -29,7 +30,7 @@ package ir
 // hold the same columns. Impacts keep their float32 bits.
 //
 // Byte-identity: segments persist exactly the columns Freeze built — the
-// sorted term table, impact float32 bits, idf float64 bits, and doc order —
+// sorted term table, impact float32 bits, and doc order —
 // so a search over an opened file accumulates the same float32 values in the
 // same order as the heap-built index and returns byte-identical hits,
 // scores, stats, and tie-breaks (locked by segfile_test.go across 1/2/4-way
@@ -46,7 +47,6 @@ package ir
 //	                   u8 bookOffWidth | u8 tfWidth
 //	ir/<i>/terms       sorted term bytes, concatenated
 //	ir/<i>/termoff     u32[T+1] offsets into terms
-//	ir/<i>/idf         f64[T]
 //	ir/<i>/postoff     uW[T+1] posting offsets per term (W ≤ 8)
 //	ir/<i>/bookoff     uW[T+1] book offsets per term    (W ≤ 8)
 //	ir/<i>/booktf      uW[B] TF of each book entry      (W ≤ 4)
@@ -64,14 +64,16 @@ package ir
 // a term with postings has 1 to as many entries as postings, every TF is
 // positive and every impact finite and non-negative. The two bulk posting
 // blocks are size-validated but never checksummed, preserving on-demand
-// paging. A doc ID in them that lies outside its segment, or a code past its
-// term's book, fails the query that reads it (scoreTerms).
+// paging. The first query that reads a term's list verifies it (checkList):
+// a doc ID outside its segment or out of ascending order, or a code past its
+// term's book, fails that query and every later one that reads the list.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/segfile"
 	"repro/internal/segset"
@@ -82,9 +84,10 @@ import (
 // impact-ordered posting blocks; version 3 split the 8-byte postings into
 // doc-ID and TF columns and stores every integer column at its narrowest
 // width; version 4 replaced the per-posting TF and impact columns with a
-// code into each term's book of distinct (TF, impact) pairs. A cache of an
-// older version is refused and rebuilt.
-const irFormatVersion = 4
+// code into each term's book of distinct (TF, impact) pairs; version 5
+// dropped the per-term idf block, which only the impact-ordered top-N's
+// ceilings read. A cache of an older version is refused and rebuilt.
+const irFormatVersion = 5
 
 // fileMeta is the ir/meta record.
 type fileMeta struct {
@@ -142,7 +145,6 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
 		BookOffWidth: ix.bookOff.width(), TFWidth: ix.bookTF.width(),
 	})
 	sw.Table(prefix+"terms", prefix+"termoff", ix.dict)
-	sw.Block(prefix+"idf", segfile.Bytes(ix.termIdf))
 	sw.Block(prefix+"postoff", ix.postOff.bytes())
 	sw.Block(prefix+"bookoff", ix.bookOff.bytes())
 	sw.Block(prefix+"booktf", ix.bookTF.bytes())
@@ -224,10 +226,6 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idf, err := segfile.Structural[float64](r, prefix+"idf", T)
-	if err != nil {
-		return nil, err
-	}
 	postOff, err := readColumn(r, prefix+"postoff", T+1, meta.OffWidth, 8, true)
 	if err != nil {
 		return nil, err
@@ -299,7 +297,6 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	}
 	ix := &Index{
 		dict:    dict,
-		termIdf: idf,
 		postOff: postOff,
 		docs:    docs,
 		codes:   codes,
@@ -310,6 +307,7 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		doclen:  docLen,
 		totalLn: int64(meta.TotalLen),
 		frozen:  true,
+		checked: make([]atomic.Uint32, (T+31)/32),
 	}
 	n := D
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }

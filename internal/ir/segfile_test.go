@@ -122,15 +122,17 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same reader produced different bytes")
 	}
-	// Golden: the bytes format 4 writes for this corpus. It was re-recorded
+	// Golden: the bytes format 5 writes for this corpus. It was re-recorded
 	// once for format 3 (narrowest-width columns), whose fields equal format
-	// 2's field by field (dlse.TestTextFormat3EqualsFormat2), and once for
+	// 2's field by field (dlse.TestTextFormat3EqualsFormat2), once for
 	// format 4 (a code per posting into its term's book of (TF, impact)
 	// pairs), whose postings read back through the books equal format 3's
-	// (dlse.TestTextFormat4EqualsFormat3). The layout may not drift
+	// (dlse.TestTextFormat4EqualsFormat3), and once for format 5 (no idf
+	// block), whose every other field equals format 4's
+	// (dlse.TestTextFormat5EqualsFormat4). The layout may not drift
 	// silently: a cache written by an older build must keep opening, or be
 	// refused by version and rebuilt.
-	const golden = "94271aa9eea0adeb5e89720561f218790fd229631fb89e2452eb8e127035095c"
+	const golden = "bdf144d2b8610f810bda2ec08c437aeee2bce5ee7a5482e89102e4d3faa182d0"
 	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
 		t.Fatalf("text segfile bytes changed: sha256 %s, want %s", got, golden)
 	}
@@ -199,8 +201,8 @@ func TestSegfileOpenFile(t *testing.T) {
 			}
 			hp, himp := hx.postings(ho)
 			mp, mimp := mx.postings(mo)
-			if !reflect.DeepEqual(hp, mp) || !reflect.DeepEqual(himp, mimp) || hx.termIdf[ho] != mx.termIdf[mo] {
-				t.Fatalf("segment %d term %q: postings, impacts or idf diverge", i, p.term)
+			if !reflect.DeepEqual(hp, mp) || !reflect.DeepEqual(himp, mimp) {
+				t.Fatalf("segment %d term %q: postings or impacts diverge", i, p.term)
 			}
 		}
 	}
@@ -356,6 +358,44 @@ func TestCorruptPostingDocFailsSearch(t *testing.T) {
 				t.Fatalf("segment 0: %v", err)
 			}
 		})
+	}
+}
+
+// TestCorruptPostingOrderFailsSearch: the top-k kernel gallops over a
+// list's doc IDs, so a mapped list whose doc IDs descend opens but fails
+// every scoring entry point that reads it, with an error naming the
+// segment, the term and the posting — the first time and every time after.
+func TestCorruptPostingOrderFailsSearch(t *testing.T) {
+	s := buildSegs(t, segCorpus(40), 2)
+	data := segfileBytes(t, s, 0)
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, ok := r.Block("ir/0/postdoc") // aliases data
+	if !ok || len(post) < 2 || post[0] >= post[1] {
+		t.Fatal("no ascending posting block")
+	}
+	post[0], post[1] = post[1], post[0]
+	m, err := OpenSegmentsReader(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := m.segs[0].dict.At(0)
+	want := fmt.Sprintf("segment 0: ir: term %q posting 1 names doc %d after doc %d", term, post[1], post[0])
+	for i := 0; i < 2; i++ {
+		_, _, err1 := m.Search(term, 1)
+		_, _, _, err2 := m.SearchScores(term, 0)
+		_, _, err3 := m.ScoreSegments(term, []int{0})
+		_, _, err4 := m.ScoreQuery(term)
+		for _, err := range []error{err1, err2, err3, err4} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want one containing %q", err, want)
+			}
+		}
+	}
+	if _, _, err := m.ScoreSegments(term, []int{1}); err != nil {
+		t.Fatalf("the undamaged segment: %v", err)
 	}
 }
 
@@ -540,6 +580,24 @@ func FuzzSegfileOpen(f *testing.F) {
 	set := func(b []byte) func([]byte) []byte { return func([]byte) []byte { return b } }
 	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/postcode": set([]byte{0, 1})}, "w0", "w1"))
 	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/bookoff": set([]byte{0, 1, 0})}, "w0", "w1"))
+	// Format 5 reads a list by galloping over its doc IDs, which a query
+	// verifies first: a written file whose first list descends, and one
+	// whose first list names a doc past its segment. Both open; their
+	// queries must fail, not panic.
+	segs = buildSegs(f, segCorpus(40), 2)
+	for _, bad := range [][]byte{{9, 3}, {200}} {
+		data := segfileBytes(f, segs, 0)
+		r, err := segfile.NewReader(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		post, ok := r.Block("ir/0/postdoc") // aliases data
+		if !ok {
+			f.Fatal("no posting block")
+		}
+		copy(post, bad)
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := openSegmentsBytes(data, 0)
 		if err != nil {
@@ -562,6 +620,10 @@ func FuzzSegfileOpen(f *testing.F) {
 			}
 		}
 		_, _, _ = s.Search(q.String()+"w0", 10)
+		_, _, _ = s.Search(q.String()+"w0", 1)
+		if sc, _, err := s.ScoreSegments(q.String()+"w0", nil); err == nil {
+			sc.Ranks([]Hit{{Doc: 0}, {Doc: 1}})
+		}
 	})
 }
 
@@ -595,14 +657,13 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 		block(name, rec.Bytes())
 	}
 	T := len(terms)
-	idf := make([]float64, T)
 	postOff := newColumn(T+1, uint64(T))
 	docs := map[uint8]column{1: {make([]uint8, T)}, 2: {make([]uint16, T)}, 4: {make([]uint32, T)}, 8: {make([]uint64, T)}}[docWidth]
 	codes := newColumn(T, 0)
 	bookTF := newColumn(T, 1)
 	bookImp := make([]float32, T)
 	for o := range terms {
-		idf[o], bookImp[o] = 1, 1
+		bookImp[o] = 1
 		postOff.set(o+1, uint64(o+1))
 		bookTF.set(o, 1)
 	}
@@ -611,7 +672,6 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 	dict := segfile.NewTable(T, func(o int) string { return terms[o] })
 	block("ir/0/terms", dict.Data)
 	block("ir/0/termoff", segfile.Bytes(dict.Off))
-	block("ir/0/idf", segfile.Bytes(idf))
 	block("ir/0/postoff", postOff.bytes())
 	block("ir/0/bookoff", postOff.bytes()) // one book entry per term, as one posting
 	block("ir/0/booktf", bookTF.bytes())

@@ -78,8 +78,11 @@ var segQueries = []string{
 
 // TestSegmentsMatchMonolithic is the acceptance lock of the segmented IR
 // reader: for the same corpus, a 1-, 2-, 3-, and 7-way segmented search is
-// byte-identical to the monolithic index — same hits, same float64 scores,
-// same tie-breaks, same kernel stats — for both full and top-k ranking.
+// byte-identical to the monolithic index's full scan — same hits, same
+// float64 scores, same tie-breaks, same matched terms and total — for both
+// full and top-k ranking. The segments rank with the top-k kernel, so they
+// score at most the full scan's postings, and fewer exactly when they
+// report early termination.
 func TestSegmentsMatchMonolithic(t *testing.T) {
 	docs := segCorpus(200)
 	mono := buildMono(t, docs)
@@ -102,7 +105,9 @@ func TestSegmentsMatchMonolithic(t *testing.T) {
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("q=%q k=%d: hits diverge\nmono: %v\nsegs: %v", q, k, want, got)
 					}
-					if wantStats != gotStats {
+					if wantStats.TermsMatched != gotStats.TermsMatched || wantStats.DocsTouched != gotStats.DocsTouched ||
+						gotStats.PostingsScored > wantStats.PostingsScored ||
+						gotStats.Terminated != (gotStats.PostingsScored < wantStats.PostingsScored) {
 						t.Fatalf("q=%q k=%d: stats %+v vs %+v", q, k, wantStats, gotStats)
 					}
 				}
@@ -177,7 +182,8 @@ func TestSearchScoresRanks(t *testing.T) {
 				if !reflect.DeepEqual(hits, top) || stats != topStats {
 					t.Fatalf("segs=%d q=%q k=%d: SearchScores hits/stats diverge from Search", nseg, q, k)
 				}
-				for i, r := range scores.Ranks(all) {
+				ranks, _ := scores.Ranks(all)
+				for i, r := range ranks {
 					if r != want[all[i].Doc] {
 						t.Fatalf("segs=%d q=%q k=%d: doc %d rank %d, want %d", nseg, q, k, all[i].Doc, r, want[all[i].Doc])
 					}

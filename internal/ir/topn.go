@@ -1,22 +1,21 @@
 package ir
 
-// Top-N optimization (Blok et al.): posting lists are read impact-ordered
-// (descending term frequency) and horizontally fragmented. Safe mode
-// consumes fragments best-first and stops as soon as the top N provably
-// cannot change (a no-random-access bound in the style of NRA); budget mode
-// processes the first MaxFragments fragment rounds and stops regardless —
-// the "quality/time trade-off" studied in the paper, where answer quality
-// is traded for response time. All modes score through the dense
-// epoch-stamped accumulator and the impacts of each term's book, built at
-// Freeze.
+// Top-N optimization (Blok et al.): stop reading postings once the top N
+// can no longer change. Safe mode is the serving kernel itself: the exact
+// top-k over the doc-ordered postings (maxscore.go), which returns Search's
+// top k and reads only the postings that can still change it. Budget mode is
+// the paper's quality/time trade-off: posting lists are read impact-ordered
+// (descending term frequency) and horizontally fragmented, and only the
+// first MaxFragments fragment rounds are processed, whatever the answer
+// loses. It scores through the dense epoch-stamped accumulator.
 //
-// The impact order belongs to this experiment alone: the serving lanes scan
+// The impact order belongs to budget mode alone: the serving lanes scan
 // documents in doc order, so Freeze builds only that order and the text
-// segfile stores only it. SearchTopN derives the impact order once per Index,
-// on its first call, as a stable TF-descending permutation of each term's
-// doc-ordered postings and their impacts (read from the doc-ID and code
-// columns through the term's book) — the same postings and the same float32
-// bits a freeze-time sort would produce.
+// segfile stores only it. Budget mode derives the impact order once per
+// Index, on its first call, as a stable TF-descending permutation of each
+// term's doc-ordered postings and their impacts (read from the doc-ID and
+// code columns through the term's book) — the same postings and the same
+// float32 bits a freeze-time sort would produce.
 
 import "sort"
 
@@ -51,8 +50,8 @@ func (ix *Index) impactLists() []impactList {
 
 // TopNOptions tunes the optimized search.
 type TopNOptions struct {
-	// Fragments is the number of horizontal fragments per posting list
-	// (default 16). More fragments mean finer-grained stopping checks.
+	// Fragments is the number of horizontal fragments per posting list in
+	// budget mode (default 16).
 	Fragments int
 	// MaxFragments, when > 0, switches to budget mode: only the first
 	// MaxFragments fragment rounds are processed (each round takes one
@@ -60,47 +59,20 @@ type TopNOptions struct {
 	MaxFragments int
 }
 
-func (o TopNOptions) withDefaults() TopNOptions {
-	if o.Fragments <= 0 {
-		o.Fragments = 16
-	}
-	return o
-}
-
-// ceilingSlack inflates score ceilings by one part in a million: impacts
-// are float64 BM25 values rounded to float32 (relative error <= 2^-24), so
-// a posting's stored impact can exceed the exact-arithmetic ceiling by half
-// an ulp. The slack keeps the no-random-access bound sound — it can only
-// delay termination, never admit a wrong result.
-const ceilingSlack = 1 + 1e-6
-
-// termState tracks one query term's impact-ordered list during processing.
+// termState tracks one query term's impact-ordered list in budget mode.
 type termState struct {
 	impactList
-	idf  float64
-	pos  int     // next unprocessed posting
-	step int     // fragment size
-	ub   float64 // score ceiling of the next unprocessed posting
+	pos  int // next unprocessed posting
+	step int // fragment size
 }
 
-// SearchTopN runs the fragment-at-a-time top-N algorithm and returns the
-// top k hits. With MaxFragments == 0 the result provably equals Search's
-// top k (safe termination); with a budget it may be an approximation.
+// SearchTopN returns the top k hits (k <= 0 means 10). With MaxFragments
+// == 0 it is the top-k kernel, whose answer equals Search's top k; with a
+// budget it may be an approximation.
 func (ix *Index) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, SearchStats, error) {
 	if k <= 0 {
 		k = 10
 	}
-	ac, stats, err := ix.scoreTopN(query, k, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer ac.Release()
-	return ix.topKDense(ac, k), stats, nil
-}
-
-// scoreTopN runs the top-N algorithm into a leased accumulator, which the
-// caller owns (and must return to the pool) on success.
-func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, SearchStats, error) {
 	if !ix.frozen {
 		return nil, SearchStats{}, ErrNotFrozen
 	}
@@ -108,7 +80,18 @@ func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, Searc
 	if len(terms) == 0 {
 		return nil, SearchStats{}, ErrEmptyQry
 	}
-	opts = opts.withDefaults()
+	if opts.MaxFragments <= 0 {
+		ql, err := ix.queryLists(terms)
+		if err != nil {
+			return nil, SearchStats{}, err
+		}
+		hits, stats := ix.rank(ql, k)
+		return hits, stats, nil
+	}
+	fragments := opts.Fragments
+	if fragments <= 0 {
+		fragments = 16
+	}
 	lists := ix.impactLists()
 	var states []*termState
 	for _, t := range terms {
@@ -117,22 +100,14 @@ func (ix *Index) scoreTopN(query string, k int, opts TopNOptions) (*Accum, Searc
 			continue
 		}
 		il := lists[o]
-		step := (len(il.list) + opts.Fragments - 1) / opts.Fragments
-		st := &termState{impactList: il, idf: ix.termIdf[o], step: step}
-		st.ub = scoreCeiling(st.idf, st.list[0].TF)
-		states = append(states, st)
+		states = append(states, &termState{impactList: il, step: (len(il.list) + fragments - 1) / fragments})
 	}
 	ac := ix.getAccum()
+	defer ac.Release()
 	stats := SearchStats{TermsMatched: len(states)}
-	switch {
-	case len(states) == 0: // no known terms: empty, all scores zero
-	case opts.MaxFragments > 0:
-		runBudget(states, ac, &stats, opts.MaxFragments)
-	default:
-		runSafe(states, ac, &stats, k)
-	}
+	runBudget(states, ac, &stats, opts.MaxFragments)
 	stats.DocsTouched = len(ac.touched)
-	return ac, stats, nil
+	return ix.topKDense(ac, k), stats, nil
 }
 
 // runBudget processes fragment rounds round-robin across terms: round r
@@ -160,55 +135,7 @@ func runBudget(states []*termState, ac *Accum, stats *SearchStats, budget int) {
 	}
 }
 
-// runSafe processes fragments best-first (highest remaining ceiling) and
-// stops when no document outside the current top k can still climb into it.
-func runSafe(states []*termState, ac *Accum, stats *SearchStats, k int) {
-	// The termination test walks every touched document; running it after
-	// every fragment would cost more than the postings it saves, so it
-	// runs every checkEvery fragments.
-	const checkEvery = 4
-	for round := 1; ; round++ {
-		// Pick the state with the highest remaining ceiling.
-		var best *termState
-		for _, st := range states {
-			if st.pos >= len(st.list) {
-				continue
-			}
-			if best == nil || st.ub > best.ub {
-				best = st
-			}
-		}
-		if best == nil {
-			return // exhausted: exact result
-		}
-		processFragment(best, ac, stats)
-		if round%checkEvery != 0 {
-			continue
-		}
-		// Ceiling of everything still unprocessed.
-		var ceiling float64
-		for _, st := range states {
-			if st.pos < len(st.list) {
-				ceiling += st.ub
-			}
-		}
-		if ceiling == 0 {
-			return
-		}
-		if len(ac.touched) >= k {
-			kth, trail := ac.kthAndTrail(k)
-			// A document outside the current top k (score <= trail) can
-			// reach at most trail+ceiling; an unseen document at most
-			// ceiling. If neither can pass the k-th score, stop.
-			if kth >= trail+ceiling {
-				stats.Terminated = true
-				return
-			}
-		}
-	}
-}
-
-// processFragment scores the next fragment of st and updates its ceiling.
+// processFragment scores the next fragment of st.
 func processFragment(st *termState, ac *Accum, stats *SearchStats) {
 	end := st.pos + st.step
 	if end > len(st.list) {
@@ -219,20 +146,6 @@ func processFragment(st *termState, ac *Accum, stats *SearchStats) {
 	}
 	stats.PostingsScored += end - st.pos
 	st.pos = end
-	if st.pos < len(st.list) {
-		st.ub = scoreCeiling(st.idf, st.list[st.pos].TF)
-	} else {
-		st.ub = 0
-	}
-}
-
-// scoreCeiling bounds the impact any posting with the given TF can reach
-// for a term with the given idf (monotone in TF; the length-normalized
-// denominator is minimized at zero document length; slack covers float32
-// rounding of the stored impacts).
-func scoreCeiling(idf float64, tf int32) float64 {
-	f := float64(tf)
-	return idf * f * (bm25K1 + 1) / (f + bm25K1*(1-bm25B)) * ceilingSlack
 }
 
 // ScoreQuality compares an approximate top-N against the exhaustive ranking

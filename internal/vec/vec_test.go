@@ -287,7 +287,7 @@ func TestVecMatchesNaiveOracle(t *testing.T) {
 				if !reflect.DeepEqual(hits, want) {
 					t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge from the oracle", nseg, q, k)
 				}
-				ranks := scores.Ranks(all)
+				ranks, _ := scores.Ranks(all)
 				scores.Release()
 				for i, h := range oracle {
 					if ranks[h.Doc] != i+1 {
@@ -422,7 +422,8 @@ func TestVecBoundedDepth(t *testing.T) {
 				if !reflect.DeepEqual(hits, got) {
 					t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge", nseg, q, k)
 				}
-				for d, r := range scores.Ranks(all) {
+				ranks, _ := scores.Ranks(all)
+				for d, r := range ranks {
 					if r != rank[ir.DocID(d)] {
 						t.Fatalf("segs=%d %q: doc %d rank %d, want %d", nseg, q, d, r, rank[ir.DocID(d)])
 					}
@@ -574,7 +575,7 @@ func TestVecFormat2MatchesFloatOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranks := scores.Ranks(all)
+			ranks, _ := scores.Ranks(all)
 			scores.Release()
 			for i, h := range oracle {
 				if ranks[h.Doc] != i+1 {

@@ -462,8 +462,9 @@ func e6Rows(t *testing.T) []ledgerRow {
 // e7Rows is the top-N optimization against the exhaustive scan on the 20k
 // documents of benchIRCorpus, over e7Queries: per k, the safe mode's
 // quality (the worst query's ir.ScoreQuality) and the postings each mode
-// scores summed over the queries; then, at k = 10, the same two under each
-// fragment-round budget, the unsafe mode's quality/work trade-off.
+// scores summed over the queries — safe mode is the serving lanes' top-k
+// kernel, the full scan ir.Index.Search; then, at k = 10, the same two under
+// each fragment-round budget, the unsafe mode's quality/work trade-off.
 func e7Rows(t *testing.T) []ledgerRow {
 	ix := benchIRCorpus(t)
 	// run sums the postings opts scores over the queries at depth k and
@@ -494,7 +495,7 @@ func e7Rows(t *testing.T) []ledgerRow {
 			}
 			full += st.PostingsScored
 		}
-		safe, quality := run(k, ir.TopNOptions{Fragments: 32})
+		safe, quality := run(k, ir.TopNOptions{})
 		cond := fmt.Sprintf("k %d", k)
 		rows = append(rows,
 			score("E7", "top-N safe", cond, "quality", quality),
