@@ -1015,29 +1015,30 @@ func BenchmarkRankedPage(b *testing.B) {
 			b.ReportMetric(float64(postings), "postings/op")
 		})
 	}
-	// ranks is the hybrid page's lexical rank count, which the router's rank
-	// lookups also run: where the keyword lane places the vector lane's
-	// candidates (SegScores.Ranks), at the depth each lane of a ten-item
-	// hybrid page is ranked to. postings/op is what the count reads.
+	// ranks is the keyword lane's rank lookup, the router's Query.Ranks leg:
+	// score the lane (SegScores from ScoreSegments) and place the vector
+	// lane's candidates in it (SegScores.Ranks), at the depth each lane of a
+	// ten-item hybrid page is ranked to. postings/op is what the scoring
+	// reads; the count itself reads none.
 	b.Run("ranks", func(b *testing.B) {
 		_, depth := dlse.FuseDepths(10, eng.VecIndex().Docs())
-		_, lex, _, err := eng.TextIndex().SearchScores(text, depth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer lex.Release()
 		vec, vecScores, _, _, err := eng.VecIndex().SearchScores(text, depth)
 		if err != nil {
 			b.Fatal(err)
 		}
 		vecScores.Release()
-		_, st := lex.Ranks(vec)
 		b.ReportAllocs()
 		b.ResetTimer()
+		var st ir.SearchStats
 		for i := 0; i < b.N; i++ {
-			if ranks, _ := lex.Ranks(vec); len(ranks) != len(vec) {
+			var lex ir.SegScores
+			if lex, st, err = eng.TextIndex().ScoreSegments(text, nil); err != nil {
+				b.Fatal(err)
+			}
+			if ranks := lex.Ranks(vec); len(ranks) != len(vec) {
 				b.Fatalf("%d ranks for %d candidates", len(ranks), len(vec))
 			}
+			lex.Release()
 		}
 		b.ReportMetric(float64(st.PostingsScored), "postings/op")
 	})

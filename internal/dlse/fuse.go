@@ -95,14 +95,10 @@ func FuseDepths(depth, n int) (d, lane int) {
 
 // fuseTop is FuseRRF's top d computed from the top fuseDepth(d) of each
 // lane, the node's bounded fusion: it counts each candidate's rank in the
-// lane that did not list it through that lane's score handle — over the
-// vector lane's leased scores, and with the text lane's top-k kernel started
-// at the lowest candidate's score — and fuses the candidates
-// (FuseCandidates).
+// lane that did not list it over that lane's still leased scores and fuses
+// the candidates (FuseCandidates).
 func fuseTop(d int, lex, vec []ir.Hit, lexScores, vecScores ir.SegScores) []Item {
-	vecOfLex, _ := vecScores.Ranks(lex)
-	lexOfVec, _ := lexScores.Ranks(vec)
-	return FuseCandidates(d, lex, vec, vecOfLex, lexOfVec)
+	return FuseCandidates(d, lex, vec, vecScores.Ranks(lex), lexScores.Ranks(vec))
 }
 
 // FuseCandidates is FuseRRF's top d computed from the top fuseDepth(d) of

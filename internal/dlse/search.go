@@ -452,8 +452,7 @@ func (e *Engine) rank(nq Query, depth int, withExplain bool) (items []Item, tota
 		return hitItems(hits), stats.DocsScanned, ex, nil
 	}
 	// Hybrid: each lane to the depth an exact fusion of the top depth needs
-	// (FuseDepths), each with a score handle for the rank-count step: the
-	// vector lane's leased scores, the text lane's top-k kernel.
+	// (FuseDepths), its scores kept leased for the rank-count step.
 	depth, laneDepth := FuseDepths(depth, e.vecs.Docs())
 	lexHits, lexScores, lexStats, err := e.text.SearchScores(nq.Hybrid, laneDepth)
 	if err != nil {

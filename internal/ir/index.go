@@ -382,11 +382,12 @@ type SearchStats struct {
 
 // Search runs an exhaustive ranked BM25 query (disjunctive semantics) and
 // returns the top k hits: every posting of every query term is scored. It is
-// the full scan E7 compares its top-N against; Segments, which serve the
-// ranked lanes, run the top-k kernel (maxscore.go). The hot path is
-// allocation-free in steady state: impacts are precomputed at Freeze into
-// each term's book, scores accumulate into a pooled epoch-stamped dense
-// array, and the top k are selected with a bounded min-heap.
+// the full scan E7 compares its top-N against; Segments.Search and
+// SearchSegments, which rank the keyword pages, run the top-k kernel
+// (maxscore.go). The hot path is allocation-free in steady state: impacts
+// are precomputed at Freeze into each term's book, scores accumulate into a
+// pooled epoch-stamped dense array, and the top k are selected with a
+// bounded min-heap.
 func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 	if !ix.frozen {
 		return nil, SearchStats{}, ErrNotFrozen
@@ -395,6 +396,13 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 	if len(terms) == 0 {
 		return nil, SearchStats{}, ErrEmptyQry
 	}
+	return ix.searchDense(terms, k)
+}
+
+// searchDense is the dense scan of Search: every posting of the terms
+// scored into a pooled accumulator (scoreTerms), and the top k selected
+// from it.
+func (ix *Index) searchDense(terms []string, k int) ([]Hit, SearchStats, error) {
 	ac := ix.getAccum()
 	defer ac.Release()
 	stats, err := ix.scoreTerms(terms, ac)
@@ -404,39 +412,74 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 	return ix.topKDense(ac, k), stats, nil
 }
 
+// rank returns the top k documents for the terms with the top-k kernel
+// (maxscore.go). A depth that reaches every matching document (k <= 0, or k
+// at least the union of the lists) prunes nothing, so it takes the dense
+// scan. DocsTouched is the exact size of the union either way, and
+// Terminated reports that the kernel left postings unread.
+func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
+	if k > 0 {
+		ql, err := ix.queryLists(terms)
+		if err != nil {
+			return nil, SearchStats{}, err
+		}
+		if total := ql.union(); k < total {
+			hits, scored := ql.topK(k)
+			for i := range hits {
+				hits[i].Name = ix.names.At(int(hits[i].Doc))
+			}
+			return hits, SearchStats{TermsMatched: ql.count(), PostingsScored: scored, DocsTouched: total, Terminated: scored < ql.postings()}, nil
+		}
+	}
+	return ix.searchDense(terms, k)
+}
+
 // scoreTerms accumulates every term's full posting list into ac, in term
 // order — the dense scan shared by Search, ScoreQuery and the top-k
 // kernel's deep pages, so their per-doc float64 sums are identical by
-// construction.
+// construction. The doc-ID and code columns' widths are chosen once per
+// term, and scoreList is instantiated for each pair. A list is checked
+// (checkList) before it is scored.
 func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
-	ql, err := ix.queryLists(terms)
-	if err != nil {
-		return SearchStats{}, err
+	var stats SearchStats
+	for _, term := range terms {
+		o, ok := ix.lookup(term)
+		if !ok {
+			continue
+		}
+		if err := ix.checkList(o, term); err != nil {
+			return stats, err
+		}
+		lo, hi := ix.span(o)
+		blo, bhi := ix.bookSpan(o)
+		book := ix.bookImp[blo:bhi]
+		switch docs := ix.docs.vals.(type) {
+		case []uint8:
+			scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
+		case []uint16:
+			scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
+		default:
+			scoreCodes(ix.docs.vals.([]uint32)[lo:hi], ix.codes, lo, book, ac)
+		}
+		stats.TermsMatched++
+		stats.PostingsScored += hi - lo
 	}
-	ql.addAll(ac)
-	return SearchStats{TermsMatched: ql.count(), PostingsScored: ql.postings(), DocsTouched: len(ac.touched)}, nil
+	stats.DocsTouched = len(ac.touched)
+	return stats, nil
 }
 
-// rank returns the top k documents of the index's lists ql with the top-k
-// kernel (maxscore.go). A depth that
-// reaches every matching document (k <= 0, or k at least the union of the
-// lists) prunes nothing, so it takes the dense scan. DocsTouched is the
-// exact size of the union either way, and Terminated reports that the
-// kernel left postings unread.
-func (ix *Index) rank(ql queryLists, k int) ([]Hit, SearchStats) {
-	total := ql.union()
-	if k <= 0 || k >= total {
-		ac := ix.getAccum()
-		defer ac.Release()
-		ql.addAll(ac)
-		stats := SearchStats{TermsMatched: ql.count(), PostingsScored: ql.postings(), DocsTouched: total}
-		return ix.topKDense(ac, k), stats
+// scoreCodes is scoreList over the postings from lo on, instantiated at the
+// code column's width.
+func scoreCodes[D width](docs []D, codes column, lo int, book []float32, ac *Accum) {
+	hi := lo + len(docs)
+	switch c := codes.vals.(type) {
+	case []uint8:
+		scoreList(docs, c[lo:hi], book, ac)
+	case []uint16:
+		scoreList(docs, c[lo:hi], book, ac)
+	default:
+		scoreList(docs, codes.vals.([]uint32)[lo:hi], book, ac)
 	}
-	hits, scored := ql.topK(k)
-	for i := range hits {
-		hits[i].Name = ix.names.At(int(hits[i].Doc))
-	}
-	return hits, SearchStats{TermsMatched: ql.count(), PostingsScored: scored, DocsTouched: total, Terminated: scored < ql.postings()}
 }
 
 // checkList verifies term ordinal o's list the first time a query reads it

@@ -439,8 +439,7 @@ func TestKernelMatchesFlatImpacts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _ := sc.Ranks(probe)
-				for i, r := range got {
+				for i, r := range sc.Ranks(probe) {
 					if r != ranks[probe[i].Doc] {
 						t.Fatalf("seed %d q=%q doc %d: rank %d, oracle %d", seed, q, probe[i].Doc, r, ranks[probe[i].Doc])
 					}

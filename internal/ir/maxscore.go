@@ -84,21 +84,10 @@ type queryLists interface {
 	// topK returns the best k documents, best first and unnamed, and the
 	// postings whose impact it read. k must be positive.
 	topK(k int) ([]Hit, int)
-	// atLeast calls visit with every document whose score is at least s
-	// and its score, in no set order, and returns the postings whose impact
-	// it read.
-	atLeast(s float64, visit func(DocID, float64)) int
-	// score returns document d's score, whether any list holds it, and the
-	// postings whose impact it read.
-	score(d DocID) (float64, bool, int)
-	// addAll adds every posting's impact to its document's score in ac, in
-	// query-term order: the dense scan.
-	addAll(ac *Accum)
 }
 
 // lists is queryLists at one pair of column widths.
 type lists[D, C width] struct {
-	ix    *Index
 	cur   []cursor[D, C] // in query-term order
 	order []int          // cursor indices by ascending bound
 	rank  []int          // rank[i] is cursor i's position in order
@@ -144,7 +133,6 @@ func newLists[D, C width](ix *Index, docs []D, codes []C, ords []int) *lists[D, 
 	m := len(ords)
 	order := make([]int, 2*m)
 	l := &lists[D, C]{
-		ix:    ix,
 		cur:   make([]cursor[D, C], m),
 		order: order[:m],
 		rank:  order[m:],
@@ -241,15 +229,14 @@ func (l *lists[D, C]) union() int {
 	return n
 }
 
-// walk visits in doc order every document whose score passes the threshold
-// (θ, tie) — a score x passes when x > θ, or x == θ and tie is set — and
-// calls emit with it and its score; emit returns the threshold from then
-// on, which may only rise. walk returns the postings whose impact it read.
-func (l *lists[D, C]) walk(θ float64, tie bool, emit func(DocID, float64) (float64, bool)) int {
-	passes := func(x float64) bool { return x > θ || (tie && x == θ) }
+// walk visits in doc order every document whose score is above the
+// threshold θ and calls emit with it and its score; emit returns the
+// threshold from then on, which may only rise. walk returns the postings
+// whose impact it read.
+func (l *lists[D, C]) walk(θ float64, emit func(DocID, float64) float64) int {
 	ne := 0 // order[:ne] are the non-essential lists
 	raise := func() {
-		for ne < len(l.order) && !passes(l.prefixBound(ne+1)) {
+		for ne < len(l.order) && l.prefixBound(ne+1) <= θ {
 			ne++
 		}
 	}
@@ -282,7 +269,7 @@ func (l *lists[D, C]) walk(θ float64, tie bool, emit func(DocID, float64) (floa
 		// Probe the non-essential lists, largest bound first, while the
 		// document can still pass; once all are probed, s is its score.
 		s := l.sum()
-		for j := ne - 1; j >= 0 && passes(s); j-- {
+		for j := ne - 1; j >= 0 && s > θ; j-- {
 			i := l.order[j]
 			l.vals[i] = 0
 			if c := &l.cur[i]; c.seek(d) {
@@ -291,8 +278,8 @@ func (l *lists[D, C]) walk(θ float64, tie bool, emit func(DocID, float64) (floa
 			}
 			s = l.sum()
 		}
-		if passes(s) {
-			θ, tie = emit(DocID(d), s)
+		if s > θ {
+			θ = emit(DocID(d), s)
 			raise()
 		}
 	}
@@ -301,7 +288,7 @@ func (l *lists[D, C]) walk(θ float64, tie bool, emit func(DocID, float64) (floa
 
 func (l *lists[D, C]) topK(k int) ([]Hit, int) {
 	h := make([]Hit, 0, k)
-	scored := l.walk(math.Inf(-1), false, func(d DocID, s float64) (float64, bool) {
+	scored := l.walk(math.Inf(-1), func(d DocID, s float64) float64 {
 		// walk emits only a document that beats the heap's worst, once
 		// the heap is full.
 		if len(h) < k {
@@ -312,54 +299,9 @@ func (l *lists[D, C]) topK(k int) ([]Hit, int) {
 			siftDownHit(h)
 		}
 		if len(h) < k {
-			return math.Inf(-1), false
+			return math.Inf(-1)
 		}
-		return h[0].Score, false
+		return h[0].Score
 	})
 	return sortHeap(h), scored
-}
-
-// atLeast walks at threshold s, unless every list is essential there: then
-// each document the lists hold must be scored, and the dense scan does it
-// for less.
-func (l *lists[D, C]) atLeast(s float64, visit func(DocID, float64)) int {
-	if l.prefixBound(1) >= s {
-		ac := l.ix.getAccum()
-		defer ac.Release()
-		l.addAll(ac)
-		for _, d := range ac.touched {
-			if x := ac.scores[d]; x >= s {
-				visit(d, x)
-			}
-		}
-		return l.n
-	}
-	return l.walk(s, true, func(d DocID, x float64) (float64, bool) {
-		visit(d, x)
-		return s, true
-	})
-}
-
-func (l *lists[D, C]) score(d DocID) (float64, bool, int) {
-	if d < 0 || int64(d) > int64(^D(0)) {
-		return 0, false, 0
-	}
-	n := 0
-	for i := range l.cur {
-		c := &l.cur[i]
-		c.pos = 0
-		l.vals[i] = 0
-		if c.seek(D(d)) {
-			l.vals[i] = c.impact()
-			n++
-		}
-	}
-	return l.sum(), n > 0, n
-}
-
-func (l *lists[D, C]) addAll(ac *Accum) {
-	for i := range l.cur {
-		c := &l.cur[i]
-		scoreList(c.docs, c.codes, c.book, ac)
-	}
 }

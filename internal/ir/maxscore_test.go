@@ -59,9 +59,9 @@ func randomCollection(t testing.TB, rng *rand.Rand) (heap, mapped *Segments, que
 // denseSearch is the dense kernel over the named segments: every posting
 // of every query term scored, in term order, into one accumulator per
 // segment (scoreTerms), each leg's top k merged. It returns the hits, the
-// postings scored, the documents touched and every scored document's
-// 1-based rank among them.
-func denseSearch(t testing.TB, s *Segments, query string, k int, ords []int) ([]Hit, int, int, map[DocID]int) {
+// postings scored, the documents touched and every scored document, best
+// first.
+func denseSearch(t testing.TB, s *Segments, query string, k int, ords []int) ([]Hit, int, int, []Hit) {
 	t.Helper()
 	terms := dedupe(Analyze(query))
 	var per [][]Hit
@@ -88,17 +88,13 @@ func denseSearch(t testing.TB, s *Segments, query string, k int, ords []int) ([]
 		per = append(per, hits)
 	}
 	sort.Slice(all, func(a, b int) bool { return worseHit(all[b], all[a]) })
-	ranks := map[DocID]int{}
-	for i, h := range all {
-		ranks[h.Doc] = i + 1
-	}
-	return MergeHits(per, k), postings, touched, ranks
+	return MergeHits(per, k), postings, touched, all
 }
 
 // checkTopK holds the top-k kernel to the dense one on one query: at each
 // depth, over all segments and over a random selection, the same hits with
 // the same names and score bits, the same total, at most as many postings;
-// and the text handle's Ranks and Get, over the selection, equal the dense
+// and the score handle's Ranks and Get over the selection equal the dense
 // ranking's for documents scored, unscored, out of range and of unselected
 // segments.
 func checkTopK(t *testing.T, s *Segments, q string, rng *rand.Rand) {
@@ -135,7 +131,11 @@ func checkTopK(t *testing.T, s *Segments, q string, rng *rand.Rand) {
 			}
 		}
 	}
-	_, _, _, ranks := denseSearch(t, s, q, 0, sel)
+	_, _, _, ranked := denseSearch(t, s, q, 0, sel)
+	ranks, scores := map[DocID]int{}, map[DocID]float64{}
+	for i, h := range ranked {
+		ranks[h.Doc], scores[h.Doc] = i+1, h.Score
+	}
 	probe := []Hit{{Doc: -1}, {Doc: DocID(s.Docs())}}
 	for i := 0; i < 12; i++ {
 		probe = append(probe, Hit{Doc: DocID(rng.Intn(s.Docs()))})
@@ -150,22 +150,13 @@ func checkTopK(t *testing.T, s *Segments, q string, rng *rand.Rand) {
 		t.Fatal(err)
 	}
 	defer sc.Release()
-	dense, _, err := s.ScoreQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dense.Release()
-	got, _ := sc.Ranks(probe)
+	got := sc.Ranks(probe)
 	for i, h := range probe {
 		if got[i] != ranks[h.Doc] {
 			t.Fatalf("q=%q ords=%v doc %d: rank %d, dense %d", q, sel, h.Doc, got[i], ranks[h.Doc])
 		}
-		want := 0.0
-		if ranks[h.Doc] > 0 {
-			want = dense.Get(h.Doc)
-		}
-		if g := sc.Get(h.Doc); math.Float64bits(g) != math.Float64bits(want) {
-			t.Fatalf("q=%q ords=%v doc %d: score %v, dense %v", q, sel, h.Doc, g, want)
+		if g := sc.Get(h.Doc); math.Float64bits(g) != math.Float64bits(scores[h.Doc]) {
+			t.Fatalf("q=%q ords=%v doc %d: score %v, dense %v", q, sel, h.Doc, g, scores[h.Doc])
 		}
 	}
 }
@@ -174,7 +165,7 @@ func checkTopK(t *testing.T, s *Segments, q string, rng *rand.Rand) {
 // TestKernelMatchesFlatImpacts: over random segmented collections,
 // heap-built and mapped, with ties and a term on every document, the
 // pruned kernel returns the dense kernel's hits, score bits and totals, and
-// its rank count the dense ranking's ranks.
+// the rank count over a selection the dense ranking's ranks.
 func TestTopKMatchesDense(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -228,9 +219,10 @@ func FuzzTopKMatchesDense(f *testing.F) {
 	})
 }
 
-// TestTopKConcurrentChecks: queries racing on a mapped collection verify
-// each list once between them (checkList's bits) and all answer as the
-// heap build does. Run it under -race.
+// TestTopKConcurrentChecks: queries racing on a mapped collection, through
+// the top-k kernel and the dense scan, verify each list once between them
+// (checkList's bits) and all answer as the heap build does. Run it under
+// -race.
 func TestTopKConcurrentChecks(t *testing.T) {
 	heap := buildSegs(t, segCorpus(300), 3)
 	mapped, err := openSegmentsBytes(segfileBytes(t, heap, 0), 0)
@@ -260,7 +252,12 @@ func TestTopKConcurrentChecks(t *testing.T) {
 					t.Error(err)
 					continue
 				}
-				sc.Ranks(got)
+				for j, r := range sc.Ranks(got) {
+					if r != j+1 {
+						t.Errorf("q=%q: hit %d ranks %d", q, j, r)
+					}
+				}
+				sc.Release()
 			}
 		}(g)
 	}

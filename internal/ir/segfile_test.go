@@ -623,6 +623,7 @@ func FuzzSegfileOpen(f *testing.F) {
 		_, _, _ = s.Search(q.String()+"w0", 1)
 		if sc, _, err := s.ScoreSegments(q.String()+"w0", nil); err == nil {
 			sc.Ranks([]Hit{{Doc: 0}, {Doc: 1}})
+			sc.Release()
 		}
 	})
 }

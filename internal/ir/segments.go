@@ -110,7 +110,15 @@ func (s *Segments) scatter(terms []string, ords []int, leg func(slot, ord int) (
 	if err := errors.Join(errs...); err != nil {
 		return SearchStats{}, nil, err
 	}
-	out := SearchStats{TermsMatched: s.matched(terms, ords)}
+	var out SearchStats
+	for _, t := range terms {
+		for _, o := range ords {
+			if _, ok := s.segs[o].lookup(t); ok {
+				out.TermsMatched++
+				break
+			}
+		}
+	}
 	for _, l := range legs {
 		out.PostingsScored += l.Stats.PostingsScored
 		out.DocsTouched += l.Stats.DocsTouched
@@ -119,47 +127,46 @@ func (s *Segments) scatter(terms []string, ords []int, leg func(slot, ord int) (
 	return out, legs, nil
 }
 
-// matched counts the terms that any of the named segments holds.
-func (s *Segments) matched(terms []string, ords []int) int {
-	n := 0
-	for _, t := range terms {
-		for _, o := range ords {
-			if _, ok := s.segs[o].lookup(t); ok {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 // searchOrds ranks the named segments: each leg selects its own top k
-// under global doc IDs with the top-k kernel, and the streams merge under
-// the global (score desc, DocID asc) total order, capped at k (k <= 0 keeps
-// everything). A non-nil keep takes each leg's checked lists, by ordinal.
-func (s *Segments) searchOrds(terms []string, k int, ords []int, keep []queryLists) ([]Hit, SearchStats, []SegStat, error) {
+// under global doc IDs with the top-k kernel (Index.rank), and the streams
+// merge under the global (score desc, DocID asc) total order, capped at k
+// (k <= 0 keeps everything).
+func (s *Segments) searchOrds(terms []string, k int, ords []int) ([]Hit, SearchStats, []SegStat, error) {
 	per := make([][]Hit, len(ords))
 	stats, legs, err := s.scatter(terms, ords, func(slot, ord int) (SearchStats, error) {
-		ix := s.segs[ord]
-		ql, err := ix.queryLists(terms)
-		if err != nil {
-			return SearchStats{}, err
-		}
-		hits, st := ix.rank(ql, k)
-		base := DocID(s.bases.Start(ord))
-		for j := range hits {
-			hits[j].Doc += base
-		}
-		per[slot] = hits
-		if keep != nil {
-			keep[ord] = ql
-		}
-		return st, nil
+		hits, st, err := s.segs[ord].rank(terms, k)
+		per[slot] = s.global(ord, hits)
+		return st, err
 	})
 	if err != nil {
 		return nil, SearchStats{}, nil, err
 	}
 	return MergeHits(per, k), stats, legs, nil
+}
+
+// global shifts segment ord's hits to global doc IDs, in place.
+func (s *Segments) global(ord int, hits []Hit) []Hit {
+	base := DocID(s.bases.Start(ord))
+	for j := range hits {
+		hits[j].Doc += base
+	}
+	return hits
+}
+
+// scoreOrds scores every named segment densely (scoreTerms) into an
+// accumulator pooled by that segment and hands it to keep, still leased; a
+// leg whose lists fail their check releases its accumulator instead.
+func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int, ac *Accum)) (SearchStats, []SegStat, error) {
+	return s.scatter(terms, ords, func(slot, ord int) (SearchStats, error) {
+		ac := s.segs[ord].getAccum()
+		st, err := s.segs[ord].scoreTerms(terms, ac)
+		if err != nil {
+			ac.Release()
+			return st, err
+		}
+		keep(slot, ord, ac)
+		return st, nil
+	})
 }
 
 // MergeHits gathers independently produced best-first hit streams (per
@@ -170,9 +177,9 @@ func MergeHits(per [][]Hit, k int) []Hit {
 	return segset.Merge(per, k, func(h *Hit) (float64, int) { return h.Score, int(h.Doc) })
 }
 
-// Search runs an exhaustive ranked BM25 query across all segments and
-// returns the top k hits — byte-identical to Index.Search on the merged
-// collection (same hits, scores, and tie-breaks).
+// Search runs a ranked BM25 query across all segments and returns the top
+// k hits — byte-identical to Index.Search on the merged collection (same
+// hits, scores, and tie-breaks).
 func (s *Segments) Search(query string, k int) ([]Hit, SearchStats, error) {
 	hits, stats, _, err := s.SearchSegments(query, k, nil)
 	return hits, stats, err
@@ -191,25 +198,31 @@ func (s *Segments) SearchSegments(query string, k int, ords []int) ([]Hit, Searc
 	if err != nil {
 		return nil, SearchStats{}, nil, err
 	}
-	return s.searchOrds(terms, k, ords, nil)
+	return s.searchOrds(terms, k, ords)
 }
 
-// SearchScores is Search that also returns a SegScores handle over the
-// query — what a rank fusion needs to place another lane's candidates in
-// this one (SegScores.Ranks). The handle keeps the lists the search ranked
-// and scores nothing more until asked: its Ranks and Get run the top-k
-// kernel's lists over every segment. Release it like any handle.
+// SearchScores is Search that also leaves the query's scores leased: the
+// top k hits, plus a SegScores handle over everything the query touched —
+// what a rank fusion needs to place another lane's candidates in this one
+// (SegScores.Ranks). It scores every posting, as ScoreQuery does, and
+// selects each segment's top k from its accumulator. The caller must
+// Release the handle.
 func (s *Segments) SearchScores(query string, k int) ([]Hit, SegScores, SearchStats, error) {
 	terms, ords, err := s.analyze(query, nil)
 	if err != nil {
 		return nil, SegScores{}, SearchStats{}, err
 	}
-	ls := make([]queryLists, len(s.segs))
-	hits, stats, legs, err := s.searchOrds(terms, k, ords, ls)
+	acs := make([]*Accum, len(s.segs))
+	per := make([][]Hit, len(ords))
+	stats, legs, err := s.scoreOrds(terms, ords, func(slot, ord int, ac *Accum) {
+		per[slot] = s.global(ord, s.segs[ord].topKDense(ac, k))
+		acs[ord] = ac
+	})
 	if err != nil {
+		SegScores{acs: acs}.Release() // the legs that did score
 		return nil, SegScores{}, SearchStats{}, err
 	}
-	return hits, SegScores{bases: s.bases, lists: ls, per: legs}, stats, nil
+	return MergeHits(per, k), SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
 }
 
 // analyze analyses the query and checks the ordinals (nil names all).
@@ -226,20 +239,16 @@ func (s *Segments) analyze(query string, ords []int) ([]string, []int, error) {
 	return terms, ords, nil
 }
 
-// SegScores is a read-only view over one query's per-doc scores, addressed
-// by global doc ID, in one of two forms. A dense handle (ScoreQuery, and the
-// vector lane through LeaseScores) holds one scored, pooled accumulator per
-// scored segment; Release returns them to their segments' pools. A text
-// handle (SearchScores, ScoreSegments) holds the query's checked posting
-// lists per selected segment and scores on demand with the top-k kernel; its
-// Get and Ranks move the lists' cursors, so it serves one goroutine at a
-// time. A segment the query did not score (a selection) reads as unscored.
-// The handle must not be used after Release. The zero value is invalid
+// SegScores is the segmented counterpart of Scores: a leased, read-only
+// view over one query's dense per-doc scores, one pooled accumulator per
+// scored segment, addressed by global doc ID. A segment the query did not
+// score (ScoreSegments over a selection) holds no accumulator: its documents
+// read as unscored. Release returns every accumulator to its segment's pool;
+// the handle must not be used after Release. The zero value is invalid
 // (Valid reports false) and safe to Release.
 type SegScores struct {
 	bases segset.Bases
-	acs   []*Accum     // dense: by ordinal, nil where unscored
-	lists []queryLists // text: by ordinal, nil where unselected
+	acs   []*Accum
 	per   []SegStat
 }
 
@@ -250,46 +259,28 @@ func LeaseScores(bases segset.Bases, acs []*Accum) SegScores {
 }
 
 // Valid reports whether the handle holds a scored query.
-func (sc SegScores) Valid() bool { return sc.acs != nil || sc.lists != nil }
-
-// score returns doc d's score, whether the query scored it, and the
-// postings read to find out.
-func (sc SegScores) score(d DocID) (float64, bool, int) {
-	if d < 0 || int(d) >= sc.bases.Total() {
-		return 0, false, 0
-	}
-	ord, local := sc.bases.Of(int(d))
-	if sc.lists != nil {
-		if ql := sc.lists[ord]; ql != nil {
-			return ql.score(DocID(local))
-		}
-		return 0, false, 0
-	}
-	if ac := sc.acs[ord]; ac != nil && ac.stamps[local] == ac.epoch {
-		return ac.scores[local], true, 0
-	}
-	return 0, false, 0
-}
+func (sc SegScores) Valid() bool { return sc.acs != nil }
 
 // Get returns doc d's score (0 for documents the query did not touch).
 func (sc SegScores) Get(d DocID) float64 {
-	s, _, _ := sc.score(d)
-	return s
+	if d < 0 || int(d) >= sc.bases.Total() {
+		return 0
+	}
+	ord, local := sc.bases.Of(int(d))
+	if sc.acs[ord] == nil {
+		return 0
+	}
+	return sc.acs[ord].Get(DocID(local))
 }
 
 // Ranks returns each hit's document's 1-based rank among all the documents
 // the query scored, under the (score desc, DocID asc) order, and 0 where the
 // query did not score it — the position it holds in the full ranking,
-// without building one. The hits are another lane's; only their Doc is read.
-// Every document that can rank ahead of a candidate scores at least the
-// lowest candidate's score s, so only those are counted, with a binary
-// search among the candidates each: a dense handle counts over its
-// accumulators, and a text handle runs the top-k kernel's walk started at
-// threshold s, which skips what cannot reach it. The stats are the postings
-// a text handle read and the documents it counted.
-func (sc SegScores) Ranks(hits []Hit) ([]int, SearchStats) {
+// without building one: a counting pass over the leased scores, with a
+// binary search among the listed documents per scored one. The hits are
+// another lane's; only their Doc is read.
+func (sc SegScores) Ranks(hits []Hit) []int {
 	ranks := make([]int, len(hits))
-	var stats SearchStats
 	// cands are the listed documents this query scored, best first, each
 	// with its position in hits.
 	type cand struct {
@@ -298,55 +289,26 @@ func (sc SegScores) Ranks(hits []Hit) ([]int, SearchStats) {
 	}
 	cands := make([]cand, 0, len(hits))
 	for i, h := range hits {
-		s, ok, n := sc.score(h.Doc)
-		stats.PostingsScored += n
-		if ok {
-			cands = append(cands, cand{Hit{Doc: h.Doc, Score: s}, i})
+		if h.Doc < 0 || int(h.Doc) >= sc.bases.Total() {
+			continue
 		}
-	}
-	if len(cands) == 0 {
-		return ranks, stats
+		ord, local := sc.bases.Of(int(h.Doc))
+		if ac := sc.acs[ord]; ac != nil && ac.stamps[local] == ac.epoch {
+			cands = append(cands, cand{Hit{Doc: h.Doc, Score: ac.scores[local]}, i})
+		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return worseHit(cands[j].Hit, cands[i].Hit) })
 	// ahead[p] counts the scored documents whose best beaten candidate is
-	// cands[p]: they rank ahead of it and of every candidate after it. The
-	// candidates' scores and docs sit in their own slices for the binary
-	// search each counted document makes.
-	score, doc := make([]float64, len(cands)), make([]DocID, len(cands))
-	for i, c := range cands {
-		score[i], doc[i] = c.Score, c.Doc
-	}
+	// cands[p]: they rank ahead of it and of every candidate after it.
 	ahead := make([]int, len(cands)+1)
-	var base DocID
-	count := func(d DocID, s float64) {
-		d += base
-		lo, hi := 0, len(score)
-		for lo < hi { // the first candidate that (s, d) beats
-			m := int(uint(lo+hi) >> 1)
-			if score[m] < s || score[m] == s && doc[m] > d {
-				hi = m
-			} else {
-				lo = m + 1
-			}
-		}
-		ahead[lo]++
-		stats.DocsTouched++
-	}
-	floor := score[len(score)-1]
-	for ord, ql := range sc.lists {
-		if ql != nil {
-			base = DocID(sc.bases.Start(ord))
-			stats.PostingsScored += ql.atLeast(floor, count)
-		}
-	}
 	for ord, ac := range sc.acs {
-		if ac != nil {
-			base = DocID(sc.bases.Start(ord))
-			for _, d := range ac.touched {
-				if s := ac.Get(d); s >= floor {
-					count(d, s)
-				}
-			}
+		if ac == nil {
+			continue
+		}
+		base := DocID(sc.bases.Start(ord))
+		for _, d := range ac.touched {
+			t := Hit{Doc: base + d, Score: ac.scores[d]}
+			ahead[sort.Search(len(cands), func(i int) bool { return worseHit(cands[i].Hit, t) })]++
 		}
 	}
 	n := 0
@@ -354,7 +316,7 @@ func (sc SegScores) Ranks(hits []Hit) ([]int, SearchStats) {
 		n += ahead[i]
 		ranks[c.at] = n + 1
 	}
-	return ranks, stats
+	return ranks
 }
 
 // SegmentStats returns the kernel stats and wall time of each segment's
@@ -372,48 +334,28 @@ func (sc SegScores) Release() {
 }
 
 // ScoreQuery runs the exhaustive scorer across all segments and returns a
-// leased dense handle over the per-doc scores — the ranking-free form of
-// Search for callers that join scores into their own result sets: every
-// segment's scored accumulator is kept, leased, behind the handle. Scores
-// are byte-identical to Index.Search's on the merged collection.
+// leased handle over the per-doc scores — the ranking-free form of Search
+// for callers that join scores into their own result sets: every segment's
+// scored accumulator is kept, leased, behind the handle. Scores are
+// byte-identical to Index.Search's on the merged collection.
 func (s *Segments) ScoreQuery(query string) (SegScores, SearchStats, error) {
-	terms, ords, err := s.analyze(query, nil)
-	if err != nil {
-		return SegScores{}, SearchStats{}, err
-	}
-	acs := make([]*Accum, len(s.segs))
-	stats, legs, err := s.scatter(terms, ords, func(_, ord int) (SearchStats, error) {
-		ac := s.segs[ord].getAccum()
-		st, err := s.segs[ord].scoreTerms(terms, ac)
-		if err != nil {
-			ac.Release()
-			return st, err
-		}
-		acs[ord] = ac
-		return st, nil
-	})
-	if err != nil {
-		SegScores{acs: acs}.Release() // the legs that did score
-		return SegScores{}, SearchStats{}, err
-	}
-	return SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
+	return s.ScoreSegments(query, nil)
 }
 
-// ScoreSegments returns a text handle over the query's lists in the named
-// segment ordinals (nil names them all), each list checked: the partial-read
-// form a rank lookup counts over, where the handle's Ranks place documents
-// among what the selection holds and a document of an unselected segment
-// ranks 0. Nothing is scored yet, so the stats count only the matched terms.
+// ScoreSegments is ScoreQuery over only the named segment ordinals (nil names
+// them all): the partial-read form a rank lookup counts over, where the
+// handle's Ranks place documents among what the selection scored and a
+// document of an unselected segment ranks 0. Stats cover only the selection.
 func (s *Segments) ScoreSegments(query string, ords []int) (SegScores, SearchStats, error) {
 	terms, ords, err := s.analyze(query, ords)
 	if err != nil {
 		return SegScores{}, SearchStats{}, err
 	}
-	ls := make([]queryLists, len(s.segs))
-	for _, o := range ords {
-		if ls[o], err = s.segs[o].queryLists(terms); err != nil {
-			return SegScores{}, SearchStats{}, fmt.Errorf("ir: segment %d: %w", o, err)
-		}
+	acs := make([]*Accum, len(s.segs))
+	stats, legs, err := s.scoreOrds(terms, ords, func(_, ord int, ac *Accum) { acs[ord] = ac })
+	if err != nil {
+		SegScores{acs: acs}.Release() // the legs that did score
+		return SegScores{}, SearchStats{}, err
 	}
-	return SegScores{bases: s.bases, lists: ls}, SearchStats{TermsMatched: s.matched(terms, ords)}, nil
+	return SegScores{bases: s.bases, acs: acs, per: legs}, stats, nil
 }

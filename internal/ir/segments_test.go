@@ -162,7 +162,7 @@ func TestSearchScoresRanks(t *testing.T) {
 	for _, nseg := range []int{1, 2, 3, 7} {
 		segs := buildSegs(t, docs, nseg)
 		for _, q := range segQueries {
-			full, _, err := segs.Search(q, 0)
+			full, fullStats, err := segs.Search(q, 0)
 			if err != nil {
 				if _, _, _, err2 := segs.SearchScores(q, 5); err2 != err {
 					t.Fatalf("q=%q: SearchScores error %v, Search %v", q, err2, err)
@@ -178,12 +178,11 @@ func TestSearchScoresRanks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				top, topStats, _ := segs.Search(q, k)
-				if !reflect.DeepEqual(hits, top) || stats != topStats {
+				top, _, _ := segs.Search(q, k)
+				if !reflect.DeepEqual(hits, top) || stats != fullStats {
 					t.Fatalf("segs=%d q=%q k=%d: SearchScores hits/stats diverge from Search", nseg, q, k)
 				}
-				ranks, _ := scores.Ranks(all)
-				for i, r := range ranks {
+				for i, r := range scores.Ranks(all) {
 					if r != want[all[i].Doc] {
 						t.Fatalf("segs=%d q=%q k=%d: doc %d rank %d, want %d", nseg, q, k, all[i].Doc, r, want[all[i].Doc])
 					}

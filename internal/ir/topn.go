@@ -81,12 +81,7 @@ func (ix *Index) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Searc
 		return nil, SearchStats{}, ErrEmptyQry
 	}
 	if opts.MaxFragments <= 0 {
-		ql, err := ix.queryLists(terms)
-		if err != nil {
-			return nil, SearchStats{}, err
-		}
-		hits, stats := ix.rank(ql, k)
-		return hits, stats, nil
+		return ix.rank(terms, k)
 	}
 	fragments := opts.Fragments
 	if fragments <= 0 {

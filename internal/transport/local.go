@@ -146,11 +146,10 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 	return p, nil
 }
 
-// rankLookup answers a rank lookup (Query.Ranks): the lane's score handle
-// over the selection counts each document's rank (ir.SegScores.Ranks) —
-// over the vector lane's scores, or with the text lane's top-k kernel
-// started at the lowest candidate's score — the node's own rank-count step
-// of the bounded hybrid fusion, asked for over the wire.
+// rankLookup answers a rank lookup (Query.Ranks): the lane scores the
+// selection without ranking it, and the leased scores count each
+// document's rank (ir.SegScores.Ranks) — the node's own rank-count step of
+// the bounded hybrid fusion, asked for over the wire.
 func rankLookup(e *dlse.Engine, q Query, ords []int) ([]int, error) {
 	if q.K != 0 || q.Scenes != "" {
 		return nil, fmt.Errorf("%w: a rank lookup takes a keyword or vector query and no K", ErrBadSelection)
@@ -184,6 +183,5 @@ func rankLookup(e *dlse.Engine, q Query, ords []int) ([]int, error) {
 		return nil, err // incl. ir.ErrEmptyQry, raw
 	}
 	defer scores.Release()
-	ranks, _ := scores.Ranks(cands)
-	return ranks, nil
+	return scores.Ranks(cands), nil
 }

@@ -287,7 +287,7 @@ func TestVecMatchesNaiveOracle(t *testing.T) {
 				if !reflect.DeepEqual(hits, want) {
 					t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge from the oracle", nseg, q, k)
 				}
-				ranks, _ := scores.Ranks(all)
+				ranks := scores.Ranks(all)
 				scores.Release()
 				for i, h := range oracle {
 					if ranks[h.Doc] != i+1 {
@@ -422,8 +422,7 @@ func TestVecBoundedDepth(t *testing.T) {
 				if !reflect.DeepEqual(hits, got) {
 					t.Fatalf("segs=%d %q k=%d: SearchScores hits diverge", nseg, q, k)
 				}
-				ranks, _ := scores.Ranks(all)
-				for d, r := range ranks {
+				for d, r := range scores.Ranks(all) {
 					if r != rank[ir.DocID(d)] {
 						t.Fatalf("segs=%d %q: doc %d rank %d, want %d", nseg, q, d, r, rank[ir.DocID(d)])
 					}
@@ -575,7 +574,7 @@ func TestVecFormat2MatchesFloatOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranks, _ := scores.Ranks(all)
+			ranks := scores.Ranks(all)
 			scores.Release()
 			for i, h := range oracle {
 				if ranks[h.Doc] != i+1 {
