@@ -135,26 +135,24 @@ func WriteSVF(path string, frames []*Image, fps int) error {
 
 // Library is a content-based video library: the tennis FDE plus the COBRA
 // meta-index it populates — stored as an ordered set of immutable index
-// segments. The legacy Index* methods append to the newest segment; Commit
-// ingests a batch into a brand-new segment (the incremental-growth path),
-// and Compact merges small adjacent segments back together. Splitting the
-// corpus across segments never changes an answer: every read concatenates
-// or routes across segments in global ID order, byte-identical to one
-// monolithic index of the same videos.
+// segments. The Index* methods grow the newest segment; Commit ingests a
+// batch into a brand-new segment (the incremental-growth path), and Compact
+// merges small adjacent segments back together. Splitting the corpus across
+// segments never changes an answer: every read concatenates or routes
+// across segments in global ID order, byte-identical to one monolithic
+// index of the same videos.
 //
-// Concurrency: a Library is single-writer. Readers holding a View (or an
-// engine snapshot built from one) are never disturbed by Commit or
-// Compact, which assemble new segments privately and install them by
-// building a new view.
+// Concurrency: a Library is single-writer. Every write path builds its
+// segments privately and installs them as a new view, so a reader holding a
+// View (or an engine snapshot built from one) never sees a segment change.
 type Library struct {
 	// engine parses a video that is alone in flight, fanning per-frame
 	// extraction out over the CPUs; pinned parses the videos of a batch
 	// that already has several in flight, one goroutine each. Both are
 	// built once: binding a grammar is not part of a commit.
 	engine, pinned *fde.Engine
-	// view is the current segment set: an immutable snapshot that Commit
-	// and Compact replace and the Index* methods append to in place (its
-	// newest segment). On a loaded library its segments decode on first
+	// view is the current segment set: an immutable snapshot that every
+	// write replaces. On a loaded library its segments decode on first
 	// touch — reads stay lazy, the write paths resolve what they need.
 	view    *core.SegmentedIndex
 	nextSeg int64 // next segment ID
@@ -186,20 +184,9 @@ func newLibrary(view *core.SegmentedIndex, nextSeg int64, mapping io.Closer) (*L
 	return &Library{engine: engine, pinned: pinned, view: view, nextSeg: nextSeg, mapping: mapping}, nil
 }
 
-// head returns the newest segment — the write target of the legacy Index*
-// methods — resolving the whole set first, so that a corrupt segment of a
-// loaded library surfaces at the write instead of being appended after.
-func (l *Library) head() (*core.MetaIndex, error) {
-	parts, err := l.view.Parts()
-	if err != nil {
-		return nil, err
-	}
-	return parts[len(parts)-1], nil
-}
-
-// install replaces the segment set, one generation on.
-func (l *Library) install(parts []*core.MetaIndex, metas []core.SegmentMeta) {
-	view, err := core.NewSegmentedIndex(parts, metas, l.view.Generation()+1)
+// install replaces the segment set with a view at generation gen.
+func (l *Library) install(parts []*core.MetaIndex, metas []core.SegmentMeta, gen int64) {
+	view, err := core.NewSegmentedIndex(parts, metas, gen)
 	if err != nil {
 		// Callers extend parts and metas in lockstep; this cannot fail.
 		panic(fmt.Sprintf("repro: inconsistent segment set: %v", err))
@@ -209,10 +196,10 @@ func (l *Library) install(parts []*core.MetaIndex, metas []core.SegmentMeta) {
 
 // View returns an immutable snapshot of the library's segment set: the
 // read side every query path (and engine build) runs against. Later
-// commits and compactions build new views; existing ones are undisturbed.
-// On a loaded library the view is lazy: Stats and Version come from the
-// persisted manifest and each segment decodes only when a query (or a
-// write) first touches it.
+// writes build new views; existing ones are undisturbed. On a loaded
+// library the view is lazy: Stats and Generation come from the persisted
+// manifest and each segment decodes only when a query (or a write) first
+// touches it.
 func (l *Library) View() *core.SegmentedIndex { return l.view }
 
 // Close releases the memory mapping behind a library opened with
@@ -296,10 +283,11 @@ type BatchResult struct {
 // IndexBatch indexes a batch of videos concurrently: jobs fan out across a
 // bounded worker pool (the paper's Feature Detector Engine runs once per
 // video, independently), each parse is materialized into a private
-// one-video index, and on completion those are replayed into the library in
-// job order — so the resulting index, and SaveIndex output, are
-// byte-identical to indexing the same jobs sequentially with
-// IndexFrames.
+// one-video index, and on completion those are replayed in job order into a
+// private copy of the newest segment, which replaces it in a new view at
+// the same generation — so the resulting index, and SaveIndex output, are
+// byte-identical to indexing the same jobs sequentially with IndexFrames,
+// and a View taken before the batch keeps answering as it did.
 //
 // Cancellation stops dispatching new jobs; jobs already in flight finish
 // and are merged, and every job that never ran reports the context error in
@@ -307,15 +295,26 @@ type BatchResult struct {
 // cancellation; otherwise it is nil when every job succeeded, the first
 // failure by default, or all failures joined when ContinueOnError is set.
 func (l *Library) IndexBatch(ctx context.Context, jobs []IngestJob, opts BatchOptions) ([]BatchResult, error) {
-	head, err := l.head()
+	// Resolve the whole set first, so that a corrupt segment of a loaded
+	// library surfaces here instead of being appended after.
+	parts, err := l.view.Parts()
 	if err != nil {
 		return nil, err
 	}
-	return l.runBatch(ctx, jobs, opts, head)
+	metas := l.view.Metas()
+	last := len(parts) - 1
+	head, _, err := core.MergeSegmentRange(parts, metas, last, len(parts))
+	if err != nil {
+		return nil, err
+	}
+	results, runErr := l.runBatch(ctx, jobs, opts, head)
+	parts[last] = head
+	l.install(parts, metas, l.view.Generation())
+	return results, runErr
 }
 
-// runBatch is the shared ingestion engine of IndexBatch (merging into the
-// newest segment) and Commit (merging into a brand-new one).
+// runBatch is the shared ingestion engine of IndexBatch (merging into a
+// copy of the newest segment) and Commit (merging into a brand-new one).
 func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOptions, dst *core.MetaIndex) ([]BatchResult, error) {
 	pjobs := make([]pipeline.Job, len(jobs))
 	for i, job := range jobs {
@@ -400,13 +399,10 @@ func (l *Library) Commit(ctx context.Context, jobs []IngestJob, opts BatchOption
 		return nil, err
 	}
 	base := parts[len(parts)-1].IDState()
-	seg, err := core.NewMetaIndexAt(base)
-	if err != nil {
-		return nil, err
-	}
+	seg := core.NewMetaIndexAt(base)
 	results, runErr := l.runBatch(ctx, jobs, opts, seg)
 	if seg.Stats().Videos > 0 {
-		l.install(append(parts, seg), append(l.view.Metas(), core.SegmentMeta{ID: l.nextSeg, Base: base}))
+		l.install(append(parts, seg), append(l.view.Metas(), core.SegmentMeta{ID: l.nextSeg, Base: base}), l.view.Generation()+1)
 		l.nextSeg++
 	}
 	return results, runErr
@@ -459,7 +455,7 @@ func (l *Library) Compact(target int) (bool, error) {
 	if !changed {
 		return false, nil
 	}
-	l.install(nparts, nmetas)
+	l.install(nparts, nmetas, l.view.Generation()+1)
 	return true, nil
 }
 

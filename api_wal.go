@@ -354,8 +354,8 @@ func (dl *DigitalLibrary) CommitToken(ctx context.Context, token string, jobs []
 		dl.wal.markApplied(seq)
 	}
 	// Install only when a segment actually landed: a commit whose jobs all
-	// failed must not bump the swap generation (which would purge every
-	// server's result cache for an unchanged corpus).
+	// failed must not mint a new snapshot (which would purge every server's
+	// result cache for an unchanged corpus).
 	if dl.lib.view.Generation() != genBefore {
 		dl.install(dl.engine.Load().WithVideo(dl.lib.View()))
 	}

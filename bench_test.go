@@ -645,10 +645,7 @@ func coldCorpusParts(nseg int) ([]*core.MetaIndex, []core.SegmentMeta) {
 	seq := 0
 	per := vids / nseg
 	for i := 0; i < nseg; i++ {
-		p, err := core.NewMetaIndexAt(base)
-		if err != nil {
-			panic(err)
-		}
+		p := core.NewMetaIndexAt(base)
 		for v := 0; v < per; v++ {
 			vid := p.AddVideo(core.Video{
 				Name: fmt.Sprintf("bench-%04d", seq), Path: fmt.Sprintf("/corpus/b%04d.svf", seq),
@@ -1056,10 +1053,7 @@ func BenchmarkEngineWithVideo(b *testing.B) {
 		b.Fatal(err)
 	}
 	base := parts[0]
-	seg, err := core.NewMetaIndexAt(base.IDState())
-	if err != nil {
-		b.Fatal(err)
-	}
+	seg := core.NewMetaIndexAt(base.IDState())
 	id := seg.AddVideo(core.Video{Name: "committed-final", FPS: 25, Frames: 96})
 	seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5})
 	metas := vi.Metas()

@@ -12,10 +12,11 @@ import (
 // itself is plain tables.
 //
 // Concurrency: a MetaIndex is safe for any number of concurrent readers as
-// long as no writer is active (the serving path). Writes (the Add* methods
-// and Append) require exclusive access. Every write bumps Version, so
-// read-side caches can tag entries with the version they observed and drop
-// them when the index has moved on.
+// long as no writer is active. Writes (the Add* methods and Append) require
+// exclusive access, and only a private builder makes them: a library
+// installs an index for reading once it is complete and never writes it
+// again. A write drops the cached frozen view, so a builder that reads
+// between writes still sees every row.
 type MetaIndex struct {
 	videos   []Video
 	segments []Segment
@@ -24,28 +25,22 @@ type MetaIndex struct {
 	states   []ObjectState
 	events   []Event
 	// ids holds the last video, segment, object and event ID assigned.
-	ids     IDBase
-	version atomic.Int64
+	ids IDBase
 
-	// viewSlot caches the frozen columnar read path (see view.go); it is
-	// invalidated by comparing its version tag against the write counter.
+	// viewSlot caches the frozen columnar read path (see view.go); every
+	// write drops it.
 	viewSlot   atomic.Pointer[viewSlot]
 	viewBuilds atomic.Int64
 }
 
-// Version returns a counter that increases on every mutation of the index.
-// It is safe to read concurrently with writers, making it a cheap staleness
-// check for query-result caches layered above the index.
-func (m *MetaIndex) Version() int64 { return m.version.Load() }
-
-// NewMetaIndex creates an empty meta-index. It does not fail.
+// NewMetaIndex creates an empty meta-index. It does not fail; the error
+// result keeps the signature the bench module compiles against.
 func NewMetaIndex() (*MetaIndex, error) { return &MetaIndex{}, nil }
 
 // NewMetaIndexAt creates an empty meta-index whose ID counters start at the
 // given base — the building block of segmented libraries, where a new
 // partition continues the global ID sequence of the partitions before it.
-// It does not fail.
-func NewMetaIndexAt(base IDBase) (*MetaIndex, error) { return &MetaIndex{ids: base}, nil }
+func NewMetaIndexAt(base IDBase) *MetaIndex { return &MetaIndex{ids: base} }
 
 // IDState returns the current ID-counter state: the base the next segment
 // of a segmented library must start at.
@@ -75,8 +70,7 @@ func (m *MetaIndex) Append(src *MetaIndex, base IDBase) {
 	for _, t := range tables {
 		t.appendShifted(m, src, shift)
 	}
-	st := src.Stats()
-	m.version.Add(int64(st.Videos + st.Segments + st.Features + st.Objects + st.States + st.Events))
+	m.viewSlot.Store(nil)
 	m.ids = IDBase{
 		Video: src.ids.Video + shift.Video, Segment: src.ids.Segment + shift.Segment,
 		Object: src.ids.Object + shift.Object, Event: src.ids.Event + shift.Event,
@@ -88,7 +82,7 @@ func (m *MetaIndex) AddVideo(v Video) int64 {
 	m.ids.Video++
 	v.ID = m.ids.Video
 	m.videos = append(m.videos, v)
-	m.version.Add(1)
+	m.viewSlot.Store(nil)
 	return v.ID
 }
 
@@ -97,7 +91,7 @@ func (m *MetaIndex) AddSegment(s Segment) int64 {
 	m.ids.Segment++
 	s.ID = m.ids.Segment
 	m.segments = append(m.segments, s)
-	m.version.Add(1)
+	m.viewSlot.Store(nil)
 	return s.ID
 }
 
@@ -106,14 +100,14 @@ func (m *MetaIndex) AddObject(o Object) int64 {
 	m.ids.Object++
 	o.ID = m.ids.Object
 	m.objects = append(m.objects, o)
-	m.version.Add(1)
+	m.viewSlot.Store(nil)
 	return o.ID
 }
 
 // AddState records a per-frame object state.
 func (m *MetaIndex) AddState(s ObjectState) {
 	m.states = append(m.states, s)
-	m.version.Add(1)
+	m.viewSlot.Store(nil)
 }
 
 // AddEvent registers an event and returns its assigned ID.
@@ -121,7 +115,7 @@ func (m *MetaIndex) AddEvent(e Event) int64 {
 	m.ids.Event++
 	e.ID = m.ids.Event
 	m.events = append(m.events, e)
-	m.version.Add(1)
+	m.viewSlot.Store(nil)
 	return e.ID
 }
 

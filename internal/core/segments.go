@@ -39,10 +39,9 @@ type SegmentMeta struct {
 // decodes when a read first touches it. What the manifest records
 // (NumSegments, Metas, Generation, and the row counts of partitions not yet
 // decoded) answers without decoding anything. The value itself is a
-// snapshot: installing a new segment set builds a new SegmentedIndex, so
-// readers holding an old one are never disturbed. (Resolved parts follow the
-// MetaIndex concurrency rule: safe for concurrent readers as long as no
-// writer is active.)
+// snapshot: its partitions are never written, and every change to the set
+// builds a new SegmentedIndex, so readers holding an old one are never
+// disturbed.
 type SegmentedIndex struct {
 	parts segset.Set[MetaIndex]
 	metas []SegmentMeta
@@ -82,7 +81,7 @@ func SingleSegment(m *MetaIndex) *SegmentedIndex {
 func (s *SegmentedIndex) NumSegments() int { return len(s.parts) }
 
 // Parts resolves every partition and returns them in order — the full
-// hydration the write paths need before mutating.
+// hydration the write paths need before building a new set.
 func (s *SegmentedIndex) Parts() ([]*MetaIndex, error) {
 	return segset.Gather(s.parts, func(p *MetaIndex) ([]*MetaIndex, error) { return []*MetaIndex{p}, nil })
 }
@@ -121,24 +120,11 @@ func (s *SegmentedIndex) PartStats(ord int) (Stats, error) {
 	return s.rows[ord], nil
 }
 
-// Generation returns the segment-set generation: it increases every time
-// the set changes (commit, compaction, reload).
+// Generation returns the segment-set generation, the persisted one that
+// manifests, the router and the WAL compare: it increases every time the
+// set of segments changes (commit, compaction, reload). A batch that grows
+// the newest segment keeps it.
 func (s *SegmentedIndex) Generation() int64 { return s.gen }
-
-// Version returns a counter that changes whenever any partition is written
-// or the segment set itself changes — the staleness signal for caches
-// layered above the index, like MetaIndex.Version. Decoding never moves it:
-// an undecoded partition counts 0, which is exactly the version a freshly
-// decoded one reports.
-func (s *SegmentedIndex) Version() int64 {
-	v := s.gen
-	for _, c := range s.parts {
-		if p := c.Peek(); p != nil {
-			v += p.Version()
-		}
-	}
-	return v
-}
 
 // Stats sums row counts across partitions (see PartStats: no decode).
 func (s *SegmentedIndex) Stats() Stats {
@@ -205,10 +191,7 @@ func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*
 	if from < 0 || to > len(parts) || to-from < 1 {
 		return nil, SegmentMeta{}, fmt.Errorf("core: bad merge range [%d, %d)", from, to)
 	}
-	dst, err := NewMetaIndexAt(metas[from].Base)
-	if err != nil {
-		return nil, SegmentMeta{}, err
-	}
+	dst := NewMetaIndexAt(metas[from].Base)
 	for i := from; i < to; i++ {
 		if dst.ids != metas[i].Base {
 			return nil, SegmentMeta{}, fmt.Errorf("core: segment %d starts at IDs %+v, not where the range reached (%+v)",

@@ -58,10 +58,7 @@ func buildSegMeta(t testing.TB, sizes []int) (*SegmentedIndex, []*MetaIndex, []S
 	base := IDBase{}
 	seq := 0
 	for i, sz := range sizes {
-		p, err := NewMetaIndexAt(base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := NewMetaIndexAt(base)
 		for v := 0; v < sz; v++ {
 			fillVideo(t, p, seq)
 			seq++
@@ -197,10 +194,7 @@ func TestMergeSegmentRangeRejectsBaseGap(t *testing.T) {
 			_, parts, metas := buildSegMeta(t, []int{2, 1})
 			base := parts[1].IDState()
 			gap.bump(&base)
-			p, err := NewMetaIndexAt(base)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := NewMetaIndexAt(base)
 			fillVideo(t, p, 3)
 			parts = append(parts, p)
 			metas = append(metas, SegmentMeta{ID: 3, Base: base})

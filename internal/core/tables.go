@@ -153,7 +153,7 @@ var tables = [...]tableCodec{
 
 // DeserializeMetaIndex decodes a meta-index written by encodeTables and
 // restores its ID counters from the largest keys. The result does not alias
-// b, and its Version is 0.
+// b.
 func DeserializeMetaIndex(b []byte) (*MetaIndex, error) {
 	d := &decoder{b: b}
 	if want := binary.AppendUvarint([]byte(streamMagic), uint64(len(tables))); !bytes.Equal(d.take(uint64(len(want))), want) {

@@ -16,7 +16,7 @@ import (
 // empty and non-ASCII strings, nStates state rows (bool packing) and an
 // empty features table.
 func codecIndex(nStates int) *MetaIndex {
-	m, _ := NewMetaIndexAt(IDBase{Video: math.MaxInt64 - 2, Segment: -3, Object: -1})
+	m := NewMetaIndexAt(IDBase{Video: math.MaxInt64 - 2, Segment: -3, Object: -1})
 	v1 := m.AddVideo(Video{Name: "", Path: "/päth/ü.svf", Width: -1, FPS: math.MaxInt64, Frames: math.MinInt64})
 	v2 := m.AddVideo(Video{Name: "Roland-Garros — 東京 ✓", Width: 160, Height: 120, FPS: 25, Frames: 1})
 	s1 := m.AddSegment(Segment{VideoID: v1, Interval: Interval{Start: -5}})
@@ -72,9 +72,6 @@ func TestMetaCodecGolden(t *testing.T) {
 		}
 		if got, want := rowsOf(back), rowsOf(m); got != want {
 			t.Fatalf("%d states: decoded rows\n%s\nwant\n%s", n, got, want)
-		}
-		if back.Version() != 0 {
-			t.Fatalf("decoded index Version = %d, want 0", back.Version())
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != golden {

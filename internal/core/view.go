@@ -9,17 +9,15 @@ import (
 //
 // The reference path answers `Scenes(kind)` by a scan of the events table
 // and a videos scan per event — on every query. The frozen view does that
-// work once per index version: events are grouped by kind, and videos are
+// work once per index state: events are grouped by kind, and videos are
 // pre-joined into per-kind scene runs. After the build, every read-path
 // query is a slice copy with zero table scans.
 //
-// Freshness follows the existing write counter: a view is tagged with the
-// Version() it was built at, and the accessor discards it the moment the
-// version moves. The slot lives behind an atomic pointer with a sync.Once
-// guarding the build, so concurrent readers racing a rebuild agree on a
-// single build per version (the serving path's reader-only contract makes
-// this safe against live Commit/Swap, which install whole new segments and
-// never mutate a served MetaIndex).
+// Freshness: every write drops the slot, and the next read installs a fresh
+// one. The slot lives behind an atomic pointer with a sync.Once guarding
+// the build, so concurrent readers agree on a single build. Writes never
+// race reads: only a private builder writes a MetaIndex, and a served one
+// is never written again.
 //
 // Determinism invariants, locked by TestFrozenViewMatchesReference:
 //   - kindView.events is the events-table row order filtered by kind —
@@ -44,32 +42,26 @@ type metaView struct {
 	kinds      map[string]*kindView
 }
 
-// viewSlot pairs a built (or building) view with the version it belongs to.
+// viewSlot holds a built (or building) view.
 type viewSlot struct {
-	version int64
-	once    sync.Once
-	view    *metaView
+	once sync.Once
+	view *metaView
 }
 
-// frozenView returns the view for the current version, building it at most
-// once per version across all concurrent readers.
+// frozenView returns the view of the index as it stands, building it at
+// most once across all concurrent readers.
 func (m *MetaIndex) frozenView() *metaView {
-	for {
-		cur := m.version.Load()
-		slot := m.viewSlot.Load()
-		if slot == nil || slot.version != cur {
-			fresh := &viewSlot{version: cur}
-			if !m.viewSlot.CompareAndSwap(slot, fresh) {
-				continue // another reader installed a slot; re-examine it
-			}
-			slot = fresh
-		}
-		slot.once.Do(func() {
-			slot.view = m.buildView()
-			m.viewBuilds.Add(1)
-		})
-		return slot.view
+	slot := m.viewSlot.Load()
+	if slot == nil {
+		// Of readers racing here, the first CAS wins and the rest load it.
+		m.viewSlot.CompareAndSwap(nil, &viewSlot{})
+		slot = m.viewSlot.Load()
 	}
+	slot.once.Do(func() {
+		slot.view = m.buildView()
+		m.viewBuilds.Add(1)
+	})
+	return slot.view
 }
 
 // ViewBuilds returns how many times the frozen view has been (re)built —

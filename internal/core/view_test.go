@@ -36,33 +36,6 @@ func randomEventIndex(t testing.TB, seed int64, videos, eventsPerVideo int) *Met
 	return m
 }
 
-// TestMetaIndexVersion locks the write-counter contract the serving-layer
-// cache relies on: every mutation bumps it, reads don't.
-func TestMetaIndexVersion(t *testing.T) {
-	m, err := NewMetaIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := m.Version(); v != 0 {
-		t.Fatalf("fresh index version = %d", v)
-	}
-	vid := m.AddVideo(Video{Name: "x", Frames: 10})
-	if v := m.Version(); v != 1 {
-		t.Fatalf("after AddVideo version = %d", v)
-	}
-	seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 10}, Class: "tennis"})
-	m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{0, 5}})
-	if v := m.Version(); v != 3 {
-		t.Fatalf("after 3 writes version = %d", v)
-	}
-	if _, err := m.Scenes("rally"); err != nil {
-		t.Fatal(err)
-	}
-	if v := m.Version(); v != 3 {
-		t.Fatalf("read bumped version to %d", v)
-	}
-}
-
 // sameErr asserts two errors agree in presence and text: the frozen read
 // path must reproduce the row-store path's error behaviour exactly, not
 // just its success behaviour.
@@ -104,10 +77,7 @@ func chainedParts(t *testing.T, nseg int) ([]*MetaIndex, []SegmentMeta) {
 	metas := make([]SegmentMeta, nseg)
 	var base IDBase
 	for i := 0; i < nseg; i++ {
-		m, err := NewMetaIndexAt(base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := NewMetaIndexAt(base)
 		for v := 0; v < 4; v++ {
 			vid := m.AddVideo(Video{Name: fmt.Sprintf("p%d-v%d", i, v), Frames: 1000})
 			seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 1000}, Class: "tennis"})

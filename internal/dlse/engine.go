@@ -28,12 +28,11 @@ import (
 // Concurrency: an Engine is immutable after New — the webspace graph, the
 // frozen inverted-file segments, and the object→page table are only read —
 // so any number of goroutines may call Search and SearchAll concurrently
-// on one shared Engine. The video segment set is an immutable snapshot;
-// its newest partition may be appended to between queries (single writer,
-// no concurrent readers), and its Version feeds the serving layer's cache
-// invalidation. Growing, compacting or replacing the segment set (a commit,
+// on one shared Engine. The video segment set is an immutable snapshot
+// whose partitions are never written. Any change to it (a batch, a commit,
 // a compaction, a reload) installs a new Engine via WithVideo, which keeps
-// the page lanes.
+// the page lanes and mints the new Snapshot the serving layer's cache is
+// tagged by.
 type Engine struct {
 	space *webspace.Webspace
 	// The two ranked lanes index the same pages under one partition: text

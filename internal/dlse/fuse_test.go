@@ -225,10 +225,7 @@ func withCommittedVideo(t *testing.T, e *Engine, name string, kinds ...string) *
 	}
 	metas := vi.Metas()
 	base := parts[len(parts)-1].IDState()
-	seg, err := core.NewMetaIndexAt(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := core.NewMetaIndexAt(base)
 	id := seg.AddVideo(core.Video{Name: name, FPS: 25, Frames: 100})
 	for _, kind := range kinds {
 		seg.AddEvent(core.Event{VideoID: id, Kind: kind,

@@ -55,10 +55,7 @@ func buildEngineOf(t testing.TB, players int) *dlse.Engine {
 		seg1.AddEvent(core.Event{VideoID: id, SegmentID: sid, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
 	base := seg1.IDState()
-	seg2, err := core.NewMetaIndexAt(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg2 := core.NewMetaIndexAt(base)
 	id := seg2.AddVideo(core.Video{Name: "earlier-commit", FPS: 25, Frames: 300})
 	seg2.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 10, End: 60}, Confidence: 0.7})
 	view, err := core.NewSegmentedIndex(
@@ -277,10 +274,7 @@ func commitEngine(t *testing.T, e *dlse.Engine) *dlse.Engine {
 	}
 	metas := vi.Metas()
 	base := parts[len(parts)-1].IDState()
-	seg, err := core.NewMetaIndexAt(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := core.NewMetaIndexAt(base)
 	id := seg.AddVideo(core.Video{Name: "live-commit", FPS: 25, Frames: 200})
 	seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 5, End: 45}, Confidence: 0.6})
 	view, err := core.NewSegmentedIndex(append(parts, seg),

@@ -113,10 +113,7 @@ func wireAdmin(t *testing.T, srv *Server, idx *core.MetaIndex) {
 	}
 	srv.SetCommitter(func(ctx context.Context, paths []string, token string) error {
 		base := parts[len(parts)-1].IDState()
-		seg, err := core.NewMetaIndexAt(base)
-		if err != nil {
-			return err
-		}
+		seg := core.NewMetaIndexAt(base)
 		vid := seg.AddVideo(core.Video{Name: "committed-clip", FPS: 25, Frames: 100})
 		seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
 			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7})
@@ -200,6 +197,15 @@ func TestV2CompactAndAdminClient(t *testing.T) {
 	// A second compact is a no-op.
 	if co2 := postJSON(t, ts.URL, "/v2/compact", `{"target":0}`, http.StatusOK); co2["changed"] != false {
 		t.Fatal("compacting one segment reported a change")
+	}
+
+	// A reload of the same segment set mints a snapshot and keeps the
+	// generation; /healthz and /debug/vars report both alike.
+	srv.Swap(srv.Engine().WithVideo(srv.Engine().VideoIndex()))
+	h := getJSON(t, ts.URL, "/healthz", http.StatusOK)
+	if m := metricsJSON(t, ts.URL); m["generation"] != co["generation"] || h["generation"] != co["generation"] ||
+		m["snapshot"] != h["snapshot"] || h["snapshot"] != float64(srv.Engine().Snapshot()) {
+		t.Fatalf("after a reload: /debug/vars %v, /healthz %v, want generation %v", m, h, co["generation"])
 	}
 
 	// Commit with no paths: typed 400.

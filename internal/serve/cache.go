@@ -12,10 +12,11 @@ import (
 )
 
 // cache is a sharded LRU mapping canonical query keys to results. Each
-// entry is tagged with the meta-index version observed when it was filled;
-// a lookup whose version no longer matches misses (and evicts), so the
-// cache can never serve results computed against a superseded index. Purge
-// provides explicit whole-cache invalidation on top of that. The server's
+// entry is tagged when it is filled (the server tags with the engine
+// snapshot that computed it); a lookup under another tag misses (and
+// evicts), so the cache can never serve results computed against a
+// superseded engine. Purge provides explicit whole-cache invalidation on
+// top of that. The server's
 // own cache holds *dlse.ResultSet.
 type cache[V any] struct {
 	shards []*cacheShard
@@ -35,9 +36,9 @@ type cacheShard struct {
 }
 
 type cacheEntry[V any] struct {
-	key     string
-	version int64
-	value   V
+	key   string
+	tag   int64
+	value V
 }
 
 // NewCache builds a cache holding up to capacity entries spread over the
@@ -83,9 +84,9 @@ func (c *cache[V]) shard(key string) *cacheShard {
 	return c.shards[h%uint32(len(c.shards))]
 }
 
-// Get returns the cached value for key if present and filled at the given
-// version. A version mismatch evicts the stale entry and misses.
-func (c *cache[V]) Get(key string, version int64) (V, bool) {
+// Get returns the cached value for key if present and filled under the
+// given tag. A tag mismatch evicts the stale entry and misses.
+func (c *cache[V]) Get(key string, tag int64) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,7 +97,7 @@ func (c *cache[V]) Get(key string, version int64) (V, bool) {
 		return zero, false
 	}
 	ent := el.Value.(*cacheEntry[V])
-	if ent.version != version {
+	if ent.tag != tag {
 		s.ll.Remove(el)
 		delete(s.m, key)
 		c.misses.Add(1)
@@ -107,15 +108,15 @@ func (c *cache[V]) Get(key string, version int64) (V, bool) {
 	return ent.value, true
 }
 
-// Put stores the value under key, tagged with the index version it was
-// computed against, evicting the shard's least recently used entry if full.
-func (c *cache[V]) Put(key string, version int64, value V) {
+// Put stores the value under key with the given tag, evicting the shard's
+// least recently used entry if full.
+func (c *cache[V]) Put(key string, tag int64, value V) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
 		ent := el.Value.(*cacheEntry[V])
-		ent.version = version
+		ent.tag = tag
 		ent.value = value
 		s.ll.MoveToFront(el)
 		return
@@ -125,11 +126,11 @@ func (c *cache[V]) Put(key string, version int64, value V) {
 		s.ll.Remove(back)
 		delete(s.m, back.Value.(*cacheEntry[V]).key)
 	}
-	s.m[key] = s.ll.PushFront(&cacheEntry[V]{key: key, version: version, value: value})
+	s.m[key] = s.ll.PushFront(&cacheEntry[V]{key: key, tag: tag, value: value})
 }
 
-// Purge drops every entry — the explicit invalidation hook for callers that
-// mutate the engine out of band.
+// Purge drops every entry — the explicit invalidation hook Swap uses to free
+// what a superseded engine filled.
 func (c *cache[V]) Purge() {
 	for _, s := range c.shards {
 		s.mu.Lock()

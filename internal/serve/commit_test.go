@@ -101,10 +101,7 @@ func TestV2CommitEndpoint(t *testing.T) {
 		gotPaths = paths
 		gotToken = token
 		base := idx.IDState()
-		seg, err := core.NewMetaIndexAt(base)
-		if err != nil {
-			return err
-		}
+		seg := core.NewMetaIndexAt(base)
 		vid := seg.AddVideo(core.Video{Name: "committed-clip", FPS: 25, Frames: 100})
 		seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
 			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7})

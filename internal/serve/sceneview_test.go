@@ -13,12 +13,10 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestSceneViewObservability(t *testing.T) {
-	e, idx := fixture(t)
+	e, _ := fixture(t)
 	ts := httptest.NewServer(New(e, Options{}))
 	defer ts.Close()
 
@@ -65,21 +63,8 @@ func TestSceneViewObservability(t *testing.T) {
 		t.Fatalf("second scene query view = %q, want cached", v)
 	}
 
-	// A write invalidates the view; the next scene query rebuilds it.
-	scenes, err := idx.Scenes("net-play")
-	if err != nil || len(scenes) == 0 {
-		t.Fatalf("scenes: %v, %v", scenes, err)
-	}
-	idx.AddEvent(core.Event{
-		VideoID: scenes[0].Video.ID, Kind: "net-play",
-		Interval: core.Interval{Start: 300, End: 350}, Confidence: 0.5,
-	})
-	if v := viewOf(get("kind=net-play&explain=1"), "scenes"); v != "rebuilt" {
-		t.Fatalf("post-write scene query view = %q, want rebuilt", v)
-	}
-
-	// Queries after the rebuild answer from the view again. A different
-	// kind keeps the answer cache from short-circuiting the execution.
+	// Later queries keep answering from the view. A different kind keeps
+	// the answer cache from short-circuiting the execution.
 	if v := viewOf(get("kind=rally&explain=1"), "scenes"); v != "cached" {
 		t.Fatalf("follow-up scene query view = %q, want cached", v)
 	}
@@ -91,7 +76,7 @@ func TestSceneViewObservability(t *testing.T) {
 	}
 
 	// /metrics: the cumulative build count in Prometheus counter form —
-	// one build from the first scene query, one from the post-write rebuild.
+	// the one build of the first scene query.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +89,7 @@ func TestSceneViewObservability(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		"# TYPE dl_sceneview_builds_total counter",
-		"dl_sceneview_builds_total 2",
+		"dl_sceneview_builds_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -122,7 +107,7 @@ func TestSceneViewObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := vars["sceneview_builds"].(float64); got != 2 {
-		t.Fatalf("/debug/vars sceneview_builds = %v, want 2", vars["sceneview_builds"])
+	if got, _ := vars["sceneview_builds"].(float64); got != 1 {
+		t.Fatalf("/debug/vars sceneview_builds = %v, want 1", vars["sceneview_builds"])
 	}
 }

@@ -76,39 +76,6 @@ func TestQueryColdThenCached(t *testing.T) {
 	}
 }
 
-// TestCacheNeverStaleAfterIndexUpdate is the staleness contract: after the
-// meta-index changes (no explicit purge), the next lookup must miss and
-// recompute against the new index.
-func TestCacheNeverStaleAfterIndexUpdate(t *testing.T) {
-	e, idx := fixture(t)
-	s := New(e, Options{})
-
-	before, _, err := search(s, dlse.Query{Scenes: "net-play"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, cached, _ := search(s, dlse.Query{Scenes: "net-play"}); !cached {
-		t.Fatal("warm scenes lookup missed")
-	}
-
-	// Single writer, no concurrent readers: append one more event.
-	idx.AddEvent(core.Event{
-		VideoID: before.Items[0].Scene.Video.ID, Kind: "net-play",
-		Interval: core.Interval{Start: 300, End: 350}, Confidence: 0.5,
-	})
-
-	after, cached, err := search(s, dlse.Query{Scenes: "net-play"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("stale entry served after index update")
-	}
-	if len(after.Items) != len(before.Items)+1 {
-		t.Fatalf("after update: %d scenes, want %d", len(after.Items), len(before.Items)+1)
-	}
-}
-
 func TestInvalidateCache(t *testing.T) {
 	e, _ := fixture(t)
 	s := New(e, Options{})

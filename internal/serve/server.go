@@ -34,10 +34,9 @@ type Options struct {
 // the snapshot they started on (engines are immutable, so they finish
 // correctly), new requests see the new snapshot, and the result cache can
 // never serve an answer computed on a superseded snapshot — entries are
-// tagged with a version that folds in the swap generation.
+// tagged with the snapshot ID of the engine that computed them.
 type Server struct {
 	engine    atomic.Pointer[dlse.Engine]
-	gen       atomic.Int64 // swap/commit generation, folded into cache versions
 	reloader  atomic.Pointer[func(context.Context) (*dlse.Engine, error)]
 	committer atomic.Pointer[func(context.Context, []string, string) error]
 	compactor atomic.Pointer[func(context.Context, int) (bool, error)]
@@ -115,7 +114,9 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	reg.CounterFunc("sceneview_builds", func() int64 {
 		return s.engine.Load().VideoIndex().ViewBuilds()
 	})
-	reg.GaugeFunc("generation", func() float64 { return float64(s.gen.Load()) })
+	reg.GaugeFunc("generation", func() float64 {
+		return float64(s.engine.Load().VideoIndex().Generation())
+	})
 	reg.GaugeFunc("snapshot", func() float64 { return float64(s.engine.Load().Snapshot()) })
 	reg.GaugeFunc("uptime_sec", func() float64 { return time.Since(s.start).Seconds() })
 	s.mux = http.NewServeMux()
@@ -136,12 +137,11 @@ func (s *Server) Engine() *dlse.Engine { return s.engine.Load() }
 
 // Swap atomically installs a new engine snapshot. In-flight queries finish
 // against the snapshot they started on; subsequent requests (and cache
-// versioning) see the new one. The old cache entries are purged eagerly —
-// even unpurged they could never be served, since the version tag of every
-// lookup now carries the bumped swap generation.
+// tags) see the new one. The old cache entries are purged eagerly — even
+// unpurged they could never be served, since every lookup is tagged with
+// the new engine's snapshot ID.
 func (s *Server) Swap(engine *dlse.Engine) {
 	s.engine.Store(engine)
-	s.gen.Add(1)
 	s.InvalidateCache()
 }
 
@@ -179,9 +179,9 @@ func (s *Server) SetCompactor(fn func(ctx context.Context, target int) (bool, er
 // time.
 func (s *Server) Metrics() *Registry { return s.metrics }
 
-// InvalidateCache drops every cached result. Callers that mutate the
-// meta-index do not strictly need it — entries are version-tagged and a
-// stale entry can never be served — but purging eagerly frees the memory.
+// InvalidateCache drops every cached result. Swap does not strictly need
+// it — entries are snapshot-tagged and a stale entry can never be served —
+// but purging eagerly frees the memory.
 func (s *Server) InvalidateCache() {
 	if s.cache != nil {
 		s.cache.Purge()
@@ -217,34 +217,6 @@ func (s *Server) release() {
 	}
 }
 
-// version is the tag cache entries are stored and looked up under: the
-// swap generation in the high bits, the current snapshot's meta-index
-// write version in the low ones. Either kind of index change — an in-place
-// append or a whole-engine swap — moves the version, so a stale entry can
-// never match a fresh lookup.
-func (s *Server) version() int64 {
-	return s.gen.Load()<<32 | s.engine.Load().VideoIndex().Version()&0xffffffff
-}
-
-// pin snapshots the engine together with the cache version tag any fill
-// against it must use. Reading the generation on both sides of the engine
-// load makes the pair consistent: Swap stores the engine before bumping
-// the generation, so an engine observed under an unchanged generation can
-// never be older than that generation — a fill can therefore never be
-// stored under a tag newer than the engine that computed it (which would
-// let a pre-swap result serve as fresh forever). The benign race direction
-// (new engine under the old generation, when pin straddles a Swap) only
-// produces an entry that can never match again.
-func (s *Server) pin() (*dlse.Engine, int64) {
-	for {
-		gen := s.gen.Load()
-		e := s.engine.Load()
-		if s.gen.Load() == gen {
-			return e, gen<<32 | e.VideoIndex().Version()&0xffffffff
-		}
-	}
-}
-
 // Search answers a unified query with cursor pagination, consulting the
 // cache. What is cached, under the query's canonical key, is the result set
 // of one execution — the whole answer of a combined or scene query, the
@@ -257,13 +229,13 @@ func (s *Server) pin() (*dlse.Engine, int64) {
 // performed. The bool reports whether the answer came from the cache.
 //
 // A miss takes a worker slot, executes to the depth the page needs, and
-// stores the result under the version tag pinned together with the engine
-// it ran against (see pin). The tag is observed *before* the execution, so
-// an index write or swap racing it can only make the entry stale-tagged (it
-// will never match again), never falsely fresh.
+// stores the result tagged with the snapshot ID of the engine it ran
+// against: engines are immutable, so the tag names exactly the index state
+// that computed the entry, and a Swap racing the execution can only leave
+// an entry that never matches again.
 func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, limit int, explain bool) (*dlse.ResultSet, bool, error) {
 	s.queries.Add(1)
-	e, ver := s.pin()
+	e := s.engine.Load()
 	nq, key, err := e.Normalize(q)
 	if err != nil {
 		return nil, false, err
@@ -283,7 +255,7 @@ func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 	var full *dlse.ResultSet
 	hit := false
 	if useCache {
-		if full, hit = s.cache.Get(key, ver); hit {
+		if full, hit = s.cache.Get(key, e.Snapshot()); hit {
 			if held := full.Held(); held == full.Total || depth > 0 && held >= depth {
 				rs, err := full.Page(cursor, limit)
 				return rs, err == nil, err
@@ -299,7 +271,7 @@ func (s *Server) Search(ctx context.Context, q dlse.Query, cursor dlse.Cursor, l
 			return nil, false, err
 		}
 		if useCache {
-			s.cache.Put(key, ver, full)
+			s.cache.Put(key, e.Snapshot(), full)
 		}
 	}
 	rs, err := full.Page(cursor, limit)
@@ -328,7 +300,7 @@ type (
 		Events       int     `json:"events"`
 		Segments     int     `json:"segments"`
 		Generation   int64   `json:"generation"`
-		IndexVersion int64   `json:"indexVersion"`
+		Snapshot     int64   `json:"snapshot"`
 		CacheEntries int     `json:"cacheEntries"`
 		CacheHits    int64   `json:"cacheHits"`
 		CacheMisses  int64   `json:"cacheMisses"`
@@ -392,7 +364,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Events:       stats.Events,
 		Segments:     e.VideoIndex().NumSegments(),
 		Generation:   e.VideoIndex().Generation(),
-		IndexVersion: s.version(),
+		Snapshot:     e.Snapshot(),
 		CacheEntries: entries,
 		CacheHits:    hits,
 		CacheMisses:  misses,

@@ -45,10 +45,7 @@ func fixture(t testing.TB) *dlse.Engine {
 		seg1.AddEvent(core.Event{VideoID: id, SegmentID: sid, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 	}
 	base := seg1.IDState()
-	seg2, err := core.NewMetaIndexAt(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg2 := core.NewMetaIndexAt(base)
 	id := seg2.AddVideo(core.Video{Name: "late-commit", FPS: 25, Frames: 300})
 	seg2.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 10, End: 60}, Confidence: 0.7})
 	view, err := core.NewSegmentedIndex(

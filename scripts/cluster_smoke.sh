@@ -4,7 +4,8 @@
 # that the cluster answers byte-identical to a single node (scattered kw=
 # and kind= forms, proxied q= form, cursor pagination in every ranked lane),
 # that a commit applied to every node shows up through the router (in the
-# scene and the hybrid lane), that killing one node
+# scene and the hybrid lane) with each node's /healthz agreeing with its
+# /metrics on generation and snapshot, that killing one node
 # of a replicas=2 cluster keeps answers identical, and that the router's
 # Prometheus /metrics counted the work. Run via `make cluster-smoke`; CI
 # runs it alongside the race job.
@@ -144,6 +145,19 @@ before=$(curl -s "$router/v2/search?kind=rally" | jq '.total // 0')
 for p in "$port1" "$port2"; do
     curl -fsS -X POST "http://127.0.0.1:$p/v2/commit" \
         -d "{\"paths\":[\"$tmp/corpus/clip-000.svf\"]}" | jq -e '.segments == 2' >/dev/null
+done
+# Each node reports one segment-set generation and one engine snapshot:
+# /healthz and /metrics must agree on both.
+for p in "$port1" "$port2"; do
+    m=$(curl -fsS "http://127.0.0.1:$p/metrics")
+    gen=$(echo "$m" | awk '$1 == "dl_generation" {print $2}')
+    snap=$(echo "$m" | awk '$1 == "dl_snapshot" {print $2}')
+    curl -fsS "http://127.0.0.1:$p/healthz" |
+        jq -e --argjson gen "${gen:-null}" --argjson snap "${snap:-null}" \
+            '.generation == $gen and .snapshot == $snap' >/dev/null || {
+        echo "cluster-smoke: node $p: /healthz disagrees with dl_generation=$gen dl_snapshot=$snap" >&2
+        exit 1
+    }
 done
 after=$(curl -fsS "$router/v2/search?kind=rally" | jq .total)
 if [ "$after" -le "$before" ]; then

@@ -64,14 +64,14 @@ func segmentBytes(t testing.TB, m *core.MetaIndex) []byte {
 	return buf.Bytes()
 }
 
-// newest is the library's newest segment, the write target of IndexBatch.
+// newest is the library's newest segment, the one IndexBatch grows.
 func newest(t testing.TB, lib *Library) *core.MetaIndex {
 	t.Helper()
-	m, err := lib.head()
+	parts, err := lib.View().Parts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return parts[len(parts)-1]
 }
 
 // TestOpenNotASegfile: every loader refuses input without the segfile magic

@@ -10,10 +10,13 @@ package repro
 // row-store reference afterwards.
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestFrozenViewHammerRace(t *testing.T) {
@@ -131,5 +134,88 @@ func TestFrozenViewHammerRace(t *testing.T) {
 		if !reflect.DeepEqual(pinnedNow, goldenScenes[kind]) {
 			t.Fatalf("pinned snapshot drifted for %q", kind)
 		}
+	}
+}
+
+// TestIndexBatchLeavesViewsAlone: IndexBatch grows a private copy of the
+// newest segment and installs it as a new view, so a View taken before the
+// batch answers, counts and serializes exactly as it did — while a reader
+// scans it during the batch (run under -race by `make race`).
+func TestIndexBatchLeavesViewsAlone(t *testing.T) {
+	jobs := batchJobs(batchTestCorpus(t))
+	lib := buildSegmentedLib(t, jobs[:2], 2)
+	kinds := []string{"rally", "net-play", "service"}
+
+	v := lib.View()
+	stats := v.Stats()
+	scenes := make(map[string][]Scene, len(kinds))
+	for _, kind := range kinds {
+		got, err := v.Scenes(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenes[kind] = got
+	}
+	saved := func() []byte {
+		t.Helper()
+		parts, err := v.Parts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := core.WriteSegfile(&buf, parts, v.Metas(), v.Generation()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := saved()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			kind := kinds[i%len(kinds)]
+			got, err := v.Scenes(kind)
+			if err != nil {
+				t.Errorf("scenes during the batch: %v", err)
+				return
+			}
+			if !reflect.DeepEqual(got, scenes[kind]) {
+				t.Errorf("%s scenes changed during the batch", kind)
+				return
+			}
+		}
+	}()
+	_, err := lib.IndexBatch(context.Background(), jobs[2:4], BatchOptions{Workers: 2})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got := v.Stats(); got != stats {
+		t.Fatalf("view stats %+v after the batch, %+v before", got, stats)
+	}
+	for _, kind := range kinds {
+		got, err := v.Scenes(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, scenes[kind]) {
+			t.Fatalf("%s scenes of the view changed after the batch", kind)
+		}
+	}
+	if !bytes.Equal(saved(), before) {
+		t.Fatal("the view serializes differently after the batch")
+	}
+	if got := lib.View().Stats().Videos; got != stats.Videos+2 {
+		t.Fatalf("library holds %d videos after the batch, want %d", got, stats.Videos+2)
 	}
 }
