@@ -154,6 +154,25 @@ func (s *SegmentedIndex) ViewBuilds() int64 {
 	return n
 }
 
+// RetiredViewBuilds sums the frozen-view build counters of the partitions
+// s has resolved that next does not hold: the builds dl_sceneview_builds_total
+// must keep when next replaces s, so that the counter never falls.
+func (s *SegmentedIndex) RetiredViewBuilds(next *SegmentedIndex) int64 {
+	held := make(map[*MetaIndex]bool, len(next.parts))
+	for _, c := range next.parts {
+		if p := c.Peek(); p != nil {
+			held[p] = true
+		}
+	}
+	var n int64
+	for _, c := range s.parts {
+		if p := c.Peek(); p != nil && !held[p] {
+			n += p.ViewBuilds()
+		}
+	}
+	return n
+}
+
 // partOf returns the partition owning the given video ID (the last
 // partition whose video base is below it); a video's shots, objects and
 // events all live in the partition its row does.

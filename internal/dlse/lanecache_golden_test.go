@@ -16,8 +16,12 @@ package dlse
 // which drops the idf block and keeps every other field
 // (TestTextFormat5EqualsFormat4 compares them with format 4's field by field
 // and format 4's idf bits with the union idf; that test is what allows this
-// one re-recording); the page answers it serves are pinned across all four
-// changes by goldenLanePages. The vector hash was re-recorded once for vec
+// one re-recording), and once for text format 6, which stores a list of more
+// than a sixteenth of its segment as a bitmap and a list of every document
+// as nothing (TestTextFormat6EqualsFormat5 reads every list's doc IDs back
+// and compares them with format 5's field by field; that test is what allows
+// this one re-recording); the page answers it serves are pinned across all
+// five changes by goldenLanePages. The vector hash was re-recorded once for vec
 // format 2, which stores each coordinate as the embedder's integer count at
 // the narrowest width plus one scale per page, and no page names
 // (TestVecFormat2EqualsFormat1 rebuilds every coordinate bit for bit);
@@ -39,7 +43,7 @@ import (
 // Sha256 of the text and vector segfile caches a cold build writes for
 // laneCacheSite at four text segments.
 const (
-	goldenTextCache = "fe837a34d8ac749e0be53cd0dff5b3b9224a8fcf0cf6bd2fb55cb64edee5e5d6"
+	goldenTextCache = "9e419f2999ccecb2267665b438dc048e7e6201105d5cad1bee0d10267bf639e7"
 	goldenVecCache  = "8199d591a1533ce8c121d59fc487f9dce241082bd27b486e516b5c0e3401dde7"
 )
 
@@ -81,11 +85,12 @@ func TestPageLaneCacheGolden(t *testing.T) {
 }
 
 // textCacheBytes is the size of the text cache a cold build writes for
-// laneCacheSite at four text segments, measured when the idf block went
-// (text format 5; format 4, each posting's TF and impact in its term's book,
-// wrote 156,115 bytes, format 3, the integer columns at their narrowest
-// widths, 216,367, and format 2 329,431).
-const textCacheBytes = 138579
+// laneCacheSite at four text segments, measured when dense lists became
+// bitmaps (text format 6; format 5, without the idf block, wrote 138,579
+// bytes, format 4, each posting's TF and impact in its term's book, 156,115,
+// format 3, the integer columns at their narrowest widths, 216,367, and
+// format 2 329,431).
+const textCacheBytes = 110091
 
 // TestTextCacheSize holds the text cache of laneCacheSite at four segments to
 // textCacheBytes plus 2 %, and logs what it costs per posting.

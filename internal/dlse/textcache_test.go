@@ -134,8 +134,10 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 // build wrote for cacheSite(3) at two text segments, text-v2.segf the
 // format-2 cache (8-byte postings) the last format-2 build wrote for the same
 // site, text-v3.segf the format-3 cache (per-posting TF and impact
-// columns) the last format-3 build wrote for it, and text-v4.segf the
-// format-4 cache (with the idf block) the last format-4 build wrote for it.
+// columns) the last format-3 build wrote for it, text-v4.segf the format-4
+// cache (with the idf block) the last format-4 build wrote for it, and
+// text-v5.segf the format-5 cache (every list a doc-ID range) the last
+// format-5 build wrote for it.
 // Their signatures match, so only their version refuses them: the boot
 // rebuilds, replaces the file with the cache a fresh cold build writes, and
 // answers as a cache-free build does.
@@ -145,7 +147,7 @@ func TestTextSegfileCacheOldVersionRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []string{"1", "2", "3", "4"} {
+	for _, version := range []string{"1", "2", "3", "4", "5"} {
 		t.Run("v"+version, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("testdata", "text-v"+version+".segf"))
 			if err != nil {
@@ -226,7 +228,9 @@ func (s textSeg) postings() int {
 // the column's largest value), 4 (version 3 with each posting's TF and
 // impact read through its code into its term's book, whose pairs must be
 // distinct, in first-appearance order and all used) or 5 (version 4 without
-// the idf block).
+// the idf block) or 6 (version 5 with each list of more than a sixteenth of
+// its segment stored as a bitmap, and each list of every document as
+// nothing: denseDocs reads their doc IDs back).
 func decodeTextFile(t *testing.T, path string) textFile {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -308,14 +312,25 @@ func decodeTextFile(t *testing.T, path string) textFile {
 			tfs = uints(pre+"posttf", int(widths[2]), true)
 			doclen = uints(pre+"doclen", int(widths[3]), true)
 			imp = block(pre + "postimp")
-		case 4, 5:
+		case 4, 5, 6:
 			var entries uint64
-			var w [6]uint8 // offsets, doc IDs, codes, lengths, book offsets, book TFs
-			if err := r.Record(pre+"meta", &meta, &entries, &w); err != nil {
+			var w [6]uint8      // offsets, doc IDs, codes, lengths, book offsets, book TFs
+			var dense [2]uint32 // format 6: bitmap and full lists
+			var dw [3]uint8     // format 6: bitmap and full ordinals, rank samples
+			if head.Version < 6 {
+				if err := r.Record(pre+"meta", &meta, &entries, &w); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := r.Record(pre+"meta", &meta, &entries, &w, &dense, &dw); err != nil {
 				t.Fatal(err)
 			}
 			postoff = uints(pre+"postoff", int(w[0]), true)
 			docs = uints(pre+"postdoc", int(w[1]), true)
+			if head.Version == 6 {
+				docs = denseDocs(t, path, i, int(meta.Docs), postoff, docs, dense,
+					uints(pre+"bitord", int(dw[0]), true), uints(pre+"fullord", int(dw[1]), true),
+					uints(pre+"bitmap", 8, false), uints(pre+"bitrank", int(dw[2]), true))
+			}
 			codes := uints(pre+"postcode", int(w[2]), true)
 			doclen = uints(pre+"doclen", int(w[3]), true)
 			bookoff := uints(pre+"bookoff", int(w[4]), true)
@@ -393,6 +408,77 @@ func decodeTextFile(t *testing.T, path string) textFile {
 	return f
 }
 
+// denseDocs returns the doc IDs of segment i of a format-6 text cache of
+// docs documents in term order, as formats 2-5 store them: each term's
+// list read from the sparse doc-ID column, its bitmap or, for a full list,
+// every document. It checks the storage rule on every list, that the
+// bitmap and full ordinals ascend, that no bit is set past the last
+// document, and that rank sample j counts the set bits of the bitmap's
+// first 8(j+1) words.
+func denseDocs(t *testing.T, path string, i, docs int, postoff, sparse []uint64, dense [2]uint32, bitord, fullord, bitmap, ranks []uint64) []uint64 {
+	t.Helper()
+	words := (docs + 63) / 64
+	samples := 0
+	if words > 0 {
+		samples = (words - 1) / 8
+	}
+	if len(bitord) != int(dense[0]) || len(fullord) != int(dense[1]) || len(bitmap) != words*len(bitord) || len(ranks) != samples*len(bitord) {
+		t.Fatalf("%s segment %d: dense columns disagree with the record %v", path, i, dense)
+	}
+	var out []uint64
+	for o := 0; o+1 < len(postoff); o++ {
+		n := int(postoff[o+1] - postoff[o])
+		switch {
+		case len(fullord) > 0 && fullord[0] == uint64(o):
+			if n != docs {
+				t.Fatalf("%s segment %d: full term %d holds %d of %d docs", path, i, o, n, docs)
+			}
+			fullord = fullord[1:]
+			for d := 0; d < docs; d++ {
+				out = append(out, uint64(d))
+			}
+		case len(bitord) > 0 && bitord[0] == uint64(o):
+			if 16*n <= docs || n == docs {
+				t.Fatalf("%s segment %d: bitmap term %d holds %d of %d docs", path, i, o, n, docs)
+			}
+			bitord = bitord[1:]
+			bm := bitmap[:words]
+			bitmap = bitmap[words:]
+			held := 0
+			for w, x := range bm {
+				if w > 0 && w%8 == 0 {
+					if ranks[w/8-1] != uint64(held) {
+						t.Fatalf("%s segment %d: term %d's rank sample %d is %d, not %d", path, i, o, w/8-1, ranks[w/8-1], held)
+					}
+				}
+				for b := 0; b < 64; b++ {
+					if x>>b&1 == 1 {
+						if w*64+b >= docs {
+							t.Fatalf("%s segment %d: term %d's bitmap holds doc %d of %d", path, i, o, w*64+b, docs)
+						}
+						out = append(out, uint64(w*64+b))
+						held++
+					}
+				}
+			}
+			ranks = ranks[samples:]
+			if held != n {
+				t.Fatalf("%s segment %d: term %d's bitmap holds %d docs for %d postings", path, i, o, held, n)
+			}
+		default:
+			if 16*n > docs {
+				t.Fatalf("%s segment %d: sparse term %d holds %d of %d docs", path, i, o, n, docs)
+			}
+			out = append(out, sparse[:n]...)
+			sparse = sparse[n:]
+		}
+	}
+	if len(bitord)+len(fullord)+len(sparse) != 0 {
+		t.Fatalf("%s segment %d: %d bitmap and %d full ordinals, %d doc IDs left over", path, i, len(bitord), len(fullord), len(sparse))
+	}
+	return out
+}
+
 // TestTextFormat3EqualsFormat2 is the evidence behind re-recording the text
 // cache's byte goldens for format 3: the committed format-2 cache of
 // cacheSite(3) at two segments (written by the last format-2 build) and the
@@ -418,17 +504,13 @@ func TestTextFormat4EqualsFormat3(t *testing.T) {
 
 // TestTextFormat5EqualsFormat4 is the evidence behind re-recording the text
 // cache's byte goldens for format 5: the committed format-4 cache of
-// cacheSite(3) at two segments and a format-5 build of the same site hold
-// the same header, and per segment the same dictionary, per-term doc IDs,
-// TFs and impact bits, names and doc lengths. Format 5 drops the idf block;
-// what format 4 stored there is each term's BM25 idf over the union
-// collection, its document frequency the summed length of the term's lists,
-// which the impacts already fold in.
+// cacheSite(3) at two segments and the committed format-5 cache of the same
+// site (written by the last format-5 build) hold the same header, and per
+// segment the same dictionary, per-term doc IDs, TFs and impact bits, names
+// and doc lengths. Format 5 drops the idf block; what format 4 stored there
+// is each term's BM25 idf over the union collection, its document frequency
+// the summed length of the term's lists, which the impacts already fold in.
 func TestTextFormat5EqualsFormat4(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "text.segf")
-	if _, err := NewSegmented(cacheSite(t, 3), nil, Options{TextSegments: 2, TextSegfile: path}); err != nil {
-		t.Fatal(err)
-	}
 	old := decodeTextFile(t, filepath.Join("testdata", "text-v4.segf"))
 	df := map[string]int{}
 	for _, seg := range old.segs {
@@ -450,9 +532,40 @@ func TestTextFormat5EqualsFormat4(t *testing.T) {
 		}
 		seg.idf = nil
 	}
-	cur := decodeTextFile(t, path)
+	cur := decodeTextFile(t, filepath.Join("testdata", "text-v5.segf"))
 	if !reflect.DeepEqual(old, cur) {
-		t.Fatal("the format-5 build differs from the format-4 cache outside the idf block")
+		t.Fatal("the format-5 cache differs from the format-4 cache outside the idf block")
+	}
+}
+
+// TestTextFormat6EqualsFormat5 is the evidence behind re-recording the text
+// cache's byte goldens for format 6: the committed format-5 cache of
+// cacheSite(3) at two segments and a format-6 build of the same site hold
+// the same header, and per segment the same dictionary, per-term doc IDs,
+// TFs and impact bits, names and doc lengths. Format 6 stores a list of
+// more than a sixteenth of its segment as a bitmap and a list of every
+// document as nothing; decodeTextFile reads their doc IDs back and checks
+// the rule on every list. Both storage kinds must occur.
+func TestTextFormat6EqualsFormat5(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "text.segf")
+	if _, err := NewSegmented(cacheSite(t, 3), nil, Options{TextSegments: 2, TextSegfile: path}); err != nil {
+		t.Fatal(err)
+	}
+	sameTextFile(t, filepath.Join("testdata", "text-v5.segf"), path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := segfile.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"bitord", "fullord"} {
+		b0, _ := r.Block("ir/0/" + kind)
+		b1, _ := r.Block("ir/1/" + kind)
+		if len(b0)+len(b1) == 0 {
+			t.Errorf("the format-6 build stores no %s", kind)
+		}
 	}
 }
 

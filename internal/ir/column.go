@@ -87,6 +87,19 @@ func (c column) set(i int, x uint64) {
 	}
 }
 
+// len returns the number of values.
+func (c column) len() int {
+	switch v := c.vals.(type) {
+	case []uint8:
+		return len(v)
+	case []uint16:
+		return len(v)
+	case []uint32:
+		return len(v)
+	}
+	return len(c.vals.([]uint64))
+}
+
 // width returns the column's width in bytes.
 func (c column) width() uint8 {
 	switch c.vals.(type) {

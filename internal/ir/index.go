@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,13 @@ type Posting struct {
 //
 // A frozen index holds its dictionary as one sorted term table and each
 // term's postings as a range of flat columns aligned with it: term ordinal o
-// owns the postings [postOff[o], postOff[o+1]) (doc order) — their doc IDs
-// in docs and, in codes, each posting's entry in the term's book — and the
-// book entries [bookOff[o], bookOff[o+1]). A term's book holds the distinct
+// owns the postings [postOff[o], postOff[o+1]) (doc order) — in codes, each
+// posting's entry in the term's book — and the book entries [bookOff[o],
+// bookOff[o+1]). Where a list's documents are depends on how much of the
+// segment it covers (bitmap.go): a sparse list's doc IDs are a range of docs,
+// a longer list is a bitmap in bitmap (its term ordinal in bitOrd, a rank
+// sample every few words in ranks), and a list of every document (its
+// ordinal in fullOrd) stores none. A term's book holds the distinct
 // (TF, impact) pairs of its postings in first-appearance order: their term
 // frequencies in bookTF and in bookImp their float32 impacts, each a
 // posting's full BM25 contribution with idf, tf saturation and
@@ -37,14 +42,13 @@ type Posting struct {
 // pairs (at most 3 at dlbench's site), so a book is short and a code
 // narrower than the impact it names; the book's largest impact is the
 // term's bound in the top-k kernel (maxscore.go). The
-// integer columns (postOff, docs, codes, bookOff, bookTF, doclen) are each
-// stored at the narrowest width that holds their largest value (column.go);
-// only Freeze and postings read bookTF, and the kernel reads docs, codes and
-// bookImp alone. This is the text segfile's layout: an index opened from a
-// file aliases the file's blocks, and a heap build holds the same columns,
-// built once by Freeze. A query term is found by binary search over the
-// table. (SearchTopN's budget mode derives an impact order from these; see
-// topn.go.)
+// integer columns (postOff, docs, codes, bookOff, bookTF, bitOrd, fullOrd,
+// ranks, doclen) are each stored at the narrowest width that holds their
+// largest value (column.go); only Freeze and postings read bookTF. This is
+// the text segfile's layout: an index opened from a file aliases the file's
+// blocks, and a heap build holds the same columns, built once by Freeze. A
+// query term is found by binary search over the table. (SearchTopN's budget
+// mode derives an impact order from these; see topn.go.)
 //
 // Concurrency: the index has a strict build-then-serve life cycle. Add and
 // Freeze mutate and must run from a single goroutine; after Freeze every
@@ -65,11 +69,17 @@ type Index struct {
 
 	dict    segfile.Table // sorted, non-empty, distinct terms
 	postOff column
-	docs    column
+	docs    column // the sparse lists' doc IDs
 	codes   column
 	bookOff column
 	bookTF  column
 	bookImp []float32
+	bitOrd  column   // the bitmap lists' term ordinals, ascending
+	fullOrd column   // the full lists' term ordinals, ascending
+	bitmap  []uint64 // each bitmap list's words, in bitOrd order
+	ranks   column   // each bitmap list's rank samples, in bitOrd order
+	// dense is the bitmap and full lists by term ordinal (indexDense).
+	dense []denseList
 
 	// names and doclen hold each document's name and analyzed token
 	// count, by DocID.
@@ -179,45 +189,81 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	if cs.docs > 0 {
 		avg = float64(cs.totalLn) / float64(cs.docs)
 	}
+	D := len(ix.lens)
 	terms := make([]string, 0, len(ix.build))
-	var npost int
+	var npost, nsparse, nbitmaps int
 	var maxDoc DocID
 	for term, pl := range ix.build {
 		terms = append(terms, term)
 		npost += len(pl)
-		maxDoc = max(maxDoc, pl[len(pl)-1].Doc) // lists are in doc order
+		switch kindOf(len(pl), D) {
+		case sparseList:
+			nsparse += len(pl)
+			maxDoc = max(maxDoc, pl[len(pl)-1].Doc) // lists are in doc order
+		case bitmapList:
+			nbitmaps++
+		}
 	}
 	sort.Strings(terms)
 	var maxLen uint32
 	for _, n := range ix.lens {
 		maxLen = max(maxLen, n)
 	}
-	ix.doclen = newColumn(len(ix.lens), uint64(maxLen))
+	ix.doclen = newColumn(D, uint64(maxLen))
 	for d, n := range ix.lens {
 		ix.doclen.set(d, uint64(n))
 	}
 	ix.dict = segfile.NewTable(len(terms), func(o int) string { return terms[o] })
 	ix.postOff = newColumn(len(terms)+1, uint64(npost))
-	ix.docs = newColumn(npost, uint64(maxDoc))
+	ix.docs = newColumn(nsparse, uint64(maxDoc))
+	W := words(D)
+	ix.bitmap = make([]uint64, nbitmaps*W)
 	codes := make([]uint32, npost)
 	bookOff := make([]uint64, len(terms)+1)
+	var bitOrd, fullOrd, ranks []uint32
 	var bk book
-	i := 0
+	i, sparse := 0, 0
 	for o, term := range terms {
 		idf := idfFor(cs.docs, cs.df(term))
+		pl := ix.build[term]
 		bk.start()
-		for _, p := range ix.build[term] {
-			ix.docs.set(i, uint64(p.Doc))
+		for _, p := range pl {
 			codes[i] = bk.code(uint32(p.TF), ix.impact(idf, p, avg))
 			i++
 		}
 		ix.postOff.set(o+1, uint64(i))
 		bookOff[o+1] = uint64(len(bk.imp))
+		switch kindOf(len(pl), D) {
+		case sparseList:
+			for _, p := range pl {
+				ix.docs.set(sparse, uint64(p.Doc))
+				sparse++
+			}
+		case bitmapList:
+			bm := ix.bitmap[len(bitOrd)*W:][:W]
+			for _, p := range pl {
+				bm[p.Doc>>6] |= 1 << (p.Doc & 63)
+			}
+			r := 0
+			for w, x := range bm {
+				if w > 0 && w%rankEvery == 0 {
+					ranks = append(ranks, uint32(r))
+				}
+				r += bits.OnesCount64(x)
+			}
+			bitOrd = append(bitOrd, uint32(o))
+		case fullList:
+			fullOrd = append(fullOrd, uint32(o))
+		}
 	}
 	ix.codes = columnOf(codes)
 	ix.bookOff = columnOf(bookOff)
 	ix.bookTF = columnOf(bk.tf)
 	ix.bookImp = bk.imp
+	ix.bitOrd = columnOf(bitOrd)
+	ix.fullOrd = columnOf(fullOrd)
+	ix.ranks = columnOf(ranks)
+	ix.indexDense()
 	ix.build, ix.tf, ix.lens = nil, nil, nil
 	n := ix.Docs()
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
@@ -304,17 +350,31 @@ func (ix *Index) bookSpan(o int) (lo, hi int) {
 }
 
 // postings returns term ordinal o's doc-ordered postings and their impacts,
-// read from the doc-ID and code columns through the term's book into new
+// read from the list's documents and codes through the term's book into new
 // slices. The serving paths read the columns in place; this is the impact
 // order's and the reference scorer's form.
 func (ix *Index) postings(o int) ([]Posting, []float32) {
-	lo, hi := ix.span(o)
+	l := ix.list(o)
 	b, _ := ix.bookSpan(o)
-	post := make([]Posting, hi-lo)
-	imps := make([]float32, hi-lo)
+	post := make([]Posting, l.hi-l.lo)
+	imps := make([]float32, l.hi-l.lo)
+	var bm []uint64
+	if l.kind == bitmapList {
+		bm = ix.bitmapWords(l.at)
+	}
+	d := -1
 	for i := range post {
-		e := b + int(ix.codes.at(lo+i))
-		post[i] = Posting{Doc: DocID(ix.docs.at(lo + i)), TF: int32(ix.bookTF.at(e))}
+		switch l.kind {
+		case sparseList:
+			d = int(ix.docs.at(l.at + i))
+		case bitmapList:
+			for d++; bm[d>>6]>>(d&63)&1 == 0; d++ {
+			}
+		case fullList:
+			d = i
+		}
+		e := b + int(ix.codes.at(l.lo+i))
+		post[i] = Posting{Doc: DocID(d), TF: int32(ix.bookTF.at(e))}
 		imps[i] = ix.bookImp[e]
 	}
 	return post, imps
@@ -405,6 +465,11 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 func (ix *Index) searchDense(terms []string, k int) ([]Hit, SearchStats, error) {
 	ac := ix.getAccum()
 	defer ac.Release()
+	return ix.scoreTop(terms, k, ac)
+}
+
+// scoreTop scores the terms densely into ac and selects the top k.
+func (ix *Index) scoreTop(terms []string, k int, ac *Accum) ([]Hit, SearchStats, error) {
 	stats, err := ix.scoreTerms(terms, ac)
 	if err != nil {
 		return nil, stats, err
@@ -413,13 +478,16 @@ func (ix *Index) searchDense(terms []string, k int) ([]Hit, SearchStats, error) 
 }
 
 // rank returns the top k documents for the terms with the top-k kernel
-// (maxscore.go). A depth that reaches every matching document (k <= 0, or k
-// at least the union of the lists) prunes nothing, so it takes the dense
-// scan. DocsTouched is the exact size of the union either way, and
+// (maxscore.go), whose lists the leased accumulator holds. A depth that
+// reaches every matching document (k <= 0, or k at least the union of the
+// lists) prunes nothing, so it takes the dense scan into the same
+// accumulator. DocsTouched is the exact size of the union either way, and
 // Terminated reports that the kernel left postings unread.
 func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
+	ac := ix.getAccum()
+	defer ac.Release()
 	if k > 0 {
-		ql, err := ix.queryLists(terms)
+		ql, err := ix.queryLists(terms, ac)
 		if err != nil {
 			return nil, SearchStats{}, err
 		}
@@ -431,15 +499,13 @@ func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
 			return hits, SearchStats{TermsMatched: ql.count(), PostingsScored: scored, DocsTouched: total, Terminated: scored < ql.postings()}, nil
 		}
 	}
-	return ix.searchDense(terms, k)
+	return ix.scoreTop(terms, k, ac)
 }
 
 // scoreTerms accumulates every term's full posting list into ac, in term
 // order — the dense scan shared by Search, ScoreQuery and the top-k
 // kernel's deep pages, so their per-doc float64 sums are identical by
-// construction. The doc-ID and code columns' widths are chosen once per
-// term, and scoreList is instantiated for each pair. A list is checked
-// (checkList) before it is scored.
+// construction. A list is checked (checkList) before it is scored.
 func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 	var stats SearchStats
 	for _, term := range terms {
@@ -450,44 +516,53 @@ func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
 		if err := ix.checkList(o, term); err != nil {
 			return stats, err
 		}
-		lo, hi := ix.span(o)
+		l := ix.list(o)
 		blo, bhi := ix.bookSpan(o)
 		book := ix.bookImp[blo:bhi]
-		switch docs := ix.docs.vals.(type) {
+		switch codes := ix.codes.vals.(type) {
 		case []uint8:
-			scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
+			scoreAt(ix, l, codes[l.lo:l.hi], book, ac)
 		case []uint16:
-			scoreCodes(docs[lo:hi], ix.codes, lo, book, ac)
+			scoreAt(ix, l, codes[l.lo:l.hi], book, ac)
 		default:
-			scoreCodes(ix.docs.vals.([]uint32)[lo:hi], ix.codes, lo, book, ac)
+			scoreAt(ix, l, ix.codes.vals.([]uint32)[l.lo:l.hi], book, ac)
 		}
 		stats.TermsMatched++
-		stats.PostingsScored += hi - lo
+		stats.PostingsScored += l.hi - l.lo
 	}
 	stats.DocsTouched = len(ac.touched)
 	return stats, nil
 }
 
-// scoreCodes is scoreList over the postings from lo on, instantiated at the
-// code column's width.
-func scoreCodes[D width](docs []D, codes column, lo int, book []float32, ac *Accum) {
-	hi := lo + len(docs)
-	switch c := codes.vals.(type) {
-	case []uint8:
-		scoreList(docs, c[lo:hi], book, ac)
-	case []uint16:
-		scoreList(docs, c[lo:hi], book, ac)
+// scoreAt scores list l, whose codes are given, by its kind: a sparse list
+// over its doc IDs at the doc-ID column's width, a bitmap over its set bits
+// and a full list over every document.
+func scoreAt[C width](ix *Index, l list, codes []C, book []float32, ac *Accum) {
+	switch l.kind {
+	case bitmapList:
+		scoreBits(ix.bitmapWords(l.at), codes, book, ac)
+	case fullList:
+		scoreFull(codes, book, ac)
 	default:
-		scoreList(docs, codes.vals.([]uint32)[lo:hi], book, ac)
+		n := len(codes)
+		switch docs := ix.docs.vals.(type) {
+		case []uint8:
+			scoreList(docs[l.at:l.at+n], codes, book, ac)
+		case []uint16:
+			scoreList(docs[l.at:l.at+n], codes, book, ac)
+		default:
+			scoreList(ix.docs.vals.([]uint32)[l.at:l.at+n], codes, book, ac)
+		}
 	}
 }
 
 // checkList verifies term ordinal o's list the first time a query reads it
 // from an opened index, whose bulk posting blocks carry no verified
-// checksum: its doc IDs ascend strictly inside the segment and its codes lie
-// inside the term's book. The kernels then index the accumulator and the
-// book, and gallop over the doc IDs, without checking each posting. A list
-// that fails is not marked, so every query that reads it fails.
+// checksum: a sparse list's doc IDs ascend strictly inside the segment, a
+// bitmap passes checkBitmap, and every code lies inside the term's book.
+// The kernels then index the accumulator and the book, gallop over the doc
+// IDs and rank into the bitmaps without checking each posting. A list that
+// fails is not marked, so every query that reads it fails.
 func (ix *Index) checkList(o int, term string) error {
 	if ix.checked == nil {
 		return nil
@@ -496,19 +571,28 @@ func (ix *Index) checkList(o int, term string) error {
 	if word.Load()&bit != 0 {
 		return nil
 	}
-	lo, hi := ix.span(o)
+	l := ix.list(o)
 	blo, bhi := ix.bookSpan(o)
 	docs, book := uint64(ix.Docs()), uint64(bhi-blo)
-	for i := lo; i < hi; i++ {
-		d := ix.docs.at(i)
-		if d >= docs {
-			return fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, i-lo, d, docs)
+	switch l.kind {
+	case sparseList:
+		for i := 0; i < l.hi-l.lo; i++ {
+			d := ix.docs.at(l.at + i)
+			if d >= docs {
+				return fmt.Errorf("ir: term %q posting %d names doc %d of %d", term, i, d, docs)
+			}
+			if i > 0 && d <= ix.docs.at(l.at+i-1) {
+				return fmt.Errorf("ir: term %q posting %d names doc %d after doc %d", term, i, d, ix.docs.at(l.at+i-1))
+			}
 		}
-		if i > lo && d <= ix.docs.at(i-1) {
-			return fmt.Errorf("ir: term %q posting %d names doc %d after doc %d", term, i-lo, d, ix.docs.at(i-1))
+	case bitmapList:
+		if err := ix.checkBitmap(l.at, term, l.hi-l.lo); err != nil {
+			return err
 		}
+	}
+	for i := l.lo; i < l.hi; i++ {
 		if c := ix.codes.at(i); c >= book {
-			return fmt.Errorf("ir: term %q posting %d has code %d, past its book of %d", term, i-lo, c, book)
+			return fmt.Errorf("ir: term %q posting %d has code %d, past its book of %d", term, i-l.lo, c, book)
 		}
 	}
 	for {
@@ -522,13 +606,52 @@ func (ix *Index) checkList(o int, term string) error {
 // scoreList adds each posting's impact, its code's entry in book, to its
 // document's score. It is Accum.Add over a whole list with the
 // accumulator's slices and epoch held in locals: through ac the compiler
-// reloads them after every store.
+// reloads them after every store. scoreBits and scoreFull are the same loop
+// over a bitmap's set bits and over every document.
 func scoreList[D, C width](docs []D, codes []C, book []float32, ac *Accum) {
 	stamps, epoch, touched := ac.stamps, ac.epoch, ac.touched
 	scores := ac.scores[:len(stamps)]
 	codes = codes[:len(docs)]
 	for i, d := range docs {
 		v := float64(book[codes[i]])
+		if stamps[d] != epoch {
+			stamps[d] = epoch
+			scores[d] = v
+			touched = append(touched, DocID(d))
+			continue
+		}
+		scores[d] += v
+	}
+	ac.touched = touched
+}
+
+func scoreBits[C width](bm []uint64, codes []C, book []float32, ac *Accum) {
+	stamps, epoch, touched := ac.stamps, ac.epoch, ac.touched
+	scores := ac.scores[:len(stamps)]
+	i := 0
+	for w, x := range bm {
+		for ; x != 0; x &= x - 1 {
+			d := w<<6 | bits.TrailingZeros64(x)
+			v := float64(book[codes[i]])
+			i++
+			if stamps[d] != epoch {
+				stamps[d] = epoch
+				scores[d] = v
+				touched = append(touched, DocID(d))
+				continue
+			}
+			scores[d] += v
+		}
+	}
+	ac.touched = touched
+}
+
+func scoreFull[C width](codes []C, book []float32, ac *Accum) {
+	stamps, epoch, touched := ac.stamps, ac.epoch, ac.touched
+	scores := ac.scores[:len(stamps)]
+	stamps = stamps[:len(codes)]
+	for d, c := range codes {
+		v := float64(book[c])
 		if stamps[d] != epoch {
 			stamps[d] = epoch
 			scores[d] = v

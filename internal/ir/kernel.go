@@ -22,6 +22,7 @@ type Accum struct {
 
 	// Selection scratch reused across queries.
 	hitHeap []Hit // TopK
+	lists   any   // the top-k kernel's *lists at the index's widths (maxscore.go)
 }
 
 // NewAccum builds an accumulator over docs documents that Release returns

@@ -6,8 +6,8 @@ package ir
 // the longest prefix whose bounds sum to no more than the current threshold
 // is non-essential: a document that only those lists hold cannot reach the
 // top k. The kernel walks the essential lists in document order and probes
-// the non-essential ones by doc ID, galloping over their doc-ID columns, only
-// for a document whose bound with them can still pass the threshold. The
+// the non-essential ones by doc ID only for a document whose bound with them
+// can still pass the threshold. The
 // threshold is the k-th best score so far, so the essential set shrinks as
 // the heap fills.
 //
@@ -21,49 +21,128 @@ package ir
 // documents arrive in ascending doc order, so once the heap is full a
 // document passes only with a score strictly above the k-th.
 //
-// The answer's total is the exact size of the lists' union, counted over
-// their doc-ID columns alone (union): no impact is read for it.
+// Lists are read by their kind (bitmap.go): a sparse list's cursor walks its
+// doc IDs and a probe gallops over them, a bitmap's cursor walks its set bits
+// and a probe is a bit test plus a rank, and a full list's cursor walks every
+// document and a probe is its code at the document's index.
+//
+// The answer's total is the exact size of the lists' union, counted without
+// reading an impact (union): the dense lists ORed into a word array, the
+// sparse lists' documents set in it, and a popcount. A full list is the whole
+// segment.
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // width is the element type of a doc-ID or code column the kernel reads.
 type width interface{ uint8 | uint16 | uint32 }
 
+// end is a cursor's doc past its last posting.
+const end = math.MaxInt32
+
 // cursor is one query term's doc-ordered list in one segment.
 type cursor[D, C width] struct {
-	docs  []D
+	kind  listKind
+	docs  []D      // a sparse list's doc IDs
+	bm    []uint64 // a bitmap list's words
+	ranks column   // the index's rank samples
+	rank0 int      // a bitmap list's first rank sample
 	codes []C
 	book  []float32
 	bound float64 // the largest impact in book
-	pos   int
+	pos   int     // the posting at the cursor: its index in codes
+	doc   int     // its document, or end
+	word  uint64  // a bitmap cursor's bits of word doc/64 from doc up
 }
 
 // impact returns the impact of the posting at the cursor.
 func (c *cursor[D, C]) impact() float64 { return float64(c.book[c.codes[c.pos]]) }
 
-// seek advances the cursor to the first posting at or past doc d and reports
-// whether the list holds d.
-func (c *cursor[D, C]) seek(d D) bool {
-	c.pos = gallop(c.docs, c.pos, d)
-	return c.pos < len(c.docs) && c.docs[c.pos] == d
+// rewind puts the cursor at its list's first posting.
+func (c *cursor[D, C]) rewind() {
+	c.pos, c.doc = 0, end
+	switch c.kind {
+	case bitmapList:
+		c.word = c.bm[0]
+		c.settle(0)
+	case fullList:
+		c.doc = 0
+	default:
+		if len(c.docs) > 0 {
+			c.doc = int(c.docs[0])
+		}
+	}
+}
+
+// settle moves a bitmap cursor whose bits of word w are c.word to its first
+// set bit from there.
+func (c *cursor[D, C]) settle(w int) {
+	for c.word == 0 {
+		if w++; w == len(c.bm) {
+			c.doc = end
+			return
+		}
+		c.word = c.bm[w]
+	}
+	c.doc = w<<6 | bits.TrailingZeros64(c.word)
+}
+
+// next moves the cursor to its list's next posting.
+func (c *cursor[D, C]) next() {
+	c.pos++
+	switch c.kind {
+	case bitmapList:
+		c.word &= c.word - 1
+		c.settle(c.doc >> 6)
+	case fullList:
+		if c.doc++; c.pos == len(c.codes) {
+			c.doc = end
+		}
+	default:
+		c.doc = end
+		if c.pos < len(c.docs) {
+			c.doc = int(c.docs[c.pos])
+		}
+	}
+}
+
+// seek reports whether the list holds doc d and, if it does, puts the
+// cursor's posting there. Successive seeks of a sparse list must not
+// descend: it gallops on from its last posting.
+func (c *cursor[D, C]) seek(d int) bool {
+	switch c.kind {
+	case bitmapList:
+		if c.bm[d>>6]>>(d&63)&1 == 0 {
+			return false
+		}
+		c.pos = rankOf(c.bm, c.ranks, c.rank0, d)
+	case fullList:
+		c.pos = d
+	default:
+		c.pos = gallop(c.docs, c.pos, d)
+		return c.pos < len(c.docs) && int(c.docs[c.pos]) == d
+	}
+	return true
 }
 
 // gallop returns the first index at or after from whose doc ID is at least
 // d: exponential steps from from, then a binary search inside the last step.
-func gallop[D width](docs []D, from int, d D) int {
-	if from >= len(docs) || docs[from] >= d {
+func gallop[D width](docs []D, from int, d int) int {
+	if from >= len(docs) || int(docs[from]) >= d {
 		return from
 	}
 	lo, step := from, 1 // docs[lo] < d
 	hi := lo + step
-	for hi < len(docs) && docs[hi] < d {
+	for hi < len(docs) && int(docs[hi]) < d {
 		lo, step = hi, 2*step
 		hi = lo + step
 	}
 	hi = min(hi, len(docs)) // docs[hi] >= d, or hi is the end
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if docs[mid] < d {
+		if int(docs[mid]) < d {
 			lo = mid
 		} else {
 			hi = mid
@@ -86,19 +165,50 @@ type queryLists interface {
 	topK(k int) ([]Hit, int)
 }
 
-// lists is queryLists at one pair of column widths.
+// lists is queryLists at one pair of column widths. Its slices are leased
+// with the accumulator that holds it (Accum.lists) and reused by the next
+// query on the segment.
 type lists[D, C width] struct {
 	cur   []cursor[D, C] // in query-term order
 	order []int          // cursor indices by ascending bound
 	rank  []int          // rank[i] is cursor i's position in order
 	vals  []float64      // per cursor: its impact, 0, or its bound
+	words []uint64       // union's documents, a bit each
+	docs  int            // the segment's documents
 	n     int            // postings
 }
 
-// queryLists looks up terms in the index and returns their lists. A list a
-// query reads for the first time is verified first (checkList).
-func (ix *Index) queryLists(terms []string) (queryLists, error) {
-	ords := make([]int, 0, len(terms))
+// queryLists looks up terms in the index and returns their lists, held by
+// ac. A list a query reads for the first time is verified first
+// (checkList).
+func (ix *Index) queryLists(terms []string, ac *Accum) (queryLists, error) {
+	switch docs := ix.docs.vals.(type) {
+	case []uint8:
+		return listsAt(ix, docs, terms, ac)
+	case []uint16:
+		return listsAt(ix, docs, terms, ac)
+	}
+	return listsAt(ix, ix.docs.vals.([]uint32), terms, ac)
+}
+
+// listsAt is queryLists instantiated at the doc-ID column's width.
+func listsAt[D width](ix *Index, docs []D, terms []string, ac *Accum) (queryLists, error) {
+	switch codes := ix.codes.vals.(type) {
+	case []uint8:
+		return newLists(ix, docs, codes, terms, ac)
+	case []uint16:
+		return newLists(ix, docs, codes, terms, ac)
+	}
+	return newLists(ix, docs, ix.codes.vals.([]uint32), terms, ac)
+}
+
+func newLists[D, C width](ix *Index, docs []D, codes []C, terms []string, ac *Accum) (queryLists, error) {
+	l, _ := ac.lists.(*lists[D, C])
+	if l == nil {
+		l = new(lists[D, C])
+		ac.lists = l
+	}
+	l.cur, l.order, l.docs, l.n = l.cur[:0], l.order[:0], ix.Docs(), 0
 	for _, term := range terms {
 		o, ok := ix.lookup(term)
 		if !ok {
@@ -107,69 +217,49 @@ func (ix *Index) queryLists(terms []string) (queryLists, error) {
 		if err := ix.checkList(o, term); err != nil {
 			return nil, err
 		}
-		ords = append(ords, o)
-	}
-	switch docs := ix.docs.vals.(type) {
-	case []uint8:
-		return listsAt(ix, docs, ords), nil
-	case []uint16:
-		return listsAt(ix, docs, ords), nil
-	}
-	return listsAt(ix, ix.docs.vals.([]uint32), ords), nil
-}
-
-// listsAt is queryLists instantiated at the doc-ID column's width.
-func listsAt[D width](ix *Index, docs []D, ords []int) queryLists {
-	switch codes := ix.codes.vals.(type) {
-	case []uint8:
-		return newLists(ix, docs, codes, ords)
-	case []uint16:
-		return newLists(ix, docs, codes, ords)
-	}
-	return newLists(ix, docs, ix.codes.vals.([]uint32), ords)
-}
-
-func newLists[D, C width](ix *Index, docs []D, codes []C, ords []int) *lists[D, C] {
-	m := len(ords)
-	order := make([]int, 2*m)
-	l := &lists[D, C]{
-		cur:   make([]cursor[D, C], m),
-		order: order[:m],
-		rank:  order[m:],
-		vals:  make([]float64, m),
-	}
-	for i, o := range ords {
-		lo, hi := ix.span(o)
+		li := ix.list(o)
 		blo, bhi := ix.bookSpan(o)
 		book := ix.bookImp[blo:bhi]
 		var bound float32
 		for _, v := range book {
 			bound = max(bound, v)
 		}
-		l.cur[i] = cursor[D, C]{docs: docs[lo:hi], codes: codes[lo:hi], book: book, bound: float64(bound)}
-		l.n += hi - lo
+		c := cursor[D, C]{kind: li.kind, codes: codes[li.lo:li.hi], book: book, bound: float64(bound)}
+		switch li.kind {
+		case sparseList:
+			c.docs = docs[li.at : li.at+li.hi-li.lo]
+		case bitmapList:
+			c.bm, c.ranks, c.rank0 = ix.bitmapWords(li.at), ix.ranks, li.at*samples(words(l.docs))
+		}
+		l.cur = append(l.cur, c)
+		l.n += li.hi - li.lo
 		// Insertion into order by ascending bound, ties in query order.
+		i := len(l.cur) - 1
+		l.order = append(l.order, i)
 		j := i
-		for ; j > 0 && l.cur[l.order[j-1]].bound > float64(bound); j-- {
+		for ; j > 0 && l.cur[l.order[j-1]].bound > c.bound; j-- {
 			l.order[j] = l.order[j-1]
 		}
 		l.order[j] = i
 	}
+	m := len(l.cur)
+	l.rank, l.vals = grow(l.rank, m), grow(l.vals, m)
 	for j, i := range l.order {
 		l.rank[i] = j
 	}
-	return l
+	return l, nil
+}
+
+// grow returns s resliced to n elements, reallocated if it holds fewer.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (l *lists[D, C]) count() int    { return len(l.cur) }
 func (l *lists[D, C]) postings() int { return l.n }
-
-// rewind puts every cursor back at its list's first posting.
-func (l *lists[D, C]) rewind() {
-	for i := range l.cur {
-		l.cur[i].pos = 0
-	}
-}
 
 // sum adds vals in query-term order.
 func (l *lists[D, C]) sum() float64 {
@@ -193,39 +283,30 @@ func (l *lists[D, C]) prefixBound(p int) float64 {
 }
 
 // union counts the distinct documents of the lists without reading an
-// impact: the longest list counts whole, and a document of another list
-// counts once more when neither the longest nor an earlier list holds it,
-// which galloping over their doc IDs finds.
+// impact: a full list holds them all; otherwise the bitmaps are ORed into
+// a word array, the sparse lists' documents set in it, and its bits
+// counted.
 func (l *lists[D, C]) union() int {
-	if len(l.cur) == 0 {
-		return 0
-	}
-	long := 0
 	for i := range l.cur {
-		if len(l.cur[i].docs) > len(l.cur[long].docs) {
-			long = i
+		if l.cur[i].kind == fullList {
+			return l.docs
 		}
 	}
-	n := len(l.cur[long].docs)
+	l.words = grow(l.words, words(l.docs))
+	clear(l.words)
 	for i := range l.cur {
-		if i == long {
-			continue
+		c := &l.cur[i]
+		for w, x := range c.bm {
+			l.words[w] |= x
 		}
-		l.rewind()
-	next:
-		for _, d := range l.cur[i].docs {
-			if l.cur[long].seek(d) {
-				continue
-			}
-			for j := 0; j < i; j++ {
-				if j != long && l.cur[j].seek(d) {
-					continue next
-				}
-			}
-			n++
+		for _, d := range c.docs {
+			l.words[d>>6] |= 1 << (d & 63)
 		}
 	}
-	l.rewind()
+	n := 0
+	for _, x := range l.words {
+		n += bits.OnesCount64(x)
+	}
 	return n
 }
 
@@ -240,26 +321,25 @@ func (l *lists[D, C]) walk(θ float64, emit func(DocID, float64) float64) int {
 			ne++
 		}
 	}
-	l.rewind()
+	for i := range l.cur {
+		l.cur[i].rewind()
+	}
 	raise()
 	scored := 0
 	for ne < len(l.order) {
 		essential := l.order[ne:]
-		var d D
-		found := false
+		d := end
 		for _, i := range essential {
-			if c := &l.cur[i]; c.pos < len(c.docs) && (!found || c.docs[c.pos] < d) {
-				d, found = c.docs[c.pos], true
-			}
+			d = min(d, l.cur[i].doc)
 		}
-		if !found {
+		if d == end {
 			break
 		}
 		for _, i := range essential {
 			l.vals[i] = 0
-			if c := &l.cur[i]; c.pos < len(c.docs) && c.docs[c.pos] == d {
+			if c := &l.cur[i]; c.doc == d {
 				l.vals[i] = c.impact()
-				c.pos++
+				c.next()
 				scored++
 			}
 		}

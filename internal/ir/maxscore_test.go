@@ -12,21 +12,32 @@ import (
 )
 
 // randomCollection builds a segmented collection from rng, heap-built and
-// mapped: one to four segments of one to 60 documents over a twelve-word
-// vocabulary, every document holding "zall", and duplicate documents across
-// segments — ties at every depth. It returns the collection and queries of
-// one to four terms, known and unknown.
+// mapped: one to four segments, most of one to 60 documents and one in four
+// of 500 to 800, over a twelve-word vocabulary every document draws from, a
+// 40-word one that half the documents draw one word from, and "zall" on
+// every document, with duplicate documents across segments — ties at every
+// depth. So its lists fall on both sides of the format's one-sixteenth rule
+// and some are full, and the large segments' bitmaps hold rank samples. It
+// returns the collection and queries of one to four terms, known and
+// unknown.
 func randomCollection(t testing.TB, rng *rand.Rand) (heap, mapped *Segments, queries []string) {
 	t.Helper()
 	parts := make([]*Index, 1+rng.Intn(4))
 	var texts []string
 	for s := range parts {
 		parts[s] = NewIndex()
-		for d, n := 0, 1+rng.Intn(60); d < n; d++ {
+		n := 1 + rng.Intn(60)
+		if rng.Intn(4) == 0 {
+			n = 500 + rng.Intn(300)
+		}
+		for d := 0; d < n; d++ {
 			var sb strings.Builder
 			sb.WriteString("zall")
 			for w, words := 0, rng.Intn(12); w < words; w++ {
 				fmt.Fprintf(&sb, " w%d", rng.Intn(12))
+			}
+			if rng.Intn(2) == 0 {
+				fmt.Fprintf(&sb, " r%d", rng.Intn(40))
 			}
 			text := sb.String()
 			if len(texts) > 0 && rng.Intn(5) == 0 {
@@ -45,11 +56,15 @@ func randomCollection(t testing.TB, rng *rand.Rand) (heap, mapped *Segments, que
 	if mapped, err = openSegmentsBytes(segfileBytes(t, heap, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	queries = []string{"zall", "zall w0", "w1 zall w2", "nosuch w3"}
+	queries = []string{"zall", "zall w0", "w1 zall w2", "nosuch w3", "r1 w4 zall"}
 	for i := 0; i < 6; i++ {
 		var q []string
 		for j := 0; j <= rng.Intn(4); j++ {
-			q = append(q, fmt.Sprintf("w%d", rng.Intn(14)))
+			if rng.Intn(2) == 0 {
+				q = append(q, fmt.Sprintf("w%d", rng.Intn(14)))
+			} else {
+				q = append(q, fmt.Sprintf("r%d", rng.Intn(42)))
+			}
 		}
 		queries = append(queries, strings.Join(q, " "))
 	}
@@ -166,15 +181,29 @@ func checkTopK(t *testing.T, s *Segments, q string, rng *rand.Rand) {
 // heap-built and mapped, with ties and a term on every document, the
 // pruned kernel returns the dense kernel's hits, score bits and totals, and
 // the rank count over a selection the dense ranking's ranks.
+//
+// The collections hold every kind of list the format stores, and bitmaps
+// with rank samples.
 func TestTopKMatchesDense(t *testing.T) {
+	kinds := map[listKind]int{}
+	sampled := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		heap, mapped, queries := randomCollection(t, rng)
+		for _, ix := range heap.segs {
+			for o := range ix.dict.Len() {
+				kinds[ix.list(o).kind]++
+			}
+			sampled += ix.ranks.len()
+		}
 		for _, s := range []*Segments{heap, mapped} {
 			for _, q := range queries {
 				checkTopK(t, s, q, rng)
 			}
 		}
+	}
+	if kinds[sparseList] == 0 || kinds[bitmapList] == 0 || kinds[fullList] == 0 || sampled == 0 {
+		t.Fatalf("lists by kind %v, %d rank samples: want every kind and some samples", kinds, sampled)
 	}
 }
 

@@ -86,8 +86,10 @@ import (
 // width; version 4 replaced the per-posting TF and impact columns with a
 // code into each term's book of distinct (TF, impact) pairs; version 5
 // dropped the per-term idf block, which only the impact-ordered top-N's
-// ceilings read. A cache of an older version is refused and rebuilt.
-const irFormatVersion = 5
+// ceilings read; version 6 stores a list of more than a sixteenth of its
+// segment as a bitmap and a list of the whole segment as nothing
+// (bitmap.go). A cache of an older version is refused and rebuilt.
+const irFormatVersion = 6
 
 // fileMeta is the ir/meta record.
 type fileMeta struct {
@@ -97,8 +99,9 @@ type fileMeta struct {
 }
 
 // segMeta is the ir/<i>/meta record: Book counts the book entries of all
-// terms. The widths are the bytes per value of the postoff, postdoc,
-// postcode, doclen, bookoff and booktf columns.
+// terms, Bitmaps and Fulls the bitmap and full lists. The widths are the
+// bytes per value of the postoff, postdoc, postcode, doclen, bookoff,
+// booktf, bitord, fullord and bitrank columns.
 type segMeta struct {
 	Docs                                    uint32
 	TotalLen                                uint64
@@ -106,6 +109,8 @@ type segMeta struct {
 	Postings, Book                          uint64
 	OffWidth, DocWidth, CodeWidth, LenWidth uint8
 	BookOffWidth, TFWidth                   uint8
+	Bitmaps, Fulls                          uint32
+	BitOrdWidth, FullOrdWidth, RankWidth    uint8
 }
 
 // ErrSignature reports that an opened segfile was written for a different
@@ -143,6 +148,8 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
 		Postings: ix.postOff.at(T), Book: uint64(len(ix.bookImp)),
 		OffWidth: ix.postOff.width(), DocWidth: ix.docs.width(), CodeWidth: ix.codes.width(), LenWidth: ix.doclen.width(),
 		BookOffWidth: ix.bookOff.width(), TFWidth: ix.bookTF.width(),
+		Bitmaps: uint32(ix.bitOrd.len()), Fulls: uint32(ix.fullOrd.len()),
+		BitOrdWidth: ix.bitOrd.width(), FullOrdWidth: ix.fullOrd.width(), RankWidth: ix.ranks.width(),
 	})
 	sw.Table(prefix+"terms", prefix+"termoff", ix.dict)
 	sw.Block(prefix+"postoff", ix.postOff.bytes())
@@ -151,6 +158,10 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
 	sw.Block(prefix+"bookimp", segfile.Bytes(ix.bookImp))
 	sw.Block(prefix+"postdoc", ix.docs.bytes())
 	sw.Block(prefix+"postcode", ix.codes.bytes())
+	sw.Block(prefix+"bitord", ix.bitOrd.bytes())
+	sw.Block(prefix+"fullord", ix.fullOrd.bytes())
+	sw.Block(prefix+"bitmap", segfile.Bytes(ix.bitmap))
+	sw.Block(prefix+"bitrank", ix.ranks.bytes())
 	sw.Table(prefix+"names", prefix+"nameoff", ix.names)
 	sw.Block(prefix+"doclen", ix.doclen.bytes())
 }
@@ -250,21 +261,32 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	docs, err := readColumn(r, prefix+"postdoc", P, meta.DocWidth, 4, false)
+	bitOrd, err := readColumn(r, prefix+"bitord", int(meta.Bitmaps), meta.BitOrdWidth, 4, true)
 	if err != nil {
 		return nil, err
 	}
-	codes, err := readColumn(r, prefix+"postcode", P, meta.CodeWidth, 4, false)
+	fullOrd, err := readColumn(r, prefix+"fullord", int(meta.Fulls), meta.FullOrdWidth, 4, true)
+	if err != nil {
+		return nil, err
+	}
+	W := words(D)
+	if uint64(meta.Bitmaps)*uint64(W) > uint64(P) {
+		return nil, fmt.Errorf("ir: %d bitmaps of %d words for %d postings", meta.Bitmaps, W, P)
+	}
+	ranks, err := readColumn(r, prefix+"bitrank", int(meta.Bitmaps)*samples(W), meta.RankWidth, 4, true)
 	if err != nil {
 		return nil, err
 	}
 
 	// The index serves straight from these blocks, so check what lookup,
-	// span and bookSpan rely on, in O(terms): the dictionary is sorted, with
-	// no empty or repeated term, the posting and book offsets ascend from 0
-	// to P and B, and a term with postings has at least one book entry and
-	// no more than it has postings.
+	// span, bookSpan and list rely on, in O(terms): the dictionary is sorted,
+	// with no empty or repeated term, the posting and book offsets ascend
+	// from 0 to P and B, a term with postings has at least one book entry and
+	// no more than it has postings, and each list is stored as the format's
+	// rule says (bitmap.go), the bitmap and full ordinals naming ascending
+	// terms.
 	prev, prevBook := postOff.at(0), bookOff.at(0)
+	bi, fi, sparse := 0, 0, 0
 	for t := 0; t < T; t++ {
 		term := dict.At(t)
 		if term == "" || (t > 0 && term <= dict.At(t-1)) {
@@ -277,16 +299,50 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		if prevBook > nextBook {
 			return nil, fmt.Errorf("ir: term %q book [%d, %d) descends", term, prevBook, nextBook)
 		}
-		if n, nb := next-prev, nextBook-prevBook; nb > n || (n > 0 && nb == 0) {
+		n, nb := next-prev, nextBook-prevBook
+		if nb > n || (n > 0 && nb == 0) {
 			return nil, fmt.Errorf("ir: term %q has %d book entries for %d postings", term, nb, n)
 		}
+		kind := sparseList
+		if bi < bitOrd.len() && bitOrd.at(bi) == uint64(t) {
+			kind = bitmapList
+			bi++
+		}
+		if fi < fullOrd.len() && fullOrd.at(fi) == uint64(t) {
+			if kind != sparseList {
+				return nil, fmt.Errorf("ir: term %q is stored both as a bitmap and full", term)
+			}
+			kind = fullList
+			fi++
+		}
+		if n > uint64(P) || kindOf(int(n), D) != kind {
+			return nil, fmt.Errorf("ir: term %q holds %d of %d docs but is stored %s", term, n, D, kind)
+		}
+		if kind == sparseList {
+			sparse += int(n)
+		}
 		prev, prevBook = next, nextBook
+	}
+	if bi != bitOrd.len() || fi != fullOrd.len() {
+		return nil, fmt.Errorf("ir: %d of %d bitmap and %d of %d full ordinals name ascending terms", bi, bitOrd.len(), fi, fullOrd.len())
 	}
 	if first := postOff.at(0); first != 0 || prev != uint64(P) {
 		return nil, fmt.Errorf("ir: posting offsets span [%d, %d), want [0, %d)", first, prev, P)
 	}
 	if first := bookOff.at(0); first != 0 || prevBook != uint64(B) {
 		return nil, fmt.Errorf("ir: book offsets span [%d, %d), want [0, %d)", first, prevBook, B)
+	}
+	docs, err := readColumn(r, prefix+"postdoc", sparse, meta.DocWidth, 4, false)
+	if err != nil {
+		return nil, err
+	}
+	codes, err := readColumn(r, prefix+"postcode", P, meta.CodeWidth, 4, false)
+	if err != nil {
+		return nil, err
+	}
+	bitmap, err := segfile.Bulk[uint64](r, prefix+"bitmap", int(meta.Bitmaps)*W)
+	if err != nil {
+		return nil, err
 	}
 	// Every book entry is a pair a freeze writes: a posting occurs at least
 	// once, and a BM25 impact is finite and non-negative.
@@ -303,12 +359,17 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		bookOff: bookOff,
 		bookTF:  bookTF,
 		bookImp: bookImp,
+		bitOrd:  bitOrd,
+		fullOrd: fullOrd,
+		bitmap:  bitmap,
+		ranks:   ranks,
 		names:   names,
 		doclen:  docLen,
 		totalLn: int64(meta.TotalLen),
 		frozen:  true,
 		checked: make([]atomic.Uint32, (T+31)/32),
 	}
+	ix.indexDense()
 	n := D
 	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
 	return ix, nil

@@ -122,17 +122,20 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same reader produced different bytes")
 	}
-	// Golden: the bytes format 5 writes for this corpus. It was re-recorded
+	// Golden: the bytes format 6 writes for this corpus. It was re-recorded
 	// once for format 3 (narrowest-width columns), whose fields equal format
 	// 2's field by field (dlse.TestTextFormat3EqualsFormat2), once for
 	// format 4 (a code per posting into its term's book of (TF, impact)
 	// pairs), whose postings read back through the books equal format 3's
 	// (dlse.TestTextFormat4EqualsFormat3), and once for format 5 (no idf
 	// block), whose every other field equals format 4's
-	// (dlse.TestTextFormat5EqualsFormat4). The layout may not drift
+	// (dlse.TestTextFormat5EqualsFormat4), and once for format 6 (dense
+	// lists as bitmaps or as nothing), whose postings read back through the
+	// bitmaps equal format 5's (dlse.TestTextFormat6EqualsFormat5). The
+	// layout may not drift
 	// silently: a cache written by an older build must keep opening, or be
 	// refused by version and rebuilt.
-	const golden = "bdf144d2b8610f810bda2ec08c437aeee2bce5ee7a5482e89102e4d3faa182d0"
+	const golden = "2e47c658ec22f20612a5022f52d0f12d6a12f5f7d82e8c6e36d1861cbf2034a6"
 	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
 		t.Fatalf("text segfile bytes changed: sha256 %s, want %s", got, golden)
 	}
@@ -306,6 +309,17 @@ func TestSegfileHostileBytes(t *testing.T) {
 	}
 }
 
+// rareCorpus is segCorpus(n) with the term r<i/per> added to document i:
+// lists of per documents, sparse in a segment of more than 16·per, the
+// first terms of its dictionary.
+func rareCorpus(n, per int) []string {
+	docs := segCorpus(n)
+	for i := range docs {
+		docs[i] += fmt.Sprintf(" r%d", i/per)
+	}
+	return docs
+}
+
 // TestCorruptPostingDocFailsSearch: a doc ID in a mapped posting block that
 // lies outside its segment opens (bulk blocks are not checksummed) but fails
 // every scoring entry point with an error naming the segment, instead of
@@ -322,7 +336,7 @@ func TestCorruptPostingDocFailsSearch(t *testing.T) {
 		{"u16", 600, 2, []byte{0xFF, 0xFF}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s := buildSegs(t, segCorpus(c.docs), 2)
+			s := buildSegs(t, rareCorpus(c.docs, 1), 2)
 			data := segfileBytes(t, s, 0)
 			r, err := segfile.NewReader(data)
 			if err != nil {
@@ -340,7 +354,12 @@ func TestCorruptPostingDocFailsSearch(t *testing.T) {
 			if w := m.segs[1].docs.width(); w != c.width {
 				t.Fatalf("segment 1 of %d docs stores %d-byte doc IDs, want %d", m.segs[1].Docs(), w, c.width)
 			}
-			const q = "w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"
+			// The segment's first term holds the first sparse list.
+			first := m.segs[1].dict.At(0)
+			if l := m.segs[1].list(0); l.kind != sparseList || l.at != 0 {
+				t.Fatalf("segment 1's first term %q is stored %s", first, l.kind)
+			}
+			q := first + " w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"
 			check := func(what string, err error) {
 				t.Helper()
 				if err == nil || !strings.Contains(err.Error(), "segment 1") {
@@ -362,11 +381,11 @@ func TestCorruptPostingDocFailsSearch(t *testing.T) {
 }
 
 // TestCorruptPostingOrderFailsSearch: the top-k kernel gallops over a
-// list's doc IDs, so a mapped list whose doc IDs descend opens but fails
-// every scoring entry point that reads it, with an error naming the
+// sparse list's doc IDs, so a mapped list whose doc IDs descend opens but
+// fails every scoring entry point that reads it, with an error naming the
 // segment, the term and the posting — the first time and every time after.
 func TestCorruptPostingOrderFailsSearch(t *testing.T) {
-	s := buildSegs(t, segCorpus(40), 2)
+	s := buildSegs(t, rareCorpus(100, 3), 2)
 	data := segfileBytes(t, s, 0)
 	r, err := segfile.NewReader(data)
 	if err != nil {
@@ -382,6 +401,9 @@ func TestCorruptPostingOrderFailsSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	term := m.segs[0].dict.At(0)
+	if l := m.segs[0].list(0); l.kind != sparseList || l.hi-l.lo < 2 {
+		t.Fatalf("segment 0's first term %q is stored %s with %d postings", term, l.kind, l.hi-l.lo)
+	}
 	want := fmt.Sprintf("segment 0: ir: term %q posting 1 names doc %d after doc %d", term, post[1], post[0])
 	for i := 0; i < 2; i++ {
 		_, _, err1 := m.Search(term, 1)
@@ -545,10 +567,11 @@ func FuzzSegfileOpen(f *testing.F) {
 		f.Add(dictFile(f, bad...))
 	}
 	// A written file whose second segment stores u16 doc IDs, and
-	// hand-written files at u16 and u32.
+	// hand-written files at u16 and u32. Format 6: that segment holds a full
+	// list (zall), bitmap lists (w0-w2) and sparse ones (r0-r29).
 	wide := NewIndex()
 	for d := 0; d < 300; d++ {
-		wide.Add(fmt.Sprintf("d%d", d), fmt.Sprintf("w%d", d%3))
+		wide.Add(fmt.Sprintf("d%d", d), fmt.Sprintf("zall w%d r%d", d%3, d/10))
 	}
 	narrow := NewIndex()
 	narrow.Add("only", "w0 w1")
@@ -556,8 +579,8 @@ func FuzzSegfileOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if w := segs.segs[1].docs.width(); w != 2 {
-		f.Fatalf("300-document segment stores %d-byte doc IDs", w)
+	if w, nb, nf := segs.segs[1].docs.width(), segs.segs[1].bitOrd.len(), segs.segs[1].fullOrd.len(); w != 2 || nb != 3 || nf != 1 {
+		f.Fatalf("300-document segment stores %d-byte doc IDs, %d bitmaps and %d full lists", w, nb, nf)
 	}
 	f.Add(segfileBytes(f, segs, 0))
 	f.Add(handFile(f, 2, nil, "w0", "w1"))
@@ -628,9 +651,10 @@ func FuzzSegfileOpen(f *testing.F) {
 	})
 }
 
-// dictFile writes a one-segment text segfile of one document by hand, with
-// the given dictionary in the given order, one posting per term: what
-// WriteSegments writes when the terms are sorted and distinct.
+// dictFile writes a one-segment text segfile of 16 documents by hand, with
+// the given dictionary in the given order, one posting per term on the
+// first document: what WriteSegments writes when the terms are sorted and
+// distinct. At one document in 16 every list is sparse.
 func dictFile(t testing.TB, terms ...string) []byte { return handFile(t, 1, nil, terms...) }
 
 // handFile is dictFile with the doc-ID column stored docWidth bytes wide,
@@ -657,6 +681,7 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 		}
 		block(name, rec.Bytes())
 	}
+	const D = 16
 	T := len(terms)
 	postOff := newColumn(T+1, uint64(T))
 	docs := map[uint8]column{1: {make([]uint8, T)}, 2: {make([]uint16, T)}, 4: {make([]uint32, T)}, 8: {make([]uint64, T)}}[docWidth]
@@ -668,8 +693,8 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 		postOff.set(o+1, uint64(o+1))
 		bookTF.set(o, 1)
 	}
-	record("ir/meta", fileMeta{irFormatVersion, 1, 1, uint64(T), 0})
-	record("ir/0/meta", segMeta{1, uint64(T), uint32(T), uint64(T), uint64(T), postOff.width(), docWidth, 1, 1, postOff.width(), 1})
+	record("ir/meta", fileMeta{irFormatVersion, 1, D, uint64(T), 0})
+	record("ir/0/meta", segMeta{D, uint64(T), uint32(T), uint64(T), uint64(T), postOff.width(), docWidth, 1, 1, postOff.width(), 1, 0, 0, 1, 1, 1})
 	dict := segfile.NewTable(T, func(o int) string { return terms[o] })
 	block("ir/0/terms", dict.Data)
 	block("ir/0/termoff", segfile.Bytes(dict.Off))
@@ -679,9 +704,16 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 	block("ir/0/bookimp", segfile.Bytes(bookImp))
 	block("ir/0/postdoc", docs.bytes())
 	block("ir/0/postcode", codes.bytes())
-	block("ir/0/names", []byte("doc"))
-	block("ir/0/nameoff", segfile.Bytes([]uint32{0, 3}))
-	block("ir/0/doclen", []byte{byte(T)})
+	block("ir/0/bitord", nil)
+	block("ir/0/fullord", nil)
+	block("ir/0/bitmap", nil)
+	block("ir/0/bitrank", nil)
+	names := segfile.NewTable(D, func(d int) string { return fmt.Sprintf("doc%d", d) })
+	block("ir/0/names", names.Data)
+	block("ir/0/nameoff", segfile.Bytes(names.Off))
+	doclen := make([]byte, D)
+	doclen[0] = byte(T)
+	block("ir/0/doclen", doclen)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,18 @@ package serve
 // count as a Prometheus counter (and the same count on /debug/vars).
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dlse"
 )
 
 func TestSceneViewObservability(t *testing.T) {
@@ -109,5 +114,86 @@ func TestSceneViewObservability(t *testing.T) {
 	}
 	if got, _ := vars["sceneview_builds"].(float64); got != 1 {
 		t.Fatalf("/debug/vars sceneview_builds = %v, want 1", vars["sceneview_builds"])
+	}
+}
+
+// TestCountersNeverFall: no _total series on /metrics falls across a
+// commit, a scene query, a compaction, another scene query and a reload.
+// The compaction and the reload each install partitions that have built no
+// scene view in place of ones that have, and dl_sceneview_builds_total
+// keeps the retired ones' builds.
+func TestCountersNeverFall(t *testing.T) {
+	e, idx := fixture(t)
+	srv := New(e, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	wireAdmin(t, srv, idx)
+	// A reload re-reads the library: its one partition is a new copy.
+	srv.SetReloader(func(context.Context) (*dlse.Engine, error) {
+		video := srv.Engine().VideoIndex()
+		parts, err := video.Parts()
+		if err != nil {
+			return nil, err
+		}
+		copied, meta, err := core.MergeSegmentRange(parts, video.Metas(), 0, len(parts))
+		if err != nil {
+			return nil, err
+		}
+		view, err := core.NewSegmentedIndex([]*core.MetaIndex{copied}, []core.SegmentMeta{meta}, video.Generation()+1)
+		if err != nil {
+			return nil, err
+		}
+		return srv.Engine().WithVideo(view), nil
+	})
+	totals := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, line := range strings.Split(string(body), "\n") {
+			series, value, ok := strings.Cut(line, " ")
+			name, _, _ := strings.Cut(series, "{")
+			if !ok || strings.HasPrefix(line, "#") || !strings.HasSuffix(name, "_total") {
+				continue
+			}
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("/metrics line %q: %v", line, err)
+			}
+			out[series] = v
+		}
+		return out
+	}
+	last := totals()
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"commit", func() { postJSON(t, ts.URL, "/v2/commit", `{"paths":["a.svf"]}`, http.StatusOK) }},
+		{"scene query", func() { countScenes(t, ts.URL) }},
+		{"compact", func() { postJSON(t, ts.URL, "/v2/compact", `{"target":0}`, http.StatusOK) }},
+		{"second scene query", func() { countScenes(t, ts.URL) }},
+		{"reload", func() { postJSON(t, ts.URL, "/v2/reload", "", http.StatusOK) }},
+	} {
+		step.do()
+		now := totals()
+		for series, v := range last {
+			if now[series] < v {
+				t.Errorf("after the %s, %s fell from %v to %v", step.name, series, v, now[series])
+			}
+		}
+		last = now
+	}
+	// Two partitions built a view for the first scene query, the merged one
+	// for the second.
+	if got := last["dl_sceneview_builds_total"]; got != 3 {
+		t.Errorf("dl_sceneview_builds_total = %v after the steps, want 3", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,6 +45,11 @@ type Server struct {
 	sem       chan struct{}
 	mux       *http.ServeMux
 	start     time.Time
+
+	// swapMu orders Swap against reads of retiredBuilds, the scene-view
+	// builds of the partitions installs have retired (sceneview_builds).
+	swapMu        sync.Mutex
+	retiredBuilds int64
 
 	// Serving counters, exported (with live gauges) on /metrics in
 	// Prometheus text format and on /debug/vars as JSON.
@@ -109,10 +115,12 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	// The segfiles the process holds open: page-lane caches and meta-index
 	// files, each counted once per mapping.
 	reg.GaugeFunc("mapped_bytes", func() float64 { return float64(segfile.MappedBytes()) })
-	// Monotone across Swap: WithVideo-derived engines share partitions, so
-	// the per-partition build counters carry over.
+	// Monotone across Swap: the builds of the partitions the current engine
+	// holds, plus those of every partition an install retired.
 	reg.CounterFunc("sceneview_builds", func() int64 {
-		return s.engine.Load().VideoIndex().ViewBuilds()
+		s.swapMu.Lock()
+		defer s.swapMu.Unlock()
+		return s.retiredBuilds + s.engine.Load().VideoIndex().ViewBuilds()
 	})
 	reg.GaugeFunc("generation", func() float64 {
 		return float64(s.engine.Load().VideoIndex().Generation())
@@ -141,7 +149,10 @@ func (s *Server) Engine() *dlse.Engine { return s.engine.Load() }
 // unpurged they could never be served, since every lookup is tagged with
 // the new engine's snapshot ID.
 func (s *Server) Swap(engine *dlse.Engine) {
+	s.swapMu.Lock()
+	s.retiredBuilds += s.engine.Load().VideoIndex().RetiredViewBuilds(engine.VideoIndex())
 	s.engine.Store(engine)
+	s.swapMu.Unlock()
 	s.InvalidateCache()
 }
 
