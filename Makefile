@@ -32,17 +32,22 @@ race:
 # FuzzAnalyze holds the build's one-analysis path to the query-side chain,
 # FuzzTopKMatchesDense the text lane's top-k kernel to its dense scan, and
 # FuzzQuadSegment the tracker's segmentation kernel to its per-pixel oracle.
+# -fuzzminimizetime=1s caps how long the fuzzer minimizes each new
+# interesting input: at Go's default of 60 s a target with large seeds
+# (FuzzSegfileOpen) spends most of its 5 s minimizing the first new input
+# and executes nothing, so the cap is what makes these runs explore.
+FUZZ = $(GO) test -run=NONE -fuzztime=5s -fuzzminimizetime=1s
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=5s ./internal/vidfmt
-	$(GO) test -run=NONE -fuzz='^FuzzAnalyze$$' -fuzztime=5s ./internal/ir
-	$(GO) test -run=NONE -fuzz='^FuzzReader$$' -fuzztime=5s ./internal/segfile
-	$(GO) test -run=NONE -fuzz='^FuzzSegfileOpen$$' -fuzztime=5s ./internal/ir
-	$(GO) test -run=NONE -fuzz='^FuzzTopKMatchesDense$$' -fuzztime=5s ./internal/ir
-	$(GO) test -run=NONE -fuzz='^FuzzVecSegfileOpen$$' -fuzztime=5s ./internal/vec
-	$(GO) test -run=NONE -fuzz='^FuzzMetaSegfileOpen$$' -fuzztime=5s ./internal/core
-	$(GO) test -run=NONE -fuzz='^FuzzParseRequest$$' -fuzztime=5s ./internal/dlse
-	$(GO) test -run=NONE -fuzz='^FuzzCursor$$' -fuzztime=5s ./internal/dlse
-	$(GO) test -run=NONE -fuzz='^FuzzQuadSegment$$' -fuzztime=5s ./internal/track
+	$(FUZZ) -fuzz='^FuzzDecode$$' ./internal/vidfmt
+	$(FUZZ) -fuzz='^FuzzAnalyze$$' ./internal/ir
+	$(FUZZ) -fuzz='^FuzzReader$$' ./internal/segfile
+	$(FUZZ) -fuzz='^FuzzSegfileOpen$$' ./internal/ir
+	$(FUZZ) -fuzz='^FuzzTopKMatchesDense$$' ./internal/ir
+	$(FUZZ) -fuzz='^FuzzVecSegfileOpen$$' ./internal/vec
+	$(FUZZ) -fuzz='^FuzzMetaSegfileOpen$$' ./internal/core
+	$(FUZZ) -fuzz='^FuzzParseRequest$$' ./internal/dlse
+	$(FUZZ) -fuzz='^FuzzCursor$$' ./internal/dlse
+	$(FUZZ) -fuzz='^FuzzQuadSegment$$' ./internal/track
 
 # Full benchmark run with the experiment tables.
 bench:

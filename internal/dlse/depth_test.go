@@ -107,6 +107,12 @@ func TestFuseTopMatchesFuseRRF(t *testing.T) {
 // segment boundaries too, since the copies land in the last segment.
 func tieFixture(t *testing.T, textSegments int) *Engine {
 	t.Helper()
+	return segFixtureOver(t, tieSite(t), textSegments)
+}
+
+// tieSite is tieFixture's site.
+func tieSite(t *testing.T) *webspace.Site {
+	t.Helper()
 	site, err := webspace.GenerateAusOpen(webspace.SiteConfig{Players: 40, YearStart: 1998, YearEnd: 2001, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +122,7 @@ func tieFixture(t *testing.T, textSegments int) *Engine {
 			site.Pages = append(site.Pages, webspace.Page{Name: "mirror/" + pg.Name, Text: pg.Text, ObjectID: pg.ObjectID})
 		}
 	}
-	return segFixtureOver(t, site, textSegments)
+	return site
 }
 
 // tieQueries all match pages of tieFixture's site, mirrored ones among them.
@@ -180,6 +186,54 @@ func TestBoundedDepthParity(t *testing.T) {
 					if got.Total != full.Total || got.Cursor != page.Cursor {
 						t.Fatalf("segs=%d %+v depth %d: total %d cursor %q, want %d %q",
 							nseg, q, depth, got.Total, got.Cursor, full.Total, page.Cursor)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRankedAnswersHoldNoNames: a ranked answer holds its items unnamed,
+// so that what the result cache keeps holds no names, and each page cut from
+// it is named, by the text lane, the same as an answer computed afresh for
+// that page — at one and at three segments, on every ranked lane.
+func TestRankedAnswersHoldNoNames(t *testing.T) {
+	ctx := context.Background()
+	site := tieSite(t)
+	for _, nseg := range []int{1, 3} {
+		e := segFixtureOver(t, site, nseg)
+		for _, q := range rankedForms(tieQueries[0]) {
+			_, key, err := e.Normalize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held, err := e.SearchNormalized(ctx, q, key, 6, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(held.Items) != 0 {
+				t.Fatalf("segs=%d %+v: the held set carries %d items", nseg, q, len(held.Items))
+			}
+			for _, it := range held.ans.upTo(0) {
+				if it.Page != "" {
+					t.Fatalf("segs=%d %+v: the held answer names doc %d %q", nseg, q, it.Doc, it.Page)
+				}
+			}
+			for _, c := range []Cursor{"", encodeCursor(held.key, 3, held.Snapshot)} {
+				page, err := held.Page(c, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := e.Search(ctx, q, WithCursor(c), WithLimit(3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameItems(page.Items, fresh.Items); err != nil || len(page.Items) != 3 {
+					t.Fatalf("segs=%d %+v cursor %q: %d items, %v", nseg, q, c, len(page.Items), err)
+				}
+				for _, it := range page.Items {
+					if want := site.Pages[it.Doc].Name; it.Page != want {
+						t.Fatalf("segs=%d %+v: doc %d named %q, its page is %q", nseg, q, it.Doc, it.Page, want)
 					}
 				}
 			}

@@ -9,6 +9,7 @@ package dlse
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -137,11 +138,11 @@ func (t objPages) of(id int64) []ir.DocID {
 
 // buildPageLanes builds the two page lanes over one partition of the pages:
 // the full-text index, one frozen segment per part, and the page embeddings,
-// one builder per part, whose hits the text lane's name tables name. A lane
-// whose cache file (opts.TextSegfile, opts.VecSegfile) carries the signature
-// of these pages and this partition is memory-mapped, verified, and its
-// build skipped entirely; a missing, stale or damaged cache is rebuilt and
-// rewritten. The vector cache is opened only beside a text lane already
+// one builder per part, whose hits the text lane names (ir.Segments.Name).
+// A lane whose cache file (opts.TextSegfile, opts.VecSegfile) carries the
+// signature of these pages and this partition is memory-mapped, verified,
+// and its build skipped entirely; a missing, stale or damaged cache is
+// rebuilt and rewritten. The vector cache is opened only beside a text lane already
 // there: it holds no names, and its signature derives from the text lane's
 // (vec.Signature), so when the text lane is rebuilt so is the vector lane.
 // A cold build runs concurrently what is independent: first every part is
@@ -156,12 +157,17 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb *vec.HashEmbedd
 	textSig := pagesSignature(all, pages.Parts())
 	vecSig := vec.Signature(textSig, emb)
 	// The mappings live for the life of the process: the lanes alias them.
+	// The text lane names the vector lane's hits by doc ID, so it must lay
+	// the pages out as the vector lane does.
 	openText := func() (*ir.Segments, error) {
 		t, _, err := ir.OpenSegmentsFile(opts.TextSegfile, textSig)
+		if err == nil && !samePartition(t.Partition(), pages) {
+			return nil, errors.New("dlse: the text segfile cache partitions the pages otherwise")
+		}
 		return t, err
 	}
-	openVecs := func(text *ir.Segments) (*vec.Segments, error) {
-		v, _, err := vec.OpenFile(opts.VecSegfile, emb, vecSig, text.NameTables())
+	openVecs := func() (*vec.Segments, error) {
+		v, _, err := vec.OpenFile(opts.VecSegfile, emb, vecSig, pages)
 		return v, err
 	}
 	var text *ir.Segments
@@ -170,7 +176,7 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb *vec.HashEmbedd
 		text, _ = openText() // a cache that does not open is rebuilt
 	}
 	if text != nil && opts.VecSegfile != "" {
-		vecs, _ = openVecs(text)
+		vecs, _ = openVecs()
 	}
 	if text != nil && vecs != nil {
 		return text, vecs, nil
@@ -242,14 +248,27 @@ func buildPageLanes(all []webspace.Page, pages segset.Bases, emb *vec.HashEmbedd
 	}
 	var err error
 	if opts.VecSegfile == "" {
-		vecs, err = vec.NewSegments(emb, vecParts, text.NameTables())
-	} else if vecs, err = openVecs(text); err != nil {
+		vecs, err = vec.NewSegments(emb, vecParts, pages)
+	} else if vecs, err = openVecs(); err != nil {
 		err = fmt.Errorf("dlse: opening the vec segfile cache just written: %w", err)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	return text, vecs, nil
+}
+
+// samePartition reports whether a and b lay out the same parts.
+func samePartition(a, b segset.Bases) bool {
+	if a.Parts() != b.Parts() {
+		return false
+	}
+	for i := range a.Parts() {
+		if a.Start(i+1) != b.Start(i+1) {
+			return false
+		}
+	}
+	return true
 }
 
 // concurrently runs the tasks as the legs of one scatter and returns the

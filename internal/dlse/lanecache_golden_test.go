@@ -20,8 +20,11 @@ package dlse
 // than a sixteenth of its segment as a bitmap and a list of every document
 // as nothing (TestTextFormat6EqualsFormat5 reads every list's doc IDs back
 // and compares them with format 5's field by field; that test is what allows
+// this one re-recording), and once for text format 7, which front-codes the
+// dictionary and the page names (TestTextFormat7EqualsFormat6 reads both
+// back and compares every field with format 6's; that test is what allows
 // this one re-recording); the page answers it serves are pinned across all
-// five changes by goldenLanePages. The vector hash was re-recorded once for vec
+// six changes by goldenLanePages. The vector hash was re-recorded once for vec
 // format 2, which stores each coordinate as the embedder's integer count at
 // the narrowest width plus one scale per page, and no page names
 // (TestVecFormat2EqualsFormat1 rebuilds every coordinate bit for bit);
@@ -43,7 +46,7 @@ import (
 // Sha256 of the text and vector segfile caches a cold build writes for
 // laneCacheSite at four text segments.
 const (
-	goldenTextCache = "9e419f2999ccecb2267665b438dc048e7e6201105d5cad1bee0d10267bf639e7"
+	goldenTextCache = "e26c5caadb4b0d5a070bf02a634f014f1c97672c5a43eff7090a55ee2eedf807"
 	goldenVecCache  = "8199d591a1533ce8c121d59fc487f9dce241082bd27b486e516b5c0e3401dde7"
 )
 
@@ -85,12 +88,13 @@ func TestPageLaneCacheGolden(t *testing.T) {
 }
 
 // textCacheBytes is the size of the text cache a cold build writes for
-// laneCacheSite at four text segments, measured when dense lists became
-// bitmaps (text format 6; format 5, without the idf block, wrote 138,579
-// bytes, format 4, each posting's TF and impact in its term's book, 156,115,
+// laneCacheSite at four text segments, measured when the dictionary and the
+// page names became front-coded (text format 7; format 6, dense lists as
+// bitmaps, wrote 110,091 bytes, format 5, without the idf block, 138,579,
+// format 4, each posting's TF and impact in its term's book, 156,115,
 // format 3, the integer columns at their narrowest widths, 216,367, and
 // format 2 329,431).
-const textCacheBytes = 110091
+const textCacheBytes = 87123
 
 // TestTextCacheSize holds the text cache of laneCacheSite at four segments to
 // textCacheBytes plus 2 %, and logs what it costs per posting.

@@ -240,6 +240,9 @@ type answer struct {
 	// more re-executes to at least depth items; nil when the prefix is all
 	// there is to serve (the whole answer, or a gathered one).
 	more func(depth int) []Item
+	// text names a ranked answer's items, which are held unnamed, in each
+	// page cut from them (named); nil when the items need no names.
+	text *ir.Segments
 
 	mu    sync.Mutex
 	items []Item // replaced on deepening, never written in place
@@ -254,6 +257,22 @@ func (a *answer) upTo(need int) []Item {
 		a.items = a.more(min(max(need, 2*have), a.total))
 	}
 	return a.items
+}
+
+// named returns a page of the answer's items with their pages named, all
+// names in one buffer, or the page itself when the items need no names. The
+// page is named in place when it is the caller's own (the answer was made
+// for this one page and is not shared), and otherwise in a copy, so that
+// what a cache retains holds no names.
+func (a *answer) named(page []Item, own bool) []Item {
+	if a.text == nil {
+		return page
+	}
+	if !own {
+		page = append([]Item(nil), page...)
+	}
+	a.text.Name(len(page), func(i int) ir.DocID { return page[i].Doc }, func(i int, name string) { page[i].Page = name })
+	return page
 }
 
 // Held reports how many items of the answer the set's shared prefix holds
@@ -361,7 +380,15 @@ func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return e.SearchNormalized(ctx, nq, key, 0, withExplain)
+	rs, err := e.SearchNormalized(ctx, nq, key, 0, withExplain)
+	if err != nil {
+		return nil, err
+	}
+	// rs and its answer are this call's own: rs becomes the whole page.
+	if err := rs.cut(rs, "", 0, true); err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // SearchNormalized executes a query a caller already holds in normal form
@@ -369,7 +396,9 @@ func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*Res
 // layer, which needs the key for its cache lookup before it knows whether
 // anything has to execute. depth bounds the ranked lanes (see Depth; 0 ranks
 // everything): the set holds that prefix and the exact Total, and deepens
-// when read past it. Combined and scene answers are always whole.
+// when read past it. Combined and scene answers are always whole, and the set
+// carries them in Items; a ranked set's Items are empty, because its items
+// are named only in the pages cut from it (Page).
 func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, depth int, withExplain bool) (*ResultSet, error) {
 	rs := &ResultSet{Snapshot: e.snap, key: fnv64(key)}
 	var items []Item
@@ -385,11 +414,12 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, dep
 		if items, total, rs.Explain, err = e.rank(nq, depth, withExplain); err != nil {
 			return nil, err // incl. ir.ErrEmptyQry, raw
 		}
-		rs.ans = &answer{items: items, total: total, more: func(depth int) []Item {
+		rs.ans = &answer{items: items, total: total, text: e.text, more: func(depth int) []Item {
 			// Cannot fail: this query already ran on this immutable snapshot.
 			items, _, _, _ := e.rank(nq, depth, false)
 			return items
 		}}
+		items = nil
 	default:
 		if e.video.Stats().Videos == 0 {
 			return nil, fmt.Errorf("%w: scene query %q needs an indexed video library", ErrNoIndex, nq.Scenes)
@@ -425,13 +455,14 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, dep
 // size of the whole answer — documents touched for the lexical lane, scanned
 // for the vector lane, and for the hybrid their union, which is what the
 // vector lane scanned: it scores every page. Explain operators report those
-// matched counts, not returned ones.
+// matched counts, not returned ones. The items are unnamed: a page cut from
+// them is named (answer.named).
 func (e *Engine) rank(nq Query, depth int, withExplain bool) (items []Item, total int, ex *Explain, err error) {
 	depth = max(depth, 0)
 	t0 := time.Now()
 	switch {
 	case nq.Keyword != "":
-		hits, stats, perSeg, err := e.text.SearchSegments(nq.Keyword, depth, nil)
+		hits, stats, perSeg, err := e.text.Rank(nq.Keyword, depth, nil)
 		if err != nil {
 			return nil, 0, nil, err
 		}
@@ -499,7 +530,11 @@ func (e *Engine) Search(ctx context.Context, q Query, opts ...SearchOption) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return rs.Page(o.cursor, o.limit)
+	// rs and its answer are this call's own: rs becomes the page.
+	if err := rs.cut(rs, o.cursor, o.limit, true); err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // Page cuts one page out of the answer: the items from the cursor's offset
@@ -511,14 +546,25 @@ func (e *Engine) Search(ctx context.Context, q Query, opts ...SearchOption) (*Re
 // end (a shrunken answer, a forged cursor) yields an empty last page
 // without ranking anything.
 func (rs *ResultSet) Page(c Cursor, limit int) (*ResultSet, error) {
-	offset, total := rs.offset, rs.ans.total
+	page := new(ResultSet)
+	if err := rs.cut(page, c, limit, false); err != nil {
+		return nil, err
+	}
+	return page, nil
+}
+
+// cut makes page, which may be rs itself, the page (c, limit) of rs's answer
+// (see Page). own is set when the answer is the caller's alone, so that the
+// page may be named in place (answer.named).
+func (rs *ResultSet) cut(page *ResultSet, c Cursor, limit int, own bool) error {
+	offset, total, ans := rs.offset, rs.ans.total, rs.ans
 	if c != "" {
 		key, off, _, err := decodeCursor(c)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if key != rs.key {
-			return nil, fmt.Errorf("%w: cursor belongs to a different query", ErrBadCursor)
+			return fmt.Errorf("%w: cursor belongs to a different query", ErrBadCursor)
 		}
 		offset = off
 	}
@@ -527,22 +573,22 @@ func (rs *ResultSet) Page(c Cursor, limit int) (*ResultSet, error) {
 	if limit > 0 && limit < total-offset {
 		end = offset + limit
 	}
-	page := &ResultSet{
+	*page = ResultSet{
 		Total:    total,
 		Snapshot: rs.Snapshot,
 		Explain:  rs.Explain,
 		key:      rs.key,
-		ans:      rs.ans,
+		ans:      ans,
 		offset:   offset,
 	}
 	if offset < end {
-		items := rs.ans.upTo(end)
+		items := ans.upTo(end)
 		end = min(end, len(items)) // a gathered prefix may stop short of the page
 		offset = min(offset, end)
-		page.Items = items[offset:end]
+		page.Items = ans.named(items[offset:end], own)
 	}
 	if end < total {
-		page.Cursor = encodeCursor(rs.key, end, rs.Snapshot)
+		page.Cursor = encodeCursor(page.key, end, page.Snapshot)
 	}
-	return page, nil
+	return nil
 }

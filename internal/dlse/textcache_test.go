@@ -137,7 +137,9 @@ func TestTextSegfileCacheStaleRebuild(t *testing.T) {
 // columns) the last format-3 build wrote for it, text-v4.segf the format-4
 // cache (with the idf block) the last format-4 build wrote for it, and
 // text-v5.segf the format-5 cache (every list a doc-ID range) the last
-// format-5 build wrote for it.
+// format-5 build wrote for it, and text-v6.segf the format-6 cache (dense
+// lists as bitmaps, whole-string dictionary and names) the last format-6
+// build wrote for it.
 // Their signatures match, so only their version refuses them: the boot
 // rebuilds, replaces the file with the cache a fresh cold build writes, and
 // answers as a cache-free build does.
@@ -147,7 +149,7 @@ func TestTextSegfileCacheOldVersionRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []string{"1", "2", "3", "4", "5"} {
+	for _, version := range []string{"1", "2", "3", "4", "5", "6"} {
 		t.Run("v"+version, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("testdata", "text-v"+version+".segf"))
 			if err != nil {
@@ -230,7 +232,8 @@ func (s textSeg) postings() int {
 // distinct, in first-appearance order and all used) or 5 (version 4 without
 // the idf block) or 6 (version 5 with each list of more than a sixteenth of
 // its segment stored as a bitmap, and each list of every document as
-// nothing: denseDocs reads their doc IDs back).
+// nothing: denseDocs reads their doc IDs back) or 7 (version 6 with the
+// dictionary and the names front-coded: frontTable reads them back).
 func decodeTextFile(t *testing.T, path string) textFile {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -288,7 +291,8 @@ func decodeTextFile(t *testing.T, path string) textFile {
 			Terms    uint32
 			Postings uint64
 		}
-		var widths [4]uint8 // offsets, doc IDs, TFs, lengths
+		var widths [4]uint8     // offsets, doc IDs, TFs, lengths
+		var headWidths [2]uint8 // format 7: the dictionary's and the names' restart heads
 		var postoff, docs, tfs, doclen []uint64
 		var imp []byte
 		switch head.Version {
@@ -312,21 +316,25 @@ func decodeTextFile(t *testing.T, path string) textFile {
 			tfs = uints(pre+"posttf", int(widths[2]), true)
 			doclen = uints(pre+"doclen", int(widths[3]), true)
 			imp = block(pre + "postimp")
-		case 4, 5, 6:
+		case 4, 5, 6, 7:
 			var entries uint64
 			var w [6]uint8      // offsets, doc IDs, codes, lengths, book offsets, book TFs
 			var dense [2]uint32 // format 6: bitmap and full lists
 			var dw [3]uint8     // format 6: bitmap and full ordinals, rank samples
-			if head.Version < 6 {
-				if err := r.Record(pre+"meta", &meta, &entries, &w); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := r.Record(pre+"meta", &meta, &entries, &w, &dense, &dw); err != nil {
+			switch head.Version {
+			case 4, 5:
+				err = r.Record(pre+"meta", &meta, &entries, &w)
+			case 6:
+				err = r.Record(pre+"meta", &meta, &entries, &w, &dense, &dw)
+			default:
+				err = r.Record(pre+"meta", &meta, &entries, &w, &dense, &dw, &headWidths)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			postoff = uints(pre+"postoff", int(w[0]), true)
 			docs = uints(pre+"postdoc", int(w[1]), true)
-			if head.Version == 6 {
+			if head.Version >= 6 {
 				docs = denseDocs(t, path, i, int(meta.Docs), postoff, docs, dense,
 					uints(pre+"bitord", int(dw[0]), true), uints(pre+"fullord", int(dw[1]), true),
 					uints(pre+"bitmap", 8, false), uints(pre+"bitrank", int(dw[2]), true))
@@ -367,13 +375,13 @@ func decodeTextFile(t *testing.T, path string) textFile {
 		default:
 			t.Fatalf("%s: layout version %d", path, head.Version)
 		}
-		terms, err := r.Table(pre+"terms", pre+"termoff", int(meta.Terms))
-		if err != nil {
-			t.Fatal(err)
-		}
-		names, err := r.Table(pre+"names", pre+"nameoff", int(meta.Docs))
-		if err != nil {
-			t.Fatal(err)
+		var terms, names []string
+		if head.Version < 7 {
+			terms = wholeTable(t, r, pre+"terms", pre+"termoff", int(meta.Terms))
+			names = wholeTable(t, r, pre+"names", pre+"nameoff", int(meta.Docs))
+		} else {
+			terms = frontTable(t, r, pre+"terms", uints(pre+"termhead", int(headWidths[0]), true), int(meta.Terms))
+			names = frontTable(t, r, pre+"names", uints(pre+"namehead", int(headWidths[1]), true), int(meta.Docs))
 		}
 		var idf []byte
 		if head.Version < 5 {
@@ -388,7 +396,7 @@ func decodeTextFile(t *testing.T, path string) textFile {
 		}
 		for o := 0; o < int(meta.Terms); o++ {
 			lo, hi := postoff[o], postoff[o+1]
-			seg.terms = append(seg.terms, terms.At(o))
+			seg.terms = append(seg.terms, terms[o])
 			if idf != nil {
 				seg.idf = append(seg.idf, binary.LittleEndian.Uint64(idf[8*o:]))
 			}
@@ -400,12 +408,72 @@ func decodeTextFile(t *testing.T, path string) textFile {
 			}
 			seg.imps = append(seg.imps, ib)
 		}
-		for d := 0; d < int(meta.Docs); d++ {
-			seg.names = append(seg.names, names.At(d))
-		}
+		seg.names = names
 		f.segs = append(f.segs, seg)
 	}
 	return f
+}
+
+// wholeTable decodes the n strings of a table of formats 1-6: their bytes
+// concatenated in block data and n+1 u32 offsets delimiting them in block
+// off, starting at 0 and ending at the bytes' end.
+func wholeTable(t *testing.T, r *segfile.Reader, data, off string, n int) []string {
+	t.Helper()
+	b, _ := r.Block(data)
+	o, ok := r.Block(off)
+	if !ok || len(o) != 4*(n+1) {
+		t.Fatalf("block %q holds %d bytes, want %d offsets", off, len(o), n+1)
+	}
+	at := func(i int) uint32 { return binary.LittleEndian.Uint32(o[4*i:]) }
+	if at(0) != 0 || int(at(n)) != len(b) {
+		t.Fatalf("offsets %q do not span block %q", off, data)
+	}
+	out := []string{}
+	for i := 0; i < n; i++ {
+		if at(i) > at(i+1) {
+			t.Fatalf("offsets %q descend at %d", off, i)
+		}
+		out = append(out, string(b[at(i):at(i+1)]))
+	}
+	return out
+}
+
+// frontTable decodes the n strings of a format-7 table: block data holds
+// them front-coded, each a uvarint shared-prefix length, a uvarint suffix
+// length and the suffix, sharing the longest prefix it has in common with
+// the string before it, and every 8th string sharing nothing; heads holds
+// the byte offset of every 8th.
+func frontTable(t *testing.T, r *segfile.Reader, data string, heads []uint64, n int) []string {
+	t.Helper()
+	b, _ := r.Block(data)
+	if len(heads) != (n+7)/8 {
+		t.Fatalf("block %q: %d restart heads for %d strings", data, len(heads), n)
+	}
+	out := []string{}
+	prev, at := "", 0
+	for i := 0; i < n; i++ {
+		if i%8 == 0 && heads[i/8] != uint64(at) {
+			t.Fatalf("block %q: head %d at %d, string %d at %d", data, i/8, heads[i/8], i, at)
+		}
+		p, n1 := binary.Uvarint(b[at:])
+		l, n2 := binary.Uvarint(b[at+n1:])
+		at += n1 + n2
+		s := prev[:p] + string(b[at:at+int(l)])
+		at += int(l)
+		want := 0
+		for i%8 != 0 && want < min(len(prev), len(s)) && prev[want] == s[want] {
+			want++
+		}
+		if int(p) != want {
+			t.Fatalf("block %q: string %d (%q) shares %d bytes of %q, want %d", data, i, s, p, prev, want)
+		}
+		out = append(out, s)
+		prev = s
+	}
+	if at != len(b) {
+		t.Fatalf("block %q: %d bytes past its %d strings", data, len(b)-at, n)
+	}
+	return out
 }
 
 // denseDocs returns the doc IDs of segment i of a format-6 text cache of
@@ -540,17 +608,15 @@ func TestTextFormat5EqualsFormat4(t *testing.T) {
 
 // TestTextFormat6EqualsFormat5 is the evidence behind re-recording the text
 // cache's byte goldens for format 6: the committed format-5 cache of
-// cacheSite(3) at two segments and a format-6 build of the same site hold
-// the same header, and per segment the same dictionary, per-term doc IDs,
-// TFs and impact bits, names and doc lengths. Format 6 stores a list of
-// more than a sixteenth of its segment as a bitmap and a list of every
-// document as nothing; decodeTextFile reads their doc IDs back and checks
-// the rule on every list. Both storage kinds must occur.
+// cacheSite(3) at two segments and the committed format-6 cache of the same
+// site (written by the last format-6 build) hold the same header, and per
+// segment the same dictionary, per-term doc IDs, TFs and impact bits, names
+// and doc lengths. Format 6 stores a list of more than a sixteenth of its
+// segment as a bitmap and a list of every document as nothing;
+// decodeTextFile reads their doc IDs back and checks the rule on every
+// list. Both storage kinds must occur.
 func TestTextFormat6EqualsFormat5(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "text.segf")
-	if _, err := NewSegmented(cacheSite(t, 3), nil, Options{TextSegments: 2, TextSegfile: path}); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("testdata", "text-v6.segf")
 	sameTextFile(t, filepath.Join("testdata", "text-v5.segf"), path)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -564,7 +630,28 @@ func TestTextFormat6EqualsFormat5(t *testing.T) {
 		b0, _ := r.Block("ir/0/" + kind)
 		b1, _ := r.Block("ir/1/" + kind)
 		if len(b0)+len(b1) == 0 {
-			t.Errorf("the format-6 build stores no %s", kind)
+			t.Errorf("the format-6 cache stores no %s", kind)
+		}
+	}
+}
+
+// TestTextFormat7EqualsFormat6 is the evidence behind re-recording the text
+// cache's byte goldens for format 7: the committed format-6 cache of
+// cacheSite(3) at two segments and a format-7 build of the same site hold
+// the same header, and per segment the same dictionary, per-term doc IDs,
+// TFs and impact bits, names and doc lengths. Format 7 front-codes the
+// dictionary and the names; decodeTextFile reads them back, checking that
+// every string shares the longest prefix it can and every 8th nothing.
+// Both tables must have more than one restart block.
+func TestTextFormat7EqualsFormat6(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "text.segf")
+	if _, err := NewSegmented(cacheSite(t, 3), nil, Options{TextSegments: 2, TextSegfile: path}); err != nil {
+		t.Fatal(err)
+	}
+	sameTextFile(t, filepath.Join("testdata", "text-v6.segf"), path)
+	for i, seg := range decodeTextFile(t, path).segs {
+		if len(seg.terms) <= 8 || len(seg.names) <= 8 {
+			t.Errorf("segment %d holds %d terms and %d names: want more than one restart block of each", i, len(seg.terms), len(seg.names))
 		}
 	}
 }

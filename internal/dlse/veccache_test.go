@@ -49,7 +49,7 @@ func TestVecSegfileCacheOldVersionRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := vec.OpenFile(opts.VecSegfile, vec.DefaultEmbedder(), 0, text.NameTables()); err == nil || !strings.Contains(err.Error(), "version 1") {
+	if _, _, err := vec.OpenFile(opts.VecSegfile, vec.DefaultEmbedder(), 0, text.Partition()); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("version-1 cache: open err = %v, want a version refusal", err)
 	}
 	booted, err := NewSegmented(site, nil, opts)
@@ -130,15 +130,7 @@ func decodeVecFile(t *testing.T, path string) vecFile {
 			if err := r.Record(pre+"meta", &docs); err != nil {
 				t.Fatal(err)
 			}
-			names, err := r.Table(pre+"names", pre+"nameoff", int(docs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ns []string
-			for d := 0; d < int(docs); d++ {
-				ns = append(ns, names.At(d))
-			}
-			f.names = append(f.names, ns)
+			f.names = append(f.names, wholeTable(t, r, pre+"names", pre+"nameoff", int(docs)))
 			vecs := block(pre + "vecs")
 			if len(vecs) != 4*int(docs)*f.dim {
 				t.Fatalf("%s segment %d: %d embedding bytes for %d docs", path, i, len(vecs), docs)

@@ -133,8 +133,8 @@ func rewriteFile(t *testing.T, data []byte, edits map[string]func([]byte) []byte
 		t.Fatal(err)
 	}
 	names := []string{"ir/meta"}
-	for _, b := range []string{"meta", "terms", "termoff", "postoff", "bookoff", "booktf", "bookimp", "postdoc",
-		"postcode", "bitord", "fullord", "bitmap", "bitrank", "names", "nameoff", "doclen"} {
+	for _, b := range []string{"meta", "terms", "termhead", "postoff", "bookoff", "booktf", "bookimp", "postdoc",
+		"postcode", "bitord", "fullord", "bitmap", "bitrank", "names", "namehead", "doclen"} {
 		names = append(names, "ir/0/"+b)
 	}
 	for _, name := range names {

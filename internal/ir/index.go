@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/segfile"
 )
 
 // DocID identifies an indexed document.
@@ -25,15 +23,15 @@ type Posting struct {
 
 // Index is an in-memory inverted index with BM25 ranking.
 //
-// A frozen index holds its dictionary as one sorted term table and each
-// term's postings as a range of flat columns aligned with it: term ordinal o
-// owns the postings [postOff[o], postOff[o+1]) (doc order) — in codes, each
-// posting's entry in the term's book — and the book entries [bookOff[o],
-// bookOff[o+1]). Where a list's documents are depends on how much of the
-// segment it covers (bitmap.go): a sparse list's doc IDs are a range of docs,
-// a longer list is a bitmap in bitmap (its term ordinal in bitOrd, a rank
-// sample every few words in ranks), and a list of every document (its
-// ordinal in fullOrd) stores none. A term's book holds the distinct
+// A frozen index holds its dictionary as one sorted, front-coded term table
+// (frontcode.go) and each term's postings as a range of flat columns aligned
+// with it: term ordinal o owns the postings [postOff[o], postOff[o+1]) (doc
+// order) — in codes, each posting's entry in the term's book — and the book
+// entries [bookOff[o], bookOff[o+1]). Where a list's documents are depends
+// on how much of the segment it covers (bitmap.go): a sparse list's doc IDs
+// are a range of docs, a longer list is a bitmap in bitmap (its term ordinal
+// in bitOrd, a rank sample every few words in ranks), and a list of every
+// document (its ordinal in fullOrd) stores none. A term's book holds the distinct
 // (TF, impact) pairs of its postings in first-appearance order: their term
 // frequencies in bookTF and in bookImp their float32 impacts, each a
 // posting's full BM25 contribution with idf, tf saturation and
@@ -47,8 +45,9 @@ type Posting struct {
 // largest value (column.go); only Freeze and postings read bookTF. This is
 // the text segfile's layout: an index opened from a file aliases the file's
 // blocks, and a heap build holds the same columns, built once by Freeze. A
-// query term is found by binary search over the table. (SearchTopN's budget
-// mode derives an impact order from these; see topn.go.)
+// query term is found by binary search over the table's restart heads and a
+// scan of one block. (SearchTopN's budget mode derives an impact order from
+// these; see topn.go.)
 //
 // Concurrency: the index has a strict build-then-serve life cycle. Add and
 // Freeze mutate and must run from a single goroutine; after Freeze every
@@ -67,7 +66,7 @@ type Index struct {
 	// narrows it into doclen.
 	lens []uint32
 
-	dict    segfile.Table // sorted, non-empty, distinct terms
+	dict    frontTable // sorted, non-empty, distinct terms
 	postOff column
 	docs    column // the sparse lists' doc IDs
 	codes   column
@@ -81,12 +80,14 @@ type Index struct {
 	// dense is the bitmap and full lists by term ordinal (indexDense).
 	dense []denseList
 
-	// names and doclen hold each document's name and analyzed token
-	// count, by DocID.
-	names   segfile.Table
-	doclen  column
-	totalLn int64
-	frozen  bool
+	// names and doclen hold each document's name, front-coded, and its
+	// analyzed token count, by DocID. nameBuild front-codes the names as
+	// documents are added, until Freeze seals it into names.
+	names     frontTable
+	nameBuild frontBuilder
+	doclen    column
+	totalLn   int64
+	frozen    bool
 
 	// checked has one bit per term ordinal of an opened index, set once a
 	// query has verified the term's list (checkList); it is nil for a heap
@@ -136,7 +137,7 @@ func (ix *Index) AddTokens(name string, toks []string) (DocID, error) {
 		return 0, ErrFrozen
 	}
 	id := DocID(ix.Docs())
-	ix.names.Append(name)
+	ix.nameBuild.add(name)
 	ix.lens = append(ix.lens, uint32(len(toks)))
 	ix.totalLn += int64(len(toks))
 	if ix.tf == nil {
@@ -213,7 +214,11 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	for d, n := range ix.lens {
 		ix.doclen.set(d, uint64(n))
 	}
-	ix.dict = segfile.NewTable(len(terms), func(o int) string { return terms[o] })
+	var dict frontBuilder
+	for _, term := range terms {
+		dict.add(term)
+	}
+	ix.dict = dict.table()
 	ix.postOff = newColumn(len(terms)+1, uint64(npost))
 	ix.docs = newColumn(nsparse, uint64(maxDoc))
 	W := words(D)
@@ -264,9 +269,9 @@ func (ix *Index) freezeWith(cs corpusStats) {
 	ix.fullOrd = columnOf(fullOrd)
 	ix.ranks = columnOf(ranks)
 	ix.indexDense()
+	ix.names, ix.nameBuild = ix.nameBuild.table(), frontBuilder{}
 	ix.build, ix.tf, ix.lens = nil, nil, nil
-	n := ix.Docs()
-	ix.scratch.New = func() any { return NewAccum(n, &ix.scratch) }
+	ix.scratch.New = func() any { return NewAccum(D, &ix.scratch) }
 	ix.frozen = true
 }
 
@@ -329,14 +334,21 @@ func (ix *Index) impact(idf float64, p Posting, avg float64) float32 {
 }
 
 // Docs returns the number of indexed documents.
-func (ix *Index) Docs() int { return ix.names.Len() }
+func (ix *Index) Docs() int {
+	if ix.frozen {
+		return ix.names.Len()
+	}
+	return ix.nameBuild.n
+}
 
-// lookup returns the ordinal of term in the frozen term table, by binary
-// search, and whether the table holds it.
-func (ix *Index) lookup(term string) (int, bool) {
-	n := ix.dict.Len()
-	o := sort.Search(n, func(i int) bool { return ix.dict.At(i) >= term })
-	return o, o < n && ix.dict.At(o) == term
+// lookup returns the ordinal of term in the frozen term table and whether
+// the table holds it.
+func (ix *Index) lookup(term string) (int, bool) { return ix.dict.find(term) }
+
+// nameHits names the index's hits (nameDocs).
+func (ix *Index) nameHits(hits []Hit) {
+	nameDocs(len(hits), func(i int) (*frontTable, int) { return &ix.names, int(hits[i].Doc) },
+		func(i int, name string) { hits[i].Name = name })
 }
 
 // span returns term ordinal o's range of the posting columns.
@@ -461,15 +473,10 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 
 // searchDense is the dense scan of Search: every posting of the terms
 // scored into a pooled accumulator (scoreTerms), and the top k selected
-// from it.
+// from it and named.
 func (ix *Index) searchDense(terms []string, k int) ([]Hit, SearchStats, error) {
 	ac := ix.getAccum()
 	defer ac.Release()
-	return ix.scoreTop(terms, k, ac)
-}
-
-// scoreTop scores the terms densely into ac and selects the top k.
-func (ix *Index) scoreTop(terms []string, k int, ac *Accum) ([]Hit, SearchStats, error) {
 	stats, err := ix.scoreTerms(terms, ac)
 	if err != nil {
 		return nil, stats, err
@@ -477,10 +484,10 @@ func (ix *Index) scoreTop(terms []string, k int, ac *Accum) ([]Hit, SearchStats,
 	return ix.topKDense(ac, k), stats, nil
 }
 
-// rank returns the top k documents for the terms with the top-k kernel
-// (maxscore.go), whose lists the leased accumulator holds. A depth that
-// reaches every matching document (k <= 0, or k at least the union of the
-// lists) prunes nothing, so it takes the dense scan into the same
+// rank returns the top k documents for the terms, unnamed, with the top-k
+// kernel (maxscore.go), whose lists the leased accumulator holds. A depth
+// that reaches every matching document (k <= 0, or k at least the union of
+// the lists) prunes nothing, so it takes the dense scan into the same
 // accumulator. DocsTouched is the exact size of the union either way, and
 // Terminated reports that the kernel left postings unread.
 func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
@@ -493,13 +500,14 @@ func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
 		}
 		if total := ql.union(); k < total {
 			hits, scored := ql.topK(k)
-			for i := range hits {
-				hits[i].Name = ix.names.At(int(hits[i].Doc))
-			}
 			return hits, SearchStats{TermsMatched: ql.count(), PostingsScored: scored, DocsTouched: total, Terminated: scored < ql.postings()}, nil
 		}
 	}
-	return ix.scoreTop(terms, k, ac)
+	stats, err := ix.scoreTerms(terms, ac)
+	if err != nil {
+		return nil, stats, err
+	}
+	return ac.TopK(k), stats, nil
 }
 
 // scoreTerms accumulates every term's full posting list into ac, in term

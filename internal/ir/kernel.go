@@ -136,9 +136,7 @@ func sortHeap(h []Hit) []Hit {
 // topKDense is TopK with the index's document names filled in.
 func (ix *Index) topKDense(ac *Accum, k int) []Hit {
 	out := ac.TopK(k)
-	for i := range out {
-		out[i].Name = ix.names.At(int(out[i].Doc))
-	}
+	ix.nameHits(out)
 	return out
 }
 

@@ -43,7 +43,7 @@ func (ix *Index) searchMapReference(query string, k int) ([]Hit, SearchStats, er
 func topKMap(ix *Index, scores map[DocID]float64, k int) []Hit {
 	hits := make([]Hit, 0, len(scores))
 	for d, s := range scores {
-		hits = append(hits, Hit{Doc: d, Name: ix.names.At(int(d)), Score: s})
+		hits = append(hits, Hit{Doc: d, Score: s})
 	}
 	sort.Slice(hits, func(a, b int) bool {
 		if hits[a].Score != hits[b].Score {
@@ -54,5 +54,6 @@ func topKMap(ix *Index, scores map[DocID]float64, k int) []Hit {
 	if k > 0 && len(hits) > k {
 		hits = hits[:k]
 	}
+	ix.nameHits(hits)
 	return hits
 }

@@ -4,12 +4,13 @@ package ir
 // Segments reader serializes into the segfile container as flat,
 // 64-byte-aligned columns — doc-ordered posting doc IDs and book codes, each
 // term's book of distinct (TF, float32 BM25 impact) pairs, per-term posting
-// and book offsets, doc lengths, and the sorted term dictionary —
-// and opens back up with one mmap plus an O(terms + book entries) check: the
-// reconstructed Index's term table, offsets, doc IDs, codes, books and
-// lengths are the mapped blocks themselves (segfile's typed views), so no
-// posting is decoded, no per-term structure is built on the heap, queries
-// find their terms by binary search over the mapped dictionary, and the
+// and book offsets, doc lengths, and the sorted term dictionary and the page
+// names, both front-coded (frontcode.go) — and opens back up with one mmap
+// plus an O(terms + book entries + documents) check: the reconstructed
+// Index's term table, names, offsets, doc IDs, codes, books and lengths are
+// the mapped blocks themselves (segfile's typed views), so no posting is
+// decoded, no per-term structure is built on the heap, queries find their
+// terms by binary search over the mapped dictionary's restart heads, and the
 // kernels (maxscore.go and scoreTerms) score straight over the file's pages.
 // No idf is stored: every impact has it folded in, and a term's bound in the
 // top-k kernel is the largest impact in its book.
@@ -37,32 +38,40 @@ package ir
 // splits).
 //
 // Block layout (names within the container; uW is an unsigned column of
-// the width the segment's meta record gives it):
+// the width the segment's meta record gives it; R is restartEvery):
 //
 //	ir/meta            record: u32 irVersion | u32 nsegs | u64 docs |
 //	                   u64 vocab | u64 signature
 //	ir/<i>/meta        record: u32 docs | u64 totalLen | u32 terms |
 //	                   u64 postings | u64 book | u8 offWidth |
 //	                   u8 docWidth | u8 codeWidth | u8 lenWidth |
-//	                   u8 bookOffWidth | u8 tfWidth
-//	ir/<i>/terms       sorted term bytes, concatenated
-//	ir/<i>/termoff     u32[T+1] offsets into terms
+//	                   u8 bookOffWidth | u8 tfWidth | u32 bitmaps |
+//	                   u32 fulls | u8 bitOrdWidth | u8 fullOrdWidth |
+//	                   u8 rankWidth | u8 termHeadWidth | u8 nameHeadWidth
+//	ir/<i>/terms       the sorted terms, front-coded
+//	ir/<i>/termhead    uW[⌈T/R⌉] offsets of the restart heads in terms
 //	ir/<i>/postoff     uW[T+1] posting offsets per term (W ≤ 8)
 //	ir/<i>/bookoff     uW[T+1] book offsets per term    (W ≤ 8)
 //	ir/<i>/booktf      uW[B] TF of each book entry      (W ≤ 4)
 //	ir/<i>/bookimp     f32[B] impact of each book entry
 //	ir/<i>/postdoc     uW[P] doc IDs in doc order (W ≤ 4; bulk, lazily paged)
 //	ir/<i>/postcode    uW[P] book codes of postdoc (W ≤ 4; bulk, lazily paged)
-//	ir/<i>/names       doc name bytes, concatenated
-//	ir/<i>/nameoff     u32[D+1] offsets into names
+//	ir/<i>/bitord      uW[bitmaps] the bitmap lists' term ordinals (W ≤ 4)
+//	ir/<i>/fullord     uW[fulls] the full lists' term ordinals (W ≤ 4)
+//	ir/<i>/bitmap      u64 words of each bitmap list (bulk)
+//	ir/<i>/bitrank     uW a rank sample every 8 words of each bitmap (W ≤ 4)
+//	ir/<i>/names       the doc names in doc order, front-coded
+//	ir/<i>/namehead    uW[⌈D/R⌉] offsets of the restart heads in names
 //	ir/<i>/doclen      uW[D] analyzed token counts (W ≤ 4)
 //
 // Open verifies the container structure plus the checksums of every
 // structural block (meta, dictionaries, offset tables, books, names,
 // doclen), that every column holds exactly as many values of its width as
-// the meta record counts, and that every book is one a freeze can write:
-// a term with postings has 1 to as many entries as postings, every TF is
-// positive and every impact finite and non-negative. The two bulk posting
+// the meta record counts, that both front-coded tables decode (readFront:
+// the dictionary sorted, non-empty and distinct, and exactly as many names
+// as documents), and that every book is one a freeze can write: a term with
+// postings has 1 to as many entries as postings, every TF is positive and
+// every impact finite and non-negative. The two bulk posting
 // blocks are size-validated but never checksummed, preserving on-demand
 // paging. The first query that reads a term's list verifies it (checkList):
 // a doc ID outside its segment or out of ascending order, or a code past its
@@ -88,8 +97,9 @@ import (
 // dropped the per-term idf block, which only the impact-ordered top-N's
 // ceilings read; version 6 stores a list of more than a sixteenth of its
 // segment as a bitmap and a list of the whole segment as nothing
-// (bitmap.go). A cache of an older version is refused and rebuilt.
-const irFormatVersion = 6
+// (bitmap.go); version 7 front-codes the dictionary and the page names
+// (frontcode.go). A cache of an older version is refused and rebuilt.
+const irFormatVersion = 7
 
 // fileMeta is the ir/meta record.
 type fileMeta struct {
@@ -101,7 +111,7 @@ type fileMeta struct {
 // segMeta is the ir/<i>/meta record: Book counts the book entries of all
 // terms, Bitmaps and Fulls the bitmap and full lists. The widths are the
 // bytes per value of the postoff, postdoc, postcode, doclen, bookoff,
-// booktf, bitord, fullord and bitrank columns.
+// booktf, bitord, fullord, bitrank, termhead and namehead columns.
 type segMeta struct {
 	Docs                                    uint32
 	TotalLen                                uint64
@@ -111,6 +121,7 @@ type segMeta struct {
 	BookOffWidth, TFWidth                   uint8
 	Bitmaps, Fulls                          uint32
 	BitOrdWidth, FullOrdWidth, RankWidth    uint8
+	TermHeadWidth, NameHeadWidth            uint8
 }
 
 // ErrSignature reports that an opened segfile was written for a different
@@ -150,8 +161,10 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
 		BookOffWidth: ix.bookOff.width(), TFWidth: ix.bookTF.width(),
 		Bitmaps: uint32(ix.bitOrd.len()), Fulls: uint32(ix.fullOrd.len()),
 		BitOrdWidth: ix.bitOrd.width(), FullOrdWidth: ix.fullOrd.width(), RankWidth: ix.ranks.width(),
+		TermHeadWidth: ix.dict.heads.width(), NameHeadWidth: ix.names.heads.width(),
 	})
-	sw.Table(prefix+"terms", prefix+"termoff", ix.dict)
+	sw.Block(prefix+"terms", ix.dict.data)
+	sw.Block(prefix+"termhead", ix.dict.heads.bytes())
 	sw.Block(prefix+"postoff", ix.postOff.bytes())
 	sw.Block(prefix+"bookoff", ix.bookOff.bytes())
 	sw.Block(prefix+"booktf", ix.bookTF.bytes())
@@ -162,12 +175,13 @@ func writeIndexBlocks(sw *segfile.Writer, prefix string, ix *Index) {
 	sw.Block(prefix+"fullord", ix.fullOrd.bytes())
 	sw.Block(prefix+"bitmap", segfile.Bytes(ix.bitmap))
 	sw.Block(prefix+"bitrank", ix.ranks.bytes())
-	sw.Table(prefix+"names", prefix+"nameoff", ix.names)
+	sw.Block(prefix+"names", ix.names.data)
+	sw.Block(prefix+"namehead", ix.names.heads.bytes())
 	sw.Block(prefix+"doclen", ix.doclen.bytes())
 }
 
 // OpenSegmentsFile maps the segfile at path and reconstructs the Segments
-// reader over it: postings, books, dictionary strings and document names
+// reader over it: postings, books, the dictionary and the document names
 // alias the mapping, so using the reader after closing it is invalid.
 // wantSignature, when non-zero, must match the signature the file was
 // written with (ErrSignature otherwise) — the staleness guard for cached
@@ -233,7 +247,7 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	}
 	D, T, P, B := int(meta.Docs), int(meta.Terms), int(meta.Postings), int(meta.Book)
 
-	dict, err := r.Table(prefix+"terms", prefix+"termoff", T)
+	dict, err := readFront(r, prefix+"terms", prefix+"termhead", T, meta.TermHeadWidth, true)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +267,7 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	names, err := r.Table(prefix+"names", prefix+"nameoff", D)
+	names, err := readFront(r, prefix+"names", prefix+"namehead", D, meta.NameHeadWidth, false)
 	if err != nil {
 		return nil, err
 	}
@@ -278,30 +292,26 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		return nil, err
 	}
 
-	// The index serves straight from these blocks, so check what lookup,
-	// span, bookSpan and list rely on, in O(terms): the dictionary is sorted,
-	// with no empty or repeated term, the posting and book offsets ascend
-	// from 0 to P and B, a term with postings has at least one book entry and
-	// no more than it has postings, and each list is stored as the format's
-	// rule says (bitmap.go), the bitmap and full ordinals naming ascending
-	// terms.
+	// The index serves straight from these blocks, so check what span,
+	// bookSpan and list rely on, in O(terms) (readFront has checked what
+	// lookup relies on): the posting and book offsets ascend from 0 to P and
+	// B, a term with postings has at least one book entry and no more than it
+	// has postings, and each list is stored as the format's rule says
+	// (bitmap.go), the bitmap and full ordinals naming ascending terms. Only
+	// a refusal decodes its term.
 	prev, prevBook := postOff.at(0), bookOff.at(0)
 	bi, fi, sparse := 0, 0, 0
 	for t := 0; t < T; t++ {
-		term := dict.At(t)
-		if term == "" || (t > 0 && term <= dict.At(t-1)) {
-			return nil, fmt.Errorf("ir: term %d (%q) breaks the sorted dictionary", t, term)
-		}
 		next, nextBook := postOff.at(t+1), bookOff.at(t+1)
 		if prev > next {
-			return nil, fmt.Errorf("ir: term %q postings [%d, %d) descend", term, prev, next)
+			return nil, fmt.Errorf("ir: term %q postings [%d, %d) descend", dict.At(t), prev, next)
 		}
 		if prevBook > nextBook {
-			return nil, fmt.Errorf("ir: term %q book [%d, %d) descends", term, prevBook, nextBook)
+			return nil, fmt.Errorf("ir: term %q book [%d, %d) descends", dict.At(t), prevBook, nextBook)
 		}
 		n, nb := next-prev, nextBook-prevBook
 		if nb > n || (n > 0 && nb == 0) {
-			return nil, fmt.Errorf("ir: term %q has %d book entries for %d postings", term, nb, n)
+			return nil, fmt.Errorf("ir: term %q has %d book entries for %d postings", dict.At(t), nb, n)
 		}
 		kind := sparseList
 		if bi < bitOrd.len() && bitOrd.at(bi) == uint64(t) {
@@ -310,13 +320,13 @@ func openIndexBlocks(r *segfile.Reader, prefix string) (*Index, error) {
 		}
 		if fi < fullOrd.len() && fullOrd.at(fi) == uint64(t) {
 			if kind != sparseList {
-				return nil, fmt.Errorf("ir: term %q is stored both as a bitmap and full", term)
+				return nil, fmt.Errorf("ir: term %q is stored both as a bitmap and full", dict.At(t))
 			}
 			kind = fullList
 			fi++
 		}
 		if n > uint64(P) || kindOf(int(n), D) != kind {
-			return nil, fmt.Errorf("ir: term %q holds %d of %d docs but is stored %s", term, n, D, kind)
+			return nil, fmt.Errorf("ir: term %q holds %d of %d docs but is stored %s", dict.At(t), n, D, kind)
 		}
 		if kind == sparseList {
 			sparse += int(n)

@@ -129,13 +129,15 @@ func TestSegfileWriteDeterministic(t *testing.T) {
 	// pairs), whose postings read back through the books equal format 3's
 	// (dlse.TestTextFormat4EqualsFormat3), and once for format 5 (no idf
 	// block), whose every other field equals format 4's
-	// (dlse.TestTextFormat5EqualsFormat4), and once for format 6 (dense
-	// lists as bitmaps or as nothing), whose postings read back through the
-	// bitmaps equal format 5's (dlse.TestTextFormat6EqualsFormat5). The
-	// layout may not drift
+	// (dlse.TestTextFormat5EqualsFormat4), once for format 6 (dense lists
+	// as bitmaps or as nothing), whose postings read back through the
+	// bitmaps equal format 5's (dlse.TestTextFormat6EqualsFormat5), and once
+	// for format 7 (a front-coded dictionary and front-coded names), whose
+	// terms and names read back equal format 6's
+	// (dlse.TestTextFormat7EqualsFormat6). The layout may not drift
 	// silently: a cache written by an older build must keep opening, or be
 	// refused by version and rebuilt.
-	const golden = "2e47c658ec22f20612a5022f52d0f12d6a12f5f7d82e8c6e36d1861cbf2034a6"
+	const golden = "7aa8c6d882483f71b95988128f4dbb5ac99235e8502e37bba2db890b2932bb52"
 	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != golden {
 		t.Fatalf("text segfile bytes changed: sha256 %s, want %s", got, golden)
 	}
@@ -494,6 +496,119 @@ func TestSegfileColumnWidths(t *testing.T) {
 	}
 }
 
+// fcEntry is one entry of a front-coded block as a test writes it by hand:
+// its shared-prefix length and its suffix.
+type fcEntry struct {
+	p int
+	s string
+}
+
+// fcBlock encodes entries as a front-coded block, whatever they share.
+func fcBlock(entries ...fcEntry) []byte {
+	var b []byte
+	for _, e := range entries {
+		b = binary.AppendUvarint(b, uint64(e.p))
+		b = binary.AppendUvarint(b, uint64(len(e.s)))
+		b = append(b, e.s...)
+	}
+	return b
+}
+
+// TestFrontCodedTablesChecked: format 7's opener refuses a front-coded
+// dictionary or name table that its lookups and naming could not decode,
+// with an error that names the block: an entry sharing more bytes than the
+// entry before it holds, a restart head that shares any, head offsets that
+// descend or run past the block, a dictionary that decodes out of order, with
+// a repeat or with an empty term, and a name table of other than the
+// segment's documents. Each edit keeps its block's checksum valid.
+func TestFrontCodedTablesChecked(t *testing.T) {
+	terms := make([]string, 33) // three restart blocks
+	for i := range terms {
+		terms[i] = fmt.Sprintf("w%02d", i)
+	}
+	if _, err := openSegmentsBytes(handFile(t, 1, nil, terms...), 0); err != nil {
+		t.Fatalf("untampered file refused: %v", err)
+	}
+	set := func(b []byte) func([]byte) []byte { return func([]byte) []byte { return b } }
+	// w00 … w32 as the writer codes them: every entry shares "w" and, inside
+	// a run of ten, "w0", "w1", "w2" or "w3"; every restart head nothing.
+	entries := func() []fcEntry {
+		out := make([]fcEntry, len(terms))
+		for i, term := range terms {
+			switch {
+			case i%restartEvery == 0:
+				out[i] = fcEntry{0, term}
+			case i%10 == 0:
+				out[i] = fcEntry{1, term[1:]}
+			default:
+				out[i] = fcEntry{2, term[2:]}
+			}
+		}
+		return out
+	}
+	if got, want := fcBlock(entries()...), handFile(t, 1, nil, terms...); !bytes.Contains(want, got) {
+		t.Fatal("fcBlock does not code the terms as the writer does")
+	}
+	edited := func(edit func(e []fcEntry)) []byte {
+		e := entries()
+		edit(e)
+		return fcBlock(e...)
+	}
+	// The writer's head offsets, and a set of them edited.
+	var fb frontBuilder
+	for _, term := range terms {
+		fb.add(term)
+	}
+	h := fb.heads
+	heads := func(edit func(h []byte)) func([]byte) []byte {
+		b := make([]byte, len(h))
+		for i, v := range h {
+			b[i] = byte(v)
+		}
+		edit(b)
+		return set(b)
+	}
+	for _, c := range []struct {
+		name  string
+		terms []string
+		edits map[string]func([]byte) []byte
+		want  string
+	}{
+		{"a prefix longer than the entry before", terms, map[string]func([]byte) []byte{
+			"ir/0/terms": set(edited(func(e []fcEntry) { e[1] = fcEntry{4, ""} })),
+		}, `block "ir/0/terms": entry 1 shares 4 bytes of a 3-byte entry`},
+		{"a restart head that shares", terms, map[string]func([]byte) []byte{
+			"ir/0/terms": set(edited(func(e []fcEntry) { e[2*restartEvery] = fcEntry{1, e[2*restartEvery].s[1:]} })),
+		}, `block "ir/0/terms": restart head 2 shares 1 bytes`},
+		{"head offsets that descend", terms, map[string]func([]byte) []byte{
+			"ir/0/termhead": heads(func(b []byte) { b[1], b[2] = b[2], b[1] }),
+		}, fmt.Sprintf(`block "ir/0/termhead": restart head 1 at byte %d`, h[2])},
+		{"a head past the block", terms, map[string]func([]byte) []byte{
+			"ir/0/termhead": heads(func(b []byte) { b[len(b)-1] = 250 }),
+		}, fmt.Sprintf(`block "ir/0/termhead": restart head %d at byte 250`, len(h)-1)},
+		{"a dictionary out of order", []string{"w1", "w0"}, nil, `block "ir/0/terms": entry 1 ("w0") breaks the sorted dictionary`},
+		{"a repeated term", []string{"w0", "w0"}, nil, `block "ir/0/terms": entry 1 ("w0") breaks the sorted dictionary`},
+		{"an empty term", []string{"", "w0"}, nil, `block "ir/0/terms": entry 0 ("") breaks the sorted dictionary`},
+		{"a term that decodes out of order", terms, map[string]func([]byte) []byte{
+			"ir/0/terms": set(edited(func(e []fcEntry) { e[2] = fcEntry{1, "00"} })),
+		}, `block "ir/0/terms": entry 2 ("w00") breaks the sorted dictionary`},
+		{"a name more than the documents", []string{"w0"}, map[string]func([]byte) []byte{
+			"ir/0/names": func(b []byte) []byte { return append(b, fcBlock(fcEntry{3, "x"})...) },
+		}, `block "ir/0/names" holds 3 bytes past its 16 entries`},
+		{"a name fewer than the documents", []string{"w0"}, map[string]func([]byte) []byte{
+			"ir/0/names": func(b []byte) []byte { return b[:len(b)-3] }, // doc15 is 4, 1, "5"
+		}, `block "ir/0/names": entry 15 at byte`},
+		{"a name sharing more than the name before", []string{"w0"}, map[string]func([]byte) []byte{
+			"ir/0/names": func(b []byte) []byte { b[len(b)-3] = 6; return b },
+		}, `block "ir/0/names": entry 15 shares 6 bytes of a 5-byte entry`},
+	} {
+		_, err := openSegmentsBytes(handFile(t, 1, c.edits, c.terms...), 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: open err = %v, want one containing %s", c.name, err, c.want)
+		}
+	}
+}
+
 // TestSegfileColumnLengthsChecked: a file whose columns hold a different
 // number of values than its meta record counts, or values of a width other
 // than the one the record names, is refused at open.
@@ -567,8 +682,9 @@ func FuzzSegfileOpen(f *testing.F) {
 		f.Add(dictFile(f, bad...))
 	}
 	// A written file whose second segment stores u16 doc IDs, and
-	// hand-written files at u16 and u32. Format 6: that segment holds a full
-	// list (zall), bitmap lists (w0-w2) and sparse ones (r0-r29).
+	// hand-written files at u16 and u32. Format 7: that segment holds a full
+	// list (zall), bitmap lists (w0-w2) and sparse ones (r0-r29), and its
+	// dictionary and 300 names span restart blocks.
 	wide := NewIndex()
 	for d := 0; d < 300; d++ {
 		wide.Add(fmt.Sprintf("d%d", d), fmt.Sprintf("zall w%d r%d", d%3, d/10))
@@ -603,6 +719,12 @@ func FuzzSegfileOpen(f *testing.F) {
 	set := func(b []byte) func([]byte) []byte { return func([]byte) []byte { return b } }
 	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/postcode": set([]byte{0, 1})}, "w0", "w1"))
 	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/bookoff": set([]byte{0, 1, 0})}, "w0", "w1"))
+	// Format 7's front-coded tables, damaged: an entry sharing more than the
+	// entry before holds, a restart head that shares, and a name table one
+	// name short.
+	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/terms": set(fcBlock(fcEntry{0, "w0"}, fcEntry{3, "1"}))}, "w0", "w1"))
+	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/terms": set(fcBlock(fcEntry{1, "w0"}, fcEntry{1, "1"}))}, "w0", "w1"))
+	f.Add(handFile(f, 1, map[string]func([]byte) []byte{"ir/0/names": func(b []byte) []byte { return b[:len(b)-3] }}, "w0", "w1"))
 	// Format 5 reads a list by galloping over its doc IDs, which a query
 	// verifies first: a written file whose first list descends, and one
 	// whose first list names a doc past its segment. Both open; their
@@ -693,11 +815,18 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 		postOff.set(o+1, uint64(o+1))
 		bookTF.set(o, 1)
 	}
+	var dict, names frontBuilder
+	for _, term := range terms {
+		dict.add(term)
+	}
+	for d := 0; d < D; d++ {
+		names.add(fmt.Sprintf("doc%d", d))
+	}
+	dt, nt := dict.table(), names.table()
 	record("ir/meta", fileMeta{irFormatVersion, 1, D, uint64(T), 0})
-	record("ir/0/meta", segMeta{D, uint64(T), uint32(T), uint64(T), uint64(T), postOff.width(), docWidth, 1, 1, postOff.width(), 1, 0, 0, 1, 1, 1})
-	dict := segfile.NewTable(T, func(o int) string { return terms[o] })
-	block("ir/0/terms", dict.Data)
-	block("ir/0/termoff", segfile.Bytes(dict.Off))
+	record("ir/0/meta", segMeta{D, uint64(T), uint32(T), uint64(T), uint64(T), postOff.width(), docWidth, 1, 1, postOff.width(), 1, 0, 0, 1, 1, 1, dt.heads.width(), nt.heads.width()})
+	block("ir/0/terms", dt.data)
+	block("ir/0/termhead", dt.heads.bytes())
 	block("ir/0/postoff", postOff.bytes())
 	block("ir/0/bookoff", postOff.bytes()) // one book entry per term, as one posting
 	block("ir/0/booktf", bookTF.bytes())
@@ -708,9 +837,8 @@ func handFile(t testing.TB, docWidth uint8, edits map[string]func([]byte) []byte
 	block("ir/0/fullord", nil)
 	block("ir/0/bitmap", nil)
 	block("ir/0/bitrank", nil)
-	names := segfile.NewTable(D, func(d int) string { return fmt.Sprintf("doc%d", d) })
-	block("ir/0/names", names.Data)
-	block("ir/0/nameoff", segfile.Bytes(names.Off))
+	block("ir/0/names", nt.data)
+	block("ir/0/namehead", nt.heads.bytes())
 	doclen := make([]byte, D)
 	doclen[0] = byte(T)
 	block("ir/0/doclen", doclen)

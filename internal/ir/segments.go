@@ -13,11 +13,11 @@ package ir
 // and N-way splits.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/segfile"
 	"repro/internal/segset"
 )
 
@@ -73,17 +73,27 @@ func NewSegments(parts []*Index) (*Segments, error) {
 // NumSegments returns the segment count.
 func (s *Segments) NumSegments() int { return len(s.segs) }
 
-// NameTables returns each segment's document names, by ordinal: table o
-// holds segment o's names in local doc order, aliasing the index (and so a
-// mapped file's bytes). The vector lane, which shares this partition,
-// names its hits from them.
-func (s *Segments) NameTables() []segfile.Table {
-	out := make([]segfile.Table, len(s.segs))
-	for o, ix := range s.segs {
-		out[o] = ix.names
-	}
-	return out
+// Name names n documents of the collection with one allocation: doc(i) is
+// the i-th document's global ID, which must be one of the collection's, and
+// set(i, name) receives its name, aliasing the one buffer every name of the
+// call is decoded into. Search and SearchSegments name the hits they return;
+// Rank's, SearchScores' and the vector lane's, which numbers the same pages
+// alike, are unnamed, so that a caller names only the page it cuts from them.
+func (s *Segments) Name(n int, doc func(i int) DocID, set func(i int, name string)) {
+	nameDocs(n, func(i int) (*frontTable, int) {
+		ord, local := s.bases.Of(int(doc(i)))
+		return &s.segs[ord].names, local
+	}, set)
 }
+
+// nameHits names hits of the collection (Name).
+func (s *Segments) nameHits(hits []Hit) {
+	s.Name(len(hits), func(i int) DocID { return hits[i].Doc }, func(i int, name string) { hits[i].Name = name })
+}
+
+// Partition returns the layout of the segments' documents in the global
+// doc-ID space.
+func (s *Segments) Partition() segset.Bases { return s.bases }
 
 // Docs returns the total document count across segments.
 func (s *Segments) Docs() int { return s.bases.Total() }
@@ -130,7 +140,7 @@ func (s *Segments) scatter(terms []string, ords []int, leg func(slot, ord int) (
 // searchOrds ranks the named segments: each leg selects its own top k
 // under global doc IDs with the top-k kernel (Index.rank), and the streams
 // merge under the global (score desc, DocID asc) total order, capped at k
-// (k <= 0 keeps everything).
+// (k <= 0 keeps everything). The hits are unnamed.
 func (s *Segments) searchOrds(terms []string, k int, ords []int) ([]Hit, SearchStats, []SegStat, error) {
 	per := make([][]Hit, len(ords))
 	stats, legs, err := s.scatter(terms, ords, func(slot, ord int) (SearchStats, error) {
@@ -194,6 +204,14 @@ func (s *Segments) Search(query string, k int) ([]Hit, SearchStats, error) {
 // order reproduces Search over all segments byte for byte. Stats cover only
 // the selected segments.
 func (s *Segments) SearchSegments(query string, k int, ords []int) ([]Hit, SearchStats, []SegStat, error) {
+	hits, stats, legs, err := s.Rank(query, k, ords)
+	s.nameHits(hits)
+	return hits, stats, legs, err
+}
+
+// Rank is SearchSegments without the names (see Name): the ranking for a
+// caller that names only the page it cuts from it.
+func (s *Segments) Rank(query string, k int, ords []int) ([]Hit, SearchStats, []SegStat, error) {
 	terms, ords, err := s.analyze(query, ords)
 	if err != nil {
 		return nil, SearchStats{}, nil, err
@@ -202,11 +220,11 @@ func (s *Segments) SearchSegments(query string, k int, ords []int) ([]Hit, Searc
 }
 
 // SearchScores is Search that also leaves the query's scores leased: the
-// top k hits, plus a SegScores handle over everything the query touched —
-// what a rank fusion needs to place another lane's candidates in this one
-// (SegScores.Ranks). It scores every posting, as ScoreQuery does, and
-// selects each segment's top k from its accumulator. The caller must
-// Release the handle.
+// top k hits, unnamed (see Name), plus a SegScores handle over everything
+// the query touched — what a rank fusion needs to place another lane's
+// candidates in this one (SegScores.Ranks). It scores every posting, as
+// ScoreQuery does, and selects each segment's top k from its accumulator.
+// The caller must Release the handle.
 func (s *Segments) SearchScores(query string, k int) ([]Hit, SegScores, SearchStats, error) {
 	terms, ords, err := s.analyze(query, nil)
 	if err != nil {
@@ -215,7 +233,7 @@ func (s *Segments) SearchScores(query string, k int) ([]Hit, SegScores, SearchSt
 	acs := make([]*Accum, len(s.segs))
 	per := make([][]Hit, len(ords))
 	stats, legs, err := s.scoreOrds(terms, ords, func(slot, ord int, ac *Accum) {
-		per[slot] = s.global(ord, s.segs[ord].topKDense(ac, k))
+		per[slot] = s.global(ord, ac.TopK(k))
 		acs[ord] = ac
 	})
 	if err != nil {
@@ -276,16 +294,26 @@ func (sc SegScores) Get(d DocID) float64 {
 // Ranks returns each hit's document's 1-based rank among all the documents
 // the query scored, under the (score desc, DocID asc) order, and 0 where the
 // query did not score it — the position it holds in the full ranking,
-// without building one: a counting pass over the leased scores, with a
-// binary search among the listed documents per scored one. The hits are
-// another lane's; only their Doc is read.
+// without building one. The hits are another lane's; only their Doc is read.
+//
+// A candidate's rank is one more than the scored documents with a higher
+// score, plus those with its score and a lower DocID. The candidates' scores
+// fall into few classes of equal scores (a keyword lane's into a handful),
+// and one pass over the scored documents in DocID order counts each into
+// the class it ties or the gap above the first class below it, found by a
+// test against the best and the worst class and a binary search only in
+// between. A candidate takes its class's tie count as the pass reaches it,
+// and the gap and tie counts of every class above it at the end.
 func (sc SegScores) Ranks(hits []Hit) []int {
 	ranks := make([]int, len(hits))
-	// cands are the listed documents this query scored, best first, each
-	// with its position in hits.
+	// cands are the listed documents this query scored, each with its
+	// position in hits, its class, and the documents of its class the pass
+	// counted before it.
 	type cand struct {
-		Hit
-		at int
+		score      float64
+		doc        DocID
+		at, class  int
+		tiedBefore int
 	}
 	cands := make([]cand, 0, len(hits))
 	for i, h := range hits {
@@ -294,27 +322,70 @@ func (sc SegScores) Ranks(hits []Hit) []int {
 		}
 		ord, local := sc.bases.Of(int(h.Doc))
 		if ac := sc.acs[ord]; ac != nil && ac.stamps[local] == ac.epoch {
-			cands = append(cands, cand{Hit{Doc: h.Doc, Score: ac.scores[local]}, i})
+			cands = append(cands, cand{score: ac.scores[local], doc: h.Doc, at: i})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return worseHit(cands[j].Hit, cands[i].Hit) })
-	// ahead[p] counts the scored documents whose best beaten candidate is
-	// cands[p]: they rank ahead of it and of every candidate after it.
-	ahead := make([]int, len(cands)+1)
+	n := len(cands)
+	if n == 0 {
+		return ranks
+	}
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(b.score, a.score) })
+	classes := make([]float64, 0, n) // the distinct candidate scores, descending
+	for i := range cands {
+		if i == 0 || cands[i].score != cands[i-1].score {
+			classes = append(classes, cands[i].score)
+		}
+		cands[i].class = len(classes) - 1
+	}
+	k := len(classes)
+	best, worst := classes[0], classes[k-1]
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.doc, b.doc) })
+	// counts[2c] counts the scored documents above class c and below the
+	// class before it, counts[2c+1] those at class c's score.
+	counts := make([]int, 2*k)
+	i := 0
 	for ord, ac := range sc.acs {
 		if ac == nil {
 			continue
 		}
 		base := DocID(sc.bases.Start(ord))
-		for _, d := range ac.touched {
-			t := Hit{Doc: base + d, Score: ac.scores[d]}
-			ahead[sort.Search(len(cands), func(i int) bool { return worseHit(cands[i].Hit, t) })]++
+		for d, stamp := range ac.stamps {
+			for ; i < n && cands[i].doc == base+DocID(d); i++ {
+				cands[i].tiedBefore = counts[2*cands[i].class+1]
+			}
+			if stamp != ac.epoch {
+				continue
+			}
+			s := ac.scores[d]
+			var c int // the first class whose score is at most s
+			switch {
+			case s < worst:
+				continue // ranks behind every candidate
+			case s > best:
+			default:
+				hi := k - 1
+				for c < hi {
+					m := int(uint(c+hi) >> 1)
+					if classes[m] <= s {
+						hi = m
+					} else {
+						c = m + 1
+					}
+				}
+			}
+			if classes[c] == s {
+				counts[2*c+1]++
+			} else {
+				counts[2*c]++
+			}
 		}
 	}
-	n := 0
-	for i, c := range cands {
-		n += ahead[i]
-		ranks[c.at] = n + 1
+	// counts[2c] becomes the documents ranked above class c by their score.
+	for j := 1; j < len(counts); j++ {
+		counts[j] += counts[j-1]
+	}
+	for _, c := range cands {
+		ranks[c.at] = counts[2*c.class] + c.tiedBefore + 1
 	}
 	return ranks
 }

@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/segset"
 )
 
 // segCorpus builds a deterministic synthetic corpus: docs[i] is the text of
@@ -149,7 +153,7 @@ func TestSegScoresMatchMonolithic(t *testing.T) {
 }
 
 // TestSearchScoresRanks locks what the hybrid fusion builds on: the hits of
-// SearchScores are Search's, and Ranks places every document of the
+// SearchScores, once named, are Search's, and Ranks places every document of the
 // collection exactly where the full ranking has it (duplicates included,
 // so equal scores order by DocID) and reports 0 for the ones the query
 // never touched — at 1, 2, 3 and 7 segments, listed in any order.
@@ -179,6 +183,7 @@ func TestSearchScoresRanks(t *testing.T) {
 					t.Fatal(err)
 				}
 				top, _, _ := segs.Search(q, k)
+				segs.nameHits(hits)
 				if !reflect.DeepEqual(hits, top) || stats != fullStats {
 					t.Fatalf("segs=%d q=%q k=%d: SearchScores hits/stats diverge from Search", nseg, q, k)
 				}
@@ -190,6 +195,55 @@ func TestSearchScoresRanks(t *testing.T) {
 				scores.Release()
 			}
 		}
+	}
+}
+
+// TestRanksMatchFullRanking: over random leased scores with few distinct
+// values, so that most scored documents tie with a candidate, in segments
+// of which some are empty or unscored, Ranks places every listed document —
+// scored or not, listed twice, out of range — where a full sort of every
+// scored document under (score desc, DocID asc) puts it.
+func TestRanksMatchFullRanking(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sizes := make([]int, 1+rng.Intn(4))
+		for i := range sizes {
+			sizes[i] = rng.Intn(50)
+		}
+		bases := segset.NewBases(sizes)
+		acs := make([]*Accum, len(sizes))
+		var scored []Hit
+		for o, n := range sizes {
+			if rng.Intn(5) == 0 {
+				continue // a segment the query did not score
+			}
+			ac := NewAccum(n, &sync.Pool{})
+			ac.Begin()
+			for d := 0; d < n; d++ {
+				if rng.Intn(3) > 0 {
+					s := float64(rng.Intn(4)) / 2
+					ac.Add(DocID(d), s)
+					scored = append(scored, Hit{Doc: DocID(bases.Start(o) + d), Score: s})
+				}
+			}
+			acs[o] = ac
+		}
+		sort.Slice(scored, func(a, b int) bool { return worseHit(scored[b], scored[a]) })
+		want := map[DocID]int{}
+		for i, h := range scored {
+			want[h.Doc] = i + 1
+		}
+		listed := make([]Hit, rng.Intn(30))
+		for i := range listed {
+			listed[i].Doc = DocID(rng.Intn(bases.Total()+2) - 1) // -1 … one past the end
+		}
+		sc := LeaseScores(bases, acs)
+		for i, r := range sc.Ranks(listed) {
+			if d := listed[i].Doc; r != want[d] {
+				t.Fatalf("seed %d: doc %d ranks %d, the full ranking has it at %d", seed, d, r, want[d])
+			}
+		}
+		sc.Release()
 	}
 }
 

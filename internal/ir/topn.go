@@ -81,7 +81,9 @@ func (ix *Index) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Searc
 		return nil, SearchStats{}, ErrEmptyQry
 	}
 	if opts.MaxFragments <= 0 {
-		return ix.rank(terms, k)
+		hits, stats, err := ix.rank(terms, k)
+		ix.nameHits(hits)
+		return hits, stats, err
 	}
 	fragments := opts.Fragments
 	if fragments <= 0 {

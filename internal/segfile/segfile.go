@@ -407,28 +407,16 @@ func (r *Reader) Record(name string, vs ...any) error {
 	return nil
 }
 
-// Table is a string table in its stored form: the strings' bytes
-// concatenated in Data, and the n+1 offsets delimiting them in Off, so
-// string i is Data[Off[i]:Off[i+1]]. A table read from a file aliases the
-// file's bytes; one built by NewTable owns its arrays.
+// Table is a heap string column: the strings' bytes concatenated in Data,
+// and the n+1 offsets delimiting them in Off, so string i is
+// Data[Off[i]:Off[i+1]]. The zero Table is empty.
 type Table struct {
 	Data []byte
 	Off  []uint32
 }
 
-// NewTable builds the table of the n strings at(0) … at(n-1).
-func NewTable(n int, at func(i int) string) Table {
-	t := Table{Off: make([]uint32, 1, n+1)}
-	for i := 0; i < n; i++ {
-		t.Append(at(i))
-	}
-	return t
-}
-
-// Append adds s as the table's last string. Only a table that owns its
-// arrays may grow: the zero Table or one built by NewTable, never one read
-// from a file. The bytes of earlier strings are never rewritten, so a
-// string At returned stays valid.
+// Append adds s as the table's last string. The bytes of earlier strings
+// are never rewritten, so a string At returned stays valid.
 func (t *Table) Append(s string) {
 	if len(t.Off) == 0 {
 		t.Off = append(t.Off, 0)
@@ -447,41 +435,4 @@ func (t Table) At(i int) string {
 		return ""
 	}
 	return unsafe.String(&s[0], len(s))
-}
-
-// Table writes t as two blocks: its bytes under bytesName and its u32
-// offsets under offName. The zero Table is written as the empty table.
-func (w *Writer) Table(bytesName, offName string, t Table) {
-	if len(t.Off) == 0 {
-		t.Off = []uint32{0}
-	}
-	w.Block(bytesName, t.Data)
-	w.Block(offName, Bytes(t.Off))
-}
-
-// Table reads back a table of n strings written by Writer.Table, aliasing
-// the reader's bytes. Both blocks are structural; the offsets must start at
-// 0, never descend, and end at the byte block's length, so every At of the
-// returned table is in range.
-func (r *Reader) Table(bytesName, offName string, n int) (Table, error) {
-	if n < 0 {
-		return Table{}, fmt.Errorf("segfile: string table %q of %d entries", bytesName, n)
-	}
-	data, err := Structural[byte](r, bytesName, -1)
-	if err != nil {
-		return Table{}, err
-	}
-	off, err := Structural[uint32](r, offName, n+1)
-	if err != nil {
-		return Table{}, err
-	}
-	if off[0] != 0 || uint64(off[n]) != uint64(len(data)) {
-		return Table{}, fmt.Errorf("segfile: offsets %q do not span block %q", offName, bytesName)
-	}
-	for i := 0; i < n; i++ {
-		if off[i] > off[i+1] {
-			return Table{}, fmt.Errorf("segfile: offsets %q descend at entry %d", offName, i)
-		}
-	}
-	return Table{Data: data, Off: off}, nil
 }

@@ -137,6 +137,9 @@ func PartialOf(e *dlse.Engine, q Query, sel Sel, expectGen int64) (*Partial, err
 	// nil (not empty) when nothing matches, so a Partial is identical
 	// whether it was computed in-process or round-tripped through the wire
 	// format (omitempty drops empty hit lists).
+	if q.Vector != "" { // the keyword lane names the hits it returns
+		e.TextIndex().Name(len(hits), func(i int) ir.DocID { return hits[i].Doc }, func(i int, name string) { hits[i].Name = name })
+	}
 	if len(hits) > 0 {
 		p.Hits = make([]Hit, len(hits))
 		for i, h := range hits {

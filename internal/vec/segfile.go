@@ -5,9 +5,9 @@ package vec
 // every document embedding: embeddings are pure functions of each
 // document's text and never change, and composition (NewSegments) derives
 // nothing else from them. Document names are not stored: the page lanes
-// share one partition, so the names are the text lane's, passed to OpenFile
-// by ordinal, and a vec file is only ever valid beside that text file
-// (Signature).
+// share one partition and one numbering, so the text lane names both lanes'
+// hits, and a vec file is only ever valid beside that text file (Signature),
+// composed under its partition (OpenFile).
 //
 // Block layout (names within the segfile container):
 //
@@ -29,8 +29,9 @@ package vec
 // scales are size-validated but never checksummed, preserving on-demand
 // paging (a damaged code is a wrong score, not an out-of-range read).
 // Every malformation — truncation, bit flips, a width or size that
-// disagrees with its record, a name table of another length — must surface
-// as an error, never a panic (locked by FuzzVecSegfileOpen).
+// disagrees with its record, a segment of another length than its part of
+// the partition — must surface as an error, never a panic (locked by
+// FuzzVecSegfileOpen).
 
 import (
 	"encoding/binary"
@@ -41,6 +42,7 @@ import (
 
 	"repro/internal/fsx"
 	"repro/internal/segfile"
+	"repro/internal/segset"
 )
 
 // vecFormatVersion versions the vec block layout inside the container.
@@ -117,11 +119,11 @@ func WriteFile(path string, e *HashEmbedder, parts []*Builder, signature uint64)
 }
 
 // openReader composes the segments of a parsed container, aliasing its
-// bytes, under names (one table per segment, see NewSegments). e must
+// bytes, under the partition pages (see NewSegments). e must
 // match the embedder the file was written with; wantSignature, when
 // non-zero, must match the stored signature (ErrSignature otherwise) — the
 // staleness guard for cached embedding files.
-func openReader(r *segfile.Reader, e *HashEmbedder, wantSignature uint64, names []segfile.Table) (*Segments, error) {
+func openReader(r *segfile.Reader, e *HashEmbedder, wantSignature uint64, pages segset.Bases) (*Segments, error) {
 	if e == nil || e.Dim() <= 0 {
 		return nil, fmt.Errorf("vec: nil or zero-dimension embedder")
 	}
@@ -149,8 +151,8 @@ func openReader(r *segfile.Reader, e *HashEmbedder, wantSignature uint64, names 
 	if wantSignature != 0 && sig != wantSignature {
 		return nil, fmt.Errorf("%w: stored %#x, want %#x", ErrSignature, sig, wantSignature)
 	}
-	if len(names) != nsegs {
-		return nil, fmt.Errorf("vec: file holds %d segments, %d name tables given", nsegs, len(names))
+	if pages.Parts() != nsegs {
+		return nil, fmt.Errorf("vec: file holds %d segments, a partition of %d given", nsegs, pages.Parts())
 	}
 	parts := make([]*Builder, nsegs)
 	for i := range parts {
@@ -160,7 +162,7 @@ func openReader(r *segfile.Reader, e *HashEmbedder, wantSignature uint64, names 
 		}
 		parts[i] = b
 	}
-	return NewSegments(e, parts, names)
+	return NewSegments(e, parts, pages)
 }
 
 func openSegment(r *segfile.Reader, i int, e *HashEmbedder) (*Builder, error) {
@@ -198,12 +200,12 @@ func openSegment(r *segfile.Reader, i int, e *HashEmbedder) (*Builder, error) {
 	return &Builder{emb: e, codes: c, scale: scale}, nil
 }
 
-// OpenFile maps the segfile at path and composes its segments under names,
-// one table per segment (see NewSegments) — the cached-embeddings fast path
+// OpenFile maps the segfile at path and composes its segments under the
+// partition pages (see NewSegments) — the cached-embeddings fast path
 // of engine construction. The matrices alias the mapping: using the
 // Segments after closing it is invalid. The caller owns the closer.
-func OpenFile(path string, e *HashEmbedder, wantSignature uint64, names []segfile.Table) (*Segments, io.Closer, error) {
+func OpenFile(path string, e *HashEmbedder, wantSignature uint64, pages segset.Bases) (*Segments, io.Closer, error) {
 	return segfile.OpenAs(path, func(r *segfile.Reader) (*Segments, error) {
-		return openReader(r, e, wantSignature, names)
+		return openReader(r, e, wantSignature, pages)
 	})
 }

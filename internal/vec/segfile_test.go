@@ -13,35 +13,36 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/segfile"
+	"repro/internal/segset"
 )
 
 // openBytes opens in-memory segfile bytes the way OpenFile opens the
 // mapping: a container reader handed to openReader.
-func openBytes(data []byte, e *HashEmbedder, wantSignature uint64, names []segfile.Table) (*Segments, error) {
+func openBytes(data []byte, e *HashEmbedder, wantSignature uint64, pages segset.Bases) (*Segments, error) {
 	r, err := segfile.NewReader(data)
 	if err != nil {
 		return nil, err
 	}
-	return openReader(r, e, wantSignature, names)
+	return openReader(r, e, wantSignature, pages)
 }
 
 // writtenBytes serializes a small real corpus split nseg ways, and returns
-// the parts' name tables beside it.
-func writtenBytes(t testing.TB, ndocs, nseg int, sig uint64) ([]byte, []segfile.Table) {
+// the parts' partition beside it.
+func writtenBytes(t testing.TB, ndocs, nseg int, sig uint64) ([]byte, segset.Bases) {
 	t.Helper()
 	names, texts := synthDocs(ndocs, 13)
 	return writeCorpus(t, names, texts, nseg, sig)
 }
 
-func writeCorpus(t testing.TB, names, texts []string, nseg int, sig uint64) ([]byte, []segfile.Table) {
+func writeCorpus(t testing.TB, names, texts []string, nseg int, sig uint64) ([]byte, segset.Bases) {
 	t.Helper()
 	e := DefaultEmbedder()
-	parts, tables := partitioned(e, names, texts, nseg)
+	parts, pages := partitioned(e, names, texts, nseg)
 	var buf bytes.Buffer
 	if err := Write(&buf, e, parts, sig); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), tables
+	return buf.Bytes(), pages
 }
 
 // searchAll runs every test query, returning the flattened hits for
@@ -66,8 +67,8 @@ func TestVecSegfileRoundTrip(t *testing.T) {
 	names, texts := synthDocs(90, 13)
 	for _, nseg := range []int{1, 2, 4} {
 		built := compose(t, e, names, texts, nseg)
-		data, tables := writtenBytes(t, 90, nseg, 77)
-		opened, err := openBytes(data, e, 77, tables)
+		data, pages := writtenBytes(t, 90, nseg, 77)
+		opened, err := openBytes(data, e, 77, pages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,26 +114,26 @@ func TestVecSegfileWriteDeterministic(t *testing.T) {
 }
 
 // TestVecSegfileSignature: signature, embedder, and dimension mismatches
-// are all refused with ErrSignature; name tables that do not count each
+// are all refused with ErrSignature; partitions that do not count each
 // segment's documents are refused too.
 func TestVecSegfileSignature(t *testing.T) {
-	data, tables := writtenBytes(t, 30, 2, 42)
-	if _, err := openBytes(data, DefaultEmbedder(), 42, tables); err != nil {
+	data, pages := writtenBytes(t, 30, 2, 42)
+	if _, err := openBytes(data, DefaultEmbedder(), 42, pages); err != nil {
 		t.Fatalf("matching signature refused: %v", err)
 	}
-	if _, err := openBytes(data, DefaultEmbedder(), 0, tables); err != nil {
+	if _, err := openBytes(data, DefaultEmbedder(), 0, pages); err != nil {
 		t.Fatalf("unchecked signature refused: %v", err)
 	}
-	if _, err := openBytes(data, DefaultEmbedder(), 43, tables); !errors.Is(err, ErrSignature) {
+	if _, err := openBytes(data, DefaultEmbedder(), 43, pages); !errors.Is(err, ErrSignature) {
 		t.Fatalf("wrong signature: err %v, want ErrSignature", err)
 	}
-	if _, err := openBytes(data, NewHashEmbedder(32), 42, tables); !errors.Is(err, ErrSignature) {
+	if _, err := openBytes(data, NewHashEmbedder(32), 42, pages); !errors.Is(err, ErrSignature) {
 		t.Fatalf("wrong dimension: err %v, want ErrSignature", err)
 	}
 	_, other := writtenBytes(t, 31, 2, 42)
-	for _, names := range [][]segfile.Table{nil, tables[:1], append(tables, segfile.Table{}), other} {
-		if _, err := openBytes(data, DefaultEmbedder(), 42, names); err == nil {
-			t.Fatalf("%d name tables of the wrong counts accepted", len(names))
+	for _, pages := range []segset.Bases{segset.NewBases(nil), segset.NewBases([]int{30}), segset.NewBases([]int{15, 15, 0}), other} {
+		if _, err := openBytes(data, DefaultEmbedder(), 42, pages); err == nil {
+			t.Fatalf("a partition of %d parts of the wrong counts accepted", pages.Parts())
 		}
 	}
 }
@@ -142,12 +143,12 @@ func TestVecSegfileSignature(t *testing.T) {
 func TestVecSegfileOpenFile(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(70, 13)
-	built, tables := partitioned(e, names, texts, 2)
+	built, pages := partitioned(e, names, texts, 2)
 	path := filepath.Join(t.TempDir(), "vec.segf")
 	if err := WriteFile(path, e, built, 9); err != nil {
 		t.Fatal(err)
 	}
-	s, closer, err := OpenFile(path, e, 9, tables)
+	s, closer, err := OpenFile(path, e, 9, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestVecSegfileOpenFile(t *testing.T) {
 // panic — they may error, or legitimately succeed when the damage lands
 // in padding or a lazily-verified bulk block.
 func TestVecSegfileHostileBytes(t *testing.T) {
-	data, tables := writtenBytes(t, 40, 2, 3)
+	data, pages := writtenBytes(t, 40, 2, 3)
 	open := func(b []byte) {
 		t.Helper()
 		defer func() {
@@ -175,7 +176,7 @@ func TestVecSegfileHostileBytes(t *testing.T) {
 				t.Fatalf("panic: %v", r)
 			}
 		}()
-		s, err := openBytes(b, DefaultEmbedder(), 0, tables)
+		s, err := openBytes(b, DefaultEmbedder(), 0, pages)
 		if err != nil {
 			return
 		}
@@ -278,10 +279,10 @@ func rewritten(t testing.TB, data []byte, edit func(segs []rawSeg)) []byte {
 
 // FuzzVecSegfileOpen: hostile vector segfiles error cleanly, never
 // panic — the same guarantee FuzzSegfileOpen locks for the text lane.
-// Every input is opened under the name tables of the 25-document corpus
+// Every input is opened under the partition of the 25-document corpus
 // the seeds were written from.
 func FuzzVecSegfileOpen(f *testing.F) {
-	data, tables := writtenBytes(f, 25, 2, 7)
+	data, pages := writtenBytes(f, 25, 2, 7)
 	f.Add(data)
 	for _, cut := range []int{0, 8, 64, len(data) / 2, len(data) - 1} {
 		f.Add(data[:cut])
@@ -319,13 +320,13 @@ func FuzzVecSegfileOpen(f *testing.F) {
 			s[1].scale = s[1].scale[4:]
 		}),
 	} {
-		if _, err := openBytes(b, DefaultEmbedder(), 0, tables); err == nil {
+		if _, err := openBytes(b, DefaultEmbedder(), 0, pages); err == nil {
 			f.Fatal("a hand-edited seed opened")
 		}
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := openBytes(b, DefaultEmbedder(), 0, tables)
+		s, err := openBytes(b, DefaultEmbedder(), 0, pages)
 		if err != nil {
 			return
 		}

@@ -5,16 +5,14 @@ import (
 	"sync"
 
 	"repro/internal/ir"
-	"repro/internal/segfile"
 	"repro/internal/segset"
 )
 
-// segment is one part of a composition: a builder's documents, their
-// names, at their global DocID base.
+// segment is one part of a composition: a builder's documents at their
+// global DocID base.
 type segment struct {
-	b     *Builder
-	names segfile.Table
-	base  ir.DocID
+	b    *Builder
+	base ir.DocID
 
 	// scratch recycles the per-query score arrays — the lexical kernel's
 	// accumulator, so both lanes select and rank-count with one code.
@@ -44,21 +42,21 @@ type SearchStats struct {
 type SegStat = segset.Leg[SearchStats]
 
 // NewSegments composes builders into a scatter-gather reader in O(parts):
-// parts receive contiguous global DocID bases in order and no vector is
-// read. names holds each part's document names, by ordinal — the page
-// lanes share one partition, so the engine passes the text lane's
-// (ir.Segments.NameTables); a part and its names must count the same
-// documents. The same documents composed under any partitioning answer
-// every query byte-identically (locked by TestVecSegmentsParity).
-func NewSegments(e *HashEmbedder, parts []*Builder, names []segfile.Table) (*Segments, error) {
+// part i takes the global DocIDs pages gives it, and no vector is read. The
+// page lanes share one partition, so the engine passes the text lane's;
+// part i must hold exactly the documents of pages' part i. Hits carry no
+// names: the text lane, which numbers the same pages alike, names the ones
+// a caller returns (ir.Segments.Name). The same documents composed under
+// any partitioning answer every query byte-identically (locked by
+// TestVecSegmentsParity).
+func NewSegments(e *HashEmbedder, parts []*Builder, pages segset.Bases) (*Segments, error) {
 	if e == nil {
 		return nil, fmt.Errorf("vec: nil embedder")
 	}
-	if len(names) != len(parts) {
-		return nil, fmt.Errorf("vec: %d name tables for %d parts", len(names), len(parts))
+	if pages.Parts() != len(parts) {
+		return nil, fmt.Errorf("vec: %d parts for a partition of %d", len(parts), pages.Parts())
 	}
-	s := &Segments{emb: e}
-	sizes := make([]int, len(parts))
+	s := &Segments{emb: e, bases: pages}
 	for i, b := range parts {
 		if b == nil {
 			return nil, fmt.Errorf("vec: nil part %d", i)
@@ -66,14 +64,12 @@ func NewSegments(e *HashEmbedder, parts []*Builder, names []segfile.Table) (*Seg
 		if b.Dim() != e.Dim() {
 			return nil, fmt.Errorf("vec: part %d dim %d does not match embedder dim %d", i, b.Dim(), e.Dim())
 		}
-		if names[i].Len() != b.Len() {
-			return nil, fmt.Errorf("vec: part %d holds %d documents, its name table %d", i, b.Len(), names[i].Len())
+		if want := pages.Start(i+1) - pages.Start(i); b.Len() != want {
+			return nil, fmt.Errorf("vec: part %d holds %d documents, its partition %d", i, b.Len(), want)
 		}
-		sizes[i] = b.Len()
 	}
-	s.bases = segset.NewBases(sizes)
 	for i, b := range parts {
-		sg := &segment{b: b, names: names[i], base: ir.DocID(s.bases.Start(i))}
+		sg := &segment{b: b, base: ir.DocID(s.bases.Start(i))}
 		sg.scratch.New = func() any { return ir.NewAccum(sg.b.Len(), &sg.scratch) }
 		s.segs = append(s.segs, sg)
 	}
@@ -175,14 +171,12 @@ func scoreRowsFrom[T int8 | int16 | int32](ac *ir.Accum, q []float32, codes []T,
 }
 
 // scan is score plus the selection of the best k under the global total
-// order (score desc, DocID asc; k <= 0 keeps every document), resolving
-// names only for the survivors. The scored array comes back still leased:
-// the caller releases or holds it.
+// order (score desc, DocID asc; k <= 0 keeps every document). The scored
+// array comes back still leased: the caller releases or holds it.
 func (sg *segment) scan(q []float32, k int) ([]ir.Hit, *ir.Accum) {
 	ac := sg.score(q)
 	hits := ac.TopK(k)
 	for i := range hits {
-		hits[i].Name = sg.names.At(int(hits[i].Doc))
 		hits[i].Doc += sg.base
 	}
 	return hits, ac

@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
-	"repro/internal/segfile"
+	"repro/internal/segset"
 )
 
 // synthDocs generates a deterministic corpus: ndocs texts drawn from a
@@ -41,10 +41,9 @@ func synthDocs(ndocs int, seed int64) (names, texts []string) {
 }
 
 // partitioned builds the same corpus split contiguously into nseg parts,
-// and each part's name table.
-func partitioned(e *HashEmbedder, names, texts []string, nseg int) ([]*Builder, []segfile.Table) {
+// and their partition.
+func partitioned(e *HashEmbedder, names, texts []string, nseg int) ([]*Builder, segset.Bases) {
 	parts := make([]*Builder, nseg)
-	tables := make([]segfile.Table, nseg)
 	for i := range parts {
 		parts[i] = NewBuilder(e)
 	}
@@ -55,16 +54,24 @@ func partitioned(e *HashEmbedder, names, texts []string, nseg int) ([]*Builder, 
 			p = nseg - 1
 		}
 		parts[p].AddTokens(ir.Analyze(texts[i]))
-		tables[p].Append(names[i])
 	}
-	return parts, tables
+	return parts, partitionOf(parts)
+}
+
+// partitionOf lays the parts' documents out contiguously, in order.
+func partitionOf(parts []*Builder) segset.Bases {
+	sizes := make([]int, len(parts))
+	for i, b := range parts {
+		sizes[i] = b.Len()
+	}
+	return segset.NewBases(sizes)
 }
 
 // compose is NewSegments over partitioned.
 func compose(t testing.TB, e *HashEmbedder, names, texts []string, nseg int) *Segments {
 	t.Helper()
-	parts, tables := partitioned(e, names, texts, nseg)
-	s, err := NewSegments(e, parts, tables)
+	parts, pages := partitioned(e, names, texts, nseg)
+	s, err := NewSegments(e, parts, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,7 @@ func TestEmbedDeterministic(t *testing.T) {
 
 // TestVecSegmentsParity locks the composition invariant: the same
 // corpus partitioned 1/2/3/4 ways answers every query byte-identically —
-// same docs, same names, same float64 score bits, same tie-breaks.
+// same docs, same float64 score bits, same tie-breaks.
 func TestVecSegmentsParity(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(157, 7)
@@ -181,12 +188,12 @@ func oracleDot(a, b []float32) float64 {
 // naiveRanking is the lane's oracle, kept here and nowhere in the package:
 // every document's oracleDot with the query, both embedded by oracleEmbed,
 // sorted by (score desc, DocID asc). docs holds each document's tokens in
-// DocID order.
-func naiveRanking(dim int, names []string, docs [][]string, q string) []ir.Hit {
+// DocID order. The lane names no hit, so neither does its oracle.
+func naiveRanking(dim int, docs [][]string, q string) []ir.Hit {
 	qv := oracleEmbed(dim, ir.Analyze(q))
 	out := make([]ir.Hit, len(docs))
 	for d, toks := range docs {
-		out[d] = ir.Hit{Doc: ir.DocID(d), Name: names[d], Score: oracleDot(qv, oracleEmbed(dim, toks))}
+		out[d] = ir.Hit{Doc: ir.DocID(d), Score: oracleDot(qv, oracleEmbed(dim, toks))}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -211,7 +218,7 @@ func analyzed(texts []string) [][]string {
 // only the DocID tie-break orders, across segment boundaries), split 1, 2,
 // 3 and 5 ways with an empty part among them, every depth of Search, of
 // SearchSegments over disjoint ordinal subsets re-merged, and of
-// SearchScores equals the oracle's prefix — names and score bits included —
+// SearchScores equals the oracle's prefix — score bits included —
 // and the leased scores rank every document where the oracle has it.
 func TestVecMatchesNaiveOracle(t *testing.T) {
 	e := DefaultEmbedder()
@@ -226,10 +233,9 @@ func TestVecMatchesNaiveOracle(t *testing.T) {
 		all[i].Doc = ir.DocID(i)
 	}
 	for _, nseg := range []int{1, 2, 3, 5} {
-		parts, tables := partitioned(e, names, texts, nseg)
+		parts, _ := partitioned(e, names, texts, nseg)
 		parts = slices.Insert(parts, nseg/2, NewBuilder(e))
-		tables = slices.Insert(tables, nseg/2, segfile.Table{})
-		s, err := NewSegments(e, parts, tables)
+		s, err := NewSegments(e, parts, partitionOf(parts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +249,7 @@ func TestVecMatchesNaiveOracle(t *testing.T) {
 		}
 		ties := 0
 		for _, q := range testQueries {
-			oracle := naiveRanking(e.Dim(), names, analyzed(texts), q)
+			oracle := naiveRanking(e.Dim(), analyzed(texts), q)
 			for i := 1; i < n; i++ {
 				if oracle[i].Score == oracle[i-1].Score {
 					ties++
@@ -362,8 +368,9 @@ func TestVecEmptyQuery(t *testing.T) {
 func TestVecEmptySegment(t *testing.T) {
 	e := DefaultEmbedder()
 	names, texts := synthDocs(20, 9)
-	parts, tables := partitioned(e, names, texts, 2)
-	s, err := NewSegments(e, append(parts, NewBuilder(e)), append(tables, segfile.Table{}))
+	parts, _ := partitioned(e, names, texts, 2)
+	parts = append(parts, NewBuilder(e))
+	s, err := NewSegments(e, parts, partitionOf(parts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +404,7 @@ func TestVecBoundedDepth(t *testing.T) {
 			if len(full) != stats.DocsScanned {
 				t.Fatalf("%q: %d hits, %d scanned", q, len(full), stats.DocsScanned)
 			}
-			if !reflect.DeepEqual(full, naiveRanking(e.Dim(), names, analyzed(texts), q)) {
+			if !reflect.DeepEqual(full, naiveRanking(e.Dim(), analyzed(texts), q)) {
 				t.Fatalf("segs=%d %q: full ranking diverges from the sorted scan", nseg, q)
 			}
 			rank := map[ir.DocID]int{}
@@ -503,14 +510,13 @@ func TestVecFormat2MatchesFloatOracle(t *testing.T) {
 	// which is cut to hold it alone among int8 rows.
 	bounds := []int{0, 15, 30, 45, 60, 75, 81, 82, len(docs)}
 	parts := make([]*Builder, len(bounds)-1)
-	tables := make([]segfile.Table, len(parts))
 	for p := range parts {
 		parts[p] = NewBuilder(e)
 		for d := bounds[p]; d < bounds[p+1]; d++ {
 			parts[p].AddTokens(docs[d])
-			tables[p].Append(names[d])
 		}
 	}
+	pages := partitionOf(parts)
 	widths := map[uint8]bool{}
 	for p, b := range parts {
 		widths[b.codes.width()] = true
@@ -528,7 +534,7 @@ func TestVecFormat2MatchesFloatOracle(t *testing.T) {
 		t.Fatalf("parts have code widths %v, want 1, 2 and 4", widths)
 	}
 
-	heap, err := NewSegments(e, parts, tables)
+	heap, err := NewSegments(e, parts, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +542,7 @@ func TestVecFormat2MatchesFloatOracle(t *testing.T) {
 	if err := WriteFile(path, e, parts, 1); err != nil {
 		t.Fatal(err)
 	}
-	mapped, closer, err := OpenFile(path, e, 1, tables)
+	mapped, closer, err := OpenFile(path, e, 1, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +550,7 @@ func TestVecFormat2MatchesFloatOracle(t *testing.T) {
 
 	ties := 0
 	for _, q := range queries {
-		oracle := naiveRanking(e.Dim(), names, docs, q)
+		oracle := naiveRanking(e.Dim(), docs, q)
 		for i := 1; i < len(oracle); i++ {
 			if oracle[i].Score == oracle[i-1].Score {
 				ties++
