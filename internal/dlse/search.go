@@ -259,18 +259,14 @@ func (a *answer) upTo(need int) []Item {
 	return a.items
 }
 
-// named returns a page of the answer's items with their pages named, all
-// names in one buffer, or the page itself when the items need no names. The
-// page is named in place when it is the caller's own (the answer was made
-// for this one page and is not shared), and otherwise in a copy, so that
-// what a cache retains holds no names.
-func (a *answer) named(page []Item, own bool) []Item {
+// named returns a copy of a page of the answer's items with their pages
+// named, all names in one buffer, or the page itself when the items need no
+// names, so that what a cache retains holds no names.
+func (a *answer) named(page []Item) []Item {
 	if a.text == nil {
 		return page
 	}
-	if !own {
-		page = append([]Item(nil), page...)
-	}
+	page = append([]Item(nil), page...)
 	a.text.Name(len(page), func(i int) ir.DocID { return page[i].Doc }, func(i int, name string) { page[i].Page = name })
 	return page
 }
@@ -384,8 +380,8 @@ func (e *Engine) SearchAll(ctx context.Context, q Query, withExplain bool) (*Res
 	if err != nil {
 		return nil, err
 	}
-	// rs and its answer are this call's own: rs becomes the whole page.
-	if err := rs.cut(rs, "", 0, true); err != nil {
+	// rs becomes the whole page.
+	if err := rs.cut(rs, "", 0); err != nil {
 		return nil, err
 	}
 	return rs, nil
@@ -530,8 +526,8 @@ func (e *Engine) Search(ctx context.Context, q Query, opts ...SearchOption) (*Re
 	if err != nil {
 		return nil, err
 	}
-	// rs and its answer are this call's own: rs becomes the page.
-	if err := rs.cut(rs, o.cursor, o.limit, true); err != nil {
+	// rs becomes the page.
+	if err := rs.cut(rs, o.cursor, o.limit); err != nil {
 		return nil, err
 	}
 	return rs, nil
@@ -547,16 +543,15 @@ func (e *Engine) Search(ctx context.Context, q Query, opts ...SearchOption) (*Re
 // without ranking anything.
 func (rs *ResultSet) Page(c Cursor, limit int) (*ResultSet, error) {
 	page := new(ResultSet)
-	if err := rs.cut(page, c, limit, false); err != nil {
+	if err := rs.cut(page, c, limit); err != nil {
 		return nil, err
 	}
 	return page, nil
 }
 
 // cut makes page, which may be rs itself, the page (c, limit) of rs's answer
-// (see Page). own is set when the answer is the caller's alone, so that the
-// page may be named in place (answer.named).
-func (rs *ResultSet) cut(page *ResultSet, c Cursor, limit int, own bool) error {
+// (see Page).
+func (rs *ResultSet) cut(page *ResultSet, c Cursor, limit int) error {
 	offset, total, ans := rs.offset, rs.ans.total, rs.ans
 	if c != "" {
 		key, off, _, err := decodeCursor(c)
@@ -585,7 +580,7 @@ func (rs *ResultSet) cut(page *ResultSet, c Cursor, limit int, own bool) error {
 		items := ans.upTo(end)
 		end = min(end, len(items)) // a gathered prefix may stop short of the page
 		offset = min(offset, end)
-		page.Items = ans.named(items[offset:end], own)
+		page.Items = ans.named(items[offset:end])
 	}
 	if end < total {
 		page.Cursor = encodeCursor(page.key, end, page.Snapshot)

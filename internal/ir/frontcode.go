@@ -189,27 +189,9 @@ func (t *frontTable) At(i int) string { return string(t.appendAt(nil, i)) }
 // nameDocs names n documents with one allocation: at(i) returns the table
 // holding document i's name and its entry there, and set(i, name) receives
 // the name, which aliases the one buffer every name of the call is decoded
-// into. A page of up to pageNames names is decoded once, into a buffer on
-// the stack, and copied out; a longer one is sized by a first walk over its
-// entries and decoded straight into a buffer with room past the last name
-// for the longest entry any of them decodes through.
+// into. A first walk over the entries sizes the buffer: the names, and room
+// past the last for the longest entry any of them decodes through.
 func nameDocs(n int, at func(i int) (*frontTable, int), set func(i int, name string)) {
-	if n <= pageNames {
-		var scratch [1024]byte
-		var ends [pageNames]int
-		buf := scratch[:0]
-		for i := 0; i < n; i++ {
-			t, e := at(i)
-			buf = t.appendAt(buf, e)
-			ends[i] = len(buf)
-		}
-		names, start := string(buf), 0
-		for i := 0; i < n; i++ {
-			set(i, names[start:ends[i]])
-			start = ends[i]
-		}
-		return
-	}
 	size, room := 0, 0
 	for i := 0; i < n; i++ {
 		t, e := at(i)
@@ -224,9 +206,6 @@ func nameDocs(n int, at func(i int) (*frontTable, int), set func(i int, name str
 		set(i, str(buf[start:]))
 	}
 }
-
-// pageNames is the most names nameDocs decodes once, on the stack.
-const pageNames = 32
 
 // frontBuilder front-codes strings added one at a time: the dictionary at
 // Freeze, and each document's name as it is added.

@@ -108,8 +108,7 @@ func TestFrontTable(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { tab.find("player/0010"); tab.find("zz/xxxxq") }); allocs != 0 {
 		t.Errorf("find allocates %.0f times", allocs)
 	}
-	// A short page is decoded on the stack, a long one (past pageNames)
-	// straight into its buffer.
+	// A ten-item page and one longer than the table, with repeats.
 	long := make([]int, len(strs)+3)
 	for i := range long {
 		long[i] = len(strs) - 1 - i%len(strs)

@@ -296,24 +296,25 @@ func (sc SegScores) Get(d DocID) float64 {
 // query did not score it — the position it holds in the full ranking,
 // without building one. The hits are another lane's; only their Doc is read.
 //
-// A candidate's rank is one more than the scored documents with a higher
-// score, plus those with its score and a lower DocID. The candidates' scores
-// fall into few classes of equal scores (a keyword lane's into a handful),
-// and one pass over the scored documents in DocID order counts each into
-// the class it ties or the gap above the first class below it, found by a
-// test against the best and the worst class and a binary search only in
-// between. A candidate takes its class's tie count as the pass reaches it,
-// and the gap and tie counts of every class above it at the end.
+// A candidate's rank is one more than the scored documents ranked ahead of
+// it. One pass over the scored documents finds, for each, the first
+// candidate it ranks ahead of, and counts it there. The candidates' scores
+// fall into few classes of equal scores (a keyword lane's into a handful):
+// a document is tested against the best and the worst class first, a binary
+// search over the classes finds its place only in between, and a second
+// one, over its class's candidates by DocID, only when it ties one. A
+// segment's documents are touched mostly in DocID order, a posting list at
+// a time, so that search starts only when the gap between the class's
+// candidates where the class's last tie fell does not hold the document:
+// on BenchmarkRankedPage's page 80 of 8,192 ties search.
 func (sc SegScores) Ranks(hits []Hit) []int {
 	ranks := make([]int, len(hits))
 	// cands are the listed documents this query scored, each with its
-	// position in hits, its class, and the documents of its class the pass
-	// counted before it.
+	// position in hits.
 	type cand struct {
-		score      float64
-		doc        DocID
-		at, class  int
-		tiedBefore int
+		score float64
+		doc   DocID
+		at    int
 	}
 	cands := make([]cand, 0, len(hits))
 	for i, h := range hits {
@@ -329,41 +330,43 @@ func (sc SegScores) Ranks(hits []Hit) []int {
 	if n == 0 {
 		return ranks
 	}
-	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(b.score, a.score) })
-	classes := make([]float64, 0, n) // the distinct candidate scores, descending
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.doc, b.doc)
+	})
+	// classes holds the distinct candidate scores, descending; class c's
+	// candidates are cands[first[c]:first[c+1]], ascending by DocID.
+	// ahead[q] counts the scored documents whose first candidate ranked
+	// behind them is cands[q]: they rank ahead of it and every one after it.
+	// gap[c] is that candidate for the last document tied with class c.
+	ints := make([]int, 3*n+2)
+	classes, first, ahead, gap := make([]float64, 0, n), ints[:0:n+1], ints[n+1:2*n+2], ints[2*n+2:]
 	for i := range cands {
 		if i == 0 || cands[i].score != cands[i-1].score {
+			gap[len(classes)] = i
 			classes = append(classes, cands[i].score)
+			first = append(first, i)
 		}
-		cands[i].class = len(classes) - 1
 	}
 	k := len(classes)
+	first = append(first, n)
 	best, worst := classes[0], classes[k-1]
-	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.doc, b.doc) })
-	// counts[2c] counts the scored documents above class c and below the
-	// class before it, counts[2c+1] those at class c's score.
-	counts := make([]int, 2*k)
-	i := 0
 	for ord, ac := range sc.acs {
 		if ac == nil {
 			continue
 		}
 		base := DocID(sc.bases.Start(ord))
-		for d, stamp := range ac.stamps {
-			for ; i < n && cands[i].doc == base+DocID(d); i++ {
-				cands[i].tiedBefore = counts[2*cands[i].class+1]
-			}
-			if stamp != ac.epoch {
-				continue
-			}
+		for _, d := range ac.touched {
 			s := ac.scores[d]
-			var c int // the first class whose score is at most s
+			q := 0
 			switch {
 			case s < worst:
 				continue // ranks behind every candidate
 			case s > best:
 			default:
-				hi := k - 1
+				c, hi := 0, k-1 // c becomes the first class whose score is at most s
 				for c < hi {
 					m := int(uint(c+hi) >> 1)
 					if classes[m] <= s {
@@ -372,20 +375,31 @@ func (sc SegScores) Ranks(hits []Hit) []int {
 						c = m + 1
 					}
 				}
+				q = first[c]
+				if classes[c] != s {
+					break
+				}
+				// Tied: behind the class's candidates with a lower DocID.
+				lo, hi, doc := q, first[c+1], base+d
+				if q = gap[c]; q > lo && cands[q-1].doc > doc || q < hi && cands[q].doc <= doc {
+					for q = lo; q < hi; {
+						m := int(uint(q+hi) >> 1)
+						if cands[m].doc > doc {
+							hi = m
+						} else {
+							q = m + 1
+						}
+					}
+					gap[c] = q
+				}
 			}
-			if classes[c] == s {
-				counts[2*c+1]++
-			} else {
-				counts[2*c]++
-			}
+			ahead[q]++
 		}
 	}
-	// counts[2c] becomes the documents ranked above class c by their score.
-	for j := 1; j < len(counts); j++ {
-		counts[j] += counts[j-1]
-	}
-	for _, c := range cands {
-		ranks[c.at] = counts[2*c.class] + c.tiedBefore + 1
+	total := 0
+	for q, c := range cands {
+		total += ahead[q]
+		ranks[c.at] = total + 1
 	}
 	return ranks
 }

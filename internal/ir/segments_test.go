@@ -219,7 +219,7 @@ func TestRanksMatchFullRanking(t *testing.T) {
 			}
 			ac := NewAccum(n, &sync.Pool{})
 			ac.Begin()
-			for d := 0; d < n; d++ {
+			for _, d := range rng.Perm(n) { // touched in any order
 				if rng.Intn(3) > 0 {
 					s := float64(rng.Intn(4)) / 2
 					ac.Add(DocID(d), s)
