@@ -74,7 +74,7 @@ type (
 	Scene = core.Scene
 	// Interval is a half-open frame interval.
 	Interval = core.Interval
-	// MetaIndex is the populated COBRA meta-index.
+	// MetaIndex builds a COBRA meta-index partition.
 	MetaIndex = core.MetaIndex
 	// BroadcastConfig parameterizes synthetic broadcast generation.
 	BroadcastConfig = synth.Config
@@ -166,7 +166,7 @@ func NewLibrary() (*Library, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLibrary(core.SingleSegment(index), 2, nil)
+	return newLibrary(core.SingleSegment(index.Freeze()), 2, nil)
 }
 
 // newLibrary binds the library's two tennis engines around a segment set.
@@ -185,7 +185,7 @@ func newLibrary(view *core.SegmentedIndex, nextSeg int64, mapping io.Closer) (*L
 }
 
 // install replaces the segment set with a view at generation gen.
-func (l *Library) install(parts []*core.MetaIndex, metas []core.SegmentMeta, gen int64) {
+func (l *Library) install(parts []*core.Part, metas []core.SegmentMeta, gen int64) {
 	view, err := core.NewSegmentedIndex(parts, metas, gen)
 	if err != nil {
 		// Callers extend parts and metas in lockstep; this cannot fail.
@@ -308,7 +308,7 @@ func (l *Library) IndexBatch(ctx context.Context, jobs []IngestJob, opts BatchOp
 		return nil, err
 	}
 	results, runErr := l.runBatch(ctx, jobs, opts, head)
-	parts[last] = head
+	parts[last] = head.Freeze()
 	l.install(parts, metas, l.view.Generation())
 	return results, runErr
 }
@@ -402,7 +402,7 @@ func (l *Library) Commit(ctx context.Context, jobs []IngestJob, opts BatchOption
 	seg := core.NewMetaIndexAt(base)
 	results, runErr := l.runBatch(ctx, jobs, opts, seg)
 	if seg.Stats().Videos > 0 {
-		l.install(append(parts, seg), append(l.view.Metas(), core.SegmentMeta{ID: l.nextSeg, Base: base}), l.view.Generation()+1)
+		l.install(append(parts, seg.Freeze()), append(l.view.Metas(), core.SegmentMeta{ID: l.nextSeg, Base: base}), l.view.Generation()+1)
 		l.nextSeg++
 	}
 	return results, runErr
@@ -424,7 +424,7 @@ func (l *Library) Compact(target int) (bool, error) {
 		return false, err
 	}
 	metas := l.view.Metas()
-	var nparts []*core.MetaIndex
+	var nparts []*core.Part
 	var nmetas []core.SegmentMeta
 	changed := false
 	for i := 0; i < len(parts); {
@@ -443,7 +443,7 @@ func (l *Library) Compact(target int) (bool, error) {
 			if err != nil {
 				return false, fmt.Errorf("repro: compacting: %w", err)
 			}
-			nparts = append(nparts, merged)
+			nparts = append(nparts, merged.Freeze())
 			nmetas = append(nmetas, meta)
 			changed = true
 		} else {

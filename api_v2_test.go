@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // v2Site generates the site used by the v2 facade tests.
@@ -27,11 +29,10 @@ func v2Site(t testing.TB) *Site {
 // distinguishable snapshot.
 func v2Library(t testing.TB, site *Site, extraEvents int) *Library {
 	t.Helper()
-	lib, err := NewLibrary()
+	idx, err := core.NewMetaIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := newest(t, lib)
 	var first int64
 	for _, vid := range site.W.All("Video") {
 		v, _ := site.W.Get(vid)
@@ -49,6 +50,10 @@ func v2Library(t testing.TB, site *Site, extraEvents int) *Library {
 	for i := 0; i < extraEvents; i++ {
 		idx.AddEvent(Event{VideoID: first, Kind: "net-play",
 			Interval: Interval{Start: 300 + 10*i, End: 305 + 10*i}, Confidence: 0.5})
+	}
+	lib, err := newLibrary(core.SingleSegment(idx.Freeze()), 2, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return lib
 }

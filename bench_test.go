@@ -281,7 +281,7 @@ func BenchmarkE9EndToEnd(b *testing.B) {
 		indexDur := time.Since(t0)
 
 		t0 = time.Now()
-		eng, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
+		eng, err := dlse.NewSegmented(site, core.SingleSegment(idx.Freeze()), dlse.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -684,6 +684,15 @@ func coldCorpusParts(nseg int) ([]*core.MetaIndex, []core.SegmentMeta) {
 	return parts, metas
 }
 
+// freezeAll freezes each builder of parts.
+func freezeAll(parts []*core.MetaIndex) []*core.Part {
+	out := make([]*core.Part, len(parts))
+	for i, p := range parts {
+		out[i] = p.Freeze()
+	}
+	return out
+}
+
 // benchColdOpenBlobs serializes the cold-open corpus at 1 and 4 segments,
 // once per process.
 func benchColdOpenBlobs(b *testing.B) map[string][]byte {
@@ -693,7 +702,7 @@ func benchColdOpenBlobs(b *testing.B) map[string][]byte {
 		for _, nseg := range []int{1, 4} {
 			parts, metas := coldCorpusParts(nseg)
 			var sf strings.Builder
-			if err := core.WriteSegfile(&sf, parts, metas, int64(nseg)); err != nil {
+			if err := core.WriteSegfile(&sf, freezeAll(parts), metas, int64(nseg)); err != nil {
 				panic(err)
 			}
 			coldOpenBlobs[fmt.Sprintf("segfile/segs=%d", nseg)] = []byte(sf.String())
@@ -739,10 +748,11 @@ func BenchmarkColdOpen(b *testing.B) {
 // work Library.Compact does per merged run.
 func BenchmarkCompact(b *testing.B) {
 	parts, metas := coldCorpusParts(4)
+	frozen := freezeAll(parts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merged, _, err := core.MergeSegmentRange(parts, metas, 0, len(parts))
+		merged, _, err := core.MergeSegmentRange(frozen, metas, 0, len(frozen))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -830,7 +840,7 @@ func serveFixture(b *testing.B) (*dlse.Engine, *webspace.Site) {
 			seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
 			idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 		}
-		eng, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
+		eng, err := dlse.NewSegmented(site, core.SingleSegment(idx.Freeze()), dlse.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -1066,7 +1076,7 @@ func BenchmarkEngineWithVideo(b *testing.B) {
 	id := seg.AddVideo(core.Video{Name: "committed-final", FPS: 25, Frames: 96})
 	seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5})
 	metas := vi.Metas()
-	view, err := core.NewSegmentedIndex([]*core.MetaIndex{base, seg},
+	view, err := core.NewSegmentedIndex([]*core.Part{base, seg.Freeze()},
 		append(metas, core.SegmentMeta{ID: metas[0].ID + 1, Base: base.IDState()}), vi.Generation()+1)
 	if err != nil {
 		b.Fatal(err)
@@ -1082,13 +1092,14 @@ func BenchmarkEngineWithVideo(b *testing.B) {
 
 // BenchmarkSceneJoin measures the event→video scene join across its three
 // regimes: the retained row-store reference path (per-event Select +
-// VideoByID round-trips), the frozen columnar view built cold (a cheap
-// version bump before every lookup forces a rebuild), and the hot view
-// (pure slice copy). One and four partitions cover the monolithic and the
-// scatter shape.
+// VideoByID round-trips), the frozen columnar view built cold (the builders
+// frozen afresh, so the first Scenes builds every partition's view), and the
+// hot view (pure slice copy). One and four partitions cover the monolithic
+// and the scatter shape.
 func BenchmarkSceneJoin(b *testing.B) {
 	for _, nseg := range []int{1, 4} {
-		parts, metas := coldCorpusParts(nseg)
+		builders, metas := coldCorpusParts(nseg)
+		parts := freezeAll(builders)
 		si, err := core.NewSegmentedIndex(parts, metas, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -1107,12 +1118,11 @@ func BenchmarkSceneJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("cold/segs=%d", nseg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Invalidate every partition's view; object states are not
-				// read by the view build, so the corpus answer is unchanged.
-				for _, p := range parts {
-					p.AddState(core.ObjectState{})
+				cold, err := core.NewSegmentedIndex(freezeAll(builders), metas, 1)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if _, err := si.Scenes(kinds[i%len(kinds)]); err != nil {
+				if _, err := cold.Scenes(kinds[i%len(kinds)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -140,7 +140,7 @@ func main() {
 	// The write is atomic (temp + fsync + rename), so a crash mid-write
 	// cannot leave a torn index at -out.
 	err = fsx.WriteAtomic(fsx.OS, *out, func(w io.Writer) error {
-		return core.WriteSegfile(w, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 0)
+		return core.WriteSegfile(w, []*core.Part{idx.Freeze()}, []core.SegmentMeta{{ID: 1}}, 0)
 	})
 	if err != nil {
 		log.Fatal(err)

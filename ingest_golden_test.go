@@ -82,7 +82,7 @@ func indexLikeCobraindex(t *testing.T, paths []string, workers int) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := core.WriteSegfile(&buf, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
+	if err := core.WriteSegfile(&buf, []*core.Part{idx.Freeze()}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

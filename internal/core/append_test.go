@@ -73,7 +73,7 @@ func TestAppendMatchesSequential(t *testing.T) {
 		if errs[j] != nil {
 			t.Fatalf("build %d: %v", j, errs[j])
 		}
-		dst.Append(parts[j], IDBase{})
+		dst.Append(parts[j].Freeze(), IDBase{})
 	}
 	if got := serialized(t, dst); !bytes.Equal(got, want) {
 		t.Fatalf("merged serialization differs from sequential (%d vs %d bytes)", len(got), len(want))
@@ -95,7 +95,7 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		materializeVideo(src, j)
-		dst.Append(src, IDBase{})
+		dst.Append(src.Freeze(), IDBase{})
 		ids[j] = dst.IDState().Video
 	}
 	// Sequence order continues after the pre-existing video.
@@ -103,7 +103,7 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 		if ids[j] != int64(j+2) {
 			t.Fatalf("seq %d got video ID %d, want %d", j, ids[j], j+2)
 		}
-		v, err := dst.VideoByID(ids[j])
+		v, err := dst.Freeze().VideoByID(ids[j])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.AddEvent(Event{VideoID: 1, SegmentID: 1, Kind: "service"})
-	dst.Append(src, IDBase{})
+	dst.Append(src.Freeze(), IDBase{})
 	if evs := dst.events[len(dst.events)-1:]; evs[0].Kind != "service" || evs[0].ActorID != 0 || evs[0].ID != 5 {
 		t.Fatalf("actorless event appended as %+v", evs)
 	}

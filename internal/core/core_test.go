@@ -50,7 +50,7 @@ func buildIndex(t *testing.T) *MetaIndex {
 }
 
 func TestMetaIndexRoundTripQueries(t *testing.T) {
-	m := buildIndex(t)
+	m := buildIndex(t).Freeze()
 
 	vids := m.videos
 	if len(vids) != 2 {
@@ -96,7 +96,7 @@ func TestMetaIndexPersistence(t *testing.T) {
 		t.Fatalf("stats after load = %+v, want %+v", got.Stats(), m.Stats())
 	}
 	// Queries work after load.
-	scenes, err := got.Scenes("net-play")
+	scenes, err := got.Freeze().Scenes("net-play")
 	if err != nil || len(scenes) != 2 {
 		t.Fatalf("post-load Scenes = %v, %v", scenes, err)
 	}

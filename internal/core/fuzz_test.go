@@ -18,7 +18,7 @@ func FuzzMetaSegfileOpen(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(misshapenSegfile(f, reshapeVideos(func(c []column[Video]) []column[Video] { return c[:2] })))
-	stream := serialized(f, parts[0])
+	stream := encodeTables(nil, parts[0], tables[:])
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])                                    // mid-table truncation
 	f.Add(stream[:len(streamMagic)+1])                               // header only
@@ -37,7 +37,7 @@ func FuzzMetaSegfileOpen(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteSegfile(&buf, []*MetaIndex{m}, []SegmentMeta{{ID: 1}}, 1); err != nil {
+		if err := WriteSegfile(&buf, []*Part{m.Freeze()}, []SegmentMeta{{ID: 1}}, 1); err != nil {
 			t.Fatal(err)
 		}
 		readAll(buf.Bytes())

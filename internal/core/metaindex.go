@@ -2,22 +2,15 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
-// MetaIndex is the populated video meta-data database: all four COBRA
-// layers in six typed tables (see tables.go). The FDE writes it; the
-// digital-library search engine reads it. "Managing the meta-index now boils
-// down to exploiting the dependencies in the feature grammar" — the index
-// itself is plain tables.
-//
-// Concurrency: a MetaIndex is safe for any number of concurrent readers as
-// long as no writer is active. Writes (the Add* methods and Append) require
-// exclusive access, and only a private builder makes them: a library
-// installs an index for reading once it is complete and never writes it
-// again. A write drops the cached frozen view, so a builder that reads
-// between writes still sees every row.
-type MetaIndex struct {
+// tableSet is the populated video meta-data database: all four COBRA layers
+// in six typed tables (see tables.go), plus the ID counters. A MetaIndex
+// grows one; a Part serves one. Its methods only read.
+type tableSet struct {
 	videos   []Video
 	segments []Segment
 	features []FeatureValue
@@ -26,11 +19,25 @@ type MetaIndex struct {
 	events   []Event
 	// ids holds the last video, segment, object and event ID assigned.
 	ids IDBase
+}
 
-	// viewSlot caches the frozen columnar read path (see view.go); every
-	// write drops it.
-	viewSlot   atomic.Pointer[viewSlot]
-	viewBuilds atomic.Int64
+// MetaIndex builds a meta-index partition. The FDE writes it; the
+// digital-library search engine reads only what Freeze hands over. "Managing
+// the meta-index now boils down to exploiting the dependencies in the
+// feature grammar" — the index itself is plain tables.
+//
+// Concurrency: a MetaIndex has one writer at a time (the Add* methods and
+// Append) and no query path; Stats and IDState are its only reads.
+type MetaIndex struct{ tableSet }
+
+// Part is a served meta-index partition: the rows of a MetaIndex as Freeze
+// found them. It has no write method, so any number of readers may share it
+// and every answer it gives stays the same. Its scene view (view.go) is
+// built at the first read and kept.
+type Part struct {
+	tableSet
+	once sync.Once
+	view atomic.Pointer[metaView]
 }
 
 // NewMetaIndex creates an empty meta-index. It does not fail; the error
@@ -40,11 +47,26 @@ func NewMetaIndex() (*MetaIndex, error) { return &MetaIndex{}, nil }
 // NewMetaIndexAt creates an empty meta-index whose ID counters start at the
 // given base — the building block of segmented libraries, where a new
 // partition continues the global ID sequence of the partitions before it.
-func NewMetaIndexAt(base IDBase) *MetaIndex { return &MetaIndex{ids: base} }
+func NewMetaIndexAt(base IDBase) *MetaIndex { return &MetaIndex{tableSet{ids: base}} }
+
+// Freeze returns m's rows as a Part in O(1). Each table is handed over
+// clipped to its length, so a later write to m appends to memory the Part
+// never reads: m stays a builder, and the Part never changes.
+func (m *MetaIndex) Freeze() *Part {
+	return &Part{tableSet: tableSet{
+		videos:   slices.Clip(m.videos),
+		segments: slices.Clip(m.segments),
+		features: slices.Clip(m.features),
+		objects:  slices.Clip(m.objects),
+		states:   slices.Clip(m.states),
+		events:   slices.Clip(m.events),
+		ids:      m.ids,
+	}}
+}
 
 // IDState returns the current ID-counter state: the base the next segment
 // of a segmented library must start at.
-func (m *MetaIndex) IDState() IDBase { return m.ids }
+func (t *tableSet) IDState() IDBase { return t.ids }
 
 // floorIDs raises any counter below the given base up to it (counters
 // already past the base — restored from persisted rows — are kept).
@@ -62,15 +84,14 @@ func (m *MetaIndex) floorIDs(base IDBase) {
 // indexes of a batch from base zero, in job order, builds the index a
 // sequential run would have; appending the parts of a compaction, each at
 // its own base, shifts nothing.
-func (m *MetaIndex) Append(src *MetaIndex, base IDBase) {
+func (m *MetaIndex) Append(src *Part, base IDBase) {
 	shift := IDBase{
 		Video: m.ids.Video - base.Video, Segment: m.ids.Segment - base.Segment,
 		Object: m.ids.Object - base.Object, Event: m.ids.Event - base.Event,
 	}
 	for _, t := range tables {
-		t.appendShifted(m, src, shift)
+		t.appendShifted(&m.tableSet, &src.tableSet, shift)
 	}
-	m.viewSlot.Store(nil)
 	m.ids = IDBase{
 		Video: src.ids.Video + shift.Video, Segment: src.ids.Segment + shift.Segment,
 		Object: src.ids.Object + shift.Object, Event: src.ids.Event + shift.Event,
@@ -82,7 +103,6 @@ func (m *MetaIndex) AddVideo(v Video) int64 {
 	m.ids.Video++
 	v.ID = m.ids.Video
 	m.videos = append(m.videos, v)
-	m.viewSlot.Store(nil)
 	return v.ID
 }
 
@@ -91,7 +111,6 @@ func (m *MetaIndex) AddSegment(s Segment) int64 {
 	m.ids.Segment++
 	s.ID = m.ids.Segment
 	m.segments = append(m.segments, s)
-	m.viewSlot.Store(nil)
 	return s.ID
 }
 
@@ -100,14 +119,12 @@ func (m *MetaIndex) AddObject(o Object) int64 {
 	m.ids.Object++
 	o.ID = m.ids.Object
 	m.objects = append(m.objects, o)
-	m.viewSlot.Store(nil)
 	return o.ID
 }
 
 // AddState records a per-frame object state.
 func (m *MetaIndex) AddState(s ObjectState) {
 	m.states = append(m.states, s)
-	m.viewSlot.Store(nil)
 }
 
 // AddEvent registers an event and returns its assigned ID.
@@ -115,7 +132,6 @@ func (m *MetaIndex) AddEvent(e Event) int64 {
 	m.ids.Event++
 	e.ID = m.ids.Event
 	m.events = append(m.events, e)
-	m.viewSlot.Store(nil)
 	return e.ID
 }
 
@@ -131,8 +147,8 @@ func filter[R any](rows []R, keep func(*R) bool) []R {
 }
 
 // VideoByID returns the video with the given ID.
-func (m *MetaIndex) VideoByID(id int64) (Video, error) {
-	for _, v := range m.videos {
+func (p *Part) VideoByID(id int64) (Video, error) {
+	for _, v := range p.videos {
 		if v.ID == id {
 			return v, nil
 		}
@@ -141,16 +157,15 @@ func (m *MetaIndex) VideoByID(id int64) (Video, error) {
 }
 
 // SegmentsOf returns all shots of a video in index order.
-func (m *MetaIndex) SegmentsOf(videoID int64) ([]Segment, error) {
-	return filter(m.segments, func(s *Segment) bool { return s.VideoID == videoID }), nil
+func (p *Part) SegmentsOf(videoID int64) ([]Segment, error) {
+	return filter(p.segments, func(s *Segment) bool { return s.VideoID == videoID }), nil
 }
 
 // Scenes returns playable scenes for all events of the given kind, joining
 // events with their videos. The join is precomputed in the frozen view, so
 // a hot call is a single slice copy.
-func (m *MetaIndex) Scenes(kind string) ([]Scene, error) {
-	v := m.frozenView()
-	kv := v.kinds[kind]
+func (p *Part) Scenes(kind string) ([]Scene, error) {
+	kv := p.frozenView().kinds[kind]
 	if kv == nil {
 		return []Scene{}, nil
 	}
@@ -164,11 +179,11 @@ func (m *MetaIndex) Scenes(kind string) ([]Scene, error) {
 
 // ScenesReference is the retained scan path of Scenes: an event scan, then
 // a video scan per event.
-func (m *MetaIndex) ScenesReference(kind string) ([]Scene, error) {
-	evs := filter(m.events, func(e *Event) bool { return e.Kind == kind })
+func (p *Part) ScenesReference(kind string) ([]Scene, error) {
+	evs := filter(p.events, func(e *Event) bool { return e.Kind == kind })
 	out := make([]Scene, 0, len(evs))
 	for _, e := range evs {
-		v, err := m.VideoByID(e.VideoID)
+		v, err := p.VideoByID(e.VideoID)
 		if err != nil {
 			return nil, err
 		}
@@ -183,13 +198,13 @@ type Stats struct {
 }
 
 // Stats returns row counts per layer.
-func (m *MetaIndex) Stats() Stats {
+func (t *tableSet) Stats() Stats {
 	return Stats{
-		Videos:   len(m.videos),
-		Segments: len(m.segments),
-		Features: len(m.features),
-		Objects:  len(m.objects),
-		States:   len(m.states),
-		Events:   len(m.events),
+		Videos:   len(t.videos),
+		Segments: len(t.segments),
+		Features: len(t.features),
+		Objects:  len(t.objects),
+		States:   len(t.states),
+		Events:   len(t.events),
 	}
 }

@@ -9,9 +9,8 @@ package core
 // serving only scene-free queries never decodes video metadata at all, and
 // under mmap the undecoded blocks are never even paged in.
 //
-// Each segment's payload is its MetaIndex's stream encoding (the format of
-// tables.go), so a decoded segment is row for row the MetaIndex
-// that was written and segfile-loaded query answers are byte-identical to
+// Each segment's payload is its Part's stream encoding (the format of
+// tables.go), so a decoded segment is row for row the Part that was written and segfile-loaded query answers are byte-identical to
 // the heap path.
 
 import (
@@ -52,13 +51,13 @@ type manifestEntry struct {
 // WriteSegfile persists a segmented library in segfile form: manifest
 // block first, then each partition's stream encoding as its own block.
 // The write streams through w in one forward pass (SaveIndex compatible).
-func WriteSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int64) error {
+func WriteSegfile(w io.Writer, parts []*Part, metas []SegmentMeta, gen int64) error {
 	return writeSegfile(w, parts, metas, gen, tables[:])
 }
 
 // writeSegfile is WriteSegfile with each partition encoded under the given
 // table declarations.
-func writeSegfile(w io.Writer, parts []*MetaIndex, metas []SegmentMeta, gen int64, ts []tableCodec) error {
+func writeSegfile(w io.Writer, parts []*Part, metas []SegmentMeta, gen int64, ts []tableCodec) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("core: segfile needs at least one partition")
 	}
@@ -95,7 +94,7 @@ var ErrNotSegfile = errors.New("not a segfile meta-index; re-index the corpus wi
 // with lazy per-segment decode: the O(segments) cold start of the zero-copy
 // persistence path. A path that exists but does not hold a segfile fails
 // with ErrNotSegfile. The returned closer releases the mapping: every
-// MetaIndex already decoded is heap-resident and survives it, but
+// Part already decoded is heap-resident and survives it, but
 // not-yet-hydrated segments become unreadable — close only when no reader
 // can hydrate anymore (process-lifetime readers may never).
 func OpenSegmentedFile(path string) (*SegmentedIndex, io.Closer, error) {
@@ -126,7 +125,7 @@ func openSegfileReader(r *segfile.Reader) (*SegmentedIndex, error) {
 		return nil, fmt.Errorf("core: negative generation %d", head.Gen)
 	}
 	s := &SegmentedIndex{
-		parts: make(segset.Set[MetaIndex], nsegs),
+		parts: make(segset.Set[Part], nsegs),
 		metas: make([]SegmentMeta, nsegs),
 		rows:  make([]Stats, nsegs),
 		gen:   head.Gen,
@@ -148,14 +147,15 @@ func openSegfileReader(r *segfile.Reader) (*SegmentedIndex, error) {
 			return nil, fmt.Errorf("core: manifest lists segment %d but block is missing", i)
 		}
 		meta, want := s.metas[i], s.rows[i]
-		s.parts[i] = segset.Lazy(func() (*MetaIndex, error) { return decodeSegment(r, name, meta, want) })
+		s.parts[i] = segset.Lazy(func() (*Part, error) { return decodeSegment(r, name, meta, want) })
 	}
 	return s, nil
 }
 
-// decodeSegment decodes one segment's block on first touch. The block is
-// structural: its checksum is verified before the decode trusts it.
-func decodeSegment(r *segfile.Reader, name string, meta SegmentMeta, want Stats) (*MetaIndex, error) {
+// decodeSegment decodes one segment's block on first touch and freezes it.
+// The block is structural: its checksum is verified before the decode
+// trusts it.
+func decodeSegment(r *segfile.Reader, name string, meta SegmentMeta, want Stats) (*Part, error) {
 	b, err := segfile.Structural[byte](r, name, -1)
 	if err != nil {
 		return nil, err
@@ -170,5 +170,5 @@ func decodeSegment(r *segfile.Reader, name string, meta SegmentMeta, want Stats)
 	if got := m.Stats(); got != want {
 		return nil, fmt.Errorf("core: segment %d: decoded stats %+v disagree with manifest %+v", meta.ID, got, want)
 	}
-	return m, nil
+	return m.Freeze(), nil
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/segfile"
 )
 
-func coreSegfileBytes(t testing.TB, parts []*MetaIndex, metas []SegmentMeta, gen int64) []byte {
+func coreSegfileBytes(t testing.TB, parts []*Part, metas []SegmentMeta, gen int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteSegfile(&buf, parts, metas, gen); err != nil {
@@ -236,7 +236,7 @@ func misshapenSegfile(tb testing.TB, reshape func([]tableCodec) []tableCodec) []
 	}
 	m.AddVideo(Video{Name: "final", Path: "final.svf", Width: 1, Height: 1, FPS: 1, Frames: 1})
 	var buf bytes.Buffer
-	if err := writeSegfile(&buf, []*MetaIndex{m}, []SegmentMeta{{ID: 1}}, 1, reshape(append([]tableCodec(nil), tables[:]...))); err != nil {
+	if err := writeSegfile(&buf, []*Part{m.Freeze()}, []SegmentMeta{{ID: 1}}, 1, reshape(append([]tableCodec(nil), tables[:]...))); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

@@ -1,12 +1,11 @@
 package core
 
-// Segmented meta-index: an ordered set of immutable MetaIndex partitions
-// read as one logical COBRA meta-index. Every entity ID space (video,
-// segment, object, event) is partitioned contiguously in segment order —
-// segment i's counters start where segment i-1's ended — so concatenating
-// per-segment answers in segment order reproduces, row for row, the answer
-// a single monolithic index built from the same videos in the same order
-// would give. A manifest records the partitioning (segment IDs, ID bases,
+// Segmented meta-index: an ordered set of Parts read as one logical COBRA
+// meta-index. Every entity ID space (video, segment, object, event) is
+// partitioned contiguously in segment order — segment i's counters start
+// where segment i-1's ended — so concatenating per-segment answers in
+// segment order reproduces, row for row, the answer a single monolithic
+// index built from the same videos in the same order would give. A manifest records the partitioning (segment IDs, ID bases,
 // generation) and is persisted alongside the parts (see segfile.go).
 
 import (
@@ -31,19 +30,18 @@ type SegmentMeta struct {
 	Base IDBase
 }
 
-// SegmentedIndex is an immutable reader over an ordered set of MetaIndex
-// partitions. Whole-library reads gather the per-partition answers in
-// segment order — the append order of the monolithic build. Each partition
-// resolves at most once: a partition handed to
-// NewSegmentedIndex is resolved from the start, one opened from a segfile
-// decodes when a read first touches it. What the manifest records
-// (NumSegments, Metas, Generation, and the row counts of partitions not yet
-// decoded) answers without decoding anything. The value itself is a
-// snapshot: its partitions are never written, and every change to the set
-// builds a new SegmentedIndex, so readers holding an old one are never
+// SegmentedIndex is an immutable reader over an ordered set of Parts.
+// Whole-library reads gather the per-partition answers in segment order —
+// the append order of the monolithic build. Each partition resolves at most
+// once: a Part handed to NewSegmentedIndex is resolved from the start, one
+// opened from a segfile decodes when a read first touches it. What the
+// manifest records (NumSegments, Metas, Generation, and the row counts of
+// partitions not yet decoded) answers without decoding anything. The value
+// itself is a snapshot: a Part has no write method, and every change to the
+// set builds a new SegmentedIndex, so readers holding an old one are never
 // disturbed.
 type SegmentedIndex struct {
-	parts segset.Set[MetaIndex]
+	parts segset.Set[Part]
 	metas []SegmentMeta
 	// rows holds the persisted row counts of segfile-backed partitions —
 	// what PartStats answers until the partition is decoded.
@@ -53,7 +51,7 @@ type SegmentedIndex struct {
 
 // NewSegmentedIndex builds a reader over the given parts. parts and metas
 // must be the same length and in segment order; the slices are copied.
-func NewSegmentedIndex(parts []*MetaIndex, metas []SegmentMeta, gen int64) (*SegmentedIndex, error) {
+func NewSegmentedIndex(parts []*Part, metas []SegmentMeta, gen int64) (*SegmentedIndex, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: segmented index needs at least one partition")
 	}
@@ -61,7 +59,7 @@ func NewSegmentedIndex(parts []*MetaIndex, metas []SegmentMeta, gen int64) (*Seg
 		return nil, fmt.Errorf("core: %d parts but %d manifest entries", len(parts), len(metas))
 	}
 	s := &SegmentedIndex{
-		parts: make(segset.Set[MetaIndex], len(parts)),
+		parts: make(segset.Set[Part], len(parts)),
 		metas: append([]SegmentMeta(nil), metas...),
 		gen:   gen,
 	}
@@ -71,10 +69,10 @@ func NewSegmentedIndex(parts []*MetaIndex, metas []SegmentMeta, gen int64) (*Seg
 	return s, nil
 }
 
-// SingleSegment wraps one MetaIndex as a one-partition segmented view —
-// the bridge from the monolithic API surface.
-func SingleSegment(m *MetaIndex) *SegmentedIndex {
-	return &SegmentedIndex{parts: segset.Set[MetaIndex]{segset.Ready(m)}, metas: []SegmentMeta{{ID: 1}}}
+// SingleSegment wraps one Part as a one-partition segmented view — the
+// bridge from the monolithic API surface.
+func SingleSegment(p *Part) *SegmentedIndex {
+	return &SegmentedIndex{parts: segset.Set[Part]{segset.Ready(p)}, metas: []SegmentMeta{{ID: 1}}}
 }
 
 // NumSegments returns the partition count.
@@ -82,8 +80,8 @@ func (s *SegmentedIndex) NumSegments() int { return len(s.parts) }
 
 // Parts resolves every partition and returns them in order — the full
 // hydration the write paths need before building a new set.
-func (s *SegmentedIndex) Parts() ([]*MetaIndex, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]*MetaIndex, error) { return []*MetaIndex{p}, nil })
+func (s *SegmentedIndex) Parts() ([]*Part, error) {
+	return segset.Gather(s.parts, func(p *Part) ([]*Part, error) { return []*Part{p}, nil })
 }
 
 // Hydrated reports whether partition i is resolved (always, unless it is
@@ -141,33 +139,14 @@ func (s *SegmentedIndex) Stats() Stats {
 	return out
 }
 
-// ViewBuilds sums the frozen-view build counters of the resolved
-// partitions — the number the serving layer exports as
-// dl_sceneview_builds_total. An undecoded partition has never built a view.
-func (s *SegmentedIndex) ViewBuilds() int64 {
+// ViewsBuilt counts the resolved partitions whose scene view is built —
+// explain's signal that a scene read of this snapshot built one. An
+// undecoded partition has built none.
+func (s *SegmentedIndex) ViewsBuilt() int64 {
 	var n int64
 	for _, c := range s.parts {
-		if p := c.Peek(); p != nil {
-			n += p.ViewBuilds()
-		}
-	}
-	return n
-}
-
-// RetiredViewBuilds sums the frozen-view build counters of the partitions
-// s has resolved that next does not hold: the builds dl_sceneview_builds_total
-// must keep when next replaces s, so that the counter never falls.
-func (s *SegmentedIndex) RetiredViewBuilds(next *SegmentedIndex) int64 {
-	held := make(map[*MetaIndex]bool, len(next.parts))
-	for _, c := range next.parts {
-		if p := c.Peek(); p != nil {
-			held[p] = true
-		}
-	}
-	var n int64
-	for _, c := range s.parts {
-		if p := c.Peek(); p != nil && !held[p] {
-			n += p.ViewBuilds()
+		if p := c.Peek(); p != nil && p.view.Load() != nil {
+			n++
 		}
 	}
 	return n
@@ -176,7 +155,7 @@ func (s *SegmentedIndex) RetiredViewBuilds(next *SegmentedIndex) int64 {
 // partOf returns the partition owning the given video ID (the last
 // partition whose video base is below it); a video's shots, objects and
 // events all live in the partition its row does.
-func (s *SegmentedIndex) partOf(videoID int64) (*MetaIndex, error) {
+func (s *SegmentedIndex) partOf(videoID int64) (*Part, error) {
 	i := len(s.metas) - 1
 	for i > 0 && s.metas[i].Base.Video >= videoID {
 		i--
@@ -195,18 +174,18 @@ func (s *SegmentedIndex) SegmentsOf(videoID int64) ([]Segment, error) {
 
 // Scenes returns playable scenes for all events of the given kind.
 func (s *SegmentedIndex) Scenes(kind string) ([]Scene, error) {
-	return segset.Gather(s.parts, func(p *MetaIndex) ([]Scene, error) { return p.Scenes(kind) })
+	return segset.Gather(s.parts, func(p *Part) ([]Scene, error) { return p.Scenes(kind) })
 }
 
 // ------------------------------------------------------------ compaction
 
 // MergeSegmentRange appends partitions [from, to) in order to one new
-// partition at the range's starting ID base. Each must start where the one
+// builder at the range's starting ID base. Each must start where the one
 // before it ended (its manifest base equal to the merged counters so far), so
 // no ID shifts: the result encodes byte-identically to indexing the same
 // videos into one index at that base, and every answer over the compacted set
 // matches the uncompacted one. A range whose bases do not chain fails.
-func MergeSegmentRange(parts []*MetaIndex, metas []SegmentMeta, from, to int) (*MetaIndex, SegmentMeta, error) {
+func MergeSegmentRange(parts []*Part, metas []SegmentMeta, from, to int) (*MetaIndex, SegmentMeta, error) {
 	if from < 0 || to > len(parts) || to-from < 1 {
 		return nil, SegmentMeta{}, fmt.Errorf("core: bad merge range [%d, %d)", from, to)
 	}

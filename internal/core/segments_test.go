@@ -36,8 +36,8 @@ func fillVideo(t testing.TB, idx *MetaIndex, seq int) {
 	}
 }
 
-// buildMonoMeta indexes n videos into one monolithic MetaIndex.
-func buildMonoMeta(t *testing.T, n int) *MetaIndex {
+// buildMonoMeta indexes n videos into one monolithic Part.
+func buildMonoMeta(t *testing.T, n int) *Part {
 	t.Helper()
 	m, err := NewMetaIndex()
 	if err != nil {
@@ -46,14 +46,14 @@ func buildMonoMeta(t *testing.T, n int) *MetaIndex {
 	for i := 0; i < n; i++ {
 		fillVideo(t, m, i)
 	}
-	return m
+	return m.Freeze()
 }
 
 // buildSegMeta splits the same n videos across partitions of the given
 // sizes, each partition seeded at the previous one's ID state.
-func buildSegMeta(t testing.TB, sizes []int) (*SegmentedIndex, []*MetaIndex, []SegmentMeta) {
+func buildSegMeta(t testing.TB, sizes []int) (*SegmentedIndex, []*Part, []SegmentMeta) {
 	t.Helper()
-	var parts []*MetaIndex
+	var parts []*Part
 	var metas []SegmentMeta
 	base := IDBase{}
 	seq := 0
@@ -63,7 +63,7 @@ func buildSegMeta(t testing.TB, sizes []int) (*SegmentedIndex, []*MetaIndex, []S
 			fillVideo(t, p, seq)
 			seq++
 		}
-		parts = append(parts, p)
+		parts = append(parts, p.Freeze())
 		metas = append(metas, SegmentMeta{ID: int64(i + 1), Base: base})
 		base = p.IDState()
 	}
@@ -76,11 +76,11 @@ func buildSegMeta(t testing.TB, sizes []int) (*SegmentedIndex, []*MetaIndex, []S
 
 // serializeAll renders every partition's database, concatenated — the
 // byte-level identity check between builds.
-func serializeAll(t *testing.T, parts ...*MetaIndex) []byte {
+func serializeAll(t *testing.T, parts ...*Part) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, p := range parts {
-		buf.Write(serialized(t, p))
+		buf.Write(encodeTables(nil, p, tables[:]))
 	}
 	return buf.Bytes()
 }
@@ -149,7 +149,7 @@ func TestMergeSegmentRange(t *testing.T) {
 	if meta.ID != 1 || meta.Base != (IDBase{}) {
 		t.Fatalf("merged meta %+v", meta)
 	}
-	if got, want := serializeAll(t, merged), serializeAll(t, mono); !bytes.Equal(got, want) {
+	if got, want := serializeAll(t, merged.Freeze()), serializeAll(t, mono); !bytes.Equal(got, want) {
 		t.Fatal("full compaction is not byte-identical to the monolithic build")
 	}
 	if merged.IDState() != mono.IDState() {
@@ -162,7 +162,7 @@ func TestMergeSegmentRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	si2, err := NewSegmentedIndex(
-		[]*MetaIndex{parts[0], mid, parts[3]},
+		[]*Part{parts[0], mid.Freeze(), parts[3]},
 		[]SegmentMeta{metas[0], midMeta, metas[3]}, si.Generation()+1)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestMergeSegmentRangeRejectsBaseGap(t *testing.T) {
 			gap.bump(&base)
 			p := NewMetaIndexAt(base)
 			fillVideo(t, p, 3)
-			parts = append(parts, p)
+			parts = append(parts, p.Freeze())
 			metas = append(metas, SegmentMeta{ID: 3, Base: base})
 			if _, _, err := MergeSegmentRange(parts, metas, 1, 3); err == nil {
 				t.Fatalf("merged across a gap in %s IDs", gap.space)

@@ -69,20 +69,20 @@ func (c column[R]) wire() byte {
 }
 
 // table declares one meta-index table: its name, where its rows live in a
-// MetaIndex, and its columns in wire order.
+// tableSet, and its columns in wire order.
 type table[R any] struct {
 	name string
-	rows func(*MetaIndex) *[]R
+	rows func(*tableSet) *[]R
 	cols []column[R]
 }
 
 // tableCodec is a table declaration with its row type erased, so the codec
 // and Append can walk all six tables in one loop.
 type tableCodec interface {
-	encode(b []byte, m *MetaIndex) []byte
-	decode(d *decoder, m *MetaIndex) error
-	appendShifted(dst, src *MetaIndex, shift IDBase)
-	restoreIDs(m *MetaIndex)
+	encode(b []byte, m *tableSet) []byte
+	decode(d *decoder, m *tableSet) error
+	appendShifted(dst, src *tableSet, shift IDBase)
+	restoreIDs(m *tableSet)
 }
 
 func videoIDs(b *IDBase) *int64   { return &b.Video }
@@ -93,7 +93,7 @@ func eventIDs(b *IDBase) *int64   { return &b.Event }
 // tables declares the six meta-index tables in stream order (sorted by
 // name).
 var tables = [...]tableCodec{
-	&table[Event]{"events", func(m *MetaIndex) *[]Event { return &m.events }, []column[Event]{
+	&table[Event]{"events", func(t *tableSet) *[]Event { return &t.events }, []column[Event]{
 		{"id", func(e *Event) any { return &e.ID }, eventIDs},
 		{"video", func(e *Event) any { return &e.VideoID }, videoIDs},
 		{"segment", func(e *Event) any { return &e.SegmentID }, segmentIDs},
@@ -103,13 +103,13 @@ var tables = [...]tableCodec{
 		{"actor", func(e *Event) any { return &e.ActorID }, objectIDs},
 		{"confidence", func(e *Event) any { return &e.Confidence }, nil},
 	}},
-	&table[FeatureValue]{"features", func(m *MetaIndex) *[]FeatureValue { return &m.features }, []column[FeatureValue]{
+	&table[FeatureValue]{"features", func(t *tableSet) *[]FeatureValue { return &t.features }, []column[FeatureValue]{
 		{"video", func(f *FeatureValue) any { return &f.VideoID }, videoIDs},
 		{"frame", func(f *FeatureValue) any { return &f.Frame }, nil},
 		{"name", func(f *FeatureValue) any { return &f.Name }, nil},
 		{"value", func(f *FeatureValue) any { return &f.Value }, nil},
 	}},
-	&table[Object]{"objects", func(m *MetaIndex) *[]Object { return &m.objects }, []column[Object]{
+	&table[Object]{"objects", func(t *tableSet) *[]Object { return &t.objects }, []column[Object]{
 		{"id", func(o *Object) any { return &o.ID }, objectIDs},
 		{"video", func(o *Object) any { return &o.VideoID }, videoIDs},
 		{"segment", func(o *Object) any { return &o.SegmentID }, segmentIDs},
@@ -117,14 +117,14 @@ var tables = [...]tableCodec{
 		{"start", func(o *Object) any { return &o.Start }, nil},
 		{"end", func(o *Object) any { return &o.End }, nil},
 	}},
-	&table[Segment]{"segments", func(m *MetaIndex) *[]Segment { return &m.segments }, []column[Segment]{
+	&table[Segment]{"segments", func(t *tableSet) *[]Segment { return &t.segments }, []column[Segment]{
 		{"id", func(s *Segment) any { return &s.ID }, segmentIDs},
 		{"video", func(s *Segment) any { return &s.VideoID }, videoIDs},
 		{"start", func(s *Segment) any { return &s.Start }, nil},
 		{"end", func(s *Segment) any { return &s.End }, nil},
 		{"class", func(s *Segment) any { return &s.Class }, nil},
 	}},
-	&table[ObjectState]{"states", func(m *MetaIndex) *[]ObjectState { return &m.states }, []column[ObjectState]{
+	&table[ObjectState]{"states", func(t *tableSet) *[]ObjectState { return &t.states }, []column[ObjectState]{
 		{"object", func(s *ObjectState) any { return &s.ObjectID }, objectIDs},
 		{"frame", func(s *ObjectState) any { return &s.Frame }, nil},
 		{"found", func(s *ObjectState) any { return &s.Found }, nil},
@@ -140,7 +140,7 @@ var tables = [...]tableCodec{
 		{"orientation", func(s *ObjectState) any { return &s.Orientation }, nil},
 		{"eccentricity", func(s *ObjectState) any { return &s.Eccentricity }, nil},
 	}},
-	&table[Video]{"videos", func(m *MetaIndex) *[]Video { return &m.videos }, []column[Video]{
+	&table[Video]{"videos", func(t *tableSet) *[]Video { return &t.videos }, []column[Video]{
 		{"id", func(v *Video) any { return &v.ID }, videoIDs},
 		{"name", func(v *Video) any { return &v.Name }, nil},
 		{"path", func(v *Video) any { return &v.Path }, nil},
@@ -151,9 +151,9 @@ var tables = [...]tableCodec{
 	}},
 }
 
-// DeserializeMetaIndex decodes a meta-index written by encodeTables and
-// restores its ID counters from the largest keys. The result does not alias
-// b.
+// DeserializeMetaIndex decodes a meta-index written by encodeTables into a
+// builder and restores its ID counters from the largest keys. The result
+// does not alias b.
 func DeserializeMetaIndex(b []byte) (*MetaIndex, error) {
 	d := &decoder{b: b}
 	if want := binary.AppendUvarint([]byte(streamMagic), uint64(len(tables))); !bytes.Equal(d.take(uint64(len(want))), want) {
@@ -161,7 +161,7 @@ func DeserializeMetaIndex(b []byte) (*MetaIndex, error) {
 	}
 	m := &MetaIndex{}
 	for _, t := range tables {
-		if err := t.decode(d, m); err != nil {
+		if err := t.decode(d, &m.tableSet); err != nil {
 			return nil, fmt.Errorf("core: decoding meta-index: %w", err)
 		}
 	}
@@ -169,17 +169,17 @@ func DeserializeMetaIndex(b []byte) (*MetaIndex, error) {
 		return nil, fmt.Errorf("core: decoding meta-index: %d trailing bytes", len(d.b))
 	}
 	for _, t := range tables {
-		t.restoreIDs(m)
+		t.restoreIDs(&m.tableSet)
 	}
 	return m, nil
 }
 
-// encodeTables appends m's stream encoding under the given declarations
+// encodeTables appends p's stream encoding under the given declarations
 // to b.
-func encodeTables(b []byte, m *MetaIndex, ts []tableCodec) []byte {
+func encodeTables(b []byte, p *Part, ts []tableCodec) []byte {
 	b = binary.AppendUvarint(append(b, streamMagic...), uint64(len(ts)))
 	for _, t := range ts {
-		b = t.encode(b, m)
+		b = t.encode(b, &p.tableSet)
 	}
 	return b
 }
@@ -194,7 +194,7 @@ func (t *table[R]) header(b []byte) []byte {
 	return b
 }
 
-func (t *table[R]) encode(b []byte, m *MetaIndex) []byte {
+func (t *table[R]) encode(b []byte, m *tableSet) []byte {
 	rows := *t.rows(m)
 	b = binary.AppendUvarint(t.header(b), uint64(len(rows)))
 	for _, c := range t.cols {
@@ -225,7 +225,7 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func (t *table[R]) decode(d *decoder, m *MetaIndex) error {
+func (t *table[R]) decode(d *decoder, m *tableSet) error {
 	if h := t.header(nil); !bytes.Equal(d.take(uint64(len(h))), h) {
 		return fmt.Errorf("table %q: header does not match its declaration", t.name)
 	}
@@ -276,7 +276,7 @@ func (t *table[R]) decode(d *decoder, m *MetaIndex) error {
 
 // appendShifted appends src's rows to dst's, adding shift to every nonzero
 // ID value.
-func (t *table[R]) appendShifted(dst, src *MetaIndex, shift IDBase) {
+func (t *table[R]) appendShifted(dst, src *tableSet, shift IDBase) {
 	to := t.rows(dst)
 	n := len(*to)
 	*to = append(*to, *t.rows(src)...)
@@ -294,7 +294,7 @@ func (t *table[R]) appendShifted(dst, src *MetaIndex, shift IDBase) {
 }
 
 // restoreIDs raises the table's key counter to the largest key it holds.
-func (t *table[R]) restoreIDs(m *MetaIndex) {
+func (t *table[R]) restoreIDs(m *tableSet) {
 	rows := *t.rows(m)
 	for _, c := range t.cols {
 		if c.name != "id" {

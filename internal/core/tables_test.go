@@ -52,7 +52,7 @@ func rowsOf(m *MetaIndex) string {
 
 func serialized(t testing.TB, m *MetaIndex) []byte {
 	t.Helper()
-	return encodeTables(nil, m, tables[:])
+	return encodeTables(nil, m.Freeze(), tables[:])
 }
 
 // TestMetaCodecGolden pins the stream format byte for byte: the hash was
@@ -129,7 +129,7 @@ func rejectsIndex() *MetaIndex {
 
 // encodeAs writes m's stream through a reshaped copy of the table list.
 func encodeAs(m *MetaIndex, reshape func([]tableCodec) []tableCodec) []byte {
-	return encodeTables(nil, m, reshape(append([]tableCodec(nil), tables[:]...)))
+	return encodeTables(nil, m.Freeze(), reshape(append([]tableCodec(nil), tables[:]...)))
 }
 
 // TestDeserializeRoundTrip: a decoded index encodes back to the bytes it
@@ -147,7 +147,7 @@ func TestDeserializeRoundTrip(t *testing.T) {
 		if len(back.states) != n {
 			t.Fatalf("%d states: decoded %d state rows", n, len(back.states))
 		}
-		if scenes, err := back.Scenes("rallye-été"); err != nil || len(scenes) != 1 {
+		if scenes, err := back.Freeze().Scenes("rallye-été"); err != nil || len(scenes) != 1 {
 			t.Fatalf("%d states: post-load lookup = %v, %v", n, scenes, err)
 		}
 	}
@@ -235,7 +235,8 @@ func TestMetaStreamRejects(t *testing.T) {
 // TestLookupOnEmptyIndex: every lookup on an empty index answers an empty,
 // non-nil slice.
 func TestLookupOnEmptyIndex(t *testing.T) {
-	m, _ := NewMetaIndex()
+	b, _ := NewMetaIndex()
+	m := b.Freeze()
 	segs, _ := m.SegmentsOf(1)
 	scenes, _ := m.Scenes("rally")
 	scenesRef, _ := m.ScenesReference("rally")
@@ -258,14 +259,15 @@ func TestLookupFullScan(t *testing.T) {
 		m.AddEvent(Event{VideoID: v1, SegmentID: seg, Kind: []string{"rally", "net-play"}[i%2]})
 	}
 	m.AddSegment(Segment{VideoID: v2, Class: "audience"})
+	p := m.Freeze()
 	for _, c := range []struct {
 		name      string
 		got, want int
 	}{
-		{"ScenesReference(rally)", count(m.ScenesReference("rally")), 2},
-		{"ScenesReference(absent)", count(m.ScenesReference("absent")), 0},
-		{"SegmentsOf(v1)", count(m.SegmentsOf(v1)), 3},
-		{"SegmentsOf(absent)", count(m.SegmentsOf(99)), 0},
+		{"ScenesReference(rally)", count(p.ScenesReference("rally")), 2},
+		{"ScenesReference(absent)", count(p.ScenesReference("absent")), 0},
+		{"SegmentsOf(v1)", count(p.SegmentsOf(v1)), 3},
+		{"SegmentsOf(absent)", count(p.SegmentsOf(99)), 0},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s found %d rows, want %d", c.name, c.got, c.want)
@@ -303,8 +305,9 @@ func TestLookupRowOrder(t *testing.T) {
 			}
 			return out
 		}
-		gotSegs, _ := m.SegmentsOf(v[0])
-		gotKind, _ := m.ScenesReference("rally")
+		p := m.Freeze()
+		gotSegs, _ := p.SegmentsOf(v[0])
+		gotKind, _ := p.ScenesReference("rally")
 		for _, c := range []struct {
 			name      string
 			got, want []int64

@@ -2,22 +2,20 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Frozen columnar read path for the event/scene tables.
 //
 // The reference path answers `Scenes(kind)` by a scan of the events table
 // and a videos scan per event — on every query. The frozen view does that
-// work once per index state: events are grouped by kind, and videos are
-// pre-joined into per-kind scene runs. After the build, every read-path
-// query is a slice copy with zero table scans.
+// work once per Part: events are grouped by kind, and videos are pre-joined
+// into per-kind scene runs. After the build, every read-path query is a
+// slice copy with zero table scans.
 //
-// Freshness: every write drops the slot, and the next read installs a fresh
-// one. The slot lives behind an atomic pointer with a sync.Once guarding
-// the build, so concurrent readers agree on a single build. Writes never
-// race reads: only a private builder writes a MetaIndex, and a served one
-// is never written again.
+// Freshness: a Part has no write method, so its view is built at the first
+// read, under the Part's sync.Once, and never dropped. Concurrent first
+// readers share the one build.
 //
 // Determinism invariants, locked by TestFrozenViewMatchesReference:
 //   - kindView.events is the events-table row order filtered by kind —
@@ -42,47 +40,38 @@ type metaView struct {
 	kinds      map[string]*kindView
 }
 
-// viewSlot holds a built (or building) view.
-type viewSlot struct {
-	once sync.Once
-	view *metaView
-}
+// viewBuilds counts the scene views this process has built.
+var viewBuilds atomic.Int64
 
-// frozenView returns the view of the index as it stands, building it at
-// most once across all concurrent readers.
-func (m *MetaIndex) frozenView() *metaView {
-	slot := m.viewSlot.Load()
-	if slot == nil {
-		// Of readers racing here, the first CAS wins and the rest load it.
-		m.viewSlot.CompareAndSwap(nil, &viewSlot{})
-		slot = m.viewSlot.Load()
-	}
-	slot.once.Do(func() {
-		slot.view = m.buildView()
-		m.viewBuilds.Add(1)
+// ViewBuilds returns how many scene views the process has built, across
+// every Part — the count behind dl_sceneview_builds_total, which therefore
+// never falls.
+func ViewBuilds() int64 { return viewBuilds.Load() }
+
+// frozenView returns the part's view, building it at the first read.
+func (p *Part) frozenView() *metaView {
+	p.once.Do(func() {
+		p.view.Store(buildView(&p.tableSet))
+		viewBuilds.Add(1)
 	})
-	return slot.view
+	return p.view.Load()
 }
-
-// ViewBuilds returns how many times the frozen view has been (re)built —
-// the observability hook behind dl_sceneview_builds_total.
-func (m *MetaIndex) ViewBuilds() int64 { return m.viewBuilds.Load() }
 
 // buildView groups the videos and events tables once into the columnar
 // snapshot. Join misses are recorded per kind so they surface exactly like
 // the reference path.
-func (m *MetaIndex) buildView() *metaView {
+func buildView(t *tableSet) *metaView {
 	v := &metaView{
-		videosByID: make(map[int64]Video, len(m.videos)),
+		videosByID: make(map[int64]Video, len(t.videos)),
 		kinds:      map[string]*kindView{},
 	}
-	for _, vid := range m.videos {
+	for _, vid := range t.videos {
 		if _, dup := v.videosByID[vid.ID]; !dup {
 			// First row wins, matching VideoByID's scan.
 			v.videosByID[vid.ID] = vid
 		}
 	}
-	for _, e := range m.events {
+	for _, e := range t.events {
 		kv := v.kinds[e.Kind]
 		if kv == nil {
 			kv = &kindView{}

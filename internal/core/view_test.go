@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/segset"
 )
 
-// randomEventIndex populates an index with a seeded pseudo-random event
-// layout: several videos, several kinds, heavy interval overlap.
-func randomEventIndex(t testing.TB, seed int64, videos, eventsPerVideo int) *MetaIndex {
+// randomEventIndex freezes an index populated with a seeded pseudo-random
+// event layout: several videos, several kinds, heavy interval overlap.
+func randomEventIndex(t testing.TB, seed int64, videos, eventsPerVideo int) *Part {
 	t.Helper()
 	m, err := NewMetaIndex()
 	if err != nil {
@@ -33,7 +34,7 @@ func randomEventIndex(t testing.TB, seed int64, videos, eventsPerVideo int) *Met
 			m.AddEvent(ev)
 		}
 	}
-	return m
+	return m.Freeze()
 }
 
 // sameErr asserts two errors agree in presence and text: the frozen read
@@ -69,11 +70,11 @@ func TestFrozenViewMatchesReference(t *testing.T) {
 
 // chainedParts builds nseg ID-chained partitions with a random event layout,
 // the same construction Library.Commit produces.
-func chainedParts(t *testing.T, nseg int) ([]*MetaIndex, []SegmentMeta) {
+func chainedParts(t *testing.T, nseg int) ([]*Part, []SegmentMeta) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(300 + nseg)))
 	kinds := []string{"rally", "net-play", "service"}
-	parts := make([]*MetaIndex, nseg)
+	parts := make([]*Part, nseg)
 	metas := make([]SegmentMeta, nseg)
 	var base IDBase
 	for i := 0; i < nseg; i++ {
@@ -91,7 +92,7 @@ func chainedParts(t *testing.T, nseg int) ([]*MetaIndex, []SegmentMeta) {
 				m.AddEvent(ev)
 			}
 		}
-		parts[i] = m
+		parts[i] = m.Freeze()
 		metas[i] = SegmentMeta{ID: int64(i + 1), Base: base}
 		base = m.IDState()
 	}
@@ -111,7 +112,7 @@ func TestFrozenViewSegmentedMatchesReference(t *testing.T) {
 			}
 			for _, k := range []string{"rally", "net-play", "service", "absent"} {
 				gotS, errS := si.Scenes(k)
-				wantS, wantErrS := segset.Gather(si.parts, func(p *MetaIndex) ([]Scene, error) { return p.ScenesReference(k) })
+				wantS, wantErrS := segset.Gather(si.parts, func(p *Part) ([]Scene, error) { return p.ScenesReference(k) })
 				sameErr(t, "Scenes("+k+")", errS, wantErrS)
 				if !reflect.DeepEqual(gotS, wantS) {
 					t.Fatalf("Scenes(%q) diverges across %d segments", k, nseg)
@@ -141,9 +142,10 @@ func TestFrozenViewMissingVideoErrors(t *testing.T) {
 	} {
 		m.AddEvent(e)
 	}
+	p := m.Freeze()
 
-	_, gotErr := m.Scenes("rally")
-	_, wantErr := m.ScenesReference("rally")
+	_, gotErr := p.Scenes("rally")
+	_, wantErr := p.ScenesReference("rally")
 	sameErr(t, "Scenes with dangling video", gotErr, wantErr)
 	if gotErr == nil {
 		t.Fatal("Scenes with dangling video: expected error")
@@ -153,65 +155,17 @@ func TestFrozenViewMissingVideoErrors(t *testing.T) {
 	}
 
 	// The clean kind on the same index still answers.
-	if _, err := m.Scenes("net-play"); err != nil {
+	if _, err := p.Scenes("net-play"); err != nil {
 		t.Fatalf("Scenes(net-play) on same index: %v", err)
 	}
 }
 
-// TestFrozenViewInvalidation: a write must invalidate the frozen view so
-// the next read reflects it, and ViewBuilds must count exactly the
-// rebuilds — hot reads are free.
-func TestFrozenViewInvalidation(t *testing.T) {
-	m := randomEventIndex(t, 12, 3, 20)
-	if n := m.ViewBuilds(); n != 0 {
-		t.Fatalf("ViewBuilds before first read = %d", n)
-	}
-	before, err := m.Scenes("rally")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := m.ViewBuilds(); n != 1 {
-		t.Fatalf("ViewBuilds after first read = %d, want 1", n)
-	}
-	// Hot reads across all kinds share the one view.
-	if _, err := m.Scenes("service"); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.ViewBuilds(); n != 1 {
-		t.Fatalf("ViewBuilds after hot reads = %d, want 1", n)
-	}
-
-	vid := m.AddVideo(Video{Name: "new", Frames: 50})
-	seg := m.AddSegment(Segment{VideoID: vid, Interval: Interval{0, 50}, Class: "tennis"})
-	m.AddEvent(Event{VideoID: vid, SegmentID: seg, Kind: "rally", Interval: Interval{1, 4}})
-
-	after, err := m.Scenes("rally")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before)+1 {
-		t.Fatalf("Scenes after write = %d, want %d", len(after), len(before)+1)
-	}
-	last := after[len(after)-1]
-	if last.Video.ID != vid || last.Event.Kind != "rally" {
-		t.Fatalf("new event not visible after write: %+v", last)
-	}
-	if n := m.ViewBuilds(); n != 2 {
-		t.Fatalf("ViewBuilds after write+read = %d, want 2", n)
-	}
-	want, err := m.ScenesReference("rally")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(after, want) {
-		t.Fatal("post-write Scenes diverges from reference")
-	}
-}
-
-// TestFrozenViewHotPathAllocs pins the hot-path cost: with the view built,
-// Scenes allocates only the defensive result copy.
+// TestFrozenViewHotPathAllocs pins the hot-path cost: the first read builds
+// the view once, and with the view built, Scenes of any kind builds nothing
+// and allocates only the defensive result copy.
 func TestFrozenViewHotPathAllocs(t *testing.T) {
 	m := randomEventIndex(t, 5, 4, 40)
+	b0 := ViewBuilds()
 	if _, err := m.Scenes("rally"); err != nil { // build the view
 		t.Fatal(err)
 	}
@@ -222,5 +176,38 @@ func TestFrozenViewHotPathAllocs(t *testing.T) {
 	})
 	if scenes > 1.5 {
 		t.Fatalf("hot Scenes allocates %.1f objects/op, want <= 1 (result copy)", scenes)
+	}
+	for _, kind := range []string{"service", "net-play", "absent"} {
+		if _, err := m.Scenes(kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ViewBuilds() - b0; n != 1 {
+		t.Fatalf("first and hot reads built %d views, want 1", n)
+	}
+}
+
+// TestFrozenViewConcurrentFirstReads: readers racing to a fresh Part's first
+// Scenes share one build and all see the reference answer (run under -race).
+func TestFrozenViewConcurrentFirstReads(t *testing.T) {
+	m := randomEventIndex(t, 8, 4, 40)
+	want, err := m.ScenesReference("rally")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0 := ViewBuilds()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := m.Scenes("rally"); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent first read: %d scenes, %v", len(got), err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := ViewBuilds() - b0; n != 1 {
+		t.Fatalf("%d views built by concurrent first reads, want 1", n)
 	}
 }

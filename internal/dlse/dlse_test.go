@@ -34,7 +34,7 @@ func fixture(t *testing.T) (*Engine, *webspace.Site) {
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
-	e, err := NewSegmented(site, core.SingleSegment(idx), Options{})
+	e, err := NewSegmented(site, core.SingleSegment(idx.Freeze()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

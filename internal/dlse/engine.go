@@ -318,7 +318,7 @@ func pagesSignature(pages []webspace.Page, nseg int) uint64 {
 func (e *Engine) WithVideo(video *core.SegmentedIndex) *Engine {
 	if video == nil {
 		m, _ := core.NewMetaIndex() // does not fail
-		video = core.SingleSegment(m)
+		video = core.SingleSegment(m.Freeze())
 	}
 	ne := *e
 	ne.video = video

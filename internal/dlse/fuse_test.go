@@ -231,7 +231,7 @@ func withCommittedVideo(t *testing.T, e *Engine, name string, kinds ...string) *
 		seg.AddEvent(core.Event{VideoID: id, Kind: kind,
 			Interval: core.Interval{Start: 1, End: 9}, Confidence: 0.5})
 	}
-	view, err := core.NewSegmentedIndex(append(parts, seg),
+	view, err := core.NewSegmentedIndex(append(parts, seg.Freeze()),
 		append(metas, core.SegmentMeta{ID: metas[len(metas)-1].ID + 1, Base: base}),
 		vi.Generation()+1)
 	if err != nil {

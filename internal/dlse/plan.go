@@ -150,7 +150,8 @@ func (e *Engine) run(ctx context.Context, p Plan, explain bool) ([]Item, *Explai
 	return results, ex, nil
 }
 
-// viewLabel renders a frozen-view build-counter delta for explain output.
+// viewLabel renders the change in a snapshot's built scene views
+// (core.SegmentedIndex.ViewsBuilt) across an operator for explain output.
 func viewLabel(builds int64) string {
 	if builds > 0 {
 		return "rebuilt"
@@ -182,14 +183,14 @@ func (e *Engine) runOperator(ctx context.Context, kind OpKind, req Request, st *
 	case OpVideo:
 		var vb0 int64
 		if st.explain {
-			vb0 = e.video.ViewBuilds()
+			vb0 = e.video.ViewsBuilt()
 		}
 		scenes, err := e.videoScatter(ctx, req.SceneKind, st)
 		if err != nil {
 			return fmt.Errorf("dlse: video part: %w", err)
 		}
 		if st.explain {
-			st.videoView = viewLabel(e.video.ViewBuilds() - vb0)
+			st.videoView = viewLabel(e.video.ViewsBuilt() - vb0)
 		}
 		byName := make(map[string][]core.Scene)
 		for _, s := range scenes {

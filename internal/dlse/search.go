@@ -422,7 +422,7 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, dep
 		}
 		var vb0 int64
 		if withExplain {
-			vb0 = e.video.ViewBuilds()
+			vb0 = e.video.ViewsBuilt()
 		}
 		t0 := time.Now()
 		scenes, err := e.video.Scenes(nq.Scenes)
@@ -437,7 +437,7 @@ func (e *Engine) SearchNormalized(ctx context.Context, nq Query, key string, dep
 		if withExplain {
 			rs.Explain = &Explain{Plan: "[scenes]", Ops: []OpStat{{
 				Op: "scenes", Duration: clampDur(time.Since(t0)), Items: len(scenes),
-				View: viewLabel(e.video.ViewBuilds() - vb0),
+				View: viewLabel(e.video.ViewsBuilt() - vb0),
 			}}}
 		}
 	}

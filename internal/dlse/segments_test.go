@@ -38,7 +38,7 @@ func segFixtureOver(t *testing.T, site *webspace.Site, textSegments int) *Engine
 		seg := idx.AddSegment(core.Segment{VideoID: id, Interval: core.Interval{Start: 0, End: 200}, Class: "tennis"})
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 	}
-	e, err := NewSegmented(site, core.SingleSegment(idx), Options{TextSegments: textSegments})
+	e, err := NewSegmented(site, core.SingleSegment(idx.Freeze()), Options{TextSegments: textSegments})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,8 @@ func TestIndexResultPopulatesAllLayers(t *testing.T) {
 	if st.Videos != 1 || st.Segments == 0 || st.Objects == 0 || st.States == 0 {
 		t.Fatalf("index stats = %+v", st)
 	}
-	segs, _ := idx.SegmentsOf(vid)
+	part := idx.Freeze()
+	segs, _ := part.SegmentsOf(vid)
 	if len(segs) != len(v.Truth.Shots) {
 		t.Fatalf("indexed %d segments, want %d", len(segs), len(v.Truth.Shots))
 	}
@@ -124,7 +125,7 @@ func TestIndexResultPopulatesAllLayers(t *testing.T) {
 	}
 	// Events must reference real segments and use absolute frames.
 	for _, kind := range []string{"net-play", "rally", "service"} {
-		scenes, _ := idx.Scenes(kind)
+		scenes, _ := part.Scenes(kind)
 		for _, sc := range scenes {
 			if ev := sc.Event; ev.Start < 0 || ev.End > len(v.Frames) || ev.Start >= ev.End {
 				t.Fatalf("event interval %v outside video", ev.Interval)

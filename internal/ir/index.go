@@ -477,7 +477,7 @@ func (ix *Index) Search(query string, k int) ([]Hit, SearchStats, error) {
 func (ix *Index) searchDense(terms []string, k int) ([]Hit, SearchStats, error) {
 	ac := ix.getAccum()
 	defer ac.Release()
-	stats, err := ix.scoreTerms(terms, ac)
+	stats, err := ix.scoreTerms(terms, ac, nil)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -489,12 +489,13 @@ func (ix *Index) searchDense(terms []string, k int) ([]Hit, SearchStats, error) 
 // that reaches every matching document (k <= 0, or k at least the union of
 // the lists) prunes nothing, so it takes the dense scan into the same
 // accumulator. DocsTouched is the exact size of the union either way, and
-// Terminated reports that the kernel left postings unread.
-func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
+// Terminated reports that the kernel left postings unread. The terms the
+// index resolves are marked in seen.
+func (ix *Index) rank(terms []string, k int, seen termMask) ([]Hit, SearchStats, error) {
 	ac := ix.getAccum()
 	defer ac.Release()
 	if k > 0 {
-		ql, err := ix.queryLists(terms, ac)
+		ql, err := ix.queryLists(terms, ac, seen)
 		if err != nil {
 			return nil, SearchStats{}, err
 		}
@@ -503,7 +504,7 @@ func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
 			return hits, SearchStats{TermsMatched: ql.count(), PostingsScored: scored, DocsTouched: total, Terminated: scored < ql.postings()}, nil
 		}
 	}
-	stats, err := ix.scoreTerms(terms, ac)
+	stats, err := ix.scoreTerms(terms, ac, seen)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -513,14 +514,16 @@ func (ix *Index) rank(terms []string, k int) ([]Hit, SearchStats, error) {
 // scoreTerms accumulates every term's full posting list into ac, in term
 // order — the dense scan shared by Search, ScoreQuery and the top-k
 // kernel's deep pages, so their per-doc float64 sums are identical by
-// construction. A list is checked (checkList) before it is scored.
-func (ix *Index) scoreTerms(terms []string, ac *Accum) (SearchStats, error) {
+// construction. A list is checked (checkList) before it is scored. The
+// terms the index resolves are marked in seen.
+func (ix *Index) scoreTerms(terms []string, ac *Accum, seen termMask) (SearchStats, error) {
 	var stats SearchStats
-	for _, term := range terms {
+	for i, term := range terms {
 		o, ok := ix.lookup(term)
 		if !ok {
 			continue
 		}
+		seen.set(i)
 		if err := ix.checkList(o, term); err != nil {
 			return stats, err
 		}

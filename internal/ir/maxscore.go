@@ -181,39 +181,40 @@ type lists[D, C width] struct {
 // queryLists looks up terms in the index and returns their lists, held by
 // ac. A list a query reads for the first time is verified first
 // (checkList).
-func (ix *Index) queryLists(terms []string, ac *Accum) (queryLists, error) {
+func (ix *Index) queryLists(terms []string, ac *Accum, seen termMask) (queryLists, error) {
 	switch docs := ix.docs.vals.(type) {
 	case []uint8:
-		return listsAt(ix, docs, terms, ac)
+		return listsAt(ix, docs, terms, ac, seen)
 	case []uint16:
-		return listsAt(ix, docs, terms, ac)
+		return listsAt(ix, docs, terms, ac, seen)
 	}
-	return listsAt(ix, ix.docs.vals.([]uint32), terms, ac)
+	return listsAt(ix, ix.docs.vals.([]uint32), terms, ac, seen)
 }
 
 // listsAt is queryLists instantiated at the doc-ID column's width.
-func listsAt[D width](ix *Index, docs []D, terms []string, ac *Accum) (queryLists, error) {
+func listsAt[D width](ix *Index, docs []D, terms []string, ac *Accum, seen termMask) (queryLists, error) {
 	switch codes := ix.codes.vals.(type) {
 	case []uint8:
-		return newLists(ix, docs, codes, terms, ac)
+		return newLists(ix, docs, codes, terms, ac, seen)
 	case []uint16:
-		return newLists(ix, docs, codes, terms, ac)
+		return newLists(ix, docs, codes, terms, ac, seen)
 	}
-	return newLists(ix, docs, ix.codes.vals.([]uint32), terms, ac)
+	return newLists(ix, docs, ix.codes.vals.([]uint32), terms, ac, seen)
 }
 
-func newLists[D, C width](ix *Index, docs []D, codes []C, terms []string, ac *Accum) (queryLists, error) {
+func newLists[D, C width](ix *Index, docs []D, codes []C, terms []string, ac *Accum, seen termMask) (queryLists, error) {
 	l, _ := ac.lists.(*lists[D, C])
 	if l == nil {
 		l = new(lists[D, C])
 		ac.lists = l
 	}
 	l.cur, l.order, l.docs, l.n = l.cur[:0], l.order[:0], ix.Docs(), 0
-	for _, term := range terms {
+	for i, term := range terms {
 		o, ok := ix.lookup(term)
 		if !ok {
 			continue
 		}
+		seen.set(i)
 		if err := ix.checkList(o, term); err != nil {
 			return nil, err
 		}

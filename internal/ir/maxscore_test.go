@@ -85,7 +85,7 @@ func denseSearch(t testing.TB, s *Segments, query string, k int, ords []int) ([]
 	for _, o := range ords {
 		ix := s.segs[o]
 		ac := ix.getAccum()
-		st, err := ix.scoreTerms(terms, ac)
+		st, err := ix.scoreTerms(terms, ac, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/segset"
@@ -102,16 +103,29 @@ func (s *Segments) Docs() int { return s.bases.Total() }
 // the leg's wall time — the payload of per-segment explain plans.
 type SegStat = segset.Leg[SearchStats]
 
+// termMask marks query terms by position: bit i stands for terms[i]. A nil
+// mask marks nothing.
+type termMask []uint64
+
+func (m termMask) set(i int) {
+	if m != nil {
+		m[i/64] |= 1 << (i % 64)
+	}
+}
+
 // scatter runs leg on each named segment and folds the per-leg stats into
 // what a monolithic run over the same segments would have reported —
-// TermsMatched counts query terms present in any of them, the work counters
-// sum (segments hold disjoint docs), and early termination is reported if
-// any leg terminated early. A leg whose lists fail their check
-// (checkList) names its segment in the error.
-func (s *Segments) scatter(terms []string, ords []int, leg func(slot, ord int) (SearchStats, error)) (SearchStats, []SegStat, error) {
+// TermsMatched counts query terms present in any of them (each leg marks the
+// terms its segment resolved in its own mask), the work counters sum
+// (segments hold disjoint docs), and early termination is reported if any
+// leg terminated early. A leg whose lists fail their check (checkList) names
+// its segment in the error.
+func (s *Segments) scatter(terms []string, ords []int, leg func(slot, ord int, seen termMask) (SearchStats, error)) (SearchStats, []SegStat, error) {
 	errs := make([]error, len(ords))
+	words := (len(terms) + 63) / 64
+	seen := make(termMask, len(ords)*words)
 	legs := segset.Scatter(ords, func(slot, ord int) SearchStats {
-		st, err := leg(slot, ord)
+		st, err := leg(slot, ord, seen[slot*words:(slot+1)*words])
 		if err != nil {
 			errs[slot] = fmt.Errorf("ir: segment %d: %w", ord, err)
 		}
@@ -121,13 +135,12 @@ func (s *Segments) scatter(terms []string, ords []int, leg func(slot, ord int) (
 		return SearchStats{}, nil, err
 	}
 	var out SearchStats
-	for _, t := range terms {
-		for _, o := range ords {
-			if _, ok := s.segs[o].lookup(t); ok {
-				out.TermsMatched++
-				break
-			}
+	for w := range words {
+		var union uint64
+		for slot := range ords {
+			union |= seen[slot*words+w]
 		}
+		out.TermsMatched += bits.OnesCount64(union)
 	}
 	for _, l := range legs {
 		out.PostingsScored += l.Stats.PostingsScored
@@ -143,8 +156,8 @@ func (s *Segments) scatter(terms []string, ords []int, leg func(slot, ord int) (
 // (k <= 0 keeps everything). The hits are unnamed.
 func (s *Segments) searchOrds(terms []string, k int, ords []int) ([]Hit, SearchStats, []SegStat, error) {
 	per := make([][]Hit, len(ords))
-	stats, legs, err := s.scatter(terms, ords, func(slot, ord int) (SearchStats, error) {
-		hits, st, err := s.segs[ord].rank(terms, k)
+	stats, legs, err := s.scatter(terms, ords, func(slot, ord int, seen termMask) (SearchStats, error) {
+		hits, st, err := s.segs[ord].rank(terms, k, seen)
 		per[slot] = s.global(ord, hits)
 		return st, err
 	})
@@ -167,9 +180,9 @@ func (s *Segments) global(ord int, hits []Hit) []Hit {
 // accumulator pooled by that segment and hands it to keep, still leased; a
 // leg whose lists fail their check releases its accumulator instead.
 func (s *Segments) scoreOrds(terms []string, ords []int, keep func(slot, ord int, ac *Accum)) (SearchStats, []SegStat, error) {
-	return s.scatter(terms, ords, func(slot, ord int) (SearchStats, error) {
+	return s.scatter(terms, ords, func(slot, ord int, seen termMask) (SearchStats, error) {
 		ac := s.segs[ord].getAccum()
-		st, err := s.segs[ord].scoreTerms(terms, ac)
+		st, err := s.segs[ord].scoreTerms(terms, ac, seen)
 		if err != nil {
 			ac.Release()
 			return st, err

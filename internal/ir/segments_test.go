@@ -120,6 +120,33 @@ func TestSegmentsMatchMonolithic(t *testing.T) {
 	}
 }
 
+// TestSegmentsTermsMatchedPastOneWord: a query of more distinct terms than
+// one word of a leg's term mask holds, some known to only a few segments and
+// some to none, counts the same matched terms segmented as monolithic.
+func TestSegmentsTermsMatchedPastOneWord(t *testing.T) {
+	docs := segCorpus(200)
+	docs[0] += " rare-a"
+	docs[199] += " rare-b"
+	mono := buildMono(t, docs)
+	segs := buildSegs(t, docs, 7)
+	var q strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&q, "w%d absent%d ", i*3, i)
+	}
+	q.WriteString("rare-a rare-b")
+	_, want, err := mono.Search(q.String(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := segs.Search(q.String(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TermsMatched != want.TermsMatched || want.TermsMatched < 65 {
+		t.Fatalf("TermsMatched %d segmented, %d monolithic (want > 64)", got.TermsMatched, want.TermsMatched)
+	}
+}
+
 // TestSegScoresMatchMonolithic locks the ranking-free join path: per-doc
 // scores from the segmented handle equal the monolithic ranked search's for
 // every document in the collection, and zero for the ones it never touched.

@@ -81,7 +81,7 @@ func (ix *Index) SearchTopN(query string, k int, opts TopNOptions) ([]Hit, Searc
 		return nil, SearchStats{}, ErrEmptyQry
 	}
 	if opts.MaxFragments <= 0 {
-		hits, stats, err := ix.rank(terms, k)
+		hits, stats, err := ix.rank(terms, k, nil)
 		ix.nameHits(hits)
 		return hits, stats, err
 	}

@@ -105,10 +105,10 @@ type Ingestor struct {
 	engine *fde.Engine
 	cfg    Config
 	// parts holds the latest Run's output by job sequence number: the
-	// private one-video index of a job that succeeded, nil otherwise. Each
+	// private one-video index of a job that succeeded, frozen, nil otherwise. Each
 	// slot is written only by the worker that owns the job and read only
 	// after the pool has drained, so no lock is needed.
-	parts []*core.MetaIndex
+	parts []*core.Part
 
 	mu sync.Mutex // serializes OnProgress and the per-Run done counter
 }
@@ -131,7 +131,7 @@ func New(engine *fde.Engine, cfg Config) (*Ingestor, error) {
 // completed before the stop.
 func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
-	in.parts = make([]*core.MetaIndex, len(jobs))
+	in.parts = make([]*core.Part, len(jobs))
 	runCtx := ctx
 	var cancel context.CancelFunc
 	if !in.cfg.ContinueOnError {
@@ -226,7 +226,7 @@ func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
 		res.Duration = time.Since(start)
 		return res
 	}
-	in.parts[seq] = idx
+	in.parts[seq] = idx.Freeze()
 	res.Frames, res.Held = src.Len(), parse.Held
 	res.Duration = time.Since(start)
 	return res

@@ -178,7 +178,7 @@ func newIndex(t *testing.T) *core.MetaIndex {
 func serialized(t *testing.T, idx *core.MetaIndex) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := core.WriteSegfile(&buf, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
+	if err := core.WriteSegfile(&buf, []*core.Part{idx.Freeze()}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -275,7 +275,7 @@ func TestIngestorMergeIntoExistingWithFailure(t *testing.T) {
 			if !ok {
 				continue
 			}
-			v, err := dst.VideoByID(id)
+			v, err := dst.Freeze().VideoByID(id)
 			if err != nil || v.Name != batch[seq].Video.Name {
 				t.Fatalf("workers=%d: job %d (%s) mapped to video %d = %q, %v",
 					workers, seq, batch[seq].Video.Name, id, v.Name, err)
@@ -372,7 +372,7 @@ func TestIngestorOpenAndErrors(t *testing.T) {
 	if _, ok := ids[2]; ok {
 		t.Fatal("failed job present in merge mapping")
 	}
-	if v, err := dst.VideoByID(ids[3]); err != nil || v.Name != "opened" {
+	if v, err := dst.Freeze().VideoByID(ids[3]); err != nil || v.Name != "opened" {
 		t.Fatalf("lazy-open job merged as %+v, %v", v, err)
 	}
 }

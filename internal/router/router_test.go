@@ -59,7 +59,7 @@ func buildEngineOf(t testing.TB, players int) *dlse.Engine {
 	id := seg2.AddVideo(core.Video{Name: "earlier-commit", FPS: 25, Frames: 300})
 	seg2.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 10, End: 60}, Confidence: 0.7})
 	view, err := core.NewSegmentedIndex(
-		[]*core.MetaIndex{seg1, seg2},
+		[]*core.Part{seg1.Freeze(), seg2.Freeze()},
 		[]core.SegmentMeta{{ID: 1}, {ID: 2, Base: base}}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func commitEngine(t *testing.T, e *dlse.Engine) *dlse.Engine {
 	seg := core.NewMetaIndexAt(base)
 	id := seg.AddVideo(core.Video{Name: "live-commit", FPS: 25, Frames: 200})
 	seg.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 5, End: 45}, Confidence: 0.6})
-	view, err := core.NewSegmentedIndex(append(parts, seg),
+	view, err := core.NewSegmentedIndex(append(parts, seg.Freeze()),
 		append(metas, core.SegmentMeta{ID: metas[len(metas)-1].ID + 1, Base: base}),
 		vi.Generation()+1)
 	if err != nil {

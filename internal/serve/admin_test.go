@@ -96,10 +96,12 @@ func TestV2MethodEnvelope(t *testing.T) {
 
 // wireAdmin installs a committer that appends one extra single-video
 // segment, as DigitalLibrary.CommitToken does, and a compactor that merges
-// all segments.
-func wireAdmin(t *testing.T, srv *Server, idx *core.MetaIndex) {
+// all segments. The function it returns is Library.IndexBatch's install:
+// one video added to a copy of the newest segment, installed at the same
+// generation and swapped in.
+func wireAdmin(t *testing.T, srv *Server, idx *core.Part) (indexBatch func()) {
 	t.Helper()
-	parts := []*core.MetaIndex{idx}
+	parts := []*core.Part{idx}
 	metas := []core.SegmentMeta{{ID: 1}}
 	nextID := int64(2)
 	gen := srv.Engine().VideoIndex().Generation()
@@ -117,7 +119,7 @@ func wireAdmin(t *testing.T, srv *Server, idx *core.MetaIndex) {
 		vid := seg.AddVideo(core.Video{Name: "committed-clip", FPS: 25, Frames: 100})
 		seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
 			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7})
-		parts = append(parts, seg)
+		parts = append(parts, seg.Freeze())
 		metas = append(metas, core.SegmentMeta{ID: nextID, Base: base})
 		nextID++
 		gen++
@@ -131,11 +133,26 @@ func wireAdmin(t *testing.T, srv *Server, idx *core.MetaIndex) {
 		if err != nil {
 			return false, err
 		}
-		parts = []*core.MetaIndex{merged}
+		parts = []*core.Part{merged.Freeze()}
 		metas = []core.SegmentMeta{meta}
 		gen++
 		return true, install()
 	})
+	return func() {
+		t.Helper()
+		last := len(parts) - 1
+		head, _, err := core.MergeSegmentRange(parts, metas, last, len(parts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vid := head.AddVideo(core.Video{Name: "batched-clip", FPS: 25, Frames: 100})
+		head.AddEvent(core.Event{VideoID: vid, Kind: "rally",
+			Interval: core.Interval{Start: 0, End: 40}, Confidence: 0.6})
+		parts[last] = head.Freeze()
+		if err := install(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestV2CompactAndAdminClient drives commit and compact over HTTP and reads

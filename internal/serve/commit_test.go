@@ -106,7 +106,7 @@ func TestV2CommitEndpoint(t *testing.T) {
 		seg.AddEvent(core.Event{VideoID: vid, Kind: "net-play",
 			Interval: core.Interval{Start: 0, End: 50}, Confidence: 0.7})
 		view, err := core.NewSegmentedIndex(
-			[]*core.MetaIndex{idx, seg},
+			[]*core.Part{idx, seg.Freeze()},
 			[]core.SegmentMeta{{ID: 1}, {ID: 2, Base: base}}, 1)
 		if err != nil {
 			return err

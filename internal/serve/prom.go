@@ -101,8 +101,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// CounterFunc registers a counter whose count lives elsewhere (the engine's
-// frozen-view builds, the WAL's records); f must be monotone.
+// CounterFunc registers a counter whose count lives elsewhere (the
+// process's scene-view builds, the WAL's records); f must be monotone.
 func (r *Registry) CounterFunc(name string, f func() int64) {
 	r.register(metric{name: name, counter: true, read: func() map[string]float64 {
 		return map[string]float64{"": float64(f())}

@@ -8,6 +8,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,6 +25,8 @@ func TestSceneViewObservability(t *testing.T) {
 	e, _ := fixture(t)
 	ts := httptest.NewServer(New(e, Options{}))
 	defer ts.Close()
+	// The count is the process's; this test reads what its queries add.
+	builds0 := core.ViewBuilds()
 
 	get := func(query string) map[string]any {
 		t.Helper()
@@ -81,7 +84,7 @@ func TestSceneViewObservability(t *testing.T) {
 	}
 
 	// /metrics: the cumulative build count in Prometheus counter form —
-	// the one build of the first scene query.
+	// up by the one build of the first scene query.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +97,7 @@ func TestSceneViewObservability(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		"# TYPE dl_sceneview_builds_total counter",
-		"dl_sceneview_builds_total 1",
+		fmt.Sprintf("dl_sceneview_builds_total %d\n", builds0+1),
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -112,22 +115,22 @@ func TestSceneViewObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := vars["sceneview_builds"].(float64); got != 1 {
-		t.Fatalf("/debug/vars sceneview_builds = %v, want 1", vars["sceneview_builds"])
+	if got, _ := vars["sceneview_builds"].(float64); got != float64(builds0+1) {
+		t.Fatalf("/debug/vars sceneview_builds = %v, want %d", vars["sceneview_builds"], builds0+1)
 	}
 }
 
 // TestCountersNeverFall: no _total series on /metrics falls across a
-// commit, a scene query, a compaction, another scene query and a reload.
-// The compaction and the reload each install partitions that have built no
-// scene view in place of ones that have, and dl_sceneview_builds_total
-// keeps the retired ones' builds.
+// commit, an index batch, a scene query, a compaction, another scene query
+// and a reload. The batch, the compaction and the reload each install
+// partitions that have built no scene view in place of ones that have or
+// may, and dl_sceneview_builds_total counts every build of the process.
 func TestCountersNeverFall(t *testing.T) {
 	e, idx := fixture(t)
 	srv := New(e, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	wireAdmin(t, srv, idx)
+	indexBatch := wireAdmin(t, srv, idx)
 	// A reload re-reads the library: its one partition is a new copy.
 	srv.SetReloader(func(context.Context) (*dlse.Engine, error) {
 		video := srv.Engine().VideoIndex()
@@ -139,7 +142,7 @@ func TestCountersNeverFall(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		view, err := core.NewSegmentedIndex([]*core.MetaIndex{copied}, []core.SegmentMeta{meta}, video.Generation()+1)
+		view, err := core.NewSegmentedIndex([]*core.Part{copied.Freeze()}, []core.SegmentMeta{meta}, video.Generation()+1)
 		if err != nil {
 			return nil, err
 		}
@@ -171,12 +174,14 @@ func TestCountersNeverFall(t *testing.T) {
 		}
 		return out
 	}
-	last := totals()
+	start := totals()
+	last := start
 	for _, step := range []struct {
 		name string
 		do   func()
 	}{
 		{"commit", func() { postJSON(t, ts.URL, "/v2/commit", `{"paths":["a.svf"]}`, http.StatusOK) }},
+		{"index batch", indexBatch},
 		{"scene query", func() { countScenes(t, ts.URL) }},
 		{"compact", func() { postJSON(t, ts.URL, "/v2/compact", `{"target":0}`, http.StatusOK) }},
 		{"second scene query", func() { countScenes(t, ts.URL) }},
@@ -193,7 +198,7 @@ func TestCountersNeverFall(t *testing.T) {
 	}
 	// Two partitions built a view for the first scene query, the merged one
 	// for the second.
-	if got := last["dl_sceneview_builds_total"]; got != 3 {
-		t.Errorf("dl_sceneview_builds_total = %v after the steps, want 3", got)
+	if got := last["dl_sceneview_builds_total"] - start["dl_sceneview_builds_total"]; got != 3 {
+		t.Errorf("dl_sceneview_builds_total rose by %v over the steps, want 3", got)
 	}
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // fixture builds a small engine: synthetic site plus a meta-index with
-// net-play and rally events on every final's video.
-func fixture(t testing.TB) (*dlse.Engine, *core.MetaIndex) {
+// net-play and rally events on every final's video, and returns the engine's
+// one partition.
+func fixture(t testing.TB) (*dlse.Engine, *core.Part) {
 	t.Helper()
 	site, err := webspace.GenerateAusOpen(webspace.SiteConfig{
 		Players: 32, YearStart: 1999, YearEnd: 2001, Seed: 11,
@@ -35,11 +36,12 @@ func fixture(t testing.TB) (*dlse.Engine, *core.MetaIndex) {
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "net-play", Interval: core.Interval{Start: 120, End: 180}, Confidence: 0.9})
 		idx.AddEvent(core.Event{VideoID: id, SegmentID: seg, Kind: "rally", Interval: core.Interval{Start: 0, End: 100}, Confidence: 0.8})
 	}
-	e, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
+	part := idx.Freeze()
+	e, err := dlse.NewSegmented(site, core.SingleSegment(part), dlse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, idx
+	return e, part
 }
 
 const combinedQuery = `find Player where sex = "female" and handedness = "left"` +

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,11 +44,6 @@ type Server struct {
 	sem       chan struct{}
 	mux       *http.ServeMux
 	start     time.Time
-
-	// swapMu orders Swap against reads of retiredBuilds, the scene-view
-	// builds of the partitions installs have retired (sceneview_builds).
-	swapMu        sync.Mutex
-	retiredBuilds int64
 
 	// Serving counters, exported (with live gauges) on /metrics in
 	// Prometheus text format and on /debug/vars as JSON.
@@ -115,13 +109,9 @@ func New(engine *dlse.Engine, opts Options) *Server {
 	// The segfiles the process holds open: page-lane caches and meta-index
 	// files, each counted once per mapping.
 	reg.GaugeFunc("mapped_bytes", func() float64 { return float64(segfile.MappedBytes()) })
-	// Monotone across Swap: the builds of the partitions the current engine
-	// holds, plus those of every partition an install retired.
-	reg.CounterFunc("sceneview_builds", func() int64 {
-		s.swapMu.Lock()
-		defer s.swapMu.Unlock()
-		return s.retiredBuilds + s.engine.Load().VideoIndex().ViewBuilds()
-	})
+	// The process's scene-view builds: a Part builds its view once and keeps
+	// it, so the count never falls, across Swap too.
+	reg.CounterFunc("sceneview_builds", core.ViewBuilds)
 	reg.GaugeFunc("generation", func() float64 {
 		return float64(s.engine.Load().VideoIndex().Generation())
 	})
@@ -143,16 +133,14 @@ func New(engine *dlse.Engine, opts Options) *Server {
 // Engine returns the current engine snapshot.
 func (s *Server) Engine() *dlse.Engine { return s.engine.Load() }
 
-// Swap atomically installs a new engine snapshot. In-flight queries finish
-// against the snapshot they started on; subsequent requests (and cache
-// tags) see the new one. The old cache entries are purged eagerly — even
-// unpurged they could never be served, since every lookup is tagged with
-// the new engine's snapshot ID.
+// Swap atomically installs a new engine snapshot, then purges the result
+// cache. In-flight queries finish against the snapshot they started on;
+// subsequent requests (and cache tags) see the new one. The purge is eager —
+// even unpurged entries could never be served, since every lookup is tagged
+// with the new engine's snapshot ID. Nothing else is carried over: the
+// scene-view build count is the process's own (core.ViewBuilds).
 func (s *Server) Swap(engine *dlse.Engine) {
-	s.swapMu.Lock()
-	s.retiredBuilds += s.engine.Load().VideoIndex().RetiredViewBuilds(engine.VideoIndex())
 	s.engine.Store(engine)
-	s.swapMu.Unlock()
 	s.InvalidateCache()
 }
 

@@ -245,7 +245,7 @@ func TestV2SwapStaleness(t *testing.T) {
 	}
 	// The one extra scene that distinguishes the snapshots.
 	idx.AddEvent(core.Event{VideoID: first, Kind: "net-play", Interval: core.Interval{Start: 300, End: 360}, Confidence: 0.7})
-	e2, err := dlse.NewSegmented(site, core.SingleSegment(idx), dlse.Options{})
+	e2, err := dlse.NewSegmented(site, core.SingleSegment(idx.Freeze()), dlse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

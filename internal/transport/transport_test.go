@@ -49,7 +49,7 @@ func fixture(t testing.TB) *dlse.Engine {
 	id := seg2.AddVideo(core.Video{Name: "late-commit", FPS: 25, Frames: 300})
 	seg2.AddEvent(core.Event{VideoID: id, Kind: "net-play", Interval: core.Interval{Start: 10, End: 60}, Confidence: 0.7})
 	view, err := core.NewSegmentedIndex(
-		[]*core.MetaIndex{seg1, seg2},
+		[]*core.Part{seg1.Freeze(), seg2.Freeze()},
 		[]core.SegmentMeta{{ID: 1}, {ID: 2, Base: base}}, 7)
 	if err != nil {
 		t.Fatal(err)

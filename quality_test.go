@@ -595,7 +595,7 @@ func e8Rows(t *testing.T) []ledgerRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := dlse.NewSegmented(site, core.SingleSegment(lib), dlse.Options{})
+	eng, err := dlse.NewSegmented(site, core.SingleSegment(lib.Freeze()), dlse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,17 +55,17 @@ func loadSegfile(t *testing.T, data []byte) *Library {
 
 // segmentBytes is a segment's stream encoding as SaveIndex writes it, framed
 // alone in a one-segment segfile.
-func segmentBytes(t testing.TB, m *core.MetaIndex) []byte {
+func segmentBytes(t testing.TB, m *core.Part) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := core.WriteSegfile(&buf, []*core.MetaIndex{m}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
+	if err := core.WriteSegfile(&buf, []*core.Part{m}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // newest is the library's newest segment, the one IndexBatch grows.
-func newest(t testing.TB, lib *Library) *core.MetaIndex {
+func newest(t testing.TB, lib *Library) *core.Part {
 	t.Helper()
 	parts, err := lib.View().Parts()
 	if err != nil {
@@ -129,7 +129,7 @@ func TestCorruptSegmentFailsSceneReads(t *testing.T) {
 	}
 	vid := idx.AddVideo(core.Video{Name: "final-2001", FPS: 25, Frames: 100})
 	var buf bytes.Buffer
-	if err := core.WriteSegfile(&buf, []*core.MetaIndex{idx}, []core.SegmentMeta{{ID: 1}}, 1); err != nil {
+	if err := core.WriteSegfile(&buf, []*core.Part{idx.Freeze()}, []core.SegmentMeta{{ID: 1}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
