@@ -958,24 +958,29 @@ func BenchmarkHybridSearch(b *testing.B) {
 
 var (
 	rankedOnce sync.Once
+	rankedSite *webspace.Site
 	rankedEng  *dlse.Engine
+	rankedErr  error
 )
 
-// rankedEngine builds, once, dlbench's ranked-workload engine: the
-// 8,192-player site (8,352 pages) in 4 text segments over an empty video
-// library.
-func rankedEngine(b *testing.B) *dlse.Engine {
-	b.Helper()
+// rankedConfig is dlbench's ranked-workload site.
+var rankedConfig = webspace.SiteConfig{Players: 8192, YearStart: 1962, YearEnd: 2001, Seed: 16}
+
+// rankedFixture builds, once, dlbench's ranked-workload site and engine:
+// the 8,192-player site (8,352 pages) in 4 text segments over an empty
+// video library. The quality ledger's judged family ranks on it too.
+func rankedFixture(tb testing.TB) (*webspace.Site, *dlse.Engine) {
+	tb.Helper()
 	rankedOnce.Do(func() {
-		site, err := webspace.GenerateAusOpen(webspace.SiteConfig{Players: 8192, YearStart: 1962, YearEnd: 2001, Seed: 16})
-		if err != nil {
-			panic(err)
-		}
-		if rankedEng, err = dlse.NewSegmented(site, nil, dlse.Options{TextSegments: 4}); err != nil {
-			panic(err)
+		rankedSite, rankedErr = webspace.GenerateAusOpen(rankedConfig)
+		if rankedErr == nil {
+			rankedEng, rankedErr = dlse.NewSegmented(rankedSite, nil, dlse.Options{TextSegments: 4})
 		}
 	})
-	return rankedEng
+	if rankedErr != nil {
+		tb.Fatal(rankedErr)
+	}
+	return rankedSite, rankedEng
 }
 
 // BenchmarkRankedPage is the layer-level evidence of depth-bounded ranking:
@@ -986,7 +991,7 @@ func rankedEngine(b *testing.B) *dlse.Engine {
 // the engine; before ranking was bounded by the page it ranked all of them.
 // postings/op is the text kernel's PostingsScored for the page.
 func BenchmarkRankedPage(b *testing.B) {
-	eng := rankedEngine(b)
+	_, eng := rankedFixture(b)
 	ctx := context.Background()
 	const text = "professional australia smith championship"
 	for _, lane := range []struct {
@@ -1065,7 +1070,7 @@ func BenchmarkRankedPage(b *testing.B) {
 // lanes and reads no segment. It is the engine's share of dlbench's
 // library.install_ms.
 func BenchmarkEngineWithVideo(b *testing.B) {
-	eng := rankedEngine(b)
+	_, eng := rankedFixture(b)
 	vi := eng.VideoIndex()
 	parts, err := vi.Parts()
 	if err != nil {
