@@ -28,7 +28,10 @@
 //
 // Combined query-language (q=) and explain queries are proxied whole to
 // one node — every node holds the full library, so a single-node answer
-// already is the cluster answer for those.
+// already is the cluster answer for those. The node is a hash of the
+// query's key, so a page's cursor follow-up lands on the node that minted
+// it. Legs, manifest reads and proxies try each node at most once, healthy
+// ones first: N dead nodes cost N attempts of at most -timeout each.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM.
 package main

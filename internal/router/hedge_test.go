@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"sort"
 	"strings"
@@ -333,18 +334,18 @@ func itemsOf(rs *dlse.ResultSet) []dlse.Item {
 }
 
 // faultyNodes starts two HTTP nodes over one engine and returns their URLs
-// sorted — placement order, which is also the order the proxy tries them in —
-// with fault wrapped around the first one's handler.
-func faultyNodes(t *testing.T, fault func(next http.Handler) http.Handler) []string {
+// sorted — placement order — with fault wrapped around the handler of the
+// one at index faulty.
+func faultyNodes(t *testing.T, faulty int, fault func(next http.Handler) http.Handler) []string {
 	t.Helper()
 	e := buildEngine(t)
-	var faulty atomic.Value // the first-sorted node's host, set once both listen
+	var host atomic.Value // the faulty node's host, set once both listen
 	urls := make([]string, 2)
 	for i := range urls {
 		node := http.Handler(serve.New(e, serve.Options{}))
 		broken := fault(node)
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			if req.Host == faulty.Load() {
+			if req.Host == host.Load() {
 				broken.ServeHTTP(w, req)
 				return
 			}
@@ -354,7 +355,7 @@ func faultyNodes(t *testing.T, fault func(next http.Handler) http.Handler) []str
 		urls[i] = ts.URL
 	}
 	sort.Strings(urls)
-	faulty.Store(strings.TrimPrefix(urls[0], "http://"))
+	host.Store(strings.TrimPrefix(urls[faulty], "http://"))
 	return urls
 }
 
@@ -363,7 +364,7 @@ func faultyNodes(t *testing.T, fault func(next http.Handler) http.Handler) []str
 // could not answer — its legs move to the replica, the answer is the healthy
 // cluster's, and the failover is counted.
 func TestFailoverOnUnavailableEnvelope(t *testing.T) {
-	urls := faultyNodes(t, func(next http.Handler) http.Handler {
+	urls := faultyNodes(t, 0, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			if req.URL.Path == "/v2/partial" {
 				serve.WriteSearchError(w, fmt.Errorf("%w: draining", transport.ErrUnavailable))
@@ -400,11 +401,14 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 
 // TestProxyTimeoutFailsOver: a proxied query (q=) sent to a node that never
 // writes a response is given up after Options.Timeout and answered by the
-// next node — through the client the router was built with.
+// next node — through the client the router was built with. The hung node
+// is the one the query's key starts at.
 func TestProxyTimeoutFailsOver(t *testing.T) {
+	const source = "find Player limit 3"
+	hung := keyNode(source, 2)
 	release := make(chan struct{})
 	defer close(release) // lets the hung handlers return so the nodes can close
-	urls := faultyNodes(t, func(next http.Handler) http.Handler {
+	urls := faultyNodes(t, hung, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			if req.URL.Path == "/v2/search" {
 				<-release
@@ -420,8 +424,8 @@ func TestProxyTimeoutFailsOver(t *testing.T) {
 	}
 	router := httptest.NewServer(r)
 	defer router.Close()
-	const query = "q=find+Player+limit+3"
-	want, _, _ := getSearch(t, urls[1], query)
+	query := "q=" + url.QueryEscape(source)
+	want, _, _ := getSearch(t, urls[1-hung], query)
 	start := time.Now()
 	got, _, status := getSearch(t, router.URL, query)
 	if status != http.StatusOK || want.Count != 3 || !reflect.DeepEqual(got, want) {
@@ -430,8 +434,88 @@ func TestProxyTimeoutFailsOver(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("proxied query took %v with a 100ms node timeout", elapsed)
 	}
-	if via.n.Load() != 2 || r.nodes[0].healthy.Load() {
+	if via.n.Load() != 2 || r.nodes[hung].healthy.Load() {
 		t.Fatalf("%d requests through the router's client (want 2: the hung node, then its neighbour), hung node healthy=%v",
-			via.n.Load(), r.nodes[0].healthy.Load())
+			via.n.Load(), r.nodes[hung].healthy.Load())
+	}
+}
+
+// TestProxyTriesEachNodeOnce: with every node hung, a proxied query tries
+// each node once — one Options.Timeout apiece, the first pass marking them
+// down is not followed by a second — and answers 503.
+func TestProxyTriesEachNodeOnce(t *testing.T) {
+	release := make(chan struct{})
+	urls := make([]string, 2)
+	for i := range urls {
+		ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	defer close(release) // runs before the Cleanups close the nodes
+	via := &countingTransport{}
+	r, err := New(urls, Options{Timeout: 100 * time.Millisecond}, &http.Client{Transport: via})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(r)
+	defer router.Close()
+	if _, _, status := getSearch(t, router.URL, "q=find+Player+limit+3"); status != http.StatusServiceUnavailable || via.n.Load() != 2 {
+		t.Fatalf("status %d after %d requests through the router's client, want 503 after 2", status, via.n.Load())
+	}
+}
+
+// TestProxyKeyAffinity: a proxied query starts at its key's node, so
+// distinct queries spread over the nodes, and a page's cursor follow-up —
+// the cursor is not part of the key — reaches the node its first page did.
+func TestProxyKeyAffinity(t *testing.T) {
+	e := buildEngine(t)
+	var hits [2]atomic.Int64 // /v2/search requests per node, in placement order
+	urls := make([]string, 2)
+	for i := range urls {
+		node := serve.New(e, serve.Options{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/v2/search" {
+				hits[sort.SearchStrings(urls, "http://"+req.Host)].Add(1)
+			}
+			node.ServeHTTP(w, req)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	sort.Strings(urls)
+	r, err := New(urls, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(r)
+	defer router.Close()
+	reached := [2]bool{}
+	// hit sends one request through the router and returns the node that
+	// answered it, with the cursor of its page.
+	hit := func(query string) (int, string) {
+		before := [2]int64{hits[0].Load(), hits[1].Load()}
+		_, cursor, status := getSearch(t, router.URL, query)
+		moved := [2]bool{hits[0].Load() != before[0], hits[1].Load() != before[1]}
+		if status != http.StatusOK || moved[0] == moved[1] {
+			t.Fatalf("%s: status %d, reached nodes %v; want exactly one", query, status, moved)
+		}
+		if moved[0] {
+			return 0, cursor
+		}
+		return 1, cursor
+	}
+	for k := 3; k <= 10; k++ {
+		query := "q=" + url.QueryEscape(fmt.Sprintf("find Player limit %d", k)) + "&limit=2"
+		first, cursor := hit(query)
+		if cursor == "" {
+			t.Fatalf("%s: page 1 has no cursor", query)
+		}
+		if next, _ := hit(query + "&cursor=" + url.QueryEscape(cursor)); next != first {
+			t.Fatalf("%s: page 1 from node %d, its follow-up from node %d", query, first, next)
+		}
+		reached[first] = true
+	}
+	if !reached[0] || !reached[1] {
+		t.Fatalf("distinct proxied queries reached nodes %v; want both", reached)
 	}
 }

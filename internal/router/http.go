@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"strings"
@@ -26,10 +27,9 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.Ser
 
 // handleSearch answers GET /v2/search. Keyword (kw=), vector and hybrid
 // (kw= with kind=vector|hybrid), and scene (kind=) queries scatter over
-// the cluster's segment placement; combined-language (q=) and explain
-// queries are proxied whole to one node — every node holds the full
-// library, so a single-node answer is already the cluster answer for
-// those.
+// the cluster's segment placement; combined (q=) and explain queries are
+// proxied whole to one node — every node holds the full library, so its
+// answer is the cluster's.
 func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 	if !serve.OnlyGetV2(w, req) {
 		return
@@ -39,8 +39,12 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 		serve.WriteSearchError(w, err)
 		return
 	}
-	if _, ok := dlse.CanonicalKey(q); !ok || explain {
-		r.proxy(w, req)
+	key, ok := dlse.CanonicalKey(q)
+	if !ok || explain {
+		if !ok {
+			key = q.Source
+		}
+		r.proxy(w, req, key)
 		return
 	}
 	start := time.Now()
@@ -52,44 +56,39 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 	serve.WriteSearchResult(w, rs, false, partial, time.Since(start))
 }
 
-// proxy forwards the request whole to the first node that answers,
-// healthy nodes first. Any HTTP response — including a 4xx/5xx error
-// envelope — is a valid answer and is copied back verbatim; only
-// transport-level failures — a node silent for Options.Timeout among them —
-// fail over to the next node.
-func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
+// proxy forwards the request whole to the first node that answers, in node
+// order from its key's node (keyNode; a cursor is not part of the key).
+// Any HTTP response — including a 4xx/5xx error envelope — is a valid answer
+// and is copied back verbatim; only transport-level failures — a node silent
+// for Options.Timeout among them — fail over to the next node.
+func (r *Router) proxy(w http.ResponseWriter, req *http.Request, key string) {
 	r.queries.Add(1)
 	r.proxied.Add(1)
 	var lastErr error
-	for _, preferHealthy := range []bool{true, false} {
-		for _, n := range r.nodes {
-			if preferHealthy != n.healthy.Load() {
-				continue
-			}
-			addr := n.src.Addr()
-			if !strings.HasPrefix(addr, "http") {
-				lastErr = fmt.Errorf("%w: node %s has no HTTP address to proxy to",
-					transport.ErrUnavailable, addr)
-				continue
-			}
-			r.nodeReqs.Add(addr, 1)
-			err := r.forward(w, req, addr)
-			if err == nil {
-				return
-			}
-			if availability(err) {
-				r.nodeErrs.Add(addr, 1)
-				n.healthy.Store(false)
-			}
-			lastErr = err
+	for _, n := range r.candidates(keyNode(key, len(r.nodes)), len(r.nodes)) {
+		addr := n.src.Addr()
+		if !strings.HasPrefix(addr, "http") {
+			lastErr = fmt.Errorf("%w: node %s has no HTTP address to proxy to",
+				transport.ErrUnavailable, addr)
+			continue
 		}
+		r.nodeReqs.Add(addr, 1)
+		err := r.forward(w, req, addr)
+		if err == nil {
+			return
+		}
+		if availability(err) {
+			r.nodeErrs.Add(addr, 1)
+			n.healthy.Store(false)
+		}
+		lastErr = err
 	}
 	r.failures.Add(1)
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: no nodes", transport.ErrUnavailable)
-	}
 	serve.WriteSearchError(w, lastErr)
 }
+
+// keyNode is the node, of n, that a proxied query with this key starts at.
+func keyNode(key string, n int) int { return int(crc32.ChecksumIEEE([]byte(key)) % uint32(n)) }
 
 // forward sends the request to one node and copies its answer back. An
 // error means the node gave no answer within Options.Timeout and nothing was

@@ -19,6 +19,11 @@
 // unreachable node's legs move to replicas immediately); when every
 // replica of a segment is down, the router either fails open (serve the
 // reachable subset, marked partial) or fails closed (503), per Options.
+//
+// Combined (q=) and explain queries are proxied whole to one node instead.
+// Legs, manifest reads and proxies all walk one node order (candidates),
+// each node at most once; a proxy starts at a hash of the query's key, so
+// a page's cursor follow-up lands on the node that minted the cursor.
 package router
 
 import (
@@ -71,10 +76,8 @@ func (o Options) withDefaults(nodes int) Options {
 	return o
 }
 
-// node is one cluster member: its segment source plus the health flag the
-// background checker maintains. Placement prefers healthy candidates but
-// never strands a segment: when every candidate is marked down, legs are
-// attempted anyway (the mark may be stale).
+// node is one cluster member: its segment source plus the health flag that
+// probes and failed requests maintain.
 type node struct {
 	src     transport.SegmentSource
 	healthy atomic.Bool // false once a leg or probe found it down
@@ -218,24 +221,19 @@ func availability(err error) bool {
 }
 
 // manifest fetches the current segment manifest from the first node that
-// answers, preferring healthy ones.
+// answers, in node order from node 0.
 func (r *Router) manifest(ctx context.Context) (transport.Manifest, error) {
 	var lastErr error
-	for _, preferHealthy := range []bool{true, false} {
-		for _, n := range r.nodes {
-			if preferHealthy != n.healthy.Load() {
-				continue
-			}
-			m, err := n.src.Manifest(ctx)
-			if err == nil {
-				return m, nil
-			}
-			lastErr = err
-			if !availability(err) {
-				return transport.Manifest{}, err
-			}
-			n.healthy.Store(false)
+	for _, n := range r.candidates(0, len(r.nodes)) {
+		m, err := n.src.Manifest(ctx)
+		if err == nil {
+			return m, nil
 		}
+		if !availability(err) {
+			return transport.Manifest{}, err
+		}
+		n.healthy.Store(false)
+		lastErr = err
 	}
 	return transport.Manifest{}, fmt.Errorf("no node answered a manifest: %w", lastErr)
 }
@@ -249,11 +247,9 @@ type group struct {
 }
 
 // plan partitions the wanted segment ordinals into per-primary groups.
-// Ordinal o's candidates are nodes (o+r) mod N for r < Replicas over the
-// sorted node list — a pure function, so every router instance plans
-// identically. Within a group, candidates marked unhealthy sort after
-// healthy ones (order among each class preserved) so the first leg goes
-// somewhere likely to answer.
+// Ordinal o's candidates are candidates(o mod N, Replicas) — a pure
+// function of the sorted node list, so every router instance plans
+// identically.
 func (r *Router) plan(textOrds, videoOrds []int) []group {
 	n := len(r.nodes)
 	byPrimary := make(map[int]*group)
@@ -286,7 +282,8 @@ func (r *Router) plan(textOrds, videoOrds []int) []group {
 }
 
 // candidates lists the nodes (p+r) mod N for r < reps, healthy ones first
-// (order among each class preserved).
+// (a mark may be stale, so down nodes come last, not never): the one node
+// order every walk over nodes follows, each node at most once.
 func (r *Router) candidates(p, reps int) []*node {
 	cands := make([]*node, reps)
 	for rep := range cands {

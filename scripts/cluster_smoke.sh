@@ -2,7 +2,9 @@
 # cluster_smoke.sh — end-to-end check of the distributed tier: start two
 # dlserve nodes over the same library, front them with dlrouter, and check
 # that the cluster answers byte-identical to a single node (scattered kw=
-# and kind= forms, proxied q= form, cursor pagination in every ranked lane),
+# and kind= forms, proxied q= form, cursor pagination in every ranked lane
+# and in the proxied form, whose follow-ups land on the node that minted
+# their cursor),
 # that a commit applied to every node shows up through the router (in the
 # scene and the hybrid lane) with each node's /healthz agreeing with its
 # /metrics on generation and snapshot, that killing one node
@@ -102,20 +104,27 @@ for q in 'kind=net-play' 'kw=final&limit=-1' 'kw=the%20of%20and'; do
     fi
 done
 
-echo "--- parity: paginated walk"
-walk() { # base -> concatenated items
-    local base=$1 cursor="" page
+echo "--- parity: paginated walks, scattered (kw=) and proxied (q=)"
+walk() { # base param value -> the items of a limit=2 walk, one per line
+    local base=$1 param=$2 value=$3 cursor="" page
     while :; do
         page=$(curl -fsS --get "$base/v2/search" \
-            --data-urlencode 'kw=australian open final' \
+            --data-urlencode "$param=$value" \
             --data-urlencode 'limit=2' --data-urlencode "cursor=$cursor")
         echo "$page" | jq -c '.items[]'
         cursor=$(echo "$page" | jq -r '.cursor // empty')
         [ -n "$cursor" ] || break
     done
 }
-diff <(walk "$node") <(walk "$router") || {
-    echo "cluster-smoke: paginated walk diverged" >&2; exit 1; }
+for form in 'kw=australian open final' 'q=find Player limit 7'; do
+    a=$(walk "$node" "${form%%=*}" "${form#*=}")
+    b=$(walk "$router" "${form%%=*}" "${form#*=}")
+    if [ "$a" != "$b" ] || [ "$(echo "$b" | wc -l)" -le 2 ]; then
+        echo "cluster-smoke: paginated walk of $form diverged or took no cursor" >&2
+        diff <(echo "$a") <(echo "$b") >&2 || true
+        exit 1
+    fi
+done
 
 echo "--- parity: page 2 by cursor, keyword, vector and hybrid lanes (depth-bounded legs)"
 page2() { # base lane -> normalized second page of a limit=3 walk
