@@ -76,6 +76,9 @@ type (
 	Interval = core.Interval
 	// MetaIndex builds a COBRA meta-index partition.
 	MetaIndex = core.MetaIndex
+	// DetectorStats is one FDE detector's accumulated runs, wall time and
+	// failures.
+	DetectorStats = fde.Stats
 	// BroadcastConfig parameterizes synthetic broadcast generation.
 	BroadcastConfig = synth.Config
 	// Broadcast is a generated video with ground truth.
@@ -135,7 +138,7 @@ func WriteSVF(path string, frames []*Image, fps int) error {
 
 // Library is a content-based video library: the tennis FDE plus the COBRA
 // meta-index it populates — stored as an ordered set of immutable index
-// segments. The Index* methods grow the newest segment; Commit ingests a
+// segments. IndexBatch grows the newest segment; Commit ingests a
 // batch into a brand-new segment (the incremental-growth path), and Compact
 // merges small adjacent segments back together. Splitting the corpus across
 // segments never changes an answer: every read concatenates or routes
@@ -146,11 +149,9 @@ func WriteSVF(path string, frames []*Image, fps int) error {
 // segments privately and installs them as a new view, so a reader holding a
 // View (or an engine snapshot built from one) never sees a segment change.
 type Library struct {
-	// engine parses a video that is alone in flight, fanning per-frame
-	// extraction out over the CPUs; pinned parses the videos of a batch
-	// that already has several in flight, one goroutine each. Both are
-	// built once: binding a grammar is not part of a commit.
-	engine, pinned *fde.Engine
+	// engine parses every video the library ingests. It is built once:
+	// binding a grammar is not part of a commit.
+	engine *fde.Engine
 	// view is the current segment set: an immutable snapshot that every
 	// write replaces. On a loaded library its segments decode on first
 	// touch — reads stay lazy, the write paths resolve what they need.
@@ -162,26 +163,31 @@ type Library struct {
 
 // NewLibrary creates an empty library with the standard tennis FDE.
 func NewLibrary() (*Library, error) {
-	index, err := core.NewMetaIndex()
-	if err != nil {
-		return nil, err
-	}
-	return newLibrary(core.SingleSegment(index.Freeze()), 2, nil)
+	return newEmptyLibrary(fde.DefaultTennisConfig())
 }
 
-// newLibrary binds the library's two tennis engines around a segment set.
-func newLibrary(view *core.SegmentedIndex, nextSeg int64, mapping io.Closer) (*Library, error) {
-	cfg := fde.DefaultTennisConfig()
+// NewBlackBoxLibrary creates an empty library whose FDE runs the segment
+// detector as the external program at segdet — fed each video as an SVF
+// stream on stdin, answering in the SHOT line protocol cmd/segdet speaks —
+// in place of the in-process one: the paper's black-box detector. Its
+// index is the in-process library's when segdet is cmd/segdet.
+func NewBlackBoxLibrary(segdet string) (*Library, error) {
+	return newEmptyLibrary(fde.TennisConfig{SegmentImpl: fde.BlackBoxSegment(segdet)})
+}
+
+// newEmptyLibrary creates a library with one empty segment around a tennis
+// FDE built from cfg.
+func newEmptyLibrary(cfg fde.TennisConfig) (*Library, error) {
+	return newLibrary(cfg, core.SingleSegment(core.NewMetaIndexAt(core.IDBase{}).Freeze()), 2, nil)
+}
+
+// newLibrary binds a tennis engine built from cfg around a segment set.
+func newLibrary(cfg fde.TennisConfig, view *core.SegmentedIndex, nextSeg int64, mapping io.Closer) (*Library, error) {
 	engine, err := fde.NewTennisEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = 1
-	pinned, err := fde.NewTennisEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Library{engine: engine, pinned: pinned, view: view, nextSeg: nextSeg, mapping: mapping}, nil
+	return &Library{engine: engine, view: view, nextSeg: nextSeg, mapping: mapping}, nil
 }
 
 // install replaces the segment set with a view at generation gen.
@@ -215,15 +221,9 @@ func (l *Library) Close() error {
 	return l.mapping.Close()
 }
 
-// IndexFrames runs the full detector pipeline over the frames and stores
-// all extracted meta-data under the given video name: a one-job IndexBatch.
-func (l *Library) IndexFrames(name string, frames []*Image, fps int) (int64, error) {
-	res, err := l.IndexBatch(context.Background(), []IngestJob{{Name: name, Frames: frames, FPS: fps}}, BatchOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return res[0].VideoID, nil
-}
+// DetectorStats returns what every parse the library has run so far cost,
+// per detector of the feature grammar, keyed by detector name.
+func (l *Library) DetectorStats() map[string]DetectorStats { return l.engine.Stats() }
 
 // IngestJob describes one video of a batch-ingestion request. Exactly one
 // of Frames or Path should be set: with Path the SVF file is decoded inside
@@ -260,6 +260,8 @@ type BatchProgress struct {
 	Done, Total int
 	// Name is the finished job's document name.
 	Name string
+	// Frames is the number of frames the job indexed (0 if it failed).
+	Frames int
 	// Duration is the job's decode+parse wall time.
 	Duration time.Duration
 	// Err is the job failure, nil on success.
@@ -274,6 +276,9 @@ type BatchResult struct {
 	VideoID int64
 	// Frames is the number of frames indexed.
 	Frames int
+	// Held is the most decoded frames the job's parse held at once: the
+	// longest shot plus one GOP for an SVF job.
+	Held int
 	// Duration is the decode+parse wall time.
 	Duration time.Duration
 	// Err is the job failure, nil on success.
@@ -286,8 +291,9 @@ type BatchResult struct {
 // one-video index, and on completion those are replayed in job order into a
 // private copy of the newest segment, which replaces it in a new view at
 // the same generation — so the resulting index, and SaveIndex output, are
-// byte-identical to indexing the same jobs sequentially with IndexFrames,
-// and a View taken before the batch keeps answering as it did.
+// byte-identical at any worker count and to indexing the same jobs one
+// IndexBatch call each, and a View taken before the batch keeps answering
+// as it did.
 //
 // Cancellation stops dispatching new jobs; jobs already in flight finish
 // and are merged, and every job that never ran reports the context error in
@@ -333,23 +339,14 @@ func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOpti
 			return nil, fmt.Errorf("repro: job %d (%q): neither frames nor path", i, job.Name)
 		}
 	}
-	engine := l.engine
-	if pipeline.InFlight(opts.Workers, len(jobs)) > 1 {
-		// With several videos in flight the job fan-out already saturates
-		// the CPUs; nested per-frame histogram pools inside each parse
-		// would only add scheduler overhead, so intra-video extraction is
-		// pinned to one goroutine. A video alone in flight — a one-video
-		// commit, a single-worker batch — keeps the parallel extraction.
-		engine = l.pinned
-	}
-	in, err := pipeline.New(engine, pipeline.Config{
+	in, err := pipeline.New(l.engine, pipeline.Config{
 		Workers:         opts.Workers,
 		ContinueOnError: opts.ContinueOnError,
 		OnProgress: func(p pipeline.Progress) {
 			if opts.OnProgress != nil {
 				opts.OnProgress(BatchProgress{
 					Done: p.Done, Total: p.Total, Name: p.Result.Name,
-					Duration: p.Result.Duration, Err: p.Result.Err,
+					Frames: p.Result.Frames, Duration: p.Result.Duration, Err: p.Result.Err,
 				})
 			}
 		},
@@ -365,7 +362,7 @@ func (l *Library) runBatch(ctx context.Context, jobs []IngestJob, opts BatchOpti
 	out := make([]BatchResult, len(results))
 	for i, r := range results {
 		out[i] = BatchResult{
-			Name: r.Name, VideoID: ids[r.Seq], Frames: r.Frames,
+			Name: r.Name, VideoID: ids[r.Seq], Frames: r.Frames, Held: r.Held,
 			Duration: r.Duration, Err: r.Err,
 		}
 	}
@@ -492,7 +489,7 @@ func newLoadedLibrary(view *core.SegmentedIndex, mapping io.Closer) (*Library, e
 			nextSeg = m.ID + 1
 		}
 	}
-	return newLibrary(view, nextSeg, mapping)
+	return newLibrary(fde.DefaultTennisConfig(), view, nextSeg, mapping)
 }
 
 // LoadLibraryFile restores a library from a segfile by memory-mapping it:

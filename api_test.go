@@ -21,10 +21,7 @@ func TestLibraryIndexAndScenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid, err := lib.IndexFrames("clip-301", b.Frames, b.FPS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vid := indexOne(t, lib, "clip-301", b.Frames, b.FPS)
 	segs, err := lib.Segments(vid)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments = %v, %v", segs, err)
@@ -53,9 +50,7 @@ func TestLibraryPersistence(t *testing.T) {
 	cfg.Shots = 4
 	b, _ := GenerateBroadcast(cfg)
 	lib, _ := NewLibrary()
-	if _, err := lib.IndexFrames("clip", b.Frames, b.FPS); err != nil {
-		t.Fatal(err)
-	}
+	indexOne(t, lib, "clip", b.Frames, b.FPS)
 	lib2 := saveAndLoad(t, lib)
 	if lib2.View().Stats() != lib.View().Stats() {
 		t.Fatal("restored index differs")
@@ -115,13 +110,6 @@ func TestGrammarExports(t *testing.T) {
 	txt := GrammarText()
 	if !strings.Contains(txt, "feature grammar") {
 		t.Fatalf("text output malformed:\n%s", txt)
-	}
-}
-
-func TestIndexFramesValidation(t *testing.T) {
-	lib, _ := NewLibrary()
-	if _, err := lib.IndexFrames("empty", nil, 25); err == nil {
-		t.Fatal("empty frames accepted")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fde"
 )
 
 // v2Site generates the site used by the v2 facade tests.
@@ -51,7 +52,7 @@ func v2Library(t testing.TB, site *Site, extraEvents int) *Library {
 		idx.AddEvent(Event{VideoID: first, Kind: "net-play",
 			Interval: Interval{Start: 300 + 10*i, End: 305 + 10*i}, Confidence: 0.5})
 	}
-	lib, err := newLibrary(core.SingleSegment(idx.Freeze()), 2, nil)
+	lib, err := newLibrary(fde.DefaultTennisConfig(), core.SingleSegment(idx.Freeze()), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

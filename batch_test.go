@@ -31,6 +31,17 @@ func batchTestCorpus(t *testing.T) []*synth.Video {
 	return batchCorpus
 }
 
+// indexOne indexes one in-memory video as a one-job IndexBatch and returns
+// its video ID.
+func indexOne(t testing.TB, lib *Library, name string, frames []*Image, fps int) int64 {
+	t.Helper()
+	res, err := lib.IndexBatch(context.Background(), []IngestJob{{Name: name, Frames: frames, FPS: fps}}, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].VideoID
+}
+
 func batchJobs(vids []*synth.Video) []IngestJob {
 	jobs := make([]IngestJob, len(vids))
 	for i, v := range vids {
@@ -51,11 +62,7 @@ func TestIndexBatchMatchesSequential(t *testing.T) {
 	}
 	seqIDs := make([]int64, len(jobs))
 	for i, job := range jobs {
-		id, err := seqLib.IndexFrames(job.Name, job.Frames, job.FPS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqIDs[i] = id
+		seqIDs[i] = indexOne(t, seqLib, job.Name, job.Frames, job.FPS)
 	}
 	var want bytes.Buffer
 	if err := seqLib.SaveIndex(&want); err != nil {
@@ -166,9 +173,7 @@ func TestIndexBatchSVFAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lib.IndexFrames("existing", vids[2].Frames, vids[2].FPS); err != nil {
-		t.Fatal(err)
-	}
+	indexOne(t, lib, "existing", vids[2].Frames, vids[2].FPS)
 	results, err := lib.IndexBatch(context.Background(), jobs, BatchOptions{
 		Workers: 2, ContinueOnError: true,
 	})
@@ -208,51 +213,5 @@ func TestIndexBatchValidation(t *testing.T) {
 	results, err := lib.IndexBatch(context.Background(), nil, BatchOptions{})
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty batch: %v, %v", results, err)
-	}
-}
-
-// The engine is chosen by the jobs actually in flight, not by the CPUs the
-// pool could use: a one-video commit on a many-core node (Workers: 0) has
-// one video in flight and runs on the library engine, with parallel
-// per-frame extraction; a batch with several in flight runs on the pinned
-// engine. Neither builds an engine, and the index bytes are the same.
-func TestBatchEngineFollowsJobsInFlight(t *testing.T) {
-	jobs := batchJobs(batchTestCorpus(t))[:3]
-	segmentRuns := func(lib *Library) (engine, pinned int) {
-		return lib.engine.Stats()["segment"].Runs, lib.pinned.Stats()["segment"].Runs
-	}
-	var saved [2][]byte
-	for k, oneAtATime := range []bool{true, false} {
-		lib, err := NewLibrary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		engine, pinned := lib.engine, lib.pinned
-		if oneAtATime {
-			for _, job := range jobs {
-				if _, err := lib.Commit(context.Background(), []IngestJob{job}, BatchOptions{Workers: 8}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else if _, err := lib.Commit(context.Background(), jobs, BatchOptions{Workers: 8}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lib.Compact(0); err != nil {
-			t.Fatal(err)
-		}
-		if lib.engine != engine || lib.pinned != pinned {
-			t.Fatal("a commit rebuilt an engine")
-		}
-		e, p := segmentRuns(lib)
-		if oneAtATime && (e != len(jobs) || p != 0) {
-			t.Errorf("one-video commits: %d parses on the library engine, %d on the pinned one; want %d and 0", e, p, len(jobs))
-		}
-		if !oneAtATime && (e != 0 || p != len(jobs)) {
-			t.Errorf("three-video commit: %d parses on the library engine, %d on the pinned one; want 0 and %d", e, p, len(jobs))
-		}
-		saved[k] = segmentBytes(t, newest(t, lib))
-	}
-	if !bytes.Equal(saved[0], saved[1]) {
-		t.Error("index bytes differ between the library engine and the pinned engine")
 	}
 }

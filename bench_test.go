@@ -427,9 +427,7 @@ func BenchmarkIngestVideo(b *testing.B) {
 	if err := vidfmt.WriteFile(path, bc.Frames, bc.FPS, 0); err != nil {
 		b.Fatal(err)
 	}
-	tcfg := fde.DefaultTennisConfig()
-	tcfg.Workers = 1
-	engine, err := fde.NewTennisEngine(tcfg)
+	engine, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -443,7 +441,7 @@ func BenchmarkIngestVideo(b *testing.B) {
 		}
 		meta := f.Meta()
 		doc := core.Video{Name: "live", Path: path, Width: meta.Width, Height: meta.Height, FPS: meta.FPS, Frames: meta.Frames}
-		res, err := engine.ProcessSource(doc, f)
+		res, err := engine.ProcessSource(doc, f, 1) // one histogram worker: sequential
 		f.Close()
 		if err != nil {
 			b.Fatal(err)

@@ -1,13 +1,16 @@
 // Command cobraindex runs the tennis Feature Detector Engine over a corpus
 // of SVF videos, populating the COBRA meta-index and persisting it as a
-// memory-mappable segfile. Videos are processed by a worker pool: each
-// worker parses one video at a time into its own index, and the per-video
-// indexes are merged in argument order — the output is byte-identical at
-// any worker count. A worker opens its video's SVF file and the detectors
-// decode frames through its frame index as they scan them, holding at most
-// the current shot plus one GOP (the codec's I-frame interval) ahead, so
-// memory per worker is O(longest shot), not O(video): the summary reports
-// the most decoded frames one parse held.
+// memory-mappable segfile. It is a client of the library's batch ingest
+// (repro.Library.IndexBatch, then SaveIndex): the videos fan out over a
+// worker pool, each worker parsing one video at a time into its own index,
+// and the per-video indexes are merged in argument order, so the output is
+// byte-identical at any worker count. A worker opens its video's SVF file
+// and the detectors decode frames through its frame index as they scan
+// them, holding at most the current shot plus one GOP (the codec's I-frame
+// interval) ahead, so memory per worker is O(longest shot), not O(video):
+// the summary reports the most decoded frames one parse held. With -segdet
+// the segment detector runs as an external program (cmd/segdet), and the
+// index is the same.
 //
 // Usage:
 //
@@ -20,7 +23,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -28,10 +30,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/fde"
+	"repro"
 	"repro/internal/fsx"
-	"repro/internal/pipeline"
 )
 
 func main() {
@@ -54,65 +54,49 @@ func main() {
 	if len(paths) == 0 {
 		log.Fatal("no .svf files found")
 	}
-	cfg := fde.DefaultTennisConfig()
+	var lib *repro.Library
 	if *segdet != "" {
-		cfg.SegmentImpl = fde.BlackBoxSegment(*segdet)
+		lib, err = repro.NewBlackBoxLibrary(*segdet)
+	} else {
+		lib, err = repro.NewLibrary()
 	}
-	if pipeline.InFlight(*workers, len(paths)) > 1 {
-		// The video fan-out saturates the CPUs; avoid nested per-frame
-		// histogram pools inside each parse.
-		cfg.Workers = 1
-	}
-	engine, err := fde.NewTennisEngine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	jobs := make([]pipeline.Job, len(paths))
+	jobs := make([]repro.IngestJob, len(paths))
 	for i, path := range paths {
-		jobs[i] = pipeline.SVFJob(path, "")
+		jobs[i] = repro.IngestJob{Path: path}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	in, err := pipeline.New(engine, pipeline.Config{
+	start := time.Now()
+	results, err := lib.IndexBatch(ctx, jobs, repro.BatchOptions{
 		Workers: *workers,
-		OnProgress: func(p pipeline.Progress) {
+		OnProgress: func(p repro.BatchProgress) {
 			if *quiet {
 				return
 			}
-			if p.Result.Err != nil {
-				fmt.Printf("[%d/%d] %s: %v\n", p.Done, p.Total, p.Result.Name, p.Result.Err)
+			if p.Err != nil {
+				fmt.Printf("[%d/%d] %s: %v\n", p.Done, p.Total, p.Name, p.Err)
 				return
 			}
 			fmt.Printf("[%d/%d] %s: %d frames indexed in %v\n",
-				p.Done, p.Total, p.Result.Name, p.Result.Frames,
-				p.Result.Duration.Round(time.Millisecond))
+				p.Done, p.Total, p.Name, p.Frames, p.Duration.Round(time.Millisecond))
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	results, runErr := in.Run(ctx, jobs)
-	if runErr != nil {
-		for _, r := range results {
+		for i, r := range results {
 			if r.Err != nil {
-				log.Printf("%s: %v", paths[r.Seq], r.Err)
+				log.Printf("%s: %v", paths[i], r.Err)
 			}
 		}
-		log.Fatal(runErr)
+		log.Fatal(err)
 	}
 	wall := time.Since(start)
 
-	idx, err := core.NewMetaIndex()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := in.MergeInto(idx); err != nil {
-		log.Fatal(err)
-	}
-	st := idx.Stats()
+	st := lib.View().Stats()
 	var busy time.Duration
 	frames, held := 0, 0
 	for _, r := range results {
@@ -127,7 +111,7 @@ func main() {
 		float64(frames)/wall.Seconds(), float64(busy)/float64(wall))
 	fmt.Printf("at most %d decoded frames held by one parse\n", held)
 	fmt.Println("detector statistics:")
-	stats := engine.Stats()
+	stats := lib.DetectorStats()
 	names := make([]string, 0, len(stats))
 	for name := range stats {
 		names = append(names, name)
@@ -139,10 +123,7 @@ func main() {
 	}
 	// The write is atomic (temp + fsync + rename), so a crash mid-write
 	// cannot leave a torn index at -out.
-	err = fsx.WriteAtomic(fsx.OS, *out, func(w io.Writer) error {
-		return core.WriteSegfile(w, []*core.Part{idx.Freeze()}, []core.SegmentMeta{{ID: 1}}, 0)
-	})
-	if err != nil {
+	if err := fsx.WriteAtomic(fsx.OS, *out, lib.SaveIndex); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (segfile)\n", *out)

@@ -9,10 +9,11 @@ import (
 	"repro"
 )
 
-// Index a synthetic tennis broadcast through the feature grammar (segment
-// detector → tennis detector → event rules), then read its classified shots,
-// query its scenes and print the grammar that drove the detectors.
-func ExampleLibrary_IndexFrames() {
+// Index a synthetic tennis broadcast, held in memory, through the feature
+// grammar (segment detector → tennis detector → event rules), then read its
+// classified shots, query its scenes and print the grammar that drove the
+// detectors.
+func ExampleLibrary_IndexBatch() {
 	cfg := repro.DefaultBroadcastConfig(7)
 	cfg.Shots = 12
 	broadcast, err := repro.GenerateBroadcast(cfg)
@@ -23,12 +24,13 @@ func ExampleLibrary_IndexFrames() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	videoID, err := lib.IndexFrames("quickstart-clip", broadcast.Frames, broadcast.FPS)
+	job := repro.IngestJob{Name: "quickstart-clip", Frames: broadcast.Frames, FPS: broadcast.FPS}
+	results, err := lib.IndexBatch(context.Background(), []repro.IngestJob{job}, repro.BatchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	segments, err := lib.Segments(videoID)
+	segments, err := lib.Segments(results[0].VideoID)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,7 +143,8 @@ func ExampleDigitalLibrary_Search() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := lib.IndexFrames("demo-clip", b.Frames, b.FPS); err != nil {
+	job := repro.IngestJob{Name: "demo-clip", Frames: b.Frames, FPS: b.FPS}
+	if _, err := lib.IndexBatch(ctx, []repro.IngestJob{job}, repro.BatchOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	before := dl.Snapshot()

@@ -9,9 +9,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/fde"
-	"repro/internal/pipeline"
 	"repro/internal/synth"
 	"repro/internal/vidfmt"
 )
@@ -55,34 +52,19 @@ func goldenBroadcasts(t *testing.T) []string {
 // makes and returns the segfile bytes it would write.
 func indexLikeCobraindex(t *testing.T, paths []string, workers int) []byte {
 	t.Helper()
-	cfg := fde.DefaultTennisConfig()
-	if pipeline.InFlight(workers, len(paths)) > 1 {
-		cfg.Workers = 1
-	}
-	engine, err := fde.NewTennisEngine(cfg)
+	lib, err := NewLibrary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]pipeline.Job, len(paths))
+	jobs := make([]IngestJob, len(paths))
 	for i, path := range paths {
-		jobs[i] = pipeline.SVFJob(path, "")
+		jobs[i] = IngestJob{Path: path}
 	}
-	in, err := pipeline.New(engine, pipeline.Config{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := core.NewMetaIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.MergeInto(idx); err != nil {
+	if _, err := lib.IndexBatch(context.Background(), jobs, BatchOptions{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := core.WriteSegfile(&buf, []*core.Part{idx.Freeze()}, []core.SegmentMeta{{ID: 1}}, 0); err != nil {
+	if err := lib.SaveIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -6,10 +6,12 @@
 // The engine compiles a feature grammar (internal/grammar) into an
 // executable schedule. Processing a video runs every detector in dependency
 // order over a shared blackboard of symbol values — the parse tree — and
-// records per-detector timing. The tennis instantiation (NewTennisEngine)
-// binds the grammar's detectors to shotdet, track and rules; their tuning is
-// constant, so a TennisConfig chooses only the segment detector's
-// implementation and its histogram workers.
+// accumulates per-detector timing in the engine's Stats. The tennis
+// instantiation (NewTennisEngine) binds the grammar's detectors to shotdet,
+// track and rules; their tuning is constant, so a TennisConfig chooses only
+// the segment detector's implementation. A parse's histogram workers are
+// its caller's choice, passed to ProcessSource: the ingest pipeline picks
+// them from the videos it has in flight.
 package fde
 
 import (
@@ -31,8 +33,12 @@ type Context struct {
 	// Frames is the raw-data layer. Detectors scan the ranges they read,
 	// so a parse decodes frames only as a detector asks for them.
 	Frames frame.Source
-	values map[string]any
-	held   int // see Hold
+	// Workers bounds the goroutines the in-process segment detector
+	// computes each frame's histogram on (shotdet.Sweeper.Workers); < 1
+	// selects GOMAXPROCS. The shots are the same at any setting.
+	Workers int
+	values  map[string]any
+	held    int // see Hold
 }
 
 // Hold records that a detector held n decoded frames at once; the parse
@@ -125,8 +131,6 @@ func (e *Engine) bound() error {
 type Result struct {
 	// Video is the parsed document.
 	Video core.Video
-	// Durations records per-detector wall time for this parse.
-	Durations map[string]time.Duration
 	// Held is the most decoded frames a detector of this parse held at once
 	// (Context.Hold), beside the source's own decode state.
 	Held   int
@@ -139,32 +143,32 @@ func (r *Result) Get(symbol string) (any, bool) {
 	return v, ok
 }
 
-// Process parses one video held in memory; see ProcessSource.
+// Process parses one video held in memory, with the default histogram
+// workers (one per CPU); see ProcessSource.
 func (e *Engine) Process(v core.Video, frames []*frame.Image) (*Result, error) {
-	return e.ProcessSource(v, frame.Frames(frames))
+	return e.ProcessSource(v, frame.Frames(frames), 0)
 }
 
 // ProcessSource parses one video: all detectors run in dependency order,
-// each reading the frames it needs from src.
-func (e *Engine) ProcessSource(v core.Video, src frame.Source) (*Result, error) {
+// each reading the frames it needs from src. workers is the parse's
+// Context.Workers.
+func (e *Engine) ProcessSource(v core.Video, src frame.Source, workers int) (*Result, error) {
 	if err := e.bound(); err != nil {
 		return nil, err
 	}
-	ctx := &Context{Video: v, Frames: src, values: map[string]any{}}
+	ctx := &Context{Video: v, Frames: src, Workers: workers, values: map[string]any{}}
 	for _, a := range e.g.Atoms {
 		ctx.values[a] = v // atoms carry the document itself
 	}
-	res := &Result{Video: v, Durations: map[string]time.Duration{}, values: ctx.values}
 	for _, d := range e.sched {
-		if err := e.runDetector(d, ctx, res); err != nil {
+		if err := e.runDetector(d, ctx); err != nil {
 			return nil, err
 		}
 	}
-	res.Held = ctx.held
-	return res, nil
+	return &Result{Video: v, Held: ctx.held, values: ctx.values}, nil
 }
 
-func (e *Engine) runDetector(d *grammar.Detector, ctx *Context, res *Result) error {
+func (e *Engine) runDetector(d *grammar.Detector, ctx *Context) error {
 	// Verify the detector's inputs are present (the grammar guarantees the
 	// order; this catches impls that forgot to Set their products).
 	for _, r := range d.Requires {
@@ -187,7 +191,6 @@ func (e *Engine) runDetector(d *grammar.Detector, ctx *Context, res *Result) err
 		st.Errors++
 	}
 	e.statsMu.Unlock()
-	res.Durations[d.Name] = dur
 	if err != nil {
 		return fmt.Errorf("fde: detector %s: %w", d.Name, err)
 	}

@@ -78,10 +78,11 @@ func TestTennisEngineFullParse(t *testing.T) {
 	if foundRally && len(evs) == 0 {
 		t.Fatal("no rally events detected despite scripted rallies")
 	}
-	// Durations recorded for every detector.
+	// Every detector ran once, in the engine's per-detector record.
+	st := e.Stats()
 	for _, d := range []string{"segment", "tennis", "netplay", "rally", "service"} {
-		if _, ok := res.Durations[d]; !ok {
-			t.Errorf("no duration for %s", d)
+		if st[d].Runs != 1 {
+			t.Errorf("%s: %d runs recorded, want 1", d, st[d].Runs)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func TestBlackBoxStreamsSVF(t *testing.T) {
 	defer f.Close()
 	for name, src := range map[string]frame.Source{"frames": frame.Frames(v.Frames), "file": f} {
 		os.Remove(stdin)
-		bres, err := black.ProcessSource(coreVideo(v, "bb"), src)
+		bres, err := black.ProcessSource(coreVideo(v, "bb"), src, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -139,7 +139,7 @@ func TestBlackBoxSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ProcessSource(coreVideo(v, "cut"), truncated{v.Frames, 10})
+	res, err := e.ProcessSource(coreVideo(v, "cut"), truncated{v.Frames, 10}, 0)
 	if res != nil || !errors.Is(err, errDamaged) || !strings.Contains(err.Error(), "encoding input") {
 		t.Fatalf("parse = %v, %v; want the source's error", res, err)
 	}
@@ -166,7 +166,7 @@ func TestTennisPassSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ProcessSource(coreVideo(v, "damaged"), seekFails{v.Frames})
+	res, err := e.ProcessSource(coreVideo(v, "damaged"), seekFails{v.Frames}, 0)
 	if res != nil || !errors.Is(err, errDamaged) || !strings.Contains(err.Error(), "detector tennis") {
 		t.Fatalf("parse = %v, %v; want the tennis detector's source error", res, err)
 	}

@@ -27,20 +27,16 @@ type TennisEvent struct {
 	Confidence float64
 }
 
-// TennisConfig holds the two settings of the tennis FDE that callers
+// TennisConfig holds the one setting of the tennis FDE that callers
 // choose; every detector's tuning is a constant of its package.
 type TennisConfig struct {
 	// SegmentImpl optionally replaces the in-process segment detector,
 	// e.g. with a black-box adapter over cmd/segdet (see BlackBoxSegment).
 	SegmentImpl Impl
-	// Workers bounds the goroutines the in-process segment detector
-	// computes each frame's histogram on (shotdet.Sweeper.Workers). The
-	// shots are the same at any setting.
-	Workers int
 }
 
 // DefaultTennisConfig returns the standard configuration: the in-process
-// segment detector with a histogram worker per CPU.
+// segment detector.
 func DefaultTennisConfig() TennisConfig {
 	return TennisConfig{}
 }
@@ -55,7 +51,7 @@ func NewTennisEngine(cfg TennisConfig) (*Engine, error) {
 	}
 	segImpl := cfg.SegmentImpl
 	if segImpl == nil {
-		segImpl = whiteBoxSegment(cfg.Workers)
+		segImpl = whiteBoxSegment
 	}
 	if err := e.Bind("segment", segImpl); err != nil {
 		return nil, err
@@ -74,23 +70,22 @@ func NewTennisEngine(cfg TennisConfig) (*Engine, error) {
 }
 
 // whiteBoxSegment is the in-process segment detector: shot boundaries plus
-// classification, published as the "shots" and "classes" symbols.
-func whiteBoxSegment(workers int) Impl {
-	return func(ctx *Context) error {
-		sw := shotdet.Sweeper{Workers: workers}
-		shots, err := sw.SegmentAndClassify(ctx.Frames)
-		if err != nil {
-			return err
-		}
-		ctx.Hold(sw.Held())
-		classes := make([]string, len(shots))
-		for i, s := range shots {
-			classes[i] = s.Class.String()
-		}
-		ctx.Set("shots", shots)
-		ctx.Set("classes", classes)
-		return nil
+// classification, published as the "shots" and "classes" symbols. Each
+// frame's histogram is computed over ctx.Workers goroutines.
+func whiteBoxSegment(ctx *Context) error {
+	sw := shotdet.Sweeper{Workers: ctx.Workers}
+	shots, err := sw.SegmentAndClassify(ctx.Frames)
+	if err != nil {
+		return err
 	}
+	ctx.Hold(sw.Held())
+	classes := make([]string, len(shots))
+	for i, s := range shots {
+		classes[i] = s.Class.String()
+	}
+	ctx.Set("shots", shots)
+	ctx.Set("classes", classes)
+	return nil
 }
 
 // tennisDetector tracks the players within every shot classified "tennis"

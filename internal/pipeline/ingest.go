@@ -129,9 +129,18 @@ func New(engine *fde.Engine, cfg Config) (*Ingestor, error) {
 // job failure (nil with ContinueOnError unless the context was canceled);
 // on cancellation it is ctx.Err() and the results report which jobs
 // completed before the stop.
+//
+// The jobs in flight decide each parse's histogram workers
+// (fde.Context.Workers): a video alone in flight — a one-video commit, a
+// one-worker batch — spreads each frame's histogram over every CPU; with
+// several in flight the job fan-out fills the CPUs, so each parse gets one.
 func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
 	in.parts = make([]*core.Part, len(jobs))
+	hist := 0 // every CPU
+	if inFlight(in.cfg.Workers, len(jobs)) > 1 {
+		hist = 1
+	}
 	runCtx := ctx
 	var cancel context.CancelFunc
 	if !in.cfg.ContinueOnError {
@@ -141,8 +150,8 @@ func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	total := len(jobs)
 	done := 0
 	errs := ForEach(runCtx, in.cfg.Workers, len(jobs), func(jctx context.Context, seq int) error {
-		res := in.runJob(jctx, seq, jobs[seq])
-		results[seq] = res
+		res, part := in.runJob(jctx, seq, jobs[seq], hist)
+		results[seq], in.parts[seq] = res, part
 		in.mu.Lock()
 		done++
 		if in.cfg.OnProgress != nil {
@@ -185,21 +194,26 @@ func (in *Ingestor) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	return results, nil
 }
 
-func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
+// runJob decodes and parses one job with hist histogram workers and
+// returns its outcome and, on success, its private one-video index.
+func (in *Ingestor) runJob(ctx context.Context, seq int, job Job, hist int) (Result, *core.Part) {
 	res := Result{Seq: seq, Name: job.Video.Name}
 	if err := ctx.Err(); err != nil {
 		res.Err = err
-		return res
+		return res, nil
 	}
 	start := time.Now()
+	fail := func(err error) (Result, *core.Part) {
+		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
+		res.Duration = time.Since(start)
+		return res, nil
+	}
 	v, src := job.Video, frame.Source(frame.Frames(job.Frames))
 	if job.Open != nil {
 		var err error
 		v, src, err = job.Open()
 		if err != nil {
-			res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
-			res.Duration = time.Since(start)
-			return res
+			return fail(err)
 		}
 		if c, ok := src.(io.Closer); ok {
 			defer c.Close() // only read
@@ -207,29 +221,19 @@ func (in *Ingestor) runJob(ctx context.Context, seq int, job Job) Result {
 		res.Name = v.Name
 	}
 	if src.Len() == 0 {
-		res.Err = fmt.Errorf("pipeline: job %d (%s): no frames", seq, res.Name)
-		res.Duration = time.Since(start)
-		return res
+		return fail(errors.New("no frames"))
 	}
-	parse, err := in.engine.ProcessSource(v, src)
+	parse, err := in.engine.ProcessSource(v, src, hist)
 	if err != nil {
-		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
-		res.Duration = time.Since(start)
-		return res
+		return fail(err)
 	}
-	idx, err := core.NewMetaIndex()
-	if err == nil {
-		_, err = fde.IndexResult(parse, idx)
+	idx := core.NewMetaIndexAt(core.IDBase{})
+	if _, err := fde.IndexResult(parse, idx); err != nil {
+		return fail(err)
 	}
-	if err != nil {
-		res.Err = fmt.Errorf("pipeline: job %d (%s): %w", seq, res.Name, err)
-		res.Duration = time.Since(start)
-		return res
-	}
-	in.parts[seq] = idx.Freeze()
 	res.Frames, res.Held = src.Len(), parse.Held
 	res.Duration = time.Since(start)
-	return res
+	return res, idx.Freeze()
 }
 
 // MergeInto appends each successful job's private index of the latest Run

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fde"
 	"repro/internal/frame"
+	"repro/internal/shotdet"
 	"repro/internal/synth"
 )
 
@@ -380,5 +381,61 @@ func TestIngestorOpenAndErrors(t *testing.T) {
 func TestIngestorNilEngine(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil engine accepted")
+	}
+}
+
+// Run alone picks a parse's histogram workers, from the jobs it has in
+// flight: a video alone in flight — one job, or a one-worker pool — parses
+// on every CPU (0), and with several in flight each parse gets one
+// goroutine. The segment detector here only records what its parse was
+// given.
+func TestRunPicksHistogramWorkersByJobsInFlight(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		seen []int
+	)
+	cfg := fde.DefaultTennisConfig()
+	cfg.SegmentImpl = func(ctx *fde.Context) error {
+		mu.Lock()
+		seen = append(seen, ctx.Workers)
+		mu.Unlock()
+		ctx.Set("shots", []shotdet.Shot{})
+		ctx.Set("classes", []string{})
+		return nil
+	}
+	engine, err := fde.NewTennisEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{
+		Video:  core.Video{Name: "v", Width: 8, Height: 8, FPS: 25, Frames: 1},
+		Frames: []*frame.Image{frame.New(8, 8)},
+	}
+	for _, c := range []struct{ workers, jobs, want int }{
+		{workers: 8, jobs: 1, want: 0},
+		{workers: 1, jobs: 3, want: 0},
+		{workers: 2, jobs: 3, want: 1},
+		{workers: 8, jobs: 3, want: 1},
+	} {
+		in, err := New(engine, Config{Workers: c.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = nil
+		jobs := make([]Job, c.jobs)
+		for i := range jobs {
+			jobs[i] = job
+		}
+		if _, err := in.Run(context.Background(), jobs); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != c.jobs {
+			t.Fatalf("workers=%d, %d jobs: %d parses", c.workers, c.jobs, len(seen))
+		}
+		for _, got := range seen {
+			if got != c.want {
+				t.Errorf("workers=%d, %d jobs: a parse got %d histogram workers, want %d", c.workers, c.jobs, got, c.want)
+			}
+		}
 	}
 }

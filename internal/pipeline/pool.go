@@ -14,10 +14,10 @@ func Workers(n int) int {
 	return n
 }
 
-// InFlight is how many of n jobs a pool with the given worker-count option
+// inFlight is how many of n jobs a pool with the given worker-count option
 // runs at once: a one-job batch has one job in flight however many CPUs
 // the pool could use.
-func InFlight(workers, n int) int {
+func inFlight(workers, n int) int {
 	return min(Workers(workers), n)
 }
 
@@ -32,7 +32,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	if n == 0 {
 		return errs
 	}
-	workers = InFlight(workers, n)
+	workers = inFlight(workers, n)
 	items := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)

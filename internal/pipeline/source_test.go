@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fde"
 	"repro/internal/frame"
 	"repro/internal/shotdet"
 	"repro/internal/synth"
@@ -153,7 +152,7 @@ func TestParseDecodesLazily(t *testing.T) {
 		}
 		cr.on = true
 		doc := core.Video{Name: name, Width: 160, Height: 120, FPS: 25, Frames: len(frames)}
-		res, err := engine.ProcessSource(doc, r)
+		res, err := engine.ProcessSource(doc, r, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,22 +189,17 @@ func TestParseDecodesLazily(t *testing.T) {
 func TestSVFIngestAllocations(t *testing.T) {
 	frames := synthFrames(t, 7920, 3, 32, 32)
 	path := writeSVF(t, t.TempDir(), "live", frames)
-	cfg := fde.DefaultTennisConfig()
-	cfg.Workers = 1 // no histogram goroutines in the count
-	engine, err := fde.NewTennisEngine(cfg)
+	in, err := New(newEngine(t), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ingest := func() Result {
-		in, err := New(engine, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		// One histogram worker: no histogram goroutines in the count.
+		res, _ := in.runJob(context.Background(), 0, SVFJob(path, ""), 1)
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		results, err := in.Run(context.Background(), []Job{SVFJob(path, "")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results[0]
+		return res
 	}
 	ingest() // warm the engine's maps
 	const frameBytes, constant = 64 << 10, 2 << 20

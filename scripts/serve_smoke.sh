@@ -2,7 +2,8 @@
 # serve_smoke.sh — build dlserve, start it on a random port, hit /healthz
 # and the /v2 surface (/v2/search pagination — combined and ranked lanes —
 # explain, /v2/commit, /v2/compact, SIGHUP hot reload, POST /v2/reload), then shut it down gracefully (SIGINT) and check it
-# exits 0; then segfile boots: mapped vs heap text index, and a cold boot vs
+# exits 0; then cobraindex writes one index at 1 and 4 workers and with the
+# external segment detector (-segdet); then segfile boots: mapped vs heap text index, and a cold boot vs
 # a warm boot on the same page-lane caches (answers, live heap, -debug-addr
 # profiles, and what two reloads map). Run via `make serve-smoke`; CI runs it alongside the race job.
 set -euo pipefail
@@ -190,10 +191,15 @@ echo "serve-smoke: first server OK (graceful shutdown, exit 0)"
 # to answer /v2/search identically (modulo per-request fields); /v2/reload
 # exercises the re-map path.
 
-echo "--- cobraindex: corpus -> segfile"
+echo "--- cobraindex: corpus -> segfile, the same bytes at 1 and 4 workers and with -segdet"
 go build -o "$tmp/cobraindex" ./cmd/cobraindex
+go build -o "$tmp/segdet" ./cmd/segdet
 "$tmp/synthgen" -out "$tmp/corpus2" -n 3 -shots 3 >/dev/null
-"$tmp/cobraindex" -q -out "$tmp/meta.segf" "$tmp/corpus2" | tail -1
+"$tmp/cobraindex" -q -workers 1 -out "$tmp/meta.segf" "$tmp/corpus2" | tail -1
+"$tmp/cobraindex" -q -workers 4 -out "$tmp/meta4.segf" "$tmp/corpus2" | tail -1
+"$tmp/cobraindex" -q -segdet "$tmp/segdet" -out "$tmp/metasd.segf" "$tmp/corpus2" | tail -1
+cmp "$tmp/meta.segf" "$tmp/meta4.segf"
+cmp "$tmp/meta.segf" "$tmp/metasd.segf"
 
 echo "--- -meta that is not a segfile: one clear error, non-zero exit"
 go build -o "$tmp/dlsearch" ./cmd/dlsearch
