@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,6 +33,7 @@ import (
 var hardColumns = []string{
 	"cuts", "dissolve 6", "dissolve 12", "dissolve 20", "fade 12", "wipe 10", "wipe 20",
 	"pan", "zoom", "duplicates", "occlusion", "exit", "150x110", "vote tie",
+	"vote tie, backdrop first",
 }
 
 // hardTracked are the columns whose tennis shots also score the tracker and
@@ -127,11 +129,13 @@ func renderHardCorpus() (map[string][]hardVideo, error) {
 		"150x110":     {joined(odd, 0, nil)},
 	}
 	for i, backdrop := range []frame.RGB{{R: 200, G: 40, B: 40}, {R: 20, G: 60, B: 200}} {
-		v, err := voteTie(9102+int64(i), backdrop)
-		if err != nil {
-			return nil, err
+		for col, first := range map[string]bool{"vote tie": false, "vote tie, backdrop first": true} {
+			v, err := voteTie(9102+int64(i), backdrop, first)
+			if err != nil {
+				return nil, err
+			}
+			c[col] = append(c[col], v)
 		}
-		c["vote tie"] = append(c["vote tie"], v)
 	}
 	return c, nil
 }
@@ -336,32 +340,35 @@ func occluded(v *synth.Video) hardVideo {
 	return h
 }
 
-// voteTie is a 32-frame rally followed by 32 frames of a flat saturated
-// backdrop. At 64 frames every second frame votes on the court colour, so
-// each shot casts 16 ballots and the vote ties between the court's colour
-// cell and the backdrop's: the tie-break decides the court colour.
-func voteTie(seed int64, backdrop frame.RGB) (hardVideo, error) {
+// voteTie is a 32-frame rally and 32 frames of a flat saturated backdrop,
+// the backdrop first when backdropFirst is set. At 64 frames every second
+// frame votes on the court colour, so each shot casts 16 ballots and the
+// vote ties between the court's colour cell and the backdrop's: the
+// tie-break decides the court colour.
+func voteTie(seed int64, backdrop frame.RGB, backdropFirst bool) (hardVideo, error) {
 	cfg := synth.DefaultConfig(seed)
-	frames, near, far, events, err := synth.RenderTennisShot(cfg, "rally", 32)
+	rally, near, far, events, err := synth.RenderTennisShot(cfg, "rally", 32)
 	if err != nil {
 		return hardVideo{}, err
 	}
 	rng := rand.New(rand.NewSource(seed))
+	var flat []*frame.Image
 	for range 32 {
 		im := frame.New(cfg.W, cfg.H)
 		im.Fill(backdrop)
 		im.AddNoise(rng, cfg.Noise)
-		frames = append(frames, im)
+		flat = append(flat, im)
 	}
-	return hardVideo{
-		frames: frames,
-		trans:  []transition{{32, 32}},
-		shots: []synth.ShotTruth{
-			{Start: 0, End: 32, Class: synth.ClassTennis, Script: "rally", NearPlayer: near, FarPlayer: far},
-			{Start: 32, End: 64, Class: synth.ClassOther},
-		},
-		events: events,
-	}, nil
+	tennis := synth.ShotTruth{Start: 0, End: 32, Class: synth.ClassTennis, Script: "rally", NearPlayer: near, FarPlayer: far}
+	other := synth.ShotTruth{Start: 32, End: 64, Class: synth.ClassOther}
+	if !backdropFirst {
+		return hardVideo{frames: append(rally, flat...), trans: []transition{{32, 32}}, shots: []synth.ShotTruth{tennis, other}, events: events}, nil
+	}
+	tennis.Start, tennis.End, other.Start, other.End = 32, 64, 0, 32
+	for i := range events {
+		events[i].Shot, events[i].Start, events[i].End = 1, events[i].Start+32, events[i].End+32
+	}
+	return hardVideo{frames: append(flat, rally...), trans: []transition{{32, 32}}, shots: []synth.ShotTruth{other, tennis}, events: events}, nil
 }
 
 // ------------------------------------------------------------ the family
@@ -519,20 +526,23 @@ func TestHardCorpusTruth(t *testing.T) {
 	}
 }
 
-// TestVoteTieIngestDeterministic indexes the vote-tie column through the
-// production pipeline (SVF files, IndexBatch) at 1 and 4 workers, under
-// GOMAXPROCS 1 and 4: every run must save the same index bytes, because
-// the court-colour vote breaks its tie by a total order, not by timing or
-// map iteration.
+// TestVoteTieIngestDeterministic indexes the vote-tie columns, a dissolve
+// and the fade through the production pipeline (SVF files, IndexBatch) at 1
+// and 4 workers, under GOMAXPROCS 1 and 4: every run must save the same
+// index bytes: the court-colour vote counts its ballots in frame order, not
+// by timing or map iteration, and a transition run's state is carried in
+// frame order across the boundary pass's batches, whatever its workers.
 func TestVoteTieIngestDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	var jobs []IngestJob
-	for i, v := range hardCorpus(t)["vote tie"] {
-		path := filepath.Join(dir, fmt.Sprintf("tie-%d.svf", i))
-		if err := WriteSVF(path, v.frames, 25); err != nil {
-			t.Fatal(err)
+	for _, col := range []string{"vote tie", "vote tie, backdrop first", "dissolve 12", "fade 12"} {
+		for i, v := range hardCorpus(t)[col] {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.svf", strings.ReplaceAll(col, " ", "_"), i))
+			if err := WriteSVF(path, v.frames, 25); err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, IngestJob{Path: path})
 		}
-		jobs = append(jobs, IngestJob{Path: path})
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []byte

@@ -1,9 +1,10 @@
 // Package shotdet implements the paper's "segment detector": it partitions
-// a video into shots using colour-histogram differences between
-// neighbouring frames, and classifies each shot into one of four categories
-// — tennis (court), close-up, audience, other — from the dominant colour,
-// the amount of skin-coloured pixels, and entropy/mean/variance
-// characteristics, exactly the feature set the paper describes.
+// a video into shots using colour-histogram differences between frames, by
+// one twin-comparison rule for hard cuts, dissolves, fades and wipes, and
+// classifies each shot into one of four categories — tennis (court),
+// close-up, audience, other — from the dominant colour, the amount of
+// skin-coloured pixels, and entropy/mean/variance characteristics, exactly
+// the feature set the paper describes.
 //
 // In the original system this detector ran as an external (black-box)
 // program driven by the Feature Detector Engine; here the same
@@ -17,9 +18,9 @@ import (
 	"repro/internal/frame"
 )
 
-// Threshold is the hard-cut distance threshold of the boundary rule that
-// SegmentAndClassify applies. Sweeper.Detect takes its threshold as an
-// argument, so that E2 can sweep it.
+// Threshold is how far from the frame before it a run of changing frames
+// must get to be a transition. SegmentAndClassify applies it; Sweeper.Detect
+// takes its threshold as an argument, so that E2 can sweep it.
 const Threshold = 0.35
 
 // The boundary rule's fixed parameters. DESIGN.md §2 (internal/shotdet)
@@ -32,69 +33,91 @@ const (
 	// minShotLen suppresses a boundary closer than this many frames to the
 	// previous one.
 	minShotLen = 6
-	// gradualLow is the twin-threshold rule's low threshold: a run of
-	// inter-frame distances above it is a transition in progress.
+	// gradualLow is the frame-to-frame noise level: a distance above it
+	// between neighbouring frames opens or extends a run, and a run's
+	// distance from its anchor grows only by more than it.
 	gradualLow = 0.08
 )
 
-// Detector detects shot boundaries in streaming fashion: feed frame
-// histograms one at a time. It applies the twin-threshold rule over the L1
-// distance of neighbouring frames' histograms: a distance above threshold
-// is a hard cut; a run of at least two distances above gradualLow is a
-// gradual transition (a dissolve, fade or wipe) when the last frame before
-// the run is more than threshold from the frame where the distance settles
-// back below gradualLow, and it is reported at that frame.
-type Detector struct {
-	threshold float64
-	prevHist  *frame.Histogram
-	frameIdx  int
-	lastCut   int
-	// The gradual transition in progress: the histogram of the last stable
-	// frame before it, nil outside one, and the run's length.
-	anchorHist *frame.Histogram
-	runLen     int
+// detector detects shot boundaries in streaming fashion, by twin
+// comparison taken whole over the L1 distance between frames' histograms.
+// A distance above gradualLow between neighbouring frames opens a run
+// anchored at the frame before it, which extends while that distance stays
+// above gradualLow and the anchor distance grows by more than gradualLow. A
+// run that gets more than threshold from its anchor is a transition (a hard
+// cut is a one-frame run), and a shot starts at its first frame that far. A
+// run that opens before the picture settles after a transition (a frame
+// within gradualLow of the one before, or a run that stays within
+// threshold) continues that transition. The detector copies the histograms
+// it keeps.
+type detector struct {
+	threshold    float64
+	prev, anchor frame.Histogram // the previous frame's, and the open run's anchor
+	idx, lastCut int             // the next frame, and the last shot's first
+	settled      int             // the last shot's first frame past its opening transition
+	// The open run (open is false between runs): the frame where its anchor
+	// distance last grew, and that distance.
+	open     bool
+	peak     int
+	peakDist float64
+	// chained is set while the last run closed was a transition and the
+	// picture has not settled since.
+	chained bool
 }
 
-// FeedHistogram processes the next frame's histogram (at bins per channel)
-// and reports whether a shot starts at this frame. The first frame never
-// starts one. Callers extract the histograms in parallel and keep only this
-// cheap decision sequential.
-func (d *Detector) FeedHistogram(h *frame.Histogram) bool {
-	idx := d.frameIdx
-	d.frameIdx++
-	prev := d.prevHist
-	d.prevHist = h
-	if prev == nil {
-		return false
+// feed processes the next frame's histogram (at bins per channel) and
+// reports whether a shot starts at this frame; if one does, from is the
+// first frame of the shot it ends past that shot's opening transition.
+// Callers extract the histograms in parallel and keep only this cheap
+// decision sequential.
+func (d *detector) feed(h *frame.Histogram) (from int, cut bool) {
+	idx, was := d.idx, d.peakDist
+	d.idx++
+	defer copyHistogram(&d.prev, h)
+	if idx == 0 {
+		return 0, false
 	}
-	dist := prev.L1Dist(h)
-	if dist > d.threshold {
-		d.anchorHist, d.runLen = nil, 0
-		return d.cut(idx)
-	}
-	if dist > gradualLow {
-		if d.anchorHist == nil {
-			d.anchorHist, d.runLen = prev, 0
+	near := d.prev.L1Dist(h)
+	grows := false
+	if d.open && near > gradualLow {
+		if dist := d.anchor.L1Dist(h); dist > d.peakDist+gradualLow {
+			d.peak, d.peakDist, grows = idx, dist, true
 		}
-		d.runLen++
-		return false
 	}
-	if d.anchorHist == nil {
-		return false
+	if !grows {
+		if d.open {
+			d.close()
+		}
+		if near <= gradualLow {
+			d.chained = false
+			return 0, false
+		}
+		d.prev, d.anchor = d.anchor, d.prev // the anchor is the previous frame
+		d.open, d.peak, d.peakDist, was = true, idx, near, 0
 	}
-	anchor, runLen := d.anchorHist, d.runLen
-	d.anchorHist, d.runLen = nil, 0
-	return runLen >= 2 && anchor.L1Dist(h) > d.threshold && d.cut(idx)
-}
-
-// cut starts a shot at frame idx unless the previous one began fewer than
-// minShotLen frames before.
-func (d *Detector) cut(idx int) bool {
-	if idx-d.lastCut < minShotLen {
-		return false
+	// A shot starts where the run first gets more than threshold from its
+	// anchor, unless the run continues a transition or follows a cut closely.
+	if was > d.threshold || d.peakDist <= d.threshold || d.chained || idx-d.lastCut < minShotLen {
+		return 0, false
 	}
 	d.lastCut = idx
-	return true
+	return d.settled, true
+}
+
+// close ends the open run, if any. One that stayed within threshold of its
+// anchor settles the picture; a transition's peak is where the shot it
+// started, or the shot whose transition it continues, settles.
+func (d *detector) close() {
+	d.open, d.chained = false, d.peakDist > d.threshold
+	if d.chained {
+		d.settled = d.peak
+	}
+}
+
+// copyHistogram makes dst a copy of src in dst's own buffer.
+func copyHistogram(dst, src *frame.Histogram) {
+	dst.Bins, dst.Total = src.Bins, src.Total
+	dst.Counts = append(dst.Counts[:0], src.Counts...)
 }
 
 // ahead is how many frames the boundary pass decodes before it consumes
@@ -118,26 +141,13 @@ type Sweeper struct {
 	// at any setting.
 	Workers int
 
-	d     Detector
+	d     detector
 	hists []*frame.Histogram // batch scratch, recycled across batches and runs
-	kept  []*frame.Histogram // taken out of hists while the detector held them
 	win   window
 	// The run in progress: the first frame whose histogram is not yet
 	// consumed, and the visitor.
 	next int
 	v    visitor
-}
-
-// spare removes and returns a kept histogram the detector no longer
-// references, or nil.
-func (s *Sweeper) spare() *frame.Histogram {
-	for i, h := range s.kept {
-		if h != s.d.prevHist && h != s.d.anchorHist {
-			s.kept = append(s.kept[:i], s.kept[i+1:]...)
-			return h
-		}
-	}
-	return nil
 }
 
 // window holds copies of the consecutive frames [base, base+len(frames))
@@ -190,7 +200,7 @@ func (w *window) drop(to int) {
 func (s *Sweeper) Held() int { return s.win.peak }
 
 // Detect returns the first frame of every shot of frames after the first,
-// under the hard-cut threshold given. Through the Sweeper's recycled
+// under the transition threshold given. Through the Sweeper's recycled
 // scratch the result is identical for every threshold and every reuse
 // pattern; only the allocation profile changes.
 func (s *Sweeper) Detect(frames []*frame.Image, threshold float64) []int {
@@ -201,12 +211,11 @@ func (s *Sweeper) Detect(frames []*frame.Image, threshold float64) []int {
 }
 
 // visitor consumes the boundary pass frame by frame: visit is called in
-// frame order with every frame's histogram and whether a shot starts at
-// that frame. When it is called the window holds every frame from its
-// base up to the end of the frame's batch; the visitor drops what it no
-// longer needs.
+// frame order with every frame's histogram and detector.feed's report on it.
+// When it is called the window holds every frame from its base up to the
+// end of the frame's batch; the visitor drops what it no longer needs.
 type visitor interface {
-	visit(i int, h *frame.Histogram, cut bool)
+	visit(i int, h *frame.Histogram, cut bool, from int)
 }
 
 // boundaryList is the visitor of Detect: it keeps the boundaries and none
@@ -216,7 +225,7 @@ type boundaryList struct {
 	out []int
 }
 
-func (bl *boundaryList) visit(i int, _ *frame.Histogram, cut bool) {
+func (bl *boundaryList) visit(i int, _ *frame.Histogram, cut bool, _ int) {
 	if cut {
 		bl.out = append(bl.out, i)
 	}
@@ -225,7 +234,7 @@ func (bl *boundaryList) visit(i int, _ *frame.Histogram, cut bool) {
 
 // sweep runs the boundary pass over src for v.
 func (s *Sweeper) sweep(src frame.Source, threshold float64, v visitor) error {
-	s.d = Detector{threshold: threshold}
+	s.d = detector{threshold: threshold, prev: s.d.prev, anchor: s.d.anchor} // keeps the buffers
 	s.win.reset(0)
 	s.win.peak = 0
 	s.next, s.v = 0, v
@@ -236,6 +245,7 @@ func (s *Sweeper) sweep(src frame.Source, threshold float64, v visitor) error {
 	if s.next < src.Len() {
 		s.flush()
 	}
+	s.d.close()
 	return nil
 }
 
@@ -249,23 +259,14 @@ func (s *Sweeper) take(i int, im *frame.Image) error {
 }
 
 // flush histograms the frames taken since the last flush and feeds them to
-// the detector and the visitor in frame order.
+// the detector and the visitor in frame order. The detector copies what it
+// keeps, so the next batch overwrites every histogram of this one.
 func (s *Sweeper) flush() {
-	d := &s.d
 	s.hists = frame.HistogramsInto(s.hists, s.win.frames[s.next-s.win.base:], bins, s.Workers)
 	for _, h := range s.hists {
-		s.v.visit(s.next, h, d.FeedHistogram(h))
+		from, cut := s.d.feed(h)
+		s.v.visit(s.next, h, cut, from)
 		s.next++
-	}
-	// Every histogram of this batch can be overwritten by the next one
-	// except the two the detector still references, the previous frame's
-	// histogram and the gradual-transition anchor: those trade places with
-	// kept histograms the detector has let go of.
-	for i, h := range s.hists {
-		if h == d.prevHist || h == d.anchorHist {
-			s.hists[i] = s.spare()
-			s.kept = append(s.kept, h)
-		}
 	}
 }
 
@@ -295,7 +296,9 @@ func SegmentAndClassify(src frame.Source) ([]Shot, error) {
 // classifies every shot as it closes, holding only the frames of the
 // current shot and of the batch ahead of it. Each frame's colour histogram
 // is computed once, by the boundary pass; the court-colour vote and the
-// classifier read its summaries instead of recomputing them.
+// classifier read its summaries instead of recomputing them. A shot is
+// classified from its frames past the transition (mixing two shots) that
+// opened it.
 //
 // The court colour is the winner of the video's court-colour vote, which is
 // only final once the scan ends. A shot closes under the vote's winner so
@@ -315,7 +318,7 @@ func (s *Sweeper) SegmentAndClassify(src frame.Source) ([]Shot, error) {
 		return nil, err
 	}
 	if sg.start < n {
-		sg.close(n)
+		sg.close(n, s.d.settled)
 	}
 	final := sg.ballot.best
 	sg.cls.court = final
@@ -323,14 +326,14 @@ func (s *Sweeper) SegmentAndClassify(src frame.Source) ([]Shot, error) {
 		if sg.under[i] == final {
 			continue
 		}
-		s.win.reset(sh.Start)
-		if err := src.Scan(sh.Start, sh.End, func(_ int, im *frame.Image) error {
+		s.win.reset(sg.from[i])
+		if err := src.Scan(sg.from[i], sh.End, func(_ int, im *frame.Image) error {
 			s.win.push(im)
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		sg.shots[i].Class, sg.shots[i].Features = sg.cls.classifyShot(s.win.at, sg.color, sh.Start, sh.End, sg.sc)
+		sg.shots[i].Class, sg.shots[i].Features = sg.cls.classifyShot(s.win.at, sg.color, sg.from[i], sh.End, sg.sc)
 	}
 	s.win.reset(n)
 	return sg.shots, nil
@@ -348,28 +351,31 @@ type segmentation struct {
 	sc     *sampleScratch
 	start  int         // the first frame of the open shot
 	shots  []Shot      // the closed shots
+	from   []int       // the first frame each closed shot was classified from
 	under  []frame.RGB // the court colour each closed shot was classified under
 }
 
-func (sg *segmentation) visit(i int, h *frame.Histogram, cut bool) {
+func (sg *segmentation) visit(i int, h *frame.Histogram, cut bool, from int) {
 	sg.cs[i] = colorOf(h)
 	if i%sg.step == 0 {
 		sg.ballot.add(sg.cs[i])
 	}
 	if cut {
-		sg.close(i)
+		sg.close(i, from)
 	}
 }
 
 // color is frame i's colour summary, from the boundary pass.
 func (sg *segmentation) color(i int) frameColor { return sg.cs[i] }
 
-// close classifies the open shot, ending it at end, and drops its frames.
-func (sg *segmentation) close(end int) {
+// close classifies the open shot from its frames [from, end), ending it at
+// end, and drops its frames.
+func (sg *segmentation) close(end, from int) {
 	sg.cls.court = sg.ballot.best
 	shot := Shot{Start: sg.start, End: end}
-	shot.Class, shot.Features = sg.cls.classifyShot(sg.win.at, sg.color, sg.start, end, sg.sc)
+	shot.Class, shot.Features = sg.cls.classifyShot(sg.win.at, sg.color, from, end, sg.sc)
 	sg.shots = append(sg.shots, shot)
+	sg.from = append(sg.from, from)
 	sg.under = append(sg.under, sg.cls.court)
 	sg.win.drop(end)
 	sg.start = end

@@ -139,17 +139,19 @@ func courtThreshold(tol float64) int {
 
 // frameColor is what the detectors downstream of the boundary pass read of
 // a frame's colour histogram: the centre colour of its most populated cell,
-// that cell's share of the pixels, and the histogram's entropy.
+// that cell's share of the pixels, the histogram's entropy, and the pixels
+// in its brightest cell (every channel >= 224): a court's white lines.
 type frameColor struct {
 	peak    frame.RGB
 	share   float64
 	entropy float64
+	lines   float64
 }
 
 // colorOf summarises a colour histogram.
 func colorOf(h *frame.Histogram) frameColor {
 	peak, share := h.Peak()
-	return frameColor{peak: peak, share: share, entropy: h.Entropy()}
+	return frameColor{peak: peak, share: share, entropy: h.Entropy(), lines: h.Counts[len(h.Counts)-1]}
 }
 
 // videoColors is a video's per-frame colour summary, one per frame in
@@ -300,16 +302,18 @@ func (cs videoColors) courtColor() (frame.RGB, bool) {
 // chromatic candidates (HSV saturation >= voteSaturationMin) are counted:
 // playing surfaces (green, blue, clay) are saturated, while the near-grey
 // backgrounds of close-ups and crowd shots are not, and would otherwise
-// outvote the court in videos with few playing shots. The winner so far is
-// kept as the votes arrive, under a total order — most votes, then R, G, B
-// ascending — so that a tie does not fall to map iteration order: the same
-// frames must index the same way on every run, or a WAL replay would not
-// rebuild what the live commit built. Only the colour a vote counts can
-// overtake the winner, so the running winner is the winner of the votes
-// counted so far.
+// outvote the court in videos with few playing shots. A tie in votes goes
+// to the colour whose voting frames hold more line pixels (frameColor.lines):
+// a court has white lines painted on it, a flat backdrop has none. A tie in
+// both stays with the colour that reached it first. The frames vote in
+// frame order, so the same frames elect the same colour on every run, or a
+// WAL replay would not rebuild what the live commit built. The winner so
+// far is kept as the votes arrive; only the colour a vote counts can
+// overtake it, so it is the winner of the votes counted so far.
 type courtBallot struct {
 	votes map[frame.RGB]int
-	best  frame.RGB // zero until a frame votes
+	lines map[frame.RGB]float64 // the line pixels of each colour's voting frames
+	best  frame.RGB             // zero until a frame votes
 	bestN int
 }
 
@@ -325,21 +329,11 @@ func (b *courtBallot) add(fc frameColor) {
 		return
 	}
 	if b.votes == nil {
-		b.votes = map[frame.RGB]int{}
+		b.votes, b.lines = map[frame.RGB]int{}, map[frame.RGB]float64{}
 	}
 	b.votes[fc.peak]++
-	if n := b.votes[fc.peak]; n > b.bestN || n == b.bestN && lessRGB(fc.peak, b.best) {
+	b.lines[fc.peak] += fc.lines
+	if n := b.votes[fc.peak]; n > b.bestN || n == b.bestN && b.lines[fc.peak] > b.lines[b.best] {
 		b.best, b.bestN = fc.peak, n
 	}
-}
-
-// lessRGB orders colours by R, then G, then B.
-func lessRGB(a, b frame.RGB) bool {
-	if a.R != b.R {
-		return a.R < b.R
-	}
-	if a.G != b.G {
-		return a.G < b.G
-	}
-	return a.B < b.B
 }

@@ -11,10 +11,10 @@ import (
 // feedReference is the pre-reuse streaming path: one fresh histogram per
 // frame, no scratch recycling. The reuse paths must match it exactly.
 func feedReference(frames []*frame.Image, threshold float64) []int {
-	d := &Detector{threshold: threshold}
+	d := detector{threshold: threshold}
 	var out []int
 	for i, im := range frames {
-		if d.FeedHistogram(frame.HistogramOf(im, bins)) {
+		if _, cut := d.feed(frame.HistogramOf(im, bins)); cut {
 			out = append(out, i)
 		}
 	}
@@ -22,11 +22,12 @@ func feedReference(frames []*frame.Image, threshold float64) []int {
 }
 
 // TestDetectBoundariesChunkRecycleMatchesReference drives Sweeper.Detect
-// across multiple chunks (frames > ahead) so chunk recycling actually
-// exercises the prev/anchor retention logic, and cross-checks the result
+// across multiple chunks (frames > ahead) so that the next batch overwrites
+// the histograms of one the detector has read, and cross-checks the result
 // against the per-frame reference. The wipe's transition run opens in the
-// second batch and closes in the third, so its anchor histogram is held
-// across a batch.
+// second batch and closes in the third, and the dissolve's and the fade's
+// run over [18,30) in the second and the third, so a run's anchor and state
+// are held across a batch.
 func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 	cfg := synth.DefaultConfig(78)
 	cfg.Shots = 12
@@ -39,7 +40,9 @@ func TestDetectBoundariesChunkRecycleMatchesReference(t *testing.T) {
 	for len(frames) <= 2*ahead {
 		frames = append(frames, v.Frames...)
 	}
-	for _, frames := range [][]*frame.Image{frames, wipeFrames(10)} {
+	dissolved, _, _ := transitionFrames(t, 12, dissolve)
+	faded, _, _ := transitionFrames(t, 12, fade)
+	for _, frames := range [][]*frame.Image{frames, wipeFrames(10), dissolved, faded} {
 		for _, th := range []float64{Threshold, 0.2} {
 			want := feedReference(frames, th)
 			if got := new(Sweeper).Detect(frames, th); !slices.Equal(got, want) {

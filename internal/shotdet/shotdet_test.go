@@ -1,6 +1,7 @@
 package shotdet
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -143,6 +144,80 @@ func TestGradualTransitionDetected(t *testing.T) {
 	}
 }
 
+// blend is a per-byte mix of a and b at weight w of b.
+func blend(a, b *frame.Image, w float64) *frame.Image {
+	out := frame.New(a.W, a.H)
+	for i := range out.Pix {
+		out.Pix[i] = uint8(math.Round((1-w)*float64(a.Pix[i]) + w*float64(b.Pix[i])))
+	}
+	return out
+}
+
+// dissolve cross-fades linearly: frame k of n holds (k+1)/(n+1) of b.
+func dissolve(a, b *frame.Image, k, n int) *frame.Image {
+	return blend(a, b, float64(k+1)/float64(n+1))
+}
+
+// fade goes through black: the first half of the n frames dims a to black,
+// the second brings b up from it.
+func fade(a, b *frame.Image, k, n int) *frame.Image {
+	half := n / 2
+	black := frame.New(a.W, a.H)
+	if k < half {
+		return blend(a, black, float64(k+1)/float64(half))
+	}
+	return blend(black, b, float64(k-half+1)/float64(n-half))
+}
+
+// transitionFrames is a two-shot broadcast (a rally, then a crowd) whose
+// cut is replaced by an n-frame transition that mixes the rally's last n
+// frames with the crowd's first n; it returns the frames, the
+// transition's first frame and the two shots' true classes.
+func transitionFrames(t *testing.T, n int, mix func(a, b *frame.Image, k, n int) *frame.Image) ([]*frame.Image, int, [2]synth.ShotClass) {
+	t.Helper()
+	v := genVideo(t, 33, 2)
+	s := v.Truth.Shots
+	if s[0].Len() <= 2*n || s[1].Len() <= 2*n {
+		t.Fatalf("fixture: shots %v too short for a %d-frame transition", s, n)
+	}
+	frames := append([]*frame.Image(nil), v.Frames[:s[0].End]...)
+	tail := frames[s[0].End-n:]
+	for k := range tail {
+		tail[k] = mix(tail[k], v.Frames[s[1].Start+k], k, n)
+	}
+	return append(frames, v.Frames[s[1].Start+n:]...), s[0].End - n, [2]synth.ShotClass{s[0].Class, s[1].Class}
+}
+
+// TestTransitionIsOneBoundary: a dissolve and a fade through black, each of
+// whose neighbouring frames may differ by more than Threshold, are one
+// boundary each, inside the transition, and the shots on either side keep
+// their classes. Neither is one boundary under a rule that cuts wherever
+// neighbouring frames differ by more than Threshold.
+func TestTransitionIsOneBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mix  func(a, b *frame.Image, k, n int) *frame.Image
+	}{{"dissolve", dissolve}, {"fade", fade}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 12
+			frames, start, classes := transitionFrames(t, n, tc.mix)
+			got := new(Sweeper).Detect(frames, Threshold)
+			if len(got) != 1 || got[0] < start || got[0] >= start+n {
+				t.Fatalf("transition [%d,%d): boundaries %v, want one inside it", start, start+n, got)
+			}
+			shots := segmentAll(t, frames)
+			if len(shots) != 2 || shots[1].Start != got[0] {
+				t.Fatalf("shots %v, want two split at %d", shots, got[0])
+			}
+			for i, sh := range shots {
+				if sh.Class.String() != classes[i].String() {
+					t.Errorf("shot %v classified %s, want %s", sh, sh.Class, classes[i])
+				}
+			}
+		})
+	}
+}
+
 func TestSegmentCoversAllFrames(t *testing.T) {
 	v := genVideo(t, 25, 7)
 	shots := segmentAll(t, v.Frames)
@@ -238,7 +313,7 @@ func TestClassifyShotDegenerateRanges(t *testing.T) {
 	}
 }
 
-func TestEstimateCourtColor(t *testing.T) {
+func TestCourtBallotFindsCourt(t *testing.T) {
 	v := genVideo(t, 28, 10)
 	got, ok := recomputedColors(v.Frames).courtColor()
 	if !ok {
@@ -249,7 +324,7 @@ func TestEstimateCourtColor(t *testing.T) {
 	}
 }
 
-func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
+func TestCourtBallotCloseUpHeavyVideo(t *testing.T) {
 	// Regression: in videos where close-ups outnumber playing shots, the
 	// near-grey close-up background used to outvote the court colour (its
 	// gradient midpoint cell can hold >30% of pixels). The saturation gate
@@ -277,34 +352,42 @@ func TestEstimateCourtColorCloseUpHeavyVideo(t *testing.T) {
 	}
 }
 
-// TestEstimateCourtColorTieIsDeterministic: a video with as many frames
-// dominated by one saturated colour as by another (a court shot and a
-// reaction shot against a coloured backdrop, say) must estimate the same
-// colour on every call — the lowest under (R, G, B) — not whichever the
-// vote map happens to yield first.
-func TestEstimateCourtColorTieIsDeterministic(t *testing.T) {
-	backdrop := frame.RGB{R: 200, G: 40, B: 40}
-	var frames []*frame.Image
-	for _, c := range []frame.RGB{backdrop, synth.CourtColor, synth.CourtColor, backdrop} {
-		im := frame.New(32, 32)
-		im.Fill(c)
-		frames = append(frames, im)
+// TestCourtBallotTieGoesToCourt: a video with as many voting frames
+// dominated by the court colour as by a saturated backdrop must elect the
+// court, whose frames hold its white lines, whether the backdrop's colour
+// cell orders before or after the court's and whether the backdrop comes
+// first or last.
+func TestCourtBallotTieGoesToCourt(t *testing.T) {
+	court, _, _, _, err := synth.RenderTennisShot(synth.DefaultConfig(29), "rally", 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, ok := recomputedColors(frames[1:3]).courtColor() // the court's histogram cell
+	want, ok := recomputedColors(court).courtColor()
 	if !ok || frame.ColorDist(want, synth.CourtColor) > 40 {
 		t.Fatalf("court-only estimate = %v, %t", want, ok)
 	}
-	if other, _ := recomputedColors(frames[:1]).courtColor(); !lessRGB(want, other) {
-		t.Fatalf("fixture: court cell %v should order before backdrop cell %v", want, other)
-	}
-	for i := 0; i < 50; i++ {
-		if got, ok := recomputedColors(frames).courtColor(); !ok || got != want {
-			t.Fatalf("call %d: tied vote estimated %v, want %v", i, got, want)
+	for _, c := range []frame.RGB{{R: 200, G: 40, B: 40}, {R: 20, G: 60, B: 200}} {
+		backdrop := flatFrames(c, len(court), 30)
+		for name, frames := range map[string][]*frame.Image{
+			"court first":    append(append([]*frame.Image(nil), court...), backdrop...),
+			"backdrop first": append(append([]*frame.Image(nil), backdrop...), court...),
+		} {
+			var b courtBallot
+			for _, fc := range recomputedColors(frames) { // every frame votes
+				b.add(fc)
+			}
+			other, _ := recomputedColors(backdrop).courtColor()
+			if b.votes[want] != b.votes[other] {
+				t.Fatalf("fixture: backdrop %v, %s: votes %v do not tie", c, name, b.votes)
+			}
+			if got, ok := recomputedColors(frames).courtColor(); !ok || got != want {
+				t.Errorf("backdrop %v, %s: tied vote elected %v, want the court's %v", c, name, got, want)
+			}
 		}
 	}
 }
 
-func TestEstimateCourtColorNoDominant(t *testing.T) {
+func TestCourtBallotNoDominant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	frames := make([]*frame.Image, 10)
 	for i := range frames {
@@ -330,9 +413,9 @@ func TestClassStringParse(t *testing.T) {
 }
 
 func TestStreamingDetectorFirstFrame(t *testing.T) {
-	d := &Detector{threshold: Threshold}
+	d := detector{threshold: Threshold}
 	im := frame.New(16, 16)
-	if d.FeedHistogram(frame.HistogramOf(im, bins)) {
+	if _, cut := d.feed(frame.HistogramOf(im, bins)); cut {
 		t.Fatal("first frame yielded a boundary")
 	}
 }
