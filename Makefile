@@ -24,14 +24,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Time-boxed run of the ten fuzz targets (go test -fuzz takes one target
+# Time-boxed run of the eleven fuzz targets (go test -fuzz takes one target
 # and one package at a time). The segfile openers are the only door persisted
 # bytes come in through (FuzzMetaSegfileOpen also feeds its input to the
 # meta-index table decoder), the query parser and cursor decoder the only ones
 # for request text, and the SVF decoder the one for the video a commit names;
 # FuzzAnalyze holds the build's one-analysis path to the query-side chain,
-# FuzzTopKMatchesDense the text lane's top-k kernel to its dense scan, and
-# FuzzQuadSegment the tracker's segmentation kernel to its per-pixel oracle.
+# FuzzTopKMatchesDense the text lane's top-k kernel to its dense scan and
+# FuzzQuadSegment the tracker's segmentation kernel to its per-pixel oracle,
+# and FuzzRegisterCourt feeds frames of any size to the court registration
+# every frame of a tennis shot goes through.
 # -fuzzminimizetime=1s caps how long the fuzzer minimizes each new
 # interesting input: at Go's default of 60 s a target with large seeds
 # (FuzzSegfileOpen) spends most of its 5 s minimizing the first new input
@@ -48,6 +50,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzParseRequest$$' ./internal/dlse
 	$(FUZZ) -fuzz='^FuzzCursor$$' ./internal/dlse
 	$(FUZZ) -fuzz='^FuzzQuadSegment$$' ./internal/track
+	$(FUZZ) -fuzz='^FuzzRegisterCourt$$' ./internal/track
 
 # Full benchmark run with the experiment tables.
 bench:

@@ -176,16 +176,23 @@ func eventDetector(det, kind string) Impl {
 }
 
 // TrackToSeries converts tennis-detector output into the state series the
-// rule engine consumes.
+// rule engine consumes, in court coordinates: each position and velocity is
+// mapped through the camera of its frame (track.ShotResult.Camera), so the
+// rules read the court the standard framing shows whatever the camera did.
 func TrackToSeries(res track.ShotResult) rules.Series {
 	conv := func(tr track.Track) []rules.State {
 		out := make([]rules.State, len(tr.Obs))
+		prev := res.Camera(0)
 		for i, o := range tr.Obs {
+			cam := res.Camera(i)
+			x, y := cam.Court(o.X, o.Y)
+			vx, vy := cam.Velocity(prev, o.X, o.Y, o.VX, o.VY)
 			out[i] = rules.State{
-				Found: o.Found, X: o.X, Y: o.Y, VX: o.VX, VY: o.VY,
+				Found: o.Found, X: x, Y: y, VX: vx, VY: vy,
 				Area: o.Shape.Area, Orientation: o.Shape.Orientation,
 				Eccentricity: o.Shape.Eccentricity, Aspect: o.Shape.AspectRatio(),
 			}
+			prev = cam
 		}
 		return out
 	}

@@ -26,7 +26,7 @@ func TestSpeedSmoothingWindow(t *testing.T) {
 
 func TestSmoothSpeedsWindowOne(t *testing.T) {
 	states := []State{{Found: true, VX: 3, VY: 4}}
-	speeds := smoothSpeeds(Series{"o": states}, 0) // clamps to 1
+	speeds := smoothSpeeds(Series{"o": states}, 1)
 	if speeds["o"][0] != 5 {
 		t.Fatalf("speed = %v, want 5", speeds["o"][0])
 	}

@@ -6,9 +6,11 @@ import (
 	"sort"
 )
 
-// Geometry describes the court zones the rules reason over. It mirrors the
-// calibrated broadcast-camera geometry (the original system hard-wired the
-// tournament's camera setup the same way).
+// Geometry describes the court zones the rules reason over, in court
+// coordinates: the pixels of the standard broadcast framing, which the
+// original system hard-wired as its tournament's camera. The tennis
+// detector registers every frame to that framing (track.Camera), so the
+// zones describe the court, not whatever the camera shows.
 type Geometry struct {
 	// CourtX0, CourtY0, CourtX1, CourtY1 bound the playing surface.
 	CourtX0, CourtY0, CourtX1, CourtY1 float64
@@ -22,9 +24,8 @@ type Geometry struct {
 	BaseDepth float64
 }
 
-// StandardGeometry derives the canonical geometry for a w×h frame, matching
-// the fixed broadcast framing of the synthetic generator (see
-// synth.CourtGeometry); the two must stay consistent.
+// StandardGeometry is the court model for w×h frames: the court as the
+// standard framing of that size shows it.
 func StandardGeometry(w, h int) Geometry {
 	x0 := float64(w) * 3 / 16
 	x1 := float64(w) * 13 / 16
@@ -91,21 +92,27 @@ type Detection struct {
 	Start, End int
 	// Object is the actor object name.
 	Object string
-	// Confidence is the fraction of frames in [Start, End) where the rule
-	// condition actually held (gaps tolerated by MaxGap lower it).
+	// Confidence is the fraction of the frames in [Start, End) with every
+	// object found where the rule condition actually held (gaps tolerated
+	// by maxGap lower it).
 	Confidence float64
 }
 
-// Engine evaluates a rule set over object state series.
+const (
+	// maxGap merges condition runs separated by at most this many frames
+	// where the condition fails, tolerating tracker glitches.
+	maxGap = 4
+	// speedWindow is the smoothing window (frames) of the speed attribute.
+	speedWindow = 5
+)
+
+// Engine evaluates a rule set over object state series. A frame where an
+// object a rule names is not found is unknown to that rule: it neither
+// holds nor fails, so no event starts or ends on it and it does not count
+// towards a gap.
 type Engine struct {
 	rules []Rule
 	geom  Geometry
-	// MaxGap merges condition runs separated by at most this many
-	// non-holding frames, tolerating tracker glitches (default 4).
-	MaxGap int
-	// SpeedWindow is the smoothing window (frames) for the speed
-	// attribute (default 5).
-	SpeedWindow int
 }
 
 // NewEngine builds an engine; rules must use zones known to the geometry.
@@ -116,7 +123,7 @@ func NewEngine(rs []Rule, g Geometry) (*Engine, error) {
 	if err := Validate(rs, g); err != nil {
 		return nil, err
 	}
-	return &Engine{rules: rs, geom: g, MaxGap: 4, SpeedWindow: 5}, nil
+	return &Engine{rules: rs, geom: g}, nil
 }
 
 // evalCtx is the per-frame evaluation context.
@@ -155,37 +162,39 @@ func (c *evalCtx) speed(obj string) float64 {
 	return sp[c.frame]
 }
 
-// smoothSpeeds precomputes windowed-mean speeds per object.
+// smoothSpeeds precomputes windowed-mean speeds per object, over the
+// frames of each window where the object is found.
 func smoothSpeeds(series Series, window int) map[string][]float64 {
-	if window < 1 {
-		window = 1
-	}
 	out := make(map[string][]float64, len(series))
 	for name, states := range series {
-		raw := make([]float64, len(states))
-		for i, s := range states {
-			raw[i] = math.Hypot(s.VX, s.VY)
-		}
 		sm := make([]float64, len(states))
-		for i := range raw {
-			lo := i - window/2
-			if lo < 0 {
-				lo = 0
-			}
-			hi := i + window/2 + 1
-			if hi > len(raw) {
-				hi = len(raw)
-			}
+		for i := range states {
 			var sum float64
-			for k := lo; k < hi; k++ {
-				sum += raw[k]
+			n := 0
+			for _, s := range states[max(i-window/2, 0):min(i+window/2+1, len(states))] {
+				if s.Found {
+					sum += math.Hypot(s.VX, s.VY)
+					n++
+				}
 			}
-			sm[i] = sum / float64(hi-lo)
+			if n > 0 {
+				sm[i] = sum / float64(n)
+			}
 		}
 		out[name] = sm
 	}
 	return out
 }
+
+// A verdict is a rule's condition on one frame.
+type verdict int8
+
+const (
+	// unknown: an object the rule names is not found.
+	unknown verdict = iota
+	fails
+	holds
+)
 
 // Detect runs every rule over the series and returns all detections sorted
 // by (start, kind). length is the shot length in frames; series shorter
@@ -193,17 +202,24 @@ func smoothSpeeds(series Series, window int) map[string][]float64 {
 func (e *Engine) Detect(series Series, length int) []Detection {
 	ctx := &evalCtx{
 		series: series,
-		speeds: smoothSpeeds(series, e.SpeedWindow),
+		speeds: smoothSpeeds(series, speedWindow),
 		geom:   e.geom,
 	}
 	var out []Detection
 	for _, r := range e.rules {
-		holds := make([]bool, length)
-		for f := 0; f < length; f++ {
+		v := make([]verdict, length)
+		for f := range v {
 			ctx.frame = f
-			holds[f] = ctx.allFound(r.Objects) && r.Cond.eval(ctx)
+			switch {
+			case !ctx.allFound(r.Objects):
+				v[f] = unknown
+			case r.Cond.eval(ctx):
+				v[f] = holds
+			default:
+				v[f] = fails
+			}
 		}
-		out = append(out, runsToDetections(r, holds, e.MaxGap)...)
+		out = append(out, runsToDetections(r, v, maxGap)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
@@ -214,31 +230,30 @@ func (e *Engine) Detect(series Series, length int) []Detection {
 	return out
 }
 
-// runsToDetections converts a per-frame condition series into maximal runs,
-// merging gaps of at most maxGap frames, and keeps runs of at least MinLen.
-func runsToDetections(r Rule, holds []bool, maxGap int) []Detection {
+// runsToDetections converts a per-frame verdict series into maximal runs
+// of holding frames, merging gaps of at most maxGap failing frames and
+// passing over unknown ones, and keeps runs of at least MinLen frames.
+func runsToDetections(r Rule, v []verdict, maxGap int) []Detection {
 	var out []Detection
 	i := 0
-	for i < len(holds) {
-		if !holds[i] {
+	for i < len(v) {
+		if v[i] != holds {
 			i++
 			continue
 		}
-		// Start of a run; extend across small gaps.
-		start := i
-		end := i + 1
-		held := 1
+		// Start of a run; extend across small gaps and unknown frames.
+		start, end := i, i+1
+		held, known := 1, 1
 		gap := 0
-		for j := i + 1; j < len(holds); j++ {
-			if holds[j] {
+		for j := i + 1; j < len(v) && gap <= maxGap; j++ {
+			switch v[j] {
+			case holds:
 				end = j + 1
 				held++
+				known += gap + 1
 				gap = 0
-			} else {
+			case fails:
 				gap++
-				if gap > maxGap {
-					break
-				}
 			}
 		}
 		if end-start >= r.MinLen {
@@ -246,10 +261,10 @@ func runsToDetections(r Rule, holds []bool, maxGap int) []Detection {
 				Kind:  r.Kind,
 				Start: start, End: end,
 				Object:     r.Object,
-				Confidence: float64(held) / float64(end-start),
+				Confidence: float64(held) / float64(known),
 			})
 		}
-		i = end + maxGap
+		i = end
 	}
 	return out
 }

@@ -4,10 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/frame"
-	"repro/internal/synth"
-	"repro/internal/track"
 )
 
 func geom() Geometry { return StandardGeometry(160, 120) }
@@ -211,13 +207,16 @@ func TestDetectServiceStance(t *testing.T) {
 
 func TestGapMerging(t *testing.T) {
 	g := geom()
-	e, _ := NewEngine(MustParse("event z when in(near, netzone) for 20"), g)
+	rs := MustParse("event z when in(near, netzone) for 20")
+	e, _ := NewEngine(rs, g)
 	states := make([]State, 40)
+	v := make([]verdict, 40)
 	for i := range states {
-		states[i] = State{Found: true, X: 80, Y: g.NetY}
-		// Tracking glitches: 2-frame dropouts every 10 frames.
+		states[i], v[i] = State{Found: true, X: 80, Y: g.NetY}, holds
+		// Tracking glitches: 2-frame excursions out of the zone every 10
+		// frames.
 		if i%10 == 4 || i%10 == 5 {
-			states[i].Found = false
+			states[i].Y, v[i] = g.NearBaseY, fails
 		}
 	}
 	dets := e.Detect(Series{"near": states}, 40)
@@ -227,10 +226,20 @@ func TestGapMerging(t *testing.T) {
 	if dets[0].Confidence >= 1 || dets[0].Confidence < 0.7 {
 		t.Fatalf("confidence %.2f should reflect gaps", dets[0].Confidence)
 	}
-	// With MaxGap 0 the runs are too short to fire.
-	e.MaxGap = 0
-	if dets := e.Detect(Series{"near": states}, 40); len(dets) != 0 {
-		t.Fatalf("MaxGap=0 still detected: %+v", dets)
+	// With maxGap 0 the runs are too short to fire.
+	if dets := runsToDetections(rs[0], v, 0); len(dets) != 0 {
+		t.Fatalf("maxGap=0 still detected: %+v", dets)
+	}
+
+	// A run of frames where the object is not found, longer than any gap,
+	// is unknown: the event runs across it at full confidence, no event
+	// starts at its edge, and the event ends on the last frame it held.
+	for i := range states {
+		states[i] = State{Found: i < 10 || i >= 26 && i < 36, X: 80, Y: g.NetY}
+	}
+	dets = e.Detect(Series{"near": states}, 40)
+	if len(dets) != 1 || dets[0].Start != 0 || dets[0].End != 36 || dets[0].Confidence != 1 {
+		t.Fatalf("an unknown run inside the event: %+v, want one event [0,36) at confidence 1", dets)
 	}
 }
 
@@ -272,78 +281,4 @@ func TestRuleString(t *testing.T) {
 	if back[0].Kind != "z" || back[0].MinLen != 7 {
 		t.Fatalf("round trip = %+v", back[0])
 	}
-}
-
-// trackToSeries converts tracker output to rule-engine series; mirrored by
-// the FDE wiring.
-func trackToSeries(res track.ShotResult) Series {
-	conv := func(tr track.Track) []State {
-		out := make([]State, len(tr.Obs))
-		for i, o := range tr.Obs {
-			out[i] = State{
-				Found: o.Found, X: o.X, Y: o.Y, VX: o.VX, VY: o.VY,
-				Area: o.Shape.Area, Orientation: o.Shape.Orientation,
-				Eccentricity: o.Shape.Eccentricity, Aspect: o.Shape.AspectRatio(),
-			}
-		}
-		return out
-	}
-	return Series{"near": conv(res.Near), "far": conv(res.Far)}
-}
-
-func TestEndToEndEventDetection(t *testing.T) {
-	// The full pipeline on all three scripts: render → track → infer, then
-	// check the inferred events match the scripted truth.
-	for _, script := range synth.Scripts() {
-		cfg := synth.DefaultConfig(77)
-		frames, _, _, truth, err := synth.RenderTennisShot(cfg, script, 70)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := new(track.ShotTracker).TrackShot(frame.Frames(frames), 0, len(frames))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(TennisRules(), StandardGeometry(cfg.W, cfg.H))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dets := e.Detect(trackToSeries(res), len(frames))
-		for _, want := range truth {
-			matched := false
-			for _, d := range dets {
-				if d.Kind != string(want.Kind) {
-					continue
-				}
-				// IoU of the intervals.
-				inter := minInt(d.End, want.End) - maxInt(d.Start, want.Start)
-				if inter <= 0 {
-					continue
-				}
-				union := (d.End - d.Start) + (want.End - want.Start) - inter
-				if float64(inter)/float64(union) >= 0.5 {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Errorf("%s: truth event %s [%d,%d) unmatched; detections: %+v",
-					script, want.Kind, want.Start, want.End, dets)
-			}
-		}
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

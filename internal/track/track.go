@@ -189,6 +189,11 @@ type bgTable struct {
 	words            int
 	r, g, b          []uint64
 	lumaMin, lumaMax float64
+	// means are the clusters' mean colours, for nearest.
+	means []frame.RGB
+	// lineG is the least green of a colour brighter than lumaMax (256 if
+	// none is): bright's quick test.
+	lineG int
 }
 
 func newBGTable(bg *Background, cfg *config) *bgTable {
@@ -201,8 +206,13 @@ func newBGTable(bg *Background, cfg *config) *bgTable {
 		b:       cells[512*words:],
 		lumaMin: cfg.lumaMin,
 		lumaMax: cfg.lumaMax,
+		means:   make([]frame.RGB, len(bg.Clusters)),
+	}
+	for t.lineG < 256 && frame.Luma(frame.RGB{R: 255, G: uint8(t.lineG), B: 255}) <= t.lumaMax {
+		t.lineG++
 	}
 	for i, cl := range bg.Clusters {
+		t.means[i] = cl.Mean()
 		word, bit := i/64, uint64(1)<<(i%64)
 		for ch, tab := range [3][]uint64{t.r, t.g, t.b} {
 			for v := 0; v < 256; v++ {
@@ -225,6 +235,17 @@ func (t *bgTable) match(cr, cg, cb uint8) bool {
 		}
 	}
 	return false
+}
+
+// nearest is the index of the cluster whose mean colour is nearest c.
+func (t *bgTable) nearest(c frame.RGB) int {
+	best, bestD := -1, math.Inf(1)
+	for i, m := range t.means {
+		if d := frame.ColorDist(c, m); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
 }
 
 // foreground reports whether one pixel is foreground: inside the luminance
@@ -370,7 +391,9 @@ type Observation struct {
 	Found bool
 	// X, Y is the player's mass centre.
 	X, Y float64
-	// VX, VY is the instantaneous velocity estimate (pixels/frame).
+	// VX, VY is the velocity estimate (pixels/frame): the change since
+	// the frame before, or, the first frame the player is found again after
+	// a loss, the mean change per frame since they were last found.
 	VX, VY float64
 	// Shape holds the standard shape features of the segmented player.
 	Shape frame.Shape
@@ -386,69 +409,157 @@ type Track struct {
 	LostFrames int
 }
 
+// Re-acquisition. A player the tracker has lost is searched for in a
+// window around the prediction, coasted in court coordinates, that grows
+// with every lost frame, and a component is taken for the player only if
+// the re-acquisition gate admits it: no larger than reacquireArea times the
+// largest area the player was found with, and dominated by a colour within
+// reacquireColour of the player's first dominant (shirt) colour. An
+// occluder or the other player standing over the prediction is refused.
+const (
+	// lostGrowth is how many pixels the search window grows a side for
+	// every frame the player has been lost: about the farthest a player
+	// moves in a frame.
+	lostGrowth = 6
+	// reacquireArea bounds a re-acquired component's area, in multiples of
+	// the largest area the player was found with.
+	reacquireArea = 2
+	// reacquireColour is the largest distance from the player's first
+	// dominant colour to a re-acquired component's.
+	reacquireColour = 60
+	// cutMargin is how near the frame's edge a component reaches to count
+	// as cut by it: the opening strips a row or two off a component there.
+	cutMargin = 2
+)
+
 // Tracker follows a single player with a constant-velocity predictor and a
-// local search window, as the paper describes.
+// local search window, as the paper describes. It predicts in court
+// coordinates (see Camera), so a moving camera does not read as player
+// motion. A player whose prediction has left the frame by more than
+// searchRadius is reported absent (not found) without a search.
 type Tracker struct {
-	cfg   config
-	pos   Observation
+	cfg config
+	// seen is the last observation the player was found in, as the
+	// camera saw it, and sx, sy its court position.
+	seen   Observation
+	sx, sy float64
+	// x, y is the court position of the last prediction (seen's, or where
+	// the player coasted since) and vx, vy the court velocity.
+	x, y, vx, vy float64
+	// size and shirt are the re-acquisition gate's: the largest area the
+	// player was found with and their first dominant colour.
+	size  int
+	shirt frame.RGB
+	// lost counts the frames since seen.
+	lost  int
 	scale float64 // 1.0 near player, <1 far player (smaller area gate)
 	s     *scratch
 }
 
-// newTracker builds a tracker from an initial observation on s, whose
-// background tables must have been built for cfg.
-// scale shrinks the component-area gate for the smaller far player (1 for
-// the near player, ~0.5 for the far player).
-func newTracker(cfg config, initial Observation, scale float64, s *scratch) *Tracker {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &Tracker{cfg: cfg, pos: initial, scale: scale, s: s}
+// newTracker builds a tracker from an initial observation, seen through
+// cam, on s, whose background tables must have been built for cfg. scale
+// shrinks the component-area gate for the smaller far player (1 for the
+// near player, ~0.5 for the far player).
+func newTracker(cfg config, initial Observation, cam Camera, scale float64, s *scratch) *Tracker {
+	t := &Tracker{cfg: cfg, seen: initial, size: initial.Shape.Area, shirt: initial.Dominant, scale: scale, s: s}
+	t.x, t.y = cam.Court(initial.X, initial.Y)
+	t.sx, t.sy = t.x, t.y
+	return t
 }
 
-// minArea returns the component-area gate for this tracker.
-func (t *Tracker) minArea() int {
-	a := int(float64(t.cfg.minArea) * t.scale * t.scale)
-	if a < 4 {
-		a = 4
-	}
-	return a
+// minArea is the component-area gate for a player tracked at scale.
+func minArea(cfg *config, scale float64) int {
+	return max(int(float64(cfg.minArea)*scale*scale), 4)
 }
 
-// Feed processes the next frame and returns the new observation.
-func (t *Tracker) Feed(im *frame.Image, frameIdx int) Observation {
-	predX := t.pos.X + t.pos.VX
-	predY := t.pos.Y + t.pos.VY
-	r := t.cfg.searchRadius
-	window := frame.Rect{
-		X0: int(predX) - r, Y0: int(predY) - r,
-		X1: int(predX) + r, Y1: int(predY) + r,
+// Feed processes the next frame, seen through cam, and returns the new
+// observation.
+func (t *Tracker) Feed(im *frame.Image, frameIdx int, cam Camera) Observation {
+	predX, predY, in := t.predict(im, cam)
+	if !in {
+		return t.coast(frameIdx, predX, predY)
 	}
-	comps := t.s.segment(im, window, &t.cfg)
-	best, ok := selectComponent(comps, predX, predY, t.minArea())
-	if !ok {
-		// Coast on the prediction.
-		obs := Observation{
-			Frame: frameIdx, Found: false,
-			X: predX, Y: predY,
-			VX: t.pos.VX, VY: t.pos.VY,
+	comps := t.s.segment(im, t.window(predX, predY), &t.cfg)
+	for {
+		i, ok := selectComponent(comps, predX, predY, minArea(&t.cfg, t.scale))
+		if !ok {
+			return t.coast(frameIdx, predX, predY)
 		}
-		t.pos = obs
-		return obs
+		if obs := t.s.observe(im, comps[i], frameIdx); t.admits(obs) {
+			return t.found(im, cam, obs)
+		}
+		comps[i] = comps[len(comps)-1]
+		comps = comps[:len(comps)-1]
 	}
-	obs := t.s.observe(im, best, frameIdx)
-	obs.VX = obs.X - t.pos.X
-	obs.VY = obs.Y - t.pos.Y
-	t.pos = obs
+}
+
+// predict moves the court prediction on by a frame and returns where cam
+// shows it, and whether that is within searchRadius of im.
+func (t *Tracker) predict(im *frame.Image, cam Camera) (x, y float64, in bool) {
+	t.x, t.y = t.x+t.vx, t.y+t.vy
+	x, y = cam.frame(t.x, t.y)
+	r := float64(t.cfg.searchRadius)
+	return x, y, x >= -r && y >= -r && x < float64(im.W)+r && y < float64(im.H)+r
+}
+
+// window is the search window around the prediction (x, y): searchRadius
+// a side, and lostGrowth more for every frame the player has been lost.
+func (t *Tracker) window(x, y float64) frame.Rect {
+	r := t.cfg.searchRadius + lostGrowth*t.lost
+	return frame.Rect{X0: int(x) - r, Y0: int(y) - r, X1: int(x) + r, Y1: int(y) + r}
+}
+
+// coast keeps the player on the prediction, seen at (x, y).
+func (t *Tracker) coast(frameIdx int, x, y float64) Observation {
+	t.lost++
+	return Observation{
+		Frame: frameIdx, Found: false,
+		X: x, Y: y,
+		VX: t.seen.VX, VY: t.seen.VY,
+	}
+}
+
+// found takes obs, the player found in im seen through cam. A component
+// within cutMargin of the frame's edge is cut by it: it shows only part of
+// the player, and its centre is off theirs along the cut axis, so along
+// that axis the court position stays the prediction and the player is taken
+// to stand still. An observation after lost frames carries the mean
+// velocity since seen.
+func (t *Tracker) found(im *frame.Image, cam Camera, obs Observation) Observation {
+	k := float64(t.lost + 1)
+	obs.VX = (obs.X - t.seen.X) / k
+	obs.VY = (obs.Y - t.seen.Y) / k
+	x, y := cam.Court(obs.X, obs.Y)
+	if b := obs.Shape.BBox; b.X0 > cutMargin && b.X1 < im.W-cutMargin {
+		t.x, t.vx = x, (x-t.sx)/k
+	} else {
+		t.vx = 0
+	}
+	if b := obs.Shape.BBox; b.Y0 > cutMargin && b.Y1 < im.H-cutMargin {
+		t.y, t.vy = y, (y-t.sy)/k
+	} else {
+		t.vy = 0
+	}
+	t.sx, t.sy = t.x, t.y
+	t.seen, t.lost = obs, 0
+	t.size = max(t.size, obs.Shape.Area)
 	return obs
 }
 
+// admits is the re-acquisition gate: it admits any observation while the
+// player is tracked, and after a loss only one of the player's size and
+// shirt colour.
+func (t *Tracker) admits(obs Observation) bool {
+	return t.lost == 0 ||
+		obs.Shape.Area <= reacquireArea*t.size && frame.ColorDist(obs.Dominant, t.shirt) <= reacquireColour
+}
+
 // selectComponent picks the component nearest the prediction among those
-// meeting the area gate, scoring by area/(1+dist).
-func selectComponent(comps []frame.Component, px, py float64, minArea int) (frame.Component, bool) {
+// meeting the area gate, scoring by area/(1+dist), and returns its index.
+func selectComponent(comps []frame.Component, px, py float64, minArea int) (int, bool) {
 	bestScore := -1.0
-	var best frame.Component
-	for _, c := range comps {
+	best := -1
+	for i, c := range comps {
 		if c.Area < minArea {
 			continue
 		}
@@ -456,10 +567,10 @@ func selectComponent(comps []frame.Component, px, py float64, minArea int) (fram
 		d := math.Hypot(cx-px, cy-py)
 		score := float64(c.Area) / (1 + d)
 		if score > bestScore {
-			bestScore, best = score, c
+			bestScore, best = score, i
 		}
 	}
-	return best, bestScore >= 0
+	return best, best >= 0
 }
 
 // ShotResult is the full output of the tennis detector over a shot.
@@ -468,6 +579,19 @@ type ShotResult struct {
 	Near, Far Track
 	// Background is the colour model estimated from the first frame.
 	Background Background
+	// Moves are the shot's changes of camera, in frame order; before the
+	// first the shot shows the standard framing, and an unmoved camera
+	// makes none.
+	Moves []Move
+}
+
+// Camera is the camera frame i of the shot is seen through.
+func (r *ShotResult) Camera(i int) Camera {
+	k := sort.Search(len(r.Moves), func(k int) bool { return r.Moves[k].Frame > i })
+	if k == 0 {
+		return standard
+	}
+	return r.Moves[k-1].Camera
 }
 
 // ShotTracker runs the tennis detector shot after shot through one working
@@ -480,10 +604,10 @@ type ShotTracker struct {
 
 // TrackShot runs the complete tennis detector over the playing shot
 // [start, end) of src: background estimation and initial quadratic
-// segmentation on the first frame, then predict-and-search tracking of both
-// players. It reads the shot in one scan and keeps no frame past its Scan
-// call, so it holds one decoded frame, never the shot. The only error is
-// the source's.
+// segmentation on the first frame, court registration on every frame, then
+// predict-and-search tracking of both players. It reads the shot in one
+// scan and keeps no frame past its Scan call, so it holds one decoded
+// frame, never the shot. The only error is the source's.
 func (t *ShotTracker) TrackShot(src frame.Source, start, end int) (ShotResult, error) {
 	return t.trackShot(src, start, end, defaults)
 }
@@ -493,17 +617,25 @@ func (t *ShotTracker) trackShot(src frame.Source, start, end int, cfg config) (S
 	var res ShotResult
 	s := &t.s
 	var near, far *Tracker
+	cam := standard
 	err := src.Scan(start, end, func(i int, im *frame.Image) error {
+		if i == start {
+			// One summed-area table of the first frame serves the
+			// background estimate and the initial segmentation over the
+			// whole frame.
+			s.sums.Reset(im, im.Bounds())
+			res.Background = estimateBackground(&s.sums, cfg)
+			s.bg = newBGTable(&res.Background, &cfg)
+		}
+		if c := s.register(im, cam); c != cam {
+			cam = c
+			res.Moves = append(res.Moves, Move{Frame: i - start, Camera: cam})
+		}
 		if i > start {
-			feedInto(&res.Near, near, im, i-start)
-			feedInto(&res.Far, far, im, i-start)
+			feedInto(&res.Near, near, im, i-start, cam)
+			feedInto(&res.Far, far, im, i-start, cam)
 			return nil
 		}
-		// One summed-area table of the first frame serves the background
-		// estimate and the initial segmentation over the whole frame.
-		s.sums.Reset(im, im.Bounds())
-		res.Background = estimateBackground(&s.sums, cfg)
-		s.bg = newBGTable(&res.Background, &cfg)
 		comps := s.segmentSums(im, &cfg)
 		// Split candidates by vertical half: the broadcast camera always has
 		// the near player in the lower half, the far player in the upper half.
@@ -519,8 +651,8 @@ func (t *ShotTracker) trackShot(src frame.Source, start, end int, cfg config) (S
 		}
 		sortByArea(lower)
 		sortByArea(upper)
-		near = s.initTracker(cfg, im, lower, 1.0)
-		far = s.initTracker(cfg, im, upper, 0.55)
+		near = s.initTracker(cfg, im, lower, cam, 1.0)
+		far = s.initTracker(cfg, im, upper, cam, 0.55)
 		res.Near.Obs = append(res.Near.Obs, firstObservation(near))
 		res.Far.Obs = append(res.Far.Obs, firstObservation(far))
 		return nil
@@ -528,13 +660,13 @@ func (t *ShotTracker) trackShot(src frame.Source, start, end int, cfg config) (S
 	return res, err
 }
 
-func feedInto(tr *Track, t *Tracker, im *frame.Image, i int) {
+func feedInto(tr *Track, t *Tracker, im *frame.Image, i int, cam Camera) {
 	if t == nil {
 		tr.Obs = append(tr.Obs, Observation{Frame: i})
 		tr.LostFrames++
 		return
 	}
-	obs := t.Feed(im, i)
+	obs := t.Feed(im, i, cam)
 	tr.Obs = append(tr.Obs, obs)
 	if !obs.Found {
 		tr.LostFrames++
@@ -545,16 +677,15 @@ func firstObservation(t *Tracker) Observation {
 	if t == nil {
 		return Observation{}
 	}
-	return t.pos
+	return t.seen
 }
 
 // initTracker starts a tracker, sharing s, on the largest of comps (sorted
 // by area) that passes the area gate.
-func (s *scratch) initTracker(cfg config, im *frame.Image, comps []frame.Component, scale float64) *Tracker {
-	minArea := int(float64(cfg.minArea) * scale * scale)
+func (s *scratch) initTracker(cfg config, im *frame.Image, comps []frame.Component, cam Camera, scale float64) *Tracker {
 	for _, c := range comps {
-		if c.Area >= minArea {
-			return newTracker(cfg, s.observe(im, c, 0), scale, s)
+		if c.Area >= minArea(&cfg, scale) {
+			return newTracker(cfg, s.observe(im, c, 0), cam, scale, s)
 		}
 	}
 	return nil

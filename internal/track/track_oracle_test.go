@@ -11,14 +11,9 @@ import (
 // The tracker the package shipped before the window-bounded one: every
 // frame gets a full-frame mask (foreground only inside the search window),
 // a full-frame Open, full-frame labelling and a copied-out sub-mask. Kept
-// only as the oracle the windowed tracker is checked against.
-
-type refTracker struct {
-	cfg   config
-	bg    Background
-	pos   Observation
-	scale float64
-}
+// only as the oracle the windowed tracker's segmentation and observations
+// are checked against: prediction, gates and registration are the
+// production Tracker's and scratch's.
 
 func refObserve(mask *frame.Mask, im *frame.Image, c frame.Component, frameIdx int) Observation {
 	cx, cy := c.Centroid()
@@ -41,29 +36,43 @@ func refObserve(mask *frame.Mask, im *frame.Image, c frame.Component, frameIdx i
 	return Observation{Frame: frameIdx, Found: true, X: cx, Y: cy, Shape: shape, Dominant: dom}
 }
 
-func (t *refTracker) feed(im *frame.Image, frameIdx int) Observation {
-	predX := t.pos.X + t.pos.VX
-	predY := t.pos.Y + t.pos.VY
-	r := t.cfg.searchRadius
-	window := frame.Rect{X0: int(predX) - r, Y0: int(predY) - r, X1: int(predX) + r, Y1: int(predY) + r}
-	mask := refQuadSegment(im, t.bg, window, t.cfg).ErodeInto(new(frame.Mask)).DilateInto(new(frame.Mask))
-	minArea := max(int(float64(t.cfg.minArea)*t.scale*t.scale), 4)
-	best, ok := selectComponent(new(frame.Labeler).Components(mask), predX, predY, minArea)
-	if !ok {
-		t.pos = Observation{Frame: frameIdx, X: predX, Y: predY, VX: t.pos.VX, VY: t.pos.VY}
-		return t.pos
+// refFeed is t.Feed through the full-frame kernels over the model bg.
+func refFeed(t *Tracker, bg Background, im *frame.Image, frameIdx int, cam Camera) Observation {
+	predX, predY, in := t.predict(im, cam)
+	if !in {
+		return t.coast(frameIdx, predX, predY)
 	}
-	obs := refObserve(mask, im, best, frameIdx)
-	obs.VX = obs.X - t.pos.X
-	obs.VY = obs.Y - t.pos.Y
-	t.pos = obs
-	return obs
+	mask := refQuadSegment(im, bg, t.window(predX, predY), t.cfg).ErodeInto(new(frame.Mask)).DilateInto(new(frame.Mask))
+	comps := new(frame.Labeler).Components(mask)
+	for {
+		i, ok := selectComponent(comps, predX, predY, minArea(&t.cfg, t.scale))
+		if !ok {
+			return t.coast(frameIdx, predX, predY)
+		}
+		if obs := refObserve(mask, im, comps[i], frameIdx); t.admits(obs) {
+			return t.found(im, cam, obs)
+		}
+		comps[i] = comps[len(comps)-1]
+		comps = comps[:len(comps)-1]
+	}
 }
 
 func refTrackShot(frames []*frame.Image, cfg config) ShotResult {
 	var res ShotResult
 	first := frames[0]
 	res.Background = backgroundOf(first, cfg)
+	// Registration is not the oracle's business: it registers through the
+	// production kernel.
+	reg := &scratch{bg: newBGTable(&res.Background, &cfg)}
+	cams := make([]Camera, len(frames))
+	cam := standard
+	for i, im := range frames {
+		if c := reg.register(im, cam); c != cam {
+			cam = c
+			res.Moves = append(res.Moves, Move{Frame: i, Camera: c})
+		}
+		cams[i] = cam
+	}
 	mask := refQuadSegment(first, res.Background, first.Bounds(), cfg).ErodeInto(new(frame.Mask)).DilateInto(new(frame.Mask))
 	var lower, upper []frame.Component
 	for _, c := range new(frame.Labeler).Components(mask) {
@@ -75,10 +84,10 @@ func refTrackShot(frames []*frame.Image, cfg config) ShotResult {
 	}
 	sortByArea(lower)
 	sortByArea(upper)
-	start := func(comps []frame.Component, scale float64) *refTracker {
+	start := func(comps []frame.Component, scale float64) *Tracker {
 		for _, c := range comps {
-			if c.Area >= int(float64(cfg.minArea)*scale*scale) {
-				return &refTracker{cfg: cfg, bg: res.Background, pos: refObserve(mask, first, c, 0), scale: scale}
+			if c.Area >= minArea(&cfg, scale) {
+				return newTracker(cfg, refObserve(mask, first, c, 0), cams[0], scale, nil)
 			}
 		}
 		return nil
@@ -87,7 +96,7 @@ func refTrackShot(frames []*frame.Image, cfg config) ShotResult {
 	for i, im := range frames {
 		for _, p := range []struct {
 			tr *Track
-			t  *refTracker
+			t  *Tracker
 		}{{&res.Near, near}, {&res.Far, far}} {
 			switch {
 			case p.t == nil:
@@ -96,9 +105,9 @@ func refTrackShot(frames []*frame.Image, cfg config) ShotResult {
 					p.tr.LostFrames++
 				}
 			case i == 0:
-				p.tr.Obs = append(p.tr.Obs, p.t.pos)
+				p.tr.Obs = append(p.tr.Obs, p.t.seen)
 			default:
-				obs := p.t.feed(im, i)
+				obs := refFeed(p.t, res.Background, im, i, cams[i])
 				p.tr.Obs = append(p.tr.Obs, obs)
 				if !obs.Found {
 					p.tr.LostFrames++
@@ -161,18 +170,22 @@ func TestWindowedTrackerMatchesFullFrame(t *testing.T) {
 	}
 }
 
-// After the first frames of a shot have sized the scratch, a Feed allocates
-// nothing, found or coasting.
+// After the first frames of a shot have sized the scratch (the first is
+// segmented whole), registration and a Feed allocate nothing, found or
+// coasting, however far the lost player's search window has grown.
 func TestFeedAllocations(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 30, 65)
 	cfg := defaults
 	res := trackFrames(frames[:2], cfg)
-	tr := newTracker(cfg, res.Near.Obs[1], 1, &scratch{bg: newBGTable(&res.Background, &cfg)})
-	tr.Feed(frames[2], 2)
-	tr.Feed(frames[3], 3)
+	s := &scratch{bg: newBGTable(&res.Background, &cfg)}
+	s.segment(frames[0], frames[0].Bounds(), &cfg)
+	tr := newTracker(cfg, res.Near.Obs[1], standard, 1, s)
+	tr.Feed(frames[2], 2, standard)
+	tr.Feed(frames[3], 3, standard)
 	i := 4
 	allocs := testing.AllocsPerRun(20, func() {
-		if obs := tr.Feed(frames[i], i); !obs.Found {
+		cam := s.register(frames[i], standard)
+		if obs := tr.Feed(frames[i], i, cam); !obs.Found {
 			t.Fatalf("frame %d: player lost", i)
 		}
 		i++
@@ -182,7 +195,7 @@ func TestFeedAllocations(t *testing.T) {
 	}
 	blank := frame.New(frames[0].W, frames[0].H)
 	blank.Fill(frame.RGB{R: 40, G: 130, B: 60})
-	if allocs := testing.AllocsPerRun(5, func() { tr.Feed(blank, i) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(30, func() { tr.Feed(blank, i, s.register(blank, standard)) }); allocs != 0 {
 		t.Errorf("a coasting Feed allocates %.0f times, want 0", allocs)
 	}
 }

@@ -203,14 +203,24 @@ func TestDominantColourIsShirt(t *testing.T) {
 func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 	frames, _, _ := renderShot(t, "rally", 30, 9)
 	// Paint over the near player in frames 10-13 with court colour
-	// (simulated occlusion).
+	// (simulated occlusion), and stand an occluder of the hard corpus's
+	// shape (16×32), larger than the player and not their colour, over
+	// where they are in frames 11-13: the re-acquisition gate refuses it.
 	res0 := trackFrames(frames, defaults)
+	occluder := frame.RGB{R: 90, G: 90, B: 200}
 	for i := 10; i < 14; i++ {
 		p := res0.Near.Obs[i]
 		frames[i].FillRect(frame.Rect{
 			X0: int(p.X) - 12, Y0: int(p.Y) - 18,
 			X1: int(p.X) + 12, Y1: int(p.Y) + 18,
 		}, synth.CourtColor)
+		if i > 10 {
+			frames[i].FillRect(frame.Rect{X0: int(p.X) - 8, Y0: int(p.Y) - 17, X1: int(p.X) + 8, Y1: int(p.Y) + 15}, occluder)
+		}
+	}
+	_, comps := segmentWindow(frames[11], res0.Background, frames[11].Bounds(), defaults)
+	if i, ok := selectComponent(comps, res0.Near.Obs[11].X, res0.Near.Obs[11].Y, minArea(&defaults, 1)); !ok || comps[i].Area < 300 {
+		t.Fatal("the occluder is not the component nearest the player; the test is vacuous")
 	}
 	res := trackFrames(frames, defaults)
 	lostIn := 0
@@ -219,8 +229,8 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 			lostIn++
 		}
 	}
-	if lostIn == 0 {
-		t.Fatal("occlusion did not register as lost frames")
+	if lostIn != 4 {
+		t.Fatalf("lost %d of the 4 occluded frames, want all: the occluder was taken for the player", lostIn)
 	}
 	// Tracker must re-acquire after the occlusion.
 	reacquired := false
@@ -276,7 +286,7 @@ func TestSelectComponentPrefersNearPrediction(t *testing.T) {
 	if !ok {
 		t.Fatal("no component selected")
 	}
-	cx, _ := got.Centroid()
+	cx, _ := comps[got].Centroid()
 	if cx != 50 {
 		t.Fatalf("selected far component (cx=%v)", cx)
 	}
