@@ -4,10 +4,10 @@
 // detector dependency graph (Figure 1). E1 regenerates that figure exactly;
 // E2-E9 reconstruct the quantitative behaviour of the four subsystems the
 // demo integrates, with the methodology of the cited companion papers.
-// The scores of E2-E6 and E8 live in testdata/quality.tsv, checked by
+// The scores of E2-E9 live in testdata/quality.tsv, checked by
 // TestQualityLedger (quality_test.go); their benchmarks here only time the
-// experiment's core operation for the -benchmem report. E1, E7 and E9
-// still print their table once, on the first invocation.
+// experiment's core operation for the -benchmem report. E1 and E9 print
+// a table once, on the first invocation.
 //
 // Run: go test -bench=. -benchmem
 package repro
@@ -23,7 +23,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
+	"text/tabwriter"
 
 	"repro/internal/core"
 	"repro/internal/dlse"
@@ -235,101 +235,42 @@ func BenchmarkE8WebspaceVsKeyword(b *testing.B) {
 
 // ------------------------------------------------- E9: end-to-end demo
 
-var e9Once sync.Once
+var e9PrintOnce sync.Once
 
-// BenchmarkE9EndToEnd runs the motivating query against a fully indexed
-// pipeline: synthetic broadcasts -> FDE -> meta-index -> combined query,
-// reporting the latency decomposition.
+// BenchmarkE9EndToEnd times the motivating query over the E9 corpus's
+// library without a difficulty (motivating_test.go): on E8's 128-player
+// site, whose women's finals the broadcasts were rendered for, and on the
+// ranked benchmarks' 8,192-player site, whose 1982–2001 finals carry the
+// same video names. The first invocation prints the E9 rows of the quality
+// ledger: the answer judged under every difficulty.
 func BenchmarkE9EndToEnd(b *testing.B) {
-	vids := benchCorpus(b)
-	e9Once.Do(func() {
-		t0 := time.Now()
-		site, err := webspace.GenerateAusOpen(webspace.SiteConfig{
-			Players: 32, YearStart: 2000, YearEnd: 2001, Seed: 16,
-		})
-		if err != nil {
-			panic(err)
+	e9PrintOnce.Do(func() {
+		fmt.Printf("\n=== E9: the motivating query judged from pixels ===\n")
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+		for _, r := range e9Rows(b) {
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", r.cond, r.subject, r.metric, r.format(r.value))
 		}
-		genDur := time.Since(t0)
-
-		// Index one broadcast per final video name.
-		t0 = time.Now()
-		idx, err := core.NewMetaIndex()
-		if err != nil {
-			panic(err)
-		}
-		engine, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
-		if err != nil {
-			panic(err)
-		}
-		names := site.W.All("Video")
-		for i, vid := range names {
-			vo, _ := site.W.Get(vid)
-			src := vids[i%len(vids)]
-			v := core.Video{
-				Name: vo.StringAttr("name"), Width: src.W, Height: src.H,
-				FPS: src.FPS, Frames: len(src.Frames),
-			}
-			res, err := engine.Process(v, src.Frames)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := fde.IndexResult(res, idx); err != nil {
-				panic(err)
-			}
-		}
-		indexDur := time.Since(t0)
-
-		t0 = time.Now()
-		eng, err := dlse.NewSegmented(site, core.SingleSegment(idx.Freeze()), dlse.Options{})
-		if err != nil {
-			panic(err)
-		}
-		buildDur := time.Since(t0)
-
-		t0 = time.Now()
-		results := runMotivating(eng, site)
-		queryDur := time.Since(t0)
-
-		scenes := 0
-		for _, r := range results {
-			scenes += len(r.Scenes)
-		}
-		st := idx.Stats()
-		fmt.Printf("\n=== E9: end-to-end motivating query ===\n")
-		fmt.Printf("site generation:   %12v\n", genDur.Round(time.Millisecond))
-		fmt.Printf("video indexing:    %12v  (%d videos, %d segments, %d events)\n",
-			indexDur.Round(time.Millisecond), st.Videos, st.Segments, st.Events)
-		fmt.Printf("engine build:      %12v\n", buildDur.Round(time.Millisecond))
-		fmt.Printf("combined query:    %12v  (%d players, %d net-play scenes)\n",
-			queryDur.Round(time.Microsecond), len(results), scenes)
-		e9eng, e9site = eng, site
+		tw.Flush()
 	})
-	if e9eng == nil {
-		b.Skip("end-to-end fixture unavailable")
+	cuts := e9Fixture(b).cols["cuts"].dl.engine.Load()
+	_, ranked := rankedFixture(b)
+	q := dlse.Query{Source: dlse.MotivatingQueryText}
+	for _, size := range []struct {
+		name string
+		eng  *dlse.Engine
+	}{
+		{"players=128", cuts},
+		{"players=8192", ranked.WithVideo(cuts.VideoIndex())},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := size.eng.Search(context.Background(), q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = runMotivating(e9eng, e9site)
-	}
-}
-
-var (
-	e9eng  *dlse.Engine
-	e9site *webspace.Site
-)
-
-func runMotivating(eng *dlse.Engine, site *webspace.Site) []dlse.Item {
-	req, err := dlse.ParseRequest(site.W.Schema(), dlse.MotivatingQueryText)
-	if err != nil {
-		panic(err)
-	}
-	rs, err := eng.SearchAll(context.Background(), dlse.Query{Request: &req}, false)
-	if err != nil {
-		panic(err)
-	}
-	return rs.Items
 }
 
 // ------------------------------------------------- throughput benchmarks

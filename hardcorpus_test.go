@@ -113,20 +113,11 @@ func renderHardCorpus() (map[string][]hardVideo, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := map[string][]hardVideo{
-		"cuts":        {joined(base, 0, nil)},
-		"dissolve 6":  {joined(base, 6, dissolve)},
-		"dissolve 12": {joined(base, 12, dissolve)},
-		"dissolve 20": {joined(base, 20, dissolve)},
-		"fade 12":     {joined(base, 12, fade)},
-		"wipe 10":     {joined(base, 10, wipe)},
-		"wipe 20":     {joined(base, 20, wipe)},
-		"pan":         {filmed(base, pan)},
-		"zoom":        {filmed(base, zoom)},
-		"duplicates":  {duplicated(base, 8)},
-		"occlusion":   {occluded(base)},
-		"exit":        {filmed(base, exit)},
-		"150x110":     {joined(odd, 0, nil)},
+	c := map[string][]hardVideo{}
+	for _, col := range hardColumns {
+		if !strings.HasPrefix(col, "vote tie") {
+			c[col] = []hardVideo{derive(col, base, odd)}
+		}
 	}
 	for i, backdrop := range []frame.RGB{{R: 200, G: 40, B: 40}, {R: 20, G: 60, B: 200}} {
 		for col, first := range map[string]bool{"vote tie": false, "vote tie, backdrop first": true} {
@@ -138,6 +129,39 @@ func renderHardCorpus() (map[string][]hardVideo, error) {
 		}
 	}
 	return c, nil
+}
+
+// derive is column col of one broadcast: base post-processed into the
+// difficulty, or small, the broadcast at 150×110, for the frame-size column.
+// The vote-tie columns are their own videos, not derived.
+func derive(col string, base, small *synth.Video) hardVideo {
+	switch col {
+	case "dissolve 6":
+		return joined(base, 6, dissolve)
+	case "dissolve 12":
+		return joined(base, 12, dissolve)
+	case "dissolve 20":
+		return joined(base, 20, dissolve)
+	case "fade 12":
+		return joined(base, 12, fade)
+	case "wipe 10":
+		return joined(base, 10, wipe)
+	case "wipe 20":
+		return joined(base, 20, wipe)
+	case "pan":
+		return filmed(base, pan)
+	case "zoom":
+		return filmed(base, zoom)
+	case "duplicates":
+		return duplicated(base, 8)
+	case "occlusion":
+		return occluded(base)
+	case "exit":
+		return filmed(base, exit)
+	case "150x110":
+		return joined(small, 0, nil)
+	}
+	return joined(base, 0, nil) // cuts
 }
 
 // joined is v with each cut replaced by an n-frame transition that mixes
@@ -225,7 +249,8 @@ func wipe(a, b *frame.Image, k, n int) *frame.Image {
 
 // A camera re-films a tennis shot of n frames: frame t shows at pixel (x, y)
 // the scene point back(t, n, x, y), and a player standing at p appears at
-// fwd(t, n, p).
+// fwd(t, n, p). back moves x and y independently: the scene x it gives does
+// not depend on y, nor the scene y on x.
 type camera struct {
 	back func(t, n int, x, y float64) (float64, float64)
 	fwd  func(t, n int, p synth.Point) synth.Point
@@ -282,12 +307,19 @@ func filmed(v *synth.Video, cam camera) hardVideo {
 		for t := 0; t < n; t++ {
 			src := h.frames[s.Start+t]
 			out := frame.New(src.W, src.H)
+			// The source column of each x and the source row of each y.
+			ix, iy := make([]int, src.W), make([]int, src.H)
+			for x := range ix {
+				sx, _ := cam.back(t, n, float64(x)+0.5, 0.5)
+				ix[x] = min(max(int(math.Floor(sx)), 0), src.W-1)
+			}
+			for y := range iy {
+				_, sy := cam.back(t, n, 0.5, float64(y)+0.5)
+				iy[y] = min(max(int(math.Floor(sy)), 0), src.H-1)
+			}
 			for y := 0; y < src.H; y++ {
 				for x := 0; x < src.W; x++ {
-					sx, sy := cam.back(t, n, float64(x)+0.5, float64(y)+0.5)
-					ix := min(max(int(math.Floor(sx)), 0), src.W-1)
-					iy := min(max(int(math.Floor(sy)), 0), src.H-1)
-					copy(out.Pix[out.Offset(x, y):out.Offset(x, y)+3], src.Pix[src.Offset(ix, iy):src.Offset(ix, iy)+3])
+					copy(out.Pix[out.Offset(x, y):out.Offset(x, y)+3], src.Pix[src.Offset(ix[x], iy[y]):src.Offset(ix[x], iy[y])+3])
 				}
 			}
 			h.frames[s.Start+t] = out

@@ -31,7 +31,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.Ser
 // proxied whole to one node — every node holds the full library, so its
 // answer is the cluster's.
 func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
-	if !serve.OnlyGetV2(w, req) {
+	if !serve.OnlyMethod(w, req, http.MethodGet) {
 		return
 	}
 	q, cursor, limit, explain, err := serve.ParseSearchQuery(req)
@@ -127,7 +127,7 @@ type nodeHealth struct {
 
 // handleHealthz answers GET /healthz.
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if !serve.OnlyGet(w, req) {
+	if !serve.OnlyMethod(w, req, http.MethodGet) {
 		return
 	}
 	h := routerHealth{Status: "ok"}

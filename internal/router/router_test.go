@@ -697,7 +697,8 @@ func forgeCursor(t *testing.T, q dlse.Query, offset uint64) dlse.Cursor {
 }
 
 // TestObservabilityEndpointsGetOnly: /healthz, /metrics and /debug/vars
-// refuse anything but GET the same way on a node and on a router.
+// refuse anything but GET the same way on a node and on a router, in the v2
+// {error, code:"method"} envelope.
 func TestObservabilityEndpointsGetOnly(t *testing.T) {
 	c := newCluster(t, 2)
 	for _, base := range []string{c.urls[0], c.router(t, Options{})} {
@@ -709,7 +710,7 @@ func TestObservabilityEndpointsGetOnly(t *testing.T) {
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet ||
-				!strings.Contains(string(body), "method POST not allowed") {
+				!strings.Contains(string(body), "method POST not allowed") || !strings.Contains(string(body), `"code":"method"`) {
 				t.Errorf("POST %s%s: %d Allow=%q %s", base, path, resp.StatusCode, resp.Header.Get("Allow"), body)
 			}
 			if resp, err = http.Get(base + path); err != nil || resp.StatusCode != http.StatusOK {

@@ -57,8 +57,9 @@ func TestV2SearchLimitStrict(t *testing.T) {
 	}
 }
 
-// TestV2MethodEnvelope locks that the whole v2 surface answers a wrong
-// method with the typed {error,code} envelope, not the v1 plain shape.
+// TestV2MethodEnvelope locks that every endpoint — the v2 surface and
+// /healthz, /metrics and /debug/vars — answers a wrong method with the
+// typed {error,code} envelope.
 func TestV2MethodEnvelope(t *testing.T) {
 	e, _ := fixture(t)
 	ts := httptest.NewServer(New(e, Options{}))
@@ -92,6 +93,9 @@ func TestV2MethodEnvelope(t *testing.T) {
 	check(http.MethodGet, "/v2/reload")
 	check(http.MethodGet, "/v2/commit")
 	check(http.MethodGet, "/v2/compact")
+	check(http.MethodPost, "/healthz")
+	check(http.MethodPost, "/metrics")
+	check(http.MethodPost, "/debug/vars")
 }
 
 // wireAdmin installs a committer that appends one extra single-video

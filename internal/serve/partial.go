@@ -21,7 +21,7 @@ import (
 // handleV2Manifest answers GET /v2/manifest with the current snapshot's
 // segment sets — the placement input of the distributed router.
 func (s *Server) handleV2Manifest(w http.ResponseWriter, r *http.Request) {
-	if !OnlyGetV2(w, r) {
+	if !OnlyMethod(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, http.StatusOK, transport.ManifestOf(s.Engine()))
@@ -73,7 +73,7 @@ func parseCSV[T ~int | ~int32](name, what, s string) ([]T, error) {
 // statistics, so partial answers merge into results byte-identical to a
 // monolithic search.
 func (s *Server) handleV2Partial(w http.ResponseWriter, r *http.Request) {
-	if !OnlyGetV2(w, r) {
+	if !OnlyMethod(w, r, http.MethodGet) {
 		return
 	}
 	params := r.URL.Query()

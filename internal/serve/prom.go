@@ -189,7 +189,7 @@ func (r *Registry) WriteJSON(w io.Writer) {
 
 // HandleProm answers GET /metrics.
 func (r *Registry) HandleProm(w http.ResponseWriter, req *http.Request) {
-	if !OnlyGet(w, req) {
+	if !OnlyMethod(w, req, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -199,7 +199,7 @@ func (r *Registry) HandleProm(w http.ResponseWriter, req *http.Request) {
 // HandleJSON answers GET /debug/vars: the same metrics, for scripts and
 // debuggers that want JSON.
 func (r *Registry) HandleJSON(w http.ResponseWriter, req *http.Request) {
-	if !OnlyGet(w, req) {
+	if !OnlyMethod(w, req, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -304,9 +303,6 @@ type (
 		CacheHits    int64   `json:"cacheHits"`
 		CacheMisses  int64   `json:"cacheMisses"`
 	}
-	errorResponse struct {
-		Error string `json:"error"`
-	}
 )
 
 // ServeHTTP implements http.Handler.
@@ -318,21 +314,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// OnlyGet enforces GET with the plain {error} shape /healthz, /metrics and
-// /debug/vars answer in, on nodes and routers alike.
-func OnlyGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return false
-	}
-	return true
 }
 
 func toSceneJSON(scenes []core.Scene) []sceneJSON {
@@ -349,7 +330,7 @@ func toSceneJSON(scenes []core.Scene) []sceneJSON {
 
 // handleHealthz answers GET /healthz with liveness and index stats.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !OnlyGet(w, r) {
+	if !OnlyMethod(w, r, http.MethodGet) {
 		return
 	}
 	e := s.engine.Load()

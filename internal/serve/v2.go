@@ -148,24 +148,12 @@ func writeV2Error(w http.ResponseWriter, err error) {
 // emits byte-identical errors to dlserve.
 func WriteSearchError(w http.ResponseWriter, err error) { writeV2Error(w, err) }
 
-// OnlyGetV2 enforces GET with the v2 error envelope (/healthz, /metrics and
-// /debug/vars keep OnlyGet's plain {error} shape).
-func OnlyGetV2(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, v2ErrorResponse{
-			Error: fmt.Sprintf("method %s not allowed", r.Method), Code: "method",
-		})
-		return false
-	}
-	return true
-}
-
-// onlyPostV2 enforces POST with the v2 error envelope — the admin
-// endpoints (/v2/commit, /v2/reload, /v2/compact) share it.
-func onlyPostV2(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
+// OnlyMethod admits a request made with method and refuses any other with
+// 405, an Allow header and the v2 {error, code:"method"} envelope: every
+// endpoint of nodes and routers alike answers a wrong method this way.
+func OnlyMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method != method {
+		w.Header().Set("Allow", method)
 		writeJSON(w, http.StatusMethodNotAllowed, v2ErrorResponse{
 			Error: fmt.Sprintf("method %s not allowed", r.Method), Code: "method",
 		})
@@ -321,7 +309,7 @@ func toV2Explain(ex *dlse.Explain) *v2ExplainJSON {
 // plus optional limit=<page size>, cursor=<opaque token from a previous
 // page>, and explain=1.
 func (s *Server) handleV2Search(w http.ResponseWriter, r *http.Request) {
-	if !OnlyGetV2(w, r) {
+	if !OnlyMethod(w, r, http.MethodGet) {
 		return
 	}
 	q, cursor, limit, explain, err := ParseSearchQuery(r)
@@ -343,7 +331,7 @@ func (s *Server) handleV2Search(w http.ResponseWriter, r *http.Request) {
 // the snapshot they started with; the response carries the new snapshot's
 // identity. Without a reloader the endpoint reports 501.
 func (s *Server) handleV2Reload(w http.ResponseWriter, r *http.Request) {
-	if !onlyPostV2(w, r) {
+	if !OnlyMethod(w, r, http.MethodPost) {
 		return
 	}
 	fn := s.reloader.Load()
@@ -383,7 +371,7 @@ func (s *Server) handleV2Reload(w http.ResponseWriter, r *http.Request) {
 // full reload); the response reports the post-commit serving state.
 // Without a committer the endpoint reports 501.
 func (s *Server) handleV2Commit(w http.ResponseWriter, r *http.Request) {
-	if !onlyPostV2(w, r) {
+	if !OnlyMethod(w, r, http.MethodPost) {
 		return
 	}
 	fn := s.committer.Load()
@@ -431,7 +419,7 @@ func (s *Server) handleV2Commit(w http.ResponseWriter, r *http.Request) {
 // before and after, only the partitioning changes. Without a compactor the
 // endpoint reports 501.
 func (s *Server) handleV2Compact(w http.ResponseWriter, r *http.Request) {
-	if !onlyPostV2(w, r) {
+	if !OnlyMethod(w, r, http.MethodPost) {
 		return
 	}
 	fn := s.compactor.Load()

@@ -127,15 +127,18 @@ var ledgerFamilies = []struct {
 	{"E6", e6Rows},
 	{"E7", e7Rows},
 	{"E8", e8Rows},
+	{"E9", func(t *testing.T) []ledgerRow { return e9Rows(t) }},
 	{"judged", judgedRows},
 	{"shipped", shippedRows},
 	{"hard", hardRows},
 }
 
 // TestQualityLedger recomputes every score of the paper's experiments
-// (DESIGN.md §5: E2–E8), of the shipped segment detector, of the shipped
-// detectors on the hard corpus (hardcorpus_test.go) and of the ranked lanes
-// on the judged query set from their seeded fixtures, and checks each
+// (DESIGN.md §5: E2–E9, E9 being the motivating query judged from pixels
+// under every tracked difficulty, motivating_test.go), of the shipped
+// segment detector, of the shipped detectors on the hard corpus
+// (hardcorpus_test.go) and of the ranked and content lanes on the judged
+// query set from their seeded fixtures, and checks each
 // against testdata/quality.tsv. It fails when a row falls below its floor
 // (rises above its ceiling for an error), when a row of the table is not
 // recomputed, and when a recomputed row is not in the table. On failure it
@@ -148,7 +151,7 @@ var ledgerFamilies = []struct {
 //   - A change that deletes a code path may remove that path's rows only
 //     when a ROADMAP item allows it and CHANGES.md names the rows.
 //   - TestIngestGolden's digest may be re-recorded when every detector row
-//     (E2–E6, shipped and hard) is equal or better than before the change.
+//     (E2–E6, E9, shipped and hard) is equal or better than before the change.
 //
 // The judged family asks whether the vector and hybrid lanes rank better
 // than keyword. Its queries are generated from each site, so nothing is
@@ -157,17 +160,19 @@ var ledgerFamilies = []struct {
 // country, handedness, sex and final category, in the words the pages
 // print), structural (champions, finalists, year ranges over finals),
 // paraphrase (demonyms and synonyms no page prints) and video event (the
-// finals whose indexed video holds an event kind, a truth only the content
-// join reaches). It runs at 128 players over a small indexed library (E8's
-// site), at 1,024 players and on the ranked benchmarks' 8,192-player site,
-// and scores each class per lane by mean P@10, recall@2n and nDCG@10 at
-// depth max(10, 2n), with the class's query count. The lanes' keep-or-delete
-// rule, fixed before any of it was measured, deletes them unless an
-// embedder change makes hybrid's class-mean nDCG@10 beat keyword's by at
-// least 0.05, on a strict majority of the class's queries, in one class at
-// two of the three sizes, with every other row holding, the embedder a pure
-// function without weights and the 8,192-player vector cache no larger.
-// ROADMAP.md item 12 records the decision.
+// finals whose broadcast's script holds an event kind, a truth only the
+// content join reaches, so this class also scores the content lane, `find
+// Final scenes "<kind>" via video required`). It runs at 128 players over
+// the E9 corpus's library (E8's site), at 1,024 players and on the ranked
+// benchmarks' 8,192-player site, and scores each class per lane by mean
+// P@10, recall@2n and nDCG@10 at depth max(10, 2n), with the class's query
+// count. The lanes' keep-or-delete rule, fixed before any of it was
+// measured, deletes them unless an embedder change makes hybrid's
+// class-mean nDCG@10 beat keyword's by at least 0.05, on a strict majority
+// of the class's queries, in one class at two of the three sizes, with
+// every other row holding, the embedder a pure function without weights
+// and the 8,192-player vector cache no larger. ROADMAP.md item 12 records
+// the decision.
 func TestQualityLedger(t *testing.T) {
 	want, err := readLedger(ledgerPath)
 	if err != nil {
@@ -636,8 +641,9 @@ var laneMetrics = [3]string{"P@10", "R@2n", "nDCG@10"}
 
 // scoreLane ranks q on eng to depth limit (0: the whole ranking) and scores
 // the ranking against truth by P@10, recall@2n (n the truth's size) and
-// nDCG@10. A lane ranks pages; each is mapped to its object and a repeated
-// object keeps only its first rank.
+// nDCG@10. A ranked lane ranks pages; each is mapped to its object and a
+// repeated object keeps only its first rank. A combined query answers
+// objects.
 func scoreLane(t *testing.T, site *webspace.Site, eng *dlse.Engine, q dlse.Query, limit int, truth map[int64]bool) [3]float64 {
 	t.Helper()
 	rs, err := eng.Search(context.Background(), q, dlse.WithLimit(limit))
@@ -647,7 +653,11 @@ func scoreLane(t *testing.T, site *webspace.Site, eng *dlse.Engine, q dlse.Query
 	var ranked []int64
 	seen := map[int64]bool{}
 	for _, it := range rs.Items {
-		if id := site.Pages[it.Doc].ObjectID; !seen[id] { // doc ID = page position
+		id := site.Pages[it.Doc].ObjectID // doc ID = page position
+		if it.Object != nil {
+			id = it.Object.ID // a combined answer names its object
+		}
+		if !seen[id] {
 			seen[id] = true
 			ranked = append(ranked, id)
 		}
@@ -703,24 +713,28 @@ func e8Rows(t *testing.T) []ledgerRow {
 // ------------------------------------------------------------ judged
 
 // A judgedQuery is one query of the judged family: the text every ranked
-// lane searches, and the objects that truly answer it.
+// lane searches, and the objects that truly answer it. A query whose truth
+// only the content join reaches also carries source, the query-language
+// form the content lane asks.
 type judgedQuery struct {
-	text  string
-	truth map[int64]bool
+	text   string
+	truth  map[int64]bool
+	source string
 }
 
 // A judgedSite is one size of the judged family: a site, the engine over
-// its pages and the video library the engine joins (nil where the size has
-// none).
+// its pages and video library, and the scripted events of the broadcast
+// indexed as each final's video, by final ID (nil where the size has no
+// video library).
 type judgedSite struct {
-	cfg   webspace.SiteConfig
-	site  *webspace.Site
-	eng   *dlse.Engine
-	video *core.Part
+	cfg    webspace.SiteConfig
+	site   *webspace.Site
+	eng    *dlse.Engine
+	events map[int64][]synth.EventTruth
 }
 
 // judgedSizes are the sites the judged family ranks on: E8's 128 players
-// over a small indexed library, the same configuration at 1,024 players,
+// over the E9 corpus's library, the same configuration at 1,024 players,
 // and the ranked benchmarks' 8,192-player site. Each is built once.
 var judgedSizes = []func(testing.TB) *judgedSite{judged128, judged1024, judged8192}
 
@@ -742,40 +756,12 @@ func onceSite(build func(tb testing.TB) (*judgedSite, error)) func(testing.TB) *
 	}
 }
 
-// judged128 is E8's site with benchCorpus's broadcasts indexed as the
-// videos of its first finals, one each.
-var judged128 = onceSite(func(tb testing.TB) (*judgedSite, error) {
-	site := e8Fixture(tb)
-	lib, err := core.NewMetaIndex()
-	if err != nil {
-		return nil, err
-	}
-	fdeEng, err := fde.NewTennisEngine(fde.DefaultTennisConfig())
-	if err != nil {
-		return nil, err
-	}
-	vids := benchCorpus(tb)
-	for i, vid := range site.W.All("Video")[:len(vids)] {
-		vo, _ := site.W.Get(vid)
-		src := vids[i]
-		res, err := fdeEng.Process(core.Video{
-			Name: vo.StringAttr("name"), Width: src.W, Height: src.H,
-			FPS: src.FPS, Frames: len(src.Frames),
-		}, src.Frames)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fde.IndexResult(res, lib); err != nil {
-			return nil, err
-		}
-	}
-	part := lib.Freeze()
-	eng, err := dlse.NewSegmented(site, core.SingleSegment(part), dlse.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &judgedSite{cfg: e8Config, site: site, eng: eng, video: part}, nil
-})
+// judged128 is E8's site over the E9 corpus's library without a difficulty
+// (its cuts column).
+func judged128(tb testing.TB) *judgedSite {
+	cuts := e9Fixture(tb).cols["cuts"]
+	return &judgedSite{cfg: e8Config, site: e8Fixture(tb), eng: cuts.dl.engine.Load(), events: cuts.events}
+}
 
 // judged1024 is E8's site configuration at 1,024 players.
 var judged1024 = onceSite(func(testing.TB) (*judgedSite, error) {
@@ -811,9 +797,10 @@ var judgedClasses = []struct {
 }
 
 // judgedRows scores every ranked lane on every class of generated queries
-// at every size: per class, lane and size the mean over the class's
-// queries of each scoreLane metric, each query ranked to depth
-// max(10, 2n), and the number of queries.
+// at every size, and the content lane on the queries that carry a source:
+// per class, lane and size the mean over the class's queries of each
+// scoreLane metric, each query ranked to depth max(10, 2n), and the number
+// of queries.
 func judgedRows(t *testing.T) []ledgerRow {
 	var rows []ledgerRow
 	for _, size := range judgedSizes {
@@ -825,16 +812,23 @@ func judgedRows(t *testing.T) []ledgerRow {
 				continue
 			}
 			rows = append(rows, countRow("judged", class.name, cond, "queries", len(qs)))
-			for _, lane := range rankedLanes {
+			// laneRows appends the lane's mean scores, each query asked as ask builds it.
+			laneRows := func(lane string, ask func(judgedQuery) dlse.Query) {
 				var sum [3]float64
 				for _, q := range qs {
-					for i, v := range scoreLane(t, js.site, js.eng, lane.query(q.text), max(10, 2*len(q.truth)), q.truth) {
+					for i, v := range scoreLane(t, js.site, js.eng, ask(q), max(10, 2*len(q.truth)), q.truth) {
 						sum[i] += v
 					}
 				}
 				for i, v := range sum {
-					rows = append(rows, score("judged", class.name, lane.name+", "+cond, laneMetrics[i], v/float64(len(qs))))
+					rows = append(rows, score("judged", class.name, lane+", "+cond, laneMetrics[i], v/float64(len(qs))))
 				}
+			}
+			for _, lane := range rankedLanes {
+				laneRows(lane.name, func(q judgedQuery) dlse.Query { return lane.query(q.text) })
+			}
+			if qs[0].source != "" {
+				laneRows("content", func(q judgedQuery) dlse.Query { return dlse.Query{Source: q.source} })
 			}
 		}
 	}
@@ -846,7 +840,7 @@ func judgedRows(t *testing.T) []ledgerRow {
 func runQuery(tb testing.TB, qs []judgedQuery, w *webspace.Webspace, text string, q webspace.Query) []judgedQuery {
 	tb.Helper()
 	if truth := runTruth(tb, w, q); len(truth) > 0 {
-		qs = append(qs, judgedQuery{text, truth})
+		qs = append(qs, judgedQuery{text: text, truth: truth})
 	}
 	return qs
 }
@@ -960,33 +954,26 @@ func paraphraseQueries(tb testing.TB, js *judgedSite) []judgedQuery {
 	return qs
 }
 
-// videoQueries ask, for each event kind, for the finals whose video's
-// indexed scenes include it: a truth only the library's content holds.
+// videoQueries ask, for each event kind, for the finals whose broadcast's
+// script holds it: a truth only the library's content reaches, which the
+// content lane asks as `find Final scenes "<kind>" via video required`.
 func videoQueries(tb testing.TB, js *judgedSite) []judgedQuery {
-	tb.Helper()
-	if js.video == nil {
-		return nil
-	}
-	w := js.site.W
 	var qs []judgedQuery
 	for _, kind := range eventKinds {
-		scenes, err := js.video.Scenes(kind)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		videos := map[string]bool{}
-		for _, sc := range scenes {
-			videos[sc.Video.Name] = true
-		}
 		truth := map[int64]bool{}
-		for _, id := range w.All("Final") {
-			f, _ := w.Get(id)
-			if v, ok := w.Get(f.Links["video"][0]); ok && videos[v.StringAttr("name")] {
-				truth[id] = true
+		for id, events := range js.events {
+			for _, e := range events {
+				if string(e.Kind) == kind {
+					truth[id] = true
+				}
 			}
 		}
 		if len(truth) > 0 {
-			qs = append(qs, judgedQuery{"australian open final with " + strings.ReplaceAll(kind, "-", " "), truth})
+			qs = append(qs, judgedQuery{
+				text:   "australian open final with " + strings.ReplaceAll(kind, "-", " "),
+				truth:  truth,
+				source: fmt.Sprintf("find Final scenes %q via video required", kind),
+			})
 		}
 	}
 	return qs
