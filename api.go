@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -653,11 +654,12 @@ func (dl *DigitalLibrary) Compact(target int) (bool, error) {
 // Swap. ResultSets and cursors carry the snapshot they were computed on.
 func (dl *DigitalLibrary) Snapshot() int64 { return dl.engine.Load().Snapshot() }
 
-// Server is the long-lived query-serving layer: a sharded LRU result cache
-// over the engine plus an http.Handler exposing /v2/search (cursor
-// pagination, explain plans), the /v2 admin endpoints (commit, compact,
-// reload) and /healthz as JSON, and /metrics in Prometheus text format. It
-// is what cmd/dlserve runs.
+// Server is the long-lived query-serving layer: a sharded result cache over
+// the engine that keeps the answers asked again (a query's first answer
+// enters a small probation segment, a second ask protects it) plus an
+// http.Handler exposing /v2/search (cursor pagination, explain plans), the
+// /v2 admin endpoints (commit, compact, reload) and /healthz as JSON, and
+// /metrics in Prometheus text format. It is what cmd/dlserve runs.
 type Server = serve.Server
 
 // ServerOptions tunes NewServer (cache capacity and the bound on
@@ -666,14 +668,25 @@ type ServerOptions = serve.Options
 
 // NewServer wraps a digital library in the serving layer, giving importers
 // the same cached, concurrency-safe query path the dlserve daemon uses.
-// The server is registered with the library: a later Swap propagates to
-// it, atomically and without invalidating in-flight requests.
+// The server is registered with the library until Release: a later Swap
+// propagates to it, atomically and without invalidating in-flight requests.
 func NewServer(lib *DigitalLibrary, opts ServerOptions) *Server {
 	lib.mu.Lock()
 	defer lib.mu.Unlock()
 	s := serve.New(lib.engine.Load(), opts)
 	lib.servers = append(lib.servers, s)
 	return s
+}
+
+// Release unregisters a server NewServer made over dl, once it serves no
+// more requests: installs stop swapping it, and its cached answers are
+// dropped. Releasing a server twice, or one dl does not hold, does nothing
+// more.
+func (dl *DigitalLibrary) Release(s *Server) {
+	dl.mu.Lock()
+	dl.servers = slices.DeleteFunc(dl.servers, func(t *Server) bool { return t == s })
+	dl.mu.Unlock()
+	s.InvalidateCache()
 }
 
 // MotivatingQuery returns the paper's running example in query-language

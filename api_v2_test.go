@@ -193,6 +193,47 @@ func TestV2PaginationDeterminismAcrossSwap(t *testing.T) {
 	}
 }
 
+// TestReleasedServerIsNotSwapped checks Release: the released server's
+// cache is empty and a commit swaps the library and the server still
+// registered, not the released one.
+func TestReleasedServerIsNotSwapped(t *testing.T) {
+	jobs := batchJobs(batchTestCorpus(t))
+	dl, err := NewDigitalLibrary(v2Site(t), buildSegmentedLib(t, jobs[:2], 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	kept, released := NewServer(dl, ServerOptions{}), NewServer(dl, ServerOptions{})
+	for _, srv := range []*Server{kept, released} {
+		for range 2 {
+			if _, _, err := srv.Search(ctx, Query{Keyword: "australian open final"}, "", 10, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dl.Release(released)
+	if entries, _, _ := released.CacheStats(); entries != 0 {
+		t.Fatalf("the released server holds %d cached answers", entries)
+	}
+	before := released.Engine().Snapshot()
+	if _, err := dl.CommitToken(ctx, "", jobs[2:3], BatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if dl.Snapshot() == before {
+		t.Fatal("the commit installed no snapshot")
+	}
+	if got := released.Engine().Snapshot(); got != before {
+		t.Fatalf("the commit swapped the released server to snapshot %d", got)
+	}
+	if got := kept.Engine().Snapshot(); got != dl.Snapshot() {
+		t.Fatalf("the registered server serves snapshot %d, the library %d", got, dl.Snapshot())
+	}
+	dl.Release(released) // a second release does nothing more
+	if len(dl.servers) != 1 {
+		t.Fatalf("the library holds %d servers, want the one still registered", len(dl.servers))
+	}
+}
+
 // TestV2SwapVisibility checks that a swap to *different* content is
 // observed: new scenes appear, the snapshot moves, and servers created via
 // NewServer follow along.

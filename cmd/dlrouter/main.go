@@ -46,6 +46,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -89,10 +90,15 @@ func main() {
 			"serve the reachable subset (marked partial) instead of 503 when every replica of a segment is down")
 		healthEvery = flag.Duration("health-interval", 2*time.Second, "node health probe period (0 disables)")
 		debugAddr   = flag.String("debug-addr", "",
-			"serve net/http/pprof profiles under /debug/pprof/ on this separate address (empty disables)")
+			"serve net/http/pprof profiles under /debug/pprof/ on this separate address (empty disables, and then no heap profile is sampled)")
 	)
 	flag.Var(&nodes, "node", "dlserve node base URL (repeatable, or comma-separated)")
 	flag.Parse()
+	// Without -debug-addr no heap profile can be read, so none is sampled:
+	// the sampled allocation stacks would stay resident for nothing.
+	if *debugAddr == "" {
+		runtime.MemProfileRate = 0
+	}
 	if len(nodes) == 0 {
 		log.Fatal("no nodes: pass -node http://host:port at least once")
 	}

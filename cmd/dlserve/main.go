@@ -2,8 +2,8 @@
 // builds the engine once (synthetic Australian Open site + optional video
 // meta-index from cobraindex) and serves combined, keyword, vector,
 // hybrid, and scene queries on one endpoint, /v2/search, with cursor
-// pagination and explain plans behind a sharded LRU result cache, plus
-// incremental index growth.
+// pagination and explain plans behind a sharded result cache that keeps
+// the answers asked again, plus incremental index growth.
 //
 // Usage:
 //
@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -88,9 +89,14 @@ func main() {
 		seed      = flag.Int64("seed", 16, "site generation seed")
 		years     = flag.Int("years", 10, "site size: number of tournament editions")
 		debugAddr = flag.String("debug-addr", "",
-			"serve net/http/pprof profiles under /debug/pprof/ on this separate address (empty disables)")
+			"serve net/http/pprof profiles under /debug/pprof/ on this separate address (empty disables, and then no heap profile is sampled)")
 	)
 	flag.Parse()
+	// Without -debug-addr no heap profile can be read, so none is sampled:
+	// the sampled allocation stacks would stay resident for nothing.
+	if *debugAddr == "" {
+		runtime.MemProfileRate = 0
+	}
 
 	site, err := repro.GenerateSite(repro.SiteConfig{
 		Players: *players, YearStart: 2001 - *years + 1, YearEnd: 2001, Seed: *seed,

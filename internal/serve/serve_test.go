@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -90,6 +91,34 @@ func TestInvalidateCache(t *testing.T) {
 	}
 	if _, cached, _ := search(s, dlse.Query{Source: combinedQuery}); cached {
 		t.Fatal("query served from purged cache")
+	}
+}
+
+// TestOneOffQueriesHoldOnlyProbation is the cache's admission at the
+// default capacity (1,024 entries over 8 shards): a combined query asked
+// twice is protected, and 2,000 keyword queries asked once each leave only
+// the probation total, 16, behind it.
+func TestOneOffQueriesHoldOnlyProbation(t *testing.T) {
+	e, _ := fixture(t)
+	s := New(e, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for range 2 {
+		if _, _, err := search(s, dlse.Query{Source: combinedQuery}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 2000 {
+		if _, _, err := s.Search(context.Background(), dlse.Query{Keyword: fmt.Sprintf("champion q%d", i)}, "", 10, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const probation = 8 * (1024 / 8 / 64)
+	if m := metricsJSON(t, ts.URL); m["cache_entries"] != probation+1 {
+		t.Fatalf("dl_cache_entries = %v, want the probation total %d plus the combined query", m["cache_entries"], probation)
+	}
+	if _, cached, err := search(s, dlse.Query{Source: combinedQuery}); err != nil || !cached {
+		t.Fatalf("the combined query after 2,000 one-offs: cached=%t err=%v", cached, err)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 
 // Options tunes a Server.
 type Options struct {
-	// CacheSize is the query-result cache capacity in entries. 0 selects
-	// the default (1024); negative disables caching entirely.
+	// CacheSize is the query-result cache capacity in entries, probation
+	// and protected segments together (see cache). 0 selects the default
+	// (1024); negative disables caching entirely.
 	CacheSize int
 	// Workers, when > 0, bounds how many queries execute concurrently;
 	// excess requests wait (or fail when their context is cancelled).
@@ -177,9 +178,10 @@ func (s *Server) SetCompactor(fn func(ctx context.Context, target int) (bool, er
 // time.
 func (s *Server) Metrics() *Registry { return s.metrics }
 
-// InvalidateCache drops every cached result. Swap does not strictly need
-// it — entries are snapshot-tagged and a stale entry can never be served —
-// but purging eagerly frees the memory.
+// InvalidateCache drops every cached result, keeping each key as a ghost so
+// a query asked again goes straight back to the protected segment. Swap does
+// not strictly need it — entries are snapshot-tagged and a stale entry can
+// never be served — but purging eagerly frees the memory.
 func (s *Server) InvalidateCache() {
 	if s.cache != nil {
 		s.cache.Purge()

@@ -213,6 +213,19 @@ func TestE9IngestDeterministic(t *testing.T) {
 	}
 }
 
+// TestE9ReleasesItsNodes checks that e9Ask releases the nodes it serves
+// from once it has their answers: after E9's rows the cuts library holds no
+// server, since none of them serves any more.
+func TestE9ReleasesItsNodes(t *testing.T) {
+	dl := e9Fixture(t).cols["cuts"].dl
+	e9Rows(t)
+	dl.mu.Lock()
+	defer dl.mu.Unlock()
+	if n := len(dl.servers); n != 0 {
+		t.Fatalf("after E9's rows the cuts library holds %d servers, none of them serving", n)
+	}
+}
+
 // e9Rows judges the motivating query in every hardTracked column: the
 // players it answers by set precision and recall against W.Run, and the
 // net-play scenes it joins onto them by eval.MatchIntervals at IoU >= 0.5
@@ -285,7 +298,9 @@ func e9Ask(tb testing.TB, dl *DigitalLibrary) []e9Item {
 	}
 	var nodes []string
 	for range 2 {
-		ts := httptest.NewServer(NewServer(dl, ServerOptions{}))
+		srv := NewServer(dl, ServerOptions{})
+		ts := httptest.NewServer(srv)
+		defer dl.Release(srv) // deferred first, so it runs after ts.Close
 		defer ts.Close()
 		nodes = append(nodes, ts.URL)
 	}

@@ -101,6 +101,21 @@ for kind in hybrid vector; do
     echo "match: $kind ($pages pages)"
 done
 
+echo "--- /v2/search: a query asked twice outlives 200 one-off queries"
+# The cache admits by recurrence: a query's first answer enters probation
+# (16 entries at the default -cache-size), a second ask protects it, and
+# queries asked once churn through probation without evicting it.
+combined() { curl -fsS --get "http://127.0.0.1:$port/v2/search" \
+    --data-urlencode 'q=find Player where handedness = "left"'; }
+combined >/dev/null
+combined >/dev/null
+for i in $(seq 1 200); do
+    curl -fsS -o /dev/null --get "http://127.0.0.1:$port/v2/search" \
+        --data-urlencode "kw=final once$i"
+done
+combined | grep -q '"cached":true' || {
+    echo "serve-smoke: the combined query asked a third time was not cached" >&2; exit 1; }
+
 echo "--- /v2/search explain"
 curl -fsS --get "http://127.0.0.1:$port/v2/search" \
     --data-urlencode 'kw=final' --data-urlencode 'explain=1' \
