@@ -24,7 +24,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Time-boxed run of the eleven fuzz targets (go test -fuzz takes one target
+# Time-boxed run of the twelve fuzz targets (go test -fuzz takes one target
 # and one package at a time). The segfile openers are the only door persisted
 # bytes come in through (FuzzMetaSegfileOpen also feeds its input to the
 # meta-index table decoder), the query parser and cursor decoder the only ones
@@ -32,8 +32,10 @@ race:
 # FuzzAnalyze holds the build's one-analysis path to the query-side chain,
 # FuzzTopKMatchesDense the text lane's top-k kernel to its dense scan and
 # FuzzQuadSegment the tracker's segmentation kernel to its per-pixel oracle,
-# and FuzzRegisterCourt feeds frames of any size to the court registration
-# every frame of a tennis shot goes through.
+# FuzzRegisterCourt feeds frames of any size to the court registration
+# every frame of a tennis shot goes through, and FuzzTextColumn holds the
+# webspace's compressed text blocks to the strings appended to them and
+# their contains scan to strings.ToLower.
 # -fuzzminimizetime=1s caps how long the fuzzer minimizes each new
 # interesting input: at Go's default of 60 s a target with large seeds
 # (FuzzSegfileOpen) spends most of its 5 s minimizing the first new input
@@ -51,6 +53,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzCursor$$' ./internal/dlse
 	$(FUZZ) -fuzz='^FuzzQuadSegment$$' ./internal/track
 	$(FUZZ) -fuzz='^FuzzRegisterCourt$$' ./internal/track
+	$(FUZZ) -fuzz='^FuzzTextColumn$$' ./internal/webspace
 
 # Full benchmark run with the experiment tables.
 bench:

@@ -930,7 +930,7 @@ func rankedFixture(tb testing.TB) (*webspace.Site, *dlse.Engine) {
 // the engine; before ranking was bounded by the page it ranked all of them.
 // postings/op is the text kernel's PostingsScored for the page.
 func BenchmarkRankedPage(b *testing.B) {
-	_, eng := rankedFixture(b)
+	site, eng := rankedFixture(b)
 	ctx := context.Background()
 	const text = "professional australia smith championship"
 	for _, lane := range []struct {
@@ -966,6 +966,23 @@ func BenchmarkRankedPage(b *testing.B) {
 			b.ReportMetric(float64(postings), "postings/op")
 		})
 	}
+	// contains-bio is a concept query that reads a text column in full: a
+	// contains scan of every player's bio, which decodes each compressed
+	// block of the column once.
+	b.Run("contains-bio", func(b *testing.B) {
+		req, err := dlse.ParseRequest(site.W.Schema(), `find Player where contains(bio, "left-handed")`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rs, err := eng.Search(ctx, dlse.Query{Request: &req}, dlse.WithLimit(10))
+			if err != nil || len(rs.Items) != 10 || rs.Total < 1000 {
+				b.Fatalf("err %v, %d items of %d", err, len(rs.Items), rs.Total)
+			}
+		}
+	})
 	// ranks is the keyword lane's rank lookup, the router's Query.Ranks leg:
 	// score the lane (SegScores from ScoreSegments) and place the vector
 	// lane's candidates in it (SegScores.Ranks), at the depth each lane of a

@@ -140,3 +140,94 @@ func TestAppendIntoExistingIndex(t *testing.T) {
 		t.Fatalf("actorless event appended as %+v", evs)
 	}
 }
+
+// addStates adds object obj's states for frames from … to-1 to m, every
+// third one coasted and every fifth one of no object.
+func addStates(m *MetaIndex, obj int64, from, to int) {
+	for f := from; f < to; f++ {
+		id := obj
+		if f%5 == 0 {
+			id = 0
+		}
+		m.AddState(ObjectState{ObjectID: id, Frame: f, Found: f%3 != 0, X: float64(f) / 3, Area: -f, BBox: [4]int{f, -f, 2 * f, 1}})
+	}
+}
+
+// TestStatesHeldInWireForm: the states table is held as the stream's own
+// column bytes. A decoded partition holds exactly the stream's states bytes,
+// in a copy; appending two partitions, fresh or decoded, gives the merged
+// partition's stream byte for byte; and a builder that writes on after
+// Freeze, into the found column's shared last byte, leaves the Part as
+// frozen.
+func TestStatesHeldInWireForm(t *testing.T) {
+	build := func(halves ...int) *MetaIndex {
+		m, _ := NewMetaIndex()
+		for _, h := range halves {
+			obj := m.AddObject(Object{Name: fmt.Sprint("player-", h)})
+			addStates(m, obj, h*11, h*11+11+7*h)
+		}
+		return m
+	}
+	whole := serialized(t, build(0, 1))
+	back, err := DeserializeMetaIndex(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := statesTable.encode(nil, &back.tableSet)
+	if !bytes.Contains(whole, held) {
+		t.Fatal("the decoded states table is not the stream's states bytes")
+	}
+	n := 0
+	for _, col := range back.states.cols {
+		n += len(col)
+	}
+	if head := len(statesTable.encode(nil, &tableSet{})); n != len(held)-head {
+		t.Fatalf("the decoded states columns hold %d bytes, the stream's states vectors %d", n, len(held)-head)
+	}
+	for i := range whole {
+		whole[i] ^= 0xff
+	}
+	if !bytes.Equal(statesTable.encode(nil, &back.tableSet), held) {
+		t.Fatal("the decoded states columns alias the stream")
+	}
+	for i := range whole {
+		whole[i] ^= 0xff
+	}
+
+	second, _ := NewMetaIndex()
+	addStates(second, second.AddObject(Object{Name: "player-1"}), 11, 29)
+	for name, parts := range map[string][2]*MetaIndex{
+		"fresh":   {build(0), second},
+		"decoded": {mustDecode(t, serialized(t, build(0))), mustDecode(t, serialized(t, second))},
+	} {
+		dst, _ := NewMetaIndex()
+		for _, p := range parts {
+			dst.Append(p.Freeze(), IDBase{})
+		}
+		if got := serialized(t, dst); !bytes.Equal(got, whole) {
+			t.Fatalf("%s: the appended partitions' stream differs from the merged partition's", name)
+		}
+	}
+
+	for name, write := range map[string]func(m *MetaIndex){
+		"AddState": func(m *MetaIndex) { addStates(m, 1, 11, 40) },
+		"Append":   func(m *MetaIndex) { m.Append(second.Freeze(), IDBase{}) },
+	} {
+		m := build(0) // 11 states: the found column's last byte is partial
+		p := m.Freeze()
+		frozen := encodeTables(nil, p, tables[:])
+		write(m)
+		if !bytes.Equal(encodeTables(nil, p, tables[:]), frozen) {
+			t.Fatalf("%s after Freeze changed the frozen Part", name)
+		}
+	}
+}
+
+func mustDecode(t *testing.T, b []byte) *MetaIndex {
+	t.Helper()
+	m, err := DeserializeMetaIndex(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}

@@ -15,7 +15,7 @@ type tableSet struct {
 	segments []Segment
 	features []FeatureValue
 	objects  []Object
-	states   []ObjectState
+	states   wireRows
 	events   []Event
 	// ids holds the last video, segment, object and event ID assigned.
 	ids IDBase
@@ -53,12 +53,13 @@ func NewMetaIndexAt(base IDBase) *MetaIndex { return &MetaIndex{tableSet{ids: ba
 // clipped to its length, so a later write to m appends to memory the Part
 // never reads: m stays a builder, and the Part never changes.
 func (m *MetaIndex) Freeze() *Part {
+	states := m.states.freeze()
 	return &Part{tableSet: tableSet{
 		videos:   slices.Clip(m.videos),
 		segments: slices.Clip(m.segments),
 		features: slices.Clip(m.features),
 		objects:  slices.Clip(m.objects),
-		states:   slices.Clip(m.states),
+		states:   states,
 		events:   slices.Clip(m.events),
 		ids:      m.ids,
 	}}
@@ -122,9 +123,10 @@ func (m *MetaIndex) AddObject(o Object) int64 {
 	return o.ID
 }
 
-// AddState records a per-frame object state.
+// AddState records a per-frame object state, encoded into the states
+// table's wire columns.
 func (m *MetaIndex) AddState(s ObjectState) {
-	m.states = append(m.states, s)
+	statesTable.push(&m.states, &s)
 }
 
 // AddEvent registers an event and returns its assigned ID.
@@ -204,7 +206,7 @@ func (t *tableSet) Stats() Stats {
 		Segments: len(t.segments),
 		Features: len(t.features),
 		Objects:  len(t.objects),
-		States:   len(t.states),
+		States:   t.states.n,
 		Events:   len(t.events),
 	}
 }

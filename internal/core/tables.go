@@ -1,12 +1,15 @@
 package core
 
-// The meta-index tables. Each of the six tables is a slice of its row
-// struct (Video, Segment, FeatureValue, Object, ObjectState, Event), and one
-// declaration, tables below, lists each table's wire columns: the column's
-// name, the row field it holds — whose Go type fixes the wire type — and,
-// for an ID column, the ID space its values come from. That declaration
-// drives the stream codec, the decoder's header check, Append's ID shift
-// and the counter restore after a decode.
+// The meta-index tables. One declaration, tables below, lists each of the
+// six tables' wire columns: the column's name, the field of the row struct
+// (Video, Segment, FeatureValue, Object, ObjectState, Event) it holds —
+// whose Go type fixes the wire type — and, for an ID column, the ID space
+// its values come from. That declaration drives the stream codec, the
+// decoder's header check, Append's ID shift and the counter restore after
+// a decode. Five tables are slices of their row struct; states, which no
+// query reads, is held in its wire form (wireRows): the column vectors the
+// stream writes, which AddState encodes a row into through the same field
+// accessors.
 //
 // Stream format (the payload of a segfile "core/seg/<ordinal>" block):
 //
@@ -28,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 const streamMagic = "CSDB"
@@ -68,8 +72,8 @@ func (c column[R]) wire() byte {
 	panic("core: column " + c.name + " has no wire type")
 }
 
-// table declares one meta-index table: its name, where its rows live in a
-// tableSet, and its columns in wire order.
+// table declares one meta-index table held as a slice of rows: its name,
+// where its rows live in a tableSet, and its columns in wire order.
 type table[R any] struct {
 	name string
 	rows func(*tableSet) *[]R
@@ -124,22 +128,7 @@ var tables = [...]tableCodec{
 		{"end", func(s *Segment) any { return &s.End }, nil},
 		{"class", func(s *Segment) any { return &s.Class }, nil},
 	}},
-	&table[ObjectState]{"states", func(t *tableSet) *[]ObjectState { return &t.states }, []column[ObjectState]{
-		{"object", func(s *ObjectState) any { return &s.ObjectID }, objectIDs},
-		{"frame", func(s *ObjectState) any { return &s.Frame }, nil},
-		{"found", func(s *ObjectState) any { return &s.Found }, nil},
-		{"x", func(s *ObjectState) any { return &s.X }, nil},
-		{"y", func(s *ObjectState) any { return &s.Y }, nil},
-		{"vx", func(s *ObjectState) any { return &s.VX }, nil},
-		{"vy", func(s *ObjectState) any { return &s.VY }, nil},
-		{"area", func(s *ObjectState) any { return &s.Area }, nil},
-		{"bx0", func(s *ObjectState) any { return &s.BBox[0] }, nil},
-		{"by0", func(s *ObjectState) any { return &s.BBox[1] }, nil},
-		{"bx1", func(s *ObjectState) any { return &s.BBox[2] }, nil},
-		{"by1", func(s *ObjectState) any { return &s.BBox[3] }, nil},
-		{"orientation", func(s *ObjectState) any { return &s.Orientation }, nil},
-		{"eccentricity", func(s *ObjectState) any { return &s.Eccentricity }, nil},
-	}},
+	statesTable,
 	&table[Video]{"videos", func(t *tableSet) *[]Video { return &t.videos }, []column[Video]{
 		{"id", func(v *Video) any { return &v.ID }, videoIDs},
 		{"name", func(v *Video) any { return &v.Name }, nil},
@@ -150,6 +139,24 @@ var tables = [...]tableCodec{
 		{"frames", func(v *Video) any { return &v.Frames }, nil},
 	}},
 }
+
+// statesTable declares the states table, held in its wire form.
+var statesTable = &wireTable[ObjectState]{"states", func(t *tableSet) *wireRows { return &t.states }, []column[ObjectState]{
+	{"object", func(s *ObjectState) any { return &s.ObjectID }, objectIDs},
+	{"frame", func(s *ObjectState) any { return &s.Frame }, nil},
+	{"found", func(s *ObjectState) any { return &s.Found }, nil},
+	{"x", func(s *ObjectState) any { return &s.X }, nil},
+	{"y", func(s *ObjectState) any { return &s.Y }, nil},
+	{"vx", func(s *ObjectState) any { return &s.VX }, nil},
+	{"vy", func(s *ObjectState) any { return &s.VY }, nil},
+	{"area", func(s *ObjectState) any { return &s.Area }, nil},
+	{"bx0", func(s *ObjectState) any { return &s.BBox[0] }, nil},
+	{"by0", func(s *ObjectState) any { return &s.BBox[1] }, nil},
+	{"bx1", func(s *ObjectState) any { return &s.BBox[2] }, nil},
+	{"by1", func(s *ObjectState) any { return &s.BBox[3] }, nil},
+	{"orientation", func(s *ObjectState) any { return &s.Orientation }, nil},
+	{"eccentricity", func(s *ObjectState) any { return &s.Eccentricity }, nil},
+}}
 
 // DeserializeMetaIndex decodes a meta-index written by encodeTables into a
 // builder and restores its ID counters from the largest keys. The result
@@ -184,11 +191,11 @@ func encodeTables(b []byte, p *Part, ts []tableCodec) []byte {
 	return b
 }
 
-// header appends the table's name and column declarations.
-func (t *table[R]) header(b []byte) []byte {
-	b = appendString(b, t.name)
-	b = binary.AppendUvarint(b, uint64(len(t.cols)))
-	for _, c := range t.cols {
+// header appends a table's name and column declarations.
+func header[R any](b []byte, name string, cols []column[R]) []byte {
+	b = appendString(b, name)
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
 		b = appendString(append(b, c.wire()), c.name)
 	}
 	return b
@@ -196,26 +203,37 @@ func (t *table[R]) header(b []byte) []byte {
 
 func (t *table[R]) encode(b []byte, m *tableSet) []byte {
 	rows := *t.rows(m)
-	b = binary.AppendUvarint(t.header(b), uint64(len(rows)))
+	b = binary.AppendUvarint(header(b, t.name, t.cols), uint64(len(rows)))
 	for _, c := range t.cols {
 		for i := range rows {
-			switch p := c.field(&rows[i]).(type) {
-			case *int64:
-				b = binary.AppendVarint(b, *p)
-			case *int:
-				b = binary.AppendVarint(b, int64(*p))
-			case *float64:
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*p))
-			case *string:
-				b = appendString(b, *p)
-			case *bool:
-				if i%8 == 0 {
-					b = append(b, 0)
-				}
-				if *p {
-					b[len(b)-1] |= 1 << (i % 8)
-				}
+			b = appendCell(b, c.field(&rows[i]), i)
+		}
+	}
+	return b
+}
+
+// appendCell appends the value p points at, row i of its column, in its
+// wire form. A bool is a bit of the column's last byte; when the slice is
+// full that byte may be a frozen Part's, so it is copied before it is set.
+func appendCell(b []byte, p any, i int) []byte {
+	switch p := p.(type) {
+	case *int64:
+		b = binary.AppendVarint(b, *p)
+	case *int:
+		b = binary.AppendVarint(b, int64(*p))
+	case *float64:
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*p))
+	case *string:
+		b = appendString(b, *p)
+	case *bool:
+		if i%8 == 0 {
+			b = append(b, 0)
+		}
+		if *p {
+			if len(b) == cap(b) {
+				b = slices.Grow(b, 1)
 			}
+			b[len(b)-1] |= 1 << (i % 8)
 		}
 	}
 	return b
@@ -225,14 +243,16 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func (t *table[R]) decode(d *decoder, m *tableSet) error {
-	if h := t.header(nil); !bytes.Equal(d.take(uint64(len(h))), h) {
-		return fmt.Errorf("table %q: header does not match its declaration", t.name)
+// rowCount reads a table's header, which must be its declaration's, and
+// its row count. Every row costs at least minBits of the stream, so a row
+// count the remaining bytes cannot hold fails before anything is
+// allocated.
+func rowCount[R any](d *decoder, name string, cols []column[R]) (int, error) {
+	if h := header(nil, name, cols); !bytes.Equal(d.take(uint64(len(h))), h) {
+		return 0, fmt.Errorf("table %q: header does not match its declaration", name)
 	}
-	// Every row costs at least minBits of the stream, so a row count the
-	// remaining bytes cannot hold fails before anything is allocated.
 	minBits := uint64(0)
-	for _, c := range t.cols {
+	for _, c := range cols {
 		minBits += [...]uint64{wireInt: 8, wireFloat: 64, wireString: 8, wireBool: 1}[c.wire()]
 	}
 	n := d.uvarint()
@@ -240,7 +260,15 @@ func (t *table[R]) decode(d *decoder, m *tableSet) error {
 		d.fail("%d rows past the end of the stream", n)
 	}
 	if d.err != nil {
-		return fmt.Errorf("table %q: %w", t.name, d.err)
+		return 0, fmt.Errorf("table %q: %w", name, d.err)
+	}
+	return int(n), nil
+}
+
+func (t *table[R]) decode(d *decoder, m *tableSet) error {
+	n, err := rowCount(d, t.name, t.cols)
+	if err != nil {
+		return err
 	}
 	rows := make([]R, n)
 	for _, c := range t.cols {
@@ -306,6 +334,138 @@ func (t *table[R]) restoreIDs(m *tableSet) {
 		}
 	}
 }
+
+// wireTable declares a meta-index table held in its wire form: where its
+// wireRows live in a tableSet, and its columns in wire order, of which none
+// is a key ("id").
+type wireTable[R any] struct {
+	name string
+	rows func(*tableSet) *wireRows
+	cols []column[R]
+}
+
+// wireRows is a table in its wire form: n rows, and each column's vector
+// exactly as the stream writes it.
+type wireRows struct {
+	n    int
+	cols [][]byte
+}
+
+// freeze returns w as a Part holds it, and clips w's columns, so that the
+// builder's next write to a byte the Part shares copies it first.
+func (w *wireRows) freeze() wireRows {
+	for i := range w.cols {
+		w.cols[i] = slices.Clip(w.cols[i])
+	}
+	return wireRows{n: w.n, cols: slices.Clone(w.cols)}
+}
+
+// push appends row r, encoding it through the column declarations.
+func (t *wireTable[R]) push(w *wireRows, r *R) {
+	if w.cols == nil {
+		w.cols = make([][]byte, len(t.cols))
+	}
+	for i, c := range t.cols {
+		w.cols[i] = appendCell(w.cols[i], c.field(r), w.n)
+	}
+	w.n++
+}
+
+func (t *wireTable[R]) encode(b []byte, m *tableSet) []byte {
+	w := t.rows(m)
+	b = binary.AppendUvarint(header(b, t.name, t.cols), uint64(w.n))
+	for _, col := range w.cols {
+		b = append(b, col...)
+	}
+	return b
+}
+
+// decode checks every column cell by cell, then holds a copy of its bytes.
+// The unused high bits of a bool column's last byte are cleared, so that
+// rows appended after it set only their own bits.
+func (t *wireTable[R]) decode(d *decoder, m *tableSet) error {
+	n, err := rowCount(d, t.name, t.cols)
+	if err != nil || n == 0 {
+		return err // an empty table holds no columns, as before its first row
+	}
+	w := wireRows{n: n, cols: make([][]byte, len(t.cols))}
+	for k, c := range t.cols {
+		start, wire := d.b, c.wire()
+		for i := range n {
+			switch wire {
+			case wireInt:
+				d.varint()
+			case wireFloat:
+				d.take(8)
+			case wireString:
+				d.take(d.uvarint())
+			case wireBool:
+				if i%8 == 0 {
+					d.take(1)
+				}
+			}
+		}
+		if d.err != nil {
+			return fmt.Errorf("table %q, column %q: %w", t.name, c.name, d.err)
+		}
+		w.cols[k] = bytes.Clone(start[:len(start)-len(d.b)])
+		if wire == wireBool && n%8 != 0 {
+			w.cols[k][len(w.cols[k])-1] &= 1<<(n%8) - 1
+		}
+	}
+	*t.rows(m) = w
+	return nil
+}
+
+// appendShifted appends src's rows to dst's column by column: an ID column
+// with a nonzero shift is re-encoded with the shift added to every nonzero
+// value, a bool column's bits are packed on after dst's, and any other
+// column's bytes are copied. Each column is grown first, which also copies
+// a last byte dst shares with a frozen Part before its bits are set.
+func (t *wireTable[R]) appendShifted(dst, src *tableSet, shift IDBase) {
+	to, from := t.rows(dst), t.rows(src)
+	if from.n == 0 {
+		return
+	}
+	if to.cols == nil {
+		to.cols = make([][]byte, len(t.cols))
+	}
+	for k, c := range t.cols {
+		col := from.cols[k]
+		b := slices.Grow(to.cols[k], len(col)+1)
+		var delta int64
+		if c.ids != nil {
+			delta = *c.ids(&shift)
+		}
+		switch {
+		case delta != 0:
+			d := decoder{b: col}
+			for range from.n {
+				if v := d.varint(); v != 0 {
+					b = binary.AppendVarint(b, v+delta)
+				} else {
+					b = append(b, 0)
+				}
+			}
+		case to.n%8 != 0 && c.wire() == wireBool:
+			// src's bits past its n are zero, so a byte that holds none
+			// of them is cut off at the end.
+			sh := to.n % 8
+			for _, x := range col {
+				b[len(b)-1] |= x << sh
+				b = append(b, x>>(8-sh))
+			}
+			b = b[:(to.n+from.n+7)/8]
+		default:
+			b = append(b, col...)
+		}
+		to.cols[k] = b
+	}
+	to.n += from.n
+}
+
+// restoreIDs restores nothing: a table held in wire form has no key column.
+func (t *wireTable[R]) restoreIDs(*tableSet) {}
 
 // decoder reads a stream from memory. The first failure sticks: every later
 // read returns a zero value, so the table loops run to their end without

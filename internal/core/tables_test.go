@@ -144,8 +144,8 @@ func TestDeserializeRoundTrip(t *testing.T) {
 		if again := serialized(t, back); !bytes.Equal(again, b) {
 			t.Fatalf("%d states: re-encoding changed the stream bytes", n)
 		}
-		if len(back.states) != n {
-			t.Fatalf("%d states: decoded %d state rows", n, len(back.states))
+		if back.states.n != n {
+			t.Fatalf("%d states: decoded %d state rows", n, back.states.n)
 		}
 		if scenes, err := back.Freeze().Scenes("rallye-été"); err != nil || len(scenes) != 1 {
 			t.Fatalf("%d states: post-load lookup = %v, %v", n, scenes, err)

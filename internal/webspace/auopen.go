@@ -136,7 +136,8 @@ func GenerateAusOpen(cfg SiteConfig) (*Site, error) {
 	site := &Site{W: w, Pages: make([]Page, 0, cfg.Players+4*years)}
 
 	// Players: half female, half male; 15% left-handed. Their attribute
-	// values are drawn first, so that the Player columns are sized once.
+	// values are drawn first, so that the Player string columns are sized
+	// once.
 	type player struct{ name, sex, hand, country, bio string }
 	players := make([]player, cfg.Players)
 	strBytes := map[string]int{}
@@ -170,7 +171,6 @@ func GenerateAusOpen(cfg SiteConfig) (*Site, error) {
 		strBytes["sex"] += len(sex)
 		strBytes["handedness"] += len(hand)
 		strBytes["country"] += len(country)
-		strBytes["bio"] += len(bio)
 	}
 	if err := w.reserve("Player", len(players), strBytes); err != nil {
 		return nil, err
@@ -229,13 +229,12 @@ func GenerateAusOpen(cfg SiteConfig) (*Site, error) {
 			if err != nil {
 				return nil, err
 			}
-			iv, err := w.NewObject("Interview", map[string]any{
-				"text": fmt.Sprintf(
-					"After the %d final %s said: winning the Australian Open "+
-						"has been my dream since childhood. The crowd in "+
-						"Melbourne was amazing tonight.",
-					year, winner.StringAttr("name")),
-			})
+			interview := fmt.Sprintf(
+				"After the %d final %s said: winning the Australian Open "+
+					"has been my dream since childhood. The crowd in "+
+					"Melbourne was amazing tonight.",
+				year, winner.StringAttr("name"))
+			iv, err := w.NewObject("Interview", map[string]any{"text": interview})
 			if err != nil {
 				return nil, err
 			}
@@ -261,7 +260,7 @@ func GenerateAusOpen(cfg SiteConfig) (*Site, error) {
 				},
 				Page{
 					Name:     fmt.Sprintf("interviews/%d-%s.html", year, cat),
-					Text:     iv.StringAttr("text"),
+					Text:     interview,
 					ObjectID: iv.ID,
 				})
 		}

@@ -26,8 +26,9 @@ type Object struct {
 	row int32
 }
 
-// StringAttr returns a string/text attribute or "". The string aliases the
-// class's column.
+// StringAttr returns a string or text attribute, or "". A string
+// attribute's value aliases its column; a text attribute's is a copy,
+// decoded from its compressed block.
 func (o *Object) StringAttr(name string) string {
 	i, ok := o.tab.class.attrIndex(name)
 	if !ok {
@@ -37,7 +38,11 @@ func (o *Object) StringAttr(name string) string {
 	if !c.isString() || !c.has(o.row) {
 		return ""
 	}
-	return c.str.At(int(o.row))
+	if c.typ == AttrString {
+		return c.str.At(int(o.row))
+	}
+	var r textReader
+	return strings.Clone(r.at(c, o.row))
 }
 
 // table holds the objects of one class as rows, in creation order: row r is
@@ -48,14 +53,18 @@ type table struct {
 	cols  []column
 }
 
-// column is one attribute of every row of a class, typed: a string or text
-// attribute is a byte arena with u32 offsets (the shape of a segfile
-// string table), an int, float or bool attribute a plain slice. An unset
-// row holds the zero value and a clear bit in set.
+// column is one attribute of every row of a class, typed: a string
+// attribute is a byte arena with u32 offsets (the shape of a segfile string
+// table), an int, float or bool attribute a plain slice. A text attribute,
+// which only contains scans read in full, keeps each full block of
+// textBlock rows flate-compressed in blocks; str holds only its open block,
+// whose bytes are rewritten once it is sealed. An unset row holds the zero
+// value and a clear bit in set.
 type column struct {
 	typ    AttrType
 	set    []uint64 // presence bitmap by row
 	str    segfile.Table
+	blocks [][]byte
 	ints   []int64
 	floats []float64
 	bools  []bool
@@ -75,9 +84,15 @@ func (c *column) push(row int32, v any) {
 		c.set[row>>6] |= 1 << (row & 63)
 	}
 	switch c.typ {
-	case AttrString, AttrText:
+	case AttrString:
 		s, _ := v.(string)
 		c.str.Append(s)
+	case AttrText:
+		s, _ := v.(string)
+		c.str.Append(s)
+		if c.str.Len() == textBlock {
+			c.seal()
+		}
 	case AttrInt:
 		i, _ := v.(int64)
 		c.ints = append(c.ints, i)
@@ -134,7 +149,8 @@ func (w *Webspace) table(class string) (*table, error) {
 
 // reserve sizes class's columns for rows more objects whose string
 // attributes hold strBytes[name] bytes in all, so that adding them copies
-// no column as it grows.
+// no column as it grows. A text attribute's blocks are compressed as they
+// fill, so only their count is known ahead.
 func (w *Webspace) reserve(class string, rows int, strBytes map[string]int) error {
 	t, err := w.table(class)
 	if err != nil {
@@ -145,9 +161,11 @@ func (w *Webspace) reserve(class string, rows int, strBytes map[string]int) erro
 		c := &t.cols[i]
 		c.set = slices.Grow(c.set, (len(t.ids)+rows+63)/64-len(c.set))
 		switch c.typ {
-		case AttrString, AttrText:
+		case AttrString:
 			c.str.Data = slices.Grow(c.str.Data, strBytes[t.class.names[i]])
 			c.str.Off = slices.Grow(c.str.Off, rows+1)
+		case AttrText:
+			c.blocks = slices.Grow(c.blocks, (len(t.ids)+rows)/textBlock-len(c.blocks))
 		case AttrInt:
 			c.ints = slices.Grow(c.ints, rows)
 		case AttrFloat:
@@ -364,11 +382,12 @@ func (w *Webspace) Run(q Query) ([]*Object, error) {
 	return out, nil
 }
 
-// evaluator runs one query's constraints; buf is the buffer OpContains
-// lowercases stored values into.
+// evaluator runs one query's constraints; text decodes the text blocks it
+// reads, and buf is the buffer OpContains lowercases stored values into.
 type evaluator struct {
-	w   *Webspace
-	buf []byte
+	w    *Webspace
+	text textReader
+	buf  []byte
 }
 
 // satisfies reports whether some object at the end of path from o meets c
@@ -393,7 +412,7 @@ func (ev *evaluator) cmpAttr(col *column, row int32, c *cond) bool {
 	}
 	switch col.typ {
 	case AttrString, AttrText:
-		s := col.str.At(int(row))
+		s := ev.text.at(col, row)
 		if c.op == OpContains {
 			ev.buf = appendLower(slices.Grow(ev.buf[:0], len(s)), s)
 			return bytes.Contains(ev.buf, c.lower)
